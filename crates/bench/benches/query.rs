@@ -1,56 +1,48 @@
-//! Criterion benchmarks of the query path: one-shot [`nnd::search`] vs the
-//! buffer-reusing [`nnd::Searcher`], and the epsilon sweep's cost shape
-//! (the per-point version of Figure 2's qps axis).
+//! Criterion benchmarks of the query path: one-shot [`nnd::search`] (fresh
+//! scratch per call) against [`nnd::search_batch`] (one scratch and one
+//! norm cache per batch), and the epsilon sweep's cost shape (the per-point
+//! version of Figure 2's qps axis).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dataset::metric::L2;
 use dataset::presets;
-use nnd::{build, search, NnDescentParams, SearchParams, Searcher};
+use dataset::synth::split_queries;
+use dataset::PointSet;
+use nnd::{build, search, search_batch, KnnGraph, NnDescentParams, SearchParams};
 
-fn setup() -> (dataset::PointSet<Vec<f32>>, nnd::KnnGraph) {
-    let set = presets::deep1b_like(2_000, 3);
-    let (g, _) = build(&set, &L2, NnDescentParams::new(10).seed(1));
-    (set, g.optimize(10, 1.5))
+/// 2 000 base points, 64 held-out queries, optimized graph.
+fn setup() -> (PointSet<Vec<f32>>, PointSet<Vec<f32>>, KnnGraph) {
+    let (base, queries) = split_queries(presets::deep1b_like(2_064, 3), 64);
+    let (g, _) = build(&base, &L2, NnDescentParams::new(10).seed(1));
+    (base, queries, g.optimize(10, 1.5))
 }
 
-fn bench_search_vs_searcher(c: &mut Criterion) {
-    let (set, graph) = setup();
+fn bench_search_vs_batch(c: &mut Criterion) {
+    let (base, queries, graph) = setup();
     let params = SearchParams::new(10).epsilon(0.2).entry_candidates(32);
     let mut group = c.benchmark_group("query_path");
-    group.bench_function("one_shot_search", |b| {
-        let mut qi = 0u32;
+    group.bench_function("one_shot_search_x64", |b| {
         b.iter(|| {
-            qi = (qi + 7) % set.len() as u32;
-            black_box(search(&graph, &set, &L2, set.point(qi), params))
+            for q in queries.points() {
+                black_box(search(&graph, &base, &L2, q, params));
+            }
         })
     });
-    group.bench_function("reused_searcher", |b| {
-        let mut searcher = Searcher::new(set.len());
-        let mut qi = 0u32;
-        b.iter(|| {
-            qi = (qi + 7) % set.len() as u32;
-            black_box(searcher.search(&graph, &set, &L2, set.point(qi), params))
-        })
+    group.bench_function("search_batch_64", |b| {
+        b.iter(|| black_box(search_batch(&graph, &base, &L2, &queries, params)))
     });
     group.finish();
 }
 
 fn bench_epsilon_cost(c: &mut Criterion) {
-    let (set, graph) = setup();
+    let (base, queries, graph) = setup();
     let mut group = c.benchmark_group("query_epsilon");
     for eps in [0.0f32, 0.2, 0.4] {
         let params = SearchParams::new(10).epsilon(eps).entry_candidates(32);
         group.bench_with_input(
             BenchmarkId::new("eps", format!("{eps:.1}")),
             &eps,
-            |b, _| {
-                let mut searcher = Searcher::new(set.len());
-                let mut qi = 0u32;
-                b.iter(|| {
-                    qi = (qi + 11) % set.len() as u32;
-                    black_box(searcher.search(&graph, &set, &L2, set.point(qi), params))
-                })
-            },
+            |b, _| b.iter(|| black_box(search_batch(&graph, &base, &L2, &queries, params))),
         );
     }
     group.finish();
@@ -66,6 +58,6 @@ fn fast_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = fast_config();
-    targets = bench_search_vs_searcher, bench_epsilon_cost
+    targets = bench_search_vs_batch, bench_epsilon_cost
 }
 criterion_main!(benches);

@@ -51,17 +51,28 @@ impl Args {
         Args { values, flags }
     }
 
-    /// Typed lookup with default.
+    /// Typed lookup with default. A value that does not parse as `T`, or
+    /// a typed key given without a value, is a usage error: one line on
+    /// stderr and exit code 2 — never a silent fall-back to the default.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.opt(key).unwrap_or(default)
     }
 
-    /// Typed lookup without a default: `None` when the key was not given.
+    /// Typed lookup without a default: `None` when the key was not given;
+    /// unparseable and missing values exit like [`Args::get`].
     pub fn opt<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        self.values.get(key).and_then(|v| v.parse().ok())
+        self.try_opt(key).unwrap_or_else(|msg| die(&msg))
+    }
+
+    fn try_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        match self.values.get(key) {
+            Some(v) => match v.parse() {
+                Ok(t) => Ok(Some(t)),
+                Err(_) => Err(format!("--{key}: cannot parse {v:?}")),
+            },
+            None if self.flag(key) => Err(format!("--{key}: missing value")),
+            None => Ok(None),
+        }
     }
 
     /// Boolean flag presence.
@@ -73,6 +84,13 @@ impl Args {
     pub fn out_dir(&self) -> PathBuf {
         PathBuf::from(self.get::<String>("out", "results".into()))
     }
+}
+
+/// Abort with a one-line `error: ...` message and exit code 2 (the
+/// command-line convention of every executable in the workspace).
+pub fn die(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }
 
 /// A printable/CSV-able table of rows.
@@ -194,9 +212,19 @@ mod tests {
     }
 
     #[test]
-    fn malformed_value_falls_back_to_default() {
-        let a = args("--n abc");
-        assert_eq!(a.get("n", 42usize), 42);
+    fn malformed_or_missing_value_is_an_error_not_the_default() {
+        let a = args("--n 10k --seed 0x2a --k");
+        assert_eq!(
+            a.try_opt::<usize>("n"),
+            Err("--n: cannot parse \"10k\"".into())
+        );
+        assert_eq!(
+            a.try_opt::<u64>("seed"),
+            Err("--seed: cannot parse \"0x2a\"".into())
+        );
+        assert_eq!(a.try_opt::<usize>("k"), Err("--k: missing value".into()));
+        assert_eq!(a.try_opt::<String>("n"), Ok(Some("10k".into())));
+        assert_eq!(a.try_opt::<usize>("absent"), Ok(None));
     }
 
     #[test]

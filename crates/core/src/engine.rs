@@ -176,29 +176,6 @@ pub(crate) fn charge_batch(comm: &Comm, dim: usize, n: usize) {
     comm.charge_compute(comm.cost().distance_cost_ns(dim) * n as u64);
 }
 
-/// Split candidate ids into (locally owned, per-remote-rank groups in
-/// first-seen destination order) — one message per remote group.
-pub(crate) fn group_by_owner(
-    part: Partitioner,
-    my_rank: usize,
-    ids: &[PointId],
-) -> (Vec<PointId>, Vec<(usize, Vec<PointId>)>) {
-    let mut local = Vec::new();
-    let mut remote: Vec<(usize, Vec<PointId>)> = Vec::new();
-    for &u in ids {
-        let dest = part.owner(u);
-        if dest == my_rank {
-            local.push(u);
-        } else {
-            match remote.iter_mut().find(|(r, _)| *r == dest) {
-                Some((_, g)) => g.push(u),
-                None => remote.push((dest, vec![u])),
-            }
-        }
-    }
-    (local, remote)
-}
-
 /// Build a k-NNG over `set` using `world.n_ranks()` simulated ranks.
 ///
 /// `set` is shared read-only with every rank (in a real deployment each
@@ -312,7 +289,13 @@ where
             }
             guard += 1;
         }
-        let (local, remote) = group_by_owner(part, comm.rank(), &chosen);
+        // One group per owner; this rank's own group is scored in place,
+        // the rest travel as one message each.
+        let mut remote = part.group(&chosen);
+        let local = match remote.iter().position(|(r, _)| *r == comm.rank()) {
+            Some(i) => remote.remove(i).1,
+            None => Vec::new(),
+        };
         if !local.is_empty() {
             // Local candidates: one batched 1xN evaluation.
             let mut dbuf = Vec::with_capacity(local.len());
@@ -823,11 +806,9 @@ fn register_handlers<P, M>(
             if tails.is_empty() {
                 return;
             }
-            // Group by destination (usize::MAX: nothing matches "local", so
-            // rank-local endpoints still travel as ordinary self-sends and
-            // keep showing up on the traffic matrix diagonal, as before).
-            let (_, groups) = group_by_owner(part, usize::MAX, &tails);
-            for (dest, u2s) in groups {
+            // Rank-local endpoints travel as ordinary self-sends too, so
+            // they show up on the traffic matrix diagonal.
+            for (dest, u2s) in part.group(&tails) {
                 if cfg.opts.one_sided {
                     c.async_send(
                         dest,

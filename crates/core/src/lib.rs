@@ -36,7 +36,6 @@
 
 pub mod bruteforce;
 pub mod config;
-pub mod dist_index;
 pub mod engine;
 pub mod msgs;
 pub mod obs_report;
@@ -47,7 +46,6 @@ pub mod rnn_dist;
 
 pub use bruteforce::distributed_ground_truth;
 pub use config::{CommOpts, DnndConfig};
-pub use dist_index::DistIndex;
 pub use engine::{build, BuildReport, DnndOutput};
 pub use partition::Partitioner;
 pub use persist::{destroy_sharded, load_sharded, save_sharded};

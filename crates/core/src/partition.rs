@@ -40,6 +40,22 @@ impl Partitioner {
         (mix64(u64::from(id)) % self.n_ranks as u64) as usize
     }
 
+    /// Group `ids` by owning rank: one `(rank, ids)` entry per distinct
+    /// owner, in first-seen destination order, ids in input order — the
+    /// shape every "one message per destination" fan-out iterates, so
+    /// message order is a pure function of the id order.
+    pub fn group(&self, ids: &[PointId]) -> Vec<(usize, Vec<PointId>)> {
+        let mut groups: Vec<(usize, Vec<PointId>)> = Vec::new();
+        for &id in ids {
+            let dest = self.owner(id);
+            match groups.iter_mut().find(|(r, _)| *r == dest) {
+                Some((_, g)) => g.push(id),
+                None => groups.push((dest, vec![id])),
+            }
+        }
+        groups
+    }
+
     /// All ids in `0..n` owned by `rank`, ascending.
     pub fn owned_ids(&self, n: usize, rank: usize) -> Vec<PointId> {
         (0..n as PointId)
@@ -64,6 +80,23 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&c| c == 1));
+    }
+
+    #[test]
+    fn group_keeps_first_seen_destination_and_input_order() {
+        let p = Partitioner::new(3);
+        let ids: Vec<PointId> = vec![9, 2, 7, 2, 0, 5, 11];
+        // Group k belongs to the k-th distinct owner met while walking the
+        // input, and holds the input filtered to that owner.
+        let mut want: Vec<(usize, Vec<PointId>)> = Vec::new();
+        for &id in &ids {
+            let rank = p.owner(id);
+            if want.iter().all(|(r, _)| *r != rank) {
+                let of_rank = ids.iter().copied().filter(|&x| p.owner(x) == rank);
+                want.push((rank, of_rank.collect()));
+            }
+        }
+        assert_eq!(p.group(&ids), want);
     }
 
     #[test]

@@ -292,23 +292,6 @@ impl<P: Wire> Wire for Score<P> {
     }
 }
 
-/// Group candidate ids by owning rank, preserving first-seen destination
-/// order (same shape as the construction engine's row grouping).
-fn group_by_owner(
-    part: Partitioner,
-    ws: impl IntoIterator<Item = PointId>,
-) -> Vec<(usize, Vec<PointId>)> {
-    let mut groups: Vec<(usize, Vec<PointId>)> = Vec::new();
-    for w in ws {
-        let dest = part.owner(w);
-        match groups.iter_mut().find(|(r, _)| *r == dest) {
-            Some((_, g)) => g.push(w),
-            None => groups.push((dest, vec![w])),
-        }
-    }
-    groups
-}
-
 /// Per-query search cost, counted home-rank-side where the greedy loop
 /// runs. All three counters are pure functions of the `(graph, params,
 /// seed key)` tuple — the visited-set admission and the round-boundary
@@ -507,7 +490,7 @@ where
                     let unvisited: Vec<PointId> =
                         ids.into_iter().filter(|&w| q.visited.insert(w)).collect();
                     q.profile.dist_evals += unvisited.len() as u64;
-                    for (dest, ws) in group_by_owner(part, unvisited) {
+                    for (dest, ws) in part.group(&unvisited) {
                         c.async_send(
                             dest,
                             TAG_SCORE,
@@ -537,43 +520,22 @@ where
     /// Answer one batch of locally-homed queries. `requests` pairs a
     /// per-query seed key (any stable id — the offline path uses the global
     /// query index, serving uses the arrival index) with the query vector.
-    /// Returns the best-`params.l` ids per request, in request order.
+    /// Returns, in request order, the best-`params.l` ids and a
+    /// [`QueryProfile`] (expansions, distance evals, rounds) per request;
+    /// both are bit-identical across reruns and rank counts for a given
+    /// `(graph, params, seed key)`.
+    ///
+    /// Filter push-down: `masks[i]`, when present, is the allow-list for
+    /// `requests[i]` — evaluated at the home rank inside the beam
+    /// expansion (best-heap admission), never as a post-filter. An empty
+    /// `masks` slice means no query is filtered; otherwise it must be
+    /// request-aligned. A query whose mask admits fewer than `params.l`
+    /// reachable ids returns fewer than `l` results (and an all-deny mask
+    /// returns none).
     ///
     /// Collective: all ranks must call together (possibly with empty
     /// `requests`).
     pub fn run_batch(
-        &self,
-        comm: &Comm,
-        requests: &[(u64, P)],
-        params: DistSearchParams,
-    ) -> Vec<Vec<PointId>> {
-        self.run_batch_profiled(comm, requests, params).0
-    }
-
-    /// [`Self::run_batch`] plus a per-request [`QueryProfile`] (expansions,
-    /// distance evals, rounds), in request order. The profiles inherit the
-    /// result determinism contract: bit-identical across reruns and rank
-    /// counts for a given `(graph, params, seed key)`.
-    pub fn run_batch_profiled(
-        &self,
-        comm: &Comm,
-        requests: &[(u64, P)],
-        params: DistSearchParams,
-    ) -> (Vec<Vec<PointId>>, Vec<QueryProfile>) {
-        self.run_batch_masked(comm, requests, &[], params)
-    }
-
-    /// Filter-pushed variant: `masks[i]`, when present, is the allow-list
-    /// for `requests[i]` — evaluated at the home rank inside the beam
-    /// expansion (best-heap admission), never as a post-filter. An empty
-    /// `masks` slice means no query is filtered; otherwise it must be
-    /// request-aligned. `None`/absent masks take the byte-identical legacy
-    /// path. A query whose mask admits fewer than `params.l` reachable ids
-    /// returns fewer than `l` results (and an all-deny mask returns none).
-    ///
-    /// Collective: all ranks must call together (possibly with empty
-    /// `requests`).
-    pub fn run_batch_masked(
         &self,
         comm: &Comm,
         requests: &[(u64, P)],
@@ -585,7 +547,7 @@ where
             .unwrap_or_else(|e| panic!("invalid DistSearchParams: {e}"));
         assert!(
             masks.is_empty() || masks.len() == requests.len(),
-            "run_batch_masked: masks must be empty or request-aligned \
+            "run_batch: masks must be empty or request-aligned \
              ({} masks, {} requests)",
             masks.len(),
             requests.len()
@@ -620,7 +582,7 @@ where
                     .filter(|&w| q.visited.insert(w))
                     .collect();
                 q.profile.dist_evals += fresh.len() as u64;
-                for (dest, ws) in group_by_owner(part, fresh) {
+                for (dest, ws) in part.group(&fresh) {
                     comm.async_send(
                         dest,
                         TAG_SCORE,
@@ -733,7 +695,7 @@ where
             .iter()
             .map(|&idx| (idx as u64, queries.point(idx as PointId).clone()))
             .collect();
-        let ids = engine.run_batch(comm, &requests, params);
+        let (ids, _) = engine.run_batch(comm, &requests, &[], params);
         mine.into_iter().zip(ids).collect::<RankQueryRows>()
     });
     let mut out: Vec<Vec<PointId>> = vec![Vec::new(); queries.len()];
@@ -895,26 +857,10 @@ mod tests {
         let (base, graph, queries) = setup(400, 8);
         let queries = Arc::new(queries);
         let params = DistSearchParams::new(8).epsilon(0.2).entry_candidates(32);
-        let profiles_at = |ranks: usize| {
-            let report = World::new(ranks).run(|comm| {
-                let engine = SearchEngine::new(comm, Arc::clone(&base), Arc::clone(&graph), L2);
-                let mine: Vec<(u64, Vec<f32>)> = (0..queries.len())
-                    .filter(|q| q % comm.n_ranks() == comm.rank())
-                    .map(|idx| (idx as u64, queries.point(idx as PointId).clone()))
-                    .collect();
-                let (_, profiles) = engine.run_batch_profiled(comm, &mine, params);
-                mine.iter()
-                    .map(|(idx, _)| *idx)
-                    .zip(profiles)
-                    .collect::<Vec<(u64, QueryProfile)>>()
-            });
-            let mut all: Vec<(u64, QueryProfile)> = report.results.into_iter().flatten().collect();
-            all.sort_unstable_by_key(|&(idx, _)| idx);
-            all
-        };
+        let profiles_at = |ranks| run_at(ranks, &base, &graph, &queries, None, params).1;
         let reference = profiles_at(1);
         assert_eq!(reference.len(), queries.len());
-        for (_, p) in &reference {
+        for p in &reference {
             assert!(p.dist_evals >= 32, "seed entries must be counted: {p:?}");
             assert!(p.rounds >= 1);
             assert!(p.expansions <= p.rounds, "one expansion per live round");
@@ -999,23 +945,19 @@ mod tests {
         assert!((even.selectivity() - 0.5).abs() < 1e-12);
     }
 
-    /// Run a masked batch on `ranks` ranks, gathering `(idx, ids)` rows.
-    fn masked_search_at(
+    /// Run `queries` (homed round-robin, `mask` on every one when given)
+    /// through [`SearchEngine::run_batch`] on `ranks` ranks; ids and
+    /// profiles come back in query order.
+    fn run_at(
         ranks: usize,
         base: &Arc<PointSet<Vec<f32>>>,
         graph: &Arc<KnnGraph>,
         queries: &Arc<PointSet<Vec<f32>>>,
-        mask: &Arc<IdMask>,
+        mask: Option<&Arc<IdMask>>,
         params: DistSearchParams,
-    ) -> Vec<Vec<PointId>> {
-        let (base, graph, queries, mask) = (
-            Arc::clone(base),
-            Arc::clone(graph),
-            Arc::clone(queries),
-            Arc::clone(mask),
-        );
-        let report = World::new(ranks).run(move |comm| {
-            let engine = SearchEngine::new(comm, Arc::clone(&base), Arc::clone(&graph), L2);
+    ) -> (Vec<Vec<PointId>>, Vec<QueryProfile>) {
+        let report = World::new(ranks).run(|comm| {
+            let engine = SearchEngine::new(comm, Arc::clone(base), Arc::clone(graph), L2);
             let mine: Vec<usize> = (0..queries.len())
                 .filter(|q| q % comm.n_ranks() == comm.rank())
                 .collect();
@@ -1023,16 +965,18 @@ mod tests {
                 .iter()
                 .map(|&idx| (idx as u64, queries.point(idx as PointId).clone()))
                 .collect();
-            let masks: Vec<Option<Arc<IdMask>>> =
-                mine.iter().map(|_| Some(Arc::clone(&mask))).collect();
-            let (ids, _) = engine.run_batch_masked(comm, &requests, &masks, params);
-            mine.into_iter().zip(ids).collect::<RankQueryRows>()
+            let masks: Vec<Option<Arc<IdMask>>> = match mask {
+                Some(m) => vec![Some(Arc::clone(m)); mine.len()],
+                None => Vec::new(),
+            };
+            let (ids, profiles) = engine.run_batch(comm, &requests, &masks, params);
+            mine.into_iter()
+                .zip(ids.into_iter().zip(profiles))
+                .collect::<Vec<_>>()
         });
-        let mut out: Vec<Vec<PointId>> = vec![Vec::new(); report.results.iter().flatten().count()];
-        for (idx, ids) in report.results.into_iter().flatten() {
-            out[idx] = ids;
-        }
-        out
+        let mut rows: Vec<_> = report.results.into_iter().flatten().collect();
+        rows.sort_unstable_by_key(|&(idx, _)| idx);
+        rows.into_iter().map(|(_, row)| row).unzip()
     }
 
     #[test]
@@ -1042,7 +986,7 @@ mod tests {
         // Allow one id in three — a mid-selectivity predicate.
         let mask = Arc::new(IdMask::from_fn(base.len(), |id| id % 3 == 0));
         let params = DistSearchParams::new(10).epsilon(0.2).entry_candidates(48);
-        let ids = masked_search_at(2, &base, &graph, &queries, &mask, params);
+        let ids = run_at(2, &base, &graph, &queries, Some(&mask), params).0;
         for (qi, row) in ids.iter().enumerate() {
             assert_eq!(row.len(), 10, "query {qi} under-filled");
             for &id in row {
@@ -1073,15 +1017,15 @@ mod tests {
         let queries = Arc::new(queries);
         let mask = Arc::new(IdMask::from_fn(base.len(), |id| id % 4 != 1));
         let params = DistSearchParams::new(8).epsilon(0.2).entry_candidates(32);
-        let reference = masked_search_at(1, &base, &graph, &queries, &mask, params);
+        let reference = run_at(1, &base, &graph, &queries, Some(&mask), params).0;
         // Rerun at the same rank count: bit-identical.
         assert_eq!(
-            masked_search_at(1, &base, &graph, &queries, &mask, params),
+            run_at(1, &base, &graph, &queries, Some(&mask), params).0,
             reference
         );
         for ranks in [2usize, 4] {
             assert_eq!(
-                masked_search_at(ranks, &base, &graph, &queries, &mask, params),
+                run_at(ranks, &base, &graph, &queries, Some(&mask), params).0,
                 reference,
                 "filtered results differ at {ranks} ranks"
             );
@@ -1089,27 +1033,13 @@ mod tests {
     }
 
     #[test]
-    fn all_deny_mask_returns_no_results_and_no_none_mask_matches_unmasked() {
+    fn all_deny_mask_returns_no_results() {
         let (base, graph, queries) = setup(300, 6);
         let queries = Arc::new(queries);
         let params = DistSearchParams::new(6).entry_candidates(24);
         let deny = Arc::new(IdMask::none(base.len()));
-        let empty = masked_search_at(2, &base, &graph, &queries, &deny, params);
+        let empty = run_at(2, &base, &graph, &queries, Some(&deny), params).0;
+        assert_eq!(empty.len(), queries.len());
         assert!(empty.iter().all(|row| row.is_empty()));
-        // A masks slice of all-None must match the unmasked entry point.
-        let (b, g, q) = (Arc::clone(&base), Arc::clone(&graph), Arc::clone(&queries));
-        let report = World::new(2).run(move |comm| {
-            let engine = SearchEngine::new(comm, Arc::clone(&b), Arc::clone(&g), L2);
-            let mine: Vec<(u64, Vec<f32>)> = (0..q.len())
-                .filter(|i| i % comm.n_ranks() == comm.rank())
-                .map(|idx| (idx as u64, q.point(idx as PointId).clone()))
-                .collect();
-            let masks: Vec<Option<Arc<IdMask>>> = vec![None; mine.len()];
-            let (with_none, _) = engine.run_batch_masked(comm, &mine, &masks, params);
-            let bare = engine.run_batch(comm, &mine, params);
-            assert_eq!(with_none, bare, "None masks must match the legacy path");
-            with_none.len()
-        });
-        assert!(report.results.iter().sum::<usize>() == queries.len());
     }
 }

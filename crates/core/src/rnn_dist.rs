@@ -25,7 +25,7 @@
 //! bit-identical across reruns, rank counts, fault plans, and kernel
 //! dispatch, and equal to the shared-memory [`nnd::rnn::rnn_optimize`].
 
-use crate::engine::{batched, batched_weighted, charge_batch, group_by_owner};
+use crate::engine::{batched, batched_weighted, charge_batch};
 use crate::msgs::*;
 use crate::partition::Partitioner;
 use dataset::batch::{BatchMetric, NormCache};
@@ -101,10 +101,9 @@ pub(crate) fn register_rnn_handlers<P, M>(
             TAG_RNN_REQ,
             tag_display(TAG_RNN_REQ),
             move |c, (v, a, bs)| {
-                // usize::MAX matches no rank: rank-local tails still travel
-                // as ordinary self-sends (traffic-matrix diagonal).
-                let (_, groups) = group_by_owner(part, usize::MAX, &bs);
-                for (dest, bs) in groups {
+                // Rank-local tails travel as ordinary self-sends too
+                // (traffic-matrix diagonal).
+                for (dest, bs) in part.group(&bs) {
                     c.async_send(
                         dest,
                         TAG_RNN_VEC,

@@ -89,83 +89,15 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
         index
     }
 
-    #[inline]
-    fn dist(&mut self, a: PointId, q: &P) -> f32 {
-        self.build_distance_evals += 1;
-        self.metric.distance(self.base.point(a), q)
-    }
-
-    /// Greedy single-entry descent on one layer (used above the insertion
-    /// layer and during query descent).
-    fn greedy_closest(&mut self, q: &P, mut cur: PointId, layer: usize) -> PointId {
-        let mut cur_d = self.dist(cur, q);
-        loop {
-            let mut improved = false;
-            let neighbors = self.nodes[cur as usize].layers[layer].clone();
-            for u in neighbors {
-                let d = self.dist(u, q);
-                if d < cur_d {
-                    cur = u;
-                    cur_d = d;
-                    improved = true;
-                }
-            }
-            if !improved {
-                return cur;
-            }
+    /// The layer traversal over the current links, charging construction's
+    /// distance-eval counter.
+    fn build_walk(&mut self) -> LayerWalk<'_, P, M> {
+        LayerWalk {
+            nodes: &self.nodes,
+            base: self.base,
+            metric: &self.metric,
+            evals: &mut self.build_distance_evals,
         }
-    }
-
-    /// Beam search on one layer: returns up to `ef` closest `(dist, id)`
-    /// pairs, ascending.
-    fn search_layer(
-        &mut self,
-        q: &P,
-        entries: &[PointId],
-        ef: usize,
-        layer: usize,
-    ) -> Vec<(f32, PointId)> {
-        let mut visited = vec![false; self.nodes.len()];
-        let mut result: BinaryHeap<(OrdF32, PointId)> = BinaryHeap::new(); // max-heap
-        let mut candidates: BinaryHeap<Reverse<(OrdF32, PointId)>> = BinaryHeap::new();
-        for &e in entries {
-            if visited[e as usize] {
-                continue;
-            }
-            visited[e as usize] = true;
-            let d = self.dist(e, q);
-            result.push((OrdF32(d), e));
-            candidates.push(Reverse((OrdF32(d), e)));
-        }
-        while result.len() > ef {
-            result.pop();
-        }
-        while let Some(Reverse((OrdF32(d), c))) = candidates.pop() {
-            let worst = result.peek().map_or(f32::INFINITY, |&(OrdF32(w), _)| w);
-            if d > worst && result.len() >= ef {
-                break;
-            }
-            let neighbors = self.nodes[c as usize].layers[layer].clone();
-            for u in neighbors {
-                if visited[u as usize] {
-                    continue;
-                }
-                visited[u as usize] = true;
-                let du = self.dist(u, q);
-                let worst = result.peek().map_or(f32::INFINITY, |&(OrdF32(w), _)| w);
-                if result.len() < ef || du < worst {
-                    result.push((OrdF32(du), u));
-                    if result.len() > ef {
-                        result.pop();
-                    }
-                    candidates.push(Reverse((OrdF32(du), u)));
-                }
-            }
-        }
-        let mut out: Vec<(f32, PointId)> =
-            result.into_iter().map(|(OrdF32(d), id)| (d, id)).collect();
-        out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        out
     }
 
     /// Algorithm 4 of the HNSW paper: the select-neighbors *heuristic*. A
@@ -221,16 +153,18 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
             self.max_layer = level;
             return;
         }
-        let q = self.base.point(id).clone();
+        let base = self.base;
+        let q = base.point(id);
         let mut cur = self.entry;
         // Descend greedily through layers above the insertion level.
         for layer in ((level + 1)..=self.max_layer).rev() {
-            cur = self.greedy_closest(&q, cur, layer);
+            cur = self.build_walk().greedy_closest(q, cur, layer);
         }
         // Connect on each layer from min(level, max_layer) down to 0.
         let mut entries = vec![cur];
         for layer in (0..=level.min(self.max_layer)).rev() {
-            let found = self.search_layer(&q, &entries, self.params.ef_construction, layer);
+            let efc = self.params.ef_construction;
+            let found = self.build_walk().search_layer(q, &entries, efc, layer);
             let m = self.params.m;
             let selected = self.select_neighbors(&found, m);
             for &u in &selected {
@@ -239,11 +173,10 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
                 // Shrink the neighbor's list if it overflowed.
                 let cap = self.max_links(layer);
                 if self.nodes[u as usize].layers[layer].len() > cap {
-                    let point_u = self.base.point(u).clone();
-                    let mut scored: Vec<(f32, PointId)> = self.nodes[u as usize].layers[layer]
-                        .clone()
-                        .into_iter()
-                        .map(|w| (self.dist(w, &point_u), w))
+                    let mut walk = self.build_walk();
+                    let mut scored: Vec<(f32, PointId)> = walk.nodes[u as usize].layers[layer]
+                        .iter()
+                        .map(|&w| (walk.dist(w, base.point(u)), w))
                         .collect();
                     scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
                     let shrunk = self.select_neighbors(&scored, cap);
@@ -261,11 +194,13 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
     /// k-ANN query with beam width `ef` (clamped up to `k`). Returns up to
     /// `k` `(id, dist)` pairs ascending.
     pub fn search(&self, q: &P, k: usize, ef: usize) -> Vec<(PointId, f32)> {
-        // Queries must not mutate build counters: clone a lightweight
-        // searcher view. Distances here use a local counter.
-        let mut me = SearchView {
-            index: self,
-            evals: 0,
+        // Queries charge a local counter, never the build counter.
+        let mut evals = 0;
+        let mut me = LayerWalk {
+            nodes: &self.nodes,
+            base: self.base,
+            metric: &self.metric,
+            evals: &mut evals,
         };
         let ef = ef.max(k);
         let mut cur = self.entry;
@@ -383,25 +318,31 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
     }
 }
 
-/// Immutable search view: duplicates the traversal logic without the
-/// construction-time counters so `search` can take `&self`.
-struct SearchView<'i, 'a, P, M> {
-    index: &'i HnswIndex<'a, P, M>,
-    evals: u64,
+/// The traversal routines of one layer — shared by `insert` and `search`
+/// — over borrowed links, charging every distance to `evals`: the index's
+/// `build_distance_evals` during construction, a local counter in queries
+/// (which is what lets `search` take `&self`).
+struct LayerWalk<'w, P, M> {
+    nodes: &'w [NodeLinks],
+    base: &'w PointSet<P>,
+    metric: &'w M,
+    evals: &'w mut u64,
 }
 
-impl<'i, 'a, P: Point, M: Metric<P>> SearchView<'i, 'a, P, M> {
+impl<P: Point, M: Metric<P>> LayerWalk<'_, P, M> {
     #[inline]
     fn dist(&mut self, a: PointId, q: &P) -> f32 {
-        self.evals += 1;
-        self.index.metric.distance(self.index.base.point(a), q)
+        *self.evals += 1;
+        self.metric.distance(self.base.point(a), q)
     }
 
+    /// Greedy single-entry descent on one layer (used above the insertion
+    /// layer and during query descent).
     fn greedy_closest(&mut self, q: &P, mut cur: PointId, layer: usize) -> PointId {
         let mut cur_d = self.dist(cur, q);
         loop {
             let mut improved = false;
-            for &u in &self.index.nodes[cur as usize].layers[layer] {
+            for &u in &self.nodes[cur as usize].layers[layer] {
                 let d = self.dist(u, q);
                 if d < cur_d {
                     cur = u;
@@ -415,6 +356,8 @@ impl<'i, 'a, P: Point, M: Metric<P>> SearchView<'i, 'a, P, M> {
         }
     }
 
+    /// Beam search on one layer: returns up to `ef` closest `(dist, id)`
+    /// pairs, ascending.
     fn search_layer(
         &mut self,
         q: &P,
@@ -422,8 +365,8 @@ impl<'i, 'a, P: Point, M: Metric<P>> SearchView<'i, 'a, P, M> {
         ef: usize,
         layer: usize,
     ) -> Vec<(f32, PointId)> {
-        let mut visited = vec![false; self.index.nodes.len()];
-        let mut result: BinaryHeap<(OrdF32, PointId)> = BinaryHeap::new();
+        let mut visited = vec![false; self.nodes.len()];
+        let mut result: BinaryHeap<(OrdF32, PointId)> = BinaryHeap::new(); // max-heap
         let mut candidates: BinaryHeap<Reverse<(OrdF32, PointId)>> = BinaryHeap::new();
         for &e in entries {
             if visited[e as usize] {
@@ -442,7 +385,7 @@ impl<'i, 'a, P: Point, M: Metric<P>> SearchView<'i, 'a, P, M> {
             if d > worst && result.len() >= ef {
                 break;
             }
-            for &u in &self.index.nodes[c as usize].layers[layer] {
+            for &u in &self.nodes[c as usize].layers[layer] {
                 if visited[u as usize] {
                     continue;
                 }

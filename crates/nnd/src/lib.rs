@@ -4,12 +4,15 @@
 //!
 //! * [`heap`] — the bounded per-vertex neighbor heap (`G[v]` of Algorithm 1);
 //! * [`nndescent`] — NN-Descent construction (Dong et al. WWW'11, with
-//!   PyNNDescent's sampling discipline), parallelized with rayon;
+//!   PyNNDescent's sampling discipline), written against rayon's iterator
+//!   API (this workspace's `rayon` stand-in runs it sequentially);
 //! * [`graph`] — the [`KnnGraph`] output type, the Section 4.5 graph
 //!   optimizations (reverse-edge merge + degree pruning), and persistence
 //!   into a [`metall::Store`];
 //! * [`mod@search`] — the Section 3.3 greedy ANN search with PyNNDescent's
-//!   `epsilon` relaxation, plus a parallel batch driver;
+//!   `epsilon` relaxation: one expansion loop over reusable scratch,
+//!   reached through [`search()`] (one query) and [`search_batch`] (one
+//!   scratch reused across the batch);
 //! * [`rptree`] — random-projection-forest initialization (extension);
 //! * [`refine`] — incremental insert/remove with short refinement passes
 //!   (the paper's Section 7 future work);
@@ -39,18 +42,15 @@
 pub mod diversify;
 pub mod graph;
 pub mod heap;
-pub mod index;
 pub mod nndescent;
 pub mod refine;
 pub mod rnn;
 pub mod rptree;
 pub mod search;
-pub mod searcher;
 
 pub use diversify::diversify;
 pub use graph::{Edge, KnnGraph};
 pub use heap::{Neighbor, NeighborHeap};
-pub use index::{IndexParams, InitStrategy, NnIndex};
 pub use nndescent::{build, build_traced, build_with_init, BuildStats, NnDescentParams};
 pub use refine::{insert_points, remove_points};
 pub use rnn::{rnn_optimize, RnnParams, RnnStats};
@@ -58,4 +58,3 @@ pub use rptree::{rp_forest_candidates, RpForestParams};
 pub use search::{
     search, search_batch, search_batch_traced, BatchResult, SearchParams, SearchResult,
 };
-pub use searcher::Searcher;

@@ -1,9 +1,18 @@
 //! Greedy best-first ANN search on a k-NNG — the query algorithm of
 //! Section 3.3, including PyNNDescent's `epsilon` frontier relaxation.
 //!
-//! The paper's query program is shared-memory (256 OpenMP threads); here
-//! [`search_batch`] parallelizes over queries with rayon and reports
-//! throughput, which is what Figure 2's qps axis measures.
+//! There is exactly one frontier-expansion loop, `Scratch::run`: it owns
+//! the epoch-stamped visited marks, both heaps and the kernel buffers, and
+//! scores every expansion with one batched
+//! [`BatchMetric::distance_one_to_many`] call. [`search`] is that loop with
+//! a one-shot scratch; [`search_batch`] reuses one scratch (and one
+//! [`NormCache`]) across the batch, so no query pays an O(N) allocation.
+//!
+//! The paper's query program is shared-memory (256 OpenMP threads). This
+//! workspace's `rayon` stand-in is sequential, so [`search_batch`] runs its
+//! queries back to back on the calling thread and reports their throughput
+//! (Figure 2's qps axis); a parallel driver would hold one scratch per
+//! worker.
 
 use crate::graph::KnnGraph;
 use dataset::batch::{BatchMetric, NormCache};
@@ -13,10 +22,8 @@ use dataset::set::{PointId, PointSet};
 use rand::seq::index::sample as index_sample;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Query-time parameters.
 #[derive(Debug, Clone, Copy)]
@@ -87,6 +94,126 @@ impl SearchResult {
     }
 }
 
+/// Reusable state of the expansion loop: visited marks, both heaps and the
+/// candidate/distance buffers of the batched kernel. [`search`] makes one
+/// per call; [`search_batch`] makes one per batch, so its steady state
+/// allocates nothing per query.
+///
+/// Visited marks are **epoch-stamped**: marking writes the current epoch
+/// and a new query just bumps it — an O(1) reset instead of clearing `N`
+/// slots (the rare wrap-around does the full clear).
+#[derive(Default)]
+struct Scratch {
+    epochs: Vec<u32>,
+    epoch: u32,
+    /// Result: max-heap of the best `l` so far (farthest on top).
+    best: BinaryHeap<(OrdF32, PointId)>,
+    /// Frontier: min-heap of candidates to expand.
+    frontier: BinaryHeap<Reverse<(OrdF32, PointId)>>,
+    cands: Vec<PointId>,
+    dbuf: Vec<f32>,
+}
+
+impl Scratch {
+    /// Scratch for graphs/base sets with `n` points.
+    fn new(n: usize) -> Self {
+        Scratch {
+            epochs: vec![0; n],
+            ..Scratch::default()
+        }
+    }
+
+    /// Run one query — the crate's only frontier-expansion loop. `cache`
+    /// is `metric.preprocess(base)` or [`NormCache::empty`]; results are
+    /// bit-identical either way.
+    fn run<P: Point, M: BatchMetric<P>>(
+        &mut self,
+        graph: &KnnGraph,
+        base: &PointSet<P>,
+        metric: &M,
+        cache: &NormCache,
+        query: &P,
+        params: SearchParams,
+    ) -> SearchResult {
+        let n = base.len();
+        assert_eq!(graph.len(), n, "graph and base set disagree on N");
+        assert_eq!(self.epochs.len(), n, "scratch sized for a different N");
+        assert!(params.l >= 1 && params.l <= n);
+
+        // New query: bump the epoch; on wraparound do the rare full clear.
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.epochs.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        self.best.clear();
+        self.frontier.clear();
+        self.cands.clear();
+
+        let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
+        let starts = params.l.max(params.entry_candidates).min(n);
+        for idx in index_sample(&mut rng, n, starts) {
+            self.epochs[idx] = epoch;
+            self.cands.push(idx as PointId);
+        }
+        // Seed probes evaluated as one 1xN batch.
+        metric.distance_one_to_many(query, base, cache, &self.cands, &mut self.dbuf);
+        let mut evals = self.cands.len() as u64;
+        for (&id, &d) in self.cands.iter().zip(&self.dbuf) {
+            self.best.push((OrdF32(d), id));
+            self.frontier.push(Reverse((OrdF32(d), id)));
+        }
+        while self.best.len() > params.l {
+            self.best.pop();
+        }
+
+        let relax = 1.0 + params.epsilon;
+        while let Some(Reverse((OrdF32(d), p))) = self.frontier.pop() {
+            let d_max = self.best.peek().map_or(f32::INFINITY, |&(OrdF32(m), _)| m);
+            // Termination: the closest frontier point is already beyond the
+            // (relaxed) worst of the current l best.
+            if d > relax * d_max {
+                break;
+            }
+            // One expansion = one 1xN batch over the unvisited neighbors of
+            // `p`; admission then replays in the original neighbor order (the
+            // evolving d_max sees candidates exactly as a scalar loop would).
+            self.cands.clear();
+            self.cands.extend(
+                graph
+                    .neighbors(p)
+                    .iter()
+                    .map(|&(w, _)| w)
+                    .filter(|&w| std::mem::replace(&mut self.epochs[w as usize], epoch) != epoch),
+            );
+            metric.distance_one_to_many(query, base, cache, &self.cands, &mut self.dbuf);
+            evals += self.cands.len() as u64;
+            for (&w, &dw) in self.cands.iter().zip(&self.dbuf) {
+                let d_max = self.best.peek().map_or(f32::INFINITY, |&(OrdF32(m), _)| m);
+                if self.best.len() < params.l || dw < d_max {
+                    self.best.push((OrdF32(dw), w));
+                    if self.best.len() > params.l {
+                        self.best.pop();
+                    }
+                }
+                // Relaxed admission (PyNNDescent): explore borderline points.
+                if dw < relax * d_max {
+                    self.frontier.push(Reverse((OrdF32(dw), w)));
+                }
+            }
+        }
+
+        let mut neighbors: Vec<(PointId, f32)> =
+            self.best.drain().map(|(OrdF32(d), id)| (id, d)).collect();
+        neighbors.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        SearchResult {
+            neighbors,
+            distance_evals: evals,
+        }
+    }
+}
+
 /// Search the graph for the `params.l` approximate nearest neighbors of
 /// `query`. The query need not be a member of `base`.
 pub fn search<P: Point, M: BatchMetric<P>>(
@@ -96,96 +223,10 @@ pub fn search<P: Point, M: BatchMetric<P>>(
     query: &P,
     params: SearchParams,
 ) -> SearchResult {
-    search_with_cache(graph, base, metric, query, params, &NormCache::empty())
+    Scratch::new(base.len()).run(graph, base, metric, &NormCache::empty(), query, params)
 }
 
-/// [`search`] against a precomputed [`NormCache`] for `base` (built with
-/// `metric.preprocess(base)`), so batch runs amortize norm computation.
-/// Results are bit-identical with or without the cache.
-pub fn search_with_cache<P: Point, M: BatchMetric<P>>(
-    graph: &KnnGraph,
-    base: &PointSet<P>,
-    metric: &M,
-    query: &P,
-    params: SearchParams,
-    cache: &NormCache,
-) -> SearchResult {
-    let n = base.len();
-    assert_eq!(graph.len(), n, "graph and base set disagree on N");
-    assert!(params.l >= 1 && params.l <= n);
-    let mut evals: u64 = 0;
-    let mut visited = vec![false; n];
-
-    // Result: max-heap of the best l so far (farthest on top).
-    let mut best: BinaryHeap<(OrdF32, PointId)> = BinaryHeap::with_capacity(params.l + 1);
-    // Frontier: min-heap of candidates to expand.
-    let mut frontier: BinaryHeap<Reverse<(OrdF32, PointId)>> = BinaryHeap::new();
-
-    let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
-    let starts = params.l.max(params.entry_candidates).min(n);
-    let mut cands: Vec<PointId> = Vec::new();
-    let mut dbuf: Vec<f32> = Vec::new();
-    for idx in index_sample(&mut rng, n, starts) {
-        visited[idx] = true;
-        cands.push(idx as PointId);
-    }
-    // Seed probes evaluated as one 1xN batch.
-    metric.distance_one_to_many(query, base, cache, &cands, &mut dbuf);
-    evals += cands.len() as u64;
-    for (&id, &d) in cands.iter().zip(&dbuf) {
-        best.push((OrdF32(d), id));
-        frontier.push(Reverse((OrdF32(d), id)));
-    }
-    while best.len() > params.l {
-        best.pop();
-    }
-
-    let relax = 1.0 + params.epsilon;
-    while let Some(Reverse((OrdF32(d), p))) = frontier.pop() {
-        let d_max = best.peek().map_or(f32::INFINITY, |&(OrdF32(m), _)| m);
-        // Termination: the closest frontier point is already beyond the
-        // (relaxed) worst of the current l best.
-        if d > relax * d_max {
-            break;
-        }
-        // One expansion = one 1xN batch over the unvisited neighbors of
-        // `p`; admission then replays in the original neighbor order (the
-        // evolving d_max sees candidates exactly as the scalar loop did).
-        cands.clear();
-        cands.extend(
-            graph
-                .neighbors(p)
-                .iter()
-                .map(|&(w, _)| w)
-                .filter(|&w| !std::mem::replace(&mut visited[w as usize], true)),
-        );
-        metric.distance_one_to_many(query, base, cache, &cands, &mut dbuf);
-        evals += cands.len() as u64;
-        for (&w, &dw) in cands.iter().zip(&dbuf) {
-            let d_max = best.peek().map_or(f32::INFINITY, |&(OrdF32(m), _)| m);
-            if best.len() < params.l || dw < d_max {
-                best.push((OrdF32(dw), w));
-                if best.len() > params.l {
-                    best.pop();
-                }
-            }
-            // Relaxed admission (PyNNDescent): explore borderline points.
-            if dw < relax * d_max {
-                frontier.push(Reverse((OrdF32(dw), w)));
-            }
-        }
-    }
-
-    let mut neighbors: Vec<(PointId, f32)> =
-        best.into_iter().map(|(OrdF32(d), id)| (id, d)).collect();
-    neighbors.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-    SearchResult {
-        neighbors,
-        distance_evals: evals,
-    }
-}
-
-/// Timing and quality summary of a parallel batch of queries.
+/// Timing and quality summary of a batch of queries.
 #[derive(Debug, Clone)]
 pub struct BatchResult {
     /// Per-query neighbor id lists, query order.
@@ -198,8 +239,9 @@ pub struct BatchResult {
     pub distance_evals: u64,
 }
 
-/// Run every query in `queries` in parallel (the paper submits all queries
-/// at once on 256 threads).
+/// Run every query in `queries`; query `qi` searches with seed
+/// `params.seed ^ (qi << 17)`, and its result equals a single [`search`]
+/// with that seed.
 pub fn search_batch<P: Point, M: BatchMetric<P>>(
     graph: &KnnGraph,
     base: &PointSet<P>,
@@ -224,34 +266,24 @@ pub fn search_batch_traced<P: Point, M: BatchMetric<P>>(
     if let Some(t) = tracer {
         t.begin_arg(0, "search_batch", t.wall_ns(), queries.len() as u64);
     }
-    let evals = AtomicU64::new(0);
-    // Norms computed once for the whole batch; per-query results stay
-    // bit-identical to uncached single-query `search`.
+    // Norms and scratch are set up once for the whole batch.
     let cache = metric.preprocess(base);
+    let mut scratch = Scratch::new(base.len());
+    let mut evals = 0;
+    let mut ids: Vec<Vec<PointId>> = Vec::with_capacity(queries.len());
     let start = std::time::Instant::now();
-    let ids: Vec<Vec<PointId>> = queries
-        .points()
-        .par_iter()
-        .enumerate()
-        .map(|(qi, q)| {
-            let r = search_with_cache(
-                graph,
-                base,
-                metric,
-                q,
-                SearchParams {
-                    seed: params.seed ^ ((qi as u64) << 17),
-                    ..params
-                },
-                &cache,
-            );
-            evals.fetch_add(r.distance_evals, Ordering::Relaxed);
-            if let Some(t) = tracer {
-                t.hist("query_dist_evals").record(r.distance_evals);
-            }
-            r.ids()
-        })
-        .collect();
+    for (qi, q) in queries.points().iter().enumerate() {
+        let seeded = SearchParams {
+            seed: params.seed ^ ((qi as u64) << 17),
+            ..params
+        };
+        let r = scratch.run(graph, base, metric, &cache, q, seeded);
+        evals += r.distance_evals;
+        if let Some(t) = tracer {
+            t.hist("query_dist_evals").record(r.distance_evals);
+        }
+        ids.push(r.ids());
+    }
     let secs = start.elapsed().as_secs_f64();
     if let Some(t) = tracer {
         t.end(0, "search_batch", t.wall_ns());
@@ -260,7 +292,7 @@ pub fn search_batch_traced<P: Point, M: BatchMetric<P>>(
         ids,
         qps: queries.len() as f64 / secs.max(1e-12),
         secs,
-        distance_evals: evals.load(Ordering::Relaxed),
+        distance_evals: evals,
     }
 }
 
@@ -396,6 +428,50 @@ mod tests {
         let r_many = mean_recall(&many.ids, &truth);
         assert!(r_many > r_few, "multi-start must help: {r_few} -> {r_many}");
         assert!(r_many > 0.9, "multi-start recall {r_many}");
+    }
+
+    /// One member query (`set.point(probe)`) through `scratch`, uncached.
+    fn run_on(
+        scratch: &mut Scratch,
+        set: &PointSet<Vec<f32>>,
+        g: &KnnGraph,
+        probe: PointId,
+        params: SearchParams,
+    ) -> SearchResult {
+        scratch.run(g, set, &L2, &NormCache::empty(), set.point(probe), params)
+    }
+
+    #[test]
+    fn back_to_back_queries_are_independent() {
+        let (set, g) = small_graph();
+        let mut s = Scratch::new(set.len());
+        let p = SearchParams::new(5).entry_candidates(32).seed(2);
+        let first = run_on(&mut s, &set, &g, 10, p);
+        // Interleave a different query, then repeat the first: identical,
+        // and identical to a fresh one-shot search.
+        let _ = run_on(&mut s, &set, &g, 250, p);
+        assert_eq!(run_on(&mut s, &set, &g, 10, p), first);
+        assert_eq!(search(&g, &set, &L2, set.point(10), p), first);
+    }
+
+    #[test]
+    fn epoch_wraparound_still_correct() {
+        let (set, g) = small_graph();
+        let mut s = Scratch::new(set.len());
+        // Force the wrap path.
+        s.epoch = u32::MAX - 1;
+        let p = SearchParams::new(5).entry_candidates(32).seed(4);
+        let want = search(&g, &set, &L2, set.point(123), p);
+        for _ in 0..4 {
+            assert_eq!(run_on(&mut s, &set, &g, 123, p), want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sized for a different N")]
+    fn wrong_size_scratch_rejected() {
+        let (set, g) = small_graph();
+        let _ = run_on(&mut Scratch::new(10), &set, &g, 0, SearchParams::new(3));
     }
 
     #[test]

@@ -957,7 +957,7 @@ where
             for (idx, _) in &mine {
                 comm.trace_flow_recv("query", QUERY_FLOW_BASE | *idx, TAG_RESULTS as u64);
             }
-            let (my_ids, my_profiles) = engine.run_batch_masked(comm, &mine, &mine_masks, sp);
+            let (my_ids, my_profiles) = engine.run_batch(comm, &mine, &mine_masks, sp);
             let my_results: Vec<(u64, Vec<PointId>, QueryProfile)> = mine
                 .iter()
                 .map(|(idx, _)| *idx)

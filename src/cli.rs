@@ -15,13 +15,13 @@
 //! rnn/...        KnnGraph      written by dnnd-optimize --opt-mode rnn
 //! ```
 
+pub use bench::die;
 use dataset::io;
 use dataset::metric::Metric;
 use dataset::set::PointSet;
 use dataset::synth::split_queries;
 use metall::Store;
 use std::path::Path;
-use std::process::exit;
 
 /// Which dense element type a store holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,12 +98,6 @@ impl ObsOuts {
     pub fn wants_report(&self) -> bool {
         !self.report.is_empty() || !self.dashboard.is_empty()
     }
-}
-
-/// Abort with a message (CLI-style).
-pub fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    exit(2)
 }
 
 /// Dispatch a dense-f32 metric name to a monomorphized call.

@@ -192,3 +192,78 @@ fn construct_rejects_missing_args() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--input"));
 }
+
+/// Every file under `dir` with its length, sorted — "nothing written"
+/// means this is unchanged (or the directory never appeared).
+fn dir_listing(dir: &std::path::Path) -> Vec<(std::path::PathBuf, u64)> {
+    let mut out = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let entry = entry.unwrap();
+            let meta = entry.metadata().unwrap();
+            if meta.is_dir() {
+                stack.push(entry.path());
+            } else {
+                out.push((entry.path(), meta.len()));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+#[test]
+fn unparseable_flag_value_exits_2_on_every_binary() {
+    let dir = tmpdir("badflag");
+    let store = dir.join("store");
+    let store = store.to_str().unwrap();
+    let fresh = dir.join("never-created");
+    let fresh = fresh.to_str().unwrap();
+    let construct = format!("--input preset:deep1b --n 200 --k 6 --ranks 2 --store {store}");
+    let args: Vec<&str> = construct.split(' ').collect();
+    run_ok(env!("CARGO_BIN_EXE_dnnd-construct"), &args);
+    let before = dir_listing(dir.path());
+
+    // (binary, arguments, the one line stderr must hold)
+    let cases = [
+        (
+            env!("CARGO_BIN_EXE_dnnd-construct"),
+            format!("--input preset:deep1b --store {fresh} --n 10k"),
+            "error: --n: cannot parse \"10k\"",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-optimize"),
+            format!("--store {store} --m big"),
+            "error: --m: cannot parse \"big\"",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-query"),
+            format!("--store {store} --self-queries 20 --l ten"),
+            "error: --l: cannot parse \"ten\"",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-serve"),
+            format!("--store {store} --qps fast"),
+            "error: --qps: cannot parse \"fast\"",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-vdb"),
+            format!("create --store {fresh} --namespace prod --synthetic 100 --seed 0x2a"),
+            "error: --seed: cannot parse \"0x2a\"",
+        ),
+        // A typed flag with no value at all is the same kind of error.
+        (
+            env!("CARGO_BIN_EXE_dnnd-query"),
+            format!("--store {store} --self-queries 20 --l"),
+            "error: --l: missing value",
+        ),
+    ];
+    for (bin, args, want) in cases {
+        let out = Command::new(bin).args(args.split(' ')).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{bin} {args}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.trim_end(), want, "{bin} {args}");
+        assert_eq!(dir_listing(dir.path()), before, "{bin} {args} wrote");
+    }
+}

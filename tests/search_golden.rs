@@ -1,0 +1,169 @@
+//! Golden pins for every search path: shared-memory `nnd::search` /
+//! `nnd::search_batch`, `hnsw::HnswIndex::{build, search}`, and
+//! `dnnd::distributed_search_batch`.
+//!
+//! Every constant below was captured at commit `fe3900b` (the parent of the
+//! PR that folded the duplicated beam-search loops into one per index),
+//! *before* any search code was edited. Search results, distance-eval
+//! counts and the HNSW structure are pure functions of `(data, params,
+//! seed)`, so a refactor of any search loop must leave every one of them
+//! untouched. A deliberate algorithm change re-captures them and says so.
+
+use dataset::synth::{gaussian_mixture, split_queries, MixtureParams};
+use dataset::{PointId, PointSet, L2};
+use dnnd::{distributed_search_batch, DistSearchParams};
+use hnsw::index::{HnswIndex, HnswParams};
+use nnd::{build, search, search_batch, KnnGraph, NnDescentParams, SearchParams};
+use std::sync::Arc;
+use ygm::World;
+
+/// FNV-1a over a stream of words (little-endian bytes).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn mix(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 = (self.0 ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Digest of per-query id rows: row length, then every id, in order.
+fn rows_digest(rows: &[Vec<PointId>]) -> u64 {
+    let mut h = Fnv::new();
+    for row in rows {
+        h.mix(row.len() as u64);
+        row.iter().for_each(|&id| h.mix(id as u64));
+    }
+    h.0
+}
+
+/// Compare a digest, printing the one found in hex so a deliberate
+/// re-capture can paste it.
+#[track_caller]
+fn pin(what: &str, got: u64, want: u64) {
+    assert_eq!(got, want, "{what}: got {got:#018x}");
+}
+
+/// 1 160 base points + 40 held-out queries (f32, d = 12) and the serial
+/// NN-Descent graph over the base after the Section 4.5 optimization.
+fn f32_fixture() -> (PointSet<Vec<f32>>, PointSet<Vec<f32>>, KnnGraph) {
+    let full = gaussian_mixture(MixtureParams::embedding_like(1200, 12), 13);
+    let (base, queries) = split_queries(full, 40);
+    let (g, _) = build(&base, &L2, NnDescentParams::new(10).seed(3));
+    (base, queries, g.optimize(10, 1.5))
+}
+
+#[test]
+fn nnd_search_probes_are_pinned() {
+    const GOLDEN_DIGEST: u64 = 0xda98_3671_48c5_a406;
+    const GOLDEN_DIST_EVALS: u64 = 536;
+
+    let (base, _, graph) = f32_fixture();
+    let params = SearchParams::new(6)
+        .epsilon(0.15)
+        .entry_candidates(24)
+        .seed(9);
+    let mut h = Fnv::new();
+    let mut evals = 0;
+    for probe in [0u32, 37, 600, 1159] {
+        let r = search(&graph, &base, &L2, base.point(probe), params);
+        evals += r.distance_evals;
+        h.mix(r.neighbors.len() as u64);
+        for &(id, d) in &r.neighbors {
+            h.mix(id as u64);
+            h.mix(d.to_bits() as u64);
+        }
+    }
+    pin("probes", h.0, GOLDEN_DIGEST);
+    assert_eq!(evals, GOLDEN_DIST_EVALS);
+}
+
+#[test]
+fn nnd_search_batch_is_pinned() {
+    // (epsilon, entry_candidates, ids digest, distance evals)
+    const GOLDEN: [(f32, usize, u64, u64); 4] = [
+        (0.0, 0, 0x1346_51a3_6922_d04f, 4_061),
+        (0.0, 256, 0x5327_8a30_3c77_3906, 12_782),
+        (0.2, 0, 0x198b_21f1_b020_3140, 8_295),
+        (0.2, 256, 0x0ab7_48fe_bc67_bd57, 15_999),
+    ];
+    const GOLDEN_U8: (u64, u64) = (0x8a70_5cdd_a181_055f, 7_904);
+
+    let (base, queries, graph) = f32_fixture();
+    for (epsilon, entries, digest, evals) in GOLDEN {
+        let params = SearchParams::new(10)
+            .epsilon(epsilon)
+            .entry_candidates(entries)
+            .seed(21);
+        let r = search_batch(&graph, &base, &L2, &queries, params);
+        let what = format!("epsilon {epsilon}, entry_candidates {entries}");
+        pin(&what, rows_digest(&r.ids), digest);
+        assert_eq!(r.distance_evals, evals, "{what}");
+    }
+
+    // The u8 kernel goes through the same loop.
+    let (base, queries) = split_queries(dataset::presets::bigann_like(640, 5), 40);
+    let (g, _) = build(&base, &L2, NnDescentParams::new(8).seed(4));
+    let params = SearchParams::new(8).epsilon(0.2).entry_candidates(64);
+    let r = search_batch(&g.optimize(8, 1.5), &base, &L2, &queries, params);
+    pin("u8", rows_digest(&r.ids), GOLDEN_U8.0);
+    assert_eq!(r.distance_evals, GOLDEN_U8.1);
+}
+
+#[test]
+fn hnsw_structure_and_search_are_pinned() {
+    const GOLDEN_STRUCTURE: u64 = 0x1f15_663f_c8d5_1ca3;
+    const GOLDEN_BUILD_EVALS: u64 = 587_280;
+    // (ef, ids digest)
+    const GOLDEN_SEARCH: [(usize, u64); 2] =
+        [(10, 0x7d2b_9c19_1174_c2c1), (100, 0x0ab7_48fe_bc67_bd57)];
+
+    let (base, queries, _) = f32_fixture();
+    let index = HnswIndex::build(&base, L2, HnswParams::new(8, 60).seed(5));
+
+    let mut h = Fnv::new();
+    h.mix(index.max_layer() as u64);
+    h.mix(index.entry_point() as u64);
+    for layer in 0..=index.max_layer() {
+        h.mix(index.layer_links(layer) as u64);
+    }
+    for row in index.layer0_graph() {
+        h.mix(row.len() as u64);
+        for (id, d) in row {
+            h.mix(id as u64);
+            h.mix(d.to_bits() as u64);
+        }
+    }
+    pin("structure", h.0, GOLDEN_STRUCTURE);
+    assert_eq!(index.build_distance_evals, GOLDEN_BUILD_EVALS);
+
+    for (ef, digest) in GOLDEN_SEARCH {
+        let ids = |q| index.search(q, 10, ef).into_iter().map(|(id, _)| id);
+        let rows: Vec<Vec<PointId>> = queries.points().iter().map(|q| ids(q).collect()).collect();
+        pin(&format!("ef {ef}"), rows_digest(&rows), digest);
+        // The batch driver is the same search per query.
+        assert_eq!(index.search_batch(&queries, 10, ef).0, rows);
+    }
+}
+
+#[test]
+fn distributed_search_is_pinned_across_rank_counts() {
+    const GOLDEN_DIGEST: u64 = 0x0ab7_48fe_bc67_bd57;
+
+    let (base, queries, graph) = f32_fixture();
+    let (base, queries, graph) = (Arc::new(base), Arc::new(queries), Arc::new(graph));
+    let params = DistSearchParams::new(10)
+        .epsilon(0.2)
+        .entry_candidates(48)
+        .seed(17);
+    for ranks in [1usize, 2, 4] {
+        let (ids, _) =
+            distributed_search_batch(&World::new(ranks), &base, &graph, &queries, &L2, params);
+        pin(&format!("{ranks} ranks"), rows_digest(&ids), GOLDEN_DIGEST);
+    }
+}
