@@ -1,11 +1,15 @@
 //! Criterion benchmarks of the simulated YGM runtime: fire-and-forget RPC
-//! throughput, barrier cost, and the effect of the aggregation-buffer flush
-//! threshold (the knob behind the paper's Section 4.4 discussion).
+//! throughput (id-only `u64`s and feature-vector rows), the codec on the
+//! same row messages, barrier cost, and the effect of the
+//! aggregation-buffer flush threshold (the knob behind the paper's Section
+//! 4.4 discussion).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use dnnd::msgs::Type2;
 use std::cell::RefCell;
 use std::rc::Rc;
-use ygm::World;
+use ygm::codec::{decode_from_bytes, encode_to_bytes};
+use ygm::{Wire, World};
 
 const TAG: u16 = 0;
 
@@ -31,6 +35,92 @@ fn bench_rpc_throughput(c: &mut Criterion) {
             b.iter(|| rpc_round(r, 10_000 / r as u64, ygm::DEFAULT_FLUSH_THRESHOLD))
         });
     }
+    group.finish();
+}
+
+/// The DEEP-like row: a 96-d f32 vector travelling with 4 tail ids.
+fn f32_row() -> Type2<Vec<f32>> {
+    Type2 {
+        u1: 17,
+        u2s: vec![3, 1_000, 70_000, 9],
+        vec: (0..96).map(|i| i as f32 * 0.37 - 11.5).collect(),
+    }
+}
+
+/// The BIGANN-like row: a 128-d u8 vector.
+fn u8_row() -> Type2<Vec<u8>> {
+    Type2 {
+        u1: 17,
+        u2s: vec![3, 1_000, 70_000, 9],
+        vec: (0..128).map(|i| (i * 7 + 3) as u8).collect(),
+    }
+}
+
+/// Every rank sends `msgs_per_rank` copies of `row` round-robin; the
+/// handler only touches the decoded vector, so this is send + frame +
+/// dispatch + codec and nothing else.
+fn row_round<M>(n_ranks: usize, msgs_per_rank: usize, row: &M, weigh: fn(M) -> usize) -> usize
+where
+    M: Wire + Sync + 'static,
+{
+    let report = World::new(n_ranks).run(|comm| {
+        let seen = Rc::new(RefCell::new(0usize));
+        let s = Rc::clone(&seen);
+        comm.register::<M, _>(TAG, move |_, msg| *s.borrow_mut() += weigh(msg));
+        for i in 0..msgs_per_rank {
+            comm.async_send(i % comm.n_ranks(), TAG, row);
+        }
+        comm.barrier();
+        let n = *seen.borrow();
+        n
+    });
+    report.results.iter().sum()
+}
+
+fn bench_rpc_rows(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ygm_rpc_row");
+    let (f, u) = (f32_row(), u8_row());
+    for ranks in [1usize, 2] {
+        group.bench_with_input(
+            BenchmarkId::new("type2_f32_d96_x5k", ranks),
+            &ranks,
+            |b, &r| b.iter(|| row_round(r, 5_000 / r, &f, |m| m.vec.len())),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("type2_u8_d128_x5k", ranks),
+            &ranks,
+            |b, &r| b.iter(|| row_round(r, 5_000 / r, &u, |m| m.vec.len())),
+        );
+    }
+    group.finish();
+}
+
+fn bench_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("codec");
+    let (f, u) = (f32_row(), u8_row());
+    let (f_enc, u_enc) = (encode_to_bytes(&f), encode_to_bytes(&u));
+    group.bench_function("encode_type2_f32_d96_x1k", |b| {
+        b.iter(|| (0..1_000).fold(0, |n, _| n + encode_to_bytes(black_box(&f)).len()))
+    });
+    group.bench_function("decode_type2_f32_d96_x1k", |b| {
+        b.iter(|| {
+            (0..1_000).fold(0, |n, _| {
+                n + decode_from_bytes::<Type2<Vec<f32>>>(f_enc.clone())
+                    .vec
+                    .len()
+            })
+        })
+    });
+    group.bench_function("encode_type2_u8_d128_x1k", |b| {
+        b.iter(|| (0..1_000).fold(0, |n, _| n + encode_to_bytes(black_box(&u)).len()))
+    });
+    group.bench_function("decode_type2_u8_d128_x1k", |b| {
+        b.iter(|| {
+            (0..1_000).fold(0, |n, _| {
+                n + decode_from_bytes::<Type2<Vec<u8>>>(u_enc.clone()).vec.len()
+            })
+        })
+    });
     group.finish();
 }
 
@@ -70,6 +160,7 @@ fn fast_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = fast_config();
-    targets = bench_rpc_throughput, bench_flush_threshold, bench_barrier
+    targets = bench_rpc_throughput, bench_rpc_rows, bench_codec, bench_flush_threshold,
+        bench_barrier
 }
 criterion_main!(benches);

@@ -28,7 +28,7 @@
 
 use crate::config::DnndConfig;
 use crate::msgs::*;
-use crate::partition::Partitioner;
+use crate::partition::{IdMap, Partitioner};
 use crate::rnn_dist::{register_rnn_handlers, run_rnn_rounds, RnnDistState};
 use dataset::batch::{BatchMetric, NormCache};
 use dataset::point::Point;
@@ -39,7 +39,6 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use ygm::{ClockBreakdown, Comm, PhaseRecord, TagStats, TrafficMatrix, World};
@@ -124,11 +123,11 @@ pub struct DnndOutput {
 /// Per-rank mutable state shared between the SPMD main loop and the
 /// message handlers (single-threaded within a rank, hence `Rc<RefCell>`).
 struct State {
-    heaps: HashMap<PointId, NeighborHeap>,
-    rev_new: HashMap<PointId, Vec<PointId>>,
-    rev_old: HashMap<PointId, Vec<PointId>>,
+    heaps: IdMap<NeighborHeap>,
+    rev_new: IdMap<Vec<PointId>>,
+    rev_old: IdMap<Vec<PointId>>,
     /// Reverse edges received during the graph-optimization phase.
-    opt_extra: HashMap<PointId, Vec<Edge>>,
+    opt_extra: IdMap<Vec<Edge>>,
     /// Heap-insert attempts this iteration (denominator of the accept
     /// rate histogram).
     attempts: u64,
@@ -140,20 +139,20 @@ struct State {
     kernel_batches: u64,
     /// Distance evaluations attributed per owned vertex; populated only
     /// when the world has a tracer attached.
-    dist_by_vertex: HashMap<PointId, u64>,
+    dist_by_vertex: IdMap<u64>,
 }
 
 impl State {
     fn new(owned: &[PointId], k: usize) -> Self {
         State {
             heaps: owned.iter().map(|&v| (v, NeighborHeap::new(k))).collect(),
-            rev_new: HashMap::new(),
-            rev_old: HashMap::new(),
-            opt_extra: HashMap::new(),
+            rev_new: IdMap::default(),
+            rev_old: IdMap::default(),
+            opt_extra: IdMap::default(),
             attempts: 0,
             dist_evals: 0,
             kernel_batches: 0,
-            dist_by_vertex: HashMap::new(),
+            dist_by_vertex: IdMap::default(),
         }
     }
 
@@ -340,8 +339,9 @@ where
         // transient entrants that a later, closer candidate evicts), the
         // set difference is a pure function of the delivered message
         // multiset — message-arrival order cannot flip the termination
-        // decision.
-        let start_ids: HashMap<PointId, Vec<PointId>> = {
+        // decision. Like `fwd_old` / `fwd_new` below, one entry per owned
+        // vertex, parallel to `owned`.
+        let start_ids: Vec<Vec<PointId>> = {
             let mut s = st.borrow_mut();
             s.attempts = 0;
             s.rev_new.clear();
@@ -351,7 +351,7 @@ where
                 .map(|&v| {
                     let mut ids: Vec<PointId> = s.heaps[&v].iter().map(|n| n.id).collect();
                     ids.sort_unstable();
-                    (v, ids)
+                    ids
                 })
                 .collect()
         };
@@ -359,8 +359,8 @@ where
         // 2a. Local sampling: split each owned vertex's heap into old ids
         // and a rho*K sample of new ids (flipped to old).
         comm.trace_begin("sample");
-        let mut fwd_old: HashMap<PointId, Vec<PointId>> = HashMap::with_capacity(owned.len());
-        let mut fwd_new: HashMap<PointId, Vec<PointId>> = HashMap::with_capacity(owned.len());
+        let mut fwd_old: Vec<Vec<PointId>> = Vec::with_capacity(owned.len());
+        let mut fwd_new: Vec<Vec<PointId>> = Vec::with_capacity(owned.len());
         {
             let mut s = st.borrow_mut();
             for &v in &owned {
@@ -380,8 +380,8 @@ where
                 for &u in &candidates {
                     heap.mark_old(u);
                 }
-                fwd_old.insert(v, old);
-                fwd_new.insert(v, candidates);
+                fwd_old.push(old);
+                fwd_new.push(candidates);
             }
         }
 
@@ -390,7 +390,7 @@ where
         // 2b. Reverse-neighbor exchange (Section 4.2): ship (u, v) to
         // owner(u). Destination order is shuffled to spread load.
         comm.trace_begin("reverse_exchange");
-        let mut order = owned.clone();
+        let mut order: Vec<usize> = (0..owned.len()).collect();
         if cfg.shuffle_reverse {
             let mut rng = ChaCha8Rng::seed_from_u64(
                 cfg.seed ^ 0x5F0F ^ (iter as u64) ^ ((comm.rank() as u64) << 32),
@@ -398,11 +398,12 @@ where
             order.shuffle(&mut rng);
         }
         batched(comm, order.len(), quota, |i| {
-            let v = order[i];
-            for &u in &fwd_new[&v] {
+            let at = order[i];
+            let v = owned[at];
+            for &u in &fwd_new[at] {
                 comm.async_send(part.owner(u), TAG_REV_NEW, &(u, v));
             }
-            for &u in &fwd_old[&v] {
+            for &u in &fwd_old[at] {
                 comm.async_send(part.owner(u), TAG_REV_OLD, &(u, v));
             }
         });
@@ -414,7 +415,7 @@ where
         comm.trace_begin("union_sample");
         {
             let mut s = st.borrow_mut();
-            for &v in &owned {
+            for (i, &v) in owned.iter().enumerate() {
                 let mut rng = ChaCha8Rng::seed_from_u64(
                     cfg.seed ^ 0xBEE ^ (u64::from(v) << 18) ^ (iter as u64),
                 );
@@ -430,14 +431,8 @@ where
                         }
                     }
                 };
-                union_sample(
-                    fwd_new.get_mut(&v).unwrap(),
-                    s.rev_new.remove(&v).unwrap_or_default(),
-                );
-                union_sample(
-                    fwd_old.get_mut(&v).unwrap(),
-                    s.rev_old.remove(&v).unwrap_or_default(),
-                );
+                union_sample(&mut fwd_new[i], s.rev_new.remove(&v).unwrap_or_default());
+                union_sample(&mut fwd_old[i], s.rev_old.remove(&v).unwrap_or_default());
             }
         }
 
@@ -451,9 +446,7 @@ where
         comm.trace_begin("gen_pairs");
         let mut joins: Vec<Type1> = Vec::new();
         let mut n_pairs: u64 = 0;
-        for &v in &owned {
-            let news = &fwd_new[&v];
-            let olds = &fwd_old[&v];
+        for (news, olds) in fwd_new.iter().zip(&fwd_old) {
             let fwd_start = joins.len();
             for (i, &u1) in news.iter().enumerate() {
                 let tails: Vec<PointId> = news[i + 1..]
@@ -501,9 +494,9 @@ where
             let s = st.borrow();
             let c: u64 = owned
                 .iter()
-                .map(|&v| {
-                    let start = &start_ids[&v];
-                    s.heaps[&v]
+                .zip(&start_ids)
+                .map(|(v, start)| {
+                    s.heaps[v]
                         .iter()
                         .filter(|n| start.binary_search(&n.id).is_err())
                         .count() as u64

@@ -4,6 +4,8 @@
 //! the same rank.
 
 use dataset::set::PointId;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Finalizer from splitmix64 — a cheap, well-mixed integer hash so that
 /// consecutive ids spread across ranks (the paper hashes vertex ids rather
@@ -15,6 +17,46 @@ pub fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
+
+/// Hasher for maps keyed by [`PointId`]s (or small tuples of them): every
+/// written word is folded in with one [`mix64`] — `mix64(id ^ SALT)` for a
+/// single id — instead of std's SipHash, which costs more than the handler
+/// work a lookup guards. The salt matters: [`Partitioner::owner`] is
+/// `mix64(id) % n_ranks`, so every id a rank owns agrees on those low bits;
+/// hashing with the bare `mix64` would leave a rank's map using one bucket
+/// in `n_ranks`. Vertex ids are dense indices this program assigns, never
+/// keys an outside party chooses, so SipHash's collision resistance buys
+/// nothing here (and `mix64` is a bijection: distinct ids never share a
+/// 64-bit hash).
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+const ID_HASH_SALT: u64 = 0xD6E8_FEB8_6659_FD93;
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.0 = mix64(self.0 ^ u64::from(x) ^ ID_HASH_SALT);
+    }
+    /// Not reached by id keys; kept correct for any other `Hash` type.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `BuildHasher` of [`IdHasher`], for maps keyed by id tuples.
+pub(crate) type IdBuildHasher = BuildHasherDefault<IdHasher>;
+
+/// A `HashMap` keyed by vertex id with the cheap [`IdHasher`] — the map of
+/// every per-vertex lookup on a message-handler path. Iteration order is
+/// as unspecified as any `HashMap`'s; nothing may depend on it.
+pub(crate) type IdMap<V> = HashMap<PointId, V, IdBuildHasher>;
 
 /// Maps vertex ids to owning ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,6 +168,34 @@ mod tests {
         let owners: Vec<usize> = (0..16).map(|id| p.owner(id)).collect();
         let distinct: std::collections::HashSet<usize> = owners.iter().copied().collect();
         assert!(distinct.len() >= 3, "owners of 0..16 were {owners:?}");
+    }
+
+    #[test]
+    fn id_hash_is_salted_away_from_the_owner_function() {
+        use std::hash::BuildHasher;
+        // Ids owned by one rank share `mix64(id) % n`; their map hashes
+        // must not share low bits, or a rank's map would use 1/n buckets.
+        let p = Partitioner::new(4);
+        let low: std::collections::HashSet<u64> = p
+            .owned_ids(4_000, 0)
+            .iter()
+            .map(|id| IdBuildHasher::default().hash_one(id) % 4)
+            .collect();
+        assert_eq!(low.len(), 4);
+    }
+
+    #[test]
+    fn id_hash_folds_every_word_of_a_tuple_key() {
+        use std::hash::BuildHasher;
+        let h = |k: (PointId, PointId)| IdBuildHasher::default().hash_one(k);
+        assert_ne!(h((1, 2)), h((2, 1)));
+        assert_ne!(h((1, 2)), h((1, 3)));
+        assert_ne!(h((1, 2)), h((0, 2)));
+        let mut m: IdMap<u32> = IdMap::default();
+        for id in 0..1_000 {
+            m.insert(id, id * 2);
+        }
+        assert!((0..1_000).all(|id| m[&id] == id * 2));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use crate::engine::{batched, batched_weighted, charge_batch};
 use crate::msgs::*;
-use crate::partition::Partitioner;
+use crate::partition::{IdBuildHasher, IdMap, Partitioner};
 use dataset::batch::{BatchMetric, NormCache};
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
@@ -44,12 +44,12 @@ use ygm::{ClockBreakdown, Comm, PhaseRecord, TagStats, TrafficMatrix, World};
 /// Per-rank mutable state of the distributed RNN pass.
 pub(crate) struct RnnDistState {
     /// Working rows of the vertices this rank owns.
-    pub(crate) rows: HashMap<PointId, Vec<RnnEdge>>,
+    pub(crate) rows: IdMap<Vec<RnnEdge>>,
     /// Prefetched pair distances, per scanning vertex: `(a, b) -> theta`.
-    pair_dists: HashMap<PointId, HashMap<(PointId, PointId), f32>>,
+    pair_dists: IdMap<HashMap<(PointId, PointId), f32, IdBuildHasher>>,
     /// Candidate edges (redirected inserts + reverse edges) awaiting the
     /// next apply step, per owned target.
-    pending: HashMap<PointId, Vec<(PointId, f32)>>,
+    pending: IdMap<Vec<(PointId, f32)>>,
     /// Distance evaluations performed on this rank for the RNN pass.
     pub(crate) dist_evals: u64,
     /// Batched kernel invocations on this rank for the RNN pass.
@@ -59,9 +59,9 @@ pub(crate) struct RnnDistState {
 impl RnnDistState {
     pub(crate) fn new() -> Self {
         RnnDistState {
-            rows: HashMap::new(),
-            pair_dists: HashMap::new(),
-            pending: HashMap::new(),
+            rows: IdMap::default(),
+            pair_dists: IdMap::default(),
+            pending: IdMap::default(),
             dist_evals: 0,
             kernel_batches: 0,
         }

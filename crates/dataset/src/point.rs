@@ -230,6 +230,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "buffer underflow")]
+    fn sparse_oversized_prefix_is_an_underflow_not_an_allocation() {
+        // Length prefix claims 4 Gi ids; nothing follows.
+        SparseVec::decode(&mut Bytes::from(vec![0xff; 4]));
+    }
+
+    #[test]
     fn dense_helpers() {
         assert_eq!(dense::dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert!((dense::norm(&[3.0, 4.0]) - 5.0).abs() < 1e-6);

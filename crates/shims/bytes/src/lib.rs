@@ -6,7 +6,7 @@
 //! codec in `ygm::codec` relies on. Only the API surface this workspace
 //! uses is implemented.
 
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// Read-side cursor over a contiguous byte region.
@@ -264,6 +264,11 @@ impl BytesMut {
         self.inner.clear();
     }
 
+    /// Grow (filling with `value`) or truncate to exactly `new_len` bytes.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.inner.resize(new_len, value);
+    }
+
     /// Take the entire filled contents, leaving `self` empty (capacity may
     /// be retained by the allocator; semantics match `bytes`' use here).
     pub fn split(&mut self) -> BytesMut {
@@ -290,6 +295,12 @@ impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.inner
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.inner
     }
 }
 
@@ -344,6 +355,17 @@ mod tests {
         assert_eq!(b.as_slice(), &[3, 4, 5]);
         let clone = b.clone();
         assert_eq!(clone.as_slice(), b.as_slice());
+    }
+
+    #[test]
+    fn resize_then_write_in_place() {
+        let mut w = BytesMut::new();
+        w.put_u8(9);
+        w.resize(5, 0);
+        w[1..5].copy_from_slice(&7u32.to_le_bytes());
+        let mut r = w.freeze();
+        assert_eq!(r.get_u8(), 9);
+        assert_eq!(r.get_u32_le(), 7);
     }
 
     #[test]

@@ -11,6 +11,13 @@
 //! values append themselves to a [`BytesMut`] and decode themselves from a
 //! shrinking byte slice. Variable-length collections are prefixed with a
 //! `u32` element count.
+//!
+//! A `Vec<T>` moves through the three slice methods of [`Wire`]
+//! (`encode_slice` / `decode_vec` / `slice_wire_size`). Their defaults are
+//! the per-element loop; the primitives override them with one resize plus
+//! a chunked `to_le_bytes` / `from_le_bytes` pass, which is a block copy on
+//! a little-endian host. The bytes on the wire are the per-element
+//! little-endian format either way (pinned by `tests/wire_golden.rs`).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -29,6 +36,29 @@ pub trait Wire: Sized {
     /// Exact number of bytes [`Wire::encode`] will append. Used to charge the
     /// virtual network clock and to pre-reserve buffer space.
     fn wire_size(&self) -> usize;
+
+    /// Append the encodings of `items`, in order, with no length prefix:
+    /// the body of a `Vec<Self>` on the wire.
+    fn encode_slice(items: &[Self], buf: &mut BytesMut) {
+        for item in items {
+            item.encode(buf);
+        }
+    }
+    /// Decode `n` consecutive values from the front of `buf`. `n` comes off
+    /// the wire, so the reservation is capped by the bytes actually present
+    /// and a short buffer panics with "buffer underflow" on the first
+    /// missing element instead of asking the allocator for `n` slots.
+    fn decode_vec(n: usize, buf: &mut Bytes) -> Vec<Self> {
+        let mut out = Vec::with_capacity(n.min(buf.remaining()));
+        for _ in 0..n {
+            out.push(Self::decode(buf));
+        }
+        out
+    }
+    /// Exact number of bytes [`Wire::encode_slice`] will append.
+    fn slice_wire_size(items: &[Self]) -> usize {
+        items.iter().map(Wire::wire_size).sum()
+    }
 }
 
 macro_rules! impl_wire_prim {
@@ -45,6 +75,30 @@ macro_rules! impl_wire_prim {
             #[inline]
             fn wire_size(&self) -> usize {
                 $sz
+            }
+            #[inline]
+            fn encode_slice(items: &[Self], buf: &mut BytesMut) {
+                let start = buf.len();
+                buf.resize(start + items.len() * $sz, 0);
+                for (dst, v) in buf[start..].chunks_exact_mut($sz).zip(items) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            #[inline]
+            fn decode_vec(n: usize, buf: &mut Bytes) -> Vec<Self> {
+                assert!(n <= buf.remaining() / $sz, "buffer underflow");
+                let out = buf.chunk()[..n * $sz]
+                    .chunks_exact($sz)
+                    .map(|c| {
+                        <$t>::from_le_bytes(c.try_into().expect("chunks_exact yields SZ bytes"))
+                    })
+                    .collect();
+                buf.advance(n * $sz);
+                out
+            }
+            #[inline]
+            fn slice_wire_size(items: &[Self]) -> usize {
+                items.len() * $sz
             }
         }
     };
@@ -103,20 +157,14 @@ impl Wire for () {
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u32_le(self.len() as u32);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
     }
     fn decode(buf: &mut Bytes) -> Self {
         let n = buf.get_u32_le() as usize;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::decode(buf));
-        }
-        out
+        T::decode_vec(n, buf)
     }
     fn wire_size(&self) -> usize {
-        4 + self.iter().map(Wire::wire_size).sum::<usize>()
+        4 + T::slice_wire_size(self)
     }
 }
 
@@ -253,6 +301,40 @@ mod tests {
         round_trip(vec![1u32, 2, 3, u32::MAX]);
         round_trip(vec![1.0f32, -2.5, f32::INFINITY]);
         round_trip(vec![vec![1u8, 2], vec![], vec![3]]);
+    }
+
+    /// A 4-byte payload whose length prefix claims 4 Gi elements.
+    fn huge_prefix() -> Bytes {
+        Bytes::from(vec![0xff; 4])
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer underflow")]
+    fn oversized_f32_prefix_is_an_underflow_not_an_allocation() {
+        Vec::<f32>::decode(&mut huge_prefix());
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer underflow")]
+    fn oversized_u8_prefix_is_an_underflow_not_an_allocation() {
+        Vec::<u8>::decode(&mut huge_prefix());
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer underflow")]
+    fn oversized_tuple_prefix_is_an_underflow_not_an_allocation() {
+        Vec::<(u32, f32)>::decode(&mut huge_prefix());
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer underflow")]
+    fn truncated_primitive_body_is_an_underflow() {
+        // Prefix says 3 u32s, only 2 follow.
+        let mut enc = BytesMut::new();
+        enc.put_u32_le(3);
+        enc.put_u32_le(1);
+        enc.put_u32_le(2);
+        Vec::<u32>::decode(&mut enc.freeze());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::codec::{TraceCtx, Wire};
 use crate::cost::CostModel;
 use crate::fault::FaultCounters;
-use crate::stats::Stats;
+use crate::stats::Tally;
 use crate::world::Shared;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crossbeam::channel::Receiver;
@@ -128,7 +128,10 @@ impl FaultLocal {
     }
 }
 
-type Handler = Box<dyn FnMut(&Comm, Bytes)>;
+/// A registered handler: decodes its message from the cursor (positioned
+/// at the payload) and runs the user closure. [`Comm::dispatch_block`]
+/// checks it consumed exactly the frame.
+type Handler = Box<dyn FnMut(&Comm, &mut Bytes)>;
 
 /// A rank's handle to the world. Not `Send`: each rank owns exactly one,
 /// created by [`crate::World::run`].
@@ -150,6 +153,15 @@ pub struct Comm {
     /// Bitset of tags buffered per destination since its last flush, so
     /// one flow arrow is drawn per (frame, tag) rather than per message.
     pending_tags: RefCell<Vec<u64>>,
+    /// This rank's sends and compute charges since its last
+    /// [`Self::publish`]. Rank-private: the shared [`crate::Stats`] and the
+    /// `sent`/`processed` atomics only change at a barrier, and their only
+    /// readers (the quiescence test, the clock's phase advance) run
+    /// between the barrier's waits.
+    tally: RefCell<Tally>,
+    /// Messages handled since the last publish (messages sent are the
+    /// tally's total).
+    processed: Cell<u64>,
 }
 
 impl Comm {
@@ -169,6 +181,8 @@ impl Comm {
             phase_idx: Cell::new(0),
             flow_seq: RefCell::new(vec![0; n]),
             pending_tags: RefCell::new(vec![0; n]),
+            tally: RefCell::new(Tally::new(n)),
+            processed: Cell::new(0),
         }
     }
 
@@ -197,10 +211,8 @@ impl Comm {
         // error; `mark_tag_used` rejects it with a real panic (not just a
         // debug assertion) before any message can be sent.
         self.shared.stats.mark_tag_used(tag);
-        let shim: Handler = Box::new(move |comm, bytes| {
-            let mut b = bytes;
-            let msg = M::decode(&mut b);
-            debug_assert!(b.is_empty(), "handler for tag did not consume payload");
+        let shim: Handler = Box::new(move |comm, payload| {
+            let msg = M::decode(payload);
             f(comm, msg);
         });
         self.handlers.borrow_mut()[tag as usize] = Some(shim);
@@ -408,10 +420,9 @@ impl Comm {
             buf.len() >= self.shared.flush_threshold
         };
         self.pending_tags.borrow_mut()[dest] |= 1u64 << (tag as u32 & 63);
-        self.shared
-            .stats
-            .record_send(tag, FRAME_HEADER_BYTES + sz, self.rank, dest);
-        self.shared.sent.fetch_add(1, Ordering::SeqCst);
+        self.tally
+            .borrow_mut()
+            .add_send(tag, dest, FRAME_HEADER_BYTES + sz);
         if let (Some(fs), Some(fl)) = (&self.shared.fault, &self.fault) {
             // Flush jitter: randomly force an early flush, perturbing frame
             // boundaries and therefore handler-batch interleavings.
@@ -703,25 +714,39 @@ impl Comm {
         }
         let mut n = 0;
         let mut tags_seen: u64 = 0;
-        while block.has_remaining() {
-            let tag = block.get_u16_le();
-            tags_seen |= 1u64 << (tag as u32 & 63);
-            let len = block.get_u32_le() as usize;
-            let payload = block.split_to(len);
-            {
-                let mut handlers = self.handlers.borrow_mut();
+        {
+            // Re-entrancy note: a handler receives `&Comm` and may
+            // async_send (touches `out`, not `handlers`). A handler calling
+            // poll/barrier/register would re-borrow `handlers` and panic,
+            // which is the documented contract.
+            let mut handlers = self.handlers.borrow_mut();
+            while block.has_remaining() {
+                let tag = block.get_u16_le();
+                tags_seen |= 1u64 << (tag as u32 & 63);
+                let len = block.get_u32_le() as usize;
+                assert!(
+                    len <= block.remaining(),
+                    "frame for tag {tag} claims {len} bytes, block has {}",
+                    block.remaining()
+                );
+                let after = block.remaining() - len;
                 let slot = handlers[tag as usize]
                     .as_mut()
                     .unwrap_or_else(|| panic!("no handler registered for tag {tag}"));
-                // SAFETY-free re-entrancy note: the handler receives `&Comm`
-                // and may async_send (touches `out`, not `handlers`). A
-                // handler calling poll/barrier/register would re-borrow
-                // `handlers` and panic, which is the documented contract.
-                slot(self, payload);
+                // The handler decodes straight off the block cursor. A
+                // message type whose decode is shorter or longer than the
+                // frame would misalign every frame behind it, so the check
+                // is a hard one in release too.
+                slot(self, &mut block);
+                assert_eq!(
+                    block.remaining(),
+                    after,
+                    "handler for tag {tag} did not consume exactly its {len}-byte frame"
+                );
+                n += 1;
             }
-            self.shared.processed.fetch_add(1, Ordering::SeqCst);
-            n += 1;
         }
+        self.processed.set(self.processed.get() + n as u64);
         if traced {
             if let (Some(t), Some(ctx)) = (self.tracer(), ctx) {
                 if t.flows_enabled() {
@@ -776,9 +801,11 @@ impl Comm {
         let mut rounds: u64 = 0;
         loop {
             self.poll();
+            self.publish();
             self.shared.barrier.wait();
-            // Between the two waits no rank sends or processes, so the
-            // counters are stable and every rank reads the same values.
+            // Between the two waits no rank sends or processes, and every
+            // rank published before the first one, so the counters are
+            // complete, stable, and every rank reads the same values.
             let quiescent = self.shared.sent.load(Ordering::SeqCst)
                 == self.shared.processed.load(Ordering::SeqCst);
             let leader = self.shared.barrier.wait();
@@ -816,11 +843,31 @@ impl Comm {
         }
     }
 
+    /// Fold this rank's private counters into the world's: one
+    /// [`crate::Stats::merge`] plus the two termination-detection atomics.
+    /// Runs after `poll()` and before the first wait of every barrier
+    /// round — the world's last barrier included, which [`crate::World::run`]
+    /// enters after the rank's closure returns, so a send issued after the
+    /// closure's own last barrier is still counted.
+    fn publish(&self) {
+        let sent = self
+            .shared
+            .stats
+            .merge(self.rank, &mut self.tally.borrow_mut());
+        if sent > 0 {
+            self.shared.sent.fetch_add(sent, Ordering::SeqCst);
+        }
+        let processed = self.processed.take();
+        if processed > 0 {
+            self.shared.processed.fetch_add(processed, Ordering::SeqCst);
+        }
+    }
+
     /// Charge `ns` nanoseconds of virtual compute time to this rank's
     /// current phase.
     #[inline]
     pub fn charge_compute(&self, ns: u64) {
-        self.shared.stats.charge_compute(self.rank, ns);
+        self.tally.borrow_mut().compute_ns += ns;
     }
 
     /// Charge the virtual cost of one distance evaluation over `dim`-element
@@ -838,11 +885,6 @@ impl Comm {
     /// Current virtual time in nanoseconds.
     pub fn now_ns(&self) -> u64 {
         self.shared.clock.now_ns()
-    }
-
-    /// World-wide communication statistics.
-    pub fn stats(&self) -> &Stats {
-        &self.shared.stats
     }
 
     /// Running count of reliable-delivery retransmits world-wide; always 0

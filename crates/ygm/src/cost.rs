@@ -332,6 +332,14 @@ impl VirtualClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::{merge_one, Tally};
+
+    /// Charge `ns` of compute to `rank` the way a rank's barrier does.
+    fn charge_compute(stats: &Stats, rank: usize, ns: u64) {
+        let mut tally = Tally::new(stats.phase.len());
+        tally.compute_ns = ns;
+        stats.merge(rank, &mut tally);
+    }
 
     #[test]
     fn distance_cost_scales_with_dim() {
@@ -345,8 +353,8 @@ mod tests {
         let clock = VirtualClock::new();
         assert_eq!(clock.now_ns(), 0);
         let stats = Stats::new(2);
-        stats.charge_compute(0, 1_000);
-        stats.charge_compute(1, 5_000);
+        charge_compute(&stats, 0, 1_000);
+        charge_compute(&stats, 1, 5_000);
         let cost = CostModel::free_network();
         clock.advance_phase(&stats, &cost, 2);
         // Makespan is the max over ranks, not the sum.
@@ -357,7 +365,7 @@ mod tests {
     fn phase_cost_includes_comm_terms() {
         let clock = VirtualClock::new();
         let stats = Stats::new(2);
-        stats.record_send(0, 1_000_000, 0, 1); // 1 MB remote
+        merge_one(&stats, 0, 1_000_000, 0, 1); // 1 MB remote
         let cost = CostModel {
             alpha_ns: 100.0,
             bytes_per_ns: 1.0,
@@ -381,7 +389,7 @@ mod tests {
         let clock = VirtualClock::new();
         let stats = Stats::new(2);
         let cost = CostModel::mammoth_like();
-        stats.record_send(0, 500, 0, 1);
+        merge_one(&stats, 0, 500, 0, 1);
         clock.advance_phase(&stats, &cost, 2);
         stats.reset_phase();
         clock.advance_phase(&stats, &cost, 2);
@@ -399,8 +407,8 @@ mod tests {
     fn phase_records_carry_exact_totals_and_rank_vectors() {
         let clock = VirtualClock::new();
         let stats = Stats::new(2);
-        stats.charge_compute(0, 10_000);
-        stats.record_send(0, 1_000, 0, 1);
+        charge_compute(&stats, 0, 10_000);
+        merge_one(&stats, 0, 1_000, 0, 1);
         stats.record_transport(0, 1, 1_000); // retransmit of the same frame
         stats.charge_fault(1, 777);
         let cost = CostModel {
@@ -434,8 +442,8 @@ mod tests {
     fn breakdown_attributes_components() {
         let clock = VirtualClock::new();
         let stats = Stats::new(2);
-        stats.charge_compute(0, 10_000);
-        stats.record_send(0, 1_000, 0, 1);
+        charge_compute(&stats, 0, 10_000);
+        merge_one(&stats, 0, 1_000, 0, 1);
         let cost = CostModel {
             alpha_ns: 100.0,
             bytes_per_ns: 1.0,
@@ -463,7 +471,7 @@ mod tests {
     fn free_network_charges_nothing_for_messages() {
         let clock = VirtualClock::new();
         let stats = Stats::new(2);
-        stats.record_send(0, 1 << 20, 0, 1);
+        merge_one(&stats, 0, 1 << 20, 0, 1);
         clock.advance_phase(&stats, &CostModel::free_network(), 2);
         assert_eq!(clock.now_ns(), 0);
     }

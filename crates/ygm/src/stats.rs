@@ -15,6 +15,13 @@
 //! counted in the per-tag totals (they are real work for the handler) but do
 //! not contribute network cost, mirroring shared-memory delivery inside one
 //! node.
+//!
+//! Sends and compute charges are not written here one by one. Each rank
+//! counts them in a private [`Tally`] and [`Stats::merge`]s it once per
+//! barrier round, before the round's first wait; everything that reads
+//! these counters (the clock's phase advance, the end-of-run report) runs
+//! after that wait. Only the rare fault-path charges
+//! ([`Stats::record_transport`], [`Stats::charge_fault`]) write directly.
 
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
@@ -97,8 +104,46 @@ impl PhaseCounters {
     }
 }
 
-/// Shared statistics block for a world. All methods are thread-safe; hot-path
-/// updates are relaxed atomics.
+/// One rank's sends and compute charges since its last [`Stats::merge`]:
+/// plain integers, touched only by the owning rank's thread.
+pub(crate) struct Tally {
+    n_ranks: usize,
+    /// Bit `t` set: tag `t` has a nonzero cell below.
+    touched: u64,
+    /// Messages / bytes (frame header included) per `[tag * n_ranks + dest]`.
+    count: Box<[u64]>,
+    bytes: Box<[u64]>,
+    /// Virtual compute nanoseconds charged.
+    pub(crate) compute_ns: u64,
+}
+
+impl Tally {
+    pub(crate) fn new(n_ranks: usize) -> Self {
+        Tally {
+            n_ranks,
+            touched: 0,
+            count: vec![0; MAX_TAGS * n_ranks].into(),
+            bytes: vec![0; MAX_TAGS * n_ranks].into(),
+            compute_ns: 0,
+        }
+    }
+
+    /// Count one message sent to `dest`. `bytes` includes the frame header.
+    #[inline]
+    pub(crate) fn add_send(&mut self, tag: u16, dest: usize, bytes: usize) {
+        assert!(
+            (tag as usize) < MAX_TAGS,
+            "message tag {tag} out of range (MAX_TAGS = {MAX_TAGS})"
+        );
+        self.touched |= 1 << tag;
+        let cell = tag as usize * self.n_ranks + dest;
+        self.count[cell] += 1;
+        self.bytes[cell] += bytes as u64;
+    }
+}
+
+/// Shared statistics block for a world. All methods are thread-safe; updates
+/// are relaxed atomics, issued per barrier round rather than per message.
 pub struct Stats {
     n_ranks: usize,
     tag_count: Box<[CachePadded<AtomicU64>]>,
@@ -145,8 +190,7 @@ impl Stats {
     }
 
     /// Record that `tag` is in play, bumping the high-water mark. Called at
-    /// handler registration, tag naming, and on every send.
-    #[inline]
+    /// handler registration, tag naming, and when a merge carries the tag.
     pub(crate) fn mark_tag_used(&self, tag: u16) {
         assert!(
             (tag as usize) < MAX_TAGS,
@@ -161,32 +205,49 @@ impl Stats {
         self.tag_high_water.load(Ordering::Relaxed) as usize
     }
 
-    /// Record one sent message. `bytes` includes the frame header.
-    #[inline]
-    pub(crate) fn record_send(&self, tag: u16, bytes: usize, src: usize, dest: usize) {
-        self.mark_tag_used(tag);
-        let t = tag as usize;
-        self.tag_count[t].fetch_add(1, Ordering::Relaxed);
-        self.tag_bytes[t].fetch_add(bytes as u64, Ordering::Relaxed);
-        let cell = (t * self.n_ranks + src) * self.n_ranks + dest;
-        self.matrix_count[cell].fetch_add(1, Ordering::Relaxed);
-        self.matrix_bytes[cell].fetch_add(bytes as u64, Ordering::Relaxed);
-        if src != dest {
-            self.tag_remote_count[t].fetch_add(1, Ordering::Relaxed);
-            self.tag_remote_bytes[t].fetch_add(bytes as u64, Ordering::Relaxed);
-            let ps = &self.phase[src];
-            ps.msgs_out.fetch_add(1, Ordering::Relaxed);
-            ps.bytes_out.fetch_add(bytes as u64, Ordering::Relaxed);
-            let pd = &self.phase[dest];
-            pd.msgs_in.fetch_add(1, Ordering::Relaxed);
-            pd.bytes_in.fetch_add(bytes as u64, Ordering::Relaxed);
+    /// Fold everything rank `src` counted in `tally` into the cumulative
+    /// per-tag counters, the traffic matrix and the current phase, and leave
+    /// `tally` zeroed; returns how many messages that was. The one place a
+    /// sent message is accounted.
+    pub(crate) fn merge(&self, src: usize, tally: &mut Tally) -> u64 {
+        let n = self.n_ranks;
+        let mut merged = 0;
+        let mut touched = std::mem::take(&mut tally.touched);
+        while touched != 0 {
+            let t = touched.trailing_zeros() as usize;
+            touched &= touched - 1;
+            self.mark_tag_used(t as u16);
+            for dest in 0..n {
+                let count = std::mem::take(&mut tally.count[t * n + dest]);
+                if count == 0 {
+                    continue;
+                }
+                let bytes = std::mem::take(&mut tally.bytes[t * n + dest]);
+                merged += count;
+                self.tag_count[t].fetch_add(count, Ordering::Relaxed);
+                self.tag_bytes[t].fetch_add(bytes, Ordering::Relaxed);
+                let cell = (t * n + src) * n + dest;
+                self.matrix_count[cell].fetch_add(count, Ordering::Relaxed);
+                self.matrix_bytes[cell].fetch_add(bytes, Ordering::Relaxed);
+                if src != dest {
+                    self.tag_remote_count[t].fetch_add(count, Ordering::Relaxed);
+                    self.tag_remote_bytes[t].fetch_add(bytes, Ordering::Relaxed);
+                    let ps = &self.phase[src];
+                    ps.msgs_out.fetch_add(count, Ordering::Relaxed);
+                    ps.bytes_out.fetch_add(bytes, Ordering::Relaxed);
+                    let pd = &self.phase[dest];
+                    pd.msgs_in.fetch_add(count, Ordering::Relaxed);
+                    pd.bytes_in.fetch_add(bytes, Ordering::Relaxed);
+                }
+            }
         }
-    }
-
-    /// Charge `ns` nanoseconds of (virtual) compute time to `rank`.
-    #[inline]
-    pub(crate) fn charge_compute(&self, rank: usize, ns: u64) {
-        self.phase[rank].compute_ns.fetch_add(ns, Ordering::Relaxed);
+        let compute_ns = std::mem::take(&mut tally.compute_ns);
+        if compute_ns > 0 {
+            self.phase[src]
+                .compute_ns
+                .fetch_add(compute_ns, Ordering::Relaxed);
+        }
+        merged
     }
 
     /// Record transport-level traffic (a retransmitted or duplicated frame)
@@ -295,25 +356,15 @@ impl Stats {
         }
         TrafficMatrix { n_ranks: n, tags }
     }
+}
 
-    /// Reset the cumulative per-tag counters (phase counters are reset at
-    /// every barrier automatically). Useful for scoping measurements to one
-    /// algorithm phase, as the paper does for the neighbor-check step.
-    pub fn reset_tags(&self) {
-        let n = self.n_ranks;
-        for t in 0..self.high_water() {
-            self.tag_count[t].store(0, Ordering::Relaxed);
-            self.tag_bytes[t].store(0, Ordering::Relaxed);
-            self.tag_remote_count[t].store(0, Ordering::Relaxed);
-            self.tag_remote_bytes[t].store(0, Ordering::Relaxed);
-            for cell in &self.matrix_count[t * n * n..(t + 1) * n * n] {
-                cell.store(0, Ordering::Relaxed);
-            }
-            for cell in &self.matrix_bytes[t * n * n..(t + 1) * n * n] {
-                cell.store(0, Ordering::Relaxed);
-            }
-        }
-    }
+/// Test helper shared with `cost`'s unit tests: account one message
+/// `src -> dest` of `bytes` bytes through a one-entry [`Tally`] merge.
+#[cfg(test)]
+pub(crate) fn merge_one(stats: &Stats, tag: u16, bytes: usize, src: usize, dest: usize) {
+    let mut tally = Tally::new(stats.n_ranks);
+    tally.add_send(tag, dest, bytes);
+    stats.merge(src, &mut tally);
 }
 
 #[cfg(test)]
@@ -321,11 +372,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_send_accumulates_per_tag() {
+    fn merge_accumulates_per_tag() {
         let s = Stats::new(4);
-        s.record_send(3, 100, 0, 1);
-        s.record_send(3, 50, 1, 1); // local: no remote accounting
-        s.record_send(5, 10, 2, 3);
+        merge_one(&s, 3, 100, 0, 1);
+        merge_one(&s, 3, 50, 1, 1); // local: no remote accounting
+        merge_one(&s, 5, 10, 2, 3);
         let t3 = s.tag(3);
         assert_eq!(t3.count, 2);
         assert_eq!(t3.bytes, 150);
@@ -339,7 +390,7 @@ mod tests {
     #[test]
     fn phase_counters_track_in_and_out() {
         let s = Stats::new(2);
-        s.record_send(0, 64, 0, 1);
+        merge_one(&s, 0, 64, 0, 1);
         assert_eq!(s.phase[0].msgs_out.load(Ordering::Relaxed), 1);
         assert_eq!(s.phase[0].bytes_out.load(Ordering::Relaxed), 64);
         assert_eq!(s.phase[1].msgs_in.load(Ordering::Relaxed), 1);
@@ -352,7 +403,7 @@ mod tests {
     #[test]
     fn transport_traffic_lands_in_its_own_cells() {
         let s = Stats::new(2);
-        s.record_send(0, 64, 0, 1);
+        merge_one(&s, 0, 64, 0, 1);
         s.record_transport(0, 1, 100); // retransmit of the same frame
         s.record_transport(1, 1, 999); // local: ignored entirely
         assert_eq!(s.phase[0].msgs_out.load(Ordering::Relaxed), 1);
@@ -377,49 +428,39 @@ mod tests {
     #[test]
     fn nonzero_tags_lists_only_used() {
         let s = Stats::new(2);
-        s.record_send(1, 8, 0, 1);
-        s.record_send(4, 8, 0, 1);
+        merge_one(&s, 1, 8, 0, 1);
+        merge_one(&s, 4, 8, 0, 1);
         let tags: Vec<u16> = s.nonzero_tags().into_iter().map(|(t, _, _)| t).collect();
         assert_eq!(tags, vec![1, 4]);
-    }
-
-    #[test]
-    fn reset_tags_clears_cumulative() {
-        let s = Stats::new(2);
-        s.record_send(1, 8, 0, 1);
-        s.reset_tags();
-        assert_eq!(s.total().count, 0);
     }
 
     #[test]
     fn high_water_bounds_scans() {
         let s = Stats::new(2);
         assert_eq!(s.high_water(), 0);
-        s.record_send(5, 8, 0, 1);
+        merge_one(&s, 5, 8, 0, 1);
         assert_eq!(s.high_water(), 6);
         s.name_tag(9, "late"); // naming alone also raises the mark
         assert_eq!(s.high_water(), 10);
-        s.record_send(2, 8, 0, 1);
+        merge_one(&s, 2, 8, 0, 1);
         assert_eq!(s.high_water(), 10); // monotone
         assert_eq!(s.total().count, 2);
-        s.reset_tags();
-        assert_eq!(s.total().count, 0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_tag_is_a_hard_error() {
         let s = Stats::new(1);
-        s.record_send(MAX_TAGS as u16, 8, 0, 0);
+        merge_one(&s, MAX_TAGS as u16, 8, 0, 0);
     }
 
     #[test]
     fn matrix_cells_track_edges_including_diagonal() {
         let s = Stats::new(3);
-        s.record_send(2, 100, 0, 1);
-        s.record_send(2, 40, 0, 1);
-        s.record_send(2, 7, 1, 1); // local send lands on the diagonal
-        s.record_send(4, 9, 2, 0);
+        merge_one(&s, 2, 100, 0, 1);
+        merge_one(&s, 2, 40, 0, 1);
+        merge_one(&s, 2, 7, 1, 1); // local send lands on the diagonal
+        merge_one(&s, 4, 9, 2, 0);
         let m = s.matrix();
         assert_eq!(m.n_ranks, 3);
         assert_eq!(m.tags.len(), 2);
@@ -435,9 +476,9 @@ mod tests {
         // The invariant the report layer relies on: per-tag cell sums equal
         // the cumulative tag counters, and transport traffic stays out.
         let s = Stats::new(2);
-        s.record_send(1, 100, 0, 1);
-        s.record_send(1, 50, 1, 0);
-        s.record_send(1, 25, 0, 0);
+        merge_one(&s, 1, 100, 0, 1);
+        merge_one(&s, 1, 50, 1, 0);
+        merge_one(&s, 1, 25, 0, 0);
         s.record_transport(0, 1, 999); // retransmit: phase counters only
         let m = s.matrix();
         let t1 = &m.tags[0];
@@ -454,20 +495,39 @@ mod tests {
     }
 
     #[test]
-    fn reset_tags_clears_matrix() {
-        let s = Stats::new(2);
-        s.record_send(1, 8, 0, 1);
-        s.reset_tags();
-        assert!(s.matrix().tags.is_empty());
-        s.record_send(1, 8, 1, 0);
-        assert_eq!(s.matrix().tags[0].counts, vec![0, 0, 1, 0]);
+    fn merge_drains_the_tally_and_batches_a_whole_round() {
+        // Many sends to several destinations and a compute charge fold in
+        // as one merge; a second merge of the now-empty tally adds nothing.
+        let s = Stats::new(3);
+        let mut t = Tally::new(3);
+        for _ in 0..5 {
+            t.add_send(2, 1, 10);
+        }
+        t.add_send(2, 0, 7); // rank-local for src 0
+        t.add_send(6, 2, 100);
+        t.compute_ns += 900;
+        assert_eq!(s.merge(0, &mut t), 7);
+        assert_eq!(s.merge(0, &mut t), 0);
+        assert_eq!(s.tag(2).count, 6);
+        assert_eq!(s.tag(2).bytes, 57);
+        assert_eq!(s.tag(2).remote_count, 5);
+        assert_eq!(s.tag(6).remote_bytes, 100);
+        assert_eq!(s.phase[0].msgs_out.load(Ordering::Relaxed), 6);
+        assert_eq!(s.phase[0].bytes_out.load(Ordering::Relaxed), 150);
+        assert_eq!(s.phase[1].msgs_in.load(Ordering::Relaxed), 5);
+        assert_eq!(s.phase[2].bytes_in.load(Ordering::Relaxed), 100);
+        assert_eq!(s.phase[0].compute_ns.load(Ordering::Relaxed), 900);
+        assert_eq!(s.matrix().tags[0].counts, vec![1, 5, 0, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]
-    fn compute_charge_accumulates() {
+    fn compute_charge_accumulates_across_merges() {
         let s = Stats::new(2);
-        s.charge_compute(1, 500);
-        s.charge_compute(1, 250);
+        let mut t = Tally::new(2);
+        t.compute_ns += 500;
+        s.merge(1, &mut t);
+        t.compute_ns += 250;
+        s.merge(1, &mut t);
         assert_eq!(s.phase[1].compute_ns.load(Ordering::Relaxed), 750);
     }
 }
