@@ -20,10 +20,12 @@
 //! baseline lives in `BENCH_4.json` and CI soft-diffs candidates against
 //! it with `dnnd-report-diff`.
 //!
-//! `--smoke` keeps every workload size identical (so `distance_evals`
-//! matches the committed baseline exactly) but runs fewer timing reps,
-//! validates a JSON schema round-trip, and asserts the batched path is at
-//! least as fast as scalar for the cached-norm metrics at dim >= 64.
+//! `--smoke` keeps every workload size identical (so `distance_evals` is
+//! the same number in both modes; the committed baseline predates the two
+//! `l2_u8` cells and counts 27 cells to this driver's 29) but runs fewer
+//! timing reps, validates a JSON schema round-trip, and asserts the batched
+//! path is at least as fast as scalar for the cached-norm metrics at
+//! dim >= 64.
 //!
 //! ```text
 //! cargo run --release -p bench --bin kernels -- --report-out BENCH_4.json
@@ -177,6 +179,12 @@ fn main() {
         let qs = gen_u8(QUERIES, dim, 0xB10 + dim as u64);
         let set = PointSet::new(gen_u8(CANDS, dim, 0xC10 + dim as u64));
         cells.push(bench_cell("hamming", &Hamming, &qs, &set, reps));
+    }
+    // BigANN's shape (d = 128) and the widest dimension of the sweep.
+    for &dim in &[128usize, 960] {
+        let qs = gen_u8(QUERIES, dim, 0xB20 + dim as u64);
+        let set = PointSet::new(gen_u8(CANDS, dim, 0xC20 + dim as u64));
+        cells.push(bench_cell("l2_u8", &L2, &qs, &set, reps));
     }
 
     let mut table = Table::new(

@@ -39,14 +39,14 @@
 //! (the serving frontend dispatches one micro-batch per slot).
 //! [`distributed_search_batch`] wraps it for the one-shot offline case.
 
-use crate::partition::Partitioner;
+use crate::partition::{IdBuildHasher, Partitioner};
 use bytes::{Bytes, BytesMut};
 use dataset::batch::BatchMetric;
 use dataset::order::OrdF32;
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use nnd::graph::KnnGraph;
-use rand::seq::index::sample as index_sample;
+use nnd::search::EntrySampler;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
@@ -335,7 +335,9 @@ struct QueryState {
     best: BinaryHeap<(OrdF32, PointId)>,
     /// Frontier min-heap of scored, unexpanded vertices.
     frontier: BinaryHeap<Reverse<(OrdF32, PointId)>>,
-    visited: HashSet<PointId>,
+    /// Only ever inserted into, never iterated: no order can leak out of
+    /// the cheap hasher.
+    visited: HashSet<PointId, IdBuildHasher>,
     /// Scored replies of the current round, folded in canonical order at
     /// the round boundary (the determinism contract).
     round_scored: Vec<(PointId, f32)>,
@@ -352,7 +354,7 @@ impl QueryState {
         QueryState {
             best: BinaryHeap::new(),
             frontier: BinaryHeap::new(),
-            visited: HashSet::new(),
+            visited: HashSet::default(),
             round_scored: Vec::new(),
             mask,
             done: false,
@@ -405,6 +407,8 @@ struct EngineState<P> {
     /// The in-flight batch's query vectors, indexed like `queries` (the
     /// Neighbors handler needs them for the Score fan-out).
     vectors: Vec<P>,
+    /// Entry-point sampler over the base ids, reused by every query.
+    sampler: EntrySampler,
 }
 
 /// Per-rank result rows: `(global query index, neighbor ids)`.
@@ -447,6 +451,7 @@ where
         let st: Rc<RefCell<EngineState<P>>> = Rc::new(RefCell::new(EngineState {
             queries: Vec::new(),
             vectors: Vec::new(),
+            sampler: EntrySampler::new(n),
         }));
 
         {
@@ -483,10 +488,13 @@ where
                 "q_neighbors",
                 move |c, (qid, _v, ids)| {
                     let mut s = st.borrow_mut();
+                    let EngineState {
+                        queries, vectors, ..
+                    } = &mut *s;
                     let home = c.rank() as u32;
                     let part = Partitioner::new(c.n_ranks());
-                    let query_vec = s.vectors[qid as usize].clone();
-                    let q = &mut s.queries[qid as usize];
+                    let query_vec = &vectors[qid as usize];
+                    let q = &mut queries[qid as usize];
                     let unvisited: Vec<PointId> =
                         ids.into_iter().filter(|&w| q.visited.insert(w)).collect();
                     q.profile.dist_evals += unvisited.len() as u64;
@@ -572,15 +580,16 @@ where
         comm.trace_begin("query_seed");
         {
             let mut s = self.st.borrow_mut();
+            let EngineState {
+                queries, sampler, ..
+            } = &mut *s;
+            let starts = params.l.max(params.entry_candidates).min(n);
+            let mut fresh: Vec<PointId> = Vec::with_capacity(starts);
             for (qid, (key, query)) in requests.iter().enumerate() {
-                let q = &mut s.queries[qid];
+                let q = &mut queries[qid];
                 let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ (key << 16));
-                let starts = params.l.max(params.entry_candidates).min(n);
-                let fresh: Vec<PointId> = index_sample(&mut rng, n, starts)
-                    .into_iter()
-                    .map(|idx| idx as PointId)
-                    .filter(|&w| q.visited.insert(w))
-                    .collect();
+                sampler.draw(&mut rng, starts, &mut fresh);
+                q.visited.extend(&fresh);
                 q.profile.dist_evals += fresh.len() as u64;
                 for (dest, ws) in part.group(&fresh) {
                     comm.async_send(

@@ -20,7 +20,7 @@
 
 use crate::kernel;
 use crate::metric::{Chebyshev, Cosine, Hamming, InnerProduct, Jaccard, Metric, SquaredL2, L1, L2};
-use crate::point::{dense, Point, SparseVec};
+use crate::point::{Point, SparseVec};
 use crate::set::{PointId, PointSet};
 
 /// Squared norms (`||p||²`) for every point of one `PointSet`, or empty.
@@ -263,7 +263,7 @@ impl BatchMetric<Vec<u8>> for L2 {
         out.extend(
             cands
                 .iter()
-                .map(|&u| dense::sq_l2_u8(q, set.point(u)).sqrt()),
+                .map(|&u| (kernel::sq_l2_u8(q, set.point(u)) as f32).sqrt()),
         );
     }
 }

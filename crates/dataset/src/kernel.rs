@@ -14,6 +14,13 @@
 //! built from these primitives via the shared combiners below so that a
 //! cached-norm evaluation and a from-scratch evaluation follow the exact
 //! same arithmetic and produce the same bits.
+//!
+//! The integer kernels ([`sq_l2_u8`], [`hamming_u8`]) need no such order:
+//! an integer sum is exact, so any evaluation order gives the same integer
+//! and the same `as f32`. They accumulate in `u32` over blocks of
+//! [`INT_BLOCK`] elements — short enough that a block cannot overflow —
+//! widen into `u64` per block, and are dispatched like the f32 kernels: a
+//! portable body and an AVX2 twin behind [`dispatch`].
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -24,7 +31,7 @@ pub const LANES: usize = 8;
 // Dispatch
 // ---------------------------------------------------------------------------
 
-/// Which kernel implementation services f32 reductions.
+/// Which kernel implementation services the reductions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dispatch {
     /// Portable 8-lane scalar reference (always available).
@@ -136,6 +143,43 @@ pub fn l1_scalar(a: &[f32], b: &[f32]) -> f32 {
     s
 }
 
+/// Elements per block of the integer kernels. A block's sum of squared
+/// byte differences is at most 256 · 255² < 2²⁴, so a `u32` accumulator
+/// cannot overflow inside one.
+pub const INT_BLOCK: usize = 256;
+
+/// Portable squared L2 over bytes (the body both dispatch paths compile).
+#[inline(always)]
+fn sq_l2_u8_body(a: &[u8], b: &[u8]) -> u64 {
+    let n = a.len().min(b.len());
+    let mut total = 0u64;
+    for (ca, cb) in a[..n].chunks(INT_BLOCK).zip(b[..n].chunks(INT_BLOCK)) {
+        let mut acc = 0u32;
+        for (&x, &y) in ca.iter().zip(cb) {
+            let d = u32::from(x.abs_diff(y));
+            acc += d * d;
+        }
+        total += u64::from(acc);
+    }
+    total
+}
+
+/// Portable Hamming distance over bytes (the body both dispatch paths
+/// compile); a longer string's excess bytes all count as differing.
+#[inline(always)]
+fn hamming_u8_body(a: &[u8], b: &[u8]) -> u64 {
+    let n = a.len().min(b.len());
+    let mut total = (a.len().max(b.len()) - n) as u64;
+    for (ca, cb) in a[..n].chunks(INT_BLOCK).zip(b[..n].chunks(INT_BLOCK)) {
+        let mut acc = 0u32;
+        for (&x, &y) in ca.iter().zip(cb) {
+            acc += u32::from(x != y);
+        }
+        total += u64::from(acc);
+    }
+    total
+}
+
 // ---------------------------------------------------------------------------
 // AVX2 kernels — bit-identical twins of the scalar reference
 // ---------------------------------------------------------------------------
@@ -199,6 +243,59 @@ mod avx2 {
         }
         s
     }
+
+    /// AVX2 squared L2 over bytes, 32 at a time: `|a − b|` by saturating
+    /// subtraction both ways, widened to 16 bits, then `madd` squares and
+    /// pair-sums into eight 32-bit lanes. A lane takes at most
+    /// 4 · 255² per step and a block is 8 steps, so it cannot overflow
+    /// before it is widened into the `u64` total; the tail shorter than 32
+    /// goes through [`super::sq_l2_u8_body`]. The sum is an exact integer,
+    /// so it equals the portable body's whatever the order.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sq_l2_u8(a: &[u8], b: &[u8]) -> u64 {
+        const STEP: usize = 32;
+        let n = a.len().min(b.len());
+        let zero = _mm256_setzero_si256();
+        let mut total = 0u64;
+        for (ca, cb) in a[..n]
+            .chunks(super::INT_BLOCK)
+            .zip(b[..n].chunks(super::INT_BLOCK))
+        {
+            let (mut sa, mut sb) = (ca.chunks_exact(STEP), cb.chunks_exact(STEP));
+            let mut acc = zero;
+            for (pa, pb) in (&mut sa).zip(&mut sb) {
+                // SAFETY: `chunks_exact` makes `pa` and `pb` exactly 32
+                // readable bytes each; `loadu` needs no alignment.
+                let va = _mm256_loadu_si256(pa.as_ptr().cast());
+                let vb = _mm256_loadu_si256(pb.as_ptr().cast());
+                let d = _mm256_or_si256(_mm256_subs_epu8(va, vb), _mm256_subs_epu8(vb, va));
+                let lo = _mm256_unpacklo_epi8(d, zero);
+                let hi = _mm256_unpackhi_epi8(d, zero);
+                acc = _mm256_add_epi32(acc, _mm256_madd_epi16(lo, lo));
+                acc = _mm256_add_epi32(acc, _mm256_madd_epi16(hi, hi));
+            }
+            let mut lanes = [0u32; LANES];
+            // SAFETY: `lanes` is 32 writable bytes; `storeu` needs no
+            // alignment.
+            _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
+            total += lanes.iter().map(|&lane| u64::from(lane)).sum::<u64>();
+            total += super::sq_l2_u8_body(sa.remainder(), sb.remainder());
+        }
+        total
+    }
+
+    /// [`super::hamming_u8_body`] compiled with AVX2 enabled: the same
+    /// count, from wider vectors.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn hamming_u8(a: &[u8], b: &[u8]) -> u64 {
+        super::hamming_u8_body(a, b)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -261,25 +358,35 @@ pub fn cosine_from_dot(na_sq: f32, nb_sq: f32, dot_ab: f32) -> f32 {
     1.0 - cos
 }
 
-/// Hamming distance over byte strings: count of positions whose bytes
-/// differ (integer arithmetic, order-independent by construction).
+/// Squared Euclidean distance over byte strings via the active dispatch
+/// path: an exact integer, the same on either. The lengths must agree
+/// (checked in debug builds; release compares the common prefix).
 #[inline]
-pub fn hamming_u8(a: &[u8], b: &[u8]) -> u64 {
-    let n = a.len().min(b.len());
-    let mut count = 0u64;
-    // Chunked to let the autovectorizer work; integer sums are exact, so
-    // any evaluation order yields the same result.
-    let chunks = n / LANES;
-    for c in 0..chunks {
-        let base = c * LANES;
-        for j in 0..LANES {
-            count += u64::from(a[base + j] != b[base + j]);
+pub fn sq_l2_u8(a: &[u8], b: &[u8]) -> u64 {
+    debug_assert_eq!(a.len(), b.len());
+    #[cfg(target_arch = "x86_64")]
+    {
+        if dispatch() == Dispatch::Avx2 {
+            // Safety: dispatch() only returns Avx2 when the CPU has it.
+            return unsafe { avx2::sq_l2_u8(a, b) };
         }
     }
-    for i in chunks * LANES..n {
-        count += u64::from(a[i] != b[i]);
+    sq_l2_u8_body(a, b)
+}
+
+/// Hamming distance over byte strings via the active dispatch path: count
+/// of positions whose bytes differ, plus the excess length of the longer
+/// string.
+#[inline]
+pub fn hamming_u8(a: &[u8], b: &[u8]) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if dispatch() == Dispatch::Avx2 {
+            // Safety: dispatch() only returns Avx2 when the CPU has it.
+            return unsafe { avx2::hamming_u8(a, b) };
+        }
     }
-    count + (a.len().max(b.len()) - n) as u64
+    hamming_u8_body(a, b)
 }
 
 #[cfg(test)]
@@ -350,6 +457,20 @@ mod tests {
         assert_eq!(cosine_from_dot(0.0, 1.0, 0.0), 1.0);
         let self_cos = cosine_from_dot(norm_sq(&a), norm_sq(&a), dot(&a, &a));
         assert!((0.0..=1e-6).contains(&self_cos));
+    }
+
+    #[test]
+    fn sq_l2_u8_is_exact_across_blocks_and_paths() {
+        assert_eq!(sq_l2_u8(&[0, 10], &[3, 6]), 25);
+        assert_eq!(sq_l2_u8(&[], &[]), 0);
+        // Longer than a block and than a 32-byte step, with a ragged tail.
+        let a: Vec<u8> = (0..1_000u32).map(|i| (i * 7 % 256) as u8).collect();
+        let b: Vec<u8> = (0..1_000u32).map(|i| (i * 13 % 251) as u8).collect();
+        let naive: u64 = (a.iter().zip(&b))
+            .map(|(&x, &y)| u64::from(x.abs_diff(y)).pow(2))
+            .sum();
+        assert_eq!(sq_l2_u8(&a, &b), naive);
+        assert_eq!(sq_l2_u8_body(&a, &b), naive);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `1 - jaccard`).
 
 use crate::kernel;
-use crate::point::{dense, SparseVec};
+use crate::point::SparseVec;
 
 /// A symmetric distance function over points of type `P`.
 pub trait Metric<P>: Clone + Send + Sync + 'static {
@@ -71,7 +71,7 @@ impl Metric<Vec<f32>> for L2 {
 impl Metric<Vec<u8>> for L2 {
     #[inline]
     fn distance(&self, a: &Vec<u8>, b: &Vec<u8>) -> f32 {
-        dense::sq_l2_u8(a, b).sqrt()
+        (kernel::sq_l2_u8(a, b) as f32).sqrt()
     }
     fn name(&self) -> &'static str {
         "L2"

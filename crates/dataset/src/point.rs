@@ -173,20 +173,6 @@ pub mod dense {
         debug_assert_eq!(a.len(), b.len());
         kernel::dot(a, b)
     }
-
-    /// Squared L2 over u8 vectors, accumulating in i32 (exact) before one
-    /// final float conversion — faster and more accurate than per-element
-    /// float casts.
-    #[inline]
-    pub fn sq_l2_u8(a: &[u8], b: &[u8]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
-        let mut acc: i64 = 0;
-        for (x, y) in a.iter().zip(b) {
-            let d = i32::from(*x) - i32::from(*y);
-            acc += i64::from(d * d);
-        }
-        acc as f32
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +227,6 @@ mod tests {
         assert_eq!(dense::dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert!((dense::norm(&[3.0, 4.0]) - 5.0).abs() < 1e-6);
         assert_eq!(dense::sq_l2(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
-        assert_eq!(dense::sq_l2_u8(&[0, 10], &[3, 6]), 25.0);
     }
 
     #[test]

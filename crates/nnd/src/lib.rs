@@ -56,5 +56,6 @@ pub use refine::{insert_points, remove_points};
 pub use rnn::{rnn_optimize, RnnParams, RnnStats};
 pub use rptree::{rp_forest_candidates, RpForestParams};
 pub use search::{
-    search, search_batch, search_batch_traced, BatchResult, SearchParams, SearchResult,
+    search, search_batch, search_batch_traced, BatchResult, EntrySampler, SearchParams,
+    SearchResult,
 };

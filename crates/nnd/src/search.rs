@@ -7,6 +7,9 @@
 //! [`BatchMetric::distance_one_to_many`] call. [`search`] is that loop with
 //! a one-shot scratch; [`search_batch`] reuses one scratch (and one
 //! [`NormCache`]) across the batch, so no query pays an O(N) allocation.
+//! Beside its distance evaluations a query pays one [`EntrySampler`] draw
+//! and its heap updates: seeds are admitted through the bounded rule, not
+//! pushed wholesale and trimmed.
 //!
 //! The paper's query program is shared-memory (256 OpenMP threads). This
 //! workspace's `rayon` stand-in is sequential, so [`search_batch`] runs its
@@ -19,10 +22,9 @@ use dataset::batch::{BatchMetric, NormCache};
 use dataset::order::OrdF32;
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
-use rand::seq::index::sample as index_sample;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Query-time parameters.
@@ -57,9 +59,13 @@ impl SearchParams {
         }
     }
 
-    /// Set `epsilon`.
+    /// Set `epsilon`. Rejects NaN, infinite and negative values: each
+    /// would silently corrupt the frontier-relaxation bound.
     pub fn epsilon(mut self, e: f32) -> Self {
-        assert!(e >= 0.0);
+        assert!(
+            e.is_finite() && e >= 0.0,
+            "SearchParams: epsilon must be finite and >= 0 (got {e})"
+        );
         self.epsilon = e;
         self
     }
@@ -94,6 +100,51 @@ impl SearchResult {
     }
 }
 
+/// Draws a query's random entry points: `amount` distinct ids, uniform
+/// over `0..n`, by a partial Fisher–Yates over an identity table that is
+/// put back after every draw. A draw is O(`amount`): no hashing, no
+/// allocation, no O(`n`) work. The shared-memory loop here and the
+/// distributed engine in `dnnd::query` both seed through this, so equal
+/// `(rng state, n, amount)` give equal entry points on either path.
+#[derive(Debug, Clone, Default)]
+pub struct EntrySampler {
+    /// `table[i] == i` between draws.
+    table: Vec<PointId>,
+}
+
+impl EntrySampler {
+    /// A sampler over the ids `0..n`.
+    pub fn new(n: usize) -> Self {
+        EntrySampler {
+            table: (0..n as PointId).collect(),
+        }
+    }
+
+    /// Replace `out` with `amount` distinct ids: step `i` takes
+    /// `rng.gen_range(i..n)`, one RNG word each, in that order.
+    ///
+    /// # Panics
+    /// If `amount > n`.
+    pub fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R, amount: usize, out: &mut Vec<PointId>) {
+        let n = self.table.len();
+        assert!(amount <= n, "cannot sample {amount} ids from 0..{n}");
+        out.clear();
+        for i in 0..amount {
+            let j = rng.gen_range(i..n);
+            out.push(self.table[j]);
+            self.table[j] = self.table[i];
+        }
+        // Undo. Only slots `j` were written; one at or beyond `amount` gave
+        // out its own id the first time it was hit, so it is in `out`.
+        for &id in out.iter() {
+            self.table[id as usize] = id;
+        }
+        for (i, slot) in self.table[..amount].iter_mut().enumerate() {
+            *slot = i as PointId;
+        }
+    }
+}
+
 /// Reusable state of the expansion loop: visited marks, both heaps and the
 /// candidate/distance buffers of the batched kernel. [`search`] makes one
 /// per call; [`search_batch`] makes one per batch, so its steady state
@@ -104,6 +155,7 @@ impl SearchResult {
 /// slots (the rare wrap-around does the full clear).
 #[derive(Default)]
 struct Scratch {
+    sampler: EntrySampler,
     epochs: Vec<u32>,
     epoch: u32,
     /// Result: max-heap of the best `l` so far (farthest on top).
@@ -118,9 +170,15 @@ impl Scratch {
     /// Scratch for graphs/base sets with `n` points.
     fn new(n: usize) -> Self {
         Scratch {
+            sampler: EntrySampler::new(n),
             epochs: vec![0; n],
             ..Scratch::default()
         }
+    }
+
+    /// Distance of the worst of the current best (infinite while empty).
+    fn d_max(&self) -> f32 {
+        self.best.peek().map_or(f32::INFINITY, |&(OrdF32(m), _)| m)
     }
 
     /// Run one query — the crate's only frontier-expansion loop. `cache`
@@ -149,28 +207,43 @@ impl Scratch {
         let epoch = self.epoch;
         self.best.clear();
         self.frontier.clear();
-        self.cands.clear();
 
         let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
         let starts = params.l.max(params.entry_candidates).min(n);
-        for idx in index_sample(&mut rng, n, starts) {
-            self.epochs[idx] = epoch;
-            self.cands.push(idx as PointId);
+        self.sampler.draw(&mut rng, starts, &mut self.cands);
+        for &id in &self.cands {
+            self.epochs[id as usize] = epoch;
         }
         // Seed probes evaluated as one 1xN batch.
         metric.distance_one_to_many(query, base, cache, &self.cands, &mut self.dbuf);
         let mut evals = self.cands.len() as u64;
+        // `best` takes the seeds through the bounded rule: the `l` smallest
+        // under the total `(distance, id)` order, as push-all-then-trim
+        // would leave.
         for (&id, &d) in self.cands.iter().zip(&self.dbuf) {
-            self.best.push((OrdF32(d), id));
-            self.frontier.push(Reverse((OrdF32(d), id)));
+            let seed = (OrdF32(d), id);
+            if self.best.len() < params.l {
+                self.best.push(seed);
+            } else if let Some(mut top) = self.best.peek_mut().filter(|top| seed < **top) {
+                *top = seed;
+            }
         }
-        while self.best.len() > params.l {
-            self.best.pop();
-        }
-
+        // A seed beyond the relaxed bound never reaches the frontier. That
+        // is exact: `starts >= l`, so `best` is full and `d_max` only falls
+        // from here; everything admitted later is below the bound of its
+        // time, hence sorts before a dropped seed; so the loop would have
+        // met that seed only to `break` on it, or on something before it.
+        // "Not greater" rather than `d <= bound`: a NaN distance stays in.
         let relax = 1.0 + params.epsilon;
+        let bound = relax * self.d_max();
+        self.frontier.extend(
+            (self.cands.iter().zip(&self.dbuf))
+                .filter(|&(_, d)| d.partial_cmp(&bound) != Some(Ordering::Greater))
+                .map(|(&id, &d)| Reverse((OrdF32(d), id))),
+        );
+
         while let Some(Reverse((OrdF32(d), p))) = self.frontier.pop() {
-            let d_max = self.best.peek().map_or(f32::INFINITY, |&(OrdF32(m), _)| m);
+            let d_max = self.d_max();
             // Termination: the closest frontier point is already beyond the
             // (relaxed) worst of the current l best.
             if d > relax * d_max {
@@ -190,7 +263,7 @@ impl Scratch {
             metric.distance_one_to_many(query, base, cache, &self.cands, &mut self.dbuf);
             evals += self.cands.len() as u64;
             for (&w, &dw) in self.cands.iter().zip(&self.dbuf) {
-                let d_max = self.best.peek().map_or(f32::INFINITY, |&(OrdF32(m), _)| m);
+                let d_max = self.d_max();
                 if self.best.len() < params.l || dw < d_max {
                     self.best.push((OrdF32(dw), w));
                     if self.best.len() > params.l {
@@ -464,6 +537,34 @@ mod tests {
         let want = search(&g, &set, &L2, set.point(123), p);
         for _ in 0..4 {
             assert_eq!(run_on(&mut s, &set, &g, 123, p), want);
+        }
+    }
+
+    #[test]
+    fn non_finite_or_negative_epsilon_is_rejected() {
+        for bad in [f32::NAN, f32::INFINITY, -0.5] {
+            let r = std::panic::catch_unwind(|| SearchParams::new(10).epsilon(bad));
+            assert!(r.is_err(), "epsilon {bad} accepted");
+        }
+    }
+
+    #[test]
+    fn entry_sampler_draws_distinct_ids_and_restores_its_table() {
+        let mut sampler = EntrySampler::new(50);
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut out = Vec::new();
+        for amount in [20, 50, 0, 1, 49] {
+            sampler.draw(&mut rng, amount, &mut out);
+            assert_eq!(out.len(), amount);
+            let mut sorted = out.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), amount, "ids must be distinct");
+            assert!(out.iter().all(|&id| id < 50));
+            assert!(
+                sampler.table.iter().copied().eq(0..50),
+                "table not restored"
+            );
         }
     }
 

@@ -4,10 +4,9 @@
 //! Implements the subset this workspace uses: [`RngCore`], [`SeedableRng`]
 //! (including `seed_from_u64` via SplitMix64, so seeding is deterministic
 //! and well-mixed), the [`Rng`] extension trait with `gen`/`gen_range`/
-//! `gen_bool`, slice shuffling, index sampling without replacement, and the
-//! [`distributions::Distribution`] trait. Distributional *quality* matches
-//! what NN-Descent needs (uniform, well-mixed), not bit-for-bit `rand`
-//! output.
+//! `gen_bool`, slice shuffling, and the [`distributions::Distribution`]
+//! trait. Distributional *quality* matches what NN-Descent needs (uniform,
+//! well-mixed), not bit-for-bit `rand` output.
 
 /// Low-level generator interface.
 pub trait RngCore {
@@ -222,60 +221,6 @@ pub mod seq {
             }
         }
     }
-
-    pub mod index {
-        use super::super::Rng;
-
-        /// Distinct indices sampled from `0..length`.
-        #[derive(Debug, Clone)]
-        pub struct IndexVec(Vec<usize>);
-
-        impl IndexVec {
-            pub fn into_vec(self) -> Vec<usize> {
-                self.0
-            }
-
-            pub fn len(&self) -> usize {
-                self.0.len()
-            }
-
-            pub fn is_empty(&self) -> bool {
-                self.0.is_empty()
-            }
-
-            pub fn iter(&self) -> std::slice::Iter<'_, usize> {
-                self.0.iter()
-            }
-        }
-
-        impl IntoIterator for IndexVec {
-            type Item = usize;
-            type IntoIter = std::vec::IntoIter<usize>;
-            fn into_iter(self) -> Self::IntoIter {
-                self.0.into_iter()
-            }
-        }
-
-        /// Sample `amount` distinct indices uniformly from `0..length`
-        /// (partial Fisher-Yates over a sparse index map).
-        pub fn sample<R: Rng + ?Sized>(rng: &mut R, length: usize, amount: usize) -> IndexVec {
-            assert!(
-                amount <= length,
-                "cannot sample {amount} indices from 0..{length}"
-            );
-            use std::collections::HashMap;
-            let mut swaps: HashMap<usize, usize> = HashMap::new();
-            let mut out = Vec::with_capacity(amount);
-            for i in 0..amount {
-                let j = rng.gen_range(i..length);
-                let vj = *swaps.get(&j).unwrap_or(&j);
-                let vi = *swaps.get(&i).unwrap_or(&i);
-                out.push(vj);
-                swaps.insert(j, vi);
-            }
-            IndexVec(out)
-        }
-    }
 }
 
 pub mod rngs {
@@ -327,7 +272,6 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::seq::index::sample as index_sample;
     use super::seq::SliceRandom;
     use super::{Rng, SeedableRng};
 
@@ -386,18 +330,6 @@ mod tests {
             v, sorted,
             "shuffle left the slice in order (astronomically unlikely)"
         );
-    }
-
-    #[test]
-    fn index_sample_distinct_and_in_range() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let picked: Vec<usize> = index_sample(&mut rng, 50, 20).into_iter().collect();
-        assert_eq!(picked.len(), 20);
-        let mut dedup = picked.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 20, "indices must be distinct");
-        assert!(picked.iter().all(|&i| i < 50));
     }
 
     #[test]

@@ -93,6 +93,11 @@ fn main() {
     }
     let l: usize = args.get("l", 10);
     let epsilon: f32 = args.get("epsilon", 0.2);
+    if !epsilon.is_finite() || epsilon < 0.0 {
+        die(&format!(
+            "--epsilon must be finite and >= 0 (got {epsilon})"
+        ));
+    }
     let entries: usize = args.get("entries", 32);
     let self_queries: usize = args.get("self-queries", 0);
     let query_file: String = args.get("queries", String::new());
@@ -115,6 +120,12 @@ fn main() {
         "knng"
     };
     let graph = KnnGraph::load(&store, graph_key).unwrap_or_else(|e| die(&e.to_string()));
+    if l < 1 || l > graph.len() {
+        die(&format!(
+            "--l must be between 1 and the dataset size {} (got {l})",
+            graph.len()
+        ));
+    }
     println!(
         "serving {} graph: {} vertices, {} edges ({}, {metric_name})",
         graph_key,

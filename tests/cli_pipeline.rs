@@ -258,6 +258,27 @@ fn unparseable_flag_value_exits_2_on_every_binary() {
             format!("--store {store} --self-queries 20 --l"),
             "error: --l: missing value",
         ),
+        // Search flags that parse but lie outside the search's domain.
+        (
+            env!("CARGO_BIN_EXE_dnnd-query"),
+            format!("--store {store} --self-queries 20 --epsilon nan"),
+            "error: --epsilon must be finite and >= 0 (got NaN)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-query"),
+            format!("--store {store} --self-queries 20 --epsilon -0.5"),
+            "error: --epsilon must be finite and >= 0 (got -0.5)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-query"),
+            format!("--store {store} --self-queries 20 --l 0"),
+            "error: --l must be between 1 and the dataset size 200 (got 0)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-query"),
+            format!("--store {store} --self-queries 20 --l 100000"),
+            "error: --l must be between 1 and the dataset size 200 (got 100000)",
+        ),
     ];
     for (bin, args, want) in cases {
         let out = Command::new(bin).args(args.split(' ')).output().unwrap();

@@ -167,3 +167,140 @@ fn distributed_search_is_pinned_across_rank_counts() {
         pin(&format!("{ranks} ranks"), rows_digest(&ids), GOLDEN_DIGEST);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Seed-admission pins. Every constant below was captured at commit `80d3c4d`
+// (the parent of the PR that replaced the entry-point sampler and made seed
+// admission bounded), *before* any search code was edited: the cases sit on
+// the edges that change touches — `starts` clamped up to `l`, `l = n`, pure
+// greedy over 256 seeds, exact distance ties at the seed bound, and the u8
+// kernel under 256 seeds.
+// ---------------------------------------------------------------------------
+
+/// `(l, epsilon, entry_candidates, ids digest, distance evals)`.
+type AdmissionPin = (usize, f32, usize, u64, u64);
+
+#[track_caller]
+fn check_admission<P: dataset::Point, M: dataset::BatchMetric<P>>(
+    what: &str,
+    graph: &KnnGraph,
+    base: &PointSet<P>,
+    metric: &M,
+    queries: &PointSet<P>,
+    pins: &[AdmissionPin],
+) {
+    for &(l, epsilon, entries, digest, evals) in pins {
+        let params = SearchParams::new(l)
+            .epsilon(epsilon)
+            .entry_candidates(entries)
+            .seed(33);
+        let r = search_batch(graph, base, metric, queries, params);
+        let what = format!("{what}: l {l}, epsilon {epsilon}, entry_candidates {entries}");
+        pin(&what, rows_digest(&r.ids), digest);
+        assert_eq!(r.distance_evals, evals, "{what}");
+    }
+}
+
+#[test]
+fn seed_admission_edges_are_pinned() {
+    // entry_candidates < l, so `starts` is clamped up to `l`; then pure
+    // greedy and relaxed descent from 256 seeds with `l` above the graph's k.
+    const GOLDEN_F32: [AdmissionPin; 4] = [
+        (20, 0.1, 5, 0x61ee_996a_619f_22a3, 8_124),
+        (20, 0.0, 0, 0xe6f5_84b4_7269_db0d, 5_920),
+        (25, 0.0, 256, 0x3821_4718_0e66_3a2d, 14_703),
+        (3, 0.3, 256, 0x2fe2_8686_4782_393e, 14_997),
+    ];
+    let (base, queries, graph) = f32_fixture();
+    check_admission("f32", &graph, &base, &L2, &queries, &GOLDEN_F32);
+
+    // l = n: every point is a seed and every point is returned.
+    const GOLDEN_ALL: [AdmissionPin; 2] = [
+        (150, 0.0, 0, 0x78ba_e019_2327_f905, 3_000),
+        (150, 0.25, 256, 0x78ba_e019_2327_f905, 3_000),
+    ];
+    let small = gaussian_mixture(MixtureParams::embedding_like(170, 6), 29);
+    let (base, queries) = split_queries(small, 20);
+    assert_eq!(base.len(), 150);
+    let (g, _) = build(&base, &L2, NnDescentParams::new(6).seed(8));
+    check_admission(
+        "l = n",
+        &g.optimize(6, 1.5),
+        &base,
+        &L2,
+        &queries,
+        &GOLDEN_ALL,
+    );
+}
+
+#[test]
+fn seed_admission_ties_are_decided_by_id() {
+    // 300 distinct points followed by copies of the first 64: each of the 64
+    // member queries sees its two copies at distance exactly 0, so an odd `l`
+    // puts an exact tie on the seed bound (l = 1: the bound *is* the tie),
+    // and 256 of 364 points are seeds.
+    const GOLDEN_TIES: [AdmissionPin; 4] = [
+        (1, 0.0, 256, 0xc34b_8ab7_254e_ea5b, 16_611),
+        (1, 0.2, 256, 0x3b7a_dafb_3e9a_b95d, 16_619),
+        (3, 0.0, 256, 0xa784_2641_033c_ee7a, 16_713),
+        (2, 0.1, 364, 0x96b8_a164_f475_dc25, 23_296),
+    ];
+    let distinct = gaussian_mixture(MixtureParams::embedding_like(300, 8), 41);
+    let mut points = distinct.points().to_vec();
+    points.extend_from_slice(&distinct.points()[..64]);
+    let base = PointSet::new(points);
+    let queries = PointSet::new(distinct.points()[..64].to_vec());
+    let (g, _) = build(&base, &L2, NnDescentParams::new(8).seed(6));
+    check_admission(
+        "ties",
+        &g.optimize(8, 1.5),
+        &base,
+        &L2,
+        &queries,
+        &GOLDEN_TIES,
+    );
+}
+
+#[test]
+fn u8_search_with_256_entries_is_pinned() {
+    const GOLDEN_U8_256: [AdmissionPin; 2] = [
+        (10, 0.2, 256, 0xa018_47ac_708c_7668, 24_129),
+        (10, 0.0, 256, 0x5da0_1bc7_0119_5300, 18_997),
+    ];
+    let (base, queries) = split_queries(dataset::presets::bigann_like(900, 17), 60);
+    let (g, _) = build(&base, &L2, NnDescentParams::new(10).seed(2));
+    check_admission(
+        "u8",
+        &g.optimize(10, 1.5),
+        &base,
+        &L2,
+        &queries,
+        &GOLDEN_U8_256,
+    );
+}
+
+#[test]
+fn distributed_search_with_256_entries_is_pinned_across_rank_counts() {
+    const GOLDEN_DIGEST: u64 = 0x3df7_3ede_cbe0_3a46;
+    // (ranks, messages, bytes): the traffic is a pure function of the
+    // visited sets and the owner grouping.
+    const GOLDEN_TRAFFIC: [(usize, u64, u64); 3] = [
+        (1, 1_692, 227_660),
+        (2, 2_514, 262_184),
+        (4, 3_668, 310_652),
+    ];
+
+    let (base, queries, graph) = f32_fixture();
+    let (base, queries, graph) = (Arc::new(base), Arc::new(queries), Arc::new(graph));
+    let params = DistSearchParams::new(10).entry_candidates(256).seed(5);
+    for (ranks, messages, bytes) in GOLDEN_TRAFFIC {
+        let (ids, report) =
+            distributed_search_batch(&World::new(ranks), &base, &graph, &queries, &L2, params);
+        pin(&format!("{ranks} ranks"), rows_digest(&ids), GOLDEN_DIGEST);
+        assert_eq!(
+            (report.total.count, report.total.bytes),
+            (messages, bytes),
+            "traffic at {ranks} ranks"
+        );
+    }
+}
