@@ -1,15 +1,17 @@
 //! Criterion benchmarks of the simulated YGM runtime: fire-and-forget RPC
-//! throughput (id-only `u64`s and feature-vector rows), the codec on the
-//! same row messages, barrier cost, and the effect of the
-//! aggregation-buffer flush threshold (the knob behind the paper's Section
-//! 4.4 discussion).
+//! throughput (id-only `u64`s and feature-vector rows — owned into a
+//! by-value handler, and borrowed into a reusing one), the codec on the
+//! same row messages (`decode` against `decode_into`), barrier cost, and
+//! the effect of the aggregation-buffer flush threshold (the knob behind
+//! the paper's Section 4.4 discussion).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dnnd::msgs::Type2;
 use std::cell::RefCell;
 use std::rc::Rc;
+use ygm::codec::BytesMut;
 use ygm::codec::{decode_from_bytes, encode_to_bytes};
-use ygm::{Wire, World};
+use ygm::{Encode, Wire, World};
 
 const TAG: u16 = 0;
 
@@ -77,6 +79,31 @@ where
     report.results.iter().sum()
 }
 
+/// [`row_round`] as the engine does it: the row is sent as a tuple of
+/// borrows and lands in the one message a `register_mut` handler reuses.
+fn borrowed_row_round<P>(n_ranks: usize, msgs_per_rank: usize, row: &Type2<P>) -> usize
+where
+    P: Wire + Sync + 'static,
+    Type2<P>: Wire,
+{
+    let report = World::new(n_ranks).run(|comm| {
+        let seen = Rc::new(RefCell::new(0usize));
+        let s = Rc::clone(&seen);
+        comm.register_mut::<Type2<P>, _>(TAG, move |_, msg| *s.borrow_mut() += msg.u2s.len());
+        for i in 0..msgs_per_rank {
+            comm.async_send(
+                i % comm.n_ranks(),
+                TAG,
+                &(row.u1, row.u2s.as_slice(), &row.vec),
+            );
+        }
+        comm.barrier();
+        let n = *seen.borrow();
+        n
+    });
+    report.results.iter().sum()
+}
+
 fn bench_rpc_rows(c: &mut Criterion) {
     let mut group = c.benchmark_group("ygm_rpc_row");
     let (f, u) = (f32_row(), u8_row());
@@ -90,6 +117,21 @@ fn bench_rpc_rows(c: &mut Criterion) {
             BenchmarkId::new("type2_u8_d128_x5k", ranks),
             &ranks,
             |b, &r| b.iter(|| row_round(r, 5_000 / r, &u, |m| m.vec.len())),
+        );
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("ygm_rpc_borrowed_row");
+    for ranks in [1usize, 2] {
+        group.bench_with_input(
+            BenchmarkId::new("type2_f32_d96_x5k", ranks),
+            &ranks,
+            |b, &r| b.iter(|| borrowed_row_round(r, 5_000 / r, &f)),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("type2_u8_d128_x5k", ranks),
+            &ranks,
+            |b, &r| b.iter(|| borrowed_row_round(r, 5_000 / r, &u)),
         );
     }
     group.finish();
@@ -111,6 +153,25 @@ fn bench_codec(c: &mut Criterion) {
             })
         })
     });
+    group.bench_function("decode_into_type2_f32_d96_x1k", |b| {
+        let mut kept = f.clone();
+        b.iter(|| {
+            (0..1_000).fold(0, |n, _| {
+                kept.decode_into(&mut f_enc.clone());
+                n + kept.vec.len()
+            })
+        })
+    });
+    group.bench_function("encode_borrowed_type2_f32_d96_x1k", |b| {
+        let mut buf = BytesMut::with_capacity(f.wire_size());
+        b.iter(|| {
+            (0..1_000).fold(0, |n, _| {
+                buf.clear();
+                black_box(&(f.u1, f.u2s.as_slice(), &f.vec)).encode(&mut buf);
+                n + buf.len()
+            })
+        })
+    });
     group.bench_function("encode_type2_u8_d128_x1k", |b| {
         b.iter(|| (0..1_000).fold(0, |n, _| n + encode_to_bytes(black_box(&u)).len()))
     });
@@ -118,6 +179,15 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| {
             (0..1_000).fold(0, |n, _| {
                 n + decode_from_bytes::<Type2<Vec<u8>>>(u_enc.clone()).vec.len()
+            })
+        })
+    });
+    group.bench_function("decode_into_type2_u8_d128_x1k", |b| {
+        let mut kept = u.clone();
+        b.iter(|| {
+            (0..1_000).fold(0, |n, _| {
+                kept.decode_into(&mut u_enc.clone());
+                n + kept.vec.len()
             })
         })
     });

@@ -10,7 +10,8 @@
 //! cargo run --release -p bench --bin fig4_messages -- --n 2000
 //! ```
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt::Display;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -20,6 +21,9 @@ use std::path::{Path, PathBuf};
 pub struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
+    /// Every key a lookup has asked for, given or not: what
+    /// [`Args::finish`] holds the command line against.
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -48,7 +52,11 @@ impl Args {
                 i += 1;
             }
         }
-        Args { values, flags }
+        Args {
+            values,
+            flags,
+            read: RefCell::default(),
+        }
     }
 
     /// Typed lookup with default. A value that does not parse as `T`, or
@@ -65,6 +73,7 @@ impl Args {
     }
 
     fn try_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.read.borrow_mut().insert(key.to_owned());
         match self.values.get(key) {
             Some(v) => match v.parse() {
                 Ok(t) => Ok(Some(t)),
@@ -77,7 +86,29 @@ impl Args {
 
     /// Boolean flag presence.
     pub fn flag(&self, key: &str) -> bool {
+        self.read.borrow_mut().insert(key.to_owned());
         self.flags.iter().any(|f| f == key)
+    }
+
+    /// Call once every flag the program understands has been looked up,
+    /// and before it writes anything: a `--key` on the command line that no
+    /// lookup asked for is a usage error (`error: unknown flag --foo`, exit
+    /// code 2) instead of a feature that silently stays off.
+    pub fn finish(&self) {
+        if let Some(key) = self.first_unread() {
+            die(&format!("unknown flag --{key}"));
+        }
+    }
+
+    /// The alphabetically first given key no lookup has asked for.
+    fn first_unread(&self) -> Option<&str> {
+        let read = self.read.borrow();
+        self.values
+            .keys()
+            .chain(&self.flags)
+            .filter(|key| !read.contains(*key))
+            .min()
+            .map(String::as_str)
     }
 
     /// Output directory for CSVs (`--out`, default `results/`).
@@ -225,6 +256,21 @@ mod tests {
         assert_eq!(a.try_opt::<usize>("k"), Err("--k: missing value".into()));
         assert_eq!(a.try_opt::<String>("n"), Ok(Some("10k".into())));
         assert_eq!(a.try_opt::<usize>("absent"), Ok(None));
+    }
+
+    #[test]
+    fn unread_keys_are_reported_until_something_looks_them_up() {
+        let a = args("--n 5 --typo 3 --dry --also");
+        assert_eq!(a.first_unread(), Some("also"));
+        assert_eq!(a.get("n", 0usize), 5);
+        assert!(a.flag("also"));
+        assert_eq!(a.first_unread(), Some("dry"));
+        // A lookup counts whether or not the key was given.
+        assert!(!a.flag("absent"));
+        assert!(a.flag("dry"));
+        assert_eq!(a.first_unread(), Some("typo"));
+        assert_eq!(a.opt::<u32>("typo"), Some(3));
+        assert_eq!(a.first_unread(), None);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 
 use crate::msgs::name_tags;
 use crate::partition::Partitioner;
-use bytes::{Bytes, BytesMut};
 use dataset::batch::{BatchMetric, NormCache};
 use dataset::ground_truth::GroundTruth;
 use dataset::order::OrdF32;
@@ -24,7 +23,7 @@ use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
-use ygm::{Comm, Wire, World};
+use ygm::{Comm, World};
 
 /// Scan request: a block of query vertices + vectors, answered with the
 /// local top-k of every member.
@@ -42,21 +41,7 @@ struct ScanBlock<P> {
     qs: Vec<(PointId, P)>,
 }
 
-impl<P: Wire> Wire for ScanBlock<P> {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.home.encode(buf);
-        self.qs.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Self {
-        ScanBlock {
-            home: u32::decode(buf),
-            qs: Vec::<(PointId, P)>::decode(buf),
-        }
-    }
-    fn wire_size(&self) -> usize {
-        self.home.wire_size() + self.qs.wire_size()
-    }
-}
+ygm::wire_struct!(ScanBlock<P> { home, qs });
 
 type Partial = Vec<(PointId, Vec<(PointId, f32)>)>;
 
@@ -194,14 +179,8 @@ where
         for block in &blocks[idx..end] {
             let qs: Vec<(PointId, P)> = block.iter().map(|&v| (v, set.point(v).clone())).collect();
             for dest in 0..comm.n_ranks() {
-                comm.async_send(
-                    dest,
-                    TAG_BF_SCAN,
-                    &ScanBlock {
-                        home: comm.rank() as u32,
-                        qs: qs.clone(),
-                    },
-                );
+                // A `ScanBlock`, field for field.
+                comm.async_send(dest, TAG_BF_SCAN, &(comm.rank() as u32, qs.as_slice()));
             }
         }
         idx = end;

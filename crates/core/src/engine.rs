@@ -28,7 +28,7 @@
 
 use crate::config::DnndConfig;
 use crate::msgs::*;
-use crate::partition::{IdMap, Partitioner};
+use crate::partition::{Buckets, Partitioner};
 use crate::rnn_dist::{register_rnn_handlers, run_rnn_rounds, RnnDistState};
 use dataset::batch::{BatchMetric, NormCache};
 use dataset::point::Point;
@@ -122,12 +122,23 @@ pub struct DnndOutput {
 
 /// Per-rank mutable state shared between the SPMD main loop and the
 /// message handlers (single-threaded within a rank, hence `Rc<RefCell>`).
+///
+/// Everything kept per owned vertex is a `Vec` parallel to the rank's
+/// ascending `owned` list, reached from a global id through `slots` — an
+/// index, not a hash, per message received. (Per-message scratch — kernel
+/// output, reply pairs, destination buckets — belongs to the handler
+/// closure that fills it.)
 struct State {
-    heaps: IdMap<NeighborHeap>,
-    rev_new: IdMap<Vec<PointId>>,
-    rev_old: IdMap<Vec<PointId>>,
+    /// [`Partitioner::slot_table`]: global id -> index into the vectors
+    /// below on the id's owner. Shared by every rank of the world.
+    slots: Arc<Vec<u32>>,
+    heaps: Vec<NeighborHeap>,
+    /// Reverse lists received this iteration; cleared (capacity kept) at
+    /// the start of the next.
+    rev_new: Vec<Vec<PointId>>,
+    rev_old: Vec<Vec<PointId>>,
     /// Reverse edges received during the graph-optimization phase.
-    opt_extra: IdMap<Vec<Edge>>,
+    opt_extra: Vec<Vec<Edge>>,
     /// Heap-insert attempts this iteration (denominator of the accept
     /// rate histogram).
     attempts: u64,
@@ -137,36 +148,53 @@ struct State {
     /// distance evaluations); `dist_evals / kernel_batches` is the mean
     /// batch width the telemetry gauge reports.
     kernel_batches: u64,
-    /// Distance evaluations attributed per owned vertex; populated only
+    /// Distance evaluations attributed per owned vertex; counted only
     /// when the world has a tracer attached.
-    dist_by_vertex: IdMap<u64>,
+    dist_by_vertex: Vec<u64>,
 }
 
 impl State {
-    fn new(owned: &[PointId], k: usize) -> Self {
+    fn new(slots: Arc<Vec<u32>>, owned: usize, k: usize) -> Self {
         State {
-            heaps: owned.iter().map(|&v| (v, NeighborHeap::new(k))).collect(),
-            rev_new: IdMap::default(),
-            rev_old: IdMap::default(),
-            opt_extra: IdMap::default(),
+            slots,
+            heaps: (0..owned).map(|_| NeighborHeap::new(k)).collect(),
+            rev_new: vec![Vec::new(); owned],
+            rev_old: vec![Vec::new(); owned],
+            opt_extra: vec![Vec::new(); owned],
             attempts: 0,
             dist_evals: 0,
             kernel_batches: 0,
-            dist_by_vertex: IdMap::default(),
+            dist_by_vertex: vec![0; owned],
         }
     }
 
-    /// Count one distance evaluation for `v`'s benefit (tracing only).
-    fn trace_dist(&mut self, traced: bool, v: PointId) {
-        if traced {
-            *self.dist_by_vertex.entry(v).or_default() += 1;
-        }
+    /// Index of owned vertex `v` in the per-vertex vectors.
+    #[inline]
+    fn slot(&self, v: PointId) -> usize {
+        self.slots[v as usize] as usize
     }
 
     /// Account one batched kernel call covering `n` evaluations.
     fn record_batch(&mut self, n: usize) {
         self.dist_evals += n as u64;
         self.kernel_batches += 1;
+    }
+
+    /// Count one distance evaluation for `v`'s benefit (tracing only).
+    #[inline]
+    fn trace_dist(&mut self, traced: bool, v: PointId) {
+        if traced {
+            let at = self.slot(v);
+            self.dist_by_vertex[at] += 1;
+        }
+    }
+
+    /// Offer `(id, d)` to owned vertex `v`'s heap.
+    #[inline]
+    fn insert(&mut self, v: PointId, id: PointId, d: f32) {
+        self.attempts += 1;
+        let at = self.slot(v);
+        self.heaps[at].checked_insert(id, d, true);
     }
 }
 
@@ -187,7 +215,17 @@ where
 {
     assert!(set.len() >= 2, "need at least two points");
     assert!(cfg.k >= 1 && cfg.k < set.len(), "require 1 <= k < N");
-    let report = world.run(|comm| rank_main(comm, Arc::clone(set), metric.clone(), cfg));
+    // One id -> slot table for the whole world, built once.
+    let slots = Arc::new(Partitioner::new(world.n_ranks()).slot_table(set.len()));
+    let report = world.run(|comm| {
+        rank_main(
+            comm,
+            Arc::clone(set),
+            metric.clone(),
+            cfg,
+            Arc::clone(&slots),
+        )
+    });
 
     // Assemble the distributed rows into one graph (driver-side; the paper
     // would instead leave the graph partitioned in Metall).
@@ -248,6 +286,7 @@ fn rank_main<P, M>(
     set: Arc<PointSet<P>>,
     metric: M,
     cfg: DnndConfig,
+    slots: Arc<Vec<u32>>,
 ) -> (RankRows, RankMetrics)
 where
     P: Point,
@@ -257,7 +296,11 @@ where
     let n = set.len();
     let dim = set.dim().max(1);
     let owned = part.owned_ids(n, comm.rank());
-    let st = Rc::new(RefCell::new(State::new(&owned, cfg.k)));
+    let st = Rc::new(RefCell::new(State::new(
+        Arc::clone(&slots),
+        owned.len(),
+        cfg.k,
+    )));
     // Per-set norm cache (Section "cached-norm preprocessing"): each rank
     // computes the squared norms once up front so every dot-form distance
     // afterwards skips both norm recomputations. A real deployment would
@@ -267,7 +310,7 @@ where
     register_handlers(comm, &st, &set, &metric, &cache, part, cfg, dim);
     // RNN-Descent optimization state (phase 3); handlers share the world
     // with the descent's (tags 19-23 vs 10-18).
-    let rnn_st = Rc::new(RefCell::new(RnnDistState::new()));
+    let rnn_st = Rc::new(RefCell::new(RnnDistState::new(slots, owned.len())));
     if cfg.rnn_opt.is_some() {
         register_rnn_handlers(comm, &rnn_st, &set, &metric, &cache, part, dim);
     }
@@ -276,10 +319,13 @@ where
     // ---- Phase 1: random initialization ------------------------------------
     comm.trace_begin("init");
     let quota = (cfg.batch_size / comm.n_ranks() as u64).max(1) as usize;
+    let mut chosen: Vec<PointId> = Vec::with_capacity(cfg.k);
+    let mut buckets = Buckets::default();
+    let mut dbuf: Vec<f32> = Vec::new();
     batched(comm, owned.len(), quota.max(1), |i| {
         let v = owned[i];
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ (u64::from(v) << 20));
-        let mut chosen: Vec<PointId> = Vec::with_capacity(cfg.k);
+        chosen.clear();
         let mut guard = 0;
         while chosen.len() < cfg.k && guard < 100 * cfg.k {
             let u: PointId = rng.gen_range(0..n as PointId);
@@ -290,37 +336,21 @@ where
         }
         // One group per owner; this rank's own group is scored in place,
         // the rest travel as one message each.
-        let mut remote = part.group(&chosen);
-        let local = match remote.iter().position(|(r, _)| *r == comm.rank()) {
-            Some(i) => remote.remove(i).1,
-            None => Vec::new(),
-        };
-        if !local.is_empty() {
+        part.group_into(&chosen, &mut buckets);
+        if let Some((_, local)) = buckets.iter().find(|&(dest, _)| dest == comm.rank()) {
             // Local candidates: one batched 1xN evaluation.
-            let mut dbuf = Vec::with_capacity(local.len());
-            metric.distance_one_to_many(set.point(v), &set, &cache, &local, &mut dbuf);
+            metric.distance_one_to_many(set.point(v), &set, &cache, local, &mut dbuf);
             charge_batch(comm, dim, local.len());
             comm.trace_hist("kernel_batch_len", local.len() as u64);
             let mut s = st.borrow_mut();
             s.record_batch(local.len());
             for (&u, &d) in local.iter().zip(&dbuf) {
                 s.trace_dist(traced, v);
-                s.attempts += 1;
-                if let Some(h) = s.heaps.get_mut(&v) {
-                    h.checked_insert(u, d, true);
-                }
+                s.insert(v, u, d);
             }
         }
-        for (dest, us) in remote {
-            comm.async_send(
-                dest,
-                TAG_INIT_REQ,
-                &InitReq {
-                    v,
-                    us,
-                    vec: set.point(v).clone(),
-                },
-            );
+        for (dest, us) in buckets.iter().filter(|&(dest, _)| dest != comm.rank()) {
+            comm.async_send(dest, TAG_INIT_REQ, &(v, us, set.point(v)));
         }
     });
     comm.trace_end("init");
@@ -331,6 +361,14 @@ where
     let mut iterations = 0;
     let mut updates_per_iter = Vec::new();
 
+    // One entry per owned vertex, parallel to `owned`; refilled (capacity
+    // kept) every iteration.
+    let mut start_ids: Vec<Vec<PointId>> = vec![Vec::new(); owned.len()];
+    let mut fwd_old: Vec<Vec<PointId>> = vec![Vec::new(); owned.len()];
+    let mut fwd_new: Vec<Vec<PointId>> = vec![Vec::new(); owned.len()];
+    let mut joins = Joins::default();
+    let mut weights: Vec<usize> = Vec::new();
+
     for iter in 0..cfg.max_iters {
         comm.trace_begin_arg("iteration", iter as u64);
         // Snapshot each owned heap's membership: the iteration's update
@@ -339,49 +377,44 @@ where
         // transient entrants that a later, closer candidate evicts), the
         // set difference is a pure function of the delivered message
         // multiset — message-arrival order cannot flip the termination
-        // decision. Like `fwd_old` / `fwd_new` below, one entry per owned
-        // vertex, parallel to `owned`.
-        let start_ids: Vec<Vec<PointId>> = {
+        // decision.
+        {
             let mut s = st.borrow_mut();
             s.attempts = 0;
-            s.rev_new.clear();
-            s.rev_old.clear();
-            owned
-                .iter()
-                .map(|&v| {
-                    let mut ids: Vec<PointId> = s.heaps[&v].iter().map(|n| n.id).collect();
-                    ids.sort_unstable();
-                    ids
-                })
-                .collect()
-        };
+            s.rev_new.iter_mut().for_each(Vec::clear);
+            s.rev_old.iter_mut().for_each(Vec::clear);
+            for (ids, heap) in start_ids.iter_mut().zip(&s.heaps) {
+                ids.clear();
+                ids.extend(heap.iter().map(|n| n.id));
+                ids.sort_unstable();
+            }
+        }
 
         // 2a. Local sampling: split each owned vertex's heap into old ids
         // and a rho*K sample of new ids (flipped to old).
         comm.trace_begin("sample");
-        let mut fwd_old: Vec<Vec<PointId>> = Vec::with_capacity(owned.len());
-        let mut fwd_new: Vec<Vec<PointId>> = Vec::with_capacity(owned.len());
         {
             let mut s = st.borrow_mut();
-            for &v in &owned {
+            for (i, &v) in owned.iter().enumerate() {
                 let mut rng = ChaCha8Rng::seed_from_u64(
                     cfg.seed ^ 0xA11CE ^ (u64::from(v) << 18) ^ (iter as u64),
                 );
-                let heap = s.heaps.get_mut(&v).expect("owned vertex heap");
+                let heap = &mut s.heaps[i];
                 // The heap's array layout depends on the order updates
                 // arrived, which is scheduling-dependent; sort both id
                 // lists so the sample below is deterministic in seed.
-                let mut old = heap.flagged_ids(false);
+                let (old, candidates) = (&mut fwd_old[i], &mut fwd_new[i]);
+                old.clear();
+                old.extend(heap.iter().filter(|n| !n.new).map(|n| n.id));
                 old.sort_unstable();
-                let mut candidates = heap.flagged_ids(true);
+                candidates.clear();
+                candidates.extend(heap.iter().filter(|n| n.new).map(|n| n.id));
                 candidates.sort_unstable();
                 candidates.shuffle(&mut rng);
                 candidates.truncate(max_sample);
-                for &u in &candidates {
+                for &u in candidates.iter() {
                     heap.mark_old(u);
                 }
-                fwd_old.push(old);
-                fwd_new.push(candidates);
             }
         }
 
@@ -419,20 +452,20 @@ where
                 let mut rng = ChaCha8Rng::seed_from_u64(
                     cfg.seed ^ 0xBEE ^ (u64::from(v) << 18) ^ (iter as u64),
                 );
-                let mut union_sample = |fwd: &mut Vec<PointId>, mut rev: Vec<PointId>| {
+                let mut union_sample = |fwd: &mut Vec<PointId>, rev: &mut Vec<PointId>| {
                     // The reverse lists arrive in scheduling-dependent order;
                     // canonicalize so the sample is deterministic in seed.
                     rev.sort_unstable();
                     rev.shuffle(&mut rng);
                     rev.truncate(max_sample);
-                    for u in rev {
+                    for &u in rev.iter() {
                         if u != v && !fwd.contains(&u) {
                             fwd.push(u);
                         }
                     }
                 };
-                union_sample(&mut fwd_new[i], s.rev_new.remove(&v).unwrap_or_default());
-                union_sample(&mut fwd_old[i], s.rev_old.remove(&v).unwrap_or_default());
+                union_sample(&mut fwd_new[i], &mut s.rev_new[i]);
+                union_sample(&mut fwd_old[i], &mut s.rev_old[i]);
             }
         }
 
@@ -444,33 +477,16 @@ where
         // grouped per mirror head in first-seen order. A row is the unit
         // of batched evaluation at the receiver.
         comm.trace_begin("gen_pairs");
-        let mut joins: Vec<Type1> = Vec::new();
+        joins.clear();
         let mut n_pairs: u64 = 0;
         for (news, olds) in fwd_new.iter().zip(&fwd_old) {
             let fwd_start = joins.len();
             for (i, &u1) in news.iter().enumerate() {
-                let tails: Vec<PointId> = news[i + 1..]
-                    .iter()
-                    .chain(olds.iter())
-                    .copied()
-                    .filter(|&u2| u2 != u1)
-                    .collect();
-                if !tails.is_empty() {
-                    n_pairs += tails.len() as u64;
-                    joins.push((u1, tails));
-                }
+                let tails = news[i + 1..].iter().chain(olds.iter()).copied();
+                n_pairs += joins.push_row(u1, tails.filter(|&u2| u2 != u1)) as u64;
             }
             if !cfg.opts.one_sided {
-                let mut mirrors: Vec<Type1> = Vec::new();
-                for (u1, tails) in &joins[fwd_start..] {
-                    for &u2 in tails {
-                        match mirrors.iter_mut().find(|(h, _)| *h == u2) {
-                            Some((_, g)) => g.push(*u1),
-                            None => mirrors.push((u2, vec![*u1])),
-                        }
-                    }
-                }
-                joins.extend(mirrors);
+                joins.push_mirrors(fwd_start);
             }
         }
 
@@ -482,9 +498,12 @@ where
         // roughly `quota` *pairs* (not rows) per barrier window, matching
         // the per-pair batching the protocol used before rows existed.
         comm.trace_begin("neighbor_check");
-        let weights: Vec<usize> = joins.iter().map(|(_, tails)| tails.len()).collect();
+        weights.clear();
+        weights.extend((0..joins.len()).map(|i| joins.row(i).1.len()));
         batched_weighted(comm, &weights, quota, |i| {
-            comm.async_send(part.owner(joins[i].0), TAG_TYPE1, &joins[i]);
+            // A `Type1`.
+            let row = joins.row(i);
+            comm.async_send(part.owner(row.0), TAG_TYPE1, &row);
         });
 
         comm.trace_end("neighbor_check");
@@ -492,12 +511,12 @@ where
         // 2f. Convergence test on the all-reduced update count.
         let (c_local, attempts) = {
             let s = st.borrow();
-            let c: u64 = owned
+            let c: u64 = s
+                .heaps
                 .iter()
                 .zip(&start_ids)
-                .map(|(v, start)| {
-                    s.heaps[v]
-                        .iter()
+                .map(|(heap, start)| {
+                    heap.iter()
                         .filter(|n| start.binary_search(&n.id).is_err())
                         .count() as u64
                 })
@@ -540,12 +559,9 @@ where
         {
             let s = st.borrow();
             rnn_st.borrow_mut().seed(
-                owned.iter().map(|&v| {
-                    let edges: Vec<Edge> = s.heaps[&v]
-                        .sorted()
-                        .iter()
-                        .map(|nb| (nb.id, nb.dist))
-                        .collect();
+                owned.iter().zip(&s.heaps).map(|(&v, heap)| {
+                    let edges: Vec<Edge> =
+                        heap.sorted().iter().map(|nb| (nb.id, nb.dist)).collect();
                     (v, edges)
                 }),
                 rp.r,
@@ -564,12 +580,9 @@ where
         let s = st.borrow();
         owned
             .iter()
-            .map(|&v| {
-                let edges = s.heaps[&v]
-                    .sorted()
-                    .iter()
-                    .map(|nb| (nb.id, nb.dist))
-                    .collect();
+            .zip(&s.heaps)
+            .map(|(&v, heap)| {
+                let edges = heap.sorted().iter().map(|nb| (nb.id, nb.dist)).collect();
                 (v, edges)
             })
             .collect()
@@ -577,11 +590,8 @@ where
 
     let s = st.borrow();
     if traced {
-        for &v in &owned {
-            comm.trace_hist(
-                "dist_evals_per_item",
-                s.dist_by_vertex.get(&v).copied().unwrap_or(0),
-            );
+        for &evals in &s.dist_by_vertex {
+            comm.trace_hist("dist_evals_per_item", evals);
         }
     }
     let dist_evals = s.dist_evals + rnn_st.borrow().dist_evals;
@@ -594,6 +604,98 @@ where
             rnn: rnn_stats,
         },
     )
+}
+
+/// One iteration's neighbor-check join rows in flat storage, refilled every
+/// iteration: row `i` is head `heads[i]` with the tails
+/// `tails[ends[i - 1]..ends[i]]`. A row is sent as the borrowed
+/// `(head, &tails[..])`, which is a [`Type1`] on the wire.
+#[derive(Default)]
+struct Joins {
+    heads: Vec<PointId>,
+    ends: Vec<usize>,
+    tails: Vec<PointId>,
+    /// `push_mirrors` scratch: distinct mirror heads in first-seen order,
+    /// each one's partner count (then write cursor), and the group of
+    /// every pair.
+    mirror_heads: Vec<PointId>,
+    mirror_fill: Vec<usize>,
+    pair_group: Vec<usize>,
+}
+
+impl Joins {
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.ends.clear();
+        self.tails.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// Where row `i`'s tails begin (for `i == len()`: where the next row's
+    /// would).
+    fn start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |prev| self.ends[prev])
+    }
+
+    fn row(&self, i: usize) -> (PointId, &[PointId]) {
+        (self.heads[i], &self.tails[self.start(i)..self.ends[i]])
+    }
+
+    /// Append the row `(head, tails)` unless it is empty; returns its width.
+    fn push_row(&mut self, head: PointId, tails: impl Iterator<Item = PointId>) -> usize {
+        let start = self.tails.len();
+        self.tails.extend(tails);
+        let width = self.tails.len() - start;
+        if width > 0 {
+            self.heads.push(head);
+            self.ends.push(self.tails.len());
+        }
+        width
+    }
+
+    /// Append the mirror rows of rows `from..`: every pair `(u1, u2)` of
+    /// those rows again as `(u2, u1)`, grouped per `u2` in first-seen
+    /// order with the `u1`s in pair order (a stable counting sort by
+    /// mirror head).
+    fn push_mirrors(&mut self, from: usize) {
+        let fwd = from..self.len();
+        let pairs = self.start(from)..self.tails.len();
+        self.mirror_heads.clear();
+        self.mirror_fill.clear();
+        self.pair_group.clear();
+        for &u2 in &self.tails[pairs.clone()] {
+            let group = match self.mirror_heads.iter().position(|&h| h == u2) {
+                Some(g) => g,
+                None => {
+                    self.mirror_heads.push(u2);
+                    self.mirror_fill.push(0);
+                    self.mirror_heads.len() - 1
+                }
+            };
+            self.mirror_fill[group] += 1;
+            self.pair_group.push(group);
+        }
+        // Open the rows at their final widths, turning each group's count
+        // into its write cursor.
+        let mut cursor = self.tails.len();
+        self.tails.resize(cursor + pairs.len(), 0);
+        for (fill, &head) in self.mirror_fill.iter_mut().zip(&self.mirror_heads) {
+            let width = std::mem::replace(fill, cursor);
+            cursor += width;
+            self.heads.push(head);
+            self.ends.push(cursor);
+        }
+        let mut groups = self.pair_group.iter();
+        for row in fwd {
+            for &group in groups.by_ref().take(self.ends[row] - self.start(row)) {
+                self.tails[self.mirror_fill[group]] = self.heads[row];
+                self.mirror_fill[group] += 1;
+            }
+        }
+    }
 }
 
 /// Section 4.5 as a distributed pass: ship every edge `v -> u` to
@@ -610,28 +712,23 @@ fn optimize_distributed(
     assert!(m >= 1.0, "paper requires m >= 1");
     batched(comm, owned.len(), quota, |i| {
         let v = owned[i];
-        let edges: Vec<Edge> = st.borrow().heaps[&v]
-            .sorted()
-            .iter()
-            .map(|nb| (nb.id, nb.dist))
-            .collect();
-        for (u, d) in edges {
-            comm.async_send(part.owner(u), TAG_OPT_EDGE, &(u, v, d));
+        let edges = st.borrow().heaps[i].sorted();
+        for nb in edges {
+            comm.async_send(part.owner(nb.id), TAG_OPT_EDGE, &(nb.id, v, nb.dist));
         }
     });
     let limit = ((cfg.k as f64) * m).ceil() as usize;
     let mut s = st.borrow_mut();
     owned
         .iter()
-        .map(|&v| {
-            let mut edges: Vec<Edge> = s.heaps[&v]
+        .enumerate()
+        .map(|(i, &v)| {
+            let mut edges: Vec<Edge> = s.heaps[i]
                 .sorted()
                 .iter()
                 .map(|nb| (nb.id, nb.dist))
                 .collect();
-            if let Some(extra) = s.opt_extra.remove(&v) {
-                edges.extend(extra);
-            }
+            edges.append(&mut s.opt_extra[i]);
             edges.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
             edges.dedup_by_key(|e| e.0);
             edges.truncate(limit);
@@ -713,11 +810,12 @@ fn register_handlers<P, M>(
         let set = Arc::clone(set);
         let metric = metric.clone();
         let cache = Arc::clone(cache);
+        let mut dbuf: Vec<f32> = Vec::new();
+        let mut reply: Vec<(PointId, f32)> = Vec::new();
         comm.register_named::<InitReq<P>, _>(
             TAG_INIT_REQ,
             tag_display(TAG_INIT_REQ),
             move |c, msg| {
-                let mut dbuf = Vec::with_capacity(msg.us.len());
                 metric.distance_one_to_many(&msg.vec, &set, &cache, &msg.us, &mut dbuf);
                 charge_batch(c, dim, msg.us.len());
                 c.trace_hist("kernel_batch_len", msg.us.len() as u64);
@@ -727,9 +825,9 @@ fn register_handlers<P, M>(
                     s.trace_dist(traced, u);
                 }
                 drop(s);
-                let reply: Vec<(PointId, f32)> =
-                    msg.us.iter().copied().zip(dbuf.iter().copied()).collect();
-                c.async_send(part.owner(msg.v), TAG_INIT_RESP, &(msg.v, reply));
+                reply.clear();
+                reply.extend(msg.us.iter().copied().zip(dbuf.iter().copied()));
+                c.async_send(part.owner(msg.v), TAG_INIT_RESP, &(msg.v, reply.as_slice()));
             },
         );
     }
@@ -740,11 +838,8 @@ fn register_handlers<P, M>(
             tag_display(TAG_INIT_RESP),
             move |_, (v, pairs)| {
                 let mut s = st.borrow_mut();
-                for (u, d) in pairs {
-                    s.attempts += 1;
-                    if let Some(h) = s.heaps.get_mut(&v) {
-                        h.checked_insert(u, d, true);
-                    }
+                for &(u, d) in pairs.iter() {
+                    s.insert(*v, u, d);
                 }
             },
         );
@@ -756,8 +851,10 @@ fn register_handlers<P, M>(
         comm.register_named::<RevEntry, _>(
             TAG_REV_NEW,
             tag_display(TAG_REV_NEW),
-            move |_, (u, v)| {
-                st.borrow_mut().rev_new.entry(u).or_default().push(v);
+            move |_, &mut (u, v)| {
+                let mut s = st.borrow_mut();
+                let at = s.slot(u);
+                s.rev_new[at].push(v);
             },
         );
     }
@@ -766,8 +863,10 @@ fn register_handlers<P, M>(
         comm.register_named::<RevEntry, _>(
             TAG_REV_OLD,
             tag_display(TAG_REV_OLD),
-            move |_, (u, v)| {
-                st.borrow_mut().rev_old.entry(u).or_default().push(v);
+            move |_, &mut (u, v)| {
+                let mut s = st.borrow_mut();
+                let at = s.slot(u);
+                s.rev_old[at].push(v);
             },
         );
     }
@@ -775,54 +874,37 @@ fn register_handlers<P, M>(
     // Type 1: this rank owns u1. Filter the row against u1's current heap,
     // read the pruning bound once, then forward one Type 2 / Type 2+ per
     // destination rank — shipping u1's vector once per destination instead
-    // of once per pair.
+    // of once per pair, and borrowing it from the set rather than cloning
+    // it into the message.
     {
         let st = Rc::clone(st);
         let set = Arc::clone(set);
+        let mut buckets = Buckets::default();
         comm.register_named::<Type1, _>(TAG_TYPE1, tag_display(TAG_TYPE1), move |c, (u1, u2s)| {
-            let (tails, bound) = {
+            let u1 = *u1;
+            let bound = {
                 let s = st.borrow();
-                let heap = &s.heaps[&u1];
-                let tails: Vec<PointId> = if cfg.opts.skip_redundant {
+                let heap = &s.heaps[s.slot(u1)];
+                if cfg.opts.skip_redundant {
                     // Redundant-check reduction (4.3.2) on the forward path.
-                    u2s.into_iter().filter(|&u2| !heap.contains(u2)).collect()
-                } else {
-                    u2s
-                };
-                let bound = if cfg.opts.prune_distance {
+                    u2s.retain(|&u2| !heap.contains(u2));
+                }
+                if cfg.opts.prune_distance {
                     heap.max_dist()
                 } else {
                     f32::INFINITY
-                };
-                (tails, bound)
+                }
             };
-            if tails.is_empty() {
-                return;
-            }
             // Rank-local endpoints travel as ordinary self-sends too, so
             // they show up on the traffic matrix diagonal.
-            for (dest, u2s) in part.group(&tails) {
+            part.group_into(u2s, &mut buckets);
+            for (dest, u2s) in buckets.iter() {
                 if cfg.opts.one_sided {
-                    c.async_send(
-                        dest,
-                        TAG_TYPE2_PLUS,
-                        &Type2Plus {
-                            u1,
-                            u2s,
-                            bound,
-                            vec: set.point(u1).clone(),
-                        },
-                    );
+                    // A `Type2Plus`, field for field.
+                    c.async_send(dest, TAG_TYPE2_PLUS, &(u1, u2s, bound, set.point(u1)));
                 } else {
-                    c.async_send(
-                        dest,
-                        TAG_TYPE2,
-                        &Type2 {
-                            u1,
-                            u2s,
-                            vec: set.point(u1).clone(),
-                        },
-                    );
+                    // A `Type2`.
+                    c.async_send(dest, TAG_TYPE2, &(u1, u2s, set.point(u1)));
                 }
             }
         });
@@ -834,8 +916,8 @@ fn register_handlers<P, M>(
         let set = Arc::clone(set);
         let metric = metric.clone();
         let cache = Arc::clone(cache);
+        let mut dbuf: Vec<f32> = Vec::new();
         comm.register_named::<Type2<P>, _>(TAG_TYPE2, tag_display(TAG_TYPE2), move |c, msg| {
-            let mut dbuf = Vec::with_capacity(msg.u2s.len());
             metric.distance_one_to_many(&msg.vec, &set, &cache, &msg.u2s, &mut dbuf);
             charge_batch(c, dim, msg.u2s.len());
             c.trace_hist("kernel_batch_len", msg.u2s.len() as u64);
@@ -843,10 +925,7 @@ fn register_handlers<P, M>(
             s.record_batch(msg.u2s.len());
             for (&u2, &d) in msg.u2s.iter().zip(&dbuf) {
                 s.trace_dist(traced, u2);
-                s.attempts += 1;
-                if let Some(h) = s.heaps.get_mut(&u2) {
-                    h.checked_insert(msg.u1, d, true);
-                }
+                s.insert(u2, msg.u1, d);
             }
         });
     }
@@ -857,6 +936,8 @@ fn register_handlers<P, M>(
         let set = Arc::clone(set);
         let metric = metric.clone();
         let cache = Arc::clone(cache);
+        let mut dbuf: Vec<f32> = Vec::new();
+        let mut replies: Vec<(PointId, f32)> = Vec::new();
         comm.register_named::<Type2Plus<P>, _>(
             TAG_TYPE2_PLUS,
             tag_display(TAG_TYPE2_PLUS),
@@ -864,33 +945,23 @@ fn register_handlers<P, M>(
                 // Redundant-check reduction on the return path (4.3.2): if
                 // u1 is already a neighbor of u2 this pair was checked
                 // before — drop it from the row before evaluating.
-                let u2s: Vec<PointId> = if cfg.opts.skip_redundant {
+                if cfg.opts.skip_redundant {
                     let s = st.borrow();
-                    msg.u2s
-                        .iter()
-                        .copied()
-                        .filter(|&u2| !s.heaps[&u2].contains(msg.u1))
-                        .collect()
-                } else {
-                    msg.u2s.clone()
-                };
-                if u2s.is_empty() {
+                    msg.u2s.retain(|&u2| !s.heaps[s.slot(u2)].contains(msg.u1));
+                }
+                if msg.u2s.is_empty() {
                     return;
                 }
-                let mut dbuf = Vec::with_capacity(u2s.len());
-                metric.distance_one_to_many(&msg.vec, &set, &cache, &u2s, &mut dbuf);
-                charge_batch(c, dim, u2s.len());
-                c.trace_hist("kernel_batch_len", u2s.len() as u64);
-                let mut replies: Vec<(PointId, f32)> = Vec::new();
+                metric.distance_one_to_many(&msg.vec, &set, &cache, &msg.u2s, &mut dbuf);
+                charge_batch(c, dim, msg.u2s.len());
+                c.trace_hist("kernel_batch_len", msg.u2s.len() as u64);
+                replies.clear();
                 {
                     let mut s = st.borrow_mut();
-                    s.record_batch(u2s.len());
-                    for (&u2, &d) in u2s.iter().zip(&dbuf) {
+                    s.record_batch(msg.u2s.len());
+                    for (&u2, &d) in msg.u2s.iter().zip(&dbuf) {
                         s.trace_dist(traced, u2);
-                        s.attempts += 1;
-                        if let Some(h) = s.heaps.get_mut(&u2) {
-                            h.checked_insert(msg.u1, d, true);
-                        }
+                        s.insert(u2, msg.u1, d);
                         // Long-distance pruning (4.3.3): only answer if the
                         // distance can possibly improve u1's heap.
                         if d < msg.bound {
@@ -899,7 +970,7 @@ fn register_handlers<P, M>(
                     }
                 }
                 if !replies.is_empty() {
-                    c.async_send(part.owner(msg.u1), TAG_TYPE3, &(msg.u1, replies));
+                    c.async_send(part.owner(msg.u1), TAG_TYPE3, &(msg.u1, replies.as_slice()));
                 }
             },
         );
@@ -913,11 +984,8 @@ fn register_handlers<P, M>(
             tag_display(TAG_TYPE3),
             move |_, (u1, pairs)| {
                 let mut s = st.borrow_mut();
-                for (u2, d) in pairs {
-                    s.attempts += 1;
-                    if let Some(h) = s.heaps.get_mut(&u1) {
-                        h.checked_insert(u2, d, true);
-                    }
+                for &(u2, d) in pairs.iter() {
+                    s.insert(*u1, u2, d);
                 }
             },
         );
@@ -929,9 +997,71 @@ fn register_handlers<P, M>(
         comm.register_named::<OptEdge, _>(
             TAG_OPT_EDGE,
             tag_display(TAG_OPT_EDGE),
-            move |_, (u, v, d)| {
-                st.borrow_mut().opt_extra.entry(u).or_default().push((v, d));
+            move |_, &mut (u, v, d)| {
+                let mut s = st.borrow_mut();
+                let at = s.slot(u);
+                s.opt_extra[at].push((v, d));
             },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The flat rows against the nested-`Vec` generation they replaced,
+    /// written out: forward rows per head, then mirror rows grouped per
+    /// mirror head in first-seen order.
+    #[test]
+    fn flat_join_rows_equal_the_nested_reference() {
+        let lists: [(&[PointId], &[PointId]); 5] = [
+            (&[4, 9, 2], &[7, 9, 1]),
+            (&[], &[3]),
+            (&[5], &[]),
+            (&[8, 8, 6], &[6, 8]),
+            (&[1, 2, 3, 4], &[2, 9]),
+        ];
+        for two_sided in [false, true] {
+            let mut want: Vec<Type1> = Vec::new();
+            let mut joins = Joins::default();
+            // Stale rows from an earlier iteration must not survive.
+            joins.push_row(99, [1, 2, 3].into_iter());
+            joins.push_mirrors(0);
+            joins.clear();
+            for (news, olds) in lists {
+                let fwd_start = want.len();
+                assert_eq!(joins.len(), fwd_start);
+                for (i, &u1) in news.iter().enumerate() {
+                    let tails: Vec<PointId> = news[i + 1..]
+                        .iter()
+                        .chain(olds.iter())
+                        .copied()
+                        .filter(|&u2| u2 != u1)
+                        .collect();
+                    joins.push_row(u1, tails.iter().copied());
+                    if !tails.is_empty() {
+                        want.push((u1, tails));
+                    }
+                }
+                if two_sided {
+                    let mut mirrors: Vec<Type1> = Vec::new();
+                    for (u1, tails) in &want[fwd_start..] {
+                        for &u2 in tails {
+                            match mirrors.iter_mut().find(|(h, _)| *h == u2) {
+                                Some((_, g)) => g.push(*u1),
+                                None => mirrors.push((u2, vec![*u1])),
+                            }
+                        }
+                    }
+                    want.extend(mirrors);
+                    joins.push_mirrors(fwd_start);
+                }
+            }
+            let got: Vec<Type1> = (0..joins.len())
+                .map(|i| (joins.row(i).0, joins.row(i).1.to_vec()))
+                .collect();
+            assert_eq!(got, want, "two_sided = {two_sided}");
+        }
     }
 }

@@ -21,9 +21,7 @@
 //! Init and reverse-exchange messages round out the protocol; the tag
 //! constants index the [`ygm::Stats`] counters behind Figure 4.
 
-use bytes::{Bytes, BytesMut};
 use dataset::set::PointId;
-use ygm::Wire;
 
 /// k-NNG random initialization: carry `v`'s vector to `owner(u)`.
 pub const TAG_INIT_REQ: u16 = 10;
@@ -98,6 +96,11 @@ pub fn name_tags(comm: &ygm::Comm) {
 /// Init request: compute `theta(v, u)` for every `u` in `us` at their
 /// owner (all `us` share one destination rank) using the attached vector
 /// of `v`, as one batched distance call.
+///
+/// Like every vector-carrying message below, this struct is what the
+/// receiving handler decodes into; the sender never builds one. It sends
+/// the same fields as a tuple of borrows — `&(v, &us[..], &vec)` — which
+/// [`ygm::Encode`]s to the same bytes without cloning the vector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InitReq<P> {
     /// The vertex being initialized (reply goes to its owner).
@@ -108,23 +111,7 @@ pub struct InitReq<P> {
     pub vec: P,
 }
 
-impl<P: Wire> Wire for InitReq<P> {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.v.encode(buf);
-        self.us.encode(buf);
-        self.vec.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Self {
-        InitReq {
-            v: PointId::decode(buf),
-            us: Vec::<PointId>::decode(buf),
-            vec: P::decode(buf),
-        }
-    }
-    fn wire_size(&self) -> usize {
-        self.v.wire_size() + self.us.wire_size() + self.vec.wire_size()
-    }
-}
+ygm::wire_struct!(InitReq<P> { v, us, vec });
 
 /// Init reply: `(v, [(u, theta(v, u))...])` back to `owner(v)`.
 pub type InitResp = (PointId, Vec<(PointId, f32)>);
@@ -149,23 +136,7 @@ pub struct Type2<P> {
     pub vec: P,
 }
 
-impl<P: Wire> Wire for Type2<P> {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.u1.encode(buf);
-        self.u2s.encode(buf);
-        self.vec.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Self {
-        Type2 {
-            u1: PointId::decode(buf),
-            u2s: Vec::<PointId>::decode(buf),
-            vec: P::decode(buf),
-        }
-    }
-    fn wire_size(&self) -> usize {
-        self.u1.wire_size() + self.u2s.wire_size() + self.vec.wire_size()
-    }
-}
+ygm::wire_struct!(Type2<P> { u1, u2s, vec });
 
 /// Type 2+ (optimized): like [`Type2`] plus the pruning bound
 /// `theta(u1, G[u1][k])`.
@@ -182,25 +153,7 @@ pub struct Type2Plus<P> {
     pub vec: P,
 }
 
-impl<P: Wire> Wire for Type2Plus<P> {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.u1.encode(buf);
-        self.u2s.encode(buf);
-        self.bound.encode(buf);
-        self.vec.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Self {
-        Type2Plus {
-            u1: PointId::decode(buf),
-            u2s: Vec::<PointId>::decode(buf),
-            bound: f32::decode(buf),
-            vec: P::decode(buf),
-        }
-    }
-    fn wire_size(&self) -> usize {
-        self.u1.wire_size() + self.u2s.wire_size() + self.bound.wire_size() + self.vec.wire_size()
-    }
-}
+ygm::wire_struct!(Type2Plus<P> { u1, u2s, bound, vec });
 
 /// Type 3: `(u1, [(u2, theta(u1, u2))...])` returned to `owner(u1)` — one
 /// message per answered Type 2+, carrying every non-pruned distance.
@@ -229,25 +182,7 @@ pub struct RnnVec<P> {
     pub vec: P,
 }
 
-impl<P: Wire> Wire for RnnVec<P> {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.v.encode(buf);
-        self.a.encode(buf);
-        self.bs.encode(buf);
-        self.vec.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Self {
-        RnnVec {
-            v: PointId::decode(buf),
-            a: PointId::decode(buf),
-            bs: Vec::<PointId>::decode(buf),
-            vec: P::decode(buf),
-        }
-    }
-    fn wire_size(&self) -> usize {
-        self.v.wire_size() + self.a.wire_size() + self.bs.wire_size() + self.vec.wire_size()
-    }
-}
+ygm::wire_struct!(RnnVec<P> { v, a, bs, vec });
 
 /// RNN-Descent distance return `(v, a, [(b, theta(a, b))...])`.
 pub type RnnDist = (PointId, PointId, Vec<(PointId, f32)>);
@@ -263,6 +198,7 @@ pub type RnnRev = (PointId, PointId, f32);
 mod tests {
     use super::*;
     use ygm::codec::{decode_from_bytes, encode_to_bytes};
+    use ygm::Encode;
 
     #[test]
     fn init_req_round_trip() {
@@ -319,6 +255,50 @@ mod tests {
         let back: Type2Plus<dataset::SparseVec> = decode_from_bytes(encode_to_bytes(&m));
         assert_eq!(back, m);
         assert!(back.bound.is_infinite());
+    }
+
+    /// What the engine actually sends: the owned struct's fields as a tuple
+    /// of borrows. Same bytes, so the owned type decodes them.
+    #[test]
+    fn a_tuple_of_borrows_is_the_owned_message() {
+        let (us, vec) = (vec![9u32, 12, 40], vec![1.0f32, -2.0, 0.5]);
+        let init = InitReq {
+            v: 3,
+            us: us.clone(),
+            vec: vec.clone(),
+        };
+        let t2 = Type2 {
+            u1: 3,
+            u2s: us.clone(),
+            vec: vec.clone(),
+        };
+        let t2p = Type2Plus {
+            u1: 3,
+            u2s: us.clone(),
+            bound: 2.5,
+            vec: vec.clone(),
+        };
+        let rnn = RnnVec {
+            v: 3,
+            a: 8,
+            bs: us.clone(),
+            vec: vec.clone(),
+        };
+        assert_eq!(
+            encode_to_bytes(&(3u32, us.as_slice(), &vec)),
+            encode_to_bytes(&init)
+        );
+        assert_eq!(
+            encode_to_bytes(&(3u32, us.as_slice(), &vec)),
+            encode_to_bytes(&t2)
+        );
+        let borrowed = encode_to_bytes(&(3u32, us.as_slice(), 2.5f32, &vec));
+        assert_eq!(borrowed, encode_to_bytes(&t2p));
+        assert_eq!(decode_from_bytes::<Type2Plus<Vec<f32>>>(borrowed), t2p);
+        assert_eq!(
+            encode_to_bytes(&(3u32, 8u32, us.as_slice(), &vec)),
+            encode_to_bytes(&rnn)
+        );
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! the same rank.
 
 use dataset::set::PointId;
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Finalizer from splitmix64 — a cheap, well-mixed integer hash so that
@@ -50,13 +49,10 @@ impl Hasher for IdHasher {
     }
 }
 
-/// `BuildHasher` of [`IdHasher`], for maps keyed by id tuples.
+/// `BuildHasher` of [`IdHasher`], for sets of ids and maps keyed by id
+/// tuples. (State a rank keeps *per owned vertex* is not hashed at all: it
+/// lives in `Vec`s indexed through [`Partitioner::slot_table`].)
 pub(crate) type IdBuildHasher = BuildHasherDefault<IdHasher>;
-
-/// A `HashMap` keyed by vertex id with the cheap [`IdHasher`] — the map of
-/// every per-vertex lookup on a message-handler path. Iteration order is
-/// as unspecified as any `HashMap`'s; nothing may depend on it.
-pub(crate) type IdMap<V> = HashMap<PointId, V, IdBuildHasher>;
 
 /// Maps vertex ids to owning ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,20 +78,24 @@ impl Partitioner {
         (mix64(u64::from(id)) % self.n_ranks as u64) as usize
     }
 
-    /// Group `ids` by owning rank: one `(rank, ids)` entry per distinct
-    /// owner, in first-seen destination order, ids in input order — the
-    /// shape every "one message per destination" fan-out iterates, so
-    /// message order is a pure function of the id order.
-    pub fn group(&self, ids: &[PointId]) -> Vec<(usize, Vec<PointId>)> {
-        let mut groups: Vec<(usize, Vec<PointId>)> = Vec::new();
+    /// Group `ids` by owning rank into `out`, replacing what it held: one
+    /// bucket per distinct owner, in first-seen destination order, ids in
+    /// input order — the shape every "one message per destination" fan-out
+    /// iterates, so message order is a pure function of the id order. The
+    /// caller owns `out` and passes the same one every time, so grouping
+    /// allocates only while a bucket is still growing to its widest row.
+    pub fn group_into(&self, ids: &[PointId], out: &mut Buckets) {
+        for dest in out.order.drain(..) {
+            out.by_rank[dest].clear();
+        }
+        out.by_rank.resize_with(self.n_ranks, Vec::new);
         for &id in ids {
             let dest = self.owner(id);
-            match groups.iter_mut().find(|(r, _)| *r == dest) {
-                Some((_, g)) => g.push(id),
-                None => groups.push((dest, vec![id])),
+            if out.by_rank[dest].is_empty() {
+                out.order.push(dest);
             }
+            out.by_rank[dest].push(id);
         }
-        groups
     }
 
     /// All ids in `0..n` owned by `rank`, ascending.
@@ -103,6 +103,39 @@ impl Partitioner {
         (0..n as PointId)
             .filter(|&id| self.owner(id) == rank)
             .collect()
+    }
+
+    /// For every id in `0..n`, its index in its owner's
+    /// [`Self::owned_ids`] list: `owned_ids(n, owner(id))[table[id]] == id`.
+    /// One table serves every rank, and turns "the state of owned vertex
+    /// `id`" into a `Vec` index instead of a hash lookup per message.
+    pub fn slot_table(&self, n: usize) -> Vec<u32> {
+        let mut next = vec![0u32; self.n_ranks];
+        (0..n as PointId)
+            .map(|id| {
+                let slot = &mut next[self.owner(id)];
+                *slot += 1;
+                *slot - 1
+            })
+            .collect()
+    }
+}
+
+/// Per-destination id buckets filled by [`Partitioner::group_into`].
+#[derive(Debug, Default)]
+pub struct Buckets {
+    /// Destinations holding ids, in first-seen order.
+    order: Vec<usize>,
+    /// Ids per destination rank; empty for ranks not in `order`.
+    by_rank: Vec<Vec<PointId>>,
+}
+
+impl Buckets {
+    /// `(destination rank, its ids)` in first-seen destination order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &[PointId])> {
+        self.order
+            .iter()
+            .map(|&dest| (dest, self.by_rank[dest].as_slice()))
     }
 }
 
@@ -127,18 +160,37 @@ mod tests {
     #[test]
     fn group_keeps_first_seen_destination_and_input_order() {
         let p = Partitioner::new(3);
-        let ids: Vec<PointId> = vec![9, 2, 7, 2, 0, 5, 11];
-        // Group k belongs to the k-th distinct owner met while walking the
-        // input, and holds the input filtered to that owner.
-        let mut want: Vec<(usize, Vec<PointId>)> = Vec::new();
-        for &id in &ids {
-            let rank = p.owner(id);
-            if want.iter().all(|(r, _)| *r != rank) {
-                let of_rank = ids.iter().copied().filter(|&x| p.owner(x) == rank);
-                want.push((rank, of_rank.collect()));
+        let mut buckets = Buckets::default();
+        // A wide row first: the refill below must not see its leftovers.
+        p.group_into(&(0..40).collect::<Vec<PointId>>(), &mut buckets);
+        for ids in [vec![9, 2, 7, 2, 0, 5, 11], vec![], vec![4]] {
+            // Group k belongs to the k-th distinct owner met while walking
+            // the input, and holds the input filtered to that owner.
+            let mut want: Vec<(usize, Vec<PointId>)> = Vec::new();
+            for &id in &ids {
+                let rank = p.owner(id);
+                if want.iter().all(|(r, _)| *r != rank) {
+                    let of_rank = ids.iter().copied().filter(|&x| p.owner(x) == rank);
+                    want.push((rank, of_rank.collect()));
+                }
+            }
+            p.group_into(&ids, &mut buckets);
+            let got: Vec<(usize, Vec<PointId>)> =
+                buckets.iter().map(|(r, g)| (r, g.to_vec())).collect();
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn slot_table_indexes_each_owners_list() {
+        let p = Partitioner::new(5);
+        let n = 700;
+        let slots = p.slot_table(n);
+        for rank in 0..5 {
+            for (i, id) in p.owned_ids(n, rank).into_iter().enumerate() {
+                assert_eq!(slots[id as usize] as usize, i);
             }
         }
-        assert_eq!(p.group(&ids), want);
     }
 
     #[test]
@@ -191,11 +243,6 @@ mod tests {
         assert_ne!(h((1, 2)), h((2, 1)));
         assert_ne!(h((1, 2)), h((1, 3)));
         assert_ne!(h((1, 2)), h((0, 2)));
-        let mut m: IdMap<u32> = IdMap::default();
-        for id in 0..1_000 {
-            m.insert(id, id * 2);
-        }
-        assert!((0..1_000).all(|id| m[&id] == id * 2));
     }
 
     #[test]

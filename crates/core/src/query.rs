@@ -39,8 +39,7 @@
 //! (the serving frontend dispatches one micro-batch per slot).
 //! [`distributed_search_batch`] wraps it for the one-shot offline case.
 
-use crate::partition::{IdBuildHasher, Partitioner};
-use bytes::{Bytes, BytesMut};
+use crate::partition::{Buckets, IdBuildHasher, Partitioner};
 use dataset::batch::BatchMetric;
 use dataset::order::OrdF32;
 use dataset::point::Point;
@@ -54,7 +53,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
-use ygm::{Comm, Wire, World};
+use ygm::{Comm, World};
 
 /// Tags for the query protocol (disjoint from the construction tags).
 pub const TAG_EXPAND: u16 = 30;
@@ -264,7 +263,8 @@ type NeighborsMsg = (u32, PointId, Vec<PointId>);
 type Scored = (u32, Vec<(PointId, f32)>);
 
 /// Score request: the query vector travels once to the owner of every
-/// candidate in `ws`, which answers with one batched evaluation.
+/// candidate in `ws`, which answers with one batched evaluation. Sent as
+/// the tuple of borrows `(qid, home, &ws[..], &query)` — the same bytes.
 struct Score<P> {
     qid: u32,
     home: u32,
@@ -272,25 +272,7 @@ struct Score<P> {
     query: P,
 }
 
-impl<P: Wire> Wire for Score<P> {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.qid.encode(buf);
-        self.home.encode(buf);
-        self.ws.encode(buf);
-        self.query.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Self {
-        Score {
-            qid: u32::decode(buf),
-            home: u32::decode(buf),
-            ws: Vec::<PointId>::decode(buf),
-            query: P::decode(buf),
-        }
-    }
-    fn wire_size(&self) -> usize {
-        self.qid.wire_size() + self.home.wire_size() + self.ws.wire_size() + self.query.wire_size()
-    }
-}
+ygm::wire_struct!(Score<P> { qid, home, ws, query });
 
 /// Per-query search cost, counted home-rank-side where the greedy loop
 /// runs. All three counters are pure functions of the `(graph, params,
@@ -311,23 +293,11 @@ pub struct QueryProfile {
     pub rounds: u64,
 }
 
-impl Wire for QueryProfile {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.expansions.encode(buf);
-        self.dist_evals.encode(buf);
-        self.rounds.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Self {
-        QueryProfile {
-            expansions: u64::decode(buf),
-            dist_evals: u64::decode(buf),
-            rounds: u64::decode(buf),
-        }
-    }
-    fn wire_size(&self) -> usize {
-        self.expansions.wire_size() + self.dist_evals.wire_size() + self.rounds.wire_size()
-    }
-}
+ygm::wire_struct!(QueryProfile {
+    expansions,
+    dist_evals,
+    rounds
+});
 
 /// Per-query state at its home rank.
 struct QueryState {
@@ -377,6 +347,8 @@ impl QueryState {
         if self.round_scored.is_empty() {
             return;
         }
+        // Taken out so `self` can be updated while walking it; put back
+        // (empty, capacity kept) at the end.
         let mut scored = std::mem::take(&mut self.round_scored);
         scored.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
         for &(w, d) in &scored {
@@ -398,6 +370,8 @@ impl QueryState {
                 self.frontier.push(Reverse((OrdF32(d), w)));
             }
         }
+        scored.clear();
+        self.round_scored = scored;
     }
 }
 
@@ -457,10 +431,16 @@ where
         {
             // Expand: we own vertex v; reply with its neighbor ids.
             let graph = Arc::clone(&graph);
-            comm.register_named::<Expand, _>(TAG_EXPAND, "q_expand", move |c, (qid, home, v)| {
-                let ids: Vec<PointId> = graph.neighbors(v).iter().map(|&(id, _)| id).collect();
-                c.async_send(home as usize, TAG_NEIGHBORS, &(qid, v, ids));
-            });
+            let mut ids: Vec<PointId> = Vec::new();
+            comm.register_named::<Expand, _>(
+                TAG_EXPAND,
+                "q_expand",
+                move |c, &mut (qid, home, v)| {
+                    ids.clear();
+                    ids.extend(graph.neighbors(v).iter().map(|&(id, _)| id));
+                    c.async_send(home as usize, TAG_NEIGHBORS, &(qid, v, ids.as_slice()));
+                },
+            );
         }
         {
             // Score: we own every candidate in ws; one batched evaluation,
@@ -468,47 +448,40 @@ where
             let base = Arc::clone(&base);
             let metric = metric.clone();
             let cache = Arc::clone(&cache);
+            let mut dbuf: Vec<f32> = Vec::new();
+            let mut scored: Vec<(PointId, f32)> = Vec::new();
             comm.register_named::<Score<P>, _>(TAG_SCORE, "q_score", move |c, msg| {
-                let mut dbuf = Vec::with_capacity(msg.ws.len());
                 metric.distance_one_to_many(&msg.query, &base, &cache, &msg.ws, &mut dbuf);
                 c.charge_compute(c.cost().distance_cost_ns(dim) * msg.ws.len() as u64);
                 c.trace_hist("kernel_batch_len", msg.ws.len() as u64);
-                let scored: Vec<(PointId, f32)> =
-                    msg.ws.iter().copied().zip(dbuf.iter().copied()).collect();
-                c.async_send(msg.home as usize, TAG_SCORED, &(msg.qid, scored));
+                scored.clear();
+                scored.extend(msg.ws.iter().copied().zip(dbuf.iter().copied()));
+                c.async_send(msg.home as usize, TAG_SCORED, &(msg.qid, scored.as_slice()));
             });
         }
         {
             // Neighbors arrived at the home rank: request scores for
-            // unvisited candidates, shipping the query vector once per
-            // destination rank.
+            // unvisited candidates, shipping the query vector (borrowed
+            // from the batch) once per destination rank.
             let st = Rc::clone(&st);
+            let mut buckets = Buckets::default();
             comm.register_named::<NeighborsMsg, _>(
                 TAG_NEIGHBORS,
                 "q_neighbors",
                 move |c, (qid, _v, ids)| {
+                    let qid = *qid;
                     let mut s = st.borrow_mut();
                     let EngineState {
                         queries, vectors, ..
                     } = &mut *s;
                     let home = c.rank() as u32;
                     let part = Partitioner::new(c.n_ranks());
-                    let query_vec = &vectors[qid as usize];
                     let q = &mut queries[qid as usize];
-                    let unvisited: Vec<PointId> =
-                        ids.into_iter().filter(|&w| q.visited.insert(w)).collect();
-                    q.profile.dist_evals += unvisited.len() as u64;
-                    for (dest, ws) in part.group(&unvisited) {
-                        c.async_send(
-                            dest,
-                            TAG_SCORE,
-                            &Score {
-                                qid,
-                                home,
-                                ws,
-                                query: query_vec.clone(),
-                            },
-                        );
+                    ids.retain(|&w| q.visited.insert(w));
+                    q.profile.dist_evals += ids.len() as u64;
+                    part.group_into(ids, &mut buckets);
+                    for (dest, ws) in buckets.iter() {
+                        c.async_send(dest, TAG_SCORE, &(qid, home, ws, &vectors[qid as usize]));
                     }
                 },
             );
@@ -518,7 +491,9 @@ where
             let st = Rc::clone(&st);
             comm.register_named::<Scored, _>(TAG_SCORED, "q_scored", move |_, (qid, scored)| {
                 let mut s = st.borrow_mut();
-                s.queries[qid as usize].round_scored.extend(scored);
+                s.queries[*qid as usize]
+                    .round_scored
+                    .extend_from_slice(scored);
             });
         }
 
@@ -585,23 +560,16 @@ where
             } = &mut *s;
             let starts = params.l.max(params.entry_candidates).min(n);
             let mut fresh: Vec<PointId> = Vec::with_capacity(starts);
+            let mut buckets = Buckets::default();
             for (qid, (key, query)) in requests.iter().enumerate() {
                 let q = &mut queries[qid];
                 let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ (key << 16));
                 sampler.draw(&mut rng, starts, &mut fresh);
                 q.visited.extend(&fresh);
                 q.profile.dist_evals += fresh.len() as u64;
-                for (dest, ws) in part.group(&fresh) {
-                    comm.async_send(
-                        dest,
-                        TAG_SCORE,
-                        &Score {
-                            qid: qid as u32,
-                            home: me,
-                            ws,
-                            query: query.clone(),
-                        },
-                    );
+                part.group_into(&fresh, &mut buckets);
+                for (dest, ws) in buckets.iter() {
+                    comm.async_send(dest, TAG_SCORE, &(qid as u32, me, ws, query));
                 }
             }
         }
@@ -927,6 +895,18 @@ mod tests {
         let p = DistSearchParams::default();
         assert_eq!(p.l, 10);
         p.validate().unwrap();
+    }
+
+    /// A `Score` is sent as a tuple of borrows; the handler decodes the
+    /// owned struct from the same bytes.
+    #[test]
+    fn borrowed_score_is_the_owned_message() {
+        use ygm::codec::{decode_from_bytes, encode_to_bytes};
+        let (ws, query) = (vec![4u32, 90, 7], vec![0.5f32, -1.0, 2.0, 8.0]);
+        let sent = encode_to_bytes(&(3u32, 1u32, ws.as_slice(), &query));
+        let got: Score<Vec<f32>> = decode_from_bytes(sent);
+        assert_eq!((got.qid, got.home), (3, 1));
+        assert_eq!((got.ws, got.query), (ws, query));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use crate::engine::{batched, batched_weighted, charge_batch};
 use crate::msgs::*;
-use crate::partition::{IdBuildHasher, IdMap, Partitioner};
+use crate::partition::{Buckets, IdBuildHasher, Partitioner};
 use dataset::batch::{BatchMetric, NormCache};
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
@@ -41,15 +41,19 @@ use std::rc::Rc;
 use std::sync::Arc;
 use ygm::{ClockBreakdown, Comm, PhaseRecord, TagStats, TrafficMatrix, World};
 
-/// Per-rank mutable state of the distributed RNN pass.
+/// Per-rank mutable state of the distributed RNN pass. The three
+/// per-vertex vectors are parallel to the rank's ascending `owned` list and
+/// reached from a global id through `slots`
+/// ([`Partitioner::slot_table`]).
 pub(crate) struct RnnDistState {
+    slots: Arc<Vec<u32>>,
     /// Working rows of the vertices this rank owns.
-    pub(crate) rows: IdMap<Vec<RnnEdge>>,
+    pub(crate) rows: Vec<Vec<RnnEdge>>,
     /// Prefetched pair distances, per scanning vertex: `(a, b) -> theta`.
-    pair_dists: IdMap<HashMap<(PointId, PointId), f32, IdBuildHasher>>,
+    pair_dists: Vec<HashMap<(PointId, PointId), f32, IdBuildHasher>>,
     /// Candidate edges (redirected inserts + reverse edges) awaiting the
     /// next apply step, per owned target.
-    pending: IdMap<Vec<(PointId, f32)>>,
+    pending: Vec<Vec<(PointId, f32)>>,
     /// Distance evaluations performed on this rank for the RNN pass.
     pub(crate) dist_evals: u64,
     /// Batched kernel invocations on this rank for the RNN pass.
@@ -57,14 +61,20 @@ pub(crate) struct RnnDistState {
 }
 
 impl RnnDistState {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(slots: Arc<Vec<u32>>, owned: usize) -> Self {
         RnnDistState {
-            rows: IdMap::default(),
-            pair_dists: IdMap::default(),
-            pending: IdMap::default(),
+            slots,
+            rows: vec![Vec::new(); owned],
+            pair_dists: vec![HashMap::default(); owned],
+            pending: vec![Vec::new(); owned],
             dist_evals: 0,
             kernel_batches: 0,
         }
+    }
+
+    #[inline]
+    fn slot(&self, v: PointId) -> usize {
+        self.slots[v as usize] as usize
     }
 
     /// Seed the owned rows from adjacency lists (canonicalized, flagged
@@ -75,7 +85,8 @@ impl RnnDistState {
         r: usize,
     ) {
         for (v, edges) in owned_rows {
-            self.rows.insert(v, seed_row(&edges, v, r));
+            let at = self.slot(v);
+            self.rows[at] = seed_row(&edges, v, r);
         }
     }
 }
@@ -94,26 +105,20 @@ pub(crate) fn register_rnn_handlers<P, M>(
     M: BatchMetric<P>,
 {
     // Pair-distance request: owner(a) groups the tails by owner and ships
-    // a's vector once per destination rank.
+    // a's vector (borrowed from the set) once per destination rank.
     {
         let set = Arc::clone(set);
+        let mut buckets = Buckets::default();
         comm.register_named::<RnnReq, _>(
             TAG_RNN_REQ,
             tag_display(TAG_RNN_REQ),
-            move |c, (v, a, bs)| {
+            move |c, &mut (v, a, ref bs)| {
                 // Rank-local tails travel as ordinary self-sends too
                 // (traffic-matrix diagonal).
-                for (dest, bs) in part.group(&bs) {
-                    c.async_send(
-                        dest,
-                        TAG_RNN_VEC,
-                        &RnnVec {
-                            v,
-                            a,
-                            bs,
-                            vec: set.point(a).clone(),
-                        },
-                    );
+                part.group_into(bs, &mut buckets);
+                for (dest, bs) in buckets.iter() {
+                    // An `RnnVec`, field for field.
+                    c.async_send(dest, TAG_RNN_VEC, &(v, a, bs, set.point(a)));
                 }
             },
         );
@@ -125,11 +130,12 @@ pub(crate) fn register_rnn_handlers<P, M>(
         let set = Arc::clone(set);
         let metric = metric.clone();
         let cache = Arc::clone(cache);
+        let mut dbuf: Vec<f32> = Vec::new();
+        let mut pairs: Vec<(PointId, f32)> = Vec::new();
         comm.register_named::<RnnVec<P>, _>(
             TAG_RNN_VEC,
             tag_display(TAG_RNN_VEC),
             move |c, msg| {
-                let mut dbuf = Vec::with_capacity(msg.bs.len());
                 metric.distance_one_to_many(&msg.vec, &set, &cache, &msg.bs, &mut dbuf);
                 charge_batch(c, dim, msg.bs.len());
                 c.trace_hist("kernel_batch_len", msg.bs.len() as u64);
@@ -138,9 +144,13 @@ pub(crate) fn register_rnn_handlers<P, M>(
                     s.dist_evals += msg.bs.len() as u64;
                     s.kernel_batches += 1;
                 }
-                let pairs: Vec<(PointId, f32)> =
-                    msg.bs.iter().copied().zip(dbuf.iter().copied()).collect();
-                c.async_send(part.owner(msg.v), TAG_RNN_DIST, &(msg.v, msg.a, pairs));
+                pairs.clear();
+                pairs.extend(msg.bs.iter().copied().zip(dbuf.iter().copied()));
+                c.async_send(
+                    part.owner(msg.v),
+                    TAG_RNN_DIST,
+                    &(msg.v, msg.a, pairs.as_slice()),
+                );
             },
         );
     }
@@ -150,10 +160,11 @@ pub(crate) fn register_rnn_handlers<P, M>(
         comm.register_named::<RnnDist, _>(
             TAG_RNN_DIST,
             tag_display(TAG_RNN_DIST),
-            move |_, (v, a, pairs)| {
+            move |_, &mut (v, a, ref pairs)| {
                 let mut s = st.borrow_mut();
-                let map = s.pair_dists.entry(v).or_default();
-                for (b, d) in pairs {
+                let at = s.slot(v);
+                let map = &mut s.pair_dists[at];
+                for &(b, d) in pairs {
                     map.insert((a, b), d);
                 }
             },
@@ -165,8 +176,10 @@ pub(crate) fn register_rnn_handlers<P, M>(
         comm.register_named::<RnnIns, _>(
             TAG_RNN_INS,
             tag_display(TAG_RNN_INS),
-            move |_, (u, cands)| {
-                st.borrow_mut().pending.entry(u).or_default().extend(cands);
+            move |_, &mut (u, ref cands)| {
+                let mut s = st.borrow_mut();
+                let at = s.slot(u);
+                s.pending[at].extend_from_slice(cands);
             },
         );
     }
@@ -176,8 +189,10 @@ pub(crate) fn register_rnn_handlers<P, M>(
         comm.register_named::<RnnRev, _>(
             TAG_RNN_REV,
             tag_display(TAG_RNN_REV),
-            move |_, (w, v, d)| {
-                st.borrow_mut().pending.entry(w).or_default().push((v, d));
+            move |_, &mut (w, v, d)| {
+                let mut s = st.borrow_mut();
+                let at = s.slot(w);
+                s.pending[at].push((v, d));
             },
         );
     }
@@ -187,12 +202,11 @@ pub(crate) fn register_rnn_handlers<P, M>(
 /// dedup, clamp to `r`); returns the local insert count.
 fn apply_pending(st: &Rc<RefCell<RnnDistState>>, owned: &[PointId], r: usize) -> u64 {
     let mut s = st.borrow_mut();
-    let mut pending = std::mem::take(&mut s.pending);
+    let RnnDistState { rows, pending, .. } = &mut *s;
     let mut added = 0;
-    for &v in owned {
-        if let Some(cands) = pending.remove(&v) {
-            let row = s.rows.get_mut(&v).expect("owned rnn row");
-            added += apply_inserts(row, cands, v, r);
+    for ((&v, row), cands) in owned.iter().zip(rows).zip(pending) {
+        if !cands.is_empty() {
+            added += apply_inserts(row, std::mem::take(cands), v, r);
         }
     }
     added
@@ -215,8 +229,7 @@ fn inner_round(
     let reqs: Vec<RnnReq> = {
         let s = st.borrow();
         let mut reqs = Vec::new();
-        for &v in owned {
-            let row = &s.rows[&v];
+        for (&v, row) in owned.iter().zip(&s.rows) {
             let pairs = flagged_pairs(row);
             let mut h = 0;
             while h < pairs.len() {
@@ -243,13 +256,15 @@ fn inner_round(
     let mut pruned_local = 0u64;
     let ins_msgs: Vec<RnnIns> = {
         let mut s = st.borrow_mut();
+        let RnnDistState {
+            rows, pair_dists, ..
+        } = &mut *s;
         let mut msgs: Vec<RnnIns> = Vec::new();
-        for &v in owned {
-            let row = s.rows.remove(&v).expect("owned rnn row");
-            let dists = s.pair_dists.remove(&v).unwrap_or_default();
-            let out = scan_row(&row, |i, j| dists[&(row[i].id, row[j].id)]);
+        for (row, dists) in rows.iter_mut().zip(pair_dists) {
+            let out = scan_row(row, |i, j| dists[&(row[i].id, row[j].id)]);
+            dists.clear();
             pruned_local += (row.len() - out.kept.len()) as u64;
-            let kept: Vec<RnnEdge> = out
+            *row = out
                 .kept
                 .iter()
                 .map(|&i| RnnEdge {
@@ -257,7 +272,6 @@ fn inner_round(
                     ..row[i]
                 })
                 .collect();
-            s.rows.insert(v, kept);
             for (u, w, d) in out.inserts {
                 match msgs.iter_mut().find(|(t, _)| *t == u) {
                     Some((_, g)) => g.push((w, d)),
@@ -299,7 +313,8 @@ fn reverse_round(
         let s = st.borrow();
         owned
             .iter()
-            .flat_map(|&v| s.rows[&v].iter().map(move |e| (e.id, v, e.dist)))
+            .zip(&s.rows)
+            .flat_map(|(&v, row)| row.iter().map(move |e| (e.id, v, e.dist)))
             .collect()
     };
     batched(comm, msgs.len(), quota, |i| {
@@ -362,12 +377,9 @@ pub(crate) fn run_rnn_rounds(
     let s = st.borrow();
     let rows = owned
         .iter()
-        .map(|&v| {
-            let edges = s.rows[&v]
-                .iter()
-                .take(params.k0)
-                .map(|e| (e.id, e.dist))
-                .collect();
+        .zip(&s.rows)
+        .map(|(&v, row)| {
+            let edges = row.iter().take(params.k0).map(|e| (e.id, e.dist)).collect();
             (v, edges)
         })
         .collect();
@@ -419,11 +431,15 @@ where
     assert_eq!(graph.len(), base.len(), "graph and base set disagree on N");
     let graph = Arc::new(graph.clone());
     let n = graph.len();
+    let slots = Arc::new(Partitioner::new(world.n_ranks()).slot_table(n));
     let report = world.run(|comm| {
         let part = Partitioner::new(comm.n_ranks());
         let owned = part.owned_ids(n, comm.rank());
         let dim = base.dim().max(1);
-        let st = Rc::new(RefCell::new(RnnDistState::new()));
+        let st = Rc::new(RefCell::new(RnnDistState::new(
+            Arc::clone(&slots),
+            owned.len(),
+        )));
         st.borrow_mut().seed(
             owned.iter().map(|&v| (v, graph.neighbors(v).to_vec())),
             params.r,

@@ -11,7 +11,6 @@
 //! Type 2+ neighbor-check messages, and expose `storage_bytes` so data-size
 //! accounting matches the paper's `N x dim x E` formula (Section 2).
 
-use bytes::{Bytes, BytesMut};
 use ygm::Wire;
 
 /// A feature vector usable as a dataset point.
@@ -101,19 +100,7 @@ impl SparseVec {
     }
 }
 
-impl Wire for SparseVec {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.ids.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Self {
-        SparseVec {
-            ids: Vec::<u32>::decode(buf),
-        }
-    }
-    fn wire_size(&self) -> usize {
-        self.ids.wire_size()
-    }
-}
+ygm::wire_struct!(SparseVec { ids });
 
 impl Point for SparseVec {
     fn dim(&self) -> usize {
@@ -178,7 +165,8 @@ pub mod dense {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ygm::codec::{decode_from_bytes, encode_to_bytes};
+    use ygm::codec::{decode_from_bytes, encode_to_bytes, Bytes};
+    use ygm::Encode;
 
     #[test]
     fn dense_point_dims_and_bytes() {

@@ -256,6 +256,10 @@ impl BytesMut {
         self.inner.is_empty()
     }
 
+    pub fn capacity(&self) -> usize {
+        self.inner.capacity()
+    }
+
     pub fn reserve(&mut self, additional: usize) {
         self.inner.reserve(additional);
     }

@@ -13,11 +13,12 @@
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Mutex};
 
+    /// Receivers only poll (`try_recv`), so there is nothing to wake on a
+    /// send: the channel is the locked queue and nothing else.
     struct Chan<T> {
         queue: Mutex<VecDeque<T>>,
-        cvar: Condvar,
     }
 
     /// Sending side of an unbounded channel. Cloneable, `Send + Sync`.
@@ -63,7 +64,6 @@ pub mod channel {
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let chan = Arc::new(Chan {
             queue: Mutex::new(VecDeque::new()),
-            cvar: Condvar::new(),
         });
         (Sender(Arc::clone(&chan)), Receiver(chan))
     }
@@ -72,7 +72,6 @@ pub mod channel {
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
             q.push_back(value);
-            self.0.cvar.notify_one();
             Ok(())
         }
     }

@@ -4,73 +4,97 @@
 //! buffers. Rust closures are not serializable, so this simulated runtime
 //! splits the concept: the *function* part is a handler registered under a
 //! `Tag` on every rank (see [`crate::comm::Comm::register`]), and the
-//! *argument* part is a value implementing [`Wire`], encoded with the
-//! little-endian codec in this module.
+//! *argument* part is a value encoded with the little-endian codec in this
+//! module.
 //!
-//! The codec is deliberately simple and allocation-free on the encode path:
-//! values append themselves to a [`BytesMut`] and decode themselves from a
-//! shrinking byte slice. Variable-length collections are prefixed with a
-//! `u32` element count.
+//! The codec is two traits. [`Encode`] is the send half: a value appends
+//! itself to a [`BytesMut`] and reports its exact size. It is implemented
+//! for unsized and borrowed things too (`[T]`, `&T`), so **a borrowed
+//! message is a tuple of borrows**: `&(u1, ids.as_slice(), bound, &vec)`
+//! encodes to exactly the bytes of the owned struct with those fields, and
+//! nothing is cloned to be sent. [`Wire`] adds the receive half for owned
+//! types: `decode` builds a value from a shrinking byte cursor, and
+//! `decode_into` overwrites an existing value, reusing whatever heap
+//! capacity it already holds (a `Vec<T>` clears and extends). Variable-
+//! length collections are prefixed with a `u32` element count.
 //!
-//! A `Vec<T>` moves through the three slice methods of [`Wire`]
-//! (`encode_slice` / `decode_vec` / `slice_wire_size`). Their defaults are
-//! the per-element loop; the primitives override them with one resize plus
-//! a chunked `to_le_bytes` / `from_le_bytes` pass, which is a block copy on
+//! A `Vec<T>` (or `[T]`) moves through the slice methods `encode_slice` /
+//! `slice_wire_size` / `decode_vec_into`. Their defaults are the
+//! per-element loop; the primitives override them with one resize plus a
+//! chunked `to_le_bytes` / `from_le_bytes` pass, which is a block copy on
 //! a little-endian host. The bytes on the wire are the per-element
 //! little-endian format either way (pinned by `tests/wire_golden.rs`).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut};
+pub use bytes::{Bytes, BytesMut};
+
+/// The send half of the wire format: a value that can append its encoding
+/// to a buffer. Implemented for owned values, slices and references, so a
+/// message can be assembled from borrows at the send site.
+///
+/// The runtime frames each message, so implementations never need to
+/// encode their own total length.
+pub trait Encode {
+    /// Append the encoded representation of `self` to `buf`.
+    fn encode(&self, buf: &mut BytesMut);
+    /// Exact number of bytes [`Encode::encode`] will append. Used to charge
+    /// the virtual network clock and to pre-reserve buffer space.
+    fn wire_size(&self) -> usize;
+
+    /// Append the encodings of `items`, in order, with no length prefix:
+    /// the body of a `[Self]` on the wire.
+    fn encode_slice(items: &[Self], buf: &mut BytesMut)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(buf);
+        }
+    }
+    /// Exact number of bytes [`Encode::encode_slice`] will append.
+    fn slice_wire_size(items: &[Self]) -> usize
+    where
+        Self: Sized,
+    {
+        items.iter().map(Encode::wire_size).sum()
+    }
+}
 
 /// A value that can be encoded to and decoded from the rank-to-rank wire
 /// format.
 ///
 /// Implementations must round-trip: `decode(encode(x)) == x` and consume
-/// exactly the bytes they produced. The runtime frames each message, so
-/// implementations never need to encode their own total length.
-pub trait Wire: Sized {
-    /// Append the encoded representation of `self` to `buf`.
-    fn encode(&self, buf: &mut BytesMut);
+/// exactly the bytes they produced.
+pub trait Wire: Encode + Sized {
     /// Decode a value from the front of `buf`, consuming exactly the bytes
-    /// produced by [`Wire::encode`].
+    /// produced by [`Encode::encode`].
     fn decode(buf: &mut Bytes) -> Self;
-    /// Exact number of bytes [`Wire::encode`] will append. Used to charge the
-    /// virtual network clock and to pre-reserve buffer space.
-    fn wire_size(&self) -> usize;
-
-    /// Append the encodings of `items`, in order, with no length prefix:
-    /// the body of a `Vec<Self>` on the wire.
-    fn encode_slice(items: &[Self], buf: &mut BytesMut) {
-        for item in items {
-            item.encode(buf);
-        }
+    /// Overwrite `self` with the value at the front of `buf`: equal to
+    /// `*self = Self::decode(buf)` whatever `self` held before, but free
+    /// to keep `self`'s heap capacity.
+    fn decode_into(&mut self, buf: &mut Bytes) {
+        *self = Self::decode(buf);
     }
-    /// Decode `n` consecutive values from the front of `buf`. `n` comes off
-    /// the wire, so the reservation is capped by the bytes actually present
-    /// and a short buffer panics with "buffer underflow" on the first
-    /// missing element instead of asking the allocator for `n` slots.
-    fn decode_vec(n: usize, buf: &mut Bytes) -> Vec<Self> {
-        let mut out = Vec::with_capacity(n.min(buf.remaining()));
+    /// Replace the contents of `out` with `n` consecutive values decoded
+    /// from the front of `buf`. `n` comes off the wire, so the reservation
+    /// is capped by the bytes actually present and a short buffer panics
+    /// with "buffer underflow" on the first missing element instead of
+    /// asking the allocator for `n` slots.
+    fn decode_vec_into(n: usize, buf: &mut Bytes, out: &mut Vec<Self>) {
+        out.clear();
+        out.reserve(n.min(buf.remaining()));
         for _ in 0..n {
             out.push(Self::decode(buf));
         }
-        out
-    }
-    /// Exact number of bytes [`Wire::encode_slice`] will append.
-    fn slice_wire_size(items: &[Self]) -> usize {
-        items.iter().map(Wire::wire_size).sum()
     }
 }
 
 macro_rules! impl_wire_prim {
     ($t:ty, $put:ident, $get:ident, $sz:expr) => {
-        impl Wire for $t {
+        impl Encode for $t {
             #[inline]
             fn encode(&self, buf: &mut BytesMut) {
                 buf.$put(*self);
-            }
-            #[inline]
-            fn decode(buf: &mut Bytes) -> Self {
-                buf.$get()
             }
             #[inline]
             fn wire_size(&self) -> usize {
@@ -85,20 +109,23 @@ macro_rules! impl_wire_prim {
                 }
             }
             #[inline]
-            fn decode_vec(n: usize, buf: &mut Bytes) -> Vec<Self> {
-                assert!(n <= buf.remaining() / $sz, "buffer underflow");
-                let out = buf.chunk()[..n * $sz]
-                    .chunks_exact($sz)
-                    .map(|c| {
-                        <$t>::from_le_bytes(c.try_into().expect("chunks_exact yields SZ bytes"))
-                    })
-                    .collect();
-                buf.advance(n * $sz);
-                out
-            }
-            #[inline]
             fn slice_wire_size(items: &[Self]) -> usize {
                 items.len() * $sz
+            }
+        }
+        impl Wire for $t {
+            #[inline]
+            fn decode(buf: &mut Bytes) -> Self {
+                buf.$get()
+            }
+            #[inline]
+            fn decode_vec_into(n: usize, buf: &mut Bytes, out: &mut Vec<Self>) {
+                assert!(n <= buf.remaining() / $sz, "buffer underflow");
+                out.clear();
+                out.extend(buf.chunk()[..n * $sz].chunks_exact($sz).map(|c| {
+                    <$t>::from_le_bytes(c.try_into().expect("chunks_exact yields SZ bytes"))
+                }));
+                buf.advance(n * $sz);
             }
         }
     };
@@ -113,14 +140,10 @@ impl_wire_prim!(i64, put_i64_le, get_i64_le, 8);
 impl_wire_prim!(f32, put_f32_le, get_f32_le, 4);
 impl_wire_prim!(f64, put_f64_le, get_f64_le, 8);
 
-impl Wire for bool {
+impl Encode for bool {
     #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u8(u8::from(*self));
-    }
-    #[inline]
-    fn decode(buf: &mut Bytes) -> Self {
-        buf.get_u8() != 0
     }
     #[inline]
     fn wire_size(&self) -> usize {
@@ -128,14 +151,17 @@ impl Wire for bool {
     }
 }
 
-impl Wire for usize {
+impl Wire for bool {
+    #[inline]
+    fn decode(buf: &mut Bytes) -> Self {
+        buf.get_u8() != 0
+    }
+}
+
+impl Encode for usize {
     #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u64_le(*self as u64);
-    }
-    #[inline]
-    fn decode(buf: &mut Bytes) -> Self {
-        buf.get_u64_le() as usize
     }
     #[inline]
     fn wire_size(&self) -> usize {
@@ -143,32 +169,74 @@ impl Wire for usize {
     }
 }
 
-impl Wire for () {
+impl Wire for usize {
+    #[inline]
+    fn decode(buf: &mut Bytes) -> Self {
+        buf.get_u64_le() as usize
+    }
+}
+
+impl Encode for () {
     #[inline]
     fn encode(&self, _buf: &mut BytesMut) {}
-    #[inline]
-    fn decode(_buf: &mut Bytes) -> Self {}
     #[inline]
     fn wire_size(&self) -> usize {
         0
     }
 }
 
-impl<T: Wire> Wire for Vec<T> {
+impl Wire for () {
+    #[inline]
+    fn decode(_buf: &mut Bytes) -> Self {}
+}
+
+/// A borrow encodes as what it points at.
+impl<T: Encode + ?Sized> Encode for &T {
+    #[inline]
+    fn encode(&self, buf: &mut BytesMut) {
+        (**self).encode(buf);
+    }
+    #[inline]
+    fn wire_size(&self) -> usize {
+        (**self).wire_size()
+    }
+}
+
+/// A slice is a `Vec<T>` on the wire: `u32` count, then the elements.
+impl<T: Encode> Encode for [T] {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u32_le(self.len() as u32);
         T::encode_slice(self, buf);
-    }
-    fn decode(buf: &mut Bytes) -> Self {
-        let n = buf.get_u32_le() as usize;
-        T::decode_vec(n, buf)
     }
     fn wire_size(&self) -> usize {
         4 + T::slice_wire_size(self)
     }
 }
 
-impl<T: Wire> Wire for Option<T> {
+impl<T: Encode> Encode for Vec<T> {
+    #[inline]
+    fn encode(&self, buf: &mut BytesMut) {
+        self.as_slice().encode(buf);
+    }
+    #[inline]
+    fn wire_size(&self) -> usize {
+        self.as_slice().wire_size()
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn decode(buf: &mut Bytes) -> Self {
+        let mut out = Vec::new();
+        out.decode_into(buf);
+        out
+    }
+    fn decode_into(&mut self, buf: &mut Bytes) {
+        let n = buf.get_u32_le() as usize;
+        T::decode_vec_into(n, buf, self);
+    }
+}
+
+impl<T: Encode> Encode for Option<T> {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
             Some(v) => {
@@ -178,6 +246,12 @@ impl<T: Wire> Wire for Option<T> {
             None => buf.put_u8(0),
         }
     }
+    fn wire_size(&self) -> usize {
+        1 + self.as_ref().map_or(0, Encode::wire_size)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
     fn decode(buf: &mut Bytes) -> Self {
         if buf.get_u8() != 0 {
             Some(T::decode(buf))
@@ -185,22 +259,24 @@ impl<T: Wire> Wire for Option<T> {
             None
         }
     }
-    fn wire_size(&self) -> usize {
-        1 + self.as_ref().map_or(0, Wire::wire_size)
-    }
 }
 
 macro_rules! impl_wire_tuple {
     ($($name:ident : $idx:tt),+) => {
-        impl<$($name: Wire),+> Wire for ($($name,)+) {
+        impl<$($name: Encode),+> Encode for ($($name,)+) {
             fn encode(&self, buf: &mut BytesMut) {
                 $(self.$idx.encode(buf);)+
             }
+            fn wire_size(&self) -> usize {
+                0 $(+ self.$idx.wire_size())+
+            }
+        }
+        impl<$($name: Wire),+> Wire for ($($name,)+) {
             fn decode(buf: &mut Bytes) -> Self {
                 ($($name::decode(buf),)+)
             }
-            fn wire_size(&self) -> usize {
-                0 $(+ self.$idx.wire_size())+
+            fn decode_into(&mut self, buf: &mut Bytes) {
+                $(self.$idx.decode_into(buf);)+
             }
         }
     };
@@ -212,6 +288,34 @@ impl_wire_tuple!(A: 0, B: 1, C: 2);
 impl_wire_tuple!(A: 0, B: 1, C: 2, D: 3);
 impl_wire_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
 impl_wire_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
+
+/// Implement [`Encode`] and [`Wire`] for a struct as the concatenation of
+/// the listed fields, in the listed order (which must be every field, in
+/// declaration order): the same bytes as the tuple of those fields, and a
+/// `decode_into` that goes field by field so each keeps its capacity. An
+/// optional single type parameter is bounded by the trait being
+/// implemented.
+#[macro_export]
+macro_rules! wire_struct {
+    ($name:ident $(<$p:ident>)? { $($field:ident),+ $(,)? }) => {
+        impl $(<$p: $crate::Encode>)? $crate::Encode for $name $(<$p>)? {
+            fn encode(&self, buf: &mut $crate::codec::BytesMut) {
+                $($crate::Encode::encode(&self.$field, buf);)+
+            }
+            fn wire_size(&self) -> usize {
+                0 $(+ $crate::Encode::wire_size(&self.$field))+
+            }
+        }
+        impl $(<$p: $crate::Wire>)? $crate::Wire for $name $(<$p>)? {
+            fn decode(buf: &mut $crate::codec::Bytes) -> Self {
+                $name { $($field: $crate::Wire::decode(buf)),+ }
+            }
+            fn decode_into(&mut self, buf: &mut $crate::codec::Bytes) {
+                $($crate::Wire::decode_into(&mut self.$field, buf);)+
+            }
+        }
+    };
+}
 
 /// Compact causal trace context carried on every simulated wire frame.
 ///
@@ -234,26 +338,14 @@ pub struct TraceCtx {
     pub send_seq: u64,
 }
 
-impl Wire for TraceCtx {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.origin);
-        buf.put_u64_le(self.parent_span);
-        buf.put_u64_le(self.send_seq);
-    }
-    fn decode(buf: &mut Bytes) -> Self {
-        TraceCtx {
-            origin: buf.get_u32_le(),
-            parent_span: buf.get_u64_le(),
-            send_seq: buf.get_u64_le(),
-        }
-    }
-    fn wire_size(&self) -> usize {
-        20
-    }
-}
+wire_struct!(TraceCtx {
+    origin,
+    parent_span,
+    send_seq
+});
 
 /// Encode `value` into a fresh buffer. Mostly useful in tests.
-pub fn encode_to_bytes<T: Wire>(value: &T) -> Bytes {
+pub fn encode_to_bytes<T: Encode + ?Sized>(value: &T) -> Bytes {
     let mut buf = BytesMut::with_capacity(value.wire_size());
     value.encode(&mut buf);
     buf.freeze()

@@ -21,7 +21,7 @@
 //! Handlers must not call `poll`, `barrier`, or `register` (enforced by a
 //! `RefCell` borrow panic in debug and release).
 
-use crate::codec::{TraceCtx, Wire};
+use crate::codec::{Encode, TraceCtx, Wire};
 use crate::cost::CostModel;
 use crate::fault::FaultCounters;
 use crate::stats::Tally;
@@ -202,32 +202,64 @@ impl Comm {
     /// `tag`. Must be called before any message with that tag can arrive
     /// (i.e. before the first barrier that delivers one), and never from
     /// inside a handler. Replaces any previous handler for the tag.
+    ///
+    /// Every message is decoded into a fresh `M` the handler owns: the
+    /// form for handlers that keep what they receive (the collectives, a
+    /// benchmark sink). A protocol handler that only reads its message
+    /// should use [`Self::register_mut`].
     pub fn register<M, F>(&self, tag: u16, mut f: F)
     where
         M: Wire,
         F: FnMut(&Comm, M) + 'static,
     {
+        self.install(
+            tag,
+            Box::new(move |comm, payload| f(comm, M::decode(payload))),
+        );
+    }
+
+    /// [`Self::register`] for the steady-state message path: the tag keeps
+    /// **one** decoded message, every arrival is `decode_into` it (so its
+    /// vectors keep their capacity and a dispatch allocates nothing), and
+    /// the handler borrows it. The handler may mutate the message — drain
+    /// a list, sort it — but whatever it leaves there is overwritten by
+    /// the next arrival: it must copy out anything it wants to keep.
+    pub fn register_mut<M, F>(&self, tag: u16, mut f: F)
+    where
+        M: Wire + 'static,
+        F: FnMut(&Comm, &mut M) + 'static,
+    {
+        let mut slot: Option<M> = None;
+        self.install(
+            tag,
+            Box::new(move |comm, payload| match &mut slot {
+                Some(msg) => {
+                    msg.decode_into(payload);
+                    f(comm, msg);
+                }
+                None => f(comm, slot.insert(M::decode(payload))),
+            }),
+        );
+    }
+
+    fn install(&self, tag: u16, shim: Handler) {
         // Registration is where an out-of-range tag first becomes an
         // error; `mark_tag_used` rejects it with a real panic (not just a
         // debug assertion) before any message can be sent.
         self.shared.stats.mark_tag_used(tag);
-        let shim: Handler = Box::new(move |comm, payload| {
-            let msg = M::decode(payload);
-            f(comm, msg);
-        });
         self.handlers.borrow_mut()[tag as usize] = Some(shim);
     }
 
-    /// [`Self::register`] plus a human-readable tag name in one step, so
-    /// every handler registration site self-documents in reports and
-    /// traces.
+    /// [`Self::register_mut`] plus a human-readable tag name in one step,
+    /// so every protocol handler registration site self-documents in
+    /// reports and traces.
     pub fn register_named<M, F>(&self, tag: u16, name: &str, f: F)
     where
-        M: Wire,
-        F: FnMut(&Comm, M) + 'static,
+        M: Wire + 'static,
+        F: FnMut(&Comm, &mut M) + 'static,
     {
         self.name_tag(tag, name);
-        self.register(tag, f);
+        self.register_mut(tag, f);
     }
 
     /// Attach a display name to `tag` in the world statistics (any rank may
@@ -403,9 +435,11 @@ impl Comm {
     }
 
     /// Fire-and-forget: enqueue `msg` for `dest`'s handler registered under
-    /// `tag`. Returns immediately. Self-sends are legal and are delivered
-    /// through the same queue (handled at the next poll/barrier).
-    pub fn async_send<M: Wire>(&self, dest: usize, tag: u16, msg: &M) {
+    /// `tag`. Returns immediately. `msg` only has to [`Encode`] to the bytes
+    /// of the handler's message type: send a tuple of borrows rather than
+    /// cloning a vector into an owned struct. Self-sends are legal and are
+    /// delivered through the same queue (handled at the next poll/barrier).
+    pub fn async_send<M: Encode + ?Sized>(&self, dest: usize, tag: u16, msg: &M) {
         debug_assert!(dest < self.n_ranks(), "destination rank out of range");
         let sz = msg.wire_size();
         let mut flush_now = {
@@ -452,7 +486,10 @@ impl Comm {
                 return;
             }
             let tags = std::mem::take(&mut self.pending_tags.borrow_mut()[dest]);
-            (out[dest].split().freeze(), tags)
+            // The frame's storage goes with it; the buffer restarts at the
+            // capacity that was just enough instead of regrowing from empty.
+            let next = BytesMut::with_capacity(out[dest].capacity());
+            (std::mem::replace(&mut out[dest], next).freeze(), tags)
         };
         let ctx = {
             let mut seqs = self.flow_seq.borrow_mut();

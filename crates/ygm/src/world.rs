@@ -69,7 +69,11 @@ impl PoisonBarrier {
         if st.count == self.n {
             st.count = 0;
             st.generation = st.generation.wrapping_add(1);
-            self.cvar.notify_all();
+            // A one-rank world has nobody to wake, and a wake is a
+            // syscall whether or not anyone waits.
+            if self.n > 1 {
+                self.cvar.notify_all();
+            }
             return true;
         }
         let gen = st.generation;

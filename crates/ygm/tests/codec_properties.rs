@@ -1,15 +1,17 @@
-//! Property tests for `ygm::codec::Wire`: round-trips and exact
+//! Property tests for `ygm::codec::{Encode, Wire}`: round-trips and exact
 //! `wire_size` accounting for every implementation, plus frame-level
 //! length accounting with the `FRAME_HEADER_BYTES` header the runtime
 //! prepends — including zero-length payloads (`()` messages) and the
-//! largest routable tag (`MAX_TAGS - 1`). The slice-codec battery at the
-//! bottom holds every primitive's block `encode_slice` / `decode_vec` to
-//! the per-element format, for every length 0..=300.
+//! largest routable tag (`MAX_TAGS - 1`). The slice-codec battery holds
+//! every primitive's block `encode_slice` / `decode_vec_into` to the
+//! per-element format, for every length 0..=300, over an empty, a dirty
+//! longer and a dirty shorter destination; the last section holds
+//! `decode_into` to `decode` and a tuple of borrows to the owned struct.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
 use ygm::codec::{decode_from_bytes, encode_to_bytes};
-use ygm::{Wire, FRAME_HEADER_BYTES, MAX_TAGS};
+use ygm::{Encode, Wire, FRAME_HEADER_BYTES, MAX_TAGS};
 
 /// Encode, assert the byte count matches `wire_size` exactly, decode back.
 fn round_trip<T: Wire + PartialEq + std::fmt::Debug + Clone>(value: &T) {
@@ -162,20 +164,22 @@ fn max_tag_value_survives_the_header() {
 /// The slice codec of a primitive against the per-element reference, for
 /// every length in `0..=300`: `encode_slice` writes exactly the
 /// concatenation of the elements' `encode`s, `slice_wire_size` is that
-/// length, `decode_vec` inverts it bit for bit and consumes exactly those
-/// bytes — leaving whatever follows in the buffer untouched.
+/// length, `decode_vec_into` inverts it bit for bit — whether the
+/// destination starts empty, holds more elements than arrive or holds
+/// fewer — and consumes exactly those bytes, leaving whatever follows in
+/// the buffer untouched. `Vec::decode_into` over the same dirty
+/// destinations equals `Vec::decode`.
 fn slice_codec_matches_per_element<T: Wire + Copy>(gen: impl Fn(u64) -> T) {
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        // xorshift64: any bit pattern, NaN payloads included.
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        gen(x)
+    };
     for len in 0..=300usize {
-        let items: Vec<T> = (0..len)
-            .map(|_| {
-                // xorshift64: any bit pattern, NaN payloads included.
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                gen(x)
-            })
-            .collect();
+        let items: Vec<T> = (0..len).map(|_| next()).collect();
 
         let mut reference = BytesMut::new();
         items.iter().for_each(|v| v.encode(&mut reference));
@@ -185,20 +189,37 @@ fn slice_codec_matches_per_element<T: Wire + Copy>(gen: impl Fn(u64) -> T) {
         block.put_u8(0x5A);
         assert_eq!(&block[1..block.len() - 1], &reference[..], "len {len}");
         assert_eq!(T::slice_wire_size(&items), reference.len(), "len {len}");
+        let block = block.freeze();
+        let prefixed = encode_to_bytes(&items);
 
-        let mut bytes = block.freeze();
-        assert_eq!(bytes.get_u8(), 0xA5);
-        let back = T::decode_vec(len, &mut bytes);
-        assert_eq!(
-            bytes.len(),
-            1,
-            "decode_vec over- or under-consumed at {len}"
-        );
-        assert_eq!(bytes.get_u8(), 0x5A);
         // Compare by re-encoding: bit-exact even where `==` is not (NaN).
-        let mut again = BytesMut::new();
-        back.iter().for_each(|v| v.encode(&mut again));
-        assert_eq!(again, reference, "len {len}");
+        let same_bits = |back: &[T], what: &str| {
+            let mut again = BytesMut::new();
+            back.iter().for_each(|v| v.encode(&mut again));
+            assert_eq!(again, reference, "{what}, len {len}");
+        };
+        let dirty_longer: Vec<T> = (0..len + 7).map(|_| next()).collect();
+        let dirty_shorter: Vec<T> = (0..len / 2).map(|_| next()).collect();
+        for scratch in [Vec::new(), dirty_longer, dirty_shorter] {
+            let mut bytes = block.clone();
+            assert_eq!(bytes.get_u8(), 0xA5);
+            let mut back = scratch.clone();
+            T::decode_vec_into(len, &mut bytes, &mut back);
+            assert_eq!(
+                bytes.len(),
+                1,
+                "decode_vec_into over- or under-consumed at {len}"
+            );
+            assert_eq!(bytes.get_u8(), 0x5A);
+            same_bits(&back, "decode_vec_into");
+
+            let mut bytes = prefixed.clone();
+            let mut back = scratch;
+            back.decode_into(&mut bytes);
+            assert!(bytes.is_empty(), "decode_into left bytes at {len}");
+            same_bits(&back, "decode_into");
+            same_bits(&decode_from_bytes::<Vec<T>>(prefixed.clone()), "decode");
+        }
     }
 }
 
@@ -235,4 +256,153 @@ fn block_coded_vectors_nest() {
         round_trip(&vec![(1u16, w.clone()), (2, Vec::new())]);
         round_trip(&(Some(vec![f, Vec::new()]), w));
     }
+}
+
+// ---- decode_into and borrowed sends --------------------------------------
+
+/// A scratch value that has already held a longer and then a shorter
+/// message decodes the next one exactly as a fresh `decode` does.
+fn decode_into_equals_decode<T: Wire + PartialEq + std::fmt::Debug>(scratch: &mut T, value: &T) {
+    let enc = encode_to_bytes(value);
+    let mut bytes = enc.clone();
+    scratch.decode_into(&mut bytes);
+    assert!(bytes.is_empty(), "decode_into left {} bytes", bytes.len());
+    assert_eq!(scratch, value);
+    assert_eq!(&decode_from_bytes::<T>(enc), value);
+}
+
+#[test]
+fn decode_into_over_dirty_scratch_equals_decode_for_nested_values() {
+    let pairs =
+        |n: u32| -> Vec<(u32, f32)> { (0..n).map(|i| (i * 7 + 1, i as f32 * 0.5)).collect() };
+    let mut scratch: (u32, Vec<(u32, f32)>) = (0, Vec::new());
+    for n in [40u32, 3, 0, 300, 1, 299] {
+        decode_into_equals_decode(&mut scratch, &(n, pairs(n)));
+    }
+    let mut nested: Vec<Vec<u16>> = Vec::new();
+    for n in [9usize, 2, 0, 30] {
+        let value: Vec<Vec<u16>> = (0..n).map(|i| (0..i as u16 * 3).collect()).collect();
+        decode_into_equals_decode(&mut nested, &value);
+    }
+    let mut opt: Option<Vec<u64>> = Some(vec![1, 2, 3]);
+    for value in [None, Some(vec![9u64; 17]), Some(Vec::new()), None] {
+        decode_into_equals_decode(&mut opt, &value);
+    }
+}
+
+/// The five vector-carrying message shapes of the DNND protocols (`dnnd`
+/// is not visible from here, so they are mirrored field for field).
+#[derive(Debug, Clone, PartialEq, Default)]
+struct InitReq<P> {
+    v: u32,
+    us: Vec<u32>,
+    vec: P,
+}
+ygm::wire_struct!(InitReq<P> { v, us, vec });
+
+#[derive(Debug, Clone, PartialEq, Default)]
+struct Type2Plus<P> {
+    u1: u32,
+    u2s: Vec<u32>,
+    bound: f32,
+    vec: P,
+}
+ygm::wire_struct!(Type2Plus<P> { u1, u2s, bound, vec });
+
+#[derive(Debug, Clone, PartialEq, Default)]
+struct RnnVec<P> {
+    v: u32,
+    a: u32,
+    bs: Vec<u32>,
+    vec: P,
+}
+ygm::wire_struct!(RnnVec<P> { v, a, bs, vec });
+
+fn borrowed_rows_equal_owned<P>(vec: P)
+where
+    P: Wire + Clone + PartialEq + std::fmt::Debug + Default,
+{
+    let mut t2p_scratch = Type2Plus::<P>::default();
+    for ids in [vec![4u32, 900_000, 1], Vec::new(), vec![7; 40], vec![2]] {
+        // InitReq and Type2 share one shape; Score is RnnVec's
+        // (u32, u32, ids, vector).
+        let init = InitReq {
+            v: 9,
+            us: ids.clone(),
+            vec: vec.clone(),
+        };
+        assert_eq!(
+            encode_to_bytes(&(9u32, ids.as_slice(), &vec)),
+            encode_to_bytes(&init)
+        );
+        let t2p = Type2Plus {
+            u1: 9,
+            u2s: ids.clone(),
+            bound: f32::INFINITY,
+            vec: vec.clone(),
+        };
+        let borrowed = encode_to_bytes(&(9u32, ids.as_slice(), f32::INFINITY, &vec));
+        assert_eq!(
+            borrowed.len(),
+            (9u32, ids.as_slice(), 0f32, &vec).wire_size()
+        );
+        assert_eq!(borrowed, encode_to_bytes(&t2p));
+        // ...and the owned type decodes it, fresh or over a used scratch.
+        assert_eq!(decode_from_bytes::<Type2Plus<P>>(borrowed.clone()), t2p);
+        t2p_scratch.decode_into(&mut borrowed.clone());
+        assert_eq!(t2p_scratch, t2p);
+        let rnn = RnnVec {
+            v: 1,
+            a: 2,
+            bs: ids.clone(),
+            vec: vec.clone(),
+        };
+        assert_eq!(
+            encode_to_bytes(&(1u32, 2u32, ids.as_slice(), &vec)),
+            encode_to_bytes(&rnn)
+        );
+    }
+}
+
+#[test]
+fn a_tuple_of_borrows_encodes_as_the_owned_struct() {
+    borrowed_rows_equal_owned(
+        (0..96)
+            .map(|i| i as f32 * 0.37 - 11.5)
+            .collect::<Vec<f32>>(),
+    );
+    borrowed_rows_equal_owned((0..128).map(|i| (i * 7 + 3) as u8).collect::<Vec<u8>>());
+    borrowed_rows_equal_owned(Vec::<f32>::new());
+}
+
+/// `ff ff ff ff` as a length prefix is the same "buffer underflow" panic
+/// on the reusing path: the count is checked against the bytes present
+/// before the destination is touched.
+#[test]
+fn oversized_prefix_through_decode_into_is_an_underflow_not_an_allocation() {
+    fn attempt<T: Wire + 'static>() {
+        let result = std::panic::catch_unwind(|| {
+            let mut scratch: Vec<T> = Vec::new();
+            scratch.decode_into(&mut Bytes::from(vec![0xff; 4]));
+        });
+        let payload = result.expect_err("a 4 Gi-element prefix must not decode");
+        let text = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(text.contains("buffer underflow"), "panicked with {text:?}");
+    }
+    attempt::<f32>();
+    attempt::<u8>();
+    attempt::<(u32, f32)>();
+    // Inside a struct, behind other fields.
+    let result = std::panic::catch_unwind(|| {
+        let mut enc = BytesMut::new();
+        7u32.encode(&mut enc);
+        enc.put_u32_le(u32::MAX);
+        let mut scratch = Type2Plus::<Vec<f32>>::default();
+        scratch.decode_into(&mut enc.freeze());
+    });
+    assert!(result.is_err());
 }

@@ -28,7 +28,7 @@ proptest! {
     ) {
         let value = (a, b, v, s, o);
         let enc = encode_to_bytes(&value);
-        prop_assert_eq!(enc.len(), ygm::Wire::wire_size(&value));
+        prop_assert_eq!(enc.len(), ygm::Encode::wire_size(&value));
         let back: Composite = decode_from_bytes(enc);
         prop_assert_eq!(back, value);
     }
@@ -161,16 +161,24 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 /// A handler decodes straight off the block cursor, so a message type
 /// shorter than the frame it was sent as would misalign every frame behind
 /// it. That is a hard, named abort in release builds too — through the
-/// poisoned barrier, so the other ranks do not hang.
+/// poisoned barrier, so the other ranks do not hang — for the by-value
+/// registration and for the reusing one.
 #[test]
 fn mistyped_handler_aborts_the_world_naming_the_tag() {
     const TAG: u16 = 9;
-    for ranks in [1usize, 2] {
+    for (ranks, reusing) in [(1usize, false), (2, false), (1, true), (2, true)] {
         let result = std::panic::catch_unwind(|| {
             World::new(ranks).run(|comm| {
-                comm.register::<u32, _>(TAG, |_, _| {});
+                if reusing {
+                    comm.register_mut::<u32, _>(TAG, |_, _| {});
+                } else {
+                    comm.register::<u32, _>(TAG, |_, _| {});
+                }
                 if comm.rank() == 0 {
-                    // 8 payload bytes to a handler that decodes 4.
+                    // A well-typed frame first, so the reusing form is on
+                    // its `decode_into` path for the second: 8 payload
+                    // bytes to a handler that decodes 4.
+                    comm.async_send(comm.n_ranks() - 1, TAG, &7u32);
                     comm.async_send(comm.n_ranks() - 1, TAG, &(1u32, 2u32));
                 }
                 comm.barrier();
@@ -181,6 +189,48 @@ fn mistyped_handler_aborts_the_world_naming_the_tag() {
             text.contains("tag 9") && text.contains("8-byte frame"),
             "abort message does not name the frame: {text:?}"
         );
+    }
+}
+
+/// The reusing registration keeps one decoded message per tag and decodes
+/// every arrival into it. A long row, then a short one, then a long one
+/// again: each handler call sees exactly its own message — nothing left
+/// over from the previous one — even when the handler scribbles on it, and
+/// sent as a tuple of borrows.
+#[test]
+fn reusing_handler_sees_exactly_each_message() {
+    const TAG: u16 = 6;
+    type Row = (u32, Vec<u32>, Vec<f32>);
+    let row = |i: u32| -> Row {
+        let len = [40usize, 2, 0, 300, 1][i as usize % 5];
+        (
+            i,
+            (0..len as u32).map(|j| i * 1_000 + j).collect(),
+            (0..len * 3).map(|j| (i + j as u32) as f32 * 0.5).collect(),
+        )
+    };
+    for ranks in [1usize, 2] {
+        let report = World::new(ranks).flush_threshold(512).run(|comm| {
+            let seen: Rc<RefCell<Vec<Row>>> = Rc::new(RefCell::new(Vec::new()));
+            let sink = Rc::clone(&seen);
+            comm.register_mut::<Row, _>(TAG, move |_, msg| {
+                sink.borrow_mut().push(msg.clone());
+                // Allowed by the contract, and invisible to the next call.
+                msg.1.push(u32::MAX);
+                msg.2.clear();
+            });
+            if comm.rank() == 0 {
+                for i in 0..25 {
+                    let (id, ids, vec) = row(i);
+                    comm.async_send(comm.n_ranks() - 1, TAG, &(id, ids.as_slice(), &vec));
+                }
+            }
+            comm.barrier();
+            let got = seen.borrow().clone();
+            got
+        });
+        let want: Vec<Row> = (0..25).map(row).collect();
+        assert_eq!(report.results[ranks - 1], want, "{ranks} ranks");
     }
 }
 

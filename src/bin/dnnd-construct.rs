@@ -75,11 +75,12 @@ fn main() {
         None
     };
 
-    let mut store = Store::open_or_create(&store_dir)
-        .unwrap_or_else(|e| die(&format!("cannot open store {store_dir}: {e}")));
     let fault_profile: String = args.get("fault-profile", String::new());
     let sim_seed: u64 = args.get("sim-seed", 0);
+    args.finish();
     let plan = parse_fault_plan(&fault_profile, sim_seed);
+    let mut store = Store::open_or_create(&store_dir)
+        .unwrap_or_else(|e| die(&format!("cannot open store {store_dir}: {e}")));
 
     let mut world = World::new(ranks);
     if let Some(t) = &tracer {

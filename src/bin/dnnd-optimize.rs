@@ -97,6 +97,7 @@ fn reverse_prune_mode(
 ) {
     let m: f64 = args.get("m", 1.5);
     let keep: f64 = args.get("diversify", 1.0);
+    args.finish();
     // Graph optimization is a driver-side (single-process) pass, so the
     // trace has one track.
     let tracer = if outs.any() {
@@ -213,6 +214,7 @@ fn rnn_mode(
     let r: usize = args.get("r", params.r);
     params = params.r(r);
     let ranks: usize = args.get("ranks", 4usize);
+    args.finish();
     if ranks == 0 {
         die("--ranks must be >= 1");
     }

@@ -101,7 +101,9 @@ fn main() {
     let entries: usize = args.get("entries", 32);
     let self_queries: usize = args.get("self-queries", 0);
     let query_file: String = args.get("queries", String::new());
+    let gt_file: String = args.get("gt", String::new());
     let outs = ObsOuts::parse(&args);
+    args.finish();
     // The query program is shared-memory (the paper runs it on one fat
     // node), so the trace has a single track.
     let tracer = if outs.any() {
@@ -134,13 +136,10 @@ fn main() {
         elem.name()
     );
 
-    let gt_ids = {
-        let gt_file: String = args.get("gt", String::new());
-        if gt_file.is_empty() {
-            None
-        } else {
-            Some(io::read_ivecs(&gt_file).unwrap_or_else(|e| die(&format!("bad --gt file: {e}"))))
-        }
+    let gt_ids = if gt_file.is_empty() {
+        None
+    } else {
+        Some(io::read_ivecs(&gt_file).unwrap_or_else(|e| die(&format!("bad --gt file: {e}"))))
     };
 
     let summary = match elem {

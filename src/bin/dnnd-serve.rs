@@ -132,6 +132,13 @@ fn main() {
     // `filter:`+`mutate:` workload clauses become meaningful.
     let namespace: String = args.get("namespace", String::new());
     let filter_text: String = args.get("filter", String::new());
+    let compact_watermark = args.opt("compact-watermark");
+    let refine_iters = args.opt("refine-iters");
+    // Per-deployment graph-mode selection: --graph {auto,rnn,opt,knng};
+    // auto prefers the sparsest traversal-ready graph (rnn > opt > knng).
+    let mode_name: String = args.get("graph", "auto".to_string());
+    let slow_log: String = args.get("slow-query-log", String::new());
+    args.finish();
     if namespace.is_empty() && !filter_text.is_empty() {
         die("--filter requires --namespace (predicates apply to collection metadata)");
     }
@@ -145,8 +152,8 @@ fn main() {
                     .unwrap_or_else(|e| die(&format!("invalid --filter predicate: {e}"))),
             );
         }
-        cfg.compact_watermark = args.get("compact-watermark", cfg.compact_watermark);
-        cfg.refine_iters = args.get("refine-iters", cfg.refine_iters);
+        cfg.compact_watermark = compact_watermark.unwrap_or(cfg.compact_watermark);
+        cfg.refine_iters = refine_iters.unwrap_or(cfg.refine_iters);
 
         // One metadata-only open on the driver: metric dispatch and the
         // query pool come from here; `run_serve_vdb` re-opens per rank.
@@ -209,9 +216,6 @@ fn main() {
         let store =
             Store::open(&store_dir).unwrap_or_else(|e| die(&format!("cannot open store: {e}")));
         let (_, elem, metric_name) = read_meta(&store);
-        // Per-deployment graph-mode selection: --graph {auto,rnn,opt,knng};
-        // auto prefers the sparsest traversal-ready graph (rnn > opt > knng).
-        let mode_name: String = args.get("graph", "auto".to_string());
         let mode = GraphMode::from_name(&mode_name).unwrap_or_else(|| {
             die(&format!(
                 "unknown --graph {mode_name:?} (expected one of {:?})",
@@ -336,7 +340,6 @@ fn main() {
 
     // Tail-sampled slow-query log: one JSON object per retained record,
     // with the home rank derived for *this* run's rank count.
-    let slow_log: String = args.get("slow-query-log", String::new());
     if !slow_log.is_empty() {
         std::fs::write(&slow_log, f.slow_query_log(ranks))
             .unwrap_or_else(|e| die(&format!("cannot write {slow_log}: {e}")));

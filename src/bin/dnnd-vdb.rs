@@ -31,12 +31,12 @@ const USAGE: &str = "usage: dnnd-vdb <create|ingest|delete|compact|stat> --store
 fn load_vectors(args: &Args, seed: u64) -> PointSet<Vec<f32>> {
     let file: String = args.get("vectors", String::new());
     let synth_n: usize = args.get("synthetic", 0);
+    let dim: usize = args.get("dim", 32);
     match (file.is_empty(), synth_n) {
         (false, 0) => {
             io::read_fvecs(&file).unwrap_or_else(|e| die(&format!("bad --vectors file: {e}")))
         }
         (true, n) if n > 0 => {
-            let dim: usize = args.get("dim", 32);
             dataset::synth::gaussian_mixture(MixtureParams::embedding_like(n, dim), seed)
         }
         _ => die("need exactly one of --vectors <fvecs> or --synthetic <n> [--dim <d>]"),
@@ -100,15 +100,16 @@ fn main() {
     match cmd.as_str() {
         "create" => {
             let ns = need_ns();
+            let points = load_vectors(&args, seed);
+            let meta = meta_for(&args, seed, 0..points.len() as u64);
+            let metric: String = args.get("metric", "l2".to_string());
+            let k: usize = args.get("k", 10);
+            args.finish();
             let mut store = Store::open_or_create(&store_dir)
                 .unwrap_or_else(|e| die(&format!("cannot open store: {e}")));
             if Collection::exists(&store, ns) {
                 die(&format!("namespace {ns:?} already exists"));
             }
-            let points = load_vectors(&args, seed);
-            let meta = meta_for(&args, seed, 0..points.len() as u64);
-            let metric: String = args.get("metric", "l2".to_string());
-            let k: usize = args.get("k", 10);
             let c =
                 Collection::create(ns, points, meta, &metric, k, seed).unwrap_or_else(|e| die(&e));
             c.save(&mut store).unwrap_or_else(|e| die(&e));
@@ -123,6 +124,7 @@ fn main() {
             let start = c.stat().points;
             let meta = meta_for(&args, seed, start..start + points.len() as u64);
             let refine: usize = args.get("refine-iters", 1);
+            args.finish();
             let range = c
                 .ingest(points.points().to_vec(), meta, refine)
                 .unwrap_or_else(|e| die(&e));
@@ -136,6 +138,7 @@ fn main() {
                 Store::open(&store_dir).unwrap_or_else(|e| die(&format!("cannot open store: {e}")));
             let mut c = Collection::open(&store, ns).unwrap_or_else(|e| die(&e));
             let ids_text: String = args.get("ids", String::new());
+            args.finish();
             let ids: Vec<PointId> = ids_text
                 .split(',')
                 .filter(|t| !t.trim().is_empty())
@@ -155,6 +158,7 @@ fn main() {
         }
         "compact" => {
             let ns = need_ns();
+            args.finish();
             let mut store =
                 Store::open(&store_dir).unwrap_or_else(|e| die(&format!("cannot open store: {e}")));
             let mut c = Collection::open(&store, ns).unwrap_or_else(|e| die(&e));
@@ -170,6 +174,7 @@ fn main() {
             let store =
                 Store::open(&store_dir).unwrap_or_else(|e| die(&format!("cannot open store: {e}")));
             let filter: String = args.get("filter", String::new());
+            args.finish();
             let names = if ns.is_empty() {
                 let all = Collection::list(&store);
                 if all.is_empty() {

@@ -214,7 +214,7 @@ fn dir_listing(dir: &std::path::Path) -> Vec<(std::path::PathBuf, u64)> {
 }
 
 #[test]
-fn unparseable_flag_value_exits_2_on_every_binary() {
+fn bad_flag_exits_2_on_every_binary() {
     let dir = tmpdir("badflag");
     let store = dir.join("store");
     let store = store.to_str().unwrap();
@@ -278,6 +278,39 @@ fn unparseable_flag_value_exits_2_on_every_binary() {
             env!("CARGO_BIN_EXE_dnnd-query"),
             format!("--store {store} --self-queries 20 --l 100000"),
             "error: --l must be between 1 and the dataset size 200 (got 100000)",
+        ),
+        // A flag no binary looks up is a typo, not a feature left off:
+        // checked once every lookup has happened, before anything is
+        // opened for writing.
+        (
+            env!("CARGO_BIN_EXE_dnnd-construct"),
+            format!("--input preset:deep1b --store {fresh} --n 100 --rnaks 2"),
+            "error: unknown flag --rnaks",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-optimize"),
+            format!("--store {store} --m 1.5 --divresify 0.5"),
+            "error: unknown flag --divresify",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-optimize"),
+            format!("--store {store} --opt-mode rnn --k0 8 --tt1 2"),
+            "error: unknown flag --tt1",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-query"),
+            format!("--store {store} --self-queries 20 --report {fresh}"),
+            "error: unknown flag --report",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-serve"),
+            format!("--store {store} --arrivals 50 --slow-query-log {fresh} --verbose"),
+            "error: unknown flag --verbose",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-vdb"),
+            format!("create --store {fresh} --namespace prod --synthetic 100 --dims 8"),
+            "error: unknown flag --dims",
         ),
     ];
     for (bin, args, want) in cases {

@@ -6,11 +6,15 @@
 //! format is the per-element little-endian format with `u32` length
 //! prefixes; a codec optimization must leave every byte where it was. A
 //! deliberate format change re-captures them and says so.
+//!
+//! The vector-carrying messages are *sent* as tuples of borrows (no clone
+//! of the vector); each is held to the same constants as the owned struct
+//! the receiver decodes.
 
 use dataset::SparseVec;
 use dnnd::msgs::{InitReq, Type1, Type2, Type2Plus, Type3};
 use ygm::codec::{decode_from_bytes, encode_to_bytes};
-use ygm::Wire;
+use ygm::{Encode, Wire};
 
 /// FNV-1a over the encoded bytes.
 fn fnv(bytes: &[u8]) -> u64 {
@@ -19,9 +23,14 @@ fn fnv(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Encode `value`, pin length + digest, and return the decoded copy.
+/// Encode `value` and pin length + digest.
 #[track_caller]
-fn pin<T: Wire>(what: &str, value: &T, want_len: usize, want_digest: u64) -> T {
+fn pin_bytes<T: Encode + ?Sized>(
+    what: &str,
+    value: &T,
+    want_len: usize,
+    want_digest: u64,
+) -> ygm::codec::Bytes {
     let enc = encode_to_bytes(value);
     assert_eq!(enc.len(), value.wire_size(), "{what}: wire_size");
     let got = fnv(&enc);
@@ -30,7 +39,13 @@ fn pin<T: Wire>(what: &str, value: &T, want_len: usize, want_digest: u64) -> T {
         "{what}: got len {} digest {got:#018x}",
         enc.len()
     );
-    decode_from_bytes(enc)
+    enc
+}
+
+/// Encode `value`, pin length + digest, and return the decoded copy.
+#[track_caller]
+fn pin<T: Wire>(what: &str, value: &T, want_len: usize, want_digest: u64) -> T {
+    decode_from_bytes(pin_bytes(what, value, want_len, want_digest))
 }
 
 fn f32_vec(d: usize) -> Vec<f32> {
@@ -51,9 +66,13 @@ fn dist_pairs(n: u32) -> Vec<(u32, f32)> {
 fn id_only_messages_are_pinned() {
     let t1: Type1 = (42, vec![7, 900_000, 3, u32::MAX]);
     assert_eq!(pin("Type1", &t1, 24, 0x5e75_0e02_b282_785f), t1);
+    let row = (t1.0, t1.1.as_slice());
+    pin_bytes("borrowed Type1", &row, 24, 0x5e75_0e02_b282_785f);
 
     let t3: Type3 = (17, dist_pairs(5));
     assert_eq!(pin("Type3", &t3, 48, 0xbddb_5854_9d48_da61), t3);
+    let reply = (t3.0, t3.1.as_slice());
+    pin_bytes("borrowed Type3", &reply, 48, 0xbddb_5854_9d48_da61);
 }
 
 #[test]
@@ -64,6 +83,8 @@ fn dense_vector_messages_are_pinned() {
         vec: f32_vec(96),
     };
     assert_eq!(pin("Type2<f32>", &t2, 412, 0x9bce_2c72_52c4_b5d9), t2);
+    let sent = (t2.u1, t2.u2s.as_slice(), &t2.vec);
+    pin_bytes("borrowed Type2<f32>", &sent, 412, 0x9bce_2c72_52c4_b5d9);
 
     let t2 = Type2 {
         u1: 1_000_001,
@@ -71,6 +92,8 @@ fn dense_vector_messages_are_pinned() {
         vec: u8_vec(128),
     };
     assert_eq!(pin("Type2<u8>", &t2, 148, 0xe706_76a2_506d_2c7c), t2);
+    let sent = (t2.u1, t2.u2s.as_slice(), &t2.vec);
+    pin_bytes("borrowed Type2<u8>", &sent, 148, 0xe706_76a2_506d_2c7c);
 
     let t2p = Type2Plus {
         u1: 3,
@@ -81,6 +104,8 @@ fn dense_vector_messages_are_pinned() {
     let back = pin("Type2Plus<f32>", &t2p, 412, 0x47f8_1cc5_0d32_1c0b);
     assert!(back.bound.is_infinite());
     assert_eq!(back, t2p);
+    let sent = (t2p.u1, t2p.u2s.as_slice(), t2p.bound, &t2p.vec);
+    pin_bytes("borrowed Type2Plus<f32>", &sent, 412, 0x47f8_1cc5_0d32_1c0b);
 
     let init = InitReq {
         v: 77,
@@ -88,6 +113,8 @@ fn dense_vector_messages_are_pinned() {
         vec: f32_vec(96),
     };
     assert_eq!(pin("InitReq<f32>", &init, 408, 0x0348_5bf4_f0de_72ba), init);
+    let sent = (init.v, init.us.as_slice(), &init.vec);
+    pin_bytes("borrowed InitReq<f32>", &sent, 408, 0x0348_5bf4_f0de_72ba);
 }
 
 #[test]
