@@ -26,6 +26,13 @@ impl<P: Point> PointSet<P> {
         PointSet { points, dim }
     }
 
+    /// Append `points` at the tail: they take the next ids, existing ids
+    /// are unchanged. Dense points must have the set's dimension.
+    pub fn extend(&mut self, points: impl IntoIterator<Item = P>) {
+        self.points.extend(points);
+        self.dim = self.points.first().map_or(0, Point::dim);
+    }
+
     /// Number of points (`N`).
     pub fn len(&self) -> usize {
         self.points.len()
@@ -210,6 +217,16 @@ mod tests {
         assert_eq!(s.point(1), &vec![3.0, 4.0]);
         assert_eq!(s.storage_bytes(), 3 * 2 * 4);
         assert_eq!(s.iter().count(), 3);
+    }
+
+    #[test]
+    fn extend_appends_at_the_tail() {
+        let mut s = PointSet::new(Vec::<Vec<f32>>::new());
+        s.extend([vec![1.0, 2.0]]);
+        s.extend([vec![3.0, 4.0], vec![5.0, 6.0]]);
+        assert_eq!((s.len(), s.dim()), (3, 2));
+        assert_eq!(s.point(0), &vec![1.0, 2.0]);
+        assert_eq!(s.point(2), &vec![5.0, 6.0]);
     }
 
     #[test]

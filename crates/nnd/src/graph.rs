@@ -15,7 +15,7 @@ pub type Edge = (PointId, f32);
 /// be longer (bounded again by [`KnnGraph::prune`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct KnnGraph {
-    rows: Vec<Vec<Edge>>,
+    pub(crate) rows: Vec<Vec<Edge>>,
 }
 
 impl KnnGraph {
@@ -94,18 +94,49 @@ impl KnnGraph {
     /// similarity functions are legal in NN-Descent) the smaller distance
     /// is kept.
     pub fn merge_reverse(&self) -> KnnGraph {
-        let mut rows: Vec<Vec<Edge>> = self.rows.clone();
+        self.merged(usize::MAX)
+    }
+
+    /// [`KnnGraph::merge_reverse`] with every row cut to its `limit`
+    /// closest entries, in one pass: rows are sized by in-degree up front,
+    /// sorted once and cut in place.
+    fn merged(&self, limit: usize) -> KnnGraph {
+        let mut degree: Vec<usize> = self.rows.iter().map(Vec::len).collect();
+        for &(u, _) in self.rows.iter().flatten() {
+            degree[u as usize] += 1;
+        }
+        let mut rows: Vec<Vec<Edge>> = (self.rows.iter().zip(degree))
+            .map(|(row, degree)| {
+                let mut merged = Vec::with_capacity(degree);
+                merged.extend_from_slice(row);
+                merged
+            })
+            .collect();
         for (v, edges) in self.rows.iter().enumerate() {
             for &(u, d) in edges {
                 rows[u as usize].push((v as PointId, d));
             }
         }
-        for row in &mut rows {
-            // Group same-id duplicates, keep the closest copy.
-            row.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.total_cmp(&b.1)));
-            row.dedup_by_key(|&mut (id, _)| id);
+        // Ascending by `(distance, id)`, an id's closest copy comes first:
+        // keep first occurrences. `keeper[id]` is the last row that kept
+        // `id` (rows are visited once each, so no reset between them).
+        let mut keeper = vec![PointId::MAX; rows.len()];
+        for (v, row) in rows.iter_mut().enumerate() {
+            row.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+            let mut kept = 0;
+            for i in 0..row.len() {
+                if kept == limit {
+                    break;
+                }
+                let id = row[i].0 as usize;
+                if std::mem::replace(&mut keeper[id], v as PointId) != v as PointId {
+                    row[kept] = row[i];
+                    kept += 1;
+                }
+            }
+            row.truncate(kept);
         }
-        KnnGraph::from_rows(rows)
+        KnnGraph { rows }
     }
 
     /// Graph optimization 2 (Section 4.5): clamp every neighborhood to the
@@ -123,9 +154,12 @@ impl KnnGraph {
 
     /// Convenience: both optimizations as the paper's optimization
     /// executable applies them — reverse merge, then prune to `k * m`.
+    /// Equal to `self.merge_reverse().prune(ceil(k * m))`.
     pub fn optimize(&self, k: usize, m: f64) -> KnnGraph {
         assert!(m >= 1.0, "paper requires m >= 1");
-        self.merge_reverse().prune((k as f64 * m).ceil() as usize)
+        let limit = (k as f64 * m).ceil() as usize;
+        assert!(limit >= 1);
+        self.merged(limit)
     }
 
     /// Persist into `store` under `prefix` (CSR-style: offsets, ids, dists).

@@ -14,8 +14,10 @@
 //!   reached through [`search()`] (one query) and [`search_batch`] (one
 //!   scratch reused across the batch);
 //! * [`rptree`] — random-projection-forest initialization (extension);
-//! * [`refine`] — incremental insert/remove with short refinement passes
-//!   (the paper's Section 7 future work);
+//! * [`mod@refine`] — incremental insert/remove with short refinement
+//!   passes (the paper's Section 7 future work): heaps seeded with the
+//!   stored `(id, distance)` flagged old, only what changed flagged new,
+//!   then [`nndescent`]'s own descent loop;
 //! * [`mod@diversify`] — PyNNDescent's occlusion pruning of search graphs
 //!   (extension);
 //! * [`rnn`] — RNN-Descent (relative-neighborhood descent with occlusion
@@ -52,7 +54,7 @@ pub use diversify::diversify;
 pub use graph::{Edge, KnnGraph};
 pub use heap::{Neighbor, NeighborHeap};
 pub use nndescent::{build, build_traced, build_with_init, BuildStats, NnDescentParams};
-pub use refine::{insert_points, remove_points};
+pub use refine::{insert_points, refine, remove_points};
 pub use rnn::{rnn_optimize, RnnParams, RnnStats};
 pub use rptree::{rp_forest_candidates, RpForestParams};
 pub use search::{

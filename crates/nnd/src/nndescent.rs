@@ -19,7 +19,7 @@
 
 use crate::graph::KnnGraph;
 use crate::heap::NeighborHeap;
-use dataset::batch::BatchMetric;
+use dataset::batch::{BatchMetric, NormCache};
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use parking_lot::Mutex;
@@ -129,34 +129,16 @@ pub fn build_traced<P: Point, M: BatchMetric<P>>(
     init: Option<&[Vec<PointId>]>,
     tracer: Option<&obs::Tracer>,
 ) -> (KnnGraph, BuildStats) {
-    let span_begin = |name: &'static str, arg: u64| {
-        if let Some(t) = tracer {
-            t.begin_arg(0, name, t.wall_ns(), arg);
-        }
-    };
-    let span_end = |name: &'static str| {
-        if let Some(t) = tracer {
-            t.end(0, name, t.wall_ns());
-        }
-    };
     let n = set.len();
     assert!(n >= 2, "need at least two points");
     assert!(params.k >= 1 && params.k < n, "require 1 <= k < N");
     let k = params.k;
-    let dist_evals = AtomicU64::new(0);
     // One-time per-set preprocessing (cached squared norms for the dot-
     // product metric family); handed to every batched evaluation below.
-    let cache = metric.preprocess(set);
-    // Batched theta: distances from `v` to `cands`, appended to `out` by
-    // the same 8-lane kernels a scalar `Metric::distance` call uses, so
-    // the produced bits are independent of batch composition.
-    let theta_batch = |v: PointId, cands: &[PointId], out: &mut Vec<f32>| {
-        dist_evals.fetch_add(cands.len() as u64, Ordering::Relaxed);
-        metric.distance_one_to_many(set.point(v), set, &cache, cands, out);
-    };
+    let theta = Theta::new(set, metric, metric.preprocess(set));
 
     // ---- Initialization (Algorithm 1 lines 2-5) ----------------------------
-    span_begin("nnd_init", 0);
+    span_begin(tracer, "nnd_init", 0);
     let heaps: Vec<Mutex<NeighborHeap>> =
         (0..n).map(|_| Mutex::new(NeighborHeap::new(k))).collect();
     (0..n as PointId).into_par_iter().for_each(|v| {
@@ -182,58 +164,151 @@ pub fn build_traced<P: Point, M: BatchMetric<P>>(
             guard += 1;
         }
         let mut dbuf = Vec::with_capacity(chosen.len());
-        theta_batch(v, &chosen, &mut dbuf);
+        theta.batch(v, &chosen, &mut dbuf);
         let mut heap = heaps[v as usize].lock();
         for (&u, &d) in chosen.iter().zip(&dbuf) {
             heap.checked_insert(u, d, true);
         }
     });
+    span_end(tracer, "nnd_init");
 
-    span_end("nnd_init");
+    let stats = descend(&theta, &heaps, params, tracer);
+    let heaps: Vec<NeighborHeap> = heaps.into_iter().map(Mutex::into_inner).collect();
+    (KnnGraph::from_heaps(&heaps), stats)
+}
 
-    // ---- Descent loop -------------------------------------------------------
+fn span_begin(tracer: Option<&obs::Tracer>, name: &'static str, arg: u64) {
+    if let Some(t) = tracer {
+        t.begin_arg(0, name, t.wall_ns(), arg);
+    }
+}
+
+fn span_end(tracer: Option<&obs::Tracer>, name: &'static str) {
+    if let Some(t) = tracer {
+        t.end(0, name, t.wall_ns());
+    }
+}
+
+/// Batched theta over one set, counting every evaluation: distances from
+/// `v` to `cands` by the same 8-lane kernels a scalar `Metric::distance`
+/// call uses, so the produced bits are independent of batch composition.
+pub(crate) struct Theta<'a, P, M> {
+    set: &'a PointSet<P>,
+    metric: &'a M,
+    cache: NormCache,
+    evals: AtomicU64,
+}
+
+impl<'a, P: Point, M: BatchMetric<P>> Theta<'a, P, M> {
+    /// `cache` is `metric.preprocess(set)` or [`NormCache::empty`]; the
+    /// distances are bit-identical either way.
+    pub(crate) fn new(set: &'a PointSet<P>, metric: &'a M, cache: NormCache) -> Self {
+        Theta {
+            set,
+            metric,
+            cache,
+            evals: AtomicU64::new(0),
+        }
+    }
+
+    fn batch(&self, v: PointId, cands: &[PointId], out: &mut Vec<f32>) {
+        self.evals.fetch_add(cands.len() as u64, Ordering::Relaxed);
+        (self.metric).distance_one_to_many(self.set.point(v), self.set, &self.cache, cands, out);
+    }
+}
+
+/// The descent loop (Algorithm 1 lines 6-23) over pre-filled, pre-flagged
+/// heaps — the crate's only one: [`build_traced`] enters it with every
+/// entry flagged new, [`crate::refine()`] with a handful. Runs until an
+/// iteration makes fewer than `delta * K * N` updates or `max_iters` is
+/// reached. The returned `distance_evals` is `theta`'s whole count, so it
+/// includes what the caller evaluated to fill the heaps.
+///
+/// A vertex takes part in an iteration only if it has a *new* candidate:
+/// one sampled from its own heap, or a reversed one (it was sampled from
+/// somebody else's). That changes nothing but the cost, because in the
+/// loop over all vertices a vertex outside that set does no work anybody
+/// can observe:
+///
+/// * its `news` list — own sample united with the reverse sample — is
+///   empty, and the neighbor check joins `news x (news + olds)`, so it
+///   evaluates and inserts nothing;
+/// * it leaves every random stream alone: both streams are seeded per
+///   `(seed, vertex, iteration)`, so no draw of one vertex shifts
+///   another's, and a vertex with no new entry shuffles an empty list,
+///   which draws nothing.
+///
+/// A vertex inside the set needs exactly what the all-vertices loop would
+/// have given it. Its union stream shuffles `rev_old[v]` *then*
+/// `rev_new[v]`, so the draws the second shuffle sees depend on the length
+/// of the first list: `rev_old[v]` must be complete and in the same order
+/// — ascending source vertex, taken from the flags as they stood before
+/// this iteration's samples were marked old. Hence the two passes below:
+/// the first samples and finds who takes part, the second reads every
+/// heap's old entries (no evaluation, no allocation for a vertex outside
+/// the set) and only then marks the samples.
+pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
+    theta: &Theta<'_, P, M>,
+    heaps: &[Mutex<NeighborHeap>],
+    params: NnDescentParams,
+    tracer: Option<&obs::Tracer>,
+) -> BuildStats {
+    let n = heaps.len();
+    let k = params.k;
     let max_sample = ((params.rho * k as f64).round() as usize).max(1);
     let threshold = (params.delta * k as f64 * n as f64) as u64;
     let mut stats = BuildStats::default();
 
+    // Per-vertex lists, filled for this iteration's participants only and
+    // cleared behind them, so an iteration allocates for what it touches.
+    let mut fwd_old: Vec<Vec<PointId>> = vec![Vec::new(); n];
+    let mut fwd_new: Vec<Vec<PointId>> = vec![Vec::new(); n];
+    let mut rev_old: Vec<Vec<PointId>> = vec![Vec::new(); n];
+    let mut rev_new: Vec<Vec<PointId>> = vec![Vec::new(); n];
+    let mut takes_part = vec![false; n];
+    let mut participants: Vec<PointId> = Vec::new();
+
     for iter in 0..params.max_iters {
-        span_begin("nnd_iteration", iter as u64);
-        // Lines 7-10: forward old/new lists; sampled news flip to old.
-        let mut fwd_old: Vec<Vec<PointId>> = Vec::with_capacity(n);
-        let mut fwd_new: Vec<Vec<PointId>> = Vec::with_capacity(n);
-        {
-            let per_vertex: Vec<(Vec<PointId>, Vec<PointId>)> = (0..n as PointId)
-                .into_par_iter()
-                .map(|v| {
-                    let mut rng = ChaCha8Rng::seed_from_u64(
-                        params.seed ^ 0xA11CE ^ (u64::from(v) << 18) ^ (iter as u64),
-                    );
-                    let mut heap = heaps[v as usize].lock();
-                    let old = heap.flagged_ids(false);
-                    let mut candidates = heap.flagged_ids(true);
-                    candidates.shuffle(&mut rng);
-                    candidates.truncate(max_sample);
-                    for &u in &candidates {
-                        heap.mark_old(u);
-                    }
-                    (old, candidates)
-                })
-                .collect();
-            for (old, new) in per_vertex {
-                fwd_old.push(old);
-                fwd_new.push(new);
+        span_begin(tracer, "nnd_iteration", iter as u64);
+        // Lines 7-10, first half: each vertex samples rho*K of its new
+        // entries (heap order, then shuffled). A sampled id takes part
+        // too: it gets the sampling vertex as a reversed new candidate.
+        for v in 0..n as PointId {
+            let heap = heaps[v as usize].lock();
+            let candidates = &mut fwd_new[v as usize];
+            candidates.extend(heap.iter().filter(|e| e.new).map(|e| e.id));
+            if candidates.is_empty() {
+                continue;
+            }
+            let mut rng = ChaCha8Rng::seed_from_u64(
+                params.seed ^ 0xA11CE ^ (u64::from(v) << 18) ^ (iter as u64),
+            );
+            candidates.shuffle(&mut rng);
+            candidates.truncate(max_sample);
+            for &u in candidates.iter().chain([&v]) {
+                if !std::mem::replace(&mut takes_part[u as usize], true) {
+                    participants.push(u);
+                }
             }
         }
+        participants.sort_unstable();
 
-        // Lines 11-12: reversed lists.
-        let mut rev_old: Vec<Vec<PointId>> = vec![Vec::new(); n];
-        let mut rev_new: Vec<Vec<PointId>> = vec![Vec::new(); n];
-        for v in 0..n {
-            for &u in &fwd_old[v] {
-                rev_old[u as usize].push(v as PointId);
+        // Second half, and lines 11-12: old lists and all four reversed
+        // lists of the participants, sources ascending; then the sampled
+        // news flip to old.
+        for v in 0..n as PointId {
+            let mut heap = heaps[v as usize].lock();
+            for e in heap.iter().filter(|e| !e.new) {
+                if takes_part[v as usize] {
+                    fwd_old[v as usize].push(e.id);
+                }
+                if takes_part[e.id as usize] {
+                    rev_old[e.id as usize].push(v);
+                }
             }
-            for &u in &fwd_new[v] {
-                rev_new[u as usize].push(v as PointId);
+            for &u in &fwd_new[v as usize] {
+                rev_new[u as usize].push(v);
+                heap.mark_old(u);
             }
         }
 
@@ -248,19 +323,21 @@ pub fn build_traced<P: Point, M: BatchMetric<P>>(
                     }
                 }
             };
-        for v in 0..n {
-            let mut rng =
-                ChaCha8Rng::seed_from_u64(params.seed ^ 0xBEE ^ ((v as u64) << 18) ^ (iter as u64));
+        for &v in &participants {
+            let mut rng = ChaCha8Rng::seed_from_u64(
+                params.seed ^ 0xBEE ^ (u64::from(v) << 18) ^ (iter as u64),
+            );
+            let v = v as usize;
             union_sample(&mut fwd_old[v], &mut rev_old[v], &mut rng);
             union_sample(&mut fwd_new[v], &mut rev_new[v], &mut rng);
         }
 
         // Lines 17-22: neighbor checks.
-        span_begin("nnd_check", 0);
+        span_begin(tracer, "nnd_check", 0);
         let counter = AtomicU64::new(0);
-        (0..n).into_par_iter().for_each(|v| {
-            let news = &fwd_new[v];
-            let olds = &fwd_old[v];
+        participants.par_iter().for_each(|&v| {
+            let news = &fwd_new[v as usize];
+            let olds = &fwd_old[v as usize];
             let mut tails: Vec<PointId> = Vec::new();
             let mut dbuf: Vec<f32> = Vec::new();
             // Per join head u1, gather every partner (remaining news +
@@ -272,7 +349,7 @@ pub fn build_traced<P: Point, M: BatchMetric<P>>(
                 if tails.is_empty() {
                     continue;
                 }
-                theta_batch(u1, &tails, &mut dbuf);
+                theta.batch(u1, &tails, &mut dbuf);
                 let mut c = 0;
                 for (&u2, &d) in tails.iter().zip(&dbuf) {
                     if heaps[u1 as usize].lock().checked_insert(u2, d, true) {
@@ -287,8 +364,16 @@ pub fn build_traced<P: Point, M: BatchMetric<P>>(
                 }
             }
         });
+        span_end(tracer, "nnd_check");
 
-        span_end("nnd_check");
+        for v in participants.drain(..) {
+            let v = v as usize;
+            fwd_old[v].clear();
+            fwd_new[v].clear();
+            rev_old[v].clear();
+            rev_new[v].clear();
+            takes_part[v] = false;
+        }
 
         let c = counter.load(Ordering::Relaxed);
         stats.iterations = iter + 1;
@@ -296,15 +381,14 @@ pub fn build_traced<P: Point, M: BatchMetric<P>>(
         if let Some(t) = tracer {
             t.hist("nnd_updates_per_iter").record(c);
         }
-        span_end("nnd_iteration");
+        span_end(tracer, "nnd_iteration");
         if c < threshold.max(1) {
             break;
         }
     }
 
-    stats.distance_evals = dist_evals.load(Ordering::Relaxed);
-    let heaps: Vec<NeighborHeap> = heaps.into_iter().map(Mutex::into_inner).collect();
-    (KnnGraph::from_heaps(&heaps), stats)
+    stats.distance_evals = theta.evals.load(Ordering::Relaxed);
+    stats
 }
 
 #[cfg(test)]
@@ -314,6 +398,148 @@ mod tests {
     use dataset::metric::{Jaccard, L2};
     use dataset::recall::mean_recall;
     use dataset::synth::{gaussian_mixture, uniform, MixtureParams};
+
+    /// The descent as it was before vertices with nothing new were skipped:
+    /// every list of every vertex, rebuilt every iteration. Kept as the
+    /// oracle [`descend`] must match, heap for heap.
+    fn descend_over_all_vertices<P: Point, M: BatchMetric<P>>(
+        theta: &Theta<'_, P, M>,
+        heaps: &[Mutex<NeighborHeap>],
+        params: NnDescentParams,
+    ) -> BuildStats {
+        let (n, k) = (heaps.len(), params.k);
+        let max_sample = ((params.rho * k as f64).round() as usize).max(1);
+        let threshold = (params.delta * k as f64 * n as f64) as u64;
+        let mut stats = BuildStats::default();
+        for iter in 0..params.max_iters {
+            let mut fwd_old: Vec<Vec<PointId>> = Vec::with_capacity(n);
+            let mut fwd_new: Vec<Vec<PointId>> = Vec::with_capacity(n);
+            for v in 0..n as PointId {
+                let mut rng = ChaCha8Rng::seed_from_u64(
+                    params.seed ^ 0xA11CE ^ (u64::from(v) << 18) ^ (iter as u64),
+                );
+                let mut heap = heaps[v as usize].lock();
+                fwd_old.push(heap.flagged_ids(false));
+                let mut candidates = heap.flagged_ids(true);
+                candidates.shuffle(&mut rng);
+                candidates.truncate(max_sample);
+                for &u in &candidates {
+                    heap.mark_old(u);
+                }
+                fwd_new.push(candidates);
+            }
+            let mut rev_old: Vec<Vec<PointId>> = vec![Vec::new(); n];
+            let mut rev_new: Vec<Vec<PointId>> = vec![Vec::new(); n];
+            for v in 0..n {
+                for &u in &fwd_old[v] {
+                    rev_old[u as usize].push(v as PointId);
+                }
+                for &u in &fwd_new[v] {
+                    rev_new[u as usize].push(v as PointId);
+                }
+            }
+            let union_sample =
+                |fwd: &mut Vec<PointId>, rev: &mut Vec<PointId>, rng: &mut ChaCha8Rng| {
+                    rev.shuffle(rng);
+                    rev.truncate(max_sample);
+                    for &u in rev.iter() {
+                        if !fwd.contains(&u) {
+                            fwd.push(u);
+                        }
+                    }
+                };
+            for v in 0..n {
+                let mut rng = ChaCha8Rng::seed_from_u64(
+                    params.seed ^ 0xBEE ^ ((v as u64) << 18) ^ (iter as u64),
+                );
+                union_sample(&mut fwd_old[v], &mut rev_old[v], &mut rng);
+                union_sample(&mut fwd_new[v], &mut rev_new[v], &mut rng);
+            }
+            let mut c = 0;
+            let (mut tails, mut dbuf) = (Vec::new(), Vec::new());
+            for v in 0..n {
+                let (news, olds) = (&fwd_new[v], &fwd_old[v]);
+                for (i, &u1) in news.iter().enumerate() {
+                    tails.clear();
+                    tails.extend(news[i + 1..].iter().chain(olds).filter(|&&u2| u2 != u1));
+                    if tails.is_empty() {
+                        continue;
+                    }
+                    theta.batch(u1, &tails, &mut dbuf);
+                    for (&u2, &d) in tails.iter().zip(&dbuf) {
+                        c += u64::from(heaps[u1 as usize].lock().checked_insert(u2, d, true));
+                        c += u64::from(heaps[u2 as usize].lock().checked_insert(u1, d, true));
+                    }
+                }
+            }
+            stats.iterations = iter + 1;
+            stats.updates_per_iter.push(c);
+            if c < threshold.max(1) {
+                break;
+            }
+        }
+        stats.distance_evals = theta.evals.load(Ordering::Relaxed);
+        stats
+    }
+
+    /// Random heaps over `set`: each vertex holds up to `k` distinct random
+    /// neighbors at their true distances, each flagged new with probability
+    /// `new_pct` percent — inserted in random order, so the array layout
+    /// (which the sampling order reads) varies too.
+    fn random_heaps(
+        set: &PointSet<Vec<f32>>,
+        k: usize,
+        new_pct: u32,
+        seed: u64,
+    ) -> Vec<Mutex<NeighborHeap>> {
+        let n = set.len() as PointId;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..n)
+            .map(|v| {
+                let mut heap = NeighborHeap::new(k);
+                for _ in 0..rng.gen_range(0..2 * k + 1) {
+                    let u = rng.gen_range(0..n);
+                    if u != v {
+                        let d = dataset::Metric::distance(&L2, set.point(v), set.point(u));
+                        heap.checked_insert(u, d, rng.gen_range(0..100u32) < new_pct);
+                    }
+                }
+                Mutex::new(heap)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn skipping_idle_vertices_is_exact() {
+        let set = gaussian_mixture(MixtureParams::embedding_like(160, 6), 5);
+        let unlocked = |heaps: &[Mutex<NeighborHeap>]| -> Vec<NeighborHeap> {
+            heaps.iter().map(|h| h.lock().clone()).collect()
+        };
+        // All old (no work at all), sparse flag patterns, all new.
+        for (case, new_pct) in [0u32, 1, 3, 10, 40, 100].into_iter().enumerate() {
+            for k in [1usize, 4, 9] {
+                let params = NnDescentParams::new(k).seed(77 + case as u64).max_iters(6);
+                let seed = 1000 * case as u64 + k as u64;
+                let (got, want) = (
+                    random_heaps(&set, k, new_pct, seed),
+                    random_heaps(&set, k, new_pct, seed),
+                );
+                assert_eq!(unlocked(&got), unlocked(&want), "fixture is deterministic");
+                let theta = Theta::new(&set, &L2, NormCache::empty());
+                let got_stats = descend(&theta, &got, params, None);
+                let theta = Theta::new(&set, &L2, NormCache::empty());
+                let want_stats = descend_over_all_vertices(&theta, &want, params);
+                let what = format!("{new_pct} % new, k = {k}");
+                assert_eq!(got_stats, want_stats, "{what}");
+                // Heaps compare entry by entry in array order, flags included.
+                assert_eq!(unlocked(&got), unlocked(&want), "{what}");
+                if new_pct == 0 {
+                    assert_eq!(got_stats.distance_evals, 0, "{what}");
+                    assert_eq!(got_stats.updates_per_iter, [0], "{what}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn graph_has_exactly_k_neighbors_per_vertex() {

@@ -147,14 +147,15 @@ impl EntrySampler {
 
 /// Reusable state of the expansion loop: visited marks, both heaps and the
 /// candidate/distance buffers of the batched kernel. [`search`] makes one
-/// per call; [`search_batch`] makes one per batch, so its steady state
-/// allocates nothing per query.
+/// per call; [`search_batch`] makes one per batch (and [`crate::refine()`]
+/// one per batch of new points), so its steady state allocates nothing per
+/// query.
 ///
 /// Visited marks are **epoch-stamped**: marking writes the current epoch
 /// and a new query just bumps it — an O(1) reset instead of clearing `N`
 /// slots (the rare wrap-around does the full clear).
 #[derive(Default)]
-struct Scratch {
+pub(crate) struct Scratch {
     sampler: EntrySampler,
     epochs: Vec<u32>,
     epoch: u32,
@@ -168,7 +169,7 @@ struct Scratch {
 
 impl Scratch {
     /// Scratch for graphs/base sets with `n` points.
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Scratch {
             sampler: EntrySampler::new(n),
             epochs: vec![0; n],
@@ -184,7 +185,7 @@ impl Scratch {
     /// Run one query — the crate's only frontier-expansion loop. `cache`
     /// is `metric.preprocess(base)` or [`NormCache::empty`]; results are
     /// bit-identical either way.
-    fn run<P: Point, M: BatchMetric<P>>(
+    pub(crate) fn run<P: Point, M: BatchMetric<P>>(
         &mut self,
         graph: &KnnGraph,
         base: &PointSet<P>,

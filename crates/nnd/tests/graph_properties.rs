@@ -20,8 +20,56 @@ fn graph_strategy(max_n: usize) -> impl Strategy<Value = KnnGraph> {
     })
 }
 
+/// Rows as they come: self loops, a target repeated within a row, and
+/// distances on a coarse grid so exact ties (and a forward edge whose
+/// reverse copy is closer, farther or equal) are common.
+fn unclean_graph_strategy(max_n: usize) -> impl Strategy<Value = KnnGraph> {
+    (2..max_n).prop_flat_map(move |n| {
+        prop::collection::vec(prop::collection::vec((0..n as u32, 0u32..8), 0..8), n).prop_map(
+            |rows| {
+                let grid = |row: Vec<(u32, u32)>| row.into_iter().map(|(u, d)| (u, d as f32 * 0.5));
+                KnnGraph::from_rows(rows.into_iter().map(|row| grid(row).collect()).collect())
+            },
+        )
+    })
+}
+
+/// `KnnGraph::merge_reverse` as it was before it became one pass: append
+/// the reverse edges, group by id keeping the closest copy, sort again.
+fn merge_reverse_reference(g: &KnnGraph) -> KnnGraph {
+    let mut rows: Vec<Vec<(u32, f32)>> = (0..g.len() as u32)
+        .map(|v| g.neighbors(v).to_vec())
+        .collect();
+    for v in 0..g.len() as u32 {
+        for &(u, d) in g.neighbors(v) {
+            rows[u as usize].push((v, d));
+        }
+    }
+    for row in &mut rows {
+        row.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.total_cmp(&b.1)));
+        row.dedup_by_key(|&mut (id, _)| id);
+    }
+    KnnGraph::from_rows(rows)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn one_pass_merge_equals_the_reference(
+        clean in graph_strategy(24),
+        unclean in unclean_graph_strategy(16),
+        k in 1usize..7,
+        m_tenths in 10u32..31,
+    ) {
+        let m = f64::from(m_tenths) / 10.0;
+        let limit = (k as f64 * m).ceil() as usize;
+        for g in [clean, unclean] {
+            let merged = g.merge_reverse();
+            prop_assert_eq!(&merged, &merge_reverse_reference(&g));
+            prop_assert_eq!(g.optimize(k, m), merged.prune(limit));
+        }
+    }
 
     #[test]
     fn double_reverse_is_identity(g in graph_strategy(24)) {

@@ -1166,7 +1166,12 @@ pub struct VdbServeConfig {
     /// Tombstone ratio at which a background compaction is armed; it then
     /// fires on a PRF-drawn slot boundary within the next 8 slots.
     pub compact_watermark: f64,
-    /// NN-Descent refinement iterations per online ingest.
+    /// NN-Descent refinement iterations per online ingest (at least one
+    /// runs). An iteration joins the neighborhoods of the entries the
+    /// ingest flagged new — the inserted point's edges and whatever they
+    /// displaced — not the whole graph: a few hundred distance
+    /// evaluations whatever the collection's size, and a further iteration
+    /// runs only if the last one made `delta * K * N` updates or more.
     pub refine_iters: usize,
 }
 

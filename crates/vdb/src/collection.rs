@@ -23,9 +23,10 @@
 //! vertex without renumbering the survivors — unlike `nnd::remove_points`,
 //! which compacts ids and would invalidate every cached result, metadata
 //! record, and in-flight query. Compacted-dead ids keep their vectors as
-//! inert rows (never returned, never navigated through) and the namespace
-//! only ever grows at the tail, which is exactly the contract
-//! `nnd::insert_points` needs for the online ingest path.
+//! inert rows (never returned, never navigated through — their adjacency
+//! rows are empty, which is how `nnd::refine` knows to link nothing to
+//! them) and the namespace only ever grows at the tail, which is exactly
+//! the contract `nnd::refine` needs for the online ingest path.
 //!
 //! ## Determinism
 //!
@@ -42,7 +43,7 @@ use crate::predicate::Predicate;
 use dataset::set::{PointId, PointSet};
 use dnnd::IdMask;
 use metall::Store;
-use nnd::{insert_points, KnnGraph, NnDescentParams};
+use nnd::{KnnGraph, NnDescentParams};
 
 /// True iff `s` is a valid namespace name: `[A-Za-z0-9_-]{1,32}`.
 pub fn valid_namespace(s: &str) -> bool {
@@ -83,6 +84,9 @@ macro_rules! with_metric {
 
 /// Degree cap applied by the reverse-prune pass (`optimize`'s `m = 1.5`).
 const PRUNE_MULT: f64 = 1.5;
+
+/// NN-Descent iterations a compaction runs over the rows it shortened.
+const COMPACT_REFINE_ITERS: usize = 1;
 
 /// Counters describing one namespace (the `stat` CLI verb and the
 /// RunReport `vdb` section both read these).
@@ -194,6 +198,9 @@ impl Collection {
         let err = |e: metall::StoreError| format!("namespace {name:?}: {e}");
         let k: u64 = store.get(&key(name, "info/k")).map_err(err)?;
         let metric: String = store.get(&key(name, "info/metric")).map_err(err)?;
+        // An unknown name is rejected here, so no later mutation can fail
+        // on it half way.
+        with_metric!(metric.as_str(), _known => ());
         let epoch: u64 = store.get(&key(name, "info/epoch")).map_err(err)?;
         let base = PointSet::<Vec<f32>>::load(store, &key(name, "points")).map_err(err)?;
         let graph = KnnGraph::load(store, &key(name, "graph")).map_err(err)?;
@@ -358,9 +365,14 @@ impl Collection {
     }
 
     /// Append `points` (+ metadata) at the tail and refine the adjacency
-    /// with the short NN-Descent pass from `nnd::insert_points` — the
-    /// `examples/incremental_updates.rs` path. Returns the id range the
-    /// new points received. Bumps the epoch.
+    /// with [`nnd::refine()`]'s short NN-Descent pass — the
+    /// `examples/incremental_updates.rs` path: each new point is located by
+    /// a search, linked both ways, and `refine_iters` iterations join what
+    /// that flagged. Returns the id range the new points received. Bumps
+    /// the epoch. Nothing is copied or changed when an argument is rejected.
+    ///
+    /// **Mutations never resurrect:** a compacted-dead id keeps its empty
+    /// row, and no row — of an old point or a new one — gains an edge to it.
     pub fn ingest(
         &mut self,
         points: Vec<Vec<f32>>,
@@ -377,29 +389,35 @@ impl Collection {
                 meta.len()
             ));
         }
-        let n_old = self.base.len();
-        let mut all = self.base.points().to_vec();
-        for p in &points {
-            if p.len() != self.base.dim() {
-                return Err(format!(
-                    "dimension mismatch: collection is {}-d, point is {}-d",
-                    self.base.dim(),
-                    p.len()
-                ));
-            }
+        if let Some(p) = points.iter().find(|p| p.len() != self.base.dim()) {
+            return Err(format!(
+                "dimension mismatch: collection is {}-d, point is {}-d",
+                self.base.dim(),
+                p.len()
+            ));
         }
-        all.extend(points);
-        let new_base = PointSet::new(all);
-        let params = NnDescentParams::new(self.k).seed(self.epoch.wrapping_mul(0x9E37_79B9) | 1);
-        let graph = with_metric!(self.metric.as_str(), m => {
-            let (g, _) = insert_points(&self.graph, &self.base, &new_base, &m, params, refine_iters);
-            g.optimize(self.k, PRUNE_MULT)
-        });
-        self.base = new_base;
-        self.graph = graph;
+        let n_old = self.base.len();
+        self.base.extend(points);
+        self.graph = self.refined(&self.graph, refine_iters, &[])?;
         self.meta.extend(meta);
         self.epoch += 1;
         Ok(n_old as PointId..self.base.len() as PointId)
+    }
+
+    /// `graph` — over a prefix of the base — after [`nnd::refine()`] and the
+    /// reverse-prune pass, seeded by the epoch so a replay repeats it. Fails
+    /// only on an unknown metric name, which `create` and `open` reject.
+    fn refined(
+        &self,
+        graph: &KnnGraph,
+        refine_iters: usize,
+        shortened: &[PointId],
+    ) -> Result<KnnGraph, String> {
+        let params = NnDescentParams::new(self.k).seed(self.epoch.wrapping_mul(0x9E37_79B9) | 1);
+        Ok(with_metric!(self.metric.as_str(), m => {
+            let (g, _) = nnd::refine(graph, &self.base, &m, params, refine_iters, shortened);
+            g.optimize(self.k, PRUNE_MULT)
+        }))
     }
 
     /// Tombstone `ids`: they disappear from every mask (and therefore
@@ -434,8 +452,15 @@ impl Collection {
     ///    neighbors' neighborhoods, scored and admitted in `(distance,
     ///    id)` order (the same local-repair rule as `nnd::remove_points`,
     ///    minus the renumbering);
-    /// 3. the existing reverse-merge + degree-prune optimization pass
+    /// 3. the paper's "deleted, followed by a short graph refinement
+    ///    phase": [`nnd::refine()`] with the rows that lost an edge flagged
+    ///    new, so one NN-Descent iteration joins their neighborhoods — the
+    ///    local repair only looks two hops out;
+    /// 4. the existing reverse-merge + degree-prune optimization pass
     ///    (`KnnGraph::optimize`) restores reachability and the degree cap.
+    ///
+    /// **Mutations never resurrect:** afterwards every dead row is empty and
+    /// no live row holds a dead id, and [`Collection::ingest`] keeps it so.
     pub fn compact(&mut self) -> Result<CompactReport, String> {
         let n = self.base.len();
         let mut gone = vec![false; n];
@@ -443,7 +468,7 @@ impl Collection {
             gone[t as usize] = true;
         }
         let cleared = self.tombstones.len() as u64;
-        let mut rows_repaired = 0u64;
+        let mut shortened: Vec<PointId> = Vec::new();
         let rows: Vec<Vec<(PointId, f32)>> = with_metric!(self.metric.as_str(), m => {
             let metric = m;
             (0..n as PointId)
@@ -458,8 +483,11 @@ impl Collection {
                         .filter(|&&(u, _)| !gone[u as usize])
                         .copied()
                         .collect();
-                    if row.len() < self.graph.neighbors(v).len() && row.len() < self.k {
-                        rows_repaired += 1;
+                    if row.len() == self.graph.neighbors(v).len() {
+                        return row;
+                    }
+                    shortened.push(v);
+                    if row.len() < self.k {
                         // Candidates: survivors two hops out, via either a
                         // surviving or a tombstoned intermediate (dead
                         // vertices still have rows until step 1 lands).
@@ -489,14 +517,12 @@ impl Collection {
                             row.push((w, d));
                         }
                         row.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-                    } else if row.len() < self.graph.neighbors(v).len() {
-                        rows_repaired += 1;
                     }
                     row
                 })
                 .collect()
         });
-        self.graph = KnnGraph::from_rows(rows).optimize(self.k, PRUNE_MULT);
+        self.graph = self.refined(&KnnGraph::from_rows(rows), COMPACT_REFINE_ITERS, &shortened)?;
         let mut dead = std::mem::take(&mut self.dead);
         dead.extend(std::mem::take(&mut self.tombstones));
         dead.sort_unstable();
@@ -504,7 +530,7 @@ impl Collection {
         self.epoch += 1;
         Ok(CompactReport {
             tombstones_cleared: cleared,
-            rows_repaired,
+            rows_repaired: shortened.len() as u64,
             epoch: self.epoch,
         })
     }
@@ -562,6 +588,21 @@ mod tests {
     fn sample_collection(n: usize) -> Collection {
         let pts = gaussian_mixture(MixtureParams::embedding_like(n, 8), 33);
         Collection::create("test", pts, sample_meta(n), "l2", 8, 7).unwrap()
+    }
+
+    /// "Mutations never resurrect": every dead row is empty and no other
+    /// row holds a dead id.
+    #[track_caller]
+    fn assert_never_resurrected(col: &Collection) {
+        for v in 0..col.graph.len() as PointId {
+            let row = col.graph.neighbors(v);
+            if col.dead().contains(&v) {
+                assert!(row.is_empty(), "dead row {v} not empty: {row:?}");
+            } else {
+                let dead = row.iter().find(|(u, _)| col.dead().contains(u));
+                assert_eq!(dead, None, "row {v} holds a dead id");
+            }
+        }
     }
 
     #[test]
@@ -633,8 +674,36 @@ mod tests {
         );
         let recall = mean_recall(&out.ids, &truth);
         assert!(recall > 0.85, "post-ingest recall {recall}");
-        // Dimension mismatch is rejected.
-        assert!(col.ingest(vec![vec![0.0; 3]], sample_meta(1), 1).is_err());
+        // A rejected ingest leaves the collection as it was: a wrong
+        // dimension anywhere in the batch, or a metadata count that is off.
+        let before = (col.base.clone(), col.graph.clone(), col.epoch());
+        let mixed = vec![vec![0.0; 8], vec![0.0; 3]];
+        assert!(col.ingest(mixed, sample_meta(2), 1).is_err());
+        assert!(col.ingest(vec![vec![0.0; 8]], sample_meta(2), 1).is_err());
+        assert!(col.ingest(Vec::new(), Vec::new(), 1).is_err());
+        assert_eq!((col.base.clone(), col.graph.clone(), col.epoch()), before);
+    }
+
+    #[test]
+    fn ingest_after_compaction_never_resurrects() {
+        let mut col = sample_collection(160);
+        let doomed: Vec<PointId> = (0..160).step_by(9).collect();
+        col.delete(&doomed).unwrap();
+        col.compact().unwrap();
+        let extra = gaussian_mixture(MixtureParams::embedding_like(24, 8), 99);
+        // One point at a time (the serving loop's ingest), then a batch.
+        let (singles, batch) = extra.points().split_at(8);
+        let mut batches: Vec<Vec<Vec<f32>>> = singles.iter().map(|p| vec![p.clone()]).collect();
+        batches.push(batch.to_vec());
+        for points in batches {
+            let meta = sample_meta(points.len());
+            let new_ids = col.ingest(points, meta, 1).unwrap();
+            assert_never_resurrected(&col);
+            for v in new_ids {
+                assert!(!col.graph.neighbors(v).is_empty(), "new point {v} unlinked");
+            }
+        }
+        assert_eq!(col.dead(), &doomed[..]);
     }
 
     #[test]
@@ -651,16 +720,7 @@ mod tests {
         assert_eq!(col.tombstones().len(), 0);
         assert_eq!(col.dead(), &doomed[..]);
         assert!((col.tombstone_ratio() - 0.0).abs() < 1e-12);
-        // No live row references a dead vertex; dead rows are empty.
-        for v in 0..col.graph.len() as PointId {
-            if col.is_live(v) {
-                for &(u, _) in col.graph.neighbors(v) {
-                    assert!(col.is_live(u), "live row {v} references dead {u}");
-                }
-            } else {
-                assert!(col.graph.neighbors(v).is_empty(), "dead row {v} not empty");
-            }
-        }
+        assert_never_resurrected(&col);
         // Quality after compaction: live queries still find live truth.
         let live_ids: Vec<PointId> = (0..160).filter(|&i| col.is_live(i)).collect();
         let sub = PointSet::new(

@@ -17,11 +17,13 @@
 //!   distributed query engine consults *inside* the beam expansion
 //!   (best-heap admission at the home rank), never as a post-filter;
 //! * online mutation — [`Collection::ingest`] appends at the tail via
-//!   `nnd::insert_points` (the `examples/incremental_updates.rs` path),
+//!   `nnd::refine` (the `examples/incremental_updates.rs` path),
 //!   [`Collection::delete`] tombstones ids out of every mask immediately,
 //!   and [`Collection::compact`] deterministically rewires the adjacency
-//!   around the dead vertices without renumbering ids, bumping the epoch
-//!   that invalidates the serving layer's cached results.
+//!   around the dead vertices without renumbering ids and refines the
+//!   rows that lost an edge, bumping the epoch that invalidates the
+//!   serving layer's cached results. Mutations never resurrect: a
+//!   compacted-dead row stays empty and no row links to it again.
 //!
 //! The serving integration (mutations in the slot loop, PRF-scheduled
 //! compaction, epoch-keyed cache) lives in `crates/serve`; the admin

@@ -1,6 +1,7 @@
 //! Golden pins for every search path: shared-memory `nnd::search` /
 //! `nnd::search_batch`, `hnsw::HnswIndex::{build, search}`, and
-//! `dnnd::distributed_search_batch`.
+//! `dnnd::distributed_search_batch` — and for `nnd::build`, whose graph
+//! every fixture here searches.
 //!
 //! Every constant below was captured at commit `fe3900b` (the parent of the
 //! PR that folded the duplicated beam-search loops into one per index),
@@ -56,6 +57,61 @@ fn f32_fixture() -> (PointSet<Vec<f32>>, PointSet<Vec<f32>>, KnnGraph) {
     let (base, queries) = split_queries(full, 40);
     let (g, _) = build(&base, &L2, NnDescentParams::new(10).seed(3));
     (base, queries, g.optimize(10, 1.5))
+}
+
+/// Captured at commit `15133d0` (the parent of the PR that split
+/// `nnd::build` into its initialization and the descent loop `nnd::refine`
+/// shares, and made that loop skip vertices with nothing new), *before* any
+/// edit: the graph, the evaluation count and the per-iteration update
+/// counts of the serial builder do not depend on which vertices the loop
+/// visits.
+#[test]
+fn nnd_build_is_pinned() {
+    fn check<P: dataset::Point, M: dataset::BatchMetric<P>>(
+        what: &str,
+        set: &PointSet<P>,
+        metric: &M,
+        params: NnDescentParams,
+        (digest, evals, updates): (u64, u64, &[u64]),
+    ) {
+        let (g, stats) = build(set, metric, params);
+        let mut h = Fnv::new();
+        for v in 0..g.len() as PointId {
+            let row = g.neighbors(v);
+            h.mix(row.len() as u64);
+            for &(id, d) in row {
+                h.mix(id as u64);
+                h.mix(d.to_bits() as u64);
+            }
+        }
+        pin(what, h.0, digest);
+        assert_eq!(stats.distance_evals, evals, "{what}");
+        assert_eq!(stats.updates_per_iter, updates, "{what}");
+        assert_eq!(stats.iterations, updates.len(), "{what}");
+    }
+
+    check(
+        "deep1b_like",
+        &dataset::presets::deep1b_like(1000, 17),
+        &L2,
+        NnDescentParams::new(10).seed(5),
+        (
+            0xa554_bbae_37d3_beaf,
+            331_643,
+            &[28_968, 11_030, 3_172, 735, 150, 31, 8],
+        ),
+    );
+    check(
+        "bigann_like",
+        &dataset::presets::bigann_like(1000, 19),
+        &L2,
+        NnDescentParams::new(8).seed(6),
+        (
+            0xe459_7b46_470a_020a,
+            220_035,
+            &[20_684, 9_603, 3_854, 1_209, 397, 119, 43, 7],
+        ),
+    );
 }
 
 #[test]
