@@ -21,11 +21,9 @@
 //! it with `dnnd-report-diff`.
 //!
 //! `--smoke` keeps every workload size identical (so `distance_evals` is
-//! the same number in both modes; the committed baseline predates the two
-//! `l2_u8` cells and counts 27 cells to this driver's 29) but runs fewer
-//! timing reps, validates a JSON schema round-trip, and asserts the batched
-//! path is at least as fast as scalar for the cached-norm metrics at
-//! dim >= 64.
+//! the same number in both modes) but runs fewer timing reps, validates a
+//! JSON schema round-trip, and asserts the batched path is at least as
+//! fast as scalar for the cached-norm metrics at dim >= 64.
 //!
 //! ```text
 //! cargo run --release -p bench --bin kernels -- --report-out BENCH_4.json
@@ -163,7 +161,6 @@ fn main() {
     let args = Args::parse();
     let smoke = args.flag("smoke");
     let reps = args.get("reps", if smoke { 2 } else { 7 });
-    let report_out: Option<String> = args.opt("report-out");
 
     let mut cells: Vec<Cell> = Vec::new();
     for &dim in DIMS {
@@ -245,17 +242,12 @@ fn main() {
         report.metric(format!("{key}.batch_gflops"), c.batch_gflops);
     }
 
-    let json = report.to_json_string();
     if smoke {
         // Schema round-trip: whatever we emit must parse back as a valid
         // RunReport with every cell metric intact.
-        let back = RunReport::parse(&json).expect("kernels report must round-trip");
-        assert_eq!(back.extra.len(), report.extra.len());
-        assert_eq!(back.distance_evals, report.distance_evals);
+        let back = RunReport::parse(&report.to_json_string()).expect("report must round-trip");
+        assert_eq!(back, report);
         println!("smoke: schema round-trip OK, batched >= scalar OK");
     }
-    if let Some(path) = report_out {
-        std::fs::write(&path, &json).expect("write report");
-        println!("report written to {path}");
-    }
+    bench::write_baseline_outputs(&args, &report);
 }

@@ -2,7 +2,10 @@
 //!
 //! Compares a candidate report against a baseline metric-by-metric with
 //! per-metric relative thresholds, prints an aligned delta table, and
-//! exits nonzero when any gated metric regressed:
+//! exits nonzero when any gated metric regressed. Which values are
+//! compared, under what names and against which thresholds is declared
+//! once, in `obs::report`'s field tables ([`RunReport::leaves`]); this
+//! tool joins two leaf lists and does the arithmetic.
 //!
 //! ```text
 //! dnnd-report-diff baseline.json candidate.json [--threshold 0.05] [--out results/]
@@ -15,512 +18,87 @@
 //! metric's threshold at once (tightening or loosening the whole gate).
 
 use bench::{Args, Table};
+use obs::report::{Gate, Leaf};
 use obs::RunReport;
 use std::process::ExitCode;
 
-/// How a metric's movement maps to "regressed".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    /// Growth beyond the threshold regresses (times, message counts).
-    HigherIsWorse,
-    /// Shrinkage beyond the threshold regresses (recall).
-    LowerIsWorse,
-    /// Reported for context, never gated (wall clock, throughput).
-    Info,
-}
-
+/// One compared value: a leaf both reports were asked for, joined by path.
 #[derive(Debug, Clone)]
 struct MetricRow {
     name: String,
     base: f64,
     cand: f64,
-    /// Relative threshold (0.05 = 5% movement allowed).
-    threshold: f64,
-    direction: Direction,
+    /// The leaf's gate, with `--threshold` applied.
+    gate: Gate,
 }
 
 impl MetricRow {
     /// Signed relative delta `(cand - base) / base`; `None` when the
     /// baseline is zero and the candidate moved (infinite relative change).
     fn rel_delta(&self) -> Option<f64> {
-        if self.base == 0.0 {
-            if self.cand == 0.0 {
-                Some(0.0)
-            } else {
-                None
-            }
-        } else {
-            Some((self.cand - self.base) / self.base)
+        match (self.base == 0.0, self.cand == 0.0) {
+            (true, true) => Some(0.0),
+            (true, false) => None,
+            _ => Some((self.cand - self.base) / self.base),
+        }
+    }
+
+    /// Relative threshold of a gated row (0.05 = 5% movement allowed).
+    fn threshold(&self) -> Option<f64> {
+        match self.gate {
+            Gate::Rise(t) | Gate::Fall(t) => Some(t),
+            Gate::Info | Gate::Section => None,
         }
     }
 
     fn regressed(&self) -> bool {
-        let bad = match self.rel_delta() {
+        match (self.gate, self.rel_delta()) {
+            (Gate::Info | Gate::Section, _) => false,
             // 0 -> nonzero: infinite relative growth.
-            None => self.cand > self.base,
-            Some(d) => match self.direction {
-                Direction::HigherIsWorse => d > self.threshold,
-                Direction::LowerIsWorse => -d > self.threshold,
-                Direction::Info => false,
-            },
-        };
-        bad && self.direction != Direction::Info
+            (_, None) => self.cand > self.base,
+            (Gate::Rise(t), Some(d)) => d > t,
+            (Gate::Fall(t), Some(d)) => -d > t,
+        }
     }
 }
 
-/// Default per-metric relative thresholds. Counters of a deterministic
-/// simulation get tight gates; virtual times a little slack (cost-model
-/// tweaks shift them slightly); recall its own quality gate.
-fn threshold_for(name: &str) -> (f64, Direction) {
-    use Direction::*;
-    match name {
-        "wall_secs" => (0.0, Info),
-        "recall" => (0.02, LowerIsWorse),
-        "sim_secs" | "compute_secs" | "comm_secs" | "barrier_secs" => (0.10, HigherIsWorse),
-        "iterations" => (0.0, HigherIsWorse),
-        n if n.starts_with("faults.") => (0.0, HigherIsWorse),
-        // RNN-Descent counters are bit-identical across reruns and rank
-        // counts, so every one of them gates exactly: any drift means the
-        // occlusion rule or round schedule changed.
-        "rnn.rounds" | "rnn.reverse_added_total" => (0.0, HigherIsWorse),
-        n if n.starts_with("rnn.") => (0.0, HigherIsWorse),
-        // Serving SLOs: counters of the deterministic control plane gate
-        // exactly; answered/cache-hit shrinkage is the regression side;
-        // latency percentiles get slack for search-cost tweaks.
-        "serving.answered" | "serving.cache_hits" => (0.0, LowerIsWorse),
-        "serving.p50_ns" | "serving.p95_ns" | "serving.p99_ns" => (0.10, HigherIsWorse),
-        // Client-perceived percentiles carry shed-retry time, so they get
-        // the same slack as the answered-side percentiles.
-        "serving.client_p50_ns" | "serving.client_p99_ns" => (0.10, HigherIsWorse),
-        // Per-tenant SLO rows (`serving.tenant.<name>.<key>`): the
-        // admission ladder is seed-deterministic, so shed/served counters
-        // gate exactly per class; only the latency percentiles get slack.
-        n if n.starts_with("serving.tenant.") => {
-            if n.ends_with(".p50_ns") || n.ends_with(".p99_ns") {
-                (0.10, HigherIsWorse)
-            } else if n.ends_with(".answered")
-                || n.ends_with(".admitted")
-                || n.ends_with(".cache_hits")
-                || n.ends_with(".slo_attainment")
-            {
-                (0.0, LowerIsWorse)
-            } else {
-                (0.0, HigherIsWorse)
+/// Join the two reports' leaves by path into rows, in the baseline's
+/// document order with candidate-only leaves after. One rule for every
+/// part of the document: a row appears when either report carries the
+/// leaf, and the side without it reads as zero — so a section only the
+/// candidate has (new fault activity, say) gates as growth from zero.
+/// `thr` overrides every gated row's threshold.
+///
+/// The second list names the optional parts the baseline carries and the
+/// candidate lacks. A producer silently dropping a section must not slip
+/// past the gate as "nothing to compare", so those are a hard failure;
+/// their rows (against zeros) are context for it.
+fn collect(base: &RunReport, cand: &RunReport, thr: Option<f64>) -> (Vec<MetricRow>, Vec<String>) {
+    let (base, cand) = (base.leaves(), cand.leaves());
+    let value = |side: &[Leaf], path: &str| side.iter().find(|l| l.path == path).map(|l| l.value);
+    let cand_only = cand.iter().filter(|l| value(&base, &l.path).is_none());
+    let (mut rows, mut missing) = (Vec::new(), Vec::new());
+    for leaf in base.iter().chain(cand_only) {
+        let (b, c) = (value(&base, &leaf.path), value(&cand, &leaf.path));
+        let gate = match (leaf.gate, thr) {
+            (Gate::Section, _) => {
+                if c.is_none() {
+                    missing.push(leaf.path.clone());
+                }
+                continue;
             }
-        }
-        n if n.starts_with("serving.") => (0.0, HigherIsWorse),
-        // Per-query forensics: the whole section is a pure function of
-        // the serve seed, so every sampler counter gates exactly in both
-        // directions (fewer retained records means the sampler lost
-        // coverage); bit-identity of the records themselves is enforced
-        // by the digest hard-check, not a relative threshold.
-        "query_forensics.retained"
-        | "query_forensics.retained_slow"
-        | "query_forensics.retained_exemplar"
-        | "query_forensics.considered" => (0.0, LowerIsWorse),
-        n if n.starts_with("query_forensics.") => (0.0, HigherIsWorse),
-        // Vector-DB product layer: collection mutations and the filter
-        // pipeline are pure PRFs of the serve seed, so every counter
-        // gates exactly. Shrinking live points / filtered coverage is the
-        // regression side; growth of tombstone debt, cache suppression,
-        // or mutation counts gates as drift from the pinned schedule.
-        "vdb.live" | "vdb.filtered_queries" => (0.0, LowerIsWorse),
-        n if n.starts_with("vdb.") => (0.0, HigherIsWorse),
-        // Critical-path attribution: the path length and its dominant
-        // buckets follow the virtual-time gates; the small noisy buckets
-        // (stall residue, retransmit charge) and the imbalance score get
-        // extra slack so a cost-model tweak doesn't trip them.
-        "critical_path.stall_ns" | "critical_path.retransmit_ns" => (0.25, HigherIsWorse),
-        "critical_path.straggler_score" => (0.15, HigherIsWorse),
-        n if n.starts_with("critical_path.") => (0.10, HigherIsWorse),
-        n if n.starts_with("extra.") => (0.0, Info),
-        _ => (0.05, HigherIsWorse),
-    }
-}
-
-fn push(rows: &mut Vec<MetricRow>, name: &str, base: f64, cand: f64, thr: Option<f64>) {
-    let (default_thr, direction) = threshold_for(name);
-    rows.push(MetricRow {
-        name: name.to_string(),
-        base,
-        cand,
-        threshold: match direction {
-            Direction::Info => default_thr,
-            _ => thr.unwrap_or(default_thr),
-        },
-        direction,
-    });
-}
-
-/// Flatten the comparable metrics of two reports into rows. `thr`
-/// overrides every gated metric's threshold.
-fn collect(base: &RunReport, cand: &RunReport, thr: Option<f64>) -> Vec<MetricRow> {
-    let mut rows = Vec::new();
-    push(
-        &mut rows,
-        "iterations",
-        base.iterations as f64,
-        cand.iterations as f64,
-        thr,
-    );
-    push(
-        &mut rows,
-        "distance_evals",
-        base.distance_evals as f64,
-        cand.distance_evals as f64,
-        thr,
-    );
-    push(&mut rows, "sim_secs", base.sim_secs, cand.sim_secs, thr);
-    push(
-        &mut rows,
-        "compute_secs",
-        base.compute_secs,
-        cand.compute_secs,
-        thr,
-    );
-    push(&mut rows, "comm_secs", base.comm_secs, cand.comm_secs, thr);
-    push(
-        &mut rows,
-        "barrier_secs",
-        base.barrier_secs,
-        cand.barrier_secs,
-        thr,
-    );
-    push(
-        &mut rows,
-        "total_count",
-        base.total_count as f64,
-        cand.total_count as f64,
-        thr,
-    );
-    push(
-        &mut rows,
-        "total_bytes",
-        base.total_bytes as f64,
-        cand.total_bytes as f64,
-        thr,
-    );
-    push(
-        &mut rows,
-        "total_remote_count",
-        base.total_remote_count as f64,
-        cand.total_remote_count as f64,
-        thr,
-    );
-    push(
-        &mut rows,
-        "total_remote_bytes",
-        base.total_remote_bytes as f64,
-        cand.total_remote_bytes as f64,
-        thr,
-    );
-    if base.recall.is_some() || cand.recall.is_some() {
-        push(
-            &mut rows,
-            "recall",
-            base.recall.unwrap_or(0.0),
-            cand.recall.unwrap_or(0.0),
-            thr,
-        );
-    }
-    push(&mut rows, "wall_secs", base.wall_secs, cand.wall_secs, thr);
-
-    // Fault/reliable-delivery counters: present when either run carried a
-    // fault plan; a fault-free side contributes zeros, so new fault
-    // activity in the candidate gates as growth from zero.
-    if base.faults.is_some() || cand.faults.is_some() {
-        let d = obs::FaultSection::default();
-        let b = base.faults.as_ref().unwrap_or(&d);
-        let c = cand.faults.as_ref().unwrap_or(&d);
-        for (key, bv, cv) in [
-            ("dropped", b.dropped, c.dropped),
-            ("duplicated", b.duplicated, c.duplicated),
-            ("delayed", b.delayed, c.delayed),
-            ("stalls", b.stalls, c.stalls),
-            ("jittered_flushes", b.jittered_flushes, c.jittered_flushes),
-            ("retransmits", b.retransmits, c.retransmits),
-            ("dedup_discards", b.dedup_discards, c.dedup_discards),
-            (
-                "forced_deliveries",
-                b.forced_deliveries,
-                c.forced_deliveries,
-            ),
-        ] {
-            push(
-                &mut rows,
-                &format!("faults.{key}"),
-                bv as f64,
-                cv as f64,
-                thr,
-            );
-        }
-    }
-
-    // Serving SLO section: present when either run served queries; a
-    // side without the section contributes zeros, so new shedding or
-    // degradation in the candidate gates as growth from zero.
-    if base.serving.is_some() || cand.serving.is_some() {
-        let d = obs::ServingSection::default();
-        let b = base.serving.as_ref().unwrap_or(&d);
-        let c = cand.serving.as_ref().unwrap_or(&d);
-        for (key, bv, cv) in [
-            ("offered", b.offered, c.offered),
-            ("admitted", b.admitted, c.admitted),
-            ("answered", b.answered, c.answered),
-            ("cache_hits", b.cache_hits, c.cache_hits),
-            ("cache_evictions", b.cache_evictions, c.cache_evictions),
-            ("shed_deadline", b.shed_deadline, c.shed_deadline),
-            ("shed_overload", b.shed_overload, c.shed_overload),
-            ("degraded", b.degraded, c.degraded),
-            ("max_queue_depth", b.max_queue_depth, c.max_queue_depth),
-            ("p50_ns", b.p50_ns, c.p50_ns),
-            ("p95_ns", b.p95_ns, c.p95_ns),
-            ("p99_ns", b.p99_ns, c.p99_ns),
-        ] {
-            push(
-                &mut rows,
-                &format!("serving.{key}"),
-                bv as f64,
-                cv as f64,
-                thr,
-            );
-        }
-        // Client-perceived percentiles (schema v7). Gated only when the
-        // baseline measured them: a v6 baseline diffed against a v7
-        // candidate is schema growth, not "growth from zero".
-        if b.client_p99_ns > 0 || !b.client_hist.is_empty() {
-            for (key, bv, cv) in [
-                ("client_p50_ns", b.client_p50_ns, c.client_p50_ns),
-                ("client_p99_ns", b.client_p99_ns, c.client_p99_ns),
-            ] {
-                push(
-                    &mut rows,
-                    &format!("serving.{key}"),
-                    bv as f64,
-                    cv as f64,
-                    thr,
-                );
-            }
-        }
-        // Per-tenant SLO rows, matched by class name, gated only when the
-        // baseline declared classes (same schema-growth rule). A class the
-        // candidate lost compares against zeros and gates hard.
-        for bt in &b.tenants {
-            let dt = obs::TenantSloSection::default();
-            let ct = c.tenants.iter().find(|t| t.name == bt.name).unwrap_or(&dt);
-            for (key, bv, cv) in [
-                ("offered", bt.offered, ct.offered),
-                ("admitted", bt.admitted, ct.admitted),
-                ("answered", bt.answered, ct.answered),
-                ("cache_hits", bt.cache_hits, ct.cache_hits),
-                ("shed_overload", bt.shed_overload, ct.shed_overload),
-                ("shed_deadline", bt.shed_deadline, ct.shed_deadline),
-                ("degraded", bt.degraded, ct.degraded),
-                ("p50_ns", bt.p50_ns, ct.p50_ns),
-                ("p99_ns", bt.p99_ns, ct.p99_ns),
-            ] {
-                push(
-                    &mut rows,
-                    &format!("serving.tenant.{}.{key}", bt.name),
-                    bv as f64,
-                    cv as f64,
-                    thr,
-                );
-            }
-            push(
-                &mut rows,
-                &format!("serving.tenant.{}.slo_attainment", bt.name),
-                bt.slo_attainment,
-                ct.slo_attainment,
-                thr,
-            );
-        }
-    }
-
-    // Per-query forensics: present when either run profiled queries; a
-    // side without the section contributes zeros. Sampler counters gate
-    // exactly (the section is seed-deterministic).
-    if base.query_forensics.is_some() || cand.query_forensics.is_some() {
-        let d = obs::QueryForensicsSection::default();
-        let b = base.query_forensics.as_ref().unwrap_or(&d);
-        let c = cand.query_forensics.as_ref().unwrap_or(&d);
-        for (key, bv, cv) in [
-            ("considered", b.considered, c.considered),
-            ("retained", b.retained, c.retained),
-            ("retained_slow", b.retained_slow, c.retained_slow),
-            (
-                "retained_exemplar",
-                b.retained_exemplar,
-                c.retained_exemplar,
-            ),
-            ("window_slots", b.window_slots, c.window_slots),
-            ("slow_n", b.slow_n, c.slow_n),
-        ] {
-            push(
-                &mut rows,
-                &format!("query_forensics.{key}"),
-                bv as f64,
-                cv as f64,
-                thr,
-            );
-        }
-    }
-
-    // RNN-Descent optimization counters: the pass is deterministic, so
-    // every aggregate gates exactly (threshold 0). A side without the
-    // section contributes zeros; growth from zero gates.
-    if base.rnn.is_some() || cand.rnn.is_some() {
-        let d = obs::RnnSection::default();
-        let b = base.rnn.as_ref().unwrap_or(&d);
-        let c = cand.rnn.as_ref().unwrap_or(&d);
-        let sums = |s: &obs::RnnSection| {
-            (
-                s.rounds.len() as u64,
-                s.rounds.iter().map(|r| r.pruned).sum::<u64>(),
-                s.rounds.iter().map(|r| r.added).sum::<u64>(),
-                s.reverse_added.iter().sum::<u64>(),
-            )
+            (Gate::Rise(_), Some(t)) => Gate::Rise(t),
+            (Gate::Fall(_), Some(t)) => Gate::Fall(t),
+            (gate, _) => gate,
         };
-        let (br, bp, ba, brv) = sums(b);
-        let (cr, cp, ca, crv) = sums(c);
-        for (key, bv, cv) in [
-            ("rounds", br, cr),
-            ("pruned_total", bp, cp),
-            ("added_total", ba, ca),
-            ("reverse_added_total", brv, crv),
-            ("dist_evals", b.dist_evals, c.dist_evals),
-            ("repaired", b.repaired, c.repaired),
-        ] {
-            push(&mut rows, &format!("rnn.{key}"), bv as f64, cv as f64, thr);
-        }
+        rows.push(MetricRow {
+            name: leaf.path.clone(),
+            base: b.unwrap_or(0.0),
+            cand: c.unwrap_or(0.0),
+            gate,
+        });
     }
-
-    // Vector-DB product layer. Gated only when the *baseline* carries the
-    // section (a candidate-only section is schema growth, e.g. a v7
-    // baseline diffed against a v8 candidate); a candidate that dropped
-    // it fails hard via `missing_sections`. Counters are summed over
-    // namespaces; the epoch gates as the per-namespace maximum.
-    if base.vdb.is_some() {
-        let d = obs::VdbSection::default();
-        let b = base.vdb.as_ref().unwrap_or(&d);
-        let c = cand.vdb.as_ref().unwrap_or(&d);
-        let sums = |s: &obs::VdbSection| {
-            let f = |get: fn(&obs::VdbNamespaceSection) -> u64| {
-                s.namespaces.iter().map(get).sum::<u64>()
-            };
-            (
-                f(|n| n.points),
-                f(|n| n.live),
-                f(|n| n.tombstones),
-                f(|n| n.dead),
-                s.namespaces.iter().map(|n| n.epoch).max().unwrap_or(0),
-                f(|n| n.inserts),
-                f(|n| n.deletes),
-                f(|n| n.compactions),
-            )
-        };
-        let (bp, bl, bt, bd, be, bi, bdel, bc) = sums(b);
-        let (cp, cl, ct, cd, ce, ci, cdel, cc) = sums(c);
-        for (key, bv, cv) in [
-            ("points", bp, cp),
-            ("live", bl, cl),
-            ("tombstones", bt, ct),
-            ("dead", bd, cd),
-            ("epoch", be, ce),
-            ("inserts", bi, ci),
-            ("deletes", bdel, cdel),
-            ("compactions", bc, cc),
-            ("filtered_queries", b.filtered_queries, c.filtered_queries),
-            (
-                "cache_suppressed_ids",
-                b.cache_suppressed_ids,
-                c.cache_suppressed_ids,
-            ),
-        ] {
-            push(&mut rows, &format!("vdb.{key}"), bv as f64, cv as f64, thr);
-        }
-    }
-
-    // Critical-path attribution. Gated only when the *baseline* carries
-    // the section: a candidate-only section is schema growth (e.g. a v3
-    // baseline diffed against a v4 candidate), not a regression, while a
-    // candidate that *dropped* the section is a hard failure via
-    // `missing_sections` — its rows here (against zeros) are informational
-    // context for that failure.
-    if base.critical_path.is_some() {
-        let d = obs::CriticalPathSection::default();
-        let b = base.critical_path.as_ref().unwrap_or(&d);
-        let c = cand.critical_path.as_ref().unwrap_or(&d);
-        for (key, bv, cv) in [
-            ("critical_path_ns", b.critical_path_ns, c.critical_path_ns),
-            ("collective_ns", b.collective_ns, c.collective_ns),
-            ("compute_ns", b.compute_ns, c.compute_ns),
-            ("comm_ns", b.comm_ns, c.comm_ns),
-            ("stall_ns", b.stall_ns, c.stall_ns),
-            ("retransmit_ns", b.retransmit_ns, c.retransmit_ns),
-        ] {
-            push(
-                &mut rows,
-                &format!("critical_path.{key}"),
-                bv as f64,
-                cv as f64,
-                thr,
-            );
-        }
-        push(
-            &mut rows,
-            "critical_path.straggler_score",
-            b.straggler_score,
-            c.straggler_score,
-            thr,
-        );
-    }
-
-    // Free-form metrics appearing in both reports (informational: the
-    // schema cannot know which way each one points).
-    for (k, bv) in &base.extra {
-        if let Some((_, cv)) = cand.extra.iter().find(|(ck, _)| ck == k) {
-            push(&mut rows, &format!("extra.{k}"), *bv, *cv, thr);
-        }
-    }
-    rows
-}
-
-/// Optional report sections present in the baseline but absent from the
-/// candidate. A producer silently dropping a section must not slip past
-/// the gate as "nothing to compare", so this is a hard failure naming
-/// each missing section.
-fn missing_sections(base: &RunReport, cand: &RunReport) -> Vec<&'static str> {
-    let mut missing = Vec::new();
-    if base.faults.is_some() && cand.faults.is_none() {
-        missing.push("faults");
-    }
-    if base.serving.is_some() && cand.serving.is_none() {
-        missing.push("serving");
-    }
-    // A candidate that kept the serving section but silently dropped the
-    // per-tenant breakdown must not slip past as "nothing to compare".
-    if base.serving.as_ref().is_some_and(|s| !s.tenants.is_empty())
-        && cand.serving.as_ref().is_some_and(|s| s.tenants.is_empty())
-    {
-        missing.push("serving.tenants");
-    }
-    if base.rnn.is_some() && cand.rnn.is_none() {
-        missing.push("rnn");
-    }
-    if base.query_forensics.is_some() && cand.query_forensics.is_none() {
-        missing.push("query_forensics");
-    }
-    if base.vdb.is_some() && cand.vdb.is_none() {
-        missing.push("vdb");
-    }
-    if base.critical_path.is_some() && cand.critical_path.is_none() {
-        missing.push("critical_path");
-    }
-    if base.matrix.is_some() && cand.matrix.is_none() {
-        missing.push("matrix");
-    }
-    missing
+    (rows, missing)
 }
 
 /// Bit-identity hard check: the forensics digest is a pure function of
@@ -544,19 +122,15 @@ fn fmt_value(v: f64) -> String {
 }
 
 fn fmt_delta(r: &MetricRow) -> String {
-    match r.rel_delta() {
-        None => "+inf%".into(),
-        Some(d) => format!("{:+.2}%", d * 100.0),
-    }
+    let finite = |d: f64| format!("{:+.2}%", d * 100.0);
+    r.rel_delta().map_or("+inf%".into(), finite)
 }
 
 fn status(r: &MetricRow) -> &'static str {
-    if r.direction == Direction::Info {
-        "info"
-    } else if r.regressed() {
-        "REGRESSION"
-    } else {
-        "ok"
+    match r.threshold() {
+        None => "info",
+        Some(_) if r.regressed() => "REGRESSION",
+        Some(_) => "ok",
     }
 }
 
@@ -597,7 +171,7 @@ fn run() -> Result<bool, String> {
         );
     }
 
-    let rows = collect(&base, &cand, thr);
+    let (rows, missing) = collect(&base, &cand, thr);
     let mut table = Table::new(
         &format!("report diff: {base_path} -> {cand_path}"),
         &[
@@ -611,11 +185,9 @@ fn run() -> Result<bool, String> {
     );
     for r in &rows {
         let (b, c, d) = (fmt_value(r.base), fmt_value(r.cand), fmt_delta(r));
-        let t = if r.direction == Direction::Info {
-            "-".to_string()
-        } else {
-            format!("{:.0}%", r.threshold * 100.0)
-        };
+        let t = r
+            .threshold()
+            .map_or("-".to_string(), |t| format!("{:.0}%", t * 100.0));
         table.row(&[&r.name, &b, &c, &d, &t, &status(r)]);
     }
     table.print();
@@ -626,7 +198,6 @@ fn run() -> Result<bool, String> {
         println!("wrote {}", path.display());
     }
 
-    let missing = missing_sections(&base, &cand);
     let digest_drift = forensics_digest_drift(&base, &cand);
     let regressed: Vec<&MetricRow> = rows.iter().filter(|r| r.regressed()).collect();
     if !missing.is_empty() {
@@ -651,16 +222,15 @@ fn run() -> Result<bool, String> {
                 fmt_value(r.base),
                 fmt_value(r.cand),
                 fmt_delta(r),
-                r.threshold * 100.0
+                r.threshold().unwrap_or(0.0) * 100.0
             );
         }
     }
-    if missing.is_empty() && regressed.is_empty() && digest_drift.is_none() {
+    let pass = missing.is_empty() && regressed.is_empty() && digest_drift.is_none();
+    if pass {
         println!("\nPASS: all gated metrics within thresholds");
-        Ok(true)
-    } else {
-        Ok(false)
     }
+    Ok(pass)
 }
 
 fn main() -> ExitCode {
@@ -694,23 +264,70 @@ mod tests {
         r
     }
 
+    fn rows(base: &RunReport, cand: &RunReport) -> Vec<MetricRow> {
+        collect(base, cand, None).0
+    }
+
+    fn missing(base: &RunReport, cand: &RunReport) -> Vec<String> {
+        collect(base, cand, None).1
+    }
+
     fn row_named<'a>(rows: &'a [MetricRow], name: &str) -> &'a MetricRow {
         rows.iter().find(|r| r.name == name).unwrap()
+    }
+
+    fn regressed(rows: &[MetricRow], prefix: &str) -> Vec<String> {
+        let under = rows.iter().filter(|r| r.name.starts_with(prefix));
+        under
+            .filter(|r| r.regressed())
+            .map(|r| r.name.clone())
+            .collect()
+    }
+
+    /// Every gate survived the move from `threshold_for` into the field
+    /// tables: for the fully populated report the rows are, name for name,
+    /// value for value and threshold for threshold, the ones the
+    /// hand-written `collect` produced (captured from it before it was
+    /// deleted; the order is now the document's, so compare sorted).
+    #[test]
+    fn gate_golden_every_row_threshold_and_direction_survived() {
+        let full = include_str!("../../../../tests/fixtures/report_full.json");
+        let full = RunReport::parse(full).unwrap();
+        let mut got: Vec<String> = rows(&full, &full)
+            .iter()
+            .map(|r| match r.gate {
+                Gate::Rise(t) => format!("{} {} {t} higher-is-worse", r.name, r.base),
+                Gate::Fall(t) => format!("{} {} {t} lower-is-worse", r.name, r.base),
+                Gate::Info => format!("{} {} - info", r.name, r.base),
+                Gate::Section => unreachable!("markers are not rows"),
+            })
+            .collect();
+        let mut want: Vec<&str> = include_str!("../../tests/fixtures/gate_rows.txt")
+            .lines()
+            .collect();
+        got.sort();
+        want.sort();
+        assert_eq!(got, want);
+        assert!(missing(&full, &full).is_empty());
     }
 
     #[test]
     fn identical_reports_pass_every_gate() {
         let r = report(1.5, 100_000);
-        let rows = collect(&r, &r, None);
+        let rows = rows(&r, &r);
         assert!(rows.iter().all(|m| !m.regressed()));
         assert!(rows.iter().any(|m| m.name == "wall_secs"));
+        // Sections neither report carries have no rows.
+        for section in ["faults.", "serving.", "rnn.", "query_forensics.", "vdb."] {
+            assert!(!rows.iter().any(|m| m.name.starts_with(section)));
+        }
     }
 
     #[test]
     fn slowdown_beyond_threshold_regresses() {
         let base = report(1.0, 100_000);
         let cand = report(1.5, 100_000); // +50% sim time vs 10% gate
-        let rows = collect(&base, &cand, None);
+        let rows = rows(&base, &cand);
         assert!(row_named(&rows, "sim_secs").regressed());
         assert!(!row_named(&rows, "distance_evals").regressed());
     }
@@ -719,8 +336,7 @@ mod tests {
     fn improvement_never_regresses_higher_is_worse() {
         let base = report(2.0, 100_000);
         let cand = report(1.0, 50_000);
-        let rows = collect(&base, &cand, None);
-        assert!(rows.iter().all(|m| !m.regressed()));
+        assert!(rows(&base, &cand).iter().all(|m| !m.regressed()));
     }
 
     #[test]
@@ -729,11 +345,12 @@ mod tests {
         let mut cand = report(1.0, 1);
         base.recall = Some(0.95);
         cand.recall = Some(0.90); // -5.3% vs 2% gate
-        let rows = collect(&base, &cand, None);
-        assert!(row_named(&rows, "recall").regressed());
+        assert!(row_named(&rows(&base, &cand), "recall").regressed());
         // Upward recall is fine.
-        let rows = collect(&cand, &base, None);
-        assert!(!row_named(&rows, "recall").regressed());
+        assert!(!row_named(&rows(&cand, &base), "recall").regressed());
+        // A candidate that stopped measuring it reads as zero.
+        cand.recall = None;
+        assert!(row_named(&rows(&base, &cand), "recall").regressed());
     }
 
     #[test]
@@ -745,10 +362,65 @@ mod tests {
             retransmits: 7,
             ..Default::default()
         });
-        let rows = collect(&base, &cand, None);
+        let rows = rows(&base, &cand);
         let r = row_named(&rows, "faults.retransmits");
         assert_eq!(r.rel_delta(), None);
         assert!(r.regressed());
+    }
+
+    /// The one presence rule: a part of the document only the candidate
+    /// carries has rows against zeros (growth from zero gates), and one
+    /// only the baseline carries is named as missing.
+    #[test]
+    fn one_presence_rule_for_every_optional_part() {
+        let base = report(1.0, 1);
+        let mut cand = report(1.0, 1);
+        cand.faults = Some(obs::FaultSection {
+            retransmits: 7,
+            ..Default::default()
+        });
+        cand.critical_path = Some(obs::CriticalPathSection {
+            critical_path_ns: 1_000,
+            ..Default::default()
+        });
+        cand.vdb = Some(obs::VdbSection {
+            cache_suppressed_ids: 3,
+            ..Default::default()
+        });
+        cand.serving = Some(obs::ServingSection {
+            client_p99_ns: 4_000_000,
+            tenants: vec![tenant("gold", 2, 98)],
+            ..Default::default()
+        });
+        let rows = rows(&base, &cand);
+        for grown in [
+            "faults.retransmits",
+            "critical_path.critical_path_ns",
+            "vdb.cache_suppressed_ids",
+            "serving.client_p99_ns",
+            "serving.tenant.gold.shed_overload",
+        ] {
+            let r = row_named(&rows, grown);
+            assert_eq!(r.base, 0.0, "{grown}");
+            assert!(r.regressed(), "{grown}");
+        }
+        assert!(missing(&base, &cand).is_empty());
+        assert_eq!(
+            missing(&cand, &base),
+            [
+                "serving",
+                "serving.tenants",
+                "critical_path",
+                "vdb",
+                "faults"
+            ]
+        );
+        // The rows are still there, as context for the failure.
+        assert_eq!(row_named(&self::rows(&cand, &base), "vdb.epoch").cand, 0.0);
+        // The matrix has no compared value, and is named all the same.
+        let mut with_matrix = report(1.0, 1);
+        with_matrix.matrix = Some(obs::MatrixSection::default());
+        assert_eq!(missing(&with_matrix, &base), ["matrix"]);
     }
 
     #[test]
@@ -760,6 +432,8 @@ mod tests {
             answered: 90,
             shed_overload: 0,
             p99_ns: 4_000_000,
+            client_p50_ns: 500_000,
+            client_p99_ns: 4_000_000,
             ..Default::default()
         });
         cand.serving = Some(obs::ServingSection {
@@ -767,18 +441,20 @@ mod tests {
             answered: 80, // fewer answered: regression
             shed_overload: 5,
             p99_ns: 4_100_000, // +2.5%, inside the 10% latency gate
+            client_p50_ns: 500_000,
+            client_p99_ns: 4_800_000, // +20% trips it
             ..Default::default()
         });
-        let rows = collect(&base, &cand, None);
-        assert!(row_named(&rows, "serving.answered").regressed());
-        assert!(row_named(&rows, "serving.shed_overload").regressed());
-        assert!(!row_named(&rows, "serving.p99_ns").regressed());
+        assert_eq!(
+            regressed(&rows(&base, &cand), "serving."),
+            [
+                "serving.answered",
+                "serving.shed_overload",
+                "serving.client_p99_ns"
+            ]
+        );
         // The reverse direction (more answered, less shedding) is fine.
-        let rows = collect(&cand, &base, None);
-        assert!(rows
-            .iter()
-            .filter(|r| r.name.starts_with("serving."))
-            .all(|r| !r.regressed()));
+        assert!(regressed(&rows(&cand, &base), "serving.").is_empty());
     }
 
     fn tenant(name: &str, shed_overload: u64, answered: u64) -> obs::TenantSloSection {
@@ -798,120 +474,74 @@ mod tests {
 
     #[test]
     fn tenant_counters_gate_exactly_by_class_name() {
+        let serving = |tenants| obs::ServingSection {
+            offered: 200,
+            tenants,
+            ..Default::default()
+        };
         let mut base = report(1.0, 1);
         let mut cand = report(1.0, 1);
-        base.serving = Some(obs::ServingSection {
-            offered: 200,
-            tenants: vec![tenant("gold", 0, 98), tenant("free", 10, 80)],
-            ..Default::default()
-        });
+        base.serving = Some(serving(vec![tenant("gold", 0, 98), tenant("free", 10, 80)]));
         // Identical per-tenant counters: every row inside the gate.
         cand.serving = base.serving.clone();
-        let rows = collect(&base, &cand, None);
-        assert!(rows
-            .iter()
-            .filter(|r| r.name.starts_with("serving.tenant."))
-            .all(|r| !r.regressed()));
+        assert!(regressed(&rows(&base, &cand), "serving.tenant.").is_empty());
         // One extra shed + one fewer answered in `free` gates both ways;
-        // `gold` stays clean.
-        cand.serving = Some(obs::ServingSection {
-            offered: 200,
-            tenants: vec![tenant("gold", 0, 98), tenant("free", 11, 79)],
-            ..Default::default()
-        });
-        let rows = collect(&base, &cand, None);
-        assert!(row_named(&rows, "serving.tenant.free.shed_overload").regressed());
-        assert!(row_named(&rows, "serving.tenant.free.answered").regressed());
-        assert!(row_named(&rows, "serving.tenant.free.slo_attainment").regressed());
-        assert!(!row_named(&rows, "serving.tenant.gold.shed_overload").regressed());
+        // `gold` stays clean, whatever order the classes come in.
+        cand.serving = Some(serving(vec![tenant("free", 11, 79), tenant("gold", 0, 98)]));
+        assert_eq!(
+            regressed(&rows(&base, &cand), "serving.tenant."),
+            [
+                "serving.tenant.free.admitted",
+                "serving.tenant.free.answered",
+                "serving.tenant.free.shed_overload",
+                "serving.tenant.free.slo_attainment"
+            ]
+        );
         // A candidate that dropped the breakdown entirely hard-fails.
-        cand.serving = Some(obs::ServingSection {
-            offered: 200,
-            ..Default::default()
-        });
-        assert_eq!(missing_sections(&base, &cand), vec!["serving.tenants"]);
-        // A tenant-less baseline gates nothing tenant-shaped (schema
-        // growth when the candidate adds classes).
-        let rows = collect(&cand, &base, None);
-        assert!(!rows.iter().any(|r| r.name.starts_with("serving.tenant.")));
-        assert!(missing_sections(&cand, &base).is_empty());
+        cand.serving = Some(serving(Vec::new()));
+        assert_eq!(missing(&base, &cand), ["serving.tenants"]);
     }
 
     #[test]
-    fn vdb_counters_gate_exactly_and_baseline_only() {
+    fn vdb_counters_gate_exactly_summed_over_namespaces() {
+        let namespace = |live: u64, epoch: u64| obs::VdbNamespaceSection {
+            name: format!("ns{epoch}"),
+            points: 1_000,
+            live,
+            tombstones: 1_000 - live,
+            epoch,
+            inserts: 5,
+            deletes: 1_000 - live,
+            compactions: 1,
+            ..Default::default()
+        };
         let section = |live: u64, filtered: u64, suppressed: u64| obs::VdbSection {
-            namespaces: vec![obs::VdbNamespaceSection {
-                name: "prod".into(),
-                points: 1_000,
-                live,
-                tombstones: 1_000 - live,
-                dead: 0,
-                epoch: 2,
-                inserts: 5,
-                deletes: 1_000 - live,
-                compactions: 1,
-            }],
+            namespaces: vec![namespace(live, 2), namespace(900, 4)],
             filtered_queries: filtered,
             cache_suppressed_ids: suppressed,
             selectivity_hist: vec![(3, filtered)],
         };
         let mut base = report(1.0, 1);
         let mut cand = report(1.0, 1);
-        // v7-shaped baseline vs v8 candidate: schema growth, no rows.
-        cand.vdb = Some(section(950, 40, 0));
-        let rows = collect(&base, &cand, None);
-        assert!(!rows.iter().any(|r| r.name.starts_with("vdb.")));
-        assert!(missing_sections(&base, &cand).is_empty());
-        // Candidate dropped the section: hard failure.
         base.vdb = Some(section(950, 40, 0));
-        cand.vdb = None;
-        assert_eq!(missing_sections(&base, &cand), vec!["vdb"]);
-        // Exact gates: fewer live points / filtered queries regress, and
-        // cache-suppression growth regresses; identical sections pass.
-        cand.vdb = Some(section(940, 30, 3));
-        let rows = collect(&base, &cand, None);
-        assert!(row_named(&rows, "vdb.live").regressed());
-        assert!(row_named(&rows, "vdb.filtered_queries").regressed());
-        assert!(row_named(&rows, "vdb.cache_suppressed_ids").regressed());
         cand.vdb = base.vdb.clone();
-        let rows = collect(&base, &cand, None);
-        assert!(rows
-            .iter()
-            .filter(|r| r.name.starts_with("vdb."))
-            .all(|r| !r.regressed()));
-    }
-
-    #[test]
-    fn client_latency_gates_only_when_baseline_measured_it() {
-        let mut base = report(1.0, 1);
-        let mut cand = report(1.0, 1);
-        // v6-shaped baseline (no client histogram) vs v7 candidate:
-        // schema growth, not growth-from-zero.
-        base.serving = Some(obs::ServingSection::default());
-        cand.serving = Some(obs::ServingSection {
-            client_p50_ns: 500_000,
-            client_p99_ns: 4_000_000,
-            client_hist: vec![(2, 10)],
-            ..Default::default()
-        });
-        let rows = collect(&base, &cand, None);
-        assert!(!rows.iter().any(|r| r.name.starts_with("serving.client_")));
-        // Both measured: +20% client p99 trips the 10% latency gate.
-        base.serving = Some(obs::ServingSection {
-            client_p50_ns: 500_000,
-            client_p99_ns: 4_000_000,
-            client_hist: vec![(2, 10)],
-            ..Default::default()
-        });
-        cand.serving = Some(obs::ServingSection {
-            client_p50_ns: 500_000,
-            client_p99_ns: 4_800_000,
-            client_hist: vec![(2, 10)],
-            ..Default::default()
-        });
-        let rows = collect(&base, &cand, None);
-        assert!(!row_named(&rows, "serving.client_p50_ns").regressed());
-        assert!(row_named(&rows, "serving.client_p99_ns").regressed());
+        let same = rows(&base, &cand);
+        assert!(regressed(&same, "vdb.").is_empty());
+        assert_eq!(row_named(&same, "vdb.live").base, 1_850.0);
+        assert_eq!(row_named(&same, "vdb.epoch").base, 4.0);
+        // Fewer live points / filtered queries regress, and so does growth
+        // of tombstone debt and cache suppression.
+        cand.vdb = Some(section(940, 30, 3));
+        assert_eq!(
+            regressed(&rows(&base, &cand), "vdb."),
+            [
+                "vdb.live",
+                "vdb.tombstones",
+                "vdb.deletes",
+                "vdb.filtered_queries",
+                "vdb.cache_suppressed_ids"
+            ]
+        );
     }
 
     #[test]
@@ -936,19 +566,16 @@ mod tests {
         };
         base.rnn = Some(section(40, 5_000));
         cand.rnn = Some(section(40, 5_000));
-        let rows = collect(&base, &cand, None);
-        assert!(rows
-            .iter()
-            .filter(|r| r.name.starts_with("rnn."))
-            .all(|r| !r.regressed()));
+        assert!(regressed(&rows(&base, &cand), "rnn.").is_empty());
         // Any drift in the deterministic counters gates (threshold 0).
         cand.rnn = Some(section(41, 5_001));
-        let rows = collect(&base, &cand, None);
-        assert!(row_named(&rows, "rnn.pruned_total").regressed());
-        assert!(row_named(&rows, "rnn.dist_evals").regressed());
+        assert_eq!(
+            regressed(&rows(&base, &cand), "rnn."),
+            ["rnn.pruned_total", "rnn.dist_evals"]
+        );
         // A candidate that silently dropped the section hard-fails.
         cand.rnn = None;
-        assert_eq!(missing_sections(&base, &cand), vec!["rnn"]);
+        assert_eq!(missing(&base, &cand), ["rnn"]);
     }
 
     #[test]
@@ -966,69 +593,22 @@ mod tests {
         let mut cand = report(1.0, 1);
         base.query_forensics = Some(section(12, 0xAB));
         cand.query_forensics = Some(section(12, 0xAB));
-        let rows = collect(&base, &cand, None);
-        assert!(rows
-            .iter()
-            .filter(|r| r.name.starts_with("query_forensics."))
-            .all(|r| !r.regressed()));
+        assert!(regressed(&rows(&base, &cand), "query_forensics.").is_empty());
         assert!(forensics_digest_drift(&base, &cand).is_none());
         // Lost sampler coverage gates (threshold 0, downward).
         cand.query_forensics = Some(section(11, 0xAB));
-        let rows = collect(&base, &cand, None);
-        assert!(row_named(&rows, "query_forensics.retained").regressed());
+        assert_eq!(
+            regressed(&rows(&base, &cand), "query_forensics."),
+            ["query_forensics.retained", "query_forensics.retained_slow"]
+        );
         // Digest drift is a hard failure even when every counter agrees.
         cand.query_forensics = Some(section(12, 0xCD));
-        let rows = collect(&base, &cand, None);
-        assert!(rows
-            .iter()
-            .filter(|r| r.name.starts_with("query_forensics."))
-            .all(|r| !r.regressed()));
+        assert!(regressed(&rows(&base, &cand), "query_forensics.").is_empty());
         assert_eq!(forensics_digest_drift(&base, &cand), Some((0xAB, 0xCD)));
         // A candidate that silently dropped the section hard-fails.
         cand.query_forensics = None;
-        assert_eq!(missing_sections(&base, &cand), vec!["query_forensics"]);
+        assert_eq!(missing(&base, &cand), ["query_forensics"]);
         assert!(forensics_digest_drift(&base, &cand).is_none());
-    }
-
-    #[test]
-    fn forensics_free_pair_has_no_forensics_rows() {
-        let r = report(1.0, 1);
-        let rows = collect(&r, &r, None);
-        assert!(!rows.iter().any(|m| m.name.starts_with("query_forensics.")));
-    }
-
-    #[test]
-    fn rnn_free_pair_has_no_rnn_rows() {
-        let r = report(1.0, 1);
-        let rows = collect(&r, &r, None);
-        assert!(!rows.iter().any(|m| m.name.starts_with("rnn.")));
-    }
-
-    #[test]
-    fn serving_free_pair_has_no_serving_rows() {
-        let r = report(1.0, 1);
-        let rows = collect(&r, &r, None);
-        assert!(!rows.iter().any(|m| m.name.starts_with("serving.")));
-    }
-
-    #[test]
-    fn fault_free_pair_has_no_fault_rows() {
-        let r = report(1.0, 1);
-        let rows = collect(&r, &r, None);
-        assert!(!rows.iter().any(|m| m.name.starts_with("faults.")));
-    }
-
-    #[test]
-    fn missing_baseline_sections_are_named() {
-        let mut base = report(1.0, 1);
-        let cand = report(1.0, 1);
-        assert!(missing_sections(&base, &cand).is_empty());
-        base.faults = Some(obs::FaultSection::default());
-        base.critical_path = Some(obs::CriticalPathSection::default());
-        let missing = missing_sections(&base, &cand);
-        assert_eq!(missing, vec!["faults", "critical_path"]);
-        // A candidate-only section is growth, not loss: nothing missing.
-        assert!(missing_sections(&cand, &base).is_empty());
     }
 
     #[test]
@@ -1046,13 +626,13 @@ mod tests {
         // +15% path length trips the 10% gate; +20% stall stays inside its
         // 25% slack; the score needs >15% growth to trip.
         cand.critical_path = Some(section(1_150_000_000, 120_000_000, 0.11));
-        let rows = collect(&base, &cand, None);
+        let rows = rows(&base, &cand);
         assert!(row_named(&rows, "critical_path.critical_path_ns").regressed());
         assert!(!row_named(&rows, "critical_path.stall_ns").regressed());
         assert!(!row_named(&rows, "critical_path.straggler_score").regressed());
         let mut worse = report(1.0, 1);
         worse.critical_path = Some(section(1_000_000_000, 100_000_000, 0.20));
-        let rows = collect(&base, &worse, None);
+        let rows = self::rows(&base, &worse);
         assert!(row_named(&rows, "critical_path.straggler_score").regressed());
     }
 
@@ -1060,22 +640,26 @@ mod tests {
     fn threshold_override_loosens_the_gate() {
         let base = report(1.0, 100_000);
         let cand = report(1.5, 100_000);
-        let rows = collect(&base, &cand, Some(0.6));
+        let (rows, _) = collect(&base, &cand, Some(0.6));
         assert!(rows.iter().all(|m| !m.regressed()));
         // ... and tightens it.
         let cand = report(1.01, 100_000);
-        let rows = collect(&base, &cand, Some(0.001));
+        let (rows, _) = collect(&base, &cand, Some(0.001));
         assert!(row_named(&rows, "sim_secs").regressed());
     }
 
     #[test]
-    fn wall_clock_is_informational_even_when_wild() {
+    fn wall_clock_and_free_form_metrics_are_informational_even_when_wild() {
         let mut base = report(1.0, 1);
         let mut cand = report(1.0, 1);
         base.wall_secs = 0.1;
         cand.wall_secs = 99.0;
-        let rows = collect(&base, &cand, None);
-        assert!(!row_named(&rows, "wall_secs").regressed());
-        assert_eq!(status(row_named(&rows, "wall_secs")), "info");
+        base.metric("qps", 9_000.0);
+        cand.metric("qps", 1.0).metric("new_metric", 5.0);
+        let (rows, _) = collect(&base, &cand, Some(0.0));
+        for name in ["wall_secs", "extra.qps", "extra.new_metric"] {
+            assert!(!row_named(&rows, name).regressed());
+            assert_eq!(status(row_named(&rows, name)), "info");
+        }
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! The fixture is the pipeline-test preset (DEEP-like 600 points, k=8,
 //! seed 7, unoptimized protocol), so every number in the emitted report —
-//! including the schema-v5 `rnn` section — is bit-stable and serves as
+//! including the `rnn` section — is bit-stable and serves as
 //! the committed `BENCH_7.json` regression baseline (gated softly by
 //! `dnnd-report-diff` in CI: `rnn.*` counters gate exactly).
 //!
@@ -149,7 +149,7 @@ fn main() {
     println!("\ncsv: {}/rnn.csv", args.out_dir().display());
 
     // The emitted report is anchored on the RNN pass (tags, phases, the
-    // schema-v5 rnn section) with the comparison as extras and the RNN
+    // `rnn` section) with the comparison as extras and the RNN
     // serving section attached for the SLO gates.
     let mut rr = dnnd::obs_report::report_from_rnn_dist("rnn", params, &rnn_report);
     attach_serving(&mut rr, &rnn_serve.stats);
@@ -208,17 +208,8 @@ fn main() {
                 "rnn stats diverged at {check_ranks} ranks"
             );
         }
-        // The schema-v5 section must round-trip through JSON.
-        let json = rr.to_json_string();
-        assert!(
-            json.contains(&format!(
-                "\"schema_version\": {}",
-                obs::report::SCHEMA_VERSION
-            )),
-            "report is not schema v{}",
-            obs::report::SCHEMA_VERSION
-        );
-        let parsed = obs::RunReport::parse(&json).expect("report round-trip");
+        // The `rnn` section must round-trip through JSON.
+        let parsed = obs::RunReport::parse(&rr.to_json_string()).expect("report round-trip");
         let section = parsed.rnn.expect("rnn section present");
         assert_eq!(section.k0 as usize, params.k0);
         assert_eq!(section.dist_evals, rnn_report.stats.dist_evals);
@@ -232,14 +223,5 @@ fn main() {
         );
     }
 
-    let report_out: String = args.get("report-out", String::new());
-    if !report_out.is_empty() {
-        dnnd::obs_report::write_report(&report_out, &rr).expect("report-out");
-        println!("report: {report_out}");
-    }
-    let dashboard_out: String = args.get("dashboard-out", String::new());
-    if !dashboard_out.is_empty() {
-        dnnd::obs_report::write_dashboard(&dashboard_out, &rr).expect("dashboard-out");
-        println!("dashboard: {dashboard_out}");
-    }
+    bench::write_baseline_outputs(&args, &rr);
 }

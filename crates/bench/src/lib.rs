@@ -117,6 +117,20 @@ impl Args {
     }
 }
 
+/// Write a sweep driver's outputs. `--report-out` exists to be a committed
+/// baseline, so it gets the report's [`obs::RunReport::summary`] (no
+/// per-event lists); `--dashboard-out` renders the full in-memory report.
+pub fn write_baseline_outputs(args: &Args, report: &obs::RunReport) {
+    if let Some(path) = args.opt::<String>("report-out") {
+        dnnd::obs_report::write_report(&path, &report.summary()).expect("report-out");
+        println!("report: {path}");
+    }
+    if let Some(path) = args.opt::<String>("dashboard-out") {
+        dnnd::obs_report::write_dashboard(&path, report).expect("dashboard-out");
+        println!("dashboard: {path}");
+    }
+}
+
 /// Abort with a one-line `error: ...` message and exit code 2 (the
 /// command-line convention of every executable in the workspace).
 pub fn die(msg: &str) -> ! {

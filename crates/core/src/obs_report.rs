@@ -107,7 +107,7 @@ fn fill_faults(report: &mut RunReport, faults: Option<&FaultReport>) {
     });
 }
 
-/// Fill the schema-v5 `rnn` section from the RNN pass's knobs and
+/// Fill the `rnn` section from the RNN pass's knobs and
 /// all-reduced stats (the binaries call this whenever `--opt-mode rnn`
 /// ran; the section is the deterministic fingerprint of the pass).
 pub fn fill_rnn(report: &mut RunReport, params: nnd::rnn::RnnParams, stats: &nnd::rnn::RnnStats) {
@@ -161,7 +161,7 @@ pub fn report_from_build(binary: &str, r: &BuildReport) -> RunReport {
 }
 
 /// Start a [`RunReport`] from a standalone distributed RNN-Descent pass
-/// (`dnnd-optimize --opt-mode rnn`), including the schema-v5 `rnn`
+/// (`dnnd-optimize --opt-mode rnn`), including the `rnn`
 /// section.
 pub fn report_from_rnn_dist(
     binary: &str,

@@ -34,6 +34,8 @@
 //! adding collective time they reproduce the total virtual time with zero
 //! error, on every rank count and fault plan.
 
+use crate::report::{report_struct, Gate::Rise, List, Val};
+
 /// Per-phase cost vectors, as recorded by the virtual clock. Mirrors
 /// `ygm::PhaseRecord`'s attribution payload with `obs`-local types.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -79,54 +81,59 @@ impl PhaseCost {
     }
 }
 
-/// One phase's integerized time attribution. The four buckets sum exactly
-/// to `total_ns`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PhaseAttribution {
-    pub index: u64,
-    /// Exact clock increment of the phase, ns.
-    pub total_ns: u64,
-    pub compute_ns: u64,
-    pub comm_ns: u64,
-    pub stall_ns: u64,
-    pub retransmit_ns: u64,
-    /// The rank with the most modelled work this phase — the straggler the
-    /// barrier waited on. Ties break to the lowest rank.
-    pub critical_rank: u64,
+report_struct! {
+    /// One phase's integerized time attribution. The four buckets sum exactly
+    /// to `total_ns`.
+    pub struct PhaseAttribution {
+        pub index: u64 => Val;
+        /// Exact clock increment of the phase, ns.
+        pub total_ns: u64 => Val;
+        pub compute_ns: u64 => Val;
+        pub comm_ns: u64 => Val;
+        pub stall_ns: u64 => Val;
+        pub retransmit_ns: u64 => Val;
+        /// The rank with the most modelled work this phase — the straggler the
+        /// barrier waited on. Ties break to the lowest rank.
+        pub critical_rank: u64 => Val;
+    }
 }
 
-/// The `critical_path` report section (schema v4): happens-before
-/// critical-path length, overall and per-phase time attribution, per-rank
-/// slack, and the straggler-imbalance score.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CriticalPathSection {
-    pub n_ranks: u64,
-    /// Barrier-to-barrier phases analyzed.
-    pub phases: u64,
-    /// Longest path through the happens-before DAG, ns. Equals the final
-    /// virtual clock reading exactly (see module docs).
-    pub critical_path_ns: u64,
-    /// Collective-only clock advances (allreduce/allgather synchronization
-    /// outside message phases), ns.
-    pub collective_ns: u64,
-    /// Overall attribution; `compute + comm + stall + retransmit +
-    /// collective == critical_path_ns` exactly.
-    pub compute_ns: u64,
-    pub comm_ns: u64,
-    pub stall_ns: u64,
-    pub retransmit_ns: u64,
-    /// Per-rank slack: virtual ns the rank spent waiting at barriers for
-    /// the per-phase critical rank, summed over phases.
-    pub rank_slack_ns: Vec<f64>,
-    /// Number of phases in which each rank was the critical rank.
-    pub rank_critical_phases: Vec<u64>,
-    /// Straggler-imbalance score in `[0, 1]`:
-    /// `Σ_phases (max_work − mean_work) / Σ_phases max_work`. 0 means
-    /// perfectly balanced phases; values near 1 mean one rank does all the
-    /// waiting-for.
-    pub straggler_score: f64,
-    /// Per-phase attribution, in phase order.
-    pub phase_attribution: Vec<PhaseAttribution>,
+report_struct! {
+    /// The `critical_path` report section: happens-before critical-path
+    /// length, overall and per-phase time attribution, per-rank slack, and
+    /// the straggler-imbalance score. The path length and its dominant
+    /// buckets follow the virtual-time gates; the small noisy buckets (stall
+    /// residue, retransmit charge) and the imbalance score get extra slack
+    /// so a cost-model tweak does not trip them.
+    pub struct CriticalPathSection {
+        pub n_ranks: u64 => Val;
+        /// Barrier-to-barrier phases analyzed.
+        pub phases: u64 => Val;
+        /// Longest path through the happens-before DAG, ns. Equals the final
+        /// virtual clock reading exactly (see module docs).
+        pub critical_path_ns: u64 => Val, Rise(0.10);
+        /// Collective-only clock advances (allreduce/allgather synchronization
+        /// outside message phases), ns.
+        pub collective_ns: u64 => Val, Rise(0.10);
+        /// Overall attribution; `compute + comm + stall + retransmit +
+        /// collective == critical_path_ns` exactly.
+        pub compute_ns: u64 => Val, Rise(0.10);
+        pub comm_ns: u64 => Val, Rise(0.10);
+        pub stall_ns: u64 => Val, Rise(0.25);
+        pub retransmit_ns: u64 => Val, Rise(0.25);
+        /// Per-rank slack: virtual ns the rank spent waiting at barriers for
+        /// the per-phase critical rank, summed over phases.
+        pub rank_slack_ns: Vec<f64> => List;
+        /// Number of phases in which each rank was the critical rank.
+        pub rank_critical_phases: Vec<u64> => List;
+        /// Straggler-imbalance score in `[0, 1]`:
+        /// `Σ_phases (max_work − mean_work) / Σ_phases max_work`. 0 means
+        /// perfectly balanced phases; values near 1 mean one rank does all the
+        /// waiting-for.
+        pub straggler_score: f64 => Val, Rise(0.15);
+        /// Per-phase attribution, in phase order.
+        pub phase_attribution: Vec<PhaseAttribution> => List;
+    }
 }
 
 /// Distribute `total` integer nanoseconds across buckets proportionally to

@@ -195,13 +195,18 @@ fn stat_tiles(r: &RunReport) -> String {
         }
         tiles.push((k.replace('_', " "), trim_float(*v)));
     }
+    tiles_html(&tiles)
+}
+
+/// One row of stat tiles: `(label, value)` pairs, value on top.
+fn tiles_html<L: AsRef<str>>(tiles: &[(L, String)]) -> String {
     let mut out = String::from("<div class=\"tiles\">\n");
     for (label, value) in tiles {
         let _ = writeln!(
             out,
             "<div class=\"tile\"><b>{}</b><span>{}</span></div>",
-            esc(&value),
-            esc(&label)
+            esc(value),
+            esc(label.as_ref())
         );
     }
     out.push_str("</div>\n");
@@ -283,16 +288,7 @@ fn critical_path_panel(cp: &CriticalPathSection) -> String {
         ("collectives", pct(cp.collective_ns)),
         ("straggler score", format!("{:.3}", cp.straggler_score)),
     ];
-    let mut out = String::from("<div class=\"tiles\">\n");
-    for (label, value) in tiles {
-        let _ = writeln!(
-            out,
-            "<div class=\"tile\"><b>{}</b><span>{}</span></div>",
-            esc(value),
-            esc(label)
-        );
-    }
-    out.push_str("</div>\n");
+    let mut out = tiles_html(tiles);
     out.push_str(&critical_lane_svg(cp));
     out.push_str(&slack_bars_svg(cp));
     out
@@ -543,8 +539,7 @@ fn serving_panel(s: &ServingSection) -> String {
         ("p95 latency", format!("{:.2} ms", s.p95_ns as f64 / 1e6)),
         ("p99 latency", format!("{:.2} ms", s.p99_ns as f64 / 1e6)),
     ];
-    // Client-perceived percentiles (schema v7): absent from pre-v7
-    // documents, where the histogram is empty.
+    // Client-perceived percentiles, once any query has been answered.
     if !s.client_hist.is_empty() {
         tiles.push((
             "client p50",
@@ -555,16 +550,7 @@ fn serving_panel(s: &ServingSection) -> String {
             format!("{:.2} ms", s.client_p99_ns as f64 / 1e6),
         ));
     }
-    let mut out = String::from("<div class=\"tiles\">\n");
-    for (label, value) in &tiles {
-        let _ = writeln!(
-            out,
-            "<div class=\"tile\"><b>{}</b><span>{}</span></div>",
-            esc(value),
-            esc(label)
-        );
-    }
-    out.push_str("</div>\n");
+    let mut out = tiles_html(&tiles);
     out.push_str(&latency_hist_svg(s));
     let rows: &[(&str, u64)] = &[
         ("offered (open-loop arrivals)", s.offered),
@@ -598,7 +584,7 @@ fn serving_panel(s: &ServingSection) -> String {
     out
 }
 
-/// Per-tenant SLO table (schema v7); empty string when the workload
+/// Per-tenant SLO table; empty string when the workload
 /// declared no tenant classes.
 fn tenant_slo_table(s: &ServingSection) -> String {
     if s.tenants.is_empty() {
@@ -683,23 +669,14 @@ fn latency_hist_svg(s: &ServingSection) -> String {
 }
 
 /// Per-namespace counters, mutation totals, and the filtered-query
-/// selectivity decile chart of the vector-DB product layer (schema v8).
+/// selectivity decile chart of the vector-DB product layer.
 fn vdb_panel(v: &VdbSection) -> String {
     let tiles: &[(&str, String)] = &[
         ("namespaces", group_u64(v.namespaces.len() as u64)),
         ("filtered queries", group_u64(v.filtered_queries)),
         ("cache-suppressed ids", group_u64(v.cache_suppressed_ids)),
     ];
-    let mut out = String::from("<div class=\"tiles\">\n");
-    for (label, value) in tiles {
-        let _ = writeln!(
-            out,
-            "<div class=\"tile\"><b>{}</b><span>{}</span></div>",
-            esc(value),
-            esc(label)
-        );
-    }
-    out.push_str("</div>\n");
+    let mut out = tiles_html(tiles);
     out.push_str(
         "<table><tr><th>namespace</th><th>points</th><th>live</th>\
          <th>tombstones</th><th>dead</th><th>epoch</th><th>inserts</th>\
@@ -784,16 +761,7 @@ fn forensics_panel(q: &QueryForensicsSection) -> String {
         ),
         ("digest", format!("{:016x}", q.digest)),
     ];
-    let mut out = String::from("<div class=\"tiles\">\n");
-    for (label, value) in tiles {
-        let _ = writeln!(
-            out,
-            "<div class=\"tile\"><b>{}</b><span>{}</span></div>",
-            esc(value),
-            esc(label)
-        );
-    }
-    out.push_str("</div>\n");
+    let mut out = tiles_html(tiles);
     out.push_str(&waterfall_svg(q));
     out.push_str(&exemplar_table(q));
     out
@@ -1340,7 +1308,7 @@ mod tests {
         assert!(html.contains("shed: deadline expired"));
         assert!(html.contains("000000000000abcd")); // digest, zero-padded hex
         assert!(html.contains("4 slot(s): 5 queries"));
-        // Tenant-less, pre-v7-shaped section: no tenant table, no
+        // Tenant-less section: no tenant table, no
         // client-latency tiles.
         assert!(!html.contains("Tenant SLOs"));
         assert!(!html.contains("client p99"));

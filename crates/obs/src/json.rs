@@ -90,11 +90,14 @@ impl JsonValue {
     }
 
     /// Parse a JSON document. Returns an error message with a byte offset
-    /// on malformed input.
+    /// on malformed input, which includes arrays and objects nested deeper
+    /// than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -212,9 +215,17 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so without a bound a file of `[[[[…` overflows
+/// the stack; nothing this workspace writes nests deeper than 8.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -252,11 +263,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -299,10 +326,11 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one UTF-8 character (multi-byte safe). `pos`
+                    // is on a character boundary: it got here by whole
+                    // characters, and a path that could split one returns.
+                    let rest = &self.text[self.pos..];
+                    let c = rest.chars().next().expect("peeked a byte");
                     s.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -440,6 +468,19 @@ mod tests {
         assert!(J::parse("[1, 2").is_err());
         assert!(J::parse("hello").is_err());
         assert!(J::parse("{} trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_a_typed_error_naming_the_offset() {
+        let nest = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(J::parse(&nest(super::MAX_DEPTH)).is_ok());
+        let err = J::parse(&nest(super::MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 levels at byte 128");
+        // The hostile case: no closing bracket, deeper than any stack.
+        let err = J::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.ends_with("at byte 128"), "{err}");
+        let err = J::parse(&"{\"k\":".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
     }
 
     #[test]

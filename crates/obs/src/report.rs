@@ -4,91 +4,471 @@
 //!
 //! All field types are local to `obs` so the crate stays dependency-free;
 //! the binaries translate from `ygm`/engine types when filling one in.
+//!
+//! **Every field is declared once.** Each struct of the document is
+//! declared through [`report_struct!`]: a field's line carries its type,
+//! its codec (how the value is written to and read from JSON) and, for a
+//! value `dnnd-report-diff` compares, its [`Gate`] — in document order.
+//! [`RunReport::to_json`], [`RunReport::from_json`] and
+//! [`RunReport::leaves`] are derived from those lines; nothing else in the
+//! workspace knows a key, and the diff tool knows no field at all. Reading
+//! is strict: a listed key is required and typed, and only the keys whose
+//! codec says so ([`Opt`], [`NonEmpty`]) may be absent.
 
-use crate::critical_path::{CriticalPathSection, PhaseAttribution};
+use crate::critical_path::CriticalPathSection;
 use crate::hist::HistogramSnapshot;
 use crate::json::JsonValue as J;
-use crate::timeseries::{SeriesPoint, SeriesSnapshot};
+use crate::timeseries::SeriesSnapshot;
+use std::fmt;
+use Gate::{Fall, Info, Rise};
 
-/// Report schema version; bump on breaking layout changes.
-///
-/// v1: aggregates only (tags, totals, phases, convergence, histograms).
-/// v2: adds continuous telemetry — per-rank `series` sampled on the
-///     virtual clock and the rank×rank×tag traffic `matrix`.
-/// v3: adds the optional `serving` section — online-serving SLO counters,
-///     exact latency histogram, and the result digest (omitted for
-///     non-serving runs, which keeps those documents v2-shaped).
-/// v4: adds the optional `critical_path` section (happens-before
-///     critical-path length, compute/comm/stall/retransmit attribution,
-///     per-rank slack, straggler score) and the `dropped_spans` counter
-///     (span-ring overflow). Older documents parse with both absent.
-/// v5: adds the optional `rnn` section — RNN-Descent optimization-mode
-///     parameters and per-round prune/add counters (omitted for runs that
-///     did not use `--opt-mode rnn`). Older documents parse with it absent.
-/// v6: adds the optional `query_forensics` section — per-query lifecycle
-///     exemplars from the serving layer's deterministic tail-based
-///     sampler, per-stage latency histograms, sampler counters, and the
-///     section digest — plus `dropped_spans_per_rank` (per-rank ring
-///     overflow, complementing the v4 total). Older documents parse with
-///     the section absent and the per-rank vector empty.
-/// v7: the serving section grows client-perceived latency
-///     (`client_p50_ns`/`client_p99_ns`/`client_hist` — measured from each
-///     query's *first* issue, so closed-loop retry time counts) and the
-///     optional per-tenant SLO array `tenants` (omitted when the workload
-///     declares no tenant classes); query-forensics exemplars gain a
-///     `tenant` field. Older documents parse with zeros / empty vectors.
-/// v8: adds the optional `vdb` section — vector-DB product-layer counters
-///     from a namespaced serving run (per-namespace point/live/tombstone/
-///     dead/epoch counters, online insert/delete/compaction totals, and
-///     the filtered-query selectivity histogram). Omitted for runs without
-///     a `--namespace`; older documents parse with it absent.
+/// The one report schema this build writes and reads. Bump it on a layout
+/// change and regenerate the committed `BENCH_*.json` in the same commit
+/// (README "RunReport schema" has the command per baseline;
+/// `tests/report_golden.rs` fails until they are).
 pub const SCHEMA_VERSION: u64 = 8;
 
-/// Oldest schema this parser still accepts. v1 documents parse with empty
-/// `series` and no `matrix`; v1/v2 documents parse with no `serving`.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
-
-/// Per-message-tag traffic totals (mirrors `ygm`'s `TagStats` plus identity).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TagReport {
-    pub tag: u64,
-    pub name: String,
-    pub count: u64,
-    pub bytes: u64,
-    pub remote_count: u64,
-    pub remote_bytes: u64,
+/// How `dnnd-report-diff` treats one compared value. Thresholds are
+/// relative (`0.05` allows 5 % movement).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Gate {
+    /// Shown for context, never gated (wall clock, free-form metrics).
+    Info,
+    /// Growth beyond the threshold regresses (times, message counts).
+    Rise(f64),
+    /// Shrinkage beyond the threshold regresses (recall, answered queries).
+    Fall(f64),
+    /// Not a value: marks a part of the document that only some run kinds
+    /// produce as present. A baseline that carries the marker and a
+    /// candidate that lacks it is a hard failure naming the path.
+    Section,
 }
 
-/// One barrier-to-barrier phase of virtual time.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PhaseReport {
-    pub index: u64,
-    pub compute_secs: f64,
-    pub comm_secs: f64,
-    pub barrier_secs: f64,
-    pub msgs: u64,
-    pub bytes: u64,
+/// One compared value of a report, flattened (`serving.shed_overload`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Leaf {
+    pub path: String,
+    pub value: f64,
+    pub gate: Gate,
 }
 
-/// One NN-Descent iteration's convergence sample.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ConvergencePoint {
-    pub iteration: u64,
-    /// Successful heap updates (the paper's `c` termination counter).
-    pub updates: u64,
+/// Why a document is not a report of this build.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ReportError {
+    /// The text is not JSON (the parser's message, with its byte offset).
+    Json(String),
+    /// The document was written at another schema version.
+    Schema(u64),
+    /// A key is missing or does not hold what its field table says.
+    Field {
+        path: String,
+        expected: &'static str,
+    },
 }
 
-/// Summary statistics of one named histogram.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct HistReport {
-    pub name: String,
-    pub count: u64,
-    pub mean: f64,
-    pub min: u64,
-    pub max: u64,
-    pub p50: u64,
-    pub p95: u64,
-    pub p99: u64,
+impl fmt::Display for ReportError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReportError::Json(msg) => f.write_str(msg),
+            ReportError::Schema(found) => write!(
+                f,
+                "schema_version {found} is not {SCHEMA_VERSION}: regenerate the document \
+                 with this build (README \"RunReport schema\" lists the command per baseline)"
+            ),
+            ReportError::Field { path, expected } => write!(f, "'{path}': expected {expected}"),
+        }
+    }
+}
+
+fn bad(path: &str, expected: &'static str) -> ReportError {
+    let path = path.to_string();
+    ReportError::Field { path, expected }
+}
+
+/// Path of `key` inside the value at `at` (the document itself is `""`).
+pub(crate) fn join(at: &str, key: &str) -> String {
+    let dot = if at.is_empty() { "" } else { "." };
+    format!("{at}{dot}{key}")
+}
+
+/// What one JSON value can hold: a number, a string, a boolean, or — for a
+/// struct declared through [`report_struct!`] — an object.
+pub(crate) trait Value: Sized {
+    fn to_json(&self) -> J;
+    /// Back from the JSON value at path `at`.
+    fn from_json(j: &J, at: &str) -> Result<Self, ReportError>;
+    /// The compared values of a struct at path `at` (a scalar has none of
+    /// its own: whether it is compared is its field's gate).
+    fn push_leaves(&self, _at: &str, _out: &mut Vec<Leaf>) {}
+}
+
+/// `(type, what a reader expects, to JSON, from JSON)`.
+macro_rules! scalar_values {
+    ($($ty:ty, $expected:literal, $to:expr, $from:expr;)+) => {$(
+        impl Value for $ty {
+            fn to_json(&self) -> J {
+                $to(self)
+            }
+            fn from_json(j: &J, at: &str) -> Result<Self, ReportError> {
+                $from(j).ok_or_else(|| bad(at, $expected))
+            }
+        }
+    )+};
+}
+
+scalar_values! {
+    u64, "a non-negative integer", |v: &u64| J::uint(*v), J::as_u64;
+    f64, "a number", |v: &f64| J::Num(*v), J::as_f64;
+    String, "a string", J::str, |j: &J| j.as_str().map(str::to_string);
+    bool, "a boolean", |v: &bool| J::Bool(*v), J::as_bool;
+}
+
+/// An optional scalar under a required key: `null` when `None`.
+impl<T: Value> Value for Option<T> {
+    fn to_json(&self) -> J {
+        self.as_ref().map_or(J::Null, T::to_json)
+    }
+    fn from_json(j: &J, at: &str) -> Result<Self, ReportError> {
+        (*j != J::Null).then(|| T::from_json(j, at)).transpose()
+    }
+}
+
+/// How a field of type `T` travels: what follows `=>` on its line.
+pub(crate) trait Codec<T> {
+    /// The JSON value, or `None` to omit the key.
+    fn write(&self, v: &T) -> Option<J>;
+    /// Back from the JSON value at path `at`; `None` is an absent key.
+    fn read(&self, j: Option<&J>, at: &str) -> Result<T, ReportError>;
+    /// The compared values under this field (none for most codecs).
+    fn leaves(&self, _v: &T, _at: &str, _gate: Option<Gate>, _out: &mut Vec<Leaf>) {}
+}
+
+/// Declare a struct of the document, fields and field table in one place:
+/// each line is a public field as usual, then `=>` and how it travels:
+///
+/// ```text
+/// pub field: Type => [[in "object"] [as "key"]:] codec [, gate] [=> ["leaf" = |field| value, gate; ..]];
+/// ```
+///
+/// The JSON key is the field's name unless `as` renames it, and `in` nests
+/// it one object deeper (`in "total" as "count"`). A field without a gate
+/// is not compared. The trailing `=>` list declares compared values
+/// *derived* from the field (a list's length, a sum over its rows) next to
+/// the list they summarise. The struct derives `Debug`, `Clone`,
+/// `PartialEq` and `Default`; its [`Value`] impl is three loops over this
+/// one list, so a field cannot exist without being written, read and — if
+/// it has a gate — compared.
+macro_rules! report_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {$(
+            $(#[$field_meta:meta])*
+            pub $field:ident: $field_ty:ty =>
+                $($(in $group:literal)? $(as $key:literal)? :)? $codec:expr $(, $gate:expr)?
+                $(=> [$($leaf:literal = $value:expr, $leaf_gate:expr);+])?;
+        )+}
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq, Default)]
+        pub struct $name {$(
+            $(#[$field_meta])*
+            pub $field: $field_ty,
+        )+}
+
+        impl $crate::report::Value for $name {
+            fn to_json(&self) -> $crate::json::JsonValue {
+                let mut out = Vec::with_capacity([$(stringify!($field)),+].len());
+                $(if let Some(j) = $crate::report::Codec::write(&$codec, &self.$field) {
+                    let key = [$($($key,)?)? stringify!($field)][0];
+                    $crate::report::slot(&mut out, &[$($($group)?)?]).push((key.into(), j));
+                })+
+                $crate::json::JsonValue::Obj(out)
+            }
+
+            fn from_json(
+                obj: &$crate::json::JsonValue,
+                at: &str,
+            ) -> Result<Self, $crate::report::ReportError> {
+                Ok($name {$($field: {
+                    let key = [$($($key,)?)? stringify!($field)][0];
+                    let (j, at) = $crate::report::lookup(obj, at, &[$($($group)?)?], key)?;
+                    $crate::report::Codec::read(&$codec, j, &at)?
+                },)+})
+            }
+
+            fn push_leaves(&self, at: &str, out: &mut Vec<$crate::report::Leaf>) {
+                $(
+                    let gate: &[$crate::report::Gate] = &[$($gate)?];
+                    let path = $crate::report::join(at, stringify!($field));
+                    let gate = gate.first().copied();
+                    $crate::report::Codec::leaves(&$codec, &self.$field, &path, gate, out);
+                    $($(out.push($crate::report::Leaf {
+                        path: $crate::report::join(at, $leaf),
+                        value: $crate::report::derive(&self.$field, $value),
+                        gate: $leaf_gate,
+                    });)+)?
+                )+
+            }
+        }
+    };
+}
+pub(crate) use report_struct;
+
+/// The object a field is written into: the struct's own, or — for a field
+/// declared `in "group"` — the nested object of that name, opened by the
+/// first field of the group.
+pub(crate) fn slot<'a>(out: &'a mut Vec<(String, J)>, group: &[&str]) -> &'a mut Vec<(String, J)> {
+    let Some(&group) = group.first() else {
+        return out;
+    };
+    if out.last().is_none_or(|(key, _)| key != group) {
+        out.push((group.into(), J::Obj(Vec::new())));
+    }
+    match out.last_mut() {
+        Some((_, J::Obj(fields))) => fields,
+        _ => unreachable!("a group is an object"),
+    }
+}
+
+/// The value of `key` (in `group`, if any) of the object `obj`, and its path.
+pub(crate) fn lookup<'a>(
+    obj: &'a J,
+    at: &str,
+    group: &[&str],
+    key: &str,
+) -> Result<(Option<&'a J>, String), ReportError> {
+    let (holder, at) = match group.first() {
+        Some(group) => (obj.get(group), join(at, group)),
+        None => (Some(obj), at.to_string()),
+    };
+    match holder {
+        Some(holder @ J::Obj(_)) => Ok((holder.get(key), join(&at, key))),
+        _ => Err(bad(&at, "an object")),
+    }
+}
+
+/// Apply a derived leaf's closure to its field (a function, so that the
+/// closure's argument type is inferred from the field).
+pub(crate) fn derive<T: ?Sized>(field: &T, value: impl Fn(&T) -> f64) -> f64 {
+    value(field)
+}
+
+fn sum<T>(rows: &[T], of: impl Fn(&T) -> u64) -> f64 {
+    rows.iter().map(of).sum::<u64>() as f64
+}
+
+fn items<'a>(j: Option<&'a J>, at: &str) -> Result<&'a [J], ReportError> {
+    j.and_then(J::as_arr).ok_or_else(|| bad(at, "an array"))
+}
+
+/// The leaf that says "this optional part of the document is present".
+fn marker(at: &str) -> Leaf {
+    let (path, value, gate) = (at.to_string(), 1.0, Gate::Section);
+    Leaf { path, value, gate }
+}
+
+/// A required value. A gated number is one compared value.
+pub(crate) struct Val;
+
+impl<T: Value> Codec<T> for Val {
+    fn write(&self, v: &T) -> Option<J> {
+        Some(v.to_json())
+    }
+    fn read(&self, j: Option<&J>, at: &str) -> Result<T, ReportError> {
+        let j = j.ok_or_else(|| bad(at, "a value (the key is missing)"))?;
+        T::from_json(j, at)
+    }
+    fn leaves(&self, v: &T, at: &str, gate: Option<Gate>, out: &mut Vec<Leaf>) {
+        if let Some((gate, value)) = gate.and_then(|g| Some((g, v.to_json().as_f64()?))) {
+            let path = at.to_string();
+            out.push(Leaf { path, value, gate });
+        }
+    }
+}
+
+/// A section only some run kinds produce: the key is omitted when `None`
+/// (that is not versioning — the version is [`SCHEMA_VERSION`] either
+/// way). Present, it contributes its [`Gate::Section`] marker and its
+/// fields' leaves under `<key>.`.
+pub(crate) struct Opt;
+
+impl<T: Value> Codec<Option<T>> for Opt {
+    fn write(&self, v: &Option<T>) -> Option<J> {
+        v.as_ref().map(T::to_json)
+    }
+    fn read(&self, j: Option<&J>, at: &str) -> Result<Option<T>, ReportError> {
+        j.map(|j| T::from_json(j, at)).transpose()
+    }
+    fn leaves(&self, v: &Option<T>, at: &str, _gate: Option<Gate>, out: &mut Vec<Leaf>) {
+        if let Some(section) = v {
+            out.push(marker(at));
+            section.push_leaves(at, out);
+        }
+    }
+}
+
+/// A full-range 64-bit digest as 16 hex digits: a JSON number is an `f64`
+/// and would round it.
+pub(crate) struct Hex;
+
+impl Codec<u64> for Hex {
+    fn write(&self, v: &u64) -> Option<J> {
+        Some(J::str(format!("{v:016x}")))
+    }
+    fn read(&self, j: Option<&J>, at: &str) -> Result<u64, ReportError> {
+        j.and_then(J::as_str)
+            .and_then(|s| u64::from_str_radix(s, 16).ok())
+            .ok_or_else(|| bad(at, "a 64-bit hex digest string"))
+    }
+}
+
+/// A list of values: numbers, or nested rows `[{..}, ..]`.
+pub(crate) struct List;
+
+impl<T: Value> Codec<Vec<T>> for List {
+    fn write(&self, v: &Vec<T>) -> Option<J> {
+        Some(J::Arr(v.iter().map(T::to_json).collect()))
+    }
+    fn read(&self, j: Option<&J>, at: &str) -> Result<Vec<T>, ReportError> {
+        let item = |(i, x): (usize, &J)| T::from_json(x, &format!("{at}[{i}]"));
+        items(j, at)?.iter().enumerate().map(item).collect()
+    }
+}
+
+/// A free-form `{name: scalar}` object kept in insertion order: `params`
+/// (strings) and `extra` (numbers, each an `extra.<name>` leaf).
+pub(crate) struct Map;
+
+impl<T: Value> Codec<Vec<(String, T)>> for Map {
+    fn write(&self, v: &Vec<(String, T)>) -> Option<J> {
+        let entry = |(k, x): &(String, T)| (k.clone(), x.to_json());
+        Some(J::Obj(v.iter().map(entry).collect()))
+    }
+    fn read(&self, j: Option<&J>, at: &str) -> Result<Vec<(String, T)>, ReportError> {
+        let Some(J::Obj(fields)) = j else {
+            return Err(bad(at, "an object"));
+        };
+        let entry = |(k, x): &(String, J)| Ok((k.clone(), T::from_json(x, &join(at, k))?));
+        fields.iter().map(entry).collect()
+    }
+    fn leaves(&self, v: &Vec<(String, T)>, at: &str, gate: Option<Gate>, out: &mut Vec<Leaf>) {
+        for (k, x) in v {
+            Val.leaves(x, &join(at, k), gate, out);
+        }
+    }
+}
+
+/// A list of `(A, B)` tuples as `[{<a>: .., <b>: ..}, ..]`: each half's key
+/// and codec.
+pub(crate) struct Pairs<A, B>(pub &'static str, pub A, pub &'static str, pub B);
+
+/// Exact histogram buckets `(slots, count)`.
+const BUCKETS: Pairs<Val, Val> = Pairs("slots", Val, "count", Val);
+
+impl<A, B, CA: Codec<A>, CB: Codec<B>> Codec<Vec<(A, B)>> for Pairs<CA, CB> {
+    fn write(&self, v: &Vec<(A, B)>) -> Option<J> {
+        let Pairs(key_a, a, key_b, b) = self;
+        let half = |key: &str, j: Option<J>| (key.to_string(), j.unwrap_or(J::Null));
+        let pair = |(x, y): &(A, B)| J::Obj(vec![half(key_a, a.write(x)), half(key_b, b.write(y))]);
+        Some(J::Arr(v.iter().map(pair).collect()))
+    }
+    fn read(&self, j: Option<&J>, at: &str) -> Result<Vec<(A, B)>, ReportError> {
+        let Pairs(key_a, a, key_b, b) = self;
+        let pair = |(i, pair): (usize, &J)| {
+            let x = a.read(pair.get(key_a), &format!("{at}[{i}].{key_a}"))?;
+            let y = b.read(pair.get(key_b), &format!("{at}[{i}].{key_b}"))?;
+            Ok((x, y))
+        };
+        items(j, at)?.iter().enumerate().map(pair).collect()
+    }
+}
+
+/// A list whose key is omitted while it is empty.
+pub(crate) struct NonEmpty<C>(pub C);
+
+impl<T, C: Codec<Vec<T>>> Codec<Vec<T>> for NonEmpty<C> {
+    fn write(&self, v: &Vec<T>) -> Option<J> {
+        (!v.is_empty()).then(|| self.0.write(v)).flatten()
+    }
+    fn read(&self, j: Option<&J>, at: &str) -> Result<Vec<T>, ReportError> {
+        j.map_or(Ok(Vec::new()), |x| self.0.read(Some(x), at))
+    }
+    fn leaves(&self, v: &Vec<T>, at: &str, gate: Option<Gate>, out: &mut Vec<Leaf>) {
+        self.0.leaves(v, at, gate, out);
+    }
+}
+
+/// A [`List`] of rows compared row by row, matched by name: a non-empty
+/// list contributes its [`Gate::Section`] marker, and each row its own
+/// leaves under `<singular>.<row name>.` (`serving.tenant.gold.offered`).
+/// The arguments are the singular and the row's name.
+pub(crate) struct Named<T>(pub &'static str, pub fn(&T) -> &str);
+
+impl<T: Value> Codec<Vec<T>> for Named<T> {
+    fn write(&self, v: &Vec<T>) -> Option<J> {
+        List.write(v)
+    }
+    fn read(&self, j: Option<&J>, at: &str) -> Result<Vec<T>, ReportError> {
+        List.read(j, at)
+    }
+    fn leaves(&self, v: &Vec<T>, at: &str, _gate: Option<Gate>, out: &mut Vec<Leaf>) {
+        if v.is_empty() {
+            return;
+        }
+        out.push(marker(at));
+        let Named(singular, name) = *self;
+        let section = at.rsplit_once('.').map_or("", |(section, _)| section);
+        for row in v {
+            row.push_leaves(&join(&join(section, singular), name(row)), out);
+        }
+    }
+}
+
+report_struct! {
+    /// Per-message-tag traffic totals (mirrors `ygm`'s `TagStats` plus identity).
+    pub struct TagReport {
+        pub tag: u64 => Val;
+        pub name: String => Val;
+        pub count: u64 => Val;
+        pub bytes: u64 => Val;
+        pub remote_count: u64 => Val;
+        pub remote_bytes: u64 => Val;
+    }
+}
+
+report_struct! {
+    /// One barrier-to-barrier phase of virtual time.
+    pub struct PhaseReport {
+        pub index: u64 => Val;
+        pub compute_secs: f64 => Val;
+        pub comm_secs: f64 => Val;
+        pub barrier_secs: f64 => Val;
+        pub msgs: u64 => Val;
+        pub bytes: u64 => Val;
+    }
+}
+
+report_struct! {
+    /// One NN-Descent iteration's convergence sample.
+    pub struct ConvergencePoint {
+        pub iteration: u64 => Val;
+        /// Successful heap updates (the paper's `c` termination counter).
+        pub updates: u64 => Val;
+    }
+}
+
+report_struct! {
+    /// Summary statistics of one named histogram.
+    pub struct HistReport {
+        pub name: String => Val;
+        pub count: u64 => Val;
+        pub mean: f64 => Val;
+        pub min: u64 => Val;
+        pub max: u64 => Val;
+        pub p50: u64 => Val;
+        pub p95: u64 => Val;
+        pub p99: u64 => Val;
+    }
 }
 
 impl HistReport {
@@ -106,201 +486,212 @@ impl HistReport {
     }
 }
 
-/// Injected-fault and reliable-delivery counters from a simulation-tested
-/// run (mirrors `ygm`'s `FaultReport`). Present only when the producing
-/// world ran under a fault plan; the JSON key is omitted otherwise, which
-/// keeps fault-free reports byte-identical to schema v1 documents.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultSection {
-    /// Seed that replays this run's fault schedule (`--sim-seed`).
-    pub sim_seed: u64,
-    /// Fault profile name (`clean` / `lossy` / `stormy` / `custom`).
-    pub profile: String,
-    pub dropped: u64,
-    pub duplicated: u64,
-    pub delayed: u64,
-    pub stalls: u64,
-    pub jittered_flushes: u64,
-    pub retransmits: u64,
-    pub dedup_discards: u64,
-    pub forced_deliveries: u64,
+report_struct! {
+    /// Injected-fault and reliable-delivery counters from a simulation-tested
+    /// run (mirrors `ygm`'s `FaultReport`). Present only when the producing
+    /// world ran under a fault plan. Every counter gates exactly: new fault
+    /// activity in a candidate is growth from zero.
+    pub struct FaultSection {
+        /// Seed that replays this run's fault schedule (`--sim-seed`).
+        pub sim_seed: u64 => Val;
+        /// Fault profile name (`clean` / `lossy` / `stormy` / `custom`).
+        pub profile: String => Val;
+        pub dropped: u64 => Val, Rise(0.0);
+        pub duplicated: u64 => Val, Rise(0.0);
+        pub delayed: u64 => Val, Rise(0.0);
+        pub stalls: u64 => Val, Rise(0.0);
+        pub jittered_flushes: u64 => Val, Rise(0.0);
+        pub retransmits: u64 => Val, Rise(0.0);
+        pub dedup_discards: u64 => Val, Rise(0.0);
+        pub forced_deliveries: u64 => Val, Rise(0.0);
+    }
 }
 
-/// Online query-serving SLO telemetry (schema v3). Produced by the serving
-/// engine; every counter and bucket is deterministic in the serve seed and
-/// independent of the rank count, so the section doubles as the replay
-/// fingerprint of a serving run.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ServingSection {
-    /// Seed that replays this run's workload and every serving decision
-    /// (`--serve-seed`).
-    pub serve_seed: u64,
-    /// Virtual duration of one serving slot, nanoseconds.
-    pub slot_ns: u64,
-    /// Serving slots executed (including the drain tail past the last
-    /// arrival).
-    pub slots: u64,
-    /// Queries generated by the open-loop arrival process.
-    pub offered: u64,
-    /// Queries admitted to a frontend queue (offered − shed_overload
-    /// − cache_hits, before deadline shedding).
-    pub admitted: u64,
-    /// Queries answered with search results (excludes cache hits).
-    pub answered: u64,
-    /// Queries answered straight from the result cache.
-    pub cache_hits: u64,
-    /// Cache entries evicted by the LRU policy.
-    pub cache_evictions: u64,
-    /// Queries dropped because their deadline expired while queued.
-    pub shed_deadline: u64,
-    /// Queries dropped by the queue-depth high watermark.
-    pub shed_overload: u64,
-    /// Queries answered at a degraded search level (shrunk epsilon/beam).
-    pub degraded: u64,
-    /// High-water mark of the logical queue depth.
-    pub max_queue_depth: u64,
-    /// Answered-query latency percentiles, virtual nanoseconds.
-    pub p50_ns: u64,
-    pub p95_ns: u64,
-    pub p99_ns: u64,
-    /// Mean answered-query latency, virtual nanoseconds.
-    pub mean_latency_ns: f64,
-    /// Exact latency histogram: `(latency_slots, count)` sorted by
-    /// latency. Bit-identical across reruns and rank counts.
-    pub latency_hist: Vec<(u64, u64)>,
-    /// Client-perceived latency percentiles (schema v7): measured from
-    /// each query's *first* issue slot, so closed-loop shed-and-retry
-    /// time accumulates. Equal to the answered percentiles for open
-    /// loops; the divergence under saturation is coordinated omission
-    /// made visible. Zero in pre-v7 documents.
-    pub client_p50_ns: u64,
-    pub client_p99_ns: u64,
-    /// Exact client-perceived latency histogram (schema v7); empty in
-    /// pre-v7 documents.
-    pub client_hist: Vec<(u64, u64)>,
-    /// Per-tenant-class SLO attainment (schema v7), in declaration
-    /// (priority) order. Empty — and omitted from the JSON — when the
-    /// workload declares no tenant classes, which keeps single-tenant
-    /// documents shaped like v3.
-    pub tenants: Vec<TenantSloSection>,
-    /// FNV-1a digest over every answered query's `(query_id, result ids)`
-    /// in query-id order — the bit-identity fingerprint of the answers.
-    pub result_digest: u64,
+report_struct! {
+    /// Online query-serving SLO telemetry. Produced by the serving engine;
+    /// every counter and bucket is deterministic in the serve seed and
+    /// independent of the rank count, so the section doubles as the replay
+    /// fingerprint of a serving run. Counters of the deterministic control
+    /// plane gate exactly (answered / cache-hit shrinkage is the regression
+    /// side); latency percentiles get 10 % slack for search-cost tweaks.
+    pub struct ServingSection {
+        /// Seed that replays this run's workload and every serving decision
+        /// (`--serve-seed`).
+        pub serve_seed: u64 => Val;
+        /// Virtual duration of one serving slot, nanoseconds.
+        pub slot_ns: u64 => Val;
+        /// Serving slots executed (including the drain tail past the last
+        /// arrival).
+        pub slots: u64 => Val;
+        /// Queries generated by the open-loop arrival process.
+        pub offered: u64 => Val, Rise(0.0);
+        /// Queries admitted to a frontend queue (offered − shed_overload
+        /// − cache_hits, before deadline shedding).
+        pub admitted: u64 => Val, Rise(0.0);
+        /// Queries answered with search results (excludes cache hits).
+        pub answered: u64 => Val, Fall(0.0);
+        /// Queries answered straight from the result cache.
+        pub cache_hits: u64 => Val, Fall(0.0);
+        /// Cache entries evicted by the LRU policy.
+        pub cache_evictions: u64 => Val, Rise(0.0);
+        /// Queries dropped because their deadline expired while queued.
+        pub shed_deadline: u64 => Val, Rise(0.0);
+        /// Queries dropped by the queue-depth high watermark.
+        pub shed_overload: u64 => Val, Rise(0.0);
+        /// Queries answered at a degraded search level (shrunk epsilon/beam).
+        pub degraded: u64 => Val, Rise(0.0);
+        /// High-water mark of the logical queue depth.
+        pub max_queue_depth: u64 => Val, Rise(0.0);
+        /// Answered-query latency percentiles, virtual nanoseconds.
+        pub p50_ns: u64 => Val, Rise(0.10);
+        pub p95_ns: u64 => Val, Rise(0.10);
+        pub p99_ns: u64 => Val, Rise(0.10);
+        /// Mean answered-query latency, virtual nanoseconds.
+        pub mean_latency_ns: f64 => Val;
+        /// Exact latency histogram: `(latency_slots, count)` sorted by
+        /// latency. Bit-identical across reruns and rank counts.
+        pub latency_hist: Vec<(u64, u64)> => BUCKETS;
+        /// Client-perceived latency percentiles: measured from each query's
+        /// *first* issue slot, so closed-loop shed-and-retry time accumulates.
+        /// Equal to the answered percentiles for open loops; the divergence
+        /// under saturation is coordinated omission made visible.
+        pub client_p50_ns: u64 => Val, Rise(0.10);
+        pub client_p99_ns: u64 => Val, Rise(0.10);
+        /// Exact client-perceived latency histogram.
+        pub client_hist: Vec<(u64, u64)> => BUCKETS;
+        /// Per-tenant-class SLO attainment, in declaration (priority) order.
+        /// Empty — and omitted from the JSON — when the workload declares no
+        /// tenant classes.
+        pub tenants: Vec<TenantSloSection> =>
+            NonEmpty(Named("tenant", |t: &TenantSloSection| t.name.as_str()));
+        /// FNV-1a digest over every answered query's `(query_id, result ids)`
+        /// in query-id order — the bit-identity fingerprint of the answers.
+        pub result_digest: u64 => Hex;
+    }
 }
 
-/// One tenant class's slice of the serving SLO accounting (schema v7).
-/// Deterministic in the serve seed and independent of the rank count,
-/// like every other serving field.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TenantSloSection {
-    /// Class name from the workload spec (e.g. `gold`).
-    pub name: String,
-    /// Declared traffic share, integer percent.
-    pub share_pct: u64,
-    pub offered: u64,
-    pub admitted: u64,
-    pub answered: u64,
-    pub cache_hits: u64,
-    pub shed_overload: u64,
-    pub shed_deadline: u64,
-    pub degraded: u64,
-    /// Fraction of offered queries answered (search + cache); 0 when the
-    /// class offered nothing.
-    pub slo_attainment: f64,
-    /// Answered-latency percentiles of this class, virtual nanoseconds.
-    pub p50_ns: u64,
-    pub p99_ns: u64,
-    /// Exact per-class latency histogram `(latency_slots, count)`.
-    pub latency_hist: Vec<(u64, u64)>,
+report_struct! {
+    /// One tenant class's slice of the serving SLO accounting. Deterministic
+    /// in the serve seed and independent of the rank count, like every other
+    /// serving field: the admission ladder's counters gate exactly per class,
+    /// only the latency percentiles get slack.
+    pub struct TenantSloSection {
+        /// Class name from the workload spec (e.g. `gold`).
+        pub name: String => Val;
+        /// Declared traffic share, integer percent.
+        pub share_pct: u64 => Val;
+        pub offered: u64 => Val, Rise(0.0);
+        pub admitted: u64 => Val, Fall(0.0);
+        pub answered: u64 => Val, Fall(0.0);
+        pub cache_hits: u64 => Val, Fall(0.0);
+        pub shed_overload: u64 => Val, Rise(0.0);
+        pub shed_deadline: u64 => Val, Rise(0.0);
+        pub degraded: u64 => Val, Rise(0.0);
+        /// Fraction of offered queries answered (search + cache); 0 when the
+        /// class offered nothing.
+        pub slo_attainment: f64 => Val, Fall(0.0);
+        /// Answered-latency percentiles of this class, virtual nanoseconds.
+        pub p50_ns: u64 => Val, Rise(0.10);
+        pub p99_ns: u64 => Val, Rise(0.10);
+        /// Exact per-class latency histogram `(latency_slots, count)`.
+        pub latency_hist: Vec<(u64, u64)> => BUCKETS;
+    }
 }
 
-/// One RNN-Descent inner round's global counters (schema v5). Every value
-/// is all-reduced and deterministic, so the section doubles as the replay
-/// fingerprint of an RNN optimization pass.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RnnRoundReport {
-    /// Outer-round index (`0..t1`).
-    pub outer: u64,
-    /// Inner-round index within the outer round (`0..t2`).
-    pub inner: u64,
-    /// Flagged pairs checked this round == distance evaluations.
-    pub pairs: u64,
-    /// Edges removed by the occlusion rule.
-    pub pruned: u64,
-    /// Redirected edges that survived the canonical apply step.
-    pub added: u64,
+report_struct! {
+    /// One RNN-Descent inner round's global counters. Every value is
+    /// all-reduced and deterministic.
+    pub struct RnnRoundReport {
+        /// Outer-round index (`0..t1`).
+        pub outer: u64 => Val;
+        /// Inner-round index within the outer round (`0..t2`).
+        pub inner: u64 => Val;
+        /// Flagged pairs checked this round == distance evaluations.
+        pub pairs: u64 => Val;
+        /// Edges removed by the occlusion rule.
+        pub pruned: u64 => Val;
+        /// Redirected edges that survived the canonical apply step.
+        pub added: u64 => Val;
+    }
 }
 
-/// RNN-Descent optimization telemetry (schema v5): the T1/T2/K0/R knobs,
-/// per-round counters, reverse-edge merge sizes, and the pass's distance
-/// evaluations. Bit-identical across reruns and rank counts.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RnnSection {
-    /// Outer rounds (`T1`).
-    pub t1: u64,
-    /// Max inner rounds per outer round (`T2`).
-    pub t2: u64,
-    /// Final out-degree cap (`K0`).
-    pub k0: u64,
-    /// Working-row capacity (`R >= K0`).
-    pub r: u64,
-    /// Inner rounds actually executed (early exit on convergence).
-    pub rounds: Vec<RnnRoundReport>,
-    /// Surviving inserts of each reverse-edge exchange; index 0 is the
-    /// seed merge, later entries the outer-round boundaries.
-    pub reverse_added: Vec<u64>,
-    /// Distance evaluations of the RNN pass alone.
-    pub dist_evals: u64,
-    /// Zero-in-degree vertices reconnected by the post-cap connectivity
-    /// repair.
-    pub repaired: u64,
+report_struct! {
+    /// RNN-Descent optimization telemetry: the T1/T2/K0/R knobs, per-round
+    /// counters, reverse-edge merge sizes, and the pass's distance
+    /// evaluations. Bit-identical across reruns and rank counts, so every
+    /// aggregate gates exactly: any drift means the occlusion rule or the
+    /// round schedule changed.
+    pub struct RnnSection {
+        /// Outer rounds (`T1`).
+        pub t1: u64 => Val;
+        /// Max inner rounds per outer round (`T2`).
+        pub t2: u64 => Val;
+        /// Final out-degree cap (`K0`).
+        pub k0: u64 => Val;
+        /// Working-row capacity (`R >= K0`).
+        pub r: u64 => Val;
+        /// Inner rounds actually executed (early exit on convergence).
+        pub rounds: Vec<RnnRoundReport> => List => [
+            "rounds" = |rounds| rounds.len() as f64, Rise(0.0);
+            "pruned_total" = |rounds| sum(rounds, |r| r.pruned), Rise(0.0);
+            "added_total" = |rounds| sum(rounds, |r| r.added), Rise(0.0)
+        ];
+        /// Surviving inserts of each reverse-edge exchange; index 0 is the
+        /// seed merge, later entries the outer-round boundaries.
+        pub reverse_added: Vec<u64> => List => ["reverse_added_total" = |added| sum(added, |&a| a), Rise(0.0)];
+        /// Distance evaluations of the RNN pass alone.
+        pub dist_evals: u64 => Val, Rise(0.0);
+        /// Zero-in-degree vertices reconnected by the post-cap connectivity
+        /// repair.
+        pub repaired: u64 => Val, Rise(0.0);
+    }
 }
 
-/// One sampled per-query lifecycle record (schema v6). Every field is a
-/// pure function of the serve seed and parameters — slot-clock times,
-/// replicated verdicts, and search-cost counters — so records are
-/// bit-identical across reruns *and* rank counts. (The executing home rank
-/// is intentionally absent here: it is `pool_id % n_ranks`, which depends
-/// on the rank count; the JSONL slow-query log derives it per run.)
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct QueryExemplar {
-    /// Arrival index of the query within the workload.
-    pub idx: u64,
-    /// Query-pool id (the vector served).
-    pub pool_id: u64,
-    /// Tenant class index (schema v7; 0 when the workload declares no
-    /// classes and in pre-v7 documents).
-    pub tenant: u64,
-    /// Final verdict: `answered` / `cache_hit` / `shed_overload` /
-    /// `shed_deadline`.
-    pub verdict: String,
-    /// Why the sampler retained this record: `|`-joined subset of
-    /// `slow`, `shed`, `degraded`, `deadline_miss`.
-    pub why: String,
-    /// Degrade level the query was answered at (0 = full quality).
-    pub degrade_level: u64,
-    /// FNV-1a hash of the quantized cache key (hex in JSON).
-    pub cache_key_hash: u64,
-    /// Slot the query arrived in / slot its lifecycle ended in.
-    pub arrived_slot: u64,
-    pub done_slot: u64,
-    /// Per-stage virtual-time breakdown in slots. The invariant the CI
-    /// asserts: these five always sum exactly to `latency_slots`.
-    pub admission_slots: u64,
-    pub batch_wait_slots: u64,
-    pub dispatch_slots: u64,
-    pub search_slots: u64,
-    pub response_slots: u64,
-    /// End-to-end latency in slots (0 for cache hits and overload sheds).
-    pub latency_slots: u64,
-    /// Search cost: beam expansions, distance evaluations, greedy rounds
-    /// (all zero for cache hits and shed queries).
-    pub expansions: u64,
-    pub dist_evals: u64,
-    pub rounds: u64,
-    /// Whether the query missed its deadline (shed stale, or answered past
-    /// `deadline_slots` due to fault penalties).
-    pub deadline_miss: bool,
+report_struct! {
+    /// One sampled per-query lifecycle record. Every field is a pure function
+    /// of the serve seed and parameters — slot-clock times, replicated
+    /// verdicts, and search-cost counters — so records are bit-identical
+    /// across reruns *and* rank counts. (The executing home rank is
+    /// intentionally absent here: it is `pool_id % n_ranks`, which depends on
+    /// the rank count; the JSONL slow-query log derives it per run.)
+    pub struct QueryExemplar {
+        /// Arrival index of the query within the workload.
+        pub idx: u64 => Val;
+        /// Query-pool id (the vector served).
+        pub pool_id: u64 => Val;
+        /// Tenant class index (0 when the workload declares no classes).
+        pub tenant: u64 => Val;
+        /// Final verdict: `answered` / `cache_hit` / `shed_overload` /
+        /// `shed_deadline`.
+        pub verdict: String => Val;
+        /// Why the sampler retained this record: `|`-joined subset of
+        /// `slow`, `shed`, `degraded`, `deadline_miss`.
+        pub why: String => Val;
+        /// Degrade level the query was answered at (0 = full quality).
+        pub degrade_level: u64 => Val;
+        /// FNV-1a hash of the quantized cache key.
+        pub cache_key_hash: u64 => Hex;
+        /// Slot the query arrived in / slot its lifecycle ended in.
+        pub arrived_slot: u64 => Val;
+        pub done_slot: u64 => Val;
+        /// Per-stage virtual-time breakdown in slots. The invariant the CI
+        /// asserts: these five always sum exactly to `latency_slots`.
+        pub admission_slots: u64 => Val;
+        pub batch_wait_slots: u64 => Val;
+        pub dispatch_slots: u64 => Val;
+        pub search_slots: u64 => Val;
+        pub response_slots: u64 => Val;
+        /// End-to-end latency in slots (0 for cache hits and overload sheds).
+        pub latency_slots: u64 => Val;
+        /// Search cost: beam expansions, distance evaluations, greedy rounds
+        /// (all zero for cache hits and shed queries).
+        pub expansions: u64 => Val;
+        pub dist_evals: u64 => Val;
+        pub rounds: u64 => Val;
+        /// Whether the query missed its deadline (shed stale, or answered past
+        /// `deadline_slots` due to fault penalties).
+        pub deadline_miss: bool => Val;
+    }
 }
 
 impl QueryExemplar {
@@ -315,103 +706,124 @@ impl QueryExemplar {
     }
 }
 
-/// Per-query forensics from the serving layer (schema v6): stage-latency
-/// histograms over every offered query, the tail sampler's exemplar
-/// records, sampler counters, and a digest pinning the whole section.
-/// Bit-identical across reruns and rank counts (the sampler is a pure PRF
-/// of the serve seed; nothing here derives from scheduling).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct QueryForensicsSection {
-    /// Tail-sampling window length in slots.
-    pub window_slots: u64,
-    /// Slowest-N retained per window.
-    pub slow_n: u64,
-    /// Lifecycle records considered (== offered queries).
-    pub considered: u64,
-    /// Records retained in `exemplars` (slow ∪ exemplar classes).
-    pub retained: u64,
-    /// Records retained for being among their window's slowest-N.
-    pub retained_slow: u64,
-    /// Records retained unconditionally (shed / degraded / deadline-miss).
-    pub retained_exemplar: u64,
-    /// Per-stage latency histograms over *all* queries (not just sampled):
-    /// `(stage name, [(slots, count)...])`, buckets sorted by slots.
-    pub stage_hists: Vec<(String, Vec<(u64, u64)>)>,
-    /// Sampled records, sorted by arrival index.
-    pub exemplars: Vec<QueryExemplar>,
-    /// FNV-1a digest over counters, histograms, and every exemplar field —
-    /// the bit-identity fingerprint of the section (hex in JSON).
-    pub digest: u64,
+report_struct! {
+    /// Per-query forensics from the serving layer: stage-latency histograms
+    /// over every offered query, the tail sampler's exemplar records, sampler
+    /// counters, and a digest pinning the whole section. Bit-identical across
+    /// reruns and rank counts (the sampler is a pure PRF of the serve seed),
+    /// so the sampler counters gate exactly in both directions — fewer
+    /// retained records means the sampler lost coverage. Bit-identity of the
+    /// records themselves is the diff's digest hard check, not a threshold.
+    pub struct QueryForensicsSection {
+        /// Tail-sampling window length in slots.
+        pub window_slots: u64 => Val, Rise(0.0);
+        /// Slowest-N retained per window.
+        pub slow_n: u64 => Val, Rise(0.0);
+        /// Lifecycle records considered (== offered queries).
+        pub considered: u64 => Val, Fall(0.0);
+        /// Records retained by the sampler (slow ∪ exemplar classes); a full
+        /// report lists them in `exemplars`.
+        pub retained: u64 => Val, Fall(0.0);
+        /// Records retained for being among their window's slowest-N.
+        pub retained_slow: u64 => Val, Fall(0.0);
+        /// Records retained unconditionally (shed / degraded / deadline-miss).
+        pub retained_exemplar: u64 => Val, Fall(0.0);
+        /// Per-stage latency histograms over *all* queries (not just sampled):
+        /// `(stage name, [(slots, count)...])`, buckets sorted by slots.
+        pub stage_hists: Vec<(String, Vec<(u64, u64)>)> => Pairs("stage", Val, "buckets", BUCKETS);
+        /// Sampled records, sorted by arrival index.
+        pub exemplars: Vec<QueryExemplar> => List;
+        /// FNV-1a digest over counters, histograms, and every exemplar field —
+        /// the bit-identity fingerprint of the section.
+        pub digest: u64 => Hex;
+    }
 }
 
-/// One namespace's vector-DB counters (schema v8): how many points the
-/// collection holds, how many are masked by tombstones, how many were
-/// folded into the dead set by compaction, and the online-mutation totals
-/// from the serving run that produced this report.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct VdbNamespaceSection {
-    /// Namespace (collection) name.
-    pub name: String,
-    /// Total point slots ever allocated (live + tombstoned + dead).
-    pub points: u64,
-    /// Points visible to search (`points - tombstones - dead`).
-    pub live: u64,
-    /// Deleted but not yet compacted — masked out of every result.
-    pub tombstones: u64,
-    /// Deleted and folded away by compaction.
-    pub dead: u64,
-    /// Versioned graph epoch; bumped by ingest and compaction, which
-    /// invalidates result-cache entries keyed on the previous epoch.
-    pub epoch: u64,
-    /// Online inserts applied during the serving run.
-    pub inserts: u64,
-    /// Online deletes (tombstones placed) during the serving run.
-    pub deletes: u64,
-    /// Background compaction passes executed during the serving run.
-    pub compactions: u64,
+report_struct! {
+    /// One namespace's vector-DB counters: how many points the collection
+    /// holds, how many are masked by tombstones, how many were folded into
+    /// the dead set by compaction, and the online-mutation totals from the
+    /// serving run that produced this report.
+    pub struct VdbNamespaceSection {
+        /// Namespace (collection) name.
+        pub name: String => Val;
+        /// Total point slots ever allocated (live + tombstoned + dead).
+        pub points: u64 => Val;
+        /// Points visible to search (`points - tombstones - dead`).
+        pub live: u64 => Val;
+        /// Deleted but not yet compacted — masked out of every result.
+        pub tombstones: u64 => Val;
+        /// Deleted and folded away by compaction.
+        pub dead: u64 => Val;
+        /// Versioned graph epoch; bumped by ingest and compaction, which
+        /// invalidates result-cache entries keyed on the previous epoch.
+        pub epoch: u64 => Val;
+        /// Online inserts applied during the serving run.
+        pub inserts: u64 => Val;
+        /// Online deletes (tombstones placed) during the serving run.
+        pub deletes: u64 => Val;
+        /// Background compaction passes executed during the serving run.
+        pub compactions: u64 => Val;
+    }
 }
 
-/// Vector-DB product-layer telemetry (schema v8): per-namespace counters
-/// plus filtered-query accounting. `None` for runs without a namespace.
-/// Bit-identical across reruns and rank counts (mutation and compaction
-/// schedules are pure PRFs of the serve seed).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct VdbSection {
-    /// Per-namespace counters, sorted by name.
-    pub namespaces: Vec<VdbNamespaceSection>,
-    /// Dispatched queries that carried a metadata predicate.
-    pub filtered_queries: u64,
-    /// Result ids suppressed from cache hits because a tombstone landed
-    /// after the entry was cached (deletes do not bump the epoch).
-    pub cache_suppressed_ids: u64,
-    /// Decile histogram of filtered-query selectivity: `hist[d]` counts
-    /// dispatched filtered queries whose mask allowed `[d*10%, (d+1)*10%)`
-    /// of the collection (the last bucket is closed at 100%).
-    pub selectivity_hist: Vec<(u64, u64)>,
+report_struct! {
+    /// Vector-DB product-layer telemetry: per-namespace counters plus
+    /// filtered-query accounting. `None` for runs without a namespace.
+    /// Bit-identical across reruns and rank counts (mutation and compaction
+    /// schedules are pure PRFs of the serve seed), so every counter gates
+    /// exactly: shrinking live points / filtered coverage is the regression
+    /// side, growth of tombstone debt, cache suppression or mutation counts
+    /// is drift from the pinned schedule.
+    pub struct VdbSection {
+        // Compared summed over namespaces; the epoch as the maximum.
+        /// Per-namespace counters, sorted by name.
+        pub namespaces: Vec<VdbNamespaceSection> => List => [
+            "points" = |ns| sum(ns, |n| n.points), Rise(0.0);
+            "live" = |ns| sum(ns, |n| n.live), Fall(0.0);
+            "tombstones" = |ns| sum(ns, |n| n.tombstones), Rise(0.0);
+            "dead" = |ns| sum(ns, |n| n.dead), Rise(0.0);
+            "epoch" = |ns| ns.iter().map(|n| n.epoch).max().unwrap_or(0) as f64, Rise(0.0);
+            "inserts" = |ns| sum(ns, |n| n.inserts), Rise(0.0);
+            "deletes" = |ns| sum(ns, |n| n.deletes), Rise(0.0);
+            "compactions" = |ns| sum(ns, |n| n.compactions), Rise(0.0)
+        ];
+        /// Dispatched queries that carried a metadata predicate.
+        pub filtered_queries: u64 => Val, Fall(0.0);
+        /// Result ids suppressed from cache hits because a tombstone landed
+        /// after the entry was cached (deletes do not bump the epoch).
+        pub cache_suppressed_ids: u64 => Val, Rise(0.0);
+        /// Decile histogram of filtered-query selectivity: `hist[d]` counts
+        /// dispatched filtered queries whose mask allowed `[d*10%, (d+1)*10%)`
+        /// of the collection (the last bucket is closed at 100%).
+        pub selectivity_hist: Vec<(u64, u64)> => Pairs("decile", Val, "count", Val);
+    }
 }
 
-/// One tag's rank×rank traffic counts (mirrors `ygm`'s traffic matrix).
-///
-/// `counts[src * n_ranks + dest]` / `bytes[...]` hold message and byte
-/// totals for this tag on the (src → dest) edge, *including* the diagonal
-/// (rank-local sends), so each tag's matrix sums to the corresponding
-/// [`TagReport::count`] / [`TagReport::bytes`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MatrixTagReport {
-    pub tag: u64,
-    pub name: String,
-    /// Row-major `n_ranks × n_ranks` message counts.
-    pub counts: Vec<u64>,
-    /// Row-major `n_ranks × n_ranks` byte totals.
-    pub bytes: Vec<u64>,
+report_struct! {
+    /// One tag's rank×rank traffic counts (mirrors `ygm`'s traffic matrix).
+    ///
+    /// `counts[src * n_ranks + dest]` / `bytes[...]` hold message and byte
+    /// totals for this tag on the (src → dest) edge, *including* the diagonal
+    /// (rank-local sends), so each tag's matrix sums to the corresponding
+    /// [`TagReport::count`] / [`TagReport::bytes`].
+    pub struct MatrixTagReport {
+        pub tag: u64 => Val;
+        pub name: String => Val;
+        /// Row-major `n_ranks × n_ranks` message counts.
+        pub counts: Vec<u64> => List;
+        /// Row-major `n_ranks × n_ranks` byte totals.
+        pub bytes: Vec<u64> => List;
+    }
 }
 
-/// The full rank×rank×tag traffic matrix of a run (schema v2).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MatrixSection {
-    pub n_ranks: u64,
-    /// Per-tag matrices, sorted by tag; tags with no traffic are omitted.
-    pub tags: Vec<MatrixTagReport>,
+report_struct! {
+    /// The full rank×rank×tag traffic matrix of a run.
+    pub struct MatrixSection {
+        pub n_ranks: u64 => Val;
+        /// Per-tag matrices, sorted by tag; tags with no traffic are omitted.
+        pub tags: Vec<MatrixTagReport> => List;
+    }
 }
 
 impl MatrixSection {
@@ -425,9 +837,14 @@ impl MatrixSection {
         self.sum_over_tags(|t| &t.bytes)
     }
 
+    /// `n_ranks²`, unless that overflows.
+    fn cells(&self) -> Option<usize> {
+        let cells = self.n_ranks.checked_mul(self.n_ranks)?;
+        usize::try_from(cells).ok()
+    }
+
     fn sum_over_tags(&self, f: impl Fn(&MatrixTagReport) -> &Vec<u64>) -> Vec<u64> {
-        let n = (self.n_ranks * self.n_ranks) as usize;
-        let mut out = vec![0u64; n];
+        let mut out = vec![0u64; self.cells().expect("n_ranks² overflows")];
         for t in &self.tags {
             for (acc, v) in out.iter_mut().zip(f(t)) {
                 *acc += v;
@@ -435,71 +852,91 @@ impl MatrixSection {
         }
         out
     }
+
+    /// A parsed matrix holds `n_ranks²` cells per tag — a short row is an
+    /// error, not a silently truncated matrix.
+    fn check(&self) -> Result<(), ReportError> {
+        let Some(cells) = self.cells() else {
+            return Err(bad("matrix.n_ranks", "a rank count whose square fits"));
+        };
+        let short = |t: &MatrixTagReport| t.counts.len() != cells || t.bytes.len() != cells;
+        match self.tags.iter().position(short) {
+            Some(i) => Err(bad(&format!("matrix.tags[{i}]"), "n_ranks x n_ranks cells")),
+            None => Ok(()),
+        }
+    }
 }
 
-/// The consolidated per-run report.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RunReport {
-    /// Producing binary or driver (e.g. `dnnd-construct`).
-    pub binary: String,
-    /// Free-form string parameters (dataset path, metric, seed, ...).
-    pub params: Vec<(String, String)>,
-    pub n_ranks: u64,
-    /// Descent iterations executed (0 for pure query runs).
-    pub iterations: u64,
-    pub distance_evals: u64,
-    /// Virtual (simulated cluster) time, seconds.
-    pub sim_secs: f64,
-    /// Real wall-clock time, seconds.
-    pub wall_secs: f64,
-    pub compute_secs: f64,
-    pub comm_secs: f64,
-    pub barrier_secs: f64,
-    /// Per-tag traffic, sorted by tag.
-    pub tags: Vec<TagReport>,
-    /// Traffic totals over all tags.
-    pub total_count: u64,
-    pub total_bytes: u64,
-    pub total_remote_count: u64,
-    pub total_remote_bytes: u64,
-    pub phases: Vec<PhaseReport>,
-    pub convergence: Vec<ConvergencePoint>,
-    /// Recall@k against ground truth, when measured.
-    pub recall: Option<f64>,
-    pub histograms: Vec<HistReport>,
-    /// Free-form numeric metrics (e.g. `queries_per_sec`).
-    pub extra: Vec<(String, f64)>,
-    /// Fault-injection counters; `None` for fault-free runs.
-    pub faults: Option<FaultSection>,
-    /// Per-rank gauge series sampled on the virtual clock (schema v2);
-    /// empty when the run was not traced or predates v2.
-    pub series: Vec<SeriesSnapshot>,
-    /// Rank×rank×tag traffic matrix (schema v2); `None` when the producer
-    /// did not record one (v1 documents, single-report tools).
-    pub matrix: Option<MatrixSection>,
-    /// Online-serving SLO telemetry (schema v3); `None` for non-serving
-    /// runs and pre-v3 documents.
-    pub serving: Option<ServingSection>,
-    /// Critical-path analysis over the happens-before DAG (schema v4);
-    /// `None` for untraced runs and pre-v4 documents.
-    pub critical_path: Option<CriticalPathSection>,
-    /// RNN-Descent optimization counters (schema v5); `None` for runs that
-    /// did not use the RNN optimization mode and pre-v5 documents.
-    pub rnn: Option<RnnSection>,
-    /// Per-query forensics from the serving layer (schema v6); `None` for
-    /// non-serving runs and pre-v6 documents.
-    pub query_forensics: Option<QueryForensicsSection>,
-    /// Vector-DB product-layer counters (schema v8); `None` for runs
-    /// without a namespace and pre-v8 documents.
-    pub vdb: Option<VdbSection>,
-    /// Trace events lost to span-ring overflow (schema v4; 0 in older
-    /// documents). Nonzero means the trace — and any flow-pairing or
-    /// critical-path post-processing of it — is incomplete.
-    pub dropped_spans: u64,
-    /// Per-rank split of `dropped_spans` (schema v6; empty in older
-    /// documents and untraced runs). Index = rank.
-    pub dropped_spans_per_rank: Vec<u64>,
+report_struct! {
+    /// The consolidated per-run report; the document opens with
+    /// `schema_version`, then these fields in this order. Counters of a
+    /// deterministic simulation get tight gates; virtual times a little
+    /// slack (cost-model tweaks shift them slightly); recall its own quality
+    /// gate; the wall clock depends on the host and a free-form metric's
+    /// direction is unknown, so both are informational.
+    pub struct RunReport {
+        /// Producing binary or driver (e.g. `dnnd-construct`).
+        pub binary: String => Val;
+        /// Free-form string parameters (dataset path, metric, seed, ...).
+        pub params: Vec<(String, String)> => Map;
+        pub n_ranks: u64 => Val;
+        /// Descent iterations executed (0 for pure query runs).
+        pub iterations: u64 => Val, Rise(0.0);
+        pub distance_evals: u64 => Val, Rise(0.05);
+        /// Virtual (simulated cluster) time, seconds.
+        pub sim_secs: f64 => Val, Rise(0.10);
+        /// Real wall-clock time, seconds.
+        pub wall_secs: f64 => Val, Info;
+        pub compute_secs: f64 => in "breakdown": Val, Rise(0.10);
+        pub comm_secs: f64 => in "breakdown": Val, Rise(0.10);
+        pub barrier_secs: f64 => in "breakdown": Val, Rise(0.10);
+        /// Per-tag traffic, sorted by tag.
+        pub tags: Vec<TagReport> => List;
+        /// Traffic totals over all tags.
+        pub total_count: u64 => in "total" as "count": Val, Rise(0.05);
+        pub total_bytes: u64 => in "total" as "bytes": Val, Rise(0.05);
+        pub total_remote_count: u64 => in "total" as "remote_count": Val, Rise(0.05);
+        pub total_remote_bytes: u64 => in "total" as "remote_bytes": Val, Rise(0.05);
+        pub phases: Vec<PhaseReport> => List;
+        pub convergence: Vec<ConvergencePoint> => List;
+        /// Recall@k against ground truth, when measured.
+        pub recall: Option<f64> => Val, Fall(0.02);
+        pub histograms: Vec<HistReport> => List;
+        /// Free-form numeric metrics (e.g. `queries_per_sec`).
+        pub extra: Vec<(String, f64)> => Map, Info;
+        /// Trace events lost to span-ring overflow. Nonzero means the trace —
+        /// and any flow-pairing or critical-path post-processing of it — is
+        /// incomplete.
+        pub dropped_spans: u64 => Val;
+        /// Per-rank split of `dropped_spans` (empty for untraced runs).
+        /// Index = rank.
+        pub dropped_spans_per_rank: Vec<u64> => NonEmpty(List);
+        /// Per-rank gauge series sampled on the virtual clock; empty when the
+        /// run was not traced.
+        pub series: Vec<SeriesSnapshot> => List;
+        /// Rank×rank×tag traffic matrix; `None` when the producer did not
+        /// record one (single-report tools).
+        pub matrix: Option<MatrixSection> => Opt;
+        /// Online-serving SLO telemetry; `None` for non-serving runs.
+        pub serving: Option<ServingSection> => Opt;
+        /// Critical-path analysis over the happens-before DAG; `None` for
+        /// runs without phase records.
+        pub critical_path: Option<CriticalPathSection> => Opt;
+        /// RNN-Descent optimization counters; `None` for runs that did not
+        /// use the RNN optimization mode.
+        pub rnn: Option<RnnSection> => Opt;
+        /// Per-query forensics from the serving layer; `None` for non-serving
+        /// runs.
+        pub query_forensics: Option<QueryForensicsSection> => Opt;
+        /// Vector-DB product-layer counters; `None` for runs without a
+        /// namespace.
+        pub vdb: Option<VdbSection> => Opt;
+        /// Fault-injection counters; `None` for fault-free runs.
+        pub faults: Option<FaultSection> => Opt;
+    }
 }
+
+const VERSION_KEY: &str = "schema_version";
 
 impl RunReport {
     pub fn new(binary: impl Into<String>) -> Self {
@@ -533,9 +970,9 @@ impl RunReport {
         self
     }
 
-    /// Record the per-rank span-ring overflow split (schema v6). The total
-    /// goes through [`Self::set_dropped_spans`] so the stderr warning
-    /// fires once.
+    /// Record the per-rank span-ring overflow split. The total goes
+    /// through [`Self::set_dropped_spans`] so the stderr warning fires
+    /// once.
     pub fn set_dropped_spans_per_rank(&mut self, per_rank: Vec<u64>) -> &mut Self {
         let total = per_rank.iter().sum();
         self.dropped_spans_per_rank = per_rank;
@@ -550,483 +987,31 @@ impl RunReport {
         self
     }
 
+    /// The report without its per-event lists — `phases`, `series`, the
+    /// critical path's `phase_attribution`, the forensics `exemplars` —
+    /// which is what a committed baseline carries. Every total, counter
+    /// and digest those lists were folded into stays, so the gate reads
+    /// the same rows; an empty list is a valid document, not a second
+    /// format.
+    pub fn summary(&self) -> RunReport {
+        let mut summary = self.clone();
+        summary.phases.clear();
+        summary.series.clear();
+        if let Some(c) = &mut summary.critical_path {
+            c.phase_attribution.clear();
+        }
+        if let Some(q) = &mut summary.query_forensics {
+            q.exemplars.clear();
+        }
+        summary
+    }
+
     pub fn to_json(&self) -> J {
-        let mut fields = vec![
-            ("schema_version".into(), J::uint(SCHEMA_VERSION)),
-            ("binary".into(), J::str(&self.binary)),
-            (
-                "params".into(),
-                J::Obj(
-                    self.params
-                        .iter()
-                        .map(|(k, v)| (k.clone(), J::str(v)))
-                        .collect(),
-                ),
-            ),
-            ("n_ranks".into(), J::uint(self.n_ranks)),
-            ("iterations".into(), J::uint(self.iterations)),
-            ("distance_evals".into(), J::uint(self.distance_evals)),
-            ("sim_secs".into(), J::Num(self.sim_secs)),
-            ("wall_secs".into(), J::Num(self.wall_secs)),
-            (
-                "breakdown".into(),
-                J::Obj(vec![
-                    ("compute_secs".into(), J::Num(self.compute_secs)),
-                    ("comm_secs".into(), J::Num(self.comm_secs)),
-                    ("barrier_secs".into(), J::Num(self.barrier_secs)),
-                ]),
-            ),
-            (
-                "tags".into(),
-                J::Arr(
-                    self.tags
-                        .iter()
-                        .map(|t| {
-                            J::Obj(vec![
-                                ("tag".into(), J::uint(t.tag)),
-                                ("name".into(), J::str(&t.name)),
-                                ("count".into(), J::uint(t.count)),
-                                ("bytes".into(), J::uint(t.bytes)),
-                                ("remote_count".into(), J::uint(t.remote_count)),
-                                ("remote_bytes".into(), J::uint(t.remote_bytes)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "total".into(),
-                J::Obj(vec![
-                    ("count".into(), J::uint(self.total_count)),
-                    ("bytes".into(), J::uint(self.total_bytes)),
-                    ("remote_count".into(), J::uint(self.total_remote_count)),
-                    ("remote_bytes".into(), J::uint(self.total_remote_bytes)),
-                ]),
-            ),
-            (
-                "phases".into(),
-                J::Arr(
-                    self.phases
-                        .iter()
-                        .map(|p| {
-                            J::Obj(vec![
-                                ("index".into(), J::uint(p.index)),
-                                ("compute_secs".into(), J::Num(p.compute_secs)),
-                                ("comm_secs".into(), J::Num(p.comm_secs)),
-                                ("barrier_secs".into(), J::Num(p.barrier_secs)),
-                                ("msgs".into(), J::uint(p.msgs)),
-                                ("bytes".into(), J::uint(p.bytes)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "convergence".into(),
-                J::Arr(
-                    self.convergence
-                        .iter()
-                        .map(|c| {
-                            J::Obj(vec![
-                                ("iteration".into(), J::uint(c.iteration)),
-                                ("updates".into(), J::uint(c.updates)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("recall".into(), self.recall.map(J::Num).unwrap_or(J::Null)),
-            (
-                "histograms".into(),
-                J::Arr(
-                    self.histograms
-                        .iter()
-                        .map(|h| {
-                            J::Obj(vec![
-                                ("name".into(), J::str(&h.name)),
-                                ("count".into(), J::uint(h.count)),
-                                ("mean".into(), J::Num(h.mean)),
-                                ("min".into(), J::uint(h.min)),
-                                ("max".into(), J::uint(h.max)),
-                                ("p50".into(), J::uint(h.p50)),
-                                ("p95".into(), J::uint(h.p95)),
-                                ("p99".into(), J::uint(h.p99)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "extra".into(),
-                J::Obj(
-                    self.extra
-                        .iter()
-                        .map(|(k, v)| (k.clone(), J::Num(*v)))
-                        .collect(),
-                ),
-            ),
-            ("dropped_spans".into(), J::uint(self.dropped_spans)),
-        ];
-        if !self.dropped_spans_per_rank.is_empty() {
-            fields.push((
-                "dropped_spans_per_rank".into(),
-                J::Arr(
-                    self.dropped_spans_per_rank
-                        .iter()
-                        .map(|&d| J::uint(d))
-                        .collect(),
-                ),
-            ));
+        let mut doc = Value::to_json(self);
+        if let J::Obj(fields) = &mut doc {
+            fields.insert(0, (VERSION_KEY.into(), J::uint(SCHEMA_VERSION)));
         }
-        fields.push((
-            "series".into(),
-            J::Arr(
-                self.series
-                    .iter()
-                    .map(|s| {
-                        J::Obj(vec![
-                            ("name".into(), J::str(&s.name)),
-                            ("rank".into(), J::uint(s.rank)),
-                            (
-                                "points".into(),
-                                J::Arr(
-                                    s.points
-                                        .iter()
-                                        .map(|p| {
-                                            J::Obj(vec![
-                                                ("t_ns".into(), J::uint(p.t_ns)),
-                                                ("value".into(), J::Num(p.value)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        if let Some(m) = &self.matrix {
-            fields.push((
-                "matrix".into(),
-                J::Obj(vec![
-                    ("n_ranks".into(), J::uint(m.n_ranks)),
-                    (
-                        "tags".into(),
-                        J::Arr(
-                            m.tags
-                                .iter()
-                                .map(|t| {
-                                    J::Obj(vec![
-                                        ("tag".into(), J::uint(t.tag)),
-                                        ("name".into(), J::str(&t.name)),
-                                        (
-                                            "counts".into(),
-                                            J::Arr(t.counts.iter().map(|&c| J::uint(c)).collect()),
-                                        ),
-                                        (
-                                            "bytes".into(),
-                                            J::Arr(t.bytes.iter().map(|&b| J::uint(b)).collect()),
-                                        ),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ));
-        }
-        if let Some(s) = &self.serving {
-            let hist_json = |hist: &[(u64, u64)]| {
-                J::Arr(
-                    hist.iter()
-                        .map(|&(slots, count)| {
-                            J::Obj(vec![
-                                ("slots".into(), J::uint(slots)),
-                                ("count".into(), J::uint(count)),
-                            ])
-                        })
-                        .collect(),
-                )
-            };
-            let mut sv = vec![
-                ("serve_seed".into(), J::uint(s.serve_seed)),
-                ("slot_ns".into(), J::uint(s.slot_ns)),
-                ("slots".into(), J::uint(s.slots)),
-                ("offered".into(), J::uint(s.offered)),
-                ("admitted".into(), J::uint(s.admitted)),
-                ("answered".into(), J::uint(s.answered)),
-                ("cache_hits".into(), J::uint(s.cache_hits)),
-                ("cache_evictions".into(), J::uint(s.cache_evictions)),
-                ("shed_deadline".into(), J::uint(s.shed_deadline)),
-                ("shed_overload".into(), J::uint(s.shed_overload)),
-                ("degraded".into(), J::uint(s.degraded)),
-                ("max_queue_depth".into(), J::uint(s.max_queue_depth)),
-                ("p50_ns".into(), J::uint(s.p50_ns)),
-                ("p95_ns".into(), J::uint(s.p95_ns)),
-                ("p99_ns".into(), J::uint(s.p99_ns)),
-                ("mean_latency_ns".into(), J::Num(s.mean_latency_ns)),
-                ("latency_hist".into(), hist_json(&s.latency_hist)),
-                ("client_p50_ns".into(), J::uint(s.client_p50_ns)),
-                ("client_p99_ns".into(), J::uint(s.client_p99_ns)),
-                ("client_hist".into(), hist_json(&s.client_hist)),
-            ];
-            // Tenant-less runs keep the v3-shaped document: the key is
-            // omitted entirely, not written as an empty array.
-            if !s.tenants.is_empty() {
-                sv.push((
-                    "tenants".into(),
-                    J::Arr(
-                        s.tenants
-                            .iter()
-                            .map(|t| {
-                                J::Obj(vec![
-                                    ("name".into(), J::str(t.name.clone())),
-                                    ("share_pct".into(), J::uint(t.share_pct)),
-                                    ("offered".into(), J::uint(t.offered)),
-                                    ("admitted".into(), J::uint(t.admitted)),
-                                    ("answered".into(), J::uint(t.answered)),
-                                    ("cache_hits".into(), J::uint(t.cache_hits)),
-                                    ("shed_overload".into(), J::uint(t.shed_overload)),
-                                    ("shed_deadline".into(), J::uint(t.shed_deadline)),
-                                    ("degraded".into(), J::uint(t.degraded)),
-                                    ("slo_attainment".into(), J::Num(t.slo_attainment)),
-                                    ("p50_ns".into(), J::uint(t.p50_ns)),
-                                    ("p99_ns".into(), J::uint(t.p99_ns)),
-                                    ("latency_hist".into(), hist_json(&t.latency_hist)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-            // Hex string: JSON numbers are f64 and would round a
-            // full-range 64-bit digest.
-            sv.push((
-                "result_digest".into(),
-                J::str(format!("{:016x}", s.result_digest)),
-            ));
-            fields.push(("serving".into(), J::Obj(sv)));
-        }
-        if let Some(c) = &self.critical_path {
-            fields.push((
-                "critical_path".into(),
-                J::Obj(vec![
-                    ("n_ranks".into(), J::uint(c.n_ranks)),
-                    ("phases".into(), J::uint(c.phases)),
-                    ("critical_path_ns".into(), J::uint(c.critical_path_ns)),
-                    ("collective_ns".into(), J::uint(c.collective_ns)),
-                    ("compute_ns".into(), J::uint(c.compute_ns)),
-                    ("comm_ns".into(), J::uint(c.comm_ns)),
-                    ("stall_ns".into(), J::uint(c.stall_ns)),
-                    ("retransmit_ns".into(), J::uint(c.retransmit_ns)),
-                    (
-                        "rank_slack_ns".into(),
-                        J::Arr(c.rank_slack_ns.iter().map(|&s| J::Num(s)).collect()),
-                    ),
-                    (
-                        "rank_critical_phases".into(),
-                        J::Arr(c.rank_critical_phases.iter().map(|&n| J::uint(n)).collect()),
-                    ),
-                    ("straggler_score".into(), J::Num(c.straggler_score)),
-                    (
-                        "phase_attribution".into(),
-                        J::Arr(
-                            c.phase_attribution
-                                .iter()
-                                .map(|p| {
-                                    J::Obj(vec![
-                                        ("index".into(), J::uint(p.index)),
-                                        ("total_ns".into(), J::uint(p.total_ns)),
-                                        ("compute_ns".into(), J::uint(p.compute_ns)),
-                                        ("comm_ns".into(), J::uint(p.comm_ns)),
-                                        ("stall_ns".into(), J::uint(p.stall_ns)),
-                                        ("retransmit_ns".into(), J::uint(p.retransmit_ns)),
-                                        ("critical_rank".into(), J::uint(p.critical_rank)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ));
-        }
-        if let Some(r) = &self.rnn {
-            fields.push((
-                "rnn".into(),
-                J::Obj(vec![
-                    ("t1".into(), J::uint(r.t1)),
-                    ("t2".into(), J::uint(r.t2)),
-                    ("k0".into(), J::uint(r.k0)),
-                    ("r".into(), J::uint(r.r)),
-                    (
-                        "rounds".into(),
-                        J::Arr(
-                            r.rounds
-                                .iter()
-                                .map(|rd| {
-                                    J::Obj(vec![
-                                        ("outer".into(), J::uint(rd.outer)),
-                                        ("inner".into(), J::uint(rd.inner)),
-                                        ("pairs".into(), J::uint(rd.pairs)),
-                                        ("pruned".into(), J::uint(rd.pruned)),
-                                        ("added".into(), J::uint(rd.added)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "reverse_added".into(),
-                        J::Arr(r.reverse_added.iter().map(|&a| J::uint(a)).collect()),
-                    ),
-                    ("dist_evals".into(), J::uint(r.dist_evals)),
-                    ("repaired".into(), J::uint(r.repaired)),
-                ]),
-            ));
-        }
-        if let Some(q) = &self.query_forensics {
-            let hist_arr = |buckets: &[(u64, u64)]| {
-                J::Arr(
-                    buckets
-                        .iter()
-                        .map(|&(slots, count)| {
-                            J::Obj(vec![
-                                ("slots".into(), J::uint(slots)),
-                                ("count".into(), J::uint(count)),
-                            ])
-                        })
-                        .collect(),
-                )
-            };
-            fields.push((
-                "query_forensics".into(),
-                J::Obj(vec![
-                    ("window_slots".into(), J::uint(q.window_slots)),
-                    ("slow_n".into(), J::uint(q.slow_n)),
-                    ("considered".into(), J::uint(q.considered)),
-                    ("retained".into(), J::uint(q.retained)),
-                    ("retained_slow".into(), J::uint(q.retained_slow)),
-                    ("retained_exemplar".into(), J::uint(q.retained_exemplar)),
-                    (
-                        "stage_hists".into(),
-                        J::Arr(
-                            q.stage_hists
-                                .iter()
-                                .map(|(name, buckets)| {
-                                    J::Obj(vec![
-                                        ("stage".into(), J::str(name)),
-                                        ("buckets".into(), hist_arr(buckets)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "exemplars".into(),
-                        J::Arr(
-                            q.exemplars
-                                .iter()
-                                .map(|e| {
-                                    J::Obj(vec![
-                                        ("idx".into(), J::uint(e.idx)),
-                                        ("pool_id".into(), J::uint(e.pool_id)),
-                                        ("tenant".into(), J::uint(e.tenant)),
-                                        ("verdict".into(), J::str(&e.verdict)),
-                                        ("why".into(), J::str(&e.why)),
-                                        ("degrade_level".into(), J::uint(e.degrade_level)),
-                                        (
-                                            "cache_key_hash".into(),
-                                            J::str(format!("{:016x}", e.cache_key_hash)),
-                                        ),
-                                        ("arrived_slot".into(), J::uint(e.arrived_slot)),
-                                        ("done_slot".into(), J::uint(e.done_slot)),
-                                        ("admission_slots".into(), J::uint(e.admission_slots)),
-                                        ("batch_wait_slots".into(), J::uint(e.batch_wait_slots)),
-                                        ("dispatch_slots".into(), J::uint(e.dispatch_slots)),
-                                        ("search_slots".into(), J::uint(e.search_slots)),
-                                        ("response_slots".into(), J::uint(e.response_slots)),
-                                        ("latency_slots".into(), J::uint(e.latency_slots)),
-                                        ("expansions".into(), J::uint(e.expansions)),
-                                        ("dist_evals".into(), J::uint(e.dist_evals)),
-                                        ("rounds".into(), J::uint(e.rounds)),
-                                        ("deadline_miss".into(), J::Bool(e.deadline_miss)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    // Hex string: full-range 64-bit digest must not round
-                    // through a JSON double.
-                    ("digest".into(), J::str(format!("{:016x}", q.digest))),
-                ]),
-            ));
-        }
-        if let Some(vd) = &self.vdb {
-            fields.push((
-                "vdb".into(),
-                J::Obj(vec![
-                    (
-                        "namespaces".into(),
-                        J::Arr(
-                            vd.namespaces
-                                .iter()
-                                .map(|ns| {
-                                    J::Obj(vec![
-                                        ("name".into(), J::str(&ns.name)),
-                                        ("points".into(), J::uint(ns.points)),
-                                        ("live".into(), J::uint(ns.live)),
-                                        ("tombstones".into(), J::uint(ns.tombstones)),
-                                        ("dead".into(), J::uint(ns.dead)),
-                                        ("epoch".into(), J::uint(ns.epoch)),
-                                        ("inserts".into(), J::uint(ns.inserts)),
-                                        ("deletes".into(), J::uint(ns.deletes)),
-                                        ("compactions".into(), J::uint(ns.compactions)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    ("filtered_queries".into(), J::uint(vd.filtered_queries)),
-                    (
-                        "cache_suppressed_ids".into(),
-                        J::uint(vd.cache_suppressed_ids),
-                    ),
-                    (
-                        "selectivity_hist".into(),
-                        J::Arr(
-                            vd.selectivity_hist
-                                .iter()
-                                .map(|&(decile, count)| {
-                                    J::Obj(vec![
-                                        ("decile".into(), J::uint(decile)),
-                                        ("count".into(), J::uint(count)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ));
-        }
-        if let Some(f) = &self.faults {
-            fields.push((
-                "faults".into(),
-                J::Obj(vec![
-                    ("sim_seed".into(), J::uint(f.sim_seed)),
-                    ("profile".into(), J::str(&f.profile)),
-                    ("dropped".into(), J::uint(f.dropped)),
-                    ("duplicated".into(), J::uint(f.duplicated)),
-                    ("delayed".into(), J::uint(f.delayed)),
-                    ("stalls".into(), J::uint(f.stalls)),
-                    ("jittered_flushes".into(), J::uint(f.jittered_flushes)),
-                    ("retransmits".into(), J::uint(f.retransmits)),
-                    ("dedup_discards".into(), J::uint(f.dedup_discards)),
-                    ("forced_deliveries".into(), J::uint(f.forced_deliveries)),
-                ]),
-            ));
-        }
-        J::Obj(fields)
+        doc
     }
 
     /// Pretty-printed JSON document.
@@ -1035,1139 +1020,210 @@ impl RunReport {
     }
 
     /// Rebuild a report from its JSON form (inverse of [`Self::to_json`]).
-    pub fn from_json(v: &J) -> Result<RunReport, String> {
-        fn f64_field(v: &J, key: &str) -> Result<f64, String> {
-            v.get(key)
-                .and_then(J::as_f64)
-                .ok_or_else(|| format!("missing number field '{key}'"))
+    /// Strict: a document of another schema version, a missing key and a
+    /// value of the wrong type are all errors — nothing is defaulted.
+    pub fn from_json(v: &J) -> Result<RunReport, ReportError> {
+        let version: u64 = Val.read(v.get(VERSION_KEY), VERSION_KEY)?;
+        if version != SCHEMA_VERSION {
+            return Err(ReportError::Schema(version));
         }
-        fn u64_field(v: &J, key: &str) -> Result<u64, String> {
-            v.get(key)
-                .and_then(J::as_u64)
-                .ok_or_else(|| format!("missing integer field '{key}'"))
+        let report: RunReport = Value::from_json(v, "")?;
+        if let Some(m) = &report.matrix {
+            m.check()?;
         }
-        fn str_field(v: &J, key: &str) -> Result<String, String> {
-            v.get(key)
-                .and_then(J::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field '{key}'"))
-        }
-        fn arr_field<'a>(v: &'a J, key: &str) -> Result<&'a [J], String> {
-            v.get(key)
-                .and_then(J::as_arr)
-                .ok_or_else(|| format!("missing array field '{key}'"))
-        }
-
-        let version = u64_field(v, "schema_version")?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
-            return Err(format!(
-                "unsupported schema_version {version} \
-                 (this build reads v{MIN_SCHEMA_VERSION} through v{SCHEMA_VERSION})"
-            ));
-        }
-
-        let mut report = RunReport::new(str_field(v, "binary")?);
-
-        if let Some(J::Obj(fields)) = v.get("params") {
-            for (k, val) in fields {
-                report
-                    .params
-                    .push((k.clone(), val.as_str().unwrap_or_default().to_string()));
-            }
-        }
-
-        report.n_ranks = u64_field(v, "n_ranks")?;
-        report.iterations = u64_field(v, "iterations")?;
-        report.distance_evals = u64_field(v, "distance_evals")?;
-        report.sim_secs = f64_field(v, "sim_secs")?;
-        report.wall_secs = f64_field(v, "wall_secs")?;
-
-        let breakdown = v.get("breakdown").ok_or("missing 'breakdown'")?;
-        report.compute_secs = f64_field(breakdown, "compute_secs")?;
-        report.comm_secs = f64_field(breakdown, "comm_secs")?;
-        report.barrier_secs = f64_field(breakdown, "barrier_secs")?;
-
-        for t in arr_field(v, "tags")? {
-            report.tags.push(TagReport {
-                tag: u64_field(t, "tag")?,
-                name: str_field(t, "name")?,
-                count: u64_field(t, "count")?,
-                bytes: u64_field(t, "bytes")?,
-                remote_count: u64_field(t, "remote_count")?,
-                remote_bytes: u64_field(t, "remote_bytes")?,
-            });
-        }
-
-        let total = v.get("total").ok_or("missing 'total'")?;
-        report.total_count = u64_field(total, "count")?;
-        report.total_bytes = u64_field(total, "bytes")?;
-        report.total_remote_count = u64_field(total, "remote_count")?;
-        report.total_remote_bytes = u64_field(total, "remote_bytes")?;
-
-        for p in arr_field(v, "phases")? {
-            report.phases.push(PhaseReport {
-                index: u64_field(p, "index")?,
-                compute_secs: f64_field(p, "compute_secs")?,
-                comm_secs: f64_field(p, "comm_secs")?,
-                barrier_secs: f64_field(p, "barrier_secs")?,
-                msgs: u64_field(p, "msgs")?,
-                bytes: u64_field(p, "bytes")?,
-            });
-        }
-
-        for c in arr_field(v, "convergence")? {
-            report.convergence.push(ConvergencePoint {
-                iteration: u64_field(c, "iteration")?,
-                updates: u64_field(c, "updates")?,
-            });
-        }
-
-        report.recall = v.get("recall").and_then(J::as_f64);
-
-        for h in arr_field(v, "histograms")? {
-            report.histograms.push(HistReport {
-                name: str_field(h, "name")?,
-                count: u64_field(h, "count")?,
-                mean: f64_field(h, "mean")?,
-                min: u64_field(h, "min")?,
-                max: u64_field(h, "max")?,
-                p50: u64_field(h, "p50")?,
-                p95: u64_field(h, "p95")?,
-                p99: u64_field(h, "p99")?,
-            });
-        }
-
-        if let Some(J::Obj(fields)) = v.get("extra") {
-            for (k, val) in fields {
-                report.extra.push((k.clone(), val.as_f64().unwrap_or(0.0)));
-            }
-        }
-
-        // Schema v2 sections; v1 documents simply lack the keys.
-        if let Some(series) = v.get("series").and_then(J::as_arr) {
-            for s in series {
-                let mut snap = SeriesSnapshot {
-                    name: str_field(s, "name")?,
-                    rank: u64_field(s, "rank")?,
-                    points: Vec::new(),
-                };
-                for p in arr_field(s, "points")? {
-                    snap.points.push(SeriesPoint {
-                        t_ns: u64_field(p, "t_ns")?,
-                        value: f64_field(p, "value")?,
-                    });
-                }
-                report.series.push(snap);
-            }
-        }
-
-        if let Some(m) = v.get("matrix") {
-            let n_ranks = u64_field(m, "n_ranks")?;
-            let cells = (n_ranks * n_ranks) as usize;
-            let mut tags = Vec::new();
-            for t in arr_field(m, "tags")? {
-                let uints = |key: &str| -> Result<Vec<u64>, String> {
-                    let arr = arr_field(t, key)?;
-                    if arr.len() != cells {
-                        return Err(format!(
-                            "matrix '{key}' has {} cells (expected {cells})",
-                            arr.len()
-                        ));
-                    }
-                    arr.iter()
-                        .map(|x| x.as_u64().ok_or_else(|| format!("bad cell in '{key}'")))
-                        .collect()
-                };
-                tags.push(MatrixTagReport {
-                    tag: u64_field(t, "tag")?,
-                    name: str_field(t, "name")?,
-                    counts: uints("counts")?,
-                    bytes: uints("bytes")?,
-                });
-            }
-            report.matrix = Some(MatrixSection { n_ranks, tags });
-        }
-
-        // Schema v3 section; absent in non-serving reports and older docs.
-        if let Some(s) = v.get("serving") {
-            let mut latency_hist = Vec::new();
-            for b in arr_field(s, "latency_hist")? {
-                latency_hist.push((u64_field(b, "slots")?, u64_field(b, "count")?));
-            }
-            // v7 additions parse optionally so v3..v6 documents still load.
-            let opt_hist = |key: &str| -> Result<Vec<(u64, u64)>, String> {
-                let mut hist = Vec::new();
-                if let Some(J::Arr(items)) = s.get(key) {
-                    for b in items {
-                        hist.push((u64_field(b, "slots")?, u64_field(b, "count")?));
-                    }
-                }
-                Ok(hist)
-            };
-            let client_hist = opt_hist("client_hist")?;
-            let mut tenants = Vec::new();
-            if let Some(J::Arr(items)) = s.get("tenants") {
-                for t in items {
-                    tenants.push(TenantSloSection {
-                        name: str_field(t, "name")?,
-                        share_pct: u64_field(t, "share_pct")?,
-                        offered: u64_field(t, "offered")?,
-                        admitted: u64_field(t, "admitted")?,
-                        answered: u64_field(t, "answered")?,
-                        cache_hits: u64_field(t, "cache_hits")?,
-                        shed_overload: u64_field(t, "shed_overload")?,
-                        shed_deadline: u64_field(t, "shed_deadline")?,
-                        degraded: u64_field(t, "degraded")?,
-                        slo_attainment: f64_field(t, "slo_attainment")?,
-                        p50_ns: u64_field(t, "p50_ns")?,
-                        p99_ns: u64_field(t, "p99_ns")?,
-                        latency_hist: {
-                            let mut hist = Vec::new();
-                            for b in arr_field(t, "latency_hist")? {
-                                hist.push((u64_field(b, "slots")?, u64_field(b, "count")?));
-                            }
-                            hist
-                        },
-                    });
-                }
-            }
-            report.serving = Some(ServingSection {
-                serve_seed: u64_field(s, "serve_seed")?,
-                slot_ns: u64_field(s, "slot_ns")?,
-                slots: u64_field(s, "slots")?,
-                offered: u64_field(s, "offered")?,
-                admitted: u64_field(s, "admitted")?,
-                answered: u64_field(s, "answered")?,
-                cache_hits: u64_field(s, "cache_hits")?,
-                cache_evictions: u64_field(s, "cache_evictions")?,
-                shed_deadline: u64_field(s, "shed_deadline")?,
-                shed_overload: u64_field(s, "shed_overload")?,
-                degraded: u64_field(s, "degraded")?,
-                max_queue_depth: u64_field(s, "max_queue_depth")?,
-                p50_ns: u64_field(s, "p50_ns")?,
-                p95_ns: u64_field(s, "p95_ns")?,
-                p99_ns: u64_field(s, "p99_ns")?,
-                mean_latency_ns: f64_field(s, "mean_latency_ns")?,
-                latency_hist,
-                client_p50_ns: s.get("client_p50_ns").and_then(J::as_u64).unwrap_or(0),
-                client_p99_ns: s.get("client_p99_ns").and_then(J::as_u64).unwrap_or(0),
-                client_hist,
-                tenants,
-                result_digest: u64::from_str_radix(&str_field(s, "result_digest")?, 16)
-                    .map_err(|e| format!("bad result_digest: {e}"))?,
-            });
-        }
-
-        // Schema v4 additions; absent in older documents.
-        report.dropped_spans = v.get("dropped_spans").and_then(J::as_u64).unwrap_or(0);
-
-        if let Some(c) = v.get("critical_path") {
-            let f64s = |key: &str| -> Result<Vec<f64>, String> {
-                arr_field(c, key)?
-                    .iter()
-                    .map(|x| x.as_f64().ok_or_else(|| format!("bad entry in '{key}'")))
-                    .collect()
-            };
-            let u64s = |key: &str| -> Result<Vec<u64>, String> {
-                arr_field(c, key)?
-                    .iter()
-                    .map(|x| x.as_u64().ok_or_else(|| format!("bad entry in '{key}'")))
-                    .collect()
-            };
-            let mut phase_attribution = Vec::new();
-            for p in arr_field(c, "phase_attribution")? {
-                phase_attribution.push(PhaseAttribution {
-                    index: u64_field(p, "index")?,
-                    total_ns: u64_field(p, "total_ns")?,
-                    compute_ns: u64_field(p, "compute_ns")?,
-                    comm_ns: u64_field(p, "comm_ns")?,
-                    stall_ns: u64_field(p, "stall_ns")?,
-                    retransmit_ns: u64_field(p, "retransmit_ns")?,
-                    critical_rank: u64_field(p, "critical_rank")?,
-                });
-            }
-            report.critical_path = Some(CriticalPathSection {
-                n_ranks: u64_field(c, "n_ranks")?,
-                phases: u64_field(c, "phases")?,
-                critical_path_ns: u64_field(c, "critical_path_ns")?,
-                collective_ns: u64_field(c, "collective_ns")?,
-                compute_ns: u64_field(c, "compute_ns")?,
-                comm_ns: u64_field(c, "comm_ns")?,
-                stall_ns: u64_field(c, "stall_ns")?,
-                retransmit_ns: u64_field(c, "retransmit_ns")?,
-                rank_slack_ns: f64s("rank_slack_ns")?,
-                rank_critical_phases: u64s("rank_critical_phases")?,
-                straggler_score: f64_field(c, "straggler_score")?,
-                phase_attribution,
-            });
-        }
-
-        // Schema v5 section; absent for non-RNN runs and older documents.
-        if let Some(r) = v.get("rnn") {
-            let mut rounds = Vec::new();
-            for rd in arr_field(r, "rounds")? {
-                rounds.push(RnnRoundReport {
-                    outer: u64_field(rd, "outer")?,
-                    inner: u64_field(rd, "inner")?,
-                    pairs: u64_field(rd, "pairs")?,
-                    pruned: u64_field(rd, "pruned")?,
-                    added: u64_field(rd, "added")?,
-                });
-            }
-            let reverse_added = arr_field(r, "reverse_added")?
-                .iter()
-                .map(|x| x.as_u64().ok_or("bad entry in 'reverse_added'".to_string()))
-                .collect::<Result<Vec<u64>, String>>()?;
-            report.rnn = Some(RnnSection {
-                t1: u64_field(r, "t1")?,
-                t2: u64_field(r, "t2")?,
-                k0: u64_field(r, "k0")?,
-                r: u64_field(r, "r")?,
-                rounds,
-                reverse_added,
-                dist_evals: u64_field(r, "dist_evals")?,
-                repaired: u64_field(r, "repaired")?,
-            });
-        }
-
-        // Schema v6 additions; absent in older documents.
-        if let Some(per_rank) = v.get("dropped_spans_per_rank").and_then(J::as_arr) {
-            report.dropped_spans_per_rank = per_rank
-                .iter()
-                .map(|x| {
-                    x.as_u64()
-                        .ok_or("bad entry in 'dropped_spans_per_rank'".to_string())
-                })
-                .collect::<Result<Vec<u64>, String>>()?;
-        }
-
-        if let Some(q) = v.get("query_forensics") {
-            let mut stage_hists = Vec::new();
-            for h in arr_field(q, "stage_hists")? {
-                let mut buckets = Vec::new();
-                for b in arr_field(h, "buckets")? {
-                    buckets.push((u64_field(b, "slots")?, u64_field(b, "count")?));
-                }
-                stage_hists.push((str_field(h, "stage")?, buckets));
-            }
-            let mut exemplars = Vec::new();
-            for e in arr_field(q, "exemplars")? {
-                exemplars.push(QueryExemplar {
-                    idx: u64_field(e, "idx")?,
-                    pool_id: u64_field(e, "pool_id")?,
-                    // v7; v6 exemplars carry no tenant.
-                    tenant: e.get("tenant").and_then(J::as_u64).unwrap_or(0),
-                    verdict: str_field(e, "verdict")?,
-                    why: str_field(e, "why")?,
-                    degrade_level: u64_field(e, "degrade_level")?,
-                    cache_key_hash: u64::from_str_radix(&str_field(e, "cache_key_hash")?, 16)
-                        .map_err(|err| format!("bad cache_key_hash: {err}"))?,
-                    arrived_slot: u64_field(e, "arrived_slot")?,
-                    done_slot: u64_field(e, "done_slot")?,
-                    admission_slots: u64_field(e, "admission_slots")?,
-                    batch_wait_slots: u64_field(e, "batch_wait_slots")?,
-                    dispatch_slots: u64_field(e, "dispatch_slots")?,
-                    search_slots: u64_field(e, "search_slots")?,
-                    response_slots: u64_field(e, "response_slots")?,
-                    latency_slots: u64_field(e, "latency_slots")?,
-                    expansions: u64_field(e, "expansions")?,
-                    dist_evals: u64_field(e, "dist_evals")?,
-                    rounds: u64_field(e, "rounds")?,
-                    deadline_miss: e
-                        .get("deadline_miss")
-                        .and_then(J::as_bool)
-                        .ok_or("missing bool field 'deadline_miss'")?,
-                });
-            }
-            report.query_forensics = Some(QueryForensicsSection {
-                window_slots: u64_field(q, "window_slots")?,
-                slow_n: u64_field(q, "slow_n")?,
-                considered: u64_field(q, "considered")?,
-                retained: u64_field(q, "retained")?,
-                retained_slow: u64_field(q, "retained_slow")?,
-                retained_exemplar: u64_field(q, "retained_exemplar")?,
-                stage_hists,
-                exemplars,
-                digest: u64::from_str_radix(&str_field(q, "digest")?, 16)
-                    .map_err(|err| format!("bad forensics digest: {err}"))?,
-            });
-        }
-
-        // Schema v8 section; absent for namespace-less runs and older
-        // documents.
-        if let Some(vd) = v.get("vdb") {
-            let mut namespaces = Vec::new();
-            for ns in arr_field(vd, "namespaces")? {
-                namespaces.push(VdbNamespaceSection {
-                    name: str_field(ns, "name")?,
-                    points: u64_field(ns, "points")?,
-                    live: u64_field(ns, "live")?,
-                    tombstones: u64_field(ns, "tombstones")?,
-                    dead: u64_field(ns, "dead")?,
-                    epoch: u64_field(ns, "epoch")?,
-                    inserts: u64_field(ns, "inserts")?,
-                    deletes: u64_field(ns, "deletes")?,
-                    compactions: u64_field(ns, "compactions")?,
-                });
-            }
-            let mut selectivity_hist = Vec::new();
-            for b in arr_field(vd, "selectivity_hist")? {
-                selectivity_hist.push((u64_field(b, "decile")?, u64_field(b, "count")?));
-            }
-            report.vdb = Some(VdbSection {
-                namespaces,
-                filtered_queries: u64_field(vd, "filtered_queries")?,
-                cache_suppressed_ids: u64_field(vd, "cache_suppressed_ids")?,
-                selectivity_hist,
-            });
-        }
-
-        // Optional: absent in fault-free reports (pre-fault documents too).
-        if let Some(f) = v.get("faults") {
-            report.faults = Some(FaultSection {
-                sim_seed: u64_field(f, "sim_seed")?,
-                profile: str_field(f, "profile")?,
-                dropped: u64_field(f, "dropped")?,
-                duplicated: u64_field(f, "duplicated")?,
-                delayed: u64_field(f, "delayed")?,
-                stalls: u64_field(f, "stalls")?,
-                jittered_flushes: u64_field(f, "jittered_flushes")?,
-                retransmits: u64_field(f, "retransmits")?,
-                dedup_discards: u64_field(f, "dedup_discards")?,
-                forced_deliveries: u64_field(f, "forced_deliveries")?,
-            });
-        }
-
         Ok(report)
     }
 
     /// Parse a report from JSON text.
-    pub fn parse(text: &str) -> Result<RunReport, String> {
-        RunReport::from_json(&J::parse(text)?)
+    pub fn parse(text: &str) -> Result<RunReport, ReportError> {
+        RunReport::from_json(&J::parse(text).map_err(ReportError::Json)?)
+    }
+
+    /// Every value `dnnd-report-diff` compares, in document order, with
+    /// its gate; plus a [`Gate::Section`] marker per optional part present.
+    pub fn leaves(&self) -> Vec<Leaf> {
+        let mut out = Vec::new();
+        self.push_leaves("", &mut out);
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::Histogram;
 
-    fn sample_report() -> RunReport {
-        let mut r = RunReport::new("dnnd-construct");
-        r.param("input", "preset:blobs,n=1000")
-            .param("seed", 42)
-            .param("metric", "l2");
-        r.n_ranks = 4;
-        r.iterations = 6;
-        r.distance_evals = 123_456;
-        r.sim_secs = 1.5;
-        r.wall_secs = 0.25;
-        r.compute_secs = 0.9;
-        r.comm_secs = 0.4;
-        r.barrier_secs = 0.2;
-        r.tags = vec![TagReport {
-            tag: 14,
-            name: "Type 1".into(),
-            count: 100,
-            bytes: 6_400,
-            remote_count: 75,
-            remote_bytes: 4_800,
-        }];
-        r.total_count = 100;
-        r.total_bytes = 6_400;
-        r.total_remote_count = 75;
-        r.total_remote_bytes = 4_800;
-        r.phases = vec![PhaseReport {
-            index: 0,
-            compute_secs: 0.1,
-            comm_secs: 0.05,
-            barrier_secs: 0.01,
-            msgs: 10,
-            bytes: 640,
-        }];
-        r.convergence = vec![
-            ConvergencePoint {
-                iteration: 0,
-                updates: 500,
-            },
-            ConvergencePoint {
-                iteration: 1,
-                updates: 17,
-            },
-        ];
-        r.recall = Some(0.97);
-        let h = Histogram::new();
-        for i in 1..=100 {
-            h.record(i);
-        }
-        r.add_histograms(&[("flush_bytes".into(), h.snapshot())]);
-        r.metric("queries_per_sec", 1234.5);
-        r.series = vec![
-            SeriesSnapshot {
-                name: "send_buf_bytes".into(),
-                rank: 0,
-                points: vec![
-                    SeriesPoint {
-                        t_ns: 10_000,
-                        value: 128.0,
-                    },
-                    SeriesPoint {
-                        t_ns: 20_000,
-                        value: 96.5,
-                    },
-                ],
-            },
-            SeriesSnapshot {
-                name: "send_buf_bytes".into(),
-                rank: 3,
-                points: vec![SeriesPoint {
-                    t_ns: 10_000,
-                    value: 64.0,
-                }],
-            },
-        ];
-        r.matrix = Some(MatrixSection {
-            n_ranks: 2,
-            tags: vec![MatrixTagReport {
-                tag: 14,
-                name: "Type 1".into(),
-                counts: vec![10, 20, 30, 40],
-                bytes: vec![100, 200, 300, 6_400 - 600],
-            }],
-        });
-        r
+    fn leaf<'a>(leaves: &'a [Leaf], path: &str) -> Option<&'a Leaf> {
+        leaves.iter().find(|l| l.path == path)
     }
 
     #[test]
-    fn json_round_trip_is_lossless() {
-        let r = sample_report();
-        let text = r.to_json_string();
-        let back = RunReport::parse(&text).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn compact_round_trip_too() {
-        let r = sample_report();
-        let back = RunReport::parse(&r.to_json().to_string()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn none_recall_round_trips() {
-        let mut r = sample_report();
-        r.recall = None;
-        let back = RunReport::parse(&r.to_json_string()).unwrap();
-        assert_eq!(back.recall, None);
-    }
-
-    #[test]
-    fn fault_section_round_trips() {
-        let mut r = sample_report();
-        r.faults = Some(FaultSection {
-            sim_seed: 424242,
-            profile: "stormy".into(),
-            dropped: 12,
-            duplicated: 3,
-            delayed: 9,
-            stalls: 2,
-            jittered_flushes: 40,
-            retransmits: 15,
-            dedup_discards: 5,
-            forced_deliveries: 1,
-        });
-        let back = RunReport::parse(&r.to_json_string()).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.faults.as_ref().unwrap().sim_seed, 424242);
-    }
-
-    #[test]
-    fn missing_fault_section_parses_as_none() {
-        // Fault-free documents (including pre-fault schema v1 reports)
-        // simply lack the key.
-        let r = sample_report();
-        let text = r.to_json_string();
-        assert!(!text.contains("\"faults\""));
-        let back = RunReport::parse(&text).unwrap();
-        assert_eq!(back.faults, None);
-    }
-
-    #[test]
-    fn vdb_section_round_trips() {
-        let mut r = sample_report();
-        r.vdb = Some(VdbSection {
-            namespaces: vec![VdbNamespaceSection {
-                name: "prod".into(),
-                points: 1_000,
-                live: 930,
-                tombstones: 20,
-                dead: 50,
-                epoch: 3,
-                inserts: 12,
-                deletes: 70,
-                compactions: 2,
-            }],
-            filtered_queries: 44,
-            cache_suppressed_ids: 5,
-            selectivity_hist: vec![(1, 10), (4, 30), (9, 4)],
-        });
-        let back = RunReport::parse(&r.to_json_string()).unwrap();
-        assert_eq!(back, r);
-        let ns = &back.vdb.as_ref().unwrap().namespaces[0];
-        assert_eq!(ns.live + ns.tombstones + ns.dead, ns.points);
-    }
-
-    #[test]
-    fn missing_vdb_section_parses_as_none() {
-        let r = sample_report();
-        let text = r.to_json_string();
-        assert!(!text.contains("\"vdb\""));
-        let back = RunReport::parse(&text).unwrap();
-        assert_eq!(back.vdb, None);
-    }
-
-    #[test]
-    fn rejects_future_schema_version_naming_both() {
-        let text = sample_report()
-            .to_json_string()
-            .replace("\"schema_version\": 8", "\"schema_version\": 999");
-        let err = RunReport::parse(&text).unwrap_err();
-        assert!(
-            err.contains("999"),
-            "error must name the found version: {err}"
+    fn grouped_fields_share_one_nested_object() {
+        let mut r = RunReport::new("t");
+        r.comm_secs = 0.5;
+        r.total_bytes = 7;
+        let v = r.to_json();
+        let J::Obj(fields) = &v else { unreachable!() };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys.iter().filter(|k| **k == "breakdown").count(), 1);
+        assert_eq!(keys.iter().filter(|k| **k == "total").count(), 1);
+        let comm = v.get("breakdown").and_then(|b| b.get("comm_secs"));
+        assert_eq!(comm.and_then(J::as_f64), Some(0.5));
+        assert_eq!(
+            v.get("total")
+                .and_then(|t| t.get("bytes"))
+                .and_then(J::as_u64),
+            Some(7)
         );
-        assert!(
-            err.contains("v1") && err.contains("v8"),
-            "error must name the supported range: {err}"
+        assert_eq!(RunReport::from_json(&v).unwrap(), r);
+    }
+
+    #[test]
+    fn errors_name_the_path_and_the_expected_type() {
+        let mut r = RunReport::new("t");
+        r.tags = vec![TagReport::default(), TagReport::default()];
+        r.tags[1].remote_bytes = 4242;
+        r.metric("qps", 1.0);
+        let text = r.to_json_string();
+        let err = |from: &str, to: &str| {
+            assert!(text.contains(from), "{from}");
+            RunReport::parse(&text.replacen(from, to, 1)).unwrap_err()
+        };
+        assert_eq!(
+            err("\"qps\": 1.0", "\"qps\": \"fast\""),
+            bad("extra.qps", "a number")
         );
-        // v0 is below the supported range too.
-        let text = sample_report()
-            .to_json_string()
-            .replace("\"schema_version\": 8", "\"schema_version\": 0");
-        assert!(RunReport::parse(&text).is_err());
-    }
-
-    fn sample_serving() -> ServingSection {
-        ServingSection {
-            serve_seed: 777,
-            slot_ns: 250_000,
-            slots: 64,
-            offered: 500,
-            admitted: 430,
-            answered: 400,
-            cache_hits: 50,
-            cache_evictions: 7,
-            shed_deadline: 20,
-            shed_overload: 20,
-            degraded: 35,
-            max_queue_depth: 48,
-            p50_ns: 500_000,
-            p95_ns: 1_750_000,
-            p99_ns: 2_500_000,
-            mean_latency_ns: 612_500.25,
-            latency_hist: vec![(1, 300), (2, 80), (7, 15), (10, 5)],
-            client_p50_ns: 750_000,
-            client_p99_ns: 3_250_000,
-            client_hist: vec![(1, 280), (3, 100), (13, 20)],
-            tenants: vec![
-                TenantSloSection {
-                    name: "gold".into(),
-                    share_pct: 50,
-                    offered: 250,
-                    admitted: 235,
-                    answered: 215,
-                    cache_hits: 30,
-                    shed_overload: 5,
-                    shed_deadline: 10,
-                    degraded: 12,
-                    slo_attainment: 0.98,
-                    p50_ns: 500_000,
-                    p99_ns: 2_000_000,
-                    latency_hist: vec![(1, 180), (2, 35)],
-                },
-                TenantSloSection {
-                    name: "free".into(),
-                    share_pct: 50,
-                    offered: 250,
-                    admitted: 195,
-                    answered: 185,
-                    cache_hits: 20,
-                    shed_overload: 15,
-                    shed_deadline: 10,
-                    degraded: 23,
-                    slo_attainment: 0.82,
-                    p50_ns: 650_000,
-                    p99_ns: 2_500_000,
-                    latency_hist: vec![(1, 120), (2, 45), (7, 15), (10, 5)],
-                },
-            ],
-            result_digest: 0xDEAD_BEEF_CAFE_F00D,
-        }
+        assert_eq!(
+            err("\"breakdown\": {", "\"breakdown\": 3, \"was\": {"),
+            bad("breakdown", "an object")
+        );
+        assert_eq!(
+            err("\"remote_bytes\": 4242", "\"remote_bytes\": -1"),
+            bad("tags[1].remote_bytes", "a non-negative integer")
+        );
+        assert_eq!(
+            RunReport::parse("[").unwrap_err().to_string(),
+            J::parse("[").unwrap_err()
+        );
+        assert_eq!(
+            RunReport::parse("[]").unwrap_err(),
+            bad("schema_version", "a value (the key is missing)")
+        );
     }
 
     #[test]
-    fn serving_section_round_trips() {
-        let mut r = sample_report();
-        r.serving = Some(sample_serving());
-        let back = RunReport::parse(&r.to_json_string()).unwrap();
-        assert_eq!(back, r);
-        let s = back.serving.unwrap();
-        assert_eq!(s.latency_hist, vec![(1, 300), (2, 80), (7, 15), (10, 5)]);
-        assert_eq!(s.result_digest, 0xDEAD_BEEF_CAFE_F00D);
-        assert_eq!(s.client_hist, vec![(1, 280), (3, 100), (13, 20)]);
-        assert_eq!(s.tenants.len(), 2);
-        assert_eq!(s.tenants[0].name, "gold");
-        assert_eq!(s.tenants[1].latency_hist.len(), 4);
-    }
+    fn leaves_follow_the_tables_and_mark_optional_parts() {
+        let mut r = RunReport::new("t");
+        r.metric("qps", 2.5);
+        let bare = r.leaves();
+        assert!(bare.iter().all(|l| l.gate != Gate::Section));
+        assert!(leaf(&bare, "recall").is_none());
+        assert_eq!(leaf(&bare, "total_count").unwrap().gate, Rise(0.05));
+        assert_eq!(leaf(&bare, "extra.qps").unwrap().gate, Info);
+        assert!(
+            leaf(&bare, "n_ranks").is_none(),
+            "ungated fields are not compared"
+        );
 
-    #[test]
-    fn tenantless_serving_omits_the_tenants_key() {
-        let mut r = sample_report();
-        let mut s = sample_serving();
-        s.tenants.clear();
-        r.serving = Some(s);
-        let text = r.to_json_string();
-        assert!(!text.contains("\"tenants\""));
-        let back = RunReport::parse(&text).unwrap();
-        assert_eq!(back, r);
-        assert!(back.serving.unwrap().tenants.is_empty());
-    }
-
-    #[test]
-    fn accepts_v6_serving_without_client_or_tenant_fields() {
-        // A v6 serving section lacks the client-perceived fields and the
-        // tenants array — it must parse with zeros / empty vectors.
-        let mut r = sample_report();
-        r.serving = Some(sample_serving());
-        let mut v = r.to_json();
-        if let J::Obj(fields) = &mut v {
-            for (k, val) in fields.iter_mut() {
-                if k == "schema_version" {
-                    *val = J::uint(6);
-                }
-                if k == "serving" {
-                    if let J::Obj(sv) = val {
-                        sv.retain(|(sk, _)| {
-                            sk != "client_p50_ns"
-                                && sk != "client_p99_ns"
-                                && sk != "client_hist"
-                                && sk != "tenants"
-                        });
-                    }
-                }
-            }
-        }
-        let back = RunReport::parse(&v.pretty()).unwrap();
-        let s = back.serving.unwrap();
-        assert_eq!(s.client_p50_ns, 0);
-        assert_eq!(s.client_p99_ns, 0);
-        assert!(s.client_hist.is_empty());
-        assert!(s.tenants.is_empty());
-        // The pre-v7 fields still read in full.
-        assert_eq!(s.latency_hist, vec![(1, 300), (2, 80), (7, 15), (10, 5)]);
-        assert_eq!(s.result_digest, 0xDEAD_BEEF_CAFE_F00D);
-    }
-
-    #[test]
-    fn missing_serving_section_parses_as_none() {
-        // Non-serving documents (including every pre-v3 report) simply
-        // lack the key.
-        let r = sample_report();
-        let text = r.to_json_string();
-        assert!(!text.contains("\"serving\""));
-        let back = RunReport::parse(&text).unwrap();
-        assert_eq!(back.serving, None);
-    }
-
-    #[test]
-    fn accepts_schema_v2_documents() {
-        // A v2 document lacks serving/critical_path sections and carries
-        // the old version stamp — it must still parse in full.
-        let r = sample_report();
-        let text = r
-            .to_json_string()
-            .replace("\"schema_version\": 8", "\"schema_version\": 2");
-        let back = RunReport::parse(&text).unwrap();
-        assert_eq!(back.serving, None);
-        assert_eq!(back.series, r.series);
-        assert_eq!(back.matrix, r.matrix);
-        assert_eq!(back.tags, r.tags);
-    }
-
-    #[test]
-    fn accepts_schema_v3_documents() {
-        // A v3 document has serving but no critical_path/dropped_spans keys
-        // and the old version stamp — it must parse with both defaulted.
-        let mut r = sample_report();
-        r.serving = Some(sample_serving());
-        let mut v = r.to_json();
-        if let J::Obj(fields) = &mut v {
-            fields.retain(|(k, _)| k != "dropped_spans" && k != "critical_path");
-            for (k, val) in fields.iter_mut() {
-                if k == "schema_version" {
-                    *val = J::uint(3);
-                }
-            }
-        }
-        let back = RunReport::parse(&v.pretty()).unwrap();
-        assert_eq!(back.critical_path, None);
-        assert_eq!(back.dropped_spans, 0);
-        assert_eq!(back.serving, r.serving);
-        assert_eq!(back.tags, r.tags);
-    }
-
-    #[test]
-    fn accepts_schema_v1_documents() {
-        // A v1 document is a v2 document minus the series/matrix keys with
-        // the old version stamp — it must parse with empty telemetry.
-        let mut r = sample_report();
-        r.series.clear();
-        r.matrix = None;
-        let mut v = r.to_json();
-        if let J::Obj(fields) = &mut v {
-            fields.retain(|(k, _)| k != "series" && k != "dropped_spans");
-            for (k, val) in fields.iter_mut() {
-                if k == "schema_version" {
-                    *val = J::uint(1);
-                }
-            }
-        }
-        let text = v.pretty();
-        assert!(text.contains("\"schema_version\": 1"));
-        assert!(!text.contains("\"series\""));
-        let back = RunReport::parse(&text).unwrap();
-        assert!(back.series.is_empty());
-        assert_eq!(back.matrix, None);
-        assert_eq!(back.tags, r.tags); // aggregates still read
-    }
-
-    #[test]
-    fn critical_path_section_and_dropped_spans_round_trip() {
-        let mut r = sample_report();
-        r.dropped_spans = 17;
-        r.critical_path = Some(CriticalPathSection {
-            n_ranks: 2,
-            phases: 2,
-            critical_path_ns: 12_000,
-            collective_ns: 1_220,
-            compute_ns: 7_000,
-            comm_ns: 2_780,
-            stall_ns: 600,
-            retransmit_ns: 400,
-            rank_slack_ns: vec![0.0, 5_644.5],
-            rank_critical_phases: vec![2, 0],
-            straggler_score: 0.25,
-            phase_attribution: vec![PhaseAttribution {
-                index: 0,
-                total_ns: 10_003,
-                compute_ns: 7_000,
-                comm_ns: 2_003,
-                stall_ns: 600,
-                retransmit_ns: 400,
-                critical_rank: 0,
-            }],
-        });
-        let back = RunReport::parse(&r.to_json_string()).unwrap();
-        assert_eq!(back, r);
-        let c = back.critical_path.unwrap();
-        assert_eq!(c.attribution_sum_ns(), c.critical_path_ns);
-        assert_eq!(back.dropped_spans, 17);
-    }
-
-    fn sample_rnn() -> RnnSection {
-        RnnSection {
-            t1: 3,
-            t2: 8,
-            k0: 10,
-            r: 30,
-            rounds: vec![
-                RnnRoundReport {
-                    outer: 0,
-                    inner: 0,
-                    pairs: 4_200,
-                    pruned: 310,
-                    added: 295,
-                },
-                RnnRoundReport {
-                    outer: 0,
-                    inner: 1,
-                    pairs: 900,
-                    pruned: 40,
-                    added: 12,
-                },
-            ],
-            reverse_added: vec![1_800, 120, 7],
-            dist_evals: 5_100,
-            repaired: 2,
-        }
-    }
-
-    #[test]
-    fn rnn_section_round_trips() {
-        let mut r = sample_report();
-        r.rnn = Some(sample_rnn());
-        let back = RunReport::parse(&r.to_json_string()).unwrap();
-        assert_eq!(back, r);
-        let s = back.rnn.unwrap();
-        assert_eq!(s.rounds.len(), 2);
-        assert_eq!(s.reverse_added, vec![1_800, 120, 7]);
-        assert_eq!(s.dist_evals, 5_100);
-        assert_eq!(s.repaired, 2);
-    }
-
-    #[test]
-    fn missing_rnn_section_parses_as_none() {
-        // Non-RNN documents (including every pre-v5 report) simply lack
-        // the key.
-        let r = sample_report();
-        let text = r.to_json_string();
-        assert!(!text.contains("\"rnn\""));
-        let back = RunReport::parse(&text).unwrap();
-        assert_eq!(back.rnn, None);
-    }
-
-    #[test]
-    fn accepts_schema_v4_documents() {
-        // A v4 document has critical_path/dropped_spans but no rnn key and
-        // the old version stamp — it must parse with rnn defaulted.
-        let r = sample_report();
-        let text = r
-            .to_json_string()
-            .replace("\"schema_version\": 8", "\"schema_version\": 4");
-        let back = RunReport::parse(&text).unwrap();
-        assert_eq!(back.rnn, None);
-        assert_eq!(back.tags, r.tags);
-        assert_eq!(back.matrix, r.matrix);
-    }
-
-    #[test]
-    fn accepts_schema_v5_documents() {
-        // A v5 document has rnn but no query_forensics /
-        // dropped_spans_per_rank keys and the old version stamp — it must
-        // parse with both defaulted.
-        let mut r = sample_report();
-        r.rnn = Some(sample_rnn());
-        let text = r
-            .to_json_string()
-            .replace("\"schema_version\": 8", "\"schema_version\": 5");
-        assert!(!text.contains("\"query_forensics\""));
-        assert!(!text.contains("\"dropped_spans_per_rank\""));
-        let back = RunReport::parse(&text).unwrap();
-        assert_eq!(back.query_forensics, None);
-        assert!(back.dropped_spans_per_rank.is_empty());
-        assert_eq!(back.rnn, r.rnn);
-        assert_eq!(back.tags, r.tags);
-    }
-
-    fn sample_forensics() -> QueryForensicsSection {
-        QueryForensicsSection {
-            window_slots: 8,
-            slow_n: 4,
-            considered: 150,
-            retained: 2,
-            retained_slow: 1,
-            retained_exemplar: 1,
-            stage_hists: vec![
-                ("admission".into(), vec![(0, 150)]),
-                ("batch_wait".into(), vec![(0, 100), (2, 50)]),
-                ("dispatch".into(), vec![(0, 140), (4, 10)]),
-                ("search".into(), vec![(1, 150)]),
-                ("response".into(), vec![(0, 150)]),
-            ],
-            exemplars: vec![
-                QueryExemplar {
-                    idx: 17,
-                    pool_id: 41,
-                    tenant: 1,
-                    verdict: "answered".into(),
-                    why: "slow|deadline_miss".into(),
-                    degrade_level: 1,
-                    cache_key_hash: 0xABCD_EF01_2345_6789,
-                    arrived_slot: 10,
-                    done_slot: 17,
-                    admission_slots: 0,
-                    batch_wait_slots: 2,
-                    dispatch_slots: 4,
-                    search_slots: 1,
-                    response_slots: 0,
-                    latency_slots: 7,
-                    expansions: 12,
-                    dist_evals: 340,
-                    rounds: 13,
-                    deadline_miss: true,
-                },
-                QueryExemplar {
-                    idx: 3,
-                    pool_id: 9,
-                    tenant: 0,
-                    verdict: "shed_overload".into(),
-                    why: "shed".into(),
-                    degrade_level: 0,
-                    cache_key_hash: 0x0000_0000_0000_0001,
-                    arrived_slot: 2,
-                    done_slot: 2,
-                    admission_slots: 0,
-                    batch_wait_slots: 0,
-                    dispatch_slots: 0,
-                    search_slots: 0,
-                    response_slots: 0,
-                    latency_slots: 0,
-                    expansions: 0,
-                    dist_evals: 0,
-                    rounds: 0,
-                    deadline_miss: false,
-                },
-            ],
-            digest: 0xFEED_FACE_0123_4567,
-        }
-    }
-
-    #[test]
-    fn query_forensics_section_round_trips() {
-        let mut r = sample_report();
-        r.query_forensics = Some(sample_forensics());
-        let back = RunReport::parse(&r.to_json_string()).unwrap();
-        assert_eq!(back, r);
-        let q = back.query_forensics.unwrap();
-        assert_eq!(q.exemplars.len(), 2);
-        // Hex-string fields survive the trip without double rounding.
-        assert_eq!(q.exemplars[0].cache_key_hash, 0xABCD_EF01_2345_6789);
-        assert_eq!(q.digest, 0xFEED_FACE_0123_4567);
-        assert!(q.exemplars[0].deadline_miss);
-        assert_eq!(q.exemplars[0].tenant, 1);
-        assert_eq!(q.exemplars[1].tenant, 0);
-        // The waterfall invariant holds for every exemplar.
-        for e in &q.exemplars {
-            assert_eq!(e.stage_sum(), e.latency_slots);
-        }
-    }
-
-    #[test]
-    fn missing_query_forensics_parses_as_none() {
-        let text = sample_report().to_json_string();
-        assert!(!text.contains("\"query_forensics\""));
-        let back = RunReport::parse(&text).unwrap();
-        assert_eq!(back.query_forensics, None);
-    }
-
-    #[test]
-    fn dropped_spans_per_rank_round_trips_and_sums() {
-        let mut r = sample_report();
-        r.set_dropped_spans_per_rank(vec![0, 12, 0, 5]);
-        assert_eq!(r.dropped_spans, 17);
-        let back = RunReport::parse(&r.to_json_string()).unwrap();
-        assert_eq!(back.dropped_spans_per_rank, vec![0, 12, 0, 5]);
-        assert_eq!(back.dropped_spans, 17);
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn missing_critical_path_section_parses_as_none() {
-        let text = sample_report().to_json_string();
-        assert!(!text.contains("\"critical_path\""));
-        let back = RunReport::parse(&text).unwrap();
-        assert_eq!(back.critical_path, None);
-    }
-
-    #[test]
-    fn series_and_matrix_round_trip() {
-        let r = sample_report();
-        let back = RunReport::parse(&r.to_json_string()).unwrap();
-        assert_eq!(back.series, r.series);
-        assert_eq!(back.matrix, r.matrix);
-        let m = back.matrix.unwrap();
-        assert_eq!(m.total_counts(), vec![10, 20, 30, 40]);
-        assert_eq!(m.total_counts().iter().sum::<u64>(), 100); // == tag count
-        assert_eq!(m.total_bytes().iter().sum::<u64>(), 6_400); // == tag bytes
-    }
-
-    #[test]
-    fn rejects_malformed_matrix_cells() {
-        // Cell-count mismatch with n_ranks² must be a parse error, not a
-        // silently truncated matrix.
-        let mut r = sample_report();
-        r.matrix.as_mut().unwrap().tags[0].counts.pop();
-        let err = RunReport::parse(&r.to_json_string()).unwrap_err();
-        assert!(err.contains("cells"), "{err}");
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
-
-        /// Schema v2 serialize→parse is the identity on arbitrary series
-        /// and matrix payloads (satellite: round-trip property test).
-        #[test]
-        fn v2_round_trip_property(
-            n_ranks in 1u64..5,
-            point_vals in proptest::collection::vec(0u64..1_000_000, 0..20),
-            cell_seed in 0u64..1_000,
-        ) {
-            use proptest::prelude::*;
-            let mut r = RunReport::new("prop");
-            r.n_ranks = n_ranks;
-            r.series = vec![SeriesSnapshot {
-                name: "g".into(),
-                rank: n_ranks - 1,
-                points: point_vals
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| SeriesPoint {
-                        t_ns: i as u64 * 10_000,
-                        value: v as f64 / 16.0,
-                    })
-                    .collect(),
-            }];
-            let cells = (n_ranks * n_ranks) as usize;
-            r.matrix = Some(MatrixSection {
-                n_ranks,
-                tags: vec![MatrixTagReport {
-                    tag: 3,
-                    name: "t".into(),
-                    counts: (0..cells as u64).map(|i| i * cell_seed).collect(),
-                    bytes: (0..cells as u64).map(|i| i + cell_seed).collect(),
-                }],
-            });
-            let back = RunReport::parse(&r.to_json_string()).unwrap();
-            prop_assert_eq!(back, r);
-        }
-
-        /// Schema v3 serialize→parse is the identity on arbitrary serving
-        /// sections (counters, histogram buckets, digest).
-        #[test]
-        fn v3_serving_round_trip_property(
-            // Seeds ride the JSON number channel (f64), so stay in the
-            // exactly-representable range; the digest is hex-encoded and
-            // covers the full 64 bits.
-            seed in 0u64..(1 << 50),
-            counts in proptest::collection::vec(0u64..10_000, 0..16),
-            digest in proptest::prelude::any::<u64>(),
-        ) {
-            use proptest::prelude::*;
-            let mut r = RunReport::new("prop-serve");
-            r.serving = Some(ServingSection {
-                serve_seed: seed,
-                slot_ns: 1 + seed % 1_000_000,
-                offered: counts.iter().sum(),
-                latency_hist: counts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| (i as u64 + 1, c))
-                    .collect(),
-                result_digest: digest,
+        r.recall = Some(0.5);
+        r.serving = Some(ServingSection {
+            tenants: vec![TenantSloSection {
+                name: "gold".into(),
+                answered: 9,
                 ..Default::default()
-            });
-            let back = RunReport::parse(&r.to_json_string()).unwrap();
-            prop_assert_eq!(back, r);
-        }
+            }],
+            ..Default::default()
+        });
+        r.rnn = Some(RnnSection {
+            rounds: vec![RnnRoundReport::default(); 3],
+            reverse_added: vec![4, 5],
+            ..Default::default()
+        });
+        let leaves = r.leaves();
+        assert_eq!(leaf(&leaves, "recall").unwrap().value, 0.5);
+        assert_eq!(leaf(&leaves, "serving").unwrap().gate, Gate::Section);
+        assert_eq!(
+            leaf(&leaves, "serving.tenants").unwrap().gate,
+            Gate::Section
+        );
+        let answered = leaf(&leaves, "serving.tenant.gold.answered").unwrap();
+        assert_eq!((answered.value, answered.gate), (9.0, Fall(0.0)));
+        assert_eq!(leaf(&leaves, "rnn.rounds").unwrap().value, 3.0);
+        assert_eq!(leaf(&leaves, "rnn.reverse_added_total").unwrap().value, 9.0);
+        assert!(leaf(&leaves, "serving.result_digest").is_none());
+    }
+
+    #[test]
+    fn summary_drops_the_per_event_lists_and_nothing_else() {
+        let mut r = RunReport::new("t");
+        r.phases = vec![PhaseReport::default(); 4];
+        r.series = vec![SeriesSnapshot::default()];
+        r.convergence = vec![ConvergencePoint::default()];
+        r.critical_path = Some(CriticalPathSection {
+            phases: 4,
+            critical_path_ns: 10,
+            phase_attribution: vec![Default::default(); 4],
+            ..Default::default()
+        });
+        r.query_forensics = Some(QueryForensicsSection {
+            retained: 1,
+            exemplars: vec![QueryExemplar::default()],
+            digest: 0xAB,
+            ..Default::default()
+        });
+        let s = r.summary();
+        assert!(s.phases.is_empty() && s.series.is_empty());
+        assert!(s
+            .critical_path
+            .as_ref()
+            .unwrap()
+            .phase_attribution
+            .is_empty());
+        assert!(s.query_forensics.as_ref().unwrap().exemplars.is_empty());
+        assert_eq!(s.leaves(), r.leaves(), "the gate reads the same rows");
+        assert_eq!(s.convergence, r.convergence);
+        assert_eq!(RunReport::parse(&s.to_json_string()).unwrap(), s);
+    }
+
+    #[test]
+    fn matrix_totals_sum_over_tags() {
+        let m = MatrixSection {
+            n_ranks: 2,
+            tags: vec![
+                MatrixTagReport {
+                    counts: vec![1, 2, 3, 4],
+                    bytes: vec![10, 20, 30, 40],
+                    ..Default::default()
+                },
+                MatrixTagReport {
+                    counts: vec![1, 1, 1, 1],
+                    bytes: vec![0, 0, 0, 5],
+                    ..Default::default()
+                },
+            ],
+        };
+        assert_eq!(m.total_counts(), vec![2, 3, 4, 5]);
+        assert_eq!(m.total_bytes(), vec![10, 20, 30, 45]);
+        assert!(m.check().is_ok());
     }
 
     #[test]
     fn histogram_summary_fields() {
-        let r = sample_report();
+        let h = crate::hist::Histogram::new();
+        for i in 1..=100 {
+            h.record(i);
+        }
+        let mut r = RunReport::new("t");
+        r.add_histograms(&[("flush_bytes".into(), h.snapshot())]);
         let h = &r.histograms[0];
-        assert_eq!(h.count, 100);
-        assert_eq!(h.min, 1);
-        assert_eq!(h.max, 100);
+        assert_eq!((h.count, h.min, h.max), (100, 1, 100));
         assert!(h.p50 >= 45 && h.p50 <= 50);
+    }
+
+    #[test]
+    fn dropped_spans_per_rank_sums_into_the_total() {
+        let mut r = RunReport::new("t");
+        r.set_dropped_spans_per_rank(vec![0, 12, 0, 5]);
+        assert_eq!(r.dropped_spans, 17);
+        assert_eq!(RunReport::parse(&r.to_json_string()).unwrap(), r);
     }
 }

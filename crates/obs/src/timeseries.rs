@@ -14,6 +14,7 @@
 //! call [`TimeSeriesSet::record`] directly; they are deterministic because
 //! their trigger points are.
 
+use crate::report::{report_struct, List, Val};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -23,20 +24,23 @@ use std::sync::Mutex;
 /// produce a usable number of samples without flooding large ones.
 pub const DEFAULT_SAMPLE_INTERVAL_NS: u64 = 10_000;
 
-/// One sampled gauge value at a virtual-clock timestamp.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeriesPoint {
-    /// Virtual time of the sample, nanoseconds.
-    pub t_ns: u64,
-    pub value: f64,
+report_struct! {
+    /// One sampled gauge value at a virtual-clock timestamp.
+    #[derive(Copy)]
+    pub struct SeriesPoint {
+        /// Virtual time of the sample, nanoseconds.
+        pub t_ns: u64 => Val;
+        pub value: f64 => Val;
+    }
 }
 
-/// One named series on one rank's track, in sample order.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SeriesSnapshot {
-    pub name: String,
-    pub rank: u64,
-    pub points: Vec<SeriesPoint>,
+report_struct! {
+    /// One named series on one rank's track, in sample order.
+    pub struct SeriesSnapshot {
+        pub name: String => Val;
+        pub rank: u64 => Val;
+        pub points: Vec<SeriesPoint> => List;
+    }
 }
 
 /// Named per-rank gauge series with virtual-time pacing.

@@ -136,7 +136,7 @@ pub struct VdbServeStats {
 }
 
 impl VdbServeStats {
-    /// Translate into the run report's schema-v8 `vdb` section.
+    /// Translate into the run report's `vdb` section.
     pub fn to_section(&self) -> VdbSection {
         VdbSection {
             namespaces: vec![VdbNamespaceSection {
@@ -328,7 +328,7 @@ impl ServingStats {
         h
     }
 
-    /// Translate into the run report's schema-v3 `serving` section.
+    /// Translate into the run report's `serving` section.
     pub fn to_section(&self) -> ServingSection {
         ServingSection {
             serve_seed: self.serve_seed,
@@ -375,14 +375,14 @@ impl ServingStats {
     }
 }
 
-/// Attach a serving run's statistics to `report` as its schema-v3
+/// Attach a serving run's statistics to `report` as its
 /// `serving` section.
 pub fn attach_serving(report: &mut RunReport, stats: &ServingStats) {
     report.serving = Some(stats.to_section());
 }
 
 /// Attach a namespaced serving run's vector-DB counters to `report` as
-/// its schema-v8 `vdb` section. No-op for legacy runs (`stats.vdb` is
+/// its `vdb` section. No-op for legacy runs (`stats.vdb` is
 /// `None`), so the report stays byte-identical to pre-vdb builds.
 pub fn attach_vdb(report: &mut RunReport, stats: &ServingStats) {
     if let Some(v) = &stats.vdb {

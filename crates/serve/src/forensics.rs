@@ -27,7 +27,7 @@
 use obs::{QueryExemplar, QueryForensicsSection, RunReport};
 use std::collections::BTreeMap;
 
-/// Attach a finalized forensics value to `report` as its schema-v6
+/// Attach a finalized forensics value to `report` as its
 /// `query_forensics` section.
 pub fn attach_forensics(report: &mut RunReport, forensics: &QueryForensics) {
     report.query_forensics = Some(forensics.to_section());
@@ -455,7 +455,7 @@ pub struct QueryForensics {
 }
 
 impl QueryForensics {
-    /// Translate into the run report's schema-v6 `query_forensics`
+    /// Translate into the run report's `query_forensics`
     /// section.
     pub fn to_section(&self) -> QueryForensicsSection {
         QueryForensicsSection {

@@ -20,7 +20,7 @@
 //!   micro-batching (flush at batch size B or at a virtual-time age,
 //!   whichever first), deadline and watermark shedding, a degrade ladder
 //!   that trades per-query search quality for drain rate, and SLO
-//!   telemetry into the schema-v3 run report (`serving` section).
+//!   telemetry into the run report (`serving` section).
 //!
 //! ## Determinism contract
 //!

@@ -3,7 +3,7 @@
 //! by `--serve-seed`) is played against the optimized graph through the
 //! distributed serving layer (`crates/serve`): adaptive micro-batching,
 //! deadline and overload shedding, a quantized-key result cache, and SLO
-//! telemetry into the schema-v3 run report.
+//! telemetry into the run report.
 //!
 //! The run is a pure function of its flags: replaying with the same
 //! `--serve-seed` (any `--ranks`) reproduces every admission decision,
@@ -20,7 +20,7 @@
 //! `dataset`/graph pair: `--filter` pushes a metadata predicate into the
 //! distributed beam search, `mutate:` workload clauses apply online
 //! inserts/deletes (with watermark-triggered deterministic compaction),
-//! and the run report grows the schema-v8 `vdb` section.
+//! and the run report grows the `vdb` section.
 //!
 //! `--trace-out`, `--report-out`, and `--dashboard-out` emit the Chrome
 //! trace, unified run report (with the `serving` section), and the HTML

@@ -597,7 +597,7 @@ fn cli_dashboard_is_self_contained_with_all_sections() {
     }
     assert!(html.contains("send_buf_bytes"), "telemetry series missing");
 
-    // The JSON report next to it is schema v2 and carries the telemetry
+    // The JSON report next to it carries the telemetry
     // the dashboard rendered, plus the store's allocation high-water.
     let rr = RunReport::parse(&std::fs::read_to_string(&report).unwrap()).expect("report JSON");
     assert!(!rr.series.is_empty(), "report missing series");
