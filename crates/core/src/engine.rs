@@ -34,7 +34,7 @@ use dataset::batch::{BatchMetric, NormCache};
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use nnd::graph::{Edge, KnnGraph};
-use nnd::heap::NeighborHeap;
+use nnd::heap::NeighborTable;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -132,7 +132,8 @@ struct State {
     /// [`Partitioner::slot_table`]: global id -> index into the vectors
     /// below on the id's owner. Shared by every rank of the world.
     slots: Arc<Vec<u32>>,
-    heaps: Vec<NeighborHeap>,
+    /// One row per owned vertex.
+    heaps: NeighborTable,
     /// Reverse lists received this iteration; cleared (capacity kept) at
     /// the start of the next.
     rev_new: Vec<Vec<PointId>>,
@@ -157,7 +158,7 @@ impl State {
     fn new(slots: Arc<Vec<u32>>, owned: usize, k: usize) -> Self {
         State {
             slots,
-            heaps: (0..owned).map(|_| NeighborHeap::new(k)).collect(),
+            heaps: NeighborTable::new(owned, k),
             rev_new: vec![Vec::new(); owned],
             rev_old: vec![Vec::new(); owned],
             opt_extra: vec![Vec::new(); owned],
@@ -194,7 +195,12 @@ impl State {
     fn insert(&mut self, v: PointId, id: PointId, d: f32) {
         self.attempts += 1;
         let at = self.slot(v);
-        self.heaps[at].checked_insert(id, d, true);
+        self.heaps.insert(at, id, d, true);
+    }
+
+    /// Each vertex of the rank's `owned` list with its sorted neighbor list.
+    fn rows<'a>(&'a self, owned: &'a [PointId]) -> impl Iterator<Item = (PointId, Vec<Edge>)> + 'a {
+        (owned.iter().enumerate()).map(|(i, &v)| (v, self.heaps.sorted_edges(i)))
     }
 }
 
@@ -383,9 +389,9 @@ where
             s.attempts = 0;
             s.rev_new.iter_mut().for_each(Vec::clear);
             s.rev_old.iter_mut().for_each(Vec::clear);
-            for (ids, heap) in start_ids.iter_mut().zip(&s.heaps) {
+            for (i, ids) in start_ids.iter_mut().enumerate() {
                 ids.clear();
-                ids.extend(heap.iter().map(|n| n.id));
+                ids.extend(s.heaps.row(i).iter().map(|n| n.id));
                 ids.sort_unstable();
             }
         }
@@ -399,7 +405,7 @@ where
                 let mut rng = ChaCha8Rng::seed_from_u64(
                     cfg.seed ^ 0xA11CE ^ (u64::from(v) << 18) ^ (iter as u64),
                 );
-                let heap = &mut s.heaps[i];
+                let heap = s.heaps.row(i);
                 // The heap's array layout depends on the order updates
                 // arrived, which is scheduling-dependent; sort both id
                 // lists so the sample below is deterministic in seed.
@@ -413,7 +419,7 @@ where
                 candidates.shuffle(&mut rng);
                 candidates.truncate(max_sample);
                 for &u in candidates.iter() {
-                    heap.mark_old(u);
+                    s.heaps.mark_old(i, u);
                 }
             }
         }
@@ -511,14 +517,10 @@ where
         // 2f. Convergence test on the all-reduced update count.
         let (c_local, attempts) = {
             let s = st.borrow();
-            let c: u64 = s
-                .heaps
-                .iter()
-                .zip(&start_ids)
-                .map(|(heap, start)| {
-                    heap.iter()
-                        .filter(|n| start.binary_search(&n.id).is_err())
-                        .count() as u64
+            let c: u64 = (start_ids.iter().enumerate())
+                .map(|(i, start)| {
+                    let row = s.heaps.row(i).iter();
+                    row.filter(|n| start.binary_search(&n.id).is_err()).count() as u64
                 })
                 .sum();
             (c, s.attempts)
@@ -556,17 +558,7 @@ where
     let mut rnn_stats = None;
     let rows: RankRows = if let Some(rp) = cfg.rnn_opt {
         comm.trace_begin("rnn_optimize");
-        {
-            let s = st.borrow();
-            rnn_st.borrow_mut().seed(
-                owned.iter().zip(&s.heaps).map(|(&v, heap)| {
-                    let edges: Vec<Edge> =
-                        heap.sorted().iter().map(|nb| (nb.id, nb.dist)).collect();
-                    (v, edges)
-                }),
-                rp.r,
-            );
-        }
+        rnn_st.borrow_mut().seed(st.borrow().rows(&owned), rp.r);
         let (rows, stats) = run_rnn_rounds(comm, &rnn_st, &owned, part, rp, quota);
         comm.trace_end("rnn_optimize");
         rnn_stats = Some(stats);
@@ -577,15 +569,7 @@ where
         comm.trace_end("graph_optimize");
         rows
     } else {
-        let s = st.borrow();
-        owned
-            .iter()
-            .zip(&s.heaps)
-            .map(|(&v, heap)| {
-                let edges = heap.sorted().iter().map(|nb| (nb.id, nb.dist)).collect();
-                (v, edges)
-            })
-            .collect()
+        st.borrow().rows(&owned).collect()
     };
 
     let s = st.borrow();
@@ -712,22 +696,16 @@ fn optimize_distributed(
     assert!(m >= 1.0, "paper requires m >= 1");
     batched(comm, owned.len(), quota, |i| {
         let v = owned[i];
-        let edges = st.borrow().heaps[i].sorted();
-        for nb in edges {
-            comm.async_send(part.owner(nb.id), TAG_OPT_EDGE, &(nb.id, v, nb.dist));
+        let edges = st.borrow().heaps.sorted_edges(i);
+        for (u, d) in edges {
+            comm.async_send(part.owner(u), TAG_OPT_EDGE, &(u, v, d));
         }
     });
     let limit = ((cfg.k as f64) * m).ceil() as usize;
     let mut s = st.borrow_mut();
-    owned
-        .iter()
-        .enumerate()
+    (owned.iter().enumerate())
         .map(|(i, &v)| {
-            let mut edges: Vec<Edge> = s.heaps[i]
-                .sorted()
-                .iter()
-                .map(|nb| (nb.id, nb.dist))
-                .collect();
+            let mut edges = s.heaps.sorted_edges(i);
             edges.append(&mut s.opt_extra[i]);
             edges.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
             edges.dedup_by_key(|e| e.0);
@@ -884,13 +862,13 @@ fn register_handlers<P, M>(
             let u1 = *u1;
             let bound = {
                 let s = st.borrow();
-                let heap = &s.heaps[s.slot(u1)];
+                let at = s.slot(u1);
                 if cfg.opts.skip_redundant {
                     // Redundant-check reduction (4.3.2) on the forward path.
-                    u2s.retain(|&u2| !heap.contains(u2));
+                    u2s.retain(|&u2| !s.heaps.contains(at, u2));
                 }
                 if cfg.opts.prune_distance {
-                    heap.max_dist()
+                    s.heaps.max_dist(at)
                 } else {
                     f32::INFINITY
                 }
@@ -947,7 +925,7 @@ fn register_handlers<P, M>(
                 // before — drop it from the row before evaluating.
                 if cfg.opts.skip_redundant {
                     let s = st.borrow();
-                    msg.u2s.retain(|&u2| !s.heaps[s.slot(u2)].contains(msg.u1));
+                    msg.u2s.retain(|&u2| !s.heaps.contains(s.slot(u2), msg.u1));
                 }
                 if msg.u2s.is_empty() {
                     return;

@@ -2,7 +2,7 @@
 //! PyNNDescent graph optimizations the paper implements (Section 4.5):
 //! reverse-edge merging and neighborhood-size pruning.
 
-use crate::heap::NeighborHeap;
+use crate::heap::NeighborTable;
 use dataset::set::PointId;
 use metall::{Result as StoreResult, Store, StoreError};
 
@@ -27,13 +27,10 @@ impl KnnGraph {
         KnnGraph { rows }
     }
 
-    /// Build from per-vertex neighbor heaps.
-    pub fn from_heaps(heaps: &[NeighborHeap]) -> Self {
+    /// Build from a builder's neighbor table, one row per vertex.
+    pub fn from_table(table: &NeighborTable) -> Self {
         KnnGraph {
-            rows: heaps
-                .iter()
-                .map(|h| h.sorted().iter().map(|n| (n.id, n.dist)).collect())
-                .collect(),
+            rows: (0..table.n_rows()).map(|v| table.sorted_edges(v)).collect(),
         }
     }
 
@@ -180,7 +177,9 @@ impl KnnGraph {
         store.put(&format!("{prefix}/dists"), &dists)
     }
 
-    /// Load a graph persisted by [`KnnGraph::save`].
+    /// Load a graph persisted by [`KnnGraph::save`], checking what every
+    /// consumer indexes by, which a checksum does not: offsets that delimit
+    /// the stored edges, edge ids below the vertex count, no NaN distance.
     pub fn load(store: &Store, prefix: &str) -> StoreResult<Self> {
         let offsets: Vec<u64> = store.get(&format!("{prefix}/offsets"))?;
         let ids: Vec<u32> = store.get(&format!("{prefix}/ids"))?;
@@ -191,18 +190,22 @@ impl KnnGraph {
         {
             return Err(StoreError::Decode("inconsistent knng arrays".into()));
         }
-        let rows = offsets
-            .windows(2)
-            .map(|w| {
-                if w[0] > w[1] {
+        let n = offsets.len() - 1;
+        let rows = (offsets.windows(2).enumerate())
+            .map(|(v, w)| {
+                if w[0] > w[1] || w[1] > ids.len() as u64 {
                     return Err(StoreError::Decode("non-monotone knng offsets".into()));
                 }
                 let (a, b) = (w[0] as usize, w[1] as usize);
-                Ok(ids[a..b]
-                    .iter()
-                    .copied()
+                let row: Vec<Edge> = (ids[a..b].iter().copied())
                     .zip(dists[a..b].iter().copied())
-                    .collect())
+                    .collect();
+                match row.iter().find(|(u, d)| *u as usize >= n || d.is_nan()) {
+                    Some((u, d)) => Err(StoreError::Decode(format!(
+                        "knng row {v} holds the edge ({u}, {d}) in a graph of {n} vertices"
+                    ))),
+                    None => Ok(row),
+                }
             })
             .collect::<StoreResult<Vec<Vec<Edge>>>>()?;
         Ok(KnnGraph { rows })
@@ -307,12 +310,37 @@ mod tests {
     }
 
     #[test]
-    fn from_heaps_sorts_rows() {
-        let mut h = NeighborHeap::new(3);
-        h.checked_insert(5, 2.0, true);
-        h.checked_insert(1, 1.0, true);
-        let g = KnnGraph::from_heaps(&[h]);
+    fn load_rejects_arrays_that_are_not_a_graph() {
+        let dir = testutil::TmpDir::new("nnd-graph-load");
+        let mut store = Store::create(dir.join("store")).unwrap();
+        let mut put = |offsets: &[u64], ids: &[u32], dists: &[f32]| {
+            store.put("g/offsets", &offsets.to_vec()).unwrap();
+            store.put("g/ids", &ids.to_vec()).unwrap();
+            store.put("g/dists", &dists.to_vec()).unwrap();
+            KnnGraph::load(&store, "g").map_err(|e| e.to_string())
+        };
+        let two = KnnGraph::from_rows(vec![vec![(1, 0.5)], vec![(0, 0.5)]]);
+        assert_eq!(put(&[0, 1, 2], &[1, 0], &[0.5, 0.5]), Ok(two));
+        // An id past the last vertex: `optimize` and `refine()` index by it.
+        let err = put(&[0, 1, 2], &[1, 7], &[0.5, 0.5]).unwrap_err();
+        assert!(err.contains("row 1 holds the edge (7, 0.5)"), "{err}");
+        assert!(err.contains("2 vertices"), "{err}");
+        let err = put(&[0, 1, 2], &[1, 0], &[f32::NAN, 0.5]).unwrap_err();
+        assert!(err.contains("row 0 holds the edge (1, NaN)"), "{err}");
+        // An offset past the stored edges, before the window that shows
+        // the sequence is not monotone.
+        let err = put(&[0, 9, 2], &[1, 0], &[0.5, 0.5]).unwrap_err();
+        assert!(err.contains("non-monotone"), "{err}");
+    }
+
+    #[test]
+    fn from_table_sorts_rows() {
+        let mut t = NeighborTable::new(2, 3);
+        t.insert(0, 5, 2.0, true);
+        t.insert(0, 1, 1.0, true);
+        let g = KnnGraph::from_table(&t);
         assert_eq!(g.neighbors(0), &[(1, 1.0), (5, 2.0)]);
+        assert!(g.neighbors(1).is_empty());
     }
 
     #[test]

@@ -1,19 +1,21 @@
-//! Bounded neighbor heap — the per-vertex data structure behind `G[v]` in
-//! Algorithm 1.
+//! Bounded neighbor rows — the data structure behind `G[v]` in Algorithm 1.
 //!
-//! A max-heap over `(distance, id)` with fixed capacity `k`: the farthest
-//! current neighbor is at the top so the `Update(H, (v, d, f))` step of
-//! NN-Descent (pop farthest, push closer candidate) is O(log k). The id
-//! tie-break makes the kept set the canonical bottom-k of everything ever
-//! inserted — independent of insertion order, which the distributed
+//! A row is a max-heap over `(distance, id)` with fixed capacity `k`: the
+//! farthest current neighbor is at the top so the `Update(H, (v, d, f))`
+//! step of NN-Descent (pop farthest, push closer candidate) is O(log k).
+//! The id tie-break makes the kept set the canonical bottom-k of everything
+//! ever inserted — independent of insertion order, which the distributed
 //! engine's bit-identity guarantee requires (message-arrival order is
 //! scheduling-dependent). Entries carry the *new/old* flag the algorithm
 //! uses to avoid re-checking pairs: freshly inserted neighbors are
 //! `new = true`, and the sampling step flips sampled entries to `old`.
 //!
-//! Duplicate ids are rejected by a linear scan — `k` is small (10–100 in the
-//! paper) so a scan beats a side table in both time and memory.
+//! There is one row algorithm — the private functions below, over a row's
+//! `k` slots and the count in use — and two owners of rows: [`NeighborHeap`]
+//! (one row) and [`NeighborTable`] (`n` rows, `k`-strided in one allocation:
+//! what both builders run on).
 
+use crate::graph::Edge;
 use dataset::set::PointId;
 
 /// One neighbor entry: `(id, distance, new-flag)`.
@@ -28,11 +30,105 @@ pub struct Neighbor {
     pub new: bool,
 }
 
-/// Fixed-capacity max-heap of neighbors ordered by distance.
+/// Filler for the slots past a row's length; never read as an entry.
+const VACANT: Neighbor = Neighbor {
+    id: PointId::MAX,
+    dist: f32::INFINITY,
+    new: false,
+};
+
+/// Max-heap ordering key: lexicographic `(dist, id)`. Distances are
+/// never NaN (every metric returns finite or +inf), so the partial
+/// tuple order is total here.
+#[inline]
+fn key(n: &Neighbor) -> (f32, PointId) {
+    (n.dist, n.id)
+}
+
+fn sift_up(row: &mut [Neighbor], mut i: usize) {
+    while i > 0 {
+        let parent = (i - 1) / 2;
+        if key(&row[i]) > key(&row[parent]) {
+            row.swap(i, parent);
+            i = parent;
+        } else {
+            break;
+        }
+    }
+}
+
+fn sift_down(row: &mut [Neighbor], mut i: usize) {
+    loop {
+        let (l, r) = (2 * i + 1, 2 * i + 2);
+        let mut largest = i;
+        if l < row.len() && key(&row[l]) > key(&row[largest]) {
+            largest = l;
+        }
+        if r < row.len() && key(&row[r]) > key(&row[largest]) {
+            largest = r;
+        }
+        if largest == i {
+            return;
+        }
+        row.swap(i, largest);
+        i = largest;
+    }
+}
+
+#[inline]
+fn contains(row: &[Neighbor], id: PointId) -> bool {
+    row.iter().any(|n| n.id == id)
+}
+
+/// The `Update` function of Algorithm 1 on one row — `slots` is its whole
+/// capacity, the first `*len` of them in use: store `e` if its id is absent
+/// and either the row has room or `(dist, id)` beats the current farthest
+/// neighbor (which is then evicted). Returns `true` iff the row changed —
+/// the convergence counter `c` sums these.
+///
+/// In a descent most candidates lose, so losing is the cheap path: a full
+/// row compares the candidate with its root *first* and scans the ids for a
+/// duplicate (`k` is 10–100: a scan beats a side table in time and memory)
+/// only on the two paths that would store. A duplicate is refused either
+/// way, so the order of the two tests changes no outcome.
+#[inline]
+fn insert(slots: &mut [Neighbor], len: &mut usize, e: Neighbor) -> bool {
+    if *len < slots.len() {
+        if contains(&slots[..*len], e.id) {
+            return false;
+        }
+        slots[*len] = e;
+        *len += 1;
+        sift_up(slots, *len - 1);
+        true
+    } else if key(&e) < key(&slots[0]) && !contains(slots, e.id) {
+        slots[0] = e;
+        sift_down(slots, 0);
+        true
+    } else {
+        false
+    }
+}
+
+fn mark_old(row: &mut [Neighbor], id: PointId) {
+    if let Some(n) = row.iter_mut().find(|n| n.id == id) {
+        n.new = false;
+    }
+}
+
+/// `row` ascending by `(distance, id)`: the neighbor-list order of a k-NNG.
+fn sorted(row: &[Neighbor]) -> Vec<Neighbor> {
+    let mut v = row.to_vec();
+    v.sort_unstable_by(|a, b| a.dist.total_cmp(&b.dist).then_with(|| a.id.cmp(&b.id)));
+    v
+}
+
+/// One owned row: a fixed-capacity max-heap of neighbors by distance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeighborHeap {
-    cap: usize,
-    items: Vec<Neighbor>,
+    /// `cap` slots, [`VACANT`] past `len`.
+    slots: Vec<Neighbor>,
+    len: usize,
 }
 
 impl NeighborHeap {
@@ -40,29 +136,29 @@ impl NeighborHeap {
     pub fn new(cap: usize) -> Self {
         assert!(cap >= 1, "neighbor heap capacity must be positive");
         NeighborHeap {
-            cap,
-            items: Vec::with_capacity(cap),
+            slots: vec![VACANT; cap],
+            len: 0,
         }
     }
 
     /// Capacity `k`.
     pub fn cap(&self) -> usize {
-        self.cap
+        self.slots.len()
     }
 
     /// Current number of neighbors.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.len
     }
 
     /// Whether the heap holds no neighbors.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.len == 0
     }
 
     /// Whether the heap holds `cap` neighbors.
     pub fn is_full(&self) -> bool {
-        self.items.len() == self.cap
+        self.len == self.slots.len()
     }
 
     /// Distance of the farthest stored neighbor, or `f32::INFINITY` while
@@ -71,7 +167,7 @@ impl NeighborHeap {
     #[inline]
     pub fn max_dist(&self) -> f32 {
         if self.is_full() {
-            self.items[0].dist
+            self.slots[0].dist
         } else {
             f32::INFINITY
         }
@@ -80,103 +176,112 @@ impl NeighborHeap {
     /// Whether `id` is currently a neighbor (linear scan).
     #[inline]
     pub fn contains(&self, id: PointId) -> bool {
-        self.items.iter().any(|n| n.id == id)
+        contains(&self.slots[..self.len], id)
     }
 
-    /// The `Update` function of Algorithm 1: insert `(id, dist, new)` if the
-    /// id is absent and either the heap has room or `(dist, id)` beats the
-    /// current farthest neighbor under the lexicographic order (which is
-    /// then evicted). Returns `true` iff the heap changed — the convergence
-    /// counter `c` sums these.
-    ///
-    /// Ordering by `(dist, id)` rather than distance alone makes the stored
-    /// set a pure function of the inserted multiset: distinct ids never tie
-    /// under the total order, so message-arrival order — which varies from
-    /// run to run in the distributed engine — cannot change which of two
-    /// equally-distant candidates survives. The bit-identity oracle in
-    /// `tests/pipeline.rs` depends on this.
+    /// [`insert`] `(id, dist, new)` into this row.
     pub fn checked_insert(&mut self, id: PointId, dist: f32, new: bool) -> bool {
-        if self.contains(id) {
-            return false;
-        }
-        if self.items.len() < self.cap {
-            self.items.push(Neighbor { id, dist, new });
-            self.sift_up(self.items.len() - 1);
-            true
-        } else if (dist, id) < (self.items[0].dist, self.items[0].id) {
-            self.items[0] = Neighbor { id, dist, new };
-            self.sift_down(0);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Max-heap ordering key: lexicographic `(dist, id)`. Distances are
-    /// never NaN (every metric returns finite or +inf), so the partial
-    /// tuple order is total here.
-    #[inline]
-    fn key(n: &Neighbor) -> (f32, PointId) {
-        (n.dist, n.id)
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if Self::key(&self.items[i]) > Self::key(&self.items[parent]) {
-                self.items.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut largest = i;
-            if l < self.items.len() && Self::key(&self.items[l]) > Self::key(&self.items[largest]) {
-                largest = l;
-            }
-            if r < self.items.len() && Self::key(&self.items[r]) > Self::key(&self.items[largest]) {
-                largest = r;
-            }
-            if largest == i {
-                return;
-            }
-            self.items.swap(i, largest);
-            i = largest;
-        }
+        insert(&mut self.slots, &mut self.len, Neighbor { id, dist, new })
     }
 
     /// All entries in unspecified (heap) order.
     pub fn iter(&self) -> impl Iterator<Item = &Neighbor> {
-        self.items.iter()
+        self.slots[..self.len].iter()
     }
 
-    /// Entries sorted ascending by `(distance, id)` — the final neighbor
-    /// list order used when extracting the k-NNG.
+    /// Entries sorted ascending by `(distance, id)`.
     pub fn sorted(&self) -> Vec<Neighbor> {
-        let mut v = self.items.clone();
-        v.sort_unstable_by(|a, b| a.dist.total_cmp(&b.dist).then_with(|| a.id.cmp(&b.id)));
-        v
+        sorted(&self.slots[..self.len])
     }
 
     /// Ids of entries flagged `new` / `old`.
     pub fn flagged_ids(&self, new: bool) -> Vec<PointId> {
-        self.items
-            .iter()
-            .filter(|n| n.new == new)
-            .map(|n| n.id)
-            .collect()
+        self.iter().filter(|n| n.new == new).map(|n| n.id).collect()
     }
 
     /// Set the flag of the entry with `id` (if present) to `new = false`.
     pub fn mark_old(&mut self, id: PointId) {
-        if let Some(n) = self.items.iter_mut().find(|n| n.id == id) {
-            n.new = false;
+        mark_old(&mut self.slots[..self.len], id);
+    }
+}
+
+/// `n` rows of capacity `k` in one `k`-strided allocation: the neighbor
+/// lists of a whole builder, indexed by vertex (in the engine, by the
+/// rank-local slot of an owned vertex).
+///
+/// `bounds[v]` is `+inf` until row `v` is full and its root's distance from
+/// then on — exact, because nothing outside this module can write a row or
+/// the column. A candidate farther than that cannot be stored, and costs one
+/// compare against a dense column: the row is not touched.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NeighborTable {
+    k: usize,
+    slots: Vec<Neighbor>,
+    lens: Vec<usize>,
+    bounds: Vec<f32>,
+}
+
+impl NeighborTable {
+    /// `n` empty rows that will hold at most `k` neighbors each.
+    pub fn new(n: usize, k: usize) -> Self {
+        assert!(k >= 1, "neighbor row capacity must be positive");
+        let slots = n.checked_mul(k).expect("n * k overflows usize");
+        NeighborTable {
+            k,
+            slots: vec![VACANT; slots],
+            lens: vec![0; n],
+            bounds: vec![f32::INFINITY; n],
         }
+    }
+
+    /// Number of rows.
+    pub fn n_rows(&self) -> usize {
+        self.lens.len()
+    }
+
+    /// The entries of row `v` in unspecified (heap) order.
+    #[inline]
+    pub fn row(&self, v: usize) -> &[Neighbor] {
+        &self.slots[v * self.k..v * self.k + self.lens[v]]
+    }
+
+    /// Distance of row `v`'s farthest neighbor, or `f32::INFINITY` while
+    /// the row is not yet full: the Type 2+ bound, read from the column.
+    #[inline]
+    pub fn max_dist(&self, v: usize) -> f32 {
+        self.bounds[v]
+    }
+
+    /// Whether `id` is currently in row `v` (linear scan).
+    #[inline]
+    pub fn contains(&self, v: usize, id: PointId) -> bool {
+        contains(self.row(v), id)
+    }
+
+    /// [`insert`] `(id, dist, new)` into row `v`. The bound test is strict:
+    /// an equal distance goes to the row, where the id breaks the tie.
+    #[inline]
+    pub fn insert(&mut self, v: usize, id: PointId, dist: f32, new: bool) -> bool {
+        if dist > self.bounds[v] {
+            return false;
+        }
+        let slots = &mut self.slots[v * self.k..(v + 1) * self.k];
+        let stored = insert(slots, &mut self.lens[v], Neighbor { id, dist, new });
+        if stored && self.lens[v] == self.k {
+            self.bounds[v] = slots[0].dist;
+        }
+        stored
+    }
+
+    /// Set the flag of row `v`'s entry with `id` (if present) to old.
+    pub fn mark_old(&mut self, v: usize, id: PointId) {
+        let at = v * self.k;
+        mark_old(&mut self.slots[at..at + self.lens[v]], id);
+    }
+
+    /// Row `v` as graph edges, ascending by `(distance, id)`.
+    pub fn sorted_edges(&self, v: usize) -> Vec<Edge> {
+        (sorted(self.row(v)).iter().map(|n| (n.id, n.dist))).collect()
     }
 }
 
@@ -290,10 +395,10 @@ mod tests {
                     let l = 2 * i + 1;
                     let r = 2 * i + 2;
                     if l < h.len() {
-                        prop_assert!(h.items[l].dist <= n.dist);
+                        prop_assert!(h.slots[l].dist <= n.dist);
                     }
                     if r < h.len() {
-                        prop_assert!(h.items[r].dist <= n.dist);
+                        prop_assert!(h.slots[r].dist <= n.dist);
                     }
                 }
             }

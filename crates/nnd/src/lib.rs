@@ -2,10 +2,12 @@
 //!
 //! The single-node half of the DNND reproduction:
 //!
-//! * [`heap`] — the bounded per-vertex neighbor heap (`G[v]` of Algorithm 1);
+//! * [`heap`] — bounded neighbor rows (`G[v]` of Algorithm 1): one row
+//!   algorithm, the one-row [`NeighborHeap`] and the `k`-strided
+//!   [`NeighborTable`] both builders run on;
 //! * [`nndescent`] — NN-Descent construction (Dong et al. WWW'11, with
-//!   PyNNDescent's sampling discipline), written against rayon's iterator
-//!   API (this workspace's `rayon` stand-in runs it sequentially);
+//!   PyNNDescent's sampling discipline): one deterministic loop with
+//!   exclusive access to its table, no lock and no atomic;
 //! * [`graph`] — the [`KnnGraph`] output type, the Section 4.5 graph
 //!   optimizations (reverse-edge merge + degree pruning), and persistence
 //!   into a [`metall::Store`];
@@ -15,7 +17,7 @@
 //!   scratch reused across the batch);
 //! * [`rptree`] — random-projection-forest initialization (extension);
 //! * [`mod@refine`] — incremental insert/remove with short refinement
-//!   passes (the paper's Section 7 future work): heaps seeded with the
+//!   passes (the paper's Section 7 future work): a table seeded with the
 //!   stored `(id, distance)` flagged old, only what changed flagged new,
 //!   then [`nndescent`]'s own descent loop;
 //! * [`mod@diversify`] — PyNNDescent's occlusion pruning of search graphs
@@ -52,7 +54,7 @@ pub mod search;
 
 pub use diversify::diversify;
 pub use graph::{Edge, KnnGraph};
-pub use heap::{Neighbor, NeighborHeap};
+pub use heap::{Neighbor, NeighborHeap, NeighborTable};
 pub use nndescent::{build, build_traced, build_with_init, BuildStats, NnDescentParams};
 pub use refine::{insert_points, refine, remove_points};
 pub use rnn::{rnn_optimize, RnnParams, RnnStats};

@@ -10,24 +10,22 @@
 //! 3. reverse both lists, sample `rho * K` of each reverse list, and union
 //!    into the forward lists;
 //! 4. neighbor-check all `new x new` (ordered) and `new x old` pairs,
-//!    updating both endpoint heaps atomically and counting successful
-//!    updates `c`;
+//!    updating both endpoint rows and counting successful updates `c`;
 //! 5. stop when `c < delta * K * N`.
 //!
-//! Parallelism is rayon over vertices with one lock per vertex heap — the
-//! shared-memory analogue of the paper's "c and G are atomically updated".
+//! `G` is one [`NeighborTable`] behind a `&mut`: the paper's "c and G are
+//! atomically updated" holds because the borrow checker proves nothing else
+//! can touch them — no lock, no atomic. A parallel descent has to partition
+//! the rows or add the synchronisation before it compiles.
 
 use crate::graph::KnnGraph;
-use crate::heap::NeighborHeap;
+use crate::heap::NeighborTable;
 use dataset::batch::{BatchMetric, NormCache};
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
-use parking_lot::Mutex;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// NN-Descent hyper-parameters. Defaults are the paper's evaluation
 /// configuration (Section 5.1.3): `rho = 0.8`, `delta = 0.001`.
@@ -42,8 +40,7 @@ pub struct NnDescentParams {
     pub delta: f64,
     /// Hard iteration cap (safety net; the paper relies on `delta` alone).
     pub max_iters: usize,
-    /// RNG seed: runs are deterministic in this seed (up to thread
-    /// interleaving of equal-distance ties).
+    /// RNG seed: a run is a deterministic function of it.
     pub seed: u64,
 }
 
@@ -135,19 +132,18 @@ pub fn build_traced<P: Point, M: BatchMetric<P>>(
     let k = params.k;
     // One-time per-set preprocessing (cached squared norms for the dot-
     // product metric family); handed to every batched evaluation below.
-    let theta = Theta::new(set, metric, metric.preprocess(set));
+    let mut theta = Theta::new(set, metric, metric.preprocess(set));
 
     // ---- Initialization (Algorithm 1 lines 2-5) ----------------------------
     span_begin(tracer, "nnd_init", 0);
-    let heaps: Vec<Mutex<NeighborHeap>> =
-        (0..n).map(|_| Mutex::new(NeighborHeap::new(k))).collect();
-    (0..n as PointId).into_par_iter().for_each(|v| {
+    let mut table = NeighborTable::new(n, k);
+    let (mut chosen, mut dbuf): (Vec<PointId>, Vec<f32>) = (Vec::with_capacity(k), Vec::new());
+    for v in 0..n as PointId {
         let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ (u64::from(v) << 20));
         // Gather the chosen candidates first, then evaluate them as one
-        // 1xN batch. Below capacity every insert of a distinct non-self
-        // id succeeds, so the dedup-on-gather is equivalent to the old
-        // insert-and-check-contains loop.
-        let mut chosen: Vec<PointId> = Vec::with_capacity(k);
+        // 1xN batch: below capacity every insert of a distinct non-self id
+        // succeeds, so deduplicating here loses nothing.
+        chosen.clear();
         if let Some(init_rows) = init {
             for &u in init_rows[v as usize].iter().take(k) {
                 if u != v && !chosen.contains(&u) {
@@ -163,18 +159,15 @@ pub fn build_traced<P: Point, M: BatchMetric<P>>(
             }
             guard += 1;
         }
-        let mut dbuf = Vec::with_capacity(chosen.len());
         theta.batch(v, &chosen, &mut dbuf);
-        let mut heap = heaps[v as usize].lock();
         for (&u, &d) in chosen.iter().zip(&dbuf) {
-            heap.checked_insert(u, d, true);
+            table.insert(v as usize, u, d, true);
         }
-    });
+    }
     span_end(tracer, "nnd_init");
 
-    let stats = descend(&theta, &heaps, params, tracer);
-    let heaps: Vec<NeighborHeap> = heaps.into_iter().map(Mutex::into_inner).collect();
-    (KnnGraph::from_heaps(&heaps), stats)
+    let stats = descend(&mut theta, &mut table, params, tracer);
+    (KnnGraph::from_table(&table), stats)
 }
 
 fn span_begin(tracer: Option<&obs::Tracer>, name: &'static str, arg: u64) {
@@ -196,7 +189,7 @@ pub(crate) struct Theta<'a, P, M> {
     set: &'a PointSet<P>,
     metric: &'a M,
     cache: NormCache,
-    evals: AtomicU64,
+    evals: u64,
 }
 
 impl<'a, P: Point, M: BatchMetric<P>> Theta<'a, P, M> {
@@ -207,25 +200,25 @@ impl<'a, P: Point, M: BatchMetric<P>> Theta<'a, P, M> {
             set,
             metric,
             cache,
-            evals: AtomicU64::new(0),
+            evals: 0,
         }
     }
 
-    fn batch(&self, v: PointId, cands: &[PointId], out: &mut Vec<f32>) {
-        self.evals.fetch_add(cands.len() as u64, Ordering::Relaxed);
+    fn batch(&mut self, v: PointId, cands: &[PointId], out: &mut Vec<f32>) {
+        self.evals += cands.len() as u64;
         (self.metric).distance_one_to_many(self.set.point(v), self.set, &self.cache, cands, out);
     }
 }
 
 /// The descent loop (Algorithm 1 lines 6-23) over pre-filled, pre-flagged
-/// heaps — the crate's only one: [`build_traced`] enters it with every
+/// rows — the crate's only one: [`build_traced`] enters it with every
 /// entry flagged new, [`crate::refine()`] with a handful. Runs until an
 /// iteration makes fewer than `delta * K * N` updates or `max_iters` is
 /// reached. The returned `distance_evals` is `theta`'s whole count, so it
-/// includes what the caller evaluated to fill the heaps.
+/// includes what the caller evaluated to fill the rows.
 ///
 /// A vertex takes part in an iteration only if it has a *new* candidate:
-/// one sampled from its own heap, or a reversed one (it was sampled from
+/// one sampled from its own row, or a reversed one (it was sampled from
 /// somebody else's). That changes nothing but the cost, because in the
 /// loop over all vertices a vertex outside that set does no work anybody
 /// can observe:
@@ -245,16 +238,15 @@ impl<'a, P: Point, M: BatchMetric<P>> Theta<'a, P, M> {
 /// — ascending source vertex, taken from the flags as they stood before
 /// this iteration's samples were marked old. Hence the two passes below:
 /// the first samples and finds who takes part, the second reads every
-/// heap's old entries (no evaluation, no allocation for a vertex outside
+/// row's old entries (no evaluation, no allocation for a vertex outside
 /// the set) and only then marks the samples.
 pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
-    theta: &Theta<'_, P, M>,
-    heaps: &[Mutex<NeighborHeap>],
+    theta: &mut Theta<'_, P, M>,
+    table: &mut NeighborTable,
     params: NnDescentParams,
     tracer: Option<&obs::Tracer>,
 ) -> BuildStats {
-    let n = heaps.len();
-    let k = params.k;
+    let (n, k) = (table.n_rows(), params.k);
     let max_sample = ((params.rho * k as f64).round() as usize).max(1);
     let threshold = (params.delta * k as f64 * n as f64) as u64;
     let mut stats = BuildStats::default();
@@ -267,16 +259,16 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
     let mut rev_new: Vec<Vec<PointId>> = vec![Vec::new(); n];
     let mut takes_part = vec![false; n];
     let mut participants: Vec<PointId> = Vec::new();
+    let (mut tails, mut dbuf): (Vec<PointId>, Vec<f32>) = (Vec::new(), Vec::new());
 
     for iter in 0..params.max_iters {
         span_begin(tracer, "nnd_iteration", iter as u64);
         // Lines 7-10, first half: each vertex samples rho*K of its new
-        // entries (heap order, then shuffled). A sampled id takes part
+        // entries (row order, then shuffled). A sampled id takes part
         // too: it gets the sampling vertex as a reversed new candidate.
         for v in 0..n as PointId {
-            let heap = heaps[v as usize].lock();
             let candidates = &mut fwd_new[v as usize];
-            candidates.extend(heap.iter().filter(|e| e.new).map(|e| e.id));
+            candidates.extend(table.row(v as usize).iter().filter(|e| e.new).map(|e| e.id));
             if candidates.is_empty() {
                 continue;
             }
@@ -297,8 +289,7 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
         // lists of the participants, sources ascending; then the sampled
         // news flip to old.
         for v in 0..n as PointId {
-            let mut heap = heaps[v as usize].lock();
-            for e in heap.iter().filter(|e| !e.new) {
+            for e in table.row(v as usize).iter().filter(|e| !e.new) {
                 if takes_part[v as usize] {
                     fwd_old[v as usize].push(e.id);
                 }
@@ -308,7 +299,7 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
             }
             for &u in &fwd_new[v as usize] {
                 rev_new[u as usize].push(v);
-                heap.mark_old(u);
+                table.mark_old(v as usize, u);
             }
         }
 
@@ -334,14 +325,11 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
 
         // Lines 17-22: neighbor checks.
         span_begin(tracer, "nnd_check", 0);
-        let counter = AtomicU64::new(0);
-        participants.par_iter().for_each(|&v| {
-            let news = &fwd_new[v as usize];
-            let olds = &fwd_old[v as usize];
-            let mut tails: Vec<PointId> = Vec::new();
-            let mut dbuf: Vec<f32> = Vec::new();
+        let mut c = 0u64;
+        for &v in &participants {
+            let (news, olds) = (&fwd_new[v as usize], &fwd_old[v as usize]);
             // Per join head u1, gather every partner (remaining news +
-            // olds) and evaluate the whole tail as one 1xN batch; heap
+            // olds) and evaluate the whole tail as one 1xN batch; row
             // updates then replay in the original pair order.
             for (i, &u1) in news.iter().enumerate() {
                 tails.clear();
@@ -350,20 +338,12 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
                     continue;
                 }
                 theta.batch(u1, &tails, &mut dbuf);
-                let mut c = 0;
                 for (&u2, &d) in tails.iter().zip(&dbuf) {
-                    if heaps[u1 as usize].lock().checked_insert(u2, d, true) {
-                        c += 1;
-                    }
-                    if heaps[u2 as usize].lock().checked_insert(u1, d, true) {
-                        c += 1;
-                    }
-                }
-                if c > 0 {
-                    counter.fetch_add(c, Ordering::Relaxed);
+                    c += u64::from(table.insert(u1 as usize, u2, d, true));
+                    c += u64::from(table.insert(u2 as usize, u1, d, true));
                 }
             }
-        });
+        }
         span_end(tracer, "nnd_check");
 
         for v in participants.drain(..) {
@@ -375,7 +355,6 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
             takes_part[v] = false;
         }
 
-        let c = counter.load(Ordering::Relaxed);
         stats.iterations = iter + 1;
         stats.updates_per_iter.push(c);
         if let Some(t) = tracer {
@@ -387,7 +366,7 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
         }
     }
 
-    stats.distance_evals = theta.evals.load(Ordering::Relaxed);
+    stats.distance_evals = theta.evals;
     stats
 }
 
@@ -401,13 +380,17 @@ mod tests {
 
     /// The descent as it was before vertices with nothing new were skipped:
     /// every list of every vertex, rebuilt every iteration. Kept as the
-    /// oracle [`descend`] must match, heap for heap.
+    /// oracle [`descend`] must match, row for row.
     fn descend_over_all_vertices<P: Point, M: BatchMetric<P>>(
-        theta: &Theta<'_, P, M>,
-        heaps: &[Mutex<NeighborHeap>],
+        theta: &mut Theta<'_, P, M>,
+        table: &mut NeighborTable,
         params: NnDescentParams,
     ) -> BuildStats {
-        let (n, k) = (heaps.len(), params.k);
+        let (n, k) = (table.n_rows(), params.k);
+        let flagged_ids = |table: &NeighborTable, v: usize, new: bool| -> Vec<PointId> {
+            let row = table.row(v).iter();
+            row.filter(|e| e.new == new).map(|e| e.id).collect()
+        };
         let max_sample = ((params.rho * k as f64).round() as usize).max(1);
         let threshold = (params.delta * k as f64 * n as f64) as u64;
         let mut stats = BuildStats::default();
@@ -418,13 +401,12 @@ mod tests {
                 let mut rng = ChaCha8Rng::seed_from_u64(
                     params.seed ^ 0xA11CE ^ (u64::from(v) << 18) ^ (iter as u64),
                 );
-                let mut heap = heaps[v as usize].lock();
-                fwd_old.push(heap.flagged_ids(false));
-                let mut candidates = heap.flagged_ids(true);
+                fwd_old.push(flagged_ids(table, v as usize, false));
+                let mut candidates = flagged_ids(table, v as usize, true);
                 candidates.shuffle(&mut rng);
                 candidates.truncate(max_sample);
                 for &u in &candidates {
-                    heap.mark_old(u);
+                    table.mark_old(v as usize, u);
                 }
                 fwd_new.push(candidates);
             }
@@ -467,8 +449,8 @@ mod tests {
                     }
                     theta.batch(u1, &tails, &mut dbuf);
                     for (&u2, &d) in tails.iter().zip(&dbuf) {
-                        c += u64::from(heaps[u1 as usize].lock().checked_insert(u2, d, true));
-                        c += u64::from(heaps[u2 as usize].lock().checked_insert(u1, d, true));
+                        c += u64::from(table.insert(u1 as usize, u2, d, true));
+                        c += u64::from(table.insert(u2 as usize, u1, d, true));
                     }
                 }
             }
@@ -478,61 +460,51 @@ mod tests {
                 break;
             }
         }
-        stats.distance_evals = theta.evals.load(Ordering::Relaxed);
+        stats.distance_evals = theta.evals;
         stats
     }
 
-    /// Random heaps over `set`: each vertex holds up to `k` distinct random
+    /// A random table over `set`: each vertex holds up to `k` distinct random
     /// neighbors at their true distances, each flagged new with probability
     /// `new_pct` percent — inserted in random order, so the array layout
     /// (which the sampling order reads) varies too.
-    fn random_heaps(
-        set: &PointSet<Vec<f32>>,
-        k: usize,
-        new_pct: u32,
-        seed: u64,
-    ) -> Vec<Mutex<NeighborHeap>> {
+    fn random_table(set: &PointSet<Vec<f32>>, k: usize, new_pct: u32, seed: u64) -> NeighborTable {
         let n = set.len() as PointId;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        (0..n)
-            .map(|v| {
-                let mut heap = NeighborHeap::new(k);
-                for _ in 0..rng.gen_range(0..2 * k + 1) {
-                    let u = rng.gen_range(0..n);
-                    if u != v {
-                        let d = dataset::Metric::distance(&L2, set.point(v), set.point(u));
-                        heap.checked_insert(u, d, rng.gen_range(0..100u32) < new_pct);
-                    }
+        let mut table = NeighborTable::new(n as usize, k);
+        for v in 0..n {
+            for _ in 0..rng.gen_range(0..2 * k + 1) {
+                let u = rng.gen_range(0..n);
+                if u != v {
+                    let d = dataset::Metric::distance(&L2, set.point(v), set.point(u));
+                    table.insert(v as usize, u, d, rng.gen_range(0..100u32) < new_pct);
                 }
-                Mutex::new(heap)
-            })
-            .collect()
+            }
+        }
+        table
     }
 
     #[test]
     fn skipping_idle_vertices_is_exact() {
         let set = gaussian_mixture(MixtureParams::embedding_like(160, 6), 5);
-        let unlocked = |heaps: &[Mutex<NeighborHeap>]| -> Vec<NeighborHeap> {
-            heaps.iter().map(|h| h.lock().clone()).collect()
-        };
         // All old (no work at all), sparse flag patterns, all new.
         for (case, new_pct) in [0u32, 1, 3, 10, 40, 100].into_iter().enumerate() {
             for k in [1usize, 4, 9] {
                 let params = NnDescentParams::new(k).seed(77 + case as u64).max_iters(6);
                 let seed = 1000 * case as u64 + k as u64;
-                let (got, want) = (
-                    random_heaps(&set, k, new_pct, seed),
-                    random_heaps(&set, k, new_pct, seed),
+                let (mut got, mut want) = (
+                    random_table(&set, k, new_pct, seed),
+                    random_table(&set, k, new_pct, seed),
                 );
-                assert_eq!(unlocked(&got), unlocked(&want), "fixture is deterministic");
-                let theta = Theta::new(&set, &L2, NormCache::empty());
-                let got_stats = descend(&theta, &got, params, None);
-                let theta = Theta::new(&set, &L2, NormCache::empty());
-                let want_stats = descend_over_all_vertices(&theta, &want, params);
+                assert_eq!(got, want, "fixture is deterministic");
+                let mut theta = Theta::new(&set, &L2, NormCache::empty());
+                let got_stats = descend(&mut theta, &mut got, params, None);
+                let mut theta = Theta::new(&set, &L2, NormCache::empty());
+                let want_stats = descend_over_all_vertices(&mut theta, &mut want, params);
                 let what = format!("{new_pct} % new, k = {k}");
                 assert_eq!(got_stats, want_stats, "{what}");
-                // Heaps compare entry by entry in array order, flags included.
-                assert_eq!(unlocked(&got), unlocked(&want), "{what}");
+                // Rows compare entry by entry in array order, flags included.
+                assert_eq!(got, want, "{what}");
                 if new_pct == 0 {
                     assert_eq!(got_stats.distance_evals, 0, "{what}");
                     assert_eq!(got_stats.updates_per_iter, [0], "{what}");

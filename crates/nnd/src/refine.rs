@@ -5,8 +5,8 @@
 //! > phase, which will fit NN-Descent's iterative nature well."
 //!
 //! That nature is Algorithm 1's new/old flag: a pair is joined once. So a
-//! refinement seeds every heap with `(id, distance, flag)` — what the graph
-//! already stores, flagged *old* — and flags *new* only what changed: the
+//! refinement seeds one neighbor table with `(id, distance, flag)` — what the
+//! graph already stores, flagged *old* — and flags *new* only what changed: the
 //! edges of an inserted point, or the rows a deletion shortened. The descent
 //! loop it then enters is [`crate::nndescent`]'s own, and its cost follows
 //! the flagged entries, not `N`. [`insert_points`] and [`refine()`] grow and
@@ -15,13 +15,12 @@
 //! own neighborhoods.
 
 use crate::graph::{Edge, KnnGraph};
-use crate::heap::NeighborHeap;
+use crate::heap::NeighborTable;
 use crate::nndescent::{descend, BuildStats, NnDescentParams, Theta};
 use crate::search::{Scratch, SearchParams};
 use dataset::batch::{BatchMetric, NormCache};
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
-use parking_lot::Mutex;
 
 /// Grow `graph` (built over `old_base`) into a graph over `new_base`,
 /// where `new_base` extends `old_base` with extra points at the tail:
@@ -47,7 +46,7 @@ pub fn insert_points<P: Point, M: BatchMetric<P>>(
 /// The short refinement phase: `graph` covers the first `graph.len()`
 /// points of `base`, the rest are new, and `shortened` names rows that lost
 /// entries to a deletion (and were perhaps repaired). At most `refine_iters`
-/// NN-Descent iterations run over heaps seeded as follows.
+/// NN-Descent iterations run over a table seeded as follows.
 ///
 /// * An existing vertex keeps the `params.k` closest stored `(id, distance)`
 ///   of its row, flagged **old**: nothing is re-evaluated and a short row is
@@ -55,7 +54,7 @@ pub fn insert_points<P: Point, M: BatchMetric<P>>(
 ///   the first iteration joins their neighbors with each other and offers
 ///   the vertex to its neighbors' neighborhoods.
 /// * A new point is located by [`crate::search()`] in `graph`; its hits
-///   enter its heap flagged new and the same edge is offered back to each
+///   enter its row flagged new and the same edge is offered back to each
 ///   hit, also new.
 /// * **An empty row means the vertex is out of the graph** (what deleting
 ///   without renumbering leaves behind): it stays empty, is never a hit,
@@ -104,30 +103,25 @@ pub fn refine<P: Point, M: BatchMetric<P>>(
     for &v in shortened {
         flag_new[v as usize] = true;
     }
-    let heaps: Vec<Mutex<NeighborHeap>> = (flag_new.iter().enumerate())
-        .map(|(v, &new)| {
-            let mut heap = NeighborHeap::new(k);
-            let row = graph.rows.get(v).map_or(&[][..], Vec::as_slice);
-            for &(u, d) in row.iter().filter(|&&(u, _)| !out(u)).take(k) {
-                heap.checked_insert(u, d, new);
-            }
-            Mutex::new(heap)
-        })
-        .collect();
+    let mut table = NeighborTable::new(n, k);
+    for (v, row) in graph.rows.iter().enumerate() {
+        for &(u, d) in row.iter().filter(|&&(u, _)| !out(u)).take(k) {
+            table.insert(v, u, d, flag_new[v]);
+        }
+    }
     for (v, found) in (n_old as PointId..).zip(hits) {
         for (u, d) in found.into_iter().filter(|&(u, _)| !out(u)) {
-            heaps[v as usize].lock().checked_insert(u, d, true);
-            heaps[u as usize].lock().checked_insert(v, d, true);
+            table.insert(v as usize, u, d, true);
+            table.insert(u as usize, v, d, true);
         }
     }
 
     // Norms are not cached: that is a pass over all `N` vectors, and the
     // descent touches a few hundred.
-    let theta = Theta::new(base, metric, NormCache::empty());
-    let mut stats = descend(&theta, &heaps, params.max_iters(refine_iters), None);
+    let mut theta = Theta::new(base, metric, NormCache::empty());
+    let mut stats = descend(&mut theta, &mut table, params.max_iters(refine_iters), None);
     stats.distance_evals += search_evals;
-    let heaps: Vec<NeighborHeap> = heaps.into_iter().map(Mutex::into_inner).collect();
-    (KnnGraph::from_heaps(&heaps), stats)
+    (KnnGraph::from_table(&table), stats)
 }
 
 /// Remove the vertices in `gone` from `graph`, compacting ids: survivors

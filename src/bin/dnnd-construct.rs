@@ -27,11 +27,45 @@
 //! failing `simtest` sweep printed to replay that exact failure here.
 
 use bench::Args;
-use dnnd::{build, CommOpts, DnndConfig};
-use dnnd_repro::cli::{die, load_f32, load_u8, parse_fault_plan, read_meta, Elem, ObsOuts};
-use metall::Store;
+use dataset::batch::BatchMetric;
+use dataset::{Point, PointSet};
+use dnnd::{build, BuildReport, CommOpts, DnndConfig};
+use dnnd_repro::cli::{
+    die, load_f32, load_u8, parse_fault_plan, read_meta, Elem, ObsOuts, METRIC_NAMES,
+};
+use metall::{Result as StoreResult, Store};
 use std::sync::Arc;
 use ygm::World;
+
+/// Build over `set` and persist dataset and graph. The store is created
+/// here, once the last thing that can reject the run — the dataset's size
+/// against `k` — has been checked: a refused run leaves no directory.
+fn construct<P: Point, M: BatchMetric<P>>(
+    world: &World,
+    set: PointSet<P>,
+    metric: &M,
+    cfg: DnndConfig,
+    store_dir: &str,
+    save: fn(&PointSet<P>, &mut Store, &str) -> StoreResult<()>,
+) -> (Store, BuildReport) {
+    let n = set.len();
+    if n < 2 {
+        die(&format!(
+            "the dataset must have at least 2 points (got {n})"
+        ));
+    }
+    if cfg.k >= n {
+        let k = cfg.k;
+        die(&format!("--k must be below the dataset size {n} (got {k})"));
+    }
+    let mut store = Store::open_or_create(store_dir)
+        .unwrap_or_else(|e| die(&format!("cannot open store {store_dir}: {e}")));
+    let set = Arc::new(set);
+    let out = build(world, &set, metric, cfg);
+    save(&set, &mut store, "dataset").unwrap_or_else(|e| die(&e.to_string()));
+    (out.graph.save(&mut store, "knng")).unwrap_or_else(|e| die(&e.to_string()));
+    (store, out.report)
+}
 
 fn main() {
     let args = Args::parse();
@@ -48,25 +82,56 @@ fn main() {
     let n: usize = args.get("n", 2_000);
     let seed: u64 = args.get("seed", 0xD00D);
     let metric_name: String = args.get("metric", "l2".to_string());
-    let elem = if args.get::<String>("elem", "f32".into()) == "u8" {
-        Elem::U8
-    } else {
-        Elem::F32
-    };
+    let elem_name: String = args.get("elem", "f32".to_string());
+    let (rho, delta): (f64, f64) = (args.get("rho", 0.8), args.get("delta", 0.001));
+    let batch_size: u64 = args.get("batch-size", 1u64 << 16);
+    let (unoptimized, no_shuffle) = (args.flag("unoptimized"), args.flag("no-shuffle"));
+    let outs = ObsOuts::parse(&args);
+    let fault_profile: String = args.get("fault-profile", String::new());
+    let sim_seed: u64 = args.get("sim-seed", 0);
+    args.finish();
+
+    // The builders assert their parameter domains; a flag outside them is
+    // the user's error, reported before anything is created.
+    let elem = Elem::from_name(&elem_name)
+        .unwrap_or_else(|| die(&format!("--elem must be f32 or u8 (got {elem_name:?})")));
+    if !METRIC_NAMES.contains(&metric_name.as_str()) {
+        die(&format!(
+            "unknown metric {metric_name:?} (expected one of {METRIC_NAMES:?})"
+        ));
+    }
+    if elem == Elem::U8 && metric_name != "l2" {
+        die("u8 datasets support --metric l2 only");
+    }
+    for (flag, value) in [
+        ("k", k as u64),
+        ("ranks", ranks as u64),
+        ("batch-size", batch_size),
+    ] {
+        if value == 0 {
+            die(&format!("--{flag} must be at least 1 (got 0)"));
+        }
+    }
+    if !(rho > 0.0 && rho <= 1.0) {
+        die(&format!("--rho must be above 0 and at most 1 (got {rho})"));
+    }
+    if !(delta >= 0.0 && delta.is_finite()) {
+        die(&format!("--delta must be finite and >= 0 (got {delta})"));
+    }
+    let plan = parse_fault_plan(&fault_profile, sim_seed);
 
     let mut cfg = DnndConfig::new(k)
         .seed(seed)
-        .rho(args.get("rho", 0.8))
-        .delta(args.get("delta", 0.001))
-        .batch_size(args.get("batch-size", 1u64 << 16));
-    if args.flag("unoptimized") {
+        .rho(rho)
+        .delta(delta)
+        .batch_size(batch_size);
+    if unoptimized {
         cfg = cfg.comm_opts(CommOpts::unoptimized());
     }
-    if args.flag("no-shuffle") {
+    if no_shuffle {
         cfg = cfg.shuffle_reverse(false);
     }
 
-    let outs = ObsOuts::parse(&args);
     let tracer = if outs.any() {
         let t = Arc::new(obs::Tracer::new(ranks));
         t.set_flows_enabled(outs.flows);
@@ -74,13 +139,6 @@ fn main() {
     } else {
         None
     };
-
-    let fault_profile: String = args.get("fault-profile", String::new());
-    let sim_seed: u64 = args.get("sim-seed", 0);
-    args.finish();
-    let plan = parse_fault_plan(&fault_profile, sim_seed);
-    let mut store = Store::open_or_create(&store_dir)
-        .unwrap_or_else(|e| die(&format!("cannot open store {store_dir}: {e}")));
 
     let mut world = World::new(ranks);
     if let Some(t) = &tracer {
@@ -94,45 +152,32 @@ fn main() {
         world = world.fault_plan(p);
     }
 
-    let report = match elem {
+    let (mut store, report) = match elem {
         Elem::F32 => {
-            let set = Arc::new(load_f32(&input, n, seed));
+            let set = load_f32(&input, n, seed);
             println!(
                 "dataset: {} points x {} dims (f32), metric {metric_name}",
                 set.len(),
                 set.dim()
             );
-            let out = match metric_name.as_str() {
-                "l2" => build(&world, &set, &dataset::L2, cfg),
-                "sql2" => build(&world, &set, &dataset::SquaredL2, cfg),
-                "cosine" => build(&world, &set, &dataset::Cosine, cfg),
-                "l1" => build(&world, &set, &dataset::L1, cfg),
-                other => die(&format!("unknown metric {other:?}")),
-            };
-            set.save(&mut store, "dataset")
-                .unwrap_or_else(|e| die(&e.to_string()));
-            out.graph
-                .save(&mut store, "knng")
-                .unwrap_or_else(|e| die(&e.to_string()));
-            out.report
+            let save = PointSet::<Vec<f32>>::save;
+            match metric_name.as_str() {
+                "l2" => construct(&world, set, &dataset::L2, cfg, &store_dir, save),
+                "sql2" => construct(&world, set, &dataset::SquaredL2, cfg, &store_dir, save),
+                "cosine" => construct(&world, set, &dataset::Cosine, cfg, &store_dir, save),
+                "l1" => construct(&world, set, &dataset::L1, cfg, &store_dir, save),
+                other => unreachable!("{other:?} is in METRIC_NAMES and has no arm"),
+            }
         }
         Elem::U8 => {
-            let set = Arc::new(load_u8(&input, n, seed));
+            let set = load_u8(&input, n, seed);
             println!(
                 "dataset: {} points x {} dims (u8), metric l2",
                 set.len(),
                 set.dim()
             );
-            if metric_name != "l2" {
-                die("u8 datasets support --metric l2 only");
-            }
-            let out = build(&world, &set, &dataset::L2, cfg);
-            set.save(&mut store, "dataset")
-                .unwrap_or_else(|e| die(&e.to_string()));
-            out.graph
-                .save(&mut store, "knng")
-                .unwrap_or_else(|e| die(&e.to_string()));
-            out.report
+            let save = PointSet::<Vec<u8>>::save;
+            construct(&world, set, &dataset::L2, cfg, &store_dir, save)
         }
     };
 

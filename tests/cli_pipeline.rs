@@ -224,6 +224,8 @@ fn bad_flag_exits_2_on_every_binary() {
     let args: Vec<&str> = construct.split(' ').collect();
     run_ok(env!("CARGO_BIN_EXE_dnnd-construct"), &args);
     let before = dir_listing(dir.path());
+    let construct_bin = env!("CARGO_BIN_EXE_dnnd-construct");
+    let on_fresh = format!("--input preset:deep1b --store {fresh}");
 
     // (binary, arguments, the one line stderr must hold)
     let cases = [
@@ -279,6 +281,55 @@ fn bad_flag_exits_2_on_every_binary() {
             format!("--store {store} --self-queries 20 --l 100000"),
             "error: --l must be between 1 and the dataset size 200 (got 100000)",
         ),
+        // Construction flags outside the builder's domain (each was a
+        // panic, `--elem u16` a silent f32 build), checked before the store
+        // is created; the dataset's size against `--k` once it is loaded.
+        (construct_bin, format!("{on_fresh} --k 0"), "error: --k must be at least 1 (got 0)"),
+        (
+            construct_bin,
+            format!("{on_fresh} --k 10 --n 5"),
+            "error: --k must be below the dataset size 5 (got 10)",
+        ),
+        (
+            construct_bin,
+            format!("{on_fresh} --n 1"),
+            "error: the dataset must have at least 2 points (got 1)",
+        ),
+        (
+            construct_bin,
+            format!("{on_fresh} --ranks 0"),
+            "error: --ranks must be at least 1 (got 0)",
+        ),
+        (
+            construct_bin,
+            format!("{on_fresh} --rho 0"),
+            "error: --rho must be above 0 and at most 1 (got 0)",
+        ),
+        (
+            construct_bin,
+            format!("{on_fresh} --rho 7"),
+            "error: --rho must be above 0 and at most 1 (got 7)",
+        ),
+        (
+            construct_bin,
+            format!("{on_fresh} --delta -1"),
+            "error: --delta must be finite and >= 0 (got -1)",
+        ),
+        (
+            construct_bin,
+            format!("{on_fresh} --batch-size 0"),
+            "error: --batch-size must be at least 1 (got 0)",
+        ),
+        (
+            construct_bin,
+            format!("{on_fresh} --elem u16"),
+            "error: --elem must be f32 or u8 (got \"u16\")",
+        ),
+        (
+            construct_bin,
+            format!("{on_fresh} --metric bogus"),
+            "error: unknown metric \"bogus\" (expected one of [\"l2\", \"sql2\", \"cosine\", \"l1\"])",
+        ),
         // A flag no binary looks up is a typo, not a feature left off:
         // checked once every lookup has happened, before anything is
         // opened for writing.
@@ -319,5 +370,47 @@ fn bad_flag_exits_2_on_every_binary() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(stderr.trim_end(), want, "{bin} {args}");
         assert_eq!(dir_listing(dir.path()), before, "{bin} {args} wrote");
+        assert!(!dir.join("never-created").exists(), "{bin} {args}");
+    }
+}
+
+/// Graph arrays that pass their checksums but are not a graph — an edge
+/// naming a vertex the graph does not have — are damaged input: one line
+/// and exit 2 from the binaries that load them (`KnnGraph::load` returned
+/// `Ok`, and `dnnd-optimize` then panicked indexing by the id).
+#[test]
+fn a_stored_graph_naming_a_missing_vertex_exits_2() {
+    let dir = tmpdir("badgraph");
+    let store = dir.join("store");
+    let store = store.to_str().unwrap();
+    let construct = format!("--input preset:deep1b --n 200 --k 6 --ranks 2 --store {store}");
+    let args: Vec<&str> = construct.split(' ').collect();
+    run_ok(env!("CARGO_BIN_EXE_dnnd-construct"), &args);
+    {
+        let mut st = metall::Store::open(store).unwrap();
+        let mut ids: Vec<u32> = st.get("knng/ids").unwrap();
+        ids[9] = 207; // row 1 of the 6-strided array
+        st.put("knng/ids", &ids).unwrap();
+    }
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_dnnd-optimize"),
+            format!("--store {store} --m 1.5"),
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-query"),
+            format!("--store {store} --self-queries 20 --l 6"),
+        ),
+    ] {
+        let out = Command::new(bin).args(args.split(' ')).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{bin} {args}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let line = stderr.trim_end();
+        assert_eq!(line.lines().count(), 1, "{bin} {args}: {stderr}");
+        assert!(
+            line.starts_with("error: failed to decode object: knng row 1 holds the edge (207, ")
+                && line.ends_with(" in a graph of 200 vertices"),
+            "{bin} {args}: {stderr}"
+        );
     }
 }
