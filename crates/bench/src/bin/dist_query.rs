@@ -7,9 +7,10 @@
 //! the virtual-time/traffic profile of fully distributed serving.
 //!
 //! `--trace-out trace.json` / `--report-out report.json` capture the
-//! 8-rank distributed run's span timeline and unified run report.
+//! 8-rank distributed run's span timeline and unified run report (the
+//! flags are `bench::ObsOuts`').
 
-use bench::{Args, Table};
+use bench::{die, Args, ObsOuts, Table};
 use dataset::ground_truth::brute_force_queries;
 use dataset::metric::L2;
 use dataset::presets;
@@ -76,16 +77,11 @@ fn main() {
         &0.0,
     ]);
 
-    let trace_out: String = args.get("trace-out", String::new());
-    let report_out: String = args.get("report-out", String::new());
+    let outs = ObsOuts::parse(&args);
 
     for ranks in [2usize, 4, 8, 16] {
         // Observe the 8-rank run: one track per rank in the trace.
-        let tracer = if ranks == 8 && !(trace_out.is_empty() && report_out.is_empty()) {
-            Some(Arc::new(obs::Tracer::new(ranks)))
-        } else {
-            None
-        };
+        let tracer = (ranks == 8).then(|| outs.tracer(ranks)).flatten();
         let mut world = World::new(ranks);
         if let Some(t) = &tracer {
             world = world.tracer(Arc::clone(t));
@@ -111,20 +107,16 @@ fn main() {
             &report.total.count,
             &format!("{:.1}", report.total.bytes as f64 / 1e6),
         ]);
-        if let Some(t) = &tracer {
-            if !trace_out.is_empty() {
-                dnnd::obs_report::write_trace(&trace_out, t).expect("trace-out");
-                println!("trace ({ranks} ranks): {trace_out}");
-            }
-            if !report_out.is_empty() {
+        if let Some(t) = tracer.as_deref() {
+            let run_report = || {
                 let mut rr =
                     dnnd::obs_report::report_from_world("bench-dist-query", ranks, &report);
                 rr.recall = Some(recall);
                 rr.param("n", n).param("queries", n_queries).param("k", k);
                 dnnd::obs_report::attach_histograms(&mut rr, Some(t));
-                dnnd::obs_report::write_report(&report_out, &rr).expect("report-out");
-                println!("report ({ranks} ranks): {report_out}");
-            }
+                rr
+            };
+            outs.write(Some(t), run_report).unwrap_or_else(|e| die(&e));
         }
     }
     t.print();

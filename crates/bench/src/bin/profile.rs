@@ -9,9 +9,10 @@
 //!
 //! `--trace-out trace.json` attaches a tracer to the representative
 //! 8-rank build and writes its Chrome-trace span timeline; `--report-out
-//! report.json` writes the unified run report for the same build.
+//! report.json` writes the unified run report for the same build (the flags
+//! are `bench::ObsOuts`', so `--dashboard-out` and `--trace-flows` work too).
 
-use bench::{pct, Args, Table};
+use bench::{die, pct, Args, ObsOuts, Table};
 use dataset::metric::L2;
 use dataset::presets;
 use dnnd::{build, CommOpts, DnndConfig};
@@ -90,13 +91,8 @@ fn main() {
 
     // Per-phase trace for one representative build: shows the heavy
     // neighbor-check phases against the light sampling/collective ones.
-    let trace_out: String = args.get("trace-out", String::new());
-    let report_out: String = args.get("report-out", String::new());
-    let tracer = if trace_out.is_empty() && report_out.is_empty() {
-        None
-    } else {
-        Some(Arc::new(obs::Tracer::new(8)))
-    };
+    let outs = ObsOuts::parse(&args);
+    let tracer = outs.tracer(8);
     let mut world = World::new(8);
     if let Some(t) = &tracer {
         world = world.tracer(Arc::clone(t));
@@ -127,17 +123,12 @@ fn main() {
         args.out_dir().display()
     );
 
-    if let Some(t) = &tracer {
-        if !trace_out.is_empty() {
-            dnnd::obs_report::write_trace(&trace_out, t).expect("trace-out");
-            println!("trace: {trace_out}");
-        }
-        if !report_out.is_empty() {
-            let mut rr = dnnd::obs_report::report_from_build("bench-profile", &out.report);
-            rr.param("n", n).param("k", k).param("seed", seed);
-            dnnd::obs_report::attach_histograms(&mut rr, Some(t));
-            dnnd::obs_report::write_report(&report_out, &rr).expect("report-out");
-            println!("report: {report_out}");
-        }
-    }
+    let run_report = || {
+        let mut rr = dnnd::obs_report::report_from_build("bench-profile", &out.report);
+        rr.param("n", n).param("k", k).param("seed", seed);
+        dnnd::obs_report::attach_histograms(&mut rr, tracer.as_deref());
+        rr
+    };
+    outs.write(tracer.as_deref(), run_report)
+        .unwrap_or_else(|e| die(&e));
 }

@@ -39,13 +39,13 @@
 //! pure functions of `(sim_seed, frame coordinates)`, independent of thread
 //! scheduling.
 
-use bench::{Args, Table};
+use bench::{Args, ObsOuts, Table};
 use dataset::ground_truth::{brute_force_knng, GroundTruth};
 use dataset::metric::L2;
 use dataset::recall::mean_recall;
 use dataset::set::{PointId, PointSet};
 use dataset::synth::{gaussian_mixture, MixtureParams};
-use dnnd::obs_report::{report_from_build, write_dashboard, write_report};
+use dnnd::obs_report::report_from_build;
 use dnnd::{build, CommOpts, DnndConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -243,16 +243,18 @@ impl Sweep {
             "simtest-{}-{}-{}-{}-seed{}",
             trial.preset, trial.protocol, trial.opt_mode, trial.profile, trial.sim_seed
         );
-        let path = self.out_dir.join(format!("{stem}.json"));
-        if let Err(e) = write_report(&path, &run) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        }
+        let stem = self.out_dir.join(stem).display().to_string();
         // A dashboard next to each report: failing seeds get a one-file
         // visual of the run (timeline, traffic, fault counters) in CI
         // artifacts, no replay needed for a first look.
-        let dash = self.out_dir.join(format!("{stem}.html"));
-        if let Err(e) = write_dashboard(&dash, &run) {
-            eprintln!("warning: could not write {}: {e}", dash.display());
+        let outs = ObsOuts {
+            report: format!("{stem}.json"),
+            dashboard: format!("{stem}.html"),
+            ..ObsOuts::default()
+        };
+        // A sweep's verdict outlives an artifact that could not be written.
+        if let Err(e) = outs.write(None, || run) {
+            eprintln!("warning: {e}");
         }
     }
 }

@@ -10,11 +10,14 @@
 //! cargo run --release -p bench --bin fig4_messages -- --n 2000
 //! ```
 
+use dnnd::obs_report::{write_dashboard, write_report, write_trace};
+use obs::{RunReport, Tracer};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Display;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Minimal `--key value` / `--flag` argument parser.
 #[derive(Debug, Clone)]
@@ -117,18 +120,114 @@ impl Args {
     }
 }
 
+/// The observability outputs every executable and bench driver accepts
+/// (`--trace-out`, `--report-out`, `--dashboard-out`; empty = not asked
+/// for), the tracer a run needs to produce them, and the one writer of
+/// those files and of their "written to" lines.
+#[derive(Debug, Clone, Default)]
+pub struct ObsOuts {
+    /// Chrome-trace / Perfetto span timeline destination.
+    pub trace: String,
+    /// Unified JSON run-report destination.
+    pub report: String,
+    /// Self-contained HTML dashboard destination.
+    pub dashboard: String,
+    /// Whether cross-rank flow events are recorded (`--trace-flows`,
+    /// `on` by default; `off` drops the `ph:"s"/"f"` arrow pairs from the
+    /// exported trace, shrinking it when only spans are wanted).
+    pub flows: bool,
+}
+
+impl ObsOuts {
+    /// Read the observability flags from parsed CLI arguments.
+    pub fn parse(args: &Args) -> ObsOuts {
+        let flows = args.get("trace-flows", "on".to_string());
+        match flows.as_str() {
+            "on" | "off" => {}
+            other => die(&format!(
+                "invalid --trace-flows value {other:?} (expected \"on\" or \"off\")"
+            )),
+        }
+        ObsOuts {
+            trace: args.get("trace-out", String::new()),
+            report: args.get("report-out", String::new()),
+            dashboard: args.get("dashboard-out", String::new()),
+            flows: flows != "off",
+        }
+    }
+
+    /// Whether a `RunReport` must be assembled (report or dashboard).
+    fn wants_report(&self) -> bool {
+        !self.report.is_empty() || !self.dashboard.is_empty()
+    }
+
+    /// The tracer of an `n_ranks`-track run: `None` when no output was
+    /// asked for, so an unobserved run pays nothing.
+    pub fn tracer(&self, n_ranks: usize) -> Option<Arc<Tracer>> {
+        (!self.trace.is_empty() || self.wants_report()).then(|| {
+            let t = Arc::new(Tracer::new(n_ranks));
+            t.set_flows_enabled(self.flows);
+            t
+        })
+    }
+
+    /// Write every output that was asked for: the trace if the run had a
+    /// `tracer`, and the report and dashboard of `report()`, which is only
+    /// called when one of the two is wanted. `Err` is the one-line reason
+    /// the first failing file gave.
+    pub fn write(
+        &self,
+        tracer: Option<&Tracer>,
+        report: impl FnOnce() -> RunReport,
+    ) -> Result<(), String> {
+        if let Some(t) = tracer {
+            let dropped = format!(" ({} spans dropped)", t.dropped_events());
+            emit(&self.trace, "trace", &dropped, |p| write_trace(p, t))?;
+        }
+        if self.wants_report() {
+            let rr = report();
+            self.write_report(&rr)?;
+            self.write_dashboard(&rr)?;
+        }
+        Ok(())
+    }
+
+    /// The `--report-out` half of [`ObsOuts::write`].
+    pub fn write_report(&self, report: &RunReport) -> Result<(), String> {
+        emit(&self.report, "run report", "", |p| write_report(p, report))
+    }
+
+    /// The `--dashboard-out` half of [`ObsOuts::write`].
+    pub fn write_dashboard(&self, report: &RunReport) -> Result<(), String> {
+        emit(&self.dashboard, "dashboard", "", |p| {
+            write_dashboard(p, report)
+        })
+    }
+}
+
+/// Write one output file, if its path was given, and say so on stdout.
+fn emit(
+    path: &str,
+    what: &str,
+    note: &str,
+    write: impl FnOnce(&str) -> std::io::Result<()>,
+) -> Result<(), String> {
+    if path.is_empty() {
+        return Ok(());
+    }
+    write(path).map_err(|e| format!("cannot write {path}: {e}"))?;
+    println!("{what} written to {path}{note}");
+    Ok(())
+}
+
 /// Write a sweep driver's outputs. `--report-out` exists to be a committed
 /// baseline, so it gets the report's [`obs::RunReport::summary`] (no
 /// per-event lists); `--dashboard-out` renders the full in-memory report.
-pub fn write_baseline_outputs(args: &Args, report: &obs::RunReport) {
-    if let Some(path) = args.opt::<String>("report-out") {
-        dnnd::obs_report::write_report(&path, &report.summary()).expect("report-out");
-        println!("report: {path}");
-    }
-    if let Some(path) = args.opt::<String>("dashboard-out") {
-        dnnd::obs_report::write_dashboard(&path, report).expect("dashboard-out");
-        println!("dashboard: {path}");
-    }
+pub fn write_baseline_outputs(args: &Args, report: &RunReport) {
+    let outs = ObsOuts::parse(args);
+    outs.write_report(&report.summary())
+        .and_then(|()| outs.write_dashboard(report))
+        .unwrap_or_else(|e| die(&e));
 }
 
 /// Abort with a one-line `error: ...` message and exit code 2 (the

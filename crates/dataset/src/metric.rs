@@ -162,9 +162,86 @@ impl Metric<Vec<u8>> for Hamming {
     }
 }
 
+/// The metric names a store records for dense data (`meta/metric`, a
+/// collection's `info/metric`): the names [`with_metric!`](crate::with_metric)
+/// has an `f32` arm for.
+pub const METRIC_NAMES: &[&str] = &["l2", "sql2", "cosine", "l1"];
+
+/// Why [`with_metric!`](crate::with_metric) has no arm for a stored pair.
+pub fn unknown_metric(elem: &str, metric: &str) -> String {
+    if METRIC_NAMES.contains(&metric) {
+        format!("{elem} datasets support --metric l2 only")
+    } else {
+        format!("unknown metric {metric:?} (expected one of {METRIC_NAMES:?})")
+    }
+}
+
+/// The one dispatch from a stored `(elem, metric)` name pair to a
+/// monomorphized call: `$body` is expanded once per arm with `$P` aliased
+/// to the point type (`Vec<f32>` / `Vec<u8>`) and `$m` bound to the metric
+/// value. Evaluates to `Ok($body)`, or `Err(`[`unknown_metric`]`)` for a
+/// pair without an arm.
+#[macro_export]
+macro_rules! with_metric {
+    ($elem:expr, $metric:expr, $P:ident, $m:ident => $body:expr) => {{
+        let (elem, metric): (&str, &str) = ($elem, $metric);
+        match elem {
+            "f32" => {
+                #[allow(dead_code)]
+                type $P = Vec<f32>;
+                match metric {
+                    "l2" => $crate::with_metric!(@arm $m = $crate::L2, $body),
+                    "sql2" => $crate::with_metric!(@arm $m = $crate::SquaredL2, $body),
+                    "cosine" => $crate::with_metric!(@arm $m = $crate::Cosine, $body),
+                    "l1" => $crate::with_metric!(@arm $m = $crate::L1, $body),
+                    _ => Err($crate::metric::unknown_metric(elem, metric)),
+                }
+            }
+            "u8" => {
+                #[allow(dead_code)]
+                type $P = Vec<u8>;
+                match metric {
+                    "l2" => $crate::with_metric!(@arm $m = $crate::L2, $body),
+                    _ => Err($crate::metric::unknown_metric(elem, metric)),
+                }
+            }
+            _ => Err(format!("unknown element type {elem:?}")),
+        }
+    }};
+    (@arm $m:ident = $value:expr, $body:expr) => {
+        Ok({
+            let $m = $value;
+            $body
+        })
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_stored_pair_dispatches_and_nothing_else_does() {
+        fn name<P, M: Metric<P>>(m: M) -> &'static str {
+            m.name()
+        }
+        for &metric in METRIC_NAMES {
+            assert!(with_metric!("f32", metric, P, m => name::<P, _>(m)).is_ok());
+        }
+        assert_eq!(with_metric!("u8", "l2", P, m => name::<P, _>(m)), Ok("L2"));
+        assert_eq!(
+            with_metric!("u8", "cosine", P, m => name::<P, _>(m)),
+            Err("u8 datasets support --metric l2 only".into())
+        );
+        assert_eq!(
+            with_metric!("f32", "nope", P, m => name::<P, _>(m)),
+            Err(
+                "unknown metric \"nope\" (expected one of [\"l2\", \"sql2\", \"cosine\", \"l1\"])"
+                    .into()
+            )
+        );
+        assert!(with_metric!("u16", "l2", P, m => name::<P, _>(m)).is_err());
+    }
 
     #[test]
     fn l2_basics() {

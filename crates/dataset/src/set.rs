@@ -7,7 +7,7 @@
 //! as an offsets + items pair (CSR-style).
 
 use crate::point::{Point, SparseVec};
-use metall::{Result as StoreResult, Store, StoreError};
+use metall::{Persist, Result as StoreResult, Store, StoreError};
 
 /// Vertex/point identifier, 4 bytes as in the paper's evaluation.
 pub type PointId = u32;
@@ -94,8 +94,12 @@ fn key(prefix: &str, field: &str) -> String {
     format!("{prefix}/{field}")
 }
 
-/// Dense f32 persistence: `<prefix>/meta` = [n, dim], `<prefix>/data` = flat.
-impl PointSet<Vec<f32>> {
+/// Dense persistence, one body for every element type (`f32`, `u8`):
+/// `<prefix>/meta` = [n, dim], `<prefix>/data` = the flat element buffer.
+impl<E: Copy> PointSet<Vec<E>>
+where
+    Vec<E>: Point + Persist,
+{
     /// Persist into `store` under `prefix`.
     pub fn save(&self, store: &mut Store, prefix: &str) -> StoreResult<()> {
         let meta = vec![self.len() as u64, self.dim as u64];
@@ -107,50 +111,31 @@ impl PointSet<Vec<f32>> {
         store.put(&key(prefix, "data"), &flat)
     }
 
-    /// Load a set persisted by [`PointSet::save`].
+    /// Load a set persisted by [`PointSet::save`]. A header the data
+    /// cannot match — zero-dimensional points, an `n * dim` past `usize` —
+    /// is damaged input, not a panic.
     pub fn load(store: &Store, prefix: &str) -> StoreResult<Self> {
         let meta: Vec<u64> = store.get(&key(prefix, "meta"))?;
         let [n, dim] = meta[..] else {
             return Err(StoreError::Decode("bad point-set meta".into()));
         };
-        let flat: Vec<f32> = store.get(&key(prefix, "data"))?;
-        if flat.len() != (n * dim) as usize {
+        if n > 0 && dim == 0 {
+            return Err(StoreError::Decode(format!(
+                "point-set meta claims {n} points of dimension 0"
+            )));
+        }
+        let flat: Vec<E> = store.get(&key(prefix, "data"))?;
+        let want = usize::try_from(n)
+            .ok()
+            .zip(usize::try_from(dim).ok())
+            .and_then(|(n, dim)| n.checked_mul(dim));
+        if want != Some(flat.len()) {
             return Err(StoreError::Decode("point-set data length mismatch".into()));
         }
+        // `dim == 0` only with `n == 0` here, where `flat` is empty.
         let points = flat
-            .chunks_exact(dim as usize)
-            .map(<[f32]>::to_vec)
-            .collect();
-        Ok(PointSet::new(points))
-    }
-}
-
-/// Dense u8 persistence.
-impl PointSet<Vec<u8>> {
-    /// Persist into `store` under `prefix`.
-    pub fn save(&self, store: &mut Store, prefix: &str) -> StoreResult<()> {
-        let meta = vec![self.len() as u64, self.dim as u64];
-        let mut flat = Vec::with_capacity(self.len() * self.dim);
-        for p in &self.points {
-            flat.extend_from_slice(p);
-        }
-        store.put(&key(prefix, "meta"), &meta)?;
-        store.put(&key(prefix, "data"), &flat)
-    }
-
-    /// Load a set persisted by [`PointSet::save`].
-    pub fn load(store: &Store, prefix: &str) -> StoreResult<Self> {
-        let meta: Vec<u64> = store.get(&key(prefix, "meta"))?;
-        let [n, dim] = meta[..] else {
-            return Err(StoreError::Decode("bad point-set meta".into()));
-        };
-        let flat: Vec<u8> = store.get(&key(prefix, "data"))?;
-        if flat.len() != (n * dim) as usize {
-            return Err(StoreError::Decode("point-set data length mismatch".into()));
-        }
-        let points = flat
-            .chunks_exact(dim as usize)
-            .map(<[u8]>::to_vec)
+            .chunks_exact((dim as usize).max(1))
+            .map(<[E]>::to_vec)
             .collect();
         Ok(PointSet::new(points))
     }
@@ -274,6 +259,37 @@ mod tests {
         let back = PointSet::<SparseVec>::load(&store, "kosarak").unwrap();
         assert_eq!(back, s);
         Store::destroy(&dir).unwrap();
+    }
+
+    #[test]
+    fn load_rejects_a_header_the_data_cannot_match() {
+        fn check<E: Copy>(tag: &str)
+        where
+            Vec<E>: Point + Persist,
+        {
+            let dir = tmpdir(tag);
+            let mut store = Store::create(&dir).unwrap();
+            let cases: [(&str, [u64; 2]); 4] = [
+                ("zero-dim", [3, 0]),
+                ("overflow", [u64::MAX / 2 + 1, 4]),
+                ("wide", [1 << 40, 1 << 40]),
+                ("empty", [0, 0]),
+            ];
+            for (name, meta) in cases {
+                store.put(&key(name, "meta"), &meta.to_vec()).unwrap();
+                store.put(&key(name, "data"), &Vec::<E>::new()).unwrap();
+            }
+            for name in ["zero-dim", "overflow", "wide"] {
+                let got = PointSet::<Vec<E>>::load(&store, name);
+                assert!(matches!(got, Err(StoreError::Decode(_))), "{tag} {name}");
+            }
+            assert!(PointSet::<Vec<E>>::load(&store, "empty")
+                .unwrap()
+                .is_empty());
+            Store::destroy(&dir).unwrap();
+        }
+        check::<f32>("hdr-f32");
+        check::<u8>("hdr-u8");
     }
 
     #[test]

@@ -1122,37 +1122,9 @@ where
     P: Point + QuantizeKey,
     M: BatchMetric<P>,
 {
-    let WorldReport {
-        results,
-        sim_secs,
-        sim_ns,
-        breakdown,
-        phases,
-        wall_secs,
-        tags,
-        total,
-        matrix,
-        faults,
-    } = world.run(|comm| serve_on_comm(comm, base, graph, pool, metric, params));
-    let n = results.len();
-    let mut it = results.into_iter();
-    let first = it.next().expect("world has at least one rank");
-    for other in it {
-        assert_eq!(other, first, "serving outcome diverged across ranks");
-    }
-    let report = WorldReport {
-        results: vec![(); n],
-        sim_secs,
-        sim_ns,
-        breakdown,
-        phases,
-        wall_secs,
-        tags,
-        total,
-        matrix,
-        faults,
-    };
-    (first, report)
+    world
+        .run(|comm| serve_on_comm(comm, base, graph, pool, metric, params))
+        .into_replicated("serving outcome")
 }
 
 /// Configuration of a namespaced (vector-DB) serving run, on top of the
@@ -1438,18 +1410,7 @@ pub fn run_serve_vdb<M>(
 where
     M: BatchMetric<Vec<f32>>,
 {
-    let WorldReport {
-        results,
-        sim_secs,
-        sim_ns,
-        breakdown,
-        phases,
-        wall_secs,
-        tags,
-        total,
-        matrix,
-        faults,
-    } = world.run(|comm| {
+    let report = world.run(|comm| {
         let mut store = metall::Store::open(dir)
             .unwrap_or_else(|e| panic!("open store {}: {e}", dir.display()));
         let collection =
@@ -1463,25 +1424,8 @@ where
         comm.barrier();
         (outcome, collection.stat())
     });
-    let n = results.len();
-    let mut it = results.into_iter();
-    let first = it.next().expect("world has at least one rank");
-    for other in it {
-        assert_eq!(other, first, "vdb serving outcome diverged across ranks");
-    }
-    let report = WorldReport {
-        results: vec![(); n],
-        sim_secs,
-        sim_ns,
-        breakdown,
-        phases,
-        wall_secs,
-        tags,
-        total,
-        matrix,
-        faults,
-    };
-    (first.0, first.1, report)
+    let ((outcome, stat), report) = report.into_replicated("vdb serving outcome");
+    (outcome, stat, report)
 }
 
 #[cfg(test)]

@@ -57,30 +57,8 @@ fn key(ns: &str, tail: &str) -> String {
     format!("ns/{ns}/{tail}")
 }
 
-/// Dispatch a stored metric name to a monomorphized call.
-macro_rules! with_metric {
-    ($name:expr, $m:ident => $body:expr) => {
-        match $name {
-            "l2" => {
-                let $m = dataset::L2;
-                $body
-            }
-            "sql2" => {
-                let $m = dataset::SquaredL2;
-                $body
-            }
-            "cosine" => {
-                let $m = dataset::Cosine;
-                $body
-            }
-            "l1" => {
-                let $m = dataset::L1;
-                $body
-            }
-            other => return Err(format!("unknown metric {other:?}")),
-        }
-    };
-}
+/// The element type of every collection, as `dataset::with_metric!` names it.
+const ELEM: &str = "f32";
 
 /// Degree cap applied by the reverse-prune pass (`optimize`'s `m = 1.5`).
 const PRUNE_MULT: f64 = 1.5;
@@ -173,10 +151,10 @@ impl Collection {
         if k < 1 || k >= points.len() {
             return Err(format!("k = {k} out of range for {} points", points.len()));
         }
-        let graph = with_metric!(metric, m => {
+        let graph = dataset::with_metric!(ELEM, metric, P, m => {
             let (g, _) = nnd::build(&points, &m, NnDescentParams::new(k).seed(seed));
             g.optimize(k, PRUNE_MULT)
-        });
+        })?;
         Ok(Collection {
             name: name.to_string(),
             base: points,
@@ -200,7 +178,7 @@ impl Collection {
         let metric: String = store.get(&key(name, "info/metric")).map_err(err)?;
         // An unknown name is rejected here, so no later mutation can fail
         // on it half way.
-        with_metric!(metric.as_str(), _known => ());
+        dataset::with_metric!(ELEM, metric.as_str(), P, _known => ())?;
         let epoch: u64 = store.get(&key(name, "info/epoch")).map_err(err)?;
         let base = PointSet::<Vec<f32>>::load(store, &key(name, "points")).map_err(err)?;
         let graph = KnnGraph::load(store, &key(name, "graph")).map_err(err)?;
@@ -414,10 +392,10 @@ impl Collection {
         shortened: &[PointId],
     ) -> Result<KnnGraph, String> {
         let params = NnDescentParams::new(self.k).seed(self.epoch.wrapping_mul(0x9E37_79B9) | 1);
-        Ok(with_metric!(self.metric.as_str(), m => {
+        dataset::with_metric!(ELEM, self.metric.as_str(), P, m => {
             let (g, _) = nnd::refine(graph, &self.base, &m, params, refine_iters, shortened);
             g.optimize(self.k, PRUNE_MULT)
-        }))
+        })
     }
 
     /// Tombstone `ids`: they disappear from every mask (and therefore
@@ -469,8 +447,7 @@ impl Collection {
         }
         let cleared = self.tombstones.len() as u64;
         let mut shortened: Vec<PointId> = Vec::new();
-        let rows: Vec<Vec<(PointId, f32)>> = with_metric!(self.metric.as_str(), m => {
-            let metric = m;
+        let rows: Vec<Vec<(PointId, f32)>> = dataset::with_metric!(ELEM, self.metric.as_str(), P, metric => {
             (0..n as PointId)
                 .map(|v| {
                     if gone[v as usize] {
@@ -521,7 +498,7 @@ impl Collection {
                     row
                 })
                 .collect()
-        });
+        })?;
         self.graph = self.refined(&KnnGraph::from_rows(rows), COMPACT_REFINE_ITERS, &shortened)?;
         let mut dead = std::mem::take(&mut self.dead);
         dead.extend(std::mem::take(&mut self.tombstones));

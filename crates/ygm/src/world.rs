@@ -221,6 +221,45 @@ pub struct WorldReport<T> {
     pub faults: Option<FaultReport>,
 }
 
+impl<T: PartialEq + std::fmt::Debug> WorldReport<T> {
+    /// Split a run whose ranks all compute the same value into that value
+    /// and the run summary. Panics with "`what` diverged across ranks" if
+    /// any rank returned something else.
+    pub fn into_replicated(self, what: &str) -> (T, WorldReport<()>) {
+        let WorldReport {
+            results,
+            sim_secs,
+            sim_ns,
+            breakdown,
+            phases,
+            wall_secs,
+            tags,
+            total,
+            matrix,
+            faults,
+        } = self;
+        let n = results.len();
+        let mut it = results.into_iter();
+        let first = it.next().expect("world has at least one rank");
+        for other in it {
+            assert_eq!(other, first, "{what} diverged across ranks");
+        }
+        let summary = WorldReport {
+            results: vec![(); n],
+            sim_secs,
+            sim_ns,
+            breakdown,
+            phases,
+            wall_secs,
+            tags,
+            total,
+            matrix,
+            faults,
+        };
+        (first, summary)
+    }
+}
+
 impl World {
     /// A world with `n_ranks` simulated ranks and default settings.
     pub fn new(n_ranks: usize) -> Self {
@@ -398,6 +437,23 @@ mod tests {
         let report = World::new(1).run(|comm| comm.rank());
         assert_eq!(report.results, vec![0]);
         assert_eq!(report.total.count, 0);
+    }
+
+    #[test]
+    fn a_replicated_result_splits_from_its_summary() {
+        let report = World::new(3).run(|comm| comm.n_ranks());
+        let sim_ns = report.sim_ns;
+        let (value, summary) = report.into_replicated("rank count");
+        assert_eq!(value, 3);
+        assert_eq!((summary.results.len(), summary.sim_ns), (3, sim_ns));
+    }
+
+    #[test]
+    #[should_panic(expected = "rank id diverged across ranks")]
+    fn a_result_that_differs_by_rank_is_not_replicated() {
+        World::new(2)
+            .run(|comm| comm.rank())
+            .into_replicated("rank id");
     }
 
     #[test]

@@ -26,27 +26,26 @@
 //! (default 0) pins the deterministic fault schedule — pass the seed a
 //! failing `simtest` sweep printed to replay that exact failure here.
 
-use bench::Args;
+use bench::{Args, ObsOuts};
 use dataset::batch::BatchMetric;
-use dataset::{Point, PointSet};
+use dataset::PointSet;
 use dnnd::{build, BuildReport, CommOpts, DnndConfig};
 use dnnd_repro::cli::{
-    die, load_f32, load_u8, parse_fault_plan, read_meta, Elem, ObsOuts, METRIC_NAMES,
+    die, or_die, parse_fault_plan, require_at_least_1, store_flag, Elem, Session, StoredPoint,
 };
-use metall::{Result as StoreResult, Store};
+use metall::Store;
 use std::sync::Arc;
 use ygm::World;
 
 /// Build over `set` and persist dataset and graph. The store is created
 /// here, once the last thing that can reject the run — the dataset's size
 /// against `k` — has been checked: a refused run leaves no directory.
-fn construct<P: Point, M: BatchMetric<P>>(
+fn construct<P: StoredPoint, M: BatchMetric<P>>(
     world: &World,
     set: PointSet<P>,
     metric: &M,
     cfg: DnndConfig,
     store_dir: &str,
-    save: fn(&PointSet<P>, &mut Store, &str) -> StoreResult<()>,
 ) -> (Store, BuildReport) {
     let n = set.len();
     if n < 2 {
@@ -62,8 +61,8 @@ fn construct<P: Point, M: BatchMetric<P>>(
         .unwrap_or_else(|e| die(&format!("cannot open store {store_dir}: {e}")));
     let set = Arc::new(set);
     let out = build(world, &set, metric, cfg);
-    save(&set, &mut store, "dataset").unwrap_or_else(|e| die(&e.to_string()));
-    (out.graph.save(&mut store, "knng")).unwrap_or_else(|e| die(&e.to_string()));
+    or_die(P::save(&set, &mut store));
+    or_die(out.graph.save(&mut store, "knng"));
     (store, out.report)
 }
 
@@ -73,10 +72,7 @@ fn main() {
     if input.is_empty() {
         die("--input <file|preset:NAME> is required");
     }
-    let store_dir: String = args.get("store", String::new());
-    if store_dir.is_empty() {
-        die("--store <dir> is required");
-    }
+    let store_dir = store_flag(&args);
     let k: usize = args.get("k", 10);
     let ranks: usize = args.get("ranks", 8);
     let n: usize = args.get("n", 2_000);
@@ -95,23 +91,11 @@ fn main() {
     // the user's error, reported before anything is created.
     let elem = Elem::from_name(&elem_name)
         .unwrap_or_else(|| die(&format!("--elem must be f32 or u8 (got {elem_name:?})")));
-    if !METRIC_NAMES.contains(&metric_name.as_str()) {
-        die(&format!(
-            "unknown metric {metric_name:?} (expected one of {METRIC_NAMES:?})"
-        ));
-    }
-    if elem == Elem::U8 && metric_name != "l2" {
-        die("u8 datasets support --metric l2 only");
-    }
-    for (flag, value) in [
+    require_at_least_1(&[
         ("k", k as u64),
         ("ranks", ranks as u64),
         ("batch-size", batch_size),
-    ] {
-        if value == 0 {
-            die(&format!("--{flag} must be at least 1 (got 0)"));
-        }
-    }
+    ]);
     if !(rho > 0.0 && rho <= 1.0) {
         die(&format!("--rho must be above 0 and at most 1 (got {rho})"));
     }
@@ -132,14 +116,7 @@ fn main() {
         cfg = cfg.shuffle_reverse(false);
     }
 
-    let tracer = if outs.any() {
-        let t = Arc::new(obs::Tracer::new(ranks));
-        t.set_flows_enabled(outs.flows);
-        Some(t)
-    } else {
-        None
-    };
-
+    let tracer = outs.tracer(ranks);
     let mut world = World::new(ranks);
     if let Some(t) = &tracer {
         world = world.tracer(Arc::clone(t));
@@ -152,48 +129,23 @@ fn main() {
         world = world.fault_plan(p);
     }
 
-    let (mut store, report) = match elem {
-        Elem::F32 => {
-            let set = load_f32(&input, n, seed);
-            println!(
-                "dataset: {} points x {} dims (f32), metric {metric_name}",
-                set.len(),
-                set.dim()
-            );
-            let save = PointSet::<Vec<f32>>::save;
-            match metric_name.as_str() {
-                "l2" => construct(&world, set, &dataset::L2, cfg, &store_dir, save),
-                "sql2" => construct(&world, set, &dataset::SquaredL2, cfg, &store_dir, save),
-                "cosine" => construct(&world, set, &dataset::Cosine, cfg, &store_dir, save),
-                "l1" => construct(&world, set, &dataset::L1, cfg, &store_dir, save),
-                other => unreachable!("{other:?} is in METRIC_NAMES and has no arm"),
-            }
-        }
-        Elem::U8 => {
-            let set = load_u8(&input, n, seed);
-            println!(
-                "dataset: {} points x {} dims (u8), metric l2",
-                set.len(),
-                set.dim()
-            );
-            let save = PointSet::<Vec<u8>>::save;
-            construct(&world, set, &dataset::L2, cfg, &store_dir, save)
-        }
-    };
+    // An `(elem, metric)` pair without an arm is refused here, before the
+    // input is read or the store created.
+    let dispatch = dataset::with_metric!(elem.name(), metric_name.as_str(), P, metric => {
+        let set = P::read_input(&input, n, seed);
+        println!(
+            "dataset: {} points x {} dims ({}), metric {metric_name}",
+            set.len(),
+            set.dim(),
+            elem.name()
+        );
+        construct(&world, set, &metric, cfg, &store_dir)
+    });
+    let (mut store, report) = or_die(dispatch);
+    or_die(Session::write_meta(&mut store, k, elem, &metric_name));
 
-    store
-        .put("meta/k", &(k as u64))
-        .unwrap_or_else(|e| die(&e.to_string()));
-    store
-        .put("meta/elem", &elem.name().to_string())
-        .unwrap_or_else(|e| die(&e.to_string()));
-    store
-        .put("meta/metric", &metric_name)
-        .unwrap_or_else(|e| die(&e.to_string()));
-
-    let (mk, me, mm) = read_meta(&store);
     println!(
-        "constructed k={mk} ({me:?}, {mm}) on {ranks} simulated ranks: \
+        "constructed k={k} ({elem:?}, {metric_name}) on {ranks} simulated ranks: \
          {} iterations, {} distance evals",
         report.iterations, report.distance_evals
     );
@@ -229,40 +181,21 @@ fn main() {
         );
     }
 
-    if let Some(t) = &tracer {
-        if !outs.trace.is_empty() {
-            dnnd::obs_report::write_trace(&outs.trace, t)
-                .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", outs.trace)));
-            println!(
-                "trace written to {} ({} spans dropped)",
-                outs.trace,
-                t.dropped_events()
-            );
+    let run_report = || {
+        let mut rr = dnnd::obs_report::report_from_build("dnnd-construct", &report);
+        rr.param("input", &input)
+            .param("k", k)
+            .param("metric", &metric_name)
+            .param("seed", seed)
+            .param("elem", elem.name());
+        if !fault_profile.is_empty() && fault_profile != "none" {
+            rr.param("fault_profile", &fault_profile)
+                .param("sim_seed", sim_seed);
         }
-        if outs.wants_report() {
-            let mut rr = dnnd::obs_report::report_from_build("dnnd-construct", &report);
-            rr.param("input", &input)
-                .param("k", k)
-                .param("metric", &metric_name)
-                .param("seed", seed)
-                .param("elem", elem.name());
-            if !fault_profile.is_empty() && fault_profile != "none" {
-                rr.param("fault_profile", &fault_profile)
-                    .param("sim_seed", sim_seed);
-            }
-            rr.metric("store_high_water_bytes", store.high_water_bytes() as f64);
-            dnnd::obs_report::attach_histograms(&mut rr, Some(t));
-            dnnd::obs_report::attach_series(&mut rr, Some(t));
-            if !outs.report.is_empty() {
-                dnnd::obs_report::write_report(&outs.report, &rr)
-                    .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", outs.report)));
-                println!("run report written to {}", outs.report);
-            }
-            if !outs.dashboard.is_empty() {
-                dnnd::obs_report::write_dashboard(&outs.dashboard, &rr)
-                    .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", outs.dashboard)));
-                println!("dashboard written to {}", outs.dashboard);
-            }
-        }
-    }
+        rr.metric("store_high_water_bytes", store.high_water_bytes() as f64);
+        dnnd::obs_report::attach_histograms(&mut rr, tracer.as_deref());
+        dnnd::obs_report::attach_series(&mut rr, tracer.as_deref());
+        rr
+    };
+    or_die(outs.write(tracer.as_deref(), run_report));
 }

@@ -16,13 +16,11 @@
 //! `--trace-out`, `--report-out`, and `--dashboard-out` emit the Chrome
 //! trace, unified run report, and self-contained HTML dashboard.
 
-use bench::Args;
+use bench::{Args, ObsOuts};
 use dataset::batch::BatchMetric;
 use dataset::io;
-use dataset::point::Point;
 use dataset::{brute_force_queries, mean_recall, PointSet};
-use dnnd_repro::cli::{die, read_meta, Elem, ObsOuts};
-use metall::Store;
+use dnnd_repro::cli::{check_l, die, or_die, query_pool, store_flag, Session, StoredPoint};
 use nnd::{search_batch_traced, KnnGraph, SearchParams};
 
 /// Numbers main needs back from the generic query run for the run report.
@@ -35,7 +33,7 @@ struct QuerySummary {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run<P: Point, M: BatchMetric<P>>(
+fn run<P: StoredPoint, M: BatchMetric<P>>(
     base: PointSet<P>,
     graph: &KnnGraph,
     metric: M,
@@ -87,10 +85,7 @@ fn run<P: Point, M: BatchMetric<P>>(
 
 fn main() {
     let args = Args::parse();
-    let store_dir: String = args.get("store", String::new());
-    if store_dir.is_empty() {
-        die("--store <dir> is required");
-    }
+    let store_dir = store_flag(&args);
     let l: usize = args.get("l", 10);
     let epsilon: f32 = args.get("epsilon", 0.2);
     if !epsilon.is_finite() || epsilon < 0.0 {
@@ -106,34 +101,23 @@ fn main() {
     args.finish();
     // The query program is shared-memory (the paper runs it on one fat
     // node), so the trace has a single track.
-    let tracer = if outs.any() {
-        let t = obs::Tracer::new(1);
-        t.set_flows_enabled(outs.flows);
-        Some(t)
-    } else {
-        None
-    };
+    let tracer = outs.tracer(1);
 
-    let store = Store::open(&store_dir).unwrap_or_else(|e| die(&format!("cannot open store: {e}")));
-    let (_, elem, metric_name) = read_meta(&store);
-    let graph_key = if store.contains("opt/offsets") {
+    let s = Session::open(&store_dir);
+    let graph_key = if s.store.contains("opt/offsets") {
         "opt"
     } else {
         "knng"
     };
-    let graph = KnnGraph::load(&store, graph_key).unwrap_or_else(|e| die(&e.to_string()));
-    if l < 1 || l > graph.len() {
-        die(&format!(
-            "--l must be between 1 and the dataset size {} (got {l})",
-            graph.len()
-        ));
-    }
+    let graph = s.graph(graph_key);
+    check_l(l, graph.len());
     println!(
-        "serving {} graph: {} vertices, {} edges ({}, {metric_name})",
+        "serving {} graph: {} vertices, {} edges ({}, {})",
         graph_key,
         graph.len(),
         graph.edge_count(),
-        elem.name()
+        s.elem.name(),
+        s.metric
     );
 
     let gt_ids = if gt_file.is_empty() {
@@ -142,129 +126,42 @@ fn main() {
         Some(io::read_ivecs(&gt_file).unwrap_or_else(|e| die(&format!("bad --gt file: {e}"))))
     };
 
-    let summary = match elem {
-        Elem::F32 => {
-            let base = PointSet::<Vec<f32>>::load(&store, "dataset")
-                .unwrap_or_else(|e| die(&e.to_string()));
-            let (base, queries, graph) = if self_queries > 0 {
-                // Hold out the tail of the dataset as queries; trim the
-                // graph rows accordingly is NOT valid (ids shift), so for
-                // self-evaluation we re-query *member* points instead.
-                let queries = PointSet::new(base.points()[base.len() - self_queries..].to_vec());
-                (base, queries, graph)
-            } else if query_file.is_empty() {
-                die("provide --queries <file> or --self-queries <n>")
-            } else {
-                let queries = io::read_fvecs(&query_file)
-                    .unwrap_or_else(|e| die(&format!("bad --queries file: {e}")));
-                (base, queries, graph)
-            };
-            match metric_name.as_str() {
-                "l2" => run(
-                    base,
-                    &graph,
-                    dataset::L2,
-                    queries,
-                    gt_ids,
-                    l,
-                    epsilon,
-                    entries,
-                    tracer.as_ref(),
-                ),
-                "sql2" => run(
-                    base,
-                    &graph,
-                    dataset::SquaredL2,
-                    queries,
-                    gt_ids,
-                    l,
-                    epsilon,
-                    entries,
-                    tracer.as_ref(),
-                ),
-                "cosine" => run(
-                    base,
-                    &graph,
-                    dataset::Cosine,
-                    queries,
-                    gt_ids,
-                    l,
-                    epsilon,
-                    entries,
-                    tracer.as_ref(),
-                ),
-                "l1" => run(
-                    base,
-                    &graph,
-                    dataset::L1,
-                    queries,
-                    gt_ids,
-                    l,
-                    epsilon,
-                    entries,
-                    tracer.as_ref(),
-                ),
-                other => die(&format!("unknown metric {other:?}")),
-            }
-        }
-        Elem::U8 => {
-            let base = PointSet::<Vec<u8>>::load(&store, "dataset")
-                .unwrap_or_else(|e| die(&e.to_string()));
-            let queries = if self_queries > 0 {
-                PointSet::new(base.points()[base.len() - self_queries..].to_vec())
-            } else if query_file.is_empty() {
-                die("provide --queries <file> or --self-queries <n>")
-            } else {
-                io::read_bvecs(&query_file)
-                    .unwrap_or_else(|e| die(&format!("bad --queries file: {e}")))
-            };
-            run(
-                base,
-                &graph,
-                dataset::L2,
-                queries,
-                gt_ids,
-                l,
-                epsilon,
-                entries,
-                tracer.as_ref(),
-            )
-        }
-    };
+    let dispatch = dataset::with_metric!(s.elem.name(), s.metric.as_str(), P, metric => {
+        let base = s.base::<P>();
+        // Trimming the graph to hold points out is not valid (ids shift),
+        // so self-evaluation re-queries *member* points.
+        let queries = query_pool(&base, &query_file, self_queries, "self-queries");
+        run(
+            base,
+            &graph,
+            metric,
+            queries,
+            gt_ids,
+            l,
+            epsilon,
+            entries,
+            tracer.as_deref(),
+        )
+    });
+    let summary = or_die(dispatch);
 
-    if let Some(t) = &tracer {
-        if !outs.trace.is_empty() {
-            std::fs::write(&outs.trace, obs::chrome::chrome_trace_json(t))
-                .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", outs.trace)));
-            println!("trace written to {}", outs.trace);
-        }
-        if outs.wants_report() {
-            let mut rr = obs::RunReport::new("dnnd-query");
-            rr.n_ranks = 1;
-            rr.wall_secs = summary.secs;
-            rr.distance_evals = summary.distance_evals;
-            rr.recall = Some(summary.recall);
-            rr.param("store", &store_dir)
-                .param("l", l)
-                .param("epsilon", epsilon)
-                .param("entries", entries)
-                .param("metric", &metric_name)
-                .param("graph", graph_key);
-            rr.extra.push(("qps".into(), summary.qps));
-            rr.extra
-                .push(("n_queries".into(), summary.n_queries as f64));
-            rr.add_histograms(&t.hist_snapshots());
-            rr.set_dropped_spans(t.dropped_events() as u64);
-            if !outs.report.is_empty() {
-                std::fs::write(&outs.report, rr.to_json_string())
-                    .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", outs.report)));
-                println!("run report written to {}", outs.report);
-            }
-            if !outs.dashboard.is_empty() {
-                std::fs::write(&outs.dashboard, obs::dashboard::dashboard_html(&rr))
-                    .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", outs.dashboard)));
-                println!("dashboard written to {}", outs.dashboard);
-            }
-        }
-    }
+    let run_report = || {
+        let mut rr = obs::RunReport::new("dnnd-query");
+        rr.n_ranks = 1;
+        rr.wall_secs = summary.secs;
+        rr.distance_evals = summary.distance_evals;
+        rr.recall = Some(summary.recall);
+        rr.param("store", &store_dir)
+            .param("l", l)
+            .param("epsilon", epsilon)
+            .param("entries", entries)
+            .param("metric", &s.metric)
+            .param("graph", graph_key);
+        rr.extra.push(("qps".into(), summary.qps));
+        rr.extra
+            .push(("n_queries".into(), summary.n_queries as f64));
+        dnnd::obs_report::attach_histograms(&mut rr, tracer.as_deref());
+        rr
+    };
+    or_die(outs.write(tracer.as_deref(), run_report));
 }

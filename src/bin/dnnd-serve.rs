@@ -26,58 +26,31 @@
 //! trace, unified run report (with the `serving` section), and the HTML
 //! dashboard (with the serving SLO panel).
 
-use bench::Args;
-use dataset::batch::BatchMetric;
-use dataset::io;
-use dataset::point::Point;
-use dataset::PointSet;
-use dnnd_repro::cli::{die, parse_fault_plan, read_meta, Elem, ObsOuts};
+use bench::{Args, ObsOuts};
+use dnnd_repro::cli::{
+    check_l, die, or_die, parse_fault_plan, query_pool, require_at_least_1, store_flag, Session,
+};
 use metall::Store;
-use nnd::KnnGraph;
-use serve::cache::QuantizeKey;
 use serve::{
-    attach_forensics, attach_serving, attach_vdb, run_serve, run_serve_vdb, GraphMode,
-    ServeOutcome, ServeParams, VdbServeConfig,
+    attach_forensics, attach_serving, attach_vdb, run_serve, run_serve_vdb, GraphMode, ServeParams,
+    VdbServeConfig,
 };
 use std::path::Path;
 use std::sync::Arc;
-use ygm::{World, WorldReport};
-
-fn serve_generic<P, M>(
-    world: &World,
-    base: PointSet<P>,
-    graph: KnnGraph,
-    pool: PointSet<P>,
-    metric: M,
-    params: &ServeParams,
-) -> (ServeOutcome, WorldReport<()>)
-where
-    P: Point + QuantizeKey,
-    M: BatchMetric<P>,
-{
-    run_serve(
-        world,
-        &Arc::new(base),
-        &Arc::new(graph),
-        &Arc::new(pool),
-        &metric,
-        params,
-    )
-}
+use ygm::World;
 
 fn main() {
     let args = Args::parse();
-    let store_dir: String = args.get("store", String::new());
-    if store_dir.is_empty() {
-        die("--store <dir> is required");
-    }
+    let store_dir = store_flag(&args);
     let ranks: usize = args.get("ranks", 2);
     let pool_n: usize = args.get("pool", 32);
     let query_file: String = args.get("queries", String::new());
+    let l: usize = args.get("l", 10);
+    require_at_least_1(&[("ranks", ranks as u64), ("l", l as u64)]);
 
     // Serving parameters: filled directly from flags, then validated in
     // one place so a bad flag dies with the invariant it broke.
-    let mut params = ServeParams::new(args.get("l", 10));
+    let mut params = ServeParams::new(l);
     params.search.epsilon = args.get("epsilon", 0.1f32);
     params.search.entry_candidates = args.get("entries", 24);
     params.serve_seed = args.get("serve-seed", 0x5E27Eu64);
@@ -111,13 +84,7 @@ fn main() {
     let fault_profile: String = args.get("fault-profile", String::new());
     let sim_seed: u64 = args.get("sim-seed", 0);
     let outs = ObsOuts::parse(&args);
-    let tracer = if outs.any() {
-        let t = Arc::new(obs::Tracer::new(ranks));
-        t.set_flows_enabled(outs.flows);
-        Some(t)
-    } else {
-        None
-    };
+    let tracer = outs.tracer(ranks);
     let mut world = World::new(ranks);
     if let Some(plan) = parse_fault_plan(&fault_profile, sim_seed) {
         world = world.fault_plan(plan);
@@ -162,15 +129,8 @@ fn main() {
         let collection = vdb::Collection::open(&store, &namespace)
             .unwrap_or_else(|e| die(&format!("cannot open namespace {namespace:?}: {e}")));
         let metric_name = collection.metric().to_string();
-        let pool = if query_file.is_empty() {
-            if pool_n == 0 || pool_n >= collection.base.len() {
-                die("need 0 < --pool < N");
-            }
-            let tail = collection.base.len() - pool_n;
-            PointSet::new(collection.base.points()[tail..].to_vec())
-        } else {
-            io::read_fvecs(&query_file).unwrap_or_else(|e| die(&format!("bad --queries file: {e}")))
-        };
+        check_l(l, collection.base.len());
+        let pool = Arc::new(query_pool(&collection.base, &query_file, pool_n, "pool"));
         println!(
             "serving namespace {:?} online: {} points ({} live), epoch {}, k={} ({metric_name}, {ranks} ranks)",
             namespace,
@@ -182,40 +142,19 @@ fn main() {
         drop(collection);
         drop(store);
 
-        let pool = Arc::new(pool);
         let dir = Path::new(&store_dir);
-        let (outcome, cstat, wr) = match metric_name.as_str() {
-            "l2" => run_serve_vdb(&world, dir, &namespace, &pool, &dataset::L2, &params, &cfg),
-            "sql2" => run_serve_vdb(
-                &world,
-                dir,
-                &namespace,
-                &pool,
-                &dataset::SquaredL2,
-                &params,
-                &cfg,
-            ),
-            "cosine" => run_serve_vdb(
-                &world,
-                dir,
-                &namespace,
-                &pool,
-                &dataset::Cosine,
-                &params,
-                &cfg,
-            ),
-            "l1" => run_serve_vdb(&world, dir, &namespace, &pool, &dataset::L1, &params, &cfg),
-            other => die(&format!("unknown metric {other:?}")),
-        };
+        let (outcome, cstat, wr) = or_die(
+            dataset::with_metric!("f32", metric_name.as_str(), P, metric => {
+                run_serve_vdb(&world, dir, &namespace, &pool, &metric, &params, &cfg)
+            }),
+        );
         println!(
             "namespace after run: {} points ({} live, {} tombstones, {} dead), epoch {}",
             cstat.points, cstat.live, cstat.tombstones, cstat.dead, cstat.epoch
         );
         (outcome, wr, metric_name, "vdb")
     } else {
-        let store =
-            Store::open(&store_dir).unwrap_or_else(|e| die(&format!("cannot open store: {e}")));
-        let (_, elem, metric_name) = read_meta(&store);
+        let s = Session::open(&store_dir);
         let mode = GraphMode::from_name(&mode_name).unwrap_or_else(|| {
             die(&format!(
                 "unknown --graph {mode_name:?} (expected one of {:?})",
@@ -223,56 +162,33 @@ fn main() {
             ))
         });
         let graph_key = mode
-            .resolve(|prefix| store.contains(&format!("{prefix}/offsets")))
+            .resolve(|prefix| s.store.contains(&format!("{prefix}/offsets")))
             .unwrap_or_else(|e| die(&e));
-        let graph = KnnGraph::load(&store, graph_key).unwrap_or_else(|e| die(&e.to_string()));
+        let graph = s.graph(graph_key);
+        check_l(l, graph.len());
         println!(
-            "serving {} graph online: {} vertices, {} edges ({}, {metric_name}, {ranks} ranks)",
+            "serving {} graph online: {} vertices, {} edges ({}, {}, {ranks} ranks)",
             graph_key,
             graph.len(),
             graph.edge_count(),
-            elem.name()
+            s.elem.name(),
+            s.metric
         );
 
-        let (outcome, wr) = match elem {
-            Elem::F32 => {
-                let base = PointSet::<Vec<f32>>::load(&store, "dataset")
-                    .unwrap_or_else(|e| die(&e.to_string()));
-                let pool = if query_file.is_empty() {
-                    // Re-query member points from the tail of the dataset (the
-                    // graph indexes all of base, so ids stay valid).
-                    if pool_n == 0 || pool_n >= base.len() {
-                        die("need 0 < --pool < N");
-                    }
-                    PointSet::new(base.points()[base.len() - pool_n..].to_vec())
-                } else {
-                    io::read_fvecs(&query_file)
-                        .unwrap_or_else(|e| die(&format!("bad --queries file: {e}")))
-                };
-                match metric_name.as_str() {
-                    "l2" => serve_generic(&world, base, graph, pool, dataset::L2, &params),
-                    "sql2" => serve_generic(&world, base, graph, pool, dataset::SquaredL2, &params),
-                    "cosine" => serve_generic(&world, base, graph, pool, dataset::Cosine, &params),
-                    "l1" => serve_generic(&world, base, graph, pool, dataset::L1, &params),
-                    other => die(&format!("unknown metric {other:?}")),
-                }
-            }
-            Elem::U8 => {
-                let base = PointSet::<Vec<u8>>::load(&store, "dataset")
-                    .unwrap_or_else(|e| die(&e.to_string()));
-                let pool = if query_file.is_empty() {
-                    if pool_n == 0 || pool_n >= base.len() {
-                        die("need 0 < --pool < N");
-                    }
-                    PointSet::new(base.points()[base.len() - pool_n..].to_vec())
-                } else {
-                    io::read_bvecs(&query_file)
-                        .unwrap_or_else(|e| die(&format!("bad --queries file: {e}")))
-                };
-                serve_generic(&world, base, graph, pool, dataset::L2, &params)
-            }
-        };
-        (outcome, wr, metric_name, graph_key)
+        let dispatch = dataset::with_metric!(s.elem.name(), s.metric.as_str(), P, metric => {
+            let base = s.base::<P>();
+            let pool = query_pool(&base, &query_file, pool_n, "pool");
+            run_serve(
+                &world,
+                &Arc::new(base),
+                &Arc::new(graph),
+                &Arc::new(pool),
+                &metric,
+                &params,
+            )
+        });
+        let (outcome, wr) = or_die(dispatch);
+        (outcome, wr, s.metric, graph_key)
     };
 
     let s = &outcome.stats;
@@ -346,53 +262,36 @@ fn main() {
         println!("slow-query log written to {slow_log}");
     }
 
-    if outs.any() {
-        if let Some(t) = &tracer {
-            if !outs.trace.is_empty() {
-                dnnd::obs_report::write_trace(&outs.trace, t)
-                    .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", outs.trace)));
-                println!("trace written to {}", outs.trace);
-            }
+    let run_report = || {
+        let mut rr = dnnd::obs_report::report_from_world("dnnd-serve", ranks, &wr);
+        attach_serving(&mut rr, s);
+        attach_forensics(&mut rr, f);
+        attach_vdb(&mut rr, s);
+        dnnd::obs_report::attach_histograms(&mut rr, tracer.as_deref());
+        dnnd::obs_report::attach_series(&mut rr, tracer.as_deref());
+        rr.param("store", &store_dir)
+            .param("l", params.search.l)
+            .param("epsilon", params.search.epsilon)
+            .param("serve_seed", params.serve_seed)
+            .param("qps", params.offered_qps)
+            .param("arrivals", params.n_arrivals)
+            .param("batch", params.batch)
+            .param("deadline_slots", params.deadline_slots)
+            .param("metric", &metric_name)
+            .param("graph", graph_key);
+        if !workload_spec.is_empty() {
+            rr.param("workload", params.workload.to_string());
         }
-        if outs.wants_report() {
-            let mut rr = dnnd::obs_report::report_from_world("dnnd-serve", ranks, &wr);
-            attach_serving(&mut rr, s);
-            attach_forensics(&mut rr, f);
-            attach_vdb(&mut rr, s);
-            dnnd::obs_report::attach_histograms(&mut rr, tracer.as_deref());
-            dnnd::obs_report::attach_series(&mut rr, tracer.as_deref());
-            rr.param("store", &store_dir)
-                .param("l", params.search.l)
-                .param("epsilon", params.search.epsilon)
-                .param("serve_seed", params.serve_seed)
-                .param("qps", params.offered_qps)
-                .param("arrivals", params.n_arrivals)
-                .param("batch", params.batch)
-                .param("deadline_slots", params.deadline_slots)
-                .param("metric", &metric_name)
-                .param("graph", graph_key);
-            if !workload_spec.is_empty() {
-                rr.param("workload", params.workload.to_string());
-            }
-            if !namespace.is_empty() {
-                rr.param("namespace", &namespace);
-            }
-            if !filter_text.is_empty() {
-                rr.param("filter", &filter_text);
-            }
-            if !fault_profile.is_empty() && fault_profile != "none" {
-                rr.param("fault_profile", &fault_profile);
-            }
-            if !outs.report.is_empty() {
-                dnnd::obs_report::write_report(&outs.report, &rr)
-                    .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", outs.report)));
-                println!("run report written to {}", outs.report);
-            }
-            if !outs.dashboard.is_empty() {
-                dnnd::obs_report::write_dashboard(&outs.dashboard, &rr)
-                    .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", outs.dashboard)));
-                println!("dashboard written to {}", outs.dashboard);
-            }
+        if !namespace.is_empty() {
+            rr.param("namespace", &namespace);
         }
-    }
+        if !filter_text.is_empty() {
+            rr.param("filter", &filter_text);
+        }
+        if !fault_profile.is_empty() && fault_profile != "none" {
+            rr.param("fault_profile", &fault_profile);
+        }
+        rr
+    };
+    or_die(outs.write(tracer.as_deref(), run_report));
 }

@@ -20,7 +20,7 @@
 use bench::Args;
 use dataset::synth::MixtureParams;
 use dataset::{io, PointId, PointSet};
-use dnnd_repro::cli::die;
+use dnnd_repro::cli::{die, or_die, store_flag};
 use metall::Store;
 use vdb::{Collection, MetaRecord, Predicate};
 
@@ -84,10 +84,9 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .unwrap_or_else(|| die(USAGE));
     let args = Args::parse();
-    let store_dir: String = args.get("store", String::new());
-    if store_dir.is_empty() {
-        die("--store <dir> is required");
-    }
+    let store_dir = store_flag(&args);
+    let open =
+        || Store::open(&store_dir).unwrap_or_else(|e| die(&format!("cannot open store: {e}")));
     let ns: String = args.get("namespace", String::new());
     let need_ns = || {
         if ns.is_empty() {
@@ -105,38 +104,35 @@ fn main() {
             let metric: String = args.get("metric", "l2".to_string());
             let k: usize = args.get("k", 10);
             args.finish();
+            // Built (and so namespace, metric and `k` checked) before the
+            // store is created: a refused create leaves no directory.
+            let c = or_die(Collection::create(ns, points, meta, &metric, k, seed));
             let mut store = Store::open_or_create(&store_dir)
                 .unwrap_or_else(|e| die(&format!("cannot open store: {e}")));
             if Collection::exists(&store, ns) {
                 die(&format!("namespace {ns:?} already exists"));
             }
-            let c =
-                Collection::create(ns, points, meta, &metric, k, seed).unwrap_or_else(|e| die(&e));
-            c.save(&mut store).unwrap_or_else(|e| die(&e));
+            or_die(c.save(&mut store));
             print_stat(&c, "");
         }
         "ingest" => {
             let ns = need_ns();
-            let mut store =
-                Store::open(&store_dir).unwrap_or_else(|e| die(&format!("cannot open store: {e}")));
-            let mut c = Collection::open(&store, ns).unwrap_or_else(|e| die(&e));
+            let mut store = open();
+            let mut c = or_die(Collection::open(&store, ns));
             let points = load_vectors(&args, seed);
             let start = c.stat().points;
             let meta = meta_for(&args, seed, start..start + points.len() as u64);
             let refine: usize = args.get("refine-iters", 1);
             args.finish();
-            let range = c
-                .ingest(points.points().to_vec(), meta, refine)
-                .unwrap_or_else(|e| die(&e));
-            c.save(&mut store).unwrap_or_else(|e| die(&e));
+            let range = or_die(c.ingest(points.points().to_vec(), meta, refine));
+            or_die(c.save(&mut store));
             println!("ingested ids {}..{}", range.start, range.end);
             print_stat(&c, "");
         }
         "delete" => {
             let ns = need_ns();
-            let mut store =
-                Store::open(&store_dir).unwrap_or_else(|e| die(&format!("cannot open store: {e}")));
-            let mut c = Collection::open(&store, ns).unwrap_or_else(|e| die(&e));
+            let mut store = open();
+            let mut c = or_die(Collection::open(&store, ns));
             let ids_text: String = args.get("ids", String::new());
             args.finish();
             let ids: Vec<PointId> = ids_text
@@ -151,19 +147,18 @@ fn main() {
             if ids.is_empty() {
                 die("--ids <id,id,...> is required for delete");
             }
-            let n = c.delete(&ids).unwrap_or_else(|e| die(&e));
-            c.save(&mut store).unwrap_or_else(|e| die(&e));
+            let n = or_die(c.delete(&ids));
+            or_die(c.save(&mut store));
             println!("tombstoned {n} ids");
             print_stat(&c, "");
         }
         "compact" => {
             let ns = need_ns();
             args.finish();
-            let mut store =
-                Store::open(&store_dir).unwrap_or_else(|e| die(&format!("cannot open store: {e}")));
-            let mut c = Collection::open(&store, ns).unwrap_or_else(|e| die(&e));
-            let rep = c.compact().unwrap_or_else(|e| die(&e));
-            c.save(&mut store).unwrap_or_else(|e| die(&e));
+            let mut store = open();
+            let mut c = or_die(Collection::open(&store, ns));
+            let rep = or_die(c.compact());
+            or_die(c.save(&mut store));
             println!(
                 "compacted: {} tombstones cleared, {} rows repaired, epoch now {}",
                 rep.tombstones_cleared, rep.rows_repaired, rep.epoch
@@ -171,8 +166,7 @@ fn main() {
             print_stat(&c, "");
         }
         "stat" => {
-            let store =
-                Store::open(&store_dir).unwrap_or_else(|e| die(&format!("cannot open store: {e}")));
+            let store = open();
             let filter: String = args.get("filter", String::new());
             args.finish();
             let names = if ns.is_empty() {
@@ -185,7 +179,7 @@ fn main() {
                 vec![ns.clone()]
             };
             for name in names {
-                let c = Collection::open(&store, &name).unwrap_or_else(|e| die(&e));
+                let c = or_die(Collection::open(&store, &name));
                 print_stat(&c, &filter);
             }
         }

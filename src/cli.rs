@@ -1,7 +1,7 @@
 //! Shared plumbing for the command-line executables (`dnnd-construct`,
-//! `dnnd-optimize`, `dnnd-query`) — the paper's Section 5.1.3 artifact
-//! shape: separate construction and optimization programs communicating
-//! through a persistent store, plus a query program.
+//! `dnnd-optimize`, `dnnd-query`, `dnnd-serve`, `dnnd-vdb`) — the paper's
+//! Section 5.1.3 artifact shape: separate construction and optimization
+//! programs communicating through a persistent store, plus query programs.
 //!
 //! A store produced by `dnnd-construct` holds:
 //!
@@ -14,13 +14,18 @@
 //! opt/...        KnnGraph      written by dnnd-optimize (reverse-prune)
 //! rnn/...        KnnGraph      written by dnnd-optimize --opt-mode rnn
 //! ```
+//!
+//! [`Session`] is the one reader of that layout; `dataset::with_metric!`
+//! is the one dispatch from the stored `(elem, metric)` pair to typed code.
 
 pub use bench::die;
+use bench::Args;
 use dataset::io;
-use dataset::metric::Metric;
+use dataset::point::Point;
 use dataset::set::PointSet;
-use dataset::synth::split_queries;
-use metall::Store;
+use metall::{Persist, Result as StoreResult, Store};
+use nnd::KnnGraph;
+use std::fmt::Display;
 use std::path::Path;
 
 /// Which dense element type a store holds.
@@ -51,134 +56,178 @@ impl Elem {
     }
 }
 
-/// Supported metric names for dense data on the CLI.
-pub const METRIC_NAMES: &[&str] = &["l2", "sql2", "cosine", "l1"];
-
-/// The observability output paths every executable accepts
-/// (`--trace-out`, `--report-out`, `--dashboard-out`); empty = not asked
-/// for. Any one of them requires a tracer on the run.
-#[derive(Debug, Clone, Default)]
-pub struct ObsOuts {
-    /// Chrome-trace / Perfetto span timeline destination.
-    pub trace: String,
-    /// Unified JSON run-report destination.
-    pub report: String,
-    /// Self-contained HTML dashboard destination.
-    pub dashboard: String,
-    /// Whether cross-rank flow events are recorded (`--trace-flows`,
-    /// `on` by default; `off` drops the `ph:"s"/"f"` arrow pairs from the
-    /// exported trace, shrinking it when only spans are wanted).
-    pub flows: bool,
+/// Unwrap, or exit 2 with the error as the one `error:` line.
+pub fn or_die<T, E: Display>(result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| die(&e.to_string()))
 }
 
-impl ObsOuts {
-    /// Read the observability flags from parsed CLI arguments.
-    pub fn parse(args: &bench::Args) -> ObsOuts {
-        let flows = args.get("trace-flows", "on".to_string());
-        match flows.as_str() {
-            "on" | "off" => {}
-            other => die(&format!(
-                "invalid --trace-flows value {other:?} (expected \"on\" or \"off\")"
-            )),
-        }
-        ObsOuts {
-            trace: args.get("trace-out", String::new()),
-            report: args.get("report-out", String::new()),
-            dashboard: args.get("dashboard-out", String::new()),
-            flows: flows != "off",
+/// The required `--store <dir>` flag.
+pub fn store_flag(args: &Args) -> String {
+    let dir: String = args.get("store", String::new());
+    if dir.is_empty() {
+        die("--store <dir> is required");
+    }
+    dir
+}
+
+/// Count-valued flags the builders assert to be positive.
+pub fn require_at_least_1(flags: &[(&str, u64)]) {
+    for (flag, value) in flags {
+        if *value == 0 {
+            die(&format!("--{flag} must be at least 1 (got 0)"));
         }
     }
-
-    /// Whether any output was requested (i.e. the run needs a tracer).
-    pub fn any(&self) -> bool {
-        !self.trace.is_empty() || !self.report.is_empty() || !self.dashboard.is_empty()
-    }
-
-    /// Whether a `RunReport` must be assembled (report or dashboard).
-    pub fn wants_report(&self) -> bool {
-        !self.report.is_empty() || !self.dashboard.is_empty()
-    }
 }
 
-/// Dispatch a dense-f32 metric name to a monomorphized call.
-pub fn with_f32_metric<R>(name: &str, f: impl FnOnce(&dyn DynMetricF32) -> R) -> R {
-    match name {
-        "l2" => f(&dataset::L2),
-        "sql2" => f(&dataset::SquaredL2),
-        "cosine" => f(&dataset::Cosine),
-        "l1" => f(&dataset::L1),
-        other => die(&format!(
-            "unknown metric {other:?} (expected one of {METRIC_NAMES:?})"
-        )),
+/// `--l` against the number of indexed points.
+pub fn check_l(l: usize, n: usize) {
+    if l < 1 || l > n {
+        die(&format!(
+            "--l must be between 1 and the dataset size {n} (got {l})"
+        ));
     }
 }
 
-/// Object-safe shim over `Metric<Vec<f32>>` — the CLI only needs dispatch,
-/// not generic performance, at its boundaries; inner loops re-monomorphize.
-pub trait DynMetricF32 {
-    /// Metric name (matches the constructor name).
-    fn name(&self) -> &'static str;
+/// A point type a store's `dataset/` can hold: where its sets come from.
+pub trait StoredPoint: Point {
+    /// `--input`: a file by extension, or a synthetic `preset:NAME`.
+    fn read_input(input: &str, n: usize, seed: u64) -> PointSet<Self>;
+    /// A `--queries` file.
+    fn read_queries(path: &str) -> std::io::Result<PointSet<Self>>;
+    /// The stored `dataset/`.
+    fn load(store: &Store) -> StoreResult<PointSet<Self>>;
+    /// Write `dataset/`.
+    fn save(set: &PointSet<Self>, store: &mut Store) -> StoreResult<()>;
 }
 
-impl<M: Metric<Vec<f32>>> DynMetricF32 for M {
-    fn name(&self) -> &'static str {
-        Metric::<Vec<f32>>::name(self)
-    }
-}
-
-/// Load a dense f32 dataset from a file by extension, or a synthetic
-/// preset by `preset:NAME` syntax.
-pub fn load_f32(input: &str, n: usize, seed: u64) -> PointSet<Vec<f32>> {
-    if let Some(preset) = input.strip_prefix("preset:") {
-        return match preset {
-            "deep1b" => dataset::presets::deep1b_like(n, seed),
-            "glove25" => dataset::presets::glove25_like(n, seed),
-            "nytimes" => dataset::presets::nytimes_like(n, seed),
-            "lastfm" => dataset::presets::lastfm_like(n, seed),
-            "fashion-mnist" => dataset::presets::fashion_mnist_like(n, seed),
-            "mnist" => dataset::presets::mnist_like(n, seed),
-            other => die(&format!("unknown f32 preset {other:?}")),
+impl StoredPoint for Vec<f32> {
+    fn read_input(input: &str, n: usize, seed: u64) -> PointSet<Self> {
+        if let Some(preset) = input.strip_prefix("preset:") {
+            return match preset {
+                "deep1b" => dataset::presets::deep1b_like(n, seed),
+                "glove25" => dataset::presets::glove25_like(n, seed),
+                "nytimes" => dataset::presets::nytimes_like(n, seed),
+                "lastfm" => dataset::presets::lastfm_like(n, seed),
+                "fashion-mnist" => dataset::presets::fashion_mnist_like(n, seed),
+                "mnist" => dataset::presets::mnist_like(n, seed),
+                other => die(&format!("unknown f32 preset {other:?}")),
+            };
+        }
+        let path = Path::new(input);
+        let result = match path.extension().and_then(|e| e.to_str()) {
+            Some("fvecs") => io::read_fvecs(path),
+            Some("fbin") => io::read_fbin(path),
+            other => die(&format!("unsupported f32 input extension {other:?}")),
         };
+        result.unwrap_or_else(|e| die(&format!("failed to read {input}: {e}")))
     }
-    let path = Path::new(input);
-    let result = match path.extension().and_then(|e| e.to_str()) {
-        Some("fvecs") => io::read_fvecs(path),
-        Some("fbin") => io::read_fbin(path),
-        other => die(&format!("unsupported f32 input extension {other:?}")),
-    };
-    result.unwrap_or_else(|e| die(&format!("failed to read {input}: {e}")))
+    fn read_queries(path: &str) -> std::io::Result<PointSet<Self>> {
+        io::read_fvecs(path)
+    }
+    fn load(store: &Store) -> StoreResult<PointSet<Self>> {
+        PointSet::<Vec<f32>>::load(store, "dataset")
+    }
+    fn save(set: &PointSet<Self>, store: &mut Store) -> StoreResult<()> {
+        set.save(store, "dataset")
+    }
 }
 
-/// Load a dense u8 dataset from a file by extension, or `preset:bigann`.
-pub fn load_u8(input: &str, n: usize, seed: u64) -> PointSet<Vec<u8>> {
-    if let Some(preset) = input.strip_prefix("preset:") {
-        return match preset {
-            "bigann" => dataset::presets::bigann_like(n, seed),
-            other => die(&format!("unknown u8 preset {other:?}")),
+impl StoredPoint for Vec<u8> {
+    fn read_input(input: &str, n: usize, seed: u64) -> PointSet<Self> {
+        if let Some(preset) = input.strip_prefix("preset:") {
+            return match preset {
+                "bigann" => dataset::presets::bigann_like(n, seed),
+                other => die(&format!("unknown u8 preset {other:?}")),
+            };
+        }
+        let path = Path::new(input);
+        let result = match path.extension().and_then(|e| e.to_str()) {
+            Some("bvecs") => io::read_bvecs(path),
+            Some("u8bin") => io::read_u8bin(path),
+            other => die(&format!("unsupported u8 input extension {other:?}")),
         };
+        result.unwrap_or_else(|e| die(&format!("failed to read {input}: {e}")))
     }
-    let path = Path::new(input);
-    let result = match path.extension().and_then(|e| e.to_str()) {
-        Some("bvecs") => io::read_bvecs(path),
-        Some("u8bin") => io::read_u8bin(path),
-        other => die(&format!("unsupported u8 input extension {other:?}")),
-    };
-    result.unwrap_or_else(|e| die(&format!("failed to read {input}: {e}")))
+    fn read_queries(path: &str) -> std::io::Result<PointSet<Self>> {
+        io::read_bvecs(path)
+    }
+    fn load(store: &Store) -> StoreResult<PointSet<Self>> {
+        PointSet::<Vec<u8>>::load(store, "dataset")
+    }
+    fn save(set: &PointSet<Self>, store: &mut Store) -> StoreResult<()> {
+        set.save(store, "dataset")
+    }
 }
 
-/// Read the store's metadata triple `(k, elem, metric)`.
-pub fn read_meta(store: &Store) -> (usize, Elem, String) {
-    let k: u64 = store
-        .get("meta/k")
-        .unwrap_or_else(|e| die(&format!("store missing meta/k: {e}")));
-    let elem: String = store
-        .get("meta/elem")
-        .unwrap_or_else(|e| die(&format!("store missing meta/elem: {e}")));
-    let metric: String = store
-        .get("meta/metric")
-        .unwrap_or_else(|e| die(&format!("store missing meta/metric: {e}")));
-    let elem = Elem::from_name(&elem).unwrap_or_else(|| die(&format!("bad meta/elem {elem:?}")));
-    (k as usize, elem, metric)
+/// The query set of a run over `base`: the `--queries` file when given,
+/// else the last `n` member points re-queried (the graph indexes all of
+/// `base`, so ids stay valid), which needs `0 < n < N`; `flag` names `n`.
+pub fn query_pool<P: StoredPoint>(
+    base: &PointSet<P>,
+    file: &str,
+    n: usize,
+    flag: &str,
+) -> PointSet<P> {
+    if !file.is_empty() {
+        return P::read_queries(file).unwrap_or_else(|e| die(&format!("bad --queries file: {e}")));
+    }
+    if n == 0 || n >= base.len() {
+        die(&format!(
+            "--{flag} must be above 0 and below the dataset size {} (got {n}), \
+             unless --queries <file> is given",
+            base.len()
+        ));
+    }
+    PointSet::new(base.points()[base.len() - n..].to_vec())
+}
+
+/// One opened store: the layout above, read in one place.
+pub struct Session {
+    /// The open store.
+    pub store: Store,
+    /// `meta/k`: the construction `k`.
+    pub k: usize,
+    /// `meta/elem`.
+    pub elem: Elem,
+    /// `meta/metric`.
+    pub metric: String,
+}
+
+impl Session {
+    /// Open the store at `dir` and read its metadata.
+    pub fn open(dir: &str) -> Session {
+        fn meta<T: Persist>(store: &Store, key: &str) -> T {
+            store
+                .get(key)
+                .unwrap_or_else(|e| die(&format!("store missing {key}: {e}")))
+        }
+        let store = Store::open(dir).unwrap_or_else(|e| die(&format!("cannot open store: {e}")));
+        let k: u64 = meta(&store, "meta/k");
+        let elem: String = meta(&store, "meta/elem");
+        Session {
+            k: k as usize,
+            elem: Elem::from_name(&elem).unwrap_or_else(|| die(&format!("bad meta/elem {elem:?}"))),
+            metric: meta(&store, "meta/metric"),
+            store,
+        }
+    }
+
+    /// Record the metadata a later [`Session::open`] reads.
+    pub fn write_meta(store: &mut Store, k: usize, elem: Elem, metric: &str) -> StoreResult<()> {
+        store.put("meta/k", &(k as u64))?;
+        store.put("meta/elem", &elem.name().to_string())?;
+        store.put("meta/metric", &metric.to_string())
+    }
+
+    /// The graph stored under `key` (`knng`, `opt` or `rnn`).
+    pub fn graph(&self, key: &str) -> KnnGraph {
+        or_die(KnnGraph::load(&self.store, key))
+    }
+
+    /// The stored dataset, as the point type the dispatch chose.
+    pub fn base<P: StoredPoint>(&self) -> PointSet<P> {
+        or_die(P::load(&self.store))
+    }
 }
 
 /// Resolve the `--fault-profile` / `--sim-seed` pair into a fault plan.
@@ -198,18 +247,6 @@ pub fn parse_fault_plan(profile: &str, sim_seed: u64) -> Option<ygm::FaultPlan> 
     Some(ygm::FaultPlan::new(p, sim_seed))
 }
 
-/// Hold out `n_queries` random-suffix points when the user asks the CLI to
-/// self-evaluate (no query file).
-pub fn self_split<P: dataset::Point>(
-    set: PointSet<P>,
-    n_queries: usize,
-) -> (PointSet<P>, PointSet<P>) {
-    if n_queries == 0 || n_queries >= set.len() {
-        die("need 0 < queries < N for self-evaluation");
-    }
-    split_queries(set, n_queries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,11 +261,11 @@ mod tests {
 
     #[test]
     fn metric_dispatch_names() {
-        for &name in METRIC_NAMES {
-            let resolved = with_f32_metric(name, |m| m.name().to_lowercase());
-            // Display names differ in case/abbreviation but must resolve.
-            assert!(!resolved.is_empty(), "{name} resolved to nothing");
+        // Every name `Elem` can record is one the dispatch has arms for.
+        for &name in dataset::metric::METRIC_NAMES {
+            assert!(dataset::with_metric!(Elem::F32.name(), name, P, _m => ()).is_ok());
         }
+        assert!(dataset::with_metric!(Elem::U8.name(), "l2", P, _m => ()).is_ok());
     }
 
     #[test]
@@ -242,10 +279,10 @@ mod tests {
 
     #[test]
     fn presets_load_via_cli_path() {
-        let s = load_f32("preset:deep1b", 100, 3);
+        let s = Vec::<f32>::read_input("preset:deep1b", 100, 3);
         assert_eq!(s.len(), 100);
         assert_eq!(s.dim(), 96);
-        let b = load_u8("preset:bigann", 50, 3);
+        let b = Vec::<u8>::read_input("preset:bigann", 50, 3);
         assert_eq!(b.dim(), 128);
     }
 
@@ -255,7 +292,7 @@ mod tests {
         let p = dir.join(format!("cli-io-{}.fvecs", std::process::id()));
         let set = dataset::synth::uniform(20, 4, 1);
         io::write_fvecs(&p, &set).unwrap();
-        let back = load_f32(p.to_str().unwrap(), 0, 0);
+        let back = Vec::<f32>::read_input(p.to_str().unwrap(), 0, 0);
         assert_eq!(back, set);
         std::fs::remove_file(p).unwrap();
     }

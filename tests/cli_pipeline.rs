@@ -330,6 +330,62 @@ fn bad_flag_exits_2_on_every_binary() {
             format!("{on_fresh} --metric bogus"),
             "error: unknown metric \"bogus\" (expected one of [\"l2\", \"sql2\", \"cosine\", \"l1\"])",
         ),
+        // Flags the stored-run binaries pass to a builder that asserts its
+        // domain (each was a panic; `--m 0.5` a silent over-prune), and the
+        // member-point pool, which must leave the graph something to index.
+        (
+            env!("CARGO_BIN_EXE_dnnd-serve"),
+            format!("--store {store} --ranks 0"),
+            "error: --ranks must be at least 1 (got 0)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-serve"),
+            format!("--store {store} --l 0"),
+            "error: --l must be at least 1 (got 0)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-serve"),
+            format!("--store {store} --l 100000"),
+            "error: --l must be between 1 and the dataset size 200 (got 100000)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-query"),
+            format!("--store {store} --self-queries 200"),
+            "error: --self-queries must be above 0 and below the dataset size 200 (got 200), \
+             unless --queries <file> is given",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-serve"),
+            format!("--store {store} --pool 0"),
+            "error: --pool must be above 0 and below the dataset size 200 (got 0), \
+             unless --queries <file> is given",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-optimize"),
+            format!("--store {store} --opt-mode rnn --k0 0"),
+            "error: --k0 must be at least 1 (got 0)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-optimize"),
+            format!("--store {store} --m 0.5"),
+            "error: --m must be at least 1 (got 0.5)",
+        ),
+        // A refused `dnnd-vdb create` is refused before the store exists.
+        (
+            env!("CARGO_BIN_EXE_dnnd-vdb"),
+            format!("create --store {fresh} --namespace prod --synthetic 100 --k 0"),
+            "error: k = 0 out of range for 100 points",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-vdb"),
+            format!("create --store {fresh} --namespace prod --synthetic 100 --metric nope"),
+            "error: unknown metric \"nope\" (expected one of [\"l2\", \"sql2\", \"cosine\", \"l1\"])",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-vdb"),
+            format!("create --store {fresh} --namespace bad!name --synthetic 100"),
+            "error: invalid namespace \"bad!name\": want [A-Za-z0-9_-]{1,32}",
+        ),
         // A flag no binary looks up is a typo, not a feature left off:
         // checked once every lookup has happened, before anything is
         // opened for writing.
@@ -371,6 +427,65 @@ fn bad_flag_exits_2_on_every_binary() {
         assert_eq!(stderr.trim_end(), want, "{bin} {args}");
         assert_eq!(dir_listing(dir.path()), before, "{bin} {args} wrote");
         assert!(!dir.join("never-created").exists(), "{bin} {args}");
+    }
+}
+
+/// Every arm of the one `(elem, metric)` dispatch the other cases leave out
+/// (they are all f32 `l2`, or u8 without the rnn mode), driven from the
+/// binaries: construct, the rnn optimizer — whose report and dashboard go
+/// through the shared writer — and query.
+#[test]
+fn rnn_pipeline_on_every_other_dispatch_arm() {
+    for (tag, input, elem, metric) in [
+        ("rnn-u8", "preset:bigann", "u8", "l2"),
+        ("rnn-cosine", "preset:glove25", "f32", "cosine"),
+        ("rnn-sql2", "preset:deep1b", "f32", "sql2"),
+        ("rnn-l1", "preset:mnist", "f32", "l1"),
+    ] {
+        let dir = tmpdir(tag);
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (store, report, dash) = (path("store"), path("rnn.json"), path("rnn.html"));
+        let construct = format!(
+            "--input {input} --elem {elem} --metric {metric} --n 300 --k 8 --ranks 2 --store {store}"
+        );
+        let out = run_ok(
+            env!("CARGO_BIN_EXE_dnnd-construct"),
+            &construct.split(' ').collect::<Vec<_>>(),
+        );
+        assert!(out.contains(&format!("({elem}), metric {metric}")), "{out}");
+
+        let optimize = format!(
+            "--store {store} --opt-mode rnn --k0 8 --ranks 2 --report-out {report} --dashboard-out {dash}"
+        );
+        let out = run_ok(
+            env!("CARGO_BIN_EXE_dnnd-optimize"),
+            &optimize.split(' ').collect::<Vec<_>>(),
+        );
+        assert!(
+            out.contains(&format!("run report written to {report}")),
+            "{out}"
+        );
+        assert!(
+            out.contains(&format!("dashboard written to {dash}")),
+            "{out}"
+        );
+        let text = std::fs::read_to_string(&report).unwrap();
+        let rr = obs::RunReport::parse(&text).expect("rnn report parses");
+        assert_eq!(rr.binary, "dnnd-optimize");
+        let rnn = rr.rnn.expect("rnn section");
+        assert_eq!(rnn.k0, 8);
+        assert!(rr
+            .params
+            .contains(&("metric".to_string(), metric.to_string())));
+        assert!(std::fs::read_to_string(&dash).unwrap().contains("<html"));
+
+        let query = format!("--store {store} --self-queries 30 --l 8");
+        let out = run_ok(
+            env!("CARGO_BIN_EXE_dnnd-query"),
+            &query.split(' ').collect::<Vec<_>>(),
+        );
+        assert!(out.contains(&format!("({elem}, {metric})")), "{out}");
+        assert!(out.contains("recall@8"), "{out}");
     }
 }
 
