@@ -1,14 +1,12 @@
 //! Offline stand-in for the `crossbeam` crate (see `crates/shims/`).
 //!
-//! Provides the two pieces the simulated YGM runtime relies on:
+//! Provides the one piece the simulated YGM runtime relies on:
 //!
 //! * `channel::unbounded` — an MPMC unbounded channel whose `Sender` and
 //!   `Receiver` are both `Send + Sync` (std's mpsc does not guarantee a
 //!   `Sync` sender on older toolchains), built on a mutex-protected deque.
 //!   Throughput is adequate here because the runtime batches many RPCs per
 //!   channel message (aggregation buffers), so channel ops are rare.
-//! * `utils::CachePadded` — alignment wrapper that keeps hot atomics on
-//!   separate cache lines.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -92,45 +90,9 @@ pub mod channel {
     }
 }
 
-pub mod utils {
-    use std::ops::{Deref, DerefMut};
-
-    /// Pads and aligns a value to (at least) one cache line so neighbouring
-    /// hot atomics do not false-share.
-    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-    #[repr(align(128))]
-    pub struct CachePadded<T> {
-        value: T,
-    }
-
-    impl<T> CachePadded<T> {
-        pub const fn new(value: T) -> Self {
-            CachePadded { value }
-        }
-
-        pub fn into_inner(self) -> T {
-            self.value
-        }
-    }
-
-    impl<T> Deref for CachePadded<T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.value
-        }
-    }
-
-    impl<T> DerefMut for CachePadded<T> {
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.value
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::channel::{unbounded, TryRecvError};
-    use super::utils::CachePadded;
 
     #[test]
     fn channel_delivers_in_order() {
@@ -154,12 +116,5 @@ mod tests {
         let mut got: Vec<usize> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn cache_padded_is_aligned_and_transparent() {
-        let c = CachePadded::new(7u64);
-        assert_eq!(*c, 7);
-        assert!(std::mem::align_of::<CachePadded<u64>>() >= 128);
     }
 }

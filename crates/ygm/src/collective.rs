@@ -1,11 +1,9 @@
-//! Higher-level collectives built on the message path and the scratch-cell
-//! reducers in [`crate::comm::Comm`]: all-gather, gather-to-root, and
-//! element-wise vector reduction. YGM applications use these for the small
-//! control-plane exchanges around the bulk async traffic (e.g. collecting
-//! per-rank statistics, distributing global parameters).
+//! The collective built on the message path: all-gather. YGM applications
+//! use it for the small control-plane exchanges around the bulk async
+//! traffic (e.g. replicating per-rank results).
 //!
-//! All functions are SPMD collectives: every rank must call them at the
-//! same point with the same tag.
+//! It is an SPMD collective: every rank must call it at the same point with
+//! the same tag.
 
 use crate::codec::Wire;
 use crate::comm::Comm;
@@ -33,47 +31,6 @@ pub fn all_gather<T: Wire + Clone + 'static>(comm: &Comm, tag: u16, value: &T) -
     out
 }
 
-/// Gather one value per rank at `root`; other ranks receive `None`.
-pub fn gather<T: Wire + Clone + 'static>(
-    comm: &Comm,
-    tag: u16,
-    root: usize,
-    value: &T,
-) -> Option<Vec<T>> {
-    let slots: Rc<RefCell<Vec<Option<T>>>> = Rc::new(RefCell::new(vec![None; comm.n_ranks()]));
-    let sink = Rc::clone(&slots);
-    comm.register::<(u32, T), _>(tag, move |_, (src, v)| {
-        sink.borrow_mut()[src as usize] = Some(v);
-    });
-    comm.async_send(root, tag, &(comm.rank() as u32, value.clone()));
-    comm.barrier();
-    if comm.rank() == root {
-        Some(
-            slots
-                .borrow_mut()
-                .iter_mut()
-                .map(|s| s.take().expect("missing gather contribution"))
-                .collect(),
-        )
-    } else {
-        None
-    }
-}
-
-/// Element-wise sum of equal-length `u64` vectors across ranks; every rank
-/// receives the reduced vector. Built from repeated scalar all-reduces —
-/// fine for the short statistic vectors it is meant for.
-pub fn all_reduce_sum_vec(comm: &Comm, values: &[u64]) -> Vec<u64> {
-    // Length must agree across ranks; cheap collective check first.
-    let max_len = comm.all_reduce_max_u64(values.len() as u64) as usize;
-    assert_eq!(
-        values.len(),
-        max_len,
-        "all ranks must pass equal-length vectors"
-    );
-    values.iter().map(|&v| comm.all_reduce_sum_u64(v)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,29 +56,6 @@ mod tests {
             assert_eq!(r[0], vec![0u32]);
             assert_eq!(r[1], vec![1, 1]);
             assert_eq!(r[2], vec![2, 2, 2]);
-        }
-    }
-
-    #[test]
-    fn gather_only_root_receives() {
-        let report = World::new(4).run(|comm| gather(comm, TAG, 2, &(comm.rank() as u32)));
-        for (rank, r) in report.results.iter().enumerate() {
-            if rank == 2 {
-                assert_eq!(r.as_ref().unwrap(), &vec![0, 1, 2, 3]);
-            } else {
-                assert!(r.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn vector_reduce_sums_elementwise() {
-        let report = World::new(4).run(|comm| {
-            let mine = vec![comm.rank() as u64, 1, 10];
-            all_reduce_sum_vec(comm, &mine)
-        });
-        for r in &report.results {
-            assert_eq!(r, &vec![6, 4, 40]); // 0+1+2+3, 4x1, 4x10
         }
     }
 

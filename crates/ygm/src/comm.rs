@@ -17,20 +17,20 @@
 //!   sent/processed counters).
 //!
 //! The execution model is SPMD: every rank must execute the same sequence of
-//! collective operations (`barrier`, `all_reduce_*`, `broadcast_*`).
+//! collective operations (`barrier`, `all_reduce_sum_u64`, `broadcast*`),
+//! each of which is one meeting at the world's rendezvous (`crate::world`).
 //! Handlers must not call `poll`, `barrier`, or `register` (enforced by a
 //! `RefCell` borrow panic in debug and release).
 
 use crate::codec::{Encode, TraceCtx, Wire};
 use crate::cost::CostModel;
 use crate::fault::FaultCounters;
-use crate::stats::Tally;
-use crate::world::Shared;
+use crate::stats::{check_tag, Tally};
+use crate::world::{Meet, Outcome, Shared};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crossbeam::channel::Receiver;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Frame header: `u16` tag + `u32` payload length. Every message on the
@@ -153,15 +153,11 @@ pub struct Comm {
     /// Bitset of tags buffered per destination since its last flush, so
     /// one flow arrow is drawn per (frame, tag) rather than per message.
     pending_tags: RefCell<Vec<u64>>,
-    /// This rank's sends and compute charges since its last
-    /// [`Self::publish`]. Rank-private: the shared [`crate::Stats`] and the
-    /// `sent`/`processed` atomics only change at a barrier, and their only
-    /// readers (the quiescence test, the clock's phase advance) run
-    /// between the barrier's waits.
+    /// Everything this rank did since it last met the others — sends,
+    /// messages handled, compute and fault charges, fault events, tag names.
+    /// Rank-private; [`Self::meet`] hands it to the rendezvous, which is the
+    /// only way any of it reaches the world's counters.
     tally: RefCell<Tally>,
-    /// Messages handled since the last publish (messages sent are the
-    /// tally's total).
-    processed: Cell<u64>,
 }
 
 impl Comm {
@@ -182,7 +178,6 @@ impl Comm {
             flow_seq: RefCell::new(vec![0; n]),
             pending_tags: RefCell::new(vec![0; n]),
             tally: RefCell::new(Tally::new(n)),
-            processed: Cell::new(0),
         }
     }
 
@@ -244,9 +239,9 @@ impl Comm {
 
     fn install(&self, tag: u16, shim: Handler) {
         // Registration is where an out-of-range tag first becomes an
-        // error; `mark_tag_used` rejects it with a real panic (not just a
-        // debug assertion) before any message can be sent.
-        self.shared.stats.mark_tag_used(tag);
+        // error: a real panic (not just a debug assertion) before any
+        // message can be sent.
+        check_tag(tag);
         self.handlers.borrow_mut()[tag as usize] = Some(shim);
     }
 
@@ -266,7 +261,7 @@ impl Comm {
     /// call; last write wins). Also names the tag's flow arrows in trace
     /// exports.
     pub fn name_tag(&self, tag: u16, name: &str) {
-        self.shared.stats.name_tag(tag, name);
+        self.tally.borrow_mut().name_tag(tag, name);
         if let Some(t) = self.tracer() {
             t.name_tag(tag as u64, name);
         }
@@ -371,14 +366,6 @@ impl Comm {
         }
     }
 
-    /// Completed-barrier count on this rank — the parent span id stamped
-    /// into outgoing trace contexts. Identical across ranks at any
-    /// collective point (SPMD).
-    #[inline]
-    pub fn phase_index(&self) -> u64 {
-        self.phase_idx.get()
-    }
-
     /// Record one sample into the named histogram (no-op untraced).
     #[inline]
     pub fn trace_hist(&self, name: &str, value: u64) {
@@ -467,7 +454,7 @@ impl Comm {
                 nth
             };
             if !flush_now && fs.plan.jitter_flush(self.rank, dest, nth) {
-                FaultCounters::bump(&fs.counters.jittered_flushes);
+                self.count_fault(|f| &mut f.jittered_flushes);
                 flush_now = true;
             }
         }
@@ -563,7 +550,7 @@ impl Comm {
     fn transmit(&self, dest: usize, seq: u64, bytes: Bytes, ctx: TraceCtx, attempt: u32) {
         let fs = self.shared.fault.as_ref().expect("transmit without faults");
         if fs.plan.drop_frame(self.rank, dest, seq, attempt) {
-            FaultCounters::bump(&fs.counters.dropped);
+            self.count_fault(|f| &mut f.dropped);
             return; // the retransmit pump will try again next epoch
         }
         let pkt = Packet {
@@ -574,13 +561,11 @@ impl Comm {
             bytes,
         };
         if fs.plan.duplicate_frame(self.rank, dest, seq, attempt) {
-            FaultCounters::bump(&fs.counters.duplicated);
+            self.count_fault(|f| &mut f.duplicated);
             // The duplicate consumes real link capacity: charge transport-
             // level (phase) counters without touching application per-tag
             // stats.
-            self.shared
-                .stats
-                .record_transport(self.rank, dest, pkt.bytes.len());
+            self.tally.borrow_mut().add_transport(dest, pkt.bytes.len());
             self.shared.senders[dest]
                 .send(pkt.clone())
                 .expect("world channel closed while rank alive");
@@ -604,19 +589,17 @@ impl Comm {
             // this check the frame's messages would be handled twice AND
             // `processed` would overrun `sent`, wedging termination
             // detection (see the regression test in tests/fault_injection.rs).
-            FaultCounters::bump(&fs.counters.dedup_discards);
+            self.count_fault(|f| &mut f.dedup_discards);
             return 0;
         }
         let delay = fs
             .plan
             .delay_epochs(pkt.src, self.rank, pkt.seq, pkt.attempt);
         if delay > 0 {
-            FaultCounters::bump(&fs.counters.delayed);
+            self.count_fault(|f| &mut f.delayed);
             // The frame sits on the (virtual) wire for `delay` epochs;
             // charge the receiving rank so sim-time reflects the fault.
-            self.shared
-                .stats
-                .charge_fault(self.rank, self.shared.cost.delay_cost_ns(delay));
+            self.tally.borrow_mut().fault_ns += self.shared.cost.delay_cost_ns(delay);
             let fl = self.fault.as_ref().unwrap();
             let mut fl = fl.borrow_mut();
             let release = fl.epoch + delay as u64;
@@ -661,7 +644,7 @@ impl Comm {
                 }
             };
             if fs.edge(pkt.src, self.rank, n).is_delivered(pkt.seq) {
-                FaultCounters::bump(&fs.counters.dedup_discards);
+                self.count_fault(|f| &mut f.dedup_discards);
             } else {
                 handled += self.deliver_packet(pkt);
             }
@@ -682,7 +665,7 @@ impl Comm {
                     frame.attempt += 1;
                     if frame.attempt >= fs.plan.profile.max_faulty_attempts && !frame.forced {
                         frame.forced = true;
-                        FaultCounters::bump(&fs.counters.forced_deliveries);
+                        self.count_fault(|f| &mut f.forced_deliveries);
                     }
                     // Backoff 2, 4, 8, 8, ... epochs (same two-epoch floor
                     // as the initial send, so in-flight attempts are not
@@ -693,10 +676,8 @@ impl Comm {
             }
         }
         for (dest, seq, bytes, ctx, attempt) in resend {
-            FaultCounters::bump(&fs.counters.retransmits);
-            self.shared
-                .stats
-                .record_transport(self.rank, dest, bytes.len());
+            self.count_fault(|f| &mut f.retransmits);
+            self.tally.borrow_mut().add_transport(dest, bytes.len());
             self.transmit(dest, seq, bytes, ctx, attempt);
         }
         handled
@@ -716,10 +697,8 @@ impl Comm {
         }
         if fl.stall_counted != Some(epoch) {
             fl.stall_counted = Some(epoch);
-            FaultCounters::bump(&fs.counters.stalls);
-            self.shared
-                .stats
-                .charge_fault(self.rank, self.shared.cost.delay_cost_ns(1));
+            self.count_fault(|f| &mut f.stalls);
+            self.tally.borrow_mut().fault_ns += self.shared.cost.delay_cost_ns(1);
         }
         true
     }
@@ -783,7 +762,7 @@ impl Comm {
                 n += 1;
             }
         }
-        self.processed.set(self.processed.get() + n as u64);
+        self.tally.borrow_mut().processed += n as u64;
         if traced {
             if let (Some(t), Some(ctx)) = (self.tracer(), ctx) {
                 if t.flows_enabled() {
@@ -838,34 +817,24 @@ impl Comm {
         let mut rounds: u64 = 0;
         loop {
             self.poll();
-            self.publish();
-            self.shared.barrier.wait();
-            // Between the two waits no rank sends or processes, and every
-            // rank published before the first one, so the counters are
-            // complete, stable, and every rank reads the same values.
-            let quiescent = self.shared.sent.load(Ordering::SeqCst)
-                == self.shared.processed.load(Ordering::SeqCst);
-            let leader = self.shared.barrier.wait();
+            // Every rank arrives having flushed and handled all it could
+            // see; the round is quiescent when, summed over those arrivals,
+            // nothing sent is still unhandled.
+            let Outcome::Round { quiescent } = self.meet(Meet::Round) else {
+                unreachable!("ranks met in different collectives");
+            };
             if quiescent {
-                if leader {
-                    self.shared.clock.advance_phase(
-                        &self.shared.stats,
-                        &self.shared.cost,
-                        self.shared.n_ranks,
-                    );
-                    self.shared.stats.reset_phase();
-                }
-                self.shared.barrier.wait();
-                // The leader advanced the clock, so this span's virtual
-                // duration is exactly the completed phase's makespan.
+                // The clock advanced inside the meeting, so this span's
+                // virtual duration is exactly the completed phase's makespan.
                 self.trace_end("barrier");
                 self.phase_idx.set(self.phase_idx.get() + 1);
                 return;
             }
-            // Non-quiescent round: messages are still parked in delay
-            // inboxes or retransmit windows. Advance the sync epoch (lock-
-            // step on every rank — all ranks observed the same counters)
-            // so delays mature and backoffs fire, then go around again.
+            // Non-quiescent round: messages are still in channels, parked
+            // in delay inboxes or in retransmit windows. Advance the sync
+            // epoch (lock-step on every rank — all ranks got the same
+            // outcome) so delays mature and backoffs fire, then go around
+            // again.
             rounds += 1;
             self.bump_epoch();
             if let Some(fs) = &self.shared.fault {
@@ -880,24 +849,20 @@ impl Comm {
         }
     }
 
-    /// Fold this rank's private counters into the world's: one
-    /// [`crate::Stats::merge`] plus the two termination-detection atomics.
-    /// Runs after `poll()` and before the first wait of every barrier
-    /// round — the world's last barrier included, which [`crate::World::run`]
-    /// enters after the rank's closure returns, so a send issued after the
-    /// closure's own last barrier is still counted.
-    fn publish(&self) {
-        let sent = self
-            .shared
-            .stats
-            .merge(self.rank, &mut self.tally.borrow_mut());
-        if sent > 0 {
-            self.shared.sent.fetch_add(sent, Ordering::SeqCst);
-        }
-        let processed = self.processed.take();
-        if processed > 0 {
-            self.shared.processed.fetch_add(processed, Ordering::SeqCst);
-        }
+    /// Meet the other ranks at the world's rendezvous, handing over this
+    /// rank's tally: the one blocking wait of a barrier round or a
+    /// collective. The world's last barrier included, which
+    /// [`crate::World::run`] enters after the rank's closure returns, so a
+    /// send issued after the closure's own last barrier is still counted.
+    fn meet(&self, what: Meet) -> Outcome {
+        self.shared
+            .rendezvous
+            .meet(self.rank, &mut self.tally.borrow_mut(), what)
+    }
+
+    /// Count one fault or reliable-delivery event on this rank.
+    fn count_fault(&self, counter: fn(&mut FaultCounters) -> &mut u64) {
+        *counter(&mut self.tally.borrow_mut().faults) += 1;
     }
 
     /// Charge `ns` nanoseconds of virtual compute time to this rank's
@@ -907,13 +872,6 @@ impl Comm {
         self.tally.borrow_mut().compute_ns += ns;
     }
 
-    /// Charge the virtual cost of one distance evaluation over `dim`-element
-    /// vectors.
-    #[inline]
-    pub fn charge_distance(&self, dim: usize) {
-        self.charge_compute(self.shared.cost.distance_cost_ns(dim));
-    }
-
     /// The world's cost model.
     pub fn cost(&self) -> &CostModel {
         &self.shared.cost
@@ -921,7 +879,7 @@ impl Comm {
 
     /// Current virtual time in nanoseconds.
     pub fn now_ns(&self) -> u64 {
-        self.shared.clock.now_ns()
+        self.shared.rendezvous.now_ns()
     }
 
     /// Running count of reliable-delivery retransmits world-wide; always 0
@@ -930,104 +888,46 @@ impl Comm {
     /// layer uses the per-window delta to charge retransmit recovery
     /// against query latency.
     pub fn fault_retransmits(&self) -> u64 {
-        self.shared
-            .fault
-            .as_ref()
-            .map_or(0, |f| f.counters.retransmits.load(Ordering::SeqCst))
+        self.shared.rendezvous.retransmits()
     }
 
-    /// Whether this world runs under a fault plan with a hostile profile.
-    pub fn fault_active(&self) -> bool {
-        self.shared
-            .fault
-            .as_ref()
-            .is_some_and(|f| f.plan.profile.is_hostile())
+    /// Meetings the world's rendezvous has finished.
+    #[cfg(test)]
+    pub(crate) fn meetings(&self) -> u64 {
+        self.shared.rendezvous.generation()
     }
 
     // ---- Collectives -----------------------------------------------------
     //
-    // Small fixed-size collectives use shared-memory scratch cells rather
-    // than the message path (a real MPI implementation would use optimized
+    // Small fixed-size collectives go through the rendezvous rather than
+    // the message path (a real MPI implementation would use optimized
     // collectives too). They charge the virtual clock a log2(P) latency.
     // SPMD: all ranks must call the same collective at the same point.
     //
-    // The leader's scratch reset and clock advance happen *between* the
-    // last two waits, so by the time any rank returns the clock is stable:
+    // The clock advances inside the meeting, before any rank is woken, so
     // virtual timestamps sampled anywhere outside a collective are
     // identical run to run (required for deterministic trace export).
 
     /// Sum `v` across all ranks; every rank receives the total.
     pub fn all_reduce_sum_u64(&self, v: u64) -> u64 {
-        let s = &self.shared;
         self.trace_begin("all_reduce");
-        s.barrier.wait(); // entry
-        s.reduce_u64.fetch_add(v, Ordering::SeqCst);
-        s.barrier.wait(); // all contributions in
-        let r = s.reduce_u64.load(Ordering::SeqCst);
-        let leader = s.barrier.wait(); // all reads done
-        if leader {
-            s.reduce_u64.store(0, Ordering::SeqCst);
-            s.clock.advance_collective(&s.cost, s.n_ranks);
-        }
-        s.barrier.wait(); // retire: reset + clock advance visible everywhere
+        let Outcome::Sum(total) = self.meet(Meet::Sum(v)) else {
+            unreachable!("ranks met in different collectives");
+        };
         self.trace_end("all_reduce");
-        r
-    }
-
-    /// Max of `v` across all ranks.
-    pub fn all_reduce_max_u64(&self, v: u64) -> u64 {
-        let s = &self.shared;
-        self.trace_begin("all_reduce");
-        s.barrier.wait();
-        s.reduce_u64.fetch_max(v, Ordering::SeqCst);
-        s.barrier.wait();
-        let r = s.reduce_u64.load(Ordering::SeqCst);
-        let leader = s.barrier.wait();
-        if leader {
-            s.reduce_u64.store(0, Ordering::SeqCst);
-            s.clock.advance_collective(&s.cost, s.n_ranks);
-        }
-        s.barrier.wait();
-        self.trace_end("all_reduce");
-        r
-    }
-
-    /// Sum `v` (f64) across all ranks.
-    pub fn all_reduce_sum_f64(&self, v: f64) -> f64 {
-        let s = &self.shared;
-        self.trace_begin("all_reduce");
-        s.barrier.wait();
-        *s.reduce_f64.lock() += v;
-        s.barrier.wait();
-        let r = *s.reduce_f64.lock();
-        let leader = s.barrier.wait();
-        if leader {
-            *s.reduce_f64.lock() = 0.0;
-            s.clock.advance_collective(&s.cost, s.n_ranks);
-        }
-        s.barrier.wait();
-        self.trace_end("all_reduce");
-        r
+        total
     }
 
     /// Broadcast `data` from `root` to all ranks.
     pub fn broadcast_bytes(&self, root: usize, data: Option<Bytes>) -> Bytes {
-        let s = &self.shared;
         self.trace_begin("broadcast");
-        s.barrier.wait();
-        if self.rank == root {
-            *s.bcast.lock() = Some(data.expect("root must supply broadcast payload"));
-        }
-        s.barrier.wait();
-        let r = s.bcast.lock().clone().expect("broadcast payload missing");
-        let leader = s.barrier.wait();
-        if leader {
-            *s.bcast.lock() = None;
-            s.clock.advance_collective(&s.cost, s.n_ranks);
-        }
-        s.barrier.wait();
+        let payload =
+            (self.rank == root).then(|| data.expect("root must supply broadcast payload"));
+        let Outcome::Broadcast(bytes) = self.meet(Meet::Broadcast(payload)) else {
+            unreachable!("ranks met in different collectives");
+        };
         self.trace_end("broadcast");
-        r
+        bytes
     }
 
     /// Broadcast a `Wire` value from `root`.

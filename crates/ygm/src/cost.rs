@@ -22,8 +22,6 @@
 //! real per-rank counters) do not.
 
 use crate::stats::Stats;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Alpha-beta cost model constants. All times in nanoseconds.
 #[derive(Debug, Clone, Copy)]
@@ -192,40 +190,33 @@ impl PhaseRecord {
     }
 }
 
-/// The global virtual clock. Advanced only at barriers, by the phase
-/// makespan computed from the per-rank phase counters in [`Stats`].
+/// The global virtual clock: plain integers inside the rendezvous
+/// (`crate::world`), advanced only by the last rank to arrive at a meeting —
+/// by the phase makespan computed from the per-rank phase counters in
+/// [`Stats`], or by a collective's latency.
+#[derive(Default)]
 pub struct VirtualClock {
-    now_ns: AtomicU64,
-    compute_ns: AtomicU64,
-    comm_ns: AtomicU64,
-    barrier_ns: AtomicU64,
-    phases: Mutex<Vec<PhaseRecord>>,
+    now_ns: u64,
+    compute_ns: u64,
+    comm_ns: u64,
+    barrier_ns: u64,
+    phases: Vec<PhaseRecord>,
 }
 
 impl VirtualClock {
-    pub(crate) fn new() -> Self {
-        VirtualClock {
-            now_ns: AtomicU64::new(0),
-            compute_ns: AtomicU64::new(0),
-            comm_ns: AtomicU64::new(0),
-            barrier_ns: AtomicU64::new(0),
-            phases: Mutex::new(Vec::new()),
-        }
-    }
-
     /// Current virtual time in nanoseconds since world start.
     pub fn now_ns(&self) -> u64 {
-        self.now_ns.load(Ordering::SeqCst)
+        self.now_ns
     }
 
     /// Current virtual time in seconds.
     pub fn now_secs(&self) -> f64 {
-        self.now_ns() as f64 / 1e9
+        self.now_ns as f64 / 1e9
     }
 
-    /// Advance the clock by one phase. Called by the barrier leader after
-    /// quiescence, before phase counters are reset.
-    pub(crate) fn advance_phase(&self, stats: &Stats, cost: &CostModel, n_ranks: usize) {
+    /// Advance the clock by one phase. Called after quiescence, before the
+    /// phase counters are reset.
+    pub(crate) fn advance_phase(&mut self, stats: &Stats, cost: &CostModel, n_ranks: usize) {
         let mut max_compute = 0.0f64;
         let mut max_send = 0.0f64;
         let mut max_recv = 0.0f64;
@@ -240,29 +231,21 @@ impl VirtualClock {
         let mut rank_transport_recv_ns = Vec::with_capacity(ranks);
         let mut rank_fault_ns = Vec::with_capacity(ranks);
         for p in stats.phase.iter() {
-            let compute = p.compute_ns.load(Ordering::Relaxed) as f64;
-            let msgs_out = p.msgs_out.load(Ordering::Relaxed);
-            let bytes_out = p.bytes_out.load(Ordering::Relaxed);
-            let tr_msgs_out = p.tr_msgs_out.load(Ordering::Relaxed);
-            let tr_bytes_out = p.tr_bytes_out.load(Ordering::Relaxed);
-            phase_msgs += msgs_out;
-            phase_bytes += bytes_out;
+            let compute = p.compute_ns as f64;
+            phase_msgs += p.msgs_out;
+            phase_bytes += p.bytes_out;
             // Makespan terms are computed from the SUMMED counters (counter
             // sums are exact in u64), so splitting transport traffic into
             // its own cells never changes phase totals.
-            let send = cost.link_cost_ns(msgs_out + tr_msgs_out, bytes_out + tr_bytes_out);
-            let msgs_in = p.msgs_in.load(Ordering::Relaxed);
-            let bytes_in = p.bytes_in.load(Ordering::Relaxed);
-            let tr_msgs_in = p.tr_msgs_in.load(Ordering::Relaxed);
-            let tr_bytes_in = p.tr_bytes_in.load(Ordering::Relaxed);
-            let recv = cost.link_cost_ns(msgs_in + tr_msgs_in, bytes_in + tr_bytes_in);
-            let fault = p.fault_ns.load(Ordering::Relaxed) as f64;
+            let send = cost.link_cost_ns(p.msgs_out + p.tr_msgs_out, p.bytes_out + p.tr_bytes_out);
+            let recv = cost.link_cost_ns(p.msgs_in + p.tr_msgs_in, p.bytes_in + p.tr_bytes_in);
+            let fault = p.fault_ns as f64;
             max_compute = max_compute.max(compute + send); // send charged with compute below
             max_send = max_send.max(send);
             max_recv = max_recv.max(recv);
             max_fault = max_fault.max(fault);
-            let app_send = cost.link_cost_ns(msgs_out, bytes_out);
-            let app_recv = cost.link_cost_ns(msgs_in, bytes_in);
+            let app_send = cost.link_cost_ns(p.msgs_out, p.bytes_out);
+            let app_recv = cost.link_cost_ns(p.msgs_in, p.bytes_in);
             rank_compute_ns.push(compute);
             rank_send_ns.push(app_send);
             rank_recv_ns.push(app_recv);
@@ -278,19 +261,14 @@ impl VirtualClock {
         let compute_part = (max_compute - max_send).max(0.0);
         let comm_part = max_send + max_recv + max_fault;
         let barrier_part = cost.barrier_cost_ns(n_ranks);
-        self.compute_ns
-            .fetch_add(compute_part.ceil() as u64, Ordering::SeqCst);
-        self.comm_ns
-            .fetch_add(comm_part.ceil() as u64, Ordering::SeqCst);
-        self.barrier_ns
-            .fetch_add(barrier_part.ceil() as u64, Ordering::SeqCst);
+        self.compute_ns += compute_part.ceil() as u64;
+        self.comm_ns += comm_part.ceil() as u64;
+        self.barrier_ns += barrier_part.ceil() as u64;
         let phase = compute_part + comm_part + barrier_part;
         let total_ns = phase.ceil() as u64;
-        self.now_ns.fetch_add(total_ns, Ordering::SeqCst);
-        let mut log = self.phases.lock();
-        let index = log.len();
-        log.push(PhaseRecord {
-            index,
+        self.now_ns += total_ns;
+        self.phases.push(PhaseRecord {
+            index: self.phases.len(),
             compute_secs: compute_part / 1e9,
             comm_secs: comm_part / 1e9,
             barrier_secs: barrier_part / 1e9,
@@ -306,25 +284,25 @@ impl VirtualClock {
         });
     }
 
-    /// Advance by a collective's synchronization cost only (used by
-    /// allreduce helpers, which bypass the message path).
-    pub(crate) fn advance_collective(&self, cost: &CostModel, n_ranks: usize) {
+    /// Advance by a collective's synchronization cost only (all-reduce and
+    /// broadcast bypass the message path).
+    pub(crate) fn advance_collective(&mut self, cost: &CostModel, n_ranks: usize) {
         let ns = cost.barrier_cost_ns(n_ranks).ceil() as u64;
-        self.barrier_ns.fetch_add(ns, Ordering::SeqCst);
-        self.now_ns.fetch_add(ns, Ordering::SeqCst);
+        self.barrier_ns += ns;
+        self.now_ns += ns;
     }
 
     /// Per-phase records accumulated so far (one per barrier).
-    pub fn phases(&self) -> Vec<PhaseRecord> {
-        self.phases.lock().clone()
+    pub fn phases(&self) -> &[PhaseRecord] {
+        &self.phases
     }
 
     /// Where the elapsed virtual time went (Section 7-style profile).
     pub fn breakdown(&self) -> ClockBreakdown {
         ClockBreakdown {
-            compute_secs: self.compute_ns.load(Ordering::SeqCst) as f64 / 1e9,
-            comm_secs: self.comm_ns.load(Ordering::SeqCst) as f64 / 1e9,
-            barrier_secs: self.barrier_ns.load(Ordering::SeqCst) as f64 / 1e9,
+            compute_secs: self.compute_ns as f64 / 1e9,
+            comm_secs: self.comm_ns as f64 / 1e9,
+            barrier_secs: self.barrier_ns as f64 / 1e9,
         }
     }
 }
@@ -335,7 +313,7 @@ mod tests {
     use crate::stats::{merge_one, Tally};
 
     /// Charge `ns` of compute to `rank` the way a rank's barrier does.
-    fn charge_compute(stats: &Stats, rank: usize, ns: u64) {
+    fn charge_compute(stats: &mut Stats, rank: usize, ns: u64) {
         let mut tally = Tally::new(stats.phase.len());
         tally.compute_ns = ns;
         stats.merge(rank, &mut tally);
@@ -350,11 +328,11 @@ mod tests {
 
     #[test]
     fn clock_starts_at_zero_and_advances() {
-        let clock = VirtualClock::new();
+        let mut clock = VirtualClock::default();
         assert_eq!(clock.now_ns(), 0);
-        let stats = Stats::new(2);
-        charge_compute(&stats, 0, 1_000);
-        charge_compute(&stats, 1, 5_000);
+        let mut stats = Stats::new(2);
+        charge_compute(&mut stats, 0, 1_000);
+        charge_compute(&mut stats, 1, 5_000);
         let cost = CostModel::free_network();
         clock.advance_phase(&stats, &cost, 2);
         // Makespan is the max over ranks, not the sum.
@@ -363,9 +341,9 @@ mod tests {
 
     #[test]
     fn phase_cost_includes_comm_terms() {
-        let clock = VirtualClock::new();
-        let stats = Stats::new(2);
-        merge_one(&stats, 0, 1_000_000, 0, 1); // 1 MB remote
+        let mut clock = VirtualClock::default();
+        let mut stats = Stats::new(2);
+        merge_one(&mut stats, 0, 1_000_000, 0, 1); // 1 MB remote
         let cost = CostModel {
             alpha_ns: 100.0,
             bytes_per_ns: 1.0,
@@ -386,10 +364,10 @@ mod tests {
 
     #[test]
     fn phase_log_records_every_barrier() {
-        let clock = VirtualClock::new();
-        let stats = Stats::new(2);
+        let mut clock = VirtualClock::default();
+        let mut stats = Stats::new(2);
         let cost = CostModel::mammoth_like();
-        merge_one(&stats, 0, 500, 0, 1);
+        merge_one(&mut stats, 0, 500, 0, 1);
         clock.advance_phase(&stats, &cost, 2);
         stats.reset_phase();
         clock.advance_phase(&stats, &cost, 2);
@@ -405,12 +383,16 @@ mod tests {
 
     #[test]
     fn phase_records_carry_exact_totals_and_rank_vectors() {
-        let clock = VirtualClock::new();
-        let stats = Stats::new(2);
-        charge_compute(&stats, 0, 10_000);
-        merge_one(&stats, 0, 1_000, 0, 1);
-        stats.record_transport(0, 1, 1_000); // retransmit of the same frame
-        stats.charge_fault(1, 777);
+        let mut clock = VirtualClock::default();
+        let mut stats = Stats::new(2);
+        charge_compute(&mut stats, 0, 10_000);
+        merge_one(&mut stats, 0, 1_000, 0, 1);
+        let mut retransmit = Tally::new(2); // of the same frame
+        retransmit.add_transport(1, 1_000);
+        stats.merge(0, &mut retransmit);
+        let mut delayed = Tally::new(2);
+        delayed.fault_ns = 777;
+        stats.merge(1, &mut delayed);
         let cost = CostModel {
             alpha_ns: 100.0,
             bytes_per_ns: 1.0,
@@ -440,10 +422,10 @@ mod tests {
 
     #[test]
     fn breakdown_attributes_components() {
-        let clock = VirtualClock::new();
-        let stats = Stats::new(2);
-        charge_compute(&stats, 0, 10_000);
-        merge_one(&stats, 0, 1_000, 0, 1);
+        let mut clock = VirtualClock::default();
+        let mut stats = Stats::new(2);
+        charge_compute(&mut stats, 0, 10_000);
+        merge_one(&mut stats, 0, 1_000, 0, 1);
         let cost = CostModel {
             alpha_ns: 100.0,
             bytes_per_ns: 1.0,
@@ -461,7 +443,7 @@ mod tests {
 
     #[test]
     fn breakdown_empty_is_zero() {
-        let clock = VirtualClock::new();
+        let clock = VirtualClock::default();
         let b = clock.breakdown();
         assert_eq!(b, ClockBreakdown::default());
         assert_eq!(b.comm_fraction(), 0.0);
@@ -469,9 +451,9 @@ mod tests {
 
     #[test]
     fn free_network_charges_nothing_for_messages() {
-        let clock = VirtualClock::new();
-        let stats = Stats::new(2);
-        merge_one(&stats, 0, 1 << 20, 0, 1);
+        let mut clock = VirtualClock::default();
+        let mut stats = Stats::new(2);
+        merge_one(&mut stats, 0, 1 << 20, 0, 1);
         clock.advance_phase(&stats, &CostModel::free_network(), 2);
         assert_eq!(clock.now_ns(), 0);
     }

@@ -32,7 +32,6 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Probabilities and bounds for one class of hostile run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -237,50 +236,59 @@ pub fn mix(seed: u64, salt: u64, a: u64, b: u64, c: u64) -> u64 {
     h
 }
 
-/// World-wide fault and reliable-delivery counters (atomics; snapshot with
-/// [`FaultCounters::report`]).
-#[derive(Debug, Default)]
+/// Fault and reliable-delivery counters. Each rank counts its own events in
+/// its [`crate::stats::Tally`]; the world's copy lives inside the rendezvous
+/// and absorbs the ranks' whenever they meet.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Frames dropped in transit (each later retransmitted).
-    pub dropped: AtomicU64,
+    pub dropped: u64,
     /// Extra frame copies injected.
-    pub duplicated: AtomicU64,
+    pub duplicated: u64,
     /// Frames held past their send epoch.
-    pub delayed: AtomicU64,
+    pub delayed: u64,
     /// Rank-rounds skipped by stall injection.
-    pub stalls: AtomicU64,
+    pub stalls: u64,
     /// Early flushes forced by jitter.
-    pub jittered_flushes: AtomicU64,
+    pub jittered_flushes: u64,
     /// Frames retransmitted by the reliable-delivery layer.
-    pub retransmits: AtomicU64,
+    pub retransmits: u64,
     /// Received frames discarded as already-delivered (dups and
     /// retransmit/ack races).
-    pub dedup_discards: AtomicU64,
+    pub dedup_discards: u64,
     /// Frames that exhausted `max_faulty_attempts` and were forced
     /// through fault-free.
-    pub forced_deliveries: AtomicU64,
+    pub forced_deliveries: u64,
 }
 
 impl FaultCounters {
+    /// Add `from`'s counts to these and leave `from` zeroed.
+    pub(crate) fn absorb(&mut self, from: &mut FaultCounters) {
+        let from = std::mem::take(from);
+        self.dropped += from.dropped;
+        self.duplicated += from.duplicated;
+        self.delayed += from.delayed;
+        self.stalls += from.stalls;
+        self.jittered_flushes += from.jittered_flushes;
+        self.retransmits += from.retransmits;
+        self.dedup_discards += from.dedup_discards;
+        self.forced_deliveries += from.forced_deliveries;
+    }
+
     /// Immutable snapshot for reports.
     pub fn report(&self, plan: &FaultPlan) -> FaultReport {
         FaultReport {
             sim_seed: plan.sim_seed,
             profile: plan.profile.name().to_string(),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            delayed: self.delayed.load(Ordering::Relaxed),
-            stalls: self.stalls.load(Ordering::Relaxed),
-            jittered_flushes: self.jittered_flushes.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            dedup_discards: self.dedup_discards.load(Ordering::Relaxed),
-            forced_deliveries: self.forced_deliveries.load(Ordering::Relaxed),
+            dropped: self.dropped,
+            duplicated: self.duplicated,
+            delayed: self.delayed,
+            stalls: self.stalls,
+            jittered_flushes: self.jittered_flushes,
+            retransmits: self.retransmits,
+            dedup_discards: self.dedup_discards,
+            forced_deliveries: self.forced_deliveries,
         }
-    }
-
-    #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -410,9 +418,14 @@ mod tests {
     #[test]
     fn report_snapshot_carries_identity() {
         let plan = FaultPlan::new(FaultProfile::lossy(), 99);
-        let c = FaultCounters::default();
-        c.dropped.store(3, Ordering::Relaxed);
-        c.retransmits.store(4, Ordering::Relaxed);
+        let mut c = FaultCounters::default();
+        let mut rank = FaultCounters {
+            dropped: 3,
+            retransmits: 4,
+            ..FaultCounters::default()
+        };
+        c.absorb(&mut rank);
+        assert_eq!(rank, FaultCounters::default());
         let r = c.report(&plan);
         assert_eq!(r.sim_seed, 99);
         assert_eq!(r.profile, "lossy");

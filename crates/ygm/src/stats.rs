@@ -16,20 +16,26 @@
 //! not contribute network cost, mirroring shared-memory delivery inside one
 //! node.
 //!
-//! Sends and compute charges are not written here one by one. Each rank
-//! counts them in a private [`Tally`] and [`Stats::merge`]s it once per
-//! barrier round, before the round's first wait; everything that reads
-//! these counters (the clock's phase advance, the end-of-run report) runs
-//! after that wait. Only the rare fault-path charges
-//! ([`Stats::record_transport`], [`Stats::charge_fault`]) write directly.
+//! Nothing is written here one event at a time. Each rank counts its sends,
+//! compute charges, retransmitted frames and fault time in a private
+//! [`Tally`]; the world's [`Stats`] are plain integers inside the rendezvous
+//! (`crate::world`) and change only by [`Stats::merge`], under its mutex,
+//! when the rank arrives at a meeting.
 
-use crossbeam::utils::CachePadded;
-use parking_lot::Mutex;
+use crate::fault::FaultCounters;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Maximum number of distinct message tags a world supports.
 pub const MAX_TAGS: usize = 64;
+
+/// Panic unless `tag` is one a world can carry. A real panic, not a debug
+/// assertion: registration and the first send are where a bad tag enters.
+pub(crate) fn check_tag(tag: u16) {
+    assert!(
+        (tag as usize) < MAX_TAGS,
+        "message tag {tag} out of range (MAX_TAGS = {MAX_TAGS})"
+    );
+}
 
 /// One tag's rank×rank traffic counts, row-major (`[src * n_ranks + dest]`).
 ///
@@ -70,42 +76,28 @@ pub struct TagStats {
 /// Per-rank counters accumulated between two barriers.
 #[derive(Debug, Default)]
 pub(crate) struct PhaseCounters {
-    pub compute_ns: AtomicU64,
-    pub msgs_out: AtomicU64,
-    pub bytes_out: AtomicU64,
-    pub msgs_in: AtomicU64,
-    pub bytes_in: AtomicU64,
+    pub compute_ns: u64,
+    pub msgs_out: u64,
+    pub bytes_out: u64,
+    pub msgs_in: u64,
+    pub bytes_in: u64,
     /// Transport-level traffic (retransmits, duplicates) kept separate from
     /// the application counters so the critical-path analyzer can attribute
     /// retransmit time distinctly. The clock sums app + transport, so the
     /// split never changes phase totals.
-    pub tr_msgs_out: AtomicU64,
-    pub tr_bytes_out: AtomicU64,
-    pub tr_msgs_in: AtomicU64,
-    pub tr_bytes_in: AtomicU64,
+    pub tr_msgs_out: u64,
+    pub tr_bytes_out: u64,
+    pub tr_msgs_in: u64,
+    pub tr_bytes_in: u64,
     /// Virtual nanoseconds this rank lost to injected faults (frame delays,
     /// stalls) since the last barrier. Folded into the phase makespan's
     /// communication share so sim-time stays meaningful under fault runs.
-    pub fault_ns: AtomicU64,
+    pub fault_ns: u64,
 }
 
-impl PhaseCounters {
-    fn reset(&self) {
-        self.compute_ns.store(0, Ordering::Relaxed);
-        self.msgs_out.store(0, Ordering::Relaxed);
-        self.bytes_out.store(0, Ordering::Relaxed);
-        self.msgs_in.store(0, Ordering::Relaxed);
-        self.bytes_in.store(0, Ordering::Relaxed);
-        self.tr_msgs_out.store(0, Ordering::Relaxed);
-        self.tr_bytes_out.store(0, Ordering::Relaxed);
-        self.tr_msgs_in.store(0, Ordering::Relaxed);
-        self.tr_bytes_in.store(0, Ordering::Relaxed);
-        self.fault_ns.store(0, Ordering::Relaxed);
-    }
-}
-
-/// One rank's sends and compute charges since its last [`Stats::merge`]:
-/// plain integers, touched only by the owning rank's thread.
+/// Everything one rank did since it last met the others: plain integers,
+/// touched only by the owning rank's thread, and the only way anything
+/// reaches the world's counters.
 pub(crate) struct Tally {
     n_ranks: usize,
     /// Bit `t` set: tag `t` has a nonzero cell below.
@@ -113,8 +105,21 @@ pub(crate) struct Tally {
     /// Messages / bytes (frame header included) per `[tag * n_ranks + dest]`.
     count: Box<[u64]>,
     bytes: Box<[u64]>,
+    /// Retransmitted and duplicated frames / their bytes per destination.
+    /// They consume link capacity and so must charge virtual time, but they
+    /// are not application traffic and stay out of the per-tag statistics.
+    tr_count: Box<[u64]>,
+    tr_bytes: Box<[u64]>,
+    /// Tag names given since the last merge.
+    names: Vec<(u16, String)>,
     /// Virtual compute nanoseconds charged.
     pub(crate) compute_ns: u64,
+    /// Virtual nanoseconds lost to injected faults (frame delays, stalls).
+    pub(crate) fault_ns: u64,
+    /// Messages handled (messages sent are the cells' total).
+    pub(crate) processed: u64,
+    /// Fault and reliable-delivery events on this rank.
+    pub(crate) faults: FaultCounters,
 }
 
 impl Tally {
@@ -124,50 +129,48 @@ impl Tally {
             touched: 0,
             count: vec![0; MAX_TAGS * n_ranks].into(),
             bytes: vec![0; MAX_TAGS * n_ranks].into(),
+            tr_count: vec![0; n_ranks].into(),
+            tr_bytes: vec![0; n_ranks].into(),
+            names: Vec::new(),
             compute_ns: 0,
+            fault_ns: 0,
+            processed: 0,
+            faults: FaultCounters::default(),
         }
     }
 
     /// Count one message sent to `dest`. `bytes` includes the frame header.
     #[inline]
     pub(crate) fn add_send(&mut self, tag: u16, dest: usize, bytes: usize) {
-        assert!(
-            (tag as usize) < MAX_TAGS,
-            "message tag {tag} out of range (MAX_TAGS = {MAX_TAGS})"
-        );
+        check_tag(tag);
         self.touched |= 1 << tag;
         let cell = tag as usize * self.n_ranks + dest;
         self.count[cell] += 1;
         self.bytes[cell] += bytes as u64;
     }
+
+    /// Count one retransmitted or duplicated frame of `bytes` bytes to `dest`.
+    pub(crate) fn add_transport(&mut self, dest: usize, bytes: usize) {
+        self.tr_count[dest] += 1;
+        self.tr_bytes[dest] += bytes as u64;
+    }
+
+    /// Give `tag` a human-readable name for reports (last write wins).
+    pub(crate) fn name_tag(&mut self, tag: u16, name: &str) {
+        check_tag(tag);
+        self.names.push((tag, name.to_owned()));
+    }
 }
 
-/// Shared statistics block for a world. All methods are thread-safe; updates
-/// are relaxed atomics, issued per barrier round rather than per message.
+/// A world's statistics block.
 pub struct Stats {
     n_ranks: usize,
-    tag_count: Box<[CachePadded<AtomicU64>]>,
-    tag_bytes: Box<[CachePadded<AtomicU64>]>,
-    tag_remote_count: Box<[CachePadded<AtomicU64>]>,
-    tag_remote_bytes: Box<[CachePadded<AtomicU64>]>,
-    /// Rank×rank×tag traffic cells, `(tag * n + src) * n + dest`. Flat
-    /// unpadded atomics: each (tag, src) row is written by one rank only,
-    /// so false sharing is bounded and the `MAX_TAGS · n²` footprint stays
-    /// small.
-    matrix_count: Box<[AtomicU64]>,
-    matrix_bytes: Box<[AtomicU64]>,
-    tag_names: Mutex<HashMap<u16, String>>,
-    /// One past the highest tag index ever used (sent, registered, or
-    /// named). Lets full-table scans stop at the tags actually in play
-    /// instead of walking all `MAX_TAGS` slots.
-    tag_high_water: CachePadded<AtomicU64>,
-    pub(crate) phase: Box<[CachePadded<PhaseCounters>]>,
-}
-
-fn atomic_array(n: usize) -> Box<[CachePadded<AtomicU64>]> {
-    (0..n)
-        .map(|_| CachePadded::new(AtomicU64::new(0)))
-        .collect()
+    tags: Box<[TagStats]>,
+    /// Rank×rank×tag traffic cells, `(tag * n + src) * n + dest`.
+    matrix_count: Box<[u64]>,
+    matrix_bytes: Box<[u64]>,
+    tag_names: HashMap<u16, String>,
+    pub(crate) phase: Box<[PhaseCounters]>,
 }
 
 impl Stats {
@@ -175,48 +178,25 @@ impl Stats {
         let cells = MAX_TAGS * n_ranks * n_ranks;
         Stats {
             n_ranks,
-            tag_count: atomic_array(MAX_TAGS),
-            tag_bytes: atomic_array(MAX_TAGS),
-            tag_remote_count: atomic_array(MAX_TAGS),
-            tag_remote_bytes: atomic_array(MAX_TAGS),
-            matrix_count: (0..cells).map(|_| AtomicU64::new(0)).collect(),
-            matrix_bytes: (0..cells).map(|_| AtomicU64::new(0)).collect(),
-            tag_names: Mutex::new(HashMap::new()),
-            tag_high_water: CachePadded::new(AtomicU64::new(0)),
-            phase: (0..n_ranks)
-                .map(|_| CachePadded::new(PhaseCounters::default()))
-                .collect(),
+            tags: vec![TagStats::default(); MAX_TAGS].into(),
+            matrix_count: vec![0; cells].into(),
+            matrix_bytes: vec![0; cells].into(),
+            tag_names: HashMap::new(),
+            phase: (0..n_ranks).map(|_| PhaseCounters::default()).collect(),
         }
     }
 
-    /// Record that `tag` is in play, bumping the high-water mark. Called at
-    /// handler registration, tag naming, and when a merge carries the tag.
-    pub(crate) fn mark_tag_used(&self, tag: u16) {
-        assert!(
-            (tag as usize) < MAX_TAGS,
-            "message tag {tag} out of range (MAX_TAGS = {MAX_TAGS})"
-        );
-        self.tag_high_water
-            .fetch_max(tag as u64 + 1, Ordering::Relaxed);
-    }
-
-    /// One past the highest tag index in use.
-    fn high_water(&self) -> usize {
-        self.tag_high_water.load(Ordering::Relaxed) as usize
-    }
-
-    /// Fold everything rank `src` counted in `tally` into the cumulative
-    /// per-tag counters, the traffic matrix and the current phase, and leave
-    /// `tally` zeroed; returns how many messages that was. The one place a
-    /// sent message is accounted.
-    pub(crate) fn merge(&self, src: usize, tally: &mut Tally) -> u64 {
+    /// Fold what rank `src` counted in `tally` into the cumulative per-tag
+    /// counters, the traffic matrix, the tag names and the current phase, and
+    /// leave those parts of `tally` zeroed; returns how many messages that
+    /// was. The one place a sent message is accounted.
+    pub(crate) fn merge(&mut self, src: usize, tally: &mut Tally) -> u64 {
         let n = self.n_ranks;
         let mut merged = 0;
         let mut touched = std::mem::take(&mut tally.touched);
         while touched != 0 {
             let t = touched.trailing_zeros() as usize;
             touched &= touched - 1;
-            self.mark_tag_used(t as u16);
             for dest in 0..n {
                 let count = std::mem::take(&mut tally.count[t * n + dest]);
                 if count == 0 {
@@ -224,74 +204,46 @@ impl Stats {
                 }
                 let bytes = std::mem::take(&mut tally.bytes[t * n + dest]);
                 merged += count;
-                self.tag_count[t].fetch_add(count, Ordering::Relaxed);
-                self.tag_bytes[t].fetch_add(bytes, Ordering::Relaxed);
+                let tag = &mut self.tags[t];
+                tag.count += count;
+                tag.bytes += bytes;
                 let cell = (t * n + src) * n + dest;
-                self.matrix_count[cell].fetch_add(count, Ordering::Relaxed);
-                self.matrix_bytes[cell].fetch_add(bytes, Ordering::Relaxed);
+                self.matrix_count[cell] += count;
+                self.matrix_bytes[cell] += bytes;
                 if src != dest {
-                    self.tag_remote_count[t].fetch_add(count, Ordering::Relaxed);
-                    self.tag_remote_bytes[t].fetch_add(bytes, Ordering::Relaxed);
-                    let ps = &self.phase[src];
-                    ps.msgs_out.fetch_add(count, Ordering::Relaxed);
-                    ps.bytes_out.fetch_add(bytes, Ordering::Relaxed);
-                    let pd = &self.phase[dest];
-                    pd.msgs_in.fetch_add(count, Ordering::Relaxed);
-                    pd.bytes_in.fetch_add(bytes, Ordering::Relaxed);
+                    tag.remote_count += count;
+                    tag.remote_bytes += bytes;
+                    self.phase[src].msgs_out += count;
+                    self.phase[src].bytes_out += bytes;
+                    self.phase[dest].msgs_in += count;
+                    self.phase[dest].bytes_in += bytes;
                 }
             }
         }
-        let compute_ns = std::mem::take(&mut tally.compute_ns);
-        if compute_ns > 0 {
-            self.phase[src]
-                .compute_ns
-                .fetch_add(compute_ns, Ordering::Relaxed);
+        for dest in 0..n {
+            let count = std::mem::take(&mut tally.tr_count[dest]);
+            let bytes = std::mem::take(&mut tally.tr_bytes[dest]);
+            // A rank-local frame crosses no link.
+            if src != dest {
+                self.phase[src].tr_msgs_out += count;
+                self.phase[src].tr_bytes_out += bytes;
+                self.phase[dest].tr_msgs_in += count;
+                self.phase[dest].tr_bytes_in += bytes;
+            }
         }
+        self.phase[src].compute_ns += std::mem::take(&mut tally.compute_ns);
+        self.phase[src].fault_ns += std::mem::take(&mut tally.fault_ns);
+        self.tag_names.extend(tally.names.drain(..));
         merged
     }
 
-    /// Record transport-level traffic (a retransmitted or duplicated frame)
-    /// in the transport phase counters only: it consumes link capacity and so
-    /// must charge virtual time, but it is not application traffic and must
-    /// not distort the per-tag message statistics. The clock folds these into
-    /// the same makespan as application traffic; keeping them in their own
-    /// cells lets the critical-path analyzer attribute retransmit time.
-    #[inline]
-    pub(crate) fn record_transport(&self, src: usize, dest: usize, bytes: usize) {
-        if src == dest {
-            return;
-        }
-        let ps = &self.phase[src];
-        ps.tr_msgs_out.fetch_add(1, Ordering::Relaxed);
-        ps.tr_bytes_out.fetch_add(bytes as u64, Ordering::Relaxed);
-        let pd = &self.phase[dest];
-        pd.tr_msgs_in.fetch_add(1, Ordering::Relaxed);
-        pd.tr_bytes_in.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Charge `ns` nanoseconds of injected-fault time (delay, stall) to
-    /// `rank`'s current phase.
-    #[inline]
-    pub(crate) fn charge_fault(&self, rank: usize, ns: u64) {
-        self.phase[rank].fault_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    pub(crate) fn reset_phase(&self) {
-        for p in self.phase.iter() {
-            p.reset();
-        }
-    }
-
-    /// Give a human-readable name to a tag for reports.
-    pub fn name_tag(&self, tag: u16, name: &str) {
-        self.mark_tag_used(tag);
-        self.tag_names.lock().insert(tag, name.to_owned());
+    pub(crate) fn reset_phase(&mut self) {
+        self.phase.fill_with(PhaseCounters::default);
     }
 
     /// The registered name of `tag`, or `"tag<N>"`.
     pub fn tag_name(&self, tag: u16) -> String {
         self.tag_names
-            .lock()
             .get(&tag)
             .cloned()
             .unwrap_or_else(|| format!("tag{tag}"))
@@ -299,20 +251,13 @@ impl Stats {
 
     /// Cumulative counters for one tag.
     pub fn tag(&self, tag: u16) -> TagStats {
-        let t = tag as usize;
-        TagStats {
-            count: self.tag_count[t].load(Ordering::Relaxed),
-            bytes: self.tag_bytes[t].load(Ordering::Relaxed),
-            remote_count: self.tag_remote_count[t].load(Ordering::Relaxed),
-            remote_bytes: self.tag_remote_bytes[t].load(Ordering::Relaxed),
-        }
+        self.tags[tag as usize]
     }
 
     /// Sum of all per-tag counters.
     pub fn total(&self) -> TagStats {
         let mut out = TagStats::default();
-        for t in 0..self.high_water() as u16 {
-            let s = self.tag(t);
+        for s in self.tags.iter() {
             out.count += s.count;
             out.bytes += s.bytes;
             out.remote_count += s.remote_count;
@@ -323,7 +268,7 @@ impl Stats {
 
     /// All tags that have recorded at least one message, with names.
     pub fn nonzero_tags(&self) -> Vec<(u16, String, TagStats)> {
-        (0..self.high_water() as u16)
+        (0..MAX_TAGS as u16)
             .filter_map(|t| {
                 let s = self.tag(t);
                 (s.count > 0).then(|| (t, self.tag_name(t), s))
@@ -335,25 +280,19 @@ impl Stats {
     /// at least one message.
     pub fn matrix(&self) -> TrafficMatrix {
         let n = self.n_ranks;
-        let mut tags = Vec::new();
-        for t in 0..self.high_water() {
-            if self.tag_count[t].load(Ordering::Relaxed) == 0 {
-                continue;
-            }
-            let base = t * n * n;
-            let load = |cells: &[AtomicU64]| -> Vec<u64> {
-                cells[base..base + n * n]
-                    .iter()
-                    .map(|c| c.load(Ordering::Relaxed))
-                    .collect()
-            };
-            tags.push(TagMatrix {
-                tag: t as u16,
-                name: self.tag_name(t as u16),
-                counts: load(&self.matrix_count),
-                bytes: load(&self.matrix_bytes),
-            });
-        }
+        let tags = self
+            .nonzero_tags()
+            .into_iter()
+            .map(|(tag, name, _)| {
+                let cells = tag as usize * n * n..(tag as usize + 1) * n * n;
+                TagMatrix {
+                    tag,
+                    name,
+                    counts: self.matrix_count[cells.clone()].to_vec(),
+                    bytes: self.matrix_bytes[cells].to_vec(),
+                }
+            })
+            .collect();
         TrafficMatrix { n_ranks: n, tags }
     }
 }
@@ -361,7 +300,7 @@ impl Stats {
 /// Test helper shared with `cost`'s unit tests: account one message
 /// `src -> dest` of `bytes` bytes through a one-entry [`Tally`] merge.
 #[cfg(test)]
-pub(crate) fn merge_one(stats: &Stats, tag: u16, bytes: usize, src: usize, dest: usize) {
+pub(crate) fn merge_one(stats: &mut Stats, tag: u16, bytes: usize, src: usize, dest: usize) {
     let mut tally = Tally::new(stats.n_ranks);
     tally.add_send(tag, dest, bytes);
     stats.merge(src, &mut tally);
@@ -373,10 +312,10 @@ mod tests {
 
     #[test]
     fn merge_accumulates_per_tag() {
-        let s = Stats::new(4);
-        merge_one(&s, 3, 100, 0, 1);
-        merge_one(&s, 3, 50, 1, 1); // local: no remote accounting
-        merge_one(&s, 5, 10, 2, 3);
+        let mut s = Stats::new(4);
+        merge_one(&mut s, 3, 100, 0, 1);
+        merge_one(&mut s, 3, 50, 1, 1); // local: no remote accounting
+        merge_one(&mut s, 5, 10, 2, 3);
         let t3 = s.tag(3);
         assert_eq!(t3.count, 2);
         assert_eq!(t3.bytes, 150);
@@ -389,78 +328,72 @@ mod tests {
 
     #[test]
     fn phase_counters_track_in_and_out() {
-        let s = Stats::new(2);
-        merge_one(&s, 0, 64, 0, 1);
-        assert_eq!(s.phase[0].msgs_out.load(Ordering::Relaxed), 1);
-        assert_eq!(s.phase[0].bytes_out.load(Ordering::Relaxed), 64);
-        assert_eq!(s.phase[1].msgs_in.load(Ordering::Relaxed), 1);
-        assert_eq!(s.phase[1].bytes_in.load(Ordering::Relaxed), 64);
+        let mut s = Stats::new(2);
+        merge_one(&mut s, 0, 64, 0, 1);
+        assert_eq!((s.phase[0].msgs_out, s.phase[0].bytes_out), (1, 64));
+        assert_eq!((s.phase[1].msgs_in, s.phase[1].bytes_in), (1, 64));
         s.reset_phase();
-        assert_eq!(s.phase[0].msgs_out.load(Ordering::Relaxed), 0);
-        assert_eq!(s.phase[1].bytes_in.load(Ordering::Relaxed), 0);
+        assert_eq!(s.phase[0].msgs_out, 0);
+        assert_eq!(s.phase[1].bytes_in, 0);
     }
 
     #[test]
     fn transport_traffic_lands_in_its_own_cells() {
-        let s = Stats::new(2);
-        merge_one(&s, 0, 64, 0, 1);
-        s.record_transport(0, 1, 100); // retransmit of the same frame
-        s.record_transport(1, 1, 999); // local: ignored entirely
-        assert_eq!(s.phase[0].msgs_out.load(Ordering::Relaxed), 1);
-        assert_eq!(s.phase[0].bytes_out.load(Ordering::Relaxed), 64);
-        assert_eq!(s.phase[0].tr_msgs_out.load(Ordering::Relaxed), 1);
-        assert_eq!(s.phase[0].tr_bytes_out.load(Ordering::Relaxed), 100);
-        assert_eq!(s.phase[1].tr_msgs_in.load(Ordering::Relaxed), 1);
-        assert_eq!(s.phase[1].tr_bytes_in.load(Ordering::Relaxed), 100);
+        let mut s = Stats::new(2);
+        merge_one(&mut s, 0, 64, 0, 1);
+        let mut t = Tally::new(2);
+        t.add_transport(1, 100); // retransmit of the same frame
+        t.add_transport(0, 999); // local: ignored entirely
+        s.merge(0, &mut t);
+        assert_eq!((s.phase[0].msgs_out, s.phase[0].bytes_out), (1, 64));
+        assert_eq!((s.phase[0].tr_msgs_out, s.phase[0].tr_bytes_out), (1, 100));
+        assert_eq!((s.phase[1].tr_msgs_in, s.phase[1].tr_bytes_in), (1, 100));
+        assert_eq!((s.phase[0].tr_msgs_in, s.phase[0].tr_bytes_in), (0, 0));
+        s.merge(0, &mut t); // drained: a second merge adds nothing
+        assert_eq!(s.phase[0].tr_msgs_out, 1);
         s.reset_phase();
-        assert_eq!(s.phase[0].tr_msgs_out.load(Ordering::Relaxed), 0);
-        assert_eq!(s.phase[1].tr_bytes_in.load(Ordering::Relaxed), 0);
+        assert_eq!(s.phase[0].tr_msgs_out, 0);
+        assert_eq!(s.phase[1].tr_bytes_in, 0);
     }
 
     #[test]
     fn tag_names_default_and_custom() {
-        let s = Stats::new(1);
+        let mut s = Stats::new(1);
         assert_eq!(s.tag_name(7), "tag7");
-        s.name_tag(7, "type1_check");
+        let mut t = Tally::new(1);
+        t.name_tag(7, "first");
+        t.name_tag(7, "type1_check"); // last write wins
+        s.merge(0, &mut t);
         assert_eq!(s.tag_name(7), "type1_check");
     }
 
     #[test]
     fn nonzero_tags_lists_only_used() {
-        let s = Stats::new(2);
-        merge_one(&s, 1, 8, 0, 1);
-        merge_one(&s, 4, 8, 0, 1);
+        let mut s = Stats::new(2);
+        merge_one(&mut s, 1, 8, 0, 1);
+        merge_one(&mut s, 4, 8, 0, 1);
+        let mut named_only = Tally::new(2);
+        named_only.name_tag(9, "never sent");
+        s.merge(0, &mut named_only);
         let tags: Vec<u16> = s.nonzero_tags().into_iter().map(|(t, _, _)| t).collect();
         assert_eq!(tags, vec![1, 4]);
-    }
-
-    #[test]
-    fn high_water_bounds_scans() {
-        let s = Stats::new(2);
-        assert_eq!(s.high_water(), 0);
-        merge_one(&s, 5, 8, 0, 1);
-        assert_eq!(s.high_water(), 6);
-        s.name_tag(9, "late"); // naming alone also raises the mark
-        assert_eq!(s.high_water(), 10);
-        merge_one(&s, 2, 8, 0, 1);
-        assert_eq!(s.high_water(), 10); // monotone
         assert_eq!(s.total().count, 2);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_tag_is_a_hard_error() {
-        let s = Stats::new(1);
-        merge_one(&s, MAX_TAGS as u16, 8, 0, 0);
+        let mut s = Stats::new(1);
+        merge_one(&mut s, MAX_TAGS as u16, 8, 0, 0);
     }
 
     #[test]
     fn matrix_cells_track_edges_including_diagonal() {
-        let s = Stats::new(3);
-        merge_one(&s, 2, 100, 0, 1);
-        merge_one(&s, 2, 40, 0, 1);
-        merge_one(&s, 2, 7, 1, 1); // local send lands on the diagonal
-        merge_one(&s, 4, 9, 2, 0);
+        let mut s = Stats::new(3);
+        merge_one(&mut s, 2, 100, 0, 1);
+        merge_one(&mut s, 2, 40, 0, 1);
+        merge_one(&mut s, 2, 7, 1, 1); // local send lands on the diagonal
+        merge_one(&mut s, 4, 9, 2, 0);
         let m = s.matrix();
         assert_eq!(m.n_ranks, 3);
         assert_eq!(m.tags.len(), 2);
@@ -475,11 +408,13 @@ mod tests {
     fn matrix_sums_equal_tag_totals() {
         // The invariant the report layer relies on: per-tag cell sums equal
         // the cumulative tag counters, and transport traffic stays out.
-        let s = Stats::new(2);
-        merge_one(&s, 1, 100, 0, 1);
-        merge_one(&s, 1, 50, 1, 0);
-        merge_one(&s, 1, 25, 0, 0);
-        s.record_transport(0, 1, 999); // retransmit: phase counters only
+        let mut s = Stats::new(2);
+        merge_one(&mut s, 1, 100, 0, 1);
+        merge_one(&mut s, 1, 50, 1, 0);
+        merge_one(&mut s, 1, 25, 0, 0);
+        let mut t = Tally::new(2);
+        t.add_transport(1, 999); // retransmit: phase counters only
+        s.merge(0, &mut t);
         let m = s.matrix();
         let t1 = &m.tags[0];
         assert_eq!(t1.counts.iter().sum::<u64>(), s.tag(1).count);
@@ -496,9 +431,10 @@ mod tests {
 
     #[test]
     fn merge_drains_the_tally_and_batches_a_whole_round() {
-        // Many sends to several destinations and a compute charge fold in
-        // as one merge; a second merge of the now-empty tally adds nothing.
-        let s = Stats::new(3);
+        // Many sends to several destinations, a compute charge and a fault
+        // charge fold in as one merge; a second merge of the now-empty tally
+        // adds nothing.
+        let mut s = Stats::new(3);
         let mut t = Tally::new(3);
         for _ in 0..5 {
             t.add_send(2, 1, 10);
@@ -506,28 +442,28 @@ mod tests {
         t.add_send(2, 0, 7); // rank-local for src 0
         t.add_send(6, 2, 100);
         t.compute_ns += 900;
+        t.fault_ns += 33;
         assert_eq!(s.merge(0, &mut t), 7);
         assert_eq!(s.merge(0, &mut t), 0);
         assert_eq!(s.tag(2).count, 6);
         assert_eq!(s.tag(2).bytes, 57);
         assert_eq!(s.tag(2).remote_count, 5);
         assert_eq!(s.tag(6).remote_bytes, 100);
-        assert_eq!(s.phase[0].msgs_out.load(Ordering::Relaxed), 6);
-        assert_eq!(s.phase[0].bytes_out.load(Ordering::Relaxed), 150);
-        assert_eq!(s.phase[1].msgs_in.load(Ordering::Relaxed), 5);
-        assert_eq!(s.phase[2].bytes_in.load(Ordering::Relaxed), 100);
-        assert_eq!(s.phase[0].compute_ns.load(Ordering::Relaxed), 900);
+        assert_eq!((s.phase[0].msgs_out, s.phase[0].bytes_out), (6, 150));
+        assert_eq!(s.phase[1].msgs_in, 5);
+        assert_eq!(s.phase[2].bytes_in, 100);
+        assert_eq!((s.phase[0].compute_ns, s.phase[0].fault_ns), (900, 33));
         assert_eq!(s.matrix().tags[0].counts, vec![1, 5, 0, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]
     fn compute_charge_accumulates_across_merges() {
-        let s = Stats::new(2);
+        let mut s = Stats::new(2);
         let mut t = Tally::new(2);
         t.compute_ns += 500;
         s.merge(1, &mut t);
         t.compute_ns += 250;
         s.merge(1, &mut t);
-        assert_eq!(s.phase[1].compute_ns.load(Ordering::Relaxed), 750);
+        assert_eq!(s.phase[1].compute_ns, 750);
     }
 }

@@ -9,7 +9,7 @@
 use crate::comm::{Comm, Packet};
 use crate::cost::{ClockBreakdown, CostModel, PhaseRecord, VirtualClock};
 use crate::fault::{FaultCounters, FaultPlan, FaultReport};
-use crate::stats::{Stats, TagStats, TrafficMatrix};
+use crate::stats::{Stats, TagStats, Tally, TrafficMatrix};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use obs::Tracer;
@@ -23,73 +23,180 @@ use std::time::Instant;
 /// YGM uses aggregation buffers of comparable magnitude.
 pub const DEFAULT_FLUSH_THRESHOLD: usize = 64 * 1024;
 
-/// A reusable barrier that can be *poisoned*: when any rank panics, the
-/// world aborts instead of deadlocking the surviving ranks inside their
-/// barrier waits — the in-process analogue of `MPI_Abort`.
-pub(crate) struct PoisonBarrier {
-    n: usize,
-    state: Mutex<BarrierState>,
-    cvar: Condvar,
+/// What a rank brings to a meeting, besides its [`Tally`]. SPMD: every rank
+/// brings the same kind to the same meeting.
+pub(crate) enum Meet {
+    /// One round of a barrier.
+    Round,
+    /// This rank's addend of an all-reduce.
+    Sum(u64),
+    /// A broadcast; the root brings the payload, everyone else `None`.
+    Broadcast(Option<Bytes>),
 }
 
-struct BarrierState {
-    count: usize,
-    generation: u64,
-    poisoned: bool,
+/// What every rank takes away from a meeting.
+#[derive(Clone)]
+pub(crate) enum Outcome {
+    /// A barrier round; `quiescent` when every message sent anywhere had
+    /// been handled by the time its receiver arrived.
+    Round { quiescent: bool },
+    /// An all-reduce's total.
+    Sum(u64),
+    /// A broadcast's payload.
+    Broadcast(Bytes),
 }
 
 /// Panic payload used when a rank aborts *because a peer panicked* (the
-/// poisoned-barrier path). Distinguishable from application panics so
+/// poisoned-rendezvous path). Distinguishable from application panics so
 /// [`World::run`] can re-raise the peer's original payload instead of this
 /// secondary one.
 pub(crate) struct WorldAborted;
 
-impl PoisonBarrier {
-    fn new(n: usize) -> Self {
-        PoisonBarrier {
+/// Everything that changes only when ranks meet, as plain values under the
+/// rendezvous' one mutex.
+struct Meeting {
+    arrived: usize,
+    generation: u64,
+    poisoned: bool,
+    /// Result of the last finished meeting. It cannot be overwritten before
+    /// every rank has read it: the next meeting finishes only once all of
+    /// them have arrived at it.
+    outcome: Outcome,
+    /// Messages sent / handled world-wide, as of each rank's last arrival.
+    sent: u64,
+    processed: u64,
+    /// All-reduce accumulator and broadcast payload of the meeting under
+    /// way; taken by its finishing step.
+    sum: u64,
+    payload: Option<Bytes>,
+    stats: Stats,
+    clock: VirtualClock,
+    faults: FaultCounters,
+}
+
+/// The one place ranks synchronize: a combining rendezvous. A rank folds its
+/// contribution in as it arrives; the last one to arrive finishes the
+/// meeting — decides quiescence and advances the clock, or takes the reduced
+/// value — and publishes the [`Outcome`] before it wakes anyone. So a barrier
+/// round or a collective is one blocking wait, and a rank cannot forget to
+/// publish: its tally is the argument.
+///
+/// It can be *poisoned*: when any rank panics, the world aborts instead of
+/// deadlocking the surviving ranks in their waits — the in-process analogue
+/// of `MPI_Abort`.
+pub(crate) struct Rendezvous {
+    n: usize,
+    cost: CostModel,
+    state: Mutex<Meeting>,
+    wake: Condvar,
+    /// Lock-free mirror of the clock, stored by the last arriver before it
+    /// wakes anyone: every trace helper reads the time, mid-phase.
+    now_ns: AtomicU64,
+}
+
+impl Rendezvous {
+    fn new(n: usize, cost: CostModel) -> Self {
+        Rendezvous {
             n,
-            state: Mutex::new(BarrierState {
-                count: 0,
+            cost,
+            state: Mutex::new(Meeting {
+                arrived: 0,
                 generation: 0,
                 poisoned: false,
+                outcome: Outcome::Sum(0),
+                sent: 0,
+                processed: 0,
+                sum: 0,
+                payload: None,
+                stats: Stats::new(n),
+                clock: VirtualClock::default(),
+                faults: FaultCounters::default(),
             }),
-            cvar: Condvar::new(),
+            wake: Condvar::new(),
+            now_ns: AtomicU64::new(0),
         }
     }
 
-    /// Block until all ranks arrive. Returns `true` on exactly one rank
-    /// per generation (the "leader"). Panics on all ranks if the barrier
-    /// is poisoned.
-    pub(crate) fn wait(&self) -> bool {
-        let mut st = self.state.lock();
-        if st.poisoned {
+    /// Fold in what `rank` did since its last meeting (`tally`, left zeroed)
+    /// and what it brings to this one, block until all ranks have arrived,
+    /// and return the meeting's outcome — the same on every rank. Panics on
+    /// all ranks if the rendezvous is poisoned.
+    pub(crate) fn meet(&self, rank: usize, tally: &mut Tally, what: Meet) -> Outcome {
+        let mut guard = self.state.lock();
+        let m = &mut *guard;
+        if m.poisoned {
             std::panic::panic_any(WorldAborted);
         }
-        st.count += 1;
-        if st.count == self.n {
-            st.count = 0;
-            st.generation = st.generation.wrapping_add(1);
+        m.sent += m.stats.merge(rank, tally);
+        m.processed += std::mem::take(&mut tally.processed);
+        m.faults.absorb(&mut tally.faults);
+        match &what {
+            Meet::Round | Meet::Broadcast(None) => {}
+            Meet::Sum(v) => m.sum = m.sum.wrapping_add(*v),
+            Meet::Broadcast(Some(bytes)) => m.payload = Some(bytes.clone()),
+        }
+        m.arrived += 1;
+        if m.arrived == self.n {
+            m.arrived = 0;
+            m.generation += 1;
+            m.outcome = match what {
+                Meet::Round => {
+                    let quiescent = m.sent == m.processed;
+                    if quiescent {
+                        m.clock.advance_phase(&m.stats, &self.cost, self.n);
+                        m.stats.reset_phase();
+                    }
+                    Outcome::Round { quiescent }
+                }
+                Meet::Sum(_) => {
+                    m.clock.advance_collective(&self.cost, self.n);
+                    Outcome::Sum(std::mem::take(&mut m.sum))
+                }
+                Meet::Broadcast(_) => {
+                    m.clock.advance_collective(&self.cost, self.n);
+                    Outcome::Broadcast(m.payload.take().expect("broadcast payload missing"))
+                }
+            };
+            self.now_ns.store(m.clock.now_ns(), Ordering::SeqCst);
             // A one-rank world has nobody to wake, and a wake is a
             // syscall whether or not anyone waits.
             if self.n > 1 {
-                self.cvar.notify_all();
+                self.wake.notify_all();
             }
-            return true;
+            return m.outcome.clone();
         }
-        let gen = st.generation;
-        while st.generation == gen && !st.poisoned {
-            self.cvar.wait(&mut st);
+        let generation = guard.generation;
+        while guard.generation == generation && !guard.poisoned {
+            self.wake.wait(&mut guard);
         }
-        if st.poisoned {
+        if guard.poisoned {
             std::panic::panic_any(WorldAborted);
         }
-        false
+        guard.outcome.clone()
     }
 
     fn poison(&self) {
-        let mut st = self.state.lock();
-        st.poisoned = true;
-        self.cvar.notify_all();
+        self.state.lock().poisoned = true;
+        self.wake.notify_all();
+    }
+
+    /// Current virtual time, nanoseconds. Changes only while every rank is
+    /// inside [`Self::meet`], so a rank reads the same value anywhere between
+    /// two meetings, run to run.
+    pub(crate) fn now_ns(&self) -> u64 {
+        self.now_ns.load(Ordering::SeqCst)
+    }
+
+    /// Reliable-delivery retransmits world-wide, as of each rank's last
+    /// arrival.
+    pub(crate) fn retransmits(&self) -> u64 {
+        self.state.lock().faults.retransmits
+    }
+
+    /// Meetings finished so far.
+    #[cfg(test)]
+    pub(crate) fn generation(&self) -> u64 {
+        self.state.lock().generation
     }
 }
 
@@ -134,12 +241,11 @@ impl EdgeRecvState {
     }
 }
 
-/// World-wide fault-injection state: the plan, the counters, and the
-/// shared-memory ack table (one [`EdgeRecvState`] per directed edge,
-/// indexed `dest * n_ranks + src`).
+/// World-wide fault-injection state: the plan and the shared-memory ack
+/// table (one [`EdgeRecvState`] per directed edge, indexed
+/// `dest * n_ranks + src`).
 pub(crate) struct FaultShared {
     pub(crate) plan: FaultPlan,
-    pub(crate) counters: FaultCounters,
     recv: Box<[EdgeRecvState]>,
 }
 
@@ -147,7 +253,6 @@ impl FaultShared {
     fn new(plan: FaultPlan, n_ranks: usize) -> Self {
         FaultShared {
             plan,
-            counters: FaultCounters::default(),
             recv: (0..n_ranks * n_ranks)
                 .map(|_| EdgeRecvState::new())
                 .collect(),
@@ -162,17 +267,10 @@ impl FaultShared {
 
 pub(crate) struct Shared {
     pub n_ranks: usize,
-    pub barrier: PoisonBarrier,
+    pub rendezvous: Rendezvous,
     pub senders: Vec<Sender<Packet>>,
-    pub sent: AtomicU64,
-    pub processed: AtomicU64,
-    pub stats: Stats,
-    pub clock: VirtualClock,
     pub cost: CostModel,
     pub flush_threshold: usize,
-    pub reduce_u64: AtomicU64,
-    pub reduce_f64: Mutex<f64>,
-    pub bcast: Mutex<Option<Bytes>>,
     /// Optional span/metric collector; `None` keeps the hot path at a
     /// single branch per instrumentation site.
     pub tracer: Option<Arc<Tracer>>,
@@ -330,17 +428,10 @@ impl World {
             (0..n).map(|_| unbounded()).unzip();
         let shared = Arc::new(Shared {
             n_ranks: n,
-            barrier: PoisonBarrier::new(n),
+            rendezvous: Rendezvous::new(n, self.cost),
             senders,
-            sent: AtomicU64::new(0),
-            processed: AtomicU64::new(0),
-            stats: Stats::new(n),
-            clock: VirtualClock::new(),
             cost: self.cost,
             flush_threshold: self.flush_threshold,
-            reduce_u64: AtomicU64::new(0),
-            reduce_f64: Mutex::new(0.0),
-            bcast: Mutex::new(None),
             tracer: self.tracer.clone(),
             fault: self.fault.map(|plan| FaultShared::new(plan, n)),
         });
@@ -353,7 +444,7 @@ impl World {
                 let shared = Arc::clone(&shared);
                 let f = &f;
                 handles.push(scope.spawn(move || {
-                    let barrier = Arc::clone(&shared);
+                    let world = Arc::clone(&shared);
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         let comm = Comm::new(rank, shared, rx);
                         let out = f(&comm);
@@ -367,8 +458,8 @@ impl World {
                         Ok(out) => out,
                         Err(payload) => {
                             // Abort the world so no rank deadlocks in a
-                            // barrier waiting for us, then re-raise.
-                            barrier.barrier.poison();
+                            // meeting waiting for us, then re-raise.
+                            world.rendezvous.poison();
                             std::panic::resume_unwind(payload);
                         }
                     }
@@ -376,7 +467,7 @@ impl World {
             }
             // Join *all* ranks before re-raising: the first rank in join
             // order is often one that aborted secondarily via the poisoned
-            // barrier ([`WorldAborted`]); re-raise the peer's original
+            // rendezvous ([`WorldAborted`]); re-raise the peer's original
             // panic payload so the caller sees the real failure, not
             // "another rank panicked".
             let mut original: Option<Box<dyn std::any::Any + Send>> = None;
@@ -398,17 +489,18 @@ impl World {
         });
         let wall_secs = start.elapsed().as_secs_f64();
 
+        let m = shared.rendezvous.state.lock();
         WorldReport {
             results: results.into_iter().map(Option::unwrap).collect(),
-            sim_secs: shared.clock.now_secs(),
-            sim_ns: shared.clock.now_ns(),
-            breakdown: shared.clock.breakdown(),
-            phases: shared.clock.phases(),
+            sim_secs: m.clock.now_secs(),
+            sim_ns: m.clock.now_ns(),
+            breakdown: m.clock.breakdown(),
+            phases: m.clock.phases().to_vec(),
             wall_secs,
-            tags: shared.stats.nonzero_tags(),
-            total: shared.stats.total(),
-            matrix: shared.stats.matrix(),
-            faults: shared.fault.as_ref().map(|f| f.counters.report(&f.plan)),
+            tags: m.stats.nonzero_tags(),
+            total: m.stats.total(),
+            matrix: m.stats.matrix(),
+            faults: shared.fault.as_ref().map(|f| m.faults.report(&f.plan)),
         }
     }
 }
@@ -540,29 +632,36 @@ mod tests {
     }
 
     #[test]
-    fn all_reduce_sums_and_maxes() {
-        let report = World::new(4).run(|comm| {
-            let sum = comm.all_reduce_sum_u64(comm.rank() as u64 + 1);
-            let max = comm.all_reduce_max_u64(comm.rank() as u64);
-            let fsum = comm.all_reduce_sum_f64(0.5);
-            (sum, max, fsum)
-        });
-        for r in &report.results {
-            assert_eq!(r.0, 10);
-            assert_eq!(r.1, 3);
-            assert!((r.2 - 2.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn consecutive_reduces_do_not_bleed() {
         let report = World::new(3).run(|comm| {
-            let a = comm.all_reduce_sum_u64(1);
+            let a = comm.all_reduce_sum_u64(comm.rank() as u64 + 1);
             let b = comm.all_reduce_sum_u64(2);
             (a, b)
         });
         for r in &report.results {
-            assert_eq!(*r, (3, 6));
+            assert_eq!(*r, (6, 6));
+        }
+    }
+
+    /// A barrier with nothing in flight, an all-reduce and a broadcast are
+    /// one meeting each — one blocking wait — at any rank count. (Between
+    /// two meetings the generation cannot move: the next one needs this
+    /// rank.)
+    #[test]
+    fn an_empty_barrier_and_each_collective_meet_exactly_once() {
+        for ranks in [1usize, 2, 3] {
+            let report = World::new(ranks).run(|comm| {
+                let start = comm.meetings();
+                comm.barrier();
+                let after_barrier = comm.meetings();
+                comm.all_reduce_sum_u64(1);
+                let after_reduce = comm.meetings();
+                let _: u64 = comm.broadcast(0, (comm.rank() == 0).then_some(&7u64));
+                [start, after_barrier, after_reduce, comm.meetings()]
+            });
+            for r in &report.results {
+                assert_eq!(*r, [0, 1, 2, 3], "{ranks} ranks");
+            }
         }
     }
 
@@ -671,7 +770,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_are_consistent_under_atomic_ordering() {
+    fn relayed_chains_are_retired_before_the_barrier_returns() {
         // Regression guard for the termination-detection invariant:
         // sent == processed implies empty channels.
         let report = World::new(4).run(|comm| {

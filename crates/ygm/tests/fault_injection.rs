@@ -252,7 +252,7 @@ fn storm_guard_converts_hangs_into_replayable_failures() {
 
 /// Regression (satellite: panic masking in `World::run`).
 ///
-/// When one rank panics, peers abort out of the poisoned barrier with a
+/// When one rank panics, peers abort out of the poisoned rendezvous with a
 /// secondary payload. Joining in rank order used to re-raise whichever
 /// came first — usually rank 0's "another rank panicked" — burying the
 /// real failure. The caller must see the original payload.

@@ -125,6 +125,26 @@ fn rank_panic_propagates_to_caller() {
     assert!(result.is_err(), "panic must propagate");
 }
 
+/// Peers parked inside an all-reduce are released by a panicking rank too,
+/// and the caller sees that rank's own message, not the secondary abort of
+/// the ranks it released. The gate orders it: the panic comes after both
+/// peers are on their way into the collective.
+#[test]
+fn rank_panic_during_an_all_reduce_re_raises_the_original_payload() {
+    let gate = std::sync::Barrier::new(3);
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        World::new(3).run(|comm| {
+            gate.wait();
+            if comm.rank() == 1 {
+                panic!("rank 1 exploded before the reduce");
+            }
+            comm.all_reduce_sum_u64(1)
+        })
+    }));
+    let text = panic_text(result.expect_err("panic must propagate"));
+    assert_eq!(text, "rank 1 exploded before the reduce");
+}
+
 #[test]
 fn empty_world_rejected() {
     let result = std::panic::catch_unwind(|| World::new(0));
@@ -161,7 +181,7 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 /// A handler decodes straight off the block cursor, so a message type
 /// shorter than the frame it was sent as would misalign every frame behind
 /// it. That is a hard, named abort in release builds too — through the
-/// poisoned barrier, so the other ranks do not hang — for the by-value
+/// poisoned rendezvous, so the other ranks do not hang — for the by-value
 /// registration and for the reusing one.
 #[test]
 fn mistyped_handler_aborts_the_world_naming_the_tag() {
@@ -243,9 +263,10 @@ fn reusing_handler_sees_exactly_each_message() {
 //   on HOP_A (o, body): HOP_B (o, body.len())    -> rank (o + 1) % n
 //   on HOP_B (o, len):  HOP_C len                -> rank o
 //
-// then one barrier, then one more HOP_C from every rank to its right-hand
-// neighbour with no barrier of the rank's own after it. The expected
-// counters are computed by `Expected::of` from that description only.
+// then one barrier, one all-reduce, then one more HOP_C from every rank to
+// its right-hand neighbour with no barrier of the rank's own after it. The
+// expected counters are computed by `Expected::of` from that description
+// only.
 
 const HOP_A: u16 = 3;
 const HOP_B: u16 = 4;
@@ -255,12 +276,15 @@ const COMPUTE_MAIN: u64 = 1_000;
 const COMPUTE_A: u64 = 100;
 const COMPUTE_B: u64 = 10;
 
-/// Integer-exact in f64: link cost is `100 * msgs + bytes`.
+const HOP_NS: u64 = 700;
+
+/// Integer-exact in f64: link cost is `100 * msgs + bytes`, a barrier or a
+/// collective `700 * ceil(log2(ranks))`.
 fn exact_cost() -> CostModel {
     CostModel {
         alpha_ns: 100.0,
         bytes_per_ns: 1.0,
-        barrier_hop_ns: 0.0,
+        barrier_hop_ns: HOP_NS as f64,
         dist_elem_ns: 1.0,
     }
 }
@@ -357,6 +381,9 @@ fn run_chain(world: World) -> (ygm::WorldReport<()>, u64) {
             comm.async_send(dest, HOP_A, &(comm.rank() as u32, vec![0u8; i % 5]));
         }
         comm.barrier();
+        // A collective between the two phases: it must add its latency to
+        // the clock and nothing to either phase.
+        assert_eq!(comm.all_reduce_sum_u64(1), comm.n_ranks() as u64);
         // Sent after this rank's last barrier: only the world's implicit
         // final barrier can publish it.
         comm.async_send((comm.rank() + 1) % comm.n_ranks(), HOP_C, &7u32);
@@ -433,6 +460,12 @@ fn three_hop_chain_accounting_matches_independent_count() {
             }
             let phase_msgs: u64 = report.phases.iter().map(|p| p.msgs).sum();
             assert_eq!(phase_msgs, report.total.remote_count, "{ctx}");
+
+            // The clock is the phases plus the one collective, to the
+            // nanosecond (hops: 0, 1, 2 at ranks 1, 2, 4).
+            let phase_ns: u64 = report.phases.iter().map(|p| p.total_ns).sum();
+            let collective_ns = HOP_NS * n.trailing_zeros() as u64;
+            assert_eq!(report.sim_ns, phase_ns + collective_ns, "{ctx}");
         }
     }
 }

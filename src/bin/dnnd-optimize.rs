@@ -71,6 +71,9 @@ fn reverse_prune_mode(
     if m.is_nan() || m < 1.0 {
         die(&format!("--m must be at least 1 (got {m})"));
     }
+    if !(0.0..=1.0).contains(&keep) {
+        die(&format!("--diversify must be in [0, 1] (got {keep})"));
+    }
     // Graph optimization is a driver-side (single-process) pass, so the
     // trace has one track.
     let tracer = outs.tracer(1);

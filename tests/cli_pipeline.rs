@@ -370,6 +370,23 @@ fn bad_flag_exits_2_on_every_binary() {
             format!("--store {store} --m 0.5"),
             "error: --m must be at least 1 (got 0.5)",
         ),
+        // `--diversify -0.5` was a panic in `nnd::diversify`; 1.5 and NaN
+        // were silently "off".
+        (
+            env!("CARGO_BIN_EXE_dnnd-optimize"),
+            format!("--store {store} --diversify -0.5"),
+            "error: --diversify must be in [0, 1] (got -0.5)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-optimize"),
+            format!("--store {store} --diversify 1.5"),
+            "error: --diversify must be in [0, 1] (got 1.5)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-optimize"),
+            format!("--store {store} --diversify nan"),
+            "error: --diversify must be in [0, 1] (got NaN)",
+        ),
         // A refused `dnnd-vdb create` is refused before the store exists.
         (
             env!("CARGO_BIN_EXE_dnnd-vdb"),
