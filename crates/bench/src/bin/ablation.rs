@@ -24,6 +24,7 @@ fn main() {
     let ranks: usize = args.get("ranks", 8);
     let seed: u64 = args.get("seed", 61);
     let dir = args.out_dir();
+    args.finish();
 
     let set = Arc::new(presets::deep1b_like(n, seed));
     println!("ablation dataset: DEEP-like n={n} k={k} ranks={ranks}");

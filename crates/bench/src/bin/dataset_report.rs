@@ -45,6 +45,8 @@ fn main() {
     let n: usize = args.get("n", if args.flag("full") { 2_000 } else { 800 });
     let k: usize = args.get("k", 15);
     let seed: u64 = args.get("seed", 13);
+    let dir = args.out_dir();
+    args.finish();
 
     println!("dataset diagnostics: n={n} k={k}");
     let mut t = Table::new(
@@ -135,6 +137,6 @@ fn main() {
     );
 
     t.print();
-    let path = t.write_csv(&args.out_dir(), "dataset_report").expect("csv");
+    let path = t.write_csv(&dir, "dataset_report").expect("csv");
     println!("\ncsv: {}", path.display());
 }

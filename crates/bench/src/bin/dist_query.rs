@@ -27,6 +27,8 @@ fn main() {
     let n_queries: usize = args.get("queries", 150);
     let k: usize = args.get("k", 10);
     let seed: u64 = args.get("seed", 91);
+    let (dir, outs) = (args.out_dir(), ObsOuts::parse(&args));
+    args.finish();
 
     let (base, queries) = split_queries(presets::deep1b_like(n + n_queries, seed), n_queries);
     let base = Arc::new(base);
@@ -77,8 +79,6 @@ fn main() {
         &0.0,
     ]);
 
-    let outs = ObsOuts::parse(&args);
-
     for ranks in [2usize, 4, 8, 16] {
         // Observe the 8-rank run: one track per rank in the trace.
         let tracer = (ranks == 8).then(|| outs.tracer(ranks)).flatten();
@@ -120,6 +120,6 @@ fn main() {
         }
     }
     t.print();
-    t.write_csv(&args.out_dir(), "dist_query").expect("csv");
-    println!("\ncsv: {}/dist_query.csv", args.out_dir().display());
+    t.write_csv(&dir, "dist_query").expect("csv");
+    println!("\ncsv: {}/dist_query.csv", dir.display());
 }

@@ -109,6 +109,8 @@ fn main() {
     let n_queries: usize = args.get("queries", 200);
     let ranks: usize = args.get("ranks", 8);
     let seed: u64 = args.get("seed", 21);
+    let dir = args.out_dir();
+    args.finish();
 
     println!("Figure 2 reproduction: n={n} queries={n_queries} ranks={ranks}");
     let mut t = Table::new(
@@ -138,7 +140,7 @@ fn main() {
     );
 
     t.print();
-    let path = t.write_csv(&args.out_dir(), "fig2_tradeoff").expect("csv");
+    let path = t.write_csv(&dir, "fig2_tradeoff").expect("csv");
     println!("\ncsv: {}", path.display());
     println!(
         "\nPaper shape to check: larger k dominates the high-recall regime\n\

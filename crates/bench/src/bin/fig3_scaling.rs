@@ -72,11 +72,10 @@ fn dataset_section<P: Point, M: dataset::batch::BatchMetric<P>>(
     metric: M,
     hnsw_cfgs: [(&'static str, usize, usize); 2],
     paper: &[PaperRow],
-    args: &Args,
+    (seed, all_points): (u64, bool),
     out: &mut Table,
     csv_rows: &mut Table,
 ) {
-    let seed: u64 = args.get("seed", 3);
     let set = Arc::new(set);
     let dim = set.dim();
 
@@ -108,7 +107,7 @@ fn dataset_section<P: Point, M: dataset::batch::BatchMetric<P>>(
         let mut cells: Vec<String> = vec![label.clone()];
         cells.push(fmt_opt(paper_row.hours[0])); // 1 node: paper has none for DNND
         for (i, &nodes) in NODES.iter().enumerate().skip(1) {
-            if paper_row.hours[i].is_none() && !args.flag("all-points") {
+            if paper_row.hours[i].is_none() && !all_points {
                 cells.push("-".into());
                 continue;
             }
@@ -130,6 +129,9 @@ fn dataset_section<P: Point, M: dataset::batch::BatchMetric<P>>(
 fn main() {
     let args = Args::parse();
     let n: usize = args.get("n", if args.flag("full") { 4_000 } else { 1_500 });
+    let sweep = (args.get("seed", 3u64), args.flag("all-points"));
+    let dir = args.out_dir();
+    args.finish();
     println!(
         "Figure 3 / Table 3 reproduction: n={n} (cells: paper-hours | measured virtual-seconds)"
     );
@@ -201,7 +203,7 @@ fn main() {
         L2,
         [("Hnsw A", 64, 50), ("Hnsw B", 64, 200)],
         &deep_paper,
-        &args,
+        sweep,
         &mut deep_table,
         &mut csv,
     );
@@ -211,15 +213,15 @@ fn main() {
         L2,
         [("Hnsw C", 32, 25), ("Hnsw D", 64, 200)],
         &bigann_paper,
-        &args,
+        sweep,
         &mut bigann_table,
         &mut csv,
     );
 
     deep_table.print();
     bigann_table.print();
-    csv.write_csv(&args.out_dir(), "fig3_scaling").expect("csv");
-    println!("\ncsv: {}/fig3_scaling.csv", args.out_dir().display());
+    csv.write_csv(&dir, "fig3_scaling").expect("csv");
+    println!("\ncsv: {}/fig3_scaling.csv", dir.display());
     println!(
         "\nPaper headline: DNND k10 DEEP scales 3.8x from 4 -> 16 nodes and flattens at 32;\n\
          compare the measured virtual-second columns for the same shape."

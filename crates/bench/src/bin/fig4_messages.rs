@@ -93,6 +93,8 @@ fn main() {
     let k: usize = args.get("k", 10); // the paper's Figure 4 uses k = 10
     let ranks: usize = args.get("ranks", 16); // and 16 nodes
     let seed: u64 = args.get("seed", 9);
+    let dir = args.out_dir();
+    args.finish();
 
     println!("Figure 4 reproduction: n={n} k={k} ranks={ranks}");
     let mut counts = Table::new(
@@ -144,7 +146,6 @@ fn main() {
     counts.print();
     volumes.print();
     tags.print();
-    let dir = args.out_dir();
     counts.write_csv(&dir, "fig4a_messages").expect("csv");
     volumes.write_csv(&dir, "fig4b_volume").expect("csv");
     tags.write_csv(&dir, "fig4_tags").expect("csv");

@@ -57,6 +57,8 @@ fn main() {
     let n: usize = args.get("n", if args.flag("full") { 4_000 } else { 1_500 });
     let n_queries: usize = args.get("queries", 150);
     let seed: u64 = args.get("seed", 41);
+    let dir = args.out_dir();
+    args.finish();
 
     println!("Table 2 parameter survey: n={n} queries={n_queries}");
     println!(
@@ -93,8 +95,6 @@ fn main() {
         &mut t,
     );
     t.print();
-    let path = t
-        .write_csv(&args.out_dir(), "table2_hnsw_survey")
-        .expect("csv");
+    let path = t.write_csv(&dir, "table2_hnsw_survey").expect("csv");
     println!("\ncsv: {}", path.display());
 }

@@ -30,7 +30,7 @@
 //! cargo run --release -p bench --bin kernels -- --smoke --report-out /tmp/k.json
 //! ```
 
-use bench::{Args, Table};
+use bench::{Args, ObsOuts, Table};
 use dataset::batch::BatchMetric;
 use dataset::kernel;
 use dataset::metric::{Cosine, Hamming, InnerProduct, SquaredL2, L1, L2};
@@ -161,6 +161,8 @@ fn main() {
     let args = Args::parse();
     let smoke = args.flag("smoke");
     let reps = args.get("reps", if smoke { 2 } else { 7 });
+    let outs = ObsOuts::parse(&args);
+    args.finish();
 
     let mut cells: Vec<Cell> = Vec::new();
     for &dim in DIMS {
@@ -249,5 +251,5 @@ fn main() {
         assert_eq!(back, report);
         println!("smoke: schema round-trip OK, batched >= scalar OK");
     }
-    bench::write_baseline_outputs(&args, &report);
+    bench::write_baseline_outputs(&outs, &report);
 }

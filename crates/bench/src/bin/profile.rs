@@ -24,6 +24,8 @@ fn main() {
     let n: usize = args.get("n", if args.flag("full") { 3_000 } else { 1_200 });
     let k: usize = args.get("k", 10);
     let seed: u64 = args.get("seed", 71);
+    let (dir, outs) = (args.out_dir(), ObsOuts::parse(&args));
+    args.finish();
 
     let set = Arc::new(presets::deep1b_like(n, seed));
     println!("Section 7 profile: DEEP-like n={n} k={k}");
@@ -51,8 +53,7 @@ fn main() {
         ]);
     }
     t.print();
-    t.write_csv(&args.out_dir(), "profile_breakdown")
-        .expect("csv");
+    t.write_csv(&dir, "profile_breakdown").expect("csv");
 
     let mut t2 = Table::new(
         "Decomposition per protocol (8 ranks)",
@@ -86,12 +87,10 @@ fn main() {
         ]);
     }
     t2.print();
-    t2.write_csv(&args.out_dir(), "profile_protocols")
-        .expect("csv");
+    t2.write_csv(&dir, "profile_protocols").expect("csv");
 
     // Per-phase trace for one representative build: shows the heavy
     // neighbor-check phases against the light sampling/collective ones.
-    let outs = ObsOuts::parse(&args);
     let tracer = outs.tracer(8);
     let mut world = World::new(8);
     if let Some(t) = &tracer {
@@ -115,12 +114,11 @@ fn main() {
         ]);
     }
     t3.print();
-    t3.write_csv(&args.out_dir(), "profile_phases")
-        .expect("csv");
+    t3.write_csv(&dir, "profile_phases").expect("csv");
     println!(
         "\n{} phases total; csv written to {}",
         out.report.phases.len(),
-        args.out_dir().display()
+        dir.display()
     );
 
     let run_report = || {

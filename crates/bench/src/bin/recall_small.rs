@@ -67,6 +67,8 @@ fn main() {
     let k: usize = args.get("k", if args.flag("full") { 100 } else { 20 });
     let ranks: usize = args.get("ranks", 4);
     let seed: u64 = args.get("seed", 5);
+    let dir = args.out_dir();
+    args.finish();
 
     println!("Section 5.2 quality check: n={n} k={k} ranks={ranks}");
     let mut t = Table::new(
@@ -139,8 +141,6 @@ fn main() {
     );
 
     t.print();
-    let path = t
-        .write_csv(&args.out_dir(), "recall_small")
-        .expect("write csv");
+    let path = t.write_csv(&dir, "recall_small").expect("write csv");
     println!("\ncsv: {}", path.display());
 }

@@ -150,6 +150,8 @@ fn run() -> Result<bool, String> {
         }
     };
     let thr: Option<f64> = args.opt("threshold");
+    let csv_dir = args.opt::<String>("out").map(|_| args.out_dir());
+    args.finish();
     if let Some(t) = thr {
         if !(t.is_finite() && t >= 0.0) {
             return Err(format!("--threshold must be a nonnegative number, got {t}"));
@@ -191,9 +193,9 @@ fn run() -> Result<bool, String> {
         table.row(&[&r.name, &b, &c, &d, &t, &status(r)]);
     }
     table.print();
-    if args.opt::<String>("out").is_some() {
+    if let Some(dir) = csv_dir {
         let path = table
-            .write_csv(&args.out_dir(), "report_diff")
+            .write_csv(&dir, "report_diff")
             .map_err(|e| e.to_string())?;
         println!("wrote {}", path.display());
     }

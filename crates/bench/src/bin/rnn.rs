@@ -20,7 +20,7 @@
 //! distributed pass must be bit-identical across ranks {1, 2, 4} and
 //! across a rerun.
 
-use bench::{Args, Table};
+use bench::{Args, ObsOuts, Table};
 use dataset::ground_truth::brute_force_queries;
 use dataset::metric::L2;
 use dataset::presets;
@@ -60,6 +60,8 @@ fn main() {
         .t1(args.get("t1", 3usize))
         .t2(args.get("t2", 8usize));
     let m: f64 = args.get("m", 1.5);
+    let (dir, outs) = (args.out_dir(), ObsOuts::parse(&args));
+    args.finish();
 
     let (base, pool) = split_queries(presets::deep1b_like(n + pool_n, seed), pool_n);
     let base = Arc::new(base);
@@ -145,8 +147,8 @@ fn main() {
         ]);
     }
     t.print();
-    t.write_csv(&args.out_dir(), "rnn").expect("csv");
-    println!("\ncsv: {}/rnn.csv", args.out_dir().display());
+    t.write_csv(&dir, "rnn").expect("csv");
+    println!("\ncsv: {}/rnn.csv", dir.display());
 
     // The emitted report is anchored on the RNN pass (tags, phases, the
     // `rnn` section) with the comparison as extras and the RNN
@@ -223,5 +225,5 @@ fn main() {
         );
     }
 
-    bench::write_baseline_outputs(&args, &rr);
+    bench::write_baseline_outputs(&outs, &rr);
 }

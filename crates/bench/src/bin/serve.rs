@@ -38,7 +38,7 @@
 //! baseline; the smoke shape also asserts the unfiltered point matches
 //! legacy (non-vdb) serving over the identical base + graph bit for bit.
 
-use bench::{Args, Table};
+use bench::{Args, ObsOuts, Table};
 use dataset::ground_truth::brute_force_queries;
 use dataset::metric::L2;
 use dataset::presets;
@@ -48,6 +48,7 @@ use dnnd::{build, CommOpts, DnndConfig};
 use serve::{
     attach_serving, attach_vdb, run_serve, run_serve_vdb, ServeOutcome, ServeParams, VdbServeConfig,
 };
+use std::path::Path;
 use std::sync::Arc;
 use vdb::{Collection, MetaRecord};
 use ygm::World;
@@ -81,10 +82,13 @@ fn main() {
     let seed: u64 = args.get("seed", 91);
     let serve_seed: u64 = args.get("serve-seed", 0x5E27E);
     let ranks: usize = args.get("ranks", 2);
+    let vdb = args.flag("vdb");
+    let (dir, outs) = (args.out_dir(), ObsOuts::parse(&args));
+    args.finish();
 
-    if args.flag("vdb") {
+    if vdb {
         return vdb_sweep(
-            &args, smoke, n, pool_n, arrivals, k, seed, serve_seed, ranks,
+            &dir, &outs, smoke, n, pool_n, arrivals, k, seed, serve_seed, ranks,
         );
     }
 
@@ -112,7 +116,7 @@ fn main() {
 
     if flash {
         return flash_crowd(
-            &args, smoke, arrivals, k, serve_seed, ranks, &base, &graph, &pool, &truth.ids,
+            &dir, &outs, smoke, arrivals, k, serve_seed, ranks, &base, &graph, &pool, &truth.ids,
         );
     }
 
@@ -171,8 +175,8 @@ fn main() {
         last_wr = Some(wr);
     }
     t.print();
-    t.write_csv(&args.out_dir(), "serve").expect("csv");
-    println!("\ncsv: {}/serve.csv", args.out_dir().display());
+    t.write_csv(&dir, "serve").expect("csv");
+    println!("\ncsv: {}/serve.csv", dir.display());
 
     // The emitted report carries the overload (2x) point's serving section
     // — the one whose shedding/degrade counters the regression gate should
@@ -222,7 +226,7 @@ fn main() {
         );
     }
 
-    bench::write_baseline_outputs(&args, &rr);
+    bench::write_baseline_outputs(&outs, &rr);
 }
 
 /// Flash-crowd-with-faults scenario (`--flash`): the pinned closed-loop
@@ -232,7 +236,8 @@ fn main() {
 /// `dnnd-report-diff`.
 #[allow(clippy::too_many_arguments)]
 fn flash_crowd(
-    args: &Args,
+    dir: &Path,
+    outs: &ObsOuts,
     smoke: bool,
     arrivals: usize,
     k: usize,
@@ -309,8 +314,8 @@ fn flash_crowd(
         sweep.push((profile, outcome, recall));
     }
     t.print();
-    t.write_csv(&args.out_dir(), "serve_flash").expect("csv");
-    println!("\ncsv: {}/serve_flash.csv", args.out_dir().display());
+    t.write_csv(dir, "serve_flash").expect("csv");
+    println!("\ncsv: {}/serve_flash.csv", dir.display());
 
     // The report carries the lossy point: a flash crowd *and* transport
     // faults, the regression gate's most load-bearing configuration.
@@ -404,7 +409,7 @@ fn flash_crowd(
         );
     }
 
-    bench::write_baseline_outputs(args, &rr);
+    bench::write_baseline_outputs(outs, &rr);
 }
 
 /// Vector-DB scenario (`--vdb`, `BENCH_10.json`): a filtered-workload
@@ -414,7 +419,8 @@ fn flash_crowd(
 /// are the committed regression baseline.
 #[allow(clippy::too_many_arguments)]
 fn vdb_sweep(
-    args: &Args,
+    dir: &Path,
+    outs: &ObsOuts,
     smoke: bool,
     n: usize,
     pool_n: usize,
@@ -518,8 +524,8 @@ fn vdb_sweep(
         sweep.push((name, outcome));
     }
     t.print();
-    t.write_csv(&args.out_dir(), "serve_vdb").expect("csv");
-    println!("\ncsv: {}/serve_vdb.csv", args.out_dir().display());
+    t.write_csv(dir, "serve_vdb").expect("csv");
+    println!("\ncsv: {}/serve_vdb.csv", dir.display());
 
     let (_, mutating) = sweep.last().expect("sweep is non-empty");
     let mut rr =
@@ -614,5 +620,5 @@ fn vdb_sweep(
         );
     }
 
-    bench::write_baseline_outputs(args, &rr);
+    bench::write_baseline_outputs(outs, &rr);
 }

@@ -286,16 +286,21 @@ fn main() {
         out_dir: args.out_dir(),
         keep_all_reports: args.flag("reports") || replay_seed.is_some(),
     };
+    let n_seeds: u64 = args.get("seeds", 25);
+    let profile_arg: String = args.get("profile", "all".to_string());
+    let protocol_arg: String = args.get("protocol", "both".to_string());
+    let opt_mode_arg: String = args.get("opt-mode", "both".to_string());
+    let preset_arg: String = args.get("preset", "all".to_string());
+    args.finish();
     std::fs::create_dir_all(&sweep.out_dir).expect("create --out dir");
 
     // Replay mode: `--sim-seed S` runs exactly one seed (deterministically
     // reproducing a sweep failure); otherwise sweep seeds 0..--seeds.
     let seeds: Vec<u64> = match replay_seed {
         Some(s) => vec![s],
-        None => (0..args.get("seeds", 25u64)).collect(),
+        None => (0..n_seeds).collect(),
     };
 
-    let profile_arg: String = args.get("profile", "all".to_string());
     let profiles: Vec<FaultProfile> = if profile_arg == "all" {
         FaultProfile::NAMES
             .iter()
@@ -307,7 +312,6 @@ fn main() {
         })]
     };
 
-    let protocol_arg: String = args.get("protocol", "both".to_string());
     let protocols: Vec<&'static str> = match protocol_arg.as_str() {
         "both" => vec!["optimized", "unoptimized"],
         "optimized" => vec!["optimized"],
@@ -320,7 +324,6 @@ fn main() {
     // so the RNN pass on top must be bit-identical under faults too (the
     // optimized protocol's raw graph is schedule-dependent, which would
     // make an identity check meaningless).
-    let opt_mode_arg: String = args.get("opt-mode", "both".to_string());
     let mut combos: Vec<(&'static str, &'static str)> = Vec::new();
     if opt_mode_arg == "default" || opt_mode_arg == "both" {
         combos.extend(protocols.iter().map(|&p| (p, "default")));
@@ -333,7 +336,6 @@ fn main() {
         "no (protocol, opt-mode) combination selected (opt-mode rnn needs the unoptimized protocol)"
     );
 
-    let preset_arg: String = args.get("preset", "all".to_string());
     let mut presets = make_presets(n, k);
     if preset_arg != "all" {
         presets.retain(|p| p.name == preset_arg);

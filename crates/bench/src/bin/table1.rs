@@ -11,6 +11,8 @@ fn main() {
     let args = Args::parse();
     let n: usize = args.get("n", 2_000);
     let seed: u64 = args.get("seed", 1);
+    let dir = args.out_dir();
+    args.finish();
 
     let mut t = Table::new(
         "Table 1: Datasets used in the evaluation (paper vs. synthetic stand-in)",
@@ -73,6 +75,6 @@ fn main() {
         ]);
     }
     t.print();
-    let path = t.write_csv(&args.out_dir(), "table1").expect("write csv");
+    let path = t.write_csv(&dir, "table1").expect("write csv");
     println!("\ncsv: {}", path.display());
 }

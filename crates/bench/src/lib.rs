@@ -223,8 +223,7 @@ fn emit(
 /// Write a sweep driver's outputs. `--report-out` exists to be a committed
 /// baseline, so it gets the report's [`obs::RunReport::summary`] (no
 /// per-event lists); `--dashboard-out` renders the full in-memory report.
-pub fn write_baseline_outputs(args: &Args, report: &RunReport) {
-    let outs = ObsOuts::parse(args);
+pub fn write_baseline_outputs(outs: &ObsOuts, report: &RunReport) {
     outs.write_report(&report.summary())
         .and_then(|()| outs.write_dashboard(report))
         .unwrap_or_else(|e| die(&e));

@@ -15,7 +15,7 @@ use crate::msgs::name_tags;
 use crate::partition::Partitioner;
 use dataset::batch::{BatchMetric, NormCache};
 use dataset::ground_truth::GroundTruth;
-use dataset::order::OrdF32;
+use dataset::order::{offer_bounded, sort_edges, DistKey};
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use std::cell::RefCell;
@@ -85,26 +85,16 @@ fn local_topk_block<P: Point, M: BatchMetric<P>>(
 ) -> Partial {
     const COLS: usize = 256;
     let qvecs: Vec<P> = qs.iter().map(|(_, q)| q.clone()).collect();
-    let mut heaps: Vec<BinaryHeap<(OrdF32, PointId)>> = qs
-        .iter()
-        .map(|_| BinaryHeap::with_capacity(k + 1))
-        .collect();
+    let mut heaps: Vec<BinaryHeap<DistKey>> =
+        (qs.iter().map(|_| BinaryHeap::with_capacity(k))).collect();
     let mut dbuf: Vec<f32> = Vec::new();
     for chunk in owned.chunks(COLS) {
         metric.distance_many_to_many(&qvecs, set, cache, chunk, &mut dbuf);
         for (qi, ((qv, _), heap)) in qs.iter().zip(heaps.iter_mut()).enumerate() {
             let row = &dbuf[qi * chunk.len()..(qi + 1) * chunk.len()];
             for (&u, &d) in chunk.iter().zip(row) {
-                if u == *qv {
-                    continue;
-                }
-                if heap.len() < k {
-                    heap.push((OrdF32(d), u));
-                } else if let Some(&(worst, worst_id)) = heap.peek() {
-                    if (OrdF32(d), u) < (worst, worst_id) {
-                        heap.pop();
-                        heap.push((OrdF32(d), u));
-                    }
+                if u != *qv {
+                    offer_bounded(heap, k, DistKey::new(d, u));
                 }
             }
         }
@@ -112,10 +102,8 @@ fn local_topk_block<P: Point, M: BatchMetric<P>>(
     qs.iter()
         .zip(heaps)
         .map(|(&(qv, _), heap)| {
-            let mut pairs: Vec<(PointId, f32)> =
-                heap.into_iter().map(|(OrdF32(d), id)| (id, d)).collect();
-            pairs.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-            (qv, pairs)
+            let keys = heap.into_sorted_vec();
+            (qv, keys.iter().map(|key| (key.id(), key.dist())).collect())
         })
         .collect()
 }
@@ -196,7 +184,7 @@ where
         .iter()
         .map(|&v| {
             let mut pairs = merged.remove(&v).unwrap_or_default();
-            pairs.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+            sort_edges(&mut pairs);
             pairs.truncate(k);
             (v, pairs)
         })

@@ -31,6 +31,7 @@ use crate::msgs::*;
 use crate::partition::{Buckets, Partitioner};
 use crate::rnn_dist::{register_rnn_handlers, run_rnn_rounds, RnnDistState};
 use dataset::batch::{BatchMetric, NormCache};
+use dataset::order::sort_edges;
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use nnd::graph::{Edge, KnnGraph};
@@ -345,7 +346,7 @@ where
         part.group_into(&chosen, &mut buckets);
         if let Some((_, local)) = buckets.iter().find(|&(dest, _)| dest == comm.rank()) {
             // Local candidates: one batched 1xN evaluation.
-            metric.distance_one_to_many(set.point(v), &set, &cache, local, &mut dbuf);
+            metric.distance_member_to_many(v, &set, &cache, local, &mut dbuf);
             charge_batch(comm, dim, local.len());
             comm.trace_hist("kernel_batch_len", local.len() as u64);
             let mut s = st.borrow_mut();
@@ -707,7 +708,7 @@ fn optimize_distributed(
         .map(|(i, &v)| {
             let mut edges = s.heaps.sorted_edges(i);
             edges.append(&mut s.opt_extra[i]);
-            edges.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+            sort_edges(&mut edges);
             edges.dedup_by_key(|e| e.0);
             edges.truncate(limit);
             (v, edges)

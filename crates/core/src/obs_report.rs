@@ -75,12 +75,12 @@ fn fill_critical_path(report: &mut RunReport, phases: &[PhaseRecord], sim_ns: u6
             index: p.index as u64,
             total_ns: p.total_ns,
             barrier_ns: p.barrier_secs * 1e9,
-            rank_compute_ns: p.rank_compute_ns.clone(),
-            rank_send_ns: p.rank_send_ns.clone(),
-            rank_recv_ns: p.rank_recv_ns.clone(),
-            rank_transport_send_ns: p.rank_transport_send_ns.clone(),
-            rank_transport_recv_ns: p.rank_transport_recv_ns.clone(),
-            rank_fault_ns: p.rank_fault_ns.clone(),
+            rank_compute_ns: p.rank_compute_ns().to_vec(),
+            rank_send_ns: p.rank_send_ns().to_vec(),
+            rank_recv_ns: p.rank_recv_ns().to_vec(),
+            rank_transport_send_ns: p.rank_transport_send_ns().to_vec(),
+            rank_transport_recv_ns: p.rank_transport_recv_ns().to_vec(),
+            rank_fault_ns: p.rank_fault_ns().to_vec(),
         })
         .collect();
     report.critical_path = Some(obs::critical_path::analyze(&costs, sim_ns, n_ranks));
@@ -279,12 +279,15 @@ mod tests {
                 msgs: 7,
                 bytes: 2_320,
                 total_ns: 610_000_000,
-                rank_compute_ns: vec![500_000_000.0, 450_000_000.0],
-                rank_send_ns: vec![90_000_000.0, 80_000_000.0],
-                rank_recv_ns: vec![10_000_000.0, 20_000_000.0],
-                rank_transport_send_ns: vec![0.0, 1_000_000.0],
-                rank_transport_recv_ns: vec![1_000_000.0, 0.0],
-                rank_fault_ns: vec![0.0, 0.0],
+                rank_ns: [
+                    [500_000_000.0, 450_000_000.0], // compute
+                    [90_000_000.0, 80_000_000.0],   // send
+                    [10_000_000.0, 20_000_000.0],   // recv
+                    [0.0, 1_000_000.0],             // transport send
+                    [1_000_000.0, 0.0],             // transport recv
+                    [0.0, 0.0],                     // fault
+                ]
+                .concat(),
             }],
             wall_secs: 0.5,
             tags,

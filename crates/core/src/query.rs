@@ -41,7 +41,7 @@
 
 use crate::partition::{Buckets, IdBuildHasher, Partitioner};
 use dataset::batch::BatchMetric;
-use dataset::order::OrdF32;
+use dataset::order::DistKey;
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use nnd::graph::KnnGraph;
@@ -299,18 +299,20 @@ ygm::wire_struct!(QueryProfile {
     rounds
 });
 
-/// Per-query state at its home rank.
+/// Per-query state at its home rank. A retired state goes back to the
+/// engine's spare list with its containers emptied and their capacity kept.
+#[derive(Default)]
 struct QueryState {
     /// Best-`l` max-heap.
-    best: BinaryHeap<(OrdF32, PointId)>,
+    best: BinaryHeap<DistKey>,
     /// Frontier min-heap of scored, unexpanded vertices.
-    frontier: BinaryHeap<Reverse<(OrdF32, PointId)>>,
+    frontier: BinaryHeap<Reverse<DistKey>>,
     /// Only ever inserted into, never iterated: no order can leak out of
     /// the cheap hasher.
     visited: HashSet<PointId, IdBuildHasher>,
     /// Scored replies of the current round, folded in canonical order at
     /// the round boundary (the determinism contract).
-    round_scored: Vec<(PointId, f32)>,
+    round_scored: Vec<DistKey>,
     /// Filter-pushed allow-list: gates best-heap admission only (see
     /// [`IdMask`]). `None` is the unfiltered legacy path, byte-identical
     /// to pre-filter behavior.
@@ -320,23 +322,11 @@ struct QueryState {
 }
 
 impl QueryState {
-    fn new(mask: Option<Arc<IdMask>>) -> Self {
-        QueryState {
-            best: BinaryHeap::new(),
-            frontier: BinaryHeap::new(),
-            visited: HashSet::default(),
-            round_scored: Vec::new(),
-            mask,
-            done: false,
-            profile: QueryProfile::default(),
-        }
-    }
-
     fn d_max(&self, l: usize) -> f32 {
         if self.best.len() < l {
             f32::INFINITY
         } else {
-            self.best.peek().map_or(f32::INFINITY, |&(OrdF32(m), _)| m)
+            self.best.peek().map_or(f32::INFINITY, |top| top.dist())
         }
     }
 
@@ -350,30 +340,61 @@ impl QueryState {
         // Taken out so `self` can be updated while walking it; put back
         // (empty, capacity kept) at the end.
         let mut scored = std::mem::take(&mut self.round_scored);
-        scored.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        for &(w, d) in &scored {
-            if let Some(mask) = &self.mask {
-                if !mask.allows(w) {
-                    continue; // navigation-only vertex: scored, never returned
-                }
+        // A disallowed reply is a navigation-only vertex: scored, never
+        // returned. The allowed ones move to the front.
+        let mut allowed = 0;
+        for i in 0..scored.len() {
+            if (self.mask.as_ref()).is_none_or(|mask| mask.allows(scored[i].id())) {
+                scored.swap(allowed, i);
+                allowed += 1;
             }
-            if self.best.len() < l || d < self.d_max(l) {
-                self.best.push((OrdF32(d), w));
+        }
+        // Admission is strict on distance against a bound that only
+        // tightens, so walking the allowed replies in ascending order the
+        // first refusal of a full `best` refuses everything after it: only
+        // the `l` smallest can enter, and only they are selected and sorted.
+        // (A NaN is refused without bounding what follows it, so one more
+        // reply is walked per NaN.)
+        let nans = (scored[..allowed].iter()).filter(|key| key.dist().is_nan());
+        let walk = (l + nans.count()).min(allowed);
+        if walk < allowed {
+            scored[..allowed].select_nth_unstable(walk - 1);
+        }
+        scored[..walk].sort_unstable();
+        for &key in &scored[..walk] {
+            if self.best.len() < l || key.dist() < self.d_max(l) {
+                self.best.push(key);
                 if self.best.len() > l {
                     self.best.pop();
                 }
             }
         }
         let bound = relax * self.d_max(l);
-        for &(w, d) in &scored {
-            if d < bound {
-                self.frontier.push(Reverse((OrdF32(d), w)));
-            }
-        }
+        let near = scored.iter().filter(|key| key.dist() < bound);
+        self.frontier.extend(near.map(|&key| Reverse(key)));
         scored.clear();
         self.round_scored = scored;
     }
+
+    /// The result — `best`'s ids ascending by `(distance, id)` — leaving
+    /// every container empty with its capacity, ready for another query.
+    fn retire(&mut self) -> Vec<PointId> {
+        self.round_scored.clear();
+        self.round_scored.extend(self.best.drain());
+        self.round_scored.sort_unstable();
+        let ids = self.round_scored.iter().map(|key| key.id()).collect();
+        self.round_scored.clear();
+        self.frontier.clear();
+        self.visited.clear();
+        (self.mask, self.done, self.profile) = (None, false, QueryProfile::default());
+        ids
+    }
 }
+
+/// Retired [`QueryState`]s an engine keeps for its next batches: the
+/// serving layer's batches are far smaller, and an offline batch of
+/// thousands must not stay resident.
+const SPARE_STATES: usize = 256;
 
 struct EngineState<P> {
     /// Queries of the batch currently in flight (empty between batches).
@@ -383,6 +404,8 @@ struct EngineState<P> {
     vectors: Vec<P>,
     /// Entry-point sampler over the base ids, reused by every query.
     sampler: EntrySampler,
+    /// Retired states (at most [`SPARE_STATES`]), emptied, capacity kept.
+    spare: Vec<QueryState>,
 }
 
 /// Per-rank result rows: `(global query index, neighbor ids)`.
@@ -426,6 +449,7 @@ where
             queries: Vec::new(),
             vectors: Vec::new(),
             sampler: EntrySampler::new(n),
+            spare: Vec::new(),
         }));
 
         {
@@ -491,9 +515,8 @@ where
             let st = Rc::clone(&st);
             comm.register_named::<Scored, _>(TAG_SCORED, "q_scored", move |_, (qid, scored)| {
                 let mut s = st.borrow_mut();
-                s.queries[*qid as usize]
-                    .round_scored
-                    .extend_from_slice(scored);
+                let replies = scored.iter().map(|&(w, d)| DistKey::new(d, w));
+                s.queries[*qid as usize].round_scored.extend(replies);
             });
         }
 
@@ -541,36 +564,29 @@ where
         let relax = 1.0 + params.epsilon;
         assert!(params.l <= n, "l exceeds dataset size");
 
-        {
-            let mut s = self.st.borrow_mut();
-            s.queries = requests
-                .iter()
-                .enumerate()
-                .map(|(i, _)| QueryState::new(masks.get(i).cloned().flatten()))
-                .collect();
-            s.vectors = requests.iter().map(|(_, q)| q.clone()).collect();
-        }
-
         // --- seed entry points -------------------------------------------
+        // Each query starts on a retired state when there is one. Replies
+        // are dispatched at the barrier, when the whole batch is in place.
         comm.trace_begin("query_seed");
         {
             let mut s = self.st.borrow_mut();
-            let EngineState {
-                queries, sampler, ..
-            } = &mut *s;
+            let s = &mut *s;
             let starts = params.l.max(params.entry_candidates).min(n);
             let mut fresh: Vec<PointId> = Vec::with_capacity(starts);
             let mut buckets = Buckets::default();
             for (qid, (key, query)) in requests.iter().enumerate() {
-                let q = &mut queries[qid];
+                let mut q = s.spare.pop().unwrap_or_default();
+                q.mask = masks.get(qid).cloned().flatten();
                 let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ (key << 16));
-                sampler.draw(&mut rng, starts, &mut fresh);
+                s.sampler.draw(&mut rng, starts, &mut fresh);
                 q.visited.extend(&fresh);
                 q.profile.dist_evals += fresh.len() as u64;
                 part.group_into(&fresh, &mut buckets);
                 for (dest, ws) in buckets.iter() {
                     comm.async_send(dest, TAG_SCORE, &(qid as u32, me, ws, query));
                 }
+                s.queries.push(q);
+                s.vectors.push(query.clone());
             }
         }
         comm.barrier();
@@ -597,10 +613,11 @@ where
                     let d_max = q.d_max(params.l);
                     match q.frontier.pop() {
                         None => q.done = true,
-                        Some(Reverse((OrdF32(d), v))) => {
-                            if d > relax * d_max && q.best.len() >= params.l {
+                        Some(Reverse(next)) => {
+                            if next.dist() > relax * d_max && q.best.len() >= params.l {
                                 q.done = true;
                             } else {
+                                let v = next.id();
                                 q.profile.expansions += 1;
                                 comm.async_send(part.owner(v), TAG_EXPAND, &(qid as u32, me, v));
                             }
@@ -623,15 +640,15 @@ where
 
         // --- extract -----------------------------------------------------
         let mut s = self.st.borrow_mut();
+        let s = &mut *s;
         s.vectors.clear();
-        std::mem::take(&mut s.queries)
-            .into_iter()
-            .map(|q| {
-                let mut pairs: Vec<(f32, PointId)> =
-                    q.best.iter().map(|&(OrdF32(d), id)| (d, id)).collect();
-                pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-                let ids: Vec<PointId> = pairs.into_iter().map(|(_, id)| id).collect();
-                (ids, q.profile)
+        (s.queries.drain(..))
+            .map(|mut q| {
+                let (profile, ids) = (q.profile, q.retire());
+                if s.spare.len() < SPARE_STATES {
+                    s.spare.push(q);
+                }
+                (ids, profile)
             })
             .unzip()
     }
@@ -692,6 +709,7 @@ mod tests {
     use dataset::metric::L2;
     use dataset::recall::mean_recall;
     use dataset::synth::{gaussian_mixture, split_queries, MixtureParams};
+    use proptest::prelude::*;
 
     type Fixture = (Arc<PointSet<Vec<f32>>>, Arc<KnnGraph>, PointSet<Vec<f32>>);
 
@@ -1019,6 +1037,162 @@ mod tests {
                 "filtered results differ at {ranks} ranks"
             );
         }
+    }
+
+    /// The fold before selection, kept as the reference: sort every reply
+    /// of the round, offer every allowed one to `best` in that order, then
+    /// admit to the frontier against the settled bound.
+    fn fold_round_by_full_sort(q: &mut QueryState, l: usize, relax: f32) {
+        let mut scored = std::mem::take(&mut q.round_scored);
+        scored.sort_unstable();
+        for &key in &scored {
+            let allowed = q.mask.as_ref().is_none_or(|mask| mask.allows(key.id()));
+            if allowed && (q.best.len() < l || key.dist() < q.d_max(l)) {
+                q.best.push(key);
+                if q.best.len() > l {
+                    q.best.pop();
+                }
+            }
+        }
+        let bound = relax * q.d_max(l);
+        for &key in scored.iter().filter(|key| key.dist() < bound) {
+            q.frontier.push(Reverse(key));
+        }
+    }
+
+    /// Two states with the same carried-over `best`, the same mask and the
+    /// same round of replies, folded both ways, must agree on `best` and on
+    /// the frontier.
+    fn check_fold(
+        l: usize,
+        carried: &[(PointId, f32)],
+        replies: &[(PointId, f32)],
+        denied: &[PointId],
+        relax: f32,
+    ) -> Result<(), String> {
+        let mut mask = IdMask::all(1 << 10);
+        denied.iter().for_each(|&id| mask.deny(id));
+        let mask = (!denied.is_empty()).then(|| Arc::new(mask));
+        let state = || QueryState {
+            best: carried.iter().map(|&(w, d)| DistKey::new(d, w)).collect(),
+            round_scored: replies.iter().map(|&(w, d)| DistKey::new(d, w)).collect(),
+            mask: mask.clone(),
+            ..QueryState::default()
+        };
+        let (mut folded, mut reference) = (state(), state());
+        folded.fold_round(l, relax);
+        fold_round_by_full_sort(&mut reference, l, relax);
+        let what = format!("l={l} carried={carried:?} replies={replies:?} denied={denied:?}");
+        prop_assert_eq!(
+            folded.best.into_sorted_vec(),
+            reference.best.into_sorted_vec(),
+            "best: {}",
+            what
+        );
+        prop_assert_eq!(
+            folded.frontier.into_sorted_vec(),
+            reference.frontier.into_sorted_vec(),
+            "frontier: {}",
+            what
+        );
+        prop_assert!(folded.round_scored.is_empty());
+        Ok(())
+    }
+
+    #[test]
+    fn fold_by_selection_equals_the_full_sort_on_the_hard_cases() {
+        // Exact ties straddling position `l`: five replies at one distance,
+        // `l` = 3, ids decide; with and without a carried-over `best`.
+        let tied: Vec<(PointId, f32)> = [9, 4, 7, 2, 5].iter().map(|&w| (w, 1.0)).collect();
+        check_fold(3, &[], &tied, &[], 1.2).unwrap();
+        check_fold(3, &[(1, 0.5), (3, 1.0), (8, 1.0)], &tied, &[], 1.2).unwrap();
+        check_fold(3, &[(1, 0.5), (3, 2.0), (8, 3.0)], &tied, &[], 1.0).unwrap();
+        // A mask that denies some of the `l` smallest: the selection must be
+        // over the allowed replies, not over the round.
+        let spread: Vec<(PointId, f32)> = (0..12).map(|w| (w, w as f32 * 0.25)).collect();
+        check_fold(4, &[], &spread, &[0, 1, 3], 1.5).unwrap();
+        check_fold(4, &[(20, 0.3), (21, 5.0)], &spread, &[0, 2, 4, 6], 1.5).unwrap();
+        // Everything denied, and a round shorter than `l`.
+        check_fold(2, &[(20, 0.3)], &spread, &(0..12).collect::<Vec<_>>(), 1.5).unwrap();
+        check_fold(8, &[], &spread[..3], &[], 1.5).unwrap();
+        // A NaN is refused by a full `best` without bounding what follows
+        // it (x86 makes `inf - inf` a negative NaN, which sorts first).
+        let neg_nan = f32::from_bits(0xffc0_0000);
+        let with_nans = [
+            (1, neg_nan),
+            (2, neg_nan),
+            (3, 1.0),
+            (4, f32::NAN),
+            (5, 2.0),
+        ];
+        check_fold(2, &[(20, 5.0)], &with_nans, &[], 1.2).unwrap();
+        check_fold(1, &[(20, 5.0)], &with_nans, &[], 1.2).unwrap();
+        check_fold(3, &[], &with_nans, &[2], 1.2).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn fold_by_selection_equals_the_full_sort(
+            l in 1usize..7,
+            // Few distinct distances, so ties are the rule; ids are made
+            // distinct below (a query scores a vertex once).
+            carried in prop::collection::vec(0u32..6, 0..7),
+            replies in prop::collection::vec(0u32..8, 0..40),
+            deny_every in 0u32..5,
+            relax in 1.0f32..1.5,
+        ) {
+            let dist = |step: u32| match step {
+                6 => f32::from_bits(0xffc0_0000),
+                7 => f32::NAN,
+                _ => step as f32 * 0.5,
+            };
+            let carried: Vec<(PointId, f32)> = (carried.iter().take(l).enumerate())
+                .map(|(i, &step)| (500 + i as PointId, dist(step)))
+                .collect();
+            let replies: Vec<(PointId, f32)> = (replies.iter().enumerate())
+                .map(|(i, &step)| ((i as PointId * 7) % 41, dist(step)))
+                .collect();
+            let denied: Vec<PointId> = (0..41)
+                .filter(|id| deny_every > 0 && id % (deny_every + 1) == 0)
+                .collect();
+            check_fold(l, &carried, &replies, &denied, relax)?;
+        }
+    }
+
+    #[test]
+    fn retired_states_are_reused_clean_and_the_pool_is_bounded() {
+        let (base, graph, queries) = setup(300, 6);
+        let params = DistSearchParams::new(6).entry_candidates(24);
+        let requests = |copies: usize| -> Vec<(u64, Vec<f32>)> {
+            (0..copies * queries.len())
+                .map(|i| {
+                    (
+                        i as u64,
+                        queries.point((i % queries.len()) as PointId).clone(),
+                    )
+                })
+                .collect()
+        };
+        let report = World::new(1).run(|comm| {
+            let engine = SearchEngine::new(comm, Arc::clone(&base), Arc::clone(&graph), L2);
+            let batch = requests(1);
+            let fresh = engine.run_batch(comm, &batch, &[], params);
+            // A masked batch in between: no mask, visited set or heap entry
+            // of it may show in the batch after.
+            let deny = Some(Arc::new(IdMask::none(base.len())));
+            engine.run_batch(comm, &batch, &vec![deny; batch.len()], params);
+            assert_eq!(engine.run_batch(comm, &batch, &[], params), fresh);
+            assert_eq!(engine.st.borrow().spare.len(), batch.len());
+            // A batch larger than the pool does not stay resident.
+            let large = requests(SPARE_STATES / queries.len() + 2);
+            assert!(large.len() > SPARE_STATES);
+            engine.run_batch(comm, &large, &[], params);
+            let pooled = engine.st.borrow().spare.len();
+            pooled
+        });
+        assert_eq!(report.results[0], SPARE_STATES);
     }
 
     #[test]

@@ -53,14 +53,17 @@ impl NormCache {
         NormCache { norms_sq }
     }
 
+    /// The cached `||point(id)||²`, if this cache holds one.
+    #[inline]
+    pub fn get(&self, id: PointId) -> Option<f32> {
+        self.norms_sq.get(id as usize).copied()
+    }
+
     /// `||point(id)||²` — cached if present, else recomputed with the
     /// identical kernel (bit-identical either way).
     #[inline]
     pub fn norm_sq_of(&self, id: PointId, v: &[f32]) -> f32 {
-        match self.norms_sq.get(id as usize) {
-            Some(&n) => n,
-            None => kernel::norm_sq(v),
-        }
+        self.get(id).unwrap_or_else(|| kernel::norm_sq(v))
     }
 }
 
@@ -71,23 +74,35 @@ fn dense_norm_cache(set: &PointSet<Vec<f32>>) -> NormCache {
 
 /// Batched distance evaluation over a `PointSet`.
 ///
-/// Default methods evaluate pair-by-pair via `Metric::distance`, so every
-/// metric gets the batched entry points for free; the hot dense metrics
-/// override them with cached-norm kernels. **Contract:** overrides must be
-/// bit-identical to the default for every pair, and `out[i]` must equal
-/// the distance for `cands[i]` (row-major `qs × cands` for M×N).
+/// The one 1×N primitive is [`BatchMetric::distance_one_to_many_prepared`]:
+/// its default evaluates pair-by-pair via `Metric::distance`, so every
+/// metric gets the batched entry points for free, and the hot dense metrics
+/// override it (and only it) with cached-norm kernels. **Contract:** an
+/// override must be bit-identical to the default for every pair, and
+/// `out[i]` must equal the distance for `cands[i]` (row-major `qs × cands`
+/// for M×N).
 pub trait BatchMetric<P: Point>: Metric<P> {
-    /// One-time per-set preprocessing (e.g. squared norms). The returned
-    /// cache is only valid for `set` as passed — rebuild after mutation.
+    /// One-time per-set preprocessing: [`BatchMetric::prepare_query`] of
+    /// every point, for the metrics that use it. The returned cache is only
+    /// valid for `set` as passed — rebuild after mutation.
     fn preprocess(&self, _set: &PointSet<P>) -> NormCache {
         NormCache::empty()
     }
 
-    /// Distances from `q` to each of `cands` (1×N). Clears `out` and
-    /// leaves `out.len() == cands.len()`.
-    fn distance_one_to_many(
+    /// The scalar of `q` the 1×N kernel needs on every call: `||q||²` for
+    /// the dot-product family, unused (zero) elsewhere. A loop that scores
+    /// one query against many batches takes it once.
+    fn prepare_query(&self, _q: &P) -> f32 {
+        0.0
+    }
+
+    /// Distances from `q` to each of `cands` (1×N), given
+    /// `q_prep == self.prepare_query(q)`. Clears `out` and leaves
+    /// `out.len() == cands.len()`.
+    fn distance_one_to_many_prepared(
         &self,
         q: &P,
+        _q_prep: f32,
         set: &PointSet<P>,
         _cache: &NormCache,
         cands: &[PointId],
@@ -95,6 +110,34 @@ pub trait BatchMetric<P: Point>: Metric<P> {
     ) {
         out.clear();
         out.extend(cands.iter().map(|&u| self.distance(q, set.point(u))));
+    }
+
+    /// [`BatchMetric::distance_one_to_many_prepared`] for a caller with one
+    /// batch to score: prepares `q` itself.
+    fn distance_one_to_many(
+        &self,
+        q: &P,
+        set: &PointSet<P>,
+        cache: &NormCache,
+        cands: &[PointId],
+        out: &mut Vec<f32>,
+    ) {
+        self.distance_one_to_many_prepared(q, self.prepare_query(q), set, cache, cands, out);
+    }
+
+    /// [`BatchMetric::distance_one_to_many`] from the member `set.point(v)`:
+    /// its scalar is read from `cache` when it is there.
+    fn distance_member_to_many(
+        &self,
+        v: PointId,
+        set: &PointSet<P>,
+        cache: &NormCache,
+        cands: &[PointId],
+        out: &mut Vec<f32>,
+    ) {
+        let q = set.point(v);
+        let q_prep = cache.get(v).unwrap_or_else(|| self.prepare_query(q));
+        self.distance_one_to_many_prepared(q, q_prep, set, cache, cands, out);
     }
 
     /// Distances for every `(q, cand)` pair (M×N), row-major: row `i`
@@ -118,155 +161,72 @@ pub trait BatchMetric<P: Point>: Metric<P> {
     }
 }
 
-/// Shared 1×N body for the squared-L2 family: one norm for the query, one
-/// cached (or recomputed) norm plus one dot product per candidate.
-#[inline]
-fn sq_l2_one_to_many(
-    q: &[f32],
-    set: &PointSet<Vec<f32>>,
-    cache: &NormCache,
-    cands: &[PointId],
-    out: &mut Vec<f32>,
-) {
-    out.clear();
-    out.reserve(cands.len());
-    let nq = kernel::norm_sq(q);
-    for &u in cands {
-        let p = set.point(u);
-        let np = cache.norm_sq_of(u, p);
-        out.push(kernel::sq_l2_from_dot(nq, np, kernel::dot(q, p)));
-    }
-}
+/// The dot-product family: norms cached per set and taken once per query
+/// (`nq`); per candidate one cached (or recomputed) norm and one dot product,
+/// combined by `$finish(nq, np, dot)`.
+macro_rules! dot_family {
+    ($metric:ty, $finish:expr) => {
+        impl BatchMetric<Vec<f32>> for $metric {
+            fn preprocess(&self, set: &PointSet<Vec<f32>>) -> NormCache {
+                dense_norm_cache(set)
+            }
 
-impl BatchMetric<Vec<f32>> for SquaredL2 {
-    fn preprocess(&self, set: &PointSet<Vec<f32>>) -> NormCache {
-        dense_norm_cache(set)
-    }
+            fn prepare_query(&self, q: &Vec<f32>) -> f32 {
+                kernel::norm_sq(q)
+            }
 
-    fn distance_one_to_many(
-        &self,
-        q: &Vec<f32>,
-        set: &PointSet<Vec<f32>>,
-        cache: &NormCache,
-        cands: &[PointId],
-        out: &mut Vec<f32>,
-    ) {
-        sq_l2_one_to_many(q, set, cache, cands, out);
-    }
-}
-
-impl BatchMetric<Vec<f32>> for L2 {
-    fn preprocess(&self, set: &PointSet<Vec<f32>>) -> NormCache {
-        dense_norm_cache(set)
-    }
-
-    fn distance_one_to_many(
-        &self,
-        q: &Vec<f32>,
-        set: &PointSet<Vec<f32>>,
-        cache: &NormCache,
-        cands: &[PointId],
-        out: &mut Vec<f32>,
-    ) {
-        sq_l2_one_to_many(q, set, cache, cands, out);
-        for d in out.iter_mut() {
-            *d = d.sqrt();
+            fn distance_one_to_many_prepared(
+                &self,
+                q: &Vec<f32>,
+                nq: f32,
+                set: &PointSet<Vec<f32>>,
+                cache: &NormCache,
+                cands: &[PointId],
+                out: &mut Vec<f32>,
+            ) {
+                out.clear();
+                out.extend(cands.iter().map(|&u| {
+                    let p = set.point(u);
+                    $finish(nq, cache.norm_sq_of(u, p), kernel::dot(q, p))
+                }));
+            }
         }
-    }
+    };
 }
 
-impl BatchMetric<Vec<f32>> for Cosine {
-    fn preprocess(&self, set: &PointSet<Vec<f32>>) -> NormCache {
-        dense_norm_cache(set)
-    }
+dot_family!(SquaredL2, kernel::sq_l2_from_dot);
+dot_family!(L2, |nq, np, dot| kernel::sq_l2_from_dot(nq, np, dot).sqrt());
+dot_family!(Cosine, kernel::cosine_from_dot);
 
-    fn distance_one_to_many(
-        &self,
-        q: &Vec<f32>,
-        set: &PointSet<Vec<f32>>,
-        cache: &NormCache,
-        cands: &[PointId],
-        out: &mut Vec<f32>,
-    ) {
-        out.clear();
-        out.reserve(cands.len());
-        let nq = kernel::norm_sq(q);
-        for &u in cands {
-            let p = set.point(u);
-            let np = cache.norm_sq_of(u, p);
-            out.push(kernel::cosine_from_dot(nq, np, kernel::dot(q, p)));
+/// A metric with no per-query scalar: the 1×N form is `$pair` per candidate.
+macro_rules! pairwise_batch {
+    ($metric:ty, $point:ty, $pair:expr) => {
+        impl BatchMetric<$point> for $metric {
+            fn distance_one_to_many_prepared(
+                &self,
+                q: &$point,
+                _q_prep: f32,
+                set: &PointSet<$point>,
+                _cache: &NormCache,
+                cands: &[PointId],
+                out: &mut Vec<f32>,
+            ) {
+                out.clear();
+                out.extend(cands.iter().map(|&u| $pair(q, set.point(u))));
+            }
         }
-    }
+    };
 }
 
-impl BatchMetric<Vec<f32>> for InnerProduct {
-    fn distance_one_to_many(
-        &self,
-        q: &Vec<f32>,
-        set: &PointSet<Vec<f32>>,
-        _cache: &NormCache,
-        cands: &[PointId],
-        out: &mut Vec<f32>,
-    ) {
-        out.clear();
-        out.extend(cands.iter().map(|&u| -kernel::dot(q, set.point(u))));
-    }
-}
+pairwise_batch!(InnerProduct, Vec<f32>, |q, p| -kernel::dot(q, p));
+pairwise_batch!(L1, Vec<f32>, kernel::l1);
+pairwise_batch!(Hamming, Vec<u8>, |q, p| kernel::hamming_u8(q, p) as f32);
+pairwise_batch!(L2, Vec<u8>, |q, p| (kernel::sq_l2_u8(q, p) as f32).sqrt());
 
-impl BatchMetric<Vec<f32>> for L1 {
-    fn distance_one_to_many(
-        &self,
-        q: &Vec<f32>,
-        set: &PointSet<Vec<f32>>,
-        _cache: &NormCache,
-        cands: &[PointId],
-        out: &mut Vec<f32>,
-    ) {
-        out.clear();
-        out.extend(cands.iter().map(|&u| kernel::l1(q, set.point(u))));
-    }
-}
-
-// Order-independent / integer metrics ride on the defaults (already batch-
+// Order-independent / sparse metrics ride on the defaults (already batch-
 // shaped; no norm cache applies).
 impl BatchMetric<Vec<f32>> for Chebyshev {}
 impl BatchMetric<SparseVec> for Jaccard {}
-
-impl BatchMetric<Vec<u8>> for Hamming {
-    fn distance_one_to_many(
-        &self,
-        q: &Vec<u8>,
-        set: &PointSet<Vec<u8>>,
-        _cache: &NormCache,
-        cands: &[PointId],
-        out: &mut Vec<f32>,
-    ) {
-        out.clear();
-        out.extend(
-            cands
-                .iter()
-                .map(|&u| kernel::hamming_u8(q, set.point(u)) as f32),
-        );
-    }
-}
-
-impl BatchMetric<Vec<u8>> for L2 {
-    fn distance_one_to_many(
-        &self,
-        q: &Vec<u8>,
-        set: &PointSet<Vec<u8>>,
-        _cache: &NormCache,
-        cands: &[PointId],
-        out: &mut Vec<f32>,
-    ) {
-        out.clear();
-        out.extend(
-            cands
-                .iter()
-                .map(|&u| (kernel::sq_l2_u8(q, set.point(u)) as f32).sqrt()),
-        );
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 //! parallelism the paper's brute-force checker would use.
 
 use crate::batch::{BatchMetric, NormCache};
-use crate::order::OrdF32;
+use crate::order::{offer_bounded, DistKey};
 use crate::point::Point;
 use crate::set::{PointId, PointSet};
 use rayon::prelude::*;
@@ -63,28 +63,20 @@ fn knn_of<P: Point, M: BatchMetric<P>>(
     // Max-heap of the current k best so the worst is peekable. Distances
     // arrive a block at a time (1×BLOCK batched evaluation); selection
     // scans each block in id order, so results match a scalar sweep.
-    let mut heap: BinaryHeap<(OrdF32, PointId)> = BinaryHeap::with_capacity(k + 1);
+    let mut heap: BinaryHeap<DistKey> = BinaryHeap::with_capacity(k);
     let mut dbuf: Vec<f32> = Vec::with_capacity(BLOCK);
+    let q_prep = metric.prepare_query(q);
     for block in all_ids.chunks(BLOCK) {
-        metric.distance_one_to_many(q, base, cache, block, &mut dbuf);
+        metric.distance_one_to_many_prepared(q, q_prep, base, cache, block, &mut dbuf);
         for (&id, &d) in block.iter().zip(&dbuf) {
-            if exclude == Some(id) {
-                continue;
-            }
-            if heap.len() < k {
-                heap.push((OrdF32(d), id));
-            } else if let Some(&(worst, worst_id)) = heap.peek() {
-                if (OrdF32(d), id) < (worst, worst_id) {
-                    heap.pop();
-                    heap.push((OrdF32(d), id));
-                }
+            if exclude != Some(id) {
+                offer_bounded(&mut heap, k, DistKey::new(d, id));
             }
         }
     }
-    let mut pairs = heap.into_vec();
-    pairs.sort_unstable();
-    let ids = pairs.iter().map(|&(_, id)| id).collect();
-    let dists = pairs.iter().map(|&(OrdF32(d), _)| d).collect();
+    let keys = heap.into_sorted_vec();
+    let ids = keys.iter().map(|key| key.id()).collect();
+    let dists = keys.iter().map(|key| key.dist()).collect();
     (ids, dists)
 }
 

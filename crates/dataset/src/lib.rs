@@ -32,7 +32,7 @@ pub use analysis::{lid_mle, profile, DatasetProfile};
 pub use batch::{BatchMetric, NormCache};
 pub use ground_truth::{brute_force_knng, brute_force_queries, GroundTruth};
 pub use metric::{Chebyshev, Cosine, Hamming, InnerProduct, Jaccard, Metric, SquaredL2, L1, L2};
-pub use order::OrdF32;
+pub use order::DistKey;
 pub use point::{Point, SparseVec};
 pub use recall::{mean_recall, mean_recall_at, recall_single};
 pub use set::{PointId, PointSet};

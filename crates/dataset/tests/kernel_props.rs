@@ -4,12 +4,18 @@
 //! chunked scalar reference (`kernel::dot_scalar` / `kernel::l1_scalar`
 //! plus the shared combiners), for every metric and a dimension sweep that
 //! crosses the lane boundary in every way: 1..8, 17, 64, 100, 300, 960.
+//! The prepared 1×N form (the query's scalar taken once, or read from the
+//! cache for a member) must equal the one-shot form bit for bit, and
+//! `DistKey` — the order every consumer of these distances sorts by — must
+//! be `(total_cmp, id)` over every bit pattern.
 
 use dataset::batch::{BatchMetric, NormCache};
 use dataset::kernel;
 use dataset::metric::{
     Chebyshev, Cosine, Hamming, InnerProduct, Jaccard, Metric, SquaredL2, L1, L2,
 };
+use dataset::order::DistKey;
+use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use dataset::SparseVec;
 use proptest::prelude::*;
@@ -39,6 +45,30 @@ fn data(max: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-50.0f32..50.0, 2 * max..=2 * max)
 }
 
+/// The prepared 1×N form against the one-shot form, bit for bit: for the
+/// outside query `q` (scalar from `prepare_query`) and for every member as
+/// the query (scalar out of the cache, or prepared when there is none).
+fn check_prepared<P: Point, M: BatchMetric<P>>(
+    m: &M,
+    q: &P,
+    set: &PointSet<P>,
+) -> Result<(), String> {
+    let ids: Vec<PointId> = (0..set.len() as PointId).collect();
+    let (mut one_shot, mut prepared) = (Vec::new(), Vec::new());
+    for cache in [m.preprocess(set), NormCache::empty()] {
+        let bits = |v: &[f32]| v.iter().map(|d| d.to_bits()).collect::<Vec<u32>>();
+        m.distance_one_to_many(q, set, &cache, &ids, &mut one_shot);
+        m.distance_one_to_many_prepared(q, m.prepare_query(q), set, &cache, &ids, &mut prepared);
+        prop_assert_eq!(bits(&prepared), bits(&one_shot), "{}", m.name());
+        for &v in &ids {
+            m.distance_one_to_many(set.point(v), set, &cache, &ids, &mut one_shot);
+            m.distance_member_to_many(v, set, &cache, &ids, &mut prepared);
+            prop_assert_eq!(bits(&prepared), bits(&one_shot), "{} from {}", m.name(), v);
+        }
+    }
+    Ok(())
+}
+
 /// Evaluate metric `m` batched (with and without cache) against the given
 /// scalar reference, bit-for-bit, over every dim in the sweep.
 fn check_f32_metric<M, F>(m: &M, raw: &[f32], reference: F) -> Result<(), String>
@@ -55,6 +85,7 @@ where
             vec![0.0; dim], // zero vector (degenerate cosine branch)
         ];
         let set = PointSet::new(pts);
+        check_prepared(m, &q, &set)?;
         let cache = m.preprocess(&set);
         let ids: Vec<PointId> = (0..set.len() as PointId).collect();
         let mut cached = Vec::new();
@@ -149,6 +180,8 @@ proptest! {
                 bytes[MAX_DIM..MAX_DIM + dim].to_vec(),
                 q.clone(),
             ]);
+            check_prepared(&Hamming, &q, &set)?;
+            check_prepared(&L2, &q, &set)?;
             let cache = BatchMetric::<Vec<u8>>::preprocess(&Hamming, &set);
             let ids: Vec<PointId> = vec![0, 1];
             let mut out = Vec::new();
@@ -167,6 +200,7 @@ proptest! {
                                      ids_b in prop::collection::vec(0u32..500, 0..40)) {
         let q = SparseVec::new(ids_a);
         let set = PointSet::new(vec![SparseVec::new(ids_b), q.clone(), SparseVec::default()]);
+        check_prepared(&Jaccard, &q, &set)?;
         let cache = BatchMetric::<SparseVec>::preprocess(&Jaccard, &set);
         let ids: Vec<PointId> = vec![0, 1, 2];
         let mut out = Vec::new();
@@ -175,6 +209,74 @@ proptest! {
             prop_assert_eq!(out[i].to_bits(), Jaccard.distance(&q, set.point(u)).to_bits());
         }
         prop_assert_eq!(out[1], 0.0); // aliased candidate
+    }
+}
+
+/// Bit patterns an arbitrary `u32` almost never hits: both zeros, both
+/// infinities, the subnormal range's ends, quiet and signalling NaNs of
+/// both signs with the smallest and largest payloads.
+const SPECIAL_BITS: [u32; 16] = [
+    0x0000_0000,
+    0x8000_0000,
+    0x0000_0001,
+    0x8000_0001,
+    0x007f_ffff,
+    0x807f_ffff,
+    0x0080_0000,
+    0x7f7f_ffff,
+    0x7f80_0000,
+    0xff80_0000,
+    0x7f80_0001,
+    0xff80_0001,
+    0x7fc0_0000,
+    0xffc0_0000,
+    0x7fff_ffff,
+    0xffff_ffff,
+];
+
+fn dist_bits() -> impl Strategy<Value = u32> {
+    prop_oneof![any::<u32>(), prop::sample::select(SPECIAL_BITS.to_vec())]
+}
+
+/// `DistKey` packs `(f32::from_bits(bits), id)` losslessly and compares as
+/// `(total_cmp, id)` — `Eq` included.
+fn check_dist_key(a: (u32, PointId), b: (u32, PointId)) -> Result<(), String> {
+    let key = |(bits, id): (u32, PointId)| DistKey::new(f32::from_bits(bits), id);
+    let (ka, kb) = (key(a), key(b));
+    prop_assert_eq!((ka.dist().to_bits(), ka.id()), a);
+    prop_assert_eq!((kb.dist().to_bits(), kb.id()), b);
+    let want = f32::from_bits(a.0)
+        .total_cmp(&f32::from_bits(b.0))
+        .then(a.1.cmp(&b.1));
+    prop_assert_eq!(ka.cmp(&kb), want, "{:x?} vs {:x?}", a, b);
+    prop_assert_eq!(ka == kb, want.is_eq());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn dist_key_is_total_cmp_then_id_and_round_trips(
+        a in (dist_bits(), any::<u32>()),
+        b in (dist_bits(), any::<u32>()),
+        same_id in any::<bool>(),
+    ) {
+        // Half the cases tie on the id, so the distance alone decides.
+        check_dist_key(a, if same_id { (b.0, a.1) } else { b })?;
+        // And a tie on the distance, so the id alone decides.
+        check_dist_key(a, (a.0, b.1))?;
+    }
+}
+
+#[test]
+fn dist_key_orders_every_special_pattern_pair() {
+    for a in SPECIAL_BITS {
+        for b in SPECIAL_BITS {
+            for ids in [(0, 0), (0, u32::MAX), (u32::MAX, 0), (7, 8)] {
+                check_dist_key((a, ids.0), (b, ids.1)).unwrap();
+            }
+        }
     }
 }
 

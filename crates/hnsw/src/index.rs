@@ -9,7 +9,7 @@
 //! governed by `ef_construction`, search quality by `ef`.
 
 use dataset::metric::Metric;
-use dataset::order::OrdF32;
+use dataset::order::{sort_edges, DistKey};
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use rand::{Rng, SeedableRng};
@@ -178,7 +178,7 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
                         .iter()
                         .map(|&w| (walk.dist(w, base.point(u)), w))
                         .collect();
-                    scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+                    scored.sort_unstable_by_key(|&(d, w)| DistKey::new(d, w));
                     let shrunk = self.select_neighbors(&scored, cap);
                     self.nodes[u as usize].layers[layer] = shrunk;
                 }
@@ -311,7 +311,7 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
                         )
                     })
                     .collect();
-                row.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+                sort_edges(&mut row);
                 row
             })
             .collect()
@@ -366,45 +366,43 @@ impl<P: Point, M: Metric<P>> LayerWalk<'_, P, M> {
         layer: usize,
     ) -> Vec<(f32, PointId)> {
         let mut visited = vec![false; self.nodes.len()];
-        let mut result: BinaryHeap<(OrdF32, PointId)> = BinaryHeap::new(); // max-heap
-        let mut candidates: BinaryHeap<Reverse<(OrdF32, PointId)>> = BinaryHeap::new();
+        let mut result: BinaryHeap<DistKey> = BinaryHeap::new(); // max-heap
+        let mut candidates: BinaryHeap<Reverse<DistKey>> = BinaryHeap::new();
+        let worst =
+            |result: &BinaryHeap<DistKey>| result.peek().map_or(f32::INFINITY, |w| w.dist());
         for &e in entries {
             if visited[e as usize] {
                 continue;
             }
             visited[e as usize] = true;
             let d = self.dist(e, q);
-            result.push((OrdF32(d), e));
-            candidates.push(Reverse((OrdF32(d), e)));
+            result.push(DistKey::new(d, e));
+            candidates.push(Reverse(DistKey::new(d, e)));
         }
         while result.len() > ef {
             result.pop();
         }
-        while let Some(Reverse((OrdF32(d), c))) = candidates.pop() {
-            let worst = result.peek().map_or(f32::INFINITY, |&(OrdF32(w), _)| w);
-            if d > worst && result.len() >= ef {
+        while let Some(Reverse(next)) = candidates.pop() {
+            if next.dist() > worst(&result) && result.len() >= ef {
                 break;
             }
-            for &u in &self.nodes[c as usize].layers[layer] {
+            for &u in &self.nodes[next.id() as usize].layers[layer] {
                 if visited[u as usize] {
                     continue;
                 }
                 visited[u as usize] = true;
                 let du = self.dist(u, q);
-                let worst = result.peek().map_or(f32::INFINITY, |&(OrdF32(w), _)| w);
-                if result.len() < ef || du < worst {
-                    result.push((OrdF32(du), u));
+                if result.len() < ef || du < worst(&result) {
+                    result.push(DistKey::new(du, u));
                     if result.len() > ef {
                         result.pop();
                     }
-                    candidates.push(Reverse((OrdF32(du), u)));
+                    candidates.push(Reverse(DistKey::new(du, u)));
                 }
             }
         }
-        let mut out: Vec<(f32, PointId)> =
-            result.into_iter().map(|(OrdF32(d), id)| (d, id)).collect();
-        out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        out
+        let ascending = result.into_sorted_vec();
+        ascending.iter().map(|key| (key.dist(), key.id())).collect()
     }
 }
 

@@ -3,6 +3,7 @@
 //! reverse-edge merging and neighborhood-size pruning.
 
 use crate::heap::NeighborTable;
+use dataset::order::sort_edges;
 use dataset::set::PointId;
 use metall::{Result as StoreResult, Store, StoreError};
 
@@ -22,7 +23,7 @@ impl KnnGraph {
     /// Build from raw adjacency rows; each row is sorted by `(dist, id)`.
     pub fn from_rows(mut rows: Vec<Vec<Edge>>) -> Self {
         for row in &mut rows {
-            row.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+            sort_edges(row);
         }
         KnnGraph { rows }
     }
@@ -119,7 +120,7 @@ impl KnnGraph {
         // `id` (rows are visited once each, so no reset between them).
         let mut keeper = vec![PointId::MAX; rows.len()];
         for (v, row) in rows.iter_mut().enumerate() {
-            row.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+            sort_edges(row);
             let mut kept = 0;
             for i in 0..row.len() {
                 if kept == limit {

@@ -16,6 +16,7 @@
 //! what both builders run on).
 
 use crate::graph::Edge;
+use dataset::order::DistKey;
 use dataset::set::PointId;
 
 /// One neighbor entry: `(id, distance, new-flag)`.
@@ -119,7 +120,7 @@ fn mark_old(row: &mut [Neighbor], id: PointId) {
 /// `row` ascending by `(distance, id)`: the neighbor-list order of a k-NNG.
 fn sorted(row: &[Neighbor]) -> Vec<Neighbor> {
     let mut v = row.to_vec();
-    v.sort_unstable_by(|a, b| a.dist.total_cmp(&b.dist).then_with(|| a.id.cmp(&b.id)));
+    v.sort_unstable_by_key(|n| DistKey::new(n.dist, n.id));
     v
 }
 

@@ -206,7 +206,7 @@ impl<'a, P: Point, M: BatchMetric<P>> Theta<'a, P, M> {
 
     fn batch(&mut self, v: PointId, cands: &[PointId], out: &mut Vec<f32>) {
         self.evals += cands.len() as u64;
-        (self.metric).distance_one_to_many(self.set.point(v), self.set, &self.cache, cands, out);
+        (self.metric).distance_member_to_many(v, self.set, &self.cache, cands, out);
     }
 }
 

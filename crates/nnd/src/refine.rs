@@ -19,6 +19,7 @@ use crate::heap::NeighborTable;
 use crate::nndescent::{descend, BuildStats, NnDescentParams, Theta};
 use crate::search::{Scratch, SearchParams};
 use dataset::batch::{BatchMetric, NormCache};
+use dataset::order::sort_edges;
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 
@@ -124,6 +125,20 @@ pub fn refine<P: Point, M: BatchMetric<P>>(
     (KnnGraph::from_table(&table), stats)
 }
 
+/// Top a row that a deletion left short up to `k` edges with the closest of
+/// `candidates` under `dist`, and put it back in `(distance, id)` order.
+pub fn top_up(
+    row: &mut Vec<Edge>,
+    k: usize,
+    candidates: Vec<PointId>,
+    dist: impl Fn(PointId) -> f32,
+) {
+    let mut scored: Vec<Edge> = candidates.into_iter().map(|w| (w, dist(w))).collect();
+    sort_edges(&mut scored);
+    row.extend(scored.into_iter().take(k.saturating_sub(row.len())));
+    sort_edges(row);
+}
+
 /// Remove the vertices in `gone` from `graph`, compacting ids: survivors
 /// are renumbered in ascending order (the returned vector maps new id ->
 /// old id). Holes in survivors' neighbor lists are refilled from their
@@ -181,22 +196,11 @@ pub fn remove_points<P: Point, M: BatchMetric<P>>(
                 }
             }
             let me_point = base.point(old);
-            let mut scored: Vec<(PointId, f32)> = candidates
-                .into_iter()
-                .map(|w_new| {
-                    let w_old = back[w_new as usize];
-                    (w_new, metric.distance(me_point, base.point(w_old)))
-                })
-                .collect();
-            scored.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-            for (w, d) in scored {
-                if row.len() >= k {
-                    break;
-                }
-                row.push((w, d));
-            }
+            top_up(&mut row, k, candidates, |w_new| {
+                metric.distance(me_point, base.point(back[w_new as usize]))
+            });
         }
-        row.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        sort_edges(&mut row);
         row.truncate(k);
         rows.push(row);
     }

@@ -36,6 +36,7 @@
 
 use crate::graph::{Edge, KnnGraph};
 use dataset::batch::{BatchMetric, NormCache};
+use dataset::order::{sort_edges, DistKey};
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use std::cmp::Ordering;
@@ -110,7 +111,7 @@ pub struct RnnEdge {
 /// The `(dist, id)` total order every row is kept in. Ties on distance
 /// break by id, so boundary decisions never depend on arrival order.
 pub fn canonical(a: &RnnEdge, b: &RnnEdge) -> Ordering {
-    a.dist.total_cmp(&b.dist).then_with(|| a.id.cmp(&b.id))
+    DistKey::new(a.dist, a.id).cmp(&DistKey::new(b.dist, b.id))
 }
 
 fn sort_row(row: &mut [RnnEdge]) {
@@ -190,7 +191,7 @@ pub fn apply_inserts(
     owner: PointId,
     cap: usize,
 ) -> u64 {
-    candidates.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+    sort_edges(&mut candidates);
     let mut added = 0;
     for (id, dist) in candidates {
         if id == owner || row.iter().any(|e| e.id == id) {
@@ -444,7 +445,7 @@ pub fn repair_connectivity(rows: &mut [Vec<Edge>], k0: usize) -> u64 {
         };
         let row = &mut rows[u as usize];
         row.push((w as PointId, d));
-        row.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        sort_edges(row);
         indeg[w] += 1;
         repaired += 1;
         if row.len() > k0 {

@@ -2,11 +2,12 @@
 //! Section 3.3, including PyNNDescent's `epsilon` frontier relaxation.
 //!
 //! There is exactly one frontier-expansion loop, `Scratch::run`: it owns
-//! the epoch-stamped visited marks, both heaps and the kernel buffers, and
-//! scores every expansion with one batched
-//! [`BatchMetric::distance_one_to_many`] call. [`search`] is that loop with
-//! a one-shot scratch; [`search_batch`] reuses one scratch (and one
-//! [`NormCache`]) across the batch, so no query pays an O(N) allocation.
+//! the epoch-stamped visited marks, both heaps (of packed [`DistKey`]s: a
+//! sift is one integer compare) and the kernel buffers, takes the query's
+//! norm once, and scores every expansion with one batched
+//! [`BatchMetric::distance_one_to_many_prepared`] call. [`search`] is that
+//! loop with a one-shot scratch; [`search_batch`] reuses one scratch (and
+//! one [`NormCache`]) across the batch, so no query pays an O(N) allocation.
 //! Beside its distance evaluations a query pays one [`EntrySampler`] draw
 //! and its heap updates: seeds are admitted through the bounded rule, not
 //! pushed wholesale and trimmed.
@@ -19,7 +20,7 @@
 
 use crate::graph::KnnGraph;
 use dataset::batch::{BatchMetric, NormCache};
-use dataset::order::OrdF32;
+use dataset::order::{offer_bounded, sort_edges, DistKey};
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use rand::{Rng, SeedableRng};
@@ -160,9 +161,9 @@ pub(crate) struct Scratch {
     epochs: Vec<u32>,
     epoch: u32,
     /// Result: max-heap of the best `l` so far (farthest on top).
-    best: BinaryHeap<(OrdF32, PointId)>,
+    best: BinaryHeap<DistKey>,
     /// Frontier: min-heap of candidates to expand.
-    frontier: BinaryHeap<Reverse<(OrdF32, PointId)>>,
+    frontier: BinaryHeap<Reverse<DistKey>>,
     cands: Vec<PointId>,
     dbuf: Vec<f32>,
 }
@@ -179,7 +180,7 @@ impl Scratch {
 
     /// Distance of the worst of the current best (infinite while empty).
     fn d_max(&self) -> f32 {
-        self.best.peek().map_or(f32::INFINITY, |&(OrdF32(m), _)| m)
+        self.best.peek().map_or(f32::INFINITY, |top| top.dist())
     }
 
     /// Run one query — the crate's only frontier-expansion loop. `cache`
@@ -215,19 +216,19 @@ impl Scratch {
         for &id in &self.cands {
             self.epochs[id as usize] = epoch;
         }
+        // Every batch of this query is scored with its norm taken once.
+        let q_prep = metric.prepare_query(query);
+        let score = |cands: &[PointId], out: &mut Vec<f32>| {
+            metric.distance_one_to_many_prepared(query, q_prep, base, cache, cands, out)
+        };
         // Seed probes evaluated as one 1xN batch.
-        metric.distance_one_to_many(query, base, cache, &self.cands, &mut self.dbuf);
+        score(&self.cands, &mut self.dbuf);
         let mut evals = self.cands.len() as u64;
         // `best` takes the seeds through the bounded rule: the `l` smallest
         // under the total `(distance, id)` order, as push-all-then-trim
         // would leave.
         for (&id, &d) in self.cands.iter().zip(&self.dbuf) {
-            let seed = (OrdF32(d), id);
-            if self.best.len() < params.l {
-                self.best.push(seed);
-            } else if let Some(mut top) = self.best.peek_mut().filter(|top| seed < **top) {
-                *top = seed;
-            }
+            offer_bounded(&mut self.best, params.l, DistKey::new(d, id));
         }
         // A seed beyond the relaxed bound never reaches the frontier. That
         // is exact: `starts >= l`, so `best` is full and `d_max` only falls
@@ -240,10 +241,11 @@ impl Scratch {
         self.frontier.extend(
             (self.cands.iter().zip(&self.dbuf))
                 .filter(|&(_, d)| d.partial_cmp(&bound) != Some(Ordering::Greater))
-                .map(|(&id, &d)| Reverse((OrdF32(d), id))),
+                .map(|(&id, &d)| Reverse(DistKey::new(d, id))),
         );
 
-        while let Some(Reverse((OrdF32(d), p))) = self.frontier.pop() {
+        while let Some(Reverse(next)) = self.frontier.pop() {
+            let (d, p) = (next.dist(), next.id());
             let d_max = self.d_max();
             // Termination: the closest frontier point is already beyond the
             // (relaxed) worst of the current l best.
@@ -261,26 +263,26 @@ impl Scratch {
                     .map(|&(w, _)| w)
                     .filter(|&w| std::mem::replace(&mut self.epochs[w as usize], epoch) != epoch),
             );
-            metric.distance_one_to_many(query, base, cache, &self.cands, &mut self.dbuf);
+            score(&self.cands, &mut self.dbuf);
             evals += self.cands.len() as u64;
             for (&w, &dw) in self.cands.iter().zip(&self.dbuf) {
                 let d_max = self.d_max();
                 if self.best.len() < params.l || dw < d_max {
-                    self.best.push((OrdF32(dw), w));
+                    self.best.push(DistKey::new(dw, w));
                     if self.best.len() > params.l {
                         self.best.pop();
                     }
                 }
                 // Relaxed admission (PyNNDescent): explore borderline points.
                 if dw < relax * d_max {
-                    self.frontier.push(Reverse((OrdF32(dw), w)));
+                    self.frontier.push(Reverse(DistKey::new(dw, w)));
                 }
             }
         }
 
         let mut neighbors: Vec<(PointId, f32)> =
-            self.best.drain().map(|(OrdF32(d), id)| (id, d)).collect();
-        neighbors.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+            (self.best.drain().map(|key| (key.id(), key.dist()))).collect();
+        sort_edges(&mut neighbors);
         SearchResult {
             neighbors,
             distance_evals: evals,

@@ -169,6 +169,20 @@ impl Bytes {
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
     }
+
+    /// The viewed bytes as a write buffer over the same storage, if no
+    /// other `Bytes` shares it; `self` back otherwise.
+    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
+        let Bytes { data, start, end } = self;
+        match Arc::try_unwrap(data) {
+            Ok(mut inner) => {
+                inner.truncate(end);
+                inner.drain(..start);
+                Ok(BytesMut { inner })
+            }
+            Err(data) => Err(Bytes { data, start, end }),
+        }
+    }
 }
 
 impl From<Vec<u8>> for Bytes {
@@ -326,6 +340,12 @@ impl BufMut for BytesMut {
     }
 }
 
+impl Extend<u8> for BytesMut {
+    fn extend<I: IntoIterator<Item = u8>>(&mut self, iter: I) {
+        self.inner.extend(iter);
+    }
+}
+
 impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
@@ -359,6 +379,18 @@ mod tests {
         assert_eq!(b.as_slice(), &[3, 4, 5]);
         let clone = b.clone();
         assert_eq!(clone.as_slice(), b.as_slice());
+    }
+
+    #[test]
+    fn try_into_mut_needs_sole_ownership_and_keeps_the_view() {
+        let mut b = Bytes::from(vec![1, 2, 3, 4, 5]);
+        b.advance(2);
+        let shared = b.clone();
+        let b = b.try_into_mut().expect_err("a clone shares the storage");
+        drop(shared);
+        let w = b.try_into_mut().expect("sole owner");
+        assert_eq!(w.as_slice(), &[3, 4, 5]);
+        assert!(w.capacity() >= 5);
     }
 
     #[test]

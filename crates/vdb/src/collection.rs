@@ -481,19 +481,9 @@ impl Collection {
                             }
                         }
                         let me = self.base.point(v);
-                        let mut scored: Vec<(PointId, f32)> = cand
-                            .into_iter()
-                            .map(|w| (w, dataset::Metric::distance(&metric, me, self.base.point(w))))
-                            .collect();
-                        scored
-                            .sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-                        for (w, d) in scored {
-                            if row.len() >= self.k {
-                                break;
-                            }
-                            row.push((w, d));
-                        }
-                        row.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+                        nnd::refine::top_up(&mut row, self.k, cand, |w| {
+                            dataset::Metric::distance(&metric, me, self.base.point(w))
+                        });
                     }
                     row
                 })

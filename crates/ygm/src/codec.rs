@@ -20,8 +20,8 @@
 //!
 //! A `Vec<T>` (or `[T]`) moves through the slice methods `encode_slice` /
 //! `slice_wire_size` / `decode_vec_into`. Their defaults are the
-//! per-element loop; the primitives override them with one resize plus a
-//! chunked `to_le_bytes` / `from_le_bytes` pass, which is a block copy on
+//! per-element loop; the primitives override them with one reservation
+//! plus a `to_le_bytes` / `from_le_bytes` pass, which is a block copy on
 //! a little-endian host. The bytes on the wire are the per-element
 //! little-endian format either way (pinned by `tests/wire_golden.rs`).
 
@@ -102,11 +102,9 @@ macro_rules! impl_wire_prim {
             }
             #[inline]
             fn encode_slice(items: &[Self], buf: &mut BytesMut) {
-                let start = buf.len();
-                buf.resize(start + items.len() * $sz, 0);
-                for (dst, v) in buf[start..].chunks_exact_mut($sz).zip(items) {
-                    dst.copy_from_slice(&v.to_le_bytes());
-                }
+                // An exact-size iterator of byte arrays: one reservation,
+                // then straight writes — nothing is zeroed first.
+                buf.extend(items.iter().flat_map(|v| v.to_le_bytes()));
             }
             #[inline]
             fn slice_wire_size(items: &[Self]) -> usize {

@@ -140,6 +140,10 @@ pub struct Comm {
     shared: Arc<Shared>,
     rx: Receiver<Packet>,
     out: RefCell<Vec<BytesMut>>,
+    /// Storage of frames this rank has dispatched (at most one per
+    /// destination buffer), emptied: what [`Self::flush`] restarts a send
+    /// buffer on instead of allocating one.
+    spare: RefCell<Vec<BytesMut>>,
     handlers: RefCell<Vec<Option<Handler>>>,
     fault: Option<RefCell<FaultLocal>>,
     /// Completed-barrier count: the parent span id stamped into every
@@ -172,6 +176,7 @@ impl Comm {
             shared,
             rx,
             out: RefCell::new((0..n).map(|_| BytesMut::new()).collect()),
+            spare: RefCell::new(Vec::with_capacity(n)),
             handlers: RefCell::new((0..crate::stats::MAX_TAGS).map(|_| None).collect()),
             fault,
             phase_idx: Cell::new(0),
@@ -473,9 +478,11 @@ impl Comm {
                 return;
             }
             let tags = std::mem::take(&mut self.pending_tags.borrow_mut()[dest]);
-            // The frame's storage goes with it; the buffer restarts at the
-            // capacity that was just enough instead of regrowing from empty.
-            let next = BytesMut::with_capacity(out[dest].capacity());
+            // The frame's storage goes with it; the buffer restarts on a
+            // dispatched frame's or, failing that, at the capacity that was
+            // just enough instead of regrowing from empty.
+            let next = (self.spare.borrow_mut().pop())
+                .unwrap_or_else(|| BytesMut::with_capacity(out[dest].capacity()));
             (std::mem::replace(&mut out[dest], next).freeze(), tags)
         };
         let ctx = {
@@ -763,6 +770,14 @@ impl Comm {
             }
         }
         self.tally.borrow_mut().processed += n as u64;
+        // The frame is read: its storage backs a later flush, unless the
+        // retransmit window (or a duplicate in flight) still holds it.
+        if let Ok(storage) = block.try_into_mut() {
+            let mut spare = self.spare.borrow_mut();
+            if spare.len() < self.n_ranks() {
+                spare.push(storage);
+            }
+        }
         if traced {
             if let (Some(t), Some(ctx)) = (self.tracer(), ctx) {
                 if t.flows_enabled() {

@@ -156,22 +156,49 @@ pub struct PhaseRecord {
     /// `now_ns` was advanced by). Summing these over all phases and
     /// subtracting from the final clock gives collective time exactly.
     pub total_ns: u64,
-    /// Per-rank compute nanoseconds charged during the phase.
-    pub rank_compute_ns: Vec<f64>,
-    /// Per-rank send-side link cost of application traffic, ns.
-    pub rank_send_ns: Vec<f64>,
-    /// Per-rank receive-side link cost of application traffic, ns.
-    pub rank_recv_ns: Vec<f64>,
-    /// Per-rank send-side link cost of transport traffic (retransmits,
-    /// duplicates), ns.
-    pub rank_transport_send_ns: Vec<f64>,
-    /// Per-rank receive-side link cost of transport traffic, ns.
-    pub rank_transport_recv_ns: Vec<f64>,
-    /// Per-rank injected-fault time (frame delays, stalls), ns.
-    pub rank_fault_ns: Vec<f64>,
+    /// The per-rank figures, ns: six columns of one value per rank, back to
+    /// back in one allocation (a record is built at every barrier), in the
+    /// order of the `rank_*_ns` accessors below.
+    pub rank_ns: Vec<f64>,
 }
 
 impl PhaseRecord {
+    fn column(&self, c: usize) -> &[f64] {
+        let ranks = self.rank_ns.len() / 6;
+        &self.rank_ns[c * ranks..(c + 1) * ranks]
+    }
+
+    /// Per-rank compute nanoseconds charged during the phase.
+    pub fn rank_compute_ns(&self) -> &[f64] {
+        self.column(0)
+    }
+
+    /// Per-rank send-side link cost of application traffic, ns.
+    pub fn rank_send_ns(&self) -> &[f64] {
+        self.column(1)
+    }
+
+    /// Per-rank receive-side link cost of application traffic, ns.
+    pub fn rank_recv_ns(&self) -> &[f64] {
+        self.column(2)
+    }
+
+    /// Per-rank send-side link cost of transport traffic (retransmits,
+    /// duplicates), ns.
+    pub fn rank_transport_send_ns(&self) -> &[f64] {
+        self.column(3)
+    }
+
+    /// Per-rank receive-side link cost of transport traffic, ns.
+    pub fn rank_transport_recv_ns(&self) -> &[f64] {
+        self.column(4)
+    }
+
+    /// Per-rank injected-fault time (frame delays, stalls), ns.
+    pub fn rank_fault_ns(&self) -> &[f64] {
+        self.column(5)
+    }
+
     /// Total virtual seconds this phase contributed.
     pub fn total_secs(&self) -> f64 {
         self.compute_secs + self.comm_secs + self.barrier_secs
@@ -181,12 +208,7 @@ impl PhaseRecord {
     /// `rank` during this phase, ns. The rank maximizing this is the
     /// phase's critical rank — the straggler the barrier waited on.
     pub fn rank_work_ns(&self, rank: usize) -> f64 {
-        self.rank_compute_ns[rank]
-            + self.rank_send_ns[rank]
-            + self.rank_recv_ns[rank]
-            + self.rank_transport_send_ns[rank]
-            + self.rank_transport_recv_ns[rank]
-            + self.rank_fault_ns[rank]
+        (0..6).map(|c| self.column(c)[rank]).sum()
     }
 }
 
@@ -224,13 +246,8 @@ impl VirtualClock {
         let mut phase_msgs = 0u64;
         let mut phase_bytes = 0u64;
         let ranks = stats.phase.len();
-        let mut rank_compute_ns = Vec::with_capacity(ranks);
-        let mut rank_send_ns = Vec::with_capacity(ranks);
-        let mut rank_recv_ns = Vec::with_capacity(ranks);
-        let mut rank_transport_send_ns = Vec::with_capacity(ranks);
-        let mut rank_transport_recv_ns = Vec::with_capacity(ranks);
-        let mut rank_fault_ns = Vec::with_capacity(ranks);
-        for p in stats.phase.iter() {
+        let mut rank_ns = vec![0.0; 6 * ranks];
+        for (rank, p) in stats.phase.iter().enumerate() {
             let compute = p.compute_ns as f64;
             phase_msgs += p.msgs_out;
             phase_bytes += p.bytes_out;
@@ -246,12 +263,17 @@ impl VirtualClock {
             max_fault = max_fault.max(fault);
             let app_send = cost.link_cost_ns(p.msgs_out, p.bytes_out);
             let app_recv = cost.link_cost_ns(p.msgs_in, p.bytes_in);
-            rank_compute_ns.push(compute);
-            rank_send_ns.push(app_send);
-            rank_recv_ns.push(app_recv);
-            rank_transport_send_ns.push(send - app_send);
-            rank_transport_recv_ns.push(recv - app_recv);
-            rank_fault_ns.push(fault);
+            let figures = [
+                compute,
+                app_send,
+                app_recv,
+                send - app_send,
+                recv - app_recv,
+                fault,
+            ];
+            for (c, ns) in figures.into_iter().enumerate() {
+                rank_ns[c * ranks + rank] = ns;
+            }
         }
         // Attribution: the makespan adds max(compute + send) + max(recv) +
         // barrier. Count the send share inside the comm bucket, along with
@@ -275,12 +297,7 @@ impl VirtualClock {
             msgs: phase_msgs,
             bytes: phase_bytes,
             total_ns,
-            rank_compute_ns,
-            rank_send_ns,
-            rank_recv_ns,
-            rank_transport_send_ns,
-            rank_transport_recv_ns,
-            rank_fault_ns,
+            rank_ns,
         });
     }
 
@@ -407,12 +424,12 @@ mod tests {
         let sum: u64 = phases.iter().map(|p| p.total_ns).sum();
         assert_eq!(sum, clock.now_ns());
         let p0 = &phases[0];
-        assert_eq!(p0.rank_compute_ns, vec![10_000.0, 0.0]);
-        assert_eq!(p0.rank_send_ns, vec![1_100.0, 0.0]); // alpha + bytes
-        assert_eq!(p0.rank_recv_ns, vec![0.0, 1_100.0]);
-        assert_eq!(p0.rank_transport_send_ns, vec![1_100.0, 0.0]);
-        assert_eq!(p0.rank_transport_recv_ns, vec![0.0, 1_100.0]);
-        assert_eq!(p0.rank_fault_ns, vec![0.0, 777.0]);
+        assert_eq!(p0.rank_compute_ns(), [10_000.0, 0.0]);
+        assert_eq!(p0.rank_send_ns(), [1_100.0, 0.0]); // alpha + bytes
+        assert_eq!(p0.rank_recv_ns(), [0.0, 1_100.0]);
+        assert_eq!(p0.rank_transport_send_ns(), [1_100.0, 0.0]);
+        assert_eq!(p0.rank_transport_recv_ns(), [0.0, 1_100.0]);
+        assert_eq!(p0.rank_fault_ns(), [0.0, 777.0]);
         // Rank work makes rank 0 (compute-heavy) the critical rank here.
         assert!(p0.rank_work_ns(0) > p0.rank_work_ns(1));
         // Transport traffic charged virtual time: the phase is longer than

@@ -446,9 +446,9 @@ fn three_hop_chain_accounting_matches_independent_count() {
                 let got = PhaseExpect {
                     msgs: got.msgs,
                     bytes: got.bytes,
-                    send_ns: got.rank_send_ns.clone(),
-                    recv_ns: got.rank_recv_ns.clone(),
-                    compute_ns: got.rank_compute_ns.clone(),
+                    send_ns: got.rank_send_ns().to_vec(),
+                    recv_ns: got.rank_recv_ns().to_vec(),
+                    compute_ns: got.rank_compute_ns().to_vec(),
                 };
                 assert_eq!(&got, want, "{ctx}");
                 // Every remote message leaves one rank and enters another.
