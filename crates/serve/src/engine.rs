@@ -62,9 +62,11 @@ pub const TAG_FINGERPRINT: u16 = 41;
 /// transport retransmits.
 const FAULT_PENALTY_CAP_SLOTS: u64 = 4;
 
-/// High-bit namespace for per-query causal flow ids, disjoint from the
-/// transport-level ids minted by `ygm::comm::flow_id` (whose top 16 bits
-/// are a message tag < 64). OR'd with the query's arrival index.
+/// High-bit namespace for per-query causal flow ids, OR'd with the query's
+/// arrival index. The transport-level ids minted by `ygm::comm::flow_id`
+/// carry the message tag in their top 6 bits and the origin rank in the
+/// next 13, so one that landed here would be tag 63 sent from rank 6 792;
+/// no protocol in this workspace registers a tag above 50.
 const QUERY_FLOW_BASE: u64 = 0xFF51_0000_0000_0000;
 
 /// Replicated statistics of one serving run. Identical on every rank and

@@ -1,5 +1,5 @@
 //! Per-rank communicator: asynchronous fire-and-forget RPC, buffered sends,
-//! polling dispatch, and barrier with global termination detection.
+//! dispatch after each meeting, and barrier with global termination detection.
 //!
 //! Semantics follow YGM:
 //!
@@ -7,8 +7,9 @@
 //!   returns immediately. Messages are buffered per destination and flushed
 //!   when the buffer exceeds the world's flush threshold (or at a barrier).
 //! * The registered handler for the message's tag runs on the destination
-//!   rank at an unspecified later time — during one of its [`Comm::poll`] or
-//!   [`Comm::barrier`] calls. Handlers may themselves send messages
+//!   rank at a later time — during one of its [`Comm::barrier`] calls, in
+//!   the round after the meeting that carried the frame. Handlers may
+//!   themselves send messages
 //!   (fire-and-forget RPC chains, e.g. the paper's Type 1 -> Type 2+ -> Type 3
 //!   neighbor-check cascade).
 //! * [`Comm::barrier`] returns only when **all** ranks have reached it and
@@ -19,18 +20,17 @@
 //! The execution model is SPMD: every rank must execute the same sequence of
 //! collective operations (`barrier`, `all_reduce_sum_u64`, `broadcast*`),
 //! each of which is one meeting at the world's rendezvous (`crate::world`).
-//! Handlers must not call `poll`, `barrier`, or `register` (enforced by a
-//! `RefCell` borrow panic in debug and release).
+//! Handlers must not call `barrier` or `register` (enforced by a `RefCell`
+//! borrow panic in debug and release).
 
 use crate::codec::{Encode, TraceCtx, Wire};
 use crate::cost::CostModel;
-use crate::fault::FaultCounters;
+use crate::fault::{FaultCounters, FaultPlan};
 use crate::stats::{check_tag, Tally};
-use crate::world::{Meet, Outcome, Shared};
+use crate::world::{Mailbox, Meet, Outcome, Shared};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use crossbeam::channel::Receiver;
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Frame header: `u16` tag + `u32` payload length. Every message on the
@@ -43,13 +43,13 @@ pub const FRAME_HEADER_BYTES: usize = 6;
 /// replayable failure.
 const STORM_ROUNDS: u64 = 10_000;
 
-/// One flushed aggregation buffer in flight. `seq` numbers frames per
-/// directed edge `(src -> dest)`; under fault injection the reliable-
-/// delivery layer uses it for acks and receive-side dedup. The fault-free
-/// transport sends `seq = 0` and ignores it.
+/// One flushed aggregation buffer in flight; the meeting that carries it
+/// knows its source and destination. `seq` numbers frames per directed edge
+/// `(src -> dest)`; under fault injection the reliable-delivery layer uses
+/// it for acks and receive-side dedup. The fault-free transport sends
+/// `seq = 0` and ignores it.
 #[derive(Debug, Clone)]
 pub(crate) struct Packet {
-    pub(crate) src: usize,
     pub(crate) seq: u64,
     pub(crate) attempt: u32,
     /// Causal context minted when the frame was flushed. Every retransmit
@@ -71,14 +71,21 @@ struct UnackedFrame {
     forced: bool,
 }
 
+/// Ranks a flow id can tell apart: 13 bits each for origin and destination.
+pub(crate) const MAX_FLOW_RANKS: usize = 1 << 13;
+
 /// Stable identity shared by the `ph:"s"` and `ph:"f"` halves of one
-/// cross-rank flow arrow: tag, origin, destination, and the origin-edge
-/// flush sequence packed into one u64. Both sides compute it independently
-/// from the frame's [`TraceCtx`], so pairing needs no extra wire traffic.
+/// cross-rank flow arrow: tag (6 bits, `MAX_TAGS` = 64), origin (13),
+/// destination (13) and the origin-edge flush sequence (32) packed into one
+/// u64 — distinct for distinct arrows of a world that may record them
+/// ([`crate::World::tracer`] refuses more than [`MAX_FLOW_RANKS`]). Both
+/// sides compute it independently from the frame's [`TraceCtx`], so pairing
+/// needs no extra wire traffic.
 fn flow_id(tag: u16, ctx: TraceCtx, dest: usize) -> u64 {
-    ((tag as u64) << 48)
-        | ((ctx.origin as u64 & 0xFF) << 40)
-        | ((dest as u64 & 0xFF) << 32)
+    debug_assert!((ctx.origin as usize).max(dest) < MAX_FLOW_RANKS);
+    ((tag as u64) << 58)
+        | ((ctx.origin as u64) << 45)
+        | ((dest as u64) << 32)
         | (ctx.send_seq & 0xFFFF_FFFF)
 }
 
@@ -95,35 +102,57 @@ fn tag_bits(mut mask: u64) -> impl Iterator<Item = u16> {
     })
 }
 
-/// Per-rank reliable-delivery state. Only exists under a fault plan; all
-/// fields are indexed by destination rank where applicable.
+/// Per-rank reliable-delivery state, both directions; nothing in it is
+/// visible to another rank. Only exists under a fault plan.
 struct FaultLocal {
+    plan: FaultPlan,
     /// Next frame sequence number per destination edge.
     next_seq: Vec<u64>,
     /// Unacked frames per destination, by sequence number.
     unacked: Vec<BTreeMap<u64, UnackedFrame>>,
-    /// Received frames held back by delay injection: `(release_epoch,
+    /// Per source: every frame numbered below `.0` has been delivered to a
+    /// handler, and so has every one in `.1` (out-of-order arrivals).
+    delivered: Vec<(u64, BTreeSet<u64>)>,
+    /// Received frames held back by delay injection: `(release_epoch, src,
     /// packet)`.
-    inbox: Vec<(u64, Packet)>,
+    inbox: Vec<(u64, usize, Packet)>,
     /// Sends per destination edge (drives flush-jitter decisions).
     send_count: Vec<u64>,
-    /// Current sync epoch. Advanced once per non-quiescent barrier round;
-    /// lock-step across ranks because rounds are collectively synchronized.
+    /// Current sync epoch: barrier rounds finished. Every rank's agrees
+    /// without shared state, because a round ends in a meeting.
     epoch: u64,
-    /// Epoch whose stall has already been counted (counters + virtual
-    /// time), so repeated polls in one epoch charge once.
-    stall_counted: Option<u64>,
 }
 
 impl FaultLocal {
-    fn new(n: usize) -> Self {
+    fn new(plan: FaultPlan, n: usize) -> Self {
         FaultLocal {
+            plan,
             next_seq: vec![0; n],
             unacked: (0..n).map(|_| BTreeMap::new()).collect(),
+            delivered: vec![(0, BTreeSet::new()); n],
             inbox: Vec::new(),
             send_count: vec![0; n],
             epoch: 0,
-            stall_counted: None,
+        }
+    }
+
+    /// Has frame `seq` from `src` been delivered to a handler?
+    fn is_delivered(&self, src: usize, seq: u64) -> bool {
+        let (mark, out_of_order) = &self.delivered[src];
+        seq < *mark || out_of_order.contains(&seq)
+    }
+
+    /// Record frame `seq` from `src` as delivered, advancing the contiguous
+    /// watermark past any out-of-order frames it now absorbs.
+    fn mark_delivered(&mut self, src: usize, seq: u64) {
+        let (mark, out_of_order) = &mut self.delivered[src];
+        if seq != *mark {
+            out_of_order.insert(seq);
+            return;
+        }
+        *mark += 1;
+        while out_of_order.remove(mark) {
+            *mark += 1;
         }
     }
 }
@@ -138,7 +167,9 @@ type Handler = Box<dyn FnMut(&Comm, &mut Bytes)>;
 pub struct Comm {
     rank: usize,
     shared: Arc<Shared>,
-    rx: Receiver<Packet>,
+    /// Flushed frames on their way to the next meeting, and the last
+    /// meetings' frames on their way to a handler.
+    mailbox: RefCell<Mailbox>,
     out: RefCell<Vec<BytesMut>>,
     /// Storage of frames this rank has dispatched (at most one per
     /// destination buffer), emptied: what [`Self::flush`] restarts a send
@@ -165,16 +196,13 @@ pub struct Comm {
 }
 
 impl Comm {
-    pub(crate) fn new(rank: usize, shared: Arc<Shared>, rx: Receiver<Packet>) -> Self {
+    pub(crate) fn new(rank: usize, shared: Arc<Shared>) -> Self {
         let n = shared.n_ranks;
-        let fault = shared
-            .fault
-            .as_ref()
-            .map(|_| RefCell::new(FaultLocal::new(n)));
+        let fault = (shared.fault).map(|plan| RefCell::new(FaultLocal::new(plan, n)));
         Comm {
             rank,
             shared,
-            rx,
+            mailbox: RefCell::default(),
             out: RefCell::new((0..n).map(|_| BytesMut::new()).collect()),
             spare: RefCell::new(Vec::with_capacity(n)),
             handlers: RefCell::new((0..crate::stats::MAX_TAGS).map(|_| None).collect()),
@@ -429,8 +457,8 @@ impl Comm {
     /// Fire-and-forget: enqueue `msg` for `dest`'s handler registered under
     /// `tag`. Returns immediately. `msg` only has to [`Encode`] to the bytes
     /// of the handler's message type: send a tuple of borrows rather than
-    /// cloning a vector into an owned struct. Self-sends are legal and are
-    /// delivered through the same queue (handled at the next poll/barrier).
+    /// cloning a vector into an owned struct. Self-sends are legal and
+    /// travel the same way as any other (handled at the next barrier).
     pub fn async_send<M: Encode + ?Sized>(&self, dest: usize, tag: u16, msg: &M) {
         debug_assert!(dest < self.n_ranks(), "destination rank out of range");
         let sz = msg.wire_size();
@@ -449,16 +477,17 @@ impl Comm {
         self.tally
             .borrow_mut()
             .add_send(tag, dest, FRAME_HEADER_BYTES + sz);
-        if let (Some(fs), Some(fl)) = (&self.shared.fault, &self.fault) {
+        if let Some(fl) = &self.fault {
             // Flush jitter: randomly force an early flush, perturbing frame
-            // boundaries and therefore handler-batch interleavings.
-            let nth = {
+            // boundaries and therefore the fault coordinates of every later
+            // frame on the edge.
+            let jitter = {
                 let mut fl = fl.borrow_mut();
                 let nth = fl.send_count[dest];
                 fl.send_count[dest] += 1;
-                nth
+                fl.plan.jitter_flush(self.rank, dest, nth)
             };
-            if !flush_now && fs.plan.jitter_flush(self.rank, dest, nth) {
+            if !flush_now && jitter {
                 self.count_fault(|f| &mut f.jittered_flushes);
                 flush_now = true;
             }
@@ -468,7 +497,7 @@ impl Comm {
         }
     }
 
-    /// Flush one destination buffer into its channel. This is the one
+    /// Flush one destination buffer into the outbox. This is the one
     /// place a [`TraceCtx`] is minted: retransmits and duplicates reuse
     /// the context frozen here.
     fn flush(&self, dest: usize) {
@@ -507,170 +536,148 @@ impl Comm {
                 }
             }
         }
-        match &self.fault {
-            None => {
-                // Channel is unbounded; send only fails if the world is
-                // shutting down, which cannot happen while any Comm is alive.
-                self.shared.senders[dest]
-                    .send(Packet {
-                        src: self.rank,
-                        seq: 0,
-                        attempt: 0,
-                        ctx,
-                        bytes: frame,
-                    })
-                    .expect("world channel closed while rank alive");
-            }
-            Some(fl) => {
-                // Reliable delivery: number the frame on this edge and
-                // retain it until the destination's delivered-state (the
-                // shared-memory ack) covers it.
-                let seq = {
-                    let mut fl = fl.borrow_mut();
-                    let seq = fl.next_seq[dest];
-                    fl.next_seq[dest] += 1;
-                    // Grace of two epochs: a fault-free frame flushed at
-                    // epoch e is dispatched by the receiver in round e+1
-                    // and its ack is visible to the pump at e+2, so a
-                    // clean run never retransmits spuriously.
-                    let next_retry = fl.epoch + 2;
-                    fl.unacked[dest].insert(
-                        seq,
-                        UnackedFrame {
-                            bytes: frame.clone(),
-                            ctx,
-                            attempt: 0,
-                            next_retry,
-                            forced: false,
-                        },
-                    );
-                    seq
-                };
-                self.transmit(dest, seq, frame, ctx, 0);
-            }
-        }
+        // Under a fault plan, reliable delivery: number the frame on this
+        // edge and retain it until the destination's ack names it.
+        let seq = self.fault.as_ref().map_or(0, |fl| {
+            let mut fl = fl.borrow_mut();
+            let seq = fl.next_seq[dest];
+            fl.next_seq[dest] += 1;
+            // Grace of two epochs: a fault-free frame flushed at epoch e is
+            // dispatched by the receiver in round e+1, its ack rides that
+            // round's meeting and the pump applies it at e+2 before it
+            // looks, so a clean run never retransmits spuriously.
+            let next_retry = fl.epoch + 2;
+            fl.unacked[dest].insert(
+                seq,
+                UnackedFrame {
+                    bytes: frame.clone(),
+                    ctx,
+                    attempt: 0,
+                    next_retry,
+                    forced: false,
+                },
+            );
+            seq
+        });
+        self.transmit(dest, seq, frame, ctx, 0);
     }
 
-    /// Put one delivery attempt of frame `(self.rank -> dest, seq)` on the
-    /// wire, applying drop and duplication faults. Fault mode only. `ctx`
+    /// Hand one delivery attempt of frame `(self.rank -> dest, seq)` to the
+    /// next meeting, applying a fault plan's drops and duplications. `ctx`
     /// is the frame's original mint-time context, whatever the attempt.
     fn transmit(&self, dest: usize, seq: u64, bytes: Bytes, ctx: TraceCtx, attempt: u32) {
-        let fs = self.shared.fault.as_ref().expect("transmit without faults");
-        if fs.plan.drop_frame(self.rank, dest, seq, attempt) {
-            self.count_fault(|f| &mut f.dropped);
-            return; // the retransmit pump will try again next epoch
-        }
         let pkt = Packet {
-            src: self.rank,
             seq,
             attempt,
             ctx,
             bytes,
         };
-        if fs.plan.duplicate_frame(self.rank, dest, seq, attempt) {
-            self.count_fault(|f| &mut f.duplicated);
-            // The duplicate consumes real link capacity: charge transport-
-            // level (phase) counters without touching application per-tag
-            // stats.
-            self.tally.borrow_mut().add_transport(dest, pkt.bytes.len());
-            self.shared.senders[dest]
-                .send(pkt.clone())
-                .expect("world channel closed while rank alive");
+        if let Some(plan) = self.shared.fault {
+            if plan.drop_frame(self.rank, dest, seq, attempt) {
+                self.count_fault(|f| &mut f.dropped);
+                return; // the retransmit pump will try again next epoch
+            }
+            if plan.duplicate_frame(self.rank, dest, seq, attempt) {
+                self.count_fault(|f| &mut f.duplicated);
+                // The duplicate consumes real link capacity: charge
+                // transport-level (phase) counters without touching
+                // application per-tag stats.
+                self.tally.borrow_mut().add_transport(dest, pkt.bytes.len());
+                self.mailbox.borrow_mut().outbox.push((dest, pkt.clone()));
+            }
         }
-        self.shared.senders[dest]
-            .send(pkt)
-            .expect("world channel closed while rank alive");
+        self.mailbox.borrow_mut().outbox.push((dest, pkt));
     }
 
-    /// Handle one received packet. Fault mode: dedup against the edge's
-    /// delivered-state, possibly park it in the delay inbox; otherwise
-    /// dispatch. Returns messages handled.
-    fn receive_packet(&self, pkt: Packet) -> usize {
-        let Some(fs) = &self.shared.fault else {
-            let ctx = pkt.ctx;
-            return self.dispatch_block(pkt.bytes, Some(ctx));
+    /// Handle one frame a meeting brought from `src`. Fault mode: dedup
+    /// against what `src` has already delivered here, possibly park it in
+    /// the delay inbox; otherwise dispatch.
+    fn receive_packet(&self, src: usize, pkt: Packet) {
+        let Some(fl) = &self.fault else {
+            return self.dispatch_block(pkt.bytes, pkt.ctx);
         };
-        let edge = fs.edge(pkt.src, self.rank, self.n_ranks());
-        if edge.is_delivered(pkt.seq) {
-            // Injected duplicate or a retransmit that raced its ack. Without
+        let mut fl = fl.borrow_mut();
+        if fl.is_delivered(src, pkt.seq) {
+            // Injected duplicate or a retransmit that crossed its ack. Without
             // this check the frame's messages would be handled twice AND
             // `processed` would overrun `sent`, wedging termination
             // detection (see the regression test in tests/fault_injection.rs).
             self.count_fault(|f| &mut f.dedup_discards);
-            return 0;
+            return;
         }
-        let delay = fs
-            .plan
-            .delay_epochs(pkt.src, self.rank, pkt.seq, pkt.attempt);
+        let delay = (fl.plan).delay_epochs(src, self.rank, pkt.seq, pkt.attempt);
         if delay > 0 {
             self.count_fault(|f| &mut f.delayed);
             // The frame sits on the (virtual) wire for `delay` epochs;
             // charge the receiving rank so sim-time reflects the fault.
             self.tally.borrow_mut().fault_ns += self.shared.cost.delay_cost_ns(delay);
-            let fl = self.fault.as_ref().unwrap();
-            let mut fl = fl.borrow_mut();
             let release = fl.epoch + delay as u64;
-            fl.inbox.push((release, pkt));
-            return 0;
+            fl.inbox.push((release, src, pkt));
+            return;
         }
-        self.deliver_packet(pkt)
+        drop(fl);
+        self.deliver_packet(src, pkt)
     }
 
-    /// Mark a packet delivered on its edge and dispatch its messages.
-    /// This is the exactly-once point under faults — dedup upstream
-    /// guarantees one delivery per `(edge, seq)`, so the flow-recv events
-    /// emitted by the dispatch pair 1:1 with mint-time flow-send events.
-    fn deliver_packet(&self, pkt: Packet) -> usize {
-        let fs = self.shared.fault.as_ref().expect("deliver without faults");
-        fs.edge(pkt.src, self.rank, self.n_ranks())
-            .mark_delivered(pkt.seq);
-        let ctx = pkt.ctx;
-        self.dispatch_block(pkt.bytes, Some(ctx))
+    /// Mark a frame from `src` delivered, owe `src` its ack and dispatch the
+    /// frame's messages. This is the exactly-once point under faults — dedup
+    /// upstream guarantees one delivery per `(edge, seq)`, so the flow-recv
+    /// events emitted by the dispatch pair 1:1 with mint-time flow-send
+    /// events.
+    fn deliver_packet(&self, src: usize, pkt: Packet) {
+        let fl = self.fault.as_ref().expect("deliver without faults");
+        fl.borrow_mut().mark_delivered(src, pkt.seq);
+        self.mailbox.borrow_mut().acks_out.push((src, pkt.seq));
+        self.dispatch_block(pkt.bytes, pkt.ctx)
     }
 
-    /// Drive the reliable-delivery layer one step: release matured delayed
-    /// frames, drop acked frames from the retransmit window, and retransmit
-    /// overdue ones with capped exponential backoff (in epochs). Returns
-    /// messages handled. Fault mode only; no-op otherwise.
-    fn pump_transport(&self) -> usize {
-        let (Some(fs), Some(fl_cell)) = (&self.shared.fault, &self.fault) else {
-            return 0;
+    /// Drive the reliable-delivery layer one step: drop the frames the last
+    /// meetings' acks name from the retransmit window, release matured
+    /// delayed frames, and retransmit overdue ones with capped exponential
+    /// backoff (in epochs). Fault mode only; no-op otherwise.
+    fn pump_transport(&self) {
+        let Some(fl_cell) = &self.fault else { return };
+        let epoch = {
+            let mut fl = fl_cell.borrow_mut();
+            for (dest, seq) in self.mailbox.borrow_mut().acks_in.drain(..) {
+                fl.unacked[dest].remove(&seq);
+            }
+            fl.epoch
         };
-        let n = self.n_ranks();
-        let epoch = fl_cell.borrow().epoch;
-        let mut handled = 0;
 
         // Release delayed frames whose epoch has come (re-checking dedup:
         // a retransmit may have been delivered while this copy was parked).
         loop {
-            let pkt = {
+            let (src, pkt) = {
                 let mut fl = fl_cell.borrow_mut();
-                match fl.inbox.iter().position(|(release, _)| *release <= epoch) {
-                    Some(i) => fl.inbox.swap_remove(i).1,
+                match fl.inbox.iter().position(|(release, ..)| *release <= epoch) {
+                    Some(i) => {
+                        let (_, src, pkt) = fl.inbox.swap_remove(i);
+                        (src, pkt)
+                    }
                     None => break,
                 }
             };
-            if fs.edge(pkt.src, self.rank, n).is_delivered(pkt.seq) {
+            if fl_cell.borrow().is_delivered(src, pkt.seq) {
                 self.count_fault(|f| &mut f.dedup_discards);
             } else {
-                handled += self.deliver_packet(pkt);
+                self.deliver_packet(src, pkt);
             }
         }
 
-        // Ack scan + retransmission. Retransmits reuse the stored
-        // mint-time TraceCtx — never a fresh one.
+        // Retransmission. Retransmits reuse the stored mint-time TraceCtx —
+        // never a fresh one.
         let mut resend: Vec<(usize, u64, Bytes, TraceCtx, u32)> = Vec::new();
         {
             let mut fl = fl_cell.borrow_mut();
-            for dest in 0..n {
-                let edge = fs.edge(self.rank, dest, n);
-                fl.unacked[dest].retain(|seq, _| !edge.is_delivered(*seq));
-                for (seq, frame) in fl.unacked[dest].iter_mut() {
+            let max_faulty_attempts = fl.plan.profile.max_faulty_attempts;
+            for (dest, unacked) in fl.unacked.iter_mut().enumerate() {
+                for (seq, frame) in unacked.iter_mut() {
                     if frame.next_retry > epoch {
                         continue;
                     }
                     frame.attempt += 1;
-                    if frame.attempt >= fs.plan.profile.max_faulty_attempts && !frame.forced {
+                    if frame.attempt >= max_faulty_attempts && !frame.forced {
                         frame.forced = true;
                         self.count_fault(|f| &mut f.forced_deliveries);
                     }
@@ -687,36 +694,20 @@ impl Comm {
             self.tally.borrow_mut().add_transport(dest, bytes.len());
             self.transmit(dest, seq, bytes, ctx, attempt);
         }
-        handled
     }
 
-    /// Whether stall injection sidelines this rank for the current epoch
-    /// (it flushes its own sends but dispatches nothing). Charged once per
-    /// stalled epoch.
-    fn stalled_this_epoch(&self) -> bool {
-        let (Some(fs), Some(fl_cell)) = (&self.shared.fault, &self.fault) else {
-            return false;
-        };
-        let mut fl = fl_cell.borrow_mut();
-        let epoch = fl.epoch;
-        if !fs.plan.stall(self.rank, epoch) {
-            return false;
-        }
-        if fl.stall_counted != Some(epoch) {
-            fl.stall_counted = Some(epoch);
+    /// Whether stall injection sidelines this rank for the round under way
+    /// (it flushes its own sends but dispatches nothing; its mail waits, in
+    /// order, ahead of the next meeting's), charging the stall if so.
+    fn stalled_this_round(&self) -> bool {
+        let Some(fl) = &self.fault else { return false };
+        let fl = fl.borrow();
+        let stalled = fl.plan.stall(self.rank, fl.epoch);
+        if stalled {
             self.count_fault(|f| &mut f.stalls);
             self.tally.borrow_mut().fault_ns += self.shared.cost.delay_cost_ns(1);
         }
-        true
-    }
-
-    /// Advance this rank's sync epoch by one. Called once per non-quiescent
-    /// barrier round; rounds are collectively synchronized, so every rank's
-    /// epoch agrees without shared state.
-    fn bump_epoch(&self) {
-        if let Some(fl) = &self.fault {
-            fl.borrow_mut().epoch += 1;
-        }
+        stalled
     }
 
     /// Flush all destination buffers.
@@ -726,13 +717,12 @@ impl Comm {
         }
     }
 
-    /// Decode and dispatch every frame in `block`, returning frames handled.
-    /// `ctx` is the block's carried causal context (None only for blocks
-    /// that never crossed the transport); flow-recv events are emitted per
+    /// Decode and dispatch every frame in `block`. `ctx` is the causal
+    /// context the block was flushed with; flow-recv events are emitted per
     /// distinct tag, inside the dispatch span, exactly once per delivery.
-    fn dispatch_block(&self, mut block: Bytes, ctx: Option<TraceCtx>) -> usize {
-        let traced = self.tracer().is_some();
-        if traced {
+    fn dispatch_block(&self, mut block: Bytes, ctx: TraceCtx) {
+        let tracer = self.tracer();
+        if tracer.is_some() {
             self.trace_begin_arg("dispatch", block.remaining() as u64);
         }
         let mut n = 0;
@@ -740,8 +730,8 @@ impl Comm {
         {
             // Re-entrancy note: a handler receives `&Comm` and may
             // async_send (touches `out`, not `handlers`). A handler calling
-            // poll/barrier/register would re-borrow `handlers` and panic,
-            // which is the documented contract.
+            // barrier/register would re-borrow `handlers` and panic, which
+            // is the documented contract.
             let mut handlers = self.handlers.borrow_mut();
             while block.has_remaining() {
                 let tag = block.get_u16_le();
@@ -778,48 +768,21 @@ impl Comm {
                 spare.push(storage);
             }
         }
-        if traced {
-            if let (Some(t), Some(ctx)) = (self.tracer(), ctx) {
-                if t.flows_enabled() {
-                    let now = self.now_ns();
-                    for tag in tag_bits(tags_seen) {
-                        t.flow_recv(
-                            self.rank,
-                            "flow",
-                            now,
-                            flow_id(tag, ctx, self.rank),
-                            tag as u64,
-                        );
-                    }
+        if let Some(t) = tracer {
+            if t.flows_enabled() {
+                let now = self.now_ns();
+                for tag in tag_bits(tags_seen) {
+                    let id = flow_id(tag, ctx, self.rank);
+                    t.flow_recv(self.rank, "flow", now, id, tag as u64);
                 }
             }
             self.trace_end("dispatch");
         }
-        n
     }
 
-    /// Process every message currently queued for this rank (including
-    /// messages generated by handlers during this call). Returns the number
-    /// of messages handled. Never blocks.
-    pub fn poll(&self) -> usize {
-        if self.stalled_this_epoch() {
-            // A stalled rank still flushes its own buffered sends (so peers
-            // are not starved) but dispatches nothing this epoch.
-            self.flush_all();
-            return 0;
-        }
-        let mut total = 0;
-        loop {
-            self.flush_all();
-            let mut got = self.pump_transport();
-            while let Ok(pkt) = self.rx.try_recv() {
-                got += self.receive_packet(pkt);
-            }
-            total += got;
-            if got == 0 {
-                return total;
-            }
-        }
+    /// The oldest frame the meetings so far brought and no handler has seen.
+    fn next_mail(&self) -> Option<(usize, Packet)> {
+        self.mailbox.borrow_mut().mail.pop_front()
     }
 
     /// Global barrier with termination detection: returns once all ranks
@@ -831,13 +794,25 @@ impl Comm {
         self.trace_begin("barrier");
         let mut rounds: u64 = 0;
         loop {
-            self.poll();
-            // Every rank arrives having flushed and handled all it could
-            // see; the round is quiescent when, summed over those arrivals,
-            // nothing sent is still unhandled.
+            // A stalled rank still flushes its own buffered sends (so peers
+            // are not starved) but dispatches nothing this round.
+            if !self.stalled_this_round() {
+                self.pump_transport();
+                while let Some((src, pkt)) = self.next_mail() {
+                    self.receive_packet(src, pkt);
+                }
+            }
+            self.flush_all();
+            // Every rank arrives having handled what the last meeting
+            // brought it and flushed what that produced; the round is
+            // quiescent when, summed over those arrivals, nothing sent is
+            // still unhandled.
             let Outcome::Round { quiescent } = self.meet(Meet::Round) else {
                 unreachable!("ranks met in different collectives");
             };
+            if let Some(fl) = &self.fault {
+                fl.borrow_mut().epoch += 1;
+            }
             if quiescent {
                 // The clock advanced inside the meeting, so this span's
                 // virtual duration is exactly the completed phase's makespan.
@@ -845,34 +820,33 @@ impl Comm {
                 self.phase_idx.set(self.phase_idx.get() + 1);
                 return;
             }
-            // Non-quiescent round: messages are still in channels, parked
-            // in delay inboxes or in retransmit windows. Advance the sync
-            // epoch (lock-step on every rank — all ranks got the same
-            // outcome) so delays mature and backoffs fire, then go around
-            // again.
+            // Non-quiescent round: messages are still in the mail, parked
+            // in delay inboxes or in retransmit windows. Go around again;
+            // in the next epoch delays mature and backoffs fire.
             rounds += 1;
-            self.bump_epoch();
-            if let Some(fs) = &self.shared.fault {
-                if rounds >= STORM_ROUNDS {
-                    panic!(
-                        "fault-sim storm: barrier failed to quiesce after {rounds} rounds; \
-                         replay with --sim-seed {}",
-                        fs.plan.sim_seed
-                    );
-                }
+            if let Some(plan) = (self.shared.fault).filter(|_| rounds >= STORM_ROUNDS) {
+                panic!(
+                    "fault-sim storm: barrier failed to quiesce after {rounds} rounds; \
+                     replay with --sim-seed {}",
+                    plan.sim_seed
+                );
             }
         }
     }
 
     /// Meet the other ranks at the world's rendezvous, handing over this
-    /// rank's tally: the one blocking wait of a barrier round or a
-    /// collective. The world's last barrier included, which
+    /// rank's tally, outbox and acks and taking its mail: the one blocking
+    /// wait of a barrier round or a collective. The world's last barrier
+    /// included, which
     /// [`crate::World::run`] enters after the rank's closure returns, so a
     /// send issued after the closure's own last barrier is still counted.
     fn meet(&self, what: Meet) -> Outcome {
-        self.shared
-            .rendezvous
-            .meet(self.rank, &mut self.tally.borrow_mut(), what)
+        self.shared.rendezvous.meet(
+            self.rank,
+            &mut self.tally.borrow_mut(),
+            &mut self.mailbox.borrow_mut(),
+            what,
+        )
     }
 
     /// Count one fault or reliable-delivery event on this rank.
@@ -963,5 +937,42 @@ pub struct TraceSpan<'a> {
 impl Drop for TraceSpan<'_> {
     fn drop(&mut self) {
         self.comm.trace_end(self.name);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    /// Every `(tag, origin, dest, seq)` a world of 300 ranks can draw an
+    /// arrow for has its own id: the edges of the tag and sequence ranges
+    /// against every pair of ranks, and every field's top value at once.
+    #[test]
+    fn flow_ids_are_distinct_above_256_ranks() {
+        let mut ids = HashSet::new();
+        let mut arrows = 0;
+        for tag in [0u16, 1, 63] {
+            for origin in 0..300u32 {
+                for dest in 0..300usize {
+                    for send_seq in [0u64, 1, u32::MAX as u64] {
+                        let ctx = TraceCtx {
+                            origin,
+                            parent_span: 0,
+                            send_seq,
+                        };
+                        ids.insert(flow_id(tag, ctx, dest));
+                        arrows += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(ids.len(), arrows);
+        let top = TraceCtx {
+            origin: MAX_FLOW_RANKS as u32 - 1,
+            parent_span: 0,
+            send_seq: u32::MAX as u64,
+        };
+        assert_eq!(flow_id(63, top, MAX_FLOW_RANKS - 1), u64::MAX);
     }
 }

@@ -10,25 +10,32 @@
 //!
 //! * **Frame faults** — each flushed aggregation buffer (a *frame*) can be
 //!   dropped, duplicated, or delayed by a bounded number of sync epochs.
-//! * **Rank stalls** — a rank can skip dispatching for a poll round,
+//! * **Rank stalls** — a rank can skip dispatching for a barrier round,
 //!   creating stragglers and reordering across ranks.
 //! * **Flush jitter** — sends can trigger an early flush, perturbing frame
-//!   boundaries and thus handler-batch interleavings.
+//!   boundaries and thus the fault coordinates of every later frame on the
+//!   edge (a boundary by itself reorders nothing: every frame a rank flushed
+//!   before a meeting travels with that meeting, in flush order).
 //!
 //! Every decision is a pure function of one **sim seed** and the fault
 //! coordinates — `(source, destination, frame sequence number, delivery
 //! attempt)` for frame faults, `(rank, epoch)` for stalls — drawn through a
-//! ChaCha generator seeded per decision. Determinism therefore does **not**
-//! depend on thread scheduling: re-running with the same `--sim-seed`
-//! replays the exact same injected fault for the exact same frame, which is
-//! what makes a failing seed a complete bug report.
+//! ChaCha generator seeded per decision. The coordinates do not depend on
+//! thread scheduling either — a frame's number and the epoch a rank is in
+//! follow from what the ranks flushed, and frames and acks travel only
+//! through the world's meetings — so re-running with the same `--sim-seed`
+//! replays the exact same injected fault for the exact same frame, and the
+//! same recovery after it: delays and stalls are this repo's source of
+//! reordering, not the scheduler, which is what makes a failing seed a
+//! complete bug report.
 //!
 //! On top of the injected faults, [`crate::Comm`] runs a reliable-delivery
-//! protocol (per-destination sequence numbers, shared-memory acks,
-//! epoch-based retransmission with capped exponential backoff, receive-side
-//! dedup) so that every application message is still processed *exactly
-//! once* and the termination-detection barrier still completes. See
-//! `DESIGN.md` §"Fault model & simulation testing".
+//! protocol (per-destination sequence numbers, acks that ride the next
+//! meeting, epoch-based retransmission with capped exponential backoff,
+//! receive-side dedup against a rank-private watermark per source) so that
+//! every application message is still processed *exactly once* and the
+//! termination-detection barrier still completes. See `DESIGN.md` §"Fault
+//! model & simulation testing".
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

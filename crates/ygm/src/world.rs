@@ -6,15 +6,14 @@
 //! final implicit barrier (so no message is ever dropped), and returns the
 //! per-rank results together with timing and traffic summaries.
 
-use crate::comm::{Comm, Packet};
+use crate::comm::{Comm, Packet, MAX_FLOW_RANKS};
 use crate::cost::{ClockBreakdown, CostModel, PhaseRecord, VirtualClock};
 use crate::fault::{FaultCounters, FaultPlan, FaultReport};
 use crate::stats::{Stats, TagStats, Tally, TrafficMatrix};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use obs::Tracer;
 use parking_lot::{Condvar, Mutex};
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -23,8 +22,56 @@ use std::time::Instant;
 /// YGM uses aggregation buffers of comparable magnitude.
 pub const DEFAULT_FLUSH_THRESHOLD: usize = 64 * 1024;
 
-/// What a rank brings to a meeting, besides its [`Tally`]. SPMD: every rank
-/// brings the same kind to the same meeting.
+/// One kind of thing ranks pass each other — frames, acks — on the world's
+/// side of a meeting. A rank's arrival appends to its own row of `posted`,
+/// so the order ranks arrive in leaves no trace.
+struct Route<T> {
+    /// `posted[src]`: what `src` handed to the meeting under way, `(dest,
+    /// item)` in the order it produced them.
+    posted: Vec<Vec<(usize, T)>>,
+    /// `sorted[dest]`: the finished meeting's items for `dest`, `(src, item)`
+    /// ordered by `(src, src's order)`; `dest` takes them as it leaves.
+    sorted: Vec<Vec<(usize, T)>>,
+}
+
+impl<T> Route<T> {
+    fn new(n: usize) -> Self {
+        Route {
+            posted: (0..n).map(|_| Vec::new()).collect(),
+            sorted: (0..n).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// The last arriver's step. Every vector keeps its capacity: a steady
+    /// round allocates nothing here.
+    fn sort(&mut self) {
+        for (src, posted) in self.posted.iter_mut().enumerate() {
+            for (dest, item) in posted.drain(..) {
+                self.sorted[dest].push((src, item));
+            }
+        }
+    }
+}
+
+/// A rank's side of the mail, rank-private between meetings:
+/// [`Rendezvous::meet`] takes the `out` halves and fills the `in` halves.
+#[derive(Default)]
+pub(crate) struct Mailbox {
+    /// Frames flushed since the last meeting, `(dest, frame)` in flush order.
+    pub(crate) outbox: Vec<(usize, Packet)>,
+    /// Frames received and not dispatched yet, `(src, frame)`, oldest
+    /// meeting first and `(src, flush order)` within one.
+    pub(crate) mail: VecDeque<(usize, Packet)>,
+    /// Under a fault plan: `(src, seq)` of the frames delivered to a handler
+    /// since the last meeting ...
+    pub(crate) acks_out: Vec<(usize, u64)>,
+    /// ... and `(dest, seq)` of this rank's frames whose delivery it has
+    /// been told of and not yet dropped from its retransmit window.
+    pub(crate) acks_in: Vec<(usize, u64)>,
+}
+
+/// What a rank brings to a meeting, besides its [`Tally`] and [`Mailbox`].
+/// SPMD: every rank brings the same kind to the same meeting.
 pub(crate) enum Meet {
     /// One round of a barrier.
     Round,
@@ -69,6 +116,10 @@ struct Meeting {
     /// way; taken by its finishing step.
     sum: u64,
     payload: Option<Bytes>,
+    /// The mail: frames, and under a fault plan the sequence numbers of
+    /// frames delivered, on their way back to whoever sent them.
+    frames: Route<Packet>,
+    acks: Route<u64>,
     stats: Stats,
     clock: VirtualClock,
     faults: FaultCounters,
@@ -76,10 +127,12 @@ struct Meeting {
 
 /// The one place ranks synchronize: a combining rendezvous. A rank folds its
 /// contribution in as it arrives; the last one to arrive finishes the
-/// meeting — decides quiescence and advances the clock, or takes the reduced
-/// value — and publishes the [`Outcome`] before it wakes anyone. So a barrier
-/// round or a collective is one blocking wait, and a rank cannot forget to
-/// publish: its tally is the argument.
+/// meeting — sorts the mail, decides quiescence and advances the clock, or
+/// takes the reduced value — and publishes the [`Outcome`] before it wakes
+/// anyone. So a barrier round or a collective is one blocking wait, a rank
+/// cannot forget to publish (its tally is the argument), and a frame has one
+/// way to travel: what a rank dispatches after a meeting is a function of
+/// what every rank flushed before it, whatever the interleaving.
 ///
 /// It can be *poisoned*: when any rank panics, the world aborts instead of
 /// deadlocking the surviving ranks in their waits — the in-process analogue
@@ -108,6 +161,8 @@ impl Rendezvous {
                 processed: 0,
                 sum: 0,
                 payload: None,
+                frames: Route::new(n),
+                acks: Route::new(n),
                 stats: Stats::new(n),
                 clock: VirtualClock::default(),
                 faults: FaultCounters::default(),
@@ -117,11 +172,19 @@ impl Rendezvous {
         }
     }
 
-    /// Fold in what `rank` did since its last meeting (`tally`, left zeroed)
-    /// and what it brings to this one, block until all ranks have arrived,
-    /// and return the meeting's outcome — the same on every rank. Panics on
-    /// all ranks if the rendezvous is poisoned.
-    pub(crate) fn meet(&self, rank: usize, tally: &mut Tally, what: Meet) -> Outcome {
+    /// Fold in what `rank` did since its last meeting (`tally`, left zeroed),
+    /// the frames and acks it has for the others and what it brings to this
+    /// meeting, block until all ranks have arrived, leave `rank`'s share of
+    /// the meeting's mail in `mailbox`, and return the meeting's outcome —
+    /// the same on every rank. Panics on all ranks if the rendezvous is
+    /// poisoned.
+    pub(crate) fn meet(
+        &self,
+        rank: usize,
+        tally: &mut Tally,
+        mailbox: &mut Mailbox,
+        what: Meet,
+    ) -> Outcome {
         let mut guard = self.state.lock();
         let m = &mut *guard;
         if m.poisoned {
@@ -130,6 +193,8 @@ impl Rendezvous {
         m.sent += m.stats.merge(rank, tally);
         m.processed += std::mem::take(&mut tally.processed);
         m.faults.absorb(&mut tally.faults);
+        m.frames.posted[rank].append(&mut mailbox.outbox);
+        m.acks.posted[rank].append(&mut mailbox.acks_out);
         match &what {
             Meet::Round | Meet::Broadcast(None) => {}
             Meet::Sum(v) => m.sum = m.sum.wrapping_add(*v),
@@ -139,6 +204,8 @@ impl Rendezvous {
         if m.arrived == self.n {
             m.arrived = 0;
             m.generation += 1;
+            m.frames.sort();
+            m.acks.sort();
             m.outcome = match what {
                 Meet::Round => {
                     let quiescent = m.sent == m.processed;
@@ -163,15 +230,19 @@ impl Rendezvous {
             if self.n > 1 {
                 self.wake.notify_all();
             }
-            return m.outcome.clone();
+        } else {
+            let generation = guard.generation;
+            while guard.generation == generation && !guard.poisoned {
+                self.wake.wait(&mut guard);
+            }
+            if guard.poisoned {
+                std::panic::panic_any(WorldAborted);
+            }
         }
-        let generation = guard.generation;
-        while guard.generation == generation && !guard.poisoned {
-            self.wake.wait(&mut guard);
-        }
-        if guard.poisoned {
-            std::panic::panic_any(WorldAborted);
-        }
+        // Nobody sorts into these rows again before this rank has arrived
+        // at the next meeting.
+        mailbox.mail.extend(guard.frames.sorted[rank].drain(..));
+        mailbox.acks_in.append(&mut guard.acks.sorted[rank]);
         guard.outcome.clone()
     }
 
@@ -200,83 +271,16 @@ impl Rendezvous {
     }
 }
 
-/// Receive-side reliable-delivery state for one directed edge
-/// `(src -> dest)`. Mutated only by the destination rank; senders read the
-/// watermark and set to learn which frames are acknowledged (shared-memory
-/// acks — the simulation's stand-in for ack messages on the wire).
-pub(crate) struct EdgeRecvState {
-    /// All frame sequence numbers `< watermark` have been delivered.
-    pub(crate) watermark: AtomicU64,
-    /// Delivered frames at or above the watermark (out-of-order arrivals).
-    pub(crate) out_of_order: Mutex<BTreeSet<u64>>,
-}
-
-impl EdgeRecvState {
-    fn new() -> Self {
-        EdgeRecvState {
-            watermark: AtomicU64::new(0),
-            out_of_order: Mutex::new(BTreeSet::new()),
-        }
-    }
-
-    /// Has frame `seq` on this edge been delivered to a handler?
-    pub(crate) fn is_delivered(&self, seq: u64) -> bool {
-        seq < self.watermark.load(Ordering::Acquire) || self.out_of_order.lock().contains(&seq)
-    }
-
-    /// Record frame `seq` as delivered, advancing the contiguous watermark
-    /// past any out-of-order frames it now absorbs.
-    pub(crate) fn mark_delivered(&self, seq: u64) {
-        let mut ooo = self.out_of_order.lock();
-        let mut mark = self.watermark.load(Ordering::Acquire);
-        if seq != mark {
-            ooo.insert(seq);
-            return;
-        }
-        mark += 1;
-        while ooo.remove(&mark) {
-            mark += 1;
-        }
-        self.watermark.store(mark, Ordering::Release);
-    }
-}
-
-/// World-wide fault-injection state: the plan and the shared-memory ack
-/// table (one [`EdgeRecvState`] per directed edge, indexed
-/// `dest * n_ranks + src`).
-pub(crate) struct FaultShared {
-    pub(crate) plan: FaultPlan,
-    recv: Box<[EdgeRecvState]>,
-}
-
-impl FaultShared {
-    fn new(plan: FaultPlan, n_ranks: usize) -> Self {
-        FaultShared {
-            plan,
-            recv: (0..n_ranks * n_ranks)
-                .map(|_| EdgeRecvState::new())
-                .collect(),
-        }
-    }
-
-    /// Receive state for frames flowing `src -> dest`.
-    pub(crate) fn edge(&self, src: usize, dest: usize, n_ranks: usize) -> &EdgeRecvState {
-        &self.recv[dest * n_ranks + src]
-    }
-}
-
 pub(crate) struct Shared {
     pub n_ranks: usize,
     pub rendezvous: Rendezvous,
-    pub senders: Vec<Sender<Packet>>,
     pub cost: CostModel,
     pub flush_threshold: usize,
     /// Optional span/metric collector; `None` keeps the hot path at a
     /// single branch per instrumentation site.
     pub tracer: Option<Arc<Tracer>>,
-    /// Fault-injection plan + reliable-delivery state; `None` runs the
-    /// original direct transport unchanged.
-    pub fault: Option<FaultShared>,
+    /// Fault-injection plan; `None` sends every frame once, unnumbered.
+    pub fault: Option<FaultPlan>,
 }
 
 /// Configuration for a simulated multi-rank run.
@@ -396,12 +400,17 @@ impl World {
     /// Attach a tracer; runtime spans (barriers, dispatch, collectives),
     /// flush metrics, and any application spans recorded through
     /// [`Comm`]'s `trace_*` helpers land in it. The tracer must have been
-    /// created for the same rank count.
+    /// created for the same rank count, and one that records flow arrows
+    /// for no more ranks than a flow id can name.
     pub fn tracer(mut self, tracer: Arc<Tracer>) -> Self {
         assert_eq!(
             tracer.n_ranks(),
             self.n_ranks,
             "tracer rank count must match the world"
+        );
+        assert!(
+            !tracer.flows_enabled() || self.n_ranks <= MAX_FLOW_RANKS,
+            "flow arrows identify at most {MAX_FLOW_RANKS} ranks; trace with flows off"
         );
         self.tracer = Some(tracer);
         self
@@ -424,29 +433,26 @@ impl World {
         T: Send,
     {
         let n = self.n_ranks;
-        let (senders, receivers): (Vec<Sender<Packet>>, Vec<Receiver<Packet>>) =
-            (0..n).map(|_| unbounded()).unzip();
         let shared = Arc::new(Shared {
             n_ranks: n,
             rendezvous: Rendezvous::new(n, self.cost),
-            senders,
             cost: self.cost,
             flush_threshold: self.flush_threshold,
             tracer: self.tracer.clone(),
-            fault: self.fault.map(|plan| FaultShared::new(plan, n)),
+            fault: self.fault,
         });
 
         let start = Instant::now();
         let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
-            for (rank, rx) in receivers.into_iter().enumerate() {
+            for rank in 0..n {
                 let shared = Arc::clone(&shared);
                 let f = &f;
                 handles.push(scope.spawn(move || {
                     let world = Arc::clone(&shared);
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let comm = Comm::new(rank, shared, rx);
+                        let comm = Comm::new(rank, shared);
                         let out = f(&comm);
                         // Final drain: a rank may still owe handler
                         // executions to messages sent by other ranks at
@@ -500,7 +506,7 @@ impl World {
             tags: m.stats.nonzero_tags(),
             total: m.stats.total(),
             matrix: m.stats.matrix(),
-            faults: shared.fault.as_ref().map(|f| m.faults.report(&f.plan)),
+            faults: self.fault.map(|plan| m.faults.report(&plan)),
         }
     }
 }
@@ -616,22 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn poll_processes_without_global_sync() {
-        let report = World::new(2).run(|comm| {
-            let hits = Rc::new(RefCell::new(0u32));
-            let h = Rc::clone(&hits);
-            comm.register::<u32, _>(PING, move |_, _| *h.borrow_mut() += 1);
-            comm.async_send(comm.rank(), PING, &1u32);
-            // Self-send is locally buffered; poll must flush + handle it.
-            comm.poll();
-            let seen = *hits.borrow();
-            comm.barrier();
-            seen
-        });
-        assert_eq!(report.results, vec![1, 1]);
-    }
-
-    #[test]
     fn consecutive_reduces_do_not_bleed() {
         let report = World::new(3).run(|comm| {
             let a = comm.all_reduce_sum_u64(comm.rank() as u64 + 1);
@@ -706,23 +696,57 @@ mod tests {
     }
 
     #[test]
-    fn flush_threshold_triggers_early_delivery() {
-        // With a tiny threshold messages flush long before the barrier; the
-        // destination still only handles them on its own poll/barrier.
+    fn threshold_flushes_lose_and_reorder_nothing() {
+        // With a tiny threshold every message is its own frame, flushed long
+        // before the barrier; the destination handles them all, in the order
+        // they were sent, after the meeting that carries them.
         let report = World::new(2).flush_threshold(16).run(|comm| {
-            let hits = Rc::new(RefCell::new(0u32));
-            let h = Rc::clone(&hits);
-            comm.register::<u64, _>(PING, move |_, _| *h.borrow_mut() += 1);
+            let got = Rc::new(RefCell::new(Vec::new()));
+            let g = Rc::clone(&got);
+            comm.register::<u64, _>(PING, move |_, v| g.borrow_mut().push(v));
             if comm.rank() == 0 {
                 for i in 0..100u64 {
                     comm.async_send(1, PING, &i);
                 }
             }
             comm.barrier();
-            let n = *hits.borrow();
-            n
+            got.take()
         });
-        assert_eq!(report.results[1], 100);
+        assert_eq!(report.results[1], (0..100).collect::<Vec<u64>>());
+    }
+
+    /// A rank that sits a round out keeps the mail the last meeting brought
+    /// it and dispatches it, in order, ahead of the next meeting's.
+    #[test]
+    fn a_stalled_rank_keeps_its_mail_in_order() {
+        let profile = crate::fault::FaultProfile {
+            stall: 0.5,
+            ..crate::fault::FaultProfile::clean()
+        };
+        // Rank 1 stalls in the second round of the first barrier and at no
+        // other time this test lives through; a stall is a pure function of
+        // `(seed, rank, epoch)`, so the seed can be searched for.
+        let plan = (0..)
+            .map(|seed| FaultPlan::new(profile, seed))
+            .find(|p| p.stall(1, 1) && !(0..4).any(|e| p.stall(0, e) || (e != 1 && p.stall(1, e))))
+            .unwrap();
+        let report = World::new(2).fault_plan(plan).run(|comm| {
+            let got = Rc::new(RefCell::new(Vec::new()));
+            let g = Rc::clone(&got);
+            comm.register::<u32, _>(PING, move |c, v| g.borrow_mut().push((v, c.meetings())));
+            // PONG runs on rank 0 in round two, so its PING reaches rank 1
+            // one meeting after the PING sent from here.
+            comm.register::<u32, _>(PONG, |c, v| c.async_send(1, PING, &v));
+            if comm.rank() == 0 {
+                comm.async_send(1, PING, &1u32);
+                comm.async_send(0, PONG, &2u32);
+            }
+            comm.barrier();
+            got.take()
+        });
+        // Both in round three, the first meeting's frame first.
+        assert_eq!(report.results[1], vec![(1, 2), (2, 2)]);
+        assert_eq!(report.faults.unwrap().stalls, 1);
     }
 
     #[test]
@@ -772,7 +796,7 @@ mod tests {
     #[test]
     fn relayed_chains_are_retired_before_the_barrier_returns() {
         // Regression guard for the termination-detection invariant:
-        // sent == processed implies empty channels.
+        // sent == processed implies no frame is left in any mailbox.
         let report = World::new(4).run(|comm| {
             comm.register::<u32, _>(PING, |c, v| {
                 if v > 0 {

@@ -80,7 +80,10 @@ fn faulted_worlds_conserve_messages_exactly_once() {
 }
 
 /// The clean plan runs the full reliable-delivery machinery (sequencing,
-/// acks, dedup) but injects nothing — results must match a plan-free world.
+/// acks, dedup) but injects nothing — results must match a plan-free world,
+/// and the machinery must have nothing to recover: an ack is one meeting old
+/// when the sender applies it, which the two-epoch grace of a fresh frame
+/// covers.
 #[test]
 fn clean_plan_matches_fault_free_world() {
     let n = 3;
@@ -95,12 +98,15 @@ fn clean_plan_matches_fault_free_world() {
     assert!(baseline.faults.is_none());
     let faults = clean.faults.unwrap();
     assert_eq!(faults.injected(), 0);
-    assert_eq!(faults.retransmits, 0);
+    assert_eq!((faults.retransmits, faults.dedup_discards), (0, 0));
 }
 
-/// Same seed => same application outcome and same (schedule-independent)
-/// injection decisions. This is the property that makes `--sim-seed` a
-/// complete bug report.
+/// Same seed => same run: the application outcome, every injected fault,
+/// every recovery the transport made for it, and the virtual time all of it
+/// cost, phase by phase. A frame's fault coordinates, the round a rank
+/// dispatches it in and the epoch a retransmit fires at are functions of what
+/// the ranks flushed, never of which thread ran first. This is the property
+/// that makes `--sim-seed` a complete bug report.
 #[test]
 fn same_seed_replays_identically() {
     let n = 4;
@@ -113,14 +119,14 @@ fn same_seed_replays_identically() {
         )
     };
     let a = run();
-    let b = run();
-    assert_eq!(a.results, b.results);
-    assert_eq!(a.total, b.total);
-    let (fa, fb) = (a.faults.unwrap(), b.faults.unwrap());
-    // Flush-jitter decisions are a pure function of per-edge send counts,
-    // which are deterministic per rank — so the count must replay exactly.
-    assert_eq!(fa.jittered_flushes, fb.jittered_flushes);
-    assert_eq!(fa.sim_seed, fb.sim_seed);
+    assert!(a.faults.as_ref().unwrap().retransmits > 0);
+    for _ in 0..10 {
+        let b = run();
+        assert_eq!(a.results, b.results);
+        assert_eq!((a.total, &a.matrix), (b.total, &b.matrix));
+        assert_eq!(a.faults, b.faults);
+        assert_eq!((a.sim_ns, &a.phases), (b.sim_ns, &b.phases));
+    }
 }
 
 /// Regression (satellite: barrier/termination bug under duplication).

@@ -15,7 +15,9 @@
 //! storage: 0.10, 0.06, 0.15). What is left scales with barriers and
 //! flushed frames, not messages: a `PhaseRecord` per barrier, and one
 //! allocation per frame — the `Arc` header of the frozen `Bytes`; its
-//! replacement send buffer is the storage of a frame already dispatched.
+//! replacement send buffer is the storage of a frame already dispatched,
+//! and the outbox and the meeting's queues it travels through keep their
+//! capacity from round to round.
 
 use dataset::{presets, L2};
 use dnnd::msgs::Type2Plus;
@@ -64,10 +66,11 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 const ROW_TAG: u16 = 7;
 
 /// Allocations of sending `rows` borrowed `Type2Plus` rows to this rank,
-/// `per_frame` at a time with a poll after each — one flushed frame, which
-/// that poll dispatches through a reusing handler — on a one-rank world
-/// already warmed by a few rows.
-fn row_allocations(rows: usize, per_frame: usize) -> u64 {
+/// `per_frame` at a time with a barrier after each — one flushed frame,
+/// which that barrier carries through a meeting and dispatches through a
+/// reusing handler — and of `barriers` barriers in all (the rest find
+/// nothing to do), on a one-rank world already warmed by a few rows.
+fn row_allocations(rows: usize, per_frame: usize, barriers: usize) -> u64 {
     let vec: Vec<f32> = (0..96).map(|i| i as f32 * 0.37 - 11.5).collect();
     let ids: Vec<u32> = (0..8).collect();
     let report = World::new(1).run(|comm| {
@@ -76,19 +79,21 @@ fn row_allocations(rows: usize, per_frame: usize) -> u64 {
         comm.register_mut::<Type2Plus<Vec<f32>>, _>(ROW_TAG, move |_, msg| {
             sink.set(sink.get() + msg.u2s.len() + msg.vec.len());
         });
-        let send = |n: usize| {
+        let send = |n: usize, barriers: usize| {
             for i in 0..n {
                 // Longest row first, so the kept message never regrows.
                 let tails = &ids[..ids.len() - i % 3];
                 comm.async_send(0, ROW_TAG, &(i as u32, tails, 0.5f32, &vec));
                 if (i + 1) % per_frame == 0 {
-                    comm.poll();
+                    comm.barrier();
                 }
             }
-            comm.barrier();
+            for _ in n / per_frame..barriers {
+                comm.barrier();
+            }
         };
-        send(16);
-        let ((), allocations) = counted(|| send(rows));
+        send(16, 1);
+        let ((), allocations) = counted(|| send(rows, barriers));
         assert!(seen.get() > rows * 96, "every row was dispatched");
         allocations
     });
@@ -99,15 +104,18 @@ fn row_allocations(rows: usize, per_frame: usize) -> u64 {
 fn the_message_path_does_not_allocate_per_message() {
     // (i) N and 4N rows cost the same up to the frames they fill: the
     // `Arc` header per flushed frame — its replacement buffer is the frame
-    // dispatched before it — plus the channel's queue doubling a few times.
+    // dispatched before it — plus the list of phases doubling a few times.
+    // Both runs pass as many barriers (a barrier allocates its
+    // `PhaseRecord`), so what differs is the frames.
     let row_bytes = FRAME_HEADER_BYTES + (0u32, &[0u32; 8][..], 0f32, &vec![0f32; 96]).wire_size();
-    // As many rows as stay under the flush threshold: the poll flushes.
+    // As many rows as stay under the flush threshold: the barrier flushes.
     let per_frame = (DEFAULT_FLUSH_THRESHOLD - 1) / row_bytes;
     let frames = |rows: usize| rows.div_ceil(per_frame) as u64;
     let n = 2_000;
+    let barriers = frames(4 * n) as usize;
     let (small, large) = (
-        row_allocations(n, per_frame),
-        row_allocations(4 * n, per_frame),
+        row_allocations(n, per_frame, barriers),
+        row_allocations(4 * n, per_frame, barriers),
     );
     let extra_frames = frames(4 * n) - frames(n);
     assert!(

@@ -5,7 +5,7 @@
 
 use dataset::{synth, L2};
 use dnnd::{build, BuildReport, CommOpts, DnndConfig};
-use obs::{EventKind, JsonValue, RunReport, Tracer};
+use obs::{JsonValue, RunReport, Tracer};
 
 use std::process::Command;
 use std::sync::Arc;
@@ -25,64 +25,21 @@ fn traced_build(seed: u64) -> (Arc<Tracer>, BuildReport) {
     (tracer, out.report)
 }
 
-/// The span log minus the events that legitimately vary between same-seed
-/// runs:
-///
-/// * "dispatch" / "flush" — when a rank drains its inbox (and when inbox
-///   pressure forces a flush) depends on OS message-arrival order.
-/// * "flow" / "query" — causal flow-arrow halves ride the flush/dispatch
-///   boundaries above, so their count and placement vary the same way
-///   (their *pairing* is exact and tested separately).
-///
-/// "iter_updates" used to be filtered too: the accepted-update counter `c`
-/// once tallied transient heap insertions, so its value depended on
-/// arrival order. `c` now counts end-of-iteration heap survivors — a pure
-/// function of the delivered message multiset — so it stays in the
-/// deterministic log and this test doubles as its regression test.
-///
-/// Everything else is engine control flow keyed to the virtual clock,
-/// which only advances while every rank sits inside a collective — so the
-/// filtered log must be identical run to run, timestamps included.
-fn deterministic_log(t: &Tracer) -> Vec<Vec<(EventKind, &'static str, u64, u64)>> {
-    t.span_log()
-        .into_iter()
-        .map(|rank| {
-            rank.into_iter()
-                .filter(|(_, name, _, _)| {
-                    *name != "dispatch" && *name != "flush" && *name != "flow" && *name != "query"
-                })
-                .collect()
-        })
-        .collect()
-}
-
 #[test]
 fn same_seed_runs_emit_identical_span_sequences() {
-    // Determinism is asserted on the unoptimized (Type 1 + Type 2)
-    // protocol with a pinned iteration count. The optimized protocol's
-    // pruning reads the live heap mid-phase (paper Section 4.3: the
-    // distance bound and redundancy skip are racy by design), so its
-    // message counts — and with them the virtual clock — vary with
-    // arrival order. The unoptimized protocol sends exactly one Type 2
-    // per Type 1, making every span and virtual timestamp reproducible.
-    let run = || {
-        let set = Arc::new(synth::uniform(400, 8, 7));
-        let tracer = Arc::new(Tracer::new(4));
-        let world = World::new(4).tracer(Arc::clone(&tracer));
-        build(
-            &world,
-            &set,
-            &L2,
-            DnndConfig::new(6)
-                .seed(11)
-                .comm_opts(CommOpts::unoptimized())
-                .max_iters(4)
-                .graph_opt(1.5),
-        );
-        tracer
-    };
-    let (t1, t2) = (run(), run());
-    let (a, b) = (deterministic_log(&t1), deterministic_log(&t2));
+    // The whole span log of the paper's optimized protocol, nothing filtered
+    // out: engine control flow, every flush and dispatch, both halves of
+    // every flow arrow, virtual timestamps included. The protocol's pruning
+    // reads the live heap when a message arrives (paper Section 4.3), and a
+    // rank's messages arrive in an order fixed by what every rank flushed
+    // before the last meeting; the virtual clock only advances while every
+    // rank sits inside one.
+    //
+    // "iter_updates" is in the log as a regression test: the accepted-update
+    // counter `c` counts end-of-iteration heap survivors, not transient
+    // insertions.
+    let (t1, t2) = (traced_build(11).0, traced_build(11).0);
+    let (a, b) = (t1.span_log(), t2.span_log());
     assert_eq!(a.len(), 4);
     for (rank, (ra, rb)) in a.iter().zip(&b).enumerate() {
         assert!(
@@ -424,18 +381,14 @@ fn unopt_report(n_ranks: usize, profile: Option<&str>) -> BuildReport {
 
 #[test]
 fn critical_path_report_is_bit_identical_and_sums_exactly() {
-    // Without a fault plan (or on a single rank) the *entire* section is a
-    // pure function of the seed: rerunning reproduces it bit for bit. Under
-    // a hostile profile only the phase structure is rerun-stable: fault
-    // decisions are a PRF of (src, dest, frame seq, attempt), but frame
-    // sequence numbers and poll epochs ride OS-timing-dependent
-    // flush/dispatch boundaries, so transport charges (and with them the
-    // per-phase critical rank, hence every bucket and sim_ns itself)
-    // legitimately vary between reruns — the same contract the
-    // fault-injection suite tests (results replay exactly; the transport
-    // clock does not). In *every* configuration the attribution must sum
-    // to the run's own virtual clock with zero error, per phase and
-    // overall.
+    // The entire section is a pure function of the seeds, sim seed
+    // included: fault decisions are a PRF of (src, dest, frame seq,
+    // attempt), and frame sequence numbers, the round a frame is dispatched
+    // in and the epoch a retransmit fires at follow from what the ranks
+    // flushed, so rerunning reproduces every transport charge — and with
+    // them the per-phase critical rank, every bucket and sim_ns — bit for
+    // bit. In every configuration the attribution must also sum to the
+    // run's own virtual clock with zero error, per phase and overall.
     for ranks in [1usize, 2, 4] {
         for profile in [None, Some("lossy")] {
             let r1 = unopt_report(ranks, profile);
@@ -444,22 +397,11 @@ fn critical_path_report_is_bit_identical_and_sums_exactly() {
             let b = dnnd::obs_report::report_from_build("it", &r2);
             let ca = a.critical_path.as_ref().expect("section present");
             let cb = b.critical_path.as_ref().expect("section present");
-            if profile.is_none() || ranks == 1 {
-                assert_eq!(
-                    ca, cb,
-                    "critical path diverged at n_ranks={ranks} profile={profile:?}"
-                );
-            } else {
-                // Transport charges may shift which rank is critical in a
-                // phase, so even per-bucket totals can move between reruns;
-                // the phase structure itself is app-driven and replays.
-                assert_eq!(
-                    ca.phase_attribution.len(),
-                    cb.phase_attribution.len(),
-                    "phase count at n_ranks={ranks}"
-                );
-                assert_eq!(ca.n_ranks, cb.n_ranks);
-            }
+            assert_eq!(
+                ca, cb,
+                "critical path diverged at n_ranks={ranks} profile={profile:?}"
+            );
+            assert_eq!(r1.faults, r2.faults);
 
             assert_eq!(ca.n_ranks as usize, ranks);
             assert_eq!(ca.critical_path_ns, r1.sim_ns, "path length = clock");
