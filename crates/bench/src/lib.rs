@@ -10,6 +10,8 @@
 //! cargo run --release -p bench --bin fig4_messages -- --n 2000
 //! ```
 
+#![forbid(unsafe_code)]
+
 use dnnd::obs_report::{write_dashboard, write_report, write_trace};
 use obs::{RunReport, Tracer};
 use std::cell::RefCell;
@@ -164,11 +166,8 @@ impl ObsOuts {
     /// The tracer of an `n_ranks`-track run: `None` when no output was
     /// asked for, so an unobserved run pays nothing.
     pub fn tracer(&self, n_ranks: usize) -> Option<Arc<Tracer>> {
-        (!self.trace.is_empty() || self.wants_report()).then(|| {
-            let t = Arc::new(Tracer::new(n_ranks));
-            t.set_flows_enabled(self.flows);
-            t
-        })
+        (!self.trace.is_empty() || self.wants_report())
+            .then(|| Arc::new(Tracer::new(n_ranks).flows(self.flows)))
     }
 
     /// Write every output that was asked for: the trace if the run had a

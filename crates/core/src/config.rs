@@ -56,7 +56,9 @@ pub struct DnndConfig {
     pub delta: f64,
     /// Hard iteration cap.
     pub max_iters: usize,
-    /// RNG seed; runs are deterministic in seed up to message-arrival ties.
+    /// RNG seed. A run is a function of the seed, the inputs and — for the
+    /// optimized protocol, whose pruning reads the heap as messages arrive —
+    /// the rank count and fault plan.
     pub seed: u64,
     /// Global number of neighbor-check requests issued between barriers
     /// (Section 4.4; the paper uses 2^25–2^30 at billion scale — scale this

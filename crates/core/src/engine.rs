@@ -408,8 +408,9 @@ where
                 );
                 let heap = s.heaps.row(i);
                 // The heap's array layout depends on the order updates
-                // arrived, which is scheduling-dependent; sort both id
-                // lists so the sample below is deterministic in seed.
+                // arrived, which is a function of the rank count; sort both
+                // id lists so the sample below — and with it the unoptimized
+                // graph — is the same at every rank count.
                 let (old, candidates) = (&mut fwd_old[i], &mut fwd_new[i]);
                 old.clear();
                 old.extend(heap.iter().filter(|n| !n.new).map(|n| n.id));
@@ -460,8 +461,9 @@ where
                     cfg.seed ^ 0xBEE ^ (u64::from(v) << 18) ^ (iter as u64),
                 );
                 let mut union_sample = |fwd: &mut Vec<PointId>, rev: &mut Vec<PointId>| {
-                    // The reverse lists arrive in scheduling-dependent order;
-                    // canonicalize so the sample is deterministic in seed.
+                    // The reverse lists arrive in an order that is a
+                    // function of the rank count; canonicalize so the sample
+                    // is the same at every rank count.
                     rev.sort_unstable();
                     rev.shuffle(&mut rng);
                     rev.truncate(max_sample);
@@ -716,31 +718,17 @@ fn optimize_distributed(
         .collect()
 }
 
-/// Process local work items `0..total` in chunks of `quota`, with a global
-/// barrier after each chunk, looping until *every* rank is out of work —
-/// the Section 4.4 batched-communication pattern.
-pub(crate) fn batched<F: FnMut(usize)>(comm: &Comm, total: usize, quota: usize, mut f: F) {
-    let mut idx = 0;
-    loop {
-        let end = (idx + quota).min(total);
-        if end > idx {
-            comm.trace_hist("batch_size", (end - idx) as u64);
-        }
-        for i in idx..end {
-            f(i);
-        }
-        idx = end;
-        comm.barrier();
-        let remaining = comm.all_reduce_sum_u64((total - idx) as u64);
-        if remaining == 0 {
-            return;
-        }
-    }
+/// Process local work items `0..total` in chunks of `quota`:
+/// [`batched_weighted`] over unit weights.
+pub(crate) fn batched<F: FnMut(usize)>(comm: &Comm, total: usize, quota: usize, f: F) {
+    batched_weighted(comm, &vec![1; total], quota, f)
 }
 
-/// Like [`batched`], but each item `i` costs `weights[i]` units against the
-/// per-window quota (a window always admits at least one item). Used for
-/// join rows, whose cost is their pair count.
+/// The Section 4.4 batched-communication pattern: process local work items
+/// in windows, item `i` costing `weights[i]` units against the per-window
+/// `quota` (a window always admits at least one item; join rows cost their
+/// pair count), with a global barrier after each window, looping until
+/// *every* rank is out of work.
 pub(crate) fn batched_weighted<F: FnMut(usize)>(
     comm: &Comm,
     weights: &[usize],
@@ -749,15 +737,16 @@ pub(crate) fn batched_weighted<F: FnMut(usize)>(
 ) {
     let mut idx = 0;
     loop {
+        let start = idx;
         let mut used = 0usize;
         while idx < weights.len() && (used == 0 || used + weights[idx] <= quota) {
             used += weights[idx];
-            f(idx);
             idx += 1;
         }
         if used > 0 {
             comm.trace_hist("batch_size", used as u64);
         }
+        (start..idx).for_each(&mut f);
         comm.barrier();
         let left: u64 = weights[idx..].iter().map(|&w| w as u64).sum();
         if comm.all_reduce_sum_u64(left) == 0 {

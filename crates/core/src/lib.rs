@@ -34,6 +34,8 @@
 //! assert!(out.report.tag(dnnd::msgs::TAG_TYPE2_PLUS).count > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bruteforce;
 pub mod config;
 pub mod engine;

@@ -213,7 +213,7 @@ pub fn attach_histograms(report: &mut RunReport, tracer: Option<&Tracer>) {
 /// `None`).
 pub fn attach_series(report: &mut RunReport, tracer: Option<&Tracer>) {
     if let Some(t) = tracer {
-        report.series = t.series().snapshot();
+        report.series = t.series_snapshot();
     }
 }
 

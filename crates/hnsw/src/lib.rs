@@ -17,6 +17,8 @@
 //! assert_eq!(hits[0].0, 3); // a member query finds itself first
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod index;
 pub mod persist;
 

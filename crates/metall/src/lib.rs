@@ -30,6 +30,8 @@
 //! # metall::Store::destroy(&dir).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checksum;
 pub mod error;
 pub mod persist;

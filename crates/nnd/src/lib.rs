@@ -43,6 +43,8 @@
 //! assert_eq!(result.neighbors[0].0, 0); // a member query finds itself
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod diversify;
 pub mod graph;
 pub mod heap;

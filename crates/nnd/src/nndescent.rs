@@ -358,7 +358,7 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
         stats.iterations = iter + 1;
         stats.updates_per_iter.push(c);
         if let Some(t) = tracer {
-            t.hist("nnd_updates_per_iter").record(c);
+            t.record_hist(0, "nnd_updates_per_iter", c);
         }
         span_end(tracer, "nnd_iteration");
         if c < threshold.max(1) {

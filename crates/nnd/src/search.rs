@@ -356,7 +356,7 @@ pub fn search_batch_traced<P: Point, M: BatchMetric<P>>(
         let r = scratch.run(graph, base, metric, &cache, q, seeded);
         evals += r.distance_evals;
         if let Some(t) = tracer {
-            t.hist("query_dist_evals").record(r.distance_evals);
+            t.record_hist(0, "query_dist_evals", r.distance_evals);
         }
         ids.push(r.ids());
     }

@@ -180,7 +180,7 @@ pub fn chrome_trace(tracer: &Tracer) -> J {
     // Continuous-telemetry gauges become counter ("C") tracks. Series
     // points carry only virtual timestamps, so they live under their own
     // process (pid 1, labeled) instead of the wall-clock span timeline.
-    let series = tracer.series().snapshot();
+    let series = tracer.series_snapshot();
     if !series.is_empty() {
         events.push(J::Obj(vec![
             ("ph".into(), J::str("M")),
@@ -321,8 +321,8 @@ mod tests {
     #[test]
     fn series_become_counter_events_on_virtual_timeline() {
         let t = Tracer::new(2);
-        t.series().record(1, "send_buf_bytes", 10_000, 128.0);
-        t.series().record(1, "send_buf_bytes", 20_000, 64.0);
+        t.gauge(1, "send_buf_bytes", 10_000, 128.0);
+        t.gauge(1, "send_buf_bytes", 20_000, 64.0);
         let doc = chrome_trace(&t);
         let evs = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let counters: Vec<_> = evs

@@ -1,16 +1,11 @@
-//! Lock-free log-linear histograms with percentile queries.
+//! Log-linear histograms with percentile queries.
 //!
 //! Values 0..15 are counted exactly; larger values land in log-linear
 //! buckets (16 linear sub-buckets per power of two), bounding the relative
-//! quantization error of percentile queries at 1/16 ≈ 6.3%. Recording is a
-//! single relaxed fetch-add, safe from any thread.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! quantization error of percentile queries at 1/16 ≈ 6.3%.
 
 const LINEAR_CUTOFF: u64 = 16;
 const SUB_BUCKETS: usize = 16;
-/// Majors cover bit positions 4..=63.
-const N_BUCKETS: usize = LINEAR_CUTOFF as usize + (64 - 4) * SUB_BUCKETS;
 
 fn bucket_index(v: u64) -> usize {
     if v < LINEAR_CUTOFF {
@@ -34,95 +29,69 @@ fn bucket_value(index: usize) -> u64 {
     }
 }
 
-/// Concurrent histogram of `u64` samples.
+/// Histogram of `u64` samples with summary-statistic queries: plain
+/// counters, recorded by one owner and added up with [`Self::merge`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Histogram {
-    buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-    min: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    pub fn new() -> Self {
-        let buckets = (0..N_BUCKETS)
-            .map(|_| AtomicU64::new(0))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Histogram {
-            buckets,
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-        }
-    }
-
-    /// Record one sample.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-    }
-
-    /// Record `n` occurrences of the same value.
-    pub fn record_n(&self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(v.saturating_mul(n), Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Consistent point-in-time copy for queries and export.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let count = self.count.load(Ordering::Relaxed);
-        HistogramSnapshot {
-            buckets,
-            count,
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                self.min.load(Ordering::Relaxed)
-            },
-        }
-    }
-}
-
-/// Immutable histogram state with summary-statistic queries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
+    /// Grows to the highest bucket recorded: the samples are batch lengths,
+    /// byte counts and percentages, a few dozen buckets of the 976.
     buckets: Vec<u64>,
     pub count: u64,
     pub sum: u64,
     pub max: u64,
+    /// 0 while empty.
     pub min: u64,
 }
 
-impl HistogramSnapshot {
+impl Histogram {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Record one sample.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` occurrences of the same value.
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let idx = bucket_index(v);
+        if idx >= self.buckets.len() {
+            self.buckets.resize(idx + 1, 0);
+        }
+        self.buckets[idx] += n;
+        self.min = if self.count == 0 { v } else { self.min.min(v) };
+        self.max = self.max.max(v);
+        self.count += n;
+        self.sum = self.sum.wrapping_add(v.saturating_mul(n));
+    }
+
+    /// Add `other`'s samples to this histogram. Bucket sums, `min` and `max`
+    /// commute, so the result is the one recorder's whatever the split.
+    pub fn merge(&mut self, other: &Histogram) {
+        if other.count == 0 {
+            return;
+        }
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        self.min = if self.count == 0 {
+            other.min
+        } else {
+            self.min.min(other.min)
+        };
+        self.max = self.max.max(other.max);
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+    }
+
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -198,66 +167,62 @@ mod tests {
 
     #[test]
     fn small_values_are_exact() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for v in 0..16 {
             h.record(v);
         }
-        let s = h.snapshot();
-        assert_eq!(s.count, 16);
-        assert_eq!(s.min, 0);
-        assert_eq!(s.max, 15);
-        assert_eq!(s.quantile(0.0), 0);
-        assert_eq!(s.quantile(1.0), 15);
-        assert_eq!(s.p50(), 7); // 8th of 16 samples, 1-based rank ceil(0.5*16)=8 -> value 7
+        assert_eq!(h.count, 16);
+        assert_eq!(h.min, 0);
+        assert_eq!(h.max, 15);
+        assert_eq!(h.quantile(0.0), 0);
+        assert_eq!(h.quantile(1.0), 15);
+        assert_eq!(h.p50(), 7); // 8th of 16 samples, 1-based rank ceil(0.5*16)=8 -> value 7
     }
 
     #[test]
     fn uniform_distribution_percentiles() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for v in 1..=10_000u64 {
             h.record(v);
         }
-        let s = h.snapshot();
-        assert_eq!(s.count, 10_000);
+        assert_eq!(h.count, 10_000);
         let tol = |exact: f64, got: u64| {
             let rel = (exact - got as f64).abs() / exact;
             assert!(rel <= 0.07, "exact {exact} got {got} (rel {rel})");
         };
-        tol(5_000.0, s.p50());
-        tol(9_500.0, s.p95());
-        tol(9_900.0, s.p99());
-        assert!((s.mean() - 5_000.5).abs() < 1e-6);
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 10_000);
+        tol(5_000.0, h.p50());
+        tol(9_500.0, h.p95());
+        tol(9_900.0, h.p99());
+        assert!((h.mean() - 5_000.5).abs() < 1e-6);
+        assert_eq!(h.min, 1);
+        assert_eq!(h.max, 10_000);
     }
 
     #[test]
     fn point_mass_distribution() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         h.record_n(42, 1_000);
-        let s = h.snapshot();
         // 42 = (16+5)<<1 is itself a bucket lower bound, so p50 is exact.
-        assert_eq!(s.p50(), 42);
-        assert_eq!(s.max, 42);
-        assert_eq!(s.min, 42);
-        assert_eq!(s.quantile(1.0), 42); // clamped to observed max
-        assert_eq!(s.mean(), 42.0);
+        assert_eq!(h.p50(), 42);
+        assert_eq!(h.max, 42);
+        assert_eq!(h.min, 42);
+        assert_eq!(h.quantile(1.0), 42); // clamped to observed max
+        assert_eq!(h.mean(), 42.0);
     }
 
     #[test]
     fn two_mass_distribution_hits_both_modes() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         h.record_n(10, 90); // 90% of mass at 10
         h.record_n(1_000, 10); // 10% at 1000
-        let s = h.snapshot();
-        assert_eq!(s.p50(), 10);
-        assert!(s.p95() >= 960 && s.p95() <= 1_000);
-        assert!(s.p99() >= 960 && s.p99() <= 1_000);
+        assert_eq!(h.p50(), 10);
+        assert!(h.p95() >= 960 && h.p95() <= 1_000);
+        assert!(h.p99() >= 960 && h.p99() <= 1_000);
     }
 
     #[test]
     fn empty_histogram_is_all_zero() {
-        let s = Histogram::new().snapshot();
+        let s = Histogram::new();
         assert_eq!((s.count, s.sum, s.min, s.max), (0, 0, 0, 0));
         assert_eq!(s.p50(), 0);
         assert_eq!(s.mean(), 0.0);
@@ -268,17 +233,16 @@ mod tests {
     fn empty_histogram_percentiles_are_absent() {
         // `quantile_opt` distinguishes "no samples" from a real 0: the
         // plain accessors report 0, never the lowest bucket's bound.
-        let s = Histogram::new().snapshot();
+        let h = Histogram::new();
         for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(s.quantile_opt(q), None);
-            assert_eq!(s.quantile(q), 0);
+            assert_eq!(h.quantile_opt(q), None);
+            assert_eq!(h.quantile(q), 0);
         }
         // A genuine zero-valued sample is distinguishable.
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         h.record(0);
-        let s = h.snapshot();
-        assert_eq!(s.quantile_opt(0.5), Some(0));
-        assert!(!s.is_empty());
+        assert_eq!(h.quantile_opt(0.5), Some(0));
+        assert!(!h.is_empty());
     }
 
     #[test]
@@ -287,44 +251,20 @@ mod tests {
         // sub-bucket boundaries after the linear range...
         for v in [16u64, 17, 31, 42, 64, 96, 1 << 20, (16 + 5) << 10] {
             assert_eq!(bucket_value(bucket_index(v)), v, "bound {v} not exact");
-            let h = Histogram::new();
+            let mut h = Histogram::new();
             h.record_n(v, 100);
-            let s = h.snapshot();
-            assert_eq!(s.p50(), v);
-            assert_eq!(s.p99(), v);
+            assert_eq!(h.p50(), v);
+            assert_eq!(h.p99(), v);
         }
         // ...while interior values resolve to the bound below, clamped to
         // the observed min so point masses stay exact.
         assert_eq!(bucket_value(bucket_index(43)), 42);
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         h.record_n(43, 10);
-        assert_eq!(h.snapshot().p50(), 43); // min-clamped, not 42
-        let h = Histogram::new();
+        assert_eq!(h.p50(), 43); // min-clamped, not 42
+        let mut h = Histogram::new();
         h.record_n(43, 10);
         h.record(16); // min no longer clamps 43's bucket bound
-        assert_eq!(h.snapshot().p50(), 42);
-    }
-
-    #[test]
-    fn concurrent_recording() {
-        use std::sync::Arc;
-        let h = Arc::new(Histogram::new());
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let h = Arc::clone(&h);
-                std::thread::spawn(move || {
-                    for i in 0..10_000u64 {
-                        h.record(t * 10_000 + i);
-                    }
-                })
-            })
-            .collect();
-        for hh in handles {
-            hh.join().unwrap();
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 40_000);
-        assert_eq!(s.min, 0);
-        assert_eq!(s.max, 39_999);
+        assert_eq!(h.p50(), 42);
     }
 }

@@ -6,15 +6,18 @@
 //! virtual simulation time passed in) and feed already-aggregated runtime
 //! statistics into [`report::RunReport`].
 //!
-//! Hot-path design: each simulated rank runs on its own OS thread and owns a
-//! single-producer lock-free ring buffer ([`ring::RankBuffer`]); recording a
-//! span boundary is one slot write plus one atomic store. Histograms are
-//! arrays of relaxed atomic counters. Everything is aggregated only at
-//! export time, after `World::run` has joined the rank threads.
+//! Hot-path design: each simulated rank runs on its own OS thread and what
+//! it records is its own — one slot of the [`Tracer`] per rank holding a
+//! plain event ring ([`ring::Ring`]), plain-integer histograms and that
+//! rank's gauge series, behind a lock no other rank takes, so a recording
+//! call is an uncontended lock and a write and no rank touches another's
+//! cache lines. The slots are added up only at export time.
 //!
 //! Zero-cost when disabled: instrumented code holds an
 //! `Option<Arc<Tracer>>` (or `Option<&Tracer>`) and skips all of this with
 //! one branch when tracing is off.
+
+#![forbid(unsafe_code)]
 
 pub mod chrome;
 pub mod critical_path;
@@ -27,7 +30,7 @@ pub mod timeseries;
 pub mod tracer;
 
 pub use critical_path::{CriticalPathSection, PhaseAttribution, PhaseCost};
-pub use hist::{Histogram, HistogramSnapshot};
+pub use hist::Histogram;
 pub use json::JsonValue;
 pub use report::{
     ConvergencePoint, FaultSection, MatrixSection, MatrixTagReport, PhaseReport, QueryExemplar,
@@ -35,5 +38,5 @@ pub use report::{
     TenantSloSection, VdbNamespaceSection, VdbSection,
 };
 pub use ring::{EventKind, TraceEvent};
-pub use timeseries::{SeriesPoint, SeriesSnapshot, TimeSeriesSet};
+pub use timeseries::{SeriesPoint, SeriesSnapshot};
 pub use tracer::Tracer;

@@ -16,7 +16,7 @@
 //! codec says so ([`Opt`], [`NonEmpty`]) may be absent.
 
 use crate::critical_path::CriticalPathSection;
-use crate::hist::HistogramSnapshot;
+use crate::hist::Histogram;
 use crate::json::JsonValue as J;
 use crate::timeseries::SeriesSnapshot;
 use std::fmt;
@@ -472,7 +472,7 @@ report_struct! {
 }
 
 impl HistReport {
-    pub fn from_snapshot(name: &str, s: &HistogramSnapshot) -> Self {
+    pub fn from_snapshot(name: &str, s: &Histogram) -> Self {
         HistReport {
             name: name.to_string(),
             count: s.count,
@@ -980,7 +980,7 @@ impl RunReport {
     }
 
     /// Append histogram summaries from tracer snapshots.
-    pub fn add_histograms(&mut self, snaps: &[(String, HistogramSnapshot)]) -> &mut Self {
+    pub fn add_histograms(&mut self, snaps: &[(String, Histogram)]) -> &mut Self {
         for (name, s) in snaps {
             self.histograms.push(HistReport::from_snapshot(name, s));
         }
@@ -1208,12 +1208,12 @@ mod tests {
 
     #[test]
     fn histogram_summary_fields() {
-        let h = crate::hist::Histogram::new();
+        let mut h = crate::hist::Histogram::new();
         for i in 1..=100 {
             h.record(i);
         }
         let mut r = RunReport::new("t");
-        r.add_histograms(&[("flush_bytes".into(), h.snapshot())]);
+        r.add_histograms(&[("flush_bytes".into(), h)]);
         let h = &r.histograms[0];
         assert_eq!((h.count, h.min, h.max), (100, 1, 100));
         assert!(h.p50 >= 45 && h.p50 <= 50);

@@ -1,15 +1,6 @@
-//! Single-producer lock-free ring buffers, one per simulated rank.
-//!
-//! Each rank thread is the *only* writer into its buffer; readers
-//! (trace export) run strictly after the rank threads have been joined,
-//! so a write is ordered before every read by the join. The atomic head
-//! uses `Release`/`Acquire` anyway, which additionally makes concurrent
-//! best-effort peeking (e.g. a progress printer) safe for the head count
-//! itself.
-
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! The event ring of one simulated rank: plain data inside that rank's
+//! slot of the [`Tracer`](crate::tracer::Tracer), so the slot's lock is what
+//! orders the owning rank's writes before the export's reads.
 
 /// What a [`TraceEvent`] marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,73 +47,53 @@ pub struct TraceEvent {
     pub arg2: u64,
 }
 
-/// Fixed-capacity single-producer ring buffer of [`TraceEvent`]s.
-pub struct RankBuffer {
-    slots: Box<[UnsafeCell<MaybeUninit<TraceEvent>>]>,
-    /// Total events ever pushed (monotonic; slot index = head % capacity).
-    head: AtomicUsize,
+/// Fixed-capacity ring of [`TraceEvent`]s: once full, a push overwrites the
+/// oldest.
+pub struct Ring {
+    /// Allocated whole up front and filled in push order until full, so a
+    /// short run touches only the pages it writes.
+    slots: Vec<TraceEvent>,
+    capacity: usize,
+    /// Total events ever pushed (monotonic; slot index = pushed % capacity).
+    pushed: usize,
 }
 
-// SAFETY: exactly one thread (the owning rank) writes via `push`, and
-// `drain_ordered` is only called after that thread has been joined; the
-// join (or the Release/Acquire pair on `head`) orders slot writes before
-// reads. No two threads ever access a slot concurrently.
-unsafe impl Sync for RankBuffer {}
-unsafe impl Send for RankBuffer {}
-
-impl RankBuffer {
+impl Ring {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring capacity must be nonzero");
-        let slots = (0..capacity)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        RankBuffer {
-            slots,
-            head: AtomicUsize::new(0),
+        Ring {
+            slots: Vec::with_capacity(capacity),
+            capacity,
+            pushed: 0,
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total events pushed over the buffer's lifetime (may exceed
-    /// capacity; the oldest are overwritten).
+    /// Total events pushed over the ring's lifetime (may exceed capacity;
+    /// the oldest are overwritten).
     pub fn pushed(&self) -> usize {
-        self.head.load(Ordering::Acquire)
+        self.pushed
     }
 
-    /// Events lost to ring wrap-around.
+    /// Events lost to wrap-around.
     pub fn dropped(&self) -> usize {
-        self.pushed().saturating_sub(self.capacity())
+        self.pushed.saturating_sub(self.capacity)
     }
 
-    /// Record one event. Must only be called from the owning rank thread.
+    /// Record one event.
     #[inline]
-    pub fn push(&self, ev: TraceEvent) {
-        let head = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[head % self.slots.len()];
-        // SAFETY: single producer (see `Sync` justification above); no
-        // reader touches this slot until after the producer thread joins.
-        unsafe { (*slot.get()).write(ev) };
-        self.head.store(head + 1, Ordering::Release);
+    pub fn push(&mut self, ev: TraceEvent) {
+        if self.pushed < self.capacity {
+            self.slots.push(ev);
+        } else {
+            self.slots[self.pushed % self.capacity] = ev;
+        }
+        self.pushed += 1;
     }
 
-    /// Copy out the surviving events, oldest first. Call only after the
-    /// producer thread has finished.
-    pub fn drain_ordered(&self) -> Vec<TraceEvent> {
-        let pushed = self.pushed();
-        let cap = self.slots.len();
-        let kept = pushed.min(cap);
-        let start = pushed - kept;
-        (start..pushed)
-            .map(|i| {
-                // SAFETY: indices in [start, pushed) were initialized by
-                // `push` and are not being written concurrently.
-                unsafe { (*self.slots[i % cap].get()).assume_init() }
-            })
-            .collect()
+    /// Copy out the surviving events, oldest first.
+    pub fn ordered(&self) -> Vec<TraceEvent> {
+        let (newest, oldest) = self.slots.split_at(self.pushed % self.capacity);
+        [oldest, newest].concat()
     }
 }
 
@@ -143,11 +114,11 @@ mod tests {
 
     #[test]
     fn push_and_drain_in_order() {
-        let rb = RankBuffer::new(8);
+        let mut rb = Ring::new(8);
         for i in 0..5 {
             rb.push(ev("x", i));
         }
-        let out = rb.drain_ordered();
+        let out = rb.ordered();
         assert_eq!(out.len(), 5);
         assert_eq!(
             out.iter().map(|e| e.arg).collect::<Vec<_>>(),
@@ -158,33 +129,16 @@ mod tests {
 
     #[test]
     fn wraparound_keeps_newest() {
-        let rb = RankBuffer::new(4);
+        let mut rb = Ring::new(4);
         for i in 0..10 {
             rb.push(ev("x", i));
         }
-        let out = rb.drain_ordered();
+        let out = rb.ordered();
         assert_eq!(
             out.iter().map(|e| e.arg).collect::<Vec<_>>(),
             vec![6, 7, 8, 9]
         );
         assert_eq!(rb.dropped(), 6);
         assert_eq!(rb.pushed(), 10);
-    }
-
-    #[test]
-    fn concurrent_producer_then_join_then_drain() {
-        use std::sync::Arc;
-        let rb = Arc::new(RankBuffer::new(1024));
-        let rb2 = Arc::clone(&rb);
-        std::thread::spawn(move || {
-            for i in 0..1000 {
-                rb2.push(ev("t", i));
-            }
-        })
-        .join()
-        .unwrap();
-        let out = rb.drain_ordered();
-        assert_eq!(out.len(), 1000);
-        assert!(out.windows(2).all(|w| w[0].arg + 1 == w[1].arg));
     }
 }

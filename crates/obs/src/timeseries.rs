@@ -1,28 +1,27 @@
 //! Continuous telemetry: per-rank gauge time series sampled on the
 //! virtual clock.
 //!
-//! A [`TimeSeriesSet`] holds named series, one track per rank, where each
-//! point is `(virtual time ns, value)`. Sampling is *paced* by virtual
-//! time: callers ask [`TimeSeriesSet::should_sample`] at natural probe
-//! points (barrier entry in `ygm`), and the set admits at most one sample
-//! per rank per fixed virtual-time interval. Because the virtual clock is
-//! a deterministic function of the run (it only advances at barriers and
-//! collectives, by modeled cost), the sampled series are bit-identical
-//! across reruns with the same seed — they carry no wall-clock input.
+//! A [`RankSeries`] holds one rank's named series, each point `(virtual
+//! time ns, value)`, inside that rank's slot of the
+//! [`Tracer`](crate::tracer::Tracer). Sampling is *paced* by virtual time:
+//! callers ask [`RankSeries::should_sample`] (through
+//! `Tracer::should_sample`) at natural probe points (barrier entry in
+//! `ygm`), which admits at most one sample per fixed virtual-time interval. Because the virtual clock is a deterministic
+//! function of the run (it only advances at barriers and collectives, by
+//! modeled cost), the sampled series are bit-identical across reruns with
+//! the same seed — they carry no wall-clock input.
 //!
 //! Event-driven gauges (e.g. per-iteration heap updates) bypass pacing and
-//! call [`TimeSeriesSet::record`] directly; they are deterministic because
-//! their trigger points are.
+//! go straight to [`RankSeries::record`] (`Tracer::gauge`); they are
+//! deterministic because their trigger points are.
 
 use crate::report::{report_struct, List, Val};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-/// Default sampling interval: 10 µs of virtual time. Barrier phases in the
+/// Sampling interval: 10 µs of virtual time. Barrier phases in the
 /// simulated cluster cost tens of microseconds each, so even small runs
 /// produce a usable number of samples without flooding large ones.
-pub const DEFAULT_SAMPLE_INTERVAL_NS: u64 = 10_000;
+pub const SAMPLE_INTERVAL_NS: u64 = 10_000;
 
 report_struct! {
     /// One sampled gauge value at a virtual-clock timestamp.
@@ -43,93 +42,46 @@ report_struct! {
     }
 }
 
-/// Named per-rank gauge series with virtual-time pacing.
-///
-/// Shared across rank threads behind the owning `Tracer`'s `Arc`. The
-/// per-rank pacing state is atomic; point storage takes a mutex, which is
-/// fine because sampling is rare by construction (once per interval).
-pub struct TimeSeriesSet {
-    n_ranks: usize,
-    interval_ns: u64,
-    /// Next virtual timestamp at which each rank's paced sample is due.
-    next_due: Box<[AtomicU64]>,
-    /// name → per-rank point vectors. `BTreeMap` so snapshot order is
-    /// deterministic regardless of which rank registered a name first.
-    series: Mutex<BTreeMap<String, Vec<Vec<SeriesPoint>>>>,
+/// One rank's gauge series and its pacing point.
+#[derive(Default)]
+pub struct RankSeries {
+    /// Next virtual timestamp at which the paced sample is due.
+    next_due: u64,
+    tracks: BTreeMap<String, Vec<SeriesPoint>>,
 }
 
-impl TimeSeriesSet {
-    pub fn new(n_ranks: usize, interval_ns: u64) -> Self {
-        assert!(interval_ns > 0, "sampling interval must be positive");
-        TimeSeriesSet {
-            n_ranks,
-            interval_ns,
-            next_due: (0..n_ranks).map(|_| AtomicU64::new(0)).collect(),
-            series: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    pub fn n_ranks(&self) -> usize {
-        self.n_ranks
-    }
-
-    pub fn interval_ns(&self) -> u64 {
-        self.interval_ns
-    }
-
-    /// Whether `rank`'s paced sample is due at virtual time `now_ns`.
-    /// On `true`, advances the due point to the next interval boundary
-    /// after `now_ns`, so each interval admits at most one sample.
-    ///
-    /// Pacing is per-rank and must be driven from the owning rank's
-    /// thread (as with the tracer's ring buffers).
-    pub fn should_sample(&self, rank: usize, now_ns: u64) -> bool {
-        let due = &self.next_due[rank];
-        if now_ns < due.load(Ordering::Relaxed) {
+impl RankSeries {
+    /// Whether the paced sample is due at virtual time `now_ns`. On `true`,
+    /// advances the due point to the next boundary after `now_ns` of the
+    /// [`SAMPLE_INTERVAL_NS`] grid, so each interval admits at most one
+    /// sample and runs of different lengths sample at the same timestamps.
+    pub fn should_sample(&mut self, now_ns: u64) -> bool {
+        if now_ns < self.next_due {
             return false;
         }
-        // Next boundary strictly after `now_ns`, aligned to the interval
-        // grid so runs of different lengths sample at the same timestamps.
-        let next = (now_ns / self.interval_ns + 1) * self.interval_ns;
-        due.store(next, Ordering::Relaxed);
+        self.next_due = (now_ns / SAMPLE_INTERVAL_NS + 1) * SAMPLE_INTERVAL_NS;
         true
     }
 
-    /// Append one point to `rank`'s track of the series `name`.
-    pub fn record(&self, rank: usize, name: &str, t_ns: u64, value: f64) {
-        let mut series = self.series.lock().unwrap_or_else(|e| e.into_inner());
-        let tracks = series
-            .entry(name.to_string())
-            .or_insert_with(|| vec![Vec::new(); self.n_ranks]);
-        tracks[rank].push(SeriesPoint { t_ns, value });
-    }
-
-    /// All non-empty tracks, sorted by series name then rank.
-    pub fn snapshot(&self) -> Vec<SeriesSnapshot> {
-        let series = self.series.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = Vec::new();
-        for (name, tracks) in series.iter() {
-            for (rank, points) in tracks.iter().enumerate() {
-                if points.is_empty() {
-                    continue;
-                }
-                out.push(SeriesSnapshot {
-                    name: name.clone(),
-                    rank: rank as u64,
-                    points: points.clone(),
-                });
-            }
+    /// Append one point to the series `name`.
+    pub fn record(&mut self, name: &str, t_ns: u64, value: f64) {
+        let point = SeriesPoint { t_ns, value };
+        if let Some(points) = self.tracks.get_mut(name) {
+            points.push(point);
+        } else {
+            self.tracks.insert(name.to_string(), vec![point]);
         }
-        out
     }
 
-    /// Total points across all tracks.
-    pub fn total_points(&self) -> usize {
-        let series = self.series.lock().unwrap_or_else(|e| e.into_inner());
-        series
-            .values()
-            .map(|tracks| tracks.iter().map(Vec::len).sum::<usize>())
-            .sum()
+    /// Every series of this rank, which is `rank`, in name order.
+    pub fn snapshot(&self, rank: usize) -> impl Iterator<Item = SeriesSnapshot> + '_ {
+        self.tracks
+            .iter()
+            .map(move |(name, points)| SeriesSnapshot {
+                name: name.clone(),
+                rank: rank as u64,
+                points: points.clone(),
+            })
     }
 }
 
@@ -139,60 +91,33 @@ mod tests {
 
     #[test]
     fn pacing_admits_one_sample_per_interval() {
-        let ts = TimeSeriesSet::new(1, 100);
-        assert!(ts.should_sample(0, 0));
-        assert!(!ts.should_sample(0, 50)); // same interval
-        assert!(!ts.should_sample(0, 99));
-        assert!(ts.should_sample(0, 100)); // next interval
-        assert!(ts.should_sample(0, 350)); // skipped intervals are fine
-        assert!(!ts.should_sample(0, 399));
-        assert!(ts.should_sample(0, 400));
+        let mut s = RankSeries::default();
+        assert!(s.should_sample(0));
+        assert!(!s.should_sample(5_000)); // same interval
+        assert!(!s.should_sample(9_999));
+        assert!(s.should_sample(10_000)); // next interval
+        assert!(s.should_sample(35_000)); // skipped intervals are fine
+        assert!(!s.should_sample(39_999));
+        assert!(s.should_sample(40_000));
     }
 
     #[test]
-    fn pacing_is_per_rank() {
-        let ts = TimeSeriesSet::new(2, 100);
-        assert!(ts.should_sample(0, 10));
-        assert!(ts.should_sample(1, 10)); // rank 1 unaffected by rank 0
-        assert!(!ts.should_sample(1, 20));
-    }
-
-    #[test]
-    fn snapshot_is_name_then_rank_ordered() {
-        let ts = TimeSeriesSet::new(2, 100);
-        ts.record(1, "zeta", 10, 1.0);
-        ts.record(0, "alpha", 20, 2.0);
-        ts.record(1, "alpha", 20, 3.0);
-        let snap = ts.snapshot();
-        let keys: Vec<(&str, u64)> = snap.iter().map(|s| (s.name.as_str(), s.rank)).collect();
-        assert_eq!(keys, vec![("alpha", 0), ("alpha", 1), ("zeta", 1)]);
+    fn points_keep_insertion_order_and_series_are_name_ordered() {
+        let mut s = RankSeries::default();
+        for t in [0u64, 10, 20, 30] {
+            s.record("g", t, t as f64);
+        }
+        s.record("a", 5, 9.0);
+        let snap: Vec<SeriesSnapshot> = s.snapshot(2).collect();
+        assert_eq!((snap[0].name.as_str(), snap[0].rank), ("a", 2));
         assert_eq!(
             snap[0].points,
             vec![SeriesPoint {
-                t_ns: 20,
-                value: 2.0
+                t_ns: 5,
+                value: 9.0
             }]
         );
-    }
-
-    #[test]
-    fn empty_tracks_are_omitted() {
-        let ts = TimeSeriesSet::new(4, 100);
-        ts.record(2, "only", 5, 9.0);
-        let snap = ts.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].rank, 2);
-        assert_eq!(ts.total_points(), 1);
-    }
-
-    #[test]
-    fn points_keep_insertion_order() {
-        let ts = TimeSeriesSet::new(1, 10);
-        for t in [0u64, 10, 20, 30] {
-            ts.record(0, "g", t, t as f64);
-        }
-        let snap = ts.snapshot();
-        let ts_list: Vec<u64> = snap[0].points.iter().map(|p| p.t_ns).collect();
+        let ts_list: Vec<u64> = snap[1].points.iter().map(|p| p.t_ns).collect();
         assert_eq!(ts_list, vec![0, 10, 20, 30]);
     }
 }

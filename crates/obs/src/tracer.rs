@@ -1,32 +1,37 @@
-//! The [`Tracer`]: per-rank span/event recording plus named histograms.
+//! The [`Tracer`]: what each rank records — spans and events, named
+//! histograms, gauge series — in a slot of its own, added up at export.
 
-use crate::hist::{Histogram, HistogramSnapshot};
-use crate::ring::{EventKind, RankBuffer, TraceEvent};
-use crate::timeseries::{TimeSeriesSet, DEFAULT_SAMPLE_INTERVAL_NS};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use crate::hist::Histogram;
+use crate::ring::{EventKind, Ring, TraceEvent};
+use crate::timeseries::{RankSeries, SeriesSnapshot};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Default per-rank event capacity (events beyond this overwrite the
 /// oldest; the drop count is reported in exports).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
-/// Collects spans, instants, and histograms for one simulated run.
+/// What one rank has recorded: plain data, written by that rank alone.
+struct RankTrace {
+    ring: Ring,
+    /// Named histograms, in the order this rank first used the names.
+    hists: Vec<(String, Histogram)>,
+    series: RankSeries,
+}
+
+/// Collects spans, instants, histograms and gauges for one simulated run.
 ///
-/// Shared across rank threads behind an `Arc`; recording into a rank's ring
-/// must happen only from that rank's thread (the `ygm::World` wiring
-/// guarantees this), while histograms may be recorded from anywhere.
+/// Shared across rank threads behind an `Arc`. Every recording call names a
+/// rank and touches that rank's slot only, under the slot's own lock: the
+/// rank's thread is the one taker while the run lasts (the `ygm::World`
+/// wiring guarantees this), so the lock is never waited for, and the export
+/// that reads every slot afterwards needs no word about thread joins.
 pub struct Tracer {
-    rings: Box<[RankBuffer]>,
+    slots: Box<[Mutex<RankTrace>]>,
     epoch: Instant,
-    /// Name → histogram registry. Locked only on first lookup per name per
-    /// call site; `Histogram::record` itself is lock-free.
-    hists: Mutex<Vec<(String, Arc<Histogram>)>>,
-    /// Per-rank gauge series sampled on the virtual clock.
-    series: TimeSeriesSet,
     /// Whether causal flow events are recorded (`--trace-flows=off`
     /// clears it; spans and gauges are unaffected).
-    flows: AtomicBool,
+    flows: bool,
     /// Tag id → display name, used to label flow arrows in exports.
     tag_names: Mutex<Vec<(u64, String)>>,
 }
@@ -37,36 +42,32 @@ impl Tracer {
     }
 
     pub fn with_capacity(n_ranks: usize, capacity_per_rank: usize) -> Self {
-        Self::with_config(n_ranks, capacity_per_rank, DEFAULT_SAMPLE_INTERVAL_NS)
-    }
-
-    /// Full-control constructor: ring capacity and the virtual-time gauge
-    /// sampling interval.
-    pub fn with_config(n_ranks: usize, capacity_per_rank: usize, sample_interval_ns: u64) -> Self {
-        let rings = (0..n_ranks)
-            .map(|_| RankBuffer::new(capacity_per_rank))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let slot = || {
+            Mutex::new(RankTrace {
+                ring: Ring::new(capacity_per_rank),
+                hists: Vec::new(),
+                series: RankSeries::default(),
+            })
+        };
         Tracer {
-            rings,
+            slots: (0..n_ranks).map(|_| slot()).collect(),
             epoch: Instant::now(),
-            hists: Mutex::new(Vec::new()),
-            series: TimeSeriesSet::new(n_ranks, sample_interval_ns),
-            flows: AtomicBool::new(true),
+            flows: true,
             tag_names: Mutex::new(Vec::new()),
         }
     }
 
     /// Enable or disable causal flow-event recording (default on). The
-    /// CLIs map `--trace-flows=off` here before the world starts.
-    pub fn set_flows_enabled(&self, on: bool) {
-        self.flows.store(on, Ordering::Relaxed);
+    /// CLIs map `--trace-flows=off` here, before the tracer is shared.
+    pub fn flows(mut self, on: bool) -> Self {
+        self.flows = on;
+        self
     }
 
-    /// Whether flow events are currently recorded.
+    /// Whether flow events are recorded.
     #[inline]
     pub fn flows_enabled(&self) -> bool {
-        self.flows.load(Ordering::Relaxed)
+        self.flows
     }
 
     /// Attach a display name to a message tag; flow arrows for the tag are
@@ -89,14 +90,12 @@ impl Tracer {
             .map(|(_, n)| n.clone())
     }
 
-    /// The continuous-telemetry series set (gauges sampled on the virtual
-    /// clock by the runtime and engine).
-    pub fn series(&self) -> &TimeSeriesSet {
-        &self.series
+    pub fn n_ranks(&self) -> usize {
+        self.slots.len()
     }
 
-    pub fn n_ranks(&self) -> usize {
-        self.rings.len()
+    fn slot(&self, rank: usize) -> MutexGuard<'_, RankTrace> {
+        self.slots[rank].lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Wall nanoseconds since this tracer was created.
@@ -123,10 +122,11 @@ impl Tracer {
         arg: u64,
         arg2: u64,
     ) {
-        self.rings[rank].push(TraceEvent {
+        let wall_ns = self.wall_ns();
+        self.slot(rank).ring.push(TraceEvent {
             kind,
             name,
-            wall_ns: self.wall_ns(),
+            wall_ns,
             virt_ns,
             arg,
             arg2,
@@ -185,52 +185,81 @@ impl Tracer {
         self.event2(rank, EventKind::AsyncEnd, name, virt_ns, id, 0);
     }
 
-    /// Look up (or create) the histogram named `name`.
-    pub fn hist(&self, name: &str) -> Arc<Histogram> {
-        let mut hists = self.hists.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, h)) = hists.iter().find(|(n, _)| n == name) {
-            return Arc::clone(h);
+    /// One sample into `rank`'s histogram named `name`.
+    pub fn record_hist(&self, rank: usize, name: &str, value: u64) {
+        let mut slot = self.slot(rank);
+        let hists = &mut slot.hists;
+        let at = hists.iter().position(|(n, _)| n == name);
+        let at = at.unwrap_or_else(|| {
+            hists.push((name.to_string(), Histogram::new()));
+            hists.len() - 1
+        });
+        hists[at].1.record(value);
+    }
+
+    /// Every named histogram, each the sum of the ranks' own
+    /// ([`Histogram::merge`]), in rank 0's first-use order followed by the
+    /// names only later ranks used: a function of what each rank recorded,
+    /// not of which thread got anywhere first.
+    pub fn hist_snapshots(&self) -> Vec<(String, Histogram)> {
+        let mut out: Vec<(String, Histogram)> = Vec::new();
+        for rank in 0..self.n_ranks() {
+            for (name, h) in &self.slot(rank).hists {
+                match out.iter_mut().find(|(n, _)| n == name) {
+                    Some((_, sum)) => sum.merge(h),
+                    None => out.push((name.clone(), h.clone())),
+                }
+            }
         }
-        let h = Arc::new(Histogram::new());
-        hists.push((name.to_string(), Arc::clone(&h)));
-        h
+        out
     }
 
-    /// Convenience: one sample into a named histogram.
-    pub fn record_hist(&self, name: &str, value: u64) {
-        self.hist(name).record(value);
+    /// Whether `rank`'s paced gauge sample is due at virtual time `now_ns`
+    /// (see [`RankSeries::should_sample`]).
+    pub fn should_sample(&self, rank: usize, now_ns: u64) -> bool {
+        self.slot(rank).series.should_sample(now_ns)
     }
 
-    /// Snapshots of every registered histogram, in registration order.
-    pub fn hist_snapshots(&self) -> Vec<(String, HistogramSnapshot)> {
-        let hists = self.hists.lock().unwrap_or_else(|e| e.into_inner());
-        hists
-            .iter()
-            .map(|(n, h)| (n.clone(), h.snapshot()))
-            .collect()
+    /// Append one point to `rank`'s track of the gauge series `name`.
+    pub fn gauge(&self, rank: usize, name: &str, t_ns: u64, value: f64) {
+        self.slot(rank).series.record(name, t_ns, value);
     }
 
-    /// Surviving events for one rank, oldest first. Call after rank
-    /// threads have finished.
+    /// Every gauge track, sorted by series name then rank.
+    pub fn series_snapshot(&self) -> Vec<SeriesSnapshot> {
+        let mut out: Vec<SeriesSnapshot> = Vec::new();
+        for rank in 0..self.n_ranks() {
+            out.extend(self.slot(rank).series.snapshot(rank));
+        }
+        // Stable, and ranks were visited in order.
+        out.sort_by(|a, b| a.name.cmp(&b.name));
+        out
+    }
+
+    /// Surviving events for one rank, oldest first.
     pub fn events(&self, rank: usize) -> Vec<TraceEvent> {
-        self.rings[rank].drain_ordered()
+        self.slot(rank).ring.ordered()
     }
 
     /// Total events lost to ring wrap-around, across ranks.
     pub fn dropped_events(&self) -> usize {
-        self.rings.iter().map(|r| r.dropped()).sum()
+        self.dropped_events_per_rank().iter().sum::<u64>() as usize
     }
 
-    /// Events lost to ring wrap-around on each rank's buffer (index =
-    /// rank). The dashboard surfaces nonzero entries as a red badge so an
+    /// Events lost to ring wrap-around on each rank's ring (index = rank).
+    /// The dashboard surfaces nonzero entries as a red badge so an
     /// overflowing rank is visible, not just a grand total.
     pub fn dropped_events_per_rank(&self) -> Vec<u64> {
-        self.rings.iter().map(|r| r.dropped() as u64).collect()
+        (0..self.n_ranks())
+            .map(|r| self.slot(r).ring.dropped() as u64)
+            .collect()
     }
 
     /// Total events recorded (including any later overwritten).
     pub fn total_events(&self) -> usize {
-        self.rings.iter().map(|r| r.pushed()).sum()
+        (0..self.n_ranks())
+            .map(|r| self.slot(r).ring.pushed())
+            .sum()
     }
 
     /// Deterministic digest of the span structure: for each rank, the
@@ -272,14 +301,91 @@ mod tests {
     #[test]
     fn hist_registry_is_stable() {
         let t = Tracer::new(1);
-        t.hist("flush_bytes").record(10);
-        t.hist("batch").record(5);
-        t.hist("flush_bytes").record(30);
+        t.record_hist(0, "flush_bytes", 10);
+        t.record_hist(0, "batch", 5);
+        t.record_hist(0, "flush_bytes", 30);
         let snaps = t.hist_snapshots();
         assert_eq!(snaps.len(), 2);
         assert_eq!(snaps[0].0, "flush_bytes");
         assert_eq!(snaps[0].1.count, 2);
         assert_eq!(snaps[1].1.count, 1);
+    }
+
+    #[test]
+    fn hist_order_is_rank_0s_first_use_then_later_ranks_new_names() {
+        let t = Tracer::new(3);
+        // Recorded in an order no export may follow: rank 2 first.
+        t.record_hist(2, "only_r2", 1);
+        t.record_hist(2, "b", 2);
+        t.record_hist(1, "only_r1", 3);
+        t.record_hist(1, "a", 4);
+        t.record_hist(0, "b", 5);
+        t.record_hist(0, "a", 6);
+        let snaps = t.hist_snapshots();
+        let names: Vec<&str> = snaps.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["b", "a", "only_r1", "only_r2"]);
+        assert_eq!((snaps[0].1.count, snaps[0].1.sum), (2, 7));
+        assert_eq!((snaps[1].1.min, snaps[1].1.max), (4, 6));
+    }
+
+    /// What rank `r` records in the concurrency test below.
+    fn record_rank(t: &Tracer, r: usize) {
+        for i in 0..2_000u64 {
+            t.begin_arg(r, "work", i, r as u64);
+            t.record_hist(r, "shared", i * (r as u64 + 1));
+            t.record_hist(r, ["even", "odd"][r % 2], i);
+            if t.should_sample(r, i * 100) {
+                t.gauge(r, "paced", i * 100, i as f64);
+            }
+            t.gauge(r, ["g_even", "g_odd"][r % 2], i, (i + r as u64) as f64);
+            t.end(r, "work", i + 1);
+        }
+    }
+
+    #[test]
+    fn ranks_recording_at_once_equal_the_single_threaded_reference() {
+        // The ring holds 4 000 events a rank, so the overwrite path runs too.
+        let (threaded, reference) = (
+            Tracer::with_capacity(4, 3_000),
+            Tracer::with_capacity(4, 3_000),
+        );
+        std::thread::scope(|s| {
+            for r in 0..4 {
+                let t = &threaded;
+                s.spawn(move || record_rank(t, r));
+            }
+        });
+        for r in 0..4 {
+            record_rank(&reference, r);
+        }
+        assert_eq!(threaded.span_log(), reference.span_log());
+        assert_eq!(threaded.events(3).len(), 3_000);
+        assert_eq!(threaded.dropped_events(), 4 * 1_000);
+        assert_eq!(threaded.total_events(), reference.total_events());
+        assert_eq!(threaded.hist_snapshots(), reference.hist_snapshots());
+        assert_eq!(threaded.hist_snapshots()[0].1.count, 8_000);
+        assert_eq!(threaded.series_snapshot(), reference.series_snapshot());
+    }
+
+    #[test]
+    fn pacing_is_per_rank() {
+        let t = Tracer::new(2);
+        assert!(t.should_sample(0, 10));
+        assert!(t.should_sample(1, 10)); // rank 1 unaffected by rank 0
+        assert!(!t.should_sample(1, 20));
+    }
+
+    #[test]
+    fn series_snapshot_is_name_then_rank_ordered_without_empty_tracks() {
+        let t = Tracer::new(4);
+        t.gauge(3, "zeta", 10, 1.0);
+        t.gauge(2, "alpha", 20, 2.0);
+        t.gauge(3, "alpha", 20, 3.0);
+        let snap = t.series_snapshot();
+        let keys: Vec<(&str, u64)> = snap.iter().map(|s| (s.name.as_str(), s.rank)).collect();
+        assert_eq!(keys, vec![("alpha", 2), ("alpha", 3), ("zeta", 3)]);
+        assert_eq!(snap[0].points.len(), 1);
+        assert_eq!((snap[0].points[0].t_ns, snap[0].points[0].value), (20, 2.0));
     }
 
     #[test]
@@ -294,8 +400,7 @@ mod tests {
         let r = t.events(1);
         assert_eq!(r[0].kind, EventKind::FlowRecv);
         assert_eq!((r[0].arg, r[0].arg2), (0xABCD, 14));
-        t.set_flows_enabled(false);
-        assert!(!t.flows_enabled());
+        assert!(!t.flows(false).flows_enabled());
     }
 
     #[test]
@@ -322,5 +427,26 @@ mod tests {
                 (EventKind::End, "iter", 1_000, 0)
             ]
         );
+    }
+
+    proptest::proptest! {
+        /// Samples split at random across ranks — some ranks get none —
+        /// merge to what one recorder of all of them holds.
+        #[test]
+        fn split_samples_merge_to_the_one_recorder_snapshot(
+            samples in proptest::collection::vec(
+                (0usize..5, proptest::prelude::any::<u64>(), 0u32..64),
+                0..200,
+            ),
+        ) {
+            let (split, one) = (Tracer::new(5), Tracer::new(1));
+            for &(rank, bits, shift) in &samples {
+                // Every magnitude, so every bucket range is hit.
+                let v = bits >> shift;
+                split.record_hist(rank, "h", v);
+                one.record_hist(0, "h", v);
+            }
+            proptest::prop_assert_eq!(split.hist_snapshots(), one.hist_snapshots());
+        }
     }
 }

@@ -44,6 +44,8 @@
 //! sequence; they surface purely as capped whole-slot latency penalties
 //! on the affected dispatch windows.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod engine;
 pub mod forensics;

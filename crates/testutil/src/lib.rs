@@ -3,6 +3,8 @@
 //! lives in exactly one place instead of being copy-pasted per test
 //! binary.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 
 /// RAII temp directory: created unique per test, removed on drop — also

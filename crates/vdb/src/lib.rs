@@ -29,6 +29,8 @@
 //! compaction, epoch-keyed cache) lives in `crates/serve`; the admin
 //! surface is the `dnnd-vdb` CLI.
 
+#![forbid(unsafe_code)]
+
 pub mod collection;
 pub mod meta;
 pub mod predicate;

@@ -177,6 +177,9 @@ pub struct Comm {
     spare: RefCell<Vec<BytesMut>>,
     handlers: RefCell<Vec<Option<Handler>>>,
     fault: Option<RefCell<FaultLocal>>,
+    /// Virtual time in nanoseconds as of this rank's last meeting, which is
+    /// the time now: the clock cannot move before this rank's next arrival.
+    now_ns: Cell<u64>,
     /// Completed-barrier count: the parent span id stamped into every
     /// [`TraceCtx`] this rank mints. SPMD makes it identical across ranks
     /// at any collective point, and deterministic run to run.
@@ -207,6 +210,7 @@ impl Comm {
             spare: RefCell::new(Vec::with_capacity(n)),
             handlers: RefCell::new((0..crate::stats::MAX_TAGS).map(|_| None).collect()),
             fault,
+            now_ns: Cell::new(0),
             phase_idx: Cell::new(0),
             flow_seq: RefCell::new(vec![0; n]),
             pending_tags: RefCell::new(vec![0; n]),
@@ -403,7 +407,7 @@ impl Comm {
     #[inline]
     pub fn trace_hist(&self, name: &str, value: u64) {
         if let Some(t) = self.tracer() {
-            t.hist(name).record(value);
+            t.record_hist(self.rank, name, value);
         }
     }
 
@@ -416,7 +420,7 @@ impl Comm {
     #[inline]
     pub fn gauge(&self, name: &str, value: f64) {
         if let Some(t) = self.tracer() {
-            t.series().record(self.rank, name, self.now_ns(), value);
+            t.gauge(self.rank, name, self.now_ns(), value);
         }
     }
 
@@ -429,28 +433,23 @@ impl Comm {
     fn sample_gauges(&self) {
         let Some(t) = self.tracer() else { return };
         let now = self.now_ns();
-        if !t.series().should_sample(self.rank, now) {
+        if !t.should_sample(self.rank, now) {
             return;
         }
-        let series = t.series();
         let total: u64 = {
             let out = self.out.borrow();
             for (dest, buf) in out.iter().enumerate() {
-                series.record(
-                    self.rank,
-                    &format!("send_buf_bytes.d{dest}"),
-                    now,
-                    buf.len() as f64,
-                );
+                let name = format!("send_buf_bytes.d{dest}");
+                t.gauge(self.rank, &name, now, buf.len() as f64);
             }
             out.iter().map(|b| b.len() as u64).sum()
         };
-        series.record(self.rank, "send_buf_bytes", now, total as f64);
+        t.gauge(self.rank, "send_buf_bytes", now, total as f64);
         if let Some(fl) = &self.fault {
             let fl = fl.borrow();
             let unacked: usize = fl.unacked.iter().map(BTreeMap::len).sum();
-            series.record(self.rank, "unacked_frames", now, unacked as f64);
-            series.record(self.rank, "delay_inbox_frames", now, fl.inbox.len() as f64);
+            t.gauge(self.rank, "unacked_frames", now, unacked as f64);
+            t.gauge(self.rank, "delay_inbox_frames", now, fl.inbox.len() as f64);
         }
     }
 
@@ -527,7 +526,7 @@ impl Comm {
         if let Some(t) = self.tracer() {
             let now = self.now_ns();
             t.instant(self.rank, "flush", now, frame.len() as u64);
-            t.hist("flush_bytes").record(frame.len() as u64);
+            t.record_hist(self.rank, "flush_bytes", frame.len() as u64);
             if t.flows_enabled() {
                 // One origin event per distinct tag in the frame; the
                 // receiver recomputes the same ids from the carried ctx.
@@ -841,12 +840,14 @@ impl Comm {
     /// [`crate::World::run`] enters after the rank's closure returns, so a
     /// send issued after the closure's own last barrier is still counted.
     fn meet(&self, what: Meet) -> Outcome {
-        self.shared.rendezvous.meet(
+        let (outcome, now_ns) = self.shared.rendezvous.meet(
             self.rank,
             &mut self.tally.borrow_mut(),
             &mut self.mailbox.borrow_mut(),
             what,
-        )
+        );
+        self.now_ns.set(now_ns);
+        outcome
     }
 
     /// Count one fault or reliable-delivery event on this rank.
@@ -868,7 +869,7 @@ impl Comm {
 
     /// Current virtual time in nanoseconds.
     pub fn now_ns(&self) -> u64 {
-        self.shared.rendezvous.now_ns()
+        self.now_ns.get()
     }
 
     /// Running count of reliable-delivery retransmits world-wide; always 0

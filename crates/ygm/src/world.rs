@@ -14,7 +14,6 @@ use bytes::Bytes;
 use obs::Tracer;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -142,9 +141,6 @@ pub(crate) struct Rendezvous {
     cost: CostModel,
     state: Mutex<Meeting>,
     wake: Condvar,
-    /// Lock-free mirror of the clock, stored by the last arriver before it
-    /// wakes anyone: every trace helper reads the time, mid-phase.
-    now_ns: AtomicU64,
 }
 
 impl Rendezvous {
@@ -168,23 +164,24 @@ impl Rendezvous {
                 faults: FaultCounters::default(),
             }),
             wake: Condvar::new(),
-            now_ns: AtomicU64::new(0),
         }
     }
 
     /// Fold in what `rank` did since its last meeting (`tally`, left zeroed),
     /// the frames and acks it has for the others and what it brings to this
     /// meeting, block until all ranks have arrived, leave `rank`'s share of
-    /// the meeting's mail in `mailbox`, and return the meeting's outcome —
-    /// the same on every rank. Panics on all ranks if the rendezvous is
-    /// poisoned.
+    /// the meeting's mail in `mailbox`, and return the meeting's outcome and
+    /// the virtual time in nanoseconds — the same on every rank, and the
+    /// time until `rank` next arrives, because the clock moves only when the
+    /// last rank arrives at a meeting. Panics on all ranks if the rendezvous
+    /// is poisoned.
     pub(crate) fn meet(
         &self,
         rank: usize,
         tally: &mut Tally,
         mailbox: &mut Mailbox,
         what: Meet,
-    ) -> Outcome {
+    ) -> (Outcome, u64) {
         let mut guard = self.state.lock();
         let m = &mut *guard;
         if m.poisoned {
@@ -224,7 +221,6 @@ impl Rendezvous {
                     Outcome::Broadcast(m.payload.take().expect("broadcast payload missing"))
                 }
             };
-            self.now_ns.store(m.clock.now_ns(), Ordering::SeqCst);
             // A one-rank world has nobody to wake, and a wake is a
             // syscall whether or not anyone waits.
             if self.n > 1 {
@@ -243,19 +239,12 @@ impl Rendezvous {
         // at the next meeting.
         mailbox.mail.extend(guard.frames.sorted[rank].drain(..));
         mailbox.acks_in.append(&mut guard.acks.sorted[rank]);
-        guard.outcome.clone()
+        (guard.outcome.clone(), guard.clock.now_ns())
     }
 
     fn poison(&self) {
         self.state.lock().poisoned = true;
         self.wake.notify_all();
-    }
-
-    /// Current virtual time, nanoseconds. Changes only while every rank is
-    /// inside [`Self::meet`], so a rank reads the same value anywhere between
-    /// two meetings, run to run.
-    pub(crate) fn now_ns(&self) -> u64 {
-        self.now_ns.load(Ordering::SeqCst)
     }
 
     /// Reliable-delivery retransmits world-wide, as of each rank's last
@@ -810,5 +799,42 @@ mod tests {
         });
         // 4 chains x 26 messages each.
         assert_eq!(report.total.count, 4 * 26);
+    }
+
+    #[test]
+    fn a_tracer_attached_to_two_runs_in_a_row_accumulates_both() {
+        let tracer = Arc::new(Tracer::new(2));
+        let world = World::new(2).tracer(Arc::clone(&tracer));
+        let program = |comm: &Comm| {
+            comm.register::<u64, _>(PING, |_, _| {});
+            comm.async_send(1 - comm.rank(), PING, &7u64);
+            comm.trace_hist("sample", comm.rank() as u64);
+            comm.gauge("level", 1.0);
+            comm.barrier();
+        };
+        world.run(program);
+        let (events, log) = (tracer.total_events(), tracer.span_log());
+        let hists = tracer.hist_snapshots();
+        let points = |t: &Tracer| -> usize {
+            (t.series_snapshot().iter())
+                .filter(|s| s.name == "level")
+                .map(|s| s.points.len())
+                .sum()
+        };
+        assert_eq!(points(&tracer), 2);
+
+        world.run(program);
+        assert_eq!(tracer.total_events(), 2 * events);
+        for (twice, once) in tracer.span_log().iter().zip(&log) {
+            // Each run's world starts its own virtual clock at 0, so the
+            // second run's events are the first's over again.
+            assert_eq!(twice[..once.len()], once[..]);
+            assert_eq!(twice[once.len()..], once[..]);
+        }
+        for ((name, twice), (_, once)) in tracer.hist_snapshots().iter().zip(&hists) {
+            assert_eq!(twice.count, 2 * once.count, "{name}");
+            assert_eq!((twice.min, twice.max), (once.min, once.max), "{name}");
+        }
+        assert_eq!(points(&tracer), 4);
     }
 }

@@ -16,6 +16,8 @@
 //! * [`hnsw`] — HNSW baseline (Hnswlib stand-in)
 //! * [`dnnd`] — the paper's contribution: distributed NN-Descent
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 
 pub use dataset;

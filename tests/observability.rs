@@ -177,7 +177,7 @@ fn telemetry_series_and_matrix_replay_bit_identically() {
     for ranks in [1usize, 2, 4] {
         let (t1, r1) = unopt_traced_run(ranks);
         let (t2, r2) = unopt_traced_run(ranks);
-        let (s1, s2) = (t1.series().snapshot(), t2.series().snapshot());
+        let (s1, s2) = (t1.series_snapshot(), t2.series_snapshot());
         assert!(!s1.is_empty(), "no series recorded at n_ranks={ranks}");
         assert_eq!(s1, s2, "series diverged between runs at n_ranks={ranks}");
         assert_eq!(
@@ -336,8 +336,7 @@ fn flow_event_halves_pair_exactly() {
 #[test]
 fn trace_flows_can_be_disabled() {
     let set = Arc::new(synth::uniform(300, 8, 7));
-    let tracer = Arc::new(Tracer::new(2));
-    tracer.set_flows_enabled(false);
+    let tracer = Arc::new(Tracer::new(2).flows(false));
     let world = World::new(2).tracer(Arc::clone(&tracer));
     build(
         &world,
