@@ -113,7 +113,6 @@ fn main() {
                     dnnd::obs_report::report_from_world("bench-dist-query", ranks, &report);
                 rr.recall = Some(recall);
                 rr.param("n", n).param("queries", n_queries).param("k", k);
-                dnnd::obs_report::attach_histograms(&mut rr, Some(t));
                 rr
             };
             outs.write(Some(t), run_report).unwrap_or_else(|e| die(&e));

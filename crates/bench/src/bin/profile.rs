@@ -124,7 +124,6 @@ fn main() {
     let run_report = || {
         let mut rr = dnnd::obs_report::report_from_build("bench-profile", &out.report);
         rr.param("n", n).param("k", k).param("seed", seed);
-        dnnd::obs_report::attach_histograms(&mut rr, tracer.as_deref());
         rr
     };
     outs.write(tracer.as_deref(), run_report)

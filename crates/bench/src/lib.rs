@@ -12,7 +12,7 @@
 
 #![forbid(unsafe_code)]
 
-use dnnd::obs_report::{write_dashboard, write_report, write_trace};
+use dnnd::obs_report::{attach_tracer, write_dashboard, write_report, write_trace};
 use obs::{RunReport, Tracer};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
@@ -171,9 +171,9 @@ impl ObsOuts {
     }
 
     /// Write every output that was asked for: the trace if the run had a
-    /// `tracer`, and the report and dashboard of `report()`, which is only
-    /// called when one of the two is wanted. `Err` is the one-line reason
-    /// the first failing file gave.
+    /// `tracer`, and the report and dashboard of `report()` — with what the
+    /// tracer recorded folded in — which is only called when one of the two
+    /// is wanted. `Err` is the one-line reason the first failing file gave.
     pub fn write(
         &self,
         tracer: Option<&Tracer>,
@@ -184,7 +184,10 @@ impl ObsOuts {
             emit(&self.trace, "trace", &dropped, |p| write_trace(p, t))?;
         }
         if self.wants_report() {
-            let rr = report();
+            let mut rr = report();
+            if let Some(t) = tracer {
+                attach_tracer(&mut rr, t);
+            }
             self.write_report(&rr)?;
             self.write_dashboard(&rr)?;
         }

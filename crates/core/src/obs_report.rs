@@ -198,23 +198,15 @@ pub fn report_from_world<T>(binary: &str, n_ranks: usize, r: &WorldReport<T>) ->
     report
 }
 
-/// Fold the tracer's histogram summaries into `report` (no-op for `None`),
-/// along with the span-ring overflow counters (satellite: a nonzero
-/// `dropped_spans` means the trace is incomplete and is warned about; the
-/// per-rank breakdown shows *which* ring overflowed).
-pub fn attach_histograms(report: &mut RunReport, tracer: Option<&Tracer>) {
-    if let Some(t) = tracer {
-        report.add_histograms(&t.hist_snapshots());
-        report.set_dropped_spans_per_rank(t.dropped_events_per_rank());
-    }
-}
-
-/// Fold the tracer's virtual-clock time series into `report` (no-op for
-/// `None`).
-pub fn attach_series(report: &mut RunReport, tracer: Option<&Tracer>) {
-    if let Some(t) = tracer {
-        report.series = t.series_snapshot();
-    }
+/// Fold what `tracer` recorded into `report`: its histogram summaries, the
+/// span-ring overflow counters (a nonzero `dropped_spans` means the trace is
+/// incomplete and is warned about; the per-rank split shows *which* ring
+/// overflowed) and its virtual-clock gauge series. `bench::ObsOuts::write`
+/// calls it for every run that had a tracer.
+pub fn attach_tracer(report: &mut RunReport, tracer: &Tracer) {
+    report.add_histograms(&tracer.hist_snapshots());
+    report.set_dropped_spans_per_rank(tracer.dropped_events_per_rank());
+    report.series = tracer.series_snapshot();
 }
 
 /// Write the self-contained HTML dashboard for `report` to `path`.

@@ -47,6 +47,7 @@ use obs::{RunReport, ServingSection, TenantSloSection, VdbNamespaceSection, VdbS
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, VecDeque};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::path::Path;
 use std::sync::Arc;
 use vdb::{Collection, CollectionStat, MetaRecord, Predicate, Term};
@@ -71,7 +72,7 @@ const QUERY_FLOW_BASE: u64 = 0xFF51_0000_0000_0000;
 
 /// Replicated statistics of one serving run. Identical on every rank and
 /// across rank counts for a given `(serve seed, parameters, graph)`.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct ServingStats {
     pub serve_seed: u64,
     pub slot_ns: u64,
@@ -102,7 +103,7 @@ pub struct ServingStats {
     /// Empty when the workload declares no tenant classes.
     pub tenants: Vec<TenantStats>,
     /// Vector-DB product-layer counters; `None` for legacy (namespace-less)
-    /// runs, whose fingerprints are byte-identical to pre-vdb builds.
+    /// runs.
     pub vdb: Option<VdbServeStats>,
     /// FNV-1a digest over `(arrival idx, result ids)` in arrival order.
     pub result_digest: u64,
@@ -111,7 +112,7 @@ pub struct ServingStats {
 /// Replicated vector-DB counters of one namespaced serving run: the final
 /// collection state plus mutation, filter, and cache-suppression totals.
 /// Identical on every rank (asserted via the stats fingerprint).
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct VdbServeStats {
     /// Namespace served.
     pub namespace: String,
@@ -160,7 +161,7 @@ impl VdbServeStats {
 }
 
 /// Per-tenant-class slice of a run's SLO accounting.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct TenantStats {
     pub name: String,
     pub share_pct: u64,
@@ -250,84 +251,14 @@ impl ServingStats {
         sum / total as f64
     }
 
-    /// Order-sensitive fingerprint of every replicated field — what the
-    /// ranks compare to prove they ran the same control plane.
+    /// Fingerprint of every replicated field — what the ranks compare to
+    /// prove they ran the same control plane. Derived from `Hash`, so it is
+    /// only meaningful compared within one build (every caller compares it
+    /// within one process).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv_seed();
-        for v in [
-            self.serve_seed,
-            self.slot_ns,
-            self.slots,
-            self.offered,
-            self.admitted,
-            self.answered,
-            self.cache_hits,
-            self.cache_evictions,
-            self.shed_deadline,
-            self.shed_overload,
-            self.degraded,
-            self.max_queue_depth,
-            self.fault_penalty_slots,
-            self.result_digest,
-        ] {
-            h = fnv_u64(h, v);
-        }
-        for &(s, c) in &self.latency_hist {
-            h = fnv_u64(h, s);
-            h = fnv_u64(h, c);
-        }
-        for &(s, c) in &self.client_hist {
-            h = fnv_u64(h, s);
-            h = fnv_u64(h, c);
-        }
-        for t in &self.tenants {
-            h = fnv_u64(h, t.name.len() as u64);
-            for b in t.name.bytes() {
-                h = fnv_u64(h, b as u64);
-            }
-            for v in [
-                t.share_pct,
-                t.offered,
-                t.admitted,
-                t.answered,
-                t.cache_hits,
-                t.shed_overload,
-                t.shed_deadline,
-                t.degraded,
-            ] {
-                h = fnv_u64(h, v);
-            }
-            for &(s, c) in &t.latency_hist {
-                h = fnv_u64(h, s);
-                h = fnv_u64(h, c);
-            }
-        }
-        // Folded only when present, so legacy fingerprints are unchanged.
-        if let Some(v) = &self.vdb {
-            h = fnv_u64(h, v.namespace.len() as u64);
-            for b in v.namespace.bytes() {
-                h = fnv_u64(h, b as u64);
-            }
-            for x in [
-                v.points,
-                v.live,
-                v.tombstones,
-                v.dead,
-                v.epoch,
-                v.inserts,
-                v.deletes,
-                v.compactions,
-                v.filtered,
-                v.cache_suppressed,
-            ] {
-                h = fnv_u64(h, x);
-            }
-            for &(d, c) in &v.selectivity_hist {
-                h = fnv_u64(h, d);
-                h = fnv_u64(h, c);
-            }
-        }
-        h
+        let mut h = DefaultHasher::new();
+        self.hash(&mut h);
+        h.finish()
     }
 
     /// Translate into the run report's `serving` section.

@@ -16,8 +16,8 @@
 //! axis (ties broken by a pure PRF of the serve seed, never by map
 //! order), plus **every** shed, degraded, and deadline-missing query as
 //! unconditional exemplars. Aggregate per-stage histograms still cover
-//! *all* queries, so the sampled exemplars never bias the waterfall
-//! panel.
+//! *all* queries, so the sampled exemplars never bias the dashboard's
+//! stage waterfall.
 //!
 //! Records deliberately do **not** carry the home rank: `pool_id %
 //! n_ranks` depends on the rank count and would break the bit-identity

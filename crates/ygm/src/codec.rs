@@ -25,8 +25,7 @@
 //! a little-endian host. The bytes on the wire are the per-element
 //! little-endian format either way (pinned by `tests/wire_golden.rs`).
 
-use bytes::{Buf, BufMut};
-pub use bytes::{Bytes, BytesMut};
+pub use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// The send half of the wire format: a value that can append its encoding
 /// to a buffer. Implemented for owned values, slices and references, so a

@@ -8,9 +8,8 @@
 //! longer and a dirty shorter destination; the last section holds
 //! `decode_into` to `decode` and a tuple of borrows to the owned struct.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
-use ygm::codec::{decode_from_bytes, encode_to_bytes};
+use ygm::codec::{decode_from_bytes, encode_to_bytes, Buf, BufMut, Bytes, BytesMut};
 use ygm::{Encode, Wire, FRAME_HEADER_BYTES, MAX_TAGS};
 
 /// Encode, assert the byte count matches `wire_size` exactly, decode back.

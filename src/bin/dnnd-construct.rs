@@ -193,8 +193,6 @@ fn main() {
                 .param("sim_seed", sim_seed);
         }
         rr.metric("store_high_water_bytes", store.high_water_bytes() as f64);
-        dnnd::obs_report::attach_histograms(&mut rr, tracer.as_deref());
-        dnnd::obs_report::attach_series(&mut rr, tracer.as_deref());
         rr
     };
     or_die(outs.write(tracer.as_deref(), run_report));

@@ -127,7 +127,6 @@ fn reverse_prune_mode(
         rr.extra
             .push(("max_degree".into(), optimized.max_degree() as f64));
         rr.metric("store_high_water_bytes", s.store.high_water_bytes() as f64);
-        dnnd::obs_report::attach_histograms(&mut rr, tracer.as_deref());
         rr
     };
     or_die(outs.write(tracer.as_deref(), run_report));

@@ -160,7 +160,6 @@ fn main() {
         rr.extra.push(("qps".into(), summary.qps));
         rr.extra
             .push(("n_queries".into(), summary.n_queries as f64));
-        dnnd::obs_report::attach_histograms(&mut rr, tracer.as_deref());
         rr
     };
     or_die(outs.write(tracer.as_deref(), run_report));

@@ -24,7 +24,7 @@
 //!
 //! `--trace-out`, `--report-out`, and `--dashboard-out` emit the Chrome
 //! trace, unified run report (with the `serving` section), and the HTML
-//! dashboard (with the serving SLO panel).
+//! dashboard (with the `serving` section).
 
 use bench::{Args, ObsOuts};
 use dnnd_repro::cli::{
@@ -267,8 +267,6 @@ fn main() {
         attach_serving(&mut rr, s);
         attach_forensics(&mut rr, f);
         attach_vdb(&mut rr, s);
-        dnnd::obs_report::attach_histograms(&mut rr, tracer.as_deref());
-        dnnd::obs_report::attach_series(&mut rr, tracer.as_deref());
         rr.param("store", &store_dir)
             .param("l", params.search.l)
             .param("epsilon", params.search.epsilon)

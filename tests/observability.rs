@@ -55,7 +55,7 @@ fn same_seed_runs_emit_identical_span_sequences() {
 fn run_report_counters_match_runtime_stats_exactly() {
     let (t, report) = traced_build(5);
     let mut rr = dnnd::obs_report::report_from_build("it", &report);
-    dnnd::obs_report::attach_histograms(&mut rr, Some(&t));
+    dnnd::obs_report::attach_tracer(&mut rr, &t);
 
     // Per-tag counts and bytes carry over from the Stats aggregation
     // untouched, under the registration-time names.
@@ -527,16 +527,25 @@ fn cli_dashboard_is_self_contained_with_all_sections() {
             "dashboard must not contain {forbidden:?}"
         );
     }
-    // The three headline views plus the telemetry series.
+    // Every part of the report is a section named by its key: the charted
+    // lists (phase timeline, rank×rank heatmap under the matrix's tags,
+    // convergence, telemetry series) and the per-tag traffic table.
     for section in [
-        "id=\"timeline\"",
-        "id=\"traffic-heatmap\"",
-        "id=\"convergence\"",
-        "id=\"telemetry\"",
+        "phases",
+        "matrix",
+        "matrix.tags",
+        "convergence",
+        "series",
+        "tags",
+        "critical_path",
+        "params",
     ] {
-        assert!(html.contains(section), "dashboard missing {section}");
+        let id = format!("<section id=\"{section}\">");
+        assert!(html.contains(&id), "dashboard missing {id}");
     }
+    assert!(html.contains("destination rank →"), "heatmap missing");
     assert!(html.contains("send_buf_bytes"), "telemetry series missing");
+    assert!(html.contains("<td>Type 2+</td>"), "per-tag table missing");
 
     // The JSON report next to it carries the telemetry
     // the dashboard rendered, plus the store's allocation high-water.
