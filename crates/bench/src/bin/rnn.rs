@@ -89,7 +89,7 @@ fn main() {
     let rp_graph = raw.merge_reverse().prune(limit);
 
     // Mode B — RNN-Descent over the same raw graph, distributed.
-    let (rnn_graph, rnn_report) =
+    let (rnn_graph, rnn_stats, rnn_run) =
         rnn_optimize_distributed(&World::new(ranks), &base, &L2, &raw, params);
 
     // Equal-beam-width serving comparison: identical workload and search
@@ -153,7 +153,8 @@ fn main() {
     // The emitted report is anchored on the RNN pass (tags, phases, the
     // `rnn` section) with the comparison as extras and the RNN
     // serving section attached for the SLO gates.
-    let mut rr = dnnd::obs_report::report_from_rnn_dist("rnn", params, &rnn_report);
+    let mut rr = dnnd::obs_report::report_from_world("rnn", ranks, &rnn_run);
+    dnnd::obs_report::fill_rnn(&mut rr, params, &rnn_stats);
     attach_serving(&mut rr, &rnn_serve.stats);
     rr.recall = Some(rnn_recall);
     rr.param("mode", if smoke { "smoke" } else { "full" })
@@ -202,19 +203,16 @@ fn main() {
         );
         // Bit-identity across rank counts and a rerun.
         for check_ranks in [1usize, 2, 4] {
-            let (g2, r2) =
+            let (g2, s2, _) =
                 rnn_optimize_distributed(&World::new(check_ranks), &base, &L2, &raw, params);
             assert_eq!(g2, rnn_graph, "rnn graph diverged at {check_ranks} ranks");
-            assert_eq!(
-                r2.stats, rnn_report.stats,
-                "rnn stats diverged at {check_ranks} ranks"
-            );
+            assert_eq!(s2, rnn_stats, "rnn stats diverged at {check_ranks} ranks");
         }
         // The `rnn` section must round-trip through JSON.
         let parsed = obs::RunReport::parse(&rr.to_json_string()).expect("report round-trip");
         let section = parsed.rnn.expect("rnn section present");
         assert_eq!(section.k0 as usize, params.k0);
-        assert_eq!(section.dist_evals, rnn_report.stats.dist_evals);
+        assert_eq!(section.dist_evals, rnn_stats.dist_evals);
         assert!(!section.rounds.is_empty(), "no rnn rounds recorded");
         println!(
             "smoke OK: rnn sparser ({} < {} edges) at recall {rnn_recall:.4} >= {rp_recall:.4}, \

@@ -27,7 +27,7 @@
 //!    baseline still applies, and any nonzero drift under the unoptimized
 //!    protocol is an exactly-once violation.)
 //! 4. **Replay** — every optimized-protocol trial is built twice: the same
-//!    sim seed must give the same graph and the same `FaultReport`, counter
+//!    sim seed must give the same graph and the same `FaultSection`, counter
 //!    for counter. (Under the unoptimized protocol check 3 already compares
 //!    every trial's graph with one reference.)
 //!

@@ -36,13 +36,14 @@ use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use nnd::graph::{Edge, KnnGraph};
 use nnd::heap::NeighborTable;
+use obs::{FaultSection, MatrixSection, PhaseRecord};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
-use ygm::{ClockBreakdown, Comm, PhaseRecord, TagStats, TrafficMatrix, World};
+use ygm::{ClockBreakdown, Comm, TagStats, World};
 
 /// Everything `build` reports besides the graph itself.
 #[derive(Debug, Clone)]
@@ -77,10 +78,10 @@ pub struct BuildReport {
     /// Totals over all tags.
     pub total: TagStats,
     /// Rank×rank×tag traffic matrix (diagonal = rank-local sends).
-    pub matrix: TrafficMatrix,
+    pub matrix: MatrixSection,
     /// Injected-fault / reliable-delivery counters when the world ran under
     /// a [`ygm::FaultPlan`]; `None` on fault-free runs.
-    pub faults: Option<ygm::FaultReport>,
+    pub faults: Option<FaultSection>,
     /// Per-round RNN-Descent counters when the build ran with
     /// [`crate::config::DnndConfig::rnn_opt`]; global (all-reduced) values,
     /// bit-identical across rank counts.

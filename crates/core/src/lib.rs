@@ -52,4 +52,4 @@ pub use engine::{build, BuildReport, DnndOutput};
 pub use partition::Partitioner;
 pub use persist::{destroy_sharded, load_sharded, save_sharded};
 pub use query::{distributed_search_batch, DistSearchParams, IdMask, QueryProfile, SearchEngine};
-pub use rnn_dist::{rnn_optimize_distributed, RnnDistReport};
+pub use rnn_dist::rnn_optimize_distributed;

@@ -1,27 +1,45 @@
-//! Bridges from runtime/engine result types to [`obs::RunReport`], plus
-//! file emission for the `--trace-out` / `--report-out` CLI flags.
+//! Fills an [`obs::RunReport`] from a run's results, plus file emission for
+//! the `--trace-out` / `--report-out` / `--dashboard-out` CLI flags.
 //!
-//! `obs` itself is dependency-free, so the translation from `ygm`'s
-//! `TagStats` / `PhaseRecord` / `ClockBreakdown` (and the engine's
-//! `BuildReport`) into the report schema lives here, where both sides are
-//! in scope. Every binary and bench driver funnels through these helpers
-//! so reports stay structurally identical across producers.
+//! The runtime already records faults, the traffic matrix, phases and RNN
+//! rounds in `obs`'s own types, so most of a report is assignment; what is
+//! translated here is the per-tag rows, the clock's split and the engine's
+//! convergence trajectory. Every binary and bench driver funnels through
+//! these helpers so reports stay structurally identical across producers.
 
 use crate::engine::BuildReport;
-use obs::{
-    ConvergencePoint, FaultSection, MatrixSection, MatrixTagReport, PhaseReport, RunReport,
-    TagReport, Tracer,
-};
+use nnd::rnn::{RnnParams, RnnStats};
+use obs::critical_path::analyze;
+use obs::{ConvergencePoint, PhaseRecord, PhaseReport, RnnSection, RunReport, TagReport, Tracer};
 use std::fs;
 use std::io;
 use std::path::Path;
-use ygm::{ClockBreakdown, FaultReport, PhaseRecord, TagStats, TrafficMatrix, WorldReport};
+use ygm::{ClockBreakdown, TagStats, WorldReport};
+
+/// Fill the clock's part of a report: the rank count, the time split, and
+/// one row per phase with the critical path through them. `sim_ns` must be
+/// the exact final clock reading so collective time attributes with zero
+/// error.
+fn fill_clock(
+    report: &mut RunReport,
+    n_ranks: usize,
+    b: &ClockBreakdown,
+    phases: &[PhaseRecord],
+    sim_ns: u64,
+) {
+    report.n_ranks = n_ranks as u64;
+    report.compute_secs = b.compute_secs;
+    report.comm_secs = b.comm_secs;
+    report.barrier_secs = b.barrier_secs;
+    report.phases = phases.iter().map(PhaseReport::from).collect();
+    report.critical_path = Some(analyze(phases, sim_ns, n_ranks));
+}
 
 fn fill_tags(report: &mut RunReport, tags: &[(u16, String, TagStats)], total: &TagStats) {
     report.tags = tags
         .iter()
         .map(|(tag, name, s)| TagReport {
-            tag: *tag as u64,
+            tag: u64::from(*tag),
             name: name.clone(),
             count: s.count,
             bytes: s.bytes,
@@ -35,98 +53,17 @@ fn fill_tags(report: &mut RunReport, tags: &[(u16, String, TagStats)], total: &T
     report.total_remote_bytes = total.remote_bytes;
 }
 
-fn fill_matrix(report: &mut RunReport, m: &TrafficMatrix) {
-    report.matrix = Some(MatrixSection {
-        n_ranks: m.n_ranks as u64,
-        tags: m
-            .tags
-            .iter()
-            .map(|t| MatrixTagReport {
-                tag: t.tag as u64,
-                name: t.name.clone(),
-                counts: t.counts.clone(),
-                bytes: t.bytes.clone(),
-            })
-            .collect(),
-    });
-}
-
-fn fill_phases(report: &mut RunReport, phases: &[PhaseRecord]) {
-    report.phases = phases
-        .iter()
-        .map(|p| PhaseReport {
-            index: p.index as u64,
-            compute_secs: p.compute_secs,
-            comm_secs: p.comm_secs,
-            barrier_secs: p.barrier_secs,
-            msgs: p.msgs,
-            bytes: p.bytes,
-        })
-        .collect();
-}
-
-/// Run the happens-before critical-path analysis over the clock's phase
-/// records and attach the resulting section. `sim_ns` must be the exact
-/// final clock reading so collective time attributes with zero error.
-fn fill_critical_path(report: &mut RunReport, phases: &[PhaseRecord], sim_ns: u64, n_ranks: usize) {
-    let costs: Vec<obs::PhaseCost> = phases
-        .iter()
-        .map(|p| obs::PhaseCost {
-            index: p.index as u64,
-            total_ns: p.total_ns,
-            barrier_ns: p.barrier_secs * 1e9,
-            rank_compute_ns: p.rank_compute_ns().to_vec(),
-            rank_send_ns: p.rank_send_ns().to_vec(),
-            rank_recv_ns: p.rank_recv_ns().to_vec(),
-            rank_transport_send_ns: p.rank_transport_send_ns().to_vec(),
-            rank_transport_recv_ns: p.rank_transport_recv_ns().to_vec(),
-            rank_fault_ns: p.rank_fault_ns().to_vec(),
-        })
-        .collect();
-    report.critical_path = Some(obs::critical_path::analyze(&costs, sim_ns, n_ranks));
-}
-
-fn fill_breakdown(report: &mut RunReport, b: &ClockBreakdown) {
-    report.compute_secs = b.compute_secs;
-    report.comm_secs = b.comm_secs;
-    report.barrier_secs = b.barrier_secs;
-}
-
-fn fill_faults(report: &mut RunReport, faults: Option<&FaultReport>) {
-    report.faults = faults.map(|f| FaultSection {
-        sim_seed: f.sim_seed,
-        profile: f.profile.clone(),
-        dropped: f.dropped,
-        duplicated: f.duplicated,
-        delayed: f.delayed,
-        stalls: f.stalls,
-        jittered_flushes: f.jittered_flushes,
-        retransmits: f.retransmits,
-        dedup_discards: f.dedup_discards,
-        forced_deliveries: f.forced_deliveries,
-    });
-}
-
-/// Fill the `rnn` section from the RNN pass's knobs and
-/// all-reduced stats (the binaries call this whenever `--opt-mode rnn`
-/// ran; the section is the deterministic fingerprint of the pass).
-pub fn fill_rnn(report: &mut RunReport, params: nnd::rnn::RnnParams, stats: &nnd::rnn::RnnStats) {
-    report.rnn = Some(obs::RnnSection {
+/// Fill the `rnn` section — the deterministic fingerprint of a standalone
+/// RNN pass — from the pass's knobs and all-reduced stats; the pass's
+/// distance evaluations are the run's.
+pub fn fill_rnn(report: &mut RunReport, params: RnnParams, stats: &RnnStats) {
+    report.distance_evals = stats.dist_evals;
+    report.rnn = Some(RnnSection {
         t1: params.t1 as u64,
         t2: params.t2 as u64,
         k0: params.k0 as u64,
         r: params.r as u64,
-        rounds: stats
-            .rounds
-            .iter()
-            .map(|rd| obs::RnnRoundReport {
-                outer: rd.outer,
-                inner: rd.inner,
-                pairs: rd.pairs,
-                pruned: rd.pruned,
-                added: rd.added,
-            })
-            .collect(),
+        rounds: stats.rounds.clone(),
         reverse_added: stats.reverse_added.clone(),
         dist_evals: stats.dist_evals,
         repaired: stats.repaired,
@@ -137,64 +74,33 @@ pub fn fill_rnn(report: &mut RunReport, params: nnd::rnn::RnnParams, stats: &nnd
 /// including the convergence trajectory.
 pub fn report_from_build(binary: &str, r: &BuildReport) -> RunReport {
     let mut report = RunReport::new(binary);
-    report.n_ranks = r.n_ranks as u64;
+    fill_clock(&mut report, r.n_ranks, &r.breakdown, &r.phases, r.sim_ns);
+    fill_tags(&mut report, &r.tags, &r.total);
     report.iterations = r.iterations as u64;
     report.distance_evals = r.distance_evals;
     report.sim_secs = r.sim_secs;
     report.wall_secs = r.wall_secs;
-    fill_breakdown(&mut report, &r.breakdown);
-    fill_tags(&mut report, &r.tags, &r.total);
-    fill_matrix(&mut report, &r.matrix);
-    fill_phases(&mut report, &r.phases);
-    fill_critical_path(&mut report, &r.phases, r.sim_ns, r.n_ranks);
-    fill_faults(&mut report, r.faults.as_ref());
-    report.convergence = r
-        .updates_per_iter
-        .iter()
-        .enumerate()
-        .map(|(i, &u)| ConvergencePoint {
+    report.matrix = Some(r.matrix.clone());
+    report.faults = r.faults.clone();
+    report.convergence = (r.updates_per_iter.iter().enumerate())
+        .map(|(i, &updates)| ConvergencePoint {
             iteration: i as u64,
-            updates: u,
+            updates,
         })
         .collect();
     report
 }
 
-/// Start a [`RunReport`] from a standalone distributed RNN-Descent pass
-/// (`dnnd-optimize --opt-mode rnn`), including the `rnn`
-/// section.
-pub fn report_from_rnn_dist(
-    binary: &str,
-    params: nnd::rnn::RnnParams,
-    r: &crate::rnn_dist::RnnDistReport,
-) -> RunReport {
-    let mut report = RunReport::new(binary);
-    report.n_ranks = r.n_ranks as u64;
-    report.distance_evals = r.stats.dist_evals;
-    report.sim_secs = r.sim_secs;
-    report.wall_secs = r.wall_secs;
-    fill_breakdown(&mut report, &r.breakdown);
-    fill_tags(&mut report, &r.tags, &r.total);
-    fill_matrix(&mut report, &r.matrix);
-    fill_phases(&mut report, &r.phases);
-    fill_critical_path(&mut report, &r.phases, r.sim_ns, r.n_ranks);
-    fill_faults(&mut report, r.faults.as_ref());
-    fill_rnn(&mut report, params, &r.stats);
-    report
-}
-
-/// Start a [`RunReport`] from any [`WorldReport`] (e.g. a query run).
+/// Start a [`RunReport`] from any [`WorldReport`] (a query run, a serving
+/// run, a standalone RNN pass with [`fill_rnn`]).
 pub fn report_from_world<T>(binary: &str, n_ranks: usize, r: &WorldReport<T>) -> RunReport {
     let mut report = RunReport::new(binary);
-    report.n_ranks = n_ranks as u64;
+    fill_clock(&mut report, n_ranks, &r.breakdown, &r.phases, r.sim_ns);
+    fill_tags(&mut report, &r.tags, &r.total);
     report.sim_secs = r.sim_secs;
     report.wall_secs = r.wall_secs;
-    fill_breakdown(&mut report, &r.breakdown);
-    fill_tags(&mut report, &r.tags, &r.total);
-    fill_matrix(&mut report, &r.matrix);
-    fill_phases(&mut report, &r.phases);
-    fill_critical_path(&mut report, &r.phases, r.sim_ns, n_ranks);
-    fill_faults(&mut report, r.faults.as_ref());
+    report.matrix = Some(r.matrix.clone());
+    report.faults = r.faults.clone();
     report
 }
 
@@ -227,7 +133,6 @@ pub fn write_report(path: impl AsRef<Path>, report: &RunReport) -> io::Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ygm::TagStats;
 
     fn tag(t: u16, count: u64, bytes: u64) -> (u16, String, TagStats) {
         (
@@ -252,7 +157,7 @@ mod tests {
             remote_bytes: 2_320,
         };
         let br = BuildReport {
-            n_ranks: 4,
+            n_ranks: 2,
             iterations: 3,
             updates_per_iter: vec![100, 40, 2],
             distance_evals: 777,
@@ -284,21 +189,21 @@ mod tests {
             wall_secs: 0.5,
             tags,
             total,
-            matrix: TrafficMatrix {
+            matrix: obs::MatrixSection {
                 n_ranks: 2,
-                tags: vec![ygm::TagMatrix {
+                tags: vec![obs::MatrixTagReport {
                     tag: 14,
                     name: "tag14".into(),
                     counts: vec![3, 2, 1, 4],
                     bytes: vec![192, 128, 64, 256],
                 }],
             },
-            faults: Some(FaultReport {
+            faults: Some(obs::FaultSection {
                 sim_seed: 99,
                 profile: "lossy".into(),
                 dropped: 2,
                 retransmits: 3,
-                ..FaultReport::default()
+                ..Default::default()
             }),
             rnn: None,
         };

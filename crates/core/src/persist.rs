@@ -11,7 +11,7 @@
 use crate::partition::Partitioner;
 use dataset::set::PointId;
 use metall::{Result as StoreResult, Store, StoreError};
-use nnd::graph::{Edge, KnnGraph};
+use nnd::graph::{decode_rows, Edge, KnnGraph};
 use std::path::Path;
 
 const META_KEY: &str = "shard-meta"; // [n, n_ranks, rank]
@@ -58,7 +58,10 @@ pub fn save_sharded(graph: &KnnGraph, base: impl AsRef<Path>, n_ranks: usize) ->
 }
 
 /// Load a graph persisted by [`save_sharded`], validating that every shard
-/// is present and consistent.
+/// is present and consistent: each shard's rows are checked as
+/// [`decode_rows`] documents, each vertex is below the header's vertex
+/// count and stored once, by its owner — and nothing is sized by the header
+/// before the shards bear it out.
 pub fn load_sharded(base: impl AsRef<Path>) -> StoreResult<KnnGraph> {
     let base = base.as_ref();
     // Shard 0's meta tells us how many shards to expect.
@@ -67,53 +70,62 @@ pub fn load_sharded(base: impl AsRef<Path>) -> StoreResult<KnnGraph> {
     let [n, n_ranks, _] = meta[..] else {
         return Err(StoreError::Decode("bad shard meta".into()));
     };
-    let (n, n_ranks) = (n as usize, n_ranks as usize);
-    let part = Partitioner::new(n_ranks);
+    if n_ranks == 0 {
+        return Err(StoreError::Decode("shard meta names no ranks".into()));
+    }
+    let part = Partitioner::new(n_ranks as usize);
 
-    let mut rows: Vec<Option<Vec<Edge>>> = vec![None; n];
-    for rank in 0..n_ranks {
+    let mut stored: Vec<(PointId, Vec<Edge>)> = Vec::new();
+    for rank in 0..n_ranks as usize {
         let store = Store::open(shard_dir(base, rank))?;
         let meta: Vec<u64> = store.get(META_KEY)?;
-        if meta != vec![n as u64, n_ranks as u64, rank as u64] {
+        if meta != vec![n, n_ranks, rank as u64] {
             return Err(StoreError::Corrupt(format!("shard {rank} meta mismatch")));
         }
         let verts: Vec<u32> = store.get("verts")?;
         let offsets: Vec<u64> = store.get("offsets")?;
         let ids: Vec<u32> = store.get("ids")?;
         let dists: Vec<f32> = store.get("dists")?;
-        if offsets.len() != verts.len() + 1
-            || ids.len() != dists.len()
-            || offsets.last().copied() != Some(ids.len() as u64)
-        {
+        if offsets.len() != verts.len() + 1 {
             return Err(StoreError::Decode(format!(
                 "shard {rank} arrays inconsistent"
             )));
         }
-        for (i, &v) in verts.iter().enumerate() {
+        let what = format!("shard {rank}");
+        let rows = decode_rows(&what, &offsets, &ids, &dists, n as usize)?;
+        for (v, row) in verts.into_iter().zip(rows) {
+            if u64::from(v) >= n {
+                return Err(StoreError::Decode(format!(
+                    "shard {rank} stores vertex {v} of a graph of {n} vertices"
+                )));
+            }
             if part.owner(v) != rank {
                 return Err(StoreError::Corrupt(format!(
                     "vertex {v} stored in shard {rank} but owned by {}",
                     part.owner(v)
                 )));
             }
-            let (a, b) = (offsets[i] as usize, offsets[i + 1] as usize);
-            rows[v as usize] = Some(
-                ids[a..b]
-                    .iter()
-                    .copied()
-                    .zip(dists[a..b].iter().copied())
-                    .collect(),
-            );
+            stored.push((v, row));
         }
     }
-    let rows: Vec<Vec<Edge>> = rows
-        .into_iter()
-        .enumerate()
-        .map(|(v, r)| {
-            r.ok_or_else(|| StoreError::Corrupt(format!("vertex {v} missing from all shards")))
-        })
-        .collect::<StoreResult<_>>()?;
-    Ok(KnnGraph::from_rows(rows))
+    // `n` distinct vertices below `n` are each vertex once: sorted, the
+    // rows are the graph's.
+    if stored.len() as u64 != n {
+        return Err(StoreError::Corrupt(format!(
+            "the shards store {} vertices of a graph of {n}",
+            stored.len()
+        )));
+    }
+    stored.sort_unstable_by_key(|&(v, _)| v);
+    if let Some(w) = stored.windows(2).find(|w| w[0].0 == w[1].0) {
+        return Err(StoreError::Decode(format!(
+            "vertex {} is stored twice",
+            w[0].0
+        )));
+    }
+    Ok(KnnGraph::from_rows(
+        stored.into_iter().map(|(_, row)| row).collect(),
+    ))
 }
 
 /// Remove every shard of a sharded graph. No-op for missing shards.
@@ -210,6 +222,62 @@ mod tests {
         store.put(META_KEY, &vec![30u64, 5, 1]).unwrap();
         assert!(load_sharded(&dir).is_err());
         destroy_sharded(&dir, 2).unwrap();
+    }
+
+    /// The objects of one shard.
+    #[derive(Clone)]
+    struct Shard {
+        meta: Vec<u64>,
+        verts: Vec<u32>,
+        offsets: Vec<u64>,
+        ids: Vec<u32>,
+        dists: Vec<f32>,
+    }
+
+    /// What one table row does to the good objects.
+    type Damage = fn(&mut Shard);
+
+    /// One row per defect of a one-shard graph of three vertices: each is a
+    /// typed error naming it, never a panic and never an allocation sized by
+    /// a damaged header.
+    #[test]
+    fn load_rejects_shards_that_are_not_a_graph() {
+        let dir = tmpdir("damaged");
+        let mut store = Store::create(dir.join("rank-0")).unwrap();
+        let mut load = |s: &Shard| {
+            store.put(META_KEY, &s.meta).unwrap();
+            store.put("verts", &s.verts).unwrap();
+            store.put("offsets", &s.offsets).unwrap();
+            store.put("ids", &s.ids).unwrap();
+            store.put("dists", &s.dists).unwrap();
+            load_sharded(&dir).map_err(|e| e.to_string())
+        };
+        let good = Shard {
+            meta: vec![3, 1, 0],
+            verts: vec![0, 1, 2],
+            offsets: vec![0, 1, 2, 3],
+            ids: vec![1, 2, 0],
+            dists: vec![0.5; 3],
+        };
+        assert_eq!(load(&good).unwrap().neighbors(2), &[(0, 0.5)]);
+        let rows: [(&str, Damage); 9] = [
+            ("no ranks", |s| s.meta[1] = 0),
+            ("non-monotone shard 0 offsets", |s| s.offsets[1] = 9),
+            ("inconsistent shard 0 arrays", |s| s.offsets[0] = 1),
+            ("shard 0 arrays inconsistent", |s| s.offsets = vec![0, 3]),
+            ("holds the edge (7, 0.5)", |s| s.ids[2] = 7),
+            ("holds the edge (1, NaN)", |s| s.dists[0] = f32::NAN),
+            ("stores vertex 5", |s| s.verts[2] = 5),
+            ("vertex 1 is stored twice", |s| s.verts[2] = 1),
+            ("store 3 vertices of a graph of", |s| s.meta[0] = u64::MAX),
+        ];
+        for (defect, damage) in rows {
+            let mut shard = good.clone();
+            damage(&mut shard);
+            let err = load(&shard).unwrap_err();
+            assert!(err.contains(defect), "{defect}: {err}");
+        }
+        destroy_sharded(&dir, 1).unwrap();
     }
 
     #[test]

@@ -32,14 +32,13 @@ use dataset::batch::{BatchMetric, NormCache};
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use nnd::graph::{Edge, KnnGraph};
-use nnd::rnn::{
-    apply_inserts, flagged_pairs, scan_row, seed_row, RnnEdge, RnnParams, RnnRound, RnnStats,
-};
+use nnd::rnn::{apply_inserts, flagged_pairs, scan_row, seed_row, RnnEdge, RnnParams, RnnStats};
+use obs::RnnRoundReport;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
-use ygm::{ClockBreakdown, Comm, PhaseRecord, TagStats, TrafficMatrix, World};
+use ygm::{Comm, World, WorldReport};
 
 /// Per-rank mutable state of the distributed RNN pass. The three
 /// per-vertex vectors are parallel to the rank's ascending `owned` list and
@@ -224,7 +223,7 @@ fn inner_round(
     quota: usize,
     outer: u64,
     inner: u64,
-) -> RnnRound {
+) -> RnnRoundReport {
     // 1. Distance prefetch: flagged pairs grouped per (v, head).
     let reqs: Vec<RnnReq> = {
         let s = st.borrow();
@@ -289,7 +288,7 @@ fn inner_round(
     // 3. Apply, then all-reduce the round counters so every rank agrees
     // on convergence (pairs == 0) and on the reported stats.
     let added_local = apply_pending(st, owned, params.r);
-    RnnRound {
+    RnnRoundReport {
         outer,
         inner,
         pairs: comm.all_reduce_sum_u64(pairs_local),
@@ -358,13 +357,14 @@ pub(crate) fn run_rnn_rounds(
             );
             comm.trace_end("rnn_round");
             stats.dist_evals += round.pairs;
-            stats.rounds.push(round);
             if comm.rank() == 0 {
                 comm.gauge("rnn_pairs", round.pairs as f64);
                 comm.gauge("rnn_pruned", round.pruned as f64);
                 comm.gauge("rnn_added", round.added as f64);
             }
-            if round.pairs == 0 {
+            let converged = round.pairs == 0;
+            stats.rounds.push(round);
+            if converged {
                 break;
             }
         }
@@ -386,44 +386,18 @@ pub(crate) fn run_rnn_rounds(
     (rows, stats)
 }
 
-/// Everything the standalone distributed RNN pass reports.
-#[derive(Debug, Clone)]
-pub struct RnnDistReport {
-    /// Ranks the world simulated.
-    pub n_ranks: usize,
-    /// Global per-round counters (bit-identical across rank counts).
-    pub stats: RnnStats,
-    /// Virtual (simulated cluster) time, seconds.
-    pub sim_secs: f64,
-    /// Virtual time in exact nanoseconds.
-    pub sim_ns: u64,
-    /// Compute / communication / barrier decomposition.
-    pub breakdown: ClockBreakdown,
-    /// Per-phase virtual-time records.
-    pub phases: Vec<PhaseRecord>,
-    /// Real wall-clock seconds.
-    pub wall_secs: f64,
-    /// Per-tag message statistics.
-    pub tags: Vec<(u16, String, TagStats)>,
-    /// Totals over all tags.
-    pub total: TagStats,
-    /// Rank×rank×tag traffic matrix.
-    pub matrix: TrafficMatrix,
-    /// Fault counters when run under a fault plan.
-    pub faults: Option<ygm::FaultReport>,
-}
-
 /// Run the distributed RNN-Descent optimization standalone over an
 /// already-built graph (the `dnnd-optimize --opt-mode rnn` path): the
 /// graph is partitioned onto `world.n_ranks()` ranks, optimized, and
-/// reassembled.
+/// reassembled. Returns the graph, the pass's global counters
+/// (bit-identical across rank counts) and the world's run summary.
 pub fn rnn_optimize_distributed<P, M>(
     world: &World,
     base: &Arc<PointSet<P>>,
     metric: &M,
     graph: &KnnGraph,
     params: RnnParams,
-) -> (KnnGraph, RnnDistReport)
+) -> (KnnGraph, RnnStats, WorldReport<()>)
 where
     P: Point,
     M: BatchMetric<P>,
@@ -454,33 +428,19 @@ where
         comm.trace_end("rnn_optimize");
         (rows, stats)
     });
+    let (results, summary) = report.split();
     let mut rows: Vec<Vec<Edge>> = vec![Vec::new(); n];
     let mut stats = RnnStats::default();
-    for (rank_rows, rank_stats) in &report.results {
+    for (rank_rows, rank_stats) in results {
         for (v, edges) in rank_rows {
-            rows[*v as usize] = edges.clone();
+            rows[v as usize] = edges;
         }
-        stats = rank_stats.clone();
+        stats = rank_stats;
     }
     // Connectivity repair runs on the assembled rows — a pure function of
     // the capped graph, identical to the shared-memory finish.
     stats.repaired = nnd::rnn::repair_connectivity(&mut rows, params.k0);
-    (
-        KnnGraph::from_rows(rows),
-        RnnDistReport {
-            n_ranks: world.n_ranks(),
-            stats,
-            sim_secs: report.sim_secs,
-            sim_ns: report.sim_ns,
-            breakdown: report.breakdown,
-            phases: report.phases,
-            wall_secs: report.wall_secs,
-            tags: report.tags,
-            total: report.total,
-            matrix: report.matrix,
-            faults: report.faults,
-        },
-    )
+    (KnnGraph::from_rows(rows), stats, summary)
 }
 
 #[cfg(test)]
@@ -498,9 +458,10 @@ mod tests {
         let params = RnnParams::new(10).t1(2).t2(5);
         let (expect, sm_stats) = rnn_optimize(&g, &base, &L2, params);
         for ranks in [1, 2, 4] {
-            let (got, rep) = rnn_optimize_distributed(&World::new(ranks), &base, &L2, &g, params);
+            let (got, stats, _) =
+                rnn_optimize_distributed(&World::new(ranks), &base, &L2, &g, params);
             assert_eq!(got, expect, "graph diverged at {ranks} ranks");
-            assert_eq!(rep.stats, sm_stats, "stats diverged at {ranks} ranks");
+            assert_eq!(stats, sm_stats, "stats diverged at {ranks} ranks");
         }
     }
 
@@ -510,16 +471,13 @@ mod tests {
         let (g, _) = sm_build(&base, &L2, NnDescentParams::new(6).seed(5));
         let params = RnnParams::new(8);
         let world = World::new(3);
-        let (a, ra) = rnn_optimize_distributed(&world, &base, &L2, &g, params);
-        let (b, rb) = rnn_optimize_distributed(&world, &base, &L2, &g, params);
+        let (a, sa, run) = rnn_optimize_distributed(&world, &base, &L2, &g, params);
+        let (b, sb, _) = rnn_optimize_distributed(&world, &base, &L2, &g, params);
         assert_eq!(a, b);
-        assert_eq!(ra.stats, rb.stats);
+        assert_eq!(sa, sb);
         assert!(a.max_degree() <= 8);
-        assert!(ra.stats.dist_evals > 0);
+        assert!(sa.dist_evals > 0);
         // The three-hop chain actually ran.
-        assert!(ra
-            .tags
-            .iter()
-            .any(|(t, _, s)| *t == TAG_RNN_VEC && s.count > 0));
+        assert!(run.tag(TAG_RNN_VEC).is_some_and(|s| s.count > 0));
     }
 }

@@ -60,32 +60,46 @@ impl HnswSnapshot {
         Ok(())
     }
 
-    /// Load a snapshot persisted by [`HnswSnapshot::save`].
+    /// Load a snapshot persisted by [`HnswSnapshot::save`], checking what
+    /// [`HnswIndex::from_snapshot`] and a search index by, which a checksum
+    /// does not: construction parameters it accepts, every node's top layer
+    /// at most `max_layer`, an entry point on the top layer, and per layer
+    /// offsets that delimit the stored links and links to nodes on that
+    /// layer.
     pub fn load(store: &Store, prefix: &str) -> StoreResult<Self> {
         let meta: Vec<u64> = store.get(&format!("{prefix}/meta"))?;
         let [n, max_layer, entry, m, efc] = meta[..] else {
             return Err(StoreError::Decode("bad hnsw meta".into()));
         };
-        let n = n as usize;
+        if m < 2 || efc < 1 {
+            return Err(StoreError::Decode(format!(
+                "bad hnsw meta: m {m}, ef {efc}"
+            )));
+        }
         let levels: Vec<u32> = store.get(&format!("{prefix}/levels"))?;
-        if levels.len() != n {
+        if levels.len() as u64 != n {
             return Err(StoreError::Decode("levels length mismatch".into()));
         }
-        let mut layers = Vec::with_capacity(max_layer as usize + 1);
+        if let Some(node) = levels.iter().position(|&l| u64::from(l) > max_layer) {
+            return Err(StoreError::Decode(format!(
+                "node {node} is on layer {} above the top layer {max_layer}",
+                levels[node]
+            )));
+        }
+        let on_top = |e: usize| levels.get(e).is_some_and(|&l| u64::from(l) == max_layer);
+        if !usize::try_from(entry).is_ok_and(on_top) {
+            return Err(StoreError::Decode(format!(
+                "entry point {entry} is not a node of the top layer {max_layer}"
+            )));
+        }
+        let mut layers = Vec::new();
         for l in 0..=max_layer as usize {
             let offsets: Vec<u64> = store.get(&format!("{prefix}/layer{l}/offsets"))?;
             let ids: Vec<u32> = store.get(&format!("{prefix}/layer{l}/ids"))?;
-            if offsets.len() != n + 1 || offsets.last().copied() != Some(ids.len() as u64) {
-                return Err(StoreError::Decode(format!("layer {l} arrays inconsistent")));
-            }
-            let layer: Vec<Vec<PointId>> = offsets
-                .windows(2)
-                .map(|w| ids[w[0] as usize..w[1] as usize].to_vec())
-                .collect();
-            layers.push(layer);
+            layers.push(decode_layer(l, &offsets, &ids, &levels)?);
         }
         Ok(HnswSnapshot {
-            n,
+            n: levels.len(),
             max_layer: max_layer as usize,
             entry: entry as PointId,
             m: m as usize,
@@ -94,6 +108,40 @@ impl HnswSnapshot {
             layers,
         })
     }
+}
+
+/// Layer `l`'s link lists, one per node: `offsets` must delimit `ids` in
+/// order, and every link must name a node that is on layer `l`.
+fn decode_layer(
+    l: usize,
+    offsets: &[u64],
+    ids: &[u32],
+    levels: &[u32],
+) -> StoreResult<Vec<Vec<PointId>>> {
+    let bad = |what: String| StoreError::Decode(format!("layer {l} {what}"));
+    let end = ids.len() as u64;
+    if offsets.len() != levels.len() + 1 || offsets[0] != 0 || offsets.last() != Some(&end) {
+        return Err(bad("arrays inconsistent".into()));
+    }
+    let on_layer = |u: &&PointId| {
+        levels
+            .get(**u as usize)
+            .is_some_and(|&top| top as usize >= l)
+    };
+    (offsets.windows(2).enumerate())
+        .map(|(node, w)| {
+            if w[0] > w[1] || w[1] > end {
+                return Err(bad("offsets are not monotone".into()));
+            }
+            let row = &ids[w[0] as usize..w[1] as usize];
+            match row.iter().find(|u| !on_layer(u)) {
+                Some(u) => Err(bad(format!(
+                    "links node {node} to {u}, not a node of the layer"
+                ))),
+                None => Ok(row.to_vec()),
+            }
+        })
+        .collect()
 }
 
 impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
@@ -187,6 +235,68 @@ mod tests {
             let a = idx.search(base.point(probe), 5, 40);
             let b = restored.search(base.point(probe), 5, 40);
             assert_eq!(a, b, "probe {probe} diverged after restore");
+        }
+        Store::destroy(&dir).unwrap();
+    }
+
+    /// The objects of one snapshot: `meta`, `levels` and per layer
+    /// `(offsets, ids)`.
+    #[derive(Clone)]
+    struct Blobs {
+        meta: Vec<u64>,
+        levels: Vec<u32>,
+        layers: Vec<(Vec<u64>, Vec<u32>)>,
+    }
+
+    /// What one table row does to the good objects.
+    type Damage = fn(&mut Blobs);
+
+    /// One row per defect: each damaged blob is a decode error naming it,
+    /// never a panic here or in `from_snapshot` / a search later.
+    #[test]
+    fn load_rejects_arrays_that_are_not_an_index() {
+        let dir = tmpdir("damaged");
+        let mut store = Store::create(&dir).unwrap();
+        let mut load = |b: &Blobs| {
+            store.put("h/meta", &b.meta).unwrap();
+            store.put("h/levels", &b.levels).unwrap();
+            for (l, (offsets, ids)) in b.layers.iter().enumerate() {
+                store.put(&format!("h/layer{l}/offsets"), offsets).unwrap();
+                store.put(&format!("h/layer{l}/ids"), ids).unwrap();
+            }
+            HnswSnapshot::load(&store, "h").map_err(|e| e.to_string())
+        };
+        // Three nodes; node 0 is the entry and alone on layer 1.
+        let good = Blobs {
+            meta: vec![3, 1, 0, 4, 20],
+            levels: vec![1, 0, 0],
+            layers: vec![
+                (vec![0, 2, 3, 4], vec![1, 2, 0, 0]),
+                (vec![0, 0, 0, 0], vec![]),
+            ],
+        };
+        let snap = load(&good).unwrap();
+        assert_eq!((snap.n, snap.entry), (3, 0));
+        assert_eq!(snap.layers[0][0], vec![1, 2]);
+        let rows: [(&str, Damage); 10] = [
+            ("m 1", |b| b.meta[3] = 1),
+            ("levels length", |b| b.meta[0] = 4),
+            ("above the top layer", |b| b.levels[1] = 2),
+            ("entry point 9", |b| b.meta[2] = 9),
+            ("entry point 1", |b| b.meta[2] = 1),
+            ("entry point 0", |b| b.meta[1] = u64::MAX),
+            ("layer 0 arrays inconsistent", |b| b.layers[0].0[0] = 1),
+            ("layer 0 offsets are not monotone", |b| b.layers[0].0[1] = 9),
+            ("links node 1 to 7", |b| b.layers[0].1[2] = 7),
+            ("layer 1 links node 0 to 1", |b| {
+                b.layers[1] = (vec![0, 1, 1, 1], vec![1])
+            }),
+        ];
+        for (defect, damage) in rows {
+            let mut blobs = good.clone();
+            damage(&mut blobs);
+            let err = load(&blobs).unwrap_err();
+            assert!(err.contains(defect), "{defect}: {err}");
         }
         Store::destroy(&dir).unwrap();
     }

@@ -39,6 +39,7 @@ use dataset::batch::{BatchMetric, NormCache};
 use dataset::order::{sort_edges, DistKey};
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
+use obs::RnnRoundReport;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -209,26 +210,11 @@ pub fn apply_inserts(
     added
 }
 
-/// Counters for one inner round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RnnRound {
-    /// Outer round this inner round belongs to (0-based).
-    pub outer: u64,
-    /// Inner round index within the outer round (0-based).
-    pub inner: u64,
-    /// Flagged pairs checked — exactly the distance evaluations.
-    pub pairs: u64,
-    /// Edges removed by the occlusion rule.
-    pub pruned: u64,
-    /// Redirected edges actually inserted (deduplicated, pre-clamp).
-    pub added: u64,
-}
-
 /// Counters for a whole RNN-Descent optimization.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RnnStats {
     /// One entry per executed inner round.
-    pub rounds: Vec<RnnRound>,
+    pub rounds: Vec<RnnRoundReport>,
     /// Reverse edges inserted per exchange (length `t1`): entry 0 is the
     /// seed merge before the first outer round, entries `1..t1` the
     /// outer-round boundaries (the last outer round adds none).
@@ -312,12 +298,12 @@ impl RnnState {
         cache: &NormCache,
         outer: u64,
         inner: u64,
-    ) -> RnnRound {
+    ) -> RnnRoundReport {
         let n = self.rows.len();
-        let mut round = RnnRound {
+        let mut round = RnnRoundReport {
             outer,
             inner,
-            ..RnnRound::default()
+            ..RnnRoundReport::default()
         };
         let mut kept_rows: Vec<Vec<RnnEdge>> = Vec::with_capacity(n);
         let mut pending: Vec<Vec<(PointId, f32)>> = vec![Vec::new(); n];
@@ -372,7 +358,7 @@ impl RnnState {
             }
         }
         self.stats.dist_evals += round.pairs;
-        self.stats.rounds.push(round);
+        self.stats.rounds.push(round.clone());
         round
     }
 

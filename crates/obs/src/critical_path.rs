@@ -14,9 +14,9 @@
 //! What the analysis adds over the clock total is *attribution*: for each
 //! phase, which rank the barrier waited on (the critical rank / straggler),
 //! how much of the phase was compute vs communication vs stall vs
-//! retransmit overhead, and how much slack every other rank had. All inputs
-//! are `obs`-local (the `core` bridge converts from `ygm` phase records), so
-//! this crate stays dependency-free.
+//! retransmit overhead, and how much slack every other rank had. The input
+//! is the clock's own [`PhaseRecord`]s, declared here so that this crate
+//! stays dependency-free and the runtime fills them directly.
 //!
 //! Attribution categories, per phase:
 //!
@@ -36,48 +36,85 @@
 
 use crate::report::{report_struct, Gate::Rise, List, Val};
 
-/// Per-phase cost vectors, as recorded by the virtual clock. Mirrors
-/// `ygm::PhaseRecord`'s attribution payload with `obs`-local types.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PhaseCost {
-    /// Zero-based phase index.
+/// One barrier-to-barrier phase, as the virtual clock records it — the
+/// fine-grained profile behind the paper's Section 7 ask. A "phase" is
+/// everything between two consecutive barriers world-wide.
+///
+/// Besides the makespan split, each record keeps the raw per-rank cost
+/// vectors (indexed by rank) that the makespan was computed from; [`analyze`]
+/// reconstructs per-rank slack and straggler attribution from exactly these
+/// numbers, so the analysis is deterministic whenever the clock is.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhaseRecord {
+    /// Zero-based phase index (== barrier count so far).
     pub index: u64,
-    /// Exact nanoseconds this phase advanced the global clock by.
+    /// Makespan attributed to compute, seconds.
+    pub compute_secs: f64,
+    /// Makespan attributed to communication, seconds.
+    pub comm_secs: f64,
+    /// Barrier latency, seconds.
+    pub barrier_secs: f64,
+    /// Remote messages sent world-wide during the phase.
+    pub msgs: u64,
+    /// Remote bytes sent world-wide during the phase.
+    pub bytes: u64,
+    /// Exact nanoseconds this phase added to the global clock. Summing these
+    /// over all phases and subtracting from the final clock gives collective
+    /// time exactly.
     pub total_ns: u64,
-    /// Barrier latency charged to the phase, ns.
-    pub barrier_ns: f64,
-    /// Per-rank compute ns charged during the phase.
-    pub rank_compute_ns: Vec<f64>,
+    /// The per-rank figures, ns: six columns of one value per rank, back to
+    /// back in one allocation (a record is built at every barrier), in the
+    /// order of the `rank_*_ns` accessors below.
+    pub rank_ns: Vec<f64>,
+}
+
+impl PhaseRecord {
+    fn column(&self, c: usize) -> &[f64] {
+        let ranks = self.rank_ns.len() / 6;
+        &self.rank_ns[c * ranks..(c + 1) * ranks]
+    }
+
+    /// Per-rank compute nanoseconds charged during the phase.
+    pub fn rank_compute_ns(&self) -> &[f64] {
+        self.column(0)
+    }
+
     /// Per-rank send-side link cost of application traffic, ns.
-    pub rank_send_ns: Vec<f64>,
+    pub fn rank_send_ns(&self) -> &[f64] {
+        self.column(1)
+    }
+
     /// Per-rank receive-side link cost of application traffic, ns.
-    pub rank_recv_ns: Vec<f64>,
+    pub fn rank_recv_ns(&self) -> &[f64] {
+        self.column(2)
+    }
+
     /// Per-rank send-side link cost of transport traffic (retransmits,
     /// duplicates), ns.
-    pub rank_transport_send_ns: Vec<f64>,
+    pub fn rank_transport_send_ns(&self) -> &[f64] {
+        self.column(3)
+    }
+
     /// Per-rank receive-side link cost of transport traffic, ns.
-    pub rank_transport_recv_ns: Vec<f64>,
-    /// Per-rank injected-fault time, ns.
-    pub rank_fault_ns: Vec<f64>,
-}
+    pub fn rank_transport_recv_ns(&self) -> &[f64] {
+        self.column(4)
+    }
 
-/// Cost of `rank` in vector `v`, zero when the record carries fewer ranks
-/// than the world (a rank that never charged anything is absent, not an
-/// error).
-#[inline]
-fn at(v: &[f64], rank: usize) -> f64 {
-    v.get(rank).copied().unwrap_or(0.0)
-}
+    /// Per-rank injected-fault time (frame delays, stalls), ns.
+    pub fn rank_fault_ns(&self) -> &[f64] {
+        self.column(5)
+    }
 
-impl PhaseCost {
-    /// Total modelled work of `rank` in this phase, ns.
+    /// Total virtual seconds this phase contributed.
+    pub fn total_secs(&self) -> f64 {
+        self.compute_secs + self.comm_secs + self.barrier_secs
+    }
+
+    /// Total modelled work (compute + send + recv + transport + fault) of
+    /// `rank` during this phase, ns. The rank maximizing this is the
+    /// phase's critical rank — the straggler the barrier waited on.
     pub fn rank_work_ns(&self, rank: usize) -> f64 {
-        at(&self.rank_compute_ns, rank)
-            + at(&self.rank_send_ns, rank)
-            + at(&self.rank_recv_ns, rank)
-            + at(&self.rank_transport_send_ns, rank)
-            + at(&self.rank_transport_recv_ns, rank)
-            + at(&self.rank_fault_ns, rank)
+        (0..6).map(|c| self.column(c)[rank]).sum()
     }
 }
 
@@ -173,12 +210,12 @@ fn largest_remainder(total: u64, weights: &[f64]) -> Vec<u64> {
     shares
 }
 
-/// Analyze the per-phase cost vectors of a finished run.
+/// Analyze the phase records of a finished run on `n_ranks` ranks.
 ///
 /// `total_virt_ns` is the final virtual clock reading; the difference
 /// between it and the summed phase totals is attributed to collectives
 /// (which advance the clock without producing a phase record).
-pub fn analyze(phases: &[PhaseCost], total_virt_ns: u64, n_ranks: usize) -> CriticalPathSection {
+pub fn analyze(phases: &[PhaseRecord], total_virt_ns: u64, n_ranks: usize) -> CriticalPathSection {
     let mut section = CriticalPathSection {
         n_ranks: n_ranks as u64,
         phases: phases.len() as u64,
@@ -214,11 +251,11 @@ pub fn analyze(phases: &[PhaseCost], total_virt_ns: u64, n_ranks: usize) -> Crit
             section.rank_slack_ns[r] += max_work - p.rank_work_ns(r);
         }
         // Four-bucket split of the exact phase increment (see module docs).
-        let compute_w = at(&p.rank_compute_ns, critical);
-        let comm_w = at(&p.rank_send_ns, critical) + at(&p.rank_recv_ns, critical) + p.barrier_ns;
+        let compute_w = p.rank_compute_ns()[critical];
+        let comm_w = p.rank_send_ns()[critical] + p.rank_recv_ns()[critical] + p.barrier_secs * 1e9;
         let retransmit_w =
-            at(&p.rank_transport_send_ns, critical) + at(&p.rank_transport_recv_ns, critical);
-        let fault_w = at(&p.rank_fault_ns, critical);
+            p.rank_transport_send_ns()[critical] + p.rank_transport_recv_ns()[critical];
+        let fault_w = p.rank_fault_ns()[critical];
         let modelled = compute_w + comm_w + retransmit_w + fault_w;
         let residue = (p.total_ns as f64 - modelled).max(0.0);
         let stall_w = fault_w + residue;
@@ -259,17 +296,18 @@ impl CriticalPathSection {
 mod tests {
     use super::*;
 
-    fn phase(index: u64, total_ns: u64, barrier_ns: f64, work: &[[f64; 6]]) -> PhaseCost {
-        PhaseCost {
+    fn phase(index: u64, total_ns: u64, barrier_ns: f64, work: &[[f64; 6]]) -> PhaseRecord {
+        PhaseRecord {
             index,
+            compute_secs: 0.0,
+            comm_secs: 0.0,
+            barrier_secs: barrier_ns / 1e9,
+            msgs: 0,
+            bytes: 0,
             total_ns,
-            barrier_ns,
-            rank_compute_ns: work.iter().map(|w| w[0]).collect(),
-            rank_send_ns: work.iter().map(|w| w[1]).collect(),
-            rank_recv_ns: work.iter().map(|w| w[2]).collect(),
-            rank_transport_send_ns: work.iter().map(|w| w[3]).collect(),
-            rank_transport_recv_ns: work.iter().map(|w| w[4]).collect(),
-            rank_fault_ns: work.iter().map(|w| w[5]).collect(),
+            rank_ns: (0..6)
+                .flat_map(|c| work.iter().map(move |w| w[c]))
+                .collect(),
         }
     }
 

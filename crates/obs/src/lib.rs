@@ -3,8 +3,10 @@
 //!
 //! The crate is dependency-free and knows nothing about `ygm` or the engine;
 //! callers push events keyed to *both* clocks (wall time measured here,
-//! virtual simulation time passed in) and feed already-aggregated runtime
-//! statistics into [`report::RunReport`].
+//! virtual simulation time passed in) and record a run in the report's own
+//! types — the runtime fills [`FaultSection`], [`MatrixSection`] and
+//! [`PhaseRecord`]s, the RNN pass [`RnnRoundReport`]s — which
+//! [`report::RunReport`] carries as they are.
 //!
 //! Hot-path design: each simulated rank runs on its own OS thread and what
 //! it records is its own — one slot of the [`Tracer`] per rank holding a
@@ -29,7 +31,7 @@ pub mod ring;
 pub mod timeseries;
 pub mod tracer;
 
-pub use critical_path::{CriticalPathSection, PhaseAttribution, PhaseCost};
+pub use critical_path::{CriticalPathSection, PhaseAttribution, PhaseRecord};
 pub use hist::Histogram;
 pub use json::JsonValue;
 pub use report::{

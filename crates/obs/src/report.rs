@@ -2,8 +2,10 @@
 //! statistics, phase records, convergence trajectory, histograms, and
 //! (for query runs) recall.
 //!
-//! All field types are local to `obs` so the crate stays dependency-free;
-//! the binaries translate from `ygm`/engine types when filling one in.
+//! All field types are local to `obs` so the crate stays dependency-free.
+//! The records a run measures — fault counters, the traffic matrix, RNN
+//! rounds — are these types already: the runtime fills them directly, and
+//! the clock's [`PhaseRecord`]s become [`PhaseReport`] rows here.
 //!
 //! **Every field is declared once.** Each struct of the document is
 //! declared through [`report_struct!`]: a field's line carries its type,
@@ -15,7 +17,7 @@
 //! is strict: a listed key is required and typed, and only the keys whose
 //! codec says so ([`Opt`], [`NonEmpty`]) may be absent.
 
-use crate::critical_path::CriticalPathSection;
+use crate::critical_path::{CriticalPathSection, PhaseRecord};
 use crate::hist::Histogram;
 use crate::json::JsonValue as J;
 use crate::timeseries::SeriesSnapshot;
@@ -448,6 +450,19 @@ report_struct! {
     }
 }
 
+impl From<&PhaseRecord> for PhaseReport {
+    fn from(p: &PhaseRecord) -> Self {
+        PhaseReport {
+            index: p.index,
+            compute_secs: p.compute_secs,
+            comm_secs: p.comm_secs,
+            barrier_secs: p.barrier_secs,
+            msgs: p.msgs,
+            bytes: p.bytes,
+        }
+    }
+}
+
 report_struct! {
     /// One NN-Descent iteration's convergence sample.
     pub struct ConvergencePoint {
@@ -487,23 +502,40 @@ impl HistReport {
 }
 
 report_struct! {
-    /// Injected-fault and reliable-delivery counters from a simulation-tested
-    /// run (mirrors `ygm`'s `FaultReport`). Present only when the producing
-    /// world ran under a fault plan. Every counter gates exactly: new fault
-    /// activity in a candidate is growth from zero.
+    /// A run's injected faults and reliable-delivery work, as the runtime
+    /// counts them. Present only when the producing world ran under a fault
+    /// plan. Every counter gates exactly: new fault activity in a candidate
+    /// is growth from zero.
     pub struct FaultSection {
         /// Seed that replays this run's fault schedule (`--sim-seed`).
         pub sim_seed: u64 => Val;
         /// Fault profile name (`clean` / `lossy` / `stormy` / `custom`).
         pub profile: String => Val;
+        /// Frames dropped in transit (each later retransmitted).
         pub dropped: u64 => Val, Rise(0.0);
+        /// Extra frame copies injected.
         pub duplicated: u64 => Val, Rise(0.0);
+        /// Frames held past their send epoch.
         pub delayed: u64 => Val, Rise(0.0);
+        /// Rank-rounds skipped by stall injection.
         pub stalls: u64 => Val, Rise(0.0);
+        /// Early flushes forced by jitter.
         pub jittered_flushes: u64 => Val, Rise(0.0);
+        /// Frames retransmitted by the reliable-delivery layer.
         pub retransmits: u64 => Val, Rise(0.0);
+        /// Received frames discarded as already delivered (dups and
+        /// retransmit/ack races).
         pub dedup_discards: u64 => Val, Rise(0.0);
+        /// Frames that exhausted the profile's faulty attempts and were
+        /// forced through fault-free.
         pub forced_deliveries: u64 => Val, Rise(0.0);
+    }
+}
+
+impl FaultSection {
+    /// Total injected fault events (excludes the recovery-side counters).
+    pub fn injected(&self) -> u64 {
+        self.dropped + self.duplicated + self.delayed + self.stalls + self.jittered_flushes
     }
 }
 

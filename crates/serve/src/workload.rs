@@ -284,16 +284,11 @@ impl WorkloadSpec {
     }
 
     /// Upper bound of [`Self::multiplier`] over all `t_ns` — the rate the
-    /// thinning generator draws candidates at.
+    /// thinning generator draws candidates at (1 with no modulator).
     pub fn peak_multiplier(&self) -> f64 {
         let amp = self.diurnal.map_or(0.0, |d| d.amp);
         let burst = self.bursts.iter().map(|b| b.x).fold(1.0, f64::max);
         (1.0 + amp) * burst
-    }
-
-    /// Whether any rate modulator is active (selects the thinning path).
-    pub fn is_modulated(&self) -> bool {
-        self.diurnal.is_some() || !self.bursts.is_empty()
     }
 
     /// Number of tenant classes the engine tracks (1 implicit class when
@@ -472,64 +467,48 @@ impl ArrivalPlan {
         let n = params.n_arrivals as u64;
         let mut picker = PoolPicker::new(params, pool_len);
         let mut arrivals = Vec::with_capacity(params.n_arrivals);
-        let mut push = |picker: &mut PoolPicker, i: u64, t_ns: f64| {
+        // Draw a homogeneous candidate stream at the peak rate, then thin
+        // each candidate `c` with an independent accept draw at probability
+        // multiplier(t)/peak — the classic deterministic construction for
+        // inhomogeneous Poisson processes, still a pure PRF per candidate
+        // index. With no modulator the peak and every multiplier are 1, so
+        // every candidate is accepted and candidate `c` is arrival `c`.
+        let peak = spec.peak_multiplier();
+        let mean_gap_ns = 1e9 / (params.offered_qps * peak);
+        let budget = n.saturating_mul(MAX_THIN_CANDIDATES_PER_ARRIVAL);
+        let mut t_ns = 0.0f64;
+        let mut accepted = 0u64;
+        let mut c = 0u64;
+        while accepted < n {
+            if c >= budget {
+                return Err(format!(
+                    "degenerate workload spec: thinning accepted only \
+                     {accepted}/{n} arrivals after {c} candidates \
+                     (acceptance rate collapsed toward zero)"
+                ));
+            }
+            let mut gap_rng = ChaCha8Rng::seed_from_u64(mix(params.serve_seed, SALT_GAP, c, 0, 0));
+            // Inverse-CDF exponential draw; 1-u keeps ln's argument away
+            // from zero.
+            let u: f64 = gap_rng.gen_range(0.0..1.0);
+            t_ns += -(1.0 - u).ln() * mean_gap_ns;
+            let mut thin_rng =
+                ChaCha8Rng::seed_from_u64(mix(params.serve_seed, SALT_THIN, c, 0, 0));
+            let keep: f64 = thin_rng.gen_range(0.0..1.0);
+            c += 1;
+            if keep * peak >= spec.multiplier(t_ns as u64) {
+                continue;
+            }
             let slot = t_ns as u64 / params.slot_ns;
             arrivals.push(Arrival {
-                idx: i,
+                idx: accepted,
                 slot,
-                pool_id: picker.pick(params.serve_seed, i),
-                tenant: spec.tenant_of(params.serve_seed, i),
-                client: i,
+                pool_id: picker.pick(params.serve_seed, accepted),
+                tenant: spec.tenant_of(params.serve_seed, accepted),
+                client: accepted,
                 first_issue_slot: slot,
             });
-        };
-        if !spec.is_modulated() {
-            // Flat-rate path — byte-identical to the pre-DSL generator.
-            let mean_gap_ns = 1e9 / params.offered_qps;
-            let mut t_ns = 0.0f64;
-            for i in 0..n {
-                let mut gap_rng =
-                    ChaCha8Rng::seed_from_u64(mix(params.serve_seed, SALT_GAP, i, 0, 0));
-                // Inverse-CDF exponential draw; 1-u keeps ln's argument
-                // away from zero.
-                let u: f64 = gap_rng.gen_range(0.0..1.0);
-                t_ns += -(1.0 - u).ln() * mean_gap_ns;
-                push(&mut picker, i, t_ns);
-            }
-        } else {
-            // Modulated path: draw a homogeneous candidate stream at the
-            // peak rate, then thin each candidate `c` with an independent
-            // accept draw at probability multiplier(t)/peak — the
-            // classic deterministic construction for inhomogeneous
-            // Poisson processes, still a pure PRF per candidate index.
-            let peak = spec.peak_multiplier();
-            let mean_gap_ns = 1e9 / (params.offered_qps * peak);
-            let budget = n.saturating_mul(MAX_THIN_CANDIDATES_PER_ARRIVAL);
-            let mut t_ns = 0.0f64;
-            let mut accepted = 0u64;
-            let mut c = 0u64;
-            while accepted < n {
-                if c >= budget {
-                    return Err(format!(
-                        "degenerate workload spec: thinning accepted only \
-                         {accepted}/{n} arrivals after {c} candidates \
-                         (acceptance rate collapsed toward zero)"
-                    ));
-                }
-                let mut gap_rng =
-                    ChaCha8Rng::seed_from_u64(mix(params.serve_seed, SALT_GAP, c, 0, 0));
-                let u: f64 = gap_rng.gen_range(0.0..1.0);
-                t_ns += -(1.0 - u).ln() * mean_gap_ns;
-                let mut thin_rng =
-                    ChaCha8Rng::seed_from_u64(mix(params.serve_seed, SALT_THIN, c, 0, 0));
-                let keep: f64 = thin_rng.gen_range(0.0..1.0);
-                c += 1;
-                if keep * peak >= spec.multiplier(t_ns as u64) {
-                    continue;
-                }
-                push(&mut picker, accepted, t_ns);
-                accepted += 1;
-            }
+            accepted += 1;
         }
         if arrivals.is_empty() {
             return Err("degenerate workload spec produced an empty arrival plan".into());
@@ -676,10 +655,28 @@ mod tests {
         let spec = WorkloadSpec::default();
         assert_eq!(spec.arrival, ArrivalProcess::Open);
         assert_eq!(spec.pool, PoolDist::HotCold);
-        assert!(!spec.is_modulated());
+        assert_eq!(spec.peak_multiplier(), 1.0);
         assert_eq!(spec.n_tenant_classes(), 1);
         assert_eq!(spec.tenant_of(7, 123), 0);
         spec.validate().unwrap();
+    }
+
+    /// With no modulator every thinning candidate is accepted (candidate
+    /// `c` is arrival `c`); a burst of `x = 1` modulates nothing and must
+    /// give the same plan.
+    #[test]
+    fn a_unit_burst_leaves_the_default_plan_unchanged() {
+        let p = params(2_000.0, 400);
+        let mut unit = p.clone();
+        unit.workload = "open;burst:at=50ms,x=1,dur=100ms".parse().unwrap();
+        assert_eq!(unit.workload.bursts.len(), 1);
+        let plan = ArrivalPlan::generate(&p, 64);
+        assert_eq!(plan, ArrivalPlan::generate(&unit, 64));
+        assert!(plan
+            .arrivals
+            .iter()
+            .enumerate()
+            .all(|(i, a)| a.idx == i as u64));
     }
 
     #[test]

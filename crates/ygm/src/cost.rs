@@ -22,6 +22,7 @@
 //! real per-rank counters) do not.
 
 use crate::stats::Stats;
+use obs::PhaseRecord;
 
 /// Alpha-beta cost model constants. All times in nanoseconds.
 #[derive(Debug, Clone, Copy)]
@@ -129,89 +130,6 @@ impl ClockBreakdown {
     }
 }
 
-/// One barrier-to-barrier phase, as recorded by the virtual clock — the
-/// fine-grained profile behind the paper's Section 7 ask. A "phase" is
-/// everything between two consecutive barriers world-wide.
-///
-/// Besides the makespan split, each record keeps the raw per-rank cost
-/// vectors (indexed by rank) that the makespan was computed from; the
-/// `obs::critical_path` analyzer reconstructs the happens-before DAG,
-/// per-rank slack, and straggler attribution from exactly these numbers,
-/// so the analysis is deterministic whenever the clock is.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseRecord {
-    /// Zero-based phase index (== barrier count so far).
-    pub index: usize,
-    /// Makespan attributed to compute, seconds.
-    pub compute_secs: f64,
-    /// Makespan attributed to communication, seconds.
-    pub comm_secs: f64,
-    /// Barrier latency, seconds.
-    pub barrier_secs: f64,
-    /// Remote messages sent world-wide during the phase.
-    pub msgs: u64,
-    /// Remote bytes sent world-wide during the phase.
-    pub bytes: u64,
-    /// Exact nanoseconds this phase added to the global clock (the value
-    /// `now_ns` was advanced by). Summing these over all phases and
-    /// subtracting from the final clock gives collective time exactly.
-    pub total_ns: u64,
-    /// The per-rank figures, ns: six columns of one value per rank, back to
-    /// back in one allocation (a record is built at every barrier), in the
-    /// order of the `rank_*_ns` accessors below.
-    pub rank_ns: Vec<f64>,
-}
-
-impl PhaseRecord {
-    fn column(&self, c: usize) -> &[f64] {
-        let ranks = self.rank_ns.len() / 6;
-        &self.rank_ns[c * ranks..(c + 1) * ranks]
-    }
-
-    /// Per-rank compute nanoseconds charged during the phase.
-    pub fn rank_compute_ns(&self) -> &[f64] {
-        self.column(0)
-    }
-
-    /// Per-rank send-side link cost of application traffic, ns.
-    pub fn rank_send_ns(&self) -> &[f64] {
-        self.column(1)
-    }
-
-    /// Per-rank receive-side link cost of application traffic, ns.
-    pub fn rank_recv_ns(&self) -> &[f64] {
-        self.column(2)
-    }
-
-    /// Per-rank send-side link cost of transport traffic (retransmits,
-    /// duplicates), ns.
-    pub fn rank_transport_send_ns(&self) -> &[f64] {
-        self.column(3)
-    }
-
-    /// Per-rank receive-side link cost of transport traffic, ns.
-    pub fn rank_transport_recv_ns(&self) -> &[f64] {
-        self.column(4)
-    }
-
-    /// Per-rank injected-fault time (frame delays, stalls), ns.
-    pub fn rank_fault_ns(&self) -> &[f64] {
-        self.column(5)
-    }
-
-    /// Total virtual seconds this phase contributed.
-    pub fn total_secs(&self) -> f64 {
-        self.compute_secs + self.comm_secs + self.barrier_secs
-    }
-
-    /// Total modelled work (compute + send + recv + transport + fault) of
-    /// `rank` during this phase, ns. The rank maximizing this is the
-    /// phase's critical rank — the straggler the barrier waited on.
-    pub fn rank_work_ns(&self, rank: usize) -> f64 {
-        (0..6).map(|c| self.column(c)[rank]).sum()
-    }
-}
-
 /// The global virtual clock: plain integers inside the rendezvous
 /// (`crate::world`), advanced only by the last rank to arrive at a meeting —
 /// by the phase makespan computed from the per-rank phase counters in
@@ -290,7 +208,7 @@ impl VirtualClock {
         let total_ns = phase.ceil() as u64;
         self.now_ns += total_ns;
         self.phases.push(PhaseRecord {
-            index: self.phases.len(),
+            index: self.phases.len() as u64,
             compute_secs: compute_part / 1e9,
             comm_secs: comm_part / 1e9,
             barrier_secs: barrier_part / 1e9,

@@ -37,6 +37,7 @@
 //! termination-detection barrier still completes. See `DESIGN.md` §"Fault
 //! model & simulation testing".
 
+use obs::FaultSection;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -243,28 +244,19 @@ pub fn mix(seed: u64, salt: u64, a: u64, b: u64, c: u64) -> u64 {
     h
 }
 
-/// Fault and reliable-delivery counters. Each rank counts its own events in
-/// its [`crate::stats::Tally`]; the world's copy lives inside the rendezvous
-/// and absorbs the ranks' whenever they meet.
+/// The counters of a [`FaultSection`] (which documents each) while a run
+/// tallies them, without the plan's identity. Each rank counts its own
+/// events in its [`crate::stats::Tally`]; the world's copy lives inside the
+/// rendezvous and absorbs the ranks' whenever they meet.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FaultCounters {
-    /// Frames dropped in transit (each later retransmitted).
     pub dropped: u64,
-    /// Extra frame copies injected.
     pub duplicated: u64,
-    /// Frames held past their send epoch.
     pub delayed: u64,
-    /// Rank-rounds skipped by stall injection.
     pub stalls: u64,
-    /// Early flushes forced by jitter.
     pub jittered_flushes: u64,
-    /// Frames retransmitted by the reliable-delivery layer.
     pub retransmits: u64,
-    /// Received frames discarded as already-delivered (dups and
-    /// retransmit/ack races).
     pub dedup_discards: u64,
-    /// Frames that exhausted `max_faulty_attempts` and were forced
-    /// through fault-free.
     pub forced_deliveries: u64,
 }
 
@@ -282,9 +274,9 @@ impl FaultCounters {
         self.forced_deliveries += from.forced_deliveries;
     }
 
-    /// Immutable snapshot for reports.
-    pub fn report(&self, plan: &FaultPlan) -> FaultReport {
-        FaultReport {
+    /// These counts as the run report's `faults` section under `plan`.
+    pub fn report(&self, plan: &FaultPlan) -> FaultSection {
+        FaultSection {
             sim_seed: plan.sim_seed,
             profile: plan.profile.name().to_string(),
             dropped: self.dropped,
@@ -296,39 +288,6 @@ impl FaultCounters {
             dedup_discards: self.dedup_discards,
             forced_deliveries: self.forced_deliveries,
         }
-    }
-}
-
-/// Snapshot of a run's injected faults and reliable-delivery work, surfaced
-/// through [`crate::WorldReport::faults`] and the obs `RunReport`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FaultReport {
-    /// Seed that replays this run's fault schedule.
-    pub sim_seed: u64,
-    /// Profile name (`clean` / `lossy` / `stormy` / `custom`).
-    pub profile: String,
-    /// Frames dropped in transit.
-    pub dropped: u64,
-    /// Extra frame copies injected.
-    pub duplicated: u64,
-    /// Frames delayed past their send epoch.
-    pub delayed: u64,
-    /// Rank-rounds skipped by stall injection.
-    pub stalls: u64,
-    /// Early flushes forced by jitter.
-    pub jittered_flushes: u64,
-    /// Frames retransmitted by the reliable-delivery layer.
-    pub retransmits: u64,
-    /// Received frames discarded as already delivered.
-    pub dedup_discards: u64,
-    /// Frames forced through after exhausting faulty attempts.
-    pub forced_deliveries: u64,
-}
-
-impl FaultReport {
-    /// Total injected fault events (excludes the recovery-side counters).
-    pub fn injected(&self) -> u64 {
-        self.dropped + self.duplicated + self.delayed + self.stalls + self.jittered_flushes
     }
 }
 

@@ -23,6 +23,7 @@
 //! when the rank arrives at a meeting.
 
 use crate::fault::FaultCounters;
+use obs::{MatrixSection, MatrixTagReport};
 use std::collections::HashMap;
 
 /// Maximum number of distinct message tags a world supports.
@@ -35,29 +36,6 @@ pub(crate) fn check_tag(tag: u16) {
         (tag as usize) < MAX_TAGS,
         "message tag {tag} out of range (MAX_TAGS = {MAX_TAGS})"
     );
-}
-
-/// One tag's rank×rank traffic counts, row-major (`[src * n_ranks + dest]`).
-///
-/// The diagonal (rank-local sends) is included, so each tag's cells sum to
-/// that tag's cumulative [`TagStats::count`] / [`TagStats::bytes`] — the
-/// invariant the report layer asserts. Transport-level retransmits and
-/// duplicates are *not* in the matrix, matching their exclusion from the
-/// per-tag totals.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TagMatrix {
-    pub tag: u16,
-    pub name: String,
-    pub counts: Vec<u64>,
-    pub bytes: Vec<u64>,
-}
-
-/// The full rank×rank×tag traffic matrix of a run; tags with no traffic
-/// are omitted.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TrafficMatrix {
-    pub n_ranks: usize,
-    pub tags: Vec<TagMatrix>,
 }
 
 /// A snapshot of the cumulative counters for one message tag.
@@ -276,24 +254,30 @@ impl Stats {
             .collect()
     }
 
-    /// Snapshot the rank×rank traffic matrix for every tag that has sent
-    /// at least one message.
-    pub fn matrix(&self) -> TrafficMatrix {
+    /// The rank×rank traffic matrix, `[src * n_ranks + dest]`, of every tag
+    /// that has sent at least one message. The diagonal (rank-local sends) is
+    /// included, so each tag's cells sum to its [`TagStats::count`] /
+    /// [`TagStats::bytes`]; retransmits and duplicates are not in it, as they
+    /// are not in the per-tag totals.
+    pub fn matrix(&self) -> MatrixSection {
         let n = self.n_ranks;
         let tags = self
             .nonzero_tags()
             .into_iter()
             .map(|(tag, name, _)| {
                 let cells = tag as usize * n * n..(tag as usize + 1) * n * n;
-                TagMatrix {
-                    tag,
+                MatrixTagReport {
+                    tag: tag.into(),
                     name,
                     counts: self.matrix_count[cells.clone()].to_vec(),
                     bytes: self.matrix_bytes[cells].to_vec(),
                 }
             })
             .collect();
-        TrafficMatrix { n_ranks: n, tags }
+        MatrixSection {
+            n_ranks: n as u64,
+            tags,
+        }
     }
 }
 

@@ -7,11 +7,11 @@
 //! per-rank results together with timing and traffic summaries.
 
 use crate::comm::{Comm, Packet, MAX_FLOW_RANKS};
-use crate::cost::{ClockBreakdown, CostModel, PhaseRecord, VirtualClock};
-use crate::fault::{FaultCounters, FaultPlan, FaultReport};
-use crate::stats::{Stats, TagStats, Tally, TrafficMatrix};
+use crate::cost::{ClockBreakdown, CostModel, VirtualClock};
+use crate::fault::{FaultCounters, FaultPlan};
+use crate::stats::{Stats, TagStats, Tally};
 use bytes::Bytes;
-use obs::Tracer;
+use obs::{FaultSection, MatrixSection, PhaseRecord, Tracer};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -306,10 +306,37 @@ pub struct WorldReport<T> {
     pub total: TagStats,
     /// Rank×rank×tag traffic matrix (diagonal = rank-local sends); each
     /// tag's cells sum to its entry in `tags`.
-    pub matrix: TrafficMatrix,
+    pub matrix: MatrixSection,
     /// Injected-fault and reliable-delivery counters; `None` when the world
     /// ran without a [`FaultPlan`].
-    pub faults: Option<FaultReport>,
+    pub faults: Option<FaultSection>,
+}
+
+impl<T> WorldReport<T> {
+    /// Split the per-rank results from the run summary.
+    pub fn split(self) -> (Vec<T>, WorldReport<()>) {
+        let summary = WorldReport {
+            results: vec![(); self.results.len()],
+            sim_secs: self.sim_secs,
+            sim_ns: self.sim_ns,
+            breakdown: self.breakdown,
+            phases: self.phases,
+            wall_secs: self.wall_secs,
+            tags: self.tags,
+            total: self.total,
+            matrix: self.matrix,
+            faults: self.faults,
+        };
+        (self.results, summary)
+    }
+
+    /// Stats for one tag, if any message used it.
+    pub fn tag(&self, tag: u16) -> Option<TagStats> {
+        self.tags
+            .iter()
+            .find(|(t, _, _)| *t == tag)
+            .map(|(_, _, s)| *s)
+    }
 }
 
 impl<T: PartialEq + std::fmt::Debug> WorldReport<T> {
@@ -317,36 +344,12 @@ impl<T: PartialEq + std::fmt::Debug> WorldReport<T> {
     /// and the run summary. Panics with "`what` diverged across ranks" if
     /// any rank returned something else.
     pub fn into_replicated(self, what: &str) -> (T, WorldReport<()>) {
-        let WorldReport {
-            results,
-            sim_secs,
-            sim_ns,
-            breakdown,
-            phases,
-            wall_secs,
-            tags,
-            total,
-            matrix,
-            faults,
-        } = self;
-        let n = results.len();
+        let (results, summary) = self.split();
         let mut it = results.into_iter();
         let first = it.next().expect("world has at least one rank");
         for other in it {
             assert_eq!(other, first, "{what} diverged across ranks");
         }
-        let summary = WorldReport {
-            results: vec![(); n],
-            sim_secs,
-            sim_ns,
-            breakdown,
-            phases,
-            wall_secs,
-            tags,
-            total,
-            matrix,
-            faults,
-        };
         (first, summary)
     }
 }
@@ -497,16 +500,6 @@ impl World {
             matrix: m.stats.matrix(),
             faults: self.fault.map(|plan| m.faults.report(&plan)),
         }
-    }
-}
-
-impl<T> WorldReport<T> {
-    /// Stats for one tag, if any message used it.
-    pub fn tag(&self, tag: u16) -> Option<TagStats> {
-        self.tags
-            .iter()
-            .find(|(t, _, _)| *t == tag)
-            .map(|(_, _, s)| *s)
     }
 }
 

@@ -408,14 +408,16 @@ fn three_hop_chain_accounting_matches_independent_count() {
             let ctx = format!("{n} ranks, lossy = {lossy}");
 
             // Matrix, cell for cell; tags and total follow from it.
-            assert_eq!(report.matrix.n_ranks, n, "{ctx}");
+            assert_eq!(report.matrix.n_ranks, n as u64, "{ctx}");
             assert_eq!(report.matrix.tags.len(), 3, "{ctx}");
             let (mut count, mut bytes, mut remote, mut remote_bytes) = (0, 0, 0, 0);
             for (t, got) in report.matrix.tags.iter().enumerate() {
-                assert_eq!(got.tag, HOP_A + t as u16, "{ctx}");
+                assert_eq!(got.tag, u64::from(HOP_A) + t as u64, "{ctx}");
                 assert_eq!(got.counts, want.counts[t], "{ctx}: tag {} counts", got.tag);
                 assert_eq!(got.bytes, want.bytes[t], "{ctx}: tag {} bytes", got.tag);
-                let stats = report.tag(got.tag).expect("tag in matrix but not in tags");
+                let stats = report
+                    .tag(HOP_A + t as u16)
+                    .expect("tag in matrix but not in tags");
                 let off_diagonal = |cells: &[u64]| -> u64 {
                     (0..n * n)
                         .filter(|c| c / n != c % n)

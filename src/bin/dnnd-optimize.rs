@@ -22,7 +22,7 @@
 //! `--dashboard-out dash.html` a self-contained HTML dashboard.
 
 use bench::{Args, ObsOuts};
-use dnnd::obs_report::report_from_rnn_dist;
+use dnnd::obs_report::{fill_rnn, report_from_world};
 use dnnd::rnn_optimize_distributed;
 use dnnd_repro::cli::{die, or_die, require_at_least_1, store_flag, Session};
 use nnd::rnn::RnnParams;
@@ -154,7 +154,7 @@ fn rnn_mode(args: &Args, s: &mut Session, store_dir: &str, graph: KnnGraph, outs
     let world = World::new(ranks);
 
     let start = std::time::Instant::now();
-    let (optimized, report) = or_die(
+    let (optimized, stats, world_report) = or_die(
         dataset::with_metric!(s.elem.name(), s.metric.as_str(), P, metric => {
             let base = Arc::new(s.base::<P>());
             rnn_optimize_distributed(&world, &base, &metric, &graph, params)
@@ -163,7 +163,7 @@ fn rnn_mode(args: &Args, s: &mut Session, store_dir: &str, graph: KnnGraph, outs
     let secs = start.elapsed().as_secs_f64();
 
     or_die(optimized.save(&mut s.store, "rnn"));
-    let rounds = report.stats.rounds.len();
+    let rounds = stats.rounds.len();
     println!(
         "rnn-optimized in {secs:.2}s over {ranks} ranks: {} edges (max degree {}), \
          t1={} t2={} k0={} r={}, {rounds} rounds, {} distance evals",
@@ -173,12 +173,13 @@ fn rnn_mode(args: &Args, s: &mut Session, store_dir: &str, graph: KnnGraph, outs
         params.t2,
         params.k0,
         params.r,
-        report.stats.dist_evals,
+        stats.dist_evals,
     );
     println!("search graph written to {store_dir}/rnn");
 
     let run_report = || {
-        let mut rr = report_from_rnn_dist("dnnd-optimize", params, &report);
+        let mut rr = report_from_world("dnnd-optimize", ranks, &world_report);
+        fill_rnn(&mut rr, params, &stats);
         rr.wall_secs = secs;
         rr.param("store", store_dir)
             .param("opt_mode", "rnn")

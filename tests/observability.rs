@@ -219,15 +219,15 @@ fn matrix_sums_equal_reported_tag_totals() {
     // off-diagonal part to the remote totals — for the optimized protocol
     // too, whose per-edge traffic is arrival-order dependent.
     let (_, report) = traced_build(5);
-    let n = report.matrix.n_ranks;
-    assert_eq!(n, report.n_ranks);
+    let n = report.n_ranks;
+    assert_eq!(report.matrix.n_ranks, n as u64);
     assert_eq!(report.matrix.tags.len(), report.tags.len());
     for (tag, _, s) in &report.tags {
         let m = report
             .matrix
             .tags
             .iter()
-            .find(|mt| mt.tag == *tag)
+            .find(|mt| mt.tag == u64::from(*tag))
             .unwrap_or_else(|| panic!("tag {tag} missing from matrix"));
         assert_eq!(m.counts.iter().sum::<u64>(), s.count, "tag {tag} counts");
         assert_eq!(m.bytes.iter().sum::<u64>(), s.bytes, "tag {tag} bytes");

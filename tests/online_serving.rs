@@ -237,7 +237,7 @@ fn rnn_graph_serving_pins_fingerprint_and_forensics_digest_across_ranks() {
     // be rank-count-invariant; the two graphs must disagree (different
     // topology => different beam behavior => different forensics).
     let (base, graph, pool) = setup(600, 48, 3);
-    let (rnn_graph, _) =
+    let (rnn_graph, _, _) =
         dnnd::rnn_optimize_distributed(&World::new(2), &base, &L2, &graph, RnnParams::new(10));
     let rnn_graph = Arc::new(rnn_graph);
     let params = ServeParams::new(10)

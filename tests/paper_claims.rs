@@ -203,7 +203,7 @@ fn rnn_mode_recall_parity_with_fewer_edges() {
     // Section 4.5 pass at its dnnd-optimize default (prune to ceil(k*1.5)).
     let rp = raw.merge_reverse().prune((k as f64 * 1.5).ceil() as usize);
     // RNN-Descent at its default schedule, k0 = 10.
-    let (rnn, _) = dnnd::rnn_optimize_distributed(
+    let (rnn, _, _) = dnnd::rnn_optimize_distributed(
         &World::new(2),
         &base,
         &L2,
