@@ -29,7 +29,7 @@ use dataset::synth::split_queries;
 use dnnd::{build, rnn_optimize_distributed, CommOpts, DnndConfig};
 use nnd::rnn::RnnParams;
 use nnd::KnnGraph;
-use serve::{attach_serving, run_serve, ServeOutcome, ServeParams};
+use serve::{run_serve, ServeOutcome, ServeParams};
 use std::sync::Arc;
 use ygm::World;
 
@@ -155,7 +155,7 @@ fn main() {
     // serving section attached for the SLO gates.
     let mut rr = dnnd::obs_report::report_from_world("rnn", ranks, &rnn_run);
     dnnd::obs_report::fill_rnn(&mut rr, params, &rnn_stats);
-    attach_serving(&mut rr, &rnn_serve.stats);
+    rr.serving = Some(rnn_serve.stats.to_section());
     rr.recall = Some(rnn_recall);
     rr.param("mode", if smoke { "smoke" } else { "full" })
         .param("n", n)

@@ -45,9 +45,7 @@ use dataset::presets;
 use dataset::set::PointId;
 use dataset::synth::split_queries;
 use dnnd::{build, CommOpts, DnndConfig};
-use serve::{
-    attach_serving, attach_vdb, run_serve, run_serve_vdb, ServeOutcome, ServeParams, VdbServeConfig,
-};
+use serve::{run_serve, run_serve_vdb, ServeOutcome, ServeParams, VdbServeConfig, VdbServeStats};
 use std::path::Path;
 use std::sync::Arc;
 use vdb::{Collection, MetaRecord};
@@ -184,7 +182,7 @@ fn main() {
     let (_, overload, overload_recall) = sweep.last().expect("sweep is non-empty");
     let mut rr =
         dnnd::obs_report::report_from_world("serve", ranks, last_wr.as_ref().expect("ran"));
-    attach_serving(&mut rr, &overload.stats);
+    rr.serving = Some(overload.stats.to_section());
     rr.recall = Some(*overload_recall);
     rr.param("mode", if smoke { "smoke" } else { "full" })
         .param("n", n)
@@ -327,7 +325,7 @@ fn flash_crowd(
         ranks,
         faulted_wr.as_ref().expect("ran"),
     );
-    attach_serving(&mut rr, &faulted.stats);
+    rr.serving = Some(faulted.stats.to_section());
     rr.recall = Some(*faulted_recall);
     rr.param("mode", if smoke { "smoke" } else { "full" })
         .param("scenario", FLASH_SPEC)
@@ -523,8 +521,8 @@ fn vdb_sweep(
     let (_, mutating) = sweep.last().expect("sweep is non-empty");
     let mut rr =
         dnnd::obs_report::report_from_world("serve-vdb", ranks, mutating_wr.as_ref().expect("ran"));
-    attach_serving(&mut rr, &mutating.stats);
-    attach_vdb(&mut rr, &mutating.stats);
+    rr.serving = Some(mutating.stats.to_section());
+    rr.vdb = mutating.stats.vdb.as_ref().map(VdbServeStats::to_section);
     rr.param("mode", if smoke { "smoke" } else { "full" })
         .param("scenario", MUTATING_SPEC)
         .param("namespace", "bench")

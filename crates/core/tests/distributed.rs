@@ -186,6 +186,26 @@ fn graph_opt_bounds_degree_and_adds_reverse_edges() {
     );
 }
 
+/// The in-build Section 4.5 pass is `KnnGraph::optimize` of the graph the
+/// same build returns without it — row for row, distances included — at
+/// every rank count and under both protocols.
+#[test]
+fn in_build_graph_opt_equals_knn_graph_optimize() {
+    let set = clustered(300, 8, 19);
+    let k = 6;
+    for ranks in [1usize, 2, 4] {
+        for opts in [CommOpts::optimized(), CommOpts::unoptimized()] {
+            let cfg = DnndConfig::new(k).seed(23).comm_opts(opts);
+            let raw = build(&World::new(ranks), &set, &L2, cfg).graph;
+            let opt = build(&World::new(ranks), &set, &L2, cfg.graph_opt(1.5)).graph;
+            assert!(
+                opt == raw.optimize(k, 1.5),
+                "{ranks} ranks, {opts:?}: the in-build pass differs from KnnGraph::optimize"
+            );
+        }
+    }
+}
+
 #[test]
 fn distributed_matches_shared_memory_quality() {
     let set = clustered(400, 12, 29);

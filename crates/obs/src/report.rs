@@ -94,8 +94,10 @@ pub(crate) fn join(at: &str, key: &str) -> String {
 }
 
 /// What one JSON value can hold: a number, a string, a boolean, or — for a
-/// struct declared through [`report_struct!`] — an object.
-pub(crate) trait Value: Sized {
+/// struct declared through [`report_struct!`] — an object. Public so that a
+/// row of the report written on its own (a slow-query log line) is written
+/// by the same codec.
+pub trait Value: Sized {
     fn to_json(&self) -> J;
     /// Back from the JSON value at path `at`.
     fn from_json(j: &J, at: &str) -> Result<Self, ReportError>;

@@ -46,8 +46,6 @@ pub struct ResultCache {
     entries: Vec<Entry>,
     capacity: usize,
     touch: u64,
-    hits: u64,
-    misses: u64,
     evictions: u64,
 }
 
@@ -58,8 +56,6 @@ impl ResultCache {
             entries: Vec::with_capacity(capacity),
             capacity,
             touch: 0,
-            hits: 0,
-            misses: 0,
             evictions: 0,
         }
     }
@@ -68,17 +64,9 @@ impl ResultCache {
     /// cached result ids.
     pub fn get(&mut self, key: &[i64]) -> Option<Vec<PointId>> {
         self.touch += 1;
-        match self.entries.iter_mut().find(|e| e.key == key) {
-            Some(e) => {
-                e.last_touch = self.touch;
-                self.hits += 1;
-                Some(e.ids.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let e = self.entries.iter_mut().find(|e| e.key == key)?;
+        e.last_touch = self.touch;
+        Some(e.ids.clone())
     }
 
     /// Insert (or refresh) `key -> ids`, evicting the least-recently-used
@@ -120,16 +108,6 @@ impl ResultCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Lifetime hits.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lifetime misses.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Lifetime evictions.
@@ -192,13 +170,16 @@ mod tests {
         // Identical probe/insert sequences leave identical caches.
         let run = || {
             let mut c = ResultCache::new(3);
+            let mut probes = Vec::new();
             for i in 0..50i64 {
                 let key = vec![i % 7];
-                if c.get(&key).is_none() {
+                let hit = c.get(&key);
+                if hit.is_none() {
                     c.insert(key, vec![i as u32]);
                 }
+                probes.push(hit);
             }
-            (c.hits(), c.misses(), c.evictions(), c.len())
+            (probes, c.evictions(), c.len())
         };
         assert_eq!(run(), run());
     }

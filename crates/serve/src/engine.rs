@@ -29,9 +29,18 @@
 //! dispatch window are charged against that batch's queries as whole-slot
 //! latency penalties (capped), so injected faults surface in the latency
 //! SLOs without ever perturbing the control-plane decision sequence.
+//!
+//! ## One settle step
+//!
+//! A query leaves the loop by one of four verdicts — cache hit, overload
+//! shed, deadline shed, answered — and each is one call of
+//! `Ledger::settle`, which counts it into its tenant class's row and the
+//! histograms, writes its forensics row, closes its trace span and tells
+//! its client. The class rows are the run's only counters: `ServingStats`'
+//! totals are their sum, folded once after the loop.
 
 use crate::cache::{QuantizeKey, ResultCache};
-use crate::forensics::{fnv_seed, fnv_u64, hash_quantized_key, ForensicsCollector, QueryForensics};
+use crate::forensics::{fnv_seed, fnv_u64, hash_quantized_key, ForensicsCollector, Verdict};
 use crate::params::ServeParams;
 use crate::workload::{
     Arrival, ArrivalPlan, ArrivalProcess, PoolPicker, WorkloadSpec, SALT_COMPACT, SALT_MUTATE,
@@ -43,7 +52,9 @@ use dataset::set::{PointId, PointSet};
 use dnnd::query::{IdMask, SearchEngine};
 use dnnd::{DistSearchParams, QueryProfile};
 use nnd::graph::KnnGraph;
-use obs::{RunReport, ServingSection, TenantSloSection, VdbNamespaceSection, VdbSection};
+use obs::{
+    QueryForensicsSection, ServingSection, TenantSloSection, VdbNamespaceSection, VdbSection,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, VecDeque};
@@ -308,21 +319,6 @@ impl ServingStats {
     }
 }
 
-/// Attach a serving run's statistics to `report` as its
-/// `serving` section.
-pub fn attach_serving(report: &mut RunReport, stats: &ServingStats) {
-    report.serving = Some(stats.to_section());
-}
-
-/// Attach a namespaced serving run's vector-DB counters to `report` as
-/// its `vdb` section. No-op for legacy runs (`stats.vdb` is
-/// `None`), so the report stays byte-identical to pre-vdb builds.
-pub fn attach_vdb(report: &mut RunReport, stats: &ServingStats) {
-    if let Some(v) = &stats.vdb {
-        report.vdb = Some(v.to_section());
-    }
-}
-
 /// Everything one rank returns from a serving run. All fields are
 /// replicated (identical on every rank).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -336,33 +332,143 @@ pub struct ServeOutcome {
     /// (retries included). Part of the replicated state the cross-rank
     /// equality assertion covers.
     pub arrivals: Vec<Arrival>,
-    /// Per-query lifecycle forensics: the tail-sampled records, stage
-    /// waterfalls, and their digest (folded into the cross-rank
+    /// The report's `query_forensics` section: the tail-sampled records,
+    /// stage waterfalls, and their digest (folded into the cross-rank
     /// fingerprint check).
-    pub forensics: QueryForensics,
+    pub forensics: QueryForensicsSection,
 }
 
-/// In-loop per-tenant counters; folded into [`TenantStats`] at the end.
-#[derive(Default)]
-struct TenantAcc {
-    offered: u64,
-    admitted: u64,
-    answered: u64,
-    cache_hits: u64,
-    shed_overload: u64,
-    shed_deadline: u64,
-    degraded: u64,
-    hist: BTreeMap<u64, u64>,
+/// Count `n` more queries at `slots` in the sorted histogram `hist`.
+fn bump(hist: &mut Vec<(u64, u64)>, slots: u64, n: u64) {
+    match hist.binary_search_by_key(&slots, |&(s, _)| s) {
+        Ok(i) => hist[i].1 += n,
+        Err(i) => hist.insert(i, (slots, n)),
+    }
 }
 
-/// A query waiting in its tenant's frontend queue.
-struct Pending {
-    idx: u64,
-    pool_id: usize,
-    tenant: usize,
-    client: u64,
-    arrived_slot: u64,
-    first_issue_slot: u64,
+/// What a run has settled so far, and who hears of each verdict: one SLO
+/// row per tenant class (one implicit class when the workload declares
+/// none), the client-perceived histogram, the forensics rows, the answers,
+/// and the arrival source whose clients issue their next query.
+struct Ledger<'a> {
+    comm: &'a Comm,
+    rows: Vec<TenantStats>,
+    client_hist: Vec<(u64, u64)>,
+    forensics: ForensicsCollector,
+    source: ArrivalSource,
+    answers: Vec<(u64, usize, Vec<PointId>)>,
+}
+
+impl<'a> Ledger<'a> {
+    fn new(comm: &'a Comm, params: &ServeParams, pool_len: usize) -> Self {
+        let classes = &params.workload.tenants;
+        let row = |name: &str, share_pct| TenantStats {
+            name: name.to_string(),
+            share_pct,
+            ..TenantStats::default()
+        };
+        Ledger {
+            comm,
+            rows: if classes.is_empty() {
+                vec![row("", 100)]
+            } else {
+                classes.iter().map(|c| row(&c.name, c.share_pct)).collect()
+            },
+            client_hist: Vec::new(),
+            forensics: ForensicsCollector::new(
+                params.serve_seed,
+                params.forensics_window_slots,
+                params.forensics_slow_n,
+                params.deadline_slots,
+            ),
+            source: ArrivalSource::new(params, pool_len),
+            answers: Vec::new(),
+        }
+    }
+
+    /// Settle query `q` (arrived in `q.slot`, cache key `key`) by
+    /// `verdict` in `done_slot`; an answer's result is `ids`.
+    fn settle(
+        &mut self,
+        q: &Arrival,
+        key: &[i64],
+        verdict: Verdict,
+        done_slot: u64,
+        ids: Vec<PointId>,
+    ) {
+        let row = &mut self.rows[q.tenant];
+        match verdict {
+            Verdict::CacheHit => row.cache_hits += 1,
+            Verdict::ShedOverload => row.shed_overload += 1,
+            Verdict::ShedDeadline => row.shed_deadline += 1,
+            Verdict::Answered { level, .. } => {
+                row.answered += 1;
+                row.degraded += u64::from(level > 0);
+            }
+        }
+        if !verdict.is_shed() {
+            bump(&mut row.latency_hist, done_slot - q.slot, 1);
+            // Client-perceived latency anchors on the first issue, so
+            // closed-loop shed-and-retry time is charged in full.
+            bump(&mut self.client_hist, done_slot - q.first_issue_slot, 1);
+            self.answers.push((q.idx, q.pool_id, ids));
+        }
+        self.forensics
+            .record(q, hash_quantized_key(key), verdict, done_slot);
+        if self.comm.rank() == 0 {
+            self.comm.trace_async_end("query", QUERY_FLOW_BASE | q.idx);
+        }
+        self.source.on_complete(q, done_slot, verdict.is_shed());
+    }
+
+    /// Cache hits, sheds and degraded answers settled so far; rank 0
+    /// gauges their growth per slot.
+    fn gauged(&self) -> [u64; 3] {
+        let sum = |f: fn(&TenantStats) -> u64| self.rows.iter().map(f).sum();
+        [
+            sum(|r| r.cache_hits),
+            sum(|r| r.shed_overload + r.shed_deadline),
+            sum(|r| r.degraded),
+        ]
+    }
+
+    /// Fold the class rows into `stats`' totals and latency histogram (the
+    /// rows themselves become `stats.tenants` when the workload declared
+    /// classes), and hand over the run's record.
+    fn close(self, mut stats: ServingStats, classes_declared: bool) -> ServeOutcome {
+        for row in &self.rows {
+            stats.offered += row.offered;
+            stats.admitted += row.admitted;
+            stats.answered += row.answered;
+            stats.cache_hits += row.cache_hits;
+            stats.shed_overload += row.shed_overload;
+            stats.shed_deadline += row.shed_deadline;
+            stats.degraded += row.degraded;
+            for &(slots, n) in &row.latency_hist {
+                bump(&mut stats.latency_hist, slots, n);
+            }
+        }
+        if classes_declared {
+            stats.tenants = self.rows;
+        }
+        stats.client_hist = self.client_hist;
+        let mut answers = self.answers;
+        answers.sort_unstable_by_key(|&(idx, _, _)| idx);
+        let mut digest = fnv_seed();
+        for (idx, _, ids) in &answers {
+            digest = fnv_u64(digest, *idx);
+            for &id in ids {
+                digest = fnv_u64(digest, id as u64);
+            }
+        }
+        stats.result_digest = digest;
+        ServeOutcome {
+            stats,
+            answers,
+            arrivals: self.source.into_log(),
+            forensics: self.forensics.finalize(),
+        }
+    }
 }
 
 /// Where the engine gets its arrivals: the pregenerated open-loop plan,
@@ -409,20 +515,13 @@ impl ArrivalSource {
         }
     }
 
-    /// A query reached its verdict (answered, cache hit, or shed) at
+    /// Query `q` reached its verdict (answered, cache hit, or shed) at
     /// `done_slot`. Closed-loop clients schedule their next issue here —
     /// retrying shed queries with the original first-issue slot, so
     /// client-perceived latency keeps accumulating across retries.
-    fn on_complete(
-        &mut self,
-        client: u64,
-        pool_id: usize,
-        first_issue_slot: u64,
-        done_slot: u64,
-        shed: bool,
-    ) {
+    fn on_complete(&mut self, q: &Arrival, done_slot: u64, shed: bool) {
         if let ArrivalSource::Closed(c) = self {
-            c.on_complete(client, pool_id, first_issue_slot, done_slot, shed);
+            c.on_complete(q, done_slot, shed);
         }
     }
 
@@ -534,24 +633,13 @@ impl ClosedLoop {
         }
     }
 
-    fn on_complete(
-        &mut self,
-        client: u64,
-        pool_id: usize,
-        first_issue_slot: u64,
-        done_slot: u64,
-        shed: bool,
-    ) {
-        let seq = self.clients[client as usize].seq;
-        let think = self.think_slots(client, seq, done_slot);
-        let st = &mut self.clients[client as usize];
+    fn on_complete(&mut self, q: &Arrival, done_slot: u64, shed: bool) {
+        let seq = self.clients[q.client as usize].seq;
+        let think = self.think_slots(q.client, seq, done_slot);
+        let st = &mut self.clients[q.client as usize];
         st.in_flight = false;
         st.seq += 1;
-        st.retry = if shed {
-            Some((pool_id, first_issue_slot))
-        } else {
-            None
-        };
+        st.retry = shed.then_some((q.pool_id, q.first_issue_slot));
         st.next_issue = done_slot + 1 + think;
     }
 }
@@ -671,51 +759,43 @@ where
     params
         .validate()
         .unwrap_or_else(|e| panic!("invalid ServeParams: {e}"));
-    let spec = params.workload.clone();
-    let n_classes = spec.n_tenant_classes();
+    let mut ledger = Ledger::new(comm, params, pool.len());
     // Per-class queue quota: ceil(share% of the shed watermark), at least
-    // 1. The implicit single class gets the whole watermark, which makes
-    // the quota check coincide exactly with the legacy global one.
-    let quotas: Vec<usize> = if spec.tenants.is_empty() {
-        vec![params.shed_watermark]
-    } else {
-        spec.tenants
-            .iter()
-            .map(|t| ((params.shed_watermark as u64 * t.share_pct).div_ceil(100)).max(1) as usize)
-            .collect()
-    };
-    let mut source = ArrivalSource::new(params, pool.len());
+    // 1. The implicit single class holds 100 %, the whole watermark, which
+    // makes the quota check coincide exactly with the legacy global one.
+    let quotas: Vec<usize> = (ledger.rows.iter())
+        .map(|r| ((params.shed_watermark as u64 * r.share_pct).div_ceil(100)).max(1) as usize)
+        .collect();
     let mut engine = SearchEngine::new(comm, Arc::clone(base), Arc::clone(graph), metric.clone());
     comm.name_tag(TAG_RESULTS, "serve_results");
     comm.name_tag(TAG_FINGERPRINT, "serve_fingerprint");
 
     let mut timer = SlotTimer::new(params.slot_ns);
     // One FIFO per tenant class; dispatch drains them in declaration
-    // (priority) order.
-    let mut queues: Vec<VecDeque<Pending>> = (0..n_classes).map(|_| VecDeque::new()).collect();
-    let mut tacc: Vec<TenantAcc> = (0..n_classes).map(|_| TenantAcc::default()).collect();
+    // (priority) order. A queued arrival's `slot` is the slot it arrived in.
+    let mut queues: Vec<VecDeque<Arrival>> = quotas.iter().map(|_| VecDeque::new()).collect();
     let mut cache = ResultCache::new(params.cache_capacity);
-    let mut hist: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut client_hist: BTreeMap<u64, u64> = BTreeMap::new();
     let mut stats = ServingStats {
         serve_seed: params.serve_seed,
         slot_ns: params.slot_ns,
         ..ServingStats::default()
     };
-    let mut answers: Vec<(u64, usize, Vec<PointId>)> = Vec::new();
-    let mut forensics = ForensicsCollector::new(
-        params.serve_seed,
-        params.forensics_window_slots,
-        params.forensics_slow_n,
-        params.deadline_slots,
-    );
+    // The cache key is the hooks prefix (empty in legacy mode) followed by
+    // the quantized query vector, so a namespace, a predicate, or an epoch
+    // bump each isolate their own entries. It is computed at each verdict,
+    // so an epoch bump since arrival lands in the key.
+    let key_of = |hooks: &mut H, q: &Arrival| {
+        let mut key = hooks.key_prefix(q.idx);
+        key.extend(pool.point(q.pool_id as PointId).quantize(params.quant_step));
+        key
+    };
     let mut arrivals_now: Vec<Arrival> = Vec::new();
     let mut slot = 0u64;
     let mut last_retransmits = comm.fault_retransmits();
     let me = comm.rank();
     let n_ranks = comm.n_ranks();
 
-    while source.has_more() || queues.iter().any(|q| !q.is_empty()) {
+    while ledger.source.has_more() || queues.iter().any(|q| !q.is_empty()) {
         comm.trace_begin_arg("serve_slot", slot);
         // Vdb mutations land on the slot boundary, before arrivals. An
         // adjacency change (ingest/compaction) rebuilds the search engine;
@@ -724,103 +804,49 @@ where
         if let Some((b, g)) = hooks.on_slot(slot) {
             engine = SearchEngine::new(comm, b, g, metric.clone());
         }
-        // Per-slot control-plane counters (satellite gauges, rank 0).
-        let mut slot_cache_hits = 0u64;
-        let mut slot_shed = 0u64;
-        let mut slot_degraded = 0u64;
+        let gauged_before = ledger.gauged();
 
         // --- arrivals + cache probes + admission -------------------------
         arrivals_now.clear();
-        source.poll(slot, &mut arrivals_now);
+        ledger.source.poll(slot, &mut arrivals_now);
         for &a in &arrivals_now {
-            stats.offered += 1;
-            tacc[a.tenant].offered += 1;
+            let a = Arrival { slot, ..a };
+            ledger.rows[a.tenant].offered += 1;
             hooks.on_arrival(a.idx);
-            // The cache key is the hooks prefix (empty in legacy mode)
-            // followed by the quantized query vector, so a namespace, a
-            // predicate, or an epoch bump each isolate their own entries.
-            let mut key = hooks.key_prefix(a.idx);
-            key.extend(pool.point(a.pool_id as PointId).quantize(params.quant_step));
-            let key_hash = hash_quantized_key(&key);
+            let key = key_of(hooks, &a);
             // Rank 0 stands in for the frontend: one async lifecycle
             // span per query, opened at arrival and closed at the
             // verdict, joining the per-query flow arrows in the trace.
             if me == 0 {
                 comm.trace_async_begin("query", QUERY_FLOW_BASE | a.idx);
             }
-            let depth: usize = queues.iter().map(|q| q.len()).sum();
+            let depth: usize = queues.iter().map(VecDeque::len).sum();
             if let Some(mut ids) = cache.get(&key) {
                 // Same-epoch entries can still hold ids tombstoned after
                 // they were cached (deletes don't bump the epoch); strip
                 // them at hit time so a delete is honored immediately.
                 hooks.filter_cached(&mut ids);
-                stats.cache_hits += 1;
-                slot_cache_hits += 1;
-                tacc[a.tenant].cache_hits += 1;
-                *hist.entry(0).or_insert(0) += 1;
-                *tacc[a.tenant].hist.entry(0).or_insert(0) += 1;
-                *client_hist.entry(slot - a.first_issue_slot).or_insert(0) += 1;
-                forensics.cache_hit(a.idx, a.pool_id as u64, a.tenant as u64, key_hash, slot);
-                if me == 0 {
-                    comm.trace_async_end("query", QUERY_FLOW_BASE | a.idx);
-                }
-                answers.push((a.idx, a.pool_id, ids));
-                source.on_complete(a.client, a.pool_id, a.first_issue_slot, slot, false);
+                ledger.settle(&a, &key, Verdict::CacheHit, slot, ids);
             } else if depth >= params.shed_watermark || queues[a.tenant].len() >= quotas[a.tenant] {
-                stats.shed_overload += 1;
-                slot_shed += 1;
-                tacc[a.tenant].shed_overload += 1;
-                forensics.shed_overload(a.idx, a.pool_id as u64, a.tenant as u64, key_hash, slot);
-                if me == 0 {
-                    comm.trace_async_end("query", QUERY_FLOW_BASE | a.idx);
-                }
-                source.on_complete(a.client, a.pool_id, a.first_issue_slot, slot, true);
+                ledger.settle(&a, &key, Verdict::ShedOverload, slot, Vec::new());
             } else {
-                queues[a.tenant].push_back(Pending {
-                    idx: a.idx,
-                    pool_id: a.pool_id,
-                    tenant: a.tenant,
-                    client: a.client,
-                    arrived_slot: slot,
-                    first_issue_slot: a.first_issue_slot,
-                });
-                stats.admitted += 1;
-                tacc[a.tenant].admitted += 1;
+                queues[a.tenant].push_back(a);
+                ledger.rows[a.tenant].admitted += 1;
             }
         }
-        let depth: usize = queues.iter().map(|q| q.len()).sum();
+        let depth: usize = queues.iter().map(VecDeque::len).sum();
         stats.max_queue_depth = stats.max_queue_depth.max(depth as u64);
 
         // --- deadline shedding -------------------------------------------
-        for t in 0..n_classes {
-            while let Some(front) = queues[t].front() {
-                if slot - front.arrived_slot > params.deadline_slots {
-                    let p = queues[t].pop_front().unwrap();
-                    stats.shed_deadline += 1;
-                    slot_shed += 1;
-                    tacc[t].shed_deadline += 1;
-                    let mut key = hooks.key_prefix(p.idx);
-                    key.extend(pool.point(p.pool_id as PointId).quantize(params.quant_step));
-                    forensics.shed_deadline(
-                        p.idx,
-                        p.pool_id as u64,
-                        p.tenant as u64,
-                        hash_quantized_key(&key),
-                        p.arrived_slot,
-                        slot,
-                    );
-                    if me == 0 {
-                        comm.trace_async_end("query", QUERY_FLOW_BASE | p.idx);
-                    }
-                    source.on_complete(p.client, p.pool_id, p.first_issue_slot, slot, true);
-                } else {
-                    break;
-                }
+        for q in &mut queues {
+            while let Some(p) = q.pop_front_if(|p| slot - p.slot > params.deadline_slots) {
+                let key = key_of(hooks, &p);
+                ledger.settle(&p, &key, Verdict::ShedDeadline, slot, Vec::new());
             }
         }
 
         // --- degrade ladder ----------------------------------------------
-        let depth: usize = queues.iter().map(|q| q.len()).sum();
+        let depth: usize = queues.iter().map(VecDeque::len).sum();
         let level2_mark = params.degrade_watermark.midpoint(params.shed_watermark);
         let level: u8 = if depth >= level2_mark && depth >= params.degrade_watermark {
             2
@@ -833,7 +859,7 @@ where
         // --- adaptive micro-batch flush ----------------------------------
         let oldest_age = queues
             .iter()
-            .filter_map(|q| q.front().map(|p| slot - p.arrived_slot))
+            .filter_map(|q| q.front().map(|p| slot - p.slot))
             .max()
             .unwrap_or(0);
         let flush = depth > 0 && (depth >= params.batch || oldest_age >= params.flush_age_slots);
@@ -842,14 +868,10 @@ where
             let take = dispatch_capacity(params.batch, level).min(depth);
             // Priority drain: higher classes (declared earlier) fill the
             // dispatch window first; within a class, FIFO.
-            let mut items: Vec<Pending> = Vec::with_capacity(take);
+            let mut items: Vec<Arrival> = Vec::with_capacity(take);
             for q in queues.iter_mut() {
-                while items.len() < take {
-                    match q.pop_front() {
-                        Some(p) => items.push(p),
-                        None => break,
-                    }
-                }
+                let n = (take - items.len()).min(q.len());
+                items.extend(q.drain(..n));
             }
             dispatched = items.len() as u64;
             let sp = degraded_search(&params.search, level);
@@ -919,64 +941,31 @@ where
                     .iter()
                     .find(|p| p.idx == idx)
                     .expect("result for undispatched query");
-                let latency_slots = slot - p.arrived_slot + 1 + penalty;
-                *hist.entry(latency_slots).or_insert(0) += 1;
-                *tacc[p.tenant].hist.entry(latency_slots).or_insert(0) += 1;
-                // Client-perceived latency anchors on the first issue, so
-                // closed-loop shed-and-retry time is charged in full.
-                *client_hist
-                    .entry(latency_slots + (p.arrived_slot - p.first_issue_slot))
-                    .or_insert(0) += 1;
-                stats.answered += 1;
-                tacc[p.tenant].answered += 1;
-                if level > 0 {
-                    stats.degraded += 1;
-                    tacc[p.tenant].degraded += 1;
-                    slot_degraded += 1;
-                }
-                // Fresh prefix: an epoch bump since arrival means the
-                // result (computed against the current graph) is cached
-                // under the current epoch's key.
-                let mut key = hooks.key_prefix(idx);
-                key.extend(pool.point(p.pool_id as PointId).quantize(params.quant_step));
-                forensics.answered(
-                    idx,
-                    p.pool_id as u64,
-                    p.tenant as u64,
-                    hash_quantized_key(&key),
-                    p.arrived_slot,
-                    slot,
+                let key = key_of(hooks, p);
+                let verdict = Verdict::Answered {
+                    level,
                     penalty,
-                    level as u64,
-                    profile.expansions,
-                    profile.dist_evals,
-                    profile.rounds,
-                );
-                if me == 0 {
-                    comm.trace_async_end("query", QUERY_FLOW_BASE | idx);
-                }
-                cache.insert(key, ids.clone());
-                answers.push((idx, p.pool_id, ids));
-                source.on_complete(
-                    p.client,
-                    p.pool_id,
-                    p.first_issue_slot,
-                    p.arrived_slot + latency_slots,
-                    false,
-                );
+                    profile,
+                };
+                // Searched in this slot, answered one slot later plus the
+                // window's fault penalty.
+                ledger.settle(p, &key, verdict, slot + 1 + penalty, ids.clone());
+                cache.insert(key, ids);
             }
         }
 
         // --- telemetry + slot alignment ----------------------------------
         if me == 0 {
+            let gauged = ledger.gauged();
+            let settled = |i: usize| (gauged[i] - gauged_before[i]) as f64;
             comm.gauge(
                 "serve_queue_depth",
-                queues.iter().map(|q| q.len()).sum::<usize>() as f64,
+                queues.iter().map(VecDeque::len).sum::<usize>() as f64,
             );
             comm.gauge("serve_dispatched", dispatched as f64);
-            comm.gauge("serve_cache_hits", slot_cache_hits as f64);
-            comm.gauge("serve_shed", slot_shed as f64);
-            comm.gauge("serve_degraded", slot_degraded as f64);
+            comm.gauge("serve_cache_hits", settled(0));
+            comm.gauge("serve_shed", settled(1));
+            comm.gauge("serve_degraded", settled(2));
         }
         timer.align(comm);
         comm.barrier();
@@ -986,58 +975,19 @@ where
 
     stats.slots = slot;
     stats.cache_evictions = cache.evictions();
-    answers.sort_unstable_by_key(|&(idx, _, _)| idx);
-    let mut digest = fnv_seed();
-    for (idx, _, ids) in &answers {
-        digest = fnv_u64(digest, *idx);
-        for &id in ids {
-            digest = fnv_u64(digest, id as u64);
-        }
-    }
-    stats.result_digest = digest;
-    stats.latency_hist = hist.into_iter().collect();
-    stats.client_hist = client_hist.into_iter().collect();
-    if !spec.tenants.is_empty() {
-        stats.tenants = spec
-            .tenants
-            .iter()
-            .zip(tacc)
-            .map(|(tc, acc)| TenantStats {
-                name: tc.name.clone(),
-                share_pct: tc.share_pct,
-                offered: acc.offered,
-                admitted: acc.admitted,
-                answered: acc.answered,
-                cache_hits: acc.cache_hits,
-                shed_overload: acc.shed_overload,
-                shed_deadline: acc.shed_deadline,
-                degraded: acc.degraded,
-                latency_hist: acc.hist.into_iter().collect(),
-            })
-            .collect();
-    }
     stats.vdb = hooks.take_stats();
-    let forensics = forensics.finalize();
+    let outcome = ledger.close(stats, !params.workload.tenants.is_empty());
 
     // Built-in determinism check: every rank must have produced the exact
     // same replicated state — the forensics digest is folded in so a
     // divergent lifecycle record trips the assertion too.
-    let fps = all_gather(
-        comm,
-        TAG_FINGERPRINT,
-        &fnv_u64(stats.fingerprint(), forensics.digest),
-    );
+    let fingerprint = fnv_u64(outcome.stats.fingerprint(), outcome.forensics.digest);
+    let fps = all_gather(comm, TAG_FINGERPRINT, &fingerprint);
     assert!(
         fps.iter().all(|&f| f == fps[0]),
         "serving control plane diverged across ranks: {fps:?}"
     );
-
-    ServeOutcome {
-        stats,
-        answers,
-        arrivals: source.into_log(),
-        forensics,
-    }
+    outcome
 }
 
 /// Run a full serving session on `world`. Returns the replicated outcome
@@ -1444,11 +1394,10 @@ mod tests {
         assert_eq!(s.p50_ns, stats.percentile_ns(0.5));
         assert_eq!(s.latency_hist, stats.latency_hist);
         assert_eq!(s.result_digest, 42);
-        let mut report = RunReport::new("t");
-        attach_serving(&mut report, &stats);
-        assert_eq!(report.serving.as_ref().unwrap().offered, 30);
-        // And it survives the JSON round trip.
-        let back = RunReport::parse(&report.to_json_string()).unwrap();
+        let mut report = obs::RunReport::new("t");
+        report.serving = Some(stats.to_section());
+        // It survives the JSON round trip.
+        let back = obs::RunReport::parse(&report.to_json_string()).unwrap();
         assert_eq!(back.serving.unwrap(), s);
     }
 }

@@ -1,14 +1,16 @@
 //! Per-query forensics: lifecycle records, tail-based sampling, and the
 //! slow-query log.
 //!
-//! Every arrival — answered, cache hit, or shed — leaves one
-//! [`QueryRecord`] behind: its admission verdict, degrade level,
-//! quantized cache-key hash, search-effort counters, and a per-stage
-//! virtual-time waterfall (admission → batch wait → dispatch → beam
-//! search → response) whose stages **sum exactly** to the end-to-end
-//! latency in slots. All values derive from the replicated control plane
-//! and the slot clock, so the records — and everything computed from
-//! them — are bit-identical across reruns and across rank counts.
+//! Every arrival — answered, cache hit, or shed — leaves one record behind,
+//! written by [`ForensicsCollector::record`] from the slot loop's one
+//! settle step: its verdict, degrade level, quantized cache-key hash,
+//! search-effort counters, and a per-stage virtual-time waterfall
+//! (admission → batch wait → dispatch → beam search → response) whose
+//! stages **sum exactly** to the end-to-end latency in slots. The record's
+//! row is the report's own [`QueryExemplar`]. All values derive from the
+//! replicated control plane and the slot clock, so the records — and
+//! everything computed from them — are bit-identical across reruns and
+//! across rank counts.
 //!
 //! Retaining every record in the run report would dwarf the aggregates,
 //! so a deterministic *tail-based sampler* keeps only the interesting
@@ -17,21 +19,19 @@
 //! order), plus **every** shed, degraded, and deadline-missing query as
 //! unconditional exemplars. Aggregate per-stage histograms still cover
 //! *all* queries, so the sampled exemplars never bias the dashboard's
-//! stage waterfall.
+//! stage waterfall. [`ForensicsCollector::finalize`] returns the report's
+//! `query_forensics` section.
 //!
 //! Records deliberately do **not** carry the home rank: `pool_id %
 //! n_ranks` depends on the rank count and would break the bit-identity
-//! contract. The JSONL slow-query log ([`QueryForensics::slow_query_log`])
-//! derives it at write time for the run it describes.
+//! contract. The JSONL slow-query log ([`slow_query_log`]) derives it at
+//! write time for the run it describes.
 
-use obs::{QueryExemplar, QueryForensicsSection, RunReport};
+use crate::workload::Arrival;
+use dnnd::QueryProfile;
+use obs::report::Value;
+use obs::{JsonValue, QueryExemplar, QueryForensicsSection};
 use std::collections::BTreeMap;
-
-/// Attach a finalized forensics value to `report` as its
-/// `query_forensics` section.
-pub fn attach_forensics(report: &mut RunReport, forensics: &QueryForensics) {
-    report.query_forensics = Some(forensics.to_section());
-}
 
 /// PRF salt for slow-sample tie-breaking, disjoint from the salts used
 /// by `ygm::fault` and the workload generator.
@@ -63,14 +63,17 @@ pub fn hash_quantized_key(key: &[i64]) -> u64 {
 }
 
 /// How the frontend disposed of a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(u8)]
-pub enum Verdict {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
     /// Answered from the result cache in the arrival slot.
     CacheHit,
-    /// Dispatched and answered by a search.
-    #[default]
-    Answered,
+    /// Answered by a search dispatched at degrade `level`, its dispatch
+    /// window charged `penalty` whole slots of transport retransmits.
+    Answered {
+        level: u8,
+        penalty: u64,
+        profile: QueryProfile,
+    },
     /// Dropped at admission: queue above the shed watermark.
     ShedOverload,
     /// Dropped from the queue after exceeding its deadline budget.
@@ -78,118 +81,79 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    pub fn as_str(self) -> &'static str {
+    /// Whether the query was dropped unanswered.
+    pub(crate) fn is_shed(self) -> bool {
+        matches!(self, Verdict::ShedOverload | Verdict::ShedDeadline)
+    }
+
+    /// The verdict's code in the digest and its name in the report.
+    fn code(self) -> (u64, &'static str) {
         match self {
-            Verdict::CacheHit => "cache_hit",
-            Verdict::Answered => "answered",
-            Verdict::ShedOverload => "shed_overload",
-            Verdict::ShedDeadline => "shed_deadline",
+            Verdict::CacheHit => (0, "cache_hit"),
+            Verdict::Answered { .. } => (1, "answered"),
+            Verdict::ShedOverload => (2, "shed_overload"),
+            Verdict::ShedDeadline => (3, "shed_deadline"),
         }
     }
 }
 
 /// Why the sampler retained a record (bitflags).
-pub const WHY_SLOW: u32 = 1;
-pub const WHY_SHED: u32 = 2;
-pub const WHY_DEGRADED: u32 = 4;
-pub const WHY_DEADLINE_MISS: u32 = 8;
+const WHY_SLOW: u32 = 1;
+const WHY_SHED: u32 = 2;
+const WHY_DEGRADED: u32 = 4;
+const WHY_DEADLINE_MISS: u32 = 8;
 
 /// Render a `WHY_*` bitmask as a stable `"|"`-joined string.
-pub fn why_string(why: u32) -> String {
-    let mut parts = Vec::new();
-    if why & WHY_SLOW != 0 {
-        parts.push("slow");
-    }
-    if why & WHY_SHED != 0 {
-        parts.push("shed");
-    }
-    if why & WHY_DEGRADED != 0 {
-        parts.push("degraded");
-    }
-    if why & WHY_DEADLINE_MISS != 0 {
-        parts.push("deadline_miss");
-    }
-    parts.join("|")
+fn why_string(why: u32) -> String {
+    let flags = [
+        (WHY_SLOW, "slow"),
+        (WHY_SHED, "shed"),
+        (WHY_DEGRADED, "degraded"),
+        (WHY_DEADLINE_MISS, "deadline_miss"),
+    ];
+    let set: Vec<&str> = flags
+        .iter()
+        .filter(|&&(flag, _)| why & flag != 0)
+        .map(|&(_, name)| name)
+        .collect();
+    set.join("|")
 }
 
-/// The full lifecycle of one query through the serving loop. Built from
-/// replicated state only — identical on every rank and across rank
-/// counts.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct QueryRecord {
-    /// Arrival index (position in the workload plan).
-    pub idx: u64,
-    /// Query-pool id. The home rank is `pool_id % n_ranks` *for a given
-    /// run*; it is derived at log-write time, never stored.
-    pub pool_id: u64,
-    /// Tenant class index (0 when the workload declares no classes).
-    pub tenant: u64,
-    pub verdict: Verdict,
-    /// Degrade level the answering dispatch ran at (0 when not answered
-    /// by a search).
-    pub degrade_level: u64,
-    /// FNV-1a hash of the quantized cache key.
-    pub cache_key_hash: u64,
-    pub arrived_slot: u64,
-    /// Slot the verdict landed (`arrived_slot + latency_slots`, always).
-    pub done_slot: u64,
-    /// Stage waterfall, in slots. The five stages sum exactly to
-    /// `latency_slots` for every record — asserted at construction.
-    pub admission_slots: u64,
-    pub batch_wait_slots: u64,
-    pub dispatch_slots: u64,
-    pub search_slots: u64,
-    pub response_slots: u64,
-    pub latency_slots: u64,
-    /// Beam expansions executed by the answering search (0 otherwise).
-    pub expansions: u64,
-    /// Distance evaluations charged to the answering search.
-    pub dist_evals: u64,
-    /// Search rounds (frontier waves) of the answering search.
-    pub rounds: u64,
-    /// Shed past the deadline, or answered later than the deadline
-    /// budget allows.
-    pub deadline_miss: bool,
+/// Waterfall stage names, in pipeline order.
+const STAGE_NAMES: [&str; 5] = ["admission", "batch_wait", "dispatch", "search", "response"];
+
+/// The sampler's and the digest's working row: the exemplar the report
+/// will carry (its `why` is filled by the sampler) and the verdict it
+/// records.
+#[derive(Debug, Clone, PartialEq)]
+struct QueryRecord {
+    verdict: Verdict,
+    row: QueryExemplar,
 }
 
 impl QueryRecord {
-    /// Sum of the five waterfall stages — equals `latency_slots` by
-    /// construction.
-    pub fn stage_sum(&self) -> u64 {
-        self.admission_slots
-            + self.batch_wait_slots
-            + self.dispatch_slots
-            + self.search_slots
-            + self.response_slots
-    }
-
-    fn check(self) -> Self {
-        debug_assert_eq!(self.stage_sum(), self.latency_slots);
-        debug_assert_eq!(self.done_slot - self.arrived_slot, self.latency_slots);
-        self
-    }
-
     /// Fold every field into an FNV-1a accumulator.
     fn digest_into(&self, mut h: u64) -> u64 {
+        let r = &self.row;
         for v in [
-            self.idx,
-            self.pool_id,
-            self.tenant,
-            self.verdict as u64,
-            self.degrade_level,
-            self.cache_key_hash,
-            self.arrived_slot,
-            self.done_slot,
-            self.admission_slots,
-            self.batch_wait_slots,
-            self.dispatch_slots,
-            self.search_slots,
-            self.response_slots,
-            self.latency_slots,
-            self.expansions,
-            self.dist_evals,
-            self.rounds,
-            self.deadline_miss as u64,
+            r.idx,
+            r.pool_id,
+            r.tenant,
+            self.verdict.code().0,
+            r.degrade_level,
+            r.cache_key_hash,
+            r.arrived_slot,
+            r.done_slot,
+            r.admission_slots,
+            r.batch_wait_slots,
+            r.dispatch_slots,
+            r.search_slots,
+            r.response_slots,
+            r.latency_slots,
+            r.expansions,
+            r.dist_evals,
+            r.rounds,
+            r.deadline_miss as u64,
         ] {
             h = fnv_u64(h, v);
         }
@@ -197,10 +161,10 @@ impl QueryRecord {
     }
 }
 
-/// Collects one [`QueryRecord`] per arrival during a serving run; call
+/// Collects one record per arrival during a serving run; call
 /// [`Self::finalize`] after the loop drains to run the tail sampler.
 #[derive(Debug, Clone)]
-pub struct ForensicsCollector {
+pub(crate) struct ForensicsCollector {
     serve_seed: u64,
     window_slots: u64,
     slow_n: u64,
@@ -209,7 +173,12 @@ pub struct ForensicsCollector {
 }
 
 impl ForensicsCollector {
-    pub fn new(serve_seed: u64, window_slots: u64, slow_n: u64, deadline_slots: u64) -> Self {
+    pub(crate) fn new(
+        serve_seed: u64,
+        window_slots: u64,
+        slow_n: u64,
+        deadline_slots: u64,
+    ) -> Self {
         assert!(window_slots >= 1, "forensics window must be >= 1 slot");
         ForensicsCollector {
             serve_seed,
@@ -220,125 +189,60 @@ impl ForensicsCollector {
         }
     }
 
-    /// Answered from the cache in the arrival slot: every stage is 0.
-    pub fn cache_hit(&mut self, idx: u64, pool_id: u64, tenant: u64, key_hash: u64, slot: u64) {
-        self.records.push(
-            QueryRecord {
-                idx,
-                pool_id,
-                tenant,
-                verdict: Verdict::CacheHit,
-                cache_key_hash: key_hash,
-                arrived_slot: slot,
-                done_slot: slot,
-                ..QueryRecord::default()
+    /// Record query `q` (arrived in `q.slot`), settled by `verdict` in
+    /// `done_slot`. The verdict decides how the latency splits into
+    /// stages: a cache hit or an overload shed lands in its arrival slot
+    /// with none; a deadline shed spent all of it waiting in the queue; an
+    /// answered query waited, paid its fault penalty as dispatch overhead,
+    /// and searched for one slot.
+    pub(crate) fn record(&mut self, q: &Arrival, key_hash: u64, verdict: Verdict, done_slot: u64) {
+        let latency = done_slot - q.slot;
+        let mut row = QueryExemplar {
+            idx: q.idx,
+            pool_id: q.pool_id as u64,
+            tenant: q.tenant as u64,
+            verdict: verdict.code().1.to_string(),
+            cache_key_hash: key_hash,
+            arrived_slot: q.slot,
+            done_slot,
+            latency_slots: latency,
+            ..QueryExemplar::default()
+        };
+        match verdict {
+            Verdict::CacheHit | Verdict::ShedOverload => {}
+            Verdict::ShedDeadline => {
+                row.batch_wait_slots = latency;
+                row.deadline_miss = true;
             }
-            .check(),
-        );
+            Verdict::Answered {
+                level,
+                penalty,
+                profile,
+            } => {
+                row.degrade_level = level as u64;
+                row.batch_wait_slots = latency - 1 - penalty;
+                row.dispatch_slots = penalty;
+                row.search_slots = 1;
+                row.expansions = profile.expansions;
+                row.dist_evals = profile.dist_evals;
+                row.rounds = profile.rounds;
+                row.deadline_miss = latency > self.deadline_slots;
+            }
+        }
+        debug_assert_eq!(row.stage_sum(), row.latency_slots);
+        self.records.push(QueryRecord { verdict, row });
     }
 
-    /// Refused at admission: the verdict lands in the arrival slot.
-    pub fn shed_overload(&mut self, idx: u64, pool_id: u64, tenant: u64, key_hash: u64, slot: u64) {
-        self.records.push(
-            QueryRecord {
-                idx,
-                pool_id,
-                tenant,
-                verdict: Verdict::ShedOverload,
-                cache_key_hash: key_hash,
-                arrived_slot: slot,
-                done_slot: slot,
-                ..QueryRecord::default()
-            }
-            .check(),
-        );
-    }
-
-    /// Shed from the queue after aging out: all its latency was batch
-    /// wait.
-    pub fn shed_deadline(
-        &mut self,
-        idx: u64,
-        pool_id: u64,
-        tenant: u64,
-        key_hash: u64,
-        arrived_slot: u64,
-        slot: u64,
-    ) {
-        let wait = slot - arrived_slot;
-        self.records.push(
-            QueryRecord {
-                idx,
-                pool_id,
-                tenant,
-                verdict: Verdict::ShedDeadline,
-                cache_key_hash: key_hash,
-                arrived_slot,
-                done_slot: slot,
-                batch_wait_slots: wait,
-                latency_slots: wait,
-                deadline_miss: true,
-                ..QueryRecord::default()
-            }
-            .check(),
-        );
-    }
-
-    /// Answered by a dispatched search. The waterfall decomposes the
-    /// engine's latency accounting exactly: queueing time is batch wait,
-    /// the search itself is the dispatch slot (1), and transport-fault
-    /// penalties are dispatch overhead.
-    #[allow(clippy::too_many_arguments)]
-    pub fn answered(
-        &mut self,
-        idx: u64,
-        pool_id: u64,
-        tenant: u64,
-        key_hash: u64,
-        arrived_slot: u64,
-        slot: u64,
-        penalty_slots: u64,
-        degrade_level: u64,
-        expansions: u64,
-        dist_evals: u64,
-        rounds: u64,
-    ) {
-        let wait = slot - arrived_slot;
-        let latency = wait + 1 + penalty_slots;
-        self.records.push(
-            QueryRecord {
-                idx,
-                pool_id,
-                tenant,
-                verdict: Verdict::Answered,
-                degrade_level,
-                cache_key_hash: key_hash,
-                arrived_slot,
-                done_slot: arrived_slot + latency,
-                admission_slots: 0,
-                batch_wait_slots: wait,
-                dispatch_slots: penalty_slots,
-                response_slots: 0,
-                search_slots: 1,
-                latency_slots: latency,
-                expansions,
-                dist_evals,
-                rounds,
-                deadline_miss: latency > self.deadline_slots,
-            }
-            .check(),
-        );
-    }
-
-    /// Run the tail sampler and aggregate the stage histograms.
-    pub fn finalize(mut self) -> QueryForensics {
+    /// Run the tail sampler and aggregate the stage histograms into the
+    /// report's `query_forensics` section.
+    pub(crate) fn finalize(mut self) -> QueryForensicsSection {
         let considered = self.records.len() as u64;
-        self.records.sort_unstable_by_key(|r| r.idx);
+        self.records.sort_unstable_by_key(|r| r.row.idx);
 
         // Aggregate waterfall over ALL records (the sampler only thins
         // the exemplar list, never the histograms).
         let mut hists: [BTreeMap<u64, u64>; 5] = Default::default();
-        for r in &self.records {
+        for QueryRecord { row: r, .. } in &self.records {
             for (h, v) in hists.iter_mut().zip([
                 r.admission_slots,
                 r.batch_wait_slots,
@@ -362,13 +266,13 @@ impl ForensicsCollector {
         let mut by_window: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
         for (i, r) in self.records.iter().enumerate() {
             by_window
-                .entry(r.done_slot / self.window_slots)
+                .entry(r.row.done_slot / self.window_slots)
                 .or_default()
                 .push(i);
         }
         for (_, mut idxs) in by_window {
             idxs.sort_unstable_by_key(|&i| {
-                let r = &self.records[i];
+                let r = &self.records[i].row;
                 (
                     std::cmp::Reverse(r.latency_slots),
                     ygm::fault::mix(self.serve_seed, SALT_FORENSICS, r.idx, 0, 0),
@@ -382,25 +286,16 @@ impl ForensicsCollector {
         // Unconditional exemplars: every shed, degraded, and
         // deadline-missing query is kept regardless of speed.
         for (i, r) in self.records.iter().enumerate() {
-            if matches!(r.verdict, Verdict::ShedOverload | Verdict::ShedDeadline) {
+            if r.verdict.is_shed() {
                 why[i] |= WHY_SHED;
             }
-            if r.degrade_level > 0 {
+            if r.row.degrade_level > 0 {
                 why[i] |= WHY_DEGRADED;
             }
-            if r.deadline_miss {
+            if r.row.deadline_miss {
                 why[i] |= WHY_DEADLINE_MISS;
             }
         }
-
-        let sampled: Vec<(QueryRecord, u32)> = self
-            .records
-            .into_iter()
-            .zip(why)
-            .filter(|&(_, w)| w != 0)
-            .collect();
-        let retained_slow = sampled.iter().filter(|&&(_, w)| w & WHY_SLOW != 0).count() as u64;
-        let retained_exemplar = sampled.len() as u64 - retained_slow;
 
         let mut digest = fnv_seed();
         for v in [self.window_slots, self.slow_n, considered] {
@@ -413,128 +308,49 @@ impl ForensicsCollector {
                 digest = fnv_u64(digest, c);
             }
         }
-        for (r, w) in &sampled {
-            digest = r.digest_into(fnv_u64(digest, *w as u64));
+        let mut retained_slow = 0;
+        let mut exemplars = Vec::new();
+        for (r, w) in self.records.into_iter().zip(why).filter(|&(_, w)| w != 0) {
+            digest = r.digest_into(fnv_u64(digest, w as u64));
+            retained_slow += u64::from(w & WHY_SLOW != 0);
+            let why = why_string(w);
+            exemplars.push(QueryExemplar { why, ..r.row });
         }
 
-        QueryForensics {
+        QueryForensicsSection {
             window_slots: self.window_slots,
             slow_n: self.slow_n,
             considered,
+            retained: exemplars.len() as u64,
             retained_slow,
-            retained_exemplar,
-            sampled,
+            retained_exemplar: exemplars.len() as u64 - retained_slow,
             stage_hists,
+            exemplars,
             digest,
         }
     }
 }
 
-/// Waterfall stage names, in pipeline order.
-pub const STAGE_NAMES: [&str; 5] = ["admission", "batch_wait", "dispatch", "search", "response"];
-
-/// Finalized forensics of one serving run: the sampled records, the
-/// all-query stage histograms, and a digest folded into the cross-rank
-/// fingerprint check. Replicated — identical on every rank and across
-/// rank counts.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct QueryForensics {
-    pub window_slots: u64,
-    pub slow_n: u64,
-    /// Every arrival got a record; this is how many the sampler saw.
-    pub considered: u64,
-    pub retained_slow: u64,
-    pub retained_exemplar: u64,
-    /// Retained records with their `WHY_*` masks, in arrival order.
-    pub sampled: Vec<(QueryRecord, u32)>,
-    /// `(stage name, exact histogram over ALL records)` per stage.
-    pub stage_hists: Vec<(String, Vec<(u64, u64)>)>,
-    /// FNV-1a digest over the sampler configuration, histograms, and
-    /// sampled records.
-    pub digest: u64,
-}
-
-impl QueryForensics {
-    /// Translate into the run report's `query_forensics`
-    /// section.
-    pub fn to_section(&self) -> QueryForensicsSection {
-        QueryForensicsSection {
-            window_slots: self.window_slots,
-            slow_n: self.slow_n,
-            considered: self.considered,
-            retained: self.sampled.len() as u64,
-            retained_slow: self.retained_slow,
-            retained_exemplar: self.retained_exemplar,
-            stage_hists: self.stage_hists.clone(),
-            exemplars: self
-                .sampled
-                .iter()
-                .map(|(r, w)| QueryExemplar {
-                    idx: r.idx,
-                    pool_id: r.pool_id,
-                    tenant: r.tenant,
-                    verdict: r.verdict.as_str().to_string(),
-                    why: why_string(*w),
-                    degrade_level: r.degrade_level,
-                    cache_key_hash: r.cache_key_hash,
-                    arrived_slot: r.arrived_slot,
-                    done_slot: r.done_slot,
-                    admission_slots: r.admission_slots,
-                    batch_wait_slots: r.batch_wait_slots,
-                    dispatch_slots: r.dispatch_slots,
-                    search_slots: r.search_slots,
-                    response_slots: r.response_slots,
-                    latency_slots: r.latency_slots,
-                    expansions: r.expansions,
-                    dist_evals: r.dist_evals,
-                    rounds: r.rounds,
-                    deadline_miss: r.deadline_miss,
-                })
-                .collect(),
-            digest: self.digest,
-        }
+/// Render a run's retained records as a JSONL slow-query log: each
+/// exemplar as the report writes it, compact, one per line in arrival
+/// order, with its `home_rank` inserted after `tenant`. `n_ranks` is the
+/// rank count of *this* run — the home rank is derived here precisely
+/// because storing it would break rank-count bit-identity.
+pub fn slow_query_log(forensics: &QueryForensicsSection, n_ranks: usize) -> String {
+    let mut out = String::new();
+    for e in &forensics.exemplars {
+        let JsonValue::Obj(mut fields) = e.to_json() else {
+            unreachable!("an exemplar is an object")
+        };
+        let at = fields
+            .iter()
+            .position(|(k, _)| k == "tenant")
+            .map_or(0, |i| i + 1);
+        let home_rank = JsonValue::uint(e.pool_id % n_ranks as u64);
+        fields.insert(at, ("home_rank".into(), home_rank));
+        out.push_str(&format!("{}\n", JsonValue::Obj(fields)));
     }
-
-    /// Render the sampled records as a JSONL slow-query log: one compact
-    /// JSON object per line, in arrival order. `n_ranks` is the rank
-    /// count of *this* run — the home rank is derived here precisely
-    /// because storing it would break rank-count bit-identity.
-    pub fn slow_query_log(&self, n_ranks: usize) -> String {
-        let mut out = String::new();
-        for (r, w) in &self.sampled {
-            out.push_str(&format!(
-                concat!(
-                    "{{\"idx\":{},\"pool_id\":{},\"tenant\":{},\"home_rank\":{},\"verdict\":\"{}\",",
-                    "\"why\":\"{}\",\"degrade_level\":{},\"cache_key_hash\":\"{:016x}\",",
-                    "\"arrived_slot\":{},\"done_slot\":{},\"admission_slots\":{},",
-                    "\"batch_wait_slots\":{},\"dispatch_slots\":{},\"search_slots\":{},",
-                    "\"response_slots\":{},\"latency_slots\":{},\"expansions\":{},",
-                    "\"dist_evals\":{},\"rounds\":{},\"deadline_miss\":{}}}\n"
-                ),
-                r.idx,
-                r.pool_id,
-                r.tenant,
-                r.pool_id as usize % n_ranks,
-                r.verdict.as_str(),
-                why_string(*w),
-                r.degrade_level,
-                r.cache_key_hash,
-                r.arrived_slot,
-                r.done_slot,
-                r.admission_slots,
-                r.batch_wait_slots,
-                r.dispatch_slots,
-                r.search_slots,
-                r.response_slots,
-                r.latency_slots,
-                r.expansions,
-                r.dist_evals,
-                r.rounds,
-                r.deadline_miss,
-            ));
-        }
-        out
-    }
+    out
 }
 
 #[cfg(test)]
@@ -545,18 +361,61 @@ mod tests {
         ForensicsCollector::new(42, 8, 2, 8)
     }
 
+    /// Query `idx` of `pool_id` / `tenant`, arrived in `slot`.
+    fn query(idx: u64, pool_id: usize, tenant: usize, slot: u64) -> Arrival {
+        let (client, first_issue_slot) = (idx, slot);
+        Arrival {
+            idx,
+            slot,
+            pool_id,
+            tenant,
+            client,
+            first_issue_slot,
+        }
+    }
+
+    /// Answered at degrade `level` after `penalty` fault slots, with
+    /// `(expansions, dist_evals, rounds)` of search.
+    fn answered(
+        level: u8,
+        penalty: u64,
+        (expansions, dist_evals, rounds): (u64, u64, u64),
+    ) -> Verdict {
+        let profile = QueryProfile {
+            expansions,
+            dist_evals,
+            rounds,
+        };
+        Verdict::Answered {
+            level,
+            penalty,
+            profile,
+        }
+    }
+
+    /// Dispatched in `slot` and answered: done one search slot plus the
+    /// penalty later.
+    fn answer(c: &mut ForensicsCollector, q: Arrival, slot: u64, level: u8, penalty: u64) {
+        c.record(
+            &q,
+            0,
+            answered(level, penalty, (1, 1, 1)),
+            slot + 1 + penalty,
+        );
+    }
+
     #[test]
     fn stage_sums_equal_latency_for_every_verdict() {
         let mut c = collector();
-        c.cache_hit(0, 5, 0, 0xAA, 3);
-        c.shed_overload(1, 6, 0, 0xBB, 3);
-        c.shed_deadline(2, 7, 1, 0xCC, 3, 12);
-        c.answered(3, 8, 1, 0xDD, 3, 7, 2, 1, 10, 200, 11);
+        c.record(&query(0, 5, 0, 3), 0xAA, Verdict::CacheHit, 3);
+        c.record(&query(1, 6, 0, 3), 0xBB, Verdict::ShedOverload, 3);
+        c.record(&query(2, 7, 1, 3), 0xCC, Verdict::ShedDeadline, 12);
+        c.record(&query(3, 8, 1, 3), 0xDD, answered(1, 2, (10, 200, 11)), 10);
         let f = c.finalize();
         assert_eq!(f.considered, 4);
-        for (r, _) in &f.sampled {
-            assert_eq!(r.stage_sum(), r.latency_slots);
-            assert_eq!(r.done_slot - r.arrived_slot, r.latency_slots);
+        for e in &f.exemplars {
+            assert_eq!(e.stage_sum(), e.latency_slots);
+            assert_eq!(e.done_slot - e.arrived_slot, e.latency_slots);
         }
     }
 
@@ -565,48 +424,48 @@ mod tests {
         let mut c = collector();
         // arrived 3, dispatched at slot 7, 2 penalty slots:
         // latency = (7-3) + 1 + 2 = 7.
-        c.answered(0, 1, 0, 0, 3, 7, 2, 0, 5, 80, 6);
+        answer(&mut c, query(0, 1, 0, 3), 7, 0, 2);
         let f = c.finalize();
-        let (r, _) = &f.sampled[0];
-        assert_eq!(r.batch_wait_slots, 4);
-        assert_eq!(r.dispatch_slots, 2);
-        assert_eq!(r.search_slots, 1);
-        assert_eq!(r.latency_slots, 7);
-        assert_eq!(r.done_slot, 10);
+        let e = &f.exemplars[0];
+        assert_eq!(e.batch_wait_slots, 4);
+        assert_eq!(e.dispatch_slots, 2);
+        assert_eq!(e.search_slots, 1);
+        assert_eq!(e.latency_slots, 7);
+        assert_eq!(e.done_slot, 10);
     }
 
     #[test]
     fn deadline_miss_flags_follow_the_budget() {
         let mut c = ForensicsCollector::new(1, 8, 0, 4);
-        c.answered(0, 1, 0, 0, 0, 2, 0, 0, 1, 1, 1); // latency 3 <= 4
-        c.answered(1, 2, 0, 0, 0, 4, 1, 0, 1, 1, 1); // latency 6 > 4
-        c.shed_deadline(2, 3, 0, 0, 0, 5);
+        answer(&mut c, query(0, 1, 0, 0), 2, 0, 0); // latency 3 <= 4
+        answer(&mut c, query(1, 2, 0, 0), 4, 0, 1); // latency 6 > 4
+        c.record(&query(2, 3, 0, 0), 0, Verdict::ShedDeadline, 5);
         let f = c.finalize();
         // slow_n = 0: only exemplars retained, and both deadline misses
         // are among them.
         let misses: Vec<u64> = f
-            .sampled
+            .exemplars
             .iter()
-            .filter(|(r, _)| r.deadline_miss)
-            .map(|(r, _)| r.idx)
+            .filter(|e| e.deadline_miss)
+            .map(|e| e.idx)
             .collect();
         assert_eq!(misses, vec![1, 2]);
-        assert!(f.sampled.iter().all(|&(_, w)| w & WHY_SLOW == 0));
+        assert!(f.exemplars.iter().all(|e| !e.why.contains("slow")));
     }
 
     #[test]
     fn sampler_keeps_slowest_n_per_window() {
         let mut c = ForensicsCollector::new(7, 100, 1, 100);
         // Three answered queries in one window; latencies 1, 5, 3.
-        c.answered(0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1);
-        c.answered(1, 2, 0, 0, 0, 4, 0, 0, 1, 1, 1);
-        c.answered(2, 3, 0, 0, 2, 4, 0, 0, 1, 1, 1);
+        answer(&mut c, query(0, 1, 0, 0), 0, 0, 0);
+        answer(&mut c, query(1, 2, 0, 0), 4, 0, 0);
+        answer(&mut c, query(2, 3, 0, 2), 4, 0, 0);
         let f = c.finalize();
         assert_eq!(f.retained_slow, 1);
         assert_eq!(f.retained_exemplar, 0);
-        assert_eq!(f.sampled.len(), 1);
-        assert_eq!(f.sampled[0].0.idx, 1); // the latency-5 query
-        assert_eq!(f.sampled[0].1, WHY_SLOW);
+        assert_eq!(f.exemplars.len(), 1);
+        assert_eq!(f.exemplars[0].idx, 1); // the latency-5 query
+        assert_eq!(f.exemplars[0].why, "slow");
         // Histograms still cover all three records.
         assert_eq!(f.considered, 3);
         let search = &f.stage_hists[3];
@@ -617,22 +476,22 @@ mod tests {
     #[test]
     fn shed_and_degraded_are_unconditional_exemplars() {
         let mut c = ForensicsCollector::new(7, 8, 0, 100);
-        c.shed_overload(0, 1, 0, 0, 0);
-        c.answered(1, 2, 0, 0, 0, 0, 0, 2, 1, 1, 1);
-        c.cache_hit(2, 3, 0, 0, 1);
+        c.record(&query(0, 1, 0, 0), 0, Verdict::ShedOverload, 0);
+        answer(&mut c, query(1, 2, 0, 0), 0, 2, 0);
+        c.record(&query(2, 3, 0, 1), 0, Verdict::CacheHit, 1);
         let f = c.finalize();
-        assert_eq!(f.sampled.len(), 2);
-        assert_eq!(f.sampled[0].1, WHY_SHED);
-        assert_eq!(f.sampled[1].1, WHY_DEGRADED);
+        assert_eq!(f.exemplars.len(), 2);
+        assert_eq!(f.exemplars[0].why, "shed");
+        assert_eq!(f.exemplars[1].why, "degraded");
         assert_eq!(f.retained_exemplar, 2);
     }
 
     #[test]
     fn finalize_is_deterministic_and_digest_covers_records() {
         let fill = |c: &mut ForensicsCollector| {
-            c.cache_hit(0, 5, 0, 0xAA, 0);
-            c.answered(1, 6, 0, 0xBB, 0, 3, 1, 1, 4, 60, 5);
-            c.shed_deadline(2, 7, 0, 0xCC, 1, 10);
+            c.record(&query(0, 5, 0, 0), 0xAA, Verdict::CacheHit, 0);
+            c.record(&query(1, 6, 0, 0), 0xBB, answered(1, 1, (4, 60, 5)), 5);
+            c.record(&query(2, 7, 0, 1), 0xCC, Verdict::ShedDeadline, 10);
         };
         let mut a = collector();
         let mut b = collector();
@@ -641,7 +500,7 @@ mod tests {
         let fa = a.finalize();
         assert_eq!(fa, b.clone().finalize());
         // Perturbing one record changes the digest.
-        b.records[1].dist_evals += 1;
+        b.records[1].row.dist_evals += 1;
         assert_ne!(fa.digest, b.finalize().digest);
     }
 
@@ -651,9 +510,9 @@ mod tests {
         // only on the seed.
         let run = |seed: u64| {
             let mut c = ForensicsCollector::new(seed, 8, 1, 100);
-            c.answered(0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1);
-            c.answered(1, 2, 0, 0, 0, 0, 0, 0, 1, 1, 1);
-            c.finalize().sampled[0].0.idx
+            answer(&mut c, query(0, 1, 0, 0), 0, 0, 0);
+            answer(&mut c, query(1, 2, 0, 0), 0, 0, 0);
+            c.finalize().exemplars[0].idx
         };
         let picks: Vec<u64> = (0..64).map(run).collect();
         assert!(picks.contains(&0) && picks.contains(&1));
@@ -661,30 +520,33 @@ mod tests {
     }
 
     #[test]
-    fn section_translation_and_log_derive_home_rank() {
+    fn section_rows_and_log_derive_home_rank() {
         let mut c = collector();
-        c.answered(3, 10, 1, 0xFEED, 0, 9, 0, 1, 2, 30, 3);
+        c.record(&query(3, 10, 1, 0), 0xFEED, answered(1, 0, (2, 30, 3)), 10);
         let f = c.finalize();
-        let s = f.to_section();
-        assert_eq!(s.considered, 1);
-        assert_eq!(s.exemplars.len(), 1);
-        let e = &s.exemplars[0];
+        assert_eq!(f.considered, 1);
+        assert_eq!(f.exemplars.len(), 1);
+        let e = &f.exemplars[0];
         assert_eq!(e.verdict, "answered");
         assert_eq!(e.tenant, 1);
         assert!(e.why.contains("slow") && e.why.contains("degraded"));
         assert!(e.deadline_miss); // latency 10 > deadline 8
         assert_eq!(e.stage_sum(), e.latency_slots);
-        assert_eq!(s.digest, f.digest);
 
-        let log = f.slow_query_log(4);
+        let log = slow_query_log(&f, 4);
         let line = log.lines().next().unwrap();
-        assert!(line.contains("\"home_rank\":2")); // 10 % 4
-        assert!(line.contains("\"tenant\":1"));
-        assert!(line.contains("\"cache_key_hash\":\"000000000000feed\""));
-        assert!(line.contains("\"deadline_miss\":true"));
-        // One JSON object per line, parseable.
-        obs::json::JsonValue::parse(line).unwrap();
-        assert_ne!(f.slow_query_log(3), log); // home rank is per-run
+        // The log line is the report's exemplar with the home rank
+        // (10 % 4) after the tenant, byte for byte.
+        assert_eq!(
+            line,
+            "{\"idx\":3,\"pool_id\":10,\"tenant\":1,\"home_rank\":2,\"verdict\":\"answered\",\
+             \"why\":\"slow|degraded|deadline_miss\",\"degrade_level\":1,\
+             \"cache_key_hash\":\"000000000000feed\",\"arrived_slot\":0,\"done_slot\":10,\
+             \"admission_slots\":0,\"batch_wait_slots\":9,\"dispatch_slots\":0,\
+             \"search_slots\":1,\"response_slots\":0,\"latency_slots\":10,\"expansions\":2,\
+             \"dist_evals\":30,\"rounds\":3,\"deadline_miss\":true}"
+        );
+        assert_ne!(slow_query_log(&f, 3), log); // home rank is per-run
     }
 
     #[test]

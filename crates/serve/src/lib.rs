@@ -22,6 +22,18 @@
 //!   that trades per-query search quality for drain rate, and SLO
 //!   telemetry into the run report (`serving` section).
 //!
+//! A query leaves the loop by one of four verdicts — cache hit, overload
+//! shed, deadline shed, answered — and each verdict is settled in one
+//! step: it is counted into its tenant class's row (one implicit class
+//! when the workload declares none) and the latency histograms, recorded
+//! as one [`forensics`] row, its trace span is closed and its client
+//! learns of it. The class rows are the only counters; the run's totals
+//! are their sum. [`ServeOutcome::forensics`] is the report's own
+//! `query_forensics` section, and [`forensics::slow_query_log`] writes its
+//! exemplars with the report's codec. A caller assigns the sections to its
+//! report: `stats.to_section()`, `outcome.forensics`, and — for a
+//! namespaced run — `stats.vdb`'s.
+//!
 //! ## Determinism contract
 //!
 //! For a fixed `(serve seed, ServeParams, base set, graph, query pool)`,
@@ -55,10 +67,10 @@ pub mod workload;
 
 pub use cache::{QuantizeKey, ResultCache};
 pub use engine::{
-    attach_serving, attach_vdb, run_serve, run_serve_vdb, serve_on_comm, serve_vdb_on_comm,
-    ServeOutcome, ServingStats, TenantStats, VdbServeConfig, VdbServeStats,
+    run_serve, run_serve_vdb, serve_on_comm, serve_vdb_on_comm, ServeOutcome, ServingStats,
+    TenantStats, VdbServeConfig, VdbServeStats,
 };
-pub use forensics::{attach_forensics, ForensicsCollector, QueryForensics, QueryRecord, Verdict};
+pub use forensics::slow_query_log;
 pub use graph_mode::GraphMode;
 pub use params::ServeParams;
 pub use workload::{

@@ -14,8 +14,9 @@ use dnnd::DistSearchParams;
 use std::fmt;
 
 /// Parameters of one online serving run. Construct with [`ServeParams::new`]
-/// and the builder methods (each validates its argument), or start from
-/// [`Default`] and adjust.
+/// and the builder methods (each returns a value that passes
+/// [`ServeParams::validate`]), or start from [`Default`], adjust, and
+/// validate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeParams {
     /// Search quality at degrade level 0 (`l`, `epsilon`,
@@ -93,12 +94,10 @@ impl ServeParams {
         }
     }
 
-    /// Set the workload scenario (must validate).
+    /// Set the workload scenario.
     pub fn workload(mut self, spec: WorkloadSpec) -> Self {
-        spec.validate()
-            .unwrap_or_else(|e| panic!("ServeParams: invalid workload: {e}"));
         self.workload = spec;
-        self
+        self.checked()
     }
 
     /// Parse and set the workload scenario from a `--workload` spec
@@ -111,17 +110,13 @@ impl ServeParams {
         self
     }
 
-    /// Set the forensics tail sampler: window width in slots (must be at
-    /// least 1) and slowest-per-window retention count (0 disables the
-    /// slow-path samples, keeping only unconditional exemplars).
+    /// Set the forensics tail sampler: window width in slots and
+    /// slowest-per-window retention count (0 disables the slow-path
+    /// samples, keeping only unconditional exemplars).
     pub fn forensics(mut self, window_slots: u64, slow_n: u64) -> Self {
-        assert!(
-            window_slots >= 1,
-            "ServeParams: forensics_window_slots must be >= 1"
-        );
         self.forensics_window_slots = window_slots;
         self.forensics_slow_n = slow_n;
-        self
+        self.checked()
     }
 
     /// Set the serve seed.
@@ -130,90 +125,75 @@ impl ServeParams {
         self
     }
 
-    /// Set the slot duration (must be positive).
+    /// Set the slot duration.
     pub fn slot_ns(mut self, ns: u64) -> Self {
-        assert!(ns > 0, "ServeParams: slot_ns must be positive");
         self.slot_ns = ns;
-        self
+        self.checked()
     }
 
-    /// Set the offered load (must be finite and positive).
+    /// Set the offered load.
     pub fn offered_qps(mut self, qps: f64) -> Self {
-        assert!(
-            qps.is_finite() && qps > 0.0,
-            "ServeParams: offered_qps must be finite and > 0 (got {qps})"
-        );
         self.offered_qps = qps;
-        self
+        self.checked()
     }
 
-    /// Set the workload length (must be >= 1).
+    /// Set the workload length.
     pub fn n_arrivals(mut self, n: usize) -> Self {
-        assert!(n >= 1, "ServeParams: n_arrivals must be >= 1");
         self.n_arrivals = n;
-        self
+        self.checked()
     }
 
-    /// Set the hot-pool skew (fraction in `[0, 1]`, pool size >= 1).
+    /// Set the hot-pool skew: draw fraction and pool size.
     pub fn hot_set(mut self, fraction: f64, pool: usize) -> Self {
-        assert!(
-            fraction.is_finite() && (0.0..=1.0).contains(&fraction),
-            "ServeParams: hot_fraction must be in [0, 1] (got {fraction})"
-        );
-        assert!(pool >= 1, "ServeParams: hot_pool must be >= 1");
         self.hot_fraction = fraction;
         self.hot_pool = pool;
-        self
+        self.checked()
     }
 
-    /// Set the micro-batch size B (must be >= 1).
+    /// Set the micro-batch size B.
     pub fn batch(mut self, b: usize) -> Self {
-        assert!(b >= 1, "ServeParams: batch must be >= 1");
         self.batch = b;
-        self
+        self.checked()
     }
 
-    /// Set the age-based flush deadline in slots (must be >= 1).
+    /// Set the age-based flush deadline in slots.
     pub fn flush_age_slots(mut self, s: u64) -> Self {
-        assert!(s >= 1, "ServeParams: flush_age_slots must be >= 1");
         self.flush_age_slots = s;
-        self
+        self.checked()
     }
 
-    /// Set the per-query deadline budget in slots (must be >= 1).
+    /// Set the per-query deadline budget in slots.
     pub fn deadline_slots(mut self, s: u64) -> Self {
-        assert!(s >= 1, "ServeParams: deadline_slots must be >= 1");
         self.deadline_slots = s;
-        self
+        self.checked()
     }
 
-    /// Set the degrade/shed queue-depth watermarks
-    /// (`0 < degrade <= shed`).
+    /// Set the degrade/shed queue-depth watermarks.
     pub fn watermarks(mut self, degrade: usize, shed: usize) -> Self {
-        assert!(
-            degrade >= 1 && shed >= degrade,
-            "ServeParams: watermarks must satisfy 1 <= degrade <= shed \
-             (got degrade {degrade}, shed {shed})"
-        );
         self.degrade_watermark = degrade;
         self.shed_watermark = shed;
-        self
+        self.checked()
     }
 
-    /// Set the cache capacity (0 disables) and key quantization step
-    /// (must be finite and positive).
+    /// Set the cache capacity (0 disables) and key quantization step.
     pub fn cache(mut self, capacity: usize, quant_step: f32) -> Self {
-        assert!(
-            quant_step.is_finite() && quant_step > 0.0,
-            "ServeParams: quant_step must be finite and > 0 (got {quant_step})"
-        );
         self.cache_capacity = capacity;
         self.quant_step = quant_step;
+        self.checked()
+    }
+
+    /// The builders' one check: the value they return passes
+    /// [`Self::validate`], or they panic with its message.
+    fn checked(self) -> Self {
+        if let Err(e) = self.validate() {
+            panic!("ServeParams: {e}");
+        }
         self
     }
 
-    /// Check every invariant the builders enforce (for parameter sets
-    /// filled directly, e.g. from CLI flags).
+    /// Check every invariant of a parameter set — the one statement of
+    /// each, which the builders and the CLI (filling fields directly) both
+    /// call.
     pub fn validate(&self) -> Result<(), String> {
         self.search.validate()?;
         if self.slot_ns == 0 {

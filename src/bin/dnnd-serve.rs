@@ -32,8 +32,7 @@ use dnnd_repro::cli::{
 };
 use metall::Store;
 use serve::{
-    attach_forensics, attach_serving, attach_vdb, run_serve, run_serve_vdb, GraphMode, ServeParams,
-    VdbServeConfig,
+    run_serve, run_serve_vdb, slow_query_log, GraphMode, ServeParams, VdbServeConfig, VdbServeStats,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -247,26 +246,22 @@ fn main() {
     println!(
         "forensics: {} queries profiled, {} retained ({} slowest-per-window, {} exemplars), \
          digest {:016x}",
-        f.considered,
-        f.sampled.len(),
-        f.retained_slow,
-        f.retained_exemplar,
-        f.digest
+        f.considered, f.retained, f.retained_slow, f.retained_exemplar, f.digest
     );
 
     // Tail-sampled slow-query log: one JSON object per retained record,
     // with the home rank derived for *this* run's rank count.
     if !slow_log.is_empty() {
-        std::fs::write(&slow_log, f.slow_query_log(ranks))
+        std::fs::write(&slow_log, slow_query_log(f, ranks))
             .unwrap_or_else(|e| die(&format!("cannot write {slow_log}: {e}")));
         println!("slow-query log written to {slow_log}");
     }
 
     let run_report = || {
         let mut rr = dnnd::obs_report::report_from_world("dnnd-serve", ranks, &wr);
-        attach_serving(&mut rr, s);
-        attach_forensics(&mut rr, f);
-        attach_vdb(&mut rr, s);
+        rr.serving = Some(s.to_section());
+        rr.query_forensics = Some(f.clone());
+        rr.vdb = s.vdb.as_ref().map(VdbServeStats::to_section);
         rr.param("store", &store_dir)
             .param("l", params.search.l)
             .param("epsilon", params.search.epsilon)

@@ -159,9 +159,10 @@ impl StoredPoint for Vec<u8> {
     }
 }
 
-/// The query set of a run over `base`: the `--queries` file when given,
-/// else the last `n` member points re-queried (the graph indexes all of
-/// `base`, so ids stay valid), which needs `0 < n < N`; `flag` names `n`.
+/// The query set of a run over `base`: the `--queries` file when given —
+/// at least one vector, each of `base`'s dimension — else the last `n`
+/// member points re-queried (the graph indexes all of `base`, so ids stay
+/// valid), which needs `0 < n < N`; `flag` names `n`.
 pub fn query_pool<P: StoredPoint>(
     base: &PointSet<P>,
     file: &str,
@@ -169,7 +170,19 @@ pub fn query_pool<P: StoredPoint>(
     flag: &str,
 ) -> PointSet<P> {
     if !file.is_empty() {
-        return P::read_queries(file).unwrap_or_else(|e| die(&format!("bad --queries file: {e}")));
+        let queries =
+            P::read_queries(file).unwrap_or_else(|e| die(&format!("bad --queries file: {e}")));
+        if queries.is_empty() {
+            die("--queries holds 0 vectors (need at least 1)");
+        }
+        if let Some(q) = queries.points().iter().find(|q| q.dim() != base.dim()) {
+            die(&format!(
+                "--queries vectors have dimension {}, the dataset's have {}",
+                q.dim(),
+                base.dim()
+            ));
+        }
+        return queries;
     }
     if n == 0 || n >= base.len() {
         die(&format!(

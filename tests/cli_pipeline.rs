@@ -223,6 +223,14 @@ fn bad_flag_exits_2_on_every_binary() {
     let construct = format!("--input preset:deep1b --n 200 --k 6 --ranks 2 --store {store}");
     let args: Vec<&str> = construct.split(' ').collect();
     run_ok(env!("CARGO_BIN_EXE_dnnd-construct"), &args);
+    // Query files no pool can be drawn from: no vectors at all, and
+    // vectors of another dimension than the store's 96.
+    let empty = dir.join("empty.fvecs");
+    std::fs::write(&empty, b"").unwrap();
+    let narrow = dir.join("narrow.fvecs");
+    let narrow_set = dataset::set::PointSet::new(vec![vec![0.5f32; 4]; 3]);
+    dataset::io::write_fvecs(&narrow, &narrow_set).unwrap();
+    let (empty, narrow) = (empty.to_str().unwrap(), narrow.to_str().unwrap());
     let before = dir_listing(dir.path());
     let construct_bin = env!("CARGO_BIN_EXE_dnnd-construct");
     let on_fresh = format!("--input preset:deep1b --store {fresh}");
@@ -359,6 +367,29 @@ fn bad_flag_exits_2_on_every_binary() {
             format!("--store {store} --pool 0"),
             "error: --pool must be above 0 and below the dataset size 200 (got 0), \
              unless --queries <file> is given",
+        ),
+        // A query file holding no vectors was a panic in `dnnd-serve`'s
+        // rank threads and a perfect recall in `dnnd-query`; one of the
+        // wrong dimension was served and scored.
+        (
+            env!("CARGO_BIN_EXE_dnnd-serve"),
+            format!("--store {store} --queries {empty}"),
+            "error: --queries holds 0 vectors (need at least 1)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-query"),
+            format!("--store {store} --queries {empty}"),
+            "error: --queries holds 0 vectors (need at least 1)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-serve"),
+            format!("--store {store} --queries {narrow}"),
+            "error: --queries vectors have dimension 4, the dataset's have 96",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-query"),
+            format!("--store {store} --queries {narrow}"),
+            "error: --queries vectors have dimension 4, the dataset's have 96",
         ),
         (
             env!("CARGO_BIN_EXE_dnnd-optimize"),

@@ -10,8 +10,7 @@ use dnnd::{build, DnndConfig};
 use nnd::graph::KnnGraph;
 use nnd::RnnParams;
 use proptest::prelude::*;
-use serve::forensics::WHY_DEADLINE_MISS;
-use serve::{run_serve, ServeOutcome, ServeParams, Verdict};
+use serve::{run_serve, slow_query_log, ServeOutcome, ServeParams};
 use std::sync::Arc;
 use ygm::World;
 
@@ -175,32 +174,32 @@ fn forensics_stage_sums_are_exact_and_deadline_misses_hit_the_slow_log() {
 
     // Every arrival got a record, and the sampler kept something.
     assert_eq!(f.considered, out.stats.offered, "considered != offered");
-    assert!(!f.sampled.is_empty(), "nothing retained under overload");
+    assert!(!f.exemplars.is_empty(), "nothing retained under overload");
     assert_ne!(f.digest, 0, "forensics digest is zero");
 
     // The five-stage waterfall sums exactly to end-to-end latency and the
     // done slot is arrival + latency, for every retained record.
-    for (r, why) in &f.sampled {
+    for r in &f.exemplars {
         assert_eq!(r.stage_sum(), r.latency_slots, "stage sum drifted: {r:?}");
         assert_eq!(r.done_slot - r.arrived_slot, r.latency_slots, "{r:?}");
-        assert_ne!(*why, 0, "retained record with empty why mask: {r:?}");
+        assert!(!r.why.is_empty(), "retained record with empty why: {r:?}");
     }
 
     // Deadline misses are retained *unconditionally*: every deadline-shed
     // query has a record, and each shows up in the slow-query log.
     let deadline_shed = f
-        .sampled
+        .exemplars
         .iter()
-        .filter(|(r, _)| r.verdict == Verdict::ShedDeadline)
+        .filter(|r| r.verdict == "shed_deadline")
         .count() as u64;
     assert_eq!(
         deadline_shed, out.stats.shed_deadline,
         "deadline-shed query missing"
     );
-    let log = f.slow_query_log(2);
-    for (r, why) in &f.sampled {
+    let log = slow_query_log(f, 2);
+    for r in &f.exemplars {
         if r.deadline_miss {
-            assert_ne!(why & WHY_DEADLINE_MISS, 0, "{r:?}");
+            assert!(r.why.split('|').any(|w| w == "deadline_miss"), "{r:?}");
             assert!(
                 log.contains(&format!("\"idx\":{},", r.idx)),
                 "deadline miss idx {} absent from slow-query log",
