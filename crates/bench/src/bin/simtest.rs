@@ -18,10 +18,11 @@
 //!    at message-arrival time (Section 4.3 skips) and a delayed or
 //!    retransmitted frame legitimately arrives later, so across profiles
 //!    only the recall band applies there. The RNN-Descent optimization
-//!    mode (`--opt-mode rnn`) is swept on top of the unoptimized protocol:
-//!    its pruning decisions are pure functions of canonical row state, so
-//!    the *optimized* graph must also be bit-identical under every fault
-//!    profile. (RNN trials report low *absolute* k-NN recall by design —
+//!    mode (`--opt-mode rnn`) is swept on top of the unoptimized protocol —
+//!    the distributed RNN pass runs over the built graph on the same faulty
+//!    world: its pruning decisions are pure functions of canonical row
+//!    state, so the *optimized* graph must also be bit-identical under every
+//!    fault profile. (RNN trials report low *absolute* k-NN recall by design —
 //!    occlusion pruning removes near-duplicate k-NN edges to sparsify the
 //!    search graph — but the drift band against the same-mode fault-free
 //!    baseline still applies, and any nonzero drift under the unoptimized
@@ -51,8 +52,11 @@ use dataset::metric::L2;
 use dataset::recall::mean_recall;
 use dataset::set::{PointId, PointSet};
 use dataset::synth::{gaussian_mixture, MixtureParams};
-use dnnd::obs_report::report_from_build;
-use dnnd::{build, CommOpts, DnndConfig};
+use dnnd::obs_report::{fill_rnn, report_from_build};
+use dnnd::{build, rnn_optimize_distributed, BuildReport, CommOpts, DnndConfig};
+use nnd::rnn::{RnnParams, RnnStats};
+use nnd::KnnGraph;
+use obs::FaultSection;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use ygm::{FaultPlan, FaultProfile, World};
@@ -69,6 +73,16 @@ struct Preset {
 struct Baseline {
     ids: Vec<Vec<PointId>>,
     recall: f64,
+}
+
+/// One trial's graph with the construction's report and, in rnn mode, the
+/// RNN pass's knobs and counters.
+struct Built {
+    graph: KnnGraph,
+    report: BuildReport,
+    rnn: Option<(RnnParams, RnnStats)>,
+    /// Faults injected into the construction and the pass.
+    injected: u64,
 }
 
 /// Outcome of a single faulted build.
@@ -129,25 +143,37 @@ struct Sweep {
 }
 
 impl Sweep {
-    fn config(&self, protocol: &str, opt_mode: &str) -> DnndConfig {
+    /// Build on `world`, then in rnn mode run the RNN pass on the same world.
+    fn build(&self, world: &World, preset: &Preset, protocol: &str, opt_mode: &str) -> Built {
         let cfg = DnndConfig::new(self.k)
             .seed(self.data_seed)
             .comm_opts(protocol_opts(protocol));
+        let out = build(world, &preset.set, &L2, cfg);
+        let injected = |faults: &Option<FaultSection>| faults.as_ref().map_or(0, |f| f.injected());
+        let mut built = Built {
+            injected: injected(&out.report.faults),
+            graph: out.graph,
+            report: out.report,
+            rnn: None,
+        };
         match opt_mode {
-            // k0 = k + 2 mirrors the bench fixture's headroom over k.
-            "rnn" => cfg.rnn_opt(nnd::rnn::RnnParams::new(self.k + 2)),
-            "default" => cfg,
+            "default" => {}
+            "rnn" => {
+                // k0 = k + 2 mirrors the bench fixture's headroom over k.
+                let params = RnnParams::new(self.k + 2);
+                let (graph, stats, run) =
+                    rnn_optimize_distributed(world, &preset.set, &L2, &built.graph, params);
+                built.graph = graph;
+                built.rnn = Some((params, stats));
+                built.injected += injected(&run.faults);
+            }
             other => panic!("unknown opt mode {other:?} (default|rnn|both)"),
         }
+        built
     }
 
     fn baseline(&self, preset: &Preset, protocol: &str, opt_mode: &str) -> Baseline {
-        let out = build(
-            &World::new(self.ranks),
-            &preset.set,
-            &L2,
-            self.config(protocol, opt_mode),
-        );
+        let out = self.build(&World::new(self.ranks), preset, protocol, opt_mode);
         let ids = out.graph.neighbor_ids();
         let recall = mean_recall(&ids, &preset.truth);
         println!(
@@ -170,8 +196,9 @@ impl Sweep {
         let plan = FaultPlan::new(profile, sim_seed);
         let world = World::new(self.ranks).fault_plan(plan);
         let run = || {
-            let cfg = self.config(protocol, opt_mode);
-            catch_unwind(AssertUnwindSafe(|| build(&world, &preset.set, &L2, cfg)))
+            catch_unwind(AssertUnwindSafe(|| {
+                self.build(&world, preset, protocol, opt_mode)
+            }))
         };
         let built = run();
 
@@ -199,12 +226,7 @@ impl Sweep {
             Ok(out) => {
                 let ids = out.graph.neighbor_ids();
                 trial.recall = mean_recall(&ids, &preset.truth);
-                trial.injected = out
-                    .report
-                    .faults
-                    .as_ref()
-                    .map(|f| f.injected())
-                    .unwrap_or(0);
+                trial.injected = out.injected;
                 let drift = (trial.recall - baseline.recall).abs();
                 if drift > self.tolerance {
                     trial.failure = Some(format!(
@@ -229,15 +251,20 @@ impl Sweep {
                     );
                 }
                 if trial.failure.is_some() || self.keep_all_reports {
-                    self.write_trial_report(&trial, baseline, &out.report);
+                    self.write_trial_report(&trial, baseline, &out);
                 }
             }
         }
         trial
     }
 
-    fn write_trial_report(&self, trial: &Trial, baseline: &Baseline, report: &dnnd::BuildReport) {
-        let mut run = report_from_build("simtest", report);
+    fn write_trial_report(&self, trial: &Trial, baseline: &Baseline, built: &Built) {
+        let mut run = report_from_build("simtest", &built.report);
+        if let Some((params, stats)) = &built.rnn {
+            // The trial's evaluations are the construction's and the pass's.
+            fill_rnn(&mut run, *params, stats);
+            run.distance_evals += built.report.distance_evals;
+        }
         run.params = vec![
             ("preset".into(), trial.preset.into()),
             ("protocol".into(), trial.protocol.into()),

@@ -1,9 +1,8 @@
 //! DNND configuration: Algorithm 1 hyper-parameters plus the paper's
 //! distributed-specific knobs (communication-saving switches, batch size,
-//! reverse-exchange shuffling) and the post-descent optimization-mode
-//! selection (Section 4.5 reverse-prune vs the RNN-Descent extension).
-
-use nnd::rnn::RnnParams;
+//! reverse-exchange shuffling) and the optional Section 4.5 reverse-prune
+//! pass. RNN-Descent is a separate pass over the built graph
+//! ([`crate::rnn_optimize_distributed`]).
 
 /// Which of the Section 4.3 communication-saving techniques are active.
 /// Separately switchable for the ablation benches; the paper evaluates only
@@ -73,11 +72,6 @@ pub struct DnndConfig {
     /// (reverse-edge merge, dedup, prune to `ceil(k * m)`) after the
     /// descent. The paper's evaluation uses `m = 1.5`.
     pub graph_opt_m: Option<f64>,
-    /// When `Some`, run the distributed RNN-Descent optimization (occlusion
-    /// pruning with T1/T2 rounds and the K0 out-degree cap) after the
-    /// descent *instead of* the reverse-prune pass — `rnn_opt` takes
-    /// precedence over `graph_opt_m`.
-    pub rnn_opt: Option<RnnParams>,
 }
 
 impl DnndConfig {
@@ -93,7 +87,6 @@ impl DnndConfig {
             opts: CommOpts::optimized(),
             shuffle_reverse: true,
             graph_opt_m: None,
-            rnn_opt: None,
         }
     }
 
@@ -147,13 +140,6 @@ impl DnndConfig {
     pub fn graph_opt(mut self, m: f64) -> Self {
         assert!(m >= 1.0, "paper requires m >= 1");
         self.graph_opt_m = Some(m);
-        self
-    }
-
-    /// Run RNN-Descent as the post-descent optimization (takes precedence
-    /// over [`DnndConfig::graph_opt`]).
-    pub fn rnn_opt(mut self, params: RnnParams) -> Self {
-        self.rnn_opt = Some(params);
         self
     }
 }

@@ -29,7 +29,6 @@
 use crate::config::DnndConfig;
 use crate::msgs::*;
 use crate::partition::{Buckets, Partitioner};
-use crate::rnn_dist::{register_rnn_handlers, run_rnn_rounds, RnnDistState};
 use dataset::batch::{BatchMetric, NormCache};
 use dataset::order::sort_edges;
 use dataset::point::Point;
@@ -82,10 +81,6 @@ pub struct BuildReport {
     /// Injected-fault / reliable-delivery counters when the world ran under
     /// a [`ygm::FaultPlan`]; `None` on fault-free runs.
     pub faults: Option<FaultSection>,
-    /// Per-round RNN-Descent counters when the build ran with
-    /// [`crate::config::DnndConfig::rnn_opt`]; global (all-reduced) values,
-    /// bit-identical across rank counts.
-    pub rnn: Option<nnd::rnn::RnnStats>,
 }
 
 impl BuildReport {
@@ -241,7 +236,6 @@ where
     let mut iterations = 0;
     let mut updates_per_iter = Vec::new();
     let mut distance_evals = 0;
-    let mut rnn = None;
     for (rank_rows, metrics) in &report.results {
         for (v, edges) in rank_rows {
             rows[*v as usize] = edges.clone();
@@ -249,13 +243,6 @@ where
         iterations = metrics.iterations;
         updates_per_iter.clone_from(&metrics.updates_per_iter);
         distance_evals += metrics.dist_evals;
-        // Global stats are identical on every rank; any copy will do.
-        rnn = metrics.rnn.clone().or(rnn);
-    }
-    // RNN mode: connectivity repair on the assembled rows (pure function
-    // of the capped graph — same step the standalone passes run).
-    if let (Some(rp), Some(stats)) = (cfg.rnn_opt, rnn.as_mut()) {
-        stats.repaired = nnd::rnn::repair_connectivity(&mut rows, rp.k0);
     }
     DnndOutput {
         graph: KnnGraph::from_rows(rows),
@@ -273,7 +260,6 @@ where
             total: report.total,
             matrix: report.matrix,
             faults: report.faults,
-            rnn,
         },
     }
 }
@@ -284,7 +270,6 @@ struct RankMetrics {
     iterations: usize,
     updates_per_iter: Vec<u64>,
     dist_evals: u64,
-    rnn: Option<nnd::rnn::RnnStats>,
 }
 
 type RankRows = Vec<(PointId, Vec<Edge>)>;
@@ -304,11 +289,7 @@ where
     let n = set.len();
     let dim = set.dim().max(1);
     let owned = part.owned_ids(n, comm.rank());
-    let st = Rc::new(RefCell::new(State::new(
-        Arc::clone(&slots),
-        owned.len(),
-        cfg.k,
-    )));
+    let st = Rc::new(RefCell::new(State::new(slots, owned.len(), cfg.k)));
     // Per-set norm cache (Section "cached-norm preprocessing"): each rank
     // computes the squared norms once up front so every dot-form distance
     // afterwards skips both norm recomputations. A real deployment would
@@ -316,12 +297,6 @@ where
     let cache = Arc::new(metric.preprocess(&set));
     charge_batch(comm, dim, owned.len());
     register_handlers(comm, &st, &set, &metric, &cache, part, cfg, dim);
-    // RNN-Descent optimization state (phase 3); handlers share the world
-    // with the descent's (tags 19-23 vs 10-18).
-    let rnn_st = Rc::new(RefCell::new(RnnDistState::new(slots, owned.len())));
-    if cfg.rnn_opt.is_some() {
-        register_rnn_handlers(comm, &rnn_st, &set, &metric, &cache, part, dim);
-    }
     let traced = comm.tracer().is_some();
 
     // ---- Phase 1: random initialization ------------------------------------
@@ -559,15 +534,7 @@ where
     }
 
     // ---- Phase 3: optional distributed graph optimization -------------------
-    let mut rnn_stats = None;
-    let rows: RankRows = if let Some(rp) = cfg.rnn_opt {
-        comm.trace_begin("rnn_optimize");
-        rnn_st.borrow_mut().seed(st.borrow().rows(&owned), rp.r);
-        let (rows, stats) = run_rnn_rounds(comm, &rnn_st, &owned, part, rp, quota);
-        comm.trace_end("rnn_optimize");
-        rnn_stats = Some(stats);
-        rows
-    } else if let Some(m) = cfg.graph_opt_m {
+    let rows: RankRows = if let Some(m) = cfg.graph_opt_m {
         comm.trace_begin("graph_optimize");
         let rows = optimize_distributed(comm, &st, &owned, part, cfg, m, quota);
         comm.trace_end("graph_optimize");
@@ -582,14 +549,12 @@ where
             comm.trace_hist("dist_evals_per_item", evals);
         }
     }
-    let dist_evals = s.dist_evals + rnn_st.borrow().dist_evals;
     (
         rows,
         RankMetrics {
             iterations,
             updates_per_iter,
-            dist_evals,
-            rnn: rnn_stats,
+            dist_evals: s.dist_evals,
         },
     )
 }

@@ -13,11 +13,14 @@
 //! * globally batched communication separated by barriers (§4.4),
 //! * the distributed graph optimization: reverse-edge merge and degree
 //!   pruning (§4.5),
-//! * sharded per-rank persistence of the partitioned graph into
-//!   [`metall`] stores ([`persist`], the paper's §5.1.3 workflow),
+//! * distributed RNN-Descent over a built graph ([`rnn_optimize_distributed`],
+//!   the `dnnd-optimize --opt-mode rnn` pass),
 //! * a fully distributed query engine over the partitioned graph
 //!   ([`query`], the "massive-scale NNG framework" step the paper's
 //!   conclusion anticipates).
+//!
+//! The graph leaves [`build`] assembled; executables hand it to one another
+//! through a [`metall`] store with `nnd::KnnGraph::save` / `load` (§5.1.3).
 //!
 //! ```
 //! use dataset::{synth, L2};
@@ -36,20 +39,16 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bruteforce;
 pub mod config;
 pub mod engine;
 pub mod msgs;
 pub mod obs_report;
 pub mod partition;
-pub mod persist;
 pub mod query;
 pub mod rnn_dist;
 
-pub use bruteforce::distributed_ground_truth;
 pub use config::{CommOpts, DnndConfig};
 pub use engine::{build, BuildReport, DnndOutput};
 pub use partition::Partitioner;
-pub use persist::{destroy_sharded, load_sharded, save_sharded};
 pub use query::{distributed_search_batch, DistSearchParams, IdMask, QueryProfile, SearchEngine};
 pub use rnn_dist::rnn_optimize_distributed;

@@ -53,9 +53,9 @@ fn fill_tags(report: &mut RunReport, tags: &[(u16, String, TagStats)], total: &T
     report.total_remote_bytes = total.remote_bytes;
 }
 
-/// Fill the `rnn` section — the deterministic fingerprint of a standalone
-/// RNN pass — from the pass's knobs and all-reduced stats; the pass's
-/// distance evaluations are the run's.
+/// Fill the `rnn` section — the deterministic fingerprint of an RNN pass —
+/// from the pass's knobs and all-reduced stats; the pass's distance
+/// evaluations are the run's.
 pub fn fill_rnn(report: &mut RunReport, params: RnnParams, stats: &RnnStats) {
     report.distance_evals = stats.dist_evals;
     report.rnn = Some(RnnSection {
@@ -92,7 +92,7 @@ pub fn report_from_build(binary: &str, r: &BuildReport) -> RunReport {
 }
 
 /// Start a [`RunReport`] from any [`WorldReport`] (a query run, a serving
-/// run, a standalone RNN pass with [`fill_rnn`]).
+/// run, an RNN pass with [`fill_rnn`]).
 pub fn report_from_world<T>(binary: &str, n_ranks: usize, r: &WorldReport<T>) -> RunReport {
     let mut report = RunReport::new(binary);
     fill_clock(&mut report, n_ranks, &r.breakdown, &r.phases, r.sim_ns);
@@ -205,7 +205,6 @@ mod tests {
                 retransmits: 3,
                 ..Default::default()
             }),
-            rnn: None,
         };
         let r = report_from_build("dnnd-construct", &br);
         assert_eq!(r.total_bytes, 4_640);

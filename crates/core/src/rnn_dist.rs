@@ -44,30 +44,24 @@ use ygm::{Comm, World, WorldReport};
 /// per-vertex vectors are parallel to the rank's ascending `owned` list and
 /// reached from a global id through `slots`
 /// ([`Partitioner::slot_table`]).
-pub(crate) struct RnnDistState {
+struct RnnDistState {
     slots: Arc<Vec<u32>>,
     /// Working rows of the vertices this rank owns.
-    pub(crate) rows: Vec<Vec<RnnEdge>>,
+    rows: Vec<Vec<RnnEdge>>,
     /// Prefetched pair distances, per scanning vertex: `(a, b) -> theta`.
     pair_dists: Vec<HashMap<(PointId, PointId), f32, IdBuildHasher>>,
     /// Candidate edges (redirected inserts + reverse edges) awaiting the
     /// next apply step, per owned target.
     pending: Vec<Vec<(PointId, f32)>>,
-    /// Distance evaluations performed on this rank for the RNN pass.
-    pub(crate) dist_evals: u64,
-    /// Batched kernel invocations on this rank for the RNN pass.
-    pub(crate) kernel_batches: u64,
 }
 
 impl RnnDistState {
-    pub(crate) fn new(slots: Arc<Vec<u32>>, owned: usize) -> Self {
+    fn new(slots: Arc<Vec<u32>>, owned: usize) -> Self {
         RnnDistState {
             slots,
             rows: vec![Vec::new(); owned],
             pair_dists: vec![HashMap::default(); owned],
             pending: vec![Vec::new(); owned],
-            dist_evals: 0,
-            kernel_batches: 0,
         }
     }
 
@@ -78,20 +72,16 @@ impl RnnDistState {
 
     /// Seed the owned rows from adjacency lists (canonicalized, flagged
     /// new, clamped to `r`) — identical to the shared-memory seeding.
-    pub(crate) fn seed(
-        &mut self,
-        owned_rows: impl Iterator<Item = (PointId, Vec<Edge>)>,
-        r: usize,
-    ) {
-        for (v, edges) in owned_rows {
+    fn seed(&mut self, graph: &KnnGraph, owned: &[PointId], r: usize) {
+        for &v in owned {
             let at = self.slot(v);
-            self.rows[at] = seed_row(&edges, v, r);
+            self.rows[at] = seed_row(graph.neighbors(v), v, r);
         }
     }
 }
 
 /// Register the five RNN message handlers (tags 19–23).
-pub(crate) fn register_rnn_handlers<P, M>(
+fn register_rnn_handlers<P, M>(
     comm: &Comm,
     st: &Rc<RefCell<RnnDistState>>,
     set: &Arc<PointSet<P>>,
@@ -125,7 +115,6 @@ pub(crate) fn register_rnn_handlers<P, M>(
     // Vector forward: one batched 1xN evaluation, distances back to
     // owner(v).
     {
-        let st = Rc::clone(st);
         let set = Arc::clone(set);
         let metric = metric.clone();
         let cache = Arc::clone(cache);
@@ -138,11 +127,6 @@ pub(crate) fn register_rnn_handlers<P, M>(
                 metric.distance_one_to_many(&msg.vec, &set, &cache, &msg.bs, &mut dbuf);
                 charge_batch(c, dim, msg.bs.len());
                 c.trace_hist("kernel_batch_len", msg.bs.len() as u64);
-                {
-                    let mut s = st.borrow_mut();
-                    s.dist_evals += msg.bs.len() as u64;
-                    s.kernel_batches += 1;
-                }
                 pairs.clear();
                 pairs.extend(msg.bs.iter().copied().zip(dbuf.iter().copied()));
                 c.async_send(
@@ -328,7 +312,7 @@ fn reverse_round(
 /// convergence early-exit), reverse exchanges between outer rounds, final
 /// `k0` cap. Returns this rank's final rows plus the *global* stats
 /// (identical on every rank).
-pub(crate) fn run_rnn_rounds(
+fn run_rnn_rounds(
     comm: &Comm,
     st: &Rc<RefCell<RnnDistState>>,
     owned: &[PointId],
@@ -386,10 +370,11 @@ pub(crate) fn run_rnn_rounds(
     (rows, stats)
 }
 
-/// Run the distributed RNN-Descent optimization standalone over an
-/// already-built graph (the `dnnd-optimize --opt-mode rnn` path): the
-/// graph is partitioned onto `world.n_ranks()` ranks, optimized, and
-/// reassembled. Returns the graph, the pass's global counters
+/// Run the distributed RNN-Descent optimization over an already-built
+/// graph — the one distributed RNN entry (`dnnd-optimize --opt-mode rnn`;
+/// a caller that also builds runs [`crate::build`] first, on the same world
+/// if it likes): the graph is partitioned onto `world.n_ranks()` ranks,
+/// optimized, and reassembled. Returns the graph, the pass's global counters
 /// (bit-identical across rank counts) and the world's run summary.
 pub fn rnn_optimize_distributed<P, M>(
     world: &World,
@@ -414,10 +399,7 @@ where
             Arc::clone(&slots),
             owned.len(),
         )));
-        st.borrow_mut().seed(
-            owned.iter().map(|&v| (v, graph.neighbors(v).to_vec())),
-            params.r,
-        );
+        st.borrow_mut().seed(&graph, &owned, params.r);
         let cache = Arc::new(metric.preprocess(base));
         charge_batch(comm, dim, owned.len());
         name_tags(comm);

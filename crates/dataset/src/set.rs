@@ -72,21 +72,6 @@ impl<P: Point> PointSet<P> {
     pub fn storage_bytes(&self) -> usize {
         self.points.iter().map(Point::storage_bytes).sum()
     }
-
-    /// Split ownership of the ids among `n_ranks` by the given partitioner;
-    /// returns for each rank the list of ids it owns. Used by tests and by
-    /// the distributed loader.
-    pub fn partition_ids(
-        &self,
-        n_ranks: usize,
-        owner: impl Fn(PointId) -> usize,
-    ) -> Vec<Vec<PointId>> {
-        let mut out = vec![Vec::new(); n_ranks];
-        for id in 0..self.len() as PointId {
-            out[owner(id)].push(id);
-        }
-        out
-    }
 }
 
 /// Names used for the store layout of a persisted point set.
@@ -212,16 +197,6 @@ mod tests {
         assert_eq!((s.len(), s.dim()), (3, 2));
         assert_eq!(s.point(0), &vec![1.0, 2.0]);
         assert_eq!(s.point(2), &vec![5.0, 6.0]);
-    }
-
-    #[test]
-    fn partition_covers_all_ids_exactly_once() {
-        let s = PointSet::new(vec![vec![0.0f32]; 10]);
-        let parts = s.partition_ids(3, |id| (id as usize) % 3);
-        let mut all: Vec<u32> = parts.concat();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<u32>>());
-        assert_eq!(parts[0], vec![0, 3, 6, 9]);
     }
 
     #[test]

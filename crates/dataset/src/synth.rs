@@ -105,11 +105,6 @@ pub fn quantize_u8(set: &PointSet<Vec<f32>>) -> PointSet<Vec<u8>> {
     PointSet::new(points)
 }
 
-/// Clustered u8 dataset (convenience: mixture then quantize).
-pub fn gaussian_mixture_u8(params: MixtureParams, seed: u64) -> PointSet<Vec<u8>> {
-    quantize_u8(&gaussian_mixture(params, seed))
-}
-
 /// L2-normalize every vector in place — cosine-metric datasets (GloVe,
 /// NYTimes, Last.fm) are customarily unit vectors.
 pub fn normalize(set: &mut PointSet<Vec<f32>>) {

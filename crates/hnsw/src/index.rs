@@ -256,11 +256,6 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
             .sum()
     }
 
-    /// A node's per-layer neighbor lists (index = layer).
-    pub(crate) fn node_layers(&self, node: PointId) -> &Vec<Vec<PointId>> {
-        &self.nodes[node as usize].layers
-    }
-
     /// The current entry point node id.
     pub fn entry_point(&self) -> PointId {
         self.entry
@@ -269,31 +264,6 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
     /// The construction parameters.
     pub fn params(&self) -> &HnswParams {
         &self.params
-    }
-
-    /// Rebuild an index handle from previously captured structure (see
-    /// `persist::HnswSnapshot`). `links[node][layer]` are neighbor ids.
-    pub(crate) fn restore(
-        base: &'a PointSet<P>,
-        metric: M,
-        params: HnswParams,
-        entry: PointId,
-        max_layer: usize,
-        links: Vec<Vec<Vec<PointId>>>,
-    ) -> Self {
-        assert_eq!(links.len(), base.len());
-        HnswIndex {
-            base,
-            metric,
-            params,
-            nodes: links
-                .into_iter()
-                .map(|layers| NodeLinks { layers })
-                .collect(),
-            entry,
-            max_layer,
-            build_distance_evals: 0,
-        }
     }
 
     /// Extract the layer-0 adjacency as rows of `(id, dist)` — the "extra

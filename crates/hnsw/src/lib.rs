@@ -20,7 +20,5 @@
 #![forbid(unsafe_code)]
 
 pub mod index;
-pub mod persist;
 
 pub use index::{HnswIndex, HnswParams};
-pub use persist::HnswSnapshot;

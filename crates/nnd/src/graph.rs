@@ -178,52 +178,39 @@ impl KnnGraph {
         store.put(&format!("{prefix}/dists"), &dists)
     }
 
-    /// Load a graph persisted by [`KnnGraph::save`], checked as
-    /// [`decode_rows`] documents.
+    /// Load a graph persisted by [`KnnGraph::save`], checking what every
+    /// consumer indexes by, which a checksum does not: offsets that delimit
+    /// the stored edges, edge ids below the vertex count, no NaN distance.
     pub fn load(store: &Store, prefix: &str) -> StoreResult<Self> {
         let offsets: Vec<u64> = store.get(&format!("{prefix}/offsets"))?;
         let ids: Vec<u32> = store.get(&format!("{prefix}/ids"))?;
         let dists: Vec<f32> = store.get(&format!("{prefix}/dists"))?;
         let n = offsets.len().saturating_sub(1);
-        let rows = decode_rows("knng", &offsets, &ids, &dists, n)?;
+        if ids.len() != dists.len()
+            || offsets.first() != Some(&0)
+            || offsets.last().copied() != Some(ids.len() as u64)
+        {
+            return Err(StoreError::Decode("inconsistent knng arrays".into()));
+        }
+        let rows = (offsets.windows(2).enumerate())
+            .map(|(v, w)| {
+                if w[0] > w[1] || w[1] > ids.len() as u64 {
+                    return Err(StoreError::Decode("non-monotone knng offsets".into()));
+                }
+                let (a, b) = (w[0] as usize, w[1] as usize);
+                let row: Vec<Edge> = (ids[a..b].iter().copied())
+                    .zip(dists[a..b].iter().copied())
+                    .collect();
+                match row.iter().find(|(u, d)| *u as usize >= n || d.is_nan()) {
+                    Some((u, d)) => Err(StoreError::Decode(format!(
+                        "knng row {v} holds the edge ({u}, {d}) in a graph of {n} vertices"
+                    ))),
+                    None => Ok(row),
+                }
+            })
+            .collect::<StoreResult<_>>()?;
         Ok(KnnGraph { rows })
     }
-}
-
-/// The rows of one `(offsets, ids, dists)` triple as [`KnnGraph::save`]
-/// writes it, checking what every consumer indexes by, which a checksum
-/// does not: offsets that delimit the stored edges, edge ids below the
-/// vertex count `n`, no NaN distance. `what` names the arrays in an error.
-pub fn decode_rows(
-    what: &str,
-    offsets: &[u64],
-    ids: &[u32],
-    dists: &[f32],
-    n: usize,
-) -> StoreResult<Vec<Vec<Edge>>> {
-    if ids.len() != dists.len()
-        || offsets.first() != Some(&0)
-        || offsets.last().copied() != Some(ids.len() as u64)
-    {
-        return Err(StoreError::Decode(format!("inconsistent {what} arrays")));
-    }
-    (offsets.windows(2).enumerate())
-        .map(|(v, w)| {
-            if w[0] > w[1] || w[1] > ids.len() as u64 {
-                return Err(StoreError::Decode(format!("non-monotone {what} offsets")));
-            }
-            let (a, b) = (w[0] as usize, w[1] as usize);
-            let row: Vec<Edge> = (ids[a..b].iter().copied())
-                .zip(dists[a..b].iter().copied())
-                .collect();
-            match row.iter().find(|(u, d)| *u as usize >= n || d.is_nan()) {
-                Some((u, d)) => Err(StoreError::Decode(format!(
-                    "{what} row {v} holds the edge ({u}, {d}) in a graph of {n} vertices"
-                ))),
-                None => Ok(row),
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]

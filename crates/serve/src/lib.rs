@@ -61,7 +61,6 @@
 pub mod cache;
 pub mod engine;
 pub mod forensics;
-pub mod graph_mode;
 pub mod params;
 pub mod workload;
 
@@ -71,7 +70,6 @@ pub use engine::{
     TenantStats, VdbServeConfig, VdbServeStats,
 };
 pub use forensics::slow_query_log;
-pub use graph_mode::GraphMode;
 pub use params::ServeParams;
 pub use workload::{
     zipf_cdf, Arrival, ArrivalPlan, ArrivalProcess, BurstWindow, Diurnal, FilterTraffic,

@@ -291,12 +291,6 @@ impl WorkloadSpec {
         (1.0 + amp) * burst
     }
 
-    /// Number of tenant classes the engine tracks (1 implicit class when
-    /// none are declared).
-    pub fn n_tenant_classes(&self) -> usize {
-        self.tenants.len().max(1)
-    }
-
     /// Tenant class of `key` (arrival index for the open loop, client id
     /// for the closed loop): a share-weighted pure PRF draw. 0 when no
     /// classes are declared.
@@ -656,7 +650,6 @@ mod tests {
         assert_eq!(spec.arrival, ArrivalProcess::Open);
         assert_eq!(spec.pool, PoolDist::HotCold);
         assert_eq!(spec.peak_multiplier(), 1.0);
-        assert_eq!(spec.n_tenant_classes(), 1);
         assert_eq!(spec.tenant_of(7, 123), 0);
         spec.validate().unwrap();
     }

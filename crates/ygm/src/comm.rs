@@ -348,13 +348,6 @@ impl Comm {
         }
     }
 
-    /// RAII span: opens now, closes when the guard drops.
-    #[inline]
-    pub fn trace_span(&self, name: &'static str) -> TraceSpan<'_> {
-        self.trace_begin(name);
-        TraceSpan { comm: self, name }
-    }
-
     /// Record the origin half (`ph:"s"`) of a causal flow arrow on this
     /// rank's track. `id` pairs it with a later [`Self::trace_flow_recv`]
     /// carrying the same id; `tag` labels the arrow. No-op when untraced
@@ -710,7 +703,7 @@ impl Comm {
     }
 
     /// Flush all destination buffers.
-    pub fn flush_all(&self) {
+    fn flush_all(&self) {
         for dest in 0..self.n_ranks() {
             self.flush(dest);
         }
@@ -925,19 +918,6 @@ impl Comm {
         let payload = value.map(crate::codec::encode_to_bytes);
         let bytes = self.broadcast_bytes(root, payload);
         crate::codec::decode_from_bytes(bytes)
-    }
-}
-
-/// RAII guard returned by [`Comm::trace_span`]; closes the span (with the
-/// virtual clock sampled at drop time) when it goes out of scope.
-pub struct TraceSpan<'a> {
-    comm: &'a Comm,
-    name: &'static str,
-}
-
-impl Drop for TraceSpan<'_> {
-    fn drop(&mut self) {
-        self.comm.trace_end(self.name);
     }
 }
 

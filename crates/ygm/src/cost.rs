@@ -117,17 +117,6 @@ impl ClockBreakdown {
     pub fn total_secs(&self) -> f64 {
         self.compute_secs + self.comm_secs + self.barrier_secs
     }
-
-    /// Fraction of the total spent communicating (comm + barrier), in
-    /// `[0, 1]`; 0 when nothing has elapsed.
-    pub fn comm_fraction(&self) -> f64 {
-        let t = self.total_secs();
-        if t == 0.0 {
-            0.0
-        } else {
-            (self.comm_secs + self.barrier_secs) / t
-        }
-    }
 }
 
 /// The global virtual clock: plain integers inside the rendezvous
@@ -373,7 +362,6 @@ mod tests {
         assert!(b.comm_secs > 0.0);
         assert!(b.barrier_secs > 0.0);
         assert!((b.total_secs() - clock.now_secs()).abs() < 1e-8);
-        assert!(b.comm_fraction() > 0.0 && b.comm_fraction() < 1.0);
     }
 
     #[test]
@@ -381,7 +369,6 @@ mod tests {
         let clock = VirtualClock::default();
         let b = clock.breakdown();
         assert_eq!(b, ClockBreakdown::default());
-        assert_eq!(b.comm_fraction(), 0.0);
     }
 
     #[test]

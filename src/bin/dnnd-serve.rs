@@ -31,9 +31,7 @@ use dnnd_repro::cli::{
     check_l, die, or_die, parse_fault_plan, query_pool, require_at_least_1, store_flag, Session,
 };
 use metall::Store;
-use serve::{
-    run_serve, run_serve_vdb, slow_query_log, GraphMode, ServeParams, VdbServeConfig, VdbServeStats,
-};
+use serve::{run_serve, run_serve_vdb, slow_query_log, ServeParams, VdbServeConfig, VdbServeStats};
 use std::path::Path;
 use std::sync::Arc;
 use ygm::World;
@@ -98,15 +96,16 @@ fn main() {
     // `filter:`+`mutate:` workload clauses become meaningful.
     let namespace: String = args.get("namespace", String::new());
     let filter_text: String = args.get("filter", String::new());
-    let compact_watermark = args.opt("compact-watermark");
+    let compact_watermark: Option<f64> = args.opt("compact-watermark");
     let refine_iters = args.opt("refine-iters");
-    // Per-deployment graph-mode selection: --graph {auto,rnn,opt,knng};
-    // auto prefers the sparsest traversal-ready graph (rnn > opt > knng).
-    let mode_name: String = args.get("graph", "auto".to_string());
+    let graph_flag: String = args.get("graph", "auto".to_string());
     let slow_log: String = args.get("slow-query-log", String::new());
     args.finish();
     if namespace.is_empty() && !filter_text.is_empty() {
         die("--filter requires --namespace (predicates apply to collection metadata)");
+    }
+    if let Some(w) = compact_watermark.filter(|w| !(*w > 0.0 && *w <= 1.0)) {
+        die(&format!("--compact-watermark must be in (0, 1] (got {w})"));
     }
 
     let (outcome, wr, metric_name, graph_key) = if !namespace.is_empty() {
@@ -154,15 +153,10 @@ fn main() {
         (outcome, wr, metric_name, "vdb")
     } else {
         let s = Session::open(&store_dir);
-        let mode = GraphMode::from_name(&mode_name).unwrap_or_else(|| {
-            die(&format!(
-                "unknown --graph {mode_name:?} (expected one of {:?})",
-                GraphMode::NAMES
-            ))
-        });
-        let graph_key = mode
-            .resolve(|prefix| s.store.contains(&format!("{prefix}/offsets")))
-            .unwrap_or_else(|e| die(&e));
+        let graph_key = graph_prefix(&graph_flag, |prefix| {
+            s.store.contains(&format!("{prefix}/offsets"))
+        })
+        .unwrap_or_else(|e| die(&e));
         let graph = s.graph(graph_key);
         check_l(l, graph.len());
         println!(
@@ -287,4 +281,70 @@ fn main() {
         rr
     };
     or_die(outs.write(tracer.as_deref(), run_report));
+}
+
+/// The store prefix `--graph` names: `knng` (the raw NN-Descent output),
+/// `opt` (the Section 4.5 pass) or `rnn` (`dnnd-optimize --opt-mode rnn`),
+/// each an error when the store lacks it; `auto` takes the sparsest graph
+/// the store holds, `rnn` over `opt` over `knng`. `has` reports whether a
+/// prefix holds a saved graph.
+fn graph_prefix(flag: &str, has: impl Fn(&str) -> bool) -> Result<&'static str, String> {
+    const AUTO_ORDER: [&str; 3] = ["rnn", "opt", "knng"];
+    if flag == "auto" {
+        return Ok(AUTO_ORDER.into_iter().find(|p| has(p)).unwrap_or("knng"));
+    }
+    let Some(prefix) = AUTO_ORDER.into_iter().find(|&p| p == flag) else {
+        return Err(format!(
+            "unknown --graph {flag:?} (expected one of {:?})",
+            ["auto", "rnn", "opt", "knng"]
+        ));
+    };
+    if has(prefix) {
+        Ok(prefix)
+    } else {
+        let hint = if prefix == "rnn" {
+            " --opt-mode rnn"
+        } else {
+            ""
+        };
+        Err(format!(
+            "store has no {prefix:?} graph (run dnnd-optimize{hint} first)"
+        ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::graph_prefix;
+
+    #[test]
+    fn graph_names_resolve_and_unknown_ones_are_refused() {
+        for name in ["rnn", "opt", "knng"] {
+            assert_eq!(graph_prefix(name, |_| true).unwrap(), name);
+        }
+        let err = graph_prefix("hnsw", |_| true).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown --graph \"hnsw\" (expected one of [\"auto\", \"rnn\", \"opt\", \"knng\"])"
+        );
+    }
+
+    #[test]
+    fn auto_prefers_rnn_then_opt_then_knng() {
+        assert_eq!(graph_prefix("auto", |_| true).unwrap(), "rnn");
+        assert_eq!(graph_prefix("auto", |p| p != "rnn").unwrap(), "opt");
+        assert_eq!(graph_prefix("auto", |p| p == "knng").unwrap(), "knng");
+        // Even an empty store resolves auto to knng — the load itself will
+        // report the missing graph.
+        assert_eq!(graph_prefix("auto", |_| false).unwrap(), "knng");
+    }
+
+    #[test]
+    fn explicit_graphs_fail_when_absent() {
+        let only_knng = |p: &str| p == "knng";
+        assert_eq!(graph_prefix("knng", only_knng).unwrap(), "knng");
+        let err = graph_prefix("rnn", only_knng).unwrap_err();
+        assert!(err.contains("--opt-mode rnn"), "{err}");
+        assert!(graph_prefix("opt", only_knng).is_err());
+    }
 }

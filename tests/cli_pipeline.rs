@@ -223,6 +223,14 @@ fn bad_flag_exits_2_on_every_binary() {
     let construct = format!("--input preset:deep1b --n 200 --k 6 --ranks 2 --store {store}");
     let args: Vec<&str> = construct.split(' ').collect();
     run_ok(env!("CARGO_BIN_EXE_dnnd-construct"), &args);
+    // A collection store for the namespaced serving rows.
+    let vstore = dir.join("vstore");
+    let vstore = vstore.to_str().unwrap();
+    let create = format!("create --store {vstore} --namespace prod --synthetic 200");
+    let args: Vec<&str> = create.split(' ').collect();
+    run_ok(env!("CARGO_BIN_EXE_dnnd-vdb"), &args);
+    let serve_bin = env!("CARGO_BIN_EXE_dnnd-serve");
+    let on_prod = format!("--store {vstore} --namespace prod");
     // Query files no pool can be drawn from: no vectors at all, and
     // vectors of another dimension than the store's 96.
     let empty = dir.join("empty.fvecs");
@@ -395,6 +403,45 @@ fn bad_flag_exits_2_on_every_binary() {
             env!("CARGO_BIN_EXE_dnnd-optimize"),
             format!("--store {store} --opt-mode rnn --k0 0"),
             "error: --k0 must be at least 1 (got 0)",
+        ),
+        // The serving graph is a store prefix the store must hold, and the
+        // workload and filter strings are parsed before anything runs.
+        (
+            serve_bin,
+            format!("--store {store} --graph bogus"),
+            "error: unknown --graph \"bogus\" (expected one of [\"auto\", \"rnn\", \"opt\", \"knng\"])",
+        ),
+        (
+            serve_bin,
+            format!("--store {store} --graph rnn"),
+            "error: store has no \"rnn\" graph (run dnnd-optimize --opt-mode rnn first)",
+        ),
+        (
+            serve_bin,
+            format!("--store {store} --workload zipf:s=abc"),
+            "error: invalid --workload spec: zipf: s must be a number (got \"abc\")",
+        ),
+        (
+            serve_bin,
+            format!("{on_prod} --filter bucket>>3"),
+            "error: invalid --filter predicate: term \"bucket>>3\": want '==' or 'in'",
+        ),
+        // The compaction watermark is checked before the collection opens,
+        // not asserted in the rank threads.
+        (
+            serve_bin,
+            format!("{on_prod} --compact-watermark 1.5"),
+            "error: --compact-watermark must be in (0, 1] (got 1.5)",
+        ),
+        (
+            serve_bin,
+            format!("{on_prod} --compact-watermark 0"),
+            "error: --compact-watermark must be in (0, 1] (got 0)",
+        ),
+        (
+            serve_bin,
+            format!("{on_prod} --compact-watermark nan"),
+            "error: --compact-watermark must be in (0, 1] (got NaN)",
         ),
         (
             env!("CARGO_BIN_EXE_dnnd-optimize"),

@@ -1,22 +1,19 @@
 //! Integration: the "massive-scale framework" path — build distributed,
-//! persist the graph *sharded per rank* (never gathered), reload the
-//! shards, and serve queries with the fully distributed search engine.
+//! persist the graph into a Metall store the way `dnnd-construct` does,
+//! reload it, and serve queries with the fully distributed search engine.
 
 use dataset::synth::{gaussian_mixture, split_queries, MixtureParams};
 use dataset::{brute_force_queries, mean_recall, L2};
-use dnnd::{
-    build, destroy_sharded, distributed_search_batch, load_sharded, save_sharded, DistSearchParams,
-    DnndConfig, Partitioner,
-};
+use dnnd::{build, distributed_search_batch, DistSearchParams, DnndConfig};
+use metall::Store;
+use nnd::KnnGraph;
 use std::sync::Arc;
 use ygm::World;
 
 use testutil::TmpDir;
 
 #[test]
-fn build_shard_reload_serve() {
-    // The guard removes the shard directory even when an assert fails;
-    // destroy_sharded below additionally exercises the explicit teardown.
+fn build_store_reload_serve() {
     let dir = TmpDir::new("e2e");
     let ranks = 4;
     let full = gaussian_mixture(MixtureParams::embedding_like(800, 12), 3);
@@ -24,19 +21,20 @@ fn build_shard_reload_serve() {
     let base = Arc::new(base);
     let queries = Arc::new(queries);
 
-    // Build + optimize distributed, then persist sharded by the same
-    // partitioner the ranks used.
+    // Build + optimize distributed, then persist.
     let out = build(
         &World::new(ranks),
         &base,
         &L2,
         DnndConfig::new(10).seed(7).graph_opt(1.5),
     );
-    save_sharded(&out.graph, &dir, ranks).unwrap();
+    let mut store = Store::create(&dir).unwrap();
+    out.graph.save(&mut store, "opt").unwrap();
+    drop(store);
 
-    // Reload from the shards alone and serve distributed queries.
-    let graph = Arc::new(load_sharded(&dir).unwrap());
-    assert_eq!(&graph.as_ref().clone(), &out.graph);
+    // Reload from the store alone and serve distributed queries.
+    let graph = Arc::new(KnnGraph::load(&Store::open(&dir).unwrap(), "opt").unwrap());
+    assert_eq!(graph.as_ref(), &out.graph);
     let truth = brute_force_queries(&base, &queries, &L2, 10);
     let (ids, report) = distributed_search_batch(
         &World::new(ranks),
@@ -49,26 +47,27 @@ fn build_shard_reload_serve() {
     let recall = mean_recall(&ids, &truth);
     assert!(recall > 0.85, "served recall {recall}");
     assert!(report.sim_secs > 0.0);
-    destroy_sharded(&dir, ranks).unwrap();
 }
 
 #[test]
-fn shard_count_is_independent_of_build_ranks() {
-    // The graph built on 4 ranks can be re-sharded for a 2-rank serving
-    // fleet; the partitioner is a pure function of (id, n_ranks).
-    let dir = TmpDir::new("reshard");
-    let base = Arc::new(gaussian_mixture(MixtureParams::embedding_like(300, 8), 5));
+fn serving_ranks_are_independent_of_build_ranks() {
+    // The graph built on 4 ranks, stored and reloaded, serves a 2-rank
+    // fleet: the partitioner is a pure function of (id, n_ranks), so the
+    // answers are the 4-rank fleet's.
+    let dir = TmpDir::new("reserve");
+    let full = gaussian_mixture(MixtureParams::embedding_like(340, 8), 5);
+    let (base, queries) = split_queries(full, 40);
+    let (base, queries) = (Arc::new(base), Arc::new(queries));
     let out = build(&World::new(4), &base, &L2, DnndConfig::new(6).seed(9));
-    save_sharded(&out.graph, &dir, 2).unwrap();
-    let part = Partitioner::new(2);
-    for rank in 0..2 {
-        for v in dnnd::persist::shard_vertices(&dir, rank).unwrap() {
-            assert_eq!(part.owner(v), rank);
-        }
-    }
-    let back = load_sharded(&dir).unwrap();
-    assert_eq!(back, out.graph);
-    destroy_sharded(&dir, 2).unwrap();
+    let mut store = Store::create(&dir).unwrap();
+    out.graph.save(&mut store, "knng").unwrap();
+    let graph = Arc::new(KnnGraph::load(&store, "knng").unwrap());
+    assert_eq!(graph.as_ref(), &out.graph);
+    let params = DistSearchParams::new(6).epsilon(0.2).entry_candidates(32);
+    let serve = |ranks| {
+        distributed_search_batch(&World::new(ranks), &base, &graph, &queries, &L2, params).0
+    };
+    assert_eq!(serve(2), serve(4));
 }
 
 #[test]

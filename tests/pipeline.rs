@@ -260,53 +260,59 @@ fn optimized_construction_replays_bit_identically() {
     }
 }
 
-/// The same oracle for the RNN-Descent optimization mode: every pruning
-/// decision consults canonical `(dist, id)` row state only, flagged pairs
-/// are a pure function of that state, and inserts/reverse edges are
-/// applied in canonical order after each synchronous round — so the
-/// optimized graph *and* the exact distance-eval count (construction +
-/// RNN pass) are pinned across rank counts and kernel dispatch. The
-/// constants were generated by this very configuration; any drift in the
-/// occlusion rule, round schedule, or connectivity repair fails here.
+/// The same oracle for the RNN-Descent optimization mode, run as the
+/// paper's second executable runs it — a pass over the built graph on the
+/// same world: every pruning decision consults canonical `(dist, id)` row
+/// state only, flagged pairs are a pure function of that state, and
+/// inserts/reverse edges are applied in canonical order after each
+/// synchronous round — so the optimized graph *and* the exact distance-eval
+/// count (construction + RNN pass) are pinned across rank counts and kernel
+/// dispatch. The constants were generated by this very configuration; any
+/// drift in the occlusion rule, round schedule, or connectivity repair
+/// fails here.
 #[test]
 fn rnn_mode_bit_identical_across_ranks_and_dispatch() {
     const RNN_GOLDEN_DIGEST: u64 = 0x0067_62d4_0e10_2fe5;
     const RNN_GOLDEN_DIST_EVALS: u64 = 342_928;
 
     let base = Arc::new(dataset::presets::deep1b_like(600, 7));
-    let cfg = || {
-        DnndConfig::new(8)
+    let build_and_optimize = |n_ranks: usize| {
+        let world = World::new(n_ranks);
+        let cfg = DnndConfig::new(8)
             .seed(7)
-            .comm_opts(CommOpts::unoptimized())
-            .rnn_opt(nnd::rnn::RnnParams::new(10))
+            .comm_opts(CommOpts::unoptimized());
+        let out = build(&world, &base, &L2, cfg);
+        let params = nnd::rnn::RnnParams::new(10);
+        let (graph, stats, _) =
+            dnnd::rnn_optimize_distributed(&world, &base, &L2, &out.graph, params);
+        (graph, out.report.distance_evals + stats.dist_evals, stats)
     };
 
     for n_ranks in [1usize, 2, 4] {
-        let out = build(&World::new(n_ranks), &base, &L2, cfg());
+        let (graph, evals, stats) = build_and_optimize(n_ranks);
         assert_eq!(
-            graph_digest(&out.graph),
+            graph_digest(&graph),
             RNN_GOLDEN_DIGEST,
             "rnn graph diverged from golden at n_ranks={n_ranks}"
         );
         assert_eq!(
-            out.report.distance_evals, RNN_GOLDEN_DIST_EVALS,
+            evals, RNN_GOLDEN_DIST_EVALS,
             "distance-eval count diverged at n_ranks={n_ranks}"
         );
-        let stats = out.report.rnn.as_ref().expect("rnn stats in report");
         assert_eq!(stats.reverse_added.len(), 3, "t1=3 reverse exchanges");
-        assert!(out.graph.max_degree() <= 10, "k0 cap violated");
+        assert!(graph.max_degree() <= 10, "k0 cap violated");
     }
 
     let before = dataset::kernel::dispatch();
     dataset::kernel::force_dispatch(Some(dataset::kernel::Dispatch::Scalar));
-    let out = build(&World::new(2), &base, &L2, cfg());
+    let (graph, evals, _) = build_and_optimize(2);
     dataset::kernel::force_dispatch(Some(before));
     assert_eq!(
-        graph_digest(&out.graph),
+        graph_digest(&graph),
         RNN_GOLDEN_DIGEST,
         "forced-scalar dispatch changed the rnn graph"
     );
-    assert_eq!(out.report.distance_evals, RNN_GOLDEN_DIST_EVALS);
+    assert_eq!(evals, RNN_GOLDEN_DIST_EVALS);
 }
 
 #[test]
