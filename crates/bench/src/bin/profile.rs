@@ -10,7 +10,7 @@
 //! `--trace-out trace.json` attaches a tracer to the representative
 //! 8-rank build and writes its Chrome-trace span timeline; `--report-out
 //! report.json` writes the unified run report for the same build (the flags
-//! are `bench::ObsOuts`', so `--dashboard-out` and `--trace-flows` work too).
+//! are `bench::ObsOuts`', so `--dashboard-out` works too).
 
 use bench::{die, pct, Args, ObsOuts, Table};
 use dataset::metric::L2;

@@ -134,27 +134,15 @@ pub struct ObsOuts {
     pub report: String,
     /// Self-contained HTML dashboard destination.
     pub dashboard: String,
-    /// Whether cross-rank flow events are recorded (`--trace-flows`,
-    /// `on` by default; `off` drops the `ph:"s"/"f"` arrow pairs from the
-    /// exported trace, shrinking it when only spans are wanted).
-    pub flows: bool,
 }
 
 impl ObsOuts {
     /// Read the observability flags from parsed CLI arguments.
     pub fn parse(args: &Args) -> ObsOuts {
-        let flows = args.get("trace-flows", "on".to_string());
-        match flows.as_str() {
-            "on" | "off" => {}
-            other => die(&format!(
-                "invalid --trace-flows value {other:?} (expected \"on\" or \"off\")"
-            )),
-        }
         ObsOuts {
             trace: args.get("trace-out", String::new()),
             report: args.get("report-out", String::new()),
             dashboard: args.get("dashboard-out", String::new()),
-            flows: flows != "off",
         }
     }
 
@@ -166,8 +154,7 @@ impl ObsOuts {
     /// The tracer of an `n_ranks`-track run: `None` when no output was
     /// asked for, so an unobserved run pays nothing.
     pub fn tracer(&self, n_ranks: usize) -> Option<Arc<Tracer>> {
-        (!self.trace.is_empty() || self.wants_report())
-            .then(|| Arc::new(Tracer::new(n_ranks).flows(self.flows)))
+        (!self.trace.is_empty() || self.wants_report()).then(|| Arc::new(Tracer::new(n_ranks)))
     }
 
     /// Write every output that was asked for: the trace if the run had a

@@ -512,9 +512,8 @@ where
         updates_per_iter.push(c_global);
         comm.trace_instant("iter_updates", c_global);
         // Per-iteration telemetry gauges: the surviving-update rate and the
-        // cumulative distance-eval count per rank, plus the global
-        // termination counter on rank 0 (it is identical on every rank, so
-        // one track suffices).
+        // cumulative distance-eval count per rank. The global termination
+        // counter is the report's convergence row, not a gauge.
         comm.gauge("heap_updates", c_local as f64);
         {
             let s = st.borrow();
@@ -523,9 +522,6 @@ where
                 "dist_evals_per_batch",
                 s.dist_evals as f64 / s.kernel_batches.max(1) as f64,
             );
-        }
-        if comm.rank() == 0 {
-            comm.gauge("termination_c", c_global as f64);
         }
         comm.trace_end("iteration");
         if c_global < threshold {

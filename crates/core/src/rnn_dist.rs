@@ -341,11 +341,6 @@ fn run_rnn_rounds(
             );
             comm.trace_end("rnn_round");
             stats.dist_evals += round.pairs;
-            if comm.rank() == 0 {
-                comm.gauge("rnn_pairs", round.pairs as f64);
-                comm.gauge("rnn_pruned", round.pruned as f64);
-                comm.gauge("rnn_added", round.added as f64);
-            }
             let converged = round.pairs == 0;
             stats.rounds.push(round);
             if converged {

@@ -51,7 +51,7 @@ fn unoptimized_graph_is_rank_count_invariant() {
 /// decision and diverge the graph. `c` now counts end-of-iteration heap
 /// survivors, a pure function of the delivered message multiset.
 #[test]
-fn termination_counter_is_schedule_independent() {
+fn convergence_counter_is_schedule_independent() {
     let set = Arc::new(gaussian_mixture(MixtureParams::embedding_like(300, 8), 4));
     let a = build(&World::new(4), &set, &L2, unopt_cfg(6));
     let b = build(&World::new(4), &set, &L2, unopt_cfg(6));

@@ -29,9 +29,6 @@ struct RankTrace {
 pub struct Tracer {
     slots: Box<[Mutex<RankTrace>]>,
     epoch: Instant,
-    /// Whether causal flow events are recorded (`--trace-flows=off`
-    /// clears it; spans and gauges are unaffected).
-    flows: bool,
     /// Tag id → display name, used to label flow arrows in exports.
     tag_names: Mutex<Vec<(u64, String)>>,
 }
@@ -52,22 +49,8 @@ impl Tracer {
         Tracer {
             slots: (0..n_ranks).map(|_| slot()).collect(),
             epoch: Instant::now(),
-            flows: true,
             tag_names: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Enable or disable causal flow-event recording (default on). The
-    /// CLIs map `--trace-flows=off` here, before the tracer is shared.
-    pub fn flows(mut self, on: bool) -> Self {
-        self.flows = on;
-        self
-    }
-
-    /// Whether flow events are recorded.
-    #[inline]
-    pub fn flows_enabled(&self) -> bool {
-        self.flows
     }
 
     /// Attach a display name to a message tag; flow arrows for the tag are
@@ -157,9 +140,7 @@ impl Tracer {
         self.event(rank, EventKind::Instant, name, virt_ns, arg);
     }
 
-    /// Record the origin half of a causal flow arrow (`ph:"s"`). Callers
-    /// should gate on [`Self::flows_enabled`]; recording is unconditional
-    /// here so tests can drive the ring directly.
+    /// Record the origin half of a causal flow arrow (`ph:"s"`).
     #[inline]
     pub fn flow_send(&self, rank: usize, name: &'static str, virt_ns: u64, id: u64, tag: u64) {
         self.event2(rank, EventKind::FlowSend, name, virt_ns, id, tag);
@@ -391,7 +372,6 @@ mod tests {
     #[test]
     fn flow_events_carry_id_and_tag() {
         let t = Tracer::new(2);
-        assert!(t.flows_enabled());
         t.flow_send(0, "flow", 10, 0xABCD, 14);
         t.flow_recv(1, "flow", 20, 0xABCD, 14);
         let s = t.events(0);
@@ -400,7 +380,6 @@ mod tests {
         let r = t.events(1);
         assert_eq!(r[0].kind, EventKind::FlowRecv);
         assert_eq!((r[0].arg, r[0].arg2), (0xABCD, 14));
-        assert!(!t.flows(false).flows_enabled());
     }
 
     #[test]

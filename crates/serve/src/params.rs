@@ -242,9 +242,38 @@ impl ServeParams {
             return Err("forensics_window_slots must be >= 1".into());
         }
         self.workload.validate()?;
+        let slots = self.expected_slots();
+        if slots > MAX_SCHEDULE_SLOTS as f64 {
+            return Err(format!(
+                "the schedule spans about {slots:.3e} slots, more than the \
+                 {MAX_SCHEDULE_SLOTS} a run may take (raise the rate, shorten \
+                 the think time or lengthen the slot)"
+            ));
+        }
         Ok(())
     }
+
+    /// Slots the schedule is expected to span, at the least: its issues
+    /// times their mean spacing at the rate modulators' peak — the mean
+    /// arrival gap of the open loop, each closed-loop client's mean think
+    /// time.
+    fn expected_slots(&self) -> f64 {
+        let n = self.n_arrivals as f64;
+        let slot_ns = self.slot_ns as f64 * self.workload.peak_multiplier();
+        let (issues, slots_apart) = match self.workload.arrival {
+            ArrivalProcess::Open => (n, 1e9 / (self.offered_qps * slot_ns)),
+            ArrivalProcess::Closed { clients, think_ns } => {
+                ((n / clients as f64).ceil(), think_ns as f64 / slot_ns)
+            }
+        };
+        issues * slots_apart
+    }
 }
+
+/// Most slots a schedule may be expected to span. Every slot costs each
+/// rank a barrier and the clock a phase record, idle or not, so a sparser
+/// schedule serves its few queries over minutes (or never finishes).
+const MAX_SCHEDULE_SLOTS: u64 = 1 << 20;
 
 impl Default for ServeParams {
     /// `l = 10` search under the standard serving shape.
@@ -763,6 +792,32 @@ mod tests {
     #[should_panic(expected = "invalid workload spec")]
     fn workload_str_builder_rejects_bad_specs() {
         let _ = ServeParams::default().workload_str("burst:at=1s,x=999");
+    }
+
+    #[test]
+    fn a_schedule_past_the_slot_budget_is_refused() {
+        // Every slot is a barrier, so these ran for minutes or never ended.
+        for (qps, spec) in [
+            (1e-300, "open"),
+            (0.1, "open"),
+            (2_000.0, "closed:n=1,think=100000s"),
+        ] {
+            let p = ServeParams {
+                offered_qps: qps,
+                workload: spec.parse().unwrap(),
+                ..ServeParams::default()
+            };
+            let err = p.validate().unwrap_err();
+            assert!(err.contains("a run may take"), "{qps} {spec}: {err}");
+        }
+        // A burst's peak rate counts: 200 arrivals at 0.15 qps span about
+        // 670 000 slots at a doubled rate, 1.3 M at the base one.
+        let p = ServeParams {
+            offered_qps: 0.15,
+            ..ServeParams::default()
+        };
+        assert!(p.validate().is_err());
+        p.workload_str("burst:at=0s,x=2").validate().unwrap();
     }
 
     #[test]

@@ -314,33 +314,6 @@ macro_rules! wire_struct {
     };
 }
 
-/// Compact causal trace context carried on every simulated wire frame.
-///
-/// Minted exactly once, when a send buffer is flushed into a frame; the
-/// reliable-delivery layer stores the context alongside the frame bytes and
-/// reuses it verbatim on retransmits and duplicates, so a redelivered frame
-/// can never forge a new causal edge. `wire_size` is what an MPI transport
-/// would pay per frame for the context; the simulation keeps the context
-/// out of the byte counters so enabling tracing never perturbs the virtual
-/// clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TraceCtx {
-    /// Rank that flushed the frame.
-    pub origin: u32,
-    /// Span id of the sender's enclosing barrier-to-barrier phase (the
-    /// phase counter at flush time — deterministic under SPMD).
-    pub parent_span: u64,
-    /// Logical per-(origin, dest) flush sequence number, assigned at mint
-    /// time and frozen across retransmits.
-    pub send_seq: u64,
-}
-
-wire_struct!(TraceCtx {
-    origin,
-    parent_span,
-    send_seq
-});
-
 /// Encode `value` into a fresh buffer. Mostly useful in tests.
 pub fn encode_to_bytes<T: Encode + ?Sized>(value: &T) -> Bytes {
     let mut buf = BytesMut::with_capacity(value.wire_size());
@@ -455,27 +428,5 @@ mod tests {
     fn wire_size_matches_for_nested() {
         let v = vec![(1u32, vec![1.0f32, 2.0]), (2u32, vec![])];
         assert_eq!(encode_to_bytes(&v).len(), v.wire_size());
-    }
-
-    #[test]
-    fn trace_ctx_round_trips() {
-        round_trip(TraceCtx::default());
-        round_trip(TraceCtx {
-            origin: 3,
-            parent_span: 17,
-            send_seq: u64::MAX,
-        });
-    }
-
-    #[test]
-    fn trace_ctx_wire_size_is_fixed() {
-        // The frame-header cost an MPI transport would pay per frame.
-        assert_eq!(TraceCtx::default().wire_size(), 20);
-        let ctx = TraceCtx {
-            origin: 1,
-            parent_span: 2,
-            send_seq: 3,
-        };
-        assert_eq!(encode_to_bytes(&ctx).len(), 20);
     }
 }

@@ -23,7 +23,7 @@
 //! Handlers must not call `barrier` or `register` (enforced by a `RefCell`
 //! borrow panic in debug and release).
 
-use crate::codec::{Encode, TraceCtx, Wire};
+use crate::codec::{Encode, Wire};
 use crate::cost::CostModel;
 use crate::fault::{FaultCounters, FaultPlan};
 use crate::stats::{check_tag, Tally};
@@ -45,25 +45,20 @@ const STORM_ROUNDS: u64 = 10_000;
 
 /// One flushed aggregation buffer in flight; the meeting that carries it
 /// knows its source and destination. `seq` numbers frames per directed edge
-/// `(src -> dest)`; under fault injection the reliable-delivery layer uses
-/// it for acks and receive-side dedup. The fault-free transport sends
-/// `seq = 0` and ignores it.
+/// `(src -> dest)` in flush order, and every retransmit and injected
+/// duplicate carries its frame's number: it names the frame's flow arrows,
+/// and under fault injection the reliable-delivery layer acks and dedups by
+/// it.
 #[derive(Debug, Clone)]
 pub(crate) struct Packet {
     pub(crate) seq: u64,
     pub(crate) attempt: u32,
-    /// Causal context minted when the frame was flushed. Every retransmit
-    /// and injected duplicate carries the *same* context, so redelivery can
-    /// never forge a new causal edge.
-    pub(crate) ctx: TraceCtx,
     pub(crate) bytes: Bytes,
 }
 
 /// A sent-but-unacknowledged frame retained for retransmission.
 struct UnackedFrame {
     bytes: Bytes,
-    /// Original causal context, reused verbatim on every retransmission.
-    ctx: TraceCtx,
     attempt: u32,
     /// Epoch at which the frame is retransmitted if still unacked.
     next_retry: u64,
@@ -76,17 +71,14 @@ pub(crate) const MAX_FLOW_RANKS: usize = 1 << 13;
 
 /// Stable identity shared by the `ph:"s"` and `ph:"f"` halves of one
 /// cross-rank flow arrow: tag (6 bits, `MAX_TAGS` = 64), origin (13),
-/// destination (13) and the origin-edge flush sequence (32) packed into one
+/// destination (13) and the frame's number on its edge (32) packed into one
 /// u64 — distinct for distinct arrows of a world that may record them
-/// ([`crate::World::tracer`] refuses more than [`MAX_FLOW_RANKS`]). Both
-/// sides compute it independently from the frame's [`TraceCtx`], so pairing
-/// needs no extra wire traffic.
-fn flow_id(tag: u16, ctx: TraceCtx, dest: usize) -> u64 {
-    debug_assert!((ctx.origin as usize).max(dest) < MAX_FLOW_RANKS);
-    ((tag as u64) << 58)
-        | ((ctx.origin as u64) << 45)
-        | ((dest as u64) << 32)
-        | (ctx.send_seq & 0xFFFF_FFFF)
+/// ([`crate::World::tracer`] refuses more than [`MAX_FLOW_RANKS`]). The
+/// sender and the receiver each compute it from what the meeting already
+/// tells them, so pairing needs no extra wire traffic.
+fn flow_id(tag: u16, src: usize, dest: usize, seq: u64) -> u64 {
+    debug_assert!(src.max(dest) < MAX_FLOW_RANKS);
+    ((tag as u64) << 58) | ((src as u64) << 45) | ((dest as u64) << 32) | (seq & 0xFFFF_FFFF)
 }
 
 /// Iterate the set bits of a per-destination tag bitset as tag ids.
@@ -106,8 +98,6 @@ fn tag_bits(mut mask: u64) -> impl Iterator<Item = u16> {
 /// visible to another rank. Only exists under a fault plan.
 struct FaultLocal {
     plan: FaultPlan,
-    /// Next frame sequence number per destination edge.
-    next_seq: Vec<u64>,
     /// Unacked frames per destination, by sequence number.
     unacked: Vec<BTreeMap<u64, UnackedFrame>>,
     /// Per source: every frame numbered below `.0` has been delivered to a
@@ -127,7 +117,6 @@ impl FaultLocal {
     fn new(plan: FaultPlan, n: usize) -> Self {
         FaultLocal {
             plan,
-            next_seq: vec![0; n],
             unacked: (0..n).map(|_| BTreeMap::new()).collect(),
             delivered: vec![(0, BTreeSet::new()); n],
             inbox: Vec::new(),
@@ -180,14 +169,8 @@ pub struct Comm {
     /// Virtual time in nanoseconds as of this rank's last meeting, which is
     /// the time now: the clock cannot move before this rank's next arrival.
     now_ns: Cell<u64>,
-    /// Completed-barrier count: the parent span id stamped into every
-    /// [`TraceCtx`] this rank mints. SPMD makes it identical across ranks
-    /// at any collective point, and deterministic run to run.
-    phase_idx: Cell<u64>,
-    /// Next logical flush sequence per destination edge (flow identity;
-    /// independent of the reliable-delivery `seq`, which restarts
-    /// numbering games under retransmission).
-    flow_seq: RefCell<Vec<u64>>,
+    /// Next frame sequence number per destination edge.
+    next_seq: RefCell<Vec<u64>>,
     /// Bitset of tags buffered per destination since its last flush, so
     /// one flow arrow is drawn per (frame, tag) rather than per message.
     pending_tags: RefCell<Vec<u64>>,
@@ -211,8 +194,7 @@ impl Comm {
             handlers: RefCell::new((0..crate::stats::MAX_TAGS).map(|_| None).collect()),
             fault,
             now_ns: Cell::new(0),
-            phase_idx: Cell::new(0),
-            flow_seq: RefCell::new(vec![0; n]),
+            next_seq: RefCell::new(vec![0; n]),
             pending_tags: RefCell::new(vec![0; n]),
             tally: RefCell::new(Tally::new(n)),
         }
@@ -350,14 +332,11 @@ impl Comm {
 
     /// Record the origin half (`ph:"s"`) of a causal flow arrow on this
     /// rank's track. `id` pairs it with a later [`Self::trace_flow_recv`]
-    /// carrying the same id; `tag` labels the arrow. No-op when untraced
-    /// or when flow recording is disabled (`--trace-flows=off`).
+    /// carrying the same id; `tag` labels the arrow. No-op when untraced.
     #[inline]
     pub fn trace_flow_send(&self, name: &'static str, id: u64, tag: u64) {
         if let Some(t) = self.tracer() {
-            if t.flows_enabled() {
-                t.flow_send(self.rank, name, self.now_ns(), id, tag);
-            }
+            t.flow_send(self.rank, name, self.now_ns(), id, tag);
         }
     }
 
@@ -366,23 +345,17 @@ impl Comm {
     #[inline]
     pub fn trace_flow_recv(&self, name: &'static str, id: u64, tag: u64) {
         if let Some(t) = self.tracer() {
-            if t.flows_enabled() {
-                t.flow_recv(self.rank, name, self.now_ns(), id, tag);
-            }
+            t.flow_recv(self.rank, name, self.now_ns(), id, tag);
         }
     }
 
     /// Open an async (nestable) span (`ph:"b"`) on this rank's track. `id`
     /// pairs it with the matching [`Self::trace_async_end`]; overlapping
-    /// spans are fine. Gated with flow recording — async spans share the
-    /// per-query id namespace with flow arrows and roughly double serving
-    /// trace volume the same way.
+    /// spans are fine.
     #[inline]
     pub fn trace_async_begin(&self, name: &'static str, id: u64) {
         if let Some(t) = self.tracer() {
-            if t.flows_enabled() {
-                t.async_begin(self.rank, name, self.now_ns(), id);
-            }
+            t.async_begin(self.rank, name, self.now_ns(), id);
         }
     }
 
@@ -390,9 +363,7 @@ impl Comm {
     #[inline]
     pub fn trace_async_end(&self, name: &'static str, id: u64) {
         if let Some(t) = self.tracer() {
-            if t.flows_enabled() {
-                t.async_end(self.rank, name, self.now_ns(), id);
-            }
+            t.async_end(self.rank, name, self.now_ns(), id);
         }
     }
 
@@ -417,27 +388,29 @@ impl Comm {
         }
     }
 
-    /// Paced runtime-gauge sampling: send-buffer occupancy (total and per
-    /// destination) and, under a fault plan, the reliable-delivery
-    /// windows. Runs at barrier entry — the one point where this rank's
-    /// buffers still hold the phase's residual messages and the virtual
-    /// timestamp is stable (identical run-to-run), so the sampled series
-    /// are deterministic under a fixed seed.
+    /// Paced runtime-gauge sampling, a fixed set per rank whatever the
+    /// world's size: send-buffer occupancy (total bytes, the largest
+    /// destination's bytes, how many destinations hold any) and, under a
+    /// fault plan, the reliable-delivery windows. Runs at barrier entry —
+    /// the one point where this rank's buffers still hold the phase's
+    /// residual messages and the virtual timestamp is stable (identical
+    /// run-to-run), so the sampled series are deterministic under a fixed
+    /// seed.
     fn sample_gauges(&self) {
         let Some(t) = self.tracer() else { return };
         let now = self.now_ns();
         if !t.should_sample(self.rank, now) {
             return;
         }
-        let total: u64 = {
-            let out = self.out.borrow();
-            for (dest, buf) in out.iter().enumerate() {
-                let name = format!("send_buf_bytes.d{dest}");
-                t.gauge(self.rank, &name, now, buf.len() as f64);
-            }
-            out.iter().map(|b| b.len() as u64).sum()
-        };
+        let (mut total, mut largest, mut dests) = (0, 0, 0);
+        for buf in self.out.borrow().iter().filter(|b| !b.is_empty()) {
+            total += buf.len();
+            largest = largest.max(buf.len());
+            dests += 1;
+        }
         t.gauge(self.rank, "send_buf_bytes", now, total as f64);
+        t.gauge(self.rank, "send_buf_max_bytes", now, largest as f64);
+        t.gauge(self.rank, "send_buf_dests", now, dests as f64);
         if let Some(fl) = &self.fault {
             let fl = fl.borrow();
             let unacked: usize = fl.unacked.iter().map(BTreeMap::len).sum();
@@ -490,8 +463,8 @@ impl Comm {
     }
 
     /// Flush one destination buffer into the outbox. This is the one
-    /// place a [`TraceCtx`] is minted: retransmits and duplicates reuse
-    /// the context frozen here.
+    /// place a frame is numbered: retransmits and duplicates carry the
+    /// number given here.
     fn flush(&self, dest: usize) {
         let (frame, tags) = {
             let mut out = self.out.borrow_mut();
@@ -506,34 +479,26 @@ impl Comm {
                 .unwrap_or_else(|| BytesMut::with_capacity(out[dest].capacity()));
             (std::mem::replace(&mut out[dest], next).freeze(), tags)
         };
-        let ctx = {
-            let mut seqs = self.flow_seq.borrow_mut();
-            let ctx = TraceCtx {
-                origin: self.rank as u32,
-                parent_span: self.phase_idx.get(),
-                send_seq: seqs[dest],
-            };
-            seqs[dest] += 1;
-            ctx
+        let seq = {
+            let mut next = self.next_seq.borrow_mut();
+            next[dest] += 1;
+            next[dest] - 1
         };
         if let Some(t) = self.tracer() {
             let now = self.now_ns();
             t.instant(self.rank, "flush", now, frame.len() as u64);
             t.record_hist(self.rank, "flush_bytes", frame.len() as u64);
-            if t.flows_enabled() {
-                // One origin event per distinct tag in the frame; the
-                // receiver recomputes the same ids from the carried ctx.
-                for tag in tag_bits(tags) {
-                    t.flow_send(self.rank, "flow", now, flow_id(tag, ctx, dest), tag as u64);
-                }
+            // One origin event per distinct tag in the frame; the receiver
+            // computes the same ids from the frame's source and number.
+            for tag in tag_bits(tags) {
+                let id = flow_id(tag, self.rank, dest, seq);
+                t.flow_send(self.rank, "flow", now, id, tag as u64);
             }
         }
-        // Under a fault plan, reliable delivery: number the frame on this
-        // edge and retain it until the destination's ack names it.
-        let seq = self.fault.as_ref().map_or(0, |fl| {
+        // Under a fault plan, reliable delivery: retain the frame until the
+        // destination's ack names it.
+        if let Some(fl) = &self.fault {
             let mut fl = fl.borrow_mut();
-            let seq = fl.next_seq[dest];
-            fl.next_seq[dest] += 1;
             // Grace of two epochs: a fault-free frame flushed at epoch e is
             // dispatched by the receiver in round e+1, its ack rides that
             // round's meeting and the pump applies it at e+2 before it
@@ -543,25 +508,21 @@ impl Comm {
                 seq,
                 UnackedFrame {
                     bytes: frame.clone(),
-                    ctx,
                     attempt: 0,
                     next_retry,
                     forced: false,
                 },
             );
-            seq
-        });
-        self.transmit(dest, seq, frame, ctx, 0);
+        }
+        self.transmit(dest, seq, frame, 0);
     }
 
     /// Hand one delivery attempt of frame `(self.rank -> dest, seq)` to the
-    /// next meeting, applying a fault plan's drops and duplications. `ctx`
-    /// is the frame's original mint-time context, whatever the attempt.
-    fn transmit(&self, dest: usize, seq: u64, bytes: Bytes, ctx: TraceCtx, attempt: u32) {
+    /// next meeting, applying a fault plan's drops and duplications.
+    fn transmit(&self, dest: usize, seq: u64, bytes: Bytes, attempt: u32) {
         let pkt = Packet {
             seq,
             attempt,
-            ctx,
             bytes,
         };
         if let Some(plan) = self.shared.fault {
@@ -586,7 +547,7 @@ impl Comm {
     /// the delay inbox; otherwise dispatch.
     fn receive_packet(&self, src: usize, pkt: Packet) {
         let Some(fl) = &self.fault else {
-            return self.dispatch_block(pkt.bytes, pkt.ctx);
+            return self.dispatch_block(src, pkt);
         };
         let mut fl = fl.borrow_mut();
         if fl.is_delivered(src, pkt.seq) {
@@ -614,13 +575,13 @@ impl Comm {
     /// Mark a frame from `src` delivered, owe `src` its ack and dispatch the
     /// frame's messages. This is the exactly-once point under faults — dedup
     /// upstream guarantees one delivery per `(edge, seq)`, so the flow-recv
-    /// events emitted by the dispatch pair 1:1 with mint-time flow-send
-    /// events.
+    /// events emitted by the dispatch pair 1:1 with the flow-send events of
+    /// the flush.
     fn deliver_packet(&self, src: usize, pkt: Packet) {
         let fl = self.fault.as_ref().expect("deliver without faults");
         fl.borrow_mut().mark_delivered(src, pkt.seq);
         self.mailbox.borrow_mut().acks_out.push((src, pkt.seq));
-        self.dispatch_block(pkt.bytes, pkt.ctx)
+        self.dispatch_block(src, pkt)
     }
 
     /// Drive the reliable-delivery layer one step: drop the frames the last
@@ -657,9 +618,8 @@ impl Comm {
             }
         }
 
-        // Retransmission. Retransmits reuse the stored mint-time TraceCtx —
-        // never a fresh one.
-        let mut resend: Vec<(usize, u64, Bytes, TraceCtx, u32)> = Vec::new();
+        // Retransmission, under the frame's own number.
+        let mut resend: Vec<(usize, u64, Bytes, u32)> = Vec::new();
         {
             let mut fl = fl_cell.borrow_mut();
             let max_faulty_attempts = fl.plan.profile.max_faulty_attempts;
@@ -677,14 +637,14 @@ impl Comm {
                     // as the initial send, so in-flight attempts are not
                     // re-sent before their ack can possibly arrive).
                     frame.next_retry = epoch + (1u64 << frame.attempt.min(3)).max(2);
-                    resend.push((dest, *seq, frame.bytes.clone(), frame.ctx, frame.attempt));
+                    resend.push((dest, *seq, frame.bytes.clone(), frame.attempt));
                 }
             }
         }
-        for (dest, seq, bytes, ctx, attempt) in resend {
+        for (dest, seq, bytes, attempt) in resend {
             self.count_fault(|f| &mut f.retransmits);
             self.tally.borrow_mut().add_transport(dest, bytes.len());
-            self.transmit(dest, seq, bytes, ctx, attempt);
+            self.transmit(dest, seq, bytes, attempt);
         }
     }
 
@@ -709,10 +669,11 @@ impl Comm {
         }
     }
 
-    /// Decode and dispatch every frame in `block`. `ctx` is the causal
-    /// context the block was flushed with; flow-recv events are emitted per
-    /// distinct tag, inside the dispatch span, exactly once per delivery.
-    fn dispatch_block(&self, mut block: Bytes, ctx: TraceCtx) {
+    /// Decode and dispatch every message in the frame `pkt` from `src`;
+    /// flow-recv events are emitted per distinct tag, inside the dispatch
+    /// span, exactly once per delivery.
+    fn dispatch_block(&self, src: usize, pkt: Packet) {
+        let mut block = pkt.bytes;
         let tracer = self.tracer();
         if tracer.is_some() {
             self.trace_begin_arg("dispatch", block.remaining() as u64);
@@ -761,12 +722,10 @@ impl Comm {
             }
         }
         if let Some(t) = tracer {
-            if t.flows_enabled() {
-                let now = self.now_ns();
-                for tag in tag_bits(tags_seen) {
-                    let id = flow_id(tag, ctx, self.rank);
-                    t.flow_recv(self.rank, "flow", now, id, tag as u64);
-                }
+            let now = self.now_ns();
+            for tag in tag_bits(tags_seen) {
+                let id = flow_id(tag, src, self.rank, pkt.seq);
+                t.flow_recv(self.rank, "flow", now, id, tag as u64);
             }
             self.trace_end("dispatch");
         }
@@ -809,7 +768,6 @@ impl Comm {
                 // The clock advanced inside the meeting, so this span's
                 // virtual duration is exactly the completed phase's makespan.
                 self.trace_end("barrier");
-                self.phase_idx.set(self.phase_idx.get() + 1);
                 return;
             }
             // Non-quiescent round: messages are still in the mail, parked
@@ -934,26 +892,17 @@ mod tests {
         let mut ids = HashSet::new();
         let mut arrows = 0;
         for tag in [0u16, 1, 63] {
-            for origin in 0..300u32 {
-                for dest in 0..300usize {
-                    for send_seq in [0u64, 1, u32::MAX as u64] {
-                        let ctx = TraceCtx {
-                            origin,
-                            parent_span: 0,
-                            send_seq,
-                        };
-                        ids.insert(flow_id(tag, ctx, dest));
+            for src in 0..300 {
+                for dest in 0..300 {
+                    for seq in [0u64, 1, u32::MAX as u64] {
+                        ids.insert(flow_id(tag, src, dest, seq));
                         arrows += 1;
                     }
                 }
             }
         }
         assert_eq!(ids.len(), arrows);
-        let top = TraceCtx {
-            origin: MAX_FLOW_RANKS as u32 - 1,
-            parent_span: 0,
-            send_seq: u32::MAX as u64,
-        };
-        assert_eq!(flow_id(63, top, MAX_FLOW_RANKS - 1), u64::MAX);
+        let top = MAX_FLOW_RANKS - 1;
+        assert_eq!(flow_id(63, top, top, u32::MAX as u64), u64::MAX);
     }
 }

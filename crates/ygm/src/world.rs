@@ -392,8 +392,8 @@ impl World {
     /// Attach a tracer; runtime spans (barriers, dispatch, collectives),
     /// flush metrics, and any application spans recorded through
     /// [`Comm`]'s `trace_*` helpers land in it. The tracer must have been
-    /// created for the same rank count, and one that records flow arrows
-    /// for no more ranks than a flow id can name.
+    /// created for the same rank count, which must be no more than a flow
+    /// arrow's id can name.
     pub fn tracer(mut self, tracer: Arc<Tracer>) -> Self {
         assert_eq!(
             tracer.n_ranks(),
@@ -401,8 +401,8 @@ impl World {
             "tracer rank count must match the world"
         );
         assert!(
-            !tracer.flows_enabled() || self.n_ranks <= MAX_FLOW_RANKS,
-            "flow arrows identify at most {MAX_FLOW_RANKS} ranks; trace with flows off"
+            self.n_ranks <= MAX_FLOW_RANKS,
+            "flow arrows identify at most {MAX_FLOW_RANKS} ranks"
         );
         self.tracer = Some(tracer);
         self

@@ -17,9 +17,7 @@
 //! report.json` (unified machine-readable run report), and
 //! `--dashboard-out dash.html` (self-contained HTML dashboard: phase
 //! timeline, critical-path lane, rank×rank traffic heatmap, convergence
-//! curve, telemetry series — no external assets). `--trace-flows off`
-//! drops the cross-rank flow arrows (`ph:"s"/"f"`) from the trace when
-//! only per-rank spans are wanted.
+//! curve, telemetry series — no external assets).
 //!
 //! Fault injection: `--fault-profile clean|lossy|stormy` runs the build
 //! under the simulated-transport fault layer, and `--sim-seed <u64>`

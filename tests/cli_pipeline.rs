@@ -426,6 +426,22 @@ fn bad_flag_exits_2_on_every_binary() {
             format!("{on_prod} --filter bucket>>3"),
             "error: invalid --filter predicate: term \"bucket>>3\": want '==' or 'in'",
         ),
+        // Every slot is a barrier, idle or not: a schedule this sparse never
+        // finished.
+        (
+            serve_bin,
+            format!("--store {store} --qps 1e-300"),
+            "error: invalid serving parameters: the schedule spans about 2.000e305 slots, \
+             more than the 1048576 a run may take (raise the rate, shorten the think time \
+             or lengthen the slot)",
+        ),
+        (
+            serve_bin,
+            format!("--store {store} --workload closed:n=1,think=100000s"),
+            "error: invalid serving parameters: the schedule spans about 2.000e10 slots, \
+             more than the 1048576 a run may take (raise the rate, shorten the think time \
+             or lengthen the slot)",
+        ),
         // The compaction watermark is checked before the collection opens,
         // not asserted in the rank threads.
         (

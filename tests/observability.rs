@@ -148,13 +148,17 @@ fn chrome_trace_has_per_rank_tracks_and_all_engine_phases() {
     assert_eq!(iter_spans, report.iterations * report.n_ranks);
 }
 
-/// One traced, fault-free, *unoptimized* build — the protocol whose
-/// delivered-message multiset (and thus telemetry) is a pure function of
-/// the seed.
-fn unopt_traced_run(n_ranks: usize) -> (Arc<Tracer>, BuildReport) {
+/// One traced *unoptimized* build — the protocol whose delivered-message
+/// multiset (and thus telemetry) is a pure function of the seed — fault-free
+/// unless a fault profile is named.
+fn unopt_traced_run(n_ranks: usize, profile: Option<&str>) -> (Arc<Tracer>, BuildReport) {
     let set = Arc::new(synth::uniform(300, 8, 7));
     let tracer = Arc::new(Tracer::new(n_ranks));
-    let world = World::new(n_ranks).tracer(Arc::clone(&tracer));
+    let mut world = World::new(n_ranks).tracer(Arc::clone(&tracer));
+    if let Some(p) = profile {
+        let prof = ygm::FaultProfile::by_name(p).expect("known profile");
+        world = world.fault_plan(ygm::FaultPlan::new(prof, 5));
+    }
     let out = build(
         &world,
         &set,
@@ -175,8 +179,8 @@ fn telemetry_series_and_matrix_replay_bit_identically() {
     // values must be bit-identical across same-seed runs, at every rank
     // count.
     for ranks in [1usize, 2, 4] {
-        let (t1, r1) = unopt_traced_run(ranks);
-        let (t2, r2) = unopt_traced_run(ranks);
+        let (t1, r1) = unopt_traced_run(ranks, None);
+        let (t2, r2) = unopt_traced_run(ranks, None);
         let (s1, s2) = (t1.series_snapshot(), t2.series_snapshot());
         assert!(!s1.is_empty(), "no series recorded at n_ranks={ranks}");
         assert_eq!(s1, s2, "series diverged between runs at n_ranks={ranks}");
@@ -184,32 +188,42 @@ fn telemetry_series_and_matrix_replay_bit_identically() {
             r1.matrix, r2.matrix,
             "traffic matrix diverged between runs at n_ranks={ranks}"
         );
-        for name in [
-            "send_buf_bytes",
-            "heap_updates",
-            "dist_evals",
-            "termination_c",
-        ] {
-            assert!(
-                s1.iter().any(|s| s.name == name),
-                "gauge {name:?} missing at n_ranks={ranks}"
+        // Every rank contributes one track of each runtime and engine gauge.
+        for name in RUNTIME_GAUGES.iter().chain(&["heap_updates", "dist_evals"]) {
+            let on: Vec<u64> = (s1.iter().filter(|s| s.name == *name))
+                .map(|s| s.rank)
+                .collect();
+            assert_eq!(
+                on,
+                (0..ranks as u64).collect::<Vec<_>>(),
+                "gauge {name:?} at n_ranks={ranks}"
             );
         }
-        // Every rank contributes a send-buffer track; the termination
-        // counter is global, so rank 0 alone carries it.
-        let buf_ranks: Vec<u64> = s1
-            .iter()
-            .filter(|s| s.name == "send_buf_bytes")
-            .map(|s| s.rank)
-            .collect();
-        assert_eq!(buf_ranks, (0..ranks as u64).collect::<Vec<_>>());
-        let term_ranks: Vec<u64> = s1
-            .iter()
-            .filter(|s| s.name == "termination_c")
-            .map(|s| s.rank)
-            .collect();
-        assert_eq!(term_ranks, vec![0]);
     }
+}
+
+/// What `ygm::Comm` samples on every rank of a fault-free world.
+const RUNTIME_GAUGES: [&str; 3] = ["send_buf_bytes", "send_buf_max_bytes", "send_buf_dests"];
+
+#[test]
+fn series_stay_linear_in_ranks() {
+    // A rank samples a fixed set of gauges, never one per peer: at 32 ranks
+    // no track is named for a destination, every rank carries each runtime
+    // gauge exactly once, and the engine adds a fixed few per rank.
+    let ranks = 32;
+    let (t, _) = unopt_traced_run(ranks, None);
+    let series = t.series_snapshot();
+    assert!(
+        series.iter().all(|s| !s.name.contains(".d")),
+        "a per-destination track"
+    );
+    for name in RUNTIME_GAUGES {
+        let on: Vec<u64> = (series.iter().filter(|s| s.name == name))
+            .map(|s| s.rank)
+            .collect();
+        assert_eq!(on, (0..ranks as u64).collect::<Vec<_>>(), "{name}");
+    }
+    assert!(series.len() <= 6 * ranks, "{} tracks", series.len());
 }
 
 #[test]
@@ -315,7 +329,7 @@ fn flow_event_halves_pair_exactly() {
 
     // The unoptimized protocol draws the plain Type 2 arrows, and its
     // pairing is exact too.
-    let (t, _) = unopt_traced_run(4);
+    let (t, _) = unopt_traced_run(4, None);
     let doc = JsonValue::parse(&obs::chrome::chrome_trace_json(&t)).expect("trace parses");
     let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
     let sends = flow_halves(events, "s");
@@ -333,28 +347,47 @@ fn flow_event_halves_pair_exactly() {
     assert_eq!(send_ids, recv_ids);
 }
 
-#[test]
-fn trace_flows_can_be_disabled() {
-    let set = Arc::new(synth::uniform(300, 8, 7));
-    let tracer = Arc::new(Tracer::new(2).flows(false));
-    let world = World::new(2).tracer(Arc::clone(&tracer));
-    build(
-        &world,
-        &set,
-        &L2,
-        DnndConfig::new(6)
-            .seed(11)
-            .comm_opts(CommOpts::unoptimized())
-            .max_iters(2),
-    );
-    let doc = JsonValue::parse(&obs::chrome::chrome_trace_json(&tracer)).unwrap();
+/// FNV-1a over every flow event of `t`'s Chrome export as sorted `(id,
+/// name, tid)` triples: which arrows a run draws, free of timestamps and of
+/// the order the ranks recorded them in.
+fn flow_identity(t: &Tracer) -> (usize, u64) {
+    let doc = JsonValue::parse(&obs::chrome::chrome_trace_json(t)).expect("trace parses");
     let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-    assert!(flow_halves(events, "s").is_empty());
-    assert!(flow_halves(events, "f").is_empty());
-    // Spans still record normally.
-    assert!(events
-        .iter()
-        .any(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X")));
+    let mut flows = [flow_halves(events, "s"), flow_halves(events, "f")].concat();
+    flows.sort();
+    let mut bytes = Vec::new();
+    for (id, name, tid) in &flows {
+        bytes.extend_from_slice(id.as_bytes());
+        bytes.extend_from_slice(name.as_bytes());
+        bytes.push(0);
+        bytes.extend_from_slice(&tid.to_le_bytes());
+    }
+    (flows.len(), metall::checksum::fnv1a(&bytes))
+}
+
+#[test]
+fn flow_identity_is_pinned() {
+    // An arrow's id is its tag, source, destination and the frame's number
+    // on that edge, which both halves compute on their own. These digests
+    // pin every arrow of a 4-rank build per protocol and of a lossy one,
+    // whose retransmits and duplicates must each still draw their frame's
+    // arrow exactly once: a change to how frames are numbered moves them.
+    let (optimized, _) = traced_build(3);
+    let (unoptimized, _) = unopt_traced_run(4, None);
+    let (lossy, report) = unopt_traced_run(4, Some("lossy"));
+    let f = report.faults.as_ref().expect("fault section");
+    assert!(f.retransmits > 0 && f.duplicated > 0, "{f:?}");
+    let got = [
+        flow_identity(&optimized),
+        flow_identity(&unoptimized),
+        flow_identity(&lossy),
+    ];
+    let want = [
+        (1_150, 0x1734_85e9_7de4_be3c),
+        (528, 0x2411_f705_767e_cd75),
+        (7_360, 0xdb80_ae90_1b39_c688),
+    ];
+    assert_eq!(got, want, "{got:x?}");
 }
 
 /// An untraced unoptimized build, optionally under a fault plan — the
