@@ -1,6 +1,6 @@
 //! `kernels` — microbenchmark for the batched distance-kernel subsystem.
 //!
-//! For every metric x dimension cell this driver times two ways of
+//! For every metric x dimension cell this driver times three ways of
 //! evaluating the same query-against-candidates workload:
 //!
 //! * **scalar**: the documented per-pair reference path — dispatch forced
@@ -9,16 +9,19 @@
 //!   the batched rework);
 //! * **batched**: whatever SIMD path the host dispatches, plus the
 //!   cached-norm preprocessing, through
-//!   [`BatchMetric::distance_one_to_many`] — the path the engine, search,
-//!   and brute-force code now use.
+//!   [`BatchMetric::distance_one_to_many`] — the path the engine and search
+//!   use;
+//! * **M×N**: the same host path through
+//!   [`BatchMetric::distance_many_to_many`], all queries against all
+//!   candidates in one call — the shape the brute-force ground truth takes.
 //!
-//! Both paths must agree **bit for bit** (asserted inline on every run:
+//! All three must agree **bit for bit** (asserted inline on every run:
 //! the determinism contract of `dataset::kernel`), so the only difference
 //! is speed. Results go into a RunReport-schema JSON whose `extra` map
 //! carries, per cell: `<metric>.d<dim>.scalar_ns_per_pair`,
-//! `.batch_ns_per_pair`, `.speedup`, and `.batch_gflops` — the committed
-//! baseline lives in `BENCH_4.json` and CI soft-diffs candidates against
-//! it with `dnnd-report-diff`.
+//! `.batch_ns_per_pair`, `.mxn_ns_per_pair`, `.speedup`, and
+//! `.batch_gflops` — the committed baseline lives in `BENCH_4.json` and CI
+//! soft-diffs candidates against it with `dnnd-report-diff`.
 //!
 //! `--smoke` keeps every workload size identical (so `distance_evals` is
 //! the same number in both modes) but runs fewer timing reps, validates a
@@ -55,6 +58,7 @@ struct Cell {
     dim: usize,
     scalar_ns_per_pair: f64,
     batch_ns_per_pair: f64,
+    mxn_ns_per_pair: f64,
     /// Approximate FLOPs per pair / batched time (dot-form metrics do
     /// ~2*dim useful floating-point ops per pair).
     batch_gflops: f64,
@@ -94,7 +98,8 @@ fn best_ns_per_pair(reps: usize, pairs: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// Bench one metric over one point type: scalar per-pair loop vs batched
-/// 1xN calls, with an inline bit-identity check between the two paths.
+/// 1xN calls vs one MxN call, with an inline bit-identity check between the
+/// paths.
 fn bench_cell<P, M>(
     name: &'static str,
     m: &M,
@@ -133,6 +138,11 @@ where
             sink ^= batch_out[0].to_bits();
         }
     });
+    let mut mxn_out: Vec<f32> = Vec::with_capacity(pairs);
+    let mxn_ns = best_ns_per_pair(reps, pairs, || {
+        m.distance_many_to_many(queries, set, &cache, &ids, &mut mxn_out);
+        sink ^= mxn_out[0].to_bits();
+    });
     std::hint::black_box(sink);
 
     // Determinism contract: the batched path (any dispatch, cached norms)
@@ -147,12 +157,22 @@ where
             );
         }
     }
+    for (i, (d, s)) in mxn_out.iter().zip(&scalar_out).enumerate() {
+        assert_eq!(
+            d.to_bits(),
+            s.to_bits(),
+            "{name} d{dim}: MxN result differs from scalar reference at q{} c{}",
+            i / ids.len(),
+            i % ids.len()
+        );
+    }
 
     Cell {
         metric: name,
         dim,
         scalar_ns_per_pair: scalar_ns,
         batch_ns_per_pair: batch_ns,
+        mxn_ns_per_pair: mxn_ns,
         batch_gflops: 2.0 * dim as f64 / batch_ns,
     }
 }
@@ -193,6 +213,7 @@ fn main() {
             "dim",
             "scalar ns/pair",
             "batch ns/pair",
+            "mxn ns/pair",
             "speedup",
             "batch GFLOP/s",
         ],
@@ -203,6 +224,7 @@ fn main() {
             &c.dim,
             &format!("{:.2}", c.scalar_ns_per_pair),
             &format!("{:.2}", c.batch_ns_per_pair),
+            &format!("{:.2}", c.mxn_ns_per_pair),
             &format!("{:.2}x", c.speedup()),
             &format!("{:.2}", c.batch_gflops),
         ]);
@@ -240,6 +262,7 @@ fn main() {
         let key = format!("{}.d{}", c.metric, c.dim);
         report.metric(format!("{key}.scalar_ns_per_pair"), c.scalar_ns_per_pair);
         report.metric(format!("{key}.batch_ns_per_pair"), c.batch_ns_per_pair);
+        report.metric(format!("{key}.mxn_ns_per_pair"), c.mxn_ns_per_pair);
         report.metric(format!("{key}.speedup"), c.speedup());
         report.metric(format!("{key}.batch_gflops"), c.batch_gflops);
     }

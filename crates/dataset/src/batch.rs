@@ -77,7 +77,8 @@ fn dense_norm_cache(set: &PointSet<Vec<f32>>) -> NormCache {
 /// The one 1×N primitive is [`BatchMetric::distance_one_to_many_prepared`]:
 /// its default evaluates pair-by-pair via `Metric::distance`, so every
 /// metric gets the batched entry points for free, and the hot dense metrics
-/// override it (and only it) with cached-norm kernels. **Contract:** an
+/// override it with cached-norm kernels (the dot family its M×N form too,
+/// reading each candidate row once per eight queries). **Contract:** an
 /// override must be bit-identical to the default for every pair, and
 /// `out[i]` must equal the distance for `cands[i]` (row-major `qs × cands`
 /// for M×N).
@@ -163,7 +164,9 @@ pub trait BatchMetric<P: Point>: Metric<P> {
 
 /// The dot-product family: norms cached per set and taken once per query
 /// (`nq`); per candidate one cached (or recomputed) norm and one dot product,
-/// combined by `$finish(nq, np, dot)`.
+/// combined by `$finish(nq, np, dot)`. The M×N form scores each candidate
+/// row against eight queries at a time with [`kernel::dot_x8`], so the row
+/// is read once per eight queries; a remainder goes through the 1×N form.
 macro_rules! dot_family {
     ($metric:ty, $finish:expr) => {
         impl BatchMetric<Vec<f32>> for $metric {
@@ -189,6 +192,38 @@ macro_rules! dot_family {
                     let p = set.point(u);
                     $finish(nq, cache.norm_sq_of(u, p), kernel::dot(q, p))
                 }));
+            }
+
+            fn distance_many_to_many(
+                &self,
+                qs: &[Vec<f32>],
+                set: &PointSet<Vec<f32>>,
+                cache: &NormCache,
+                cands: &[PointId],
+                out: &mut Vec<f32>,
+            ) {
+                out.clear();
+                let mut scores: Vec<[f32; kernel::LANES]> = Vec::with_capacity(cands.len());
+                let mut blocks = qs.chunks_exact(kernel::LANES);
+                for block in &mut blocks {
+                    let qs: [&[f32]; kernel::LANES] = std::array::from_fn(|j| &block[j][..]);
+                    let nqs = qs.map(kernel::norm_sq);
+                    scores.clear();
+                    scores.extend(cands.iter().map(|&u| {
+                        let p = set.point(u);
+                        let np = cache.norm_sq_of(u, p);
+                        let dots = kernel::dot_x8(p, &qs);
+                        std::array::from_fn(|j| $finish(nqs[j], np, dots[j]))
+                    }));
+                    for j in 0..kernel::LANES {
+                        out.extend(scores.iter().map(|s| s[j]));
+                    }
+                }
+                let mut row = Vec::with_capacity(cands.len());
+                for q in blocks.remainder() {
+                    self.distance_one_to_many(q, set, cache, cands, &mut row);
+                    out.extend_from_slice(&row);
+                }
             }
         }
     };

@@ -7,19 +7,22 @@
 //! self-edges, as a k-NNG has no self loops), and [`brute_force_queries`]
 //! answers held-out queries.
 //!
-//! Parallelized over queries with rayon — the same shared-memory
-//! parallelism the paper's brute-force checker would use.
+//! Both are one sequential sweep: eight queries at a time against columns
+//! of [`BLOCK`] candidates, through [`BatchMetric::distance_many_to_many`]
+//! (which the dot family answers reading each candidate row once per eight
+//! queries; the rest score a query at a time). Each query selects
+//! from its own row of distances in id order, so the result is the one a
+//! one-query-at-a-time scan gives, bit for bit.
 
-use crate::batch::{BatchMetric, NormCache};
+use crate::batch::BatchMetric;
+use crate::kernel::LANES;
 use crate::order::{offer_bounded, DistKey};
 use crate::point::Point;
 use crate::set::{PointId, PointSet};
-use rayon::prelude::*;
 use std::collections::BinaryHeap;
 
-/// Candidate-block width for batched distance evaluation: big enough to
-/// amortize the per-batch query-norm computation, small enough that the
-/// distance buffer stays in cache.
+/// Candidate-column width: big enough to amortize the per-call query
+/// scalars, small enough that the distance buffer stays in cache.
 const BLOCK: usize = 256;
 
 /// Exact nearest neighbors: for query `q`, `ids[q]` are the `k` closest
@@ -49,35 +52,40 @@ impl GroundTruth {
     }
 }
 
-/// Exact k nearest base points for one explicit query point. `exclude` is
-/// the query's own id when the query is a member of `base` (k-NNG case).
-fn knn_of<P: Point, M: BatchMetric<P>>(
+/// Exact `k` nearest `base` points of each of `queries`. With `members`,
+/// query `i` is base point `i` and never its own neighbor (k-NNG case).
+fn sweep<P: Point, M: BatchMetric<P>>(
     base: &PointSet<P>,
     metric: &M,
-    cache: &NormCache,
-    all_ids: &[PointId],
-    q: &P,
-    exclude: Option<PointId>,
+    queries: &[P],
+    members: bool,
     k: usize,
-) -> (Vec<PointId>, Vec<f32>) {
-    // Max-heap of the current k best so the worst is peekable. Distances
-    // arrive a block at a time (1×BLOCK batched evaluation); selection
-    // scans each block in id order, so results match a scalar sweep.
-    let mut heap: BinaryHeap<DistKey> = BinaryHeap::with_capacity(k);
-    let mut dbuf: Vec<f32> = Vec::with_capacity(BLOCK);
-    let q_prep = metric.prepare_query(q);
-    for block in all_ids.chunks(BLOCK) {
-        metric.distance_one_to_many_prepared(q, q_prep, base, cache, block, &mut dbuf);
-        for (&id, &d) in block.iter().zip(&dbuf) {
-            if exclude != Some(id) {
-                offer_bounded(&mut heap, k, DistKey::new(d, id));
+) -> GroundTruth {
+    let cache = metric.preprocess(base);
+    let all_ids: Vec<PointId> = (0..base.len() as PointId).collect();
+    let (mut ids, mut dists) = (Vec::new(), Vec::new());
+    let mut dbuf: Vec<f32> = Vec::with_capacity(LANES * BLOCK);
+    for (b, block) in queries.chunks(LANES).enumerate() {
+        // One max-heap of the k best per query, so the worst is peekable.
+        let mut heaps = vec![BinaryHeap::<DistKey>::with_capacity(k); block.len()];
+        for column in all_ids.chunks(BLOCK) {
+            metric.distance_many_to_many(block, base, &cache, column, &mut dbuf);
+            for (i, (heap, row)) in heaps.iter_mut().zip(dbuf.chunks(column.len())).enumerate() {
+                let own = (b * LANES + i) as PointId;
+                for (&id, &d) in column.iter().zip(row) {
+                    if !(members && id == own) {
+                        offer_bounded(heap, k, DistKey::new(d, id));
+                    }
+                }
             }
         }
+        for heap in heaps {
+            let keys = heap.into_sorted_vec();
+            ids.push(keys.iter().map(|key| key.id()).collect());
+            dists.push(keys.iter().map(|key| key.dist()).collect());
+        }
     }
-    let keys = heap.into_sorted_vec();
-    let ids = keys.iter().map(|key| key.id()).collect();
-    let dists = keys.iter().map(|key| key.dist()).collect();
-    (ids, dists)
+    GroundTruth { ids, dists }
 }
 
 /// Exact k-NNG over `base` (no self edges). `O(N^2)` distances — the
@@ -88,14 +96,7 @@ pub fn brute_force_knng<P: Point, M: BatchMetric<P>>(
     k: usize,
 ) -> GroundTruth {
     assert!(k < base.len(), "k must be smaller than the dataset");
-    let cache = metric.preprocess(base);
-    let all_ids: Vec<PointId> = (0..base.len() as PointId).collect();
-    let results: Vec<(Vec<PointId>, Vec<f32>)> = (0..base.len() as PointId)
-        .into_par_iter()
-        .map(|id| knn_of(base, metric, &cache, &all_ids, base.point(id), Some(id), k))
-        .collect();
-    let (ids, dists) = results.into_iter().unzip();
-    GroundTruth { ids, dists }
+    sweep(base, metric, base.points(), true, k)
 }
 
 /// Exact k nearest base neighbors for each held-out query.
@@ -106,15 +107,7 @@ pub fn brute_force_queries<P: Point, M: BatchMetric<P>>(
     k: usize,
 ) -> GroundTruth {
     assert!(k <= base.len(), "k must not exceed the dataset size");
-    let cache = metric.preprocess(base);
-    let all_ids: Vec<PointId> = (0..base.len() as PointId).collect();
-    let results: Vec<(Vec<PointId>, Vec<f32>)> = queries
-        .points()
-        .par_iter()
-        .map(|q| knn_of(base, metric, &cache, &all_ids, q, None, k))
-        .collect();
-    let (ids, dists) = results.into_iter().unzip();
-    GroundTruth { ids, dists }
+    sweep(base, metric, queries.points(), false, k)
 }
 
 #[cfg(test)]

@@ -15,6 +15,10 @@
 //! cached-norm evaluation and a from-scratch evaluation follow the exact
 //! same arithmetic and produce the same bits.
 //!
+//! [`dot_x8`] scores eight pairs that share one operand in one pass and
+//! returns each pair's [`dot`] bits (eight accumulators, then an 8×8
+//! transpose so the fold and the tail keep the reference order).
+//!
 //! The integer kernels ([`sq_l2_u8`], [`hamming_u8`]) need no such order:
 //! an integer sum is exact, so any evaluation order gives the same integer
 //! and the same `as f32`. They accumulate in `u32` over blocks of
@@ -189,6 +193,7 @@ mod avx2 {
     use super::LANES;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
+    use std::array::from_fn;
 
     /// Fold a 256-bit accumulator in lane order 0..7, matching the scalar
     /// reference fold exactly.
@@ -221,6 +226,60 @@ mod avx2 {
             s += a.get_unchecked(i) * b.get_unchecked(i);
         }
         s
+    }
+
+    /// Eight [`dot`]s sharing one operand, register-blocked: each 8-wide
+    /// step loads `shared` once and each of `others` once, into eight
+    /// accumulators; an 8×8 transpose makes the lane fold and the tail
+    /// vector adds in every pair's scalar order.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, and every one of `others` must be as long
+    /// as `shared`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dot_x8(shared: &[f32], others: &[&[f32]; LANES]) -> [f32; LANES] {
+        let n = shared.len();
+        let chunks = n / LANES;
+        let mut acc = [_mm256_setzero_ps(); LANES];
+        for c in 0..chunks {
+            let base = c * LANES;
+            // SAFETY: `base + 8 <= n`, and every row is `n` long.
+            let s = _mm256_loadu_ps(shared.as_ptr().add(base));
+            for (acc, other) in acc.iter_mut().zip(others) {
+                let o = _mm256_loadu_ps(other.as_ptr().add(base));
+                *acc = _mm256_add_ps(*acc, _mm256_mul_ps(s, o));
+            }
+        }
+        // The transpose: interleave neighbouring accumulators, then pairs of
+        // them, then their 128-bit halves; `lane[i]` holds every pair's
+        // lane `i`, pair `j` in lane `j`.
+        let t: [__m256; LANES] = from_fn(|i| match i % 2 {
+            0 => _mm256_unpacklo_ps(acc[i], acc[i + 1]),
+            _ => _mm256_unpackhi_ps(acc[i - 1], acc[i]),
+        });
+        let s: [__m256; LANES] = from_fn(|i| {
+            let a = (i & 4) + (i & 2) / 2;
+            match i % 2 {
+                0 => _mm256_shuffle_ps::<0x44>(t[a], t[a + 2]),
+                _ => _mm256_shuffle_ps::<0xEE>(t[a], t[a + 2]),
+            }
+        });
+        let lane: [__m256; LANES] = from_fn(|i| match i / 4 {
+            0 => _mm256_permute2f128_ps::<0x20>(s[i % 4], s[i % 4 + 4]),
+            _ => _mm256_permute2f128_ps::<0x31>(s[i % 4], s[i % 4 + 4]),
+        });
+        let mut sum = lane[1..]
+            .iter()
+            .fold(lane[0], |sum, &l| _mm256_add_ps(sum, l));
+        for i in chunks * LANES..n {
+            let s = _mm256_set1_ps(*shared.get_unchecked(i));
+            let o: [f32; LANES] = from_fn(|j| *others[j].get_unchecked(i));
+            let o = _mm256_loadu_ps(o.as_ptr());
+            sum = _mm256_add_ps(sum, _mm256_mul_ps(s, o));
+        }
+        let mut out = [0.0f32; LANES];
+        _mm256_storeu_ps(out.as_mut_ptr(), sum);
+        out
     }
 
     /// AVX2 L1 distance; |x| via sign-bit mask, same rounding as scalar.
@@ -313,6 +372,20 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         }
     }
     dot_scalar(a, b)
+}
+
+/// `dot(shared, others[j])` for eight vectors in one pass, each with
+/// [`dot`]'s bits; the scalar path (or a length mismatch) is [`dot_scalar`]
+/// per pair. Which operand's NaN payload a NaN result carries is left
+/// unspecified, as it is for any Rust float product.
+pub fn dot_x8(shared: &[f32], others: &[&[f32]; LANES]) -> [f32; LANES] {
+    #[cfg(target_arch = "x86_64")]
+    if dispatch() == Dispatch::Avx2 && others.iter().all(|o| o.len() == shared.len()) {
+        // Safety: dispatch() only returns Avx2 when the CPU has it, and the
+        // lengths were just checked.
+        return unsafe { avx2::dot_x8(shared, others) };
+    }
+    others.map(|o| dot_scalar(shared, o))
 }
 
 /// L1 distance via the active dispatch path (bit-identical either way).

@@ -4,6 +4,9 @@
 //! chunked scalar reference (`kernel::dot_scalar` / `kernel::l1_scalar`
 //! plus the shared combiners), for every metric and a dimension sweep that
 //! crosses the lane boundary in every way: 1..8, 17, 64, 100, 300, 960.
+//! The 1×N form takes 0..=19 candidates and the M×N form 0..=17 queries —
+//! full blocks of eight and every remainder — over rows holding NaN
+//! payloads, ±inf and −0.0 (a NaN result compares as NaN).
 //! The prepared 1×N form (the query's scalar taken once, or read from the
 //! cache for a member) must equal the one-shot form bit for bit, and
 //! `DistKey` — the order every consumer of these distances sorts by — must
@@ -69,54 +72,106 @@ fn check_prepared<P: Point, M: BatchMetric<P>>(
     Ok(())
 }
 
+/// Entries the dot family must carry through bit for bit: two quiet NaN
+/// payloads (one of them negative and signalling), both infinities, −0.0.
+const SPECIAL_F32: [u32; 5] = [
+    0x7fc0_1234,
+    0x7f80_0000,
+    0x8000_0000,
+    0xffa0_0001,
+    0xff80_0000,
+];
+
+/// A distance's bits, except that every NaN is one NaN. Rust leaves the
+/// sign and payload of a NaN result unspecified (the compiler may swap the
+/// operands of a `+` or `*`), and `kernel::dot` and `kernel::l1` already
+/// disagree with their scalar references there: a row holding two NaN
+/// payloads in different lanes folds to either one.
+fn nan_blind_bits(d: f32) -> u32 {
+    if d.is_nan() {
+        f32::NAN.to_bits()
+    } else {
+        d.to_bits()
+    }
+}
+
+/// `raw[at..at + dim]` with every third entry replaced by `SPECIAL_F32`,
+/// cycled from `shift`. Rows shifted 0 and 3 put special against special at
+/// the same index: two NaN payloads, +inf against −inf, −inf against −0.0.
+fn special_row(raw: &[f32], at: usize, dim: usize, shift: usize) -> Vec<f32> {
+    let special = |i: usize| f32::from_bits(SPECIAL_F32[(i / 3 + shift) % SPECIAL_F32.len()]);
+    (raw[at..at + dim].iter().enumerate())
+        .map(|(i, &x)| if i % 3 == 0 { special(i) } else { x })
+        .collect()
+}
+
 /// Evaluate metric `m` batched (with and without cache) against the given
-/// scalar reference, bit-for-bit, over every dim in the sweep.
+/// scalar reference, bit-for-bit, over every dim in the sweep. The set has
+/// 19 rows — plain, aliased to the query, zero, and two with special
+/// entries — so the 1×N form sees 0..=19 candidates and the M×N form
+/// 0..=17 of the rows as queries: full blocks of eight and every remainder.
 fn check_f32_metric<M, F>(m: &M, raw: &[f32], reference: F) -> Result<(), String>
 where
     M: BatchMetric<Vec<f32>>,
     F: Fn(&[f32], &[f32]) -> f32,
 {
+    let name = Metric::<Vec<f32>>::name(m);
+    let bits = |v: &[f32]| v.iter().map(|&d| nan_blind_bits(d)).collect::<Vec<u32>>();
     for &dim in DIMS {
         let q: Vec<f32> = raw[..dim].to_vec();
-        let pts: Vec<Vec<f32>> = vec![
-            raw[MAX_DIM..MAX_DIM + dim].to_vec(),
-            raw[dim..2 * dim].to_vec(),
-            q.clone(),      // aliased: candidate identical to the query
-            vec![0.0; dim], // zero vector (degenerate cosine branch)
-        ];
+        let mut pts: Vec<Vec<f32>> = (0..15)
+            .map(|r| raw[37 * r..37 * r + dim].to_vec())
+            .collect();
+        pts.push(q.clone()); // aliased: candidate identical to the query
+        pts.push(vec![0.0; dim]); // zero vector (degenerate cosine branch)
+        pts.push(special_row(raw, 100, dim, 0));
+        pts.push(special_row(raw, 200, dim, 3));
+        check_prepared(m, &q, &PointSet::new(pts[13..].to_vec()))?;
         let set = PointSet::new(pts);
-        check_prepared(m, &q, &set)?;
-        let cache = m.preprocess(&set);
         let ids: Vec<PointId> = (0..set.len() as PointId).collect();
-        let mut cached = Vec::new();
-        let mut uncached = Vec::new();
-        m.distance_one_to_many(&q, &set, &cache, &ids, &mut cached);
-        m.distance_one_to_many(&q, &set, &NormCache::empty(), &ids, &mut uncached);
-        prop_assert_eq!(cached.len(), ids.len());
-        for (i, &u) in ids.iter().enumerate() {
-            let want = reference(&q, set.point(u));
-            prop_assert_eq!(
-                cached[i].to_bits(),
-                want.to_bits(),
-                "{} dim={} cand={}: cached batch {} != scalar reference {}",
-                Metric::<Vec<f32>>::name(m),
-                dim,
-                u,
-                cached[i],
-                want
-            );
-            prop_assert_eq!(cached[i].to_bits(), uncached[i].to_bits());
-        }
-        // M×N row-major agreement with repeated 1×N.
-        let qs = vec![q.clone(), set.point(0).clone()];
-        let mut mn = Vec::new();
-        m.distance_many_to_many(&qs, &set, &cache, &ids, &mut mn);
-        prop_assert_eq!(mn.len(), 2 * ids.len());
-        for (qi, qq) in qs.iter().enumerate() {
-            let mut row = Vec::new();
-            m.distance_one_to_many(qq, &set, &cache, &ids, &mut row);
-            for i in 0..ids.len() {
-                prop_assert_eq!(mn[qi * ids.len() + i].to_bits(), row[i].to_bits());
+        // want[r][u]: the reference from query row r (the outside query is
+        // the last) to candidate u.
+        let queries: Vec<&Vec<f32>> = set.points().iter().chain([&q]).collect();
+        let want: Vec<Vec<u32>> = (queries.iter())
+            .map(|qq| {
+                (set.points().iter())
+                    .map(|p| nan_blind_bits(reference(qq, p)))
+                    .collect()
+            })
+            .collect();
+        let mut out = Vec::new();
+        for cache in [m.preprocess(&set), NormCache::empty()] {
+            let cached = !cache.is_empty();
+            for (r, qq) in [(set.len(), &q), (set.len() - 1, set.point(18))] {
+                for c in 0..=ids.len() {
+                    m.distance_one_to_many(qq, &set, &cache, &ids[..c], &mut out);
+                    prop_assert_eq!(
+                        bits(&out),
+                        &want[r][..c],
+                        "{} dim={} cached={} 1x{} from row {}",
+                        name,
+                        dim,
+                        cached,
+                        c,
+                        r
+                    );
+                }
+            }
+            // Against the last seven rows: two plain, the aliased, the zero
+            // and both special ones.
+            for n_q in 0..=17 {
+                let qs = &set.points()[..n_q];
+                m.distance_many_to_many(qs, &set, &cache, &ids[12..], &mut out);
+                let want_rows: Vec<&[u32]> = want[..n_q].iter().map(|row| &row[12..]).collect();
+                prop_assert_eq!(
+                    bits(&out),
+                    want_rows.concat(),
+                    "{} dim={} cached={} {}xN",
+                    name,
+                    dim,
+                    cached,
+                    n_q
+                );
             }
         }
     }
@@ -295,6 +350,9 @@ fn empty_batches_for_every_metric() {
                 Metric::<Vec<f32>>::name(&$m)
             );
             $m.distance_many_to_many(&[], &set, &cache, &[0, 1], &mut out);
+            assert!(out.is_empty());
+            // A full block of queries and a remainder, with no candidates.
+            $m.distance_many_to_many(&vec![q.clone(); 9], &set, &cache, &[], &mut out);
             assert!(out.is_empty());
         };
     }

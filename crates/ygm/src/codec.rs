@@ -20,10 +20,11 @@
 //!
 //! A `Vec<T>` (or `[T]`) moves through the slice methods `encode_slice` /
 //! `slice_wire_size` / `decode_vec_into`. Their defaults are the
-//! per-element loop; the primitives override them with one reservation
-//! plus a `to_le_bytes` / `from_le_bytes` pass, which is a block copy on
-//! a little-endian host. The bytes on the wire are the per-element
-//! little-endian format either way (pinned by `tests/wire_golden.rs`).
+//! per-element loop; the primitives override them with a `to_le_bytes` /
+//! `from_le_bytes` pass. Decoding is one sized loop over `chunks_exact`;
+//! encoding writes byte by byte (see `impl_wire_prim!`). The bytes on the
+//! wire are the per-element little-endian format either way (pinned by
+//! `tests/wire_golden.rs`).
 
 pub use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -101,8 +102,11 @@ macro_rules! impl_wire_prim {
             }
             #[inline]
             fn encode_slice(items: &[Self], buf: &mut BytesMut) {
-                // An exact-size iterator of byte arrays: one reservation,
-                // then straight writes — nothing is zeroed first.
+                // `Vec::extend` takes its per-element path (a `FlatMap` is
+                // not `TrustedLen`): the exact size hint std gives a flatten
+                // of arrays buys at most one reservation, then the bytes are
+                // written one at a time, each behind a capacity check.
+                // Nothing is zeroed first.
                 buf.extend(items.iter().flat_map(|v| v.to_le_bytes()));
             }
             #[inline]

@@ -1,18 +1,25 @@
 //! Tier-1 pins for the two layers every query pays for before its first
-//! heap update: the exact integer kernels of `dataset::kernel` and the
-//! entry-point sampler of `nnd::search`.
+//! heap update — the exact integer kernels of `dataset::kernel` and the
+//! entry-point sampler of `nnd::search` — and for the brute-force ground
+//! truth every recall is scored against.
 //!
 //! * The integer kernels must equal a naive `i64` sum on **both** dispatch
 //!   paths, for every length around the block and vector boundaries and for
 //!   rows long enough to overflow a `u32`.
 //! * `L2` over `Vec<u8>` must give the same bits batched and per pair.
+//! * `brute_force_queries` / `brute_force_knng` must give the ids and
+//!   distance bits pinned below, on both dispatch paths.
 //! * [`EntrySampler`] must give, for every `(seed, n, amount)`, the id
 //!   sequence of the `rand` shim's `seq::index::sample` it replaced — every
 //!   search digest in the repository rests on that. The deleted algorithm is
 //!   written out below as the reference, `HashMap` and all.
 
 use dataset::kernel::{self, Dispatch};
-use dataset::{BatchMetric, Metric, NormCache, PointId, PointSet, L2};
+use dataset::synth::{gaussian_mixture, quantize_u8, split_queries, MixtureParams};
+use dataset::{
+    brute_force_knng, brute_force_queries, BatchMetric, Cosine, GroundTruth, Metric, NormCache,
+    PointId, PointSet, SquaredL2, L2,
+};
 use nnd::EntrySampler;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -87,6 +94,87 @@ fn integer_kernels_equal_the_naive_sum_on_every_path() {
         assert_eq!(
             kernel::sq_l2_u8(&vec![0; 70_000], &vec![255; 70_000]),
             70_000 * 255 * 255
+        );
+    });
+}
+
+/// FNV-1a over a ground truth: per query the row length, then each id and
+/// each distance's bits, in order.
+fn truth_digest(h: &mut u64, gt: &GroundTruth) {
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            *h = (*h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (ids, dists) in gt.ids.iter().zip(&gt.dists) {
+        mix(ids.len() as u64);
+        ids.iter().for_each(|&id| mix(u64::from(id)));
+        dists.iter().for_each(|d| mix(u64::from(d.to_bits())));
+    }
+}
+
+/// One digest over every brute-force shape of `metric` on `(base, queries)`:
+/// the 16 queries and the first 13 of them (a full block of eight and a
+/// ragged one), and the k-NNG of all 300 base points and of the first 264;
+/// each at `k` = 1, 10, 11. The base is wider than one 256-candidate column.
+fn truth_digests<P: dataset::Point, M: BatchMetric<P>>(
+    base: &PointSet<P>,
+    queries: &PointSet<P>,
+    metric: &M,
+) -> (u64, u64) {
+    let (mut q, mut g) = (0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325);
+    let first = |set: &PointSet<P>, n: usize| PointSet::new(set.points()[..n].to_vec());
+    for k in [1, 10, 11] {
+        truth_digest(&mut q, &brute_force_queries(base, queries, metric, k));
+        truth_digest(
+            &mut q,
+            &brute_force_queries(base, &first(queries, 13), metric, k),
+        );
+        truth_digest(&mut g, &brute_force_knng(base, metric, k));
+        truth_digest(&mut g, &brute_force_knng(&first(base, 264), metric, k));
+    }
+    (q, g)
+}
+
+/// Every recall figure in the repository is scored against this output.
+/// The constants were captured at commit `4373b7c` (the parent of the PR
+/// that made the brute force score its queries eight at a time), *before*
+/// any edit, and hold on both dispatch paths.
+#[test]
+fn ground_truth_is_pinned() {
+    let (base, queries) = split_queries(
+        gaussian_mixture(MixtureParams::embedding_like(316, 20), 31),
+        16,
+    );
+    let (base_u8, queries_u8) = split_queries(
+        quantize_u8(&gaussian_mixture(
+            MixtureParams::embedding_like(316, 40),
+            32,
+        )),
+        16,
+    );
+    #[rustfmt::skip]
+    let want: [(&str, (u64, u64)); 4] = [
+        ("l2", (0xfadd20ebf1efe3ff, 0x1aff6cdda85ae49e)),
+        ("sql2", (0x22b0f4758ff2e811, 0x7c3613f197df8218)),
+        ("cosine", (0x53168795fd3f9cc3, 0xa32f3a1e2fda3385)),
+        ("l2_u8", (0xba96a475a8155757, 0x0ffe8de2ce6de34f)),
+    ];
+    on_each_path(|path| {
+        let got = [
+            truth_digests(&base, &queries, &L2),
+            truth_digests(&base, &queries, &SquaredL2),
+            truth_digests(&base, &queries, &Cosine),
+            truth_digests(&base_u8, &queries_u8, &L2),
+        ];
+        let rows: Vec<String> = (want.iter().zip(got))
+            .map(|((what, _), (q, g))| format!("(\"{what}\", ({q:#018x}, {g:#018x})),"))
+            .collect();
+        assert!(
+            want.iter().map(|row| row.1).eq(got),
+            "{} got:\n{}",
+            path.name(),
+            rows.join("\n")
         );
     });
 }
