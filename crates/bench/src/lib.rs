@@ -1,13 +1,13 @@
-//! Shared harness utilities for the per-table/per-figure benchmark
-//! binaries: a tiny CLI parser, aligned-table printing, and CSV output.
+//! Shared harness utilities for the workspace's executables and bench
+//! drivers: a tiny CLI parser, the observability outputs, aligned-table
+//! printing, and CSV output.
 //!
-//! Every binary accepts `--n <points>`, `--queries <count>`, `--seed <u64>`
-//! and `--out <dir>` (CSV destination, default `results/`), plus
-//! binary-specific flags; `--full` bumps the scale toward (still laptop-
-//! feasible) larger runs. Run e.g.:
+//! The paper's evaluation is one driver, `paper`, with one section per
+//! table or figure; it writes its CSVs under `--out` (default `results/`).
+//! Run e.g.:
 //!
 //! ```text
-//! cargo run --release -p bench --bin fig4_messages -- --n 2000
+//! cargo run --release -p bench --bin paper -- --section fig4
 //! ```
 
 #![forbid(unsafe_code)]
@@ -304,12 +304,6 @@ impl Table {
     }
 }
 
-/// Format seconds as fractional "virtual hours" the way the paper's
-/// Figure 3 axis does.
-pub fn hours(secs: f64) -> String {
-    format!("{:.3}", secs / 3600.0)
-}
-
 /// Format a ratio as a percentage.
 pub fn pct(num: f64, den: f64) -> String {
     if den == 0.0 {
@@ -401,7 +395,6 @@ mod tests {
 
     #[test]
     fn format_helpers() {
-        assert_eq!(hours(3600.0), "1.000");
         assert_eq!(pct(1.0, 2.0), "50.0%");
         assert_eq!(pct(1.0, 0.0), "n/a");
     }
