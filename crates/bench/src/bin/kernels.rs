@@ -13,15 +13,19 @@
 //!   use;
 //! * **M×N**: the same host path through
 //!   [`BatchMetric::distance_many_to_many`], all queries against all
-//!   candidates in one call — the shape the brute-force ground truth takes.
+//!   candidates in one call — the shape the brute-force ground truth takes;
+//! * **block** (`l2`, `sq_l2`, `l2_u8` only): the same host path through
+//!   [`BatchMetric::distance_members_to_many`], eight member heads against
+//!   a 16-candidate tail per call — the shape of NN-Descent's local join.
 //!
-//! All three must agree **bit for bit** (asserted inline on every run:
+//! All of them must agree **bit for bit** (asserted inline on every run:
 //! the determinism contract of `dataset::kernel`), so the only difference
 //! is speed. Results go into a RunReport-schema JSON whose `extra` map
 //! carries, per cell: `<metric>.d<dim>.scalar_ns_per_pair`,
-//! `.batch_ns_per_pair`, `.mxn_ns_per_pair`, `.speedup`, and
-//! `.batch_gflops` — the committed baseline lives in `BENCH_4.json` and CI
-//! soft-diffs candidates against it with `dnnd-report-diff`.
+//! `.batch_ns_per_pair`, `.mxn_ns_per_pair`, `.block_ns_per_pair` (where
+//! timed), `.speedup`, and `.batch_gflops` — the committed baseline lives
+//! in `BENCH_4.json` and CI soft-diffs candidates against it with
+//! `dnnd-report-diff`.
 //!
 //! `--smoke` keeps every workload size identical (so `distance_evals` is
 //! the same number in both modes) but runs fewer timing reps, validates a
@@ -48,6 +52,9 @@ const CANDS: usize = 1024;
 /// Queries per rep: every query runs one full 1xN batch (or N scalar
 /// pairs), so one rep evaluates `QUERIES * CANDS` pairs per path.
 const QUERIES: usize = 32;
+/// Join heads per block call, and the tail they share.
+const HEADS: usize = 8;
+const TAIL: usize = 16;
 /// Dimension sweep: one sub-lane width, then sizes crossing the 8-lane
 /// boundary every way the engine's datasets do.
 const DIMS: &[usize] = &[8, 64, 100, 300, 960];
@@ -59,6 +66,8 @@ struct Cell {
     scalar_ns_per_pair: f64,
     batch_ns_per_pair: f64,
     mxn_ns_per_pair: f64,
+    /// The local join's shape, for the metrics it is timed on.
+    block_ns_per_pair: Option<f64>,
     /// Approximate FLOPs per pair / batched time (dot-form metrics do
     /// ~2*dim useful floating-point ops per pair).
     batch_gflops: f64,
@@ -173,8 +182,66 @@ where
         scalar_ns_per_pair: scalar_ns,
         batch_ns_per_pair: batch_ns,
         mxn_ns_per_pair: mxn_ns,
+        block_ns_per_pair: None,
         batch_gflops: 2.0 * dim as f64 / batch_ns,
     }
+}
+
+/// Bench the local join's shape: every run of eight consecutive members as
+/// heads against the sixteen members after them (cyclic) as their tail,
+/// through the members M×N form, checked bit for bit against the per-pair
+/// scalar reference.
+fn bench_block<P, M>(name: &'static str, m: &M, set: &PointSet<P>, reps: usize) -> f64
+where
+    P: dataset::point::Point,
+    M: BatchMetric<P>,
+{
+    let n = set.len() as PointId;
+    let blocks: Vec<([PointId; HEADS], [PointId; TAIL])> = (0..n / HEADS as PointId)
+        .map(|b| {
+            let first = b * HEADS as PointId;
+            let heads = std::array::from_fn(|j| first + j as PointId);
+            let tail = std::array::from_fn(|j| (first + (HEADS + j) as PointId) % n);
+            (heads, tail)
+        })
+        .collect();
+    let pairs = blocks.len() * HEADS * TAIL;
+
+    let before = kernel::dispatch();
+    kernel::force_dispatch(Some(kernel::Dispatch::Scalar));
+    let scalar: Vec<f32> = (blocks.iter())
+        .flat_map(|(heads, tail)| {
+            let row = move |&h: &PointId| tail.map(|t| m.distance(set.point(h), set.point(t)));
+            heads.iter().flat_map(row)
+        })
+        .collect();
+    kernel::force_dispatch(Some(before));
+
+    let cache = m.preprocess(set);
+    let mut out: Vec<f32> = Vec::with_capacity(HEADS * TAIL);
+    let mut sink = 0u32;
+    let ns = best_ns_per_pair(reps, pairs, || {
+        for (heads, tail) in &blocks {
+            m.distance_members_to_many(heads, set, &cache, tail, &mut out);
+            sink ^= out[0].to_bits();
+        }
+    });
+    std::hint::black_box(sink);
+
+    for ((heads, tail), want) in blocks.iter().zip(scalar.chunks(HEADS * TAIL)) {
+        m.distance_members_to_many(heads, set, &cache, tail, &mut out);
+        for (i, (d, s)) in out.iter().zip(want).enumerate() {
+            assert_eq!(
+                d.to_bits(),
+                s.to_bits(),
+                "{name} d{}: block result differs from scalar reference at head {} tail {}",
+                set.dim(),
+                heads[i / TAIL],
+                tail[i % TAIL]
+            );
+        }
+    }
+    ns
 }
 
 fn main() {
@@ -188,8 +255,11 @@ fn main() {
     for &dim in DIMS {
         let qs = gen_f32(QUERIES, dim, 0xBE0 + dim as u64);
         let set = PointSet::new(gen_f32(CANDS, dim, 0xCA0 + dim as u64));
-        cells.push(bench_cell("sq_l2", &SquaredL2, &qs, &set, reps));
-        cells.push(bench_cell("l2", &L2, &qs, &set, reps));
+        let mut sq_l2 = bench_cell("sq_l2", &SquaredL2, &qs, &set, reps);
+        sq_l2.block_ns_per_pair = Some(bench_block("sq_l2", &SquaredL2, &set, reps));
+        let mut l2 = bench_cell("l2", &L2, &qs, &set, reps);
+        l2.block_ns_per_pair = Some(bench_block("l2", &L2, &set, reps));
+        cells.extend([sq_l2, l2]);
         cells.push(bench_cell("cosine", &Cosine, &qs, &set, reps));
         cells.push(bench_cell("inner_product", &InnerProduct, &qs, &set, reps));
         cells.push(bench_cell("l1", &L1, &qs, &set, reps));
@@ -203,7 +273,9 @@ fn main() {
     for &dim in &[128usize, 960] {
         let qs = gen_u8(QUERIES, dim, 0xB20 + dim as u64);
         let set = PointSet::new(gen_u8(CANDS, dim, 0xC20 + dim as u64));
-        cells.push(bench_cell("l2_u8", &L2, &qs, &set, reps));
+        let mut cell = bench_cell("l2_u8", &L2, &qs, &set, reps);
+        cell.block_ns_per_pair = Some(bench_block("l2_u8", &L2, &set, reps));
+        cells.push(cell);
     }
 
     let mut table = Table::new(
@@ -214,6 +286,7 @@ fn main() {
             "scalar ns/pair",
             "batch ns/pair",
             "mxn ns/pair",
+            "block ns/pair",
             "speedup",
             "batch GFLOP/s",
         ],
@@ -225,6 +298,8 @@ fn main() {
             &format!("{:.2}", c.scalar_ns_per_pair),
             &format!("{:.2}", c.batch_ns_per_pair),
             &format!("{:.2}", c.mxn_ns_per_pair),
+            &c.block_ns_per_pair
+                .map_or("-".to_string(), |ns| format!("{ns:.2}")),
             &format!("{:.2}x", c.speedup()),
             &format!("{:.2}", c.batch_gflops),
         ]);
@@ -263,6 +338,9 @@ fn main() {
         report.metric(format!("{key}.scalar_ns_per_pair"), c.scalar_ns_per_pair);
         report.metric(format!("{key}.batch_ns_per_pair"), c.batch_ns_per_pair);
         report.metric(format!("{key}.mxn_ns_per_pair"), c.mxn_ns_per_pair);
+        if let Some(ns) = c.block_ns_per_pair {
+            report.metric(format!("{key}.block_ns_per_pair"), ns);
+        }
         report.metric(format!("{key}.speedup"), c.speedup());
         report.metric(format!("{key}.batch_gflops"), c.batch_gflops);
     }

@@ -6,7 +6,7 @@
 //! how fast NN-Descent's "neighbor of a neighbor" heuristic converges.
 //! This module implements the Levina–Bickel maximum-likelihood LID
 //! estimator over exact k-NN distances, plus summary statistics used by
-//! the `dataset_report` harness to sanity-check that the synthetic
+//! `paper --section table1` to sanity-check that the synthetic
 //! stand-ins are *not* degenerate (uniform-random) inputs.
 
 use crate::ground_truth::GroundTruth;

@@ -74,14 +74,16 @@ fn dense_norm_cache(set: &PointSet<Vec<f32>>) -> NormCache {
 
 /// Batched distance evaluation over a `PointSet`.
 ///
-/// The one 1×N primitive is [`BatchMetric::distance_one_to_many_prepared`]:
-/// its default evaluates pair-by-pair via `Metric::distance`, so every
-/// metric gets the batched entry points for free, and the hot dense metrics
-/// override it with cached-norm kernels (the dot family its M×N form too,
-/// reading each candidate row once per eight queries). **Contract:** an
-/// override must be bit-identical to the default for every pair, and
-/// `out[i]` must equal the distance for `cands[i]` (row-major `qs × cands`
-/// for M×N).
+/// There are two overridable primitives, each with its query scalars taken
+/// as arguments: the 1×N [`BatchMetric::distance_one_to_many_prepared`] and
+/// the M×N [`BatchMetric::distance_many_to_many_prepared`]. Their defaults
+/// evaluate pair-by-pair via `Metric::distance`, so every metric gets the
+/// batched entry points for free; the hot dense metrics override the 1×N
+/// form with cached-norm kernels, and the dot family and `L2` over bytes the
+/// M×N form too, reading each candidate row once per eight queries.
+/// **Contract:** an override must be bit-identical to the default for every
+/// pair, and `out[i]` must equal the distance for `cands[i]` (row-major
+/// `qs × cands` for M×N).
 pub trait BatchMetric<P: Point>: Metric<P> {
     /// One-time per-set preprocessing: [`BatchMetric::prepare_query`] of
     /// every point, for the metrics that use it. The returned cache is only
@@ -90,9 +92,9 @@ pub trait BatchMetric<P: Point>: Metric<P> {
         NormCache::empty()
     }
 
-    /// The scalar of `q` the 1×N kernel needs on every call: `||q||²` for
-    /// the dot-product family, unused (zero) elsewhere. A loop that scores
-    /// one query against many batches takes it once.
+    /// The scalar of `q` the batched kernels need on every call: `||q||²`
+    /// for the dot-product family, unused (zero) elsewhere. A loop that
+    /// scores one query against many batches takes it once.
     fn prepare_query(&self, _q: &P) -> f32 {
         0.0
     }
@@ -136,14 +138,30 @@ pub trait BatchMetric<P: Point>: Metric<P> {
         cands: &[PointId],
         out: &mut Vec<f32>,
     ) {
-        let q = set.point(v);
-        let q_prep = cache.get(v).unwrap_or_else(|| self.prepare_query(q));
-        self.distance_one_to_many_prepared(q, q_prep, set, cache, cands, out);
+        let q_prep = member_prep(self, v, set, cache);
+        self.distance_one_to_many_prepared(set.point(v), q_prep, set, cache, cands, out);
     }
 
-    /// Distances for every `(q, cand)` pair (M×N), row-major: row `i`
-    /// holds distances from `qs[i]`. Leaves `out.len() == qs.len() *
-    /// cands.len()`.
+    /// Distances for every `(qs[i], cands[j])` pair (M×N), given
+    /// `q_preps[i] == self.prepare_query(qs[i])`: **appends** them to `out`
+    /// row-major, row `i` holding the distances from `qs[i]`.
+    fn distance_many_to_many_prepared(
+        &self,
+        qs: &[&P],
+        _q_preps: &[f32],
+        set: &PointSet<P>,
+        _cache: &NormCache,
+        cands: &[PointId],
+        out: &mut Vec<f32>,
+    ) {
+        for q in qs {
+            out.extend(cands.iter().map(|&u| self.distance(q, set.point(u))));
+        }
+    }
+
+    /// [`BatchMetric::distance_many_to_many_prepared`] for queries outside
+    /// the set: prepares them itself, eight at a time. Clears `out` and
+    /// leaves `out.len() == qs.len() * cands.len()`.
     fn distance_many_to_many(
         &self,
         qs: &[P],
@@ -152,12 +170,92 @@ pub trait BatchMetric<P: Point>: Metric<P> {
         cands: &[PointId],
         out: &mut Vec<f32>,
     ) {
-        out.clear();
-        out.reserve(qs.len() * cands.len());
-        let mut row = Vec::with_capacity(cands.len());
-        for q in qs {
-            self.distance_one_to_many(q, set, cache, cands, &mut row);
-            out.extend_from_slice(&row);
+        let prep = |i: usize| self.prepare_query(&qs[i]);
+        in_query_blocks(self, qs.len(), |i| &qs[i], prep, set, cache, cands, out);
+    }
+
+    /// [`BatchMetric::distance_many_to_many`] from the members `heads` of
+    /// `set`, their scalars read from `cache` when they are there.
+    fn distance_members_to_many(
+        &self,
+        heads: &[PointId],
+        set: &PointSet<P>,
+        cache: &NormCache,
+        cands: &[PointId],
+        out: &mut Vec<f32>,
+    ) {
+        let row = |i: usize| set.point(heads[i]);
+        let prep = |i: usize| member_prep(self, heads[i], set, cache);
+        in_query_blocks(self, heads.len(), row, prep, set, cache, cands, out);
+    }
+}
+
+/// The M×N wrappers' one loop: clears `out`, then hands the prepared form
+/// the `n` queries — `row(i)` with scalar `prep(i)` — eight at a time, in
+/// fixed arrays so that no call allocates. A short last block fills its
+/// unused slots with its last row and a zero scalar, and passes only the
+/// used ones.
+#[allow(clippy::too_many_arguments)]
+fn in_query_blocks<'q, P: Point + 'q, M: BatchMetric<P>>(
+    metric: &M,
+    n: usize,
+    row: impl Fn(usize) -> &'q P,
+    prep: impl Fn(usize) -> f32,
+    set: &PointSet<P>,
+    cache: &NormCache,
+    cands: &[PointId],
+    out: &mut Vec<f32>,
+) {
+    out.clear();
+    for i0 in (0..n).step_by(kernel::LANES) {
+        let len = kernel::LANES.min(n - i0);
+        let rows: [&P; kernel::LANES] = std::array::from_fn(|j| row(i0 + j.min(len - 1)));
+        let preps: [f32; kernel::LANES] =
+            std::array::from_fn(|j| if j < len { prep(i0 + j) } else { 0.0 });
+        metric.distance_many_to_many_prepared(&rows[..len], &preps[..len], set, cache, cands, out);
+    }
+}
+
+/// The scalar of the member `set.point(v)`: read from `cache` when it is
+/// there, else prepared.
+fn member_prep<P: Point, M: BatchMetric<P>>(
+    metric: &M,
+    v: PointId,
+    set: &PointSet<P>,
+    cache: &NormCache,
+) -> f32 {
+    cache
+        .get(v)
+        .unwrap_or_else(|| metric.prepare_query(set.point(v)))
+}
+
+/// The M×N form of the register-blocked overrides: appends one row per
+/// query to `out`. Each full block of eight queries starting at `i0` gets
+/// candidate `u`'s eight distances from `x8(i0, block, u)`; a query past
+/// the last full block gets each from `one(i, u)`.
+fn blocked_rows<T>(
+    qs: &[&Vec<T>],
+    cands: &[PointId],
+    out: &mut Vec<f32>,
+    x8: impl Fn(usize, &[&[T]; kernel::LANES], PointId) -> [f32; kernel::LANES],
+    one: impl Fn(usize, PointId) -> f32,
+) {
+    let n = cands.len();
+    let start = out.len();
+    out.resize(start + qs.len() * n, 0.0);
+    let rows = &mut out[start..];
+    let full = qs.len() / kernel::LANES * kernel::LANES;
+    for i0 in (0..full).step_by(kernel::LANES) {
+        let block: [&[T]; kernel::LANES] = std::array::from_fn(|j| &qs[i0 + j][..]);
+        for (c, &u) in cands.iter().enumerate() {
+            for (j, d) in x8(i0, &block, u).into_iter().enumerate() {
+                rows[(i0 + j) * n + c] = d;
+            }
+        }
+    }
+    for i in full..qs.len() {
+        for (c, &u) in cands.iter().enumerate() {
+            rows[i * n + c] = one(i, u);
         }
     }
 }
@@ -166,7 +264,7 @@ pub trait BatchMetric<P: Point>: Metric<P> {
 /// (`nq`); per candidate one cached (or recomputed) norm and one dot product,
 /// combined by `$finish(nq, np, dot)`. The M×N form scores each candidate
 /// row against eight queries at a time with [`kernel::dot_x8`], so the row
-/// is read once per eight queries; a remainder goes through the 1×N form.
+/// is read once per eight queries; a remainder takes one `dot` per pair.
 macro_rules! dot_family {
     ($metric:ty, $finish:expr) => {
         impl BatchMetric<Vec<f32>> for $metric {
@@ -194,36 +292,30 @@ macro_rules! dot_family {
                 }));
             }
 
-            fn distance_many_to_many(
+            fn distance_many_to_many_prepared(
                 &self,
-                qs: &[Vec<f32>],
+                qs: &[&Vec<f32>],
+                nqs: &[f32],
                 set: &PointSet<Vec<f32>>,
                 cache: &NormCache,
                 cands: &[PointId],
                 out: &mut Vec<f32>,
             ) {
-                out.clear();
-                let mut scores: Vec<[f32; kernel::LANES]> = Vec::with_capacity(cands.len());
-                let mut blocks = qs.chunks_exact(kernel::LANES);
-                for block in &mut blocks {
-                    let qs: [&[f32]; kernel::LANES] = std::array::from_fn(|j| &block[j][..]);
-                    let nqs = qs.map(kernel::norm_sq);
-                    scores.clear();
-                    scores.extend(cands.iter().map(|&u| {
+                blocked_rows(
+                    qs,
+                    cands,
+                    out,
+                    |i0, block, u| {
                         let p = set.point(u);
                         let np = cache.norm_sq_of(u, p);
-                        let dots = kernel::dot_x8(p, &qs);
-                        std::array::from_fn(|j| $finish(nqs[j], np, dots[j]))
-                    }));
-                    for j in 0..kernel::LANES {
-                        out.extend(scores.iter().map(|s| s[j]));
-                    }
-                }
-                let mut row = Vec::with_capacity(cands.len());
-                for q in blocks.remainder() {
-                    self.distance_one_to_many(q, set, cache, cands, &mut row);
-                    out.extend_from_slice(&row);
-                }
+                        let dots = kernel::dot_x8(p, block);
+                        std::array::from_fn(|j| $finish(nqs[i0 + j], np, dots[j]))
+                    },
+                    |i, u| {
+                        let p = set.point(u);
+                        $finish(nqs[i], cache.norm_sq_of(u, p), kernel::dot(qs[i], p))
+                    },
+                );
             }
         }
     };
@@ -256,7 +348,29 @@ macro_rules! pairwise_batch {
 pairwise_batch!(InnerProduct, Vec<f32>, |q, p| -kernel::dot(q, p));
 pairwise_batch!(L1, Vec<f32>, kernel::l1);
 pairwise_batch!(Hamming, Vec<u8>, |q, p| kernel::hamming_u8(q, p) as f32);
-pairwise_batch!(L2, Vec<u8>, |q, p| (kernel::sq_l2_u8(q, p) as f32).sqrt());
+
+/// `L2` over bytes: the 1×N form is the default, one exact
+/// [`kernel::sq_l2_u8`] per pair; the M×N form reads each candidate row once
+/// per eight queries through [`kernel::sq_l2_u8_x8`].
+impl BatchMetric<Vec<u8>> for L2 {
+    fn distance_many_to_many_prepared(
+        &self,
+        qs: &[&Vec<u8>],
+        _q_preps: &[f32],
+        set: &PointSet<Vec<u8>>,
+        _cache: &NormCache,
+        cands: &[PointId],
+        out: &mut Vec<f32>,
+    ) {
+        blocked_rows(
+            qs,
+            cands,
+            out,
+            |_, block, u| kernel::sq_l2_u8_x8(set.point(u), block).map(|s| (s as f32).sqrt()),
+            |i, u| self.distance(qs[i], set.point(u)),
+        );
+    }
+}
 
 // Order-independent / sparse metrics ride on the defaults (already batch-
 // shaped; no norm cache applies).

@@ -9,8 +9,8 @@
 //!
 //! Both are one sequential sweep: eight queries at a time against columns
 //! of [`BLOCK`] candidates, through [`BatchMetric::distance_many_to_many`]
-//! (which the dot family answers reading each candidate row once per eight
-//! queries; the rest score a query at a time). Each query selects
+//! (which the dot family and `L2` over bytes answer reading each candidate
+//! row once per eight queries; the rest score a pair at a time). Each query selects
 //! from its own row of distances in id order, so the result is the one a
 //! one-query-at-a-time scan gives, bit for bit.
 

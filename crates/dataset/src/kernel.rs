@@ -24,7 +24,9 @@
 //! and the same `as f32`. They accumulate in `u32` over blocks of
 //! [`INT_BLOCK`] elements — short enough that a block cannot overflow —
 //! widen into `u64` per block, and are dispatched like the f32 kernels: a
-//! portable body and an AVX2 twin behind [`dispatch`].
+//! portable body and an AVX2 twin behind [`dispatch`]. [`sq_l2_u8_x8`] is
+//! [`dot_x8`]'s integer twin: eight pairs sharing one operand, each with
+//! [`sq_l2_u8`]'s integer.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -346,6 +348,62 @@ mod avx2 {
         total
     }
 
+    /// Eight [`sq_l2_u8`]s sharing one operand: each 32-byte step loads
+    /// `shared` once and each of `others` once, into eight accumulators. At
+    /// the end of a block a horizontal-add tree reduces them to the eight
+    /// block sums (each at most 256 · 255² < 2³²), which widen into the
+    /// `u64` totals; the tail shorter than 32 goes through
+    /// [`super::sq_l2_u8_body`] per pair. Exact integers, so every pair's
+    /// sum is [`sq_l2_u8`]'s.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, and every one of `others` must be as long
+    /// as `shared`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sq_l2_u8_x8(shared: &[u8], others: &[&[u8]; LANES]) -> [u64; LANES] {
+        const STEP: usize = 32;
+        let zero = _mm256_setzero_si256();
+        let mut total = [0u64; LANES];
+        for (b, block) in shared.chunks(super::INT_BLOCK).enumerate() {
+            let start = b * super::INT_BLOCK;
+            let steps = block.len() / STEP;
+            let mut acc = [zero; LANES];
+            for step in 0..steps {
+                let at = start + step * STEP;
+                // SAFETY: `at + 32 <= shared.len()`, and every row is as
+                // long; `loadu` needs no alignment.
+                let s = _mm256_loadu_si256(shared.as_ptr().add(at).cast());
+                for (acc, other) in acc.iter_mut().zip(others) {
+                    let o = _mm256_loadu_si256(other.as_ptr().add(at).cast());
+                    let d = _mm256_or_si256(_mm256_subs_epu8(s, o), _mm256_subs_epu8(o, s));
+                    let lo = _mm256_unpacklo_epi8(d, zero);
+                    let hi = _mm256_unpackhi_epi8(d, zero);
+                    *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(lo, lo));
+                    *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(hi, hi));
+                }
+            }
+            // Two rounds of `hadd` leave, per 128-bit half, four pairs'
+            // half-sums; adding the halves gives pair `j`'s block sum in
+            // lane `j`.
+            let h: [__m256i; 4] = from_fn(|i| _mm256_hadd_epi32(acc[2 * i], acc[2 * i + 1]));
+            let (h03, h47) = (_mm256_hadd_epi32(h[0], h[1]), _mm256_hadd_epi32(h[2], h[3]));
+            let sums = _mm256_add_epi32(
+                _mm256_permute2x128_si256::<0x20>(h03, h47),
+                _mm256_permute2x128_si256::<0x31>(h03, h47),
+            );
+            let mut lanes = [0u32; LANES];
+            // SAFETY: `lanes` is 32 writable bytes; `storeu` needs no
+            // alignment.
+            _mm256_storeu_si256(lanes.as_mut_ptr().cast(), sums);
+            let tail = start + steps * STEP..start + block.len();
+            for ((total, &lane), other) in total.iter_mut().zip(&lanes).zip(others) {
+                *total += u64::from(lane)
+                    + super::sq_l2_u8_body(&shared[tail.clone()], &other[tail.clone()]);
+            }
+        }
+        total
+    }
+
     /// [`super::hamming_u8_body`] compiled with AVX2 enabled: the same
     /// count, from wider vectors.
     ///
@@ -445,6 +503,19 @@ pub fn sq_l2_u8(a: &[u8], b: &[u8]) -> u64 {
         }
     }
     sq_l2_u8_body(a, b)
+}
+
+/// `sq_l2_u8(shared, others[j])` for eight byte strings in one pass: the
+/// same exact integers, with `shared` read once per 32-byte step. The
+/// portable path (or a length mismatch) is the portable body per pair.
+pub fn sq_l2_u8_x8(shared: &[u8], others: &[&[u8]; LANES]) -> [u64; LANES] {
+    #[cfg(target_arch = "x86_64")]
+    if dispatch() == Dispatch::Avx2 && others.iter().all(|o| o.len() == shared.len()) {
+        // Safety: dispatch() only returns Avx2 when the CPU has it, and the
+        // lengths were just checked.
+        return unsafe { avx2::sq_l2_u8_x8(shared, others) };
+    }
+    others.map(|o| sq_l2_u8_body(shared, o))
 }
 
 /// Hamming distance over byte strings via the active dispatch path: count

@@ -7,8 +7,11 @@
 //! The 1×N form takes 0..=19 candidates and the M×N form 0..=17 queries —
 //! full blocks of eight and every remainder — over rows holding NaN
 //! payloads, ±inf and −0.0 (a NaN result compares as NaN).
-//! The prepared 1×N form (the query's scalar taken once, or read from the
-//! cache for a member) must equal the one-shot form bit for bit, and
+//! `L2` over bytes takes the M×N form in the same block shapes against
+//! 0..=19 candidates, rows of 0 and 255 among them. The prepared 1×N form
+//! (the query's scalar taken once, or read from the cache for a member)
+//! must equal the one-shot form bit for bit, the members M×N form the
+//! per-head 1×N form for every metric, and
 //! `DistKey` — the order every consumer of these distances sorts by — must
 //! be `(total_cmp, id)` over every bit pattern.
 
@@ -68,6 +71,18 @@ fn check_prepared<P: Point, M: BatchMetric<P>>(
             m.distance_member_to_many(v, set, &cache, &ids, &mut prepared);
             prop_assert_eq!(bits(&prepared), bits(&one_shot), "{} from {}", m.name(), v);
         }
+        // The members M×N form against the per-head 1×N form: 17 heads (the
+        // members cycled), so two full blocks of eight and a remainder. A
+        // block's NaN may carry another payload than the pair's.
+        let heads: Vec<PointId> = (0..17).map(|i| ids[i % ids.len()]).collect();
+        let (mut block, mut per_head) = (Vec::new(), Vec::new());
+        m.distance_members_to_many(&heads, set, &cache, &ids, &mut block);
+        for &v in &heads {
+            m.distance_member_to_many(v, set, &cache, &ids, &mut prepared);
+            per_head.extend_from_slice(&prepared);
+        }
+        let blind = |v: &[f32]| v.iter().map(|&d| nan_blind_bits(d)).collect::<Vec<u32>>();
+        prop_assert_eq!(blind(&block), blind(&per_head), "{} members M×N", m.name());
     }
     Ok(())
 }
@@ -178,6 +193,57 @@ where
     Ok(())
 }
 
+/// Widths the byte M×N sweep crosses: below, at and around one 32-byte
+/// step, BigANN's 128, and a ragged 300.
+const U8_DIMS: &[usize] = &[1, 7, 31, 32, 33, 128, 300];
+const U8_MAX_DIM: usize = 300;
+
+/// `L2` over bytes, M×N in block shapes: 19 rows — 17 from `bytes`, all 0
+/// and all 255 — as 0..=17 queries (outside the set, and as members)
+/// against 0..=19 candidates, each distance the naive integer sum's.
+fn check_l2_u8_blocks(bytes: &[u8]) -> Result<(), String> {
+    for &dim in U8_DIMS {
+        let mut rows: Vec<Vec<u8>> = (0..17)
+            .map(|r| bytes[r * dim..(r + 1) * dim].to_vec())
+            .collect();
+        rows.insert(3, vec![0; dim]);
+        rows.insert(11, vec![255; dim]);
+        let want: Vec<Vec<u32>> = (rows.iter())
+            .map(|q| {
+                (rows.iter())
+                    .map(|p| {
+                        let sum: u64 = q
+                            .iter()
+                            .zip(p)
+                            .map(|(&x, &y)| u64::from(x.abs_diff(y)).pow(2))
+                            .sum();
+                        (sum as f32).sqrt().to_bits()
+                    })
+                    .collect()
+            })
+            .collect();
+        let set = PointSet::new(rows);
+        let ids: Vec<PointId> = (0..set.len() as PointId).collect();
+        let cache = BatchMetric::<Vec<u8>>::preprocess(&L2, &set);
+        let mut out = Vec::new();
+        for n_q in 0..=17 {
+            for n_c in 0..=ids.len() {
+                let want_rows: Vec<u32> = want[..n_q]
+                    .iter()
+                    .flat_map(|row| row[..n_c].to_vec())
+                    .collect();
+                L2.distance_many_to_many(&set.points()[..n_q], &set, &cache, &ids[..n_c], &mut out);
+                let got: Vec<u32> = out.iter().map(|d| d.to_bits()).collect();
+                prop_assert_eq!(&got, &want_rows, "d{} {}x{}", dim, n_q, n_c);
+                L2.distance_members_to_many(&ids[..n_q], &set, &cache, &ids[..n_c], &mut out);
+                let got: Vec<u32> = out.iter().map(|d| d.to_bits()).collect();
+                prop_assert_eq!(&got, &want_rows, "d{} members {}x{}", dim, n_q, n_c);
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -264,6 +330,17 @@ proptest! {
             prop_assert_eq!(out[i].to_bits(), Jaccard.distance(&q, set.point(u)).to_bits());
         }
         prop_assert_eq!(out[1], 0.0); // aliased candidate
+    }
+}
+
+proptest! {
+    // Each case sweeps 7 widths × 18 × 20 shapes; the bytes vary, the
+    // shapes do not.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn batched_l2_u8_blocks_bit_identical(bytes in prop::collection::vec(any::<u8>(), 17 * U8_MAX_DIM..=17 * U8_MAX_DIM)) {
+        check_l2_u8_blocks(&bytes)?;
     }
 }
 

@@ -27,6 +27,10 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+/// Join heads the neighbor check scores per M×N call: the width of the
+/// kernels that read a candidate row once per eight queries.
+const BLOCK: usize = dataset::kernel::LANES;
+
 /// NN-Descent hyper-parameters. Defaults are the paper's evaluation
 /// configuration (Section 5.1.3): `rho = 0.8`, `delta = 0.001`.
 #[derive(Debug, Clone, Copy)]
@@ -208,6 +212,13 @@ impl<'a, P: Point, M: BatchMetric<P>> Theta<'a, P, M> {
         self.evals += cands.len() as u64;
         (self.metric).distance_member_to_many(v, self.set, &self.cache, cands, out);
     }
+
+    /// Distances from each of `heads` to each of `cands`, row-major, of
+    /// which the caller reads `used`: only those count as evaluations.
+    fn block(&mut self, heads: &[PointId], cands: &[PointId], used: u64, out: &mut Vec<f32>) {
+        self.evals += used;
+        (self.metric).distance_members_to_many(heads, self.set, &self.cache, cands, out);
+    }
 }
 
 /// The descent loop (Algorithm 1 lines 6-23) over pre-filled, pre-flagged
@@ -323,15 +334,36 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
             union_sample(&mut fwd_new[v], &mut rev_new[v], &mut rng);
         }
 
-        // Lines 17-22: neighbor checks.
+        // Lines 17-22: neighbor checks. Join heads u1 are taken from `news`
+        // eight at a time: a block `news[i0..i0 + 8]` is scored against its
+        // shared tail `news[i0 + 1..] + olds` in one M×N call, and each head
+        // then reads its own partners — the tail from its successor on,
+        // less itself — out of its row. Fewer than eight remaining heads
+        // gather their partners and score them 1×N. Either way the row
+        // updates replay in the original (u1, u2) order.
         span_begin(tracer, "nnd_check", 0);
         let mut c = 0u64;
         for &v in &participants {
             let (news, olds) = (&fwd_new[v as usize], &fwd_old[v as usize]);
-            // Per join head u1, gather every partner (remaining news +
-            // olds) and evaluate the whole tail as one 1xN batch; row
-            // updates then replay in the original pair order.
-            for (i, &u1) in news.iter().enumerate() {
+            let full = news.len() / BLOCK * BLOCK;
+            for i0 in (0..full).step_by(BLOCK) {
+                let heads = &news[i0..i0 + BLOCK];
+                tails.clear();
+                tails.extend(news[i0 + 1..].iter().chain(olds));
+                let used = (heads.iter().enumerate())
+                    .map(|(j, u1)| tails.len() - j - usize::from(olds.contains(u1)))
+                    .sum::<usize>();
+                theta.block(heads, &tails, used as u64, &mut dbuf);
+                for (j, (&u1, row)) in heads.iter().zip(dbuf.chunks(tails.len())).enumerate() {
+                    for (&u2, &d) in tails[j..].iter().zip(&row[j..]) {
+                        if u2 != u1 {
+                            c += u64::from(table.insert(u1 as usize, u2, d, true));
+                            c += u64::from(table.insert(u2 as usize, u1, d, true));
+                        }
+                    }
+                }
+            }
+            for (i, &u1) in news.iter().enumerate().skip(full) {
                 tails.clear();
                 tails.extend(news[i + 1..].iter().chain(olds).filter(|&&u2| u2 != u1));
                 if tails.is_empty() {
@@ -468,7 +500,13 @@ mod tests {
     /// neighbors at their true distances, each flagged new with probability
     /// `new_pct` percent — inserted in random order, so the array layout
     /// (which the sampling order reads) varies too.
-    fn random_table(set: &PointSet<Vec<f32>>, k: usize, new_pct: u32, seed: u64) -> NeighborTable {
+    fn random_table<P: Point, M: BatchMetric<P>>(
+        set: &PointSet<P>,
+        metric: &M,
+        k: usize,
+        new_pct: u32,
+        seed: u64,
+    ) -> NeighborTable {
         let n = set.len() as PointId;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut table = NeighborTable::new(n as usize, k);
@@ -476,7 +514,7 @@ mod tests {
             for _ in 0..rng.gen_range(0..2 * k + 1) {
                 let u = rng.gen_range(0..n);
                 if u != v {
-                    let d = dataset::Metric::distance(&L2, set.point(v), set.point(u));
+                    let d = metric.distance(set.point(v), set.point(u));
                     table.insert(v as usize, u, d, rng.gen_range(0..100u32) < new_pct);
                 }
             }
@@ -484,32 +522,102 @@ mod tests {
         table
     }
 
+    /// A banded table: vertex `v` holds `v ± 1 ..= v ± k / 2` (cyclic), the
+    /// entries above `v` flagged new and those below old. In the first
+    /// iteration every one of `v`'s own new entries is sampled (there are
+    /// `k / 2 <= rho * k`) and names `v` as an *old* neighbor, so each join
+    /// head sampled from `v`'s row is also in `v`'s `olds`; with the reverse
+    /// news, `news` holds `k` heads — two full blocks at `k = 16`.
+    fn banded_table<P: Point, M: BatchMetric<P>>(
+        set: &PointSet<P>,
+        metric: &M,
+        k: usize,
+    ) -> NeighborTable {
+        let n = set.len();
+        let mut table = NeighborTable::new(n, k);
+        for v in 0..n {
+            for step in 1..=k / 2 {
+                for (u, new) in [((v + step) % n, true), ((v + n - step) % n, false)] {
+                    let d = metric.distance(set.point(v as PointId), set.point(u as PointId));
+                    table.insert(v, u as PointId, d, new);
+                }
+            }
+        }
+        table
+    }
+
+    /// [`descend`] against [`descend_over_all_vertices`] from two copies of
+    /// one table: equal stats, and rows equal entry by entry in array
+    /// order, flags included.
+    fn check_descend<P: Point, M: BatchMetric<P>>(
+        what: &str,
+        set: &PointSet<P>,
+        metric: &M,
+        cache: &NormCache,
+        params: NnDescentParams,
+        table: impl Fn() -> NeighborTable,
+    ) -> BuildStats {
+        let (mut got, mut want) = (table(), table());
+        assert_eq!(got, want, "fixture is deterministic");
+        let mut theta = Theta::new(set, metric, cache.clone());
+        let got_stats = descend(&mut theta, &mut got, params, None);
+        let mut theta = Theta::new(set, metric, cache.clone());
+        let want_stats = descend_over_all_vertices(&mut theta, &mut want, params);
+        assert_eq!(got_stats, want_stats, "{what}");
+        assert_eq!(got, want, "{what}");
+        got_stats
+    }
+
+    /// The blocked neighbor check against the per-head oracle, on f32 rows
+    /// with an empty and a filled norm cache and on `bigann_like` u8 rows;
+    /// `k` up to 16, so `news` holds up to two full blocks of eight heads.
     #[test]
     fn skipping_idle_vertices_is_exact() {
         let set = gaussian_mixture(MixtureParams::embedding_like(160, 6), 5);
+        let bytes = dataset::presets::bigann_like(160, 8);
+        let caches = [NormCache::empty(), L2.preprocess(&set)];
         // All old (no work at all), sparse flag patterns, all new.
         for (case, new_pct) in [0u32, 1, 3, 10, 40, 100].into_iter().enumerate() {
-            for k in [1usize, 4, 9] {
+            for k in [1usize, 4, 9, 16] {
                 let params = NnDescentParams::new(k).seed(77 + case as u64).max_iters(6);
                 let seed = 1000 * case as u64 + k as u64;
-                let (mut got, mut want) = (
-                    random_table(&set, k, new_pct, seed),
-                    random_table(&set, k, new_pct, seed),
-                );
-                assert_eq!(got, want, "fixture is deterministic");
-                let mut theta = Theta::new(&set, &L2, NormCache::empty());
-                let got_stats = descend(&mut theta, &mut got, params, None);
-                let mut theta = Theta::new(&set, &L2, NormCache::empty());
-                let want_stats = descend_over_all_vertices(&mut theta, &mut want, params);
-                let what = format!("{new_pct} % new, k = {k}");
-                assert_eq!(got_stats, want_stats, "{what}");
-                // Rows compare entry by entry in array order, flags included.
-                assert_eq!(got, want, "{what}");
+                let mut runs = Vec::new();
+                for (c, cache) in caches.iter().enumerate() {
+                    let what = format!("f32, cache {c}: {new_pct} % new, k = {k}");
+                    runs.push(check_descend(&what, &set, &L2, cache, params, || {
+                        random_table(&set, &L2, k, new_pct, seed)
+                    }));
+                }
+                let what = format!("u8: {new_pct} % new, k = {k}");
+                runs.push(check_descend(
+                    &what,
+                    &bytes,
+                    &L2,
+                    &NormCache::empty(),
+                    params,
+                    || random_table(&bytes, &L2, k, new_pct, seed),
+                ));
                 if new_pct == 0 {
-                    assert_eq!(got_stats.distance_evals, 0, "{what}");
-                    assert_eq!(got_stats.updates_per_iter, [0], "{what}");
+                    for stats in runs {
+                        assert_eq!(stats.distance_evals, 0, "{new_pct} % new, k = {k}");
+                        assert_eq!(stats.updates_per_iter, [0], "{new_pct} % new, k = {k}");
+                    }
                 }
             }
+        }
+        // Heads that are also in `olds`, in full blocks.
+        for k in [8usize, 16] {
+            let params = NnDescentParams::new(k).seed(5).max_iters(6);
+            for (c, cache) in caches.iter().enumerate() {
+                let what = format!("f32 banded, cache {c}, k = {k}");
+                check_descend(&what, &set, &L2, cache, params, || {
+                    banded_table(&set, &L2, k)
+                });
+            }
+            let what = format!("u8 banded, k = {k}");
+            check_descend(&what, &bytes, &L2, &NormCache::empty(), params, || {
+                banded_table(&bytes, &L2, k)
+            });
         }
     }
 

@@ -3,9 +3,10 @@
 //! entry-point sampler of `nnd::search` — and for the brute-force ground
 //! truth every recall is scored against.
 //!
-//! * The integer kernels must equal a naive `i64` sum on **both** dispatch
-//!   paths, for every length around the block and vector boundaries and for
-//!   rows long enough to overflow a `u32`.
+//! * The integer kernels, the eight-wide `sq_l2_u8_x8` pair by pair among
+//!   them, must equal a naive `i64` sum on **both** dispatch paths, for every
+//!   length around the block and vector boundaries and for rows long enough
+//!   to overflow a `u32`.
 //! * `L2` over `Vec<u8>` must give the same bits batched and per pair.
 //! * `brute_force_queries` / `brute_force_knng` must give the ids and
 //!   distance bits pinned below, on both dispatch paths.
@@ -95,6 +96,42 @@ fn integer_kernels_equal_the_naive_sum_on_every_path() {
             kernel::sq_l2_u8(&vec![0; 70_000], &vec![255; 70_000]),
             70_000 * 255 * 255
         );
+    });
+}
+
+#[test]
+fn eight_wide_sq_l2_u8_equals_the_naive_sum_on_every_path() {
+    on_each_path(|path| {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x8E);
+        let check = |shared: &[u8], others: &[Vec<u8>; 8]| {
+            let got = kernel::sq_l2_u8_x8(shared, &others.each_ref().map(|o| &o[..]));
+            for (j, (&got, other)) in got.iter().zip(others).enumerate() {
+                let what = format!("{} at length {}, pair {j}", path.name(), shared.len());
+                assert_eq!(got as i64, naive_sq_l2(shared, other), "{what}");
+            }
+        };
+        for len in 0..=1025 {
+            let shared = random_bytes(&mut rng, len);
+            let mut others: [Vec<u8>; 8] = std::array::from_fn(|_| random_bytes(&mut rng, len));
+            // One pair is the shared row itself, one its complement.
+            others[3].clone_from(&shared);
+            others[6] = shared.iter().map(|&x| !x).collect();
+            check(&shared, &others);
+        }
+        // Rows of 0 against 255, long enough that one pair's sum (70 000 ·
+        // 255²) does not fit a `u32`; half the pairs are equal rows.
+        let (zeros, ones) = (vec![0u8; 70_000], vec![255u8; 70_000]);
+        let mixed: [Vec<u8>; 8] = std::array::from_fn(|j| {
+            if j % 2 == 0 {
+                ones.clone()
+            } else {
+                zeros.clone()
+            }
+        });
+        check(&zeros, &mixed);
+        check(&ones, &mixed);
+        let extreme = kernel::sq_l2_u8_x8(&zeros, &mixed.each_ref().map(|o| &o[..]));
+        assert_eq!(extreme[0], 70_000 * 255 * 255);
     });
 }
 
