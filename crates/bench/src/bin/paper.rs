@@ -600,8 +600,8 @@ fn fig4(n: usize, dir: &Path, _: &ObsOuts) {
 
 /// **Ablations** beyond the paper's own unoptimized-vs-optimized
 /// comparison, on the DEEP-like stand-in: each §4.3 technique added in
-/// turn, the §4.2 reverse-exchange shuffle, the §4.4 batch size, ρ / δ,
-/// and RP-forest against random initialization (shared-memory engine).
+/// turn (the [`CommOpts`] ladder), the §4.4 batch size, ρ / δ, and
+/// RP-forest against random initialization (shared-memory engine).
 fn ablation(n: usize, dir: &Path, _: &ObsOuts) {
     const K: usize = 10;
     const SEED: u64 = 61;
@@ -620,16 +620,11 @@ fn ablation(n: usize, dir: &Path, _: &ObsOuts) {
             "Virtual secs",
         ],
     );
-    let opts = |one_sided, skip_redundant| CommOpts {
-        one_sided,
-        skip_redundant,
-        prune_distance: false,
-    };
     for (label, opts) in [
-        ("none (Fig 1a)", CommOpts::unoptimized()),
-        ("+one-sided", opts(true, false)),
-        ("+redundant-skip", opts(true, true)),
-        ("+dist-pruning (Fig 1b)", CommOpts::optimized()),
+        ("none (Fig 1a)", CommOpts::Unoptimized),
+        ("+one-sided", CommOpts::OneSided),
+        ("+redundant-skip", CommOpts::SkipRedundant),
+        ("+dist-pruning (Fig 1b)", CommOpts::Optimized),
     ] {
         let (out, recall) = run(cfg.comm_opts(opts));
         let traffic = out.report.check_traffic();
@@ -644,18 +639,7 @@ fn ablation(n: usize, dir: &Path, _: &ObsOuts) {
     emit(&t, dir, "ablation_comm_saving");
 
     let mut t = Table::new(
-        "Ablation 2: reverse-exchange destination shuffle (Section 4.2)",
-        &["Shuffle", "Recall", "Virtual secs"],
-    );
-    for on in [true, false] {
-        let (out, recall) = run(cfg.shuffle_reverse(on));
-        let secs = format!("{:.4}", out.report.sim_secs);
-        t.row(&[&on, &format!("{recall:.4}"), &secs]);
-    }
-    emit(&t, dir, "ablation_shuffle");
-
-    let mut t = Table::new(
-        "Ablation 3: communication batch size (Section 4.4; paper uses 2^25-2^30)",
+        "Ablation 2: communication batch size (Section 4.4; paper uses 2^25-2^30)",
         &["Batch size", "Recall", "Virtual secs", "Wall secs"],
     );
     for shift in [8u32, 12, 16, 20] {
@@ -670,7 +654,7 @@ fn ablation(n: usize, dir: &Path, _: &ObsOuts) {
     emit(&t, dir, "ablation_batch");
 
     let mut t = Table::new(
-        "Ablation 4: rho and delta sensitivity",
+        "Ablation 3: rho and delta sensitivity",
         &["rho", "delta", "Recall", "Iterations", "Distance evals"],
     );
     for rho in [0.4f64, 0.8, 1.0] {
@@ -684,7 +668,7 @@ fn ablation(n: usize, dir: &Path, _: &ObsOuts) {
     emit(&t, dir, "ablation_rho_delta");
 
     let mut t = Table::new(
-        "Ablation 5: RP-forest vs random initialization (shared-memory nnd)",
+        "Ablation 4: RP-forest vs random initialization (shared-memory nnd)",
         &[
             "Init",
             "Recall",

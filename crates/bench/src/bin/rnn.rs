@@ -20,7 +20,7 @@
 //! distributed pass must be bit-identical across ranks {1, 2, 4} and
 //! across a rerun.
 
-use bench::{Args, ObsOuts, Table};
+use bench::{die, Args, ObsOuts, Table};
 use dataset::ground_truth::brute_force_queries;
 use dataset::metric::L2;
 use dataset::presets;
@@ -62,6 +62,9 @@ fn main() {
     let m: f64 = args.get("m", 1.5);
     let (dir, outs) = (args.out_dir(), ObsOuts::parse(&args));
     args.finish();
+    if m.is_nan() || m < 1.0 {
+        die(&format!("--m must be at least 1 (got {m})"));
+    }
 
     let (base, pool) = split_queries(presets::deep1b_like(n + pool_n, seed), pool_n);
     let base = Arc::new(base);
@@ -85,8 +88,7 @@ fn main() {
 
     // Mode A — Section 4.5 reverse-prune (what `dnnd-optimize` defaults
     // to): reverse merge then prune to ceil(k * m).
-    let limit = (k as f64 * m).ceil() as usize;
-    let rp_graph = raw.merge_reverse().prune(limit);
+    let rp_graph = raw.optimize(k, m);
 
     // Mode B — RNN-Descent over the same raw graph, distributed.
     let (rnn_graph, rnn_stats, rnn_run) =

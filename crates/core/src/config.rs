@@ -1,46 +1,58 @@
 //! DNND configuration: Algorithm 1 hyper-parameters plus the paper's
-//! distributed-specific knobs (communication-saving switches, batch size,
-//! reverse-exchange shuffling) and the optional Section 4.5 reverse-prune
-//! pass. RNN-Descent is a separate pass over the built graph
+//! distributed-specific knobs (the communication-saving ladder and the
+//! batch size) and the optional Section 4.5 reverse-prune pass.
+//! RNN-Descent is a separate pass over the built graph
 //! ([`crate::rnn_optimize_distributed`]).
 
-/// Which of the Section 4.3 communication-saving techniques are active.
-/// Separately switchable for the ablation benches; the paper evaluates only
-/// all-off ("unoptimized") vs all-on ("optimized").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommOpts {
-    /// 4.3.1 One-sided communication: the center vertex contacts only
-    /// `u1`, which forwards its vector to `u2`; `u2` answers with a Type 3
-    /// distance message instead of a second full-vector exchange.
-    pub one_sided: bool,
-    /// 4.3.2 Redundant-check reduction: drop the check when the partner is
-    /// already a neighbor (applied at `u1` before Type 2+, and at `u2`
-    /// before Type 3).
-    pub skip_redundant: bool,
-    /// 4.3.3 Long-distance pruning: Type 2+ carries `u1`'s current
-    /// farthest-neighbor distance; `u2` replies only if the computed
-    /// distance beats it.
-    pub prune_distance: bool,
+/// How many of the Section 4.3 communication-saving techniques are active:
+/// a ladder whose rungs each add one technique to the rung below. The paper
+/// evaluates the bottom rung (Figure 1a) against the top one (Figure 1b);
+/// the two middle rungs are the cumulative ablation's steps. Measured with
+/// k = 10 on the DEEP-like and BigANN-like stand-ins at 1, 2 and 4 ranks:
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum CommOpts {
+    /// Figure 1a: a Type 1 to each endpoint, which ships its vector to the
+    /// other as Type 2 — full feature vectors both ways, and each side's row
+    /// updated from its own evaluation.
+    Unoptimized,
+    /// 4.3.1 one-sided communication: the center vertex contacts only `u1`,
+    /// which forwards its vector to `u2`; `u2` answers with a Type 3
+    /// distance message instead of a second full-vector exchange. Builds
+    /// [`CommOpts::Unoptimized`]'s graph bit for bit at every rank count
+    /// with about half the distance evaluations (DEEP-like: 217 174 →
+    /// 110 587 at n = 400, seed 3; 1 014 014 → 514 507 at n = 1 500,
+    /// seed 7).
+    OneSided,
+    /// Adds 4.3.2 redundant-check reduction: drop the check when the
+    /// partner is already a neighbor (at `u1` before Type 2+, at `u2`
+    /// before Type 3). The only rung that changes the graph: its checks
+    /// read live rows, so the graph and the evaluation count depend on the
+    /// rank count (91 772 / 91 492 / 91 213 evaluations at 1 / 2 / 4 ranks,
+    /// DEEP-like, n = 400, seed 3).
+    SkipRedundant,
+    /// Adds 4.3.3 long-distance pruning — the paper's optimized protocol
+    /// (Figure 1b): Type 2+ carries `u1`'s current farthest-neighbor
+    /// distance and `u2` replies only when the computed distance is
+    /// strictly below it. Sends fewer Type 3 replies than
+    /// [`CommOpts::SkipRedundant`]; on f32 it built the same graph with the
+    /// same evaluations in every probe. Integer (u8) distances tie, and a
+    /// tied reply that `u1`'s `(dist, id)` row would have accepted is
+    /// dropped, so on u8 the graphs can differ — at n = 1 500 in every
+    /// probe, at n = 400 once (seed 7, 2 ranks, where the evaluations rose
+    /// 93 368 → 93 373).
+    Optimized,
 }
 
 impl CommOpts {
     /// The paper's optimized protocol (Figure 1b): all three techniques.
     pub fn optimized() -> Self {
-        CommOpts {
-            one_sided: true,
-            skip_redundant: true,
-            prune_distance: true,
-        }
+        CommOpts::Optimized
     }
 
     /// The unoptimized baseline (Figure 1a): Type 1 to both endpoints,
     /// full feature vectors both ways.
     pub fn unoptimized() -> Self {
-        CommOpts {
-            one_sided: false,
-            skip_redundant: false,
-            prune_distance: false,
-        }
+        CommOpts::Unoptimized
     }
 }
 
@@ -55,19 +67,16 @@ pub struct DnndConfig {
     pub delta: f64,
     /// Hard iteration cap.
     pub max_iters: usize,
-    /// RNG seed. A run is a function of the seed, the inputs and — for the
-    /// optimized protocol, whose pruning reads the heap as messages arrive —
-    /// the rank count and fault plan.
+    /// RNG seed. A run is a function of the seed, the inputs and — from
+    /// [`CommOpts::SkipRedundant`] up, whose redundant-check reads see the
+    /// rows as messages arrive — the rank count and fault plan.
     pub seed: u64,
     /// Global number of neighbor-check requests issued between barriers
     /// (Section 4.4; the paper uses 2^25–2^30 at billion scale — scale this
     /// with your dataset).
     pub batch_size: u64,
-    /// Communication-saving switches (Section 4.3).
+    /// Communication-saving rung (Section 4.3).
     pub opts: CommOpts,
-    /// Shuffle destination order in the reverse-neighbor exchange to avoid
-    /// congestion (Section 4.2).
-    pub shuffle_reverse: bool,
     /// When `Some(m)`, run the Section 4.5 distributed graph optimization
     /// (reverse-edge merge, dedup, prune to `ceil(k * m)`) after the
     /// descent. The paper's evaluation uses `m = 1.5`.
@@ -85,7 +94,6 @@ impl DnndConfig {
             seed: 0xD00D,
             batch_size: 1 << 16,
             opts: CommOpts::optimized(),
-            shuffle_reverse: true,
             graph_opt_m: None,
         }
     }
@@ -124,15 +132,9 @@ impl DnndConfig {
         self
     }
 
-    /// Set the communication options.
+    /// Set the communication-saving rung.
     pub fn comm_opts(mut self, opts: CommOpts) -> Self {
         self.opts = opts;
-        self
-    }
-
-    /// Enable/disable reverse-exchange destination shuffling.
-    pub fn shuffle_reverse(mut self, on: bool) -> Self {
-        self.shuffle_reverse = on;
         self
     }
 
@@ -154,7 +156,6 @@ mod tests {
         assert_eq!(c.k, 10);
         assert_eq!(c.rho, 0.8);
         assert_eq!(c.delta, 0.001);
-        assert!(c.shuffle_reverse);
         assert_eq!(c.opts, CommOpts::optimized());
     }
 
@@ -166,15 +167,13 @@ mod tests {
             .delta(0.01)
             .max_iters(3)
             .batch_size(128)
-            .comm_opts(CommOpts::unoptimized())
-            .shuffle_reverse(false);
+            .comm_opts(CommOpts::unoptimized());
         assert_eq!(c.seed, 1);
         assert_eq!(c.rho, 0.5);
         assert_eq!(c.delta, 0.01);
         assert_eq!(c.max_iters, 3);
         assert_eq!(c.batch_size, 128);
-        assert!(!c.opts.one_sided);
-        assert!(!c.shuffle_reverse);
+        assert_eq!(c.opts, CommOpts::Unoptimized);
     }
 
     #[test]

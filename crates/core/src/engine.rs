@@ -26,7 +26,7 @@
 //!    their endpoint's owner, merged, deduplicated, and pruned to
 //!    `ceil(K * m)` neighbors.
 
-use crate::config::DnndConfig;
+use crate::config::{CommOpts, DnndConfig};
 use crate::msgs::*;
 use crate::partition::{Buckets, Partitioner};
 use dataset::batch::{BatchMetric, NormCache};
@@ -408,12 +408,10 @@ where
         // owner(u). Destination order is shuffled to spread load.
         comm.trace_begin("reverse_exchange");
         let mut order: Vec<usize> = (0..owned.len()).collect();
-        if cfg.shuffle_reverse {
-            let mut rng = ChaCha8Rng::seed_from_u64(
-                cfg.seed ^ 0x5F0F ^ (iter as u64) ^ ((comm.rank() as u64) << 32),
-            );
-            order.shuffle(&mut rng);
-        }
+        let mut rng = ChaCha8Rng::seed_from_u64(
+            cfg.seed ^ 0x5F0F ^ (iter as u64) ^ ((comm.rank() as u64) << 32),
+        );
+        order.shuffle(&mut rng);
         batched(comm, order.len(), quota, |i| {
             let at = order[i];
             let v = owned[at];
@@ -470,7 +468,7 @@ where
                 let tails = news[i + 1..].iter().chain(olds.iter()).copied();
                 n_pairs += joins.push_row(u1, tails.filter(|&u2| u2 != u1)) as u64;
             }
-            if !cfg.opts.one_sided {
+            if cfg.opts < CommOpts::OneSided {
                 joins.push_mirrors(fwd_start);
             }
         }
@@ -815,11 +813,11 @@ fn register_handlers<P, M>(
             let bound = {
                 let s = st.borrow();
                 let at = s.slot(u1);
-                if cfg.opts.skip_redundant {
+                if cfg.opts >= CommOpts::SkipRedundant {
                     // Redundant-check reduction (4.3.2) on the forward path.
                     u2s.retain(|&u2| !s.heaps.contains(at, u2));
                 }
-                if cfg.opts.prune_distance {
+                if cfg.opts >= CommOpts::Optimized {
                     s.heaps.max_dist(at)
                 } else {
                     f32::INFINITY
@@ -829,7 +827,7 @@ fn register_handlers<P, M>(
             // they show up on the traffic matrix diagonal.
             part.group_into(u2s, &mut buckets);
             for (dest, u2s) in buckets.iter() {
-                if cfg.opts.one_sided {
+                if cfg.opts >= CommOpts::OneSided {
                     // A `Type2Plus`, field for field.
                     c.async_send(dest, TAG_TYPE2_PLUS, &(u1, u2s, bound, set.point(u1)));
                 } else {
@@ -875,7 +873,7 @@ fn register_handlers<P, M>(
                 // Redundant-check reduction on the return path (4.3.2): if
                 // u1 is already a neighbor of u2 this pair was checked
                 // before — drop it from the row before evaluating.
-                if cfg.opts.skip_redundant {
+                if cfg.opts >= CommOpts::SkipRedundant {
                     let s = st.borrow();
                     msg.u2s.retain(|&u2| !s.heaps.contains(s.slot(u2), msg.u1));
                 }
@@ -892,8 +890,10 @@ fn register_handlers<P, M>(
                     for (&u2, &d) in msg.u2s.iter().zip(&dbuf) {
                         s.trace_dist(traced, u2);
                         s.insert(u2, msg.u1, d);
-                        // Long-distance pruning (4.3.3): only answer if the
-                        // distance can possibly improve u1's heap.
+                        // Long-distance pruning (4.3.3): answer only when the
+                        // distance is strictly below u1's farthest neighbor.
+                        // A tie is dropped, although u1's `(dist, id)` row
+                        // would take it when u2 sorts before the farthest id.
                         if d < msg.bound {
                             replies.push((u2, d));
                         }

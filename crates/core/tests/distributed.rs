@@ -3,8 +3,10 @@
 //! paper's rank-count-invariance claim (Section 5.3.3), and the Figure 4
 //! communication-saving effects.
 
+use dataset::batch::BatchMetric;
 use dataset::ground_truth::brute_force_knng;
 use dataset::metric::{Jaccard, L2};
+use dataset::point::Point;
 use dataset::recall::mean_recall;
 use dataset::set::{PointId, PointSet};
 use dataset::synth::{gaussian_mixture, MixtureParams};
@@ -141,12 +143,7 @@ fn optimized_protocol_halves_check_traffic_at_equal_quality() {
 #[test]
 fn type3_pruning_cuts_replies() {
     let set = clustered(300, 8, 17);
-    let no_prune = CommOpts {
-        one_sided: true,
-        skip_redundant: true,
-        prune_distance: false,
-    };
-    let with_prune = CommOpts::optimized();
+    let (no_prune, with_prune) = (CommOpts::SkipRedundant, CommOpts::Optimized);
     let a = build(
         &World::new(3),
         &set,
@@ -164,6 +161,61 @@ fn type3_pruning_cuts_replies() {
         "pruning did not reduce Type 3: {} vs {}",
         a.report.tag(TAG_TYPE3).count,
         b.report.tag(TAG_TYPE3).count
+    );
+}
+
+/// The §4.3 ladder, rung by rung, on both element types: each rung sends
+/// no more check messages or bytes and evaluates no more distances than
+/// the rung below it, and the one-sided rung builds the unoptimized graph
+/// bit for bit — at every rank count, so across rank counts too.
+#[test]
+fn comm_opts_ladder_never_costs_more_and_one_sided_keeps_the_graph() {
+    const RUNGS: [CommOpts; 4] = [
+        CommOpts::Unoptimized,
+        CommOpts::OneSided,
+        CommOpts::SkipRedundant,
+        CommOpts::Optimized,
+    ];
+    fn climb<P: Point, M: BatchMetric<P>>(name: &str, set: Arc<PointSet<P>>, metric: &M) {
+        let mut reference = None;
+        for ranks in [1usize, 4] {
+            let runs: Vec<_> = (RUNGS.iter())
+                .map(|&opts| {
+                    let cfg = DnndConfig::new(8).seed(3).comm_opts(opts);
+                    build(&World::new(ranks), &set, metric, cfg)
+                })
+                .collect();
+            for (pair, rungs) in runs.windows(2).zip(RUNGS.windows(2)) {
+                let (lo, hi) = (&pair[0].report, &pair[1].report);
+                let (t_lo, t_hi) = (lo.check_traffic(), hi.check_traffic());
+                let at = format!("{name}, {ranks} ranks, {:?} -> {:?}", rungs[0], rungs[1]);
+                assert!(t_hi.count <= t_lo.count, "{at}: check messages rose");
+                assert!(t_hi.bytes <= t_lo.bytes, "{at}: check bytes rose");
+                assert!(
+                    hi.distance_evals <= lo.distance_evals,
+                    "{at}: evaluations rose"
+                );
+            }
+            let reference = reference.get_or_insert_with(|| runs[0].graph.clone());
+            assert!(
+                runs[0].graph == *reference,
+                "{name}: unoptimized graph moved at {ranks} ranks"
+            );
+            assert!(
+                runs[1].graph == *reference,
+                "{name}: one-sided graph differs at {ranks} ranks"
+            );
+        }
+    }
+    climb(
+        "deep1b_like",
+        Arc::new(dataset::presets::deep1b_like(400, 5)),
+        &L2,
+    );
+    climb(
+        "bigann_like",
+        Arc::new(dataset::presets::bigann_like(400, 5)),
+        &L2,
     );
 }
 

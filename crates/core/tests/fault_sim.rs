@@ -102,7 +102,7 @@ fn stormy_faults_preserve_recall_on_two_presets() {
                 drift <= 0.05,
                 "{name}: recall drifted {drift:.4} under faults ({r_fault:.4} vs {r_clean:.4})"
             );
-            if !opts.one_sided {
+            if opts == CommOpts::Unoptimized {
                 if let Some(diff) =
                     first_divergence(&faulted.graph.neighbor_ids(), &clean.graph.neighbor_ids())
                 {

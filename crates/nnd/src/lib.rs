@@ -20,8 +20,6 @@
 //!   passes (the paper's Section 7 future work): a table seeded with the
 //!   stored `(id, distance)` flagged old, only what changed flagged new,
 //!   then [`nndescent`]'s own descent loop;
-//! * [`mod@diversify`] — PyNNDescent's occlusion pruning of search graphs
-//!   (extension);
 //! * [`rnn`] — RNN-Descent (relative-neighborhood descent with occlusion
 //!   pruning, after GRNND / `mini_rnn`): the second graph-optimization
 //!   mode, producing sparser graphs at equal recall (extension).
@@ -45,7 +43,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod diversify;
 pub mod graph;
 pub mod heap;
 pub mod nndescent;
@@ -54,10 +51,9 @@ pub mod rnn;
 pub mod rptree;
 pub mod search;
 
-pub use diversify::diversify;
 pub use graph::{Edge, KnnGraph};
 pub use heap::{Neighbor, NeighborHeap, NeighborTable};
-pub use nndescent::{build, build_traced, build_with_init, BuildStats, NnDescentParams};
+pub use nndescent::{build, build_with_init, BuildStats, NnDescentParams};
 pub use refine::{insert_points, refine, remove_points};
 pub use rnn::{rnn_optimize, RnnParams, RnnStats};
 pub use rptree::{rp_forest_candidates, RpForestParams};

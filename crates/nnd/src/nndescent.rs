@@ -116,20 +116,6 @@ pub fn build_with_init<P: Point, M: BatchMetric<P>>(
     params: NnDescentParams,
     init: Option<&[Vec<PointId>]>,
 ) -> (KnnGraph, BuildStats) {
-    build_traced(set, metric, params, init, None)
-}
-
-/// [`build_with_init`] with an optional [`obs::Tracer`]: phase spans land
-/// on track 0 (shared-memory NN-Descent is one "rank"), timestamped with
-/// the tracer's wall clock on both axes, and per-iteration update counts
-/// feed the `nnd_updates_per_iter` histogram.
-pub fn build_traced<P: Point, M: BatchMetric<P>>(
-    set: &PointSet<P>,
-    metric: &M,
-    params: NnDescentParams,
-    init: Option<&[Vec<PointId>]>,
-    tracer: Option<&obs::Tracer>,
-) -> (KnnGraph, BuildStats) {
     let n = set.len();
     assert!(n >= 2, "need at least two points");
     assert!(params.k >= 1 && params.k < n, "require 1 <= k < N");
@@ -139,7 +125,6 @@ pub fn build_traced<P: Point, M: BatchMetric<P>>(
     let mut theta = Theta::new(set, metric, metric.preprocess(set));
 
     // ---- Initialization (Algorithm 1 lines 2-5) ----------------------------
-    span_begin(tracer, "nnd_init", 0);
     let mut table = NeighborTable::new(n, k);
     let (mut chosen, mut dbuf): (Vec<PointId>, Vec<f32>) = (Vec::with_capacity(k), Vec::new());
     for v in 0..n as PointId {
@@ -168,22 +153,9 @@ pub fn build_traced<P: Point, M: BatchMetric<P>>(
             table.insert(v as usize, u, d, true);
         }
     }
-    span_end(tracer, "nnd_init");
 
-    let stats = descend(&mut theta, &mut table, params, tracer);
+    let stats = descend(&mut theta, &mut table, params);
     (KnnGraph::from_table(&table), stats)
-}
-
-fn span_begin(tracer: Option<&obs::Tracer>, name: &'static str, arg: u64) {
-    if let Some(t) = tracer {
-        t.begin_arg(0, name, t.wall_ns(), arg);
-    }
-}
-
-fn span_end(tracer: Option<&obs::Tracer>, name: &'static str) {
-    if let Some(t) = tracer {
-        t.end(0, name, t.wall_ns());
-    }
 }
 
 /// Batched theta over one set, counting every evaluation: distances from
@@ -222,7 +194,7 @@ impl<'a, P: Point, M: BatchMetric<P>> Theta<'a, P, M> {
 }
 
 /// The descent loop (Algorithm 1 lines 6-23) over pre-filled, pre-flagged
-/// rows — the crate's only one: [`build_traced`] enters it with every
+/// rows — the crate's only one: [`build_with_init`] enters it with every
 /// entry flagged new, [`crate::refine()`] with a handful. Runs until an
 /// iteration makes fewer than `delta * K * N` updates or `max_iters` is
 /// reached. The returned `distance_evals` is `theta`'s whole count, so it
@@ -255,7 +227,6 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
     theta: &mut Theta<'_, P, M>,
     table: &mut NeighborTable,
     params: NnDescentParams,
-    tracer: Option<&obs::Tracer>,
 ) -> BuildStats {
     let (n, k) = (table.n_rows(), params.k);
     let max_sample = ((params.rho * k as f64).round() as usize).max(1);
@@ -273,7 +244,6 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
     let (mut tails, mut dbuf): (Vec<PointId>, Vec<f32>) = (Vec::new(), Vec::new());
 
     for iter in 0..params.max_iters {
-        span_begin(tracer, "nnd_iteration", iter as u64);
         // Lines 7-10, first half: each vertex samples rho*K of its new
         // entries (row order, then shuffled). A sampled id takes part
         // too: it gets the sampling vertex as a reversed new candidate.
@@ -341,7 +311,6 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
         // less itself — out of its row. Fewer than eight remaining heads
         // gather their partners and score them 1×N. Either way the row
         // updates replay in the original (u1, u2) order.
-        span_begin(tracer, "nnd_check", 0);
         let mut c = 0u64;
         for &v in &participants {
             let (news, olds) = (&fwd_new[v as usize], &fwd_old[v as usize]);
@@ -376,7 +345,6 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
                 }
             }
         }
-        span_end(tracer, "nnd_check");
 
         for v in participants.drain(..) {
             let v = v as usize;
@@ -389,10 +357,6 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
 
         stats.iterations = iter + 1;
         stats.updates_per_iter.push(c);
-        if let Some(t) = tracer {
-            t.record_hist(0, "nnd_updates_per_iter", c);
-        }
-        span_end(tracer, "nnd_iteration");
         if c < threshold.max(1) {
             break;
         }
@@ -560,7 +524,7 @@ mod tests {
         let (mut got, mut want) = (table(), table());
         assert_eq!(got, want, "fixture is deterministic");
         let mut theta = Theta::new(set, metric, cache.clone());
-        let got_stats = descend(&mut theta, &mut got, params, None);
+        let got_stats = descend(&mut theta, &mut got, params);
         let mut theta = Theta::new(set, metric, cache.clone());
         let want_stats = descend_over_all_vertices(&mut theta, &mut want, params);
         assert_eq!(got_stats, want_stats, "{what}");

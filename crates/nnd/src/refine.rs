@@ -120,7 +120,7 @@ pub fn refine<P: Point, M: BatchMetric<P>>(
     // Norms are not cached: that is a pass over all `N` vectors, and the
     // descent touches a few hundred.
     let mut theta = Theta::new(base, metric, NormCache::empty());
-    let mut stats = descend(&mut theta, &mut table, params.max_iters(refine_iters), None);
+    let mut stats = descend(&mut theta, &mut table, params.max_iters(refine_iters));
     stats.distance_evals += search_evals;
     (KnnGraph::from_table(&table), stats)
 }

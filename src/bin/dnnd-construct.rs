@@ -11,13 +11,12 @@
 //! ```
 //!
 //! Flags: `--rho --delta --seed --batch-size --unoptimized` (protocol),
-//! `--no-shuffle` (reverse exchange), `--elem f32|u8`, and the
-//! observability outputs `--trace-out trace.json` (Chrome-trace /
-//! Perfetto span timeline, one track per rank), `--report-out
-//! report.json` (unified machine-readable run report), and
-//! `--dashboard-out dash.html` (self-contained HTML dashboard: phase
-//! timeline, critical-path lane, rank×rank traffic heatmap, convergence
-//! curve, telemetry series — no external assets).
+//! `--elem f32|u8`, and the observability outputs `--trace-out
+//! trace.json` (Chrome-trace / Perfetto span timeline, one track per
+//! rank), `--report-out report.json` (unified machine-readable run
+//! report), and `--dashboard-out dash.html` (self-contained HTML
+//! dashboard: phase timeline, critical-path lane, rank×rank traffic
+//! heatmap, convergence curve, telemetry series — no external assets).
 //!
 //! Fault injection: `--fault-profile clean|lossy|stormy` runs the build
 //! under the simulated-transport fault layer, and `--sim-seed <u64>`
@@ -79,7 +78,7 @@ fn main() {
     let elem_name: String = args.get("elem", "f32".to_string());
     let (rho, delta): (f64, f64) = (args.get("rho", 0.8), args.get("delta", 0.001));
     let batch_size: u64 = args.get("batch-size", 1u64 << 16);
-    let (unoptimized, no_shuffle) = (args.flag("unoptimized"), args.flag("no-shuffle"));
+    let unoptimized = args.flag("unoptimized");
     let outs = ObsOuts::parse(&args);
     let fault_profile: String = args.get("fault-profile", String::new());
     let sim_seed: u64 = args.get("sim-seed", 0);
@@ -109,9 +108,6 @@ fn main() {
         .batch_size(batch_size);
     if unoptimized {
         cfg = cfg.comm_opts(CommOpts::unoptimized());
-    }
-    if no_shuffle {
-        cfg = cfg.shuffle_reverse(false);
     }
 
     let tracer = outs.tracer(ranks);

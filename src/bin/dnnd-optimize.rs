@@ -2,8 +2,8 @@
 //! 4.5 / 5.1.3): reopens the store written by `dnnd-construct` and runs
 //! one of two optimization modes selected by `--opt-mode`:
 //!
-//! * `reverse-prune` (default) — merge reverse edges, prune neighborhoods
-//!   to `ceil(k * m)`, optionally diversify; written back under `opt/`.
+//! * `reverse-prune` (default) — merge reverse edges and prune
+//!   neighborhoods to `ceil(k * m)` in one pass; written back under `opt/`.
 //! * `rnn` — distributed RNN-Descent: `--t1` outer rounds of up to `--t2`
 //!   inner neighbor-update rounds with relative-neighborhood (occlusion)
 //!   pruning, reverse-edge adds at outer-round boundaries, and a final
@@ -13,12 +13,11 @@
 //!
 //! ```text
 //! dnnd-optimize --store /tmp/deep-store --m 1.5
-//! dnnd-optimize --store ./store --m 1.5 --diversify 0.3
 //! dnnd-optimize --store ./store --opt-mode rnn --k0 10 --ranks 4
 //! ```
 //!
-//! `--trace-out trace.json` emits a Chrome-trace span timeline of the
-//! optimization passes; `--report-out report.json` a unified run report;
+//! `--trace-out trace.json` emits a Chrome-trace span of the
+//! reverse-prune pass; `--report-out report.json` a unified run report;
 //! `--dashboard-out dash.html` a self-contained HTML dashboard.
 
 use bench::{Args, ObsOuts};
@@ -26,7 +25,7 @@ use dnnd::obs_report::{fill_rnn, report_from_world};
 use dnnd::rnn_optimize_distributed;
 use dnnd_repro::cli::{die, or_die, require_at_least_1, store_flag, Session};
 use nnd::rnn::RnnParams;
-use nnd::{diversify, KnnGraph};
+use nnd::KnnGraph;
 use std::sync::Arc;
 use ygm::World;
 
@@ -56,8 +55,8 @@ fn main() {
     run(&args, &mut s, &store_dir, graph, &outs);
 }
 
-/// The default Section 4.5 pass: reverse merge + optional diversify +
-/// degree prune, written to `opt/`.
+/// The default Section 4.5 pass: reverse merge + degree prune to
+/// `ceil(k * m)` in one [`KnnGraph::optimize`] call, written to `opt/`.
 fn reverse_prune_mode(
     args: &Args,
     s: &mut Session,
@@ -66,48 +65,27 @@ fn reverse_prune_mode(
     outs: &ObsOuts,
 ) {
     let m: f64 = args.get("m", 1.5);
-    let keep: f64 = args.get("diversify", 1.0);
     args.finish();
     if m.is_nan() || m < 1.0 {
         die(&format!("--m must be at least 1 (got {m})"));
     }
-    if !(0.0..=1.0).contains(&keep) {
-        die(&format!("--diversify must be in [0, 1] (got {keep})"));
-    }
     // Graph optimization is a driver-side (single-process) pass, so the
     // trace has one track.
     let tracer = outs.tracer(1);
-    let span = |name: &'static str, f: &mut dyn FnMut() -> KnnGraph| {
-        if let Some(t) = &tracer {
-            t.begin(0, name, t.wall_ns());
-            let g = f();
-            t.end(0, name, t.wall_ns());
-            g
-        } else {
-            f()
-        }
-    };
 
     let start = std::time::Instant::now();
-    let merged = span("merge_reverse", &mut || graph.merge_reverse());
-    let diversified = if keep < 1.0 {
-        or_die(
-            dataset::with_metric!(s.elem.name(), s.metric.as_str(), P, metric => {
-                let base = s.base::<P>();
-                span("diversify", &mut || diversify(&merged, &base, &metric, keep))
-            }),
-        )
-    } else {
-        merged
-    };
-    let optimized = span("prune", &mut || {
-        diversified.prune((s.k as f64 * m).ceil() as usize)
-    });
+    if let Some(t) = &tracer {
+        t.begin(0, "optimize", t.wall_ns());
+    }
+    let optimized = graph.optimize(s.k, m);
+    if let Some(t) = &tracer {
+        t.end(0, "optimize", t.wall_ns());
+    }
     let secs = start.elapsed().as_secs_f64();
 
     or_die(optimized.save(&mut s.store, "opt"));
     println!(
-        "optimized in {secs:.2}s: {} edges (max degree {}), m={m}, diversify keep={keep}",
+        "optimized in {secs:.2}s: {} edges (max degree {}), m={m}",
         optimized.edge_count(),
         optimized.max_degree()
     );
@@ -120,7 +98,6 @@ fn reverse_prune_mode(
         rr.param("store", store_dir)
             .param("opt_mode", "reverse-prune")
             .param("m", m)
-            .param("diversify", keep)
             .param("metric", &s.metric);
         rr.extra
             .push(("edges".into(), optimized.edge_count() as f64));

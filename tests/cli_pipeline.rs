@@ -110,14 +110,7 @@ fn file_based_pipeline_with_u8_data() {
     );
     run_ok(
         env!("CARGO_BIN_EXE_dnnd-optimize"),
-        &[
-            "--store",
-            store.to_str().unwrap(),
-            "--m",
-            "1.5",
-            "--diversify",
-            "0.5",
-        ],
+        &["--store", store.to_str().unwrap(), "--m", "1.5"],
     );
     let out = run_ok(
         env!("CARGO_BIN_EXE_dnnd-query"),
@@ -464,23 +457,6 @@ fn bad_flag_exits_2_on_every_binary() {
             format!("--store {store} --m 0.5"),
             "error: --m must be at least 1 (got 0.5)",
         ),
-        // `--diversify -0.5` was a panic in `nnd::diversify`; 1.5 and NaN
-        // were silently "off".
-        (
-            env!("CARGO_BIN_EXE_dnnd-optimize"),
-            format!("--store {store} --diversify -0.5"),
-            "error: --diversify must be in [0, 1] (got -0.5)",
-        ),
-        (
-            env!("CARGO_BIN_EXE_dnnd-optimize"),
-            format!("--store {store} --diversify 1.5"),
-            "error: --diversify must be in [0, 1] (got 1.5)",
-        ),
-        (
-            env!("CARGO_BIN_EXE_dnnd-optimize"),
-            format!("--store {store} --diversify nan"),
-            "error: --diversify must be in [0, 1] (got NaN)",
-        ),
         // A refused `dnnd-vdb create` is refused before the store exists.
         (
             env!("CARGO_BIN_EXE_dnnd-vdb"),
@@ -509,6 +485,18 @@ fn bad_flag_exits_2_on_every_binary() {
             env!("CARGO_BIN_EXE_dnnd-optimize"),
             format!("--store {store} --m 1.5 --divresify 0.5"),
             "error: unknown flag --divresify",
+        ),
+        // Deleted switches — the inert reverse-exchange shuffle and the
+        // occlusion pruner RNN-Descent duplicates — are refused like typos.
+        (
+            env!("CARGO_BIN_EXE_dnnd-construct"),
+            format!("--input preset:deep1b --store {fresh} --n 100 --no-shuffle"),
+            "error: unknown flag --no-shuffle",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-optimize"),
+            format!("--store {store} --m 1.5 --diversify 0.5"),
+            "error: unknown flag --diversify",
         ),
         (
             env!("CARGO_BIN_EXE_dnnd-optimize"),

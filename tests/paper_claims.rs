@@ -201,7 +201,7 @@ fn rnn_mode_recall_parity_with_fewer_edges() {
     let raw = out.graph;
 
     // Section 4.5 pass at its dnnd-optimize default (prune to ceil(k*1.5)).
-    let rp = raw.merge_reverse().prune((k as f64 * 1.5).ceil() as usize);
+    let rp = raw.optimize(k as usize, 1.5);
     // RNN-Descent at its default schedule, k0 = 10.
     let (rnn, _, _) = dnnd::rnn_optimize_distributed(
         &World::new(2),
