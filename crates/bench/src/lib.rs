@@ -167,7 +167,10 @@ impl ObsOuts {
         report: impl FnOnce() -> RunReport,
     ) -> Result<(), String> {
         if let Some(t) = tracer {
-            let dropped = format!(" ({} spans dropped)", t.dropped_events());
+            let dropped = match t.dropped_events() {
+                0 => " (0 spans dropped)".to_string(),
+                n => format!(" ({n} spans dropped: the trace is incomplete)"),
+            };
             emit(&self.trace, "trace", &dropped, |p| write_trace(p, t))?;
         }
         if self.wants_report() {

@@ -33,28 +33,28 @@ fn figure_4_is_pinned_digit_for_digit() {
     assert_eq!(
         csv(dir.path(), "fig4a_messages.csv"),
         "Dataset,Unoptimized,Optimized,Optimized/Unoptimized\n\
-         DEEP-like (96d f32),1278389,664847,52.0%\n\
-         BigANN-like (128d u8),1273858,664590,52.2%\n"
+         DEEP-like (96d f32),1278389,670876,52.5%\n\
+         BigANN-like (128d u8),1273858,669919,52.6%\n"
     );
     assert_eq!(
         csv(dir.path(), "fig4b_volume.csv"),
         "Dataset,Unoptimized,Optimized,Optimized/Unoptimized\n\
-         DEEP-like (96d f32),442318538,207554494,46.9%\n\
-         BigANN-like (128d u8),168859640,82132576,48.6%\n"
+         DEEP-like (96d f32),442318538,207882840,47.0%\n\
+         BigANN-like (128d u8),168859640,82219118,48.7%\n"
     );
     assert_eq!(
         csv(dir.path(), "fig4_tags.csv"),
         "Dataset,Protocol,Tag,Messages,Bytes\n\
          DEEP-like (96d f32),unoptimized,Type 1,212684,8441352\n\
          DEEP-like (96d f32),unoptimized,Type 2,1065705,433877186\n\
-         DEEP-like (96d f32),optimized,Type 1,84322,3912356\n\
-         DEEP-like (96d f32),optimized,Type 2+,490094,201535912\n\
-         DEEP-like (96d f32),optimized,Type 3,90431,2106226\n\
+         DEEP-like (96d f32),optimized,Type 1,84366,3916052\n\
+         DEEP-like (96d f32),optimized,Type 2+,490583,201737034\n\
+         DEEP-like (96d f32),optimized,Type 3,95927,2229754\n\
          BigANN-like (128d u8),unoptimized,Type 1,212111,8407066\n\
          BigANN-like (128d u8),unoptimized,Type 2,1061747,160452574\n\
-         BigANN-like (128d u8),optimized,Type 1,84222,3905952\n\
-         BigANN-like (128d u8),optimized,Type 2+,490534,76134028\n\
-         BigANN-like (128d u8),optimized,Type 3,89834,2092596\n"
+         BigANN-like (128d u8),optimized,Type 1,84183,3905482\n\
+         BigANN-like (128d u8),optimized,Type 2+,490278,76094824\n\
+         BigANN-like (128d u8),optimized,Type 3,95458,2218812\n"
     );
 }
 

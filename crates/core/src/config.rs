@@ -24,22 +24,19 @@ pub enum CommOpts {
     /// seed 7).
     OneSided,
     /// Adds 4.3.2 redundant-check reduction: drop the check when the
-    /// partner is already a neighbor (at `u1` before Type 2+, at `u2`
-    /// before Type 3). The only rung that changes the graph: its checks
-    /// read live rows, so the graph and the evaluation count depend on the
-    /// rank count (91 772 / 91 492 / 91 213 evaluations at 1 / 2 / 4 ranks,
-    /// DEEP-like, n = 400, seed 3).
+    /// partner was a neighbor as the iteration opened (at `u1` before
+    /// Type 2+, at `u2` before Type 3). The only rung that changes the
+    /// graph; it reads each row's start-of-iteration snapshot, not the live
+    /// row, so it builds one graph with one evaluation count at every rank
+    /// count.
     SkipRedundant,
     /// Adds 4.3.3 long-distance pruning — the paper's optimized protocol
     /// (Figure 1b): Type 2+ carries `u1`'s current farthest-neighbor
-    /// distance and `u2` replies only when the computed distance is
-    /// strictly below it. Sends fewer Type 3 replies than
-    /// [`CommOpts::SkipRedundant`]; on f32 it built the same graph with the
-    /// same evaluations in every probe. Integer (u8) distances tie, and a
-    /// tied reply that `u1`'s `(dist, id)` row would have accepted is
-    /// dropped, so on u8 the graphs can differ — at n = 1 500 in every
-    /// probe, at n = 400 once (seed 7, 2 ranks, where the evaluations rose
-    /// 93 368 → 93 373).
+    /// distance and `u2` replies only when the computed distance is at most
+    /// that, the row's own admission test. The bound only falls, so a
+    /// dropped reply is one the row would reject: builds
+    /// [`CommOpts::SkipRedundant`]'s graph at the same evaluation count with
+    /// fewer Type 3 replies, on both element types.
     Optimized,
 }
 
@@ -67,9 +64,8 @@ pub struct DnndConfig {
     pub delta: f64,
     /// Hard iteration cap.
     pub max_iters: usize,
-    /// RNG seed. A run is a function of the seed, the inputs and — from
-    /// [`CommOpts::SkipRedundant`] up, whose redundant-check reads see the
-    /// rows as messages arrive — the rank count and fault plan.
+    /// RNG seed. The graph is a function of the seed and the inputs, at
+    /// every rank count and under every fault plan.
     pub seed: u64,
     /// Global number of neighbor-check requests issued between barriers
     /// (Section 4.4; the paper uses 2^25–2^30 at billion scale — scale this

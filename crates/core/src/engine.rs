@@ -55,8 +55,8 @@ pub struct BuildReport {
     /// members added during the iteration that survived to its end. Counting
     /// survivors (end-of-iteration set difference) instead of transient
     /// insert successes makes the value — and therefore the `delta * K * N`
-    /// termination decision — independent of message-arrival order, so runs
-    /// under the unoptimized protocol replay bit-identically.
+    /// termination decision — independent of message-arrival order, so every
+    /// rung builds the same graph at every rank count.
     pub updates_per_iter: Vec<u64>,
     /// Total distance evaluations across all ranks.
     pub distance_evals: u64,
@@ -131,6 +131,12 @@ struct State {
     slots: Arc<Vec<u32>>,
     /// One row per owned vertex.
     heaps: NeighborTable,
+    /// Each row's ids as the iteration opened, `k` slots per row padded
+    /// with `PointId::MAX`: what the update count and the redundant-check
+    /// skips read ([`State::opened_with`]).
+    start_ids: Vec<PointId>,
+    /// Row capacity.
+    k: usize,
     /// Reverse lists received this iteration; cleared (capacity kept) at
     /// the start of the next.
     rev_new: Vec<Vec<PointId>>,
@@ -156,6 +162,8 @@ impl State {
         State {
             slots,
             heaps: NeighborTable::new(owned, k),
+            start_ids: vec![PointId::MAX; owned * k],
+            k,
             rev_new: vec![Vec::new(); owned],
             rev_old: vec![Vec::new(); owned],
             opt_extra: vec![Vec::new(); owned],
@@ -170,6 +178,12 @@ impl State {
     #[inline]
     fn slot(&self, v: PointId) -> usize {
         self.slots[v as usize] as usize
+    }
+
+    /// Whether row `at` held `id` as the iteration opened.
+    #[inline]
+    fn opened_with(&self, at: usize, id: PointId) -> bool {
+        self.start_ids[at * self.k..(at + 1) * self.k].contains(&id)
     }
 
     /// Account one batched kernel call covering `n` evaluations.
@@ -346,7 +360,6 @@ where
 
     // One entry per owned vertex, parallel to `owned`; refilled (capacity
     // kept) every iteration.
-    let mut start_ids: Vec<Vec<PointId>> = vec![Vec::new(); owned.len()];
     let mut fwd_old: Vec<Vec<PointId>> = vec![Vec::new(); owned.len()];
     let mut fwd_new: Vec<Vec<PointId>> = vec![Vec::new(); owned.len()];
     let mut joins = Joins::default();
@@ -360,16 +373,19 @@ where
         // transient entrants that a later, closer candidate evicts), the
         // set difference is a pure function of the delivered message
         // multiset — message-arrival order cannot flip the termination
-        // decision.
+        // decision. Sampling only flips flags and the reverse exchange
+        // inserts nothing, so this is also each row as the neighbor check
+        // opens, which the redundant-check skips read (4.3.2).
         {
-            let mut s = st.borrow_mut();
+            let s = &mut *st.borrow_mut();
             s.attempts = 0;
             s.rev_new.iter_mut().for_each(Vec::clear);
             s.rev_old.iter_mut().for_each(Vec::clear);
-            for (i, ids) in start_ids.iter_mut().enumerate() {
-                ids.clear();
-                ids.extend(s.heaps.row(i).iter().map(|n| n.id));
-                ids.sort_unstable();
+            for (i, ids) in s.start_ids.chunks_exact_mut(s.k).enumerate() {
+                ids.fill(PointId::MAX);
+                for (id, n) in ids.iter_mut().zip(s.heaps.row(i)) {
+                    *id = n.id;
+                }
             }
         }
 
@@ -494,10 +510,10 @@ where
         // 2f. Convergence test on the all-reduced update count.
         let (c_local, attempts) = {
             let s = st.borrow();
-            let c: u64 = (start_ids.iter().enumerate())
-                .map(|(i, start)| {
+            let c: u64 = (0..owned.len())
+                .map(|i| {
                     let row = s.heaps.row(i).iter();
-                    row.filter(|n| start.binary_search(&n.id).is_err()).count() as u64
+                    row.filter(|n| !s.opened_with(i, n.id)).count() as u64
                 })
                 .sum();
             (c, s.attempts)
@@ -799,11 +815,11 @@ fn register_handlers<P, M>(
         );
     }
 
-    // Type 1: this rank owns u1. Filter the row against u1's current heap,
-    // read the pruning bound once, then forward one Type 2 / Type 2+ per
-    // destination rank — shipping u1's vector once per destination instead
-    // of once per pair, and borrowing it from the set rather than cloning
-    // it into the message.
+    // Type 1: this rank owns u1. Filter the row against u1's row as the
+    // iteration opened, read the live pruning bound once, then forward one
+    // Type 2 / Type 2+ per destination rank — shipping u1's vector once per
+    // destination instead of once per pair, and borrowing it from the set
+    // rather than cloning it into the message.
     {
         let st = Rc::clone(st);
         let set = Arc::clone(set);
@@ -815,7 +831,7 @@ fn register_handlers<P, M>(
                 let at = s.slot(u1);
                 if cfg.opts >= CommOpts::SkipRedundant {
                     // Redundant-check reduction (4.3.2) on the forward path.
-                    u2s.retain(|&u2| !s.heaps.contains(at, u2));
+                    u2s.retain(|&u2| !s.opened_with(at, u2));
                 }
                 if cfg.opts >= CommOpts::Optimized {
                     s.heaps.max_dist(at)
@@ -871,11 +887,11 @@ fn register_handlers<P, M>(
             tag_display(TAG_TYPE2_PLUS),
             move |c, msg| {
                 // Redundant-check reduction on the return path (4.3.2): if
-                // u1 is already a neighbor of u2 this pair was checked
-                // before — drop it from the row before evaluating.
+                // u1 was a neighbor of u2 as the iteration opened, this pair
+                // was checked before — drop it from the row before evaluating.
                 if cfg.opts >= CommOpts::SkipRedundant {
                     let s = st.borrow();
-                    msg.u2s.retain(|&u2| !s.heaps.contains(s.slot(u2), msg.u1));
+                    msg.u2s.retain(|&u2| !s.opened_with(s.slot(u2), msg.u1));
                 }
                 if msg.u2s.is_empty() {
                     return;
@@ -890,11 +906,9 @@ fn register_handlers<P, M>(
                     for (&u2, &d) in msg.u2s.iter().zip(&dbuf) {
                         s.trace_dist(traced, u2);
                         s.insert(u2, msg.u1, d);
-                        // Long-distance pruning (4.3.3): answer only when the
-                        // distance is strictly below u1's farthest neighbor.
-                        // A tie is dropped, although u1's `(dist, id)` row
-                        // would take it when u2 sorts before the farthest id.
-                        if d < msg.bound {
+                        // Long-distance pruning (4.3.3): drop only a reply
+                        // u1's row would reject — its bound only falls.
+                        if d <= msg.bound {
                             replies.push((u2, d));
                         }
                     }

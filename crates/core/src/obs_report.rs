@@ -105,10 +105,10 @@ pub fn report_from_world<T>(binary: &str, n_ranks: usize, r: &WorldReport<T>) ->
 }
 
 /// Fold what `tracer` recorded into `report`: its histogram summaries, the
-/// span-ring overflow counters (a nonzero `dropped_spans` means the trace is
-/// incomplete and is warned about; the per-rank split shows *which* ring
-/// overflowed) and its virtual-clock gauge series. `bench::ObsOuts::write`
-/// calls it for every run that had a tracer.
+/// span-ring overflow counters (a nonzero `dropped_spans` means an exported
+/// trace is incomplete; the per-rank split shows *which* ring overflowed)
+/// and its virtual-clock gauge series. `bench::ObsOuts::write` calls it for
+/// every run that had a tracer.
 pub fn attach_tracer(report: &mut RunReport, tracer: &Tracer) {
     report.add_histograms(&tracer.hist_snapshots());
     report.set_dropped_spans_per_rank(tracer.dropped_events_per_rank());

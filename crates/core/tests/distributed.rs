@@ -166,10 +166,11 @@ fn type3_pruning_cuts_replies() {
 
 /// The §4.3 ladder, rung by rung, on both element types: each rung sends
 /// no more check messages or bytes and evaluates no more distances than
-/// the rung below it, and the one-sided rung builds the unoptimized graph
-/// bit for bit — at every rank count, so across rank counts too.
+/// the rung below it; each rung builds one graph with one evaluation count
+/// at every rank count; the one-sided rung builds the unoptimized graph and
+/// pruning builds the redundant-check rung's graph, bit for bit.
 #[test]
-fn comm_opts_ladder_never_costs_more_and_one_sided_keeps_the_graph() {
+fn comm_opts_ladder_never_costs_more_and_every_rung_builds_one_graph() {
     const RUNGS: [CommOpts; 4] = [
         CommOpts::Unoptimized,
         CommOpts::OneSided,
@@ -196,14 +197,31 @@ fn comm_opts_ladder_never_costs_more_and_one_sided_keeps_the_graph() {
                     "{at}: evaluations rose"
                 );
             }
-            let reference = reference.get_or_insert_with(|| runs[0].graph.clone());
+            let got: Vec<_> = (runs.iter())
+                .map(|r| (r.graph.clone(), r.report.distance_evals))
+                .collect();
+            let want = reference.get_or_insert_with(|| got.clone());
+            for (rung, (got, want)) in RUNGS.iter().zip(got.iter().zip(want.iter())) {
+                assert!(
+                    got.0 == want.0,
+                    "{name}: {rung:?} graph moved at {ranks} ranks"
+                );
+                assert_eq!(
+                    got.1, want.1,
+                    "{name}: {rung:?} evaluations moved at {ranks} ranks"
+                );
+            }
             assert!(
-                runs[0].graph == *reference,
-                "{name}: unoptimized graph moved at {ranks} ranks"
+                runs[1].graph == runs[0].graph,
+                "{name}: one-sided graph differs at {ranks} ranks"
             );
             assert!(
-                runs[1].graph == *reference,
-                "{name}: one-sided graph differs at {ranks} ranks"
+                runs[3].graph == runs[2].graph,
+                "{name}: pruning changed the graph at {ranks} ranks"
+            );
+            assert_eq!(
+                runs[3].report.distance_evals, runs[2].report.distance_evals,
+                "{name}: pruning changed the evaluations at {ranks} ranks"
             );
         }
     }

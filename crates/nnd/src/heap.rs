@@ -253,12 +253,6 @@ impl NeighborTable {
         self.bounds[v]
     }
 
-    /// Whether `id` is currently in row `v` (linear scan).
-    #[inline]
-    pub fn contains(&self, v: usize, id: PointId) -> bool {
-        contains(self.row(v), id)
-    }
-
     /// [`insert`] `(id, dist, new)` into row `v`. The bound test is strict:
     /// an equal distance goes to the row, where the id breaks the tie.
     #[inline]

@@ -955,7 +955,7 @@ mod tests {
         assert!(html.contains("1,207 dropped trace spans (r1:1,200 r3:7)"));
         // A total without the per-rank split still badges, without detail.
         let mut r2 = RunReport::new("t");
-        r2.set_dropped_spans(5);
+        r2.dropped_spans = 5;
         assert!(dashboard_html(&r2).contains(">5 dropped trace spans</span>"));
     }
 

@@ -990,27 +990,12 @@ impl RunReport {
         self
     }
 
-    /// Record the span-ring overflow count, warning on stderr when nonzero:
-    /// a lossy trace cannot support exact flow pairing or critical-path
-    /// post-processing, so the reader deserves to know up front.
-    pub fn set_dropped_spans(&mut self, dropped: u64) -> &mut Self {
-        self.dropped_spans = dropped;
-        if dropped > 0 {
-            eprintln!(
-                "warning: {dropped} trace events lost to span-ring overflow; \
-                 the exported trace is incomplete (raise the ring capacity)"
-            );
-        }
-        self
-    }
-
-    /// Record the per-rank span-ring overflow split. The total goes
-    /// through [`Self::set_dropped_spans`] so the stderr warning fires
-    /// once.
+    /// Record the per-rank span-ring overflow split and its total. Whoever
+    /// exports the trace says it is incomplete; a report only counts.
     pub fn set_dropped_spans_per_rank(&mut self, per_rank: Vec<u64>) -> &mut Self {
-        let total = per_rank.iter().sum();
+        self.dropped_spans = per_rank.iter().sum();
         self.dropped_spans_per_rank = per_rank;
-        self.set_dropped_spans(total)
+        self
     }
 
     /// Append histogram summaries from tracer snapshots.

@@ -114,9 +114,7 @@ fn figure_4_traffic_reduction_and_u8_asymmetry() {
 /// (diminishing-returns) aggregate speedup. Per-octave speedup ratios are
 /// no longer compared: the row-batched check protocol ships each vector
 /// once per destination rank, so small worlds start from a much lower
-/// traffic baseline than per-pair messaging did, and the optimized
-/// protocol's arrival-order-dependent filtering adds scheduling noise of
-/// the same magnitude as an octave-to-octave ratio difference.
+/// traffic baseline than per-pair messaging did.
 #[test]
 fn figure_3_strong_scaling_shape() {
     let set = Arc::new(presets::deep1b_like(700, 23));
@@ -249,22 +247,18 @@ fn rnn_mode_recall_parity_with_fewer_edges() {
 }
 
 /// The paper's Section 4.4 rationale: batched barriers do not change the
-/// result, only the communication schedule.
+/// result, only the communication schedule. The optimized protocol's checks
+/// read the rows each iteration opened with, so the graph is the same at
+/// every batch size, bit for bit.
 #[test]
 fn batching_is_schedule_only() {
     let set = Arc::new(presets::deep1b_like(400, 37));
-    let truth = brute_force_knng(&set, &L2, 6);
-    let mut recalls = Vec::new();
-    for batch in [1u64 << 8, 1 << 14, 1 << 20] {
-        let out = build(
-            &World::new(4),
-            &set,
-            &L2,
-            DnndConfig::new(6).seed(37).batch_size(batch),
-        );
-        recalls.push(mean_recall(&out.graph.neighbor_ids(), &truth));
-    }
-    let spread = recalls.iter().cloned().fold(f64::MIN, f64::max)
-        - recalls.iter().cloned().fold(f64::MAX, f64::min);
-    assert!(spread < 0.08, "batch size changed quality: {recalls:?}");
+    let graphs = [1u64 << 8, 1 << 14, 1 << 20].map(|batch| {
+        let cfg = DnndConfig::new(6).seed(37).batch_size(batch);
+        build(&World::new(4), &set, &L2, cfg).graph
+    });
+    assert!(
+        graphs.windows(2).all(|w| w[0] == w[1]),
+        "batch size changed the graph"
+    );
 }
