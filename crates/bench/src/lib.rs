@@ -12,12 +12,12 @@
 
 #![forbid(unsafe_code)]
 
-use dnnd::obs_report::{attach_tracer, write_dashboard, write_report, write_trace};
 use obs::{RunReport, Tracer};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Display;
-use std::fs;
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -125,7 +125,8 @@ impl Args {
 /// The observability outputs every executable and bench driver accepts
 /// (`--trace-out`, `--report-out`, `--dashboard-out`; empty = not asked
 /// for), the tracer a run needs to produce them, and the one writer of
-/// those files and of their "written to" lines.
+/// those files and of their "written to" lines. Each file is written as
+/// its document is emitted, through one buffered writer.
 #[derive(Debug, Clone, Default)]
 pub struct ObsOuts {
     /// Chrome-trace / Perfetto span timeline destination.
@@ -152,15 +153,23 @@ impl ObsOuts {
     }
 
     /// The tracer of an `n_ranks`-track run: `None` when no output was
-    /// asked for, so an unobserved run pays nothing.
+    /// asked for, so an unobserved run pays nothing, and without span rings
+    /// unless a trace was asked for — a report reads only the tracer's
+    /// histograms and gauge series.
     pub fn tracer(&self, n_ranks: usize) -> Option<Arc<Tracer>> {
-        (!self.trace.is_empty() || self.wants_report()).then(|| Arc::new(Tracer::new(n_ranks)))
+        if !self.trace.is_empty() {
+            Some(Arc::new(Tracer::new(n_ranks)))
+        } else {
+            self.wants_report()
+                .then(|| Arc::new(Tracer::with_capacity(n_ranks, 0)))
+        }
     }
 
     /// Write every output that was asked for: the trace if the run had a
-    /// `tracer`, and the report and dashboard of `report()` — with what the
-    /// tracer recorded folded in — which is only called when one of the two
-    /// is wanted. `Err` is the one-line reason the first failing file gave.
+    /// `tracer`, and the report and dashboard of `report()` — with the
+    /// tracer's histograms and gauge series folded in — which is only
+    /// called when one of the two is wanted. `Err` is the one-line reason
+    /// the first failing file gave.
     pub fn write(
         &self,
         tracer: Option<&Tracer>,
@@ -171,12 +180,15 @@ impl ObsOuts {
                 0 => " (0 spans dropped)".to_string(),
                 n => format!(" ({n} spans dropped: the trace is incomplete)"),
             };
-            emit(&self.trace, "trace", &dropped, |p| write_trace(p, t))?;
+            emit(&self.trace, "trace", &dropped, |w| {
+                obs::chrome::write_chrome_trace(t, w)
+            })?;
         }
         if self.wants_report() {
             let mut rr = report();
             if let Some(t) = tracer {
-                attach_tracer(&mut rr, t);
+                rr.add_histograms(&t.hist_snapshots());
+                rr.series = t.series_snapshot();
             }
             self.write_report(&rr)?;
             self.write_dashboard(&rr)?;
@@ -186,13 +198,15 @@ impl ObsOuts {
 
     /// The `--report-out` half of [`ObsOuts::write`].
     pub fn write_report(&self, report: &RunReport) -> Result<(), String> {
-        emit(&self.report, "run report", "", |p| write_report(p, report))
+        emit(&self.report, "run report", "", |w| {
+            write!(w, "{:#}", report.to_json())
+        })
     }
 
     /// The `--dashboard-out` half of [`ObsOuts::write`].
     pub fn write_dashboard(&self, report: &RunReport) -> Result<(), String> {
-        emit(&self.dashboard, "dashboard", "", |p| {
-            write_dashboard(p, report)
+        emit(&self.dashboard, "dashboard", "", |w| {
+            w.write_all(obs::dashboard::dashboard_html(report).as_bytes())
         })
     }
 }
@@ -202,12 +216,17 @@ fn emit(
     path: &str,
     what: &str,
     note: &str,
-    write: impl FnOnce(&str) -> std::io::Result<()>,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
 ) -> Result<(), String> {
     if path.is_empty() {
         return Ok(());
     }
-    write(path).map_err(|e| format!("cannot write {path}: {e}"))?;
+    let written = File::create(path).and_then(|file| {
+        let mut w = BufWriter::new(file);
+        write(&mut w)?;
+        w.flush()
+    });
+    written.map_err(|e| format!("cannot write {path}: {e}"))?;
     println!("{what} written to {path}{note}");
     Ok(())
 }

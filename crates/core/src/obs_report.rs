@@ -1,19 +1,16 @@
-//! Fills an [`obs::RunReport`] from a run's results, plus file emission for
-//! the `--trace-out` / `--report-out` / `--dashboard-out` CLI flags.
+//! Fills an [`obs::RunReport`] from a run's results.
 //!
 //! The runtime already records faults, the traffic matrix, phases and RNN
 //! rounds in `obs`'s own types, so most of a report is assignment; what is
 //! translated here is the per-tag rows, the clock's split and the engine's
 //! convergence trajectory. Every binary and bench driver funnels through
-//! these helpers so reports stay structurally identical across producers.
+//! these helpers so reports stay structurally identical across producers;
+//! `bench::ObsOuts` writes the files.
 
 use crate::engine::BuildReport;
 use nnd::rnn::{RnnParams, RnnStats};
 use obs::critical_path::analyze;
-use obs::{ConvergencePoint, PhaseRecord, PhaseReport, RnnSection, RunReport, TagReport, Tracer};
-use std::fs;
-use std::io;
-use std::path::Path;
+use obs::{ConvergencePoint, PhaseRecord, PhaseReport, RnnSection, RunReport, TagReport};
 use ygm::{ClockBreakdown, TagStats, WorldReport};
 
 /// Fill the clock's part of a report: the rank count, the time split, and
@@ -102,32 +99,6 @@ pub fn report_from_world<T>(binary: &str, n_ranks: usize, r: &WorldReport<T>) ->
     report.matrix = Some(r.matrix.clone());
     report.faults = r.faults.clone();
     report
-}
-
-/// Fold what `tracer` recorded into `report`: its histogram summaries, the
-/// span-ring overflow counters (a nonzero `dropped_spans` means an exported
-/// trace is incomplete; the per-rank split shows *which* ring overflowed)
-/// and its virtual-clock gauge series. `bench::ObsOuts::write` calls it for
-/// every run that had a tracer.
-pub fn attach_tracer(report: &mut RunReport, tracer: &Tracer) {
-    report.add_histograms(&tracer.hist_snapshots());
-    report.set_dropped_spans_per_rank(tracer.dropped_events_per_rank());
-    report.series = tracer.series_snapshot();
-}
-
-/// Write the self-contained HTML dashboard for `report` to `path`.
-pub fn write_dashboard(path: impl AsRef<Path>, report: &RunReport) -> io::Result<()> {
-    fs::write(path, obs::dashboard::dashboard_html(report))
-}
-
-/// Write the Chrome-trace JSON for `tracer` to `path`.
-pub fn write_trace(path: impl AsRef<Path>, tracer: &Tracer) -> io::Result<()> {
-    fs::write(path, obs::chrome::chrome_trace_json(tracer))
-}
-
-/// Write `report` as pretty-printed JSON to `path`.
-pub fn write_report(path: impl AsRef<Path>, report: &RunReport) -> io::Result<()> {
-    fs::write(path, report.to_json_string())
 }
 
 #[cfg(test)]

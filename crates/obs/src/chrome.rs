@@ -6,24 +6,34 @@
 //! timeline — per-rank wall time is what shows real thread behavior —
 //! with the virtual simulation timestamps carried in `args` (`virt_us`,
 //! `virt_dur_us`). Instants become `"ph":"i"` events. Unterminated spans
-//! are closed at the rank's last observed wall time and flagged
-//! `"unterminated": true`.
+//! are closed at the rank's last observed wall and virtual times and
+//! flagged `"unterminated": true`. `otherData` carries the span-ring
+//! overflow: `dropped_events` in total and `dropped_events_per_rank`; a
+//! nonzero count means the trace is incomplete.
+//!
+//! The document is written as it is built, one event at a time, so its
+//! size in memory is one rank's events, not the whole trace.
 
 use crate::json::JsonValue as J;
 use crate::ring::EventKind;
 use crate::tracer::Tracer;
+use std::io::{self, Write};
 
 fn us(ns: u64) -> J {
     J::Num(ns as f64 / 1_000.0)
 }
 
-/// Build the trace document for `tracer` as a [`JsonValue`](crate::json::JsonValue).
-pub fn chrome_trace(tracer: &Tracer) -> J {
-    let mut events: Vec<J> = Vec::new();
+/// Write the compact trace document for `tracer` into `out`. An error is
+/// the first one `out` returned; what was written before it stays written.
+pub fn write_chrome_trace(tracer: &Tracer, mut out: impl Write) -> io::Result<()> {
+    out.write_all(b"{\"traceEvents\":[")?;
+    // Each element of `traceEvents` goes to `out` as soon as it is built.
+    let mut sep = "";
+    let mut push = |event: J| write!(out, "{}{event}", std::mem::replace(&mut sep, ","));
 
     for rank in 0..tracer.n_ranks() {
         // Track metadata: readable names and stable top-to-bottom order.
-        events.push(J::Obj(vec![
+        push(J::Obj(vec![
             ("ph".into(), J::str("M")),
             ("name".into(), J::str("thread_name")),
             ("pid".into(), J::Int(0)),
@@ -32,8 +42,8 @@ pub fn chrome_trace(tracer: &Tracer) -> J {
                 "args".into(),
                 J::Obj(vec![("name".into(), J::str(format!("rank {rank}")))]),
             ),
-        ]));
-        events.push(J::Obj(vec![
+        ]))?;
+        push(J::Obj(vec![
             ("ph".into(), J::str("M")),
             ("name".into(), J::str("thread_sort_index")),
             ("pid".into(), J::Int(0)),
@@ -42,10 +52,12 @@ pub fn chrome_trace(tracer: &Tracer) -> J {
                 "args".into(),
                 J::Obj(vec![("sort_index".into(), J::uint(rank as u64))]),
             ),
-        ]));
+        ]))?;
 
         let rank_events = tracer.events(rank);
-        let last_wall = rank_events.last().map(|e| e.wall_ns).unwrap_or(0);
+        let (last_wall, last_virt) = rank_events
+            .last()
+            .map_or((0, 0), |e| (e.wall_ns, e.virt_ns));
         // Stack of open spans: (name, wall_ns, virt_ns, arg).
         let mut open: Vec<(&'static str, u64, u64, u64)> = Vec::new();
 
@@ -89,14 +101,14 @@ pub fn chrome_trace(tracer: &Tracer) -> J {
                         // wrap-around; close it at this point.
                         while open.len() > pos + 1 {
                             let (n, bw, bv, a) = open.pop().unwrap();
-                            events.push(complete(n, bw, bv, a, ev.wall_ns, ev.virt_ns, false));
+                            push(complete(n, bw, bv, a, ev.wall_ns, ev.virt_ns, false))?;
                         }
                         let (n, bw, bv, a) = open.pop().unwrap();
-                        events.push(complete(n, bw, bv, a, ev.wall_ns, ev.virt_ns, true));
+                        push(complete(n, bw, bv, a, ev.wall_ns, ev.virt_ns, true))?;
                     } else {
-                        events.push(complete(
+                        push(complete(
                             ev.name, ev.wall_ns, ev.virt_ns, ev.arg, ev.wall_ns, ev.virt_ns, false,
-                        ));
+                        ))?;
                     }
                 }
                 EventKind::Instant => {
@@ -104,7 +116,7 @@ pub fn chrome_trace(tracer: &Tracer) -> J {
                     if ev.arg != 0 {
                         args.push(("arg".into(), J::uint(ev.arg)));
                     }
-                    events.push(J::Obj(vec![
+                    push(J::Obj(vec![
                         ("ph".into(), J::str("i")),
                         ("s".into(), J::str("t")),
                         ("name".into(), J::str(ev.name)),
@@ -112,7 +124,7 @@ pub fn chrome_trace(tracer: &Tracer) -> J {
                         ("tid".into(), J::uint(rank as u64)),
                         ("ts".into(), us(ev.wall_ns)),
                         ("args".into(), J::Obj(args)),
-                    ]));
+                    ]))?;
                 }
                 EventKind::FlowSend | EventKind::FlowRecv => {
                     // Cross-rank arrow halves: Perfetto pairs them on
@@ -144,7 +156,7 @@ pub fn chrome_trace(tracer: &Tracer) -> J {
                             ]),
                         ),
                     ]);
-                    events.push(J::Obj(obj));
+                    push(J::Obj(obj))?;
                 }
                 EventKind::AsyncBegin | EventKind::AsyncEnd => {
                     // Nestable async span halves: Perfetto pairs them on
@@ -155,7 +167,7 @@ pub fn chrome_trace(tracer: &Tracer) -> J {
                     // encoding with flow events (they reuse the same
                     // > 2^53 id namespace).
                     let begin = ev.kind == EventKind::AsyncBegin;
-                    events.push(J::Obj(vec![
+                    push(J::Obj(vec![
                         ("ph".into(), J::str(if begin { "b" } else { "e" })),
                         ("cat".into(), J::str("query_lifecycle")),
                         ("name".into(), J::str(ev.name)),
@@ -167,13 +179,13 @@ pub fn chrome_trace(tracer: &Tracer) -> J {
                             "args".into(),
                             J::Obj(vec![("virt_us".into(), us(ev.virt_ns))]),
                         ),
-                    ]));
+                    ]))?;
                 }
             }
         }
         // Spans still open at the end of the run.
         while let Some((n, bw, bv, a)) = open.pop() {
-            events.push(complete(n, bw, bv, a, last_wall, 0, false));
+            push(complete(n, bw, bv, a, last_wall, last_virt, false))?;
         }
     }
 
@@ -182,7 +194,7 @@ pub fn chrome_trace(tracer: &Tracer) -> J {
     // process (pid 1, labeled) instead of the wall-clock span timeline.
     let series = tracer.series_snapshot();
     if !series.is_empty() {
-        events.push(J::Obj(vec![
+        push(J::Obj(vec![
             ("ph".into(), J::str("M")),
             ("name".into(), J::str("process_name")),
             ("pid".into(), J::Int(1)),
@@ -191,12 +203,12 @@ pub fn chrome_trace(tracer: &Tracer) -> J {
                 "args".into(),
                 J::Obj(vec![("name".into(), J::str("telemetry (virtual time)"))]),
             ),
-        ]));
+        ]))?;
     }
     for s in &series {
         let track = format!("{} r{}", s.name, s.rank);
         for p in &s.points {
-            events.push(J::Obj(vec![
+            push(J::Obj(vec![
                 ("ph".into(), J::str("C")),
                 ("name".into(), J::str(&track)),
                 ("pid".into(), J::Int(1)),
@@ -206,36 +218,37 @@ pub fn chrome_trace(tracer: &Tracer) -> J {
                     "args".into(),
                     J::Obj(vec![("value".into(), J::Num(p.value))]),
                 ),
-            ]));
+            ]))?;
         }
     }
 
-    J::Obj(vec![
-        ("traceEvents".into(), J::Arr(events)),
-        ("displayTimeUnit".into(), J::str("ms")),
+    let dropped = tracer.dropped_events_per_rank();
+    let other = J::Obj(vec![
+        ("producer".into(), J::str("dnnd-repro obs")),
+        ("dropped_events".into(), J::uint(dropped.iter().sum())),
         (
-            "otherData".into(),
-            J::Obj(vec![
-                ("producer".into(), J::str("dnnd-repro obs")),
-                (
-                    "dropped_events".into(),
-                    J::uint(tracer.dropped_events() as u64),
-                ),
-                ("n_ranks".into(), J::uint(tracer.n_ranks() as u64)),
-            ]),
+            "dropped_events_per_rank".into(),
+            J::Arr(dropped.into_iter().map(J::uint).collect()),
         ),
-    ])
-}
-
-/// Serialize the trace for `tracer` to a JSON string.
-pub fn chrome_trace_json(tracer: &Tracer) -> String {
-    chrome_trace(tracer).to_string()
+        ("n_ranks".into(), J::uint(tracer.n_ranks() as u64)),
+    ]);
+    write!(out, "],\"displayTimeUnit\":\"ms\",\"otherData\":{other}}}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::JsonValue as J;
+
+    fn text(t: &Tracer) -> String {
+        let mut buf = Vec::new();
+        write_chrome_trace(t, &mut buf).unwrap();
+        String::from_utf8(buf).unwrap()
+    }
+
+    fn chrome_trace(t: &Tracer) -> J {
+        J::parse(&text(t)).unwrap()
+    }
 
     fn spans_named<'a>(doc: &'a J, name: &str) -> Vec<&'a J> {
         doc.get("traceEvents")
@@ -308,14 +321,10 @@ mod tests {
         let doc = chrome_trace(&t);
         let leaky = spans_named(&doc, "leaky");
         assert_eq!(leaky.len(), 1);
-        assert_eq!(
-            leaky[0]
-                .get("args")
-                .unwrap()
-                .get("unterminated")
-                .and_then(J::as_bool),
-            Some(true)
-        );
+        let args = leaky[0].get("args").unwrap();
+        assert_eq!(args.get("unterminated").and_then(J::as_bool), Some(true));
+        // Closed at the rank's last virtual time, not at zero.
+        assert_eq!(args.get("virt_dur_us").and_then(J::as_f64), Some(0.01));
     }
 
     #[test]
@@ -422,16 +431,30 @@ mod tests {
         let t = Tracer::new(2);
         t.begin(0, "a \"quoted\" name", 0);
         t.end(0, "a \"quoted\" name", 10);
-        let text = chrome_trace_json(&t);
-        let doc = J::parse(&text).unwrap();
+        let doc = chrome_trace(&t);
         assert!(doc.get("traceEvents").is_some());
-        assert_eq!(
-            doc.get("otherData")
-                .unwrap()
-                .get("dropped_events")
-                .unwrap()
-                .as_u64(),
-            Some(0)
-        );
+        let other = doc.get("otherData").unwrap();
+        assert_eq!(other.get("dropped_events").unwrap().as_u64(), Some(0));
+        // The streamed text is the document's own compact emission.
+        assert_eq!(text(&t), doc.to_string());
+    }
+
+    #[test]
+    fn overflow_is_counted_per_rank() {
+        let t = Tracer::with_capacity(3, 2);
+        for i in 0..5 {
+            t.instant(1, "tick", i, 0);
+        }
+        t.instant(2, "tick", 0, 0);
+        let doc = chrome_trace(&t);
+        let other = doc.get("otherData").unwrap();
+        assert_eq!(other.get("dropped_events").unwrap().as_u64(), Some(3));
+        let per_rank: Vec<u64> = (other.get("dropped_events_per_rank").unwrap())
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|v| v.as_u64().unwrap())
+            .collect();
+        assert_eq!(per_rank, [0, 3, 0]);
     }
 }

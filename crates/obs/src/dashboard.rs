@@ -42,11 +42,7 @@ pub fn dashboard_html(report: &RunReport) -> String {
     let J::Obj(fields) = report.to_json() else {
         unreachable!("a report is an object")
     };
-    let mut body = format!(
-        "<h1>{} run report{}</h1>\n",
-        esc(&report.binary),
-        dropped_badge(report)
-    );
+    let mut body = format!("<h1>{} run report</h1>\n", esc(&report.binary));
     members(&mut body, report, "", &fields);
     format!(
         "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
@@ -70,9 +66,7 @@ th,td{text-align:right;padding:4px 10px;border-bottom:1px solid #eef1f4;font-var
 th{color:#5b6b7b;font-weight:600}td:first-child,th:first-child{text-align:left}\
 svg text{font:11px system-ui,sans-serif;fill:#3c4a59}\
 .legend{color:#5b6b7b;font-size:12px;margin:8px 0 0}\
-.swatch{display:inline-block;width:10px;height:10px;border-radius:2px;margin:0 4px 0 10px}\
-.badge{display:inline-block;background:#c0392b;color:#fff;border-radius:10px;\
-padding:2px 10px;font-size:12px;font-weight:600;margin-left:8px}";
+.swatch{display:inline-block;width:10px;height:10px;border-radius:2px;margin:0 4px 0 10px}";
 
 // ---- the walk --------------------------------------------------------------
 
@@ -178,27 +172,6 @@ fn rows_table(rows: &[J]) -> String {
         );
     }
     out
-}
-
-/// A lossy trace must be impossible to miss: the badge names the
-/// overflowing rank(s), not just the total.
-fn dropped_badge(r: &RunReport) -> String {
-    if r.dropped_spans == 0 {
-        return String::new();
-    }
-    let per_rank: Vec<String> = r
-        .dropped_spans_per_rank
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d > 0)
-        .map(|(rank, &d)| format!("r{rank}:{}", group_u64(d)))
-        .collect();
-    let total = group_u64(r.dropped_spans);
-    let detail = match per_rank.join(" ") {
-        ranks if ranks.is_empty() => ranks,
-        ranks => format!(" ({ranks})"),
-    };
-    format!("<span class=\"badge\">{total} dropped trace spans{detail}</span>")
 }
 
 // ---- charts, keyed by the list they plot -------------------------------------
@@ -788,7 +761,7 @@ fn trim_float(v: f64) -> String {
 mod tests {
     use super::*;
     use crate::critical_path::PhaseAttribution;
-    use crate::report::{Gate, TagReport};
+    use crate::report::{Gate, RnnSection, TagReport};
 
     fn fixture(name: &str) -> RunReport {
         let path = format!("{}/../../tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -875,7 +848,10 @@ mod tests {
     fn long_lists_are_capped_with_a_legend() {
         let mut r = RunReport::new("t");
         r.tags = vec![TagReport::default(); MAX_ROWS + 5];
-        r.dropped_spans_per_rank = vec![3; MAX_ROWS + 2];
+        r.rnn = Some(RnnSection {
+            reverse_added: vec![3; MAX_ROWS + 2],
+            ..Default::default()
+        });
         let html = dashboard_html(&r);
         assert_eq!(html.matches("<tr><td>0</td>").count(), MAX_ROWS);
         assert!(html.contains("showing 40 of 45 (all of them are in the JSON report)"));
@@ -944,19 +920,6 @@ mod tests {
         r.metric("sweep_qps_1", 200.0);
         r.metric("sweep_p99_ms_1", 4.0);
         assert!(dashboard_html(&r).contains(legend));
-    }
-
-    #[test]
-    fn dropped_spans_badge_names_the_overflowing_ranks() {
-        let mut r = RunReport::new("t");
-        assert!(!dashboard_html(&r).contains("class=\"badge\""));
-        r.set_dropped_spans_per_rank(vec![0, 1_200, 0, 7]);
-        let html = dashboard_html(&r);
-        assert!(html.contains("1,207 dropped trace spans (r1:1,200 r3:7)"));
-        // A total without the per-rank split still badges, without detail.
-        let mut r2 = RunReport::new("t");
-        r2.dropped_spans = 5;
-        assert!(dashboard_html(&r2).contains(">5 dropped trace spans</span>"));
     }
 
     #[test]

@@ -108,111 +108,94 @@ impl JsonValue {
         Ok(v)
     }
 
-    /// Emit with two-space indentation (stable field order).
+    /// Emit with two-space indentation (stable field order); the same
+    /// text `{:#}` writes.
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(0));
-        out
+        format!("{self:#}")
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>) {
+    /// Emit into `out`: compact when `indent` is `None`, else indented two
+    /// spaces a level starting at that level.
+    fn write(&self, out: &mut impl fmt::Write, indent: Option<usize>) -> fmt::Result {
+        let inner = indent.map(|level| level + 1);
         match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Int(i) => out.push_str(&i.to_string()),
-            JsonValue::Num(x) => {
-                if x.is_finite() {
-                    // `{:?}` keeps round-trip precision for f64.
-                    out.push_str(&format!("{:?}", x));
-                } else {
-                    out.push_str("null"); // JSON has no Inf/NaN
-                }
-            }
+            JsonValue::Null => out.write_str("null"),
+            JsonValue::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            JsonValue::Int(i) => write!(out, "{i}"),
+            // `{:?}` keeps round-trip precision for f64.
+            JsonValue::Num(x) if x.is_finite() => write!(out, "{x:?}"),
+            JsonValue::Num(_) => out.write_str("null"), // JSON has no Inf/NaN
             JsonValue::Str(s) => write_escaped(out, s),
+            JsonValue::Arr(items) if items.is_empty() => out.write_str("[]"),
             JsonValue::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    if let Some(level) = indent {
-                        newline_indent(out, level + 1);
-                        item.write(out, Some(level + 1));
-                    } else {
-                        item.write(out, None);
-                    }
+                    member(out, i, inner)?;
+                    item.write(out, inner)?;
                 }
-                if let Some(level) = indent {
-                    newline_indent(out, level);
-                }
-                out.push(']');
+                newline(out, indent)?;
+                out.write_char(']')
             }
+            JsonValue::Obj(fields) if fields.is_empty() => out.write_str("{}"),
             JsonValue::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let level = if let Some(level) = indent {
-                        newline_indent(out, level + 1);
-                        Some(level + 1)
-                    } else {
-                        None
-                    };
-                    write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, level);
+                    member(out, i, inner)?;
+                    write_escaped(out, k)?;
+                    out.write_str(if indent.is_some() { ": " } else { ":" })?;
+                    v.write(out, inner)?;
                 }
-                if let Some(level) = indent {
-                    newline_indent(out, level);
-                }
-                out.push('}');
+                newline(out, indent)?;
+                out.write_char('}')
             }
         }
     }
 }
 
 impl fmt::Display for JsonValue {
-    /// Compact emission (no whitespace).
+    /// Compact emission (no whitespace); the alternate form `{:#}` is
+    /// [`JsonValue::pretty`]'s. Either streams into the formatter's sink,
+    /// so `write!` into a file writes the document without building it as
+    /// a `String` first.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out, None);
-        f.write_str(&out)
+        let indent = f.alternate().then_some(0);
+        self.write(f, indent)
     }
 }
 
-fn newline_indent(out: &mut String, level: usize) {
-    out.push('\n');
-    for _ in 0..level {
-        out.push_str("  ");
+/// What goes before the `i`th member of a container, at `level`.
+fn member(out: &mut impl fmt::Write, i: usize, level: Option<usize>) -> fmt::Result {
+    if i > 0 {
+        out.write_char(',')?;
     }
+    newline(out, level)
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// In indented mode, a line break and the indentation of `level`.
+fn newline(out: &mut impl fmt::Write, level: Option<usize>) -> fmt::Result {
+    if let Some(level) = level {
+        out.write_char('\n')?;
+        for _ in 0..level {
+            out.write_str("  ")?;
         }
     }
-    out.push('"');
+    Ok(())
+}
+
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    out.write_char('"')
 }
 
 /// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser

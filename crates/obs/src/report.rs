@@ -28,7 +28,7 @@ use Gate::{Fall, Info, Rise};
 /// change and regenerate the committed `BENCH_*.json` in the same commit
 /// (README "RunReport schema" has the command per baseline;
 /// `tests/report_golden.rs` fails until they are).
-pub const SCHEMA_VERSION: u64 = 8;
+pub const SCHEMA_VERSION: u64 = 9;
 
 /// How `dnnd-report-diff` treats one compared value. Thresholds are
 /// relative (`0.05` allows 5 % movement).
@@ -938,13 +938,6 @@ report_struct! {
         pub histograms: Vec<HistReport> => List;
         /// Free-form numeric metrics (e.g. `queries_per_sec`).
         pub extra: Vec<(String, f64)> => Map, Info;
-        /// Trace events lost to span-ring overflow. Nonzero means the trace —
-        /// and any flow-pairing or critical-path post-processing of it — is
-        /// incomplete.
-        pub dropped_spans: u64 => Val;
-        /// Per-rank split of `dropped_spans` (empty for untraced runs).
-        /// Index = rank.
-        pub dropped_spans_per_rank: Vec<u64> => NonEmpty(List);
         /// Per-rank gauge series sampled on the virtual clock; empty when the
         /// run was not traced.
         pub series: Vec<SeriesSnapshot> => List;
@@ -987,14 +980,6 @@ impl RunReport {
 
     pub fn metric(&mut self, key: impl Into<String>, value: f64) -> &mut Self {
         self.extra.push((key.into(), value));
-        self
-    }
-
-    /// Record the per-rank span-ring overflow split and its total. Whoever
-    /// exports the trace says it is incomplete; a report only counts.
-    pub fn set_dropped_spans_per_rank(&mut self, per_rank: Vec<u64>) -> &mut Self {
-        self.dropped_spans = per_rank.iter().sum();
-        self.dropped_spans_per_rank = per_rank;
         self
     }
 
@@ -1236,13 +1221,5 @@ mod tests {
         let h = &r.histograms[0];
         assert_eq!((h.count, h.min, h.max), (100, 1, 100));
         assert!(h.p50 >= 45 && h.p50 <= 50);
-    }
-
-    #[test]
-    fn dropped_spans_per_rank_sums_into_the_total() {
-        let mut r = RunReport::new("t");
-        r.set_dropped_spans_per_rank(vec![0, 12, 0, 5]);
-        assert_eq!(r.dropped_spans, 17);
-        assert_eq!(RunReport::parse(&r.to_json_string()).unwrap(), r);
     }
 }

@@ -48,7 +48,8 @@ pub struct TraceEvent {
 }
 
 /// Fixed-capacity ring of [`TraceEvent`]s: once full, a push overwrites the
-/// oldest.
+/// oldest. A zero-capacity ring keeps nothing and counts every push as
+/// dropped.
 pub struct Ring {
     /// Allocated whole up front and filled in push order until full, so a
     /// short run touches only the pages it writes.
@@ -60,7 +61,6 @@ pub struct Ring {
 
 impl Ring {
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be nonzero");
         Ring {
             slots: Vec::with_capacity(capacity),
             capacity,
@@ -84,7 +84,7 @@ impl Ring {
     pub fn push(&mut self, ev: TraceEvent) {
         if self.pushed < self.capacity {
             self.slots.push(ev);
-        } else {
+        } else if self.capacity > 0 {
             self.slots[self.pushed % self.capacity] = ev;
         }
         self.pushed += 1;
@@ -92,7 +92,8 @@ impl Ring {
 
     /// Copy out the surviving events, oldest first.
     pub fn ordered(&self) -> Vec<TraceEvent> {
-        let (newest, oldest) = self.slots.split_at(self.pushed % self.capacity);
+        let split = self.pushed.checked_rem(self.capacity).unwrap_or(0);
+        let (newest, oldest) = self.slots.split_at(split);
         [oldest, newest].concat()
     }
 }
@@ -140,5 +141,14 @@ mod tests {
         );
         assert_eq!(rb.dropped(), 6);
         assert_eq!(rb.pushed(), 10);
+    }
+
+    #[test]
+    fn zero_capacity_keeps_nothing() {
+        let mut rb = Ring::new(0);
+        assert!(rb.ordered().is_empty());
+        rb.push(ev("x", 1));
+        assert!(rb.ordered().is_empty());
+        assert_eq!((rb.pushed(), rb.dropped()), (1, 1));
     }
 }

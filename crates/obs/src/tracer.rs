@@ -8,7 +8,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Default per-rank event capacity (events beyond this overwrite the
-/// oldest; the drop count is reported in exports).
+/// oldest; the drop count is reported in the Chrome trace).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// What one rank has recorded: plain data, written by that rank alone.
@@ -26,8 +26,14 @@ struct RankTrace {
 /// rank's thread is the one taker while the run lasts (the `ygm::World`
 /// wiring guarantees this), so the lock is never waited for, and the export
 /// that reads every slot afterwards needs no word about thread joins.
+///
+/// A tracer of span capacity 0 records histograms and gauge series only: a
+/// span or event call returns before it reads the clock or takes a lock.
+/// That is the tracer of a run that writes a report and no trace.
 pub struct Tracer {
     slots: Box<[Mutex<RankTrace>]>,
+    /// Events each rank's ring holds; 0 records no events at all.
+    span_capacity: usize,
     epoch: Instant,
     /// Tag id → display name, used to label flow arrows in exports.
     tag_names: Mutex<Vec<(u64, String)>>,
@@ -48,6 +54,7 @@ impl Tracer {
         };
         Tracer {
             slots: (0..n_ranks).map(|_| slot()).collect(),
+            span_capacity: capacity_per_rank,
             epoch: Instant::now(),
             tag_names: Mutex::new(Vec::new()),
         }
@@ -105,6 +112,9 @@ impl Tracer {
         arg: u64,
         arg2: u64,
     ) {
+        if self.span_capacity == 0 {
+            return;
+        }
         let wall_ns = self.wall_ns();
         self.slot(rank).ring.push(TraceEvent {
             kind,
@@ -227,9 +237,8 @@ impl Tracer {
         self.dropped_events_per_rank().iter().sum::<u64>() as usize
     }
 
-    /// Events lost to ring wrap-around on each rank's ring (index = rank).
-    /// The dashboard surfaces nonzero entries as a red badge so an
-    /// overflowing rank is visible, not just a grand total.
+    /// Events lost to ring wrap-around on each rank's ring (index = rank),
+    /// so an overflowing rank is visible in the trace, not just a total.
     pub fn dropped_events_per_rank(&self) -> Vec<u64> {
         (0..self.n_ranks())
             .map(|r| self.slot(r).ring.dropped() as u64)
@@ -346,6 +355,20 @@ mod tests {
         assert_eq!(threaded.hist_snapshots(), reference.hist_snapshots());
         assert_eq!(threaded.hist_snapshots()[0].1.count, 8_000);
         assert_eq!(threaded.series_snapshot(), reference.series_snapshot());
+    }
+
+    #[test]
+    fn zero_span_capacity_records_only_histograms_and_series() {
+        let (spanless, full) = (Tracer::with_capacity(4, 0), Tracer::new(4));
+        for t in [&spanless, &full] {
+            for r in 0..4 {
+                record_rank(t, r);
+            }
+        }
+        assert_eq!((spanless.total_events(), spanless.dropped_events()), (0, 0));
+        assert!(spanless.events(2).is_empty());
+        assert_eq!(spanless.hist_snapshots(), full.hist_snapshots());
+        assert_eq!(spanless.series_snapshot(), full.series_snapshot());
     }
 
     #[test]

@@ -1,11 +1,34 @@
 //! Shared test-only helpers. This crate is a dev-dependency of every
 //! suite that touches the filesystem, so the RAII temp-directory guard
-//! lives in exactly one place instead of being copy-pasted per test
-//! binary.
+//! and the failing writer live in exactly one place instead of being
+//! copy-pasted per test binary.
 
 #![forbid(unsafe_code)]
 
+use std::io;
 use std::path::{Path, PathBuf};
+
+/// A writer that accepts `budget` bytes and then fails every write with
+/// "disk full": what a streaming writer meets when the disk fills up
+/// part-way through a document.
+pub struct FailAfter {
+    pub budget: usize,
+}
+
+impl io::Write for FailAfter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.budget == 0 {
+            return Err(io::Error::other("disk full"));
+        }
+        let n = buf.len().min(self.budget);
+        self.budget -= n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
 
 /// RAII temp directory: created unique per test, removed on drop — also
 /// when the test panics, so failed runs don't leak shard directories into

@@ -1,16 +1,28 @@
 //! Integration tests for the tracing/metrics subsystem: deterministic span
 //! timelines across same-seed runs, RunReport counters matching the runtime
-//! `Stats` exactly, Chrome-trace structural validity, and the
-//! `--trace-out` / `--report-out` CLI flags end to end.
+//! `Stats` exactly, Chrome-trace structural validity, the streamed
+//! exports and their write errors, and the `--trace-out` / `--report-out`
+//! CLI flags end to end.
 
+use bench::ObsOuts;
 use dataset::{synth, L2};
+use dnnd::obs_report::report_from_build;
 use dnnd::{build, BuildReport, CommOpts, DnndConfig};
+use obs::chrome::write_chrome_trace;
 use obs::{JsonValue, RunReport, Tracer};
 
+use std::io::Write;
 use std::process::Command;
 use std::sync::Arc;
-use testutil::TmpDir;
+use testutil::{FailAfter, TmpDir};
 use ygm::World;
+
+/// The Chrome-trace document of `t`, streamed into memory and parsed.
+fn trace_doc(t: &Tracer) -> JsonValue {
+    let mut buf = Vec::new();
+    write_chrome_trace(t, &mut buf).expect("a Vec takes every byte");
+    JsonValue::parse(std::str::from_utf8(&buf).unwrap()).expect("trace parses")
+}
 
 fn traced_build(seed: u64) -> (Arc<Tracer>, BuildReport) {
     let set = Arc::new(synth::uniform(400, 8, 7));
@@ -55,8 +67,8 @@ fn same_seed_runs_emit_identical_span_sequences() {
 #[test]
 fn run_report_counters_match_runtime_stats_exactly() {
     let (t, report) = traced_build(5);
-    let mut rr = dnnd::obs_report::report_from_build("it", &report);
-    dnnd::obs_report::attach_tracer(&mut rr, &t);
+    let mut rr = report_from_build("it", &report);
+    rr.add_histograms(&t.hist_snapshots());
 
     // Per-tag counts and bytes carry over from the Stats aggregation
     // untouched, under the registration-time names.
@@ -101,7 +113,7 @@ fn run_report_counters_match_runtime_stats_exactly() {
 #[test]
 fn chrome_trace_has_per_rank_tracks_and_all_engine_phases() {
     let (t, report) = traced_build(3);
-    let doc = JsonValue::parse(&obs::chrome::chrome_trace_json(&t)).expect("trace parses");
+    let doc = trace_doc(&t);
     let events = doc
         .get("traceEvents")
         .expect("traceEvents key")
@@ -295,7 +307,7 @@ fn flow_event_halves_pair_exactly() {
     // bijection between flow sends and flow recvs on id: no orphan recv
     // (a message from nowhere) and no orphan send (a lost message).
     let (t, _) = traced_build(3);
-    let doc = JsonValue::parse(&obs::chrome::chrome_trace_json(&t)).expect("trace parses");
+    let doc = trace_doc(&t);
     let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
     let sends = flow_halves(events, "s");
     let recvs = flow_halves(events, "f");
@@ -332,7 +344,7 @@ fn flow_event_halves_pair_exactly() {
     // The unoptimized protocol draws the plain Type 2 arrows, and its
     // pairing is exact too.
     let (t, _) = unopt_traced_run(4, None);
-    let doc = JsonValue::parse(&obs::chrome::chrome_trace_json(&t)).expect("trace parses");
+    let doc = trace_doc(&t);
     let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
     let sends = flow_halves(events, "s");
     let recvs = flow_halves(events, "f");
@@ -353,7 +365,7 @@ fn flow_event_halves_pair_exactly() {
 /// name, tid)` triples: which arrows a run draws, free of timestamps and of
 /// the order the ranks recorded them in.
 fn flow_identity(t: &Tracer) -> (usize, u64) {
-    let doc = JsonValue::parse(&obs::chrome::chrome_trace_json(t)).expect("trace parses");
+    let doc = trace_doc(t);
     let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
     let mut flows = [flow_halves(events, "s"), flow_halves(events, "f")].concat();
     flows.sort();
@@ -468,6 +480,116 @@ fn critical_path_report_is_bit_identical_and_sums_exactly() {
 
 fn tmpdir(tag: &str) -> TmpDir {
     TmpDir::new(tag)
+}
+
+/// One seeded 4-rank build of the paper's optimized protocol, observed and
+/// written through `outs`; its tracer and its report as read back from the
+/// file, with the wall clock zeroed.
+fn observed_build(outs: &ObsOuts) -> (Arc<Tracer>, RunReport) {
+    let tracer = outs.tracer(4).expect("an output was asked for");
+    let set = Arc::new(synth::uniform(400, 8, 7));
+    let world = World::new(4).tracer(Arc::clone(&tracer));
+    let out = build(&world, &set, &L2, DnndConfig::new(6).seed(11));
+    outs.write(Some(&tracer), || report_from_build("it", &out.report))
+        .expect("outputs written");
+    let text = std::fs::read_to_string(&outs.report).unwrap();
+    let mut report = RunReport::parse(&text).expect("report parses");
+    report.wall_secs = 0.0;
+    (tracer, report)
+}
+
+#[test]
+fn the_report_does_not_depend_on_the_trace() {
+    let dir = tmpdir("report-only");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let report_only = ObsOuts {
+        report: path("alone.json"),
+        ..ObsOuts::default()
+    };
+    let traced = ObsOuts {
+        trace: path("trace.json"),
+        report: path("traced.json"),
+        ..ObsOuts::default()
+    };
+    let (spanless, alone) = observed_build(&report_only);
+    let (spans, with_trace) = observed_build(&traced);
+    // A report-only run records no span; the histograms and gauge series
+    // the report reads are recorded all the same.
+    assert_eq!(spanless.total_events(), 0);
+    assert!(spans.total_events() > 1_000, "{}", spans.total_events());
+    assert!(!alone.histograms.is_empty() && !alone.series.is_empty());
+    assert_eq!(alone, with_trace);
+    // The span-ring overflow lives in the trace, per rank.
+    let doc = JsonValue::parse(&std::fs::read_to_string(&traced.trace).unwrap()).unwrap();
+    let other = doc.get("otherData").unwrap();
+    assert_eq!(
+        other.get("dropped_events").and_then(JsonValue::as_u64),
+        Some(0)
+    );
+    let per_rank = other
+        .get("dropped_events_per_rank")
+        .unwrap()
+        .as_arr()
+        .unwrap();
+    assert_eq!(per_rank, vec![JsonValue::Int(0); 4]);
+}
+
+#[test]
+fn streamed_exports_are_the_documents_and_write_errors_are_returned() {
+    let full = include_str!("fixtures/report_full.json");
+    let report = RunReport::parse(full).unwrap();
+    let dir = tmpdir("streamed");
+    let outs = ObsOuts {
+        report: dir.join("r.json").to_str().unwrap().to_string(),
+        ..ObsOuts::default()
+    };
+    outs.write_report(&report).unwrap();
+    assert_eq!(
+        std::fs::read_to_string(&outs.report).unwrap(),
+        report.to_json_string()
+    );
+    assert_eq!(report.to_json_string(), full);
+
+    // A writer that fails part-way is an error from either exporter, at
+    // every cut, and never a panic.
+    let (tracer, _) = traced_build(3);
+    let mut trace = Vec::new();
+    write_chrome_trace(&tracer, &mut trace).unwrap();
+    fails_at_every_cut(full.len(), |mut w| write!(w, "{:#}", report.to_json()));
+    fails_at_every_cut(trace.len(), |w| write_chrome_trace(&tracer, w));
+}
+
+/// `export` of a `len`-byte document into a writer that takes fewer bytes
+/// returns the writer's error, and into one that takes them all succeeds.
+fn fails_at_every_cut(len: usize, export: impl Fn(FailAfter) -> std::io::Result<()>) {
+    for budget in [0, 1, 100, len / 2, len - 1] {
+        let err = export(FailAfter { budget }).unwrap_err();
+        assert_eq!(err.to_string(), "disk full", "cut at {budget} of {len}");
+    }
+    assert!(export(FailAfter { budget: len }).is_ok());
+}
+
+/// A full disk: `ObsOuts::write` returns the one-line reason for whichever
+/// file it could not finish.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_full_disk_is_the_one_line_reason() {
+    let (tracer, build) = traced_build(3);
+    let report = || report_from_build("it", &build);
+    for outs in [
+        ObsOuts {
+            trace: "/dev/full".into(),
+            ..ObsOuts::default()
+        },
+        ObsOuts {
+            report: "/dev/full".into(),
+            ..ObsOuts::default()
+        },
+    ] {
+        let err = outs.write(Some(&tracer), report).unwrap_err();
+        assert!(err.starts_with("cannot write /dev/full: "), "{err}");
+        assert!(!err.contains('\n'), "{err}");
+    }
 }
 
 #[test]

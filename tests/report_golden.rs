@@ -318,8 +318,6 @@ fn full_report() -> RunReport {
         cache_suppressed_ids: 5,
         selectivity_hist: vec![(1, 10), (4, 30), (9, 4)],
     });
-    r.dropped_spans = 17;
-    r.dropped_spans_per_rank = vec![12, 5];
     r
 }
 
@@ -352,9 +350,8 @@ fn full_and_minimal_reports_match_the_committed_text_and_parse_back() {
 }
 
 /// Keys whose absence is a run kind, not damage: the optional sections
-/// and the two omit-when-empty lists.
+/// and the omit-when-empty list.
 const OPTIONAL: &[&str] = &[
-    "dropped_spans_per_rank",
     "matrix",
     "serving",
     "serving.tenants",
@@ -537,7 +534,7 @@ proptest! {
     /// present, however long the lists are, and for full-range digests.
     #[test]
     fn round_trip_property(
-        present in 0u32..512,
+        present in 0u32..256,
         counts in proptest::collection::vec(0u64..(1 << 53), 0..12),
         digest in any::<u64>(),
         frac in 0.0f64..1.0,
@@ -551,8 +548,7 @@ proptest! {
         if !keep(4) { r.query_forensics = None; }
         if !keep(5) { r.vdb = None; }
         if !keep(6) { r.faults = None; }
-        if !keep(7) { r.dropped_spans_per_rank.clear(); }
-        r.serving = keep(8).then(|| ServingSection {
+        r.serving = keep(7).then(|| ServingSection {
             serve_seed: counts.first().copied().unwrap_or(0),
             offered: counts.len() as u64,
             mean_latency_ns: frac * 1e9,
