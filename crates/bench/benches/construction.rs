@@ -81,8 +81,7 @@ fn bench_ingest(c: &mut Criterion) {
             b.iter(|| {
                 let mut col = col.clone();
                 let rec = MetaRecord::bucket_record(3, n as u64);
-                col.ingest(vec![extra.clone()], vec![rec], 1)
-                    .expect("ingest");
+                col.ingest(vec![extra.clone()], vec![rec]).expect("ingest");
                 col
             })
         });

@@ -39,7 +39,7 @@ fn main() {
         &World::new(8),
         &base,
         &L2,
-        DnndConfig::new(k).seed(seed).graph_opt(1.5),
+        DnndConfig::new(k).seed(seed).graph_opt(nnd::PRUNE_M),
     );
     let graph = Arc::new(out.graph);
     let truth = brute_force_queries(&base, &queries, &L2, k);

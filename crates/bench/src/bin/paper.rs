@@ -402,7 +402,7 @@ fn fig2(n: usize, dir: &Path, _: &ObsOuts) {
                 t.row(&[&stand_in, index, &sweep, &recall, &qps]);
             };
             for k in [10usize, 20, 30] {
-                let cfg = DnndConfig::new(k).seed(SEED).graph_opt(1.5);
+                let cfg = DnndConfig::new(k).seed(SEED).graph_opt(nnd::PRUNE_M);
                 let graph = build(&World::new(8), &base, &metric, cfg).graph;
                 // ε = 0, then 0.1 ..= 0.4 in steps of 0.025 (§5.3.1).
                 let steps = std::iter::successors(Some(0.1f32), |e| Some(e + 0.025));
@@ -504,7 +504,7 @@ fn fig3(n: usize, dir: &Path, _: &ObsOuts) {
                         evals as f64 * per_eval_ns / 1e9
                     } else {
                         let world = World::new(nodes).cost_model(node);
-                        let cfg = DnndConfig::new(k).seed(SEED).graph_opt(1.5);
+                        let cfg = DnndConfig::new(k).seed(SEED).graph_opt(nnd::PRUNE_M);
                         build(&world, &set, &metric, cfg).report.sim_secs
                     };
                     let wall = start.elapsed().as_secs_f64();

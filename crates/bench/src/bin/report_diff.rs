@@ -11,6 +11,8 @@
 //! dnnd-report-diff baseline.json candidate.json [--threshold 0.05] [--out results/]
 //! ```
 //!
+//! The flags may stand anywhere: before, between or after the two paths.
+//!
 //! Exit codes: `0` within thresholds, `1` regression detected, `2` usage
 //! or I/O error. Virtual-clock metrics are gated (they are deterministic
 //! under `--sim-seed`); `wall_secs` is reported but never gated because
@@ -135,13 +137,8 @@ fn status(r: &MetricRow) -> &'static str {
 }
 
 fn run() -> Result<bool, String> {
-    let positional: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| !a.starts_with("--"))
-        .take(2)
-        .collect();
     let args = Args::parse();
-    let [base_path, cand_path] = match positional.as_slice() {
+    let [base_path, cand_path] = match args.positionals() {
         [b, c] => [b.clone(), c.clone()],
         _ => {
             return Err("usage: dnnd-report-diff <baseline.json> <candidate.json> \

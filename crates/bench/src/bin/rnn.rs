@@ -56,10 +56,11 @@ fn main() {
     let ranks: usize = args.get("ranks", 2);
     let l: usize = args.get("l", 12);
     let k0: usize = args.get("k0", 10);
-    let params = RnnParams::new(k0)
-        .t1(args.get("t1", 3usize))
-        .t2(args.get("t2", 8usize));
-    let m: f64 = args.get("m", 1.5);
+    let defaults = RnnParams::new(k0);
+    let params = defaults
+        .t1(args.get("t1", defaults.t1))
+        .t2(args.get("t2", defaults.t2));
+    let m: f64 = args.get("m", nnd::PRUNE_M);
     let (dir, outs) = (args.out_dir(), ObsOuts::parse(&args));
     args.finish();
     if m.is_nan() || m < 1.0 {
@@ -98,14 +99,8 @@ fn main() {
     // parameters, only the graph differs.
     let truth = brute_force_queries(&base, &pool, &L2, k);
     let serve_params = ServeParams::new(l)
-        .serve_seed(0x5E27E)
-        .slot_ns(1_000_000)
-        .offered_qps(2_000.0)
         .n_arrivals(if smoke { 120 } else { 300 })
-        .hot_set(0.3, 8)
         .batch(4)
-        .flush_age_slots(2)
-        .deadline_slots(8)
         .watermarks(16, 48)
         .cache(16, 1e-3);
     let serve_one = |graph: &KnnGraph| {

@@ -45,7 +45,9 @@ use dataset::presets;
 use dataset::set::PointId;
 use dataset::synth::split_queries;
 use dnnd::{build, CommOpts, DnndConfig};
-use serve::{run_serve, run_serve_vdb, ServeOutcome, ServeParams, VdbServeConfig, VdbServeStats};
+use serve::{
+    run_serve, run_serve_vdb, ServeOutcome, ServeParams, VdbServeConfig, VdbServeStats, SLOT_NS,
+};
 use std::path::Path;
 use std::sync::Arc;
 use vdb::{Collection, MetaRecord};
@@ -106,7 +108,7 @@ fn main() {
             .seed(seed)
             .comm_opts(CommOpts::unoptimized())
             .max_iters(8)
-            .graph_opt(1.5),
+            .graph_opt(nnd::PRUNE_M),
     );
     let graph = Arc::new(out.graph);
     let truth = brute_force_queries(&base, &pool, &L2, k);
@@ -120,8 +122,7 @@ fn main() {
     // Nominal drain capacity: one micro-batch per slot. The sweep offers
     // 0.25x (idle) through 2x (overload) of that.
     let batch = 4usize;
-    let slot_ns = 1_000_000u64;
-    let capacity_qps = batch as f64 * 1e9 / slot_ns as f64;
+    let capacity_qps = batch as f64 * 1e9 / SLOT_NS as f64;
     // Degrade level 2 doubles drain capacity, so 2x is absorbed by
     // degradation alone; 4x is past what the ladder can drain and forces
     // overload shedding.
@@ -146,12 +147,9 @@ fn main() {
         let qps = capacity_qps * factor;
         let params = ServeParams::new(k)
             .serve_seed(serve_seed)
-            .slot_ns(slot_ns)
             .offered_qps(qps)
             .n_arrivals(arrivals)
-            .hot_set(0.3, 8)
             .batch(batch)
-            .flush_age_slots(2)
             .deadline_slots(6)
             .watermarks(8, 20)
             .cache(16, 1e-3);
@@ -246,15 +244,11 @@ fn flash_crowd(
     truth: &[Vec<PointId>],
 ) {
     let batch = 4usize;
-    let slot_ns = 1_000_000u64;
     let params = ServeParams::new(k)
         .serve_seed(serve_seed)
-        .slot_ns(slot_ns)
-        .offered_qps(batch as f64 * 1e9 / slot_ns as f64)
+        .offered_qps(batch as f64 * 1e9 / SLOT_NS as f64)
         .n_arrivals(arrivals)
-        .hot_set(0.3, 8)
         .batch(batch)
-        .flush_age_slots(2)
         .deadline_slots(6)
         .watermarks(8, 20)
         .cache(8, 1e-3)
@@ -443,16 +437,12 @@ fn vdb_sweep(
     };
 
     let batch = 4usize;
-    let slot_ns = 1_000_000u64;
     let params_for = |spec: &str| {
         let p = ServeParams::new(k)
             .serve_seed(serve_seed)
-            .slot_ns(slot_ns)
-            .offered_qps(batch as f64 * 1e9 / slot_ns as f64)
+            .offered_qps(batch as f64 * 1e9 / SLOT_NS as f64)
             .n_arrivals(arrivals)
-            .hot_set(0.3, 8)
             .batch(batch)
-            .flush_age_slots(2)
             .deadline_slots(6)
             .watermarks(8, 20)
             .cache(16, 1e-3);

@@ -21,11 +21,14 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Minimal `--key value` / `--flag` argument parser.
+/// Minimal `--key value` / `--flag` argument parser. A token that is
+/// neither a `--key` nor a key's value is a positional argument, wherever
+/// it stands among the flags.
 #[derive(Debug, Clone)]
 pub struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
+    positionals: Vec<String>,
     /// Every key a lookup has asked for, given or not: what
     /// [`Args::finish`] holds the command line against.
     read: RefCell<BTreeSet<String>>,
@@ -41,6 +44,7 @@ impl Args {
     pub fn from_tokens(tokens: impl IntoIterator<Item = String>) -> Self {
         let mut values = HashMap::new();
         let mut flags = Vec::new();
+        let mut positionals = Vec::new();
         let toks: Vec<String> = tokens.into_iter().collect();
         let mut i = 0;
         while i < toks.len() {
@@ -54,14 +58,21 @@ impl Args {
                     i += 1;
                 }
             } else {
+                positionals.push(t.clone());
                 i += 1;
             }
         }
         Args {
             values,
             flags,
+            positionals,
             read: RefCell::default(),
         }
+    }
+
+    /// The positional arguments, in command-line order.
+    pub fn positionals(&self) -> &[String] {
+        &self.positionals
     }
 
     /// Typed lookup with default. A value that does not parse as `T`, or
@@ -345,7 +356,8 @@ mod tests {
 
     #[test]
     fn parses_key_values_and_flags() {
-        let a = args("--n 500 --full --seed 9");
+        let a = args("x --n 500 y --full --seed 9 z");
+        assert_eq!(a.positionals(), ["x", "y", "z"]);
         assert_eq!(a.get("n", 0usize), 500);
         assert_eq!(a.get("seed", 0u64), 9);
         assert!(a.flag("full"));

@@ -89,6 +89,28 @@ fn self_diff_passes_and_storm_diff_fails_readably() {
 }
 
 #[test]
+fn flags_may_stand_before_between_or_after_the_paths() {
+    let dir = TmpDir::new("report-diff-flag-order");
+    let clean = dir.join("clean.json");
+    write_run(&clean, None);
+    let (r, out) = (clean.to_str().unwrap(), dir.join("csv"));
+    let out = out.to_str().unwrap();
+    for line in [
+        vec!["--threshold", "0", r, r],
+        vec!["--out", out, r, r],
+        vec![r, "--threshold", "0", r, "--out", out],
+        vec![r, r, "--threshold", "0", "--out", out],
+    ] {
+        let run = Command::new(env!("CARGO_BIN_EXE_dnnd-report-diff"))
+            .args(&line)
+            .output()
+            .expect("spawn dnnd-report-diff");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(0), "{line:?}: {stderr}");
+    }
+}
+
+#[test]
 fn usage_error_exits_two() {
     let out = Command::new(env!("CARGO_BIN_EXE_dnnd-report-diff"))
         .output()

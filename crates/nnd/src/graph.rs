@@ -10,6 +10,11 @@ use metall::{Result as StoreResult, Store, StoreError};
 /// One directed neighbor edge `(target id, distance)`.
 pub type Edge = (PointId, f32);
 
+/// The paper's prune factor `m` (Section 4.5): [`KnnGraph::optimize`]
+/// clamps every merged row to `ceil(k * m)` entries, and the evaluation
+/// uses `m = 1.5` throughout.
+pub const PRUNE_M: f64 = 1.5;
+
 /// An adjacency-list k-NN graph. Row `v` holds `v`'s approximate nearest
 /// neighbors sorted ascending by `(distance, id)`. After construction every
 /// row has exactly `k` entries; after [`KnnGraph::merge_reverse`] rows may
@@ -138,7 +143,7 @@ impl KnnGraph {
     }
 
     /// Graph optimization 2 (Section 4.5): clamp every neighborhood to the
-    /// `limit` closest entries (the paper uses `limit = k * m`, `m = 1.5`).
+    /// `limit` closest entries (the paper uses `limit = k * m`, `m = `[`PRUNE_M`]).
     pub fn prune(&self, limit: usize) -> KnnGraph {
         assert!(limit >= 1);
         KnnGraph {

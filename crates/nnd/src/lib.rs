@@ -51,7 +51,7 @@ pub mod rnn;
 pub mod rptree;
 pub mod search;
 
-pub use graph::{Edge, KnnGraph};
+pub use graph::{Edge, KnnGraph, PRUNE_M};
 pub use heap::{Neighbor, NeighborHeap, NeighborTable};
 pub use nndescent::{build, build_with_init, BuildStats, NnDescentParams};
 pub use refine::{insert_points, refine, remove_points};

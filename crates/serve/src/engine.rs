@@ -5,7 +5,7 @@
 //! The `ygm` virtual clock measures *resource cost* and legitimately
 //! differs across rank counts (more ranks, more parallel compute). The
 //! *serving clock* is a slot counter layered on top of it
-//! ([`ygm::SlotTimer`] pins one loop iteration to `slot_ns` of virtual
+//! ([`ygm::SlotTimer`] pins one loop iteration to [`SLOT_NS`] of virtual
 //! time): arrivals, batch ages, deadlines, and reported latencies are all
 //! measured in slots. Everything SLO-visible therefore depends only on the
 //! slot axis — which is identical across rank counts — never on raw
@@ -41,7 +41,7 @@
 
 use crate::cache::{QuantizeKey, ResultCache};
 use crate::forensics::{fnv_seed, fnv_u64, hash_quantized_key, ForensicsCollector, Verdict};
-use crate::params::ServeParams;
+use crate::params::{ServeParams, SLOT_NS};
 use crate::workload::{
     Arrival, ArrivalPlan, ArrivalProcess, PoolPicker, WorkloadSpec, SALT_COMPACT, SALT_MUTATE,
     SALT_THINK,
@@ -73,6 +73,18 @@ pub const TAG_FINGERPRINT: u16 = 41;
 /// Most whole-slot latency penalty one dispatch window can absorb from
 /// transport retransmits.
 const FAULT_PENALTY_CAP_SLOTS: u64 = 4;
+
+/// A non-empty queue dispatches once its oldest query is this many slots
+/// old, even short of a full micro-batch.
+const FLUSH_AGE_SLOTS: u64 = 2;
+
+/// Width, in slots, of each tail-sampling window of the forensics
+/// collector.
+const FORENSICS_WINDOW_SLOTS: u64 = 8;
+
+/// Slowest queries the forensics collector retains per window, beside the
+/// unconditional shed/degraded/deadline-miss exemplars.
+const FORENSICS_SLOW_N: u64 = 4;
 
 /// High-bit namespace for per-query causal flow ids, OR'd with the query's
 /// arrival index. The transport-level ids minted by `ygm::comm::flow_id`
@@ -377,8 +389,8 @@ impl<'a> Ledger<'a> {
             client_hist: Vec::new(),
             forensics: ForensicsCollector::new(
                 params.serve_seed,
-                params.forensics_window_slots,
-                params.forensics_slow_n,
+                FORENSICS_WINDOW_SLOTS,
+                FORENSICS_SLOW_N,
                 params.deadline_slots,
             ),
             source: ArrivalSource::new(params, pool_len),
@@ -539,7 +551,6 @@ impl ArrivalSource {
 /// sequence is identical across reruns and rank counts.
 struct ClosedLoop {
     serve_seed: u64,
-    slot_ns: u64,
     think_ns: u64,
     /// Total issues the run may make (`ServeParams::n_arrivals`),
     /// retries of shed queries included.
@@ -566,7 +577,6 @@ impl ClosedLoop {
     fn new(params: &ServeParams, pool_len: usize, clients: u64, think_ns: u64) -> ClosedLoop {
         let mut cl = ClosedLoop {
             serve_seed: params.serve_seed,
-            slot_ns: params.slot_ns,
             think_ns,
             budget: params.n_arrivals as u64,
             issued: 0,
@@ -600,8 +610,8 @@ impl ClosedLoop {
         }
         let mut rng = ChaCha8Rng::seed_from_u64(mix(self.serve_seed, SALT_THINK, client, seq, 0));
         let u: f64 = rng.gen_range(0.0..1.0);
-        let mult = self.spec.multiplier(now_slot * self.slot_ns).max(1e-9);
-        (-(1.0 - u).ln() * self.think_ns as f64 / mult / self.slot_ns as f64) as u64
+        let mult = self.spec.multiplier(now_slot * SLOT_NS).max(1e-9);
+        (-(1.0 - u).ln() * self.think_ns as f64 / mult / SLOT_NS as f64) as u64
     }
 
     fn poll(&mut self, slot: u64, out: &mut Vec<Arrival>) {
@@ -770,14 +780,14 @@ where
     comm.name_tag(TAG_RESULTS, "serve_results");
     comm.name_tag(TAG_FINGERPRINT, "serve_fingerprint");
 
-    let mut timer = SlotTimer::new(params.slot_ns);
+    let mut timer = SlotTimer::new(SLOT_NS);
     // One FIFO per tenant class; dispatch drains them in declaration
     // (priority) order. A queued arrival's `slot` is the slot it arrived in.
     let mut queues: Vec<VecDeque<Arrival>> = quotas.iter().map(|_| VecDeque::new()).collect();
     let mut cache = ResultCache::new(params.cache_capacity);
     let mut stats = ServingStats {
         serve_seed: params.serve_seed,
-        slot_ns: params.slot_ns,
+        slot_ns: SLOT_NS,
         ..ServingStats::default()
     };
     // The cache key is the hooks prefix (empty in legacy mode) followed by
@@ -862,7 +872,7 @@ where
             .filter_map(|q| q.front().map(|p| slot - p.slot))
             .max()
             .unwrap_or(0);
-        let flush = depth > 0 && (depth >= params.batch || oldest_age >= params.flush_age_slots);
+        let flush = depth > 0 && (depth >= params.batch || oldest_age >= FLUSH_AGE_SLOTS);
         let mut dispatched = 0u64;
         if flush {
             let take = dispatch_capacity(params.batch, level).min(depth);
@@ -1021,13 +1031,6 @@ pub struct VdbServeConfig {
     /// Tombstone ratio at which a background compaction is armed; it then
     /// fires on a PRF-drawn slot boundary within the next 8 slots.
     pub compact_watermark: f64,
-    /// NN-Descent refinement iterations per online ingest (at least one
-    /// runs). An iteration joins the neighborhoods of the entries the
-    /// ingest flagged new — the inserted point's edges and whatever they
-    /// displaced — not the whole graph: a few hundred distance
-    /// evaluations whatever the collection's size, and a further iteration
-    /// runs only if the last one made `delta * K * N` updates or more.
-    pub refine_iters: usize,
 }
 
 impl Default for VdbServeConfig {
@@ -1035,7 +1038,6 @@ impl Default for VdbServeConfig {
         VdbServeConfig {
             filter: None,
             compact_watermark: 0.25,
-            refine_iters: 1,
         }
     }
 }
@@ -1048,7 +1050,6 @@ struct VdbState {
     collection: Collection,
     filter: Option<Predicate>,
     compact_watermark: f64,
-    refine_iters: usize,
     serve_seed: u64,
     spec: WorkloadSpec,
     ns_fnv: u64,
@@ -1107,11 +1108,7 @@ impl VdbHooks<Vec<f32>> for VdbState {
             let new_id = self.collection.stat().points;
             let rec = MetaRecord::bucket_record(self.serve_seed, new_id);
             self.collection
-                .ingest(
-                    vec![self.pool.point(pick).clone()],
-                    vec![rec],
-                    self.refine_iters,
-                )
+                .ingest(vec![self.pool.point(pick).clone()], vec![rec])
                 .unwrap_or_else(|e| panic!("online ingest: {e}"));
             self.inserts += 1;
             rewired = true;
@@ -1257,7 +1254,6 @@ where
         collection,
         filter: cfg.filter.clone(),
         compact_watermark: cfg.compact_watermark,
-        refine_iters: cfg.refine_iters.max(1),
         serve_seed: params.serve_seed,
         spec: params.workload.clone(),
         ns_fnv,

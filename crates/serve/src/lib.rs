@@ -70,7 +70,7 @@ pub use engine::{
     TenantStats, VdbServeConfig, VdbServeStats,
 };
 pub use forensics::slow_query_log;
-pub use params::ServeParams;
+pub use params::{ServeParams, SLOT_NS};
 pub use workload::{
     zipf_cdf, Arrival, ArrivalPlan, ArrivalProcess, BurstWindow, Diurnal, FilterTraffic,
     MutateTraffic, PoolDist, PoolPicker, TenantClass, WorkloadSpec, FILTER_BUCKETS,

@@ -13,6 +13,11 @@ use crate::workload::{
 use dnnd::DistSearchParams;
 use std::fmt;
 
+/// Virtual duration of one serving slot, nanoseconds (1 ms). The frontend
+/// wakes once per slot; arrivals, batch ages, deadlines and latencies are
+/// all measured in slots.
+pub const SLOT_NS: u64 = 1_000_000;
+
 /// Parameters of one online serving run. Construct with [`ServeParams::new`]
 /// and the builder methods (each returns a value that passes
 /// [`ServeParams::validate`]), or start from [`Default`], adjust, and
@@ -25,9 +30,6 @@ pub struct ServeParams {
     /// Seed of the whole serving run: arrivals, hot-set picks, and every
     /// admission decision are a pure function of it.
     pub serve_seed: u64,
-    /// Virtual duration of one serving slot, nanoseconds. The frontend
-    /// wakes once per slot; latencies are measured in slots.
-    pub slot_ns: u64,
     /// Offered load of the Poisson arrival process, queries per second of
     /// virtual time.
     pub offered_qps: f64,
@@ -39,11 +41,9 @@ pub struct ServeParams {
     /// Size of the hot pool (first `hot_pool` queries of the pool set).
     pub hot_pool: usize,
     /// Micro-batch flush size B: the queue dispatches when it holds at
-    /// least B queries...
-    pub batch: usize,
-    /// ...or when the oldest queued query is this many slots old,
+    /// least B queries, or when the oldest queued query is two slots old,
     /// whichever happens first.
-    pub flush_age_slots: u64,
+    pub batch: usize,
     /// Deadline budget: a query still queued after this many slots is
     /// shed (too stale to answer within its SLO).
     pub deadline_slots: u64,
@@ -57,12 +57,6 @@ pub struct ServeParams {
     /// Quantization step for cache keys (coordinates are bucketed by this
     /// step; queries in the same bucket share a cache entry).
     pub quant_step: f32,
-    /// Width, in slots, of each tail-sampling window of the forensics
-    /// collector (must be >= 1).
-    pub forensics_window_slots: u64,
-    /// Slowest queries retained per forensics window (0 keeps only the
-    /// unconditional shed/degraded/deadline-miss exemplars).
-    pub forensics_slow_n: u64,
     /// The composed workload scenario (arrival process, rate modulators,
     /// pool distribution, tenant classes). The default spec reproduces
     /// the pre-DSL behavior bit-for-bit; parse richer scenarios from a
@@ -76,20 +70,16 @@ impl ServeParams {
         ServeParams {
             search: DistSearchParams::new(l).epsilon(0.1).entry_candidates(24),
             serve_seed: 0x5E27E,
-            slot_ns: 1_000_000, // 1 ms slots
             offered_qps: 2_000.0,
             n_arrivals: 200,
             hot_fraction: 0.3,
             hot_pool: 8,
             batch: 8,
-            flush_age_slots: 2,
             deadline_slots: 8,
             degrade_watermark: 24,
             shed_watermark: 64,
             cache_capacity: 32,
             quant_step: 1e-3,
-            forensics_window_slots: 8,
-            forensics_slow_n: 4,
             workload: WorkloadSpec::default(),
         }
     }
@@ -110,25 +100,10 @@ impl ServeParams {
         self
     }
 
-    /// Set the forensics tail sampler: window width in slots and
-    /// slowest-per-window retention count (0 disables the slow-path
-    /// samples, keeping only unconditional exemplars).
-    pub fn forensics(mut self, window_slots: u64, slow_n: u64) -> Self {
-        self.forensics_window_slots = window_slots;
-        self.forensics_slow_n = slow_n;
-        self.checked()
-    }
-
     /// Set the serve seed.
     pub fn serve_seed(mut self, s: u64) -> Self {
         self.serve_seed = s;
         self
-    }
-
-    /// Set the slot duration.
-    pub fn slot_ns(mut self, ns: u64) -> Self {
-        self.slot_ns = ns;
-        self.checked()
     }
 
     /// Set the offered load.
@@ -153,12 +128,6 @@ impl ServeParams {
     /// Set the micro-batch size B.
     pub fn batch(mut self, b: usize) -> Self {
         self.batch = b;
-        self.checked()
-    }
-
-    /// Set the age-based flush deadline in slots.
-    pub fn flush_age_slots(mut self, s: u64) -> Self {
-        self.flush_age_slots = s;
         self.checked()
     }
 
@@ -196,9 +165,6 @@ impl ServeParams {
     /// call.
     pub fn validate(&self) -> Result<(), String> {
         self.search.validate()?;
-        if self.slot_ns == 0 {
-            return Err("slot_ns must be positive".into());
-        }
         if !self.offered_qps.is_finite() || self.offered_qps <= 0.0 {
             return Err(format!(
                 "offered_qps must be finite and > 0 (got {})",
@@ -220,9 +186,6 @@ impl ServeParams {
         if self.batch < 1 {
             return Err("batch must be >= 1".into());
         }
-        if self.flush_age_slots < 1 {
-            return Err("flush_age_slots must be >= 1".into());
-        }
         if self.deadline_slots < 1 {
             return Err("deadline_slots must be >= 1".into());
         }
@@ -238,16 +201,13 @@ impl ServeParams {
                 self.quant_step
             ));
         }
-        if self.forensics_window_slots < 1 {
-            return Err("forensics_window_slots must be >= 1".into());
-        }
         self.workload.validate()?;
         let slots = self.expected_slots();
         if slots > MAX_SCHEDULE_SLOTS as f64 {
             return Err(format!(
                 "the schedule spans about {slots:.3e} slots, more than the \
-                 {MAX_SCHEDULE_SLOTS} a run may take (raise the rate, shorten \
-                 the think time or lengthen the slot)"
+                 {MAX_SCHEDULE_SLOTS} a run may take (raise the rate or \
+                 shorten the think time)"
             ));
         }
         Ok(())
@@ -259,7 +219,7 @@ impl ServeParams {
     /// time.
     fn expected_slots(&self) -> f64 {
         let n = self.n_arrivals as f64;
-        let slot_ns = self.slot_ns as f64 * self.workload.peak_multiplier();
+        let slot_ns = SLOT_NS as f64 * self.workload.peak_multiplier();
         let (issues, slots_apart) = match self.workload.arrival {
             ArrivalProcess::Open => (n, 1e9 / (self.offered_qps * slot_ns)),
             ArrivalProcess::Closed { clients, think_ns } => {
@@ -593,12 +553,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "slot_ns")]
-    fn zero_slot_is_rejected() {
-        let _ = ServeParams::new(10).slot_ns(0);
-    }
-
-    #[test]
     #[should_panic(expected = "offered_qps")]
     fn nan_qps_is_rejected() {
         let _ = ServeParams::new(10).offered_qps(f64::NAN);
@@ -620,28 +574,6 @@ mod tests {
     #[should_panic(expected = "quant_step")]
     fn negative_quant_step_is_rejected() {
         let _ = ServeParams::new(10).cache(8, -1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "forensics_window_slots")]
-    fn zero_forensics_window_is_rejected() {
-        let _ = ServeParams::new(10).forensics(0, 4);
-    }
-
-    #[test]
-    fn forensics_builder_sets_both_knobs() {
-        let p = ServeParams::new(10).forensics(16, 0);
-        assert_eq!(p.forensics_window_slots, 16);
-        assert_eq!(p.forensics_slow_n, 0);
-        p.validate().unwrap();
-        let bad = ServeParams {
-            forensics_window_slots: 0,
-            ..ServeParams::default()
-        };
-        assert!(bad
-            .validate()
-            .unwrap_err()
-            .contains("forensics_window_slots"));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! workload is a pure function of the seed: no generator state threads
 //! through the run, and any arrival can be recomputed in isolation.
 
-use crate::params::ServeParams;
+use crate::params::{ServeParams, SLOT_NS};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -428,7 +428,7 @@ impl ArrivalPlan {
     /// Generate the open-loop schedule for `params` against a query pool
     /// of `pool_len` vectors. Pure function of `(params.serve_seed,
     /// params.workload, params.offered_qps, params.n_arrivals,
-    /// params.hot_fraction, params.hot_pool, params.slot_ns, pool_len)`.
+    /// params.hot_fraction, params.hot_pool, pool_len)`.
     ///
     /// Errors instead of producing an empty or unboundedly-thinned plan:
     /// a degenerate spec (zero arrivals, non-positive rate, a thinning
@@ -493,7 +493,7 @@ impl ArrivalPlan {
             if keep * peak >= spec.multiplier(t_ns as u64) {
                 continue;
             }
-            let slot = t_ns as u64 / params.slot_ns;
+            let slot = t_ns as u64 / SLOT_NS;
             arrivals.push(Arrival {
                 idx: accepted,
                 slot,

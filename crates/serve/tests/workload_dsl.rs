@@ -267,7 +267,6 @@ fn burst_window_concentrates_arrivals_and_stays_deterministic() {
         .serve_seed(0xB0057)
         .n_arrivals(300)
         .offered_qps(2_000.0)
-        .slot_ns(1_000_000)
         .workload_str("burst:at=20ms,x=16,dur=60ms");
     let plan = ArrivalPlan::generate(&params, 16);
     assert_eq!(plan, ArrivalPlan::generate(&params, 16));

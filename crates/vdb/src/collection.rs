@@ -10,10 +10,19 @@
 //! ns/NS/info/epoch        u64     graph epoch (bumped by ingest/compact)
 //! ns/NS/points/{meta,data}        the point vectors (PointSet::save)
 //! ns/NS/graph/{offsets,ids,dists} the adjacency (KnnGraph::save)
-//! ns/NS/meta/{id}         MetaRecord  typed key→value fields per point
+//! ns/NS/meta              bytes       every point's MetaRecord, in id order
 //! ns/NS/tombstones        Vec<u32>    deleted, not yet compacted
 //! ns/NS/dead              Vec<u32>    deleted and compacted out
 //! ```
+//!
+//! A namespace is these eleven objects whatever its size: `meta` holds
+//! each record's `Persist` bytes prefixed by their `u32` LE length, so a
+//! save rewrites eleven blobs, not one per point. [`Collection::open`]
+//! checks what it reads: `meta` parses to exactly one record per point,
+//! and the tombstone and dead lists are strictly increasing, below the
+//! point count and disjoint. A store written with one `meta/{id}` object
+//! per point has no `meta` object and does not open; stores are
+//! regenerated, not migrated.
 //!
 //! ## Id stability and the delete path
 //!
@@ -38,7 +47,7 @@
 //! compaction as a PRF of the serve seed and still assert cross-rank
 //! fingerprints.
 
-use crate::meta::MetaRecord;
+use crate::meta::{self, MetaRecord};
 use crate::predicate::Predicate;
 use dataset::set::{PointId, PointSet};
 use dnnd::IdMask;
@@ -57,14 +66,32 @@ fn key(ns: &str, tail: &str) -> String {
     format!("ns/{ns}/{tail}")
 }
 
+/// A stored id list (`tombstones` or `dead`) must be strictly increasing
+/// and below the point count `n`: every mask and liveness count relies on
+/// it.
+fn check_ids(ns: &str, list: &str, ids: &[PointId], n: usize) -> Result<(), String> {
+    if let Some(w) = ids.windows(2).find(|w| w[0] >= w[1]) {
+        return Err(format!(
+            "namespace {ns:?}: {list} is not strictly increasing ({} then {})",
+            w[0], w[1]
+        ));
+    }
+    match ids.last() {
+        Some(&id) if id as usize >= n => Err(format!(
+            "namespace {ns:?}: {list} names id {id}, past the {n} points"
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// The element type of every collection, as `dataset::with_metric!` names it.
 const ELEM: &str = "f32";
 
-/// Degree cap applied by the reverse-prune pass (`optimize`'s `m = 1.5`).
-const PRUNE_MULT: f64 = 1.5;
-
-/// NN-Descent iterations a compaction runs over the rows it shortened.
-const COMPACT_REFINE_ITERS: usize = 1;
+/// NN-Descent iterations an ingest runs over the rows it linked, and a
+/// compaction over the rows it shortened. An iteration joins the
+/// neighborhoods of the entries flagged new — not the whole graph — so it
+/// costs a few hundred distance evaluations whatever the collection's size.
+const REFINE_ITERS: usize = 1;
 
 /// Counters describing one namespace (the `stat` CLI verb and the
 /// RunReport `vdb` section both read these).
@@ -153,7 +180,7 @@ impl Collection {
         }
         let graph = dataset::with_metric!(ELEM, metric, P, m => {
             let (g, _) = nnd::build(&points, &m, NnDescentParams::new(k).seed(seed));
-            g.optimize(k, PRUNE_MULT)
+            g.optimize(k, nnd::PRUNE_M)
         })?;
         Ok(Collection {
             name: name.to_string(),
@@ -169,6 +196,8 @@ impl Collection {
     }
 
     /// Open a collection previously [`Collection::save`]d into `store`.
+    /// A missing or damaged object is `Err` naming the namespace, never a
+    /// panic later (see the module docs for what is checked).
     pub fn open(store: &Store, name: &str) -> Result<Collection, String> {
         if !Collection::exists(store, name) {
             return Err(format!("no namespace {name:?} in store"));
@@ -184,15 +213,21 @@ impl Collection {
         let graph = KnnGraph::load(store, &key(name, "graph")).map_err(err)?;
         let tombstones: Vec<u32> = store.get(&key(name, "tombstones")).map_err(err)?;
         let dead: Vec<u32> = store.get(&key(name, "dead")).map_err(err)?;
-        let mut meta = Vec::with_capacity(base.len());
-        for id in 0..base.len() {
-            meta.push(store.get(&key(name, &format!("meta/{id}"))).map_err(err)?);
-        }
+        let blob = store.get_bytes(&key(name, "meta")).map_err(err)?;
+        let meta =
+            meta::unpack(&blob, base.len()).map_err(|e| format!("namespace {name:?}: {e}"))?;
         if graph.len() != base.len() {
             return Err(format!(
                 "namespace {name:?}: graph covers {} ids, base has {}",
                 graph.len(),
                 base.len()
+            ));
+        }
+        check_ids(name, "tombstones", &tombstones, base.len())?;
+        check_ids(name, "dead", &dead, base.len())?;
+        if let Some(id) = tombstones.iter().find(|id| dead.binary_search(id).is_ok()) {
+            return Err(format!(
+                "namespace {name:?}: id {id} is both in tombstones and in dead"
             ));
         }
         Ok(Collection {
@@ -233,12 +268,9 @@ impl Collection {
         store
             .put(&key(&self.name, "dead"), &self.dead)
             .map_err(err)?;
-        for (id, rec) in self.meta.iter().enumerate() {
-            store
-                .put(&key(&self.name, &format!("meta/{id}")), rec)
-                .map_err(err)?;
-        }
-        Ok(())
+        store
+            .put_bytes(&key(&self.name, "meta"), &meta::pack(&self.meta))
+            .map_err(err)
     }
 
     /// Does `store` hold a namespace called `name`?
@@ -345,7 +377,7 @@ impl Collection {
     /// Append `points` (+ metadata) at the tail and refine the adjacency
     /// with [`nnd::refine()`]'s short NN-Descent pass — the
     /// `examples/incremental_updates.rs` path: each new point is located by
-    /// a search, linked both ways, and `refine_iters` iterations join what
+    /// a search, linked both ways, and one NN-Descent iteration joins what
     /// that flagged. Returns the id range the new points received. Bumps
     /// the epoch. Nothing is copied or changed when an argument is rejected.
     ///
@@ -355,7 +387,6 @@ impl Collection {
         &mut self,
         points: Vec<Vec<f32>>,
         meta: Vec<MetaRecord>,
-        refine_iters: usize,
     ) -> Result<std::ops::Range<PointId>, String> {
         if points.is_empty() {
             return Err("ingest of zero points".into());
@@ -376,7 +407,7 @@ impl Collection {
         }
         let n_old = self.base.len();
         self.base.extend(points);
-        self.graph = self.refined(&self.graph, refine_iters, &[])?;
+        self.graph = self.refined(&self.graph, &[])?;
         self.meta.extend(meta);
         self.epoch += 1;
         Ok(n_old as PointId..self.base.len() as PointId)
@@ -385,16 +416,11 @@ impl Collection {
     /// `graph` — over a prefix of the base — after [`nnd::refine()`] and the
     /// reverse-prune pass, seeded by the epoch so a replay repeats it. Fails
     /// only on an unknown metric name, which `create` and `open` reject.
-    fn refined(
-        &self,
-        graph: &KnnGraph,
-        refine_iters: usize,
-        shortened: &[PointId],
-    ) -> Result<KnnGraph, String> {
+    fn refined(&self, graph: &KnnGraph, shortened: &[PointId]) -> Result<KnnGraph, String> {
         let params = NnDescentParams::new(self.k).seed(self.epoch.wrapping_mul(0x9E37_79B9) | 1);
         dataset::with_metric!(ELEM, self.metric.as_str(), P, m => {
-            let (g, _) = nnd::refine(graph, &self.base, &m, params, refine_iters, shortened);
-            g.optimize(self.k, PRUNE_MULT)
+            let (g, _) = nnd::refine(graph, &self.base, &m, params, REFINE_ITERS, shortened);
+            g.optimize(self.k, nnd::PRUNE_M)
         })
     }
 
@@ -489,7 +515,7 @@ impl Collection {
                 })
                 .collect()
         })?;
-        self.graph = self.refined(&KnnGraph::from_rows(rows), COMPACT_REFINE_ITERS, &shortened)?;
+        self.graph = self.refined(&KnnGraph::from_rows(rows), &shortened)?;
         let mut dead = std::mem::take(&mut self.dead);
         dead.extend(std::mem::take(&mut self.tombstones));
         dead.sort_unstable();
@@ -601,6 +627,85 @@ mod tests {
     }
 
     #[test]
+    fn a_namespace_is_the_same_objects_at_every_size() {
+        let dir = tmpdir("objects");
+        let mut counts = Vec::new();
+        for n in [50, 300] {
+            let mut store = Store::create(dir.join(format!("n{n}"))).unwrap();
+            sample_collection(n).save(&mut store).unwrap();
+            counts.push(store.len());
+        }
+        assert_eq!(counts, vec![11, 11]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `open`'s error after `damage` has rewritten `col`'s saved store.
+    fn open_damaged(col: &Collection, tag: &str, damage: impl FnOnce(&mut Store)) -> String {
+        let dir = tmpdir(tag);
+        let mut store = Store::create(&dir).unwrap();
+        col.save(&mut store).unwrap();
+        damage(&mut store);
+        let err = Collection::open(&store, col.name()).unwrap_err();
+        std::fs::remove_dir_all(&dir).ok();
+        err
+    }
+
+    #[test]
+    fn a_missing_or_damaged_meta_object_is_an_error() {
+        let col = sample_collection(50);
+        let meta = key("test", "meta");
+        let blob = meta::pack(&col.meta);
+        // The per-point layout had no `meta` object.
+        let err = open_damaged(&col, "no-meta", |s| {
+            s.remove(&meta).unwrap();
+        });
+        assert_eq!(err, "namespace \"test\": object not found: ns/test/meta");
+        let err = open_damaged(&col, "cut-meta", |s| {
+            s.put_bytes(&meta, &blob[..blob.len() - 3]).unwrap();
+        });
+        assert!(err.contains("record 49 wants"), "{err}");
+        let err = open_damaged(&col, "cut-len", |s| {
+            let mut cut = meta::pack(&col.meta[..49]);
+            cut.extend_from_slice(&[7, 0]);
+            s.put_bytes(&meta, &cut).unwrap();
+        });
+        assert!(err.contains("record 49's length is cut short"), "{err}");
+        let err = open_damaged(&col, "short-meta", |s| {
+            s.put_bytes(&meta, &meta::pack(&col.meta[..49])).unwrap();
+        });
+        assert!(
+            err.contains("holds 49 records, the namespace has 50 points"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn bad_tombstone_and_dead_lists_are_errors() {
+        let col = sample_collection(50);
+        let put = |list: &'static str, ids: Vec<u32>| {
+            move |s: &mut Store| s.put(&key("test", list), &ids).unwrap()
+        };
+        let err = open_damaged(&col, "past-n", put("tombstones", vec![9999]));
+        assert!(
+            err.contains("tombstones names id 9999, past the 50 points"),
+            "{err}"
+        );
+        let err = open_damaged(&col, "unsorted", put("dead", vec![4, 2]));
+        assert!(
+            err.contains("dead is not strictly increasing (4 then 2)"),
+            "{err}"
+        );
+        let err = open_damaged(&col, "shared", |s| {
+            put("tombstones", vec![1, 5])(s);
+            put("dead", vec![5, 7])(s);
+        });
+        assert!(
+            err.contains("id 5 is both in tombstones and in dead"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn masks_respect_predicate_and_tombstones() {
         let mut col = sample_collection(90);
         let pred = Predicate::parse("tier == gold").unwrap();
@@ -621,7 +726,7 @@ mod tests {
         let mut col = sample_collection(150);
         let extra = gaussian_mixture(MixtureParams::embedding_like(30, 8), 99);
         let range = col
-            .ingest(extra.points().to_vec(), sample_meta(30), 2)
+            .ingest(extra.points().to_vec(), sample_meta(30))
             .unwrap();
         assert_eq!(range, 150..180);
         assert_eq!(col.base.len(), 180);
@@ -645,9 +750,9 @@ mod tests {
         // dimension anywhere in the batch, or a metadata count that is off.
         let before = (col.base.clone(), col.graph.clone(), col.epoch());
         let mixed = vec![vec![0.0; 8], vec![0.0; 3]];
-        assert!(col.ingest(mixed, sample_meta(2), 1).is_err());
-        assert!(col.ingest(vec![vec![0.0; 8]], sample_meta(2), 1).is_err());
-        assert!(col.ingest(Vec::new(), Vec::new(), 1).is_err());
+        assert!(col.ingest(mixed, sample_meta(2)).is_err());
+        assert!(col.ingest(vec![vec![0.0; 8]], sample_meta(2)).is_err());
+        assert!(col.ingest(Vec::new(), Vec::new()).is_err());
         assert_eq!((col.base.clone(), col.graph.clone(), col.epoch()), before);
     }
 
@@ -664,7 +769,7 @@ mod tests {
         batches.push(batch.to_vec());
         for points in batches {
             let meta = sample_meta(points.len());
-            let new_ids = col.ingest(points, meta, 1).unwrap();
+            let new_ids = col.ingest(points, meta).unwrap();
             assert_never_resurrected(&col);
             for v in new_ids {
                 assert!(!col.graph.neighbors(v).is_empty(), "new point {v} unlinked");

@@ -1,10 +1,12 @@
 //! Typed per-point metadata records.
 //!
 //! Each point in a collection carries one [`MetaRecord`]: an ordered map
-//! of field name → [`Value`]. Records persist through [`metall::Store`]
-//! under the namespace's `meta/{id}` key (see `collection.rs` for the
-//! layout), using a deterministic line-oriented text encoding — field
-//! names and atoms are restricted charsets, so no escaping is needed.
+//! of field name → [`Value`]. A record's `Persist` bytes are a
+//! deterministic line-oriented text encoding — field names and atoms are
+//! restricted charsets, so no escaping is needed. A namespace stores all
+//! of its records in one object, `meta` (see `collection.rs` for the
+//! layout): each record's bytes in id order, prefixed by their `u32` LE
+//! length ([`pack`] / [`unpack`]).
 
 use crate::predicate::{valid_atom, valid_field, Value};
 use metall::{Persist, StoreError};
@@ -142,6 +144,50 @@ impl Persist for MetaRecord {
         }
         Ok(rec)
     }
+}
+
+/// Every record's `Persist` bytes in order, each prefixed by its `u32` LE
+/// length: the namespace's one `meta` object.
+pub(crate) fn pack(records: &[MetaRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for rec in records {
+        let bytes = rec.persist_to_bytes();
+        let len = u32::try_from(bytes.len()).expect("a metadata record under 4 GiB");
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(&bytes);
+    }
+    out
+}
+
+/// Parse a [`pack`]ed blob that must hold exactly `count` records. A
+/// truncated length, a truncated or undecodable record, or a count other
+/// than `count` is `Err`.
+pub(crate) fn unpack(blob: &[u8], count: usize) -> Result<Vec<MetaRecord>, String> {
+    let mut records = Vec::with_capacity(count);
+    let mut rest = blob;
+    while !rest.is_empty() {
+        let id = records.len();
+        let (len, tail) = rest
+            .split_first_chunk::<4>()
+            .ok_or_else(|| format!("meta: record {id}'s length is cut short"))?;
+        let len = u32::from_le_bytes(*len) as usize;
+        if tail.len() < len {
+            return Err(format!(
+                "meta: record {id} wants {len} bytes, {} remain",
+                tail.len()
+            ));
+        }
+        let (bytes, tail) = tail.split_at(len);
+        records.push(MetaRecord::persist_from_bytes(bytes).map_err(|e| format!("meta: {e}"))?);
+        rest = tail;
+    }
+    if records.len() != count {
+        return Err(format!(
+            "meta: holds {} records, the namespace has {count} points",
+            records.len()
+        ));
+    }
+    Ok(records)
 }
 
 #[cfg(test)]

@@ -71,13 +71,16 @@ fn main() {
     }
     let store_dir = store_flag(&args);
     let k: usize = args.get("k", 10);
+    // The protocol flags default to the paper's values `DnndConfig::new`
+    // holds.
+    let paper = DnndConfig::new(k);
     let ranks: usize = args.get("ranks", 8);
     let n: usize = args.get("n", 2_000);
-    let seed: u64 = args.get("seed", 0xD00D);
+    let seed: u64 = args.get("seed", paper.seed);
     let metric_name: String = args.get("metric", "l2".to_string());
     let elem_name: String = args.get("elem", "f32".to_string());
-    let (rho, delta): (f64, f64) = (args.get("rho", 0.8), args.get("delta", 0.001));
-    let batch_size: u64 = args.get("batch-size", 1u64 << 16);
+    let (rho, delta): (f64, f64) = (args.get("rho", paper.rho), args.get("delta", paper.delta));
+    let batch_size: u64 = args.get("batch-size", paper.batch_size);
     let unoptimized = args.flag("unoptimized");
     let outs = ObsOuts::parse(&args);
     let fault_profile: String = args.get("fault-profile", String::new());
@@ -101,7 +104,7 @@ fn main() {
     }
     let plan = parse_fault_plan(&fault_profile, sim_seed);
 
-    let mut cfg = DnndConfig::new(k)
+    let mut cfg = paper
         .seed(seed)
         .rho(rho)
         .delta(delta)

@@ -16,8 +16,9 @@
 //! dnnd-optimize --store ./store --opt-mode rnn --k0 10 --ranks 4
 //! ```
 //!
-//! `--trace-out trace.json` emits a Chrome-trace span of the
-//! reverse-prune pass; `--report-out report.json` a unified run report;
+//! `--trace-out trace.json` emits a Chrome trace: one span of the
+//! reverse-prune pass, or every rank's `rnn_round` spans of the simulated
+//! rnn run; `--report-out report.json` a unified run report;
 //! `--dashboard-out dash.html` a self-contained HTML dashboard.
 
 use bench::{Args, ObsOuts};
@@ -64,7 +65,7 @@ fn reverse_prune_mode(
     graph: KnnGraph,
     outs: &ObsOuts,
 ) {
-    let m: f64 = args.get("m", 1.5);
+    let m: f64 = args.get("m", nnd::PRUNE_M);
     args.finish();
     if m.is_nan() || m < 1.0 {
         die(&format!("--m must be at least 1 (got {m})"));
@@ -113,22 +114,26 @@ fn reverse_prune_mode(
 /// simulated ranks, written to `rnn/`.
 fn rnn_mode(args: &Args, s: &mut Session, store_dir: &str, graph: KnnGraph, outs: &ObsOuts) {
     let k0: usize = args.get("k0", s.k);
-    let (t1, t2): (usize, usize) = (args.get("t1", 3), args.get("t2", 8));
+    require_at_least_1(&[("k0", k0 as u64)]);
+    let mut params = RnnParams::new(k0);
+    let (t1, t2): (usize, usize) = (args.get("t1", params.t1), args.get("t2", params.t2));
     let ranks: usize = args.get("ranks", 4);
     require_at_least_1(&[
-        ("k0", k0 as u64),
         ("t1", t1 as u64),
         ("t2", t2 as u64),
         ("ranks", ranks as u64),
     ]);
-    let mut params = RnnParams::new(k0).t1(t1).t2(t2);
     let r: usize = args.get("r", params.r);
     args.finish();
     if r < k0 {
         die(&format!("--r must be at least --k0 = {k0} (got {r})"));
     }
-    params = params.r(r);
-    let world = World::new(ranks);
+    params = params.t1(t1).t2(t2).r(r);
+    let tracer = outs.tracer(ranks);
+    let mut world = World::new(ranks);
+    if let Some(t) = &tracer {
+        world = world.tracer(Arc::clone(t));
+    }
 
     let start = std::time::Instant::now();
     let (optimized, stats, world_report) = or_die(
@@ -169,8 +174,5 @@ fn rnn_mode(args: &Args, s: &mut Session, store_dir: &str, graph: KnnGraph, outs
         rr.metric("store_high_water_bytes", s.store.high_water_bytes() as f64);
         rr
     };
-    or_die(outs.write(None, run_report));
-    if !outs.trace.is_empty() {
-        eprintln!("note: --trace-out is not supported by --opt-mode rnn (simulated world)");
-    }
+    or_die(outs.write(tracer.as_deref(), run_report));
 }

@@ -45,26 +45,22 @@ fn main() {
     let l: usize = args.get("l", 10);
     require_at_least_1(&[("ranks", ranks as u64), ("l", l as u64)]);
 
-    // Serving parameters: filled directly from flags, then validated in
-    // one place so a bad flag dies with the invariant it broke.
+    // Serving parameters: each flag defaults to `ServeParams::new`'s
+    // value, and the set is validated in one place so a bad flag dies with
+    // the invariant it broke.
     let mut params = ServeParams::new(l);
-    params.search.epsilon = args.get("epsilon", 0.1f32);
-    params.search.entry_candidates = args.get("entries", 24);
-    params.serve_seed = args.get("serve-seed", 0x5E27Eu64);
-    params.slot_ns = args.get("slot-ns", 1_000_000u64);
-    params.offered_qps = args.get("qps", 2_000.0f64);
-    params.n_arrivals = args.get("arrivals", 200);
-    params.hot_fraction = args.get("hot-fraction", 0.3f64);
-    params.hot_pool = args.get("hot-pool", 8);
-    params.batch = args.get("batch", 8);
-    params.flush_age_slots = args.get("flush-age", 2u64);
-    params.deadline_slots = args.get("deadline", 8u64);
-    params.degrade_watermark = args.get("degrade", 24);
-    params.shed_watermark = args.get("shed", 64);
-    params.cache_capacity = args.get("cache", 32);
-    params.quant_step = args.get("quant-step", 1e-3f32);
-    params.forensics_window_slots = args.get("forensics-window", 8u64);
-    params.forensics_slow_n = args.get("forensics-slow-n", 4u64);
+    params.search.epsilon = args.get("epsilon", params.search.epsilon);
+    params.search.entry_candidates = args.get("entries", params.search.entry_candidates);
+    params.serve_seed = args.get("serve-seed", params.serve_seed);
+    params.offered_qps = args.get("qps", params.offered_qps);
+    params.n_arrivals = args.get("arrivals", params.n_arrivals);
+    params.hot_fraction = args.get("hot-fraction", params.hot_fraction);
+    params.hot_pool = args.get("hot-pool", params.hot_pool);
+    params.batch = args.get("batch", params.batch);
+    params.deadline_slots = args.get("deadline", params.deadline_slots);
+    params.degrade_watermark = args.get("degrade", params.degrade_watermark);
+    params.shed_watermark = args.get("shed", params.shed_watermark);
+    params.cache_capacity = args.get("cache", params.cache_capacity);
     // Composable workload DSL, e.g.
     // `closed:n=64,think=5ms;zipf:s=1.1;burst:at=2s,x=8;tenants=gold:50%,free:50%`.
     // Empty (the default) keeps the legacy open-loop hot/cold workload.
@@ -97,7 +93,6 @@ fn main() {
     let namespace: String = args.get("namespace", String::new());
     let filter_text: String = args.get("filter", String::new());
     let compact_watermark: Option<f64> = args.opt("compact-watermark");
-    let refine_iters = args.opt("refine-iters");
     let graph_flag: String = args.get("graph", "auto".to_string());
     let slow_log: String = args.get("slow-query-log", String::new());
     args.finish();
@@ -118,7 +113,6 @@ fn main() {
             );
         }
         cfg.compact_watermark = compact_watermark.unwrap_or(cfg.compact_watermark);
-        cfg.refine_iters = refine_iters.unwrap_or(cfg.refine_iters);
 
         // One metadata-only open on the driver: metric dispatch and the
         // query pool come from here; `run_serve_vdb` re-opens per rank.

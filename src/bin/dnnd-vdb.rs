@@ -79,11 +79,11 @@ fn print_stat(c: &Collection, filter: &str) {
 }
 
 fn main() {
-    let cmd = std::env::args()
-        .nth(1)
-        .filter(|a| !a.starts_with("--"))
-        .unwrap_or_else(|| die(USAGE));
     let args = Args::parse();
+    let cmd = match args.positionals() {
+        [cmd] => cmd.clone(),
+        _ => die(USAGE),
+    };
     let store_dir = store_flag(&args);
     let open =
         || Store::open(&store_dir).unwrap_or_else(|e| die(&format!("cannot open store: {e}")));
@@ -122,9 +122,8 @@ fn main() {
             let points = load_vectors(&args, seed);
             let start = c.stat().points;
             let meta = meta_for(&args, seed, start..start + points.len() as u64);
-            let refine: usize = args.get("refine-iters", 1);
             args.finish();
-            let range = or_die(c.ingest(points.points().to_vec(), meta, refine));
+            let range = or_die(c.ingest(points.points().to_vec(), meta));
             or_die(c.save(&mut store));
             println!("ingested ids {}..{}", range.start, range.end);
             print_stat(&c, "");

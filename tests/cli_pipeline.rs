@@ -425,15 +425,15 @@ fn bad_flag_exits_2_on_every_binary() {
             serve_bin,
             format!("--store {store} --qps 1e-300"),
             "error: invalid serving parameters: the schedule spans about 2.000e305 slots, \
-             more than the 1048576 a run may take (raise the rate, shorten the think time \
-             or lengthen the slot)",
+             more than the 1048576 a run may take (raise the rate or shorten the think \
+             time)",
         ),
         (
             serve_bin,
             format!("--store {store} --workload closed:n=1,think=100000s"),
             "error: invalid serving parameters: the schedule spans about 2.000e10 slots, \
-             more than the 1048576 a run may take (raise the rate, shorten the think time \
-             or lengthen the slot)",
+             more than the 1048576 a run may take (raise the rate or shorten the think \
+             time)",
         ),
         // The compaction watermark is checked before the collection opens,
         // not asserted in the rank threads.
@@ -518,6 +518,43 @@ fn bad_flag_exits_2_on_every_binary() {
             format!("create --store {fresh} --namespace prod --synthetic 100 --dims 8"),
             "error: unknown flag --dims",
         ),
+        // Settings with one value in use are constants now; their flags
+        // are refused like typos.
+        (
+            serve_bin,
+            format!("--store {store} --slot-ns 500000"),
+            "error: unknown flag --slot-ns",
+        ),
+        (
+            serve_bin,
+            format!("--store {store} --flush-age 3"),
+            "error: unknown flag --flush-age",
+        ),
+        (
+            serve_bin,
+            format!("--store {store} --quant-step 0.01"),
+            "error: unknown flag --quant-step",
+        ),
+        (
+            serve_bin,
+            format!("--store {store} --forensics-window 16"),
+            "error: unknown flag --forensics-window",
+        ),
+        (
+            serve_bin,
+            format!("--store {store} --forensics-slow-n 2"),
+            "error: unknown flag --forensics-slow-n",
+        ),
+        (
+            serve_bin,
+            format!("{on_prod} --refine-iters 2"),
+            "error: unknown flag --refine-iters",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-vdb"),
+            format!("ingest --store {vstore} --namespace prod --synthetic 4 --refine-iters 2"),
+            "error: unknown flag --refine-iters",
+        ),
     ];
     for (bin, args, want) in cases {
         let out = Command::new(bin).args(args.split(' ')).output().unwrap();
@@ -586,6 +623,45 @@ fn rnn_pipeline_on_every_other_dispatch_arm() {
         assert!(out.contains(&format!("({elem}, {metric})")), "{out}");
         assert!(out.contains("recall@8"), "{out}");
     }
+}
+
+/// `dnnd-optimize --opt-mode rnn --trace-out` records the simulated run
+/// like every other simulated binary: a trace of every rank's
+/// `rnn_round` spans, and a report carrying the tracer's histograms.
+#[test]
+fn rnn_mode_writes_its_trace() {
+    let dir = tmpdir("rnn-trace");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (store, trace, report) = (path("store"), path("t.json"), path("r.json"));
+    let construct = format!("--input preset:deep1b --n 300 --k 8 --ranks 2 --store {store}");
+    run_ok(
+        env!("CARGO_BIN_EXE_dnnd-construct"),
+        &construct.split(' ').collect::<Vec<_>>(),
+    );
+    let optimize = format!(
+        "--store {store} --opt-mode rnn --k0 8 --ranks 3 --trace-out {trace} --report-out {report}"
+    );
+    let out = run_ok(
+        env!("CARGO_BIN_EXE_dnnd-optimize"),
+        &optimize.split(' ').collect::<Vec<_>>(),
+    );
+    assert!(out.contains(&format!("trace written to {trace}")), "{out}");
+    let doc = obs::JsonValue::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    let other = doc.get("otherData").expect("otherData");
+    assert_eq!(other.get("n_ranks").and_then(|v| v.as_u64()), Some(3));
+    assert_eq!(
+        other.get("dropped_events").and_then(|v| v.as_u64()),
+        Some(0)
+    );
+    let events = doc.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
+    assert!(
+        events
+            .iter()
+            .any(|e| e.get("name").and_then(|n| n.as_str()) == Some("rnn_round")),
+        "no rnn_round span in the trace"
+    );
+    let rr = obs::RunReport::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    assert!(!rr.histograms.is_empty(), "rnn report has no histograms");
 }
 
 /// Graph arrays that pass their checksums but are not a graph — an edge

@@ -10,7 +10,7 @@ use dnnd::{build, DnndConfig};
 use nnd::graph::KnnGraph;
 use nnd::RnnParams;
 use proptest::prelude::*;
-use serve::{run_serve, slow_query_log, ServeOutcome, ServeParams};
+use serve::{run_serve, slow_query_log, ServeOutcome, ServeParams, SLOT_NS};
 use std::sync::Arc;
 use ygm::World;
 
@@ -126,7 +126,7 @@ fn overload_sheds_but_keeps_tail_latency_bounded_and_quality_high() {
     assert!(s.max_queue_depth <= 32, "queue blew past shed watermark");
     // A query older than deadline_slots is shed, so answered latency is
     // capped at deadline_slots + 1 slots (fault-free run: no penalties).
-    let bound_ns = (slam.deadline_slots + 1) * slam.slot_ns;
+    let bound_ns = (slam.deadline_slots + 1) * SLOT_NS;
     assert!(
         s.percentile_ns(0.99) <= bound_ns,
         "p99 {} ns exceeds deadline bound {} ns",
@@ -167,8 +167,7 @@ fn forensics_stage_sums_are_exact_and_deadline_misses_hit_the_slow_log() {
         .offered_qps(20_000.0)
         .batch(4)
         .watermarks(12, 32)
-        .deadline_slots(6)
-        .forensics(8, 4);
+        .deadline_slots(6);
     let (out, _) = run_serve(&World::new(2), &base, &graph, &pool, &L2, &params);
     let f = &out.forensics;
 
@@ -242,8 +241,7 @@ fn rnn_graph_serving_pins_fingerprint_and_forensics_digest_across_ranks() {
     let params = ServeParams::new(10)
         .serve_seed(0xC0FFEE)
         .n_arrivals(150)
-        .offered_qps(3_000.0)
-        .forensics(8, 4);
+        .offered_qps(3_000.0);
 
     let (on_knng, _) = run_serve(&World::new(2), &base, &graph, &pool, &L2, &params);
     let (on_rnn, _) = run_serve(&World::new(2), &base, &rnn_graph, &pool, &L2, &params);
@@ -286,14 +284,11 @@ fn closed_loop_flash_crowd_with_tenants_is_bit_identical_across_ranks() {
     let (base, graph, pool) = setup(600, 48, 3);
     let params = ServeParams::new(10)
         .serve_seed(0xF1A5_4C20)
-        .slot_ns(1_000_000)
         .n_arrivals(160)
         .batch(4)
-        .flush_age_slots(2)
         .deadline_slots(6)
         .watermarks(8, 20)
         .cache(8, 1e-3)
-        .forensics(8, 4)
         .workload_str(
             "closed:n=48,think=3ms;zipf:s=1.1;burst:at=8ms,x=16,dur=40ms;\
              tenants=gold:50%,free:50%",
@@ -369,11 +364,9 @@ fn coordinated_omission_closed_loop_client_p99_diverges_from_open_loop() {
     let common = |spec: String| {
         ServeParams::new(10)
             .serve_seed(0xC0_0111)
-            .slot_ns(1_000_000)
             .n_arrivals(200)
             .offered_qps(6_000.0)
             .batch(4)
-            .flush_age_slots(2)
             .deadline_slots(6)
             .watermarks(6, 12)
             .cache(8, 1e-3)

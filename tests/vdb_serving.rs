@@ -302,7 +302,7 @@ fn mutate_for(
         if slot % 4 == 0 {
             let pick = (prf(1, slot) % pool.len() as u64) as PointId;
             let rec = vdb::MetaRecord::bucket_record(seed, c.stat().points);
-            c.ingest(vec![pool.point(pick).clone()], vec![rec], 1)
+            c.ingest(vec![pool.point(pick).clone()], vec![rec])
                 .expect("ingest");
         }
         if slot % 3 == 0 && c.n_live() > 1 {
@@ -342,7 +342,7 @@ fn mutations_never_resurrect() {
     assert_never_resurrected(&c);
     for (i, p) in pool.points().iter().take(12).enumerate() {
         let rec = vdb::MetaRecord::bucket_record(23, c.stat().points);
-        let ids = c.ingest(vec![p.clone()], vec![rec], 1).expect("ingest");
+        let ids = c.ingest(vec![p.clone()], vec![rec]).expect("ingest");
         assert_never_resurrected(&c);
         let linked = !c.graph.neighbors(ids.start).is_empty();
         assert!(linked, "ingest {i} left its point out of the graph");
