@@ -20,31 +20,17 @@
 //! distributed pass must be bit-identical across ranks {1, 2, 4} and
 //! across a rerun.
 
-use bench::{die, Args, ObsOuts, Table};
+use bench::{or_die, Args, ObsOuts, Table};
 use dataset::ground_truth::brute_force_queries;
 use dataset::metric::L2;
 use dataset::presets;
-use dataset::set::PointId;
 use dataset::synth::split_queries;
 use dnnd::{build, rnn_optimize_distributed, CommOpts, DnndConfig};
 use nnd::rnn::RnnParams;
 use nnd::KnnGraph;
-use serve::{run_serve, ServeOutcome, ServeParams};
+use serve::{run_serve, ServeParams};
 use std::sync::Arc;
 use ygm::World;
-
-/// Mean recall of the answered queries against brute-force truth.
-fn answered_recall(outcome: &ServeOutcome, truth: &[Vec<PointId>], k: usize) -> f64 {
-    if outcome.answers.is_empty() {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    for (_, pool_id, ids) in &outcome.answers {
-        let hits = ids.iter().filter(|id| truth[*pool_id].contains(id)).count();
-        total += hits as f64 / k as f64;
-    }
-    total / outcome.answers.len() as f64
-}
 
 fn main() {
     let args = Args::parse();
@@ -54,18 +40,34 @@ fn main() {
     let k: usize = args.get("k", 8);
     let seed: u64 = args.get("seed", 7);
     let ranks: usize = args.get("ranks", 2);
-    let l: usize = args.get("l", 12);
+    let mut serve_params = ServeParams::default()
+        .n_arrivals(if smoke { 120 } else { 300 })
+        .batch(4)
+        .watermarks(16, 48)
+        .cache(16, 1e-3);
+    serve_params.search.l = args.get("l", 12);
+    // The defaults are `RnnParams::new(k0)`'s; a `k0` of 0 is left for
+    // `validate` to refuse.
     let k0: usize = args.get("k0", 10);
-    let defaults = RnnParams::new(k0);
-    let params = defaults
-        .t1(args.get("t1", defaults.t1))
-        .t2(args.get("t2", defaults.t2));
+    let defaults = RnnParams::new(k0.max(1));
+    let params = RnnParams {
+        k0,
+        t1: args.get("t1", defaults.t1),
+        t2: args.get("t2", defaults.t2),
+        ..defaults
+    };
     let m: f64 = args.get("m", nnd::PRUNE_M);
     let (dir, outs) = (args.out_dir(), ObsOuts::parse(&args));
     args.finish();
-    if m.is_nan() || m < 1.0 {
-        die(&format!("--m must be at least 1 (got {m})"));
-    }
+    or_die(nnd::check_k(k, n));
+    or_die(params.validate());
+    or_die(nnd::prune_limit(k, m));
+    or_die(
+        serve_params
+            .validate()
+            .and_then(|()| nnd::check_l(serve_params.search.l, n)),
+    );
+    let l = serve_params.search.l;
 
     let (base, pool) = split_queries(presets::deep1b_like(n + pool_n, seed), pool_n);
     let base = Arc::new(base);
@@ -98,11 +100,6 @@ fn main() {
     // Equal-beam-width serving comparison: identical workload and search
     // parameters, only the graph differs.
     let truth = brute_force_queries(&base, &pool, &L2, k);
-    let serve_params = ServeParams::new(l)
-        .n_arrivals(if smoke { 120 } else { 300 })
-        .batch(4)
-        .watermarks(16, 48)
-        .cache(16, 1e-3);
     let serve_one = |graph: &KnnGraph| {
         let (outcome, _) = run_serve(
             &World::new(ranks),
@@ -112,7 +109,7 @@ fn main() {
             &L2,
             &serve_params,
         );
-        let recall = answered_recall(&outcome, &truth.ids, k);
+        let recall = outcome.answered_recall(&truth.ids);
         (outcome, recall)
     };
     let (rp_serve, rp_recall) = serve_one(&rp_graph);

@@ -38,7 +38,7 @@
 //! baseline; the smoke shape also asserts the unfiltered point matches
 //! legacy (non-vdb) serving over the identical base + graph bit for bit.
 
-use bench::{Args, ObsOuts, Table};
+use bench::{or_die, Args, ObsOuts, Table};
 use dataset::ground_truth::brute_force_queries;
 use dataset::metric::L2;
 use dataset::presets;
@@ -52,19 +52,6 @@ use std::path::Path;
 use std::sync::Arc;
 use vdb::{Collection, MetaRecord};
 use ygm::World;
-
-/// Mean recall of the answered queries against brute-force truth.
-fn answered_recall(outcome: &ServeOutcome, truth: &[Vec<PointId>], k: usize) -> f64 {
-    if outcome.answers.is_empty() {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    for (_, pool_id, ids) in &outcome.answers {
-        let hits = ids.iter().filter(|id| truth[*pool_id].contains(id)).count();
-        total += hits as f64 / k as f64;
-    }
-    total / outcome.answers.len() as f64
-}
 
 /// The flash-crowd scenario spec (`BENCH_9.json`): closed-loop clients on
 /// a Zipfian pool, one 8x flash-crowd window, two 50/50 tenant classes.
@@ -85,11 +72,18 @@ fn main() {
     let vdb = args.flag("vdb");
     let (dir, outs) = (args.out_dir(), ObsOuts::parse(&args));
     args.finish();
+    // Every point serves this shape over `n` points, at its own rate and
+    // cache: judged once, here, by the library.
+    or_die(nnd::check_k(k, n));
+    let mut shape = (ServeParams::new(k).serve_seed(serve_seed))
+        .batch(4)
+        .deadline_slots(6)
+        .watermarks(8, 20);
+    shape.n_arrivals = arrivals;
+    or_die(shape.validate());
 
     if vdb {
-        return vdb_sweep(
-            &dir, &outs, smoke, n, pool_n, arrivals, k, seed, serve_seed, ranks,
-        );
+        return vdb_sweep(&dir, &outs, smoke, n, pool_n, k, seed, &shape, ranks);
     }
 
     let (base, pool) = split_queries(presets::deep1b_like(n + pool_n, seed), pool_n);
@@ -115,13 +109,13 @@ fn main() {
 
     if flash {
         return flash_crowd(
-            &dir, &outs, smoke, arrivals, k, serve_seed, ranks, &base, &graph, &pool, &truth.ids,
+            &dir, &outs, smoke, k, &shape, ranks, &base, &graph, &pool, &truth.ids,
         );
     }
 
     // Nominal drain capacity: one micro-batch per slot. The sweep offers
     // 0.25x (idle) through 2x (overload) of that.
-    let batch = 4usize;
+    let batch = shape.batch;
     let capacity_qps = batch as f64 * 1e9 / SLOT_NS as f64;
     // Degrade level 2 doubles drain capacity, so 2x is absorbed by
     // degradation alone; 4x is past what the ladder can drain and forces
@@ -145,16 +139,9 @@ fn main() {
     let mut last_wr = None;
     for factor in factors {
         let qps = capacity_qps * factor;
-        let params = ServeParams::new(k)
-            .serve_seed(serve_seed)
-            .offered_qps(qps)
-            .n_arrivals(arrivals)
-            .batch(batch)
-            .deadline_slots(6)
-            .watermarks(8, 20)
-            .cache(16, 1e-3);
+        let params = shape.clone().offered_qps(qps).cache(16, 1e-3);
         let (outcome, wr) = run_serve(&World::new(ranks), &base, &graph, &pool, &L2, &params);
-        let recall = answered_recall(&outcome, &truth.ids, k);
+        let recall = outcome.answered_recall(&truth.ids);
         let s = &outcome.stats;
         t.row(&[
             &format!("{qps:.0}"),
@@ -234,23 +221,17 @@ fn flash_crowd(
     dir: &Path,
     outs: &ObsOuts,
     smoke: bool,
-    arrivals: usize,
     k: usize,
-    serve_seed: u64,
+    shape: &ServeParams,
     ranks: usize,
     base: &Arc<dataset::PointSet<Vec<f32>>>,
     graph: &Arc<nnd::KnnGraph>,
     pool: &Arc<dataset::PointSet<Vec<f32>>>,
     truth: &[Vec<PointId>],
 ) {
-    let batch = 4usize;
-    let params = ServeParams::new(k)
-        .serve_seed(serve_seed)
+    let (batch, arrivals, serve_seed) = (shape.batch, shape.n_arrivals, shape.serve_seed);
+    let params = (shape.clone())
         .offered_qps(batch as f64 * 1e9 / SLOT_NS as f64)
-        .n_arrivals(arrivals)
-        .batch(batch)
-        .deadline_slots(6)
-        .watermarks(8, 20)
         .cache(8, 1e-3)
         .workload_str(FLASH_SPEC);
     println!("flash crowd scenario: {FLASH_SPEC}");
@@ -284,7 +265,7 @@ fn flash_crowd(
     let mut faulted_wr = None;
     for profile in profiles {
         let (outcome, wr) = run_profile(profile);
-        let recall = answered_recall(&outcome, truth, k);
+        let recall = outcome.answered_recall(truth);
         let s = &outcome.stats;
         assert_eq!(s.tenants.len(), 2, "scenario declares gold+free");
         t.row(&[
@@ -409,12 +390,12 @@ fn vdb_sweep(
     smoke: bool,
     n: usize,
     pool_n: usize,
-    arrivals: usize,
     k: usize,
     seed: u64,
-    serve_seed: u64,
+    shape: &ServeParams,
     ranks: usize,
 ) {
+    let (batch, arrivals, serve_seed) = (shape.batch, shape.n_arrivals, shape.serve_seed);
     let (base, pool) = split_queries(presets::deep1b_like(n + pool_n, seed), pool_n);
     let meta: Vec<MetaRecord> = (0..base.len() as u64)
         .map(|id| MetaRecord::bucket_record(seed, id))
@@ -436,15 +417,9 @@ fn vdb_sweep(
         c.save(&mut store).expect("save collection");
     };
 
-    let batch = 4usize;
     let params_for = |spec: &str| {
-        let p = ServeParams::new(k)
-            .serve_seed(serve_seed)
+        let p = (shape.clone())
             .offered_qps(batch as f64 * 1e9 / SLOT_NS as f64)
-            .n_arrivals(arrivals)
-            .batch(batch)
-            .deadline_slots(6)
-            .watermarks(8, 20)
             .cache(16, 1e-3);
         if spec.is_empty() {
             p

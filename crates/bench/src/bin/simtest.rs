@@ -36,7 +36,7 @@
 //! dispatches in a round are a function of what every rank flushed before
 //! the last meeting — neither depends on thread scheduling.
 
-use bench::{Args, ObsOuts, Table};
+use bench::{die, or_die, Args, ObsOuts, Table};
 use dataset::ground_truth::{brute_force_knng, GroundTruth};
 use dataset::metric::L2;
 use dataset::recall::mean_recall;
@@ -87,11 +87,18 @@ struct Trial {
     failure: Option<String>,
 }
 
-fn protocol_opts(name: &str) -> CommOpts {
-    match name {
-        "optimized" => CommOpts::optimized(),
-        "unoptimized" => CommOpts::unoptimized(),
-        other => panic!("unknown protocol {other:?} (optimized|unoptimized|both)"),
+/// The names `--{flag} {arg}` selects: every one of `names` for `all`,
+/// else the one it names.
+fn select(flag: &str, arg: &str, all: &str, names: &[&'static str]) -> Vec<&'static str> {
+    if arg == all {
+        return names.to_vec();
+    }
+    match names.iter().find(|&&name| name == arg) {
+        Some(&name) => vec![name],
+        None => die(&format!(
+            "unknown --{flag} {arg:?} ({}|{all})",
+            names.join("|")
+        )),
     }
 }
 
@@ -134,9 +141,11 @@ struct Sweep {
 impl Sweep {
     /// Build on `world`, then in rnn mode run the RNN pass on the same world.
     fn build(&self, world: &World, preset: &Preset, protocol: &str, opt_mode: &str) -> Built {
-        let cfg = DnndConfig::new(self.k)
-            .seed(self.data_seed)
-            .comm_opts(protocol_opts(protocol));
+        let opts = match protocol {
+            "optimized" => CommOpts::optimized(),
+            _ => CommOpts::unoptimized(),
+        };
+        let cfg = DnndConfig::new(self.k).seed(self.data_seed).comm_opts(opts);
         let out = build(world, &preset.set, &L2, cfg);
         let injected = |faults: &Option<FaultSection>| faults.as_ref().map_or(0, |f| f.injected());
         let mut built = Built {
@@ -145,18 +154,14 @@ impl Sweep {
             report: out.report,
             rnn: None,
         };
-        match opt_mode {
-            "default" => {}
-            "rnn" => {
-                // k0 = k + 2 mirrors the bench fixture's headroom over k.
-                let params = RnnParams::new(self.k + 2);
-                let (graph, stats, run) =
-                    rnn_optimize_distributed(world, &preset.set, &L2, &built.graph, params);
-                built.graph = graph;
-                built.rnn = Some((params, stats));
-                built.injected += injected(&run.faults);
-            }
-            other => panic!("unknown opt mode {other:?} (default|rnn|both)"),
+        if opt_mode == "rnn" {
+            // k0 = k + 2 mirrors the bench fixture's headroom over k.
+            let params = RnnParams::new(self.k + 2);
+            let (graph, stats, run) =
+                rnn_optimize_distributed(world, &preset.set, &L2, &built.graph, params);
+            built.graph = graph;
+            built.rnn = Some((params, stats));
+            built.injected += injected(&run.faults);
         }
         built
     }
@@ -304,7 +309,7 @@ fn main() {
     let opt_mode_arg: String = args.get("opt-mode", "both".to_string());
     let preset_arg: String = args.get("preset", "all".to_string());
     args.finish();
-    std::fs::create_dir_all(&sweep.out_dir).expect("create --out dir");
+    or_die(nnd::check_k(k, n));
 
     // Replay mode: `--sim-seed S` runs exactly one seed (deterministically
     // reproducing a sweep failure); otherwise sweep seeds 0..--seeds.
@@ -313,39 +318,22 @@ fn main() {
         None => (0..n_seeds).collect(),
     };
 
-    let profiles: Vec<FaultProfile> = if profile_arg == "all" {
-        FaultProfile::NAMES
-            .iter()
-            .map(|n| FaultProfile::by_name(n).unwrap())
-            .collect()
-    } else {
-        vec![FaultProfile::by_name(&profile_arg).unwrap_or_else(|| {
-            panic!("unknown --profile {profile_arg:?} (clean|lossy|stormy|all)")
-        })]
-    };
-
-    let protocols: Vec<&'static str> = match protocol_arg.as_str() {
-        "both" => vec!["optimized", "unoptimized"],
-        "optimized" => vec!["optimized"],
-        "unoptimized" => vec!["unoptimized"],
-        other => panic!("unknown --protocol {other:?} (optimized|unoptimized|both)"),
-    };
-
-    let opt_modes: Vec<&'static str> = match opt_mode_arg.as_str() {
-        "both" => vec!["default", "rnn"],
-        "default" => vec!["default"],
-        "rnn" => vec!["rnn"],
-        other => panic!("unknown --opt-mode {other:?} (default|rnn|both)"),
-    };
+    let profiles = select("profile", &profile_arg, "all", &FaultProfile::NAMES);
+    let profiles: Vec<FaultProfile> = (profiles.into_iter())
+        .map(|name| FaultProfile::by_name(name).expect("a name from NAMES"))
+        .collect();
+    let protocols = ["optimized", "unoptimized"];
+    let protocols = select("protocol", &protocol_arg, "both", &protocols);
+    let opt_modes = select("opt-mode", &opt_mode_arg, "both", &["default", "rnn"]);
     let combos: Vec<(&'static str, &'static str)> = (opt_modes.iter())
         .flat_map(|&m| protocols.iter().map(move |&p| (p, m)))
         .collect();
 
     let mut presets = make_presets(n, k);
-    if preset_arg != "all" {
-        presets.retain(|p| p.name == preset_arg);
-        assert!(!presets.is_empty(), "unknown --preset {preset_arg:?}");
-    }
+    let names: Vec<&'static str> = presets.iter().map(|p| p.name).collect();
+    let chosen = select("preset", &preset_arg, "all", &names);
+    presets.retain(|p| chosen.contains(&p.name));
+    std::fs::create_dir_all(&sweep.out_dir).expect("create --out dir");
 
     println!(
         "simtest sweep: {} preset(s) x {} (protocol, mode) combo(s) x {} profile(s) x {} seed(s), ranks={}",

@@ -95,15 +95,23 @@ impl Args {
                 Ok(t) => Ok(Some(t)),
                 Err(_) => Err(format!("--{key}: cannot parse {v:?}")),
             },
-            None if self.flag(key) => Err(format!("--{key}: missing value")),
+            None if self.flags.iter().any(|f| f == key) => Err(format!("--{key}: missing value")),
             None => Ok(None),
         }
     }
 
-    /// Boolean flag presence.
+    /// Boolean flag presence; a switch given a value (`--unoptimized yes`)
+    /// exits like [`Args::get`]'s usage errors.
     pub fn flag(&self, key: &str) -> bool {
+        self.try_flag(key).unwrap_or_else(|msg| die(&msg))
+    }
+
+    fn try_flag(&self, key: &str) -> Result<bool, String> {
         self.read.borrow_mut().insert(key.to_owned());
-        self.flags.iter().any(|f| f == key)
+        match self.values.get(key) {
+            Some(v) => Err(format!("--{key} takes no value (got {v:?})")),
+            None => Ok(self.flags.iter().any(|f| f == key)),
+        }
     }
 
     /// Call once every flag the program understands has been looked up,
@@ -258,6 +266,11 @@ pub fn die(msg: &str) -> ! {
     std::process::exit(2)
 }
 
+/// Unwrap, or exit 2 with the error as the one `error:` line.
+pub fn or_die<T, E: Display>(result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| die(&e.to_string()))
+}
+
 /// A printable/CSV-able table of rows.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -369,6 +382,20 @@ mod tests {
     fn flag_at_end_without_value() {
         let a = args("--verbose");
         assert!(a.flag("verbose"));
+    }
+
+    #[test]
+    fn a_switch_given_a_value_is_an_error() {
+        let a = args("--unoptimized yes --store S");
+        assert_eq!(
+            a.try_flag("unoptimized"),
+            Err("--unoptimized takes no value (got \"yes\")".into())
+        );
+        assert_eq!(
+            a.try_flag("store"),
+            Err("--store takes no value (got \"S\")".into())
+        );
+        assert_eq!(a.try_flag("absent"), Ok(false));
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! RNN-Descent is a separate pass over the built graph
 //! ([`crate::rnn_optimize_distributed`]).
 
+use nnd::NnDescentParams;
+
 /// How many of the Section 4.3 communication-saving techniques are active:
 /// a ladder whose rungs each add one technique to the rung below. The paper
 /// evaluates the bottom rung (Figure 1a) against the top one (Figure 1b);
@@ -56,17 +58,11 @@ impl CommOpts {
 /// Full DNND configuration. Defaults follow Section 5.1.3.
 #[derive(Debug, Clone, Copy)]
 pub struct DnndConfig {
-    /// Neighbors per vertex in the output graph (`K`).
-    pub k: usize,
-    /// Sample rate `rho` (paper: 0.8).
-    pub rho: f64,
-    /// Early-termination threshold `delta` (paper: 0.001).
-    pub delta: f64,
-    /// Hard iteration cap.
-    pub max_iters: usize,
-    /// RNG seed. The graph is a function of the seed and the inputs, at
-    /// every rank count and under every fault plan.
-    pub seed: u64,
+    /// Algorithm 1's parameters — `K`, `rho`, `delta`, the iteration cap
+    /// and the seed — as the shared-memory builder takes them. The graph is
+    /// a function of the seed and the inputs, at every rank count and
+    /// under every fault plan.
+    pub descent: NnDescentParams,
     /// Global number of neighbor-check requests issued between barriers
     /// (Section 4.4; the paper uses 2^25–2^30 at billion scale — scale this
     /// with your dataset).
@@ -83,11 +79,7 @@ impl DnndConfig {
     /// Paper defaults for a given `k`, optimized protocol.
     pub fn new(k: usize) -> Self {
         DnndConfig {
-            k,
-            rho: 0.8,
-            delta: 0.001,
-            max_iters: 60,
-            seed: 0xD00D,
+            descent: NnDescentParams::new(k).seed(0xD00D),
             batch_size: 1 << 16,
             opts: CommOpts::optimized(),
             graph_opt_m: None,
@@ -96,36 +88,32 @@ impl DnndConfig {
 
     /// Set the seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.descent.seed = seed;
         self
     }
 
     /// Set `rho`.
     pub fn rho(mut self, rho: f64) -> Self {
-        assert!(rho > 0.0 && rho <= 1.0);
-        self.rho = rho;
-        self
+        self.descent.rho = rho;
+        nnd::checked(self, "DnndConfig", Self::validate)
     }
 
     /// Set `delta`.
     pub fn delta(mut self, delta: f64) -> Self {
-        assert!(delta >= 0.0);
-        self.delta = delta;
-        self
+        self.descent.delta = delta;
+        nnd::checked(self, "DnndConfig", Self::validate)
     }
 
     /// Set the iteration cap.
     pub fn max_iters(mut self, n: usize) -> Self {
-        assert!(n >= 1);
-        self.max_iters = n;
-        self
+        self.descent.max_iters = n;
+        nnd::checked(self, "DnndConfig", Self::validate)
     }
 
     /// Set the global per-batch request budget.
     pub fn batch_size(mut self, b: u64) -> Self {
-        assert!(b >= 1);
         self.batch_size = b;
-        self
+        nnd::checked(self, "DnndConfig", Self::validate)
     }
 
     /// Set the communication-saving rung.
@@ -136,9 +124,20 @@ impl DnndConfig {
 
     /// Enable the post-descent graph optimization with prune factor `m`.
     pub fn graph_opt(mut self, m: f64) -> Self {
-        assert!(m >= 1.0, "paper requires m >= 1");
         self.graph_opt_m = Some(m);
-        self
+        nnd::checked(self, "DnndConfig", Self::validate)
+    }
+
+    /// Algorithm 1's domain, a batch of at least 1, and [`nnd::prune_limit`].
+    pub fn validate(&self) -> Result<(), String> {
+        self.descent.validate()?;
+        if self.batch_size < 1 {
+            return Err("batch_size must be >= 1 (got 0)".into());
+        }
+        if let Some(m) = self.graph_opt_m {
+            nnd::prune_limit(self.descent.k, m)?;
+        }
+        Ok(())
     }
 }
 
@@ -149,9 +148,10 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = DnndConfig::new(10);
-        assert_eq!(c.k, 10);
-        assert_eq!(c.rho, 0.8);
-        assert_eq!(c.delta, 0.001);
+        assert_eq!(c.descent.k, 10);
+        assert_eq!(c.descent.rho, 0.8);
+        assert_eq!(c.descent.delta, 0.001);
+        assert_eq!(c.descent.seed, 0xD00D);
         assert_eq!(c.opts, CommOpts::optimized());
     }
 
@@ -164,12 +164,48 @@ mod tests {
             .max_iters(3)
             .batch_size(128)
             .comm_opts(CommOpts::unoptimized());
-        assert_eq!(c.seed, 1);
-        assert_eq!(c.rho, 0.5);
-        assert_eq!(c.delta, 0.01);
-        assert_eq!(c.max_iters, 3);
+        assert_eq!(c.descent.seed, 1);
+        assert_eq!(c.descent.rho, 0.5);
+        assert_eq!(c.descent.delta, 0.01);
+        assert_eq!(c.descent.max_iters, 3);
         assert_eq!(c.batch_size, 128);
         assert_eq!(c.opts, CommOpts::Unoptimized);
+    }
+
+    #[test]
+    fn validate_states_the_domain_at_its_edges() {
+        // (field, value, accepted): each edge of what the configuration adds
+        // to Algorithm 1's parameters, and one of those it forwards.
+        let rows = [
+            ("batch_size", 0.0, false),
+            ("batch_size", 1.0, true),
+            ("m", 1.0 - f64::EPSILON, false),
+            ("m", 1.0, true),
+            ("m", f64::NAN, false),
+            ("rho", 0.0, false),
+            ("rho", 1.0, true),
+            ("max_iters", 0.0, false),
+            ("max_iters", 1.0, true),
+        ];
+        for (field, v, accepted) in rows {
+            let mut direct = DnndConfig::new(10);
+            match field {
+                "batch_size" => direct.batch_size = v as u64,
+                "m" => direct.graph_opt_m = Some(v),
+                "rho" => direct.descent.rho = v,
+                _ => direct.descent.max_iters = v as usize,
+            }
+            let verdict = direct.validate();
+            assert_eq!(verdict.is_ok(), accepted, "{field} = {v}: {verdict:?}");
+            let built = testutil::panic_message(move || match field {
+                "batch_size" => DnndConfig::new(10).batch_size(v as u64),
+                "m" => DnndConfig::new(10).graph_opt(v),
+                "rho" => DnndConfig::new(10).rho(v),
+                _ => DnndConfig::new(10).max_iters(v as usize),
+            });
+            let want = verdict.err().map(|e| format!("DnndConfig: {e}"));
+            assert_eq!(built, want, "{field} = {v}");
+        }
     }
 
     #[test]

@@ -230,8 +230,10 @@ where
     P: Point,
     M: BatchMetric<P>,
 {
-    assert!(set.len() >= 2, "need at least two points");
-    assert!(cfg.k >= 1 && cfg.k < set.len(), "require 1 <= k < N");
+    let verdict = cfg
+        .validate()
+        .and_then(|()| nnd::check_k(cfg.descent.k, set.len()));
+    verdict.unwrap_or_else(|e| panic!("invalid DnndConfig: {e}"));
     // One id -> slot table for the whole world, built once.
     let slots = Arc::new(Partitioner::new(world.n_ranks()).slot_table(set.len()));
     let report = world.run(|comm| {
@@ -303,7 +305,7 @@ where
     let n = set.len();
     let dim = set.dim().max(1);
     let owned = part.owned_ids(n, comm.rank());
-    let st = Rc::new(RefCell::new(State::new(slots, owned.len(), cfg.k)));
+    let st = Rc::new(RefCell::new(State::new(slots, owned.len(), cfg.descent.k)));
     // Per-set norm cache (Section "cached-norm preprocessing"): each rank
     // computes the squared norms once up front so every dot-form distance
     // afterwards skips both norm recomputations. A real deployment would
@@ -316,15 +318,15 @@ where
     // ---- Phase 1: random initialization ------------------------------------
     comm.trace_begin("init");
     let quota = (cfg.batch_size / comm.n_ranks() as u64).max(1) as usize;
-    let mut chosen: Vec<PointId> = Vec::with_capacity(cfg.k);
+    let mut chosen: Vec<PointId> = Vec::with_capacity(cfg.descent.k);
     let mut buckets = Buckets::default();
     let mut dbuf: Vec<f32> = Vec::new();
     batched(comm, owned.len(), quota.max(1), |i| {
         let v = owned[i];
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ (u64::from(v) << 20));
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.descent.seed ^ (u64::from(v) << 20));
         chosen.clear();
         let mut guard = 0;
-        while chosen.len() < cfg.k && guard < 100 * cfg.k {
+        while chosen.len() < cfg.descent.k && guard < 100 * cfg.descent.k {
             let u: PointId = rng.gen_range(0..n as PointId);
             if u != v && !chosen.contains(&u) {
                 chosen.push(u);
@@ -353,8 +355,8 @@ where
     comm.trace_end("init");
 
     // ---- Phase 2: descent iterations ----------------------------------------
-    let max_sample = ((cfg.rho * cfg.k as f64).round() as usize).max(1);
-    let threshold = ((cfg.delta * cfg.k as f64 * n as f64) as u64).max(1);
+    let max_sample = ((cfg.descent.rho * cfg.descent.k as f64).round() as usize).max(1);
+    let threshold = ((cfg.descent.delta * cfg.descent.k as f64 * n as f64) as u64).max(1);
     let mut iterations = 0;
     let mut updates_per_iter = Vec::new();
 
@@ -365,7 +367,7 @@ where
     let mut joins = Joins::default();
     let mut weights: Vec<usize> = Vec::new();
 
-    for iter in 0..cfg.max_iters {
+    for iter in 0..cfg.descent.max_iters {
         comm.trace_begin_arg("iteration", iter as u64);
         // Snapshot each owned heap's membership: the iteration's update
         // count `c` is the number of ids present at iteration end but not
@@ -396,7 +398,7 @@ where
             let mut s = st.borrow_mut();
             for (i, &v) in owned.iter().enumerate() {
                 let mut rng = ChaCha8Rng::seed_from_u64(
-                    cfg.seed ^ 0xA11CE ^ (u64::from(v) << 18) ^ (iter as u64),
+                    cfg.descent.seed ^ 0xA11CE ^ (u64::from(v) << 18) ^ (iter as u64),
                 );
                 let heap = s.heaps.row(i);
                 // The heap's array layout depends on the order updates
@@ -425,7 +427,7 @@ where
         comm.trace_begin("reverse_exchange");
         let mut order: Vec<usize> = (0..owned.len()).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(
-            cfg.seed ^ 0x5F0F ^ (iter as u64) ^ ((comm.rank() as u64) << 32),
+            cfg.descent.seed ^ 0x5F0F ^ (iter as u64) ^ ((comm.rank() as u64) << 32),
         );
         order.shuffle(&mut rng);
         batched(comm, order.len(), quota, |i| {
@@ -448,7 +450,7 @@ where
             let mut s = st.borrow_mut();
             for (i, &v) in owned.iter().enumerate() {
                 let mut rng = ChaCha8Rng::seed_from_u64(
-                    cfg.seed ^ 0xBEE ^ (u64::from(v) << 18) ^ (iter as u64),
+                    cfg.descent.seed ^ 0xBEE ^ (u64::from(v) << 18) ^ (iter as u64),
                 );
                 let mut union_sample = |fwd: &mut Vec<PointId>, rev: &mut Vec<PointId>| {
                     // The reverse lists arrive in an order that is a
@@ -546,7 +548,8 @@ where
     // ---- Phase 3: optional distributed graph optimization -------------------
     let rows: RankRows = if let Some(m) = cfg.graph_opt_m {
         comm.trace_begin("graph_optimize");
-        let rows = optimize_distributed(comm, &st, &owned, part, cfg, m, quota);
+        let limit = nnd::prune_limit(cfg.descent.k, m).expect("validated by build");
+        let rows = optimize_distributed(comm, &st, &owned, part, limit, quota);
         comm.trace_end("graph_optimize");
         rows
     } else {
@@ -662,17 +665,16 @@ impl Joins {
 }
 
 /// Section 4.5 as a distributed pass: ship every edge `v -> u` to
-/// `owner(u)` as a reverse edge, merge + dedup + prune to `ceil(k * m)`.
+/// `owner(u)` as a reverse edge, merge + dedup + prune to `limit`
+/// ([`nnd::prune_limit`]).
 fn optimize_distributed(
     comm: &Comm,
     st: &Rc<RefCell<State>>,
     owned: &[PointId],
     part: Partitioner,
-    cfg: DnndConfig,
-    m: f64,
+    limit: usize,
     quota: usize,
 ) -> RankRows {
-    assert!(m >= 1.0, "paper requires m >= 1");
     batched(comm, owned.len(), quota, |i| {
         let v = owned[i];
         let edges = st.borrow().heaps.sorted_edges(i);
@@ -680,7 +682,6 @@ fn optimize_distributed(
             comm.async_send(part.owner(u), TAG_OPT_EDGE, &(u, v, d));
         }
     });
-    let limit = ((cfg.k as f64) * m).ceil() as usize;
     let mut s = st.borrow_mut();
     (owned.iter().enumerate())
         .map(|(i, &v)| {

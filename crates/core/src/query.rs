@@ -80,37 +80,25 @@ pub struct DistSearchParams {
 impl DistSearchParams {
     /// Defaults: pure greedy, `l` entries.
     pub fn new(l: usize) -> Self {
-        assert!(
-            l >= 1,
-            "DistSearchParams: l (results per query) must be >= 1"
-        );
-        DistSearchParams {
+        let params = DistSearchParams {
             l,
             epsilon: 0.0,
             entry_candidates: 0,
             seed: 0xD15C,
-        }
+        };
+        nnd::checked(params, "DistSearchParams", Self::validate)
     }
 
-    /// Set epsilon. Rejects NaN and negative values — both would silently
-    /// corrupt the frontier-relaxation comparison.
+    /// Set epsilon. NaN and negative values are refused — both would
+    /// silently corrupt the frontier-relaxation comparison.
     pub fn epsilon(mut self, e: f32) -> Self {
-        assert!(
-            e.is_finite() && e >= 0.0,
-            "DistSearchParams: epsilon must be finite and >= 0 (got {e})"
-        );
         self.epsilon = e;
-        self
+        nnd::checked(self, "DistSearchParams", Self::validate)
     }
 
-    /// Set the number of random entry points (>= 1; the default of `l`
-    /// entries is selected by not calling this).
+    /// Set the number of random entry points (at least `l` are always
+    /// used, so 0 means `l`).
     pub fn entry_candidates(mut self, n: usize) -> Self {
-        assert!(
-            n >= 1,
-            "DistSearchParams: entry_candidates must be >= 1 \
-             (omit the call to default to l entries)"
-        );
         self.entry_candidates = n;
         self
     }
@@ -121,19 +109,9 @@ impl DistSearchParams {
         self
     }
 
-    /// Check the invariants the builders enforce (useful when fields were
-    /// filled directly, e.g. from CLI flags).
+    /// The search's domain, shared with the shared-memory search.
     pub fn validate(&self) -> Result<(), String> {
-        if self.l < 1 {
-            return Err("l (results per query) must be >= 1".into());
-        }
-        if !self.epsilon.is_finite() || self.epsilon < 0.0 {
-            return Err(format!(
-                "epsilon must be finite and >= 0 (got {})",
-                self.epsilon
-            ));
-        }
-        Ok(())
+        nnd::check_beam(self.l, self.epsilon)
     }
 }
 
@@ -548,9 +526,9 @@ where
         masks: &[Option<Arc<IdMask>>],
         params: DistSearchParams,
     ) -> (Vec<Vec<PointId>>, Vec<QueryProfile>) {
-        params
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid DistSearchParams: {e}"));
+        let n = self.base.len();
+        let verdict = params.validate().and_then(|()| nnd::check_l(params.l, n));
+        verdict.unwrap_or_else(|e| panic!("invalid DistSearchParams: {e}"));
         assert!(
             masks.is_empty() || masks.len() == requests.len(),
             "run_batch: masks must be empty or request-aligned \
@@ -560,9 +538,7 @@ where
         );
         let part = Partitioner::new(comm.n_ranks());
         let me = comm.rank() as u32;
-        let n = self.base.len();
         let relax = 1.0 + params.epsilon;
-        assert!(params.l <= n, "l exceeds dataset size");
 
         // --- seed entry points -------------------------------------------
         // Each query starts on a retired state when there is one. Replies
@@ -675,10 +651,10 @@ where
     M: BatchMetric<P>,
 {
     assert_eq!(graph.len(), base.len(), "graph and base disagree on N");
-    assert!(params.l >= 1 && params.l <= base.len());
-    params
+    let verdict = params
         .validate()
-        .unwrap_or_else(|e| panic!("invalid DistSearchParams: {e}"));
+        .and_then(|()| nnd::check_l(params.l, base.len()));
+    verdict.unwrap_or_else(|e| panic!("invalid DistSearchParams: {e}"));
     let report = world.run(|comm| {
         let engine = SearchEngine::new(comm, Arc::clone(base), Arc::clone(graph), metric.clone());
         // Home queries round-robin.
@@ -891,15 +867,43 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "epsilon")]
-    fn nan_epsilon_is_rejected() {
-        let _ = DistSearchParams::new(10).epsilon(f32::NAN);
+    fn validate_states_the_domain_at_its_edges() {
+        // (field, value, accepted): each edge from both sides.
+        let rows = [
+            ("l", 0.0, false),
+            ("l", 1.0, true),
+            ("epsilon", -f32::MIN_POSITIVE, false),
+            ("epsilon", 0.0, true),
+            ("epsilon", f32::MAX, true),
+            ("epsilon", f32::INFINITY, false),
+            ("epsilon", f32::NAN, false),
+        ];
+        for (field, v, accepted) in rows {
+            let mut direct = DistSearchParams::new(10);
+            match field {
+                "l" => direct.l = v as usize,
+                _ => direct.epsilon = v,
+            }
+            let verdict = direct.validate();
+            assert_eq!(verdict.is_ok(), accepted, "{field} = {v}: {verdict:?}");
+            let built = testutil::panic_message(move || match field {
+                "l" => DistSearchParams::new(v as usize),
+                _ => DistSearchParams::new(10).epsilon(v),
+            });
+            let want = verdict.err().map(|e| format!("DistSearchParams: {e}"));
+            assert_eq!(built, want, "{field} = {v}");
+        }
+        // Entry candidates have no domain: 0 means `l` starts.
+        DistSearchParams::new(10)
+            .entry_candidates(0)
+            .validate()
+            .unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "entry_candidates")]
-    fn zero_entry_candidates_is_rejected() {
-        let _ = DistSearchParams::new(10).entry_candidates(0);
+    #[should_panic(expected = "epsilon")]
+    fn nan_epsilon_is_rejected() {
+        let _ = DistSearchParams::new(10).epsilon(f32::NAN);
     }
 
     #[test]

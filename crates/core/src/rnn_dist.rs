@@ -383,6 +383,9 @@ where
     M: BatchMetric<P>,
 {
     assert_eq!(graph.len(), base.len(), "graph and base set disagree on N");
+    params
+        .validate()
+        .unwrap_or_else(|e| panic!("invalid RnnParams: {e}"));
     let graph = Arc::new(graph.clone());
     let n = graph.len();
     let slots = Arc::new(Partitioner::new(world.n_ranks()).slot_table(n));

@@ -15,6 +15,18 @@ pub type Edge = (PointId, f32);
 /// uses `m = 1.5` throughout.
 pub const PRUNE_M: f64 = 1.5;
 
+/// The Section 4.5 prune limit `ceil(k * m)`, stated once; the paper requires `m >= 1`.
+pub fn prune_limit(k: usize, m: f64) -> Result<usize, String> {
+    if m.is_nan() || m < 1.0 {
+        return Err(format!("m must be at least 1 (got {m})"));
+    }
+    let limit = (k as f64 * m).ceil() as usize;
+    if limit < 1 {
+        return Err(format!("the prune limit must be >= 1 (got k = {k})"));
+    }
+    Ok(limit)
+}
+
 /// An adjacency-list k-NN graph. Row `v` holds `v`'s approximate nearest
 /// neighbors sorted ascending by `(distance, id)`. After construction every
 /// row has exactly `k` entries; after [`KnnGraph::merge_reverse`] rows may
@@ -159,9 +171,7 @@ impl KnnGraph {
     /// executable applies them — reverse merge, then prune to `k * m`.
     /// Equal to `self.merge_reverse().prune(ceil(k * m))`.
     pub fn optimize(&self, k: usize, m: f64) -> KnnGraph {
-        assert!(m >= 1.0, "paper requires m >= 1");
-        let limit = (k as f64 * m).ceil() as usize;
-        assert!(limit >= 1);
+        let limit = prune_limit(k, m).unwrap_or_else(|e| panic!("KnnGraph::optimize: {e}"));
         self.merged(limit)
     }
 
@@ -221,6 +231,25 @@ impl KnnGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn prune_limit_states_m_and_the_limit_at_their_edges() {
+        assert_eq!(prune_limit(10, 1.0), Ok(10));
+        assert_eq!(prune_limit(10, PRUNE_M), Ok(15));
+        assert_eq!(prune_limit(3, 1.5), Ok(5));
+        for m in [1.0 - f64::EPSILON, 0.0, f64::NAN] {
+            assert_eq!(
+                prune_limit(10, m),
+                Err(format!("m must be at least 1 (got {m})"))
+            );
+        }
+        assert!(prune_limit(0, 1.5).unwrap_err().contains("got k = 0"));
+        let built = testutil::panic_message(|| diamond().optimize(2, 0.5));
+        assert_eq!(
+            built.as_deref(),
+            Some("KnnGraph::optimize: m must be at least 1 (got 0.5)")
+        );
+    }
 
     fn diamond() -> KnnGraph {
         // 0 -> {1, 2}, 1 -> {0}, 2 -> {3}, 3 -> {}

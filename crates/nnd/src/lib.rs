@@ -51,13 +51,22 @@ pub mod rnn;
 pub mod rptree;
 pub mod search;
 
-pub use graph::{Edge, KnnGraph, PRUNE_M};
+pub use graph::{prune_limit, Edge, KnnGraph, PRUNE_M};
 pub use heap::{Neighbor, NeighborHeap, NeighborTable};
-pub use nndescent::{build, build_with_init, BuildStats, NnDescentParams};
+pub use nndescent::{build, build_with_init, check_k, BuildStats, NnDescentParams};
 pub use refine::{insert_points, refine, remove_points};
 pub use rnn::{rnn_optimize, RnnParams, RnnStats};
 pub use rptree::{rp_forest_candidates, RpForestParams};
 pub use search::{
-    search, search_batch, search_batch_traced, BatchResult, EntrySampler, SearchParams,
-    SearchResult,
+    check_beam, check_l, search, search_batch, search_batch_traced, BatchResult, EntrySampler,
+    SearchParams, SearchResult,
 };
+
+/// A parameter builder's one check: `value` if its `validate` accepts it,
+/// else a panic naming the type and the invariant it broke.
+pub fn checked<T>(value: T, what: &str, validate: fn(&T) -> Result<(), String>) -> T {
+    if let Err(e) = validate(&value) {
+        panic!("{what}: {e}");
+    }
+    value
+}

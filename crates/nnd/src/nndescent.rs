@@ -51,13 +51,14 @@ pub struct NnDescentParams {
 impl NnDescentParams {
     /// Paper defaults for a given `k`.
     pub fn new(k: usize) -> Self {
-        NnDescentParams {
+        let params = NnDescentParams {
             k,
             rho: 0.8,
             delta: 0.001,
             max_iters: 60,
             seed: 0x5EED,
-        }
+        };
+        crate::checked(params, "NnDescentParams", Self::validate)
     }
 
     /// Set the RNG seed.
@@ -68,23 +69,52 @@ impl NnDescentParams {
 
     /// Set the sample rate `rho`.
     pub fn rho(mut self, rho: f64) -> Self {
-        assert!(rho > 0.0 && rho <= 1.0);
         self.rho = rho;
-        self
+        crate::checked(self, "NnDescentParams", Self::validate)
     }
 
     /// Set the termination threshold `delta`.
     pub fn delta(mut self, delta: f64) -> Self {
-        assert!(delta >= 0.0);
         self.delta = delta;
-        self
+        crate::checked(self, "NnDescentParams", Self::validate)
     }
 
     /// Set the iteration cap.
     pub fn max_iters(mut self, n: usize) -> Self {
         self.max_iters = n;
-        self
+        crate::checked(self, "NnDescentParams", Self::validate)
     }
+
+    /// Algorithm 1's domain, stated once for this crate and `dnnd`.
+    pub fn validate(&self) -> Result<(), String> {
+        let NnDescentParams { rho, delta, .. } = *self;
+        if self.k < 1 {
+            return Err("k must be >= 1 (got 0)".into());
+        }
+        if !(rho > 0.0 && rho <= 1.0) {
+            return Err(format!("rho must be in (0, 1] (got {rho})"));
+        }
+        if !(delta.is_finite() && delta >= 0.0) {
+            return Err(format!("delta must be finite and >= 0 (got {delta})"));
+        }
+        if self.max_iters < 1 {
+            return Err("max_iters must be >= 1 (got 0)".into());
+        }
+        Ok(())
+    }
+}
+
+/// `k` against the point count, stated once: at least 2 points and `1 <= k < N`.
+pub fn check_k(k: usize, n: usize) -> Result<(), String> {
+    if n < 2 {
+        return Err(format!("the dataset must have at least 2 points (got {n})"));
+    }
+    if k < 1 || k >= n {
+        return Err(format!(
+            "k must be >= 1 and below the dataset size {n} (got {k})"
+        ));
+    }
+    Ok(())
 }
 
 /// Counters describing one construction run.
@@ -117,8 +147,8 @@ pub fn build_with_init<P: Point, M: BatchMetric<P>>(
     init: Option<&[Vec<PointId>]>,
 ) -> (KnnGraph, BuildStats) {
     let n = set.len();
-    assert!(n >= 2, "need at least two points");
-    assert!(params.k >= 1 && params.k < n, "require 1 <= k < N");
+    let verdict = params.validate().and_then(|()| check_k(params.k, n));
+    verdict.unwrap_or_else(|e| panic!("invalid NnDescentParams: {e}"));
     let k = params.k;
     // One-time per-set preprocessing (cached squared norms for the dot-
     // product metric family); handed to every batched evaluation below.
@@ -690,7 +720,67 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "1 <= k < N")]
+    fn validate_states_the_domain_at_its_edges() {
+        // (field, value, accepted): each edge from both sides.
+        let rows = [
+            ("k", 0.0, false),
+            ("k", 1.0, true),
+            ("rho", 0.0, false),
+            ("rho", f64::MIN_POSITIVE, true),
+            ("rho", 1.0, true),
+            ("rho", 1.0 + f64::EPSILON, false),
+            ("rho", f64::NAN, false),
+            ("delta", -f64::MIN_POSITIVE, false),
+            ("delta", 0.0, true),
+            ("delta", f64::MAX, true),
+            ("delta", f64::INFINITY, false),
+            ("delta", f64::NAN, false),
+            ("max_iters", 0.0, false),
+            ("max_iters", 1.0, true),
+        ];
+        for (field, v, accepted) in rows {
+            let mut direct = NnDescentParams::new(10);
+            match field {
+                "k" => direct.k = v as usize,
+                "rho" => direct.rho = v,
+                "delta" => direct.delta = v,
+                _ => direct.max_iters = v as usize,
+            }
+            let verdict = direct.validate();
+            assert_eq!(verdict.is_ok(), accepted, "{field} = {v}: {verdict:?}");
+            let built = testutil::panic_message(move || match field {
+                "k" => NnDescentParams::new(v as usize),
+                "rho" => NnDescentParams::new(10).rho(v),
+                "delta" => NnDescentParams::new(10).delta(v),
+                _ => NnDescentParams::new(10).max_iters(v as usize),
+            });
+            let want = verdict.err().map(|e| format!("NnDescentParams: {e}"));
+            assert_eq!(built, want, "{field} = {v}");
+        }
+    }
+
+    #[test]
+    fn check_k_states_k_against_the_point_count() {
+        let at_least_2 = "the dataset must have at least 2 points (got 1)";
+        assert_eq!(check_k(1, 1), Err(at_least_2.to_string()));
+        for (k, n, accepted) in [
+            (0, 2, false),
+            (1, 2, true),
+            (2, 2, false),
+            (9, 10, true),
+            (10, 10, false),
+        ] {
+            let verdict = check_k(k, n);
+            assert_eq!(verdict.is_ok(), accepted, "k {k}, n {n}: {verdict:?}");
+        }
+        assert_eq!(
+            check_k(10, 10),
+            Err("k must be >= 1 and below the dataset size 10 (got 10)".into())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "below the dataset size")]
     fn k_ge_n_rejected() {
         let set = uniform(5, 2, 1);
         let _ = build(&set, &L2, NnDescentParams::new(5));

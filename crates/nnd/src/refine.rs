@@ -16,7 +16,7 @@
 
 use crate::graph::{Edge, KnnGraph};
 use crate::heap::NeighborTable;
-use crate::nndescent::{descend, BuildStats, NnDescentParams, Theta};
+use crate::nndescent::{check_k, descend, BuildStats, NnDescentParams, Theta};
 use crate::search::{Scratch, SearchParams};
 use dataset::batch::{BatchMetric, NormCache};
 use dataset::order::sort_edges;
@@ -76,7 +76,8 @@ pub fn refine<P: Point, M: BatchMetric<P>>(
 ) -> (KnnGraph, BuildStats) {
     let (n_old, n, k) = (graph.len(), base.len(), params.k);
     assert!(n >= n_old, "base must cover the graph");
-    assert!(k >= 1, "require k >= 1");
+    let verdict = params.validate().and_then(|()| check_k(k, n));
+    verdict.unwrap_or_else(|e| panic!("invalid NnDescentParams: {e}"));
     // Out of the graph: a row the input has empty, or does not have yet.
     let out = |u: PointId| graph.rows.get(u as usize).is_none_or(Vec::is_empty);
 

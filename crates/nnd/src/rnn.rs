@@ -66,34 +66,45 @@ impl RnnParams {
     /// lowered to 8 because rounds converge (zero flagged pairs) long
     /// before 20 at the scales this repo simulates.
     pub fn new(k0: usize) -> Self {
-        assert!(k0 >= 1, "k0 must be >= 1");
-        RnnParams {
+        let params = RnnParams {
             t1: 3,
             t2: 8,
             k0,
             r: 3 * k0,
-        }
+        };
+        crate::checked(params, "RnnParams", Self::validate)
     }
 
     /// Set the outer round count.
     pub fn t1(mut self, t1: usize) -> Self {
-        assert!(t1 >= 1, "t1 must be >= 1");
         self.t1 = t1;
-        self
+        crate::checked(self, "RnnParams", Self::validate)
     }
 
     /// Set the inner round cap.
     pub fn t2(mut self, t2: usize) -> Self {
-        assert!(t2 >= 1, "t2 must be >= 1");
         self.t2 = t2;
-        self
+        crate::checked(self, "RnnParams", Self::validate)
     }
 
     /// Set the working-row capacity.
     pub fn r(mut self, r: usize) -> Self {
-        assert!(r >= self.k0, "require r >= k0");
         self.r = r;
-        self
+        crate::checked(self, "RnnParams", Self::validate)
+    }
+
+    /// The pass's domain, stated once for both RNN passes.
+    pub fn validate(&self) -> Result<(), String> {
+        let RnnParams { t1, t2, k0, r } = *self;
+        for (name, value) in [("k0", k0), ("t1", t1), ("t2", t2)] {
+            if value < 1 {
+                return Err(format!("{name} must be >= 1 (got 0)"));
+            }
+        }
+        if r < k0 {
+            return Err(format!("require r >= k0 (got r = {r}, k0 = {k0})"));
+        }
+        Ok(())
     }
 }
 
@@ -459,6 +470,9 @@ pub fn rnn_optimize<P: Point, M: BatchMetric<P>>(
     params: RnnParams,
 ) -> (KnnGraph, RnnStats) {
     assert_eq!(graph.len(), base.len(), "graph and base set disagree on N");
+    params
+        .validate()
+        .unwrap_or_else(|e| panic!("invalid RnnParams: {e}"));
     let cache = metric.preprocess(base);
     let mut st = RnnState::from_graph(graph, params);
     st.add_reverse_edges();
@@ -601,6 +615,40 @@ mod tests {
             rnn.edge_count(),
             rp.edge_count()
         );
+    }
+
+    #[test]
+    fn validate_states_the_domain_at_its_edges() {
+        // (field, value, accepted) against `RnnParams::new(4)`.
+        let rows = [
+            ("k0", 0, false),
+            ("k0", 1, true),
+            ("t1", 0, false),
+            ("t1", 1, true),
+            ("t2", 0, false),
+            ("t2", 1, true),
+            ("r", 3, false),
+            ("r", 4, true),
+        ];
+        for (field, v, accepted) in rows {
+            let mut direct = RnnParams::new(4);
+            match field {
+                "k0" => direct.k0 = v,
+                "t1" => direct.t1 = v,
+                "t2" => direct.t2 = v,
+                _ => direct.r = v,
+            }
+            let verdict = direct.validate();
+            assert_eq!(verdict.is_ok(), accepted, "{field} = {v}: {verdict:?}");
+            let built = testutil::panic_message(move || match field {
+                "k0" => RnnParams::new(v),
+                "t1" => RnnParams::new(4).t1(v),
+                "t2" => RnnParams::new(4).t2(v),
+                _ => RnnParams::new(4).r(v),
+            });
+            let want = verdict.err().map(|e| format!("RnnParams: {e}"));
+            assert_eq!(built, want, "{field} = {v}");
+        }
     }
 
     #[test]

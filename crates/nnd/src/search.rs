@@ -52,23 +52,20 @@ pub struct SearchParams {
 impl SearchParams {
     /// Pure greedy search for `l` neighbors.
     pub fn new(l: usize) -> Self {
-        SearchParams {
+        let params = SearchParams {
             l,
             epsilon: 0.0,
             seed: 0xCAFE,
             entry_candidates: 0,
-        }
+        };
+        crate::checked(params, "SearchParams", Self::validate)
     }
 
-    /// Set `epsilon`. Rejects NaN, infinite and negative values: each
+    /// Set `epsilon`. NaN, infinite and negative values are refused: each
     /// would silently corrupt the frontier-relaxation bound.
     pub fn epsilon(mut self, e: f32) -> Self {
-        assert!(
-            e.is_finite() && e >= 0.0,
-            "SearchParams: epsilon must be finite and >= 0 (got {e})"
-        );
         self.epsilon = e;
-        self
+        crate::checked(self, "SearchParams", Self::validate)
     }
 
     /// Set the entry-point seed.
@@ -82,6 +79,30 @@ impl SearchParams {
         self.entry_candidates = n;
         self
     }
+
+    /// The search's domain: [`check_beam`]. Every query calls it.
+    pub fn validate(&self) -> Result<(), String> {
+        check_beam(self.l, self.epsilon)
+    }
+}
+
+/// The beam's domain, stated once for both engines: `l >= 1`, `epsilon` finite `>= 0`.
+pub fn check_beam(l: usize, epsilon: f32) -> Result<(), String> {
+    if l < 1 {
+        return Err("l (results per query) must be >= 1".into());
+    }
+    if !(epsilon.is_finite() && epsilon >= 0.0) {
+        return Err(format!("epsilon must be finite and >= 0 (got {epsilon})"));
+    }
+    Ok(())
+}
+
+/// `l` against the point count, stated once: at most the `n` points of the base.
+pub fn check_l(l: usize, n: usize) -> Result<(), String> {
+    if l > n {
+        return Err(format!("l must be at most the dataset size {n} (got {l})"));
+    }
+    Ok(())
 }
 
 /// Result of one query: neighbors ascending by `(distance, id)` plus the
@@ -198,7 +219,8 @@ impl Scratch {
         let n = base.len();
         assert_eq!(graph.len(), n, "graph and base set disagree on N");
         assert_eq!(self.epochs.len(), n, "scratch sized for a different N");
-        assert!(params.l >= 1 && params.l <= n);
+        let verdict = params.validate().and_then(|()| check_l(params.l, n));
+        verdict.unwrap_or_else(|e| panic!("invalid SearchParams: {e}"));
 
         // New query: bump the epoch; on wraparound do the rare full clear.
         self.epoch = self.epoch.wrapping_add(1);
@@ -380,6 +402,49 @@ mod tests {
     use dataset::metric::L2;
     use dataset::recall::mean_recall;
     use dataset::synth::{gaussian_mixture, split_queries, uniform, MixtureParams};
+
+    #[test]
+    fn validate_states_the_domain_at_its_edges() {
+        // (field, value, accepted): each edge from both sides.
+        let rows = [
+            ("l", 0.0, false),
+            ("l", 1.0, true),
+            ("epsilon", -f32::MIN_POSITIVE, false),
+            ("epsilon", 0.0, true),
+            ("epsilon", f32::MAX, true),
+            ("epsilon", f32::INFINITY, false),
+            ("epsilon", f32::NAN, false),
+        ];
+        for (field, v, accepted) in rows {
+            let mut direct = SearchParams::new(10);
+            match field {
+                "l" => direct.l = v as usize,
+                _ => direct.epsilon = v,
+            }
+            let verdict = direct.validate();
+            assert_eq!(verdict.is_ok(), accepted, "{field} = {v}: {verdict:?}");
+            let built = testutil::panic_message(move || match field {
+                "l" => SearchParams::new(v as usize),
+                _ => SearchParams::new(10).epsilon(v),
+            });
+            let want = verdict.err().map(|e| format!("SearchParams: {e}"));
+            assert_eq!(built, want, "{field} = {v}");
+        }
+        // Entry candidates have no domain: 0 means `l` starts.
+        SearchParams::new(10)
+            .entry_candidates(0)
+            .validate()
+            .unwrap();
+    }
+
+    #[test]
+    fn check_l_states_l_against_the_point_count() {
+        assert_eq!(check_l(10, 10), Ok(()));
+        assert_eq!(
+            check_l(11, 10),
+            Err("l must be at most the dataset size 10 (got 11)".into())
+        );
+    }
 
     fn small_graph() -> (PointSet<Vec<f32>>, KnnGraph) {
         let set = uniform(300, 4, 3);

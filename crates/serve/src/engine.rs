@@ -350,6 +350,15 @@ pub struct ServeOutcome {
     pub forensics: QueryForensicsSection,
 }
 
+impl ServeOutcome {
+    /// Mean recall of the answered queries against one `truth` row per pool id.
+    pub fn answered_recall(&self, truth: &[Vec<PointId>]) -> f64 {
+        let recalls =
+            (self.answers.iter()).map(|(_, q, ids)| dataset::recall_single(ids, &truth[*q]));
+        recalls.sum::<f64>() / self.answers.len().max(1) as f64
+    }
+}
+
 /// Count `n` more queries at `slots` in the sorted histogram `hist`.
 fn bump(hist: &mut Vec<(u64, u64)>, slots: u64, n: u64) {
     match hist.binary_search_by_key(&slots, |&(s, _)| s) {
@@ -1042,6 +1051,17 @@ impl Default for VdbServeConfig {
     }
 }
 
+impl VdbServeConfig {
+    /// The configuration's domain: a compaction watermark in `(0, 1]`.
+    pub fn validate(&self) -> Result<(), String> {
+        let w = self.compact_watermark;
+        if !(w > 0.0 && w <= 1.0) {
+            return Err(format!("compact_watermark must be in (0, 1] (got {w})"));
+        }
+        Ok(())
+    }
+}
+
 /// The namespaced product layer behind [`VdbHooks`]: one replicated
 /// [`vdb::Collection`] per rank, mutated on slot boundaries by pure PRFs
 /// of the serve seed, with a mask cache keyed on the canonical predicate
@@ -1242,11 +1262,8 @@ pub fn serve_vdb_on_comm<M>(
 where
     M: BatchMetric<Vec<f32>>,
 {
-    assert!(
-        cfg.compact_watermark > 0.0 && cfg.compact_watermark <= 1.0,
-        "compact_watermark must be in (0, 1], got {}",
-        cfg.compact_watermark
-    );
+    cfg.validate()
+        .unwrap_or_else(|e| panic!("invalid VdbServeConfig: {e}"));
     let base = Arc::new(collection.base.clone());
     let graph = Arc::new(collection.graph.clone());
     let ns_fnv = metall::checksum::fnv1a(collection.name().as_bytes());
@@ -1310,6 +1327,27 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn vdb_config_validate_states_the_watermark_at_its_edges() {
+        for (w, accepted) in [
+            (0.0, false),
+            (f64::MIN_POSITIVE, true),
+            (1.0, true),
+            (1.0 + f64::EPSILON, false),
+            (f64::NAN, false),
+        ] {
+            let cfg = VdbServeConfig {
+                compact_watermark: w,
+                ..VdbServeConfig::default()
+            };
+            let verdict = cfg.validate();
+            assert_eq!(verdict.is_ok(), accepted, "{w}: {verdict:?}");
+            if let Err(e) = verdict {
+                assert_eq!(e, format!("compact_watermark must be in (0, 1] (got {w})"));
+            }
+        }
+    }
 
     #[test]
     fn degrade_ladder_shapes() {

@@ -87,7 +87,7 @@ impl ServeParams {
     /// Set the workload scenario.
     pub fn workload(mut self, spec: WorkloadSpec) -> Self {
         self.workload = spec;
-        self.checked()
+        nnd::checked(self, "ServeParams", Self::validate)
     }
 
     /// Parse and set the workload scenario from a `--workload` spec
@@ -109,55 +109,46 @@ impl ServeParams {
     /// Set the offered load.
     pub fn offered_qps(mut self, qps: f64) -> Self {
         self.offered_qps = qps;
-        self.checked()
+        nnd::checked(self, "ServeParams", Self::validate)
     }
 
     /// Set the workload length.
     pub fn n_arrivals(mut self, n: usize) -> Self {
         self.n_arrivals = n;
-        self.checked()
+        nnd::checked(self, "ServeParams", Self::validate)
     }
 
     /// Set the hot-pool skew: draw fraction and pool size.
     pub fn hot_set(mut self, fraction: f64, pool: usize) -> Self {
         self.hot_fraction = fraction;
         self.hot_pool = pool;
-        self.checked()
+        nnd::checked(self, "ServeParams", Self::validate)
     }
 
     /// Set the micro-batch size B.
     pub fn batch(mut self, b: usize) -> Self {
         self.batch = b;
-        self.checked()
+        nnd::checked(self, "ServeParams", Self::validate)
     }
 
     /// Set the per-query deadline budget in slots.
     pub fn deadline_slots(mut self, s: u64) -> Self {
         self.deadline_slots = s;
-        self.checked()
+        nnd::checked(self, "ServeParams", Self::validate)
     }
 
     /// Set the degrade/shed queue-depth watermarks.
     pub fn watermarks(mut self, degrade: usize, shed: usize) -> Self {
         self.degrade_watermark = degrade;
         self.shed_watermark = shed;
-        self.checked()
+        nnd::checked(self, "ServeParams", Self::validate)
     }
 
     /// Set the cache capacity (0 disables) and key quantization step.
     pub fn cache(mut self, capacity: usize, quant_step: f32) -> Self {
         self.cache_capacity = capacity;
         self.quant_step = quant_step;
-        self.checked()
-    }
-
-    /// The builders' one check: the value they return passes
-    /// [`Self::validate`], or they panic with its message.
-    fn checked(self) -> Self {
-        if let Err(e) = self.validate() {
-            panic!("ServeParams: {e}");
-        }
-        self
+        nnd::checked(self, "ServeParams", Self::validate)
     }
 
     /// Check every invariant of a parameter set — the one statement of

@@ -30,6 +30,12 @@ impl io::Write for FailAfter {
     }
 }
 
+/// The message `f` panicked with, or `None` when it returned.
+pub fn panic_message<T>(f: impl FnOnce() -> T + std::panic::UnwindSafe) -> Option<String> {
+    let payload = std::panic::catch_unwind(f).err()?;
+    payload.downcast_ref::<String>().cloned()
+}
+
 /// RAII temp directory: created unique per test, removed on drop — also
 /// when the test panics, so failed runs don't leak shard directories into
 /// the system temp dir.

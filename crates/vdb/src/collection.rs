@@ -172,12 +172,7 @@ impl Collection {
                 meta.len()
             ));
         }
-        if points.is_empty() {
-            return Err("cannot create an empty collection".into());
-        }
-        if k < 1 || k >= points.len() {
-            return Err(format!("k = {k} out of range for {} points", points.len()));
-        }
+        nnd::check_k(k, points.len())?;
         let graph = dataset::with_metric!(ELEM, metric, P, m => {
             let (g, _) = nnd::build(&points, &m, NnDescentParams::new(k).seed(seed));
             g.optimize(k, nnd::PRUNE_M)

@@ -44,16 +44,7 @@ fn construct<P: StoredPoint, M: BatchMetric<P>>(
     cfg: DnndConfig,
     store_dir: &str,
 ) -> (Store, BuildReport) {
-    let n = set.len();
-    if n < 2 {
-        die(&format!(
-            "the dataset must have at least 2 points (got {n})"
-        ));
-    }
-    if cfg.k >= n {
-        let k = cfg.k;
-        die(&format!("--k must be below the dataset size {n} (got {k})"));
-    }
+    or_die(nnd::check_k(cfg.descent.k, set.len()));
     let mut store = Store::open_or_create(store_dir)
         .unwrap_or_else(|e| die(&format!("cannot open store {store_dir}: {e}")));
     let set = Arc::new(set);
@@ -70,48 +61,34 @@ fn main() {
         die("--input <file|preset:NAME> is required");
     }
     let store_dir = store_flag(&args);
-    let k: usize = args.get("k", 10);
-    // The protocol flags default to the paper's values `DnndConfig::new`
-    // holds.
-    let paper = DnndConfig::new(k);
+    // Every protocol flag defaults to the paper's value `DnndConfig::new`
+    // holds, and the configuration's own `validate` judges the set.
+    let mut cfg = DnndConfig::new(10);
+    cfg.descent.k = args.get("k", cfg.descent.k);
     let ranks: usize = args.get("ranks", 8);
     let n: usize = args.get("n", 2_000);
-    let seed: u64 = args.get("seed", paper.seed);
+    cfg.descent.seed = args.get("seed", cfg.descent.seed);
     let metric_name: String = args.get("metric", "l2".to_string());
     let elem_name: String = args.get("elem", "f32".to_string());
-    let (rho, delta): (f64, f64) = (args.get("rho", paper.rho), args.get("delta", paper.delta));
-    let batch_size: u64 = args.get("batch-size", paper.batch_size);
-    let unoptimized = args.flag("unoptimized");
+    cfg.descent.rho = args.get("rho", cfg.descent.rho);
+    cfg.descent.delta = args.get("delta", cfg.descent.delta);
+    cfg.batch_size = args.get("batch-size", cfg.batch_size);
+    if args.flag("unoptimized") {
+        cfg.opts = CommOpts::unoptimized();
+    }
     let outs = ObsOuts::parse(&args);
     let fault_profile: String = args.get("fault-profile", String::new());
     let sim_seed: u64 = args.get("sim-seed", 0);
     args.finish();
 
-    // The builders assert their parameter domains; a flag outside them is
-    // the user's error, reported before anything is created.
+    // A flag outside the domain is the user's error, reported before
+    // anything is created.
     let elem = Elem::from_name(&elem_name)
         .unwrap_or_else(|| die(&format!("--elem must be f32 or u8 (got {elem_name:?})")));
-    require_at_least_1(&[
-        ("k", k as u64),
-        ("ranks", ranks as u64),
-        ("batch-size", batch_size),
-    ]);
-    if !(rho > 0.0 && rho <= 1.0) {
-        die(&format!("--rho must be above 0 and at most 1 (got {rho})"));
-    }
-    if !(delta >= 0.0 && delta.is_finite()) {
-        die(&format!("--delta must be finite and >= 0 (got {delta})"));
-    }
+    require_at_least_1("ranks", ranks);
+    or_die(cfg.validate());
     let plan = parse_fault_plan(&fault_profile, sim_seed);
-
-    let mut cfg = paper
-        .seed(seed)
-        .rho(rho)
-        .delta(delta)
-        .batch_size(batch_size);
-    if unoptimized {
-        cfg = cfg.comm_opts(CommOpts::unoptimized());
-    }
+    let (k, seed) = (cfg.descent.k, cfg.descent.seed);
 
     let tracer = outs.tracer(ranks);
     let mut world = World::new(ranks);

@@ -67,9 +67,7 @@ fn reverse_prune_mode(
 ) {
     let m: f64 = args.get("m", nnd::PRUNE_M);
     args.finish();
-    if m.is_nan() || m < 1.0 {
-        die(&format!("--m must be at least 1 (got {m})"));
-    }
+    or_die(nnd::prune_limit(s.k, m));
     // Graph optimization is a driver-side (single-process) pass, so the
     // trace has one track.
     let tracer = outs.tracer(1);
@@ -113,22 +111,20 @@ fn reverse_prune_mode(
 /// The RNN-Descent mode: distributed occlusion pruning over `--ranks`
 /// simulated ranks, written to `rnn/`.
 fn rnn_mode(args: &Args, s: &mut Session, store_dir: &str, graph: KnnGraph, outs: &ObsOuts) {
+    // The defaults are `RnnParams::new(k0)`'s (`r` scales with `k0`; a
+    // `k0` of 0 is left for `validate` to refuse).
     let k0: usize = args.get("k0", s.k);
-    require_at_least_1(&[("k0", k0 as u64)]);
-    let mut params = RnnParams::new(k0);
-    let (t1, t2): (usize, usize) = (args.get("t1", params.t1), args.get("t2", params.t2));
+    let defaults = RnnParams::new(k0.max(1));
+    let params = RnnParams {
+        k0,
+        t1: args.get("t1", defaults.t1),
+        t2: args.get("t2", defaults.t2),
+        r: args.get("r", defaults.r),
+    };
     let ranks: usize = args.get("ranks", 4);
-    require_at_least_1(&[
-        ("t1", t1 as u64),
-        ("t2", t2 as u64),
-        ("ranks", ranks as u64),
-    ]);
-    let r: usize = args.get("r", params.r);
     args.finish();
-    if r < k0 {
-        die(&format!("--r must be at least --k0 = {k0} (got {r})"));
-    }
-    params = params.t1(t1).t2(t2).r(r);
+    require_at_least_1("ranks", ranks);
+    or_die(params.validate());
     let tracer = outs.tracer(ranks);
     let mut world = World::new(ranks);
     if let Some(t) = &tracer {

@@ -20,7 +20,7 @@ use bench::{Args, ObsOuts};
 use dataset::batch::BatchMetric;
 use dataset::io;
 use dataset::{brute_force_queries, mean_recall, PointSet};
-use dnnd_repro::cli::{check_l, die, or_die, query_pool, store_flag, Session, StoredPoint};
+use dnnd_repro::cli::{die, or_die, query_pool, store_flag, Session, StoredPoint};
 use nnd::{search_batch_traced, KnnGraph, SearchParams};
 
 /// Numbers main needs back from the generic query run for the run report.
@@ -32,21 +32,16 @@ struct QuerySummary {
     recall: f64,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run<P: StoredPoint, M: BatchMetric<P>>(
     base: PointSet<P>,
     graph: &KnnGraph,
     metric: M,
     queries: PointSet<P>,
     gt_ids: Option<Vec<Vec<u32>>>,
-    l: usize,
-    epsilon: f32,
-    entries: usize,
+    params: SearchParams,
     tracer: Option<&obs::Tracer>,
 ) -> QuerySummary {
-    let params = SearchParams::new(l)
-        .epsilon(epsilon)
-        .entry_candidates(entries);
+    let (l, epsilon) = (params.l, params.epsilon);
     let batch = search_batch_traced(graph, &base, &metric, &queries, params, tracer);
     println!(
         "answered {} queries at {:.0} qps ({} distance evals total)",
@@ -86,14 +81,15 @@ fn run<P: StoredPoint, M: BatchMetric<P>>(
 fn main() {
     let args = Args::parse();
     let store_dir = store_flag(&args);
-    let l: usize = args.get("l", 10);
-    let epsilon: f32 = args.get("epsilon", 0.2);
-    if !epsilon.is_finite() || epsilon < 0.0 {
-        die(&format!(
-            "--epsilon must be finite and >= 0 (got {epsilon})"
-        ));
-    }
-    let entries: usize = args.get("entries", 32);
+    // The search the flags describe, judged by its own `validate`.
+    let defaults = SearchParams::new(10).epsilon(0.2).entry_candidates(32);
+    let params = SearchParams {
+        l: args.get("l", defaults.l),
+        epsilon: args.get("epsilon", defaults.epsilon),
+        entry_candidates: args.get("entries", defaults.entry_candidates),
+        ..defaults
+    };
+    or_die(params.validate());
     let self_queries: usize = args.get("self-queries", 0);
     let query_file: String = args.get("queries", String::new());
     let gt_file: String = args.get("gt", String::new());
@@ -110,7 +106,7 @@ fn main() {
         "knng"
     };
     let graph = s.graph(graph_key);
-    check_l(l, graph.len());
+    or_die(nnd::check_l(params.l, graph.len()));
     println!(
         "serving {} graph: {} vertices, {} edges ({}, {})",
         graph_key,
@@ -137,9 +133,7 @@ fn main() {
             metric,
             queries,
             gt_ids,
-            l,
-            epsilon,
-            entries,
+            params,
             tracer.as_deref(),
         )
     });
@@ -152,9 +146,9 @@ fn main() {
         rr.distance_evals = summary.distance_evals;
         rr.recall = Some(summary.recall);
         rr.param("store", &store_dir)
-            .param("l", l)
-            .param("epsilon", epsilon)
-            .param("entries", entries)
+            .param("l", params.l)
+            .param("epsilon", params.epsilon)
+            .param("entries", params.entry_candidates)
             .param("metric", &s.metric)
             .param("graph", graph_key);
         rr.extra.push(("qps".into(), summary.qps));

@@ -28,7 +28,7 @@
 
 use bench::{Args, ObsOuts};
 use dnnd_repro::cli::{
-    check_l, die, or_die, parse_fault_plan, query_pool, require_at_least_1, store_flag, Session,
+    die, or_die, parse_fault_plan, query_pool, require_at_least_1, store_flag, Session,
 };
 use metall::Store;
 use serve::{run_serve, run_serve_vdb, slow_query_log, ServeParams, VdbServeConfig, VdbServeStats};
@@ -42,13 +42,13 @@ fn main() {
     let ranks: usize = args.get("ranks", 2);
     let pool_n: usize = args.get("pool", 32);
     let query_file: String = args.get("queries", String::new());
-    let l: usize = args.get("l", 10);
-    require_at_least_1(&[("ranks", ranks as u64), ("l", l as u64)]);
+    require_at_least_1("ranks", ranks);
 
-    // Serving parameters: each flag defaults to `ServeParams::new`'s
+    // Serving parameters: each flag defaults to `ServeParams::default`'s
     // value, and the set is validated in one place so a bad flag dies with
     // the invariant it broke.
-    let mut params = ServeParams::new(l);
+    let mut params = ServeParams::default();
+    params.search.l = args.get("l", params.search.l);
     params.search.epsilon = args.get("epsilon", params.search.epsilon);
     params.search.entry_candidates = args.get("entries", params.search.entry_candidates);
     params.serve_seed = args.get("serve-seed", params.serve_seed);
@@ -92,19 +92,17 @@ fn main() {
     // `filter:`+`mutate:` workload clauses become meaningful.
     let namespace: String = args.get("namespace", String::new());
     let filter_text: String = args.get("filter", String::new());
-    let compact_watermark: Option<f64> = args.opt("compact-watermark");
+    let mut cfg = VdbServeConfig::default();
+    cfg.compact_watermark = args.get("compact-watermark", cfg.compact_watermark);
     let graph_flag: String = args.get("graph", "auto".to_string());
     let slow_log: String = args.get("slow-query-log", String::new());
     args.finish();
     if namespace.is_empty() && !filter_text.is_empty() {
         die("--filter requires --namespace (predicates apply to collection metadata)");
     }
-    if let Some(w) = compact_watermark.filter(|w| !(*w > 0.0 && *w <= 1.0)) {
-        die(&format!("--compact-watermark must be in (0, 1] (got {w})"));
-    }
+    or_die(cfg.validate());
 
     let (outcome, wr, metric_name, graph_key) = if !namespace.is_empty() {
-        let mut cfg = VdbServeConfig::default();
         if !filter_text.is_empty() {
             cfg.filter = Some(
                 filter_text
@@ -112,7 +110,6 @@ fn main() {
                     .unwrap_or_else(|e| die(&format!("invalid --filter predicate: {e}"))),
             );
         }
-        cfg.compact_watermark = compact_watermark.unwrap_or(cfg.compact_watermark);
 
         // One metadata-only open on the driver: metric dispatch and the
         // query pool come from here; `run_serve_vdb` re-opens per rank.
@@ -121,7 +118,7 @@ fn main() {
         let collection = vdb::Collection::open(&store, &namespace)
             .unwrap_or_else(|e| die(&format!("cannot open namespace {namespace:?}: {e}")));
         let metric_name = collection.metric().to_string();
-        check_l(l, collection.base.len());
+        or_die(nnd::check_l(params.search.l, collection.base.len()));
         let pool = Arc::new(query_pool(&collection.base, &query_file, pool_n, "pool"));
         println!(
             "serving namespace {:?} online: {} points ({} live), epoch {}, k={} ({metric_name}, {ranks} ranks)",
@@ -152,7 +149,7 @@ fn main() {
         })
         .unwrap_or_else(|e| die(&e));
         let graph = s.graph(graph_key);
-        check_l(l, graph.len());
+        or_die(nnd::check_l(params.search.l, graph.len()));
         println!(
             "serving {} graph online: {} vertices, {} edges ({}, {}, {ranks} ranks)",
             graph_key,

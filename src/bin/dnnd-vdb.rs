@@ -20,7 +20,7 @@
 use bench::Args;
 use dataset::synth::MixtureParams;
 use dataset::{io, PointId, PointSet};
-use dnnd_repro::cli::{die, or_die, store_flag};
+use dnnd_repro::cli::{die, or_die, require_at_least_1, store_flag};
 use metall::Store;
 use vdb::{Collection, MetaRecord, Predicate};
 
@@ -37,6 +37,7 @@ fn load_vectors(args: &Args, seed: u64) -> PointSet<Vec<f32>> {
             io::read_fvecs(&file).unwrap_or_else(|e| die(&format!("bad --vectors file: {e}")))
         }
         (true, n) if n > 0 => {
+            require_at_least_1("dim", dim);
             dataset::synth::gaussian_mixture(MixtureParams::embedding_like(n, dim), seed)
         }
         _ => die("need exactly one of --vectors <fvecs> or --synthetic <n> [--dim <d>]"),

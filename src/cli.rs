@@ -18,14 +18,13 @@
 //! [`Session`] is the one reader of that layout; `dataset::with_metric!`
 //! is the one dispatch from the stored `(elem, metric)` pair to typed code.
 
-pub use bench::die;
 use bench::Args;
+pub use bench::{die, or_die};
 use dataset::io;
 use dataset::point::Point;
 use dataset::set::PointSet;
 use metall::{Persist, Result as StoreResult, Store};
 use nnd::KnnGraph;
-use std::fmt::Display;
 use std::path::Path;
 
 /// Which dense element type a store holds.
@@ -56,11 +55,6 @@ impl Elem {
     }
 }
 
-/// Unwrap, or exit 2 with the error as the one `error:` line.
-pub fn or_die<T, E: Display>(result: Result<T, E>) -> T {
-    result.unwrap_or_else(|e| die(&e.to_string()))
-}
-
 /// The required `--store <dir>` flag.
 pub fn store_flag(args: &Args) -> String {
     let dir: String = args.get("store", String::new());
@@ -70,21 +64,12 @@ pub fn store_flag(args: &Args) -> String {
     dir
 }
 
-/// Count-valued flags the builders assert to be positive.
-pub fn require_at_least_1(flags: &[(&str, u64)]) {
-    for (flag, value) in flags {
-        if *value == 0 {
-            die(&format!("--{flag} must be at least 1 (got 0)"));
-        }
-    }
-}
-
-/// `--l` against the number of indexed points.
-pub fn check_l(l: usize, n: usize) {
-    if l < 1 || l > n {
-        die(&format!(
-            "--l must be between 1 and the dataset size {n} (got {l})"
-        ));
+/// Counts no library type owns (`--ranks`, `dnnd-vdb --dim`): each must
+/// be positive. Every other domain is the library's, whose `validate` or
+/// bound function the executables forward with [`or_die`].
+pub fn require_at_least_1(flag: &str, value: usize) {
+    if value == 0 {
+        die(&format!("--{flag} must be at least 1 (got 0)"));
     }
 }
 

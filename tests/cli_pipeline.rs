@@ -273,31 +273,31 @@ fn bad_flag_exits_2_on_every_binary() {
         (
             env!("CARGO_BIN_EXE_dnnd-query"),
             format!("--store {store} --self-queries 20 --epsilon nan"),
-            "error: --epsilon must be finite and >= 0 (got NaN)",
+            "error: epsilon must be finite and >= 0 (got NaN)",
         ),
         (
             env!("CARGO_BIN_EXE_dnnd-query"),
             format!("--store {store} --self-queries 20 --epsilon -0.5"),
-            "error: --epsilon must be finite and >= 0 (got -0.5)",
+            "error: epsilon must be finite and >= 0 (got -0.5)",
         ),
         (
             env!("CARGO_BIN_EXE_dnnd-query"),
             format!("--store {store} --self-queries 20 --l 0"),
-            "error: --l must be between 1 and the dataset size 200 (got 0)",
+            "error: l (results per query) must be >= 1",
         ),
         (
             env!("CARGO_BIN_EXE_dnnd-query"),
             format!("--store {store} --self-queries 20 --l 100000"),
-            "error: --l must be between 1 and the dataset size 200 (got 100000)",
+            "error: l must be at most the dataset size 200 (got 100000)",
         ),
         // Construction flags outside the builder's domain (each was a
         // panic, `--elem u16` a silent f32 build), checked before the store
         // is created; the dataset's size against `--k` once it is loaded.
-        (construct_bin, format!("{on_fresh} --k 0"), "error: --k must be at least 1 (got 0)"),
+        (construct_bin, format!("{on_fresh} --k 0"), "error: k must be >= 1 (got 0)"),
         (
             construct_bin,
             format!("{on_fresh} --k 10 --n 5"),
-            "error: --k must be below the dataset size 5 (got 10)",
+            "error: k must be >= 1 and below the dataset size 5 (got 10)",
         ),
         (
             construct_bin,
@@ -312,22 +312,34 @@ fn bad_flag_exits_2_on_every_binary() {
         (
             construct_bin,
             format!("{on_fresh} --rho 0"),
-            "error: --rho must be above 0 and at most 1 (got 0)",
+            "error: rho must be in (0, 1] (got 0)",
         ),
         (
             construct_bin,
             format!("{on_fresh} --rho 7"),
-            "error: --rho must be above 0 and at most 1 (got 7)",
+            "error: rho must be in (0, 1] (got 7)",
         ),
         (
             construct_bin,
             format!("{on_fresh} --delta -1"),
-            "error: --delta must be finite and >= 0 (got -1)",
+            "error: delta must be finite and >= 0 (got -1)",
+        ),
+        (
+            construct_bin,
+            format!("{on_fresh} --delta inf"),
+            "error: delta must be finite and >= 0 (got inf)",
         ),
         (
             construct_bin,
             format!("{on_fresh} --batch-size 0"),
-            "error: --batch-size must be at least 1 (got 0)",
+            "error: batch_size must be >= 1 (got 0)",
+        ),
+        // A switch given a value swallowed it: `--unoptimized yes` built
+        // with the optimized protocol.
+        (
+            construct_bin,
+            format!("{on_fresh} --unoptimized yes"),
+            "error: --unoptimized takes no value (got \"yes\")",
         ),
         (
             construct_bin,
@@ -350,12 +362,12 @@ fn bad_flag_exits_2_on_every_binary() {
         (
             env!("CARGO_BIN_EXE_dnnd-serve"),
             format!("--store {store} --l 0"),
-            "error: --l must be at least 1 (got 0)",
+            "error: invalid serving parameters: l (results per query) must be >= 1",
         ),
         (
             env!("CARGO_BIN_EXE_dnnd-serve"),
             format!("--store {store} --l 100000"),
-            "error: --l must be between 1 and the dataset size 200 (got 100000)",
+            "error: l must be at most the dataset size 200 (got 100000)",
         ),
         (
             env!("CARGO_BIN_EXE_dnnd-query"),
@@ -395,7 +407,17 @@ fn bad_flag_exits_2_on_every_binary() {
         (
             env!("CARGO_BIN_EXE_dnnd-optimize"),
             format!("--store {store} --opt-mode rnn --k0 0"),
-            "error: --k0 must be at least 1 (got 0)",
+            "error: k0 must be >= 1 (got 0)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-optimize"),
+            format!("--store {store} --opt-mode rnn --t1 0"),
+            "error: t1 must be >= 1 (got 0)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-optimize"),
+            format!("--store {store} --opt-mode rnn --k0 4 --r 3"),
+            "error: require r >= k0 (got r = 3, k0 = 4)",
         ),
         // The serving graph is a store prefix the store must hold, and the
         // workload and filter strings are parsed before anything runs.
@@ -440,28 +462,33 @@ fn bad_flag_exits_2_on_every_binary() {
         (
             serve_bin,
             format!("{on_prod} --compact-watermark 1.5"),
-            "error: --compact-watermark must be in (0, 1] (got 1.5)",
+            "error: compact_watermark must be in (0, 1] (got 1.5)",
         ),
         (
             serve_bin,
             format!("{on_prod} --compact-watermark 0"),
-            "error: --compact-watermark must be in (0, 1] (got 0)",
+            "error: compact_watermark must be in (0, 1] (got 0)",
         ),
         (
             serve_bin,
             format!("{on_prod} --compact-watermark nan"),
-            "error: --compact-watermark must be in (0, 1] (got NaN)",
+            "error: compact_watermark must be in (0, 1] (got NaN)",
         ),
         (
             env!("CARGO_BIN_EXE_dnnd-optimize"),
             format!("--store {store} --m 0.5"),
-            "error: --m must be at least 1 (got 0.5)",
+            "error: m must be at least 1 (got 0.5)",
         ),
         // A refused `dnnd-vdb create` is refused before the store exists.
         (
             env!("CARGO_BIN_EXE_dnnd-vdb"),
             format!("create --store {fresh} --namespace prod --synthetic 100 --k 0"),
-            "error: k = 0 out of range for 100 points",
+            "error: k must be >= 1 and below the dataset size 100 (got 0)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-vdb"),
+            format!("create --store {fresh} --namespace prod --synthetic 100 --dim 0"),
+            "error: --dim must be at least 1 (got 0)",
         ),
         (
             env!("CARGO_BIN_EXE_dnnd-vdb"),

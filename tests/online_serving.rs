@@ -3,14 +3,14 @@
 //! reruns *and* rank counts) and the overload behavior (shedding keeps
 //! tail latency bounded while answered-query quality holds).
 
-use dataset::set::{PointId, PointSet};
+use dataset::set::PointSet;
 use dataset::synth::{gaussian_mixture, split_queries, MixtureParams};
 use dataset::{brute_force_queries, L2};
 use dnnd::{build, DnndConfig};
 use nnd::graph::KnnGraph;
 use nnd::RnnParams;
 use proptest::prelude::*;
-use serve::{run_serve, slow_query_log, ServeOutcome, ServeParams, SLOT_NS};
+use serve::{run_serve, slow_query_log, ServeParams, SLOT_NS};
 use std::sync::Arc;
 use ygm::World;
 
@@ -33,16 +33,6 @@ fn setup(n: usize, pool: usize, seed: u64) -> Setup {
         DnndConfig::new(10).seed(7).graph_opt(1.5),
     );
     (base, Arc::new(out.graph), Arc::new(queries))
-}
-
-/// Mean recall of the *answered* queries against brute-force truth.
-fn answered_recall(outcome: &ServeOutcome, truth: &[Vec<PointId>], k: usize) -> f64 {
-    let mut total = 0.0;
-    for (_, pool_id, ids) in &outcome.answers {
-        let hits = ids.iter().filter(|id| truth[*pool_id].contains(id)).count();
-        total += hits as f64 / k as f64;
-    }
-    total / outcome.answers.len() as f64
 }
 
 #[test]
@@ -104,7 +94,7 @@ fn overload_sheds_but_keeps_tail_latency_bounded_and_quality_high() {
         .batch(4);
     let (calm, _) = run_serve(&World::new(2), &base, &graph, &pool, &L2, &unloaded);
     assert_eq!(calm.stats.shed_overload, 0, "trickle load shed queries");
-    let calm_recall = answered_recall(&calm, &truth.ids, 10);
+    let calm_recall = calm.answered_recall(&truth.ids);
     assert!(calm_recall > 0.8, "unloaded recall {calm_recall}");
 
     // Overload: ~2x the arrival rate the frontend can drain. Shedding and
@@ -133,7 +123,7 @@ fn overload_sheds_but_keeps_tail_latency_bounded_and_quality_high() {
         s.percentile_ns(0.99),
         bound_ns
     );
-    let hot_recall = answered_recall(&hot, &truth.ids, 10);
+    let hot_recall = hot.answered_recall(&truth.ids);
     assert!(
         hot_recall >= calm_recall - 0.05,
         "answered-query recall collapsed under load: {hot_recall} vs {calm_recall}"
