@@ -10,7 +10,7 @@
 //! 8-rank distributed run's span timeline and unified run report (the
 //! flags are `bench::ObsOuts`').
 
-use bench::{die, or_die, Args, ObsOuts, Table};
+use bench::{die, or_die, require_at_least_1, Args, ObsOuts, Table};
 use dataset::ground_truth::brute_force_queries;
 use dataset::metric::L2;
 use dataset::presets;
@@ -29,6 +29,7 @@ fn main() {
     let seed: u64 = args.get("seed", 91);
     let (dir, outs) = (args.out_dir(), ObsOuts::parse(&args));
     args.finish();
+    require_at_least_1("queries", n_queries);
     or_die(nnd::check_k(k, n));
 
     let (base, queries) = split_queries(presets::deep1b_like(n + n_queries, seed), n_queries);

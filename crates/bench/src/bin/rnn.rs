@@ -20,7 +20,7 @@
 //! distributed pass must be bit-identical across ranks {1, 2, 4} and
 //! across a rerun.
 
-use bench::{or_die, Args, ObsOuts, Table};
+use bench::{or_die, require_at_least_1, Args, ObsOuts, Table};
 use dataset::ground_truth::brute_force_queries;
 use dataset::metric::L2;
 use dataset::presets;
@@ -59,6 +59,8 @@ fn main() {
     let m: f64 = args.get("m", nnd::PRUNE_M);
     let (dir, outs) = (args.out_dir(), ObsOuts::parse(&args));
     args.finish();
+    require_at_least_1("ranks", ranks);
+    require_at_least_1("pool", pool_n);
     or_die(nnd::check_k(k, n));
     or_die(params.validate());
     or_die(nnd::prune_limit(k, m));

@@ -38,7 +38,7 @@
 //! baseline; the smoke shape also asserts the unfiltered point matches
 //! legacy (non-vdb) serving over the identical base + graph bit for bit.
 
-use bench::{or_die, Args, ObsOuts, Table};
+use bench::{or_die, require_at_least_1, Args, ObsOuts, Table};
 use dataset::ground_truth::brute_force_queries;
 use dataset::metric::L2;
 use dataset::presets;
@@ -72,6 +72,8 @@ fn main() {
     let vdb = args.flag("vdb");
     let (dir, outs) = (args.out_dir(), ObsOuts::parse(&args));
     args.finish();
+    require_at_least_1("ranks", ranks);
+    require_at_least_1("pool", pool_n);
     // Every point serves this shape over `n` points, at its own rate and
     // cache: judged once, here, by the library.
     or_die(nnd::check_k(k, n));

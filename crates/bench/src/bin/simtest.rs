@@ -36,7 +36,7 @@
 //! dispatches in a round are a function of what every rank flushed before
 //! the last meeting — neither depends on thread scheduling.
 
-use bench::{die, or_die, Args, ObsOuts, Table};
+use bench::{die, or_die, require_at_least_1, Args, ObsOuts, Table};
 use dataset::ground_truth::{brute_force_knng, GroundTruth};
 use dataset::metric::L2;
 use dataset::recall::mean_recall;
@@ -309,6 +309,7 @@ fn main() {
     let opt_mode_arg: String = args.get("opt-mode", "both".to_string());
     let preset_arg: String = args.get("preset", "all".to_string());
     args.finish();
+    require_at_least_1("ranks", sweep.ranks);
     or_die(nnd::check_k(k, n));
 
     // Replay mode: `--sim-seed S` runs exactly one seed (deterministically

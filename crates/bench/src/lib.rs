@@ -271,6 +271,16 @@ pub fn or_die<T, E: Display>(result: Result<T, E>) -> T {
     result.unwrap_or_else(|e| die(&e.to_string()))
 }
 
+/// Counts no library type owns (`--ranks`, `--pool`, `--queries`,
+/// `dnnd-vdb --dim`): each must be positive. Every other domain is the
+/// library's, whose `validate` or bound function the executables forward
+/// with [`or_die`].
+pub fn require_at_least_1(flag: &str, value: usize) {
+    if value == 0 {
+        die(&format!("--{flag} must be at least 1 (got 0)"));
+    }
+}
+
 /// A printable/CSV-able table of rows.
 #[derive(Debug, Clone)]
 pub struct Table {

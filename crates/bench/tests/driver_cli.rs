@@ -31,6 +31,16 @@ fn out_of_domain_flags_exit_2_on_every_driver() {
             "error: m must be at least 1 (got 0.5)",
         ),
         (
+            rnn,
+            "--smoke --ranks 0",
+            "error: --ranks must be at least 1 (got 0)",
+        ),
+        (
+            rnn,
+            "--smoke --pool 0",
+            "error: --pool must be at least 1 (got 0)",
+        ),
+        (
             serve,
             "--smoke --arrivals 0",
             "error: n_arrivals must be >= 1",
@@ -44,6 +54,16 @@ fn out_of_domain_flags_exit_2_on_every_driver() {
             serve,
             "--smoke --flash yes",
             "error: --flash takes no value (got \"yes\")",
+        ),
+        (
+            serve,
+            "--smoke --ranks 0",
+            "error: --ranks must be at least 1 (got 0)",
+        ),
+        (
+            serve,
+            "--smoke --pool 0",
+            "error: --pool must be at least 1 (got 0)",
         ),
         (
             simtest,
@@ -66,9 +86,19 @@ fn out_of_domain_flags_exit_2_on_every_driver() {
             "error: unknown --opt-mode \"bogus\" (default|rnn|both)",
         ),
         (
+            simtest,
+            "--ranks 0",
+            "error: --ranks must be at least 1 (got 0)",
+        ),
+        (
             dist_query,
             "--k 0",
             "error: k must be >= 1 and below the dataset size 1500 (got 0)",
+        ),
+        (
+            dist_query,
+            "--queries 0",
+            "error: --queries must be at least 1 (got 0)",
         ),
     ];
     let dir = TmpDir::new("driver-cli");

@@ -21,7 +21,9 @@ pub fn recall_single(approx: &[PointId], truth: &[PointId]) -> f64 {
 
 /// Mean recall over all queries. `approx[q]` is compared against the first
 /// `at` entries of `truth.ids[q]` (recall@`at`); pass `truth.ids[q].len()`
-/// sized lists and `at = k` for graph recall.
+/// sized lists and `at = k` for graph recall. An empty set of queries
+/// scores 1.0, so a caller that can be asked for zero queries refuses that
+/// count before it scores.
 pub fn mean_recall_at(approx: &[Vec<PointId>], truth: &GroundTruth, at: usize) -> f64 {
     assert_eq!(
         approx.len(),

@@ -1,6 +1,7 @@
 //! The k-nearest-neighbor graph `G` — NN-Descent's output — plus the two
-//! PyNNDescent graph optimizations the paper implements (Section 4.5):
-//! reverse-edge merging and neighborhood-size pruning.
+//! PyNNDescent graph optimizations the paper implements (Section 4.5),
+//! reverse-edge merging and neighborhood-size pruning, applied together by
+//! [`KnnGraph::optimize`].
 
 use crate::heap::NeighborTable;
 use dataset::order::sort_edges;
@@ -29,8 +30,9 @@ pub fn prune_limit(k: usize, m: f64) -> Result<usize, String> {
 
 /// An adjacency-list k-NN graph. Row `v` holds `v`'s approximate nearest
 /// neighbors sorted ascending by `(distance, id)`. After construction every
-/// row has exactly `k` entries; after [`KnnGraph::merge_reverse`] rows may
-/// be longer (bounded again by [`KnnGraph::prune`]).
+/// row has exactly `k` entries; after [`KnnGraph::optimize`] a row may hold
+/// up to `ceil(k * m)`, and after [`crate::remove_points`] a removed
+/// vertex's row is empty.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KnnGraph {
     pub(crate) rows: Vec<Vec<Edge>>,
@@ -91,31 +93,17 @@ impl KnnGraph {
         self.edge_count() * (4 + 4)
     }
 
-    /// The transposed adjacency: for every edge `v -> u`, an edge `u -> v`.
-    pub fn reversed(&self) -> KnnGraph {
-        let mut rows: Vec<Vec<Edge>> = vec![Vec::new(); self.len()];
-        for (v, edges) in self.rows.iter().enumerate() {
-            for &(u, d) in edges {
-                rows[u as usize].push((v as PointId, d));
-            }
-        }
-        KnnGraph::from_rows(rows)
-    }
-
-    /// Graph optimization 1 (Section 4.5): merge the transposed graph into
-    /// this one and deduplicate, producing a more densely connected graph
-    /// for ANN search. Under a symmetric metric forward and reverse copies
-    /// of an edge carry equal distances; if they ever differ (asymmetric
-    /// similarity functions are legal in NN-Descent) the smaller distance
-    /// is kept.
-    pub fn merge_reverse(&self) -> KnnGraph {
-        self.merged(usize::MAX)
-    }
-
-    /// [`KnnGraph::merge_reverse`] with every row cut to its `limit`
-    /// closest entries, in one pass: rows are sized by in-degree up front,
-    /// sorted once and cut in place.
-    fn merged(&self, limit: usize) -> KnnGraph {
+    /// Both Section 4.5 optimizations, as the paper's optimization
+    /// executable applies them. (1) Merge the transposed graph into this one
+    /// and deduplicate, producing a more densely connected graph for ANN
+    /// search. Under a symmetric metric forward and reverse copies of an
+    /// edge carry equal distances; if they ever differ (asymmetric
+    /// similarity functions are legal in NN-Descent) the smaller distance is
+    /// kept. (2) Clamp every row to its [`prune_limit`]`(k, m)` closest
+    /// entries (the paper uses `m = `[`PRUNE_M`]). One pass does both: rows
+    /// are sized by in-degree up front, sorted once and cut in place.
+    pub fn optimize(&self, k: usize, m: f64) -> KnnGraph {
+        let limit = prune_limit(k, m).unwrap_or_else(|e| panic!("KnnGraph::optimize: {e}"));
         let mut degree: Vec<usize> = self.rows.iter().map(Vec::len).collect();
         for &(u, _) in self.rows.iter().flatten() {
             degree[u as usize] += 1;
@@ -152,27 +140,6 @@ impl KnnGraph {
             row.truncate(kept);
         }
         KnnGraph { rows }
-    }
-
-    /// Graph optimization 2 (Section 4.5): clamp every neighborhood to the
-    /// `limit` closest entries (the paper uses `limit = k * m`, `m = `[`PRUNE_M`]).
-    pub fn prune(&self, limit: usize) -> KnnGraph {
-        assert!(limit >= 1);
-        KnnGraph {
-            rows: self
-                .rows
-                .iter()
-                .map(|r| r.iter().copied().take(limit).collect())
-                .collect(),
-        }
-    }
-
-    /// Convenience: both optimizations as the paper's optimization
-    /// executable applies them — reverse merge, then prune to `k * m`.
-    /// Equal to `self.merge_reverse().prune(ceil(k * m))`.
-    pub fn optimize(&self, k: usize, m: f64) -> KnnGraph {
-        let limit = prune_limit(k, m).unwrap_or_else(|e| panic!("KnnGraph::optimize: {e}"));
-        self.merged(limit)
     }
 
     /// Persist into `store` under `prefix` (CSR-style: offsets, ids, dists).
@@ -277,17 +244,9 @@ mod tests {
     }
 
     #[test]
-    fn reversed_transposes() {
-        let g = diamond().reversed();
-        assert_eq!(g.neighbors(0), &[(1, 1.0)]);
-        assert_eq!(g.neighbors(1), &[(0, 1.0)]);
-        assert_eq!(g.neighbors(2), &[(0, 2.0)]);
-        assert_eq!(g.neighbors(3), &[(2, 0.5)]);
-    }
-
-    #[test]
-    fn merge_reverse_adds_missing_back_edges_and_dedups() {
-        let g = diamond().merge_reverse();
+    fn merge_adds_missing_back_edges_and_dedups() {
+        // A limit of 4 = the vertex count: no merged row reaches it.
+        let g = diamond().optimize(4, 1.0);
         // 0 <-> 1 existed both ways: stays single after dedup.
         assert_eq!(g.neighbors(0), &[(1, 1.0), (2, 2.0)]);
         assert_eq!(g.neighbors(1), &[(0, 1.0)]);
@@ -295,13 +254,6 @@ mod tests {
         assert_eq!(g.neighbors(3), &[(2, 0.5)]);
         // 2 keeps 3 and gains 0.
         assert_eq!(g.neighbors(2), &[(3, 0.5), (0, 2.0)]);
-    }
-
-    #[test]
-    fn prune_keeps_closest() {
-        let g = KnnGraph::from_rows(vec![vec![(1, 1.0), (2, 2.0), (3, 3.0)]]);
-        let p = g.prune(2);
-        assert_eq!(p.neighbors(0), &[(1, 1.0), (2, 2.0)]);
     }
 
     #[test]
@@ -376,11 +328,5 @@ mod tests {
         let g = KnnGraph::from_table(&t);
         assert_eq!(g.neighbors(0), &[(1, 1.0), (5, 2.0)]);
         assert!(g.neighbors(1).is_empty());
-    }
-
-    #[test]
-    fn double_reverse_is_identity_for_symmetric_graphs() {
-        let g = KnnGraph::from_rows(vec![vec![(1, 1.0)], vec![(0, 1.0)]]);
-        assert_eq!(g.reversed().reversed(), g);
     }
 }

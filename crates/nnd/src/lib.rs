@@ -16,10 +16,11 @@
 //!   reached through [`search()`] (one query) and [`search_batch`] (one
 //!   scratch reused across the batch);
 //! * [`rptree`] — random-projection-forest initialization (extension);
-//! * [`mod@refine`] — incremental insert/remove with short refinement
-//!   passes (the paper's Section 7 future work): a table seeded with the
-//!   stored `(id, distance)` flagged old, only what changed flagged new,
-//!   then [`nndescent`]'s own descent loop;
+//! * [`mod@refine`] — incremental maintenance (the paper's Section 7 future
+//!   work): [`remove_points`] deletes without renumbering and names the
+//!   rows it shortened, and [`refine()`] inserts and re-converges — a table
+//!   seeded with the stored `(id, distance)` flagged old, only what changed
+//!   flagged new, then [`nndescent`]'s own descent loop;
 //! * [`rnn`] — RNN-Descent (relative-neighborhood descent with occlusion
 //!   pruning, after GRNND / `mini_rnn`): the second graph-optimization
 //!   mode, producing sparser graphs at equal recall (extension).
@@ -54,7 +55,7 @@ pub mod search;
 pub use graph::{prune_limit, Edge, KnnGraph, PRUNE_M};
 pub use heap::{Neighbor, NeighborHeap, NeighborTable};
 pub use nndescent::{build, build_with_init, check_k, BuildStats, NnDescentParams};
-pub use refine::{insert_points, refine, remove_points};
+pub use refine::{refine, remove_points};
 pub use rnn::{rnn_optimize, RnnParams, RnnStats};
 pub use rptree::{rp_forest_candidates, RpForestParams};
 pub use search::{

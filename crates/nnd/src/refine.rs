@@ -9,45 +9,25 @@
 //! graph already stores, flagged *old* — and flags *new* only what changed: the
 //! edges of an inserted point, or the rows a deletion shortened. The descent
 //! loop it then enters is [`crate::nndescent`]'s own, and its cost follows
-//! the flagged entries, not `N`. [`insert_points`] and [`refine()`] grow and
-//! re-converge a graph this way; [`remove_points`] deletes vertices and
-//! repairs the holes they leave in other neighbor lists from the survivors'
-//! own neighborhoods.
+//! the flagged entries, not `N`. [`refine()`] grows and re-converges a graph
+//! this way; [`remove_points`] takes vertices out of it without renumbering
+//! the rest and repairs the rows they leave short, returning the rows
+//! [`refine()`] should flag.
 
 use crate::graph::{Edge, KnnGraph};
 use crate::heap::NeighborTable;
 use crate::nndescent::{check_k, descend, BuildStats, NnDescentParams, Theta};
 use crate::search::{Scratch, SearchParams};
 use dataset::batch::{BatchMetric, NormCache};
+use dataset::metric::Metric;
 use dataset::order::sort_edges;
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 
-/// Grow `graph` (built over `old_base`) into a graph over `new_base`,
-/// where `new_base` extends `old_base` with extra points at the tail:
-/// [`refine()`] with no re-flagged row. With no new point it evaluates
-/// nothing and returns the rows' `k` closest entries unchanged.
-pub fn insert_points<P: Point, M: BatchMetric<P>>(
-    graph: &KnnGraph,
-    old_base: &PointSet<P>,
-    new_base: &PointSet<P>,
-    metric: &M,
-    params: NnDescentParams,
-    refine_iters: usize,
-) -> (KnnGraph, BuildStats) {
-    let n_old = old_base.len();
-    assert_eq!(graph.len(), n_old, "graph must cover the old base");
-    assert!(new_base.len() >= n_old, "new base must extend the old one");
-    for v in 0..n_old as PointId {
-        debug_assert_eq!(new_base.point(v).dim(), old_base.point(v).dim());
-    }
-    refine(graph, new_base, metric, params, refine_iters, &[])
-}
-
 /// The short refinement phase: `graph` covers the first `graph.len()`
 /// points of `base`, the rest are new, and `shortened` names rows that lost
-/// entries to a deletion (and were perhaps repaired). At most `refine_iters`
-/// NN-Descent iterations run over a table seeded as follows.
+/// entries to a deletion — the rows [`remove_points`] returns. At most
+/// `refine_iters` NN-Descent iterations run over a table seeded as follows.
 ///
 /// * An existing vertex keeps the `params.k` closest stored `(id, distance)`
 ///   of its row, flagged **old**: nothing is re-evaluated and a short row is
@@ -57,15 +37,17 @@ pub fn insert_points<P: Point, M: BatchMetric<P>>(
 /// * A new point is located by [`crate::search()`] in `graph`; its hits
 ///   enter its row flagged new and the same edge is offered back to each
 ///   hit, also new.
-/// * **An empty row means the vertex is out of the graph** (what deleting
-///   without renumbering leaves behind): it stays empty, is never a hit,
-///   and an entry pointing at it is dropped. No row of the result
-///   references a vertex whose row is empty.
+/// * **An empty row means the vertex is out of the graph** (what
+///   [`remove_points`] leaves behind): it stays empty, is never a hit, and
+///   an entry pointing at it is dropped. No row of the result references a
+///   vertex whose row is empty.
 ///
 /// One iteration is therefore the joins around the flagged entries —
 /// a few hundred evaluations per inserted point whatever `N` is — and
-/// `distance_evals` counts them and the searches. To re-flag a whole graph,
-/// use [`crate::build_with_init`] with its neighbor ids.
+/// `distance_evals` counts them and the searches. With no new point and no
+/// shortened row it evaluates nothing and returns the rows' `k` closest
+/// entries. To re-flag a whole graph, use [`crate::build_with_init`] with
+/// its neighbor ids.
 pub fn refine<P: Point, M: BatchMetric<P>>(
     graph: &KnnGraph,
     base: &PointSet<P>,
@@ -126,86 +108,69 @@ pub fn refine<P: Point, M: BatchMetric<P>>(
     (KnnGraph::from_table(&table), stats)
 }
 
-/// Top a row that a deletion left short up to `k` edges with the closest of
-/// `candidates` under `dist`, and put it back in `(distance, id)` order.
-pub fn top_up(
-    row: &mut Vec<Edge>,
-    k: usize,
-    candidates: Vec<PointId>,
-    dist: impl Fn(PointId) -> f32,
-) {
-    let mut scored: Vec<Edge> = candidates.into_iter().map(|w| (w, dist(w))).collect();
-    sort_edges(&mut scored);
-    row.extend(scored.into_iter().take(k.saturating_sub(row.len())));
-    sort_edges(row);
-}
-
-/// Remove the vertices in `gone` from `graph`, compacting ids: survivors
-/// are renumbered in ascending order (the returned vector maps new id ->
-/// old id). Holes in survivors' neighbor lists are refilled from their
-/// remaining neighbors' neighborhoods (one local repair pass); quality is
-/// then restored by [`refine()`] with the rows that lost an entry.
-pub fn remove_points<P: Point, M: BatchMetric<P>>(
+/// Take the vertices in `gone` out of `graph` without renumbering: their
+/// rows are emptied and no row keeps an edge to them. A row left below `k`
+/// is topped up from its *old* row's two-hop neighborhood — through gone
+/// neighbors too, whose old rows still name survivors — scored by
+/// [`Metric::distance`] and admitted in `(distance, id)` order. Returns the
+/// result and the rows that lost an entry, ascending: the `shortened`
+/// argument of the [`refine()`] that restores quality.
+pub fn remove_points<P: Point, M: Metric<P>>(
     graph: &KnnGraph,
     base: &PointSet<P>,
     metric: &M,
     gone: &[PointId],
     k: usize,
-) -> (KnnGraph, PointSet<P>, Vec<PointId>) {
-    let n = graph.len();
-    let mut dead = vec![false; n];
+) -> (KnnGraph, Vec<PointId>) {
+    let mut out = vec![false; graph.len()];
     for &v in gone {
-        dead[v as usize] = true;
+        out[v as usize] = true;
     }
-    // Renumbering: old id -> new id for survivors.
-    let mut remap = vec![PointId::MAX; n];
-    let mut back = Vec::with_capacity(n - gone.len());
-    for old in 0..n {
-        if !dead[old] {
-            remap[old] = back.len() as PointId;
-            back.push(old as PointId);
-        }
-    }
-
-    let survivors: Vec<P> = back.iter().map(|&old| base.point(old).clone()).collect();
-    let new_base = PointSet::new(survivors);
-
-    let mut rows: Vec<Vec<(PointId, f32)>> = Vec::with_capacity(back.len());
-    for &old in &back {
-        let mut row: Vec<(PointId, f32)> = graph
-            .neighbors(old)
-            .iter()
-            .filter(|&&(u, _)| !dead[u as usize])
-            .map(|&(u, d)| (remap[u as usize], d))
-            .collect();
-        // Repair: pull candidates from surviving neighbors' neighbors.
-        if row.len() < k {
-            let me_new = remap[old as usize];
-            let mut candidates: Vec<PointId> = Vec::new();
-            for &(u, _) in &row {
-                let u_old = back[u as usize];
-                for &(w, _) in graph.neighbors(u_old) {
-                    if !dead[w as usize] {
-                        let w_new = remap[w as usize];
-                        if w_new != me_new
-                            && !row.iter().any(|&(x, _)| x == w_new)
-                            && !candidates.contains(&w_new)
+    let mut shortened = Vec::new();
+    let rows = (0..graph.len() as PointId)
+        .map(|v| {
+            if out[v as usize] {
+                return Vec::new();
+            }
+            let old = graph.neighbors(v);
+            let mut row: Vec<Edge> = (old.iter().copied())
+                .filter(|&(u, _)| !out[u as usize])
+                .collect();
+            if row.len() == old.len() {
+                return row;
+            }
+            shortened.push(v);
+            if row.len() < k {
+                let mut candidates: Vec<PointId> = Vec::new();
+                for &(u, _) in old {
+                    for &(w, _) in graph.neighbors(u) {
+                        if w != v
+                            && !out[w as usize]
+                            && !row.iter().any(|&(x, _)| x == w)
+                            && !candidates.contains(&w)
                         {
-                            candidates.push(w_new);
+                            candidates.push(w);
                         }
                     }
                 }
+                let me = base.point(v);
+                top_up(&mut row, k, candidates, |w| {
+                    metric.distance(me, base.point(w))
+                });
             }
-            let me_point = base.point(old);
-            top_up(&mut row, k, candidates, |w_new| {
-                metric.distance(me_point, base.point(back[w_new as usize]))
-            });
-        }
-        sort_edges(&mut row);
-        row.truncate(k);
-        rows.push(row);
-    }
-    (KnnGraph::from_rows(rows), new_base, back)
+            row
+        })
+        .collect();
+    (KnnGraph::from_rows(rows), shortened)
+}
+
+/// Top a row that a deletion left short up to `k` edges with the closest of
+/// `candidates` under `dist`, and put it back in `(distance, id)` order.
+fn top_up(row: &mut Vec<Edge>, k: usize, candidates: Vec<PointId>, dist: impl Fn(PointId) -> f32) {
+    let mut scored: Vec<Edge> = candidates.into_iter().map(|w| (w, dist(w))).collect();
+    sort_edges(&mut scored);
+    row.extend(scored.into_iter().take(k.saturating_sub(row.len())));
+    sort_edges(row);
 }
 
 #[cfg(test)]
@@ -221,15 +186,20 @@ mod tests {
         gaussian_mixture(MixtureParams::embedding_like(n, 12), seed)
     }
 
-    /// The rows of `remove_points`' result that lost an entry to `gone`
-    /// (`back` maps a new id to its id in `graph`).
-    fn shortened_by(graph: &KnnGraph, gone: &[PointId], back: &[PointId]) -> Vec<PointId> {
-        (0..back.len() as PointId)
-            .filter(|&v| {
-                let row = graph.neighbors(back[v as usize]);
-                row.iter().any(|(u, _)| gone.contains(u))
-            })
-            .collect()
+    /// Recall of the rows of the vertices not in `gone` against their exact
+    /// `k` nearest neighbors among those vertices.
+    fn live_recall(graph: &KnnGraph, base: &PointSet<Vec<f32>>, gone: &[PointId], k: usize) -> f64 {
+        let live: Vec<PointId> = (0..base.len() as PointId)
+            .filter(|v| !gone.contains(v))
+            .collect();
+        let survivors = PointSet::new(live.iter().map(|&v| base.point(v).clone()).collect());
+        let mut truth = brute_force_knng(&survivors, &L2, k);
+        for id in truth.ids.iter_mut().flatten() {
+            *id = live[*id as usize];
+        }
+        let ids = graph.neighbor_ids();
+        let found: Vec<Vec<PointId>> = live.iter().map(|&v| ids[v as usize].clone()).collect();
+        mean_recall(&found, &truth)
     }
 
     #[test]
@@ -238,7 +208,7 @@ mod tests {
         let old = PointSet::new(full.points()[..500].to_vec());
         let params = NnDescentParams::new(8).seed(1);
         let (g_old, _) = build(&old, &L2, params);
-        let (g_new, stats) = insert_points(&g_old, &old, &full, &L2, params, 4);
+        let (g_new, stats) = refine(&g_old, &full, &L2, params, 4, &[]);
         assert_eq!(g_new.len(), 700);
         let truth = brute_force_knng(&full, &L2, 8);
         let recall = mean_recall(&g_new.neighbor_ids(), &truth);
@@ -253,7 +223,7 @@ mod tests {
         let params = NnDescentParams::new(8).seed(2);
         let (g_old, _) = build(&old, &L2, params);
         let (_, full_stats) = build(&full, &L2, params);
-        let (_, refine_stats) = insert_points(&g_old, &old, &full, &L2, params, 3);
+        let (_, refine_stats) = refine(&g_old, &full, &L2, params, 3, &[]);
         assert!(
             4 * refine_stats.distance_evals <= full_stats.distance_evals,
             "refine {} > rebuild {} / 4",
@@ -276,7 +246,7 @@ mod tests {
                 let old = PointSet::new(full.points()[..n].to_vec());
                 let params = NnDescentParams::new(10).seed(2);
                 let (g, _) = build(&old, &L2, params);
-                let (grown, stats) = insert_points(&g, &old, &full, &L2, params, 1);
+                let (grown, stats) = refine(&g, &full, &L2, params, 1, &[]);
                 assert_eq!(grown.neighbors(n as PointId).len(), 10, "n = {n}");
                 assert!(
                     stats.distance_evals <= 600,
@@ -294,30 +264,22 @@ mod tests {
         let base = data(300, 7);
         let params = NnDescentParams::new(6).seed(3);
         let (g, _) = build(&base, &L2, params);
-        let (g2, stats) = insert_points(&g, &base, &base, &L2, params, 2);
+        let (g2, stats) = refine(&g, &base, &L2, params, 2, &[]);
         assert_eq!(stats.distance_evals, 0);
         assert_eq!(g2, g);
     }
 
     #[test]
     fn empty_rows_stay_out_of_the_graph() {
-        // Take 30 vertices out the way a compaction does — rows emptied,
-        // ids dropped from every other row — then insert 40 points, a few
-        // at a time. Nothing may link to an emptied vertex again.
+        // Take 30 vertices out, then insert 40 points, a few at a time.
+        // Nothing may link to a removed vertex again.
         let full = data(440, 21);
         let params = NnDescentParams::new(8).seed(9);
         let mut base = PointSet::new(full.points()[..400].to_vec());
         let (g, _) = build(&base, &L2, params);
         let out: Vec<PointId> = (0..30).map(|i| i * 13).collect();
-        let rows = (0..400 as PointId)
-            .map(|v| match out.contains(&v) {
-                true => Vec::new(),
-                false => (g.neighbors(v).iter().copied())
-                    .filter(|(u, _)| !out.contains(u))
-                    .collect(),
-            })
-            .collect();
-        let mut graph = KnnGraph::from_rows(rows).optimize(8, 1.5);
+        let (removed, _) = remove_points(&g, &base, &L2, &out, 8);
+        let mut graph = removed.optimize(8, 1.5);
         for batch in full.points()[400..].chunks(5) {
             base.extend(batch.iter().cloned());
             let (grown, _) = refine(&graph, &base, &L2, params, 2, &[]);
@@ -337,22 +299,33 @@ mod tests {
     }
 
     #[test]
-    fn remove_compacts_and_repairs() {
+    fn remove_keeps_ids_and_repairs() {
         let base = data(400, 9);
         let (g, _) = build(&base, &L2, NnDescentParams::new(8).seed(4));
         let gone: Vec<PointId> = (0..40).map(|i| i * 10).collect();
-        let (g2, base2, back) = remove_points(&g, &base, &L2, &gone, 8);
-        assert_eq!(g2.len(), 360);
-        assert_eq!(base2.len(), 360);
-        assert_eq!(back.len(), 360);
-        // No dead vertices referenced; ids in range; mapping consistent.
-        for v in 0..g2.len() as PointId {
-            assert_eq!(base2.point(v), base.point(back[v as usize]));
-            for &(u, _) in g2.neighbors(v) {
-                assert!((u as usize) < 360);
-                assert!(!gone.contains(&back[u as usize]));
+        let (g2, shortened) = remove_points(&g, &base, &L2, &gone, 8);
+        assert_eq!(g2.len(), 400);
+        let mut topped_up = 0;
+        for v in 0..400 as PointId {
+            let (old, row) = (g.neighbors(v), g2.neighbors(v));
+            if gone.contains(&v) {
+                assert!(row.is_empty(), "removed row {v} kept {row:?}");
+                continue;
+            }
+            assert!(row.iter().all(|(u, _)| !gone.contains(u) && *u != v));
+            assert!(row.windows(2).all(|w| (w[0].1, w[0].0) <= (w[1].1, w[1].0)));
+            let lost = old.iter().any(|(u, _)| gone.contains(u));
+            assert_eq!(shortened.binary_search(&v).is_ok(), lost, "row {v}");
+            if !lost {
+                assert_eq!(row, old, "untouched row {v} changed");
+            } else {
+                // The survivors stay, and a short row is topped back up to k.
+                assert!(old.iter().all(|e| gone.contains(&e.0) || row.contains(e)));
+                assert_eq!(row.len(), 8, "row {v} left short");
+                topped_up += 1;
             }
         }
+        assert!(topped_up > 0 && shortened.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -360,9 +333,8 @@ mod tests {
         let base = data(400, 11);
         let (g, _) = build(&base, &L2, NnDescentParams::new(8).seed(5));
         let gone: Vec<PointId> = (100..150).collect();
-        let (g2, base2, _) = remove_points(&g, &base, &L2, &gone, 8);
-        let truth = brute_force_knng(&base2, &L2, 8);
-        let recall = mean_recall(&g2.neighbor_ids(), &truth);
+        let (g2, _) = remove_points(&g, &base, &L2, &gone, 8);
+        let recall = live_recall(&g2, &base, &gone, 8);
         // One repair pass (no descent) should stay in a usable band.
         assert!(recall > 0.7, "post-remove recall {recall}");
     }
@@ -373,28 +345,27 @@ mod tests {
         let params = NnDescentParams::new(8).seed(6);
         let (g, _) = build(&base, &L2, params);
         let gone: Vec<PointId> = (0..80).collect();
-        let (g2, base2, back) = remove_points(&g, &base, &L2, &gone, 8);
-        let truth = brute_force_knng(&base2, &L2, 8);
-        let repaired = mean_recall(&g2.neighbor_ids(), &truth);
+        let (g2, shortened) = remove_points(&g, &base, &L2, &gone, 8);
+        let repaired = live_recall(&g2, &base, &gone, 8);
 
         // With every entry flagged old there is nothing to join ...
-        let (same, idle) = refine(&g2, &base2, &L2, params, 3, &[]);
+        let (same, idle) = refine(&g2, &base, &L2, params, 3, &[]);
         assert_eq!((same, idle.distance_evals), (g2.clone(), 0));
         // ... the shortened rows flagged new are what the refinement is for.
-        let shortened = shortened_by(&g, &gone, &back);
-        assert!(!shortened.is_empty() && shortened.len() < base2.len());
-        let (g3, _) = refine(&g2, &base2, &L2, params, 3, &shortened);
-        let refined = mean_recall(&g3.neighbor_ids(), &truth);
+        assert!(!shortened.is_empty() && shortened.len() < base.len() - gone.len());
+        let (g3, _) = refine(&g2, &base, &L2, params, 3, &shortened);
+        let refined = live_recall(&g3, &base, &gone, 8);
         assert!(refined > 0.9, "refined post-remove recall {refined}");
         assert!(refined > repaired, "refinement {repaired} -> {refined}");
+        assert!(gone.iter().all(|&v| g3.neighbors(v).is_empty()));
     }
 
     #[test]
-    #[should_panic(expected = "graph must cover the old base")]
+    #[should_panic(expected = "base must cover the graph")]
     fn mismatched_sizes_rejected() {
         let base = data(100, 15);
         let (g, _) = build(&base, &L2, NnDescentParams::new(4).seed(7));
         let wrong = PointSet::new(base.points()[..50].to_vec());
-        let _ = insert_points(&g, &wrong, &base, &L2, NnDescentParams::new(4), 2);
+        let _ = refine(&g, &wrong, &L2, NnDescentParams::new(4), 2, &[]);
     }
 }

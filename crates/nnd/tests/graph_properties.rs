@@ -1,6 +1,9 @@
-//! Property tests of the k-NNG operations the paper's Section 4.5
-//! optimization step composes: reversal, reverse-merge, pruning.
+//! Property tests of the paper's Section 4.5 optimization step,
+//! `KnnGraph::optimize`: reverse-merge and pruning in one pass. A merged
+//! row holds distinct ids, so `optimize(g.len(), 1.0)` cuts no row and is
+//! the whole merge.
 
+use dataset::order::sort_edges;
 use nnd::graph::KnnGraph;
 use proptest::prelude::*;
 
@@ -34,9 +37,10 @@ fn unclean_graph_strategy(max_n: usize) -> impl Strategy<Value = KnnGraph> {
     })
 }
 
-/// `KnnGraph::merge_reverse` as it was before it became one pass: append
-/// the reverse edges, group by id keeping the closest copy, sort again.
-fn merge_reverse_reference(g: &KnnGraph) -> KnnGraph {
+/// `KnnGraph::optimize` as it was before it became one pass: append the
+/// reverse edges, group by id keeping the closest copy, sort again, keep
+/// the `limit` closest.
+fn optimize_reference(g: &KnnGraph, limit: usize) -> KnnGraph {
     let mut rows: Vec<Vec<(u32, f32)>> = (0..g.len() as u32)
         .map(|v| g.neighbors(v).to_vec())
         .collect();
@@ -48,6 +52,8 @@ fn merge_reverse_reference(g: &KnnGraph) -> KnnGraph {
     for row in &mut rows {
         row.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.total_cmp(&b.1)));
         row.dedup_by_key(|&mut (id, _)| id);
+        sort_edges(row);
+        row.truncate(limit);
     }
     KnnGraph::from_rows(rows)
 }
@@ -65,35 +71,14 @@ proptest! {
         let m = f64::from(m_tenths) / 10.0;
         let limit = (k as f64 * m).ceil() as usize;
         for g in [clean, unclean] {
-            let merged = g.merge_reverse();
-            prop_assert_eq!(&merged, &merge_reverse_reference(&g));
-            prop_assert_eq!(g.optimize(k, m), merged.prune(limit));
+            prop_assert_eq!(g.optimize(g.len(), 1.0), optimize_reference(&g, usize::MAX));
+            prop_assert_eq!(g.optimize(k, m), optimize_reference(&g, limit));
         }
     }
 
     #[test]
-    fn double_reverse_is_identity(g in graph_strategy(24)) {
-        // Reversal is an involution on edge sets: every edge v->u at d
-        // appears as u->v in the reverse and back again.
-        let rr = g.reversed().reversed();
-        prop_assert_eq!(rr.edge_count(), g.edge_count());
-        for v in 0..g.len() as u32 {
-            let mut a = g.neighbors(v).to_vec();
-            let mut b = rr.neighbors(v).to_vec();
-            a.sort_by_key(|x| x.0);
-            b.sort_by_key(|x| x.0);
-            prop_assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn reverse_preserves_edge_count(g in graph_strategy(24)) {
-        prop_assert_eq!(g.reversed().edge_count(), g.edge_count());
-    }
-
-    #[test]
-    fn merge_reverse_superset_and_symmetric(g in graph_strategy(20)) {
-        let m = g.merge_reverse();
+    fn merge_superset_and_symmetric(g in graph_strategy(20)) {
+        let m = g.optimize(g.len(), 1.0);
         // Every original edge survives the merge.
         for v in 0..g.len() as u32 {
             for &(u, _) in g.neighbors(v) {
@@ -123,17 +108,6 @@ proptest! {
     }
 
     #[test]
-    fn prune_keeps_the_closest_prefix(g in graph_strategy(20), limit in 1usize..8) {
-        let p = g.prune(limit);
-        for v in 0..g.len() as u32 {
-            let orig = g.neighbors(v);
-            let kept = p.neighbors(v);
-            prop_assert!(kept.len() <= limit);
-            prop_assert_eq!(kept, &orig[..kept.len().min(orig.len())]);
-        }
-    }
-
-    #[test]
     fn optimize_bounds_max_degree(g in graph_strategy(20), k in 1usize..6) {
         let opt = g.optimize(k, 1.5);
         let limit = ((k as f64) * 1.5).ceil() as usize;
@@ -142,7 +116,7 @@ proptest! {
 
     #[test]
     fn rows_always_sorted_by_distance(g in graph_strategy(24)) {
-        for graph in [g.reversed(), g.merge_reverse(), g.optimize(3, 1.5)] {
+        for graph in [g.optimize(g.len(), 1.0), g.optimize(3, 1.5)] {
             for v in 0..graph.len() as u32 {
                 let row = graph.neighbors(v);
                 prop_assert!(row.windows(2).all(|w| w[0].1 <= w[1].1));

@@ -29,13 +29,13 @@
 //! Point ids are **stable for the life of the namespace**: a delete marks
 //! the id as a tombstone (masked out of every search immediately) and a
 //! later [`Collection::compact`] rewires the adjacency *around* the dead
-//! vertex without renumbering the survivors — unlike `nnd::remove_points`,
-//! which compacts ids and would invalidate every cached result, metadata
-//! record, and in-flight query. Compacted-dead ids keep their vectors as
-//! inert rows (never returned, never navigated through — their adjacency
-//! rows are empty, which is how `nnd::refine` knows to link nothing to
-//! them) and the namespace only ever grows at the tail, which is exactly
-//! the contract `nnd::refine` needs for the online ingest path.
+//! vertex with [`nnd::remove_points`], which renumbers nothing, so no
+//! cached result, metadata record or in-flight query goes stale.
+//! Compacted-dead ids keep their vectors as inert rows (never returned,
+//! never navigated through — their adjacency rows are empty, which is how
+//! `nnd::refine` knows to link nothing to them) and the namespace only ever
+//! grows at the tail, which is exactly the contract `nnd::refine` needs for
+//! the online ingest path.
 //!
 //! ## Determinism
 //!
@@ -445,72 +445,25 @@ impl Collection {
     /// tombstoned vertex without renumbering ids, then fold the tombstones
     /// into the dead set and bump the epoch.
     ///
-    /// 1. every dead/tombstoned row is emptied and its id dropped from
-    ///    every live row;
-    /// 2. live rows that shrank are repaired from their surviving
-    ///    neighbors' neighborhoods, scored and admitted in `(distance,
-    ///    id)` order (the same local-repair rule as `nnd::remove_points`,
-    ///    minus the renumbering);
-    /// 3. the paper's "deleted, followed by a short graph refinement
+    /// 1. [`nnd::remove_points`] empties every dead/tombstoned row, drops
+    ///    its id from every live row and tops a row left below `k` back up
+    ///    from its old two-hop neighborhood in `(distance, id)` order;
+    /// 2. the paper's "deleted, followed by a short graph refinement
     ///    phase": [`nnd::refine()`] with the rows that lost an edge flagged
     ///    new, so one NN-Descent iteration joins their neighborhoods — the
     ///    local repair only looks two hops out;
-    /// 4. the existing reverse-merge + degree-prune optimization pass
+    /// 3. the existing reverse-merge + degree-prune optimization pass
     ///    (`KnnGraph::optimize`) restores reachability and the degree cap.
     ///
     /// **Mutations never resurrect:** afterwards every dead row is empty and
     /// no live row holds a dead id, and [`Collection::ingest`] keeps it so.
     pub fn compact(&mut self) -> Result<CompactReport, String> {
-        let n = self.base.len();
-        let mut gone = vec![false; n];
-        for &t in self.tombstones.iter().chain(&self.dead) {
-            gone[t as usize] = true;
-        }
-        let cleared = self.tombstones.len() as u64;
-        let mut shortened: Vec<PointId> = Vec::new();
-        let rows: Vec<Vec<(PointId, f32)>> = dataset::with_metric!(ELEM, self.metric.as_str(), P, metric => {
-            (0..n as PointId)
-                .map(|v| {
-                    if gone[v as usize] {
-                        return Vec::new();
-                    }
-                    let mut row: Vec<(PointId, f32)> = self
-                        .graph
-                        .neighbors(v)
-                        .iter()
-                        .filter(|&&(u, _)| !gone[u as usize])
-                        .copied()
-                        .collect();
-                    if row.len() == self.graph.neighbors(v).len() {
-                        return row;
-                    }
-                    shortened.push(v);
-                    if row.len() < self.k {
-                        // Candidates: survivors two hops out, via either a
-                        // surviving or a tombstoned intermediate (dead
-                        // vertices still have rows until step 1 lands).
-                        let mut cand: Vec<PointId> = Vec::new();
-                        for &(u, _) in self.graph.neighbors(v) {
-                            for &(w, _) in self.graph.neighbors(u) {
-                                if w != v
-                                    && !gone[w as usize]
-                                    && !row.iter().any(|&(x, _)| x == w)
-                                    && !cand.contains(&w)
-                                {
-                                    cand.push(w);
-                                }
-                            }
-                        }
-                        let me = self.base.point(v);
-                        nnd::refine::top_up(&mut row, self.k, cand, |w| {
-                            dataset::Metric::distance(&metric, me, self.base.point(w))
-                        });
-                    }
-                    row
-                })
-                .collect()
+        let gone: Vec<PointId> = self.tombstones.iter().chain(&self.dead).copied().collect();
+        let (graph, shortened) = dataset::with_metric!(ELEM, self.metric.as_str(), P, m => {
+            nnd::remove_points(&self.graph, &self.base, &m, &gone, self.k)
         })?;
-        self.graph = self.refined(&KnnGraph::from_rows(rows), &shortened)?;
+        self.graph = self.refined(&graph, &shortened)?;
+        let cleared = self.tombstones.len() as u64;
         let mut dead = std::mem::take(&mut self.dead);
         dead.extend(std::mem::take(&mut self.tombstones));
         dead.sort_unstable();

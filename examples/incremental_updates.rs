@@ -3,8 +3,8 @@
 //! fit NN-Descent's iterative nature well."
 //!
 //! This example builds a graph, then (a) streams in new points with short
-//! refinement passes instead of rebuilding, and (b) deletes points with
-//! local repair and a refinement of the rows the deletion shortened —
+//! refinement passes instead of rebuilding, and (b) deletes points in place
+//! with local repair and a refinement of the rows the deletion shortened —
 //! comparing cost and quality against a from-scratch build at every step.
 //! A refinement joins only what the change flagged new, so its cost
 //! follows the batch, not the graph.
@@ -15,7 +15,7 @@
 
 use dataset::synth::{gaussian_mixture, MixtureParams};
 use dataset::{brute_force_knng, mean_recall, PointSet, L2};
-use nnd::{build, insert_points, refine, remove_points, NnDescentParams};
+use nnd::{build, refine, remove_points, KnnGraph, NnDescentParams};
 
 const K: usize = 10;
 
@@ -37,7 +37,7 @@ fn main() {
     for step in 0..3 {
         let new_len = 1_400 + (step + 1) * 200;
         let grown = PointSet::new(full.points()[..new_len].to_vec());
-        let (g2, refine_stats) = insert_points(&graph, &base, &grown, &L2, params, 3);
+        let (g2, refine_stats) = refine(&graph, &grown, &L2, params, 3, &[]);
         let (_, rebuild_stats) = build(&grown, &L2, params);
         let truth = brute_force_knng(&grown, &L2, K);
         let recall = mean_recall(&g2.neighbor_ids(), &truth);
@@ -57,19 +57,24 @@ fn main() {
     }
 
     // Delete 150 points, repair locally, then a short refinement of the rows
-    // that lost a neighbor (refining with nothing flagged would be a no-op).
+    // that lost a neighbor. Ids stay put: the live rows are scored against
+    // the exact neighbors among the survivors.
     let gone: Vec<u32> = (0..150).map(|i| i * 13).collect();
-    let (repaired, smaller_base, back) = remove_points(&graph, &base, &L2, &gone, K);
-    let shortened: Vec<u32> = (0..back.len() as u32)
-        .filter(|&v| {
-            let row = graph.neighbors(back[v as usize]);
-            row.iter().any(|(u, _)| gone.contains(u))
-        })
-        .collect();
-    let truth = brute_force_knng(&smaller_base, &L2, K);
-    let repaired_recall = mean_recall(&repaired.neighbor_ids(), &truth);
-    let (refined, refine_stats) = refine(&repaired, &smaller_base, &L2, params, 2, &shortened);
-    let refined_recall = mean_recall(&refined.neighbor_ids(), &truth);
+    let (repaired, shortened) = remove_points(&graph, &base, &L2, &gone, K);
+    let live: Vec<u32> = (0..2_000).filter(|v| !gone.contains(v)).collect();
+    let survivors = PointSet::new(live.iter().map(|&v| base.point(v).clone()).collect());
+    let mut truth = brute_force_knng(&survivors, &L2, K);
+    for id in truth.ids.iter_mut().flatten() {
+        *id = live[*id as usize];
+    }
+    let live_recall = |g: &KnnGraph| {
+        let ids = g.neighbor_ids();
+        let rows: Vec<_> = live.iter().map(|&v| ids[v as usize].clone()).collect();
+        mean_recall(&rows, &truth)
+    };
+    let repaired_recall = live_recall(&repaired);
+    let (refined, refine_stats) = refine(&repaired, &base, &L2, params, 2, &shortened);
+    let refined_recall = live_recall(&refined);
     println!(
         "delete {} points: {} rows shortened | repair-only recall {:.4} -> after {} refinement iters ({} evals) {:.4}",
         gone.len(),

@@ -19,7 +19,7 @@
 //! is the one dispatch from the stored `(elem, metric)` pair to typed code.
 
 use bench::Args;
-pub use bench::{die, or_die};
+pub use bench::{die, or_die, require_at_least_1};
 use dataset::io;
 use dataset::point::Point;
 use dataset::set::PointSet;
@@ -62,15 +62,6 @@ pub fn store_flag(args: &Args) -> String {
         die("--store <dir> is required");
     }
     dir
-}
-
-/// Counts no library type owns (`--ranks`, `dnnd-vdb --dim`): each must
-/// be positive. Every other domain is the library's, whose `validate` or
-/// bound function the executables forward with [`or_die`].
-pub fn require_at_least_1(flag: &str, value: usize) {
-    if value == 0 {
-        die(&format!("--{flag} must be at least 1 (got 0)"));
-    }
 }
 
 /// A point type a store's `dataset/` can hold: where its sets come from.

@@ -397,3 +397,52 @@ fn mutations_never_resurrect() {
     let recall = live_row_recall(&c, 8);
     assert!(recall >= 0.95, "live-row recall after 600 slots: {recall}");
 }
+
+/// FNV-1a over every row of `c`'s graph: its length, then each edge's id
+/// and the bit pattern of its distance.
+fn graph_digest(c: &Collection) -> u64 {
+    let mut bytes = Vec::new();
+    for v in 0..c.graph.len() as PointId {
+        let row = c.graph.neighbors(v);
+        bytes.extend_from_slice(&(row.len() as u32).to_le_bytes());
+        for &(u, d) in row {
+            bytes.extend_from_slice(&u.to_le_bytes());
+            bytes.extend_from_slice(&d.to_bits().to_le_bytes());
+        }
+    }
+    metall::checksum::fnv1a(&bytes)
+}
+
+/// Compaction golden: a fixed create -> delete -> compact -> ingest ->
+/// delete -> compact sequence, pinned by the digest of the graph rows, the
+/// rows each compaction repaired and the epoch. The second compaction runs
+/// with dead ids already in the graph. Holds under both kernel dispatches.
+#[test]
+fn compaction_is_pinned() {
+    let (mut c, pool) = fixture(300, 40, 8, 31);
+    let victims: Vec<PointId> = (3..260).step_by(11).collect();
+    c.delete(&victims).expect("delete");
+    let first = c.compact().expect("compact");
+    let after_first = graph_digest(&c);
+    let points = pool.points()[..12].to_vec();
+    let meta = (0..12)
+        .map(|i| vdb::MetaRecord::bucket_record(31, 260 + i))
+        .collect();
+    let ids = c.ingest(points, meta).expect("ingest");
+    let after_ingest = graph_digest(&c);
+    let mut more: Vec<PointId> = vec![1, 2, 40, 41, 42, ids.start, ids.start + 5];
+    more.sort_unstable();
+    c.delete(&more).expect("delete");
+    let second = c.compact().expect("compact");
+    let got = (
+        (first.rows_repaired, first.epoch, after_first),
+        after_ingest,
+        (second.rows_repaired, second.epoch, graph_digest(&c)),
+    );
+    let want = (
+        (141, 1, 0xAC00_5DA0_6124_DFEB),
+        0x42AA_594A_33B2_9864,
+        (66, 3, 0x02AD_4C12_9259_7784),
+    );
+    assert_eq!(got, want);
+}
