@@ -7,16 +7,23 @@
 //! self-edges, as a k-NNG has no self loops), and [`brute_force_queries`]
 //! answers held-out queries.
 //!
-//! Both are one sequential sweep: eight queries at a time against columns
-//! of [`BLOCK`] candidates, through [`BatchMetric::distance_many_to_many`]
-//! (which the dot family and `L2` over bytes answer reading each candidate
-//! row once per eight queries; the rest score a pair at a time). Each query selects
-//! from its own row of distances in id order, so the result is the one a
-//! one-query-at-a-time scan gives, bit for bit.
+//! [`brute_force_sample`] gives the k-NNG's rows at a sample of ids only,
+//! for a recall estimate on sets too large for all pairs.
+//!
+//! All three are one sweep: blocks of eight queries, each against columns
+//! of [`BLOCK`] candidates through [`BatchMetric::distance_many_to_many`]
+//! (members through [`BatchMetric::distance_members_to_many`], their norms
+//! read from the set's cache), which the dot family and `L2` over bytes
+//! answer reading each candidate row once per eight queries; the rest score
+//! a pair at a time. The blocks are independent, so [`par::map_indexed`]
+//! spreads them over the cores. Each query selects from its own row of
+//! distances in id order, so the result is the one a one-query-at-a-time
+//! scan on one core gives, bit for bit.
 
 use crate::batch::BatchMetric;
 use crate::kernel::LANES;
 use crate::order::{offer_bounded, DistKey};
+use crate::par;
 use crate::point::Point;
 use crate::set::{PointId, PointSet};
 use std::collections::BinaryHeap;
@@ -52,39 +59,63 @@ impl GroundTruth {
     }
 }
 
-/// Exact `k` nearest `base` points of each of `queries`. With `members`,
-/// query `i` is base point `i` and never its own neighbor (k-NNG case).
+/// The queries of one sweep: points outside the base set, or members of
+/// it by id, each of which is never its own neighbor (the k-NNG case).
+#[derive(Clone, Copy)]
+enum Queries<'q, P> {
+    Outside(&'q [P]),
+    Members(&'q [PointId]),
+}
+
+/// Exact `k` nearest `base` points of each of `queries`: one block of
+/// [`LANES`] queries per item of [`par::map_indexed`], each worker with its
+/// own distance buffer.
 fn sweep<P: Point, M: BatchMetric<P>>(
     base: &PointSet<P>,
     metric: &M,
-    queries: &[P],
-    members: bool,
+    queries: Queries<'_, P>,
     k: usize,
 ) -> GroundTruth {
     let cache = metric.preprocess(base);
     let all_ids: Vec<PointId> = (0..base.len() as PointId).collect();
-    let (mut ids, mut dists) = (Vec::new(), Vec::new());
-    let mut dbuf: Vec<f32> = Vec::with_capacity(LANES * BLOCK);
-    for (b, block) in queries.chunks(LANES).enumerate() {
+    let len = match queries {
+        Queries::Outside(qs) => qs.len(),
+        Queries::Members(ids) => ids.len(),
+    };
+    let init = || Vec::<f32>::with_capacity(LANES * BLOCK);
+    let blocks = par::map_indexed(len.div_ceil(LANES), 1, init, |dbuf, b| {
+        let block = b * LANES..(b * LANES + LANES).min(len);
         // One max-heap of the k best per query, so the worst is peekable.
         let mut heaps = vec![BinaryHeap::<DistKey>::with_capacity(k); block.len()];
         for column in all_ids.chunks(BLOCK) {
-            metric.distance_many_to_many(block, base, &cache, column, &mut dbuf);
+            let own = match queries {
+                Queries::Outside(qs) => {
+                    metric.distance_many_to_many(&qs[block.clone()], base, &cache, column, dbuf);
+                    None
+                }
+                Queries::Members(ids) => {
+                    let heads = &ids[block.clone()];
+                    metric.distance_members_to_many(heads, base, &cache, column, dbuf);
+                    Some(heads)
+                }
+            };
             for (i, (heap, row)) in heaps.iter_mut().zip(dbuf.chunks(column.len())).enumerate() {
-                let own = (b * LANES + i) as PointId;
+                let me = own.map(|heads| heads[i]);
                 for (&id, &d) in column.iter().zip(row) {
-                    if !(members && id == own) {
+                    if me != Some(id) {
                         offer_bounded(heap, k, DistKey::new(d, id));
                     }
                 }
             }
         }
-        for heap in heaps {
+        let rows = heaps.into_iter().map(|heap| {
             let keys = heap.into_sorted_vec();
-            ids.push(keys.iter().map(|key| key.id()).collect());
-            dists.push(keys.iter().map(|key| key.dist()).collect());
-        }
-    }
+            let ids = keys.iter().map(|key| key.id()).collect();
+            (ids, keys.iter().map(|key| key.dist()).collect())
+        });
+        rows.collect::<Vec<(Vec<PointId>, Vec<f32>)>>()
+    });
+    let (ids, dists) = blocks.into_iter().flatten().unzip();
     GroundTruth { ids, dists }
 }
 
@@ -95,8 +126,22 @@ pub fn brute_force_knng<P: Point, M: BatchMetric<P>>(
     metric: &M,
     k: usize,
 ) -> GroundTruth {
+    let all: Vec<PointId> = (0..base.len() as PointId).collect();
+    brute_force_sample(base, metric, &all, k)
+}
+
+/// The rows of [`brute_force_knng`] at the ids in `sample`, in `sample`'s
+/// order: each member's exact `k` nearest other members, equal ids and
+/// distance bits. A sampled recall costs `sample.len() × N` distances
+/// instead of `N²`.
+pub fn brute_force_sample<P: Point, M: BatchMetric<P>>(
+    base: &PointSet<P>,
+    metric: &M,
+    sample: &[PointId],
+    k: usize,
+) -> GroundTruth {
     assert!(k < base.len(), "k must be smaller than the dataset");
-    sweep(base, metric, base.points(), true, k)
+    sweep(base, metric, Queries::Members(sample), k)
 }
 
 /// Exact k nearest base neighbors for each held-out query.
@@ -107,7 +152,7 @@ pub fn brute_force_queries<P: Point, M: BatchMetric<P>>(
     k: usize,
 ) -> GroundTruth {
     assert!(k <= base.len(), "k must not exceed the dataset size");
-    sweep(base, metric, queries.points(), false, k)
+    sweep(base, metric, Queries::Outside(queries.points()), k)
 }
 
 #[cfg(test)]
@@ -171,5 +216,43 @@ mod tests {
         let a = brute_force_knng(&base, &L2, 5);
         let b = brute_force_knng(&base, &L2, 5);
         assert_eq!(a, b);
+    }
+
+    /// Bit patterns of a truth's rows, so `-0.0` and NaN compare exactly.
+    fn bits(gt: &GroundTruth) -> Vec<(Vec<PointId>, Vec<u32>)> {
+        let rows = gt.ids.iter().zip(&gt.dists);
+        rows.map(|(ids, d)| (ids.clone(), d.iter().map(|x| x.to_bits()).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn a_sample_is_the_knng_at_its_ids() {
+        fn check<P: Point, M: BatchMetric<P>>(what: &str, base: &PointSet<P>, metric: &M) {
+            let k = 10;
+            let full = brute_force_knng(base, metric, k);
+            let sample: Vec<PointId> = (0..1_000)
+                .map(|i| (i * base.len() / 1_000) as PointId)
+                .collect();
+            let got = brute_force_sample(base, metric, &sample, k);
+            let want = GroundTruth {
+                ids: sample
+                    .iter()
+                    .map(|&v| full.ids[v as usize].clone())
+                    .collect(),
+                dists: sample
+                    .iter()
+                    .map(|&v| full.dists[v as usize].clone())
+                    .collect(),
+            };
+            assert_eq!(bits(&got), bits(&want), "{what}");
+        }
+        check("deep f32", &crate::presets::deep1b_like(2_000, 3), &L2);
+        check("bigann u8", &crate::presets::bigann_like(2_000, 3), &L2);
+        // Any order, repeats and a short last block.
+        let base = uniform(50, 4, 9);
+        let full = brute_force_knng(&base, &L2, 3);
+        let got = brute_force_sample(&base, &L2, &[7, 0, 7, 49, 12], 3);
+        assert_eq!(got.ids, [7, 0, 7, 49, 12].map(|v| full.ids[v].clone()));
+        assert!(brute_force_sample(&base, &L2, &[], 3).is_empty());
     }
 }

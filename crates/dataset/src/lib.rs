@@ -14,6 +14,8 @@
 //! * [`io`] — fvecs/bvecs/ivecs and Big-ANN fbin/u8bin readers and writers.
 //! * [`ground_truth`] / [`recall`] — exact brute-force k-NN and the paper's
 //!   recall scores.
+//! * [`par`] — the data-parallel map the shared-memory loops over
+//!   independent items (query batches, truth sweeps) run through.
 
 pub mod analysis;
 pub mod batch;
@@ -22,6 +24,7 @@ pub mod io;
 pub mod kernel;
 pub mod metric;
 pub mod order;
+pub mod par;
 pub mod point;
 pub mod presets;
 pub mod recall;
@@ -30,7 +33,7 @@ pub mod synth;
 
 pub use analysis::{lid_mle, profile, DatasetProfile};
 pub use batch::{BatchMetric, NormCache};
-pub use ground_truth::{brute_force_knng, brute_force_queries, GroundTruth};
+pub use ground_truth::{brute_force_knng, brute_force_queries, brute_force_sample, GroundTruth};
 pub use metric::{Chebyshev, Cosine, Hamming, InnerProduct, Jaccard, Metric, SquaredL2, L1, L2};
 pub use order::DistKey;
 pub use point::{Point, SparseVec};

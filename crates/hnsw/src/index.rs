@@ -10,11 +10,11 @@
 
 use dataset::metric::Metric;
 use dataset::order::{sort_edges, DistKey};
+use dataset::par;
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -211,7 +211,10 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
         found.into_iter().take(k).map(|(d, id)| (id, d)).collect()
     }
 
-    /// Parallel batch query; returns per-query id lists and throughput.
+    /// Parallel batch query: [`HnswIndex::search`] per query,
+    /// [`par::QUERY_CHUNK`] queries at a time per worker; returns per-query
+    /// id lists (equal to the one-at-a-time searches', whatever the number
+    /// of workers) and throughput.
     pub fn search_batch(
         &self,
         queries: &PointSet<P>,
@@ -219,16 +222,15 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
         ef: usize,
     ) -> (Vec<Vec<PointId>>, f64) {
         let start = std::time::Instant::now();
-        let ids: Vec<Vec<PointId>> = queries
-            .points()
-            .par_iter()
-            .map(|q| {
-                self.search(q, k, ef)
-                    .into_iter()
-                    .map(|(id, _)| id)
-                    .collect()
-            })
-            .collect();
+        let ids = par::map_indexed(
+            queries.len(),
+            par::QUERY_CHUNK,
+            || (),
+            |(), qi| {
+                let found = self.search(queries.point(qi as PointId), k, ef);
+                found.into_iter().map(|(id, _)| id).collect()
+            },
+        );
         let secs = start.elapsed().as_secs_f64();
         (ids, queries.len() as f64 / secs.max(1e-12))
     }

@@ -112,9 +112,12 @@ pub fn refine<P: Point, M: BatchMetric<P>>(
 /// rows are emptied and no row keeps an edge to them. A row left below `k`
 /// is topped up from its *old* row's two-hop neighborhood — through gone
 /// neighbors too, whose old rows still name survivors — scored by
-/// [`Metric::distance`] and admitted in `(distance, id)` order. Returns the
-/// result and the rows that lost an entry, ascending: the `shortened`
-/// argument of the [`refine()`] that restores quality.
+/// [`Metric::distance`] and admitted in `(distance, id)` order. A row that
+/// neighborhood leaves empty is refilled with its `k` nearest vertices that
+/// are neither in `gone` nor already out of the graph, by brute force: no
+/// vertex that stays leaves the graph. Returns the result and the rows that
+/// lost an entry, ascending: the `shortened` argument of the [`refine()`]
+/// that restores quality.
 pub fn remove_points<P: Point, M: Metric<P>>(
     graph: &KnnGraph,
     base: &PointSet<P>,
@@ -154,9 +157,17 @@ pub fn remove_points<P: Point, M: Metric<P>>(
                     }
                 }
                 let me = base.point(v);
-                top_up(&mut row, k, candidates, |w| {
-                    metric.distance(me, base.point(w))
-                });
+                let dist = |w: PointId| metric.distance(me, base.point(w));
+                top_up(&mut row, k, candidates, dist);
+                if row.is_empty() {
+                    // Orphaned: every old neighbor is gone and their rows
+                    // name no survivor. An empty row would put `v` out of
+                    // the graph for good, so it takes its `k` nearest
+                    // vertices still in the graph, by brute force.
+                    let rest = (0..graph.len() as PointId)
+                        .filter(|&w| w != v && !out[w as usize] && !graph.neighbors(w).is_empty());
+                    top_up(&mut row, k, rest.collect(), dist);
+                }
             }
             row
         })
@@ -181,6 +192,7 @@ mod tests {
     use dataset::metric::L2;
     use dataset::recall::mean_recall;
     use dataset::synth::{gaussian_mixture, MixtureParams};
+    use proptest::prelude::*;
 
     fn data(n: usize, seed: u64) -> PointSet<Vec<f32>> {
         gaussian_mixture(MixtureParams::embedding_like(n, 12), seed)
@@ -358,6 +370,58 @@ mod tests {
         assert!(refined > 0.9, "refined post-remove recall {refined}");
         assert!(refined > repaired, "refinement {repaired} -> {refined}");
         assert!(gone.iter().all(|&v| g3.neighbors(v).is_empty()));
+    }
+
+    #[test]
+    fn an_orphaned_row_is_refilled_by_brute_force() {
+        // Rows 0 <-> 1 and 2 <-> 3 at k = 1. Removing 1 leaves row 0 with
+        // no neighbor, and 1's old row names no survivor but 0 itself.
+        let base = PointSet::new(vec![vec![0.0f32], vec![1.0], vec![5.0], vec![7.0]]);
+        let g = KnnGraph::from_rows(vec![
+            vec![(1, 1.0)],
+            vec![(0, 1.0)],
+            vec![(3, 2.0)],
+            vec![(2, 2.0)],
+        ]);
+        let (g2, shortened) = remove_points(&g, &base, &L2, &[1], 1);
+        assert_eq!(shortened, [0]);
+        assert_eq!(g2.neighbors(0), &[(2, 5.0)]);
+        assert!(g2.neighbors(1).is_empty());
+        let (g3, _) = refine(&g2, &base, &L2, NnDescentParams::new(1), 2, &shortened);
+        assert!(!g3.neighbors(0).is_empty());
+        assert!(g3.neighbors(1).is_empty());
+    }
+
+    proptest! {
+        /// Whatever is deleted, every vertex that stays keeps a row through
+        /// the repair and the refinement, as long as `k + 1` stay. Small
+        /// tight clusters make orphans common: a vertex whose whole
+        /// neighborhood is one cluster that the delete set takes.
+        #[test]
+        fn no_live_row_ends_empty(
+            n in 6usize..40,
+            k in 1usize..5,
+            cluster in prop::collection::vec((0u32..12, 0u32..4), 40),
+            doomed in prop::collection::vec(any::<bool>(), 40),
+            keep in 0usize..40,
+        ) {
+            let points = cluster[..n].iter().map(|&(c, j)| vec![c as f32 * 100.0 + j as f32]);
+            let base = PointSet::new(points.collect());
+            let params = NnDescentParams::new(k).seed(keep as u64);
+            let (g, _) = build(&base, &L2, params);
+            // The k + 1 vertices from `keep` on (cyclically) stay.
+            let stays = |v: usize| (v + n - keep % n) % n <= k;
+            let gone: Vec<PointId> = (0..n).filter(|&v| doomed[v] && !stays(v)).map(|v| v as PointId).collect();
+            let (g2, shortened) = remove_points(&g, &base, &L2, &gone, k);
+            let (g3, _) = refine(&g2, &base, &L2, params, 2, &shortened);
+            for v in 0..n as PointId {
+                let dead = gone.contains(&v);
+                for g in [&g2, &g3] {
+                    prop_assert_eq!(g.neighbors(v).is_empty(), dead, "row {} of {:?}", v, gone);
+                    prop_assert!(g.neighbors(v).iter().all(|(u, _)| !gone.contains(u)));
+                }
+            }
+        }
     }
 
     #[test]

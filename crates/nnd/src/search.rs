@@ -6,21 +6,26 @@
 //! sift is one integer compare) and the kernel buffers, takes the query's
 //! norm once, and scores every expansion with one batched
 //! [`BatchMetric::distance_one_to_many_prepared`] call. [`search`] is that
-//! loop with a one-shot scratch; [`search_batch`] reuses one scratch (and
-//! one [`NormCache`]) across the batch, so no query pays an O(N) allocation.
+//! loop with a one-shot scratch; [`search_batch`] reuses one scratch per
+//! worker (and one [`NormCache`]) across the batch, so no query pays an O(N)
+//! allocation.
 //! Beside its distance evaluations a query pays one [`EntrySampler`] draw
 //! and its heap updates: seeds are admitted through the bounded rule, not
 //! pushed wholesale and trimmed.
 //!
-//! The paper's query program is shared-memory (256 OpenMP threads). This
-//! workspace's `rayon` stand-in is sequential, so [`search_batch`] runs its
-//! queries back to back on the calling thread and reports their throughput
-//! (Figure 2's qps axis); a parallel driver would hold one scratch per
-//! worker.
+//! The paper's query program is shared-memory (256 OpenMP threads), and so
+//! is [`search_batch`]: its queries are independent, so
+//! [`dataset::par::map_indexed`] hands them out
+//! [`dataset::par::QUERY_CHUNK`] at a time to one worker per core the
+//! process may run on, each holding its own scratch, and the batch reports
+//! their throughput (Figure 2's qps axis). Each query keeps its own seed,
+//! so the rows and the evaluation count do not depend on the number of
+//! workers.
 
 use crate::graph::KnnGraph;
 use dataset::batch::{BatchMetric, NormCache};
 use dataset::order::{offer_bounded, sort_edges, DistKey};
+use dataset::par;
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use rand::{Rng, SeedableRng};
@@ -339,7 +344,7 @@ pub struct BatchResult {
 
 /// Run every query in `queries`; query `qi` searches with seed
 /// `params.seed ^ (qi << 17)`, and its result equals a single [`search`]
-/// with that seed.
+/// with that seed, whatever the number of workers.
 pub fn search_batch<P: Point, M: BatchMetric<P>>(
     graph: &KnnGraph,
     base: &PointSet<P>,
@@ -352,7 +357,7 @@ pub fn search_batch<P: Point, M: BatchMetric<P>>(
 
 /// [`search_batch`] with an optional tracer: wraps the batch in a
 /// `search_batch` span (track 0) and records a `query_dist_evals`
-/// histogram sample per query.
+/// histogram sample per query, in query order once the batch is done.
 pub fn search_batch_traced<P: Point, M: BatchMetric<P>>(
     graph: &KnnGraph,
     base: &PointSet<P>,
@@ -364,25 +369,29 @@ pub fn search_batch_traced<P: Point, M: BatchMetric<P>>(
     if let Some(t) = tracer {
         t.begin_arg(0, "search_batch", t.wall_ns(), queries.len() as u64);
     }
-    // Norms and scratch are set up once for the whole batch.
+    // Norms are set up once for the whole batch, a scratch once per worker.
     let cache = metric.preprocess(base);
-    let mut scratch = Scratch::new(base.len());
-    let mut evals = 0;
-    let mut ids: Vec<Vec<PointId>> = Vec::with_capacity(queries.len());
     let start = std::time::Instant::now();
-    for (qi, q) in queries.points().iter().enumerate() {
+    let init = || Scratch::new(base.len());
+    let results = par::map_indexed(queries.len(), par::QUERY_CHUNK, init, |scratch, qi| {
         let seeded = SearchParams {
             seed: params.seed ^ ((qi as u64) << 17),
             ..params
         };
+        let q = queries.point(qi as PointId);
         let r = scratch.run(graph, base, metric, &cache, q, seeded);
-        evals += r.distance_evals;
-        if let Some(t) = tracer {
-            t.record_hist(0, "query_dist_evals", r.distance_evals);
-        }
-        ids.push(r.ids());
-    }
+        (r.ids(), r.distance_evals)
+    });
     let secs = start.elapsed().as_secs_f64();
+    let mut evals = 0;
+    let mut ids: Vec<Vec<PointId>> = Vec::with_capacity(queries.len());
+    for (row, e) in results {
+        evals += e;
+        if let Some(t) = tracer {
+            t.record_hist(0, "query_dist_evals", e);
+        }
+        ids.push(row);
+    }
     if let Some(t) = tracer {
         t.end(0, "search_batch", t.wall_ns());
     }

@@ -10,6 +10,9 @@
 //! dnnd-construct --input base.u8bin --elem u8 --k 10 --store ./store
 //! ```
 //!
+//! After the build it prints the graph's recall@k over up to 1 000 evenly
+//! spaced vertices, against their exact rows (`dataset::brute_force_sample`).
+//!
 //! Flags: `--rho --delta --seed --batch-size --unoptimized` (protocol),
 //! `--elem f32|u8`, and the observability outputs `--trace-out
 //! trace.json` (Chrome-trace / Perfetto span timeline, one track per
@@ -25,16 +28,31 @@
 
 use bench::{Args, ObsOuts};
 use dataset::batch::BatchMetric;
-use dataset::PointSet;
+use dataset::{brute_force_sample, mean_recall, PointId, PointSet};
 use dnnd::{build, BuildReport, CommOpts, DnndConfig};
 use dnnd_repro::cli::{
     die, or_die, parse_fault_plan, require_at_least_1, store_flag, Elem, Session, StoredPoint,
 };
 use metall::Store;
 use std::sync::Arc;
+use std::time::Instant;
 use ygm::World;
 
-/// Build over `set` and persist dataset and graph. The store is created
+/// Vertices the printed recall samples: this many, evenly spaced (every
+/// vertex of a smaller set).
+const RECALL_SAMPLE: usize = 1_000;
+
+/// The graph's recall@k over `sampled` of its `points` vertices, against
+/// their exact rows, and the seconds those rows took.
+struct SampledRecall {
+    recall: f64,
+    sampled: usize,
+    points: usize,
+    secs: f64,
+}
+
+/// Build over `set` and persist dataset and graph, then score the graph
+/// over [`RECALL_SAMPLE`] evenly spaced vertices. The store is created
 /// here, once the last thing that can reject the run — the dataset's size
 /// against `k` — has been checked: a refused run leaves no directory.
 fn construct<P: StoredPoint, M: BatchMetric<P>>(
@@ -43,15 +61,30 @@ fn construct<P: StoredPoint, M: BatchMetric<P>>(
     metric: &M,
     cfg: DnndConfig,
     store_dir: &str,
-) -> (Store, BuildReport) {
-    or_die(nnd::check_k(cfg.descent.k, set.len()));
+) -> (Store, BuildReport, SampledRecall) {
+    let (k, n) = (cfg.descent.k, set.len());
+    or_die(nnd::check_k(k, n));
     let mut store = Store::open_or_create(store_dir)
         .unwrap_or_else(|e| die(&format!("cannot open store {store_dir}: {e}")));
     let set = Arc::new(set);
     let out = build(world, &set, metric, cfg);
     or_die(P::save(&set, &mut store));
     or_die(out.graph.save(&mut store, "knng"));
-    (store, out.report)
+
+    let start = Instant::now();
+    let m = n.min(RECALL_SAMPLE);
+    let sample: Vec<PointId> = (0..m).map(|i| (i * n / m) as PointId).collect();
+    let truth = brute_force_sample(&set, metric, &sample, k);
+    let rows: Vec<Vec<PointId>> = (sample.iter())
+        .map(|&v| out.graph.neighbors(v).iter().map(|&(u, _)| u).collect())
+        .collect();
+    let sampled = SampledRecall {
+        recall: mean_recall(&rows, &truth),
+        sampled: m,
+        points: n,
+        secs: start.elapsed().as_secs_f64(),
+    };
+    (store, out.report, sampled)
 }
 
 fn main() {
@@ -115,7 +148,7 @@ fn main() {
         );
         construct(&world, set, &metric, cfg, &store_dir)
     });
-    let (mut store, report) = or_die(dispatch);
+    let (mut store, report, sampled) = or_die(dispatch);
     or_die(Session::write_meta(&mut store, k, elem, &metric_name));
 
     println!(
@@ -137,6 +170,10 @@ fn main() {
         report.total.bytes as f64 / 1e6,
         store.len(),
         store.total_bytes()
+    );
+    println!(
+        "sampled recall@{k} = {:.4} over {} of {} vertices (exact rows in {:.3}s)",
+        sampled.recall, sampled.sampled, sampled.points, sampled.secs
     );
     if let Some(f) = &report.faults {
         println!(

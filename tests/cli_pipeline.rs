@@ -49,6 +49,14 @@ fn preset_pipeline_runs_and_reports_recall() {
     );
     assert!(out.contains("constructed k=8"), "construct output: {out}");
     assert!(out.contains("virtual time"), "missing profile line: {out}");
+    // Under 1 000 points the sample is every vertex.
+    let sampled: f64 = (out.lines())
+        .find_map(|l| l.strip_prefix("sampled recall@8 = "))
+        .and_then(|rest| rest.strip_suffix("s)"))
+        .filter(|rest| rest.contains(" over 500 of 500 vertices (exact rows in "))
+        .and_then(|rest| rest.split(' ').next()?.parse().ok())
+        .unwrap_or_else(|| panic!("no sampled recall line: {out}"));
+    assert!(sampled > 0.9, "sampled graph recall {sampled}");
 
     let out = run_ok(
         env!("CARGO_BIN_EXE_dnnd-optimize"),

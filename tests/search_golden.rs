@@ -360,3 +360,38 @@ fn distributed_search_with_256_entries_is_pinned_across_rank_counts() {
         );
     }
 }
+
+/// The fixture's 40 held-out queries and its first 80 base points: enough
+/// queries for every worker of a batch to take several chunks.
+fn many_queries(base: &PointSet<Vec<f32>>, held_out: &PointSet<Vec<f32>>) -> PointSet<Vec<f32>> {
+    let members = base.points()[..80].iter();
+    PointSet::new(held_out.points().iter().chain(members).cloned().collect())
+}
+
+#[test]
+fn a_parallel_batch_is_the_one_query_searches() {
+    let (base, held_out, graph) = f32_fixture();
+    let queries = many_queries(&base, &held_out);
+    let params = SearchParams::new(10)
+        .epsilon(0.1)
+        .entry_candidates(256)
+        .seed(8);
+    let batch = search_batch(&graph, &base, &L2, &queries, params);
+    let mut evals = 0;
+    for (qi, q) in queries.points().iter().enumerate() {
+        let r = search(&graph, &base, &L2, q, params.seed(8 ^ ((qi as u64) << 17)));
+        assert_eq!(batch.ids[qi], r.ids(), "query {qi}");
+        evals += r.distance_evals;
+    }
+    assert_eq!(batch.distance_evals, evals);
+}
+
+#[test]
+fn a_parallel_hnsw_batch_is_the_one_query_searches() {
+    let (base, held_out, _) = f32_fixture();
+    let queries = many_queries(&base, &held_out);
+    let index = HnswIndex::build(&base, L2, HnswParams::new(8, 60).seed(5));
+    let ids = |q| index.search(q, 10, 40).into_iter().map(|(id, _)| id);
+    let rows: Vec<Vec<PointId>> = queries.points().iter().map(|q| ids(q).collect()).collect();
+    assert_eq!(index.search_batch(&queries, 10, 40).0, rows);
+}
