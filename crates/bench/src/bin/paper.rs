@@ -27,7 +27,7 @@ use dataset::metric::{Cosine, Jaccard, L2};
 use dataset::presets::{self, DatasetInfo};
 use dataset::synth::split_queries;
 use dataset::{analysis, brute_force_knng, brute_force_queries, mean_recall};
-use dataset::{BatchMetric, GroundTruth, Point, PointSet};
+use dataset::{BatchMetric, GroundTruth, Point, PointId, PointSet};
 use dnnd::msgs::{TAG_TYPE1, TAG_TYPE2, TAG_TYPE2_PLUS, TAG_TYPE3};
 use dnnd::{build, CommOpts, DnndConfig, DnndOutput};
 use hnsw::{HnswIndex, HnswParams};
@@ -382,7 +382,8 @@ fn table2(n: usize, dir: &Path, _: &ObsOuts) {
 
 /// **Figure 2** — held-out queries against DNND k10/k20/k30 graphs
 /// (optimized, m = 1.5) over the paper's ε sweep, and against its two
-/// Hnswlib cells over an `ef` sweep; QPS is wall clock over the batch.
+/// Hnswlib cells over an `ef` sweep; QPS is the fastest of
+/// [`FIG2_REPS`] runs of the batch.
 fn fig2(n: usize, dir: &Path, _: &ObsOuts) {
     const QUERIES: usize = 150;
     const SEED: u64 = 21;
@@ -409,21 +410,19 @@ fn fig2(n: usize, dir: &Path, _: &ObsOuts) {
                 for eps in std::iter::once(0.0).chain(steps.take_while(|e| *e <= 0.4 + 1e-6)) {
                     let params = SearchParams::new(10).epsilon(eps).seed(SEED);
                     let params = params.entry_candidates(32);
-                    let batch = search_batch(&graph, &base, &metric, &queries, params);
-                    let recall = mean_recall(&batch.ids, &truth);
-                    point(
-                        &format!("DNND k{k}"),
-                        format!("eps={eps:.3}"),
-                        recall,
-                        batch.qps,
-                    );
+                    let (ids, qps) = fastest_of_reps(|| {
+                        let batch = search_batch(&graph, &base, &metric, &queries, params);
+                        (batch.ids, batch.qps)
+                    });
+                    let recall = mean_recall(&ids, &truth);
+                    point(&format!("DNND k{k}"), format!("eps={eps:.3}"), recall, qps);
                 }
             }
             for (label, m, efc) in paper_configs(stand_in).0 {
                 let params = HnswParams::new(m, efc).seed(SEED);
                 let idx = HnswIndex::build(&base, metric.clone(), params);
                 for ef in [20usize, 40, 80, 160, 320, 640, 1200] {
-                    let (ids, qps) = idx.search_batch(&queries, 10, ef);
+                    let (ids, qps) = fastest_of_reps(|| idx.search_batch(&queries, 10, ef));
                     point(&label, format!("ef={ef}"), mean_recall(&ids, &truth), qps);
                 }
             }
@@ -435,6 +434,22 @@ fn fig2(n: usize, dir: &Path, _: &ObsOuts) {
     ));
     walk(BILLION, n + QUERIES, 31, &mut rows);
     emit(&rows.0, dir, "fig2_tradeoff");
+}
+
+/// Runs per Figure 2 cell. One batch is a few milliseconds of work, so a
+/// single timing moves severalfold between runs.
+const FIG2_REPS: usize = 5;
+
+/// Run a query batch [`FIG2_REPS`] times: its ids (the same every run) and
+/// its fastest throughput, since interference only adds time.
+fn fastest_of_reps(mut run: impl FnMut() -> (Vec<Vec<PointId>>, f64)) -> (Vec<Vec<PointId>>, f64) {
+    let (ids, mut qps) = run();
+    for _ in 1..FIG2_REPS {
+        let (again, q) = run();
+        assert_eq!(again, ids, "a query batch answered differently on a rerun");
+        qps = qps.max(q);
+    }
+    (ids, qps)
 }
 
 /// Node counts of Table 3's columns.

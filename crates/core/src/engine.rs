@@ -180,10 +180,14 @@ impl State {
         self.slots[v as usize] as usize
     }
 
-    /// Whether row `at` held `id` as the iteration opened.
+    /// Whether row `at` held `id` as the iteration opened. A fold over all
+    /// `k` slots rather than an early-exit `contains`: the Type 2 / 2+
+    /// handlers ask once per pair, the answer is mostly "no", and a
+    /// fixed-width loop with no exit to mispredict is the cheaper scan.
     #[inline]
     fn opened_with(&self, at: usize, id: PointId) -> bool {
-        self.start_ids[at * self.k..(at + 1) * self.k].contains(&id)
+        let row = &self.start_ids[at * self.k..(at + 1) * self.k];
+        row.iter().fold(false, |hit, &x| hit | (x == id))
     }
 
     /// Account one batched kernel call covering `n` evaluations.
@@ -954,6 +958,27 @@ fn register_handlers<P, M>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The branch-free skip test answers what the row's `contains` does:
+    /// for ids in a full row (last slot included), ids not in it, and a
+    /// short row padded with `PointId::MAX`.
+    #[test]
+    fn opened_with_agrees_with_the_rows_contains() {
+        let k = 4;
+        let mut s = State::new(Arc::new(vec![0, 1, 2]), 3, k);
+        let pad = PointId::MAX;
+        s.start_ids
+            .copy_from_slice(&[5, 9, 2, 7, 3, pad, pad, pad, 0, 1, 8, 6]);
+        assert!(s.opened_with(0, 7) && s.opened_with(1, 3) && s.opened_with(2, 0));
+        assert!(!s.opened_with(0, 3) && !s.opened_with(1, 5));
+        for at in 0..3 {
+            let row = &s.start_ids[at * k..(at + 1) * k];
+            for id in (0..12).chain([pad]) {
+                let want = row.contains(&id);
+                assert_eq!(s.opened_with(at, id), want, "row {at}, id {id}");
+            }
+        }
+    }
 
     /// The flat rows against the nested-`Vec` generation they replaced,
     /// written out: forward rows per head, then mirror rows grouped per

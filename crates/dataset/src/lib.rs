@@ -14,6 +14,7 @@
 //! * [`io`] — fvecs/bvecs/ivecs and Big-ANN fbin/u8bin readers and writers.
 //! * [`ground_truth`] / [`recall`] — exact brute-force k-NN and the paper's
 //!   recall scores.
+//! * [`marks`] — epoch-stamped visited marks for graph walks.
 //! * [`par`] — the data-parallel map the shared-memory loops over
 //!   independent items (query batches, truth sweeps) run through.
 
@@ -22,6 +23,7 @@ pub mod batch;
 pub mod ground_truth;
 pub mod io;
 pub mod kernel;
+pub mod marks;
 pub mod metric;
 pub mod order;
 pub mod par;

@@ -8,6 +8,7 @@
 //! portable k-NNG requires extra processing. Construction quality is
 //! governed by `ef_construction`, search quality by `ef`.
 
+use dataset::marks::VisitMarks;
 use dataset::metric::Metric;
 use dataset::order::{sort_edges, DistKey};
 use dataset::par;
@@ -73,6 +74,7 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
         assert!(!base.is_empty(), "cannot index an empty set");
         let ml = 1.0 / (params.m as f64).ln();
         let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
+        let mut scratch = LayerScratch::new(base.len());
         let mut index = HnswIndex {
             base,
             metric,
@@ -84,7 +86,7 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
         };
         for id in 0..base.len() as PointId {
             let level = (-rng.gen::<f64>().ln() * ml).floor() as usize;
-            index.insert(id, level);
+            index.insert(id, level, &mut scratch);
         }
         index
     }
@@ -142,7 +144,7 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
         }
     }
 
-    fn insert(&mut self, id: PointId, level: usize) {
+    fn insert(&mut self, id: PointId, level: usize, scratch: &mut LayerScratch) {
         let node = NodeLinks {
             layers: vec![Vec::new(); level + 1],
         };
@@ -164,7 +166,9 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
         let mut entries = vec![cur];
         for layer in (0..=level.min(self.max_layer)).rev() {
             let efc = self.params.ef_construction;
-            let found = self.build_walk().search_layer(q, &entries, efc, layer);
+            let found = self
+                .build_walk()
+                .search_layer(scratch, q, &entries, efc, layer);
             let m = self.params.m;
             let selected = self.select_neighbors(&found, m);
             for &u in &selected {
@@ -194,6 +198,17 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
     /// k-ANN query with beam width `ef` (clamped up to `k`). Returns up to
     /// `k` `(id, dist)` pairs ascending.
     pub fn search(&self, q: &P, k: usize, ef: usize) -> Vec<(PointId, f32)> {
+        self.search_with(&mut LayerScratch::new(self.nodes.len()), q, k, ef)
+    }
+
+    /// [`HnswIndex::search`] reusing `scratch`'s visited marks and heap.
+    fn search_with(
+        &self,
+        scratch: &mut LayerScratch,
+        q: &P,
+        k: usize,
+        ef: usize,
+    ) -> Vec<(PointId, f32)> {
         // Queries charge a local counter, never the build counter.
         let mut evals = 0;
         let mut me = LayerWalk {
@@ -207,12 +222,13 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
         for layer in (1..=self.max_layer).rev() {
             cur = me.greedy_closest(q, cur, layer);
         }
-        let found = me.search_layer(q, &[cur], ef, 0);
+        let found = me.search_layer(scratch, q, &[cur], ef, 0);
         found.into_iter().take(k).map(|(d, id)| (id, d)).collect()
     }
 
     /// Parallel batch query: [`HnswIndex::search`] per query,
-    /// [`par::QUERY_CHUNK`] queries at a time per worker; returns per-query
+    /// [`par::QUERY_CHUNK`] queries at a time per worker, each worker with
+    /// one [`LayerScratch`] for all its queries; returns per-query
     /// id lists (equal to the one-at-a-time searches', whatever the number
     /// of workers) and throughput.
     pub fn search_batch(
@@ -225,9 +241,9 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
         let ids = par::map_indexed(
             queries.len(),
             par::QUERY_CHUNK,
-            || (),
-            |(), qi| {
-                let found = self.search(queries.point(qi as PointId), k, ef);
+            || LayerScratch::new(self.nodes.len()),
+            |scratch, qi| {
+                let found = self.search_with(scratch, queries.point(qi as PointId), k, ef);
                 found.into_iter().map(|(id, _)| id).collect()
             },
         );
@@ -290,6 +306,31 @@ impl<'a, P: Point, M: Metric<P>> HnswIndex<'a, P, M> {
     }
 }
 
+/// Reusable state of [`LayerWalk::search_layer`]: the visited marks and
+/// the candidate heap. The build keeps one for every insert and each
+/// [`HnswIndex::search_batch`] worker one for all its queries, so a layer
+/// search allocates no per-node array.
+struct LayerScratch {
+    marks: VisitMarks,
+    candidates: BinaryHeap<Reverse<DistKey>>,
+}
+
+impl LayerScratch {
+    /// Scratch for an index of up to `n` nodes.
+    fn new(n: usize) -> Self {
+        LayerScratch {
+            marks: VisitMarks::new(n),
+            candidates: BinaryHeap::new(),
+        }
+    }
+
+    /// Start a layer search: every node unvisited, no candidate.
+    fn reset(&mut self) {
+        self.marks.reset();
+        self.candidates.clear();
+    }
+}
+
 /// The traversal routines of one layer — shared by `insert` and `search`
 /// — over borrowed links, charging every distance to `evals`: the index's
 /// `build_distance_evals` during construction, a local counter in queries
@@ -332,44 +373,42 @@ impl<P: Point, M: Metric<P>> LayerWalk<'_, P, M> {
     /// pairs, ascending.
     fn search_layer(
         &mut self,
+        scratch: &mut LayerScratch,
         q: &P,
         entries: &[PointId],
         ef: usize,
         layer: usize,
     ) -> Vec<(f32, PointId)> {
-        let mut visited = vec![false; self.nodes.len()];
+        scratch.reset();
         let mut result: BinaryHeap<DistKey> = BinaryHeap::new(); // max-heap
-        let mut candidates: BinaryHeap<Reverse<DistKey>> = BinaryHeap::new();
         let worst =
             |result: &BinaryHeap<DistKey>| result.peek().map_or(f32::INFINITY, |w| w.dist());
         for &e in entries {
-            if visited[e as usize] {
+            if !scratch.marks.visit(e) {
                 continue;
             }
-            visited[e as usize] = true;
             let d = self.dist(e, q);
             result.push(DistKey::new(d, e));
-            candidates.push(Reverse(DistKey::new(d, e)));
+            scratch.candidates.push(Reverse(DistKey::new(d, e)));
         }
         while result.len() > ef {
             result.pop();
         }
-        while let Some(Reverse(next)) = candidates.pop() {
+        while let Some(Reverse(next)) = scratch.candidates.pop() {
             if next.dist() > worst(&result) && result.len() >= ef {
                 break;
             }
             for &u in &self.nodes[next.id() as usize].layers[layer] {
-                if visited[u as usize] {
+                if !scratch.marks.visit(u) {
                     continue;
                 }
-                visited[u as usize] = true;
                 let du = self.dist(u, q);
                 if result.len() < ef || du < worst(&result) {
                     result.push(DistKey::new(du, u));
                     if result.len() > ef {
                         result.pop();
                     }
-                    candidates.push(Reverse(DistKey::new(du, u)));
+                    scratch.candidates.push(Reverse(DistKey::new(du, u)));
                 }
             }
         }

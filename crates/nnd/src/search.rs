@@ -24,6 +24,7 @@
 
 use crate::graph::KnnGraph;
 use dataset::batch::{BatchMetric, NormCache};
+use dataset::marks::VisitMarks;
 use dataset::order::{offer_bounded, sort_edges, DistKey};
 use dataset::par;
 use dataset::point::Point;
@@ -178,14 +179,12 @@ impl EntrySampler {
 /// one per batch of new points), so its steady state allocates nothing per
 /// query.
 ///
-/// Visited marks are **epoch-stamped**: marking writes the current epoch
-/// and a new query just bumps it — an O(1) reset instead of clearing `N`
-/// slots (the rare wrap-around does the full clear).
+/// Visited marks are a [`VisitMarks`]: a new query resets them in O(1)
+/// instead of clearing `N` slots.
 #[derive(Default)]
 pub(crate) struct Scratch {
     sampler: EntrySampler,
-    epochs: Vec<u32>,
-    epoch: u32,
+    marks: VisitMarks,
     /// Result: max-heap of the best `l` so far (farthest on top).
     best: BinaryHeap<DistKey>,
     /// Frontier: min-heap of candidates to expand.
@@ -199,7 +198,7 @@ impl Scratch {
     pub(crate) fn new(n: usize) -> Self {
         Scratch {
             sampler: EntrySampler::new(n),
-            epochs: vec![0; n],
+            marks: VisitMarks::new(n),
             ..Scratch::default()
         }
     }
@@ -223,17 +222,11 @@ impl Scratch {
     ) -> SearchResult {
         let n = base.len();
         assert_eq!(graph.len(), n, "graph and base set disagree on N");
-        assert_eq!(self.epochs.len(), n, "scratch sized for a different N");
+        assert_eq!(self.marks.len(), n, "scratch sized for a different N");
         let verdict = params.validate().and_then(|()| check_l(params.l, n));
         verdict.unwrap_or_else(|e| panic!("invalid SearchParams: {e}"));
 
-        // New query: bump the epoch; on wraparound do the rare full clear.
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.epochs.fill(0);
-            self.epoch = 1;
-        }
-        let epoch = self.epoch;
+        self.marks.reset();
         self.best.clear();
         self.frontier.clear();
 
@@ -241,7 +234,7 @@ impl Scratch {
         let starts = params.l.max(params.entry_candidates).min(n);
         self.sampler.draw(&mut rng, starts, &mut self.cands);
         for &id in &self.cands {
-            self.epochs[id as usize] = epoch;
+            self.marks.visit(id);
         }
         // Every batch of this query is scored with its norm taken once.
         let q_prep = metric.prepare_query(query);
@@ -288,7 +281,7 @@ impl Scratch {
                     .neighbors(p)
                     .iter()
                     .map(|&(w, _)| w)
-                    .filter(|&w| std::mem::replace(&mut self.epochs[w as usize], epoch) != epoch),
+                    .filter(|&w| self.marks.visit(w)),
             );
             score(&self.cands, &mut self.dbuf);
             evals += self.cands.len() as u64;
@@ -602,19 +595,6 @@ mod tests {
         let _ = run_on(&mut s, &set, &g, 250, p);
         assert_eq!(run_on(&mut s, &set, &g, 10, p), first);
         assert_eq!(search(&g, &set, &L2, set.point(10), p), first);
-    }
-
-    #[test]
-    fn epoch_wraparound_still_correct() {
-        let (set, g) = small_graph();
-        let mut s = Scratch::new(set.len());
-        // Force the wrap path.
-        s.epoch = u32::MAX - 1;
-        let p = SearchParams::new(5).entry_candidates(32).seed(4);
-        let want = search(&g, &set, &L2, set.point(123), p);
-        for _ in 0..4 {
-            assert_eq!(run_on(&mut s, &set, &g, 123, p), want);
-        }
     }
 
     #[test]

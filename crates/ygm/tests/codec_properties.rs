@@ -5,7 +5,9 @@
 //! largest routable tag (`MAX_TAGS - 1`). The slice-codec battery holds
 //! every primitive's block `encode_slice` / `decode_vec_into` to the
 //! per-element format, for every length 0..=300, over an empty, a dirty
-//! longer and a dirty shorter destination; the last section holds
+//! longer and a dirty shorter destination, and a property holds
+//! `encode_slice` to the per-element loop for random contents behind a
+//! random prefix; the last section holds
 //! `decode_into` to `decode` and a tuple of borrows to the owned struct.
 
 use proptest::prelude::*;
@@ -237,6 +239,55 @@ fn every_primitive_slice_codec_is_the_per_element_format() {
     slice_codec_matches_per_element(|x| x & 1 == 1);
     slice_codec_matches_per_element(|x| x as usize);
     slice_codec_matches_per_element(|x| (x as u32, f32::from_bits((x >> 32) as u32)));
+}
+
+/// Lengths on both sides of 8, 16 and 64 elements and of 64-byte
+/// multiples for every element size (1, 2, 4 and 8 bytes): where an
+/// unrolled or chunked encoder would go wrong.
+const EDGE_LENGTHS: [usize; 14] = [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 97, 128, 129];
+
+/// `encode_slice` appended after `prefix` leaves exactly `prefix` followed
+/// by the per-element `encode` loop's bytes.
+fn encode_slice_is_the_loop<T: Encode>(prefix: &[u8], items: &[T]) -> Result<(), String> {
+    let mut want = BytesMut::new();
+    want.put_slice(prefix);
+    items.iter().for_each(|v| v.encode(&mut want));
+    let mut got = BytesMut::new();
+    got.put_slice(prefix);
+    T::encode_slice(items, &mut got);
+    prop_assert_eq!(got, want, "{} items", items.len());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every primitive's `encode_slice`, and the tuple slice's default,
+    /// write the per-element bytes at every edge length.
+    #[test]
+    fn encode_slice_is_the_per_element_loop_at_edge_lengths(
+        words in prop::collection::vec(any::<u64>(), 129..=129),
+        prefix in prop::collection::vec(any::<u8>(), 0..=9),
+    ) {
+        for len in EDGE_LENGTHS {
+            let w = &words[..len];
+            encode_slice_is_the_loop(&prefix, &map_words(w, |x| x as u8))?;
+            encode_slice_is_the_loop(&prefix, &map_words(w, |x| x as u16))?;
+            encode_slice_is_the_loop(&prefix, &map_words(w, |x| x as u32))?;
+            encode_slice_is_the_loop(&prefix, w)?;
+            encode_slice_is_the_loop(&prefix, &map_words(w, |x| x as i32))?;
+            encode_slice_is_the_loop(&prefix, &map_words(w, |x| x as i64))?;
+            encode_slice_is_the_loop(&prefix, &map_words(w, |x| f32::from_bits(x as u32)))?;
+            encode_slice_is_the_loop(&prefix, &map_words(w, f64::from_bits))?;
+            let scored = map_words(w, |x| (x as u32, f32::from_bits((x >> 32) as u32)));
+            encode_slice_is_the_loop(&prefix, &scored)?;
+        }
+    }
+}
+
+/// `f` of each word, in order.
+fn map_words<T>(words: &[u64], f: impl Fn(u64) -> T) -> Vec<T> {
+    words.iter().map(|&x| f(x)).collect()
 }
 
 /// A block-coded `Vec<T>` nested inside the generic containers (tuple,
