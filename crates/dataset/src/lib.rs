@@ -16,7 +16,8 @@
 //!   recall scores.
 //! * [`marks`] — epoch-stamped visited marks for graph walks.
 //! * [`par`] — the data-parallel map the shared-memory loops over
-//!   independent items (query batches, truth sweeps) run through.
+//!   independent items (query batches, truth sweeps, preset transforms) run
+//!   through, and the ordered pipeline of `nnd::build`'s neighbor check.
 
 pub mod analysis;
 pub mod batch;

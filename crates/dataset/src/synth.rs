@@ -9,25 +9,80 @@
 //! exploits; i.i.d. uniform data would be an adversarially structureless
 //! (and unrealistic) input.
 //!
-//! All generators are deterministic in their seed (ChaCha8).
+//! All generators are deterministic in their seed (ChaCha8). The dense
+//! ones draw their one random stream on the calling thread, in order, and
+//! run the per-point arithmetic on every core ([`par::map_indexed`]): the
+//! result is the same at any worker count.
 
+use crate::par;
 use crate::point::SparseVec;
 use crate::set::PointSet;
 use rand::distributions::Distribution;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+/// Points [`gaussian_mixture`] draws the random stream for at a time before
+/// it transforms them: the drawn uniforms of a block stay a few MB.
+const GEN_BLOCK: usize = 1024;
+
+/// Points per item of the parallel per-point map.
+const POINT_RUN: usize = 64;
+
 /// Standard normal sampling via Box–Muller, avoiding a dependency on
 /// `rand_distr` (not on the approved crate list).
 struct StdNormal;
 
-impl Distribution<f32> for StdNormal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f32 {
-        // Box–Muller transform; u1 in (0,1] to avoid ln(0).
+impl StdNormal {
+    /// The two uniforms one sample consumes, in stream order; `u1` in
+    /// (0,1] to avoid ln(0).
+    fn draw<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
         let u1: f64 = 1.0 - rng.gen::<f64>();
         let u2: f64 = rng.gen();
+        (u1, u2)
+    }
+
+    /// The Box–Muller transform of one [`StdNormal::draw`].
+    fn transform((u1, u2): (f64, f64)) -> f32 {
         ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
     }
+}
+
+impl Distribution<f32> for StdNormal {
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f32 {
+        Self::transform(Self::draw(rng))
+    }
+}
+
+/// `(0..n).map(|i| { let mut p = Vec::new(); fill(i, &mut p); p })`, with
+/// the `fill` calls run on every core, [`POINT_RUN`] points per item. Each
+/// point's `Vec` is allocated on the calling thread, in index order and at
+/// its exact length, so the set sits in memory as a sequential map puts it.
+fn points_on_every_core<T: Copy + Send>(
+    n: usize,
+    fill: impl Fn(usize, &mut Vec<T>) + Sync,
+) -> Vec<Vec<T>> {
+    let runs = par::map_indexed(
+        n.div_ceil(POINT_RUN),
+        1,
+        || (),
+        |(), r| {
+            let (mut flat, mut ends) = (Vec::new(), Vec::new());
+            for i in r * POINT_RUN..(r * POINT_RUN + POINT_RUN).min(n) {
+                fill(i, &mut flat);
+                ends.push(flat.len());
+            }
+            (flat, ends)
+        },
+    );
+    let mut points = Vec::with_capacity(n);
+    for (flat, ends) in runs {
+        let mut start = 0;
+        for end in ends {
+            points.push(flat[start..end].to_vec());
+            start = end;
+        }
+    }
+    points
 }
 
 /// Parameters for the Gaussian-mixture generator.
@@ -58,26 +113,42 @@ impl MixtureParams {
     }
 }
 
-/// Clustered Gaussian-mixture dense f32 dataset.
+/// Clustered Gaussian-mixture dense f32 dataset. Per point the stream
+/// gives its center, then one [`StdNormal`] pair per coordinate; a block of
+/// [`GEN_BLOCK`] points is drawn in that order, then transformed on every
+/// core.
 pub fn gaussian_mixture(params: MixtureParams, seed: u64) -> PointSet<Vec<f32>> {
     assert!(params.n_clusters >= 1 && params.dim >= 1);
+    let (n, dim) = (params.n, params.dim);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let normal = StdNormal;
     let centers: Vec<Vec<f32>> = (0..params.n_clusters)
         .map(|_| {
-            (0..params.dim)
+            (0..dim)
                 .map(|_| normal.sample(&mut rng) * params.center_spread)
                 .collect()
         })
         .collect();
-    let points = (0..params.n)
-        .map(|_| {
-            let c = &centers[rng.gen_range(0..params.n_clusters)];
-            c.iter()
-                .map(|&x| x + normal.sample(&mut rng) * params.cluster_std)
-                .collect()
-        })
-        .collect();
+    let mut points = Vec::with_capacity(n);
+    let (mut center_of, mut draws) = (Vec::new(), Vec::new());
+    for start in (0..n).step_by(GEN_BLOCK) {
+        let len = GEN_BLOCK.min(n - start);
+        center_of.clear();
+        draws.clear();
+        for _ in 0..len {
+            center_of.push(rng.gen_range(0..params.n_clusters));
+            draws.extend((0..dim).map(|_| StdNormal::draw(&mut rng)));
+        }
+        points.extend(points_on_every_core(len, |i, out| {
+            let center = centers[center_of[i]].iter();
+            let noise = draws[i * dim..(i + 1) * dim].iter();
+            out.extend(
+                center
+                    .zip(noise)
+                    .map(|(&x, &pair)| x + StdNormal::transform(pair) * params.cluster_std),
+            );
+        }));
+    }
     PointSet::new(points)
 }
 
@@ -93,16 +164,11 @@ pub fn quantize_u8(set: &PointSet<Vec<f32>>) -> PointSet<Vec<u8>> {
         }
     }
     let scale = if hi > lo { 255.0 / (hi - lo) } else { 0.0 };
-    let points = set
-        .points()
-        .iter()
-        .map(|p| {
-            p.iter()
-                .map(|&x| ((x - lo) * scale).round().clamp(0.0, 255.0) as u8)
-                .collect()
-        })
-        .collect();
-    PointSet::new(points)
+    let points = set.points();
+    PointSet::new(points_on_every_core(points.len(), |i, out| {
+        let coords = points[i].iter();
+        out.extend(coords.map(|&x| ((x - lo) * scale).round().clamp(0.0, 255.0) as u8));
+    }))
 }
 
 /// L2-normalize every vector in place — cosine-metric datasets (GloVe,
@@ -219,6 +285,63 @@ mod tests {
         let c = gaussian_mixture(p, 43);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    /// The generators as they were when every step ran on one thread: the
+    /// references the parallel ones must equal, bit for bit.
+    fn gaussian_mixture_sequential(params: MixtureParams, seed: u64) -> PointSet<Vec<f32>> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let normal = StdNormal;
+        let centers: Vec<Vec<f32>> = (0..params.n_clusters)
+            .map(|_| {
+                (0..params.dim)
+                    .map(|_| normal.sample(&mut rng) * params.center_spread)
+                    .collect()
+            })
+            .collect();
+        let points = (0..params.n)
+            .map(|_| {
+                let c = &centers[rng.gen_range(0..params.n_clusters)];
+                c.iter()
+                    .map(|&x| x + normal.sample(&mut rng) * params.cluster_std)
+                    .collect()
+            })
+            .collect();
+        PointSet::new(points)
+    }
+
+    fn quantize_u8_sequential(set: &PointSet<Vec<f32>>) -> PointSet<Vec<u8>> {
+        let all = set.points().iter().flatten();
+        let lo = all.clone().fold(f32::INFINITY, |lo, &x| lo.min(x));
+        let hi = all.fold(f32::NEG_INFINITY, |hi, &x| hi.max(x));
+        let scale = if hi > lo { 255.0 / (hi - lo) } else { 0.0 };
+        let quantize = |p: &Vec<f32>| {
+            let q = p
+                .iter()
+                .map(|&x| ((x - lo) * scale).round().clamp(0.0, 255.0) as u8);
+            q.collect()
+        };
+        PointSet::new(set.points().iter().map(quantize).collect())
+    }
+
+    #[test]
+    fn generators_equal_their_sequential_form() {
+        // Around one draw block, and across several.
+        for n in [0usize, 1, 1023, 1024, 1025, 5000] {
+            for (dim, seed) in [(96, 3), (7, n as u64)] {
+                let params = MixtureParams::embedding_like(n, dim);
+                let want = gaussian_mixture_sequential(params, seed);
+                let got = gaussian_mixture(params, seed);
+                let bits = |s: &PointSet<Vec<f32>>| -> Vec<Vec<u32>> {
+                    let points = s.points().iter();
+                    points
+                        .map(|p| p.iter().map(|x| x.to_bits()).collect())
+                        .collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "n {n}, dim {dim}");
+                assert_eq!(quantize_u8(&got), quantize_u8_sequential(&want), "n {n}");
+            }
+        }
     }
 
     #[test]

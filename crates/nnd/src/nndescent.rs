@@ -15,12 +15,19 @@
 //!
 //! `G` is one [`NeighborTable`] behind a `&mut`: the paper's "c and G are
 //! atomically updated" holds because the borrow checker proves nothing else
-//! can touch them — no lock, no atomic. A parallel descent has to partition
-//! the rows or add the synchronisation before it compiles.
+//! can touch them — no lock, no atomic. The neighbor check still runs on
+//! two cores or more, as a producer / consumer pair: an iteration's pairs
+//! are fixed once its lists are sampled, so their distances do not depend
+//! on `G`. Producers score the participants ahead, a fixed chunk at a time
+//! ([`dataset::par::pipeline`]), and the calling thread — the only one that
+//! holds `G` — applies every insert in the sequential order, reading the
+//! distances from their buffers. `c`, each row's layout and flags, and the
+//! evaluation count are the one-worker loop's, bit for bit.
 
 use crate::graph::KnnGraph;
 use crate::heap::NeighborTable;
 use dataset::batch::{BatchMetric, NormCache};
+use dataset::par;
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use rand::seq::SliceRandom;
@@ -30,6 +37,10 @@ use rand_chacha::ChaCha8Rng;
 /// Join heads the neighbor check scores per M×N call: the width of the
 /// kernels that read a candidate row once per eight queries.
 const BLOCK: usize = dataset::kernel::LANES;
+
+/// Participants a producer scores per chunk of the neighbor check: enough
+/// to pay for the hand-over, few enough that the consumer starts early.
+const JOIN_CHUNK: usize = 64;
 
 /// NN-Descent hyper-parameters. Defaults are the paper's evaluation
 /// configuration (Section 5.1.3): `rho = 0.8`, `delta = 0.001`.
@@ -139,8 +150,21 @@ pub fn build<P: Point, M: BatchMetric<P>>(
 
 /// Build with an optional initial neighbor candidate list per vertex
 /// (e.g. from an RP forest). Vertices with fewer than `k` initial
-/// candidates are topped up with random neighbors.
+/// candidates are topped up with random neighbors. The neighbor check runs
+/// on one worker per core ([`par::cores`]); the result does not depend on
+/// how many there are.
 pub fn build_with_init<P: Point, M: BatchMetric<P>>(
+    set: &PointSet<P>,
+    metric: &M,
+    params: NnDescentParams,
+    init: Option<&[Vec<PointId>]>,
+) -> (KnnGraph, BuildStats) {
+    build_on(par::cores(), set, metric, params, init)
+}
+
+/// [`build_with_init`] with its neighbor check on `workers` workers.
+fn build_on<P: Point, M: BatchMetric<P>>(
+    workers: usize,
     set: &PointSet<P>,
     metric: &M,
     params: NnDescentParams,
@@ -184,7 +208,7 @@ pub fn build_with_init<P: Point, M: BatchMetric<P>>(
         }
     }
 
-    let stats = descend(&mut theta, &mut table, params);
+    let stats = descend(&mut theta, &mut table, params, workers);
     (KnnGraph::from_table(&table), stats)
 }
 
@@ -215,12 +239,122 @@ impl<'a, P: Point, M: BatchMetric<P>> Theta<'a, P, M> {
         (self.metric).distance_member_to_many(v, self.set, &self.cache, cands, out);
     }
 
-    /// Distances from each of `heads` to each of `cands`, row-major, of
-    /// which the caller reads `used`: only those count as evaluations.
-    fn block(&mut self, heads: &[PointId], cands: &[PointId], used: u64, out: &mut Vec<f32>) {
-        self.evals += used;
-        (self.metric).distance_members_to_many(heads, self.set, &self.cache, cands, out);
+    /// Distances from each of `heads` to each of `cands`, row-major, by the
+    /// same kernels as [`Theta::batch`]; counts nothing — the neighbor check
+    /// counts the ones it reads.
+    fn score(&self, heads: &[PointId], cands: &[PointId], out: &mut Vec<f32>) {
+        let (set, cache) = (self.set, &self.cache);
+        match heads {
+            [v] => self
+                .metric
+                .distance_member_to_many(*v, set, cache, cands, out),
+            _ => self
+                .metric
+                .distance_members_to_many(heads, set, cache, cands, out),
+        }
     }
+}
+
+/// One participant's neighbor check as the kernel calls that score it, in
+/// order: join heads are taken from `news` eight at a time, a block
+/// `news[i0..i0 + 8]` against its shared tail `news[i0 + 1..] + olds` in
+/// one M×N call; fewer than eight remaining heads are scored 1×N each,
+/// against their partners gathered without themselves. `call(heads, tails)`
+/// sees each call.
+fn for_each_call(
+    news: &[PointId],
+    olds: &[PointId],
+    tails: &mut Vec<PointId>,
+    mut call: impl FnMut(&[PointId], &[PointId]),
+) {
+    let full = news.len() / BLOCK * BLOCK;
+    for i0 in (0..full).step_by(BLOCK) {
+        tails.clear();
+        tails.extend(news[i0 + 1..].iter().chain(olds));
+        call(&news[i0..i0 + BLOCK], tails);
+    }
+    for i in full..news.len() {
+        let u1 = news[i];
+        tails.clear();
+        tails.extend(news[i + 1..].iter().chain(olds).filter(|&&u2| u2 != u1));
+        if !tails.is_empty() {
+            call(&news[i..=i], tails);
+        }
+    }
+}
+
+/// Where the neighbor check reads a call's distances from: scored on the
+/// spot, or the next run of what a producer scored ahead.
+enum Scores<'s, 'a, P, M> {
+    Inline(&'s Theta<'a, P, M>, &'s mut Vec<f32>),
+    Ahead(&'s [f32]),
+}
+
+impl<P: Point, M: BatchMetric<P>> Scores<'_, '_, P, M> {
+    fn next(&mut self, heads: &[PointId], tails: &[PointId]) -> &[f32] {
+        match self {
+            Scores::Inline(theta, dbuf) => {
+                theta.score(heads, tails, dbuf);
+                dbuf
+            }
+            Scores::Ahead(rest) => {
+                let (now, later) = rest.split_at(heads.len() * tails.len());
+                *rest = later;
+                now
+            }
+        }
+    }
+}
+
+/// Lines 17-22 over `participants`: every call of [`for_each_call`], its
+/// distances from `scores`, and each head's row updates against its own
+/// partners — the tail from its successor on, less itself — in the
+/// original (u1, u2) order. Returns the successful updates `c` and the
+/// distances read: one per pair updated, so a block's distances from a
+/// head to itself (it may be in `olds`) do not count.
+fn join<P: Point, M: BatchMetric<P>>(
+    participants: &[PointId],
+    (fwd_new, fwd_old): (&[Vec<PointId>], &[Vec<PointId>]),
+    table: &mut NeighborTable,
+    tails: &mut Vec<PointId>,
+    mut scores: Scores<'_, '_, P, M>,
+) -> (u64, u64) {
+    let (mut c, mut evals) = (0u64, 0u64);
+    for &v in participants {
+        let (news, olds) = (&fwd_new[v as usize], &fwd_old[v as usize]);
+        for_each_call(news, olds, tails, |heads, tails| {
+            let dists = scores.next(heads, tails);
+            for (j, (&u1, row)) in heads.iter().zip(dists.chunks(tails.len())).enumerate() {
+                for (&u2, &d) in tails[j..].iter().zip(&row[j..]) {
+                    if u2 != u1 {
+                        evals += 1;
+                        c += u64::from(table.insert(u1 as usize, u2, d, true));
+                        c += u64::from(table.insert(u2 as usize, u1, d, true));
+                    }
+                }
+            }
+        });
+    }
+    (c, evals)
+}
+
+/// The producer's side of [`join`]: every distance `participants` will
+/// read, in the order it reads them.
+fn score_ahead<P: Point, M: BatchMetric<P>>(
+    theta: &Theta<'_, P, M>,
+    participants: &[PointId],
+    (fwd_new, fwd_old): (&[Vec<PointId>], &[Vec<PointId>]),
+    (tails, dbuf): &mut (Vec<PointId>, Vec<f32>),
+) -> Vec<f32> {
+    let mut scored = Vec::new();
+    for &v in participants {
+        let (news, olds) = (&fwd_new[v as usize], &fwd_old[v as usize]);
+        for_each_call(news, olds, tails, |heads, tails| {
+            theta.score(heads, tails, dbuf);
+            scored.extend_from_slice(dbuf);
+        });
+    }
+    scored
 }
 
 /// The descent loop (Algorithm 1 lines 6-23) over pre-filled, pre-flagged
@@ -253,10 +387,17 @@ impl<'a, P: Point, M: BatchMetric<P>> Theta<'a, P, M> {
 /// the first samples and finds who takes part, the second reads every
 /// row's old entries (no evaluation, no allocation for a vertex outside
 /// the set) and only then marks the samples.
+///
+/// The neighbor check runs on `workers` threads: at one it scores each
+/// call on the spot; above, producers score the participants ahead a chunk
+/// at a time and this thread applies the inserts (see the module doc). The
+/// result is the same at every worker count. A caller inside a `ygm` rank
+/// passes 1: a rank is one OS thread.
 pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
     theta: &mut Theta<'_, P, M>,
     table: &mut NeighborTable,
     params: NnDescentParams,
+    workers: usize,
 ) -> BuildStats {
     let (n, k) = (table.n_rows(), params.k);
     let max_sample = ((params.rho * k as f64).round() as usize).max(1);
@@ -334,47 +475,29 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
             union_sample(&mut fwd_new[v], &mut rev_new[v], &mut rng);
         }
 
-        // Lines 17-22: neighbor checks. Join heads u1 are taken from `news`
-        // eight at a time: a block `news[i0..i0 + 8]` is scored against its
-        // shared tail `news[i0 + 1..] + olds` in one M×N call, and each head
-        // then reads its own partners — the tail from its successor on,
-        // less itself — out of its row. Fewer than eight remaining heads
-        // gather their partners and score them 1×N. Either way the row
-        // updates replay in the original (u1, u2) order.
-        let mut c = 0u64;
-        for &v in &participants {
-            let (news, olds) = (&fwd_new[v as usize], &fwd_old[v as usize]);
-            let full = news.len() / BLOCK * BLOCK;
-            for i0 in (0..full).step_by(BLOCK) {
-                let heads = &news[i0..i0 + BLOCK];
-                tails.clear();
-                tails.extend(news[i0 + 1..].iter().chain(olds));
-                let used = (heads.iter().enumerate())
-                    .map(|(j, u1)| tails.len() - j - usize::from(olds.contains(u1)))
-                    .sum::<usize>();
-                theta.block(heads, &tails, used as u64, &mut dbuf);
-                for (j, (&u1, row)) in heads.iter().zip(dbuf.chunks(tails.len())).enumerate() {
-                    for (&u2, &d) in tails[j..].iter().zip(&row[j..]) {
-                        if u2 != u1 {
-                            c += u64::from(table.insert(u1 as usize, u2, d, true));
-                            c += u64::from(table.insert(u2 as usize, u1, d, true));
-                        }
-                    }
-                }
-            }
-            for (i, &u1) in news.iter().enumerate().skip(full) {
-                tails.clear();
-                tails.extend(news[i + 1..].iter().chain(olds).filter(|&&u2| u2 != u1));
-                if tails.is_empty() {
-                    continue;
-                }
-                theta.batch(u1, &tails, &mut dbuf);
-                for (&u2, &d) in tails.iter().zip(&dbuf) {
-                    c += u64::from(table.insert(u1 as usize, u2, d, true));
-                    c += u64::from(table.insert(u2 as usize, u1, d, true));
-                }
-            }
-        }
+        // Lines 17-22: neighbor checks, in `join`.
+        let lists = (&fwd_new[..], &fwd_old[..]);
+        let (c, evals) = if workers <= 1 {
+            let scores = Scores::Inline(theta, &mut dbuf);
+            join(&participants, lists, table, &mut tails, scores)
+        } else {
+            let (theta, mut sum) = (&*theta, (0, 0));
+            par::pipeline(
+                workers,
+                participants.len(),
+                JOIN_CHUNK,
+                || (Vec::new(), Vec::new()),
+                |scratch, items| score_ahead(theta, &participants[items], lists, scratch),
+                |items, scored| {
+                    let scores = Scores::Ahead(&scored);
+                    let (c, evals) =
+                        join::<P, M>(&participants[items], lists, table, &mut tails, scores);
+                    sum = (sum.0 + c, sum.1 + evals);
+                },
+            );
+            sum
+        };
+        theta.evals += evals;
 
         for v in participants.drain(..) {
             let v = v as usize;
@@ -540,9 +663,14 @@ mod tests {
         table
     }
 
-    /// [`descend`] against [`descend_over_all_vertices`] from two copies of
-    /// one table: equal stats, and rows equal entry by entry in array
-    /// order, flags included.
+    /// Worker counts every descent test runs at: one (the inline loop), one
+    /// producer, two producers taking alternate chunks, and more producers
+    /// than most iterations have chunks.
+    const WORKERS: [usize; 4] = [1, 2, 3, 8];
+
+    /// [`descend`] at each of [`WORKERS`] against [`descend_over_all_vertices`],
+    /// each from its own copy of one table: equal stats, and rows equal
+    /// entry by entry in array order, flags included.
     fn check_descend<P: Point, M: BatchMetric<P>>(
         what: &str,
         set: &PointSet<P>,
@@ -551,15 +679,17 @@ mod tests {
         params: NnDescentParams,
         table: impl Fn() -> NeighborTable,
     ) -> BuildStats {
-        let (mut got, mut want) = (table(), table());
-        assert_eq!(got, want, "fixture is deterministic");
-        let mut theta = Theta::new(set, metric, cache.clone());
-        let got_stats = descend(&mut theta, &mut got, params);
+        let mut want = table();
         let mut theta = Theta::new(set, metric, cache.clone());
         let want_stats = descend_over_all_vertices(&mut theta, &mut want, params);
-        assert_eq!(got_stats, want_stats, "{what}");
-        assert_eq!(got, want, "{what}");
-        got_stats
+        for workers in WORKERS {
+            let mut got = table();
+            let mut theta = Theta::new(set, metric, cache.clone());
+            let got_stats = descend(&mut theta, &mut got, params, workers);
+            assert_eq!(got_stats, want_stats, "{what}, {workers} workers");
+            assert_eq!(got, want, "{what}, {workers} workers");
+        }
+        want_stats
     }
 
     /// The blocked neighbor check against the per-head oracle, on f32 rows
@@ -613,6 +743,38 @@ mod tests {
                 banded_table(&bytes, &L2, k)
             });
         }
+    }
+
+    /// Large enough that iteration 0 has many chunks of participants.
+    #[test]
+    fn build_is_the_same_at_every_worker_count() {
+        let f32s = gaussian_mixture(MixtureParams::embedding_like(1_500, 12), 4);
+        let u8s = dataset::presets::bigann_like(700, 9);
+        let (params, params_u8) = (NnDescentParams::new(10).seed(8), NnDescentParams::new(6));
+        let (want, want_stats) = build_on(1, &f32s, &L2, params, None);
+        let (want_u8, want_u8_stats) = build_on(1, &u8s, &L2, params_u8, None);
+        assert!(want_stats.updates_per_iter[0] > 0, "{want_stats:?}");
+        for workers in WORKERS {
+            let (got, stats) = build_on(workers, &f32s, &L2, params, None);
+            assert_eq!(stats, want_stats, "f32, {workers} workers");
+            assert!(same_bits(&got, &want), "f32, {workers} workers");
+            let (got, stats) = build_on(workers, &u8s, &L2, params_u8, None);
+            assert_eq!(stats, want_u8_stats, "u8, {workers} workers");
+            assert!(same_bits(&got, &want_u8), "u8, {workers} workers");
+        }
+        let (got, stats) = build(&f32s, &L2, params);
+        assert_eq!(stats, want_stats, "par::cores() workers");
+        assert!(same_bits(&got, &want), "par::cores() workers");
+    }
+
+    /// Equal ids and equal distance bits, row by row.
+    fn same_bits(a: &KnnGraph, b: &KnnGraph) -> bool {
+        let bits = |g: &KnnGraph| -> Vec<Vec<(PointId, u32)>> {
+            let rows = g.rows.iter();
+            rows.map(|r| r.iter().map(|&(u, d)| (u, d.to_bits())).collect())
+                .collect()
+        };
+        bits(a) == bits(b)
     }
 
     #[test]

@@ -102,8 +102,10 @@ pub fn refine<P: Point, M: BatchMetric<P>>(
 
     // Norms are not cached: that is a pass over all `N` vectors, and the
     // descent touches a few hundred.
+    // One worker: a vector DB refines inside a `ygm` rank (ingest and
+    // compaction in `serve`), which must stay one OS thread.
     let mut theta = Theta::new(base, metric, NormCache::empty());
-    let mut stats = descend(&mut theta, &mut table, params.max_iters(refine_iters));
+    let mut stats = descend(&mut theta, &mut table, params.max_iters(refine_iters), 1);
     stats.distance_evals += search_evals;
     (KnnGraph::from_table(&table), stats)
 }

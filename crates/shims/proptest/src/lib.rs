@@ -545,8 +545,10 @@ macro_rules! __proptest_impl {
                 for __case in 0..config.cases {
                     let mut __rng = $crate::test_runner::TestRng::for_case(u64::from(__case));
                     $(let $arg = $crate::strategy::Strategy::generate(&($strat), &mut __rng);)*
-                    let __outcome: ::std::result::Result<(), ::std::string::String> =
-                        (|| { $body ::std::result::Result::Ok(()) })();
+                    let __case_body = || -> ::std::result::Result<(), ::std::string::String> {
+                        $body ::std::result::Result::Ok(())
+                    };
+                    let __outcome = __case_body();
                     if let ::std::result::Result::Err(__msg) = __outcome {
                         ::std::panic!(
                             "proptest {} case {}/{} failed: {}",
@@ -575,12 +577,12 @@ mod tests {
 
         #[test]
         fn vec_lengths_in_range(v in prop::collection::vec(any::<u8>(), 2..5)) {
-            prop_assert!(v.len() >= 2 && v.len() < 5);
+            prop_assert!((2..5).contains(&v.len()));
         }
 
         #[test]
         fn oneof_and_just(v in prop_oneof![Just(1u8), Just(2u8), 3u8..10]) {
-            prop_assert!(v >= 1 && v < 10);
+            prop_assert!((1..10).contains(&v));
         }
 
         #[test]
@@ -589,7 +591,7 @@ mod tests {
                 .prop_map(|v| v.len())
                 .prop_filter("nonzero", |&n| n > 0)
         ) {
-            prop_assert!(s >= 1 && s < 4);
+            prop_assert!((1..4).contains(&s));
         }
 
         #[test]

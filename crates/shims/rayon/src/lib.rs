@@ -71,7 +71,7 @@ mod tests {
 
     #[test]
     fn par_iter_behaves_like_iter() {
-        let v = vec![1, 2, 3];
+        let v = [1, 2, 3];
         let doubled: Vec<i32> = v.par_iter().map(|x| x * 2).collect();
         assert_eq!(doubled, vec![2, 4, 6]);
     }

@@ -84,6 +84,19 @@ fn check_ids(ns: &str, list: &str, ids: &[PointId], n: usize) -> Result<(), Stri
     }
 }
 
+/// Every coordinate must be finite. A NaN or an infinity has no distance
+/// to anything — it scores as 0.0 against every point — so one such point
+/// would build a row whose every neighbor is at 0.0, and sit in every
+/// other row it reaches. `i` is the point's position in `points`.
+fn check_finite<'p>(points: impl IntoIterator<Item = &'p Vec<f32>>) -> Result<(), String> {
+    for (i, p) in points.into_iter().enumerate() {
+        if let Some((j, x)) = p.iter().enumerate().find(|(_, x)| !x.is_finite()) {
+            return Err(format!("point {i} coordinate {j} is not finite ({x})"));
+        }
+    }
+    Ok(())
+}
+
 /// The element type of every collection, as `dataset::with_metric!` names it.
 const ELEM: &str = "f32";
 
@@ -172,6 +185,7 @@ impl Collection {
                 meta.len()
             ));
         }
+        check_finite(points.points())?;
         nnd::check_k(k, points.len())?;
         let graph = dataset::with_metric!(ELEM, metric, P, m => {
             let (g, _) = nnd::build(&points, &m, NnDescentParams::new(k).seed(seed));
@@ -400,6 +414,7 @@ impl Collection {
                 p.len()
             ));
         }
+        check_finite(&points)?;
         let n_old = self.base.len();
         self.base.extend(points);
         self.graph = self.refined(&self.graph, &[])?;
@@ -553,6 +568,32 @@ mod tests {
         assert!(Collection::create("ok", pts.clone(), sample_meta(49), "l2", 4, 1).is_err());
         assert!(Collection::create("ok", pts.clone(), sample_meta(50), "what", 4, 1).is_err());
         assert!(Collection::create("ok", pts, sample_meta(50), "l2", 99, 1).is_err());
+    }
+
+    #[test]
+    fn a_coordinate_that_is_not_finite_is_refused() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut pts = gaussian_mixture(MixtureParams::embedding_like(50, 4), 1)
+                .points()
+                .to_vec();
+            pts[5][2] = bad;
+            let want = format!("point 5 coordinate 2 is not finite ({bad})");
+            let made = Collection::create("ok", PointSet::new(pts), sample_meta(50), "l2", 4, 1);
+            assert_eq!(made.unwrap_err(), want);
+
+            let mut col = sample_collection(60);
+            let before = (col.stat(), col.graph.neighbor_ids(), col.base.len());
+            let batch = vec![vec![0.5; 8], vec![0.25, 0.5, 0.75, bad, 1.0, 1.0, 1.0, 1.0]];
+            let got = col.ingest(batch, sample_meta(2));
+            assert_eq!(
+                got.unwrap_err(),
+                format!("point 1 coordinate 3 is not finite ({bad})")
+            );
+            assert_eq!(
+                (col.stat(), col.graph.neighbor_ids(), col.base.len()),
+                before
+            );
+        }
     }
 
     #[test]
