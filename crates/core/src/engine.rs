@@ -12,16 +12,12 @@
 //!    under either the unoptimized (Figure 1a) or optimized (Figure 1b:
 //!    Type 1 / Type 2+ / Type 3) protocol (4.3), issued in globally
 //!    coordinated batches separated by barriers (4.4). Termination when the
-//!    all-reduced update count drops below `delta * K * N`.
-//!
-//! Since the batched distance-kernel rework, checks travel as **join rows**
-//! — `(head, [partners...])` — instead of single pairs: each rank groups a
-//! head's partners by destination rank, ships the head's vector once per
-//! destination, and the receiver evaluates the whole row with one batched
-//! [`BatchMetric::distance_one_to_many`] call against its cached norms.
-//! Because the batched kernels are bit-identical to the scalar reference
-//! per element, the delivered pair multiset (and therefore the final graph
-//! under the unoptimized protocol) is unchanged by the batching.
+//!    all-reduced update count drops below `delta * K * N`. Every per-vertex
+//!    rule — initial row, sample, reverse union, update count — is `nnd`'s,
+//!    so the one-sided protocol builds `nnd::build`'s graph. Checks travel
+//!    as **join rows** `(head, [partners...])`: a head's vector is shipped
+//!    once per destination rank, which evaluates the row in one batched
+//!    [`BatchMetric::distance_one_to_many`] call.
 //! 3. **Graph optimization** (optional, 4.5) — reverse edges are shipped to
 //!    their endpoint's owner, merged, deduplicated, and pruned to
 //!    `ceil(K * m)` neighbors.
@@ -35,9 +31,10 @@ use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use nnd::graph::{Edge, KnnGraph};
 use nnd::heap::NeighborTable;
+use nnd::OpenedRows;
 use obs::{FaultSection, MatrixSection, PhaseRecord};
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -51,12 +48,10 @@ pub struct BuildReport {
     pub n_ranks: usize,
     /// Descent iterations executed.
     pub iterations: usize,
-    /// Global update count (`c`) per iteration: the number of neighbor-heap
-    /// members added during the iteration that survived to its end. Counting
-    /// survivors (end-of-iteration set difference) instead of transient
-    /// insert successes makes the value — and therefore the `delta * K * N`
-    /// termination decision — independent of message-arrival order, so every
-    /// rung builds the same graph at every rank count.
+    /// Global update count (`c`) per iteration, [`OpenedRows::updates`]
+    /// summed over the ranks: the row entries present at the iteration's
+    /// end that were not there when it opened. No arrival order can move
+    /// it, and the one-sided rung counts what `nnd::build` counts.
     pub updates_per_iter: Vec<u64>,
     /// Total distance evaluations across all ranks.
     pub distance_evals: u64,
@@ -131,12 +126,9 @@ struct State {
     slots: Arc<Vec<u32>>,
     /// One row per owned vertex.
     heaps: NeighborTable,
-    /// Each row's ids as the iteration opened, `k` slots per row padded
-    /// with `PointId::MAX`: what the update count and the redundant-check
-    /// skips read ([`State::opened_with`]).
-    start_ids: Vec<PointId>,
-    /// Row capacity.
-    k: usize,
+    /// The rows as the iteration opened: what the update count and the
+    /// redundant-check skips read.
+    opened: OpenedRows,
     /// Reverse lists received this iteration; cleared (capacity kept) at
     /// the start of the next.
     rev_new: Vec<Vec<PointId>>,
@@ -162,8 +154,7 @@ impl State {
         State {
             slots,
             heaps: NeighborTable::new(owned, k),
-            start_ids: vec![PointId::MAX; owned * k],
-            k,
+            opened: OpenedRows::default(),
             rev_new: vec![Vec::new(); owned],
             rev_old: vec![Vec::new(); owned],
             opt_extra: vec![Vec::new(); owned],
@@ -178,16 +169,6 @@ impl State {
     #[inline]
     fn slot(&self, v: PointId) -> usize {
         self.slots[v as usize] as usize
-    }
-
-    /// Whether row `at` held `id` as the iteration opened. A fold over all
-    /// `k` slots rather than an early-exit `contains`: the Type 2 / 2+
-    /// handlers ask once per pair, the answer is mostly "no", and a
-    /// fixed-width loop with no exit to mispredict is the cheaper scan.
-    #[inline]
-    fn opened_with(&self, at: usize, id: PointId) -> bool {
-        let row = &self.start_ids[at * self.k..(at + 1) * self.k];
-        row.iter().fold(false, |hit, &x| hit | (x == id))
     }
 
     /// Account one batched kernel call covering `n` evaluations.
@@ -327,16 +308,8 @@ where
     let mut dbuf: Vec<f32> = Vec::new();
     batched(comm, owned.len(), quota.max(1), |i| {
         let v = owned[i];
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.descent.seed ^ (u64::from(v) << 20));
         chosen.clear();
-        let mut guard = 0;
-        while chosen.len() < cfg.descent.k && guard < 100 * cfg.descent.k {
-            let u: PointId = rng.gen_range(0..n as PointId);
-            if u != v && !chosen.contains(&u) {
-                chosen.push(u);
-            }
-            guard += 1;
-        }
+        cfg.descent.random_row(n, v, &mut chosen);
         // One group per owner; this rank's own group is scored in place,
         // the rest travel as one message each.
         part.group_into(&chosen, &mut buckets);
@@ -359,8 +332,7 @@ where
     comm.trace_end("init");
 
     // ---- Phase 2: descent iterations ----------------------------------------
-    let max_sample = ((cfg.descent.rho * cfg.descent.k as f64).round() as usize).max(1);
-    let threshold = ((cfg.descent.delta * cfg.descent.k as f64 * n as f64) as u64).max(1);
+    let stop_below = cfg.descent.stop_below(n);
     let mut iterations = 0;
     let mut updates_per_iter = Vec::new();
 
@@ -373,52 +345,28 @@ where
 
     for iter in 0..cfg.descent.max_iters {
         comm.trace_begin_arg("iteration", iter as u64);
-        // Snapshot each owned heap's membership: the iteration's update
-        // count `c` is the number of ids present at iteration end but not
-        // here. Unlike counting `checked_insert` successes (which tallies
-        // transient entrants that a later, closer candidate evicts), the
-        // set difference is a pure function of the delivered message
-        // multiset — message-arrival order cannot flip the termination
-        // decision. Sampling only flips flags and the reverse exchange
-        // inserts nothing, so this is also each row as the neighbor check
-        // opens, which the redundant-check skips read (4.3.2).
+        // Snapshot the owned rows for the update count and the skips.
         {
             let s = &mut *st.borrow_mut();
             s.attempts = 0;
             s.rev_new.iter_mut().for_each(Vec::clear);
             s.rev_old.iter_mut().for_each(Vec::clear);
-            for (i, ids) in s.start_ids.chunks_exact_mut(s.k).enumerate() {
-                ids.fill(PointId::MAX);
-                for (id, n) in ids.iter_mut().zip(s.heaps.row(i)) {
-                    *id = n.id;
-                }
-            }
+            s.opened.open(&s.heaps);
         }
 
-        // 2a. Local sampling: split each owned vertex's heap into old ids
-        // and a rho*K sample of new ids (flipped to old).
+        // 2a. Local sampling: each owned row's old ids, sorted like the
+        // sample, and its sample of new ids (flipped to old).
         comm.trace_begin("sample");
         {
             let mut s = st.borrow_mut();
             for (i, &v) in owned.iter().enumerate() {
-                let mut rng = ChaCha8Rng::seed_from_u64(
-                    cfg.descent.seed ^ 0xA11CE ^ (u64::from(v) << 18) ^ (iter as u64),
-                );
                 let heap = s.heaps.row(i);
-                // The heap's array layout depends on the order updates
-                // arrived, which is a function of the rank count; sort both
-                // id lists so the sample below — and with it the unoptimized
-                // graph — is the same at every rank count.
-                let (old, candidates) = (&mut fwd_old[i], &mut fwd_new[i]);
+                let old = &mut fwd_old[i];
                 old.clear();
                 old.extend(heap.iter().filter(|n| !n.new).map(|n| n.id));
                 old.sort_unstable();
-                candidates.clear();
-                candidates.extend(heap.iter().filter(|n| n.new).map(|n| n.id));
-                candidates.sort_unstable();
-                candidates.shuffle(&mut rng);
-                candidates.truncate(max_sample);
-                for &u in candidates.iter() {
+                cfg.descent.sample_news(iter, v, heap, &mut fwd_new[i]);
+                for &u in &fwd_new[i] {
                     s.heaps.mark_old(i, u);
                 }
             }
@@ -447,30 +395,14 @@ where
 
         comm.trace_end("reverse_exchange");
 
-        // 2c. Sample rho*K of each received reverse list and union into the
-        // forward lists (Algorithm 1 lines 15-16).
+        // 2c. Algorithm 1 lines 15-16 on the received reverse lists.
         comm.trace_begin("union_sample");
         {
-            let mut s = st.borrow_mut();
+            let s = &mut *st.borrow_mut();
             for (i, &v) in owned.iter().enumerate() {
-                let mut rng = ChaCha8Rng::seed_from_u64(
-                    cfg.descent.seed ^ 0xBEE ^ (u64::from(v) << 18) ^ (iter as u64),
-                );
-                let mut union_sample = |fwd: &mut Vec<PointId>, rev: &mut Vec<PointId>| {
-                    // The reverse lists arrive in an order that is a
-                    // function of the rank count; canonicalize so the sample
-                    // is the same at every rank count.
-                    rev.sort_unstable();
-                    rev.shuffle(&mut rng);
-                    rev.truncate(max_sample);
-                    for &u in rev.iter() {
-                        if u != v && !fwd.contains(&u) {
-                            fwd.push(u);
-                        }
-                    }
-                };
-                union_sample(&mut fwd_new[i], &mut s.rev_new[i]);
-                union_sample(&mut fwd_old[i], &mut s.rev_old[i]);
+                let news = (&mut fwd_new[i], &mut s.rev_new[i]);
+                let olds = (&mut fwd_old[i], &mut s.rev_old[i]);
+                cfg.descent.union_reverse(iter, v, news, olds);
             }
         }
 
@@ -498,10 +430,8 @@ where
         comm.trace_end("gen_pairs");
         comm.trace_hist("check_pairs_per_iter", n_pairs);
 
-        // 2e. Issue checks in globally coordinated batches (Section 4.4).
-        // Batching is weighted by row width so every rank advances through
-        // roughly `quota` *pairs* (not rows) per barrier window, matching
-        // the per-pair batching the protocol used before rows existed.
+        // 2e. Issue checks in globally coordinated batches (Section 4.4),
+        // weighted by row width: `quota` *pairs* (not rows) per window.
         comm.trace_begin("neighbor_check");
         weights.clear();
         weights.extend((0..joins.len()).map(|i| joins.row(i).1.len()));
@@ -516,13 +446,7 @@ where
         // 2f. Convergence test on the all-reduced update count.
         let (c_local, attempts) = {
             let s = st.borrow();
-            let c: u64 = (0..owned.len())
-                .map(|i| {
-                    let row = s.heaps.row(i).iter();
-                    row.filter(|n| !s.opened_with(i, n.id)).count() as u64
-                })
-                .sum();
-            (c, s.attempts)
+            (s.opened.updates(&s.heaps), s.attempts)
         };
         if let Some(pct) = (c_local * 100).checked_div(attempts) {
             comm.trace_hist("heap_accept_pct", pct);
@@ -531,9 +455,8 @@ where
         iterations = iter + 1;
         updates_per_iter.push(c_global);
         comm.trace_instant("iter_updates", c_global);
-        // Per-iteration telemetry gauges: the surviving-update rate and the
-        // cumulative distance-eval count per rank. The global termination
-        // counter is the report's convergence row, not a gauge.
+        // Gauges: this rank's updates and cumulative evaluations (the global
+        // count is the report's convergence row).
         comm.gauge("heap_updates", c_local as f64);
         {
             let s = st.borrow();
@@ -544,7 +467,7 @@ where
             );
         }
         comm.trace_end("iteration");
-        if c_global < threshold {
+        if c_global < stop_below {
             break;
         }
     }
@@ -836,7 +759,7 @@ fn register_handlers<P, M>(
                 let at = s.slot(u1);
                 if cfg.opts >= CommOpts::SkipRedundant {
                     // Redundant-check reduction (4.3.2) on the forward path.
-                    u2s.retain(|&u2| !s.opened_with(at, u2));
+                    u2s.retain(|&u2| !s.opened.held(at, u2));
                 }
                 if cfg.opts >= CommOpts::Optimized {
                     s.heaps.max_dist(at)
@@ -896,7 +819,7 @@ fn register_handlers<P, M>(
                 // was checked before — drop it from the row before evaluating.
                 if cfg.opts >= CommOpts::SkipRedundant {
                     let s = st.borrow();
-                    msg.u2s.retain(|&u2| !s.opened_with(s.slot(u2), msg.u1));
+                    msg.u2s.retain(|&u2| !s.opened.held(s.slot(u2), msg.u1));
                 }
                 if msg.u2s.is_empty() {
                     return;
@@ -958,27 +881,6 @@ fn register_handlers<P, M>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The branch-free skip test answers what the row's `contains` does:
-    /// for ids in a full row (last slot included), ids not in it, and a
-    /// short row padded with `PointId::MAX`.
-    #[test]
-    fn opened_with_agrees_with_the_rows_contains() {
-        let k = 4;
-        let mut s = State::new(Arc::new(vec![0, 1, 2]), 3, k);
-        let pad = PointId::MAX;
-        s.start_ids
-            .copy_from_slice(&[5, 9, 2, 7, 3, pad, pad, pad, 0, 1, 8, 6]);
-        assert!(s.opened_with(0, 7) && s.opened_with(1, 3) && s.opened_with(2, 0));
-        assert!(!s.opened_with(0, 3) && !s.opened_with(1, 5));
-        for at in 0..3 {
-            let row = &s.start_ids[at * k..(at + 1) * k];
-            for id in (0..12).chain([pad]) {
-                let want = row.contains(&id);
-                assert_eq!(s.opened_with(at, id), want, "row {at}, id {id}");
-            }
-        }
-    }
 
     /// The flat rows against the nested-`Vec` generation they replaced,
     /// written out: forward rows per head, then mirror rows grouped per

@@ -60,6 +60,11 @@ impl<P: Point> PointSet<P> {
         &self.points
     }
 
+    /// The points, id order, moved out of the set.
+    pub fn into_points(self) -> Vec<P> {
+        self.points
+    }
+
     /// Iterate `(id, point)`.
     pub fn iter(&self) -> impl Iterator<Item = (PointId, &P)> {
         self.points

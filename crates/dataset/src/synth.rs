@@ -172,20 +172,16 @@ pub fn quantize_u8(set: &PointSet<Vec<f32>>) -> PointSet<Vec<u8>> {
 }
 
 /// L2-normalize every vector in place — cosine-metric datasets (GloVe,
-/// NYTimes, Last.fm) are customarily unit vectors.
+/// NYTimes, Last.fm) are customarily unit vectors. A zero vector stays as
+/// it is.
 pub fn normalize(set: &mut PointSet<Vec<f32>>) {
-    let points: Vec<Vec<f32>> = set
-        .points()
-        .iter()
-        .map(|p| {
-            let n = crate::point::dense::norm(p);
-            if n > 0.0 {
-                p.iter().map(|x| x / n).collect()
-            } else {
-                p.clone()
-            }
-        })
-        .collect();
+    let mut points = std::mem::replace(set, PointSet::new(Vec::new())).into_points();
+    for p in &mut points {
+        let n = crate::point::dense::norm(p);
+        if n > 0.0 {
+            p.iter_mut().for_each(|x| *x /= n);
+        }
+    }
     *set = PointSet::new(points);
 }
 
@@ -267,7 +263,7 @@ pub fn split_queries<P: crate::point::Point>(
     n_queries: usize,
 ) -> (PointSet<P>, PointSet<P>) {
     assert!(n_queries < set.len(), "cannot hold out the whole dataset");
-    let mut points = set.points().to_vec();
+    let mut points = set.into_points();
     let queries = points.split_off(points.len() - n_queries);
     (PointSet::new(points), PointSet::new(queries))
 }
@@ -408,6 +404,30 @@ mod tests {
         assert!(Cosine.distance(s.point(0), s.point(0)).abs() < 1e-5);
     }
 
+    /// In place, bit for bit what dividing into a new vector gave, zero
+    /// vectors left as they are.
+    #[test]
+    fn normalize_scales_each_row_in_place_bit_for_bit() {
+        let mut s = gaussian_mixture(MixtureParams::embedding_like(40, 13), 8);
+        s.extend([vec![0.0f32; 13], vec![-0.0f32; 13]]);
+        let want: Vec<Vec<u32>> = (s.points().iter())
+            .map(|p| {
+                let n = crate::point::dense::norm(p);
+                let scaled = p.iter().map(|x| if n > 0.0 { x / n } else { *x });
+                scaled.map(f32::to_bits).collect()
+            })
+            .collect();
+        let buffers: Vec<*const f32> = s.points().iter().map(|p| p.as_ptr()).collect();
+        normalize(&mut s);
+        let got: Vec<Vec<u32>> = (s.points().iter())
+            .map(|p| p.iter().map(|x| x.to_bits()).collect())
+            .collect();
+        assert_eq!(got, want);
+        let after: Vec<*const f32> = s.points().iter().map(|p| p.as_ptr()).collect();
+        assert_eq!(after, buffers, "a row was reallocated");
+        assert_eq!(s.dim(), 13);
+    }
+
     #[test]
     fn sparse_sets_are_nonempty_and_in_universe() {
         let p = SparseParams::kosarak_like(200);
@@ -443,6 +463,12 @@ mod tests {
         assert_eq!(queries.len(), 10);
         assert_eq!(base.point(0), s.point(0));
         assert_eq!(queries.point(0), s.point(90));
+        assert_eq!([base.points(), queries.points()].concat(), s.points());
+        // The points move: no row is copied.
+        let buffers: Vec<*const f32> = s.points().iter().map(|p| p.as_ptr()).collect();
+        let (base, queries) = split_queries(s, 10);
+        let moved = base.points().iter().chain(queries.points());
+        assert!(moved.map(|p| p.as_ptr()).eq(buffers));
     }
 
     #[test]

@@ -240,6 +240,11 @@ impl NeighborTable {
         self.lens.len()
     }
 
+    /// Row capacity.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
     /// The entries of row `v` in unspecified (heap) order.
     #[inline]
     pub fn row(&self, v: usize) -> &[Neighbor] {

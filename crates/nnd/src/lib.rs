@@ -25,9 +25,11 @@
 //!   pruning, after GRNND / `mini_rnn`): the second graph-optimization
 //!   mode, producing sparser graphs at equal recall (extension).
 //!
-//! The distributed engine in the `dnnd` crate reuses [`heap`] and [`graph`]
-//! so the two implementations differ only in *where* vertices live and how
-//! neighbor checks travel.
+//! The distributed engine in the `dnnd` crate reuses [`heap`], [`graph`]
+//! and [`nndescent`]'s per-vertex rules ([`NnDescentParams`],
+//! [`OpenedRows`]), so the two implementations differ only in *where*
+//! vertices live and how neighbor checks travel: under the one-sided
+//! protocol they build the same graph.
 //!
 //! ```
 //! use dataset::{synth, L2};
@@ -54,7 +56,7 @@ pub mod search;
 
 pub use graph::{prune_limit, Edge, KnnGraph, PRUNE_M};
 pub use heap::{Neighbor, NeighborHeap, NeighborTable};
-pub use nndescent::{build, build_with_init, check_k, BuildStats, NnDescentParams};
+pub use nndescent::{build, build_with_init, check_k, BuildStats, NnDescentParams, OpenedRows};
 pub use refine::{refine, remove_points};
 pub use rnn::{rnn_optimize, RnnParams, RnnStats};
 pub use rptree::{rp_forest_candidates, RpForestParams};

@@ -1,7 +1,5 @@
 //! Shared-memory NN-Descent — Algorithm 1 of the paper, in the PyNNDescent
-//! variant DNND follows.
-//!
-//! The loop structure matches the paper's pseudocode line for line:
+//! variant DNND follows. The loop matches the paper's pseudocode:
 //!
 //! 1. initialize `G` with `K` random neighbors per vertex (or an RP-forest
 //!    initialization, see [`crate::rptree`]);
@@ -10,8 +8,16 @@
 //! 3. reverse both lists, sample `rho * K` of each reverse list, and union
 //!    into the forward lists;
 //! 4. neighbor-check all `new x new` (ordered) and `new x old` pairs,
-//!    updating both endpoint rows and counting successful updates `c`;
+//!    updating both endpoint rows; the update count `c` is the number of
+//!    entries the rows hold at the iteration's end and did not hold when it
+//!    opened ([`OpenedRows::updates`]);
 //! 5. stop when `c < delta * K * N`.
+//!
+//! Each per-vertex rule is stated once, on [`NnDescentParams`] and
+//! [`OpenedRows`], and `dnnd`'s engine calls the same functions, so `build`
+//! and `dnnd::build` under the one-sided protocol return the same graph and
+//! counters. No rule reads the order its input came in: ids are sorted
+//! before a shuffle, and `c` is a set difference.
 //!
 //! `G` is one [`NeighborTable`] behind a `&mut`: the paper's "c and G are
 //! atomically updated" holds because the borrow checker proves nothing else
@@ -21,11 +27,10 @@
 //! on `G`. Producers score the participants ahead, a fixed chunk at a time
 //! ([`dataset::par::pipeline`]), and the calling thread — the only one that
 //! holds `G` — applies every insert in the sequential order, reading the
-//! distances from their buffers. `c`, each row's layout and flags, and the
-//! evaluation count are the one-worker loop's, bit for bit.
+//! distances from their buffers: the one-worker loop's result, bit for bit.
 
 use crate::graph::KnnGraph;
-use crate::heap::NeighborTable;
+use crate::heap::{Neighbor, NeighborTable};
 use dataset::batch::{BatchMetric, NormCache};
 use dataset::par;
 use dataset::point::Point;
@@ -113,6 +118,76 @@ impl NnDescentParams {
         }
         Ok(())
     }
+
+    /// The sample size of lines 7-10 and 15-16: `rho * K`, rounded, at
+    /// least one.
+    fn sample_size(&self) -> usize {
+        ((self.rho * self.k as f64).round() as usize).max(1)
+    }
+
+    /// Line 23's stop rule over `n` points: an iteration that makes fewer
+    /// updates than this — `delta * K * N`, at least one — is the last.
+    pub fn stop_below(&self, n: usize) -> u64 {
+        ((self.delta * self.k as f64 * n as f64) as u64).max(1)
+    }
+
+    /// Lines 2-5 for vertex `v` of `n`: top `chosen` up to `K` distinct ids
+    /// drawn from `0..n` on `v`'s own stream, skipping `v` and ids already
+    /// chosen, and giving up after `100 * K` draws (a tiny `n`).
+    pub fn random_row(&self, n: usize, v: PointId, chosen: &mut Vec<PointId>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ (u64::from(v) << 20));
+        let mut guard = 0;
+        while chosen.len() < self.k && guard < 100 * self.k {
+            let u: PointId = rng.gen_range(0..n as PointId);
+            if u != v && !chosen.contains(&u) {
+                chosen.push(u);
+            }
+            guard += 1;
+        }
+    }
+
+    /// Lines 7-10 for vertex `v` in iteration `iter`: `out` becomes the ids
+    /// of `row`'s new entries, sorted (a row's layout depends on the order
+    /// of its inserts), shuffled on `v`'s stream and cut to
+    /// [`Self::sample_size`]. The caller marks them old.
+    pub fn sample_news(&self, iter: usize, v: PointId, row: &[Neighbor], out: &mut Vec<PointId>) {
+        out.clear();
+        out.extend(row.iter().filter(|e| e.new).map(|e| e.id));
+        if !out.is_empty() {
+            out.sort_unstable();
+            out.shuffle(&mut self.stream(0xA11CE, v, iter));
+            out.truncate(self.sample_size());
+        }
+    }
+
+    /// Lines 15-16 for vertex `v` in iteration `iter`: each reverse list is
+    /// sorted, shuffled and cut to [`Self::sample_size`] — the new list
+    /// first, then the old, on one stream of `v`'s — and united into its
+    /// forward list, skipping `v` itself and ids the list already holds.
+    pub fn union_reverse(
+        &self,
+        iter: usize,
+        v: PointId,
+        news: (&mut Vec<PointId>, &mut Vec<PointId>),
+        olds: (&mut Vec<PointId>, &mut Vec<PointId>),
+    ) {
+        let mut rng = self.stream(0xBEE, v, iter);
+        for (fwd, rev) in [news, olds] {
+            rev.sort_unstable();
+            rev.shuffle(&mut rng);
+            rev.truncate(self.sample_size());
+            for &u in rev.iter() {
+                if u != v && !fwd.contains(&u) {
+                    fwd.push(u);
+                }
+            }
+        }
+    }
+
+    /// Vertex `v`'s random stream for the step `salt` of iteration `iter`.
+    fn stream(&self, salt: u64, v: PointId, iter: usize) -> ChaCha8Rng {
+        ChaCha8Rng::seed_from_u64(self.seed ^ salt ^ (u64::from(v) << 18) ^ (iter as u64))
+    }
 }
 
 /// `k` against the point count, stated once: at least 2 points and `1 <= k < N`.
@@ -128,6 +203,49 @@ pub fn check_k(k: usize, n: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// Every row of a [`NeighborTable`] as an iteration opened, `k` id slots a
+/// row padded with `PointId::MAX`: what the update count and `dnnd`'s
+/// redundant-check skips (§4.3.2) read.
+#[derive(Debug, Clone, Default)]
+pub struct OpenedRows {
+    k: usize,
+    ids: Vec<PointId>,
+}
+
+impl OpenedRows {
+    /// Take the snapshot: every row's ids as `table` holds them now.
+    pub fn open(&mut self, table: &NeighborTable) {
+        self.k = table.k();
+        self.ids.resize(table.n_rows() * self.k, PointId::MAX);
+        for (v, ids) in self.ids.chunks_exact_mut(self.k).enumerate() {
+            ids.fill(PointId::MAX);
+            for (id, e) in ids.iter_mut().zip(table.row(v)) {
+                *id = e.id;
+            }
+        }
+    }
+
+    /// Whether row `v` held `id` when the iteration opened: a fold over all
+    /// `k` slots, since the answer is mostly "no" and a loop with no exit to
+    /// mispredict is the cheaper scan.
+    #[inline]
+    pub fn held(&self, v: usize, id: PointId) -> bool {
+        let row = &self.ids[v * self.k..(v + 1) * self.k];
+        row.iter().fold(false, |hit, &x| hit | (x == id))
+    }
+
+    /// The update count `c`: the entries `table` holds that their row did
+    /// not hold when the iteration opened — a set difference, which no order
+    /// of inserts can move. Every insert is flagged new and nothing is
+    /// marked old after the check opens, so only new entries are looked up.
+    pub fn updates(&self, table: &NeighborTable) -> u64 {
+        let gained = |v: usize, e: &Neighbor| e.new && !self.held(v, e.id);
+        let rows = 0..table.n_rows();
+        rows.map(|v| table.row(v).iter().filter(|e| gained(v, e)).count() as u64)
+            .sum()
+    }
+}
+
 /// Counters describing one construction run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BuildStats {
@@ -135,7 +253,8 @@ pub struct BuildStats {
     pub iterations: usize,
     /// Total distance evaluations.
     pub distance_evals: u64,
-    /// Successful heap updates (`c`) per iteration.
+    /// The update count `c` of each iteration ([`OpenedRows::updates`]):
+    /// entries its rows held at its end and not when it opened.
     pub updates_per_iter: Vec<u64>,
 }
 
@@ -174,18 +293,15 @@ fn build_on<P: Point, M: BatchMetric<P>>(
     let verdict = params.validate().and_then(|()| check_k(params.k, n));
     verdict.unwrap_or_else(|e| panic!("invalid NnDescentParams: {e}"));
     let k = params.k;
-    // One-time per-set preprocessing (cached squared norms for the dot-
-    // product metric family); handed to every batched evaluation below.
+    // Cached squared norms (dot-product metric family), computed once.
     let mut theta = Theta::new(set, metric, metric.preprocess(set));
 
     // ---- Initialization (Algorithm 1 lines 2-5) ----------------------------
     let mut table = NeighborTable::new(n, k);
     let (mut chosen, mut dbuf): (Vec<PointId>, Vec<f32>) = (Vec::with_capacity(k), Vec::new());
     for v in 0..n as PointId {
-        let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ (u64::from(v) << 20));
-        // Gather the chosen candidates first, then evaluate them as one
-        // 1xN batch: below capacity every insert of a distinct non-self id
-        // succeeds, so deduplicating here loses nothing.
+        // Gather the candidates, then evaluate them as one 1xN batch: below
+        // capacity every insert of a distinct non-self id succeeds.
         chosen.clear();
         if let Some(init_rows) = init {
             for &u in init_rows[v as usize].iter().take(k) {
@@ -194,14 +310,7 @@ fn build_on<P: Point, M: BatchMetric<P>>(
                 }
             }
         }
-        let mut guard = 0;
-        while chosen.len() < k && guard < 100 * k {
-            let u: PointId = rng.gen_range(0..n as PointId);
-            if u != v && !chosen.contains(&u) {
-                chosen.push(u);
-            }
-            guard += 1;
-        }
+        params.random_row(n, v, &mut chosen);
         theta.batch(v, &chosen, &mut dbuf);
         for (&u, &d) in chosen.iter().zip(&dbuf) {
             table.insert(v as usize, u, d, true);
@@ -243,14 +352,10 @@ impl<'a, P: Point, M: BatchMetric<P>> Theta<'a, P, M> {
     /// same kernels as [`Theta::batch`]; counts nothing — the neighbor check
     /// counts the ones it reads.
     fn score(&self, heads: &[PointId], cands: &[PointId], out: &mut Vec<f32>) {
-        let (set, cache) = (self.set, &self.cache);
+        let (set, cache, metric) = (self.set, &self.cache, self.metric);
         match heads {
-            [v] => self
-                .metric
-                .distance_member_to_many(*v, set, cache, cands, out),
-            _ => self
-                .metric
-                .distance_members_to_many(heads, set, cache, cands, out),
+            [v] => metric.distance_member_to_many(*v, set, cache, cands, out),
+            _ => metric.distance_members_to_many(heads, set, cache, cands, out),
         }
     }
 }
@@ -309,17 +414,17 @@ impl<P: Point, M: BatchMetric<P>> Scores<'_, '_, P, M> {
 /// Lines 17-22 over `participants`: every call of [`for_each_call`], its
 /// distances from `scores`, and each head's row updates against its own
 /// partners — the tail from its successor on, less itself — in the
-/// original (u1, u2) order. Returns the successful updates `c` and the
-/// distances read: one per pair updated, so a block's distances from a
-/// head to itself (it may be in `olds`) do not count.
+/// original (u1, u2) order. Returns the distances read: one per pair
+/// updated, so a block's distances from a head to itself (it may be in
+/// `olds`) do not count.
 fn join<P: Point, M: BatchMetric<P>>(
     participants: &[PointId],
     (fwd_new, fwd_old): (&[Vec<PointId>], &[Vec<PointId>]),
     table: &mut NeighborTable,
     tails: &mut Vec<PointId>,
     mut scores: Scores<'_, '_, P, M>,
-) -> (u64, u64) {
-    let (mut c, mut evals) = (0u64, 0u64);
+) -> u64 {
+    let mut evals = 0u64;
     for &v in participants {
         let (news, olds) = (&fwd_new[v as usize], &fwd_old[v as usize]);
         for_each_call(news, olds, tails, |heads, tails| {
@@ -328,14 +433,14 @@ fn join<P: Point, M: BatchMetric<P>>(
                 for (&u2, &d) in tails[j..].iter().zip(&row[j..]) {
                     if u2 != u1 {
                         evals += 1;
-                        c += u64::from(table.insert(u1 as usize, u2, d, true));
-                        c += u64::from(table.insert(u2 as usize, u1, d, true));
+                        table.insert(u1 as usize, u2, d, true);
+                        table.insert(u2 as usize, u1, d, true);
                     }
                 }
             }
         });
     }
-    (c, evals)
+    evals
 }
 
 /// The producer's side of [`join`]: every distance `participants` will
@@ -360,33 +465,21 @@ fn score_ahead<P: Point, M: BatchMetric<P>>(
 /// The descent loop (Algorithm 1 lines 6-23) over pre-filled, pre-flagged
 /// rows — the crate's only one: [`build_with_init`] enters it with every
 /// entry flagged new, [`crate::refine()`] with a handful. Runs until an
-/// iteration makes fewer than `delta * K * N` updates or `max_iters` is
-/// reached. The returned `distance_evals` is `theta`'s whole count, so it
-/// includes what the caller evaluated to fill the rows.
+/// iteration makes fewer than [`NnDescentParams::stop_below`] updates or
+/// `max_iters` is reached. The returned `distance_evals` is `theta`'s whole
+/// count, so it includes what the caller evaluated to fill the rows.
 ///
 /// A vertex takes part in an iteration only if it has a *new* candidate:
-/// one sampled from its own row, or a reversed one (it was sampled from
-/// somebody else's). That changes nothing but the cost, because in the
-/// loop over all vertices a vertex outside that set does no work anybody
-/// can observe:
-///
-/// * its `news` list — own sample united with the reverse sample — is
-///   empty, and the neighbor check joins `news x (news + olds)`, so it
-///   evaluates and inserts nothing;
-/// * it leaves every random stream alone: both streams are seeded per
-///   `(seed, vertex, iteration)`, so no draw of one vertex shifts
-///   another's, and a vertex with no new entry shuffles an empty list,
-///   which draws nothing.
-///
-/// A vertex inside the set needs exactly what the all-vertices loop would
-/// have given it. Its union stream shuffles `rev_old[v]` *then*
-/// `rev_new[v]`, so the draws the second shuffle sees depend on the length
-/// of the first list: `rev_old[v]` must be complete and in the same order
-/// — ascending source vertex, taken from the flags as they stood before
-/// this iteration's samples were marked old. Hence the two passes below:
-/// the first samples and finds who takes part, the second reads every
-/// row's old entries (no evaluation, no allocation for a vertex outside
-/// the set) and only then marks the samples.
+/// one sampled from its own row, or a reversed one. In the loop over all
+/// vertices a vertex outside that set does nothing observable: its `news`
+/// list is empty, so it joins nothing, and its random streams are its own
+/// (seeded per `(seed, vertex, iteration)`). A vertex inside the set needs
+/// both reverse lists complete, since its union stream shuffles `rev_new`
+/// *then* `rev_old` — `rev_old` read from the flags as they stood before
+/// this iteration's samples were marked old. Hence two passes: the first
+/// samples and finds who takes part, the second reads every row's old
+/// entries (allocating nothing for a vertex outside the set) and only then
+/// marks the samples.
 ///
 /// The neighbor check runs on `workers` threads: at one it scores each
 /// call on the spot; above, producers score the participants ahead a chunk
@@ -399,9 +492,8 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
     params: NnDescentParams,
     workers: usize,
 ) -> BuildStats {
-    let (n, k) = (table.n_rows(), params.k);
-    let max_sample = ((params.rho * k as f64).round() as usize).max(1);
-    let threshold = (params.delta * k as f64 * n as f64) as u64;
+    let n = table.n_rows();
+    let stop_below = params.stop_below(n);
     let mut stats = BuildStats::default();
 
     // Per-vertex lists, filled for this iteration's participants only and
@@ -412,24 +504,21 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
     let mut rev_new: Vec<Vec<PointId>> = vec![Vec::new(); n];
     let mut takes_part = vec![false; n];
     let mut participants: Vec<PointId> = Vec::new();
+    let mut opened = OpenedRows::default();
     let (mut tails, mut dbuf): (Vec<PointId>, Vec<f32>) = (Vec::new(), Vec::new());
 
     for iter in 0..params.max_iters {
-        // Lines 7-10, first half: each vertex samples rho*K of its new
-        // entries (row order, then shuffled). A sampled id takes part
-        // too: it gets the sampling vertex as a reversed new candidate.
+        opened.open(table);
+        // Lines 7-10, first half: each vertex samples its new entries. A
+        // sampled id takes part too: it gets the sampling vertex as a
+        // reversed new candidate.
         for v in 0..n as PointId {
-            let candidates = &mut fwd_new[v as usize];
-            candidates.extend(table.row(v as usize).iter().filter(|e| e.new).map(|e| e.id));
-            if candidates.is_empty() {
+            let sample = &mut fwd_new[v as usize];
+            params.sample_news(iter, v, table.row(v as usize), sample);
+            if sample.is_empty() {
                 continue;
             }
-            let mut rng = ChaCha8Rng::seed_from_u64(
-                params.seed ^ 0xA11CE ^ (u64::from(v) << 18) ^ (iter as u64),
-            );
-            candidates.shuffle(&mut rng);
-            candidates.truncate(max_sample);
-            for &u in candidates.iter().chain([&v]) {
+            for &u in sample.iter().chain([&v]) {
                 if !std::mem::replace(&mut takes_part[u as usize], true) {
                     participants.push(u);
                 }
@@ -455,33 +544,20 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
             }
         }
 
-        // Lines 15-16: sample rho*K of each reverse list, union forward.
-        let union_sample =
-            |fwd: &mut Vec<PointId>, rev: &mut Vec<PointId>, rng: &mut ChaCha8Rng| {
-                rev.shuffle(rng);
-                rev.truncate(max_sample);
-                for &u in rev.iter() {
-                    if !fwd.contains(&u) {
-                        fwd.push(u);
-                    }
-                }
-            };
+        // Lines 15-16: sample each reverse list, union forward.
         for &v in &participants {
-            let mut rng = ChaCha8Rng::seed_from_u64(
-                params.seed ^ 0xBEE ^ (u64::from(v) << 18) ^ (iter as u64),
-            );
-            let v = v as usize;
-            union_sample(&mut fwd_old[v], &mut rev_old[v], &mut rng);
-            union_sample(&mut fwd_new[v], &mut rev_new[v], &mut rng);
+            let at = v as usize;
+            let news = (&mut fwd_new[at], &mut rev_new[at]);
+            params.union_reverse(iter, v, news, (&mut fwd_old[at], &mut rev_old[at]));
         }
 
         // Lines 17-22: neighbor checks, in `join`.
         let lists = (&fwd_new[..], &fwd_old[..]);
-        let (c, evals) = if workers <= 1 {
+        let evals = if workers <= 1 {
             let scores = Scores::Inline(theta, &mut dbuf);
             join(&participants, lists, table, &mut tails, scores)
         } else {
-            let (theta, mut sum) = (&*theta, (0, 0));
+            let (theta, mut sum) = (&*theta, 0);
             par::pipeline(
                 workers,
                 participants.len(),
@@ -490,9 +566,7 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
                 |scratch, items| score_ahead(theta, &participants[items], lists, scratch),
                 |items, scored| {
                     let scores = Scores::Ahead(&scored);
-                    let (c, evals) =
-                        join::<P, M>(&participants[items], lists, table, &mut tails, scores);
-                    sum = (sum.0 + c, sum.1 + evals);
+                    sum += join::<P, M>(&participants[items], lists, table, &mut tails, scores);
                 },
             );
             sum
@@ -508,9 +582,10 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
             takes_part[v] = false;
         }
 
+        let c = opened.updates(table);
         stats.iterations = iter + 1;
         stats.updates_per_iter.push(c);
-        if c < threshold.max(1) {
+        if c < stop_below {
             break;
         }
     }
@@ -527,9 +602,10 @@ mod tests {
     use dataset::recall::mean_recall;
     use dataset::synth::{gaussian_mixture, uniform, MixtureParams};
 
-    /// The descent as it was before vertices with nothing new were skipped:
-    /// every list of every vertex, rebuilt every iteration. Kept as the
-    /// oracle [`descend`] must match, row for row.
+    /// The descent as it was before vertices with nothing new were skipped,
+    /// on one thread: every list of every vertex, rebuilt every iteration,
+    /// each rule written out here rather than called. Kept as the oracle
+    /// [`descend`] must match, row for row.
     fn descend_over_all_vertices<P: Point, M: BatchMetric<P>>(
         theta: &mut Theta<'_, P, M>,
         table: &mut NeighborTable,
@@ -544,6 +620,9 @@ mod tests {
         let threshold = (params.delta * k as f64 * n as f64) as u64;
         let mut stats = BuildStats::default();
         for iter in 0..params.max_iters {
+            let opened: Vec<Vec<PointId>> = (0..n)
+                .map(|v| table.row(v).iter().map(|e| e.id).collect())
+                .collect();
             let mut fwd_old: Vec<Vec<PointId>> = Vec::with_capacity(n);
             let mut fwd_new: Vec<Vec<PointId>> = Vec::with_capacity(n);
             for v in 0..n as PointId {
@@ -552,6 +631,7 @@ mod tests {
                 );
                 fwd_old.push(flagged_ids(table, v as usize, false));
                 let mut candidates = flagged_ids(table, v as usize, true);
+                candidates.sort_unstable();
                 candidates.shuffle(&mut rng);
                 candidates.truncate(max_sample);
                 for &u in &candidates {
@@ -559,6 +639,7 @@ mod tests {
                 }
                 fwd_new.push(candidates);
             }
+            // Sources ascending: `v` runs upwards.
             let mut rev_old: Vec<Vec<PointId>> = vec![Vec::new(); n];
             let mut rev_new: Vec<Vec<PointId>> = vec![Vec::new(); n];
             for v in 0..n {
@@ -569,24 +650,23 @@ mod tests {
                     rev_new[u as usize].push(v as PointId);
                 }
             }
-            let union_sample =
-                |fwd: &mut Vec<PointId>, rev: &mut Vec<PointId>, rng: &mut ChaCha8Rng| {
-                    rev.shuffle(rng);
-                    rev.truncate(max_sample);
-                    for &u in rev.iter() {
-                        if !fwd.contains(&u) {
-                            fwd.push(u);
-                        }
-                    }
-                };
             for v in 0..n {
                 let mut rng = ChaCha8Rng::seed_from_u64(
                     params.seed ^ 0xBEE ^ ((v as u64) << 18) ^ (iter as u64),
                 );
-                union_sample(&mut fwd_old[v], &mut rev_old[v], &mut rng);
-                union_sample(&mut fwd_new[v], &mut rev_new[v], &mut rng);
+                for (fwd, rev) in [
+                    (&mut fwd_new[v], &mut rev_new[v]),
+                    (&mut fwd_old[v], &mut rev_old[v]),
+                ] {
+                    rev.shuffle(&mut rng);
+                    rev.truncate(max_sample);
+                    for &u in rev.iter() {
+                        if u != v as PointId && !fwd.contains(&u) {
+                            fwd.push(u);
+                        }
+                    }
+                }
             }
-            let mut c = 0;
             let (mut tails, mut dbuf) = (Vec::new(), Vec::new());
             for v in 0..n {
                 let (news, olds) = (&fwd_new[v], &fwd_old[v]);
@@ -598,11 +678,17 @@ mod tests {
                     }
                     theta.batch(u1, &tails, &mut dbuf);
                     for (&u2, &d) in tails.iter().zip(&dbuf) {
-                        c += u64::from(table.insert(u1 as usize, u2, d, true));
-                        c += u64::from(table.insert(u2 as usize, u1, d, true));
+                        table.insert(u1 as usize, u2, d, true);
+                        table.insert(u2 as usize, u1, d, true);
                     }
                 }
             }
+            let c: u64 = (0..n)
+                .map(|v| {
+                    let row = table.row(v).iter();
+                    row.filter(|e| !opened[v].contains(&e.id)).count() as u64
+                })
+                .sum();
             stats.iterations = iter + 1;
             stats.updates_per_iter.push(c);
             if c < threshold.max(1) {
@@ -743,6 +829,46 @@ mod tests {
                 banded_table(&bytes, &L2, k)
             });
         }
+    }
+
+    /// The branch-free skip test answers what the row's `contains` does:
+    /// for ids in a full row (last slot included), ids not in it, a short
+    /// row (padded with `PointId::MAX`, never an id) and an empty row; and the update
+    /// count is the entries a row gained since the snapshot.
+    #[test]
+    fn opened_rows_answer_what_the_rows_contain() {
+        let k = 4;
+        let mut table = NeighborTable::new(4, k);
+        let rows: [&[PointId]; 4] = [&[5, 9, 2, 7], &[3], &[0, 1, 8, 6], &[]];
+        for (v, row) in rows.iter().enumerate() {
+            for &id in row.iter() {
+                table.insert(v, id, id as f32, true);
+            }
+        }
+        let mut opened = OpenedRows::default();
+        opened.open(&table);
+        assert!(opened.held(0, 7) && opened.held(1, 3) && opened.held(2, 0));
+        assert!(!opened.held(0, 3) && !opened.held(1, 5) && !opened.held(3, 0));
+        for (v, row) in rows.iter().enumerate() {
+            for id in 0..12 {
+                assert_eq!(opened.held(v, id), row.contains(&id), "row {v}, id {id}");
+            }
+        }
+        assert_eq!(opened.updates(&table), 0);
+        // Six inserts succeed: row 0 takes 1, 3, 0 and 10 (evicting 9, 7,
+        // 5, then the gained 3), row 3 takes 4 and 11. The gained 3 is gone
+        // by the end, so it counts nothing.
+        for (v, id, d) in [
+            (0, 1, 1.0),
+            (0, 3, 3.0),
+            (3, 4, 4.0),
+            (3, 11, 11.0),
+            (0, 0, 0.0),
+        ] {
+            assert!(table.insert(v, id, d, true), "row {v}, id {id}");
+        }
+        assert!(table.insert(0, 10, 0.5, true));
+        assert_eq!(opened.updates(&table), 5);
     }
 
     /// Large enough that iteration 0 has many chunks of participants.
