@@ -76,10 +76,11 @@ pub struct DnndConfig {
 }
 
 impl DnndConfig {
-    /// Paper defaults for a given `k`, optimized protocol.
+    /// Paper defaults for a given `k`, optimized protocol; the descent
+    /// parameters are [`NnDescentParams::new`]'s, seed included.
     pub fn new(k: usize) -> Self {
         DnndConfig {
-            descent: NnDescentParams::new(k).seed(0xD00D),
+            descent: NnDescentParams::new(k),
             batch_size: 1 << 16,
             opts: CommOpts::optimized(),
             graph_opt_m: None,
@@ -151,8 +152,23 @@ mod tests {
         assert_eq!(c.descent.k, 10);
         assert_eq!(c.descent.rho, 0.8);
         assert_eq!(c.descent.delta, 0.001);
-        assert_eq!(c.descent.seed, 0xD00D);
+        assert_eq!(c.descent.seed, 0x5EED);
         assert_eq!(c.opts, CommOpts::optimized());
+    }
+
+    /// The shared-memory builder's defaults, field by field (an exhaustive
+    /// pattern: a new field does not compile here unnamed). With one seed,
+    /// `DnndConfig::new(k)` under the one-sided protocol builds
+    /// `nnd::build(NnDescentParams::new(k))`'s graph.
+    #[test]
+    fn descent_defaults_are_the_shared_memory_builders() {
+        #[rustfmt::skip]
+        let fields = |NnDescentParams { k, rho, delta, max_iters, seed }|
+            (k, rho, delta, max_iters, seed);
+        assert_eq!(
+            fields(DnndConfig::new(10).descent),
+            fields(NnDescentParams::new(10))
+        );
     }
 
     #[test]

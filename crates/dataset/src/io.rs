@@ -7,8 +7,14 @@
 //!
 //! These make the harness runnable against the real DEEP/BigANN files when
 //! they are available, while the synthetic presets stand in otherwise.
+//!
+//! A damaged file is an [`io::ErrorKind::InvalidData`] error naming the
+//! field at fault, never a panic or an allocation failure: every `dim` must
+//! be at least 1 and every size a header claims must fit in the bytes the
+//! file holds, checked before anything is allocated, and the f32 readers
+//! refuse a non-finite coordinate ([`check_finite`]).
 
-use crate::set::PointSet;
+use crate::set::{check_finite, PointSet};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -19,11 +25,84 @@ fn read_u32(r: &mut impl Read) -> io::Result<u32> {
     Ok(u32::from_le_bytes(b))
 }
 
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
+fn bad(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// `path` opened for reading, and the bytes it holds.
+fn open(path: &Path) -> io::Result<(BufReader<File>, u64)> {
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    Ok((BufReader::new(file), len))
+}
+
+/// The bytes `rows` rows of `dim` `elem`-byte elements take, checked before
+/// anything is allocated: `dim` is at least 1 and the claim fits in the
+/// `left` bytes the file holds past the field it was read from.
+fn claimed(rows: usize, dim: usize, elem: usize, left: u64) -> Result<usize, String> {
+    if dim == 0 {
+        return Err("dim is 0 (need at least 1)".into());
+    }
+    let bytes = rows as u128 * dim as u128 * elem as u128;
+    match usize::try_from(bytes) {
+        Ok(fits) if bytes <= u128::from(left) => Ok(fits),
+        _ => Err(format!(
+            "claims {rows} x {dim} x {elem} bytes, the file holds {left} more"
+        )),
+    }
+}
+
+/// `bytes` as little-endian 4-byte words.
+fn words<T>(bytes: &[u8], from_le: fn([u8; 4]) -> T) -> Vec<T> {
+    bytes
+        .chunks_exact(4)
+        .map(|c| from_le(c.try_into().expect("chunks_exact(4) yields 4 bytes")))
+        .collect()
+}
+
+/// Every dense point has the first one's dimension.
+fn same_dim<T>(kind: &str, points: &[Vec<T>]) -> io::Result<()> {
+    match points.iter().position(|p| p.len() != points[0].len()) {
+        Some(i) => Err(bad(format!(
+            "{kind} record {i}: dim {} differs from record 0's {}",
+            points[i].len(),
+            points[0].len()
+        ))),
+        None => Ok(()),
+    }
 }
 
 // ---- xvecs family ----------------------------------------------------------
+
+/// The records of a `kind` (`fvecs`, `bvecs`, `ivecs`) file, each a `u32`
+/// count and that many `elem`-byte elements, through `decode`.
+fn read_records<T>(
+    path: &Path,
+    kind: &str,
+    elem: usize,
+    decode: impl Fn(&[u8]) -> T,
+) -> io::Result<Vec<T>> {
+    let (mut r, mut left) = open(path)?;
+    let mut records = Vec::new();
+    let mut buf = Vec::new();
+    while left > 0 {
+        let i = records.len();
+        if left < 4 {
+            return Err(bad(format!(
+                "{kind} record {i}: {left} trailing bytes, no dim field"
+            )));
+        }
+        let dim = read_u32(&mut r)? as usize;
+        left -= 4;
+        let bytes =
+            claimed(1, dim, elem, left).map_err(|why| bad(format!("{kind} record {i}: {why}")))?;
+        buf.resize(bytes, 0);
+        r.read_exact(&mut buf)?;
+        left -= bytes as u64;
+        records.push(decode(&buf));
+    }
+    Ok(records)
+}
 
 /// Write a dense f32 set as `.fvecs`.
 pub fn write_fvecs(path: impl AsRef<Path>, set: &PointSet<Vec<f32>>) -> io::Result<()> {
@@ -39,28 +118,9 @@ pub fn write_fvecs(path: impl AsRef<Path>, set: &PointSet<Vec<f32>>) -> io::Resu
 
 /// Read an `.fvecs` file.
 pub fn read_fvecs(path: impl AsRef<Path>) -> io::Result<PointSet<Vec<f32>>> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut points = Vec::new();
-    loop {
-        let dim = match read_u32(&mut r) {
-            Ok(d) => d as usize,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(e),
-        };
-        let mut buf = vec![0u8; dim * 4];
-        r.read_exact(&mut buf)?;
-        let v: Vec<f32> = buf
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        if let Some(first) = points.first() {
-            let first: &Vec<f32> = first;
-            if first.len() != v.len() {
-                return Err(bad("inconsistent record dimension in fvecs"));
-            }
-        }
-        points.push(v);
-    }
+    let points = read_records(path.as_ref(), "fvecs", 4, |b| words(b, f32::from_le_bytes))?;
+    same_dim("fvecs", &points)?;
+    check_finite(&points).map_err(bad)?;
     Ok(PointSet::new(points))
 }
 
@@ -76,23 +136,8 @@ pub fn write_bvecs(path: impl AsRef<Path>, set: &PointSet<Vec<u8>>) -> io::Resul
 
 /// Read a `.bvecs` file.
 pub fn read_bvecs(path: impl AsRef<Path>) -> io::Result<PointSet<Vec<u8>>> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut points: Vec<Vec<u8>> = Vec::new();
-    loop {
-        let dim = match read_u32(&mut r) {
-            Ok(d) => d as usize,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(e),
-        };
-        let mut buf = vec![0u8; dim];
-        r.read_exact(&mut buf)?;
-        if let Some(first) = points.first() {
-            if first.len() != buf.len() {
-                return Err(bad("inconsistent record dimension in bvecs"));
-            }
-        }
-        points.push(buf);
-    }
+    let points = read_records(path.as_ref(), "bvecs", 1, <[u8]>::to_vec)?;
+    same_dim("bvecs", &points)?;
     Ok(PointSet::new(points))
 }
 
@@ -110,26 +155,26 @@ pub fn write_ivecs(path: impl AsRef<Path>, rows: &[Vec<u32>]) -> io::Result<()> 
 
 /// Read an `.ivecs` file.
 pub fn read_ivecs(path: impl AsRef<Path>) -> io::Result<Vec<Vec<u32>>> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut rows = Vec::new();
-    loop {
-        let dim = match read_u32(&mut r) {
-            Ok(d) => d as usize,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(e),
-        };
-        let mut buf = vec![0u8; dim * 4];
-        r.read_exact(&mut buf)?;
-        rows.push(
-            buf.chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                .collect(),
-        );
-    }
-    Ok(rows)
+    read_records(path.as_ref(), "ivecs", 4, |b| words(b, u32::from_le_bytes))
 }
 
 // ---- big-ann bin family ----------------------------------------------------
+
+/// The `n * dim` elements of a Big-ANN `kind` (`fbin`, `u8bin`) file after
+/// its `(n, dim)` header, as raw bytes, and `dim`.
+fn read_bin(path: &Path, kind: &str, elem: usize) -> io::Result<(Vec<u8>, usize)> {
+    let (mut r, len) = open(path)?;
+    if len < 8 {
+        return Err(bad(format!("{kind} header: {len} bytes, need 8")));
+    }
+    let n = read_u32(&mut r)? as usize;
+    let dim = read_u32(&mut r)? as usize;
+    let bytes =
+        claimed(n, dim, elem, len - 8).map_err(|why| bad(format!("{kind} header: {why}")))?;
+    let mut buf = vec![0u8; bytes];
+    r.read_exact(&mut buf)?;
+    Ok((buf, dim))
+}
 
 /// Write a dense f32 set in Big-ANN `.fbin` layout.
 pub fn write_fbin(path: impl AsRef<Path>, set: &PointSet<Vec<f32>>) -> io::Result<()> {
@@ -146,19 +191,12 @@ pub fn write_fbin(path: impl AsRef<Path>, set: &PointSet<Vec<f32>>) -> io::Resul
 
 /// Read a Big-ANN `.fbin` file.
 pub fn read_fbin(path: impl AsRef<Path>) -> io::Result<PointSet<Vec<f32>>> {
-    let mut r = BufReader::new(File::open(path)?);
-    let n = read_u32(&mut r)? as usize;
-    let dim = read_u32(&mut r)? as usize;
-    let mut buf = vec![0u8; n * dim * 4];
-    r.read_exact(&mut buf)?;
-    let mut points = Vec::with_capacity(n);
-    for row in buf.chunks_exact(dim * 4) {
-        points.push(
-            row.chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                .collect(),
-        );
-    }
+    let (buf, dim) = read_bin(path.as_ref(), "fbin", 4)?;
+    let points: Vec<Vec<f32>> = buf
+        .chunks_exact(dim * 4)
+        .map(|row| words(row, f32::from_le_bytes))
+        .collect();
+    check_finite(&points).map_err(bad)?;
     Ok(PointSet::new(points))
 }
 
@@ -175,11 +213,7 @@ pub fn write_u8bin(path: impl AsRef<Path>, set: &PointSet<Vec<u8>>) -> io::Resul
 
 /// Read a Big-ANN `.u8bin` file.
 pub fn read_u8bin(path: impl AsRef<Path>) -> io::Result<PointSet<Vec<u8>>> {
-    let mut r = BufReader::new(File::open(path)?);
-    let n = read_u32(&mut r)? as usize;
-    let dim = read_u32(&mut r)? as usize;
-    let mut buf = vec![0u8; n * dim];
-    r.read_exact(&mut buf)?;
+    let (buf, dim) = read_bin(path.as_ref(), "u8bin", 1)?;
     let points = buf.chunks_exact(dim).map(<[u8]>::to_vec).collect();
     Ok(PointSet::new(points))
 }
@@ -256,15 +290,89 @@ mod tests {
         std::fs::remove_file(path).unwrap();
     }
 
+    /// A reader with its result dropped, so one table holds every format.
+    type Reader = fn(PathBuf) -> io::Result<()>;
+    const FVECS: Reader = |p| read_fvecs(p).map(drop);
+    const BVECS: Reader = |p| read_bvecs(p).map(drop);
+    const IVECS: Reader = |p| read_ivecs(p).map(drop);
+    const FBIN: Reader = |p| read_fbin(p).map(drop);
+    const U8BIN: Reader = |p| read_u8bin(p).map(drop);
+
+    /// The little-endian bytes of `words`.
+    fn le(words: &[u32]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    /// Each file of `cases` is refused by its reader with `InvalidData` and
+    /// the message given.
+    fn refused(cases: &[(Vec<u8>, Reader, String)]) {
+        let path = tmpfile("damaged");
+        for (bytes, read, want) in cases {
+            std::fs::write(&path, bytes).unwrap();
+            let err = read(path.clone()).expect_err(want);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert_eq!(&err.to_string(), want);
+        }
+        std::fs::remove_file(path).unwrap();
+    }
+
     #[test]
-    fn truncated_fvecs_errors() {
-        let path = tmpfile("trunc");
-        // dim = 4 but only 2 floats present
-        let mut bytes = 4u32.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&1.0f32.to_le_bytes());
-        bytes.extend_from_slice(&2.0f32.to_le_bytes());
-        std::fs::write(&path, bytes).unwrap();
-        assert!(read_fvecs(&path).is_err());
+    fn a_zero_dim_is_refused_by_every_reader() {
+        let zero = |field: &str| format!("{field}: dim is 0 (need at least 1)");
+        // A first record of dim 3, then one of dim 0.
+        let xvecs = le(&[3, 1, 2, 3, 0]);
+        refused(&[
+            (le(&[3, 0]), FBIN, zero("fbin header")),
+            (le(&[3, 0]), U8BIN, zero("u8bin header")),
+            (xvecs.clone(), FVECS, zero("fvecs record 1")),
+            (xvecs, IVECS, zero("ivecs record 1")),
+            (le(&[0]), BVECS, zero("bvecs record 0")),
+        ]);
+    }
+
+    #[test]
+    fn a_size_larger_than_the_file_is_refused_before_allocating() {
+        let claim = |field: &str, rows: u64, dim: u64, elem: u64, left: u64| {
+            format!("{field}: claims {rows} x {dim} x {elem} bytes, the file holds {left} more")
+        };
+        // 4e9 points of dim 1 000: 16 TB claimed by an 8-byte file. A
+        // truncated record or body is the same claim, a few bytes short:
+        // dim = 4 with 2 elements present, and 2 x 3 elements with 5.
+        let bin = le(&[4_000_000_000, 1_000]);
+        let (xvecs, max) = (le(&[u32::MAX, 7]), u64::from(u32::MAX));
+        let short_bin = le(&[2, 3, 0, 0, 0, 0, 0]);
+        // A whole record, then 2 bytes of the next one's dim.
+        let ragged = [le(&[1, 5]), vec![0, 0]].concat();
+        #[rustfmt::skip]
+        let cases = [
+            (bin.clone(), FBIN, claim("fbin header", 4_000_000_000, 1_000, 4, 0)),
+            (bin, U8BIN, claim("u8bin header", 4_000_000_000, 1_000, 1, 0)),
+            (xvecs.clone(), FVECS, claim("fvecs record 0", 1, max, 4, 4)),
+            (xvecs.clone(), BVECS, claim("bvecs record 0", 1, max, 1, 4)),
+            (xvecs, IVECS, claim("ivecs record 0", 1, max, 4, 4)),
+            (le(&[4, 1, 2]), FVECS, claim("fvecs record 0", 1, 4, 4, 8)),
+            (le(&[4, 1, 2]), IVECS, claim("ivecs record 0", 1, 4, 4, 8)),
+            (vec![4, 0, 0, 0, 1, 2], BVECS, claim("bvecs record 0", 1, 4, 1, 2)),
+            (short_bin.clone(), FBIN, claim("fbin header", 2, 3, 4, 20)),
+            (short_bin[..13].to_vec(), U8BIN, claim("u8bin header", 2, 3, 1, 5)),
+            (short_bin[..5].to_vec(), FBIN, "fbin header: 5 bytes, need 8".into()),
+            (ragged, IVECS, "ivecs record 1: 2 trailing bytes, no dim field".into()),
+        ];
+        refused(&cases);
+    }
+
+    #[test]
+    fn non_finite_coordinates_are_refused_by_the_f32_readers() {
+        let path = tmpfile("nonfinite");
+        for x in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let set = PointSet::new(vec![vec![0.5, 1.0], vec![2.0, x]]);
+            let want = format!("point 1 coordinate 1 is not finite ({x})");
+            write_fvecs(&path, &set).unwrap();
+            let fvecs = std::fs::read(&path).unwrap();
+            write_fbin(&path, &set).unwrap();
+            let fbin = std::fs::read(&path).unwrap();
+            refused(&[(fvecs, FVECS, want.clone()), (fbin, FBIN, want)]);
+        }
         std::fs::remove_file(path).unwrap();
     }
 }

@@ -12,6 +12,20 @@ use metall::{Persist, Result as StoreResult, Store, StoreError};
 /// Vertex/point identifier, 4 bytes as in the paper's evaluation.
 pub type PointId = u32;
 
+/// Every coordinate must be finite. A NaN or an infinity has no distance
+/// to anything — it scores as 0.0 against every point — so one such point
+/// would build a row whose every neighbor is at 0.0, and sit in every
+/// other row it reaches. `i` is the point's position in `points`. Every
+/// f32 reader and every collection ingest calls this.
+pub fn check_finite<'p>(points: impl IntoIterator<Item = &'p Vec<f32>>) -> Result<(), String> {
+    for (i, p) in points.into_iter().enumerate() {
+        if let Some((j, x)) = p.iter().enumerate().find(|(_, x)| !x.is_finite()) {
+            return Err(format!("point {i} coordinate {j} is not finite ({x})"));
+        }
+    }
+    Ok(())
+}
+
 /// An in-memory dataset of points with stable `u32` ids.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointSet<P> {

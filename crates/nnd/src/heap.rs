@@ -147,16 +147,6 @@ impl NeighborHeap {
         self.slots.len()
     }
 
-    /// Current number of neighbors.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the heap holds no neighbors.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Whether the heap holds `cap` neighbors.
     pub fn is_full(&self) -> bool {
         self.len == self.slots.len()
@@ -188,16 +178,6 @@ impl NeighborHeap {
     /// All entries in unspecified (heap) order.
     pub fn iter(&self) -> impl Iterator<Item = &Neighbor> {
         self.slots[..self.len].iter()
-    }
-
-    /// Entries sorted ascending by `(distance, id)`.
-    pub fn sorted(&self) -> Vec<Neighbor> {
-        sorted(&self.slots[..self.len])
-    }
-
-    /// Ids of entries flagged `new` / `old`.
-    pub fn flagged_ids(&self, new: bool) -> Vec<PointId> {
-        self.iter().filter(|n| n.new == new).map(|n| n.id).collect()
     }
 
     /// Set the flag of the entry with `id` (if present) to `new = false`.
@@ -290,6 +270,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    impl NeighborHeap {
+        fn sorted(&self) -> Vec<Neighbor> {
+            sorted(&self.slots[..self.len])
+        }
+    }
+
     #[test]
     fn fills_then_evicts_farthest() {
         let mut h = NeighborHeap::new(3);
@@ -312,7 +298,7 @@ mod tests {
         let mut h = NeighborHeap::new(2);
         assert!(h.checked_insert(7, 4.0, true));
         assert!(!h.checked_insert(7, 1.0, true));
-        assert_eq!(h.len(), 1);
+        assert_eq!(h.len, 1);
     }
 
     #[test]
@@ -342,14 +328,12 @@ mod tests {
         h.checked_insert(1, 1.0, true);
         h.checked_insert(2, 2.0, false);
         h.checked_insert(3, 3.0, true);
-        let mut news = h.flagged_ids(true);
-        news.sort_unstable();
-        assert_eq!(news, vec![1, 3]);
+        let news = |h: &NeighborHeap| -> Vec<PointId> {
+            h.sorted().iter().filter(|n| n.new).map(|n| n.id).collect()
+        };
+        assert_eq!(news(&h), vec![1, 3]);
         h.mark_old(1);
-        let mut news = h.flagged_ids(true);
-        news.sort_unstable();
-        assert_eq!(news, vec![3]);
-        assert_eq!(h.flagged_ids(false).len(), 2);
+        assert_eq!(news(&h), vec![3]);
     }
 
     #[test]
@@ -375,13 +359,13 @@ mod tests {
             for &(id, dist) in &inserts {
                 h.checked_insert(id, dist, true);
             }
-            prop_assert!(h.len() <= cap);
+            prop_assert!(h.len <= cap);
             let ids: Vec<PointId> = h.iter().map(|n| n.id).collect();
             let mut dedup = ids.clone();
             dedup.sort_unstable();
             dedup.dedup();
             prop_assert_eq!(dedup.len(), ids.len(), "duplicate ids in heap");
-            if !h.is_empty() {
+            if h.len > 0 {
                 let true_max = h.iter().map(|n| n.dist).fold(f32::MIN, f32::max);
                 if h.is_full() {
                     prop_assert_eq!(h.max_dist(), true_max);
@@ -394,10 +378,10 @@ mod tests {
                 for (i, n) in h.iter().enumerate() {
                     let l = 2 * i + 1;
                     let r = 2 * i + 2;
-                    if l < h.len() {
+                    if l < h.len {
                         prop_assert!(h.slots[l].dist <= n.dist);
                     }
-                    if r < h.len() {
+                    if r < h.len {
                         prop_assert!(h.slots[r].dist <= n.dist);
                     }
                 }

@@ -49,7 +49,7 @@
 
 use crate::meta::{self, MetaRecord};
 use crate::predicate::Predicate;
-use dataset::set::{PointId, PointSet};
+use dataset::set::{check_finite, PointId, PointSet};
 use dnnd::IdMask;
 use metall::Store;
 use nnd::{KnnGraph, NnDescentParams};
@@ -82,19 +82,6 @@ fn check_ids(ns: &str, list: &str, ids: &[PointId], n: usize) -> Result<(), Stri
         )),
         _ => Ok(()),
     }
-}
-
-/// Every coordinate must be finite. A NaN or an infinity has no distance
-/// to anything — it scores as 0.0 against every point — so one such point
-/// would build a row whose every neighbor is at 0.0, and sit in every
-/// other row it reaches. `i` is the point's position in `points`.
-fn check_finite<'p>(points: impl IntoIterator<Item = &'p Vec<f32>>) -> Result<(), String> {
-    for (i, p) in points.into_iter().enumerate() {
-        if let Some((j, x)) = p.iter().enumerate().find(|(_, x)| !x.is_finite()) {
-            return Err(format!("point {i} coordinate {j} is not finite ({x})"));
-        }
-    }
-    Ok(())
 }
 
 /// The element type of every collection, as `dataset::with_metric!` names it.

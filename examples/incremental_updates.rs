@@ -7,15 +7,20 @@
 //! with local repair and a refinement of the rows the deletion shortened —
 //! comparing cost and quality against a from-scratch build at every step.
 //! A refinement joins only what the change flagged new, so its cost
-//! follows the batch, not the graph.
+//! follows the batch, not the graph. Last, (c) times the same two mutations
+//! on a served `vdb::Collection` (DEEP-like, k = 10) at three sizes: short
+//! in evaluations is not yet short in wall time.
 //!
 //! ```text
 //! cargo run --release --example incremental_updates
 //! ```
 
-use dataset::synth::{gaussian_mixture, MixtureParams};
-use dataset::{brute_force_knng, mean_recall, PointSet, L2};
+use dataset::synth::{gaussian_mixture, split_queries, MixtureParams};
+use dataset::{brute_force_knng, mean_recall, presets, PointId, PointSet, L2};
 use nnd::{build, refine, remove_points, KnnGraph, NnDescentParams};
+use std::ops::Range;
+use std::time::{Duration, Instant};
+use vdb::{Collection, MetaRecord};
 
 const K: usize = 10;
 
@@ -85,5 +90,51 @@ fn main() {
         refined_recall
     );
     assert!(refined_recall >= 0.98 && refined_recall > repaired_recall);
+
+    for n in [1_000, 4_000, 16_000] {
+        time_collection_mutations(n);
+    }
     println!("incremental updates OK");
+}
+
+/// `f`'s result and the wall time it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (Duration, T) {
+    let t = Instant::now();
+    let out = f();
+    (t.elapsed(), out)
+}
+
+/// Wall time of one `Collection::create` over `n` DEEP-like points, the
+/// median of five 10-point ingests into it, and one compaction after 10
+/// deletes.
+fn time_collection_mutations(n: usize) {
+    const BATCH: usize = 10;
+    let meta = |ids: Range<usize>| {
+        ids.map(|id| MetaRecord::bucket_record(3, id as u64))
+            .collect()
+    };
+    let (base, extra) = split_queries(presets::deep1b_like(n + 5 * BATCH, 3), 5 * BATCH);
+    let (create, mut col) =
+        timed(|| Collection::create("timed", base, meta(0..n), "l2", K, 1).expect("create"));
+    let mut ingests: Vec<Duration> = extra
+        .points()
+        .chunks(BATCH)
+        .zip((n..).step_by(BATCH))
+        .map(|(batch, first)| {
+            let (points, meta) = (batch.to_vec(), meta(first..first + BATCH));
+            timed(|| col.ingest(points, meta).expect("ingest")).0
+        })
+        .collect();
+    ingests.sort();
+    let gone: Vec<PointId> = (0..n as PointId).step_by(n / BATCH).collect();
+    assert_eq!(col.delete(&gone).expect("delete"), BATCH);
+    let (compaction, _) = timed(|| col.compact().expect("compact"));
+    println!(
+        "collection n = {n}: create {:.2} s | ingest of {BATCH} points {:.2} ms (median of {}) \
+         | compaction after {BATCH} deletes {:.1} ms",
+        create.as_secs_f64(),
+        ingests[ingests.len() / 2].as_secs_f64() * 1e3,
+        ingests.len(),
+        compaction.as_secs_f64() * 1e3
+    );
 }

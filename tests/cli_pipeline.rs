@@ -240,6 +240,32 @@ fn bad_flag_exits_2_on_every_binary() {
     let narrow_set = dataset::set::PointSet::new(vec![vec![0.5f32; 4]; 3]);
     dataset::io::write_fvecs(&narrow, &narrow_set).unwrap();
     let (empty, narrow) = (empty.to_str().unwrap(), narrow.to_str().unwrap());
+    // Damaged input files, each a panic, an aborted allocation or a silent
+    // build unchecked: a header of dim 0, one claiming 4e9 x 1 000 bytes,
+    // and a NaN among points of the store's dimension.
+    let damaged = |name: &str, words: [u32; 2]| {
+        let path = dir.join(name).to_str().unwrap().to_string();
+        std::fs::write(&path, words.map(u32::to_le_bytes).concat()).unwrap();
+        path
+    };
+    let dim0 = damaged("dim0.fbin", [3, 0]);
+    let oversized = damaged("oversized.u8bin", [4_000_000_000, 1_000]);
+    let mut nan_points: Vec<Vec<f32>> = (0..20).map(|i| vec![i as f32; 96]).collect();
+    nan_points[7][5] = f32::NAN;
+    let nan_set = dataset::set::PointSet::new(nan_points);
+    let (nan_fbin, nan_fvecs) = (dir.join("nan.fbin"), dir.join("nan.fvecs"));
+    dataset::io::write_fbin(&nan_fbin, &nan_set).unwrap();
+    dataset::io::write_fvecs(&nan_fvecs, &nan_set).unwrap();
+    let (nan_fbin, nan_fvecs) = (nan_fbin.to_str().unwrap(), nan_fvecs.to_str().unwrap());
+    let nan = "point 7 coordinate 5 is not finite (NaN)";
+    let read_err = |input: &str, why: &str| format!("error: failed to read {input}: {why}");
+    let dim0_err = read_err(&dim0, "fbin header: dim is 0 (need at least 1)");
+    let oversized_err = read_err(
+        &oversized,
+        "u8bin header: claims 4000000000 x 1000 x 1 bytes, the file holds 0 more",
+    );
+    let nan_fbin_err = read_err(nan_fbin, nan);
+    let nan_fvecs_err = format!("error: bad --queries file: {nan}");
     let before = dir_listing(dir.path());
     let construct_bin = env!("CARGO_BIN_EXE_dnnd-construct");
     let on_fresh = format!("--input preset:deep1b --store {fresh}");
@@ -358,6 +384,23 @@ fn bad_flag_exits_2_on_every_binary() {
             construct_bin,
             format!("{on_fresh} --metric bogus"),
             "error: unknown metric \"bogus\" (expected one of [\"l2\", \"sql2\", \"cosine\", \"l1\"])",
+        ),
+        // A damaged input file is refused before the store is created.
+        (construct_bin, format!("--input {dim0} --store {fresh}"), dim0_err.as_str()),
+        (
+            construct_bin,
+            format!("--input {oversized} --elem u8 --store {fresh}"),
+            oversized_err.as_str(),
+        ),
+        (
+            construct_bin,
+            format!("--input {nan_fbin} --k 4 --store {fresh}"),
+            nan_fbin_err.as_str(),
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-query"),
+            format!("--store {store} --queries {nan_fvecs}"),
+            nan_fvecs_err.as_str(),
         ),
         // Flags the stored-run binaries pass to a builder that asserts its
         // domain (each was a panic; `--m 0.5` a silent over-prune), and the

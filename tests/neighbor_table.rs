@@ -210,8 +210,8 @@ proptest! {
                 let stored = heap.checked_insert(id, d, true);
                 prop_assert_eq!(table.insert(row, id, d, true), stored);
             }
-            let sorted: Vec<(u32, f32)> = heap.sorted().iter().map(|n| (n.id, n.dist)).collect();
-            prop_assert_eq!(&sorted, &expect, "heap, order {}", row);
+            let heap_row: Vec<Neighbor> = heap.iter().copied().collect();
+            prop_assert_eq!(&heap_row[..], table.row(row), "heap, order {}", row);
             prop_assert_eq!(&table.sorted_edges(row), &expect, "table, order {}", row);
         }
     }
