@@ -12,7 +12,9 @@
 //! field at fault, never a panic or an allocation failure: every `dim` must
 //! be at least 1 and every size a header claims must fit in the bytes the
 //! file holds, checked before anything is allocated, and the f32 readers
-//! refuse a non-finite coordinate ([`check_finite`]).
+//! refuse a non-finite coordinate ([`check_finite`]). A writer refuses
+//! what its reader would, before the file is created: a set of no points
+//! or of zero-dimensional ones is an [`io::ErrorKind::InvalidInput`] error.
 
 use crate::set::{check_finite, PointSet};
 use std::fs::File;
@@ -27,6 +29,16 @@ fn read_u32(r: &mut impl Read) -> io::Result<u32> {
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// `path` created for `n` records of `dim` elements, unless the `kind`
+/// reader would refuse that file: no record, or a `dim` of 0.
+fn create(path: &Path, kind: &str, n: usize, dim: usize) -> io::Result<BufWriter<File>> {
+    if n == 0 || dim == 0 {
+        let msg = format!("{kind}: cannot write {n} points of dim {dim} (need at least 1 of each)");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+    }
+    Ok(BufWriter::new(File::create(path)?))
 }
 
 /// `path` opened for reading, and the bytes it holds.
@@ -106,7 +118,7 @@ fn read_records<T>(
 
 /// Write a dense f32 set as `.fvecs`.
 pub fn write_fvecs(path: impl AsRef<Path>, set: &PointSet<Vec<f32>>) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
+    let mut w = create(path.as_ref(), "fvecs", set.len(), set.dim())?;
     for (_, p) in set.iter() {
         w.write_all(&(p.len() as u32).to_le_bytes())?;
         for &x in p {
@@ -126,7 +138,7 @@ pub fn read_fvecs(path: impl AsRef<Path>) -> io::Result<PointSet<Vec<f32>>> {
 
 /// Write a dense u8 set as `.bvecs`.
 pub fn write_bvecs(path: impl AsRef<Path>, set: &PointSet<Vec<u8>>) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
+    let mut w = create(path.as_ref(), "bvecs", set.len(), set.dim())?;
     for (_, p) in set.iter() {
         w.write_all(&(p.len() as u32).to_le_bytes())?;
         w.write_all(p)?;
@@ -143,7 +155,8 @@ pub fn read_bvecs(path: impl AsRef<Path>) -> io::Result<PointSet<Vec<u8>>> {
 
 /// Write ground-truth id lists as `.ivecs` (one record per query).
 pub fn write_ivecs(path: impl AsRef<Path>, rows: &[Vec<u32>]) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
+    let shortest = rows.iter().map(Vec::len).min().unwrap_or(0);
+    let mut w = create(path.as_ref(), "ivecs", rows.len(), shortest)?;
     for row in rows {
         w.write_all(&(row.len() as u32).to_le_bytes())?;
         for &x in row {
@@ -178,7 +191,7 @@ fn read_bin(path: &Path, kind: &str, elem: usize) -> io::Result<(Vec<u8>, usize)
 
 /// Write a dense f32 set in Big-ANN `.fbin` layout.
 pub fn write_fbin(path: impl AsRef<Path>, set: &PointSet<Vec<f32>>) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
+    let mut w = create(path.as_ref(), "fbin", set.len(), set.dim())?;
     w.write_all(&(set.len() as u32).to_le_bytes())?;
     w.write_all(&(set.dim() as u32).to_le_bytes())?;
     for (_, p) in set.iter() {
@@ -202,7 +215,7 @@ pub fn read_fbin(path: impl AsRef<Path>) -> io::Result<PointSet<Vec<f32>>> {
 
 /// Write a dense u8 set in Big-ANN `.u8bin` layout.
 pub fn write_u8bin(path: impl AsRef<Path>, set: &PointSet<Vec<u8>>) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
+    let mut w = create(path.as_ref(), "u8bin", set.len(), set.dim())?;
     w.write_all(&(set.len() as u32).to_le_bytes())?;
     w.write_all(&(set.dim() as u32).to_le_bytes())?;
     for (_, p) in set.iter() {
@@ -279,6 +292,52 @@ mod tests {
         let back = read_u8bin(&path).unwrap();
         assert_eq!(back, set);
         std::fs::remove_file(path).unwrap();
+    }
+
+    /// Writes `n` points of dim 1 through one writer and reads them back
+    /// through its reader: whether they came back equal.
+    type RoundTrip = fn(&Path, usize) -> io::Result<bool>;
+
+    #[test]
+    fn every_writer_refuses_an_empty_set_and_round_trips_one_point() {
+        let pairs: [(&str, RoundTrip); 5] = [
+            ("fvecs", |p, n| {
+                let set = PointSet::new(vec![vec![0.5f32]; n]);
+                write_fvecs(p, &set)?;
+                Ok(read_fvecs(p)? == set)
+            }),
+            ("bvecs", |p, n| {
+                let set = PointSet::new(vec![vec![7u8]; n]);
+                write_bvecs(p, &set)?;
+                Ok(read_bvecs(p)? == set)
+            }),
+            ("ivecs", |p, n| {
+                let rows = vec![vec![9u32]; n];
+                write_ivecs(p, &rows)?;
+                Ok(read_ivecs(p)? == rows)
+            }),
+            ("fbin", |p, n| {
+                let set = PointSet::new(vec![vec![-2.25f32]; n]);
+                write_fbin(p, &set)?;
+                Ok(read_fbin(p)? == set)
+            }),
+            ("u8bin", |p, n| {
+                let set = PointSet::new(vec![vec![255u8]; n]);
+                write_u8bin(p, &set)?;
+                Ok(read_u8bin(p)? == set)
+            }),
+        ];
+        for (kind, round_trip) in pairs {
+            let path = tmpfile(&format!("one-{kind}"));
+            let _ = std::fs::remove_file(&path);
+            let err = round_trip(&path, 0).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{kind}: {err}");
+            let want = format!("{kind}: cannot write 0 points of dim 0 (need at least 1 of each)");
+            assert_eq!(err.to_string(), want);
+            assert!(!path.exists(), "{kind}: the refused write left a file");
+            assert!(round_trip(&path, 1).unwrap(), "{kind}: one point of dim 1");
+            std::fs::remove_file(path).unwrap();
+        }
     }
 
     #[test]

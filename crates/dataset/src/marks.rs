@@ -25,6 +25,13 @@ impl VisitMarks {
         }
     }
 
+    /// Cover ids `0..n` too, the new ones unvisited; never shrinks.
+    pub fn grow(&mut self, n: usize) {
+        if n > self.marks.len() {
+            self.marks.resize(n, 0);
+        }
+    }
+
     /// Number of ids covered.
     pub fn len(&self) -> usize {
         self.marks.len()

@@ -28,6 +28,28 @@ pub fn prune_limit(k: usize, m: f64) -> Result<usize, String> {
     Ok(limit)
 }
 
+/// The dedup and prune of [`KnnGraph::optimize`] on row `v`, which holds
+/// its forward edges and the reverses of the edges to it, in any order:
+/// ascending by `(distance, id)`, an id's closest copy comes first, so keep
+/// first occurrences, up to `limit`. `keeper[id] == v` marks an id the row
+/// has kept; on return exactly the kept ids carry the mark.
+#[inline]
+pub(crate) fn prune_merged(v: PointId, row: &mut Vec<Edge>, limit: usize, keeper: &mut [PointId]) {
+    sort_edges(row);
+    let mut kept = 0;
+    for i in 0..row.len() {
+        if kept == limit {
+            break;
+        }
+        let id = row[i].0 as usize;
+        if std::mem::replace(&mut keeper[id], v) != v {
+            row[kept] = row[i];
+            kept += 1;
+        }
+    }
+    row.truncate(kept);
+}
+
 /// An adjacency-list k-NN graph. Row `v` holds `v`'s approximate nearest
 /// neighbors sorted ascending by `(distance, id)`. After construction every
 /// row has exactly `k` entries; after [`KnnGraph::optimize`] a row may hold
@@ -120,24 +142,10 @@ impl KnnGraph {
                 rows[u as usize].push((v as PointId, d));
             }
         }
-        // Ascending by `(distance, id)`, an id's closest copy comes first:
-        // keep first occurrences. `keeper[id]` is the last row that kept
-        // `id` (rows are visited once each, so no reset between them).
+        // Rows are visited once each, so `keeper` needs no reset between them.
         let mut keeper = vec![PointId::MAX; rows.len()];
         for (v, row) in rows.iter_mut().enumerate() {
-            sort_edges(row);
-            let mut kept = 0;
-            for i in 0..row.len() {
-                if kept == limit {
-                    break;
-                }
-                let id = row[i].0 as usize;
-                if std::mem::replace(&mut keeper[id], v as PointId) != v as PointId {
-                    row[kept] = row[i];
-                    kept += 1;
-                }
-            }
-            row.truncate(kept);
+            prune_merged(v as PointId, row, limit, &mut keeper);
         }
         KnnGraph { rows }
     }

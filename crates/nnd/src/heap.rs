@@ -259,6 +259,32 @@ impl NeighborTable {
         mark_old(&mut self.slots[at..at + self.lens[v]], id);
     }
 
+    /// Set the flag of every entry of row `v` to `new`.
+    pub fn flag_row(&mut self, v: usize, new: bool) {
+        let at = v * self.k;
+        for e in &mut self.slots[at..at + self.lens[v]] {
+            e.new = new;
+        }
+    }
+
+    /// Empty row `v`.
+    pub fn clear_row(&mut self, v: usize) {
+        let at = v * self.k;
+        self.slots[at..at + self.lens[v]].fill(VACANT);
+        self.lens[v] = 0;
+        self.bounds[v] = f32::INFINITY;
+    }
+
+    /// Append empty rows until there are `n`.
+    pub fn grow(&mut self, n: usize) {
+        if n > self.n_rows() {
+            let slots = n.checked_mul(self.k).expect("n * k overflows usize");
+            self.slots.resize(slots, VACANT);
+            self.lens.resize(n, 0);
+            self.bounds.resize(n, f32::INFINITY);
+        }
+    }
+
     /// Row `v` as graph edges, ascending by `(distance, id)`.
     pub fn sorted_edges(&self, v: usize) -> Vec<Edge> {
         (sorted(self.row(v)).iter().map(|n| (n.id, n.dist))).collect()

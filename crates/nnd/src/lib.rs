@@ -17,10 +17,11 @@
 //!   scratch reused across the batch);
 //! * [`rptree`] — random-projection-forest initialization (extension);
 //! * [`mod@refine`] — incremental maintenance (the paper's Section 7 future
-//!   work): [`remove_points`] deletes without renumbering and names the
-//!   rows it shortened, and [`refine()`] inserts and re-converges — a table
-//!   seeded with the stored `(id, distance)` flagged old, only what changed
-//!   flagged new, then [`nndescent`]'s own descent loop;
+//!   work) on the rows a [`KnnRows`] keeps, in place: [`remove_points`]
+//!   deletes without renumbering and names the rows it shortened,
+//!   [`refine()`] inserts and re-converges — only what changed flagged new,
+//!   then [`nndescent`]'s own descent loop over the rows that take part —
+//!   and [`KnnRows::rederive`] keeps a served graph derived from the rows;
 //! * [`rnn`] — RNN-Descent (relative-neighborhood descent with occlusion
 //!   pruning, after GRNND / `mini_rnn`): the second graph-optimization
 //!   mode, producing sparser graphs at equal recall (extension).
@@ -57,7 +58,7 @@ pub mod search;
 pub use graph::{prune_limit, Edge, KnnGraph, PRUNE_M};
 pub use heap::{Neighbor, NeighborHeap, NeighborTable};
 pub use nndescent::{build, build_with_init, check_k, BuildStats, NnDescentParams, OpenedRows};
-pub use refine::{refine, remove_points};
+pub use refine::{refine, remove_points, KnnRows};
 pub use rnn::{rnn_optimize, RnnParams, RnnStats};
 pub use rptree::{rp_forest_candidates, RpForestParams};
 pub use search::{

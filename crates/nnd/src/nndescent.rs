@@ -19,6 +19,13 @@
 //! counters. No rule reads the order its input came in: ids are sorted
 //! before a shuffle, and `c` is a set difference.
 //!
+//! One loop serves both callers. `build` runs each of its passes over every
+//! row, since every row starts new; [`crate::refine()`] runs the same loop
+//! on the rows a [`crate::KnnRows`] keeps, reading only the rows that take
+//! part or hold a new entry — who holds a participant comes from the rows'
+//! holders, not a scan — so a refinement costs what it flagged, not `N`,
+//! and makes the inserts the loop over every row would.
+//!
 //! `G` is one [`NeighborTable`] behind a `&mut`: the paper's "c and G are
 //! atomically updated" holds because the borrow checker proves nothing else
 //! can touch them — no lock, no atomic. The neighbor check still runs on
@@ -31,6 +38,7 @@
 
 use crate::graph::KnnGraph;
 use crate::heap::{Neighbor, NeighborTable};
+use crate::refine::Reverse;
 use dataset::batch::{BatchMetric, NormCache};
 use dataset::par;
 use dataset::point::Point;
@@ -225,6 +233,30 @@ impl OpenedRows {
         }
     }
 
+    /// Take the snapshot of `rows` only, in a snapshot sized for all of
+    /// `table`: what [`Self::held`], [`Self::gained`] and [`Self::ids`]
+    /// read for them. Every other row's slots are left as they were.
+    pub(crate) fn open_rows(&mut self, table: &NeighborTable, rows: &[PointId]) {
+        self.k = table.k();
+        let len = table.n_rows() * self.k;
+        if self.ids.len() < len {
+            self.ids.resize(len, PointId::MAX);
+        }
+        for &v in rows {
+            let at = v as usize * self.k;
+            let ids = &mut self.ids[at..at + self.k];
+            ids.fill(PointId::MAX);
+            for (id, e) in ids.iter_mut().zip(table.row(v as usize)) {
+                *id = e.id;
+            }
+        }
+    }
+
+    /// Row `v`'s ids as the snapshot holds them, padded with `PointId::MAX`.
+    pub(crate) fn ids(&self, v: usize) -> &[PointId] {
+        &self.ids[v * self.k..(v + 1) * self.k]
+    }
+
     /// Whether row `v` held `id` when the iteration opened: a fold over all
     /// `k` slots, since the answer is mostly "no" and a loop with no exit to
     /// mispredict is the cheaper scan.
@@ -239,10 +271,15 @@ impl OpenedRows {
     /// of inserts can move. Every insert is flagged new and nothing is
     /// marked old after the check opens, so only new entries are looked up.
     pub fn updates(&self, table: &NeighborTable) -> u64 {
-        let gained = |v: usize, e: &Neighbor| e.new && !self.held(v, e.id);
-        let rows = 0..table.n_rows();
-        rows.map(|v| table.row(v).iter().filter(|e| gained(v, e)).count() as u64)
-            .sum()
+        (0..table.n_rows()).map(|v| self.gained(table, v)).sum()
+    }
+
+    /// Row `v`'s share of [`Self::updates`]: its entries that `table` holds
+    /// and the row did not hold when the iteration opened.
+    #[inline]
+    pub(crate) fn gained(&self, table: &NeighborTable, v: usize) -> u64 {
+        let row = table.row(v).iter();
+        row.filter(|e| e.new && !self.held(v, e.id)).count() as u64
     }
 }
 
@@ -317,7 +354,8 @@ fn build_on<P: Point, M: BatchMetric<P>>(
         }
     }
 
-    let stats = descend(&mut theta, &mut table, params, workers);
+    let lists = &mut Lists::default();
+    let stats = descend(&mut theta, &mut table, params, workers, lists, Scope::All);
     (KnnGraph::from_table(&table), stats)
 }
 
@@ -462,6 +500,64 @@ fn score_ahead<P: Point, M: BatchMetric<P>>(
     scored
 }
 
+/// The per-vertex lists and marks of a descent, indexed by vertex: filled
+/// for an iteration's participants and cleared behind them, so an iteration
+/// allocates for what it touches. [`crate::KnnRows`] keeps one between
+/// refinements, so a refinement does not pay for `N` empty lists either.
+#[derive(Debug, Default)]
+pub(crate) struct Lists {
+    fwd_old: Vec<Vec<PointId>>,
+    fwd_new: Vec<Vec<PointId>>,
+    rev_old: Vec<Vec<PointId>>,
+    rev_new: Vec<Vec<PointId>>,
+    takes_part: Vec<bool>,
+    participants: Vec<PointId>,
+    /// The rows a [`Scope::Part`] iteration's join may write, each marked
+    /// in `in_partners`.
+    partners: Vec<PointId>,
+    in_partners: Vec<bool>,
+    opened: OpenedRows,
+    tails: Vec<PointId>,
+    dbuf: Vec<f32>,
+}
+
+impl Lists {
+    /// Cover the vertices `0..n`; the lists are never shrunk.
+    fn cover(&mut self, n: usize) {
+        for lists in [
+            &mut self.fwd_old,
+            &mut self.fwd_new,
+            &mut self.rev_old,
+            &mut self.rev_new,
+        ] {
+            if lists.len() < n {
+                lists.resize(n, Vec::new());
+            }
+        }
+        for marks in [&mut self.takes_part, &mut self.in_partners] {
+            if marks.len() < n {
+                marks.resize(n, false);
+            }
+        }
+    }
+}
+
+/// The rows a descent's passes read.
+pub(crate) enum Scope<'a> {
+    /// Every row, in every pass: [`build_with_init`], whose rows all start
+    /// new.
+    All,
+    /// Only the rows that take part or hold a new entry:
+    /// [`crate::refine()`] on the rows a [`crate::KnnRows`] keeps. `fresh`
+    /// lists, once each, every row that holds a new entry, and is kept so.
+    /// Who holds a participant is read from `reverse`, which is kept exact,
+    /// and each row whose ids or holders move is marked stale in it.
+    Part {
+        fresh: &'a mut Vec<PointId>,
+        reverse: &'a mut Reverse,
+    },
+}
+
 /// The descent loop (Algorithm 1 lines 6-23) over pre-filled, pre-flagged
 /// rows — the crate's only one: [`build_with_init`] enters it with every
 /// entry flagged new, [`crate::refine()`] with a handful. Runs until an
@@ -477,9 +573,19 @@ fn score_ahead<P: Point, M: BatchMetric<P>>(
 /// both reverse lists complete, since its union stream shuffles `rev_new`
 /// *then* `rev_old` — `rev_old` read from the flags as they stood before
 /// this iteration's samples were marked old. Hence two passes: the first
-/// samples and finds who takes part, the second reads every row's old
-/// entries (allocating nothing for a vertex outside the set) and only then
-/// marks the samples.
+/// samples and finds who takes part, the second reads the old entries
+/// (allocating nothing for a vertex outside the set) and only then marks
+/// the samples.
+///
+/// Under [`Scope::All`] each pass reads every row. Under [`Scope::Part`]
+/// the same iteration reads only what it can use: only a row holding a new
+/// entry has a sample, a participant's reverse old list is its holders but
+/// the fresh rows whose entry for it is new (the reverse lists are sorted
+/// before their shuffle, so the order they are found in does not matter),
+/// and only the
+/// rows a participant's lists name can gain an entry, so only they are
+/// snapshot, counted and settled in `reverse`. Both scopes make the same
+/// inserts in the same order: the same table, entry for entry.
 ///
 /// The neighbor check runs on `workers` threads: at one it scores each
 /// call on the spot; above, producers score the participants ahead a chunk
@@ -491,28 +597,43 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
     table: &mut NeighborTable,
     params: NnDescentParams,
     workers: usize,
+    lists: &mut Lists,
+    mut scope: Scope<'_>,
 ) -> BuildStats {
     let n = table.n_rows();
+    lists.cover(n);
     let stop_below = params.stop_below(n);
     let mut stats = BuildStats::default();
-
-    // Per-vertex lists, filled for this iteration's participants only and
-    // cleared behind them, so an iteration allocates for what it touches.
-    let mut fwd_old: Vec<Vec<PointId>> = vec![Vec::new(); n];
-    let mut fwd_new: Vec<Vec<PointId>> = vec![Vec::new(); n];
-    let mut rev_old: Vec<Vec<PointId>> = vec![Vec::new(); n];
-    let mut rev_new: Vec<Vec<PointId>> = vec![Vec::new(); n];
-    let mut takes_part = vec![false; n];
-    let mut participants: Vec<PointId> = Vec::new();
-    let mut opened = OpenedRows::default();
-    let (mut tails, mut dbuf): (Vec<PointId>, Vec<f32>) = (Vec::new(), Vec::new());
+    let Lists {
+        fwd_old,
+        fwd_new,
+        rev_old,
+        rev_new,
+        takes_part,
+        participants,
+        partners,
+        in_partners,
+        opened,
+        tails,
+        dbuf,
+    } = lists;
+    let every: Vec<PointId> = match scope {
+        Scope::All => (0..n as PointId).collect(),
+        Scope::Part { .. } => Vec::new(),
+    };
 
     for iter in 0..params.max_iters {
-        opened.open(table);
-        // Lines 7-10, first half: each vertex samples its new entries. A
-        // sampled id takes part too: it gets the sampling vertex as a
-        // reversed new candidate.
-        for v in 0..n as PointId {
+        if let Scope::All = scope {
+            opened.open(table);
+        }
+        // Lines 7-10, first half: each vertex that holds a new entry
+        // samples them. A sampled id takes part too: it gets the sampling
+        // vertex as a reversed new candidate.
+        let sampling = match &scope {
+            Scope::All => &every,
+            Scope::Part { fresh, .. } => &**fresh,
+        };
+        for &v in sampling {
             let sample = &mut fwd_new[v as usize];
             params.sample_news(iter, v, table.row(v as usize), sample);
             if sample.is_empty() {
@@ -527,37 +648,76 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
         participants.sort_unstable();
 
         // Second half, and lines 11-12: old lists and all four reversed
-        // lists of the participants, sources ascending; then the sampled
-        // news flip to old.
-        for v in 0..n as PointId {
-            for e in table.row(v as usize).iter().filter(|e| !e.new) {
-                if takes_part[v as usize] {
-                    fwd_old[v as usize].push(e.id);
-                }
-                if takes_part[e.id as usize] {
-                    rev_old[e.id as usize].push(v);
+        // lists of the participants; then the sampled news flip to old.
+        match &mut scope {
+            Scope::All => {
+                for v in 0..n as PointId {
+                    for e in table.row(v as usize).iter().filter(|e| !e.new) {
+                        if takes_part[v as usize] {
+                            fwd_old[v as usize].push(e.id);
+                        }
+                        if takes_part[e.id as usize] {
+                            rev_old[e.id as usize].push(v);
+                        }
+                    }
+                    for &u in &fwd_new[v as usize] {
+                        rev_new[u as usize].push(v);
+                        table.mark_old(v as usize, u);
+                    }
                 }
             }
-            for &u in &fwd_new[v as usize] {
-                rev_new[u as usize].push(v);
-                table.mark_old(v as usize, u);
+            Scope::Part { fresh, reverse } => {
+                // A holder's entry for a participant is old unless the
+                // holder is a fresh row and the entry one of its new ones.
+                for &v in participants.iter() {
+                    let at = v as usize;
+                    let olds = table.row(at).iter().filter(|e| !e.new);
+                    fwd_old[at].extend(olds.map(|e| e.id));
+                    rev_old[at].extend_from_slice(&reverse.holders[at]);
+                }
+                for &w in fresh.iter() {
+                    for e in table.row(w as usize).iter().filter(|e| e.new) {
+                        if takes_part[e.id as usize] {
+                            let rev = &mut rev_old[e.id as usize];
+                            let at = rev.iter().position(|&h| h == w);
+                            rev.swap_remove(at.expect("a holder is listed"));
+                        }
+                    }
+                }
+                for &v in fresh.iter() {
+                    for &u in &fwd_new[v as usize] {
+                        rev_new[u as usize].push(v);
+                        table.mark_old(v as usize, u);
+                    }
+                }
             }
         }
 
         // Lines 15-16: sample each reverse list, union forward.
-        for &v in &participants {
+        for &v in participants.iter() {
             let at = v as usize;
             let news = (&mut fwd_new[at], &mut rev_new[at]);
             params.union_reverse(iter, v, news, (&mut fwd_old[at], &mut rev_old[at]));
+        }
+        if let Scope::Part { .. } = scope {
+            for &v in participants.iter() {
+                for &u in fwd_new[v as usize].iter().chain(&fwd_old[v as usize]) {
+                    if !std::mem::replace(&mut in_partners[u as usize], true) {
+                        partners.push(u);
+                    }
+                }
+            }
+            opened.open_rows(table, partners);
         }
 
         // Lines 17-22: neighbor checks, in `join`.
         let lists = (&fwd_new[..], &fwd_old[..]);
         let evals = if workers <= 1 {
-            let scores = Scores::Inline(theta, &mut dbuf);
-            join(&participants, lists, table, &mut tails, scores)
+            let scores = Scores::Inline(theta, dbuf);
+            join(participants, lists, table, tails, scores)
         } else {
             let (theta, mut sum) = (&*theta, 0);
+            let participants = &participants[..];
             par::pipeline(
                 workers,
                 participants.len(),
@@ -566,7 +726,7 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
                 |scratch, items| score_ahead(theta, &participants[items], lists, scratch),
                 |items, scored| {
                     let scores = Scores::Ahead(&scored);
-                    sum += join::<P, M>(&participants[items], lists, table, &mut tails, scores);
+                    sum += join::<P, M>(&participants[items], lists, table, tails, scores);
                 },
             );
             sum
@@ -582,7 +742,29 @@ pub(crate) fn descend<P: Point, M: BatchMetric<P>>(
             takes_part[v] = false;
         }
 
-        let c = opened.updates(table);
+        let c = match &mut scope {
+            Scope::All => opened.updates(table),
+            Scope::Part { fresh, reverse } => {
+                // A row that gained nothing lost nothing: only a gain evicts.
+                let mut c = 0;
+                for &w in partners.iter() {
+                    let gained = opened.gained(table, w as usize);
+                    if gained > 0 {
+                        c += gained;
+                        reverse.settle(table, w, opened.ids(w as usize));
+                    }
+                }
+                let holds_new = |v: PointId| table.row(v as usize).iter().any(|e| e.new);
+                fresh.retain(|&v| !in_partners[v as usize] && holds_new(v));
+                for w in partners.drain(..) {
+                    in_partners[w as usize] = false;
+                    if holds_new(w) {
+                        fresh.push(w);
+                    }
+                }
+                c
+            }
+        };
         stats.iterations = iter + 1;
         stats.updates_per_iter.push(c);
         if c < stop_below {
@@ -771,7 +953,8 @@ mod tests {
         for workers in WORKERS {
             let mut got = table();
             let mut theta = Theta::new(set, metric, cache.clone());
-            let got_stats = descend(&mut theta, &mut got, params, workers);
+            let lists = &mut Lists::default();
+            let got_stats = descend(&mut theta, &mut got, params, workers, lists, Scope::All);
             assert_eq!(got_stats, want_stats, "{what}, {workers} workers");
             assert_eq!(got, want, "{what}, {workers} workers");
         }

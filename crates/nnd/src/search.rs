@@ -203,14 +203,24 @@ impl Scratch {
         }
     }
 
+    /// Grow to cover ids `0..n`; a scratch never shrinks.
+    pub(crate) fn cover(&mut self, n: usize) {
+        let table = &mut self.sampler.table;
+        table.extend(table.len() as PointId..n as PointId);
+        self.marks.grow(n);
+    }
+
     /// Distance of the worst of the current best (infinite while empty).
     fn d_max(&self) -> f32 {
         self.best.peek().map_or(f32::INFINITY, |top| top.dist())
     }
 
-    /// Run one query — the crate's only frontier-expansion loop. `cache`
-    /// is `metric.preprocess(base)` or [`NormCache::empty`]; results are
-    /// bit-identical either way.
+    /// Run one query — the crate's only frontier-expansion loop — over the
+    /// points `graph` covers: the first `graph.len()` of `base` (all of
+    /// them, but for [`crate::refine()`] locating the points it appends;
+    /// the public entry points require all).
+    /// `cache` is `metric.preprocess(base)` or [`NormCache::empty`]; results
+    /// are bit-identical either way.
     pub(crate) fn run<P: Point, M: BatchMetric<P>>(
         &mut self,
         graph: &KnnGraph,
@@ -220,8 +230,11 @@ impl Scratch {
         query: &P,
         params: SearchParams,
     ) -> SearchResult {
-        let n = base.len();
-        assert_eq!(graph.len(), n, "graph and base set disagree on N");
+        let n = graph.len();
+        assert!(
+            n <= base.len(),
+            "the graph covers more points than the base set"
+        );
         assert_eq!(self.marks.len(), n, "scratch sized for a different N");
         let verdict = params.validate().and_then(|()| check_l(params.l, n));
         verdict.unwrap_or_else(|e| panic!("invalid SearchParams: {e}"));
@@ -319,7 +332,8 @@ pub fn search<P: Point, M: BatchMetric<P>>(
     query: &P,
     params: SearchParams,
 ) -> SearchResult {
-    Scratch::new(base.len()).run(graph, base, metric, &NormCache::empty(), query, params)
+    assert_eq!(graph.len(), base.len(), "graph and base set disagree on N");
+    Scratch::new(graph.len()).run(graph, base, metric, &NormCache::empty(), query, params)
 }
 
 /// Timing and quality summary of a batch of queries.
@@ -365,7 +379,8 @@ pub fn search_batch_traced<P: Point, M: BatchMetric<P>>(
     // Norms are set up once for the whole batch, a scratch once per worker.
     let cache = metric.preprocess(base);
     let start = std::time::Instant::now();
-    let init = || Scratch::new(base.len());
+    assert_eq!(graph.len(), base.len(), "graph and base set disagree on N");
+    let init = || Scratch::new(graph.len());
     let results = par::map_indexed(queries.len(), par::QUERY_CHUNK, init, |scratch, qi| {
         let seeded = SearchParams {
             seed: params.seed ^ ((qi as u64) << 17),
@@ -638,5 +653,25 @@ mod tests {
         let (set, _) = small_graph();
         let g = KnnGraph::from_rows(vec![vec![]]);
         let _ = search(&g, &set, &L2, set.point(0), SearchParams::new(1));
+    }
+
+    /// Over a prefix of the base, the loop draws and reaches only the points
+    /// the graph covers, as a search over that prefix alone does.
+    #[test]
+    fn a_graph_over_a_prefix_searches_that_prefix() {
+        let (set, g) = small_graph();
+        let mut longer = set.clone();
+        longer.extend(
+            set.points()[..40]
+                .iter()
+                .map(|p| p.iter().map(|x| x + 0.5).collect()),
+        );
+        let p = SearchParams::new(5).entry_candidates(16).seed(3);
+        let mut scratch = Scratch::new(set.len());
+        for probe in [0, 17, 250] {
+            let q = longer.point(probe);
+            let got = scratch.run(&g, &longer, &L2, &NormCache::empty(), q, p);
+            assert_eq!(got, search(&g, &set, &L2, q, p));
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! ns/NS/info/metric       String  metric name ("l2", "sql2", "cosine", "l1")
 //! ns/NS/info/epoch        u64     graph epoch (bumped by ingest/compact)
 //! ns/NS/points/{meta,data}        the point vectors (PointSet::save)
-//! ns/NS/graph/{offsets,ids,dists} the adjacency (KnnGraph::save)
+//! ns/NS/knn/{offsets,ids,dists}   the k-NN rows (KnnGraph::save)
 //! ns/NS/meta              bytes       every point's MetaRecord, in id order
 //! ns/NS/tombstones        Vec<u32>    deleted, not yet compacted
 //! ns/NS/dead              Vec<u32>    deleted and compacted out
@@ -20,19 +20,33 @@
 //! save rewrites eleven blobs, not one per point. [`Collection::open`]
 //! checks what it reads: `meta` parses to exactly one record per point,
 //! and the tombstone and dead lists are strictly increasing, below the
-//! point count and disjoint. A store written with one `meta/{id}` object
-//! per point has no `meta` object and does not open; stores are
+//! point count and disjoint, and the k-NN rows are rows a k-NN graph can
+//! hold. A store written with one `meta/{id}` object per point has no
+//! `meta` object and does not open; one that stored the served graph
+//! (`graph/*`) instead of the k-NN rows is refused by name; stores are
 //! regenerated, not migrated.
+//!
+//! ## The served graph is derived
+//!
+//! The collection keeps its k-NN rows ([`nnd::KnnRows`]: every entry
+//! flagged old between mutations) and serves `graph`, the Section 4.5
+//! merge-and-prune of them (`KnnGraph::optimize` at [`nnd::PRUNE_M`]). Only
+//! the rows are stored; [`Collection::create`] and [`Collection::open`]
+//! derive the served graph in one full pass. A mutation refines the rows
+//! in place, and a served row depends only on its vertex's k-NN row and on
+//! the rows that name the vertex, so [`nnd::KnnRows::rederive`] redoes just
+//! the served rows where either moved: `graph` always equals a full
+//! `optimize` of the rows, bit for bit, at the cost of what changed.
 //!
 //! ## Id stability and the delete path
 //!
 //! Point ids are **stable for the life of the namespace**: a delete marks
 //! the id as a tombstone (masked out of every search immediately) and a
-//! later [`Collection::compact`] rewires the adjacency *around* the dead
+//! later [`Collection::compact`] rewires the k-NN rows *around* the dead
 //! vertex with [`nnd::remove_points`], which renumbers nothing, so no
 //! cached result, metadata record or in-flight query goes stale.
 //! Compacted-dead ids keep their vectors as inert rows (never returned,
-//! never navigated through — their adjacency rows are empty, which is how
+//! never navigated through — their rows are empty, which is how
 //! `nnd::refine` knows to link nothing to them) and the namespace only ever
 //! grows at the tail, which is exactly the contract `nnd::refine` needs for
 //! the online ingest path.
@@ -52,7 +66,7 @@ use crate::predicate::Predicate;
 use dataset::set::{check_finite, PointId, PointSet};
 use dnnd::IdMask;
 use metall::Store;
-use nnd::{KnnGraph, NnDescentParams};
+use nnd::{KnnGraph, KnnRows, NnDescentParams, PRUNE_M};
 
 /// True iff `s` is a valid namespace name: `[A-Za-z0-9_-]{1,32}`.
 pub fn valid_namespace(s: &str) -> bool {
@@ -136,7 +150,8 @@ pub struct Collection {
     name: String,
     /// The point vectors (tail-append only; dead ids keep their rows).
     pub base: PointSet<Vec<f32>>,
-    /// The adjacency over `base` (dead ids have empty rows post-compaction).
+    /// The served graph over `base`, derived from the k-NN rows (dead ids
+    /// have empty rows post-compaction).
     pub graph: KnnGraph,
     /// Per-point metadata, indexed by id.
     pub meta: Vec<MetaRecord>,
@@ -145,13 +160,16 @@ pub struct Collection {
     epoch: u64,
     k: usize,
     metric: String,
+    /// The k-NN rows `graph` is derived from.
+    knn: KnnRows,
 }
 
 impl Collection {
     /// Build a new collection from `points` (+ one [`MetaRecord`] per
-    /// point) and persist nothing yet — call [`Collection::save`]. The
-    /// graph is a seeded NN-Descent build followed by the reverse-prune
-    /// optimization, so creation is deterministic in `(points, k, seed)`.
+    /// point) and persist nothing yet — call [`Collection::save`]. The k-NN
+    /// rows are a seeded NN-Descent build and the served graph their
+    /// reverse-prune optimization, so creation is deterministic in
+    /// `(points, k, seed)`.
     pub fn create(
         name: &str,
         points: PointSet<Vec<f32>>,
@@ -174,20 +192,20 @@ impl Collection {
         }
         check_finite(points.points())?;
         nnd::check_k(k, points.len())?;
-        let graph = dataset::with_metric!(ELEM, metric, P, m => {
-            let (g, _) = nnd::build(&points, &m, NnDescentParams::new(k).seed(seed));
-            g.optimize(k, nnd::PRUNE_M)
+        let knn = dataset::with_metric!(ELEM, metric, P, m => {
+            nnd::build(&points, &m, NnDescentParams::new(k).seed(seed)).0
         })?;
         Ok(Collection {
             name: name.to_string(),
             base: points,
-            graph,
+            graph: knn.optimize(k, PRUNE_M),
             meta,
             tombstones: Vec::new(),
             dead: Vec::new(),
             epoch: 0,
             k,
             metric: metric.to_string(),
+            knn: KnnRows::new(&knn, k)?,
         })
     }
 
@@ -206,19 +224,27 @@ impl Collection {
         dataset::with_metric!(ELEM, metric.as_str(), P, _known => ())?;
         let epoch: u64 = store.get(&key(name, "info/epoch")).map_err(err)?;
         let base = PointSet::<Vec<f32>>::load(store, &key(name, "points")).map_err(err)?;
-        let graph = KnnGraph::load(store, &key(name, "graph")).map_err(err)?;
+        if !store.contains(&key(name, "knn/offsets")) && store.contains(&key(name, "graph/offsets"))
+        {
+            return Err(format!(
+                "namespace {name:?} stores its served graph, not its k-NN rows: \
+                 it was written by an older version; regenerate it"
+            ));
+        }
+        let knn = KnnGraph::load(store, &key(name, "knn")).map_err(err)?;
         let tombstones: Vec<u32> = store.get(&key(name, "tombstones")).map_err(err)?;
         let dead: Vec<u32> = store.get(&key(name, "dead")).map_err(err)?;
         let blob = store.get_bytes(&key(name, "meta")).map_err(err)?;
         let meta =
             meta::unpack(&blob, base.len()).map_err(|e| format!("namespace {name:?}: {e}"))?;
-        if graph.len() != base.len() {
+        if knn.len() != base.len() {
             return Err(format!(
-                "namespace {name:?}: graph covers {} ids, base has {}",
-                graph.len(),
+                "namespace {name:?}: the k-NN rows cover {} ids, base has {}",
+                knn.len(),
                 base.len()
             ));
         }
+        let knn = KnnRows::new(&knn, k as usize).map_err(|e| format!("namespace {name:?}: {e}"))?;
         check_ids(name, "tombstones", &tombstones, base.len())?;
         check_ids(name, "dead", &dead, base.len())?;
         if let Some(id) = tombstones.iter().find(|id| dead.binary_search(id).is_ok()) {
@@ -226,21 +252,29 @@ impl Collection {
                 "namespace {name:?}: id {id} is both in tombstones and in dead"
             ));
         }
+        if let Some(id) = dead
+            .iter()
+            .find(|&&id| !knn.table().row(id as usize).is_empty())
+        {
+            return Err(format!("namespace {name:?}: dead id {id} has a k-NN row"));
+        }
         Ok(Collection {
             name: name.to_string(),
             base,
-            graph,
+            graph: knn.to_graph().optimize(k as usize, PRUNE_M),
             meta,
             tombstones,
             dead,
             epoch,
             k: k as usize,
             metric,
+            knn,
         })
     }
 
     /// Persist the full collection state into `store` (overwrites the
-    /// namespace's previous generation).
+    /// namespace's previous generation). The k-NN rows are stored, not the
+    /// served graph: [`Collection::open`] derives it.
     pub fn save(&self, store: &mut Store) -> Result<(), String> {
         let err = |e: metall::StoreError| format!("namespace {:?}: {e}", self.name);
         store
@@ -255,8 +289,9 @@ impl Collection {
         self.base
             .save(store, &key(&self.name, "points"))
             .map_err(err)?;
-        self.graph
-            .save(store, &key(&self.name, "graph"))
+        self.knn
+            .to_graph()
+            .save(store, &key(&self.name, "knn"))
             .map_err(err)?;
         store
             .put(&key(&self.name, "tombstones"), &self.tombstones)
@@ -302,6 +337,12 @@ impl Collection {
     /// Metric name.
     pub fn metric(&self) -> &str {
         &self.metric
+    }
+
+    /// The k-NN rows `graph` is derived from: `graph` equals
+    /// `knn().to_graph().optimize(k, nnd::PRUNE_M)`.
+    pub fn knn(&self) -> &KnnRows {
+        &self.knn
     }
 
     /// Graph epoch: bumped by every adjacency rewrite (ingest, compact).
@@ -370,12 +411,14 @@ impl Collection {
         }
     }
 
-    /// Append `points` (+ metadata) at the tail and refine the adjacency
+    /// Append `points` (+ metadata) at the tail and refine the k-NN rows
     /// with [`nnd::refine()`]'s short NN-Descent pass — the
     /// `examples/incremental_updates.rs` path: each new point is located by
-    /// a search, linked both ways, and one NN-Descent iteration joins what
-    /// that flagged. Returns the id range the new points received. Bumps
-    /// the epoch. Nothing is copied or changed when an argument is rejected.
+    /// a search of the served graph, linked both ways, and one NN-Descent
+    /// iteration joins what that flagged; then the served rows that moved
+    /// are derived again. Returns the id range the new points received.
+    /// Bumps the epoch. Nothing is copied or changed when an argument is
+    /// rejected.
     ///
     /// **Mutations never resurrect:** a compacted-dead id keeps its empty
     /// row, and no row — of an old point or a new one — gains an edge to it.
@@ -404,21 +447,24 @@ impl Collection {
         check_finite(&points)?;
         let n_old = self.base.len();
         self.base.extend(points);
-        self.graph = self.refined(&self.graph, &[])?;
+        self.refine(&[])?;
         self.meta.extend(meta);
         self.epoch += 1;
         Ok(n_old as PointId..self.base.len() as PointId)
     }
 
-    /// `graph` — over a prefix of the base — after [`nnd::refine()`] and the
-    /// reverse-prune pass, seeded by the epoch so a replay repeats it. Fails
-    /// only on an unknown metric name, which `create` and `open` reject.
-    fn refined(&self, graph: &KnnGraph, shortened: &[PointId]) -> Result<KnnGraph, String> {
+    /// [`nnd::refine()`] of the k-NN rows — the points past them are new,
+    /// `shortened` rows flagged new — seeded by the epoch so a replay
+    /// repeats it, then the served rows that moved derived again. Fails only
+    /// on an unknown metric name, which `create` and `open` reject.
+    fn refine(&mut self, shortened: &[PointId]) -> Result<(), String> {
         let params = NnDescentParams::new(self.k).seed(self.epoch.wrapping_mul(0x9E37_79B9) | 1);
+        let (knn, graph, base) = (&mut self.knn, &self.graph, &self.base);
         dataset::with_metric!(ELEM, self.metric.as_str(), P, m => {
-            let (g, _) = nnd::refine(graph, &self.base, &m, params, REFINE_ITERS, shortened);
-            g.optimize(self.k, nnd::PRUNE_M)
-        })
+            nnd::refine(knn, graph, base, &m, params, REFINE_ITERS, shortened);
+        })?;
+        self.knn.rederive(&mut self.graph, PRUNE_M);
+        Ok(())
     }
 
     /// Tombstone `ids`: they disappear from every mask (and therefore
@@ -447,24 +493,27 @@ impl Collection {
     /// tombstoned vertex without renumbering ids, then fold the tombstones
     /// into the dead set and bump the epoch.
     ///
-    /// 1. [`nnd::remove_points`] empties every dead/tombstoned row, drops
-    ///    its id from every live row and tops a row left below `k` back up
-    ///    from its old two-hop neighborhood in `(distance, id)` order;
+    /// 1. [`nnd::remove_points`] empties every tombstoned k-NN row, drops
+    ///    its id from the rows that held it and tops a row left below `k`
+    ///    back up from its old two-hop neighborhood in `(distance, id)`
+    ///    order;
     /// 2. the paper's "deleted, followed by a short graph refinement
     ///    phase": [`nnd::refine()`] with the rows that lost an edge flagged
     ///    new, so one NN-Descent iteration joins their neighborhoods — the
     ///    local repair only looks two hops out;
-    /// 3. the existing reverse-merge + degree-prune optimization pass
-    ///    (`KnnGraph::optimize`) restores reachability and the degree cap.
+    /// 3. the served rows whose k-NN row or holders moved are merged and
+    ///    pruned again (`KnnGraph::optimize`'s rule), restoring the reverse
+    ///    edges and the degree cap.
     ///
     /// **Mutations never resurrect:** afterwards every dead row is empty and
     /// no live row holds a dead id, and [`Collection::ingest`] keeps it so.
     pub fn compact(&mut self) -> Result<CompactReport, String> {
-        let gone: Vec<PointId> = self.tombstones.iter().chain(&self.dead).copied().collect();
-        let (graph, shortened) = dataset::with_metric!(ELEM, self.metric.as_str(), P, m => {
-            nnd::remove_points(&self.graph, &self.base, &m, &gone, self.k)
+        // The dead are out of the rows already: only the tombstones go.
+        let (knn, base, gone) = (&mut self.knn, &self.base, &self.tombstones);
+        let shortened = dataset::with_metric!(ELEM, self.metric.as_str(), P, m => {
+            nnd::remove_points(knn, base, &m, gone)
         })?;
-        self.graph = self.refined(&graph, &shortened)?;
+        self.refine(&shortened)?;
         let cleared = self.tombstones.len() as u64;
         let mut dead = std::mem::take(&mut self.dead);
         dead.extend(std::mem::take(&mut self.tombstones));
@@ -593,7 +642,8 @@ mod tests {
         assert_eq!(Collection::list(&store), vec!["test".to_string()]);
         let back = Collection::open(&store, "test").unwrap();
         assert_eq!(back.base.points(), col.base.points());
-        assert_eq!(back.graph.neighbor_ids(), col.graph.neighbor_ids());
+        assert_eq!(back.graph, col.graph);
+        assert_eq!(back.knn().to_graph(), col.knn().to_graph());
         assert_eq!(back.meta, col.meta);
         assert_eq!(back.epoch(), col.epoch());
         assert_eq!(back.k(), col.k());
@@ -653,6 +703,59 @@ mod tests {
             err.contains("holds 49 records, the namespace has 50 points"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_store_of_the_served_graph_is_refused_by_name() {
+        // The layout before the k-NN rows were kept: the served graph
+        // under `graph/`, no `knn/`.
+        let col = sample_collection(50);
+        let err = open_damaged(&col, "served-graph", |s| {
+            for part in ["offsets", "ids", "dists"] {
+                s.remove(&key("test", &format!("knn/{part}"))).unwrap();
+            }
+            col.graph.save(s, &key("test", "graph")).unwrap();
+        });
+        assert_eq!(
+            err,
+            "namespace \"test\" stores its served graph, not its k-NN rows: \
+             it was written by an older version; regenerate it"
+        );
+    }
+
+    #[test]
+    fn k_nn_rows_a_graph_cannot_hold_are_errors() {
+        let col = sample_collection(50);
+        let kept = col.knn().to_graph();
+        let kept: Vec<Vec<nnd::Edge>> = (0..50).map(|v| kept.neighbors(v).to_vec()).collect();
+        let rows = |edit: fn(&mut Vec<Vec<nnd::Edge>>)| {
+            let mut rows = kept.clone();
+            move |s: &mut Store| {
+                edit(&mut rows);
+                KnnGraph::from_rows(rows)
+                    .save(s, &key("test", "knn"))
+                    .unwrap();
+            }
+        };
+        let err = open_damaged(&col, "long-row", rows(|r| r[3].push((40, 9.0))));
+        assert_eq!(
+            err,
+            "namespace \"test\": k-NN row 3 holds 9 entries, k is 8"
+        );
+        let err = open_damaged(&col, "self-edge", rows(|r| r[3][0].0 = 3));
+        assert!(
+            err.starts_with("namespace \"test\": k-NN row 3 cannot hold the edge (3, "),
+            "{err}"
+        );
+        let err = open_damaged(&col, "long", rows(|r| r.push(Vec::new())));
+        assert_eq!(
+            err,
+            "namespace \"test\": the k-NN rows cover 51 ids, base has 50"
+        );
+        let err = open_damaged(&col, "dead-row", |s| {
+            s.put(&key("test", "dead"), &vec![5u32]).unwrap()
+        });
+        assert_eq!(err, "namespace \"test\": dead id 5 has a k-NN row");
     }
 
     #[test]
@@ -793,6 +896,65 @@ mod tests {
         );
         let recall = mean_recall(&out.ids, &truth);
         assert!(recall > 0.8, "post-compaction recall {recall}");
+    }
+
+    /// Equal ids and equal distance bits, row by row.
+    fn same_bits(a: &KnnGraph, b: &KnnGraph) -> bool {
+        let bits = |g: &KnnGraph| -> Vec<Vec<(PointId, u32)>> {
+            (0..g.len() as PointId)
+                .map(|v| {
+                    g.neighbors(v)
+                        .iter()
+                        .map(|&(u, d)| (u, d.to_bits()))
+                        .collect()
+                })
+                .collect()
+        };
+        bits(a) == bits(b)
+    }
+
+    /// Ingests, deletes and compactions on DEEP-like and widened
+    /// BIGANN-like points: after every step the served graph is a full
+    /// `optimize` of the kept k-NN rows, bit for bit, and a reopened copy
+    /// serves the same graph.
+    #[test]
+    fn the_served_graph_is_the_optimized_k_nn_rows() {
+        let widen = |p: &Vec<u8>| p.iter().map(|&x| f32::from(x)).collect::<Vec<f32>>();
+        let bigann = dataset::presets::bigann_like(260, 5);
+        for points in [
+            dataset::presets::deep1b_like(260, 4),
+            PointSet::new(bigann.points().iter().map(widen).collect()),
+        ] {
+            let (base, extra) = dataset::synth::split_queries(points, 60);
+            let mut col = Collection::create("test", base, sample_meta(200), "l2", 10, 3).unwrap();
+            let mut extra = extra.points().iter().cloned();
+            for step in 0..12u32 {
+                match step % 4 {
+                    0 | 2 => {
+                        let batch: Vec<Vec<f32>> = extra.by_ref().take(1 + step as usize).collect();
+                        let meta = sample_meta(batch.len());
+                        col.ingest(batch, meta).unwrap();
+                    }
+                    1 => {
+                        let live = (0..col.base.len() as PointId).filter(|&v| col.is_live(v));
+                        let doomed: Vec<PointId> = live.step_by(7 + step as usize).collect();
+                        col.delete(&doomed).unwrap();
+                    }
+                    _ => {
+                        col.compact().unwrap();
+                    }
+                }
+                let want = col.knn().to_graph().optimize(col.k(), nnd::PRUNE_M);
+                assert!(same_bits(&col.graph, &want), "step {step}");
+                assert_never_resurrected(&col);
+            }
+            let dir = tmpdir("derived");
+            let mut store = Store::create(&dir).unwrap();
+            col.save(&mut store).unwrap();
+            let back = Collection::open(&store, "test").unwrap();
+            assert!(same_bits(&back.graph, &col.graph));
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -2,14 +2,18 @@
 //! added/deleted, followed by a short graph refinement phase, which will
 //! fit NN-Descent's iterative nature well."
 //!
-//! This example builds a graph, then (a) streams in new points with short
-//! refinement passes instead of rebuilding, and (b) deletes points in place
-//! with local repair and a refinement of the rows the deletion shortened —
-//! comparing cost and quality against a from-scratch build at every step.
-//! A refinement joins only what the change flagged new, so its cost
-//! follows the batch, not the graph. Last, (c) times the same two mutations
-//! on a served `vdb::Collection` (DEEP-like, k = 10) at three sizes: short
-//! in evaluations is not yet short in wall time.
+//! This example builds a graph and keeps its k-NN rows (`nnd::KnnRows`),
+//! then (a) streams in new points with short refinement passes instead of
+//! rebuilding, and (b) deletes points in place with local repair and a
+//! refinement of the rows the deletion shortened — comparing cost and
+//! quality against a from-scratch build at every step. A refinement joins
+//! only what the change flagged new, in place, so its cost follows the
+//! batch, not the graph. Last, (c) times the same two mutations on a served
+//! `vdb::Collection` (DEEP-like, k = 10) at four sizes, 1 000 to 64 000
+//! points. The served graph is derived from the kept rows again only where
+//! they moved, so a compaction's wall time follows the batch too; an
+//! ingest's is mostly the search that locates each new point, which from
+//! random entries grows with the number of clusters.
 //!
 //! ```text
 //! cargo run --release --example incremental_updates
@@ -17,7 +21,7 @@
 
 use dataset::synth::{gaussian_mixture, split_queries, MixtureParams};
 use dataset::{brute_force_knng, mean_recall, presets, PointId, PointSet, L2};
-use nnd::{build, refine, remove_points, KnnGraph, NnDescentParams};
+use nnd::{build, refine, remove_points, KnnGraph, KnnRows, NnDescentParams};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 use vdb::{Collection, MetaRecord};
@@ -30,7 +34,8 @@ fn main() {
 
     // Start with 1,400 points.
     let mut base = PointSet::new(full.points()[..1_400].to_vec());
-    let (mut graph, initial_stats) = build(&base, &L2, params);
+    let (graph, initial_stats) = build(&base, &L2, params);
+    let mut knn = KnnRows::new(&graph, K).expect("a k-NN graph");
     println!(
         "initial build: {} points, {} iterations, {} distance evals",
         base.len(),
@@ -42,10 +47,12 @@ fn main() {
     for step in 0..3 {
         let new_len = 1_400 + (step + 1) * 200;
         let grown = PointSet::new(full.points()[..new_len].to_vec());
-        let (g2, refine_stats) = refine(&graph, &grown, &L2, params, 3, &[]);
+        // New points are located by a search of the rows as they stand.
+        let located = knn.to_graph();
+        let refine_stats = refine(&mut knn, &located, &grown, &L2, params, 3, &[]);
         let (_, rebuild_stats) = build(&grown, &L2, params);
         let truth = brute_force_knng(&grown, &L2, K);
-        let recall = mean_recall(&g2.neighbor_ids(), &truth);
+        let recall = mean_recall(&knn.to_graph().neighbor_ids(), &truth);
         println!(
             "insert batch {}: {} -> {} points | refine {} evals vs rebuild {} evals ({:.1}x cheaper) | recall {:.4}",
             step + 1,
@@ -58,14 +65,14 @@ fn main() {
         );
         assert!(recall > 0.9, "refined recall dropped to {recall}");
         base = grown;
-        graph = g2;
     }
 
     // Delete 150 points, repair locally, then a short refinement of the rows
     // that lost a neighbor. Ids stay put: the live rows are scored against
     // the exact neighbors among the survivors.
     let gone: Vec<u32> = (0..150).map(|i| i * 13).collect();
-    let (repaired, shortened) = remove_points(&graph, &base, &L2, &gone, K);
+    let shortened = remove_points(&mut knn, &base, &L2, &gone);
+    let repaired = knn.to_graph();
     let live: Vec<u32> = (0..2_000).filter(|v| !gone.contains(v)).collect();
     let survivors = PointSet::new(live.iter().map(|&v| base.point(v).clone()).collect());
     let mut truth = brute_force_knng(&survivors, &L2, K);
@@ -78,8 +85,8 @@ fn main() {
         mean_recall(&rows, &truth)
     };
     let repaired_recall = live_recall(&repaired);
-    let (refined, refine_stats) = refine(&repaired, &base, &L2, params, 2, &shortened);
-    let refined_recall = live_recall(&refined);
+    let refine_stats = refine(&mut knn, &repaired, &base, &L2, params, 2, &shortened);
+    let refined_recall = live_recall(&knn.to_graph());
     println!(
         "delete {} points: {} rows shortened | repair-only recall {:.4} -> after {} refinement iters ({} evals) {:.4}",
         gone.len(),
@@ -91,10 +98,18 @@ fn main() {
     );
     assert!(refined_recall >= 0.98 && refined_recall > repaired_recall);
 
-    for n in [1_000, 4_000, 16_000] {
+    for n in [1_000, 4_000, 16_000, 64_000] {
         time_collection_mutations(n);
     }
     println!("incremental updates OK");
+}
+
+/// The median time and the median evaluation count of five runs.
+fn medians(runs: Vec<(Duration, u64)>) -> (Duration, u64) {
+    let (mut times, mut evals): (Vec<Duration>, Vec<u64>) = runs.into_iter().unzip();
+    times.sort();
+    evals.sort();
+    (times[times.len() / 2], evals[evals.len() / 2])
 }
 
 /// `f`'s result and the wall time it took.
@@ -104,9 +119,20 @@ fn timed<T>(f: impl FnOnce() -> T) -> (Duration, T) {
     (t.elapsed(), out)
 }
 
-/// Wall time of one `Collection::create` over `n` DEEP-like points, the
-/// median of five 10-point ingests into it, and one compaction after 10
-/// deletes.
+/// The distance evaluations of the refinement `col`'s next mutation runs —
+/// an ingest growing the base to `base`, or a compaction — on copies, seeded
+/// from the epoch as `Collection` seeds it. The compaction's top-up
+/// distances are not counted.
+fn refine_evals(col: &Collection, base: &PointSet<Vec<f32>>) -> u64 {
+    let params = NnDescentParams::new(K).seed(col.epoch().wrapping_mul(0x9E37_79B9) | 1);
+    let mut knn = col.knn().clone();
+    let shortened = remove_points(&mut knn, base, &L2, col.tombstones());
+    refine(&mut knn, &col.graph, base, &L2, params, 1, &shortened).distance_evals
+}
+
+/// Wall time of one `Collection::create` over `n` DEEP-like points, and the
+/// median wall time and distance evaluations of five 10-point ingests into
+/// it and of five compactions, each after 10 deletes.
 fn time_collection_mutations(n: usize) {
     const BATCH: usize = 10;
     let meta = |ids: Range<usize>| {
@@ -116,25 +142,33 @@ fn time_collection_mutations(n: usize) {
     let (base, extra) = split_queries(presets::deep1b_like(n + 5 * BATCH, 3), 5 * BATCH);
     let (create, mut col) =
         timed(|| Collection::create("timed", base, meta(0..n), "l2", K, 1).expect("create"));
-    let mut ingests: Vec<Duration> = extra
+    let ingests: Vec<(Duration, u64)> = extra
         .points()
         .chunks(BATCH)
         .zip((n..).step_by(BATCH))
         .map(|(batch, first)| {
+            let mut grown = col.base.clone();
+            grown.extend(batch.iter().cloned());
+            let evals = refine_evals(&col, &grown);
             let (points, meta) = (batch.to_vec(), meta(first..first + BATCH));
-            timed(|| col.ingest(points, meta).expect("ingest")).0
+            (timed(|| col.ingest(points, meta).expect("ingest")).0, evals)
         })
         .collect();
-    ingests.sort();
-    let gone: Vec<PointId> = (0..n as PointId).step_by(n / BATCH).collect();
-    assert_eq!(col.delete(&gone).expect("delete"), BATCH);
-    let (compaction, _) = timed(|| col.compact().expect("compact"));
+    let compactions: Vec<(Duration, u64)> = (0..5)
+        .map(|round| {
+            let gone: Vec<PointId> = (round..n as PointId).step_by(n / BATCH).collect();
+            assert_eq!(col.delete(&gone).expect("delete"), BATCH);
+            let evals = refine_evals(&col, &col.base);
+            (timed(|| col.compact().expect("compact")).0, evals)
+        })
+        .collect();
+    let (ingest, ingest_evals) = medians(ingests);
+    let (compaction, compaction_evals) = medians(compactions);
     println!(
-        "collection n = {n}: create {:.2} s | ingest of {BATCH} points {:.2} ms (median of {}) \
-         | compaction after {BATCH} deletes {:.1} ms",
+        "collection n = {n}: create {:.2} s | ingest of {BATCH} points {:.2} ms, {ingest_evals} evals \
+         | compaction after {BATCH} deletes {:.1} ms, {compaction_evals} evals (medians of 5)",
         create.as_secs_f64(),
-        ingests[ingests.len() / 2].as_secs_f64() * 1e3,
-        ingests.len(),
+        ingest.as_secs_f64() * 1e3,
         compaction.as_secs_f64() * 1e3
     );
 }

@@ -421,6 +421,13 @@ fn graph_digest(c: &Collection) -> u64 {
 /// descent took the distributed engine's per-vertex rules (the sample
 /// sorted before its shuffle, the reverse union new before old, the update
 /// count a set difference); the repaired-row counts and epochs did not move.
+/// They were re-captured once more, with the repaired-row counts, when the
+/// collection began to keep its k-NN rows and derive the served graph from
+/// them: deletion repairs and refines the k-NN rows, not the served rows,
+/// so fewer rows hold a deleted id (141 → 121 and 66 → 58), and a new
+/// point is located among the kept points only. Before:
+/// `((141, 1, 0xCA7F_53D5_FCF1_2C44), 0x00F1_85DD_CB94_355B,
+/// (66, 3, 0x99A0_D15D_6B4D_88A4))`.
 #[test]
 fn compaction_is_pinned() {
     let (mut c, pool) = fixture(300, 40, 8, 31);
@@ -444,9 +451,9 @@ fn compaction_is_pinned() {
         (second.rows_repaired, second.epoch, graph_digest(&c)),
     );
     let want = (
-        (141, 1, 0xCA7F_53D5_FCF1_2C44),
-        0x00F1_85DD_CB94_355B,
-        (66, 3, 0x99A0_D15D_6B4D_88A4),
+        (121, 1, 0x47D2_9DF9_B632_F753),
+        0xF088_0F96_D07B_5B1B,
+        (58, 3, 0xE7EC_3790_9355_4601),
     );
     assert_eq!(got, want);
 }
