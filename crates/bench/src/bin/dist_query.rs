@@ -16,7 +16,7 @@ use dataset::metric::L2;
 use dataset::presets;
 use dataset::recall::mean_recall;
 use dataset::synth::split_queries;
-use dnnd::{build, distributed_search_batch, DistSearchParams, DnndConfig};
+use dnnd::{build, distributed_search_batch, DnndConfig};
 use nnd::{search_batch, SearchParams};
 use std::sync::Arc;
 use ygm::World;
@@ -47,16 +47,11 @@ fn main() {
     let truth = brute_force_queries(&base, &queries, &L2, k);
 
     // Shared-memory reference (the paper's query program).
-    let shared = search_batch(
-        &graph,
-        &base,
-        &L2,
-        &queries,
-        SearchParams::new(k)
-            .epsilon(0.2)
-            .entry_candidates(32)
-            .seed(seed),
-    );
+    let params = SearchParams::new(k)
+        .epsilon(0.2)
+        .entry_candidates(32)
+        .seed(seed);
+    let shared = search_batch(&graph, &base, &L2, &queries, params);
     let r_shared = mean_recall(&shared.ids, &truth);
 
     let mut t = Table::new(
@@ -88,17 +83,7 @@ fn main() {
         if let Some(t) = &tracer {
             world = world.tracer(Arc::clone(t));
         }
-        let (ids, report) = distributed_search_batch(
-            &world,
-            &base,
-            &graph,
-            &queries,
-            &L2,
-            DistSearchParams::new(k)
-                .epsilon(0.2)
-                .entry_candidates(32)
-                .seed(seed),
-        );
+        let (ids, report) = distributed_search_batch(&world, &base, &graph, &queries, &L2, params);
         let recall = mean_recall(&ids, &truth);
         t.row(&[
             &"distributed",

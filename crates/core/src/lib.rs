@@ -49,6 +49,10 @@ pub mod rnn_dist;
 
 pub use config::{CommOpts, DnndConfig};
 pub use engine::{build, BuildReport, DnndOutput};
+/// [`nnd::SearchParams`], which both search loops take, under the name
+/// `benchmark/` imports. ROADMAP direction 8 removes this line, as it
+/// removes `CommOpts::{optimized, unoptimized}()`, kept for `benchmark/` too.
+pub use nnd::SearchParams as DistSearchParams;
 pub use partition::Partitioner;
-pub use query::{distributed_search_batch, DistSearchParams, IdMask, QueryProfile, SearchEngine};
+pub use query::{distributed_search_batch, IdMask, QueryProfile, SearchEngine};
 pub use rnn_dist::rnn_optimize_distributed;

@@ -45,7 +45,7 @@ use dataset::order::DistKey;
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use nnd::graph::KnnGraph;
-use nnd::search::EntrySampler;
+use nnd::search::{EntrySampler, SearchParams};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
@@ -63,64 +63,6 @@ pub const TAG_NEIGHBORS: u16 = 31;
 pub const TAG_SCORE: u16 = 32;
 /// Scored distance reply.
 pub const TAG_SCORED: u16 = 33;
-
-/// Parameters for distributed search.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DistSearchParams {
-    /// Neighbors to return per query.
-    pub l: usize,
-    /// Frontier relaxation (Section 3.3 / PyNNDescent `epsilon`).
-    pub epsilon: f32,
-    /// Random entry points per query (0 = default to `l`).
-    pub entry_candidates: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl DistSearchParams {
-    /// Defaults: pure greedy, `l` entries.
-    pub fn new(l: usize) -> Self {
-        let params = DistSearchParams {
-            l,
-            epsilon: 0.0,
-            entry_candidates: 0,
-            seed: 0xD15C,
-        };
-        nnd::checked(params, "DistSearchParams", Self::validate)
-    }
-
-    /// Set epsilon. NaN and negative values are refused — both would
-    /// silently corrupt the frontier-relaxation comparison.
-    pub fn epsilon(mut self, e: f32) -> Self {
-        self.epsilon = e;
-        nnd::checked(self, "DistSearchParams", Self::validate)
-    }
-
-    /// Set the number of random entry points (at least `l` are always
-    /// used, so 0 means `l`).
-    pub fn entry_candidates(mut self, n: usize) -> Self {
-        self.entry_candidates = n;
-        self
-    }
-
-    /// Set the seed.
-    pub fn seed(mut self, s: u64) -> Self {
-        self.seed = s;
-        self
-    }
-
-    /// The search's domain, shared with the shared-memory search.
-    pub fn validate(&self) -> Result<(), String> {
-        nnd::check_beam(self.l, self.epsilon)
-    }
-}
-
-impl Default for DistSearchParams {
-    /// `l = 10`, pure greedy — the paper's common query shape.
-    fn default() -> Self {
-        DistSearchParams::new(10)
-    }
-}
 
 /// Allow-list bitset over base point ids, used for *filter-pushed*
 /// distributed search (the vector-DB layer compiles metadata predicates
@@ -524,11 +466,11 @@ where
         comm: &Comm,
         requests: &[(u64, P)],
         masks: &[Option<Arc<IdMask>>],
-        params: DistSearchParams,
+        params: SearchParams,
     ) -> (Vec<Vec<PointId>>, Vec<QueryProfile>) {
         let n = self.base.len();
         let verdict = params.validate().and_then(|()| nnd::check_l(params.l, n));
-        verdict.unwrap_or_else(|e| panic!("invalid DistSearchParams: {e}"));
+        verdict.unwrap_or_else(|e| panic!("invalid SearchParams: {e}"));
         assert!(
             masks.is_empty() || masks.len() == requests.len(),
             "run_batch: masks must be empty or request-aligned \
@@ -547,7 +489,7 @@ where
         {
             let mut s = self.st.borrow_mut();
             let s = &mut *s;
-            let starts = params.l.max(params.entry_candidates).min(n);
+            let starts = params.entries().min(n);
             let mut fresh: Vec<PointId> = Vec::with_capacity(starts);
             let mut buckets = Buckets::default();
             for (qid, (key, query)) in requests.iter().enumerate() {
@@ -644,7 +586,7 @@ pub fn distributed_search_batch<P, M>(
     graph: &Arc<KnnGraph>,
     queries: &Arc<PointSet<P>>,
     metric: &M,
-    params: DistSearchParams,
+    params: SearchParams,
 ) -> (Vec<Vec<PointId>>, ygm::WorldReport<RankQueryRows>)
 where
     P: Point,
@@ -654,7 +596,7 @@ where
     let verdict = params
         .validate()
         .and_then(|()| nnd::check_l(params.l, base.len()));
-    verdict.unwrap_or_else(|e| panic!("invalid DistSearchParams: {e}"));
+    verdict.unwrap_or_else(|e| panic!("invalid SearchParams: {e}"));
     let report = world.run(|comm| {
         let engine = SearchEngine::new(comm, Arc::clone(base), Arc::clone(graph), metric.clone());
         // Home queries round-robin.
@@ -713,7 +655,7 @@ mod tests {
             &graph,
             &queries,
             &L2,
-            DistSearchParams::new(10).epsilon(0.2).entry_candidates(48),
+            SearchParams::new(10).epsilon(0.2).entry_candidates(48),
         );
         assert_eq!(ids.len(), queries.len());
         let recall = mean_recall(&ids, &truth);
@@ -725,24 +667,10 @@ mod tests {
         let (base, graph, queries) = setup(600, 8);
         let queries = Arc::new(queries);
         let truth = brute_force_queries(&base, &queries, &L2, 8);
-        let shared = nnd::search_batch(
-            &graph,
-            &base,
-            &L2,
-            &queries,
-            nnd::SearchParams::new(8)
-                .epsilon(0.2)
-                .entry_candidates(48)
-                .seed(0xD15C),
-        );
-        let (dist_ids, _) = distributed_search_batch(
-            &World::new(3),
-            &base,
-            &graph,
-            &queries,
-            &L2,
-            DistSearchParams::new(8).epsilon(0.2).entry_candidates(48),
-        );
+        let params = SearchParams::new(8).epsilon(0.2).entry_candidates(48);
+        let shared = nnd::search_batch(&graph, &base, &L2, &queries, params);
+        let (dist_ids, _) =
+            distributed_search_batch(&World::new(3), &base, &graph, &queries, &L2, params);
         let r_shared = mean_recall(&shared.ids, &truth);
         let r_dist = mean_recall(&dist_ids, &truth);
         assert!(
@@ -776,7 +704,7 @@ mod tests {
             &graph,
             &queries,
             &L2,
-            DistSearchParams::new(5).entry_candidates(64),
+            SearchParams::new(5).entry_candidates(64),
         );
         assert_eq!(ids[0][0], 11);
         assert_eq!(ids[1][0], 222);
@@ -795,7 +723,7 @@ mod tests {
                 &graph,
                 &queries,
                 &L2,
-                DistSearchParams::new(8).epsilon(0.2).entry_candidates(48),
+                SearchParams::new(8).epsilon(0.2).entry_candidates(48),
             );
             recalls.push(mean_recall(&ids, &truth));
         }
@@ -810,7 +738,7 @@ mod tests {
         // every query across rank counts, not just comparable recall.
         let (base, graph, queries) = setup(400, 8);
         let queries = Arc::new(queries);
-        let params = DistSearchParams::new(8).epsilon(0.2).entry_candidates(32);
+        let params = SearchParams::new(8).epsilon(0.2).entry_candidates(32);
         let (ref_ids, _) =
             distributed_search_batch(&World::new(1), &base, &graph, &queries, &L2, params);
         for ranks in [2usize, 4] {
@@ -827,7 +755,7 @@ mod tests {
         // scored at least its seed entries.
         let (base, graph, queries) = setup(400, 8);
         let queries = Arc::new(queries);
-        let params = DistSearchParams::new(8).epsilon(0.2).entry_candidates(32);
+        let params = SearchParams::new(8).epsilon(0.2).entry_candidates(32);
         let profiles_at = |ranks| run_at(ranks, &base, &graph, &queries, None, params).1;
         let reference = profiles_at(1);
         assert_eq!(reference.len(), queries.len());
@@ -855,7 +783,7 @@ mod tests {
             &graph,
             &queries,
             &L2,
-            DistSearchParams::new(6).entry_candidates(24),
+            SearchParams::new(6).entry_candidates(24),
         );
         let score_tag = report.tag(TAG_SCORE).expect("score traffic");
         let scored_tag = report.tag(TAG_SCORED).expect("scored traffic");
@@ -864,59 +792,6 @@ mod tests {
         // Score messages carry the query vector; replies are small.
         assert!(score_tag.bytes > scored_tag.bytes);
         assert!(report.sim_secs > 0.0);
-    }
-
-    #[test]
-    fn validate_states_the_domain_at_its_edges() {
-        // (field, value, accepted): each edge from both sides.
-        let rows = [
-            ("l", 0.0, false),
-            ("l", 1.0, true),
-            ("epsilon", -f32::MIN_POSITIVE, false),
-            ("epsilon", 0.0, true),
-            ("epsilon", f32::MAX, true),
-            ("epsilon", f32::INFINITY, false),
-            ("epsilon", f32::NAN, false),
-        ];
-        for (field, v, accepted) in rows {
-            let mut direct = DistSearchParams::new(10);
-            match field {
-                "l" => direct.l = v as usize,
-                _ => direct.epsilon = v,
-            }
-            let verdict = direct.validate();
-            assert_eq!(verdict.is_ok(), accepted, "{field} = {v}: {verdict:?}");
-            let built = testutil::panic_message(move || match field {
-                "l" => DistSearchParams::new(v as usize),
-                _ => DistSearchParams::new(10).epsilon(v),
-            });
-            let want = verdict.err().map(|e| format!("DistSearchParams: {e}"));
-            assert_eq!(built, want, "{field} = {v}");
-        }
-        // Entry candidates have no domain: 0 means `l` starts.
-        DistSearchParams::new(10)
-            .entry_candidates(0)
-            .validate()
-            .unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "epsilon")]
-    fn nan_epsilon_is_rejected() {
-        let _ = DistSearchParams::new(10).epsilon(f32::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "l (results per query)")]
-    fn zero_l_is_rejected() {
-        let _ = DistSearchParams::new(0);
-    }
-
-    #[test]
-    fn default_params_are_valid() {
-        let p = DistSearchParams::default();
-        assert_eq!(p.l, 10);
-        p.validate().unwrap();
     }
 
     /// A `Score` is sent as a tuple of borrows; the handler decodes the
@@ -965,7 +840,7 @@ mod tests {
         graph: &Arc<KnnGraph>,
         queries: &Arc<PointSet<Vec<f32>>>,
         mask: Option<&Arc<IdMask>>,
-        params: DistSearchParams,
+        params: SearchParams,
     ) -> (Vec<Vec<PointId>>, Vec<QueryProfile>) {
         let report = World::new(ranks).run(|comm| {
             let engine = SearchEngine::new(comm, Arc::clone(base), Arc::clone(graph), L2);
@@ -996,7 +871,7 @@ mod tests {
         let queries = Arc::new(queries);
         // Allow one id in three — a mid-selectivity predicate.
         let mask = Arc::new(IdMask::from_fn(base.len(), |id| id % 3 == 0));
-        let params = DistSearchParams::new(10).epsilon(0.2).entry_candidates(48);
+        let params = SearchParams::new(10).epsilon(0.2).entry_candidates(48);
         let ids = run_at(2, &base, &graph, &queries, Some(&mask), params).0;
         for (qi, row) in ids.iter().enumerate() {
             assert_eq!(row.len(), 10, "query {qi} under-filled");
@@ -1027,7 +902,7 @@ mod tests {
         let (base, graph, queries) = setup(400, 8);
         let queries = Arc::new(queries);
         let mask = Arc::new(IdMask::from_fn(base.len(), |id| id % 4 != 1));
-        let params = DistSearchParams::new(8).epsilon(0.2).entry_candidates(32);
+        let params = SearchParams::new(8).epsilon(0.2).entry_candidates(32);
         let reference = run_at(1, &base, &graph, &queries, Some(&mask), params).0;
         // Rerun at the same rank count: bit-identical.
         assert_eq!(
@@ -1168,7 +1043,7 @@ mod tests {
     #[test]
     fn retired_states_are_reused_clean_and_the_pool_is_bounded() {
         let (base, graph, queries) = setup(300, 6);
-        let params = DistSearchParams::new(6).entry_candidates(24);
+        let params = SearchParams::new(6).entry_candidates(24);
         let requests = |copies: usize| -> Vec<(u64, Vec<f32>)> {
             (0..copies * queries.len())
                 .map(|i| {
@@ -1203,7 +1078,7 @@ mod tests {
     fn all_deny_mask_returns_no_results() {
         let (base, graph, queries) = setup(300, 6);
         let queries = Arc::new(queries);
-        let params = DistSearchParams::new(6).entry_candidates(24);
+        let params = SearchParams::new(6).entry_candidates(24);
         let deny = Arc::new(IdMask::none(base.len()));
         let empty = run_at(2, &base, &graph, &queries, Some(&deny), params).0;
         assert_eq!(empty.len(), queries.len());

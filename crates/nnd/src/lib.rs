@@ -62,8 +62,8 @@ pub use refine::{refine, remove_points, KnnRows};
 pub use rnn::{rnn_optimize, RnnParams, RnnStats};
 pub use rptree::{rp_forest_candidates, RpForestParams};
 pub use search::{
-    check_beam, check_l, search, search_batch, search_batch_traced, BatchResult, EntrySampler,
-    SearchParams, SearchResult,
+    check_l, search, search_batch, search_batch_traced, BatchResult, EntrySampler, SearchParams,
+    SearchResult,
 };
 
 /// A parameter builder's one check: `value` if its `validate` accepts it,

@@ -23,7 +23,7 @@
 //! `optimize`'s own rule, and the result equals a full `optimize` of the
 //! rows, bit for bit.
 
-use crate::graph::{prune_limit, prune_merged, Edge, KnnGraph};
+use crate::graph::{prune_limit, prune_merged, Edge, KnnGraph, PRUNE_M};
 use crate::heap::NeighborTable;
 use crate::nndescent::{check_k, descend, BuildStats, Lists, NnDescentParams, Scope, Theta};
 use crate::search::{Scratch, SearchParams};
@@ -175,14 +175,15 @@ impl KnnRows {
         KnnGraph::from_table(&self.table)
     }
 
-    /// Bring `served` — [`KnnGraph::optimize`]`(k, m)` of these rows as they
-    /// stood at the last call or at [`KnnRows::new`] — up to date. It grows
-    /// to one row per vertex, and each row whose vertex's k-NN row or
-    /// holders moved since is merged and pruned again by `optimize`'s own
+    /// Bring `served` — [`KnnGraph::optimize`]`(k, PRUNE_M)` of these rows
+    /// as they stood at the last call or at [`KnnRows::new`] — up to date.
+    /// It grows to one row per vertex, and each row whose vertex's k-NN row
+    /// or holders moved since is merged and pruned again by `optimize`'s own
     /// rule; no other served row can have moved. Afterwards `served` equals
-    /// `self.to_graph().optimize(k, m)` bit for bit.
-    pub fn rederive(&mut self, served: &mut KnnGraph, m: f64) {
-        let limit = prune_limit(self.k(), m).unwrap_or_else(|e| panic!("KnnRows::rederive: {e}"));
+    /// `self.to_graph().optimize(k, PRUNE_M)` bit for bit.
+    pub fn rederive(&mut self, served: &mut KnnGraph) {
+        let limit =
+            prune_limit(self.k(), PRUNE_M).unwrap_or_else(|e| panic!("KnnRows::rederive: {e}"));
         let n = self.len();
         assert!(
             served.len() <= n,
@@ -218,8 +219,8 @@ impl KnnRows {
 /// The short refinement phase, on `knn` in place: `knn` covers the first
 /// `knn.len()` points of `base`, the rest are new, and `shortened` names
 /// rows that lost entries to a deletion — the rows [`remove_points`]
-/// returns. At most `refine_iters` NN-Descent iterations run, from these
-/// flags:
+/// returns. At most `params.max_iters` NN-Descent iterations run, from
+/// these flags:
 ///
 /// * A kept entry stays old: nothing is re-evaluated and a short row is
 ///   not topped up. The entries of the rows in `shortened` are flagged
@@ -245,7 +246,6 @@ pub fn refine<P: Point, M: BatchMetric<P>>(
     base: &PointSet<P>,
     metric: &M,
     params: NnDescentParams,
-    refine_iters: usize,
     shortened: &[PointId],
 ) -> BuildStats {
     let search_evals = seed(knn, graph, base, metric, params, shortened);
@@ -261,7 +261,6 @@ pub fn refine<P: Point, M: BatchMetric<P>>(
     let mut theta = Theta::new(base, metric, NormCache::empty());
     let fresh = &mut scratch.fresh;
     let scope = Scope::Part { fresh, reverse };
-    let params = params.max_iters(refine_iters);
     let mut stats = descend(&mut theta, table, params, 1, &mut scratch.lists, scope);
     for v in scratch.fresh.drain(..) {
         table.flag_row(v as usize, false);
@@ -451,7 +450,6 @@ fn top_up(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::PRUNE_M;
     use crate::nndescent::build;
     use dataset::ground_truth::brute_force_knng;
     use dataset::metric::L2;
@@ -516,14 +514,12 @@ mod tests {
         base: &PointSet<P>,
         metric: &M,
         params: NnDescentParams,
-        refine_iters: usize,
         shortened: &[PointId],
     ) -> (NeighborTable, BuildStats) {
         let mut copy = knn.clone();
         let search_evals = seed(&mut copy, graph, base, metric, params, shortened);
         let mut table = copy.table;
         let mut theta = Theta::new(base, metric, NormCache::empty());
-        let params = params.max_iters(refine_iters);
         let lists = &mut Lists::default();
         let mut stats = descend(&mut theta, &mut table, params, 1, lists, Scope::All);
         for v in 0..table.n_rows() {
@@ -540,7 +536,7 @@ mod tests {
         let params = NnDescentParams::new(8).seed(1);
         let (g_old, _) = build(&old, &L2, params);
         let mut knn = kept(&g_old, 8);
-        let stats = refine(&mut knn, &g_old, &full, &L2, params, 4, &[]);
+        let stats = refine(&mut knn, &g_old, &full, &L2, params.max_iters(4), &[]);
         assert_eq!(knn.len(), 700);
         let truth = brute_force_knng(&full, &L2, 8);
         let recall = mean_recall(&knn.to_graph().neighbor_ids(), &truth);
@@ -555,7 +551,14 @@ mod tests {
         let params = NnDescentParams::new(8).seed(2);
         let (g_old, _) = build(&old, &L2, params);
         let (_, full_stats) = build(&full, &L2, params);
-        let refine_stats = refine(&mut kept(&g_old, 8), &g_old, &full, &L2, params, 3, &[]);
+        let refine_stats = refine(
+            &mut kept(&g_old, 8),
+            &g_old,
+            &full,
+            &L2,
+            params.max_iters(3),
+            &[],
+        );
         assert!(
             4 * refine_stats.distance_evals <= full_stats.distance_evals,
             "refine {} > rebuild {} / 4",
@@ -579,7 +582,7 @@ mod tests {
                 let params = NnDescentParams::new(10).seed(2);
                 let (g, _) = build(&old, &L2, params);
                 let mut knn = kept(&g, 10);
-                let stats = refine(&mut knn, &g, &full, &L2, params, 1, &[]);
+                let stats = refine(&mut knn, &g, &full, &L2, params.max_iters(1), &[]);
                 assert_eq!(knn.table.row(n).len(), 10, "n = {n}");
                 assert!(
                     stats.distance_evals <= 600,
@@ -598,7 +601,7 @@ mod tests {
         let params = NnDescentParams::new(6).seed(3);
         let (g, _) = build(&base, &L2, params);
         let mut knn = kept(&g, 6);
-        let stats = refine(&mut knn, &g, &base, &L2, params, 2, &[]);
+        let stats = refine(&mut knn, &g, &base, &L2, params.max_iters(2), &[]);
         assert_eq!(stats.distance_evals, 0);
         assert_eq!(knn.to_graph(), g);
         assert!(knn.table.row(0).iter().all(|e| !e.new));
@@ -616,11 +619,11 @@ mod tests {
         let mut knn = kept(&g, 8);
         remove_points(&mut knn, &base, &L2, &out);
         let mut served = knn.to_graph().optimize(8, PRUNE_M);
-        knn.rederive(&mut served, PRUNE_M);
+        knn.rederive(&mut served);
         for batch in full.points()[400..].chunks(5) {
             base.extend(batch.iter().cloned());
-            refine(&mut knn, &served, &base, &L2, params, 2, &[]);
-            knn.rederive(&mut served, PRUNE_M);
+            refine(&mut knn, &served, &base, &L2, params.max_iters(2), &[]);
+            knn.rederive(&mut served);
         }
         assert_eq!(served.len(), 440);
         for graph in [&served, &knn.to_graph()] {
@@ -694,11 +697,11 @@ mod tests {
 
         // With every entry flagged old there is nothing to join ...
         let mut same = knn.clone();
-        let idle = refine(&mut same, &g2, &base, &L2, params, 3, &[]);
+        let idle = refine(&mut same, &g2, &base, &L2, params.max_iters(3), &[]);
         assert_eq!((same.to_graph(), idle.distance_evals), (g2.clone(), 0));
         // ... the shortened rows flagged new are what the refinement is for.
         assert!(!shortened.is_empty() && shortened.len() < base.len() - gone.len());
-        refine(&mut knn, &g2, &base, &L2, params, 3, &shortened);
+        refine(&mut knn, &g2, &base, &L2, params.max_iters(3), &shortened);
         let g3 = knn.to_graph();
         let refined = live_recall(&g3, &base, &gone, 8);
         assert!(refined > 0.9, "refined post-remove recall {refined}");
@@ -728,8 +731,7 @@ mod tests {
             &g2,
             &base,
             &L2,
-            NnDescentParams::new(1),
-            2,
+            NnDescentParams::new(1).max_iters(2),
             &shortened,
         );
         let g3 = knn.to_graph();
@@ -775,7 +777,7 @@ mod tests {
             let mut knn = kept(&g, k);
             let shortened = remove_points(&mut knn, &base, &L2, &gone);
             let g2 = knn.to_graph();
-            refine(&mut knn, &g2, &base, &L2, params, 2, &shortened);
+            refine(&mut knn, &g2, &base, &L2, params.max_iters(2), &shortened);
             let g3 = knn.to_graph();
             for v in 0..n as PointId {
                 let dead = gone.contains(&v);
@@ -809,8 +811,9 @@ mod tests {
         let mut served = g.optimize(k, PRUNE_M);
         let (mut tombstones, mut dead): (Vec<PointId>, Vec<PointId>) = (Vec::new(), Vec::new());
         for (i, &step) in steps.iter().enumerate() {
-            let params = NnDescentParams::new(k).seed(seed ^ i as u64);
-            let iters = 1 + i % 3;
+            let params = NnDescentParams::new(k)
+                .seed(seed ^ i as u64)
+                .max_iters(1 + i % 3);
             let shortened = match step {
                 Step::Ingest(m) => {
                     base.extend(pool.by_ref().take(m));
@@ -831,12 +834,12 @@ mod tests {
             };
             let what = format!("step {i} {step:?} of {steps:?}");
             let (want, want_stats) =
-                refine_whole_table(&knn, &served, &base, &L2, params, iters, &shortened);
-            let stats = refine(&mut knn, &served, &base, &L2, params, iters, &shortened);
+                refine_whole_table(&knn, &served, &base, &L2, params, &shortened);
+            let stats = refine(&mut knn, &served, &base, &L2, params, &shortened);
             assert_eq!(stats, want_stats, "{what}");
             assert_eq!(knn.table, want, "{what}");
             assert!(holders_are_exact(&knn), "{what}");
-            knn.rederive(&mut served, PRUNE_M);
+            knn.rederive(&mut served);
             assert!(
                 same_bits(&served, &knn.to_graph().optimize(k, PRUNE_M)),
                 "{what}"
@@ -891,8 +894,7 @@ mod tests {
             &g,
             &wrong,
             &L2,
-            NnDescentParams::new(4),
-            2,
+            NnDescentParams::new(4).max_iters(2),
             &[],
         );
     }

@@ -34,8 +34,9 @@ use rand_chacha::ChaCha8Rng;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// Query-time parameters.
-#[derive(Debug, Clone, Copy)]
+/// Query-time parameters of both search loops: this module's and the
+/// distributed engine in `dnnd::query` (which the serving layer drives).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchParams {
     /// Number of nearest neighbors to return (`l`; may exceed the graph's
     /// `k`).
@@ -46,12 +47,12 @@ pub struct SearchParams {
     pub epsilon: f32,
     /// Seed for the random entry points.
     pub seed: u64,
-    /// Number of random entry points probed before the descent starts
-    /// (clamped to at least `l`). The paper's Section 3.3 algorithm uses
-    /// exactly `l` random starts; on strongly clustered data a k-NNG has
-    /// few cross-cluster edges, so greedy descent can only reach clusters
-    /// an entry point landed in. Raising this is the multi-start analogue
-    /// of PyNNDescent's RP-tree entry-point selection.
+    /// Number of random entry points probed before the descent starts (at
+    /// least `l` are used: [`SearchParams::entries`]). The paper's Section
+    /// 3.3 algorithm uses exactly `l` random starts; on strongly clustered
+    /// data a k-NNG has few cross-cluster edges, so greedy descent can only
+    /// reach clusters an entry point landed in. Raising this is the
+    /// multi-start analogue of PyNNDescent's RP-tree entry-point selection.
     pub entry_candidates: usize,
 }
 
@@ -86,21 +87,26 @@ impl SearchParams {
         self
     }
 
-    /// The search's domain: [`check_beam`]. Every query calls it.
-    pub fn validate(&self) -> Result<(), String> {
-        check_beam(self.l, self.epsilon)
+    /// Random entry points a query starts from: `entry_candidates`, at
+    /// least `l`. Each engine clamps it to the points it searches.
+    pub fn entries(&self) -> usize {
+        self.l.max(self.entry_candidates)
     }
-}
 
-/// The beam's domain, stated once for both engines: `l >= 1`, `epsilon` finite `>= 0`.
-pub fn check_beam(l: usize, epsilon: f32) -> Result<(), String> {
-    if l < 1 {
-        return Err("l (results per query) must be >= 1".into());
+    /// The beam's domain, stated once for both engines: `l >= 1`, `epsilon`
+    /// finite `>= 0`. Every query calls it.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.l < 1 {
+            return Err("l (results per query) must be >= 1".into());
+        }
+        if !(self.epsilon.is_finite() && self.epsilon >= 0.0) {
+            return Err(format!(
+                "epsilon must be finite and >= 0 (got {})",
+                self.epsilon
+            ));
+        }
+        Ok(())
     }
-    if !(epsilon.is_finite() && epsilon >= 0.0) {
-        return Err(format!("epsilon must be finite and >= 0 (got {epsilon})"));
-    }
-    Ok(())
 }
 
 /// `l` against the point count, stated once: at most the `n` points of the base.
@@ -244,7 +250,7 @@ impl Scratch {
         self.frontier.clear();
 
         let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
-        let starts = params.l.max(params.entry_candidates).min(n);
+        let starts = params.entries().min(n);
         self.sampler.draw(&mut rng, starts, &mut self.cands);
         for &id in &self.cands {
             self.marks.visit(id);

@@ -50,8 +50,9 @@ use dataset::batch::BatchMetric;
 use dataset::point::Point;
 use dataset::set::{PointId, PointSet};
 use dnnd::query::{IdMask, SearchEngine};
-use dnnd::{DistSearchParams, QueryProfile};
+use dnnd::QueryProfile;
 use nnd::graph::KnnGraph;
+use nnd::SearchParams;
 use obs::{
     QueryForensicsSection, ServingSection, TenantSloSection, VdbNamespaceSection, VdbSection,
 };
@@ -665,20 +666,17 @@ impl ClosedLoop {
 
 /// Search parameters at a degrade level: level 1 halves epsilon and trims
 /// the entry beam to 3/4; level 2 drops to pure greedy on half the beam.
-fn degraded_search(base: &DistSearchParams, level: u8) -> DistSearchParams {
-    let entries = if base.entry_candidates == 0 {
-        base.l
-    } else {
-        base.entry_candidates
-    };
+/// The beam still starts at least `l` entries ([`SearchParams::entries`]).
+fn degraded_search(base: &SearchParams, level: u8) -> SearchParams {
+    let entries = base.entries();
     match level {
         0 => *base,
-        1 => DistSearchParams {
+        1 => SearchParams {
             epsilon: base.epsilon * 0.5,
             entry_candidates: (entries * 3 / 4).max(1),
             ..*base
         },
-        _ => DistSearchParams {
+        _ => SearchParams {
             epsilon: 0.0,
             entry_candidates: (entries / 2).max(1),
             ..*base
@@ -1351,7 +1349,7 @@ mod tests {
 
     #[test]
     fn degrade_ladder_shapes() {
-        let base = DistSearchParams::new(10).epsilon(0.2).entry_candidates(32);
+        let base = SearchParams::new(10).epsilon(0.2).entry_candidates(32);
         let l0 = degraded_search(&base, 0);
         assert_eq!(l0, base);
         let l1 = degraded_search(&base, 1);
@@ -1364,8 +1362,20 @@ mod tests {
         l1.validate().unwrap();
         l2.validate().unwrap();
         // Entry beam never collapses to zero.
-        let tiny = DistSearchParams::new(1).entry_candidates(1);
+        let tiny = SearchParams::new(1).entry_candidates(1);
         assert_eq!(degraded_search(&tiny, 2).entry_candidates, 1);
+        // Below `l` candidates, every level starts `l` entries, as when the
+        // ladder scaled `entry_candidates` (or `l` for 0), the `set` here.
+        let l = 10;
+        for candidates in [0, 1, 5, l - 1] {
+            let base = SearchParams::new(l).entry_candidates(candidates);
+            let scaled = if candidates == 0 { l } else { candidates };
+            for (level, set) in [(0, candidates), (1, scaled * 3 / 4), (2, scaled / 2)] {
+                let p = degraded_search(&base, level);
+                assert_eq!(p.entries(), l.max(set), "{candidates}, level {level}");
+                assert_eq!(p.entries(), l);
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::workload::{
     ArrivalProcess, BurstWindow, Diurnal, FilterTraffic, MutateTraffic, PoolDist, TenantClass,
     WorkloadSpec,
 };
-use dnnd::DistSearchParams;
+use nnd::SearchParams;
 use std::fmt;
 
 /// Virtual duration of one serving slot, nanoseconds (1 ms). The frontend
@@ -26,7 +26,7 @@ pub const SLOT_NS: u64 = 1_000_000;
 pub struct ServeParams {
     /// Search quality at degrade level 0 (`l`, `epsilon`,
     /// `entry_candidates`, search seed).
-    pub search: DistSearchParams,
+    pub search: SearchParams,
     /// Seed of the whole serving run: arrivals, hot-set picks, and every
     /// admission decision are a pure function of it.
     pub serve_seed: u64,
@@ -65,10 +65,14 @@ pub struct ServeParams {
 }
 
 impl ServeParams {
-    /// Serving defaults around a `DistSearchParams::new(l)` search.
+    /// Serving defaults around a `SearchParams::new(l)` search, seeded
+    /// `0xD15C`.
     pub fn new(l: usize) -> Self {
         ServeParams {
-            search: DistSearchParams::new(l).epsilon(0.1).entry_candidates(24),
+            search: SearchParams::new(l)
+                .epsilon(0.1)
+                .entry_candidates(24)
+                .seed(0xD15C),
             serve_seed: 0x5E27E,
             offered_qps: 2_000.0,
             n_arrivals: 200,
@@ -741,6 +745,15 @@ mod tests {
         };
         assert!(p.validate().is_err());
         p.workload_str("burst:at=0s,x=2").validate().unwrap();
+    }
+
+    #[test]
+    fn the_serving_search_defaults_are_pinned() {
+        let want = SearchParams::new(16)
+            .epsilon(0.1)
+            .entry_candidates(24)
+            .seed(0xD15C);
+        assert_eq!(ServeParams::new(16).search, want);
     }
 
     #[test]

@@ -101,8 +101,9 @@ fn check_ids(ns: &str, list: &str, ids: &[PointId], n: usize) -> Result<(), Stri
 /// The element type of every collection, as `dataset::with_metric!` names it.
 const ELEM: &str = "f32";
 
-/// NN-Descent iterations an ingest runs over the rows it linked, and a
-/// compaction over the rows it shortened. An iteration joins the
+/// The `max_iters` of [`nnd::refine()`]: NN-Descent iterations an ingest
+/// runs over the rows it linked, and a compaction over the rows it
+/// shortened. An iteration joins the
 /// neighborhoods of the entries flagged new — not the whole graph — so it
 /// costs a few hundred distance evaluations whatever the collection's size.
 const REFINE_ITERS: usize = 1;
@@ -158,7 +159,6 @@ pub struct Collection {
     tombstones: Vec<PointId>,
     dead: Vec<PointId>,
     epoch: u64,
-    k: usize,
     metric: String,
     /// The k-NN rows `graph` is derived from.
     knn: KnnRows,
@@ -203,7 +203,6 @@ impl Collection {
             tombstones: Vec::new(),
             dead: Vec::new(),
             epoch: 0,
-            k,
             metric: metric.to_string(),
             knn: KnnRows::new(&knn, k)?,
         })
@@ -261,12 +260,11 @@ impl Collection {
         Ok(Collection {
             name: name.to_string(),
             base,
-            graph: knn.to_graph().optimize(k as usize, PRUNE_M),
+            graph: knn.to_graph().optimize(knn.k(), PRUNE_M),
             meta,
             tombstones,
             dead,
             epoch,
-            k: k as usize,
             metric,
             knn,
         })
@@ -278,7 +276,7 @@ impl Collection {
     pub fn save(&self, store: &mut Store) -> Result<(), String> {
         let err = |e: metall::StoreError| format!("namespace {:?}: {e}", self.name);
         store
-            .put(&key(&self.name, "info/k"), &(self.k as u64))
+            .put(&key(&self.name, "info/k"), &(self.k() as u64))
             .map_err(err)?;
         store
             .put(&key(&self.name, "info/metric"), &self.metric)
@@ -331,7 +329,7 @@ impl Collection {
 
     /// Degree target.
     pub fn k(&self) -> usize {
-        self.k
+        self.knn.k()
     }
 
     /// Metric name.
@@ -458,12 +456,14 @@ impl Collection {
     /// repeats it, then the served rows that moved derived again. Fails only
     /// on an unknown metric name, which `create` and `open` reject.
     fn refine(&mut self, shortened: &[PointId]) -> Result<(), String> {
-        let params = NnDescentParams::new(self.k).seed(self.epoch.wrapping_mul(0x9E37_79B9) | 1);
+        let params = NnDescentParams::new(self.k())
+            .seed(self.epoch.wrapping_mul(0x9E37_79B9) | 1)
+            .max_iters(REFINE_ITERS);
         let (knn, graph, base) = (&mut self.knn, &self.graph, &self.base);
         dataset::with_metric!(ELEM, self.metric.as_str(), P, m => {
-            nnd::refine(knn, graph, base, &m, params, REFINE_ITERS, shortened);
+            nnd::refine(knn, graph, base, &m, params, shortened);
         })?;
-        self.knn.rederive(&mut self.graph, PRUNE_M);
+        self.knn.rederive(&mut self.graph);
         Ok(())
     }
 
@@ -537,7 +537,7 @@ impl Collection {
             dead: self.dead.len() as u64,
             epoch: self.epoch,
             dim: self.base.dim() as u64,
-            k: self.k as u64,
+            k: self.k() as u64,
             metric: self.metric.clone(),
         }
     }

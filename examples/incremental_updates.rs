@@ -49,7 +49,7 @@ fn main() {
         let grown = PointSet::new(full.points()[..new_len].to_vec());
         // New points are located by a search of the rows as they stand.
         let located = knn.to_graph();
-        let refine_stats = refine(&mut knn, &located, &grown, &L2, params, 3, &[]);
+        let refine_stats = refine(&mut knn, &located, &grown, &L2, params.max_iters(3), &[]);
         let (_, rebuild_stats) = build(&grown, &L2, params);
         let truth = brute_force_knng(&grown, &L2, K);
         let recall = mean_recall(&knn.to_graph().neighbor_ids(), &truth);
@@ -85,7 +85,14 @@ fn main() {
         mean_recall(&rows, &truth)
     };
     let repaired_recall = live_recall(&repaired);
-    let refine_stats = refine(&mut knn, &repaired, &base, &L2, params, 2, &shortened);
+    let refine_stats = refine(
+        &mut knn,
+        &repaired,
+        &base,
+        &L2,
+        params.max_iters(2),
+        &shortened,
+    );
     let refined_recall = live_recall(&knn.to_graph());
     println!(
         "delete {} points: {} rows shortened | repair-only recall {:.4} -> after {} refinement iters ({} evals) {:.4}",
@@ -124,10 +131,12 @@ fn timed<T>(f: impl FnOnce() -> T) -> (Duration, T) {
 /// from the epoch as `Collection` seeds it. The compaction's top-up
 /// distances are not counted.
 fn refine_evals(col: &Collection, base: &PointSet<Vec<f32>>) -> u64 {
-    let params = NnDescentParams::new(K).seed(col.epoch().wrapping_mul(0x9E37_79B9) | 1);
+    let params = NnDescentParams::new(K)
+        .seed(col.epoch().wrapping_mul(0x9E37_79B9) | 1)
+        .max_iters(1);
     let mut knn = col.knn().clone();
     let shortened = remove_points(&mut knn, base, &L2, col.tombstones());
-    refine(&mut knn, &col.graph, base, &L2, params, 1, &shortened).distance_evals
+    refine(&mut knn, &col.graph, base, &L2, params, &shortened).distance_evals
 }
 
 /// Wall time of one `Collection::create` over `n` DEEP-like points, and the

@@ -21,7 +21,8 @@
 
 use dataset::{presets, L2};
 use dnnd::msgs::Type2Plus;
-use dnnd::{build, distributed_search_batch, CommOpts, DistSearchParams, DnndConfig};
+use dnnd::{build, distributed_search_batch, CommOpts, DnndConfig};
+use nnd::SearchParams;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -143,7 +144,10 @@ fn the_message_path_does_not_allocate_per_message() {
     let cfg = DnndConfig::new(10).seed(3).graph_opt(1.5);
     let graph = Arc::new(build(&World::new(1), &base, &L2, cfg).graph);
     let queries = Arc::new(presets::deep1b_like(64, 99));
-    let params = DistSearchParams::new(10).epsilon(0.2).entry_candidates(32);
+    let params = SearchParams::new(10)
+        .epsilon(0.2)
+        .entry_candidates(32)
+        .seed(0xD15C);
     let ((_, report), allocations) =
         counted(|| distributed_search_batch(&World::new(1), &base, &graph, &queries, &L2, params));
     let expansions = report

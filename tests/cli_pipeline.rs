@@ -417,6 +417,16 @@ fn bad_flag_exits_2_on_every_binary() {
         ),
         (
             env!("CARGO_BIN_EXE_dnnd-serve"),
+            format!("--store {store} --epsilon nan"),
+            "error: invalid serving parameters: epsilon must be finite and >= 0 (got NaN)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-serve"),
+            format!("--store {store} --epsilon -0.5"),
+            "error: invalid serving parameters: epsilon must be finite and >= 0 (got -0.5)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_dnnd-serve"),
             format!("--store {store} --l 100000"),
             "error: l must be at most the dataset size 200 (got 100000)",
         ),

@@ -4,9 +4,9 @@
 
 use dataset::synth::{gaussian_mixture, split_queries, MixtureParams};
 use dataset::{brute_force_queries, mean_recall, L2};
-use dnnd::{build, distributed_search_batch, DistSearchParams, DnndConfig};
+use dnnd::{build, distributed_search_batch, DnndConfig};
 use metall::Store;
-use nnd::KnnGraph;
+use nnd::{KnnGraph, SearchParams};
 use std::sync::Arc;
 use ygm::World;
 
@@ -42,7 +42,10 @@ fn build_store_reload_serve() {
         &graph,
         &queries,
         &L2,
-        DistSearchParams::new(10).epsilon(0.2).entry_candidates(48),
+        SearchParams::new(10)
+            .epsilon(0.2)
+            .entry_candidates(48)
+            .seed(0xD15C),
     );
     let recall = mean_recall(&ids, &truth);
     assert!(recall > 0.85, "served recall {recall}");
@@ -63,7 +66,10 @@ fn serving_ranks_are_independent_of_build_ranks() {
     out.graph.save(&mut store, "knng").unwrap();
     let graph = Arc::new(KnnGraph::load(&store, "knng").unwrap());
     assert_eq!(graph.as_ref(), &out.graph);
-    let params = DistSearchParams::new(6).epsilon(0.2).entry_candidates(32);
+    let params = SearchParams::new(6)
+        .epsilon(0.2)
+        .entry_candidates(32)
+        .seed(0xD15C);
     let serve = |ranks| {
         distributed_search_batch(&World::new(ranks), &base, &graph, &queries, &L2, params).0
     };
@@ -87,7 +93,10 @@ fn distributed_queries_amortize_rounds() {
     let graph = Arc::new(out.graph);
     let small = Arc::new(dataset::PointSet::new(queries.points()[..30].to_vec()));
     let large = Arc::new(queries);
-    let params = DistSearchParams::new(8).epsilon(0.2).entry_candidates(32);
+    let params = SearchParams::new(8)
+        .epsilon(0.2)
+        .entry_candidates(32)
+        .seed(0xD15C);
     let (_, r_small) = distributed_search_batch(&World::new(4), &base, &graph, &small, &L2, params);
     let (_, r_large) = distributed_search_batch(&World::new(4), &base, &graph, &large, &L2, params);
     assert!(

@@ -18,7 +18,7 @@
 
 use dataset::synth::{gaussian_mixture, split_queries, MixtureParams};
 use dataset::{PointId, PointSet, L2};
-use dnnd::{distributed_search_batch, DistSearchParams};
+use dnnd::distributed_search_batch;
 use hnsw::index::{HnswIndex, HnswParams};
 use nnd::{build, search, search_batch, KnnGraph, NnDescentParams, SearchParams};
 use std::sync::Arc;
@@ -220,7 +220,7 @@ fn distributed_search_is_pinned_across_rank_counts() {
 
     let (base, queries, graph) = f32_fixture();
     let (base, queries, graph) = (Arc::new(base), Arc::new(queries), Arc::new(graph));
-    let params = DistSearchParams::new(10)
+    let params = SearchParams::new(10)
         .epsilon(0.2)
         .entry_candidates(48)
         .seed(17);
@@ -355,7 +355,7 @@ fn distributed_search_with_256_entries_is_pinned_across_rank_counts() {
 
     let (base, queries, graph) = f32_fixture();
     let (base, queries, graph) = (Arc::new(base), Arc::new(queries), Arc::new(graph));
-    let params = DistSearchParams::new(10).entry_candidates(256).seed(5);
+    let params = SearchParams::new(10).entry_candidates(256).seed(5);
     for (ranks, messages, bytes) in GOLDEN_TRAFFIC {
         let (ids, report) =
             distributed_search_batch(&World::new(ranks), &base, &graph, &queries, &L2, params);
